@@ -1,27 +1,21 @@
 //! CPU backend comparison: per-frame processing time for every Table 4
-//! service on the tree-walking reference interpreter, the compiled
-//! micro-op backend in scalar per-frame mode, and the compiled backend
-//! on the batched fast path, as a `{service, backend, us_per_frame}`
-//! row matrix in the shared bench-report schema.
+//! service on the tree-walking reference interpreter and on the compiled
+//! micro-op backend, as a `{service, backend, us_per_frame}` row matrix
+//! in the shared bench-report schema.
 //!
 //! This is the speed leg of the compiled-backend story (the equivalence
 //! leg is `tests/backend_equiv.rs` and the differential proptests): the
 //! backends are byte-identical in every observable — this harness
 //! re-checks outputs while timing — so the only difference left to
-//! report is throughput. The three columns are:
+//! report is throughput. Both columns go through
+//! `Engine::process_batch`:
 //!
 //! * `treewalk` — the recursive reference interpreter,
-//! * `compiled` — the scalar path with the statement-local pass list
-//!   (the PR-5 artifact: `EngineBuilder::batching(false)` +
-//!   `kiwi_ir::statement_pipeline`), and
-//! * `batched`  — the full cross-statement pipeline through
-//!   `Engine::process_batch`'s monomorphized fast path (the current
-//!   production default).
+//! * `compiled` — the micro-op backend with the default (cross-statement)
+//!   pass pipeline, the production default.
 //!
-//! The harness **exits non-zero** unless (a) compiled beats tree-walk
-//! on every service and at least 2× on at least three of them — the
-//! original PR-5 gate — and (b) batched beats compiled-scalar on every
-//! service and at least 2× on at least three of them.
+//! The harness **exits non-zero** unless compiled beats tree-walk on
+//! every service and at least 2× on at least three of them.
 //!
 //! Run: `cargo run --release -p emu-bench --bin backend_compare
 //! [-- --frames N]` (default 3000 frames per service per backend).
@@ -34,66 +28,37 @@ use std::time::Instant;
 
 const BATCH: usize = 256;
 
-/// The three timed execution modes, column order of the report.
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    Batched,
-    CompiledScalar,
-    TreeWalk,
-}
-
-impl Mode {
-    fn label(self) -> &'static str {
-        match self {
-            Mode::Batched => "batched",
-            Mode::CompiledScalar => "compiled",
-            Mode::TreeWalk => "treewalk",
-        }
-    }
-}
-
+/// One service's µs/frame on each backend.
 struct Row {
     service: &'static str,
-    /// µs/frame in [batched, compiled-scalar, treewalk] order.
-    us_per_frame: [f64; 3],
+    compiled_us: f64,
+    treewalk_us: f64,
 }
 
 impl Row {
-    /// Compiled-scalar speedup over the tree-walker (the PR-5 gate).
-    fn compiled_speedup(&self) -> f64 {
-        self.us_per_frame[2] / self.us_per_frame[1]
-    }
-
-    /// Batched speedup over compiled-scalar (this PR's gate).
-    fn batched_speedup(&self) -> f64 {
-        self.us_per_frame[1] / self.us_per_frame[0]
+    /// Compiled speedup over the tree-walker (the gate).
+    fn speedup(&self) -> f64 {
+        self.treewalk_us / self.compiled_us
     }
 }
 
-/// Timed repetitions per mode; the fastest one is reported, which
+/// Timed repetitions per backend; the fastest one is reported, which
 /// hedges scheduler and frequency-scaling noise (every repetition
 /// executes the full workload, so a minimum is still a real run).
 const REPS: usize = 3;
 
-/// Times `frames` through a fresh engine in `mode`, returning
+/// Times `frames` through a fresh engine on `backend`, returning
 /// (best-of-[`REPS`] µs/frame, per-frame tx counts as an output
 /// fingerprint).
-fn run(build: fn() -> emu_core::Service, frames: &[Frame], mode: Mode) -> (f64, Vec<usize>) {
+fn run(build: fn() -> emu_core::Service, frames: &[Frame], backend: Backend) -> (f64, Vec<usize>) {
     let svc = build();
-    let mut builder = svc.engine(Target::Cpu);
-    builder = match mode {
-        Mode::Batched => builder
-            .backend(Backend::Compiled)
-            .passes(kiwi_ir::default_pipeline())
-            .batching(true),
-        Mode::CompiledScalar => builder
-            .backend(Backend::Compiled)
-            .passes(kiwi_ir::statement_pipeline())
-            .batching(false),
-        Mode::TreeWalk => builder.backend(Backend::TreeWalk),
-    };
-    let mut engine = builder.build().expect("engine build");
-    // Warm-up: populate caches/stores so every mode times steady state.
+    let mut engine = svc
+        .engine(Target::Cpu)
+        .backend(backend)
+        .passes(kiwi_ir::default_pipeline())
+        .build()
+        .expect("engine build");
+    // Warm-up: populate caches/stores so both backends time steady state.
     let warm = frames.len().min(BATCH);
     engine.process_batch(&frames[..warm]);
 
@@ -124,81 +89,60 @@ fn main() {
             .expect("--frames N");
     }
 
-    eprintln!("== backend_compare: {frames_n} frames/service, batched vs compiled vs tree-walk ==");
+    eprintln!("== backend_compare: {frames_n} frames/service, compiled vs tree-walk ==");
     eprintln!(
-        "{:<12} {:>15} {:>16} {:>16} {:>9} {:>9}",
-        "service", "batched (us/f)", "compiled (us/f)", "treewalk (us/f)", "b/c", "c/t"
+        "{:<12} {:>16} {:>16} {:>9}",
+        "service", "compiled (us/f)", "treewalk (us/f)", "speedup"
     );
 
     let mut rows = Vec::new();
     let mut failed = false;
     for svc in table4_services() {
         let frames: Vec<Frame> = (0..frames_n as u64).map(svc.request).collect();
-        let modes = [Mode::Batched, Mode::CompiledScalar, Mode::TreeWalk];
-        let mut us = [0.0; 3];
-        let mut fps = Vec::new();
-        for (k, mode) in modes.into_iter().enumerate() {
-            let (u, fp) = run(svc.build, &frames, mode);
-            us[k] = u;
-            fps.push(fp);
-        }
-        for k in 1..fps.len() {
-            assert_eq!(
-                fps[0],
-                fps[k],
-                "{}: {} outputs diverged from batched while timing",
-                svc.name,
-                modes[k].label()
-            );
-        }
+        let (compiled_us, compiled_fp) = run(svc.build, &frames, Backend::Compiled);
+        let (treewalk_us, treewalk_fp) = run(svc.build, &frames, Backend::TreeWalk);
+        assert_eq!(
+            compiled_fp, treewalk_fp,
+            "{}: backend outputs diverged while timing",
+            svc.name
+        );
         let row = Row {
             service: svc.name,
-            us_per_frame: us,
+            compiled_us,
+            treewalk_us,
         };
         eprintln!(
-            "{:<12} {:>15.3} {:>16.3} {:>16.3} {:>8.2}x {:>8.2}x",
+            "{:<12} {:>16.3} {:>16.3} {:>8.2}x",
             row.service,
-            us[0],
-            us[1],
-            us[2],
-            row.batched_speedup(),
-            row.compiled_speedup()
+            compiled_us,
+            treewalk_us,
+            row.speedup()
         );
-        if us[1] >= us[2] {
+        if compiled_us >= treewalk_us {
             eprintln!("    FAIL: compiled must beat tree-walk on {}", svc.name);
-            failed = true;
-        }
-        if us[0] >= us[1] {
-            eprintln!(
-                "    FAIL: batched must beat compiled-scalar on {}",
-                svc.name
-            );
             failed = true;
         }
         rows.push(row);
     }
 
-    let twox_c = rows.iter().filter(|r| r.compiled_speedup() >= 2.0).count();
-    if twox_c < 3 {
-        eprintln!("FAIL: only {twox_c} services reach 2x compiled-over-treewalk (need >= 3)");
-        failed = true;
-    }
-    let twox_b = rows.iter().filter(|r| r.batched_speedup() >= 2.0).count();
-    if twox_b < 3 {
-        eprintln!("FAIL: only {twox_b} services reach 2x batched-over-compiled (need >= 3)");
+    let twox = rows.iter().filter(|r| r.speedup() >= 2.0).count();
+    if twox < 3 {
+        eprintln!("FAIL: only {twox} services reach 2x compiled-over-treewalk (need >= 3)");
         failed = true;
     }
 
     let mut report =
         BenchReport::new("backend_compare").param("frames_per_service", frames_n as u64);
     for r in &rows {
-        for (b, label) in [(0usize, "batched"), (1, "compiled"), (2, "treewalk")] {
+        for (backend, us) in [
+            (Backend::Compiled, r.compiled_us),
+            (Backend::TreeWalk, r.treewalk_us),
+        ] {
             report.push_row(Json::obj(vec![
                 ("service", Json::from(r.service)),
-                ("backend", Json::from(label)),
-                ("us_per_frame", Json::from(r.us_per_frame[b])),
-                ("speedup", Json::from(r.compiled_speedup())),
-                ("batched_speedup", Json::from(r.batched_speedup())),
+                ("backend", Json::from(backend.label())),
+                ("us_per_frame", Json::from(us)),
+                ("speedup", Json::from(r.speedup())),
             ]));
         }
     }
@@ -208,8 +152,5 @@ fn main() {
         eprintln!("\nbackend_compare FAILED (see above)");
         std::process::exit(1);
     }
-    eprintln!(
-        "\nbackend_compare passed: batched > compiled > treewalk everywhere, \
-         {twox_b}/5 batched >= 2x, {twox_c}/5 compiled >= 2x"
-    );
+    eprintln!("\nbackend_compare passed: compiled > treewalk everywhere, {twox}/5 at >= 2x");
 }

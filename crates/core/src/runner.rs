@@ -210,11 +210,14 @@ impl AnyDriver {
         })
     }
 
-    pub(crate) fn process(
+    /// One frame through the backend's driver. Generic over the
+    /// observer so the engine's `NullObserver` hot path reaches a fully
+    /// monomorphized [`DataplaneDriver::process`].
+    pub(crate) fn process<O: Observer + ?Sized>(
         &mut self,
         frame: &Frame,
         env: &mut IpEnv,
-        obs: &mut dyn Observer,
+        obs: &mut O,
     ) -> IrResult<CoreOutput> {
         match self {
             AnyDriver::Cpu(d) => d.process(frame, env, obs),
@@ -223,32 +226,8 @@ impl AnyDriver {
         }
     }
 
-    /// Processes `frames` back to back, stopping at the first error
-    /// (one result per frame attempted: an `Ok` prefix plus at most one
-    /// `Err`). The compiled backend runs its monomorphized batch fast
-    /// path; the tree-walker and FPGA backends fall back to scalar
-    /// [`AnyDriver::process`] calls with identical semantics.
-    pub(crate) fn process_batch(
-        &mut self,
-        frames: &[&Frame],
-        env: &mut IpEnv,
-    ) -> Vec<IrResult<CoreOutput>> {
-        if let AnyDriver::CpuCompiled(d) = self {
-            return d.process_batch(frames, env);
-        }
-        let mut out = Vec::with_capacity(frames.len());
-        for f in frames {
-            let r = self.process(f, env, &mut kiwi_ir::NullObserver);
-            let failed = r.is_err();
-            out.push(r);
-            if failed {
-                break;
-            }
-        }
-        out
-    }
-
-    pub(crate) fn idle(&mut self, n: u64, env: &mut IpEnv, obs: &mut dyn Observer) -> IrResult<()> {
+    pub(crate) fn idle(&mut self, n: u64, env: &mut IpEnv) -> IrResult<()> {
+        let obs = &mut kiwi_ir::NullObserver;
         match self {
             AnyDriver::Cpu(d) => d.idle(n, env, obs),
             AnyDriver::CpuCompiled(d) => d.idle(n, env, obs),
@@ -301,9 +280,9 @@ impl AnyDriver {
 }
 
 /// Runs the same frames through every execution backend — tree-walking
-/// CPU, compiled CPU (scalar *and* batched), and the FPGA FSM — and
-/// asserts identical transmissions, outputs, and telemetry. The
-/// differential harness used across the test suite.
+/// CPU, compiled CPU (frame by frame *and* as one batch), and the FPGA
+/// FSM — and asserts identical transmissions, outputs, and telemetry.
+/// The differential harness used across the test suite.
 pub fn assert_targets_agree(service: &Service, frames: &[Frame]) -> IrResult<()> {
     let mut treewalk = service
         .engine(Target::Cpu)
@@ -332,12 +311,12 @@ pub fn assert_targets_agree(service: &Service, frames: &[Frame]) -> IrResult<()>
         }
         scalar_outputs.push(c);
     }
-    // The batched fast path must reproduce the scalar compiled run
-    // byte for byte: outputs, cycle counts, and telemetry snapshot.
+    // One `process_batch` call must reproduce the frame-by-frame
+    // compiled run byte for byte: outputs, cycle counts, and telemetry
+    // snapshot.
     let mut batched = service
         .engine(Target::Cpu)
         .backend(Backend::Compiled)
-        .batching(true)
         .build()?;
     let report = batched.process_batch(frames);
     for (i, r) in report.outputs.iter().enumerate() {

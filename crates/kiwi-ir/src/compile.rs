@@ -2024,17 +2024,11 @@ impl CompiledMachine {
     /// Runs one clock cycle: each live thread executes until it pauses
     /// or halts, then `env.tick` runs once — the exact contract of
     /// [`crate::interp::Machine::step_cycle`].
-    pub fn step_cycle(&mut self, env: &mut dyn Env, obs: &mut dyn Observer) -> IrResult<()> {
-        self.step_cycle_with(env, obs)
-    }
-
-    /// [`CompiledMachine::step_cycle`], generic over the environment and
-    /// observer. Calling it with concrete types (e.g. `NullObserver` and
-    /// a known environment) monomorphizes the executor's hot loop —
-    /// observer hooks inline away entirely — which is what the batched
-    /// frame path in the drivers builds on. Passing trait objects is
-    /// also fine (`?Sized`); that is exactly what `step_cycle` does.
-    pub fn step_cycle_with<E: Env + ?Sized, O: Observer + ?Sized>(
+    ///
+    /// Called with concrete types (a known environment, `NullObserver`)
+    /// the executor's hot loop monomorphizes and the observer hooks
+    /// inline away; trait objects work too (`?Sized`).
+    pub fn step_cycle<E: Env + ?Sized, O: Observer + ?Sized>(
         &mut self,
         env: &mut E,
         obs: &mut O,

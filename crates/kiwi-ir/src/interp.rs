@@ -36,8 +36,8 @@ pub struct MachineState {
     /// Per-array write high-water mark, indexed by `ArrId`: one past the
     /// highest slot that may differ from zero. Both execution backends
     /// bump this on every `ArrWrite`; platform drivers use it to bound
-    /// how much of a buffer they must re-initialize between frames (the
-    /// batch fast path), and reset it after re-filling a prefix.
+    /// how much of a buffer they must re-initialize between frames, and
+    /// reset it after re-filling a prefix.
     pub arr_high: Vec<usize>,
 }
 
@@ -204,7 +204,11 @@ impl Machine {
 
     /// Runs one clock cycle: each live thread executes until it pauses or
     /// halts, then `env.tick` runs once.
-    pub fn step_cycle(&mut self, env: &mut dyn Env, obs: &mut dyn Observer) -> IrResult<()> {
+    pub fn step_cycle<E: Env + ?Sized, O: Observer + ?Sized>(
+        &mut self,
+        env: &mut E,
+        obs: &mut O,
+    ) -> IrResult<()> {
         for ti in 0..self.threads.len() {
             self.run_thread_to_pause(ti, obs)?;
         }
@@ -229,7 +233,11 @@ impl Machine {
         Ok(n)
     }
 
-    fn run_thread_to_pause(&mut self, ti: usize, obs: &mut dyn Observer) -> IrResult<()> {
+    fn run_thread_to_pause<O: Observer + ?Sized>(
+        &mut self,
+        ti: usize,
+        obs: &mut O,
+    ) -> IrResult<()> {
         if self.threads[ti].halted {
             return Ok(());
         }

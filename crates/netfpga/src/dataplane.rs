@@ -25,7 +25,7 @@
 use emu_rtl::exec::ExecBackend;
 use emu_types::Bits;
 use emu_types::Frame;
-use kiwi_ir::interp::{Env, NullObserver, Observer};
+use kiwi_ir::interp::{Env, Observer};
 use kiwi_ir::program::{ArrId, ArrayBacking, SigId};
 use kiwi_ir::{IrError, IrResult, ProgramBuilder};
 
@@ -176,7 +176,12 @@ impl<B: ExecBackend> DataplaneDriver<B> {
 
     /// Runs the core for `n` cycles with no frame offered (lets service
     /// background threads make progress).
-    pub fn idle(&mut self, n: u64, env: &mut dyn Env, obs: &mut dyn Observer) -> IrResult<()> {
+    pub fn idle<E: Env + ?Sized, O: Observer + ?Sized>(
+        &mut self,
+        n: u64,
+        env: &mut E,
+        obs: &mut O,
+    ) -> IrResult<()> {
         for _ in 0..n {
             if self.backend.is_halted() {
                 break;
@@ -219,11 +224,17 @@ impl<B: ExecBackend> DataplaneDriver<B> {
 
     /// Delivers `frame` to the core and runs until the core pulses
     /// `rx_done`, collecting every `tx_valid` pulse along the way.
-    pub fn process(
+    ///
+    /// The one frame loop of every target. It is statically dispatched:
+    /// handed a concrete environment and [`kiwi_ir::NullObserver`] the
+    /// cycle loop monomorphizes and the observer hooks compile away
+    /// (the engine's hot path); handed a `&mut dyn Observer` the same
+    /// code is the observed path.
+    pub fn process<E: Env + ?Sized, O: Observer + ?Sized>(
         &mut self,
         frame: &Frame,
-        env: &mut dyn Env,
-        obs: &mut dyn Observer,
+        env: &mut E,
+        obs: &mut O,
     ) -> IrResult<CoreOutput> {
         let cap = self.frame_capacity();
         if frame.len() > cap {
@@ -293,123 +304,6 @@ impl<B: ExecBackend> DataplaneDriver<B> {
         Ok(CoreOutput {
             tx,
             cycles: self.backend.cycles() - start_cycle,
-        })
-    }
-}
-
-/// Batched frame execution — the compiled CPU backend's fast path.
-///
-/// [`DataplaneDriver::process`] is generic over `dyn Env` / `dyn
-/// Observer`, so every core cycle pays virtual dispatch and the observer
-/// hooks survive as indirect calls even when the observer is
-/// [`NullObserver`]. This inherent impl on the *concrete* compiled
-/// backend carries a whole batch through a monomorphized copy of the
-/// same loop — `step_cycle_with::<E, NullObserver>` inlines the executor
-/// and compiles the observer hooks away entirely — which is what lets
-/// the engine's soak path amortize per-frame dispatch overhead.
-///
-/// Frames execute sequentially, in order, against the same machine
-/// state and environment as N scalar [`DataplaneDriver::process`] calls
-/// would — the service may be stateful, so lockstep means "identical
-/// observable schedule", not SIMD. Outputs, cycle counts, and error
-/// strings are byte-identical to the scalar path by construction.
-impl DataplaneDriver<kiwi_ir::CompiledMachine> {
-    /// Processes `frames` back to back, stopping at the first error.
-    ///
-    /// Returns one result per frame *attempted*: a prefix of `Ok`s
-    /// followed by at most one `Err`. Frames after a trap are not
-    /// offered to the core (its state can no longer be trusted) — the
-    /// caller decides how to report them, exactly as the engine's
-    /// poisoning contract does for the scalar path.
-    pub fn process_batch<E: Env + ?Sized>(
-        &mut self,
-        frames: &[&Frame],
-        env: &mut E,
-    ) -> Vec<IrResult<CoreOutput>> {
-        let mut out = Vec::with_capacity(frames.len());
-        for frame in frames {
-            let r = self.process_compiled(frame, env);
-            let failed = r.is_err();
-            out.push(r);
-            if failed {
-                break;
-            }
-        }
-        out
-    }
-
-    /// One frame through the monomorphized cycle loop. Mirrors
-    /// [`DataplaneDriver::process`] statement for statement; only the
-    /// backend calls are concrete. Any semantic change there must land
-    /// here too (`batched_path_matches_scalar_path` in the equivalence
-    /// suite enforces this).
-    fn process_compiled<E: Env + ?Sized>(
-        &mut self,
-        frame: &Frame,
-        env: &mut E,
-    ) -> IrResult<CoreOutput> {
-        let cap = self.frame_capacity();
-        if frame.len() > cap {
-            return Err(IrError(format!(
-                "frame of {} B exceeds core buffer of {cap} B",
-                frame.len()
-            )));
-        }
-
-        env.frame_start();
-        self.load_frame(frame, cap);
-
-        let start_cycle = self.backend.cycle();
-        let mut tx = Vec::new();
-        let mut prev_tx = false;
-        let mut prev_done = false;
-
-        loop {
-            if self.backend.cycle() - start_cycle > self.max_cycles_per_frame {
-                return Err(IrError(format!(
-                    "core exceeded {} cycles on one frame",
-                    self.max_cycles_per_frame
-                )));
-            }
-            if self.backend.halted() {
-                return Err(IrError("core halted while processing a frame".into()));
-            }
-            self.backend.step_cycle_with(env, &mut NullObserver)?;
-
-            let (tx_now, done_now) = {
-                let st = self.backend.state();
-                (
-                    st.sigs_out[self.ids.tx_valid].to_bool(),
-                    st.sigs_out[self.ids.rx_done].to_bool(),
-                )
-            };
-
-            if tx_now && !prev_tx {
-                let st = self.backend.state();
-                let len = (st.sigs_out[self.ids.tx_len].to_u64() as usize).min(cap);
-                let ports = st.sigs_out[self.ids.tx_ports].to_u64() as u8;
-                let bytes: Vec<u8> = st.arrays[self.ids.frame][..len]
-                    .iter()
-                    .map(|b| b.to_u64() as u8)
-                    .collect();
-                tx.push(TxFrame {
-                    ports,
-                    frame: Frame::new(bytes),
-                });
-            }
-            prev_tx = tx_now;
-
-            if done_now && !prev_done {
-                let st = self.backend.state_mut();
-                st.sigs_in[self.ids.rx_valid] = Bits::from_u64(0, 1);
-                break;
-            }
-            prev_done = done_now;
-        }
-
-        Ok(CoreOutput {
-            tx,
-            cycles: self.backend.cycle() - start_cycle,
         })
     }
 }

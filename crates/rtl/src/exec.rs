@@ -25,7 +25,16 @@ use std::collections::HashMap;
 /// property of §1.
 pub trait ExecBackend {
     /// Advances one cycle (interpreter: one pause-to-pause slice).
-    fn step(&mut self, env: &mut dyn Env, obs: &mut dyn Observer) -> IrResult<()>;
+    ///
+    /// Statically dispatched: with a concrete environment and
+    /// [`kiwi_ir::NullObserver`] the whole cycle monomorphizes and the
+    /// observer hooks compile away; `dyn Env` / `dyn Observer` callers
+    /// work too (`?Sized`).
+    fn step<E: Env + ?Sized, O: Observer + ?Sized>(
+        &mut self,
+        env: &mut E,
+        obs: &mut O,
+    ) -> IrResult<()>;
     /// The program's declarations.
     fn program(&self) -> &kiwi_ir::Program;
     /// Machine state for environment-side access.
@@ -39,7 +48,11 @@ pub trait ExecBackend {
 }
 
 impl ExecBackend for RtlMachine {
-    fn step(&mut self, env: &mut dyn Env, obs: &mut dyn Observer) -> IrResult<()> {
+    fn step<E: Env + ?Sized, O: Observer + ?Sized>(
+        &mut self,
+        env: &mut E,
+        obs: &mut O,
+    ) -> IrResult<()> {
         self.step_cycle(env, obs)
     }
     fn program(&self) -> &kiwi_ir::Program {
@@ -60,7 +73,11 @@ impl ExecBackend for RtlMachine {
 }
 
 impl ExecBackend for kiwi_ir::Machine {
-    fn step(&mut self, env: &mut dyn Env, obs: &mut dyn Observer) -> IrResult<()> {
+    fn step<E: Env + ?Sized, O: Observer + ?Sized>(
+        &mut self,
+        env: &mut E,
+        obs: &mut O,
+    ) -> IrResult<()> {
         self.step_cycle(env, obs)
     }
     fn program(&self) -> &kiwi_ir::Program {
@@ -81,7 +98,11 @@ impl ExecBackend for kiwi_ir::Machine {
 }
 
 impl ExecBackend for kiwi_ir::CompiledMachine {
-    fn step(&mut self, env: &mut dyn Env, obs: &mut dyn Observer) -> IrResult<()> {
+    fn step<E: Env + ?Sized, O: Observer + ?Sized>(
+        &mut self,
+        env: &mut E,
+        obs: &mut O,
+    ) -> IrResult<()> {
         self.step_cycle(env, obs)
     }
     fn program(&self) -> &kiwi_ir::Program {
@@ -191,7 +212,11 @@ impl RtlMachine {
     }
 
     /// Advances the design by one clock edge.
-    pub fn step_cycle(&mut self, env: &mut dyn Env, obs: &mut dyn Observer) -> IrResult<()> {
+    pub fn step_cycle<E: Env + ?Sized, O: Observer + ?Sized>(
+        &mut self,
+        env: &mut E,
+        obs: &mut O,
+    ) -> IrResult<()> {
         for ti in 0..self.threads.len() {
             self.step_thread(ti, obs)?;
         }
@@ -238,7 +263,7 @@ impl RtlMachine {
         Ok(None)
     }
 
-    fn step_thread(&mut self, ti: usize, obs: &mut dyn Observer) -> IrResult<()> {
+    fn step_thread<O: Observer + ?Sized>(&mut self, ti: usize, obs: &mut O) -> IrResult<()> {
         if self.threads[ti].halted {
             return Ok(());
         }

@@ -70,13 +70,13 @@
 //! the shard that allocated the external port — see
 //! `examples/sharded_nat.rs`). Batches execute shards sequentially under
 //! the parallel-datapath cost model by default; `.parallel(true)` runs
-//! them on real OS threads with identical results (compare with
-//! `cargo run --release -p emu-bench --bin scaling_parallel`).
+//! them on real OS threads with identical results (the `sustained`
+//! bench — `cargo run --release -p emu-bench --bin sustained` — runs
+//! every service both ways and fails on any difference).
 //!
 //! A shard whose program traps is poisoned and isolated while its
 //! siblings keep serving; every failure is an
-//! [`EngineError`](stdlib::EngineError) naming the shard. The full
-//! old-API → new-API migration table is in [`stdlib::engine`].
+//! [`EngineError`](stdlib::EngineError) naming the shard.
 //!
 //! The Mininet-analogue target takes the same engines via
 //! [`simnet::NetSim::add_service`], and
@@ -112,16 +112,11 @@
 //!   forces it process-wide without code changes (CI runs the whole
 //!   test suite this way so the reference cannot rot).
 //!
-//! On top of backend choice, the Cpu engine runs batches in **lockstep**
-//! by default ([`EngineBuilder::batching`](stdlib::EngineBuilder::batching)):
-//! [`Engine::process_batch`](stdlib::Engine::process_batch) drives each
-//! shard's frames through a monomorphized frame loop that keeps the
-//! bytecode, scratch registers, and table state hot in cache across the
-//! whole batch instead of re-entering the engine per frame. The batched
-//! path mirrors the scalar path statement-for-statement — same driver,
-//! same telemetry ticks, same observer hooks — so `BatchReport`s,
-//! telemetry snapshots, and observer traces are byte-identical whether a
-//! batch ran batched, scalar, or tree-walked.
+//! [`Engine::process`](stdlib::Engine::process) and
+//! [`Engine::process_batch`](stdlib::Engine::process_batch) share one
+//! statically dispatched frame loop on every backend, so a frame's
+//! outputs, telemetry, and observer trace do not depend on how it was
+//! handed in.
 //!
 //! Three env knobs make the whole compilation story inspectable without
 //! code changes: `EMU_CPU_BACKEND=treewalk|compiled` picks the backend,
@@ -146,7 +141,8 @@
 //! any run, `arr_high[a]` is one past the highest slot of array `a` that
 //! may differ from zero. Platform drivers rely on it to bound per-frame
 //! buffer re-initialization, so a backend that under-reports it corrupts
-//! frame data and one that never resets it forfeits the batch fast path.
+//! frame data and one that never resets it makes every frame reload the
+//! whole buffer.
 //!
 //! ## Stateful tables at scale
 //!

@@ -582,47 +582,33 @@ proptest! {
     }
 
     /// Lockstep across batch sizes: chunking one frame stream into
-    /// batches of 1, 3, and 16 through the batched fast path must
-    /// reproduce the scalar compiled run ([`EngineBuilder::batching`]
-    /// disabled) frame for frame — outputs, cycle counts — and land on
-    /// the identical [`EngineSnapshot`], for all five soak services.
-    /// The tree-walker anchors the reference run to the spec semantics.
+    /// batches of 1, 3, and 16 through [`Engine::process_batch`] must
+    /// reproduce [`Engine::process`] called frame by frame — outputs,
+    /// cycle counts — and land on the identical [`EngineSnapshot`], for
+    /// all five soak services. The tree-walker, also driven frame by
+    /// frame, anchors the reference run to the spec semantics.
     #[test]
     fn batched_lockstep_at_batch_sizes_1_3_16(seed in any::<u64>()) {
         for (label, svc, mut gen) in soak_pairings(seed) {
             let frames: Vec<Frame> = (0..96).map(|_| gen.next_frame()).collect();
-            let mut scalar = svc
-                .engine(Target::Cpu)
-                .backend(Backend::Compiled)
-                .batching(false)
-                .build()
-                .unwrap();
-            let mut reference = svc
-                .engine(Target::Cpu)
-                .backend(Backend::TreeWalk)
-                .build()
-                .unwrap();
-            let want = scalar.process_batch(&frames);
-            let tw = reference.process_batch(&frames);
-            for (i, (x, y)) in want.outputs.iter().zip(&tw.outputs).enumerate() {
+            let build = |backend| svc.engine(Target::Cpu).backend(backend).build().unwrap();
+            let mut scalar = build(Backend::Compiled);
+            let mut reference = build(Backend::TreeWalk);
+            let want: Vec<_> = frames.iter().map(|f| scalar.process(f)).collect();
+            for (i, (x, f)) in want.iter().zip(&frames).enumerate() {
                 prop_assert_eq!(
-                    x, y,
+                    x, &reference.process(f),
                     "{}: scalar compiled vs treewalk diverged on frame {}", label, i
                 );
             }
             let want_snap = scalar.telemetry().expect("telemetry on by default");
             for chunk in [1usize, 3, 16] {
-                let mut batched = svc
-                    .engine(Target::Cpu)
-                    .backend(Backend::Compiled)
-                    .batching(true)
-                    .build()
-                    .unwrap();
+                let mut batched = build(Backend::Compiled);
                 let mut outputs = Vec::with_capacity(frames.len());
                 for slice in frames.chunks(chunk) {
                     outputs.extend(batched.process_batch(slice).outputs);
                 }
-                for (i, (x, y)) in outputs.iter().zip(&want.outputs).enumerate() {
+                for (i, (x, y)) in outputs.iter().zip(&want).enumerate() {
                     prop_assert_eq!(
                         x, y,
                         "{}: batch size {} diverged from scalar on frame {}", label, chunk, i

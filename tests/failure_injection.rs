@@ -151,12 +151,34 @@ fn trappable_mirror() -> Service {
 /// poison frame carries the 0xEE trigger byte that wedges the core.
 fn frame_for(client: u64, poison: bool) -> Frame {
     let payload = if poison { [0xEEu8; 46] } else { [0x11u8; 46] };
+    client_frame(client, &payload)
+}
+
+/// A frame of `client`'s flow too large for the 256 B frame buffer.
+fn oversize_for(client: u64) -> Frame {
+    client_frame(client, &[0x11; 1000])
+}
+
+fn client_frame(client: u64, payload: &[u8]) -> Frame {
     Frame::ethernet(
         MacAddr::from_u64(0xB),
         MacAddr::from_u64(client),
         0x0900,
-        &payload,
+        payload,
     )
+}
+
+/// A 4-shard trappable mirror with a cycle budget that trips the wedge
+/// quickly.
+fn trappable_engine(parallel: bool) -> Engine {
+    let mut engine = trappable_mirror()
+        .engine(Target::Fpga)
+        .shards(4)
+        .parallel(parallel)
+        .build()
+        .unwrap();
+    engine.set_max_cycles_per_frame(500);
+    engine
 }
 
 /// One representative client per shard of a 4-shard RSS engine.
@@ -171,8 +193,8 @@ fn clients_per_shard(engine: &Engine) -> Vec<u64> {
 
 /// The trapped-shard isolation scenario, shared by the sequential and
 /// parallel modes: poisoning semantics must be identical in both.
-fn assert_trapped_shard_isolated(mut engine: Engine) {
-    engine.set_max_cycles_per_frame(500); // trip the wedge quickly
+fn assert_trapped_shard_isolated(parallel: bool) {
+    let mut engine = trappable_engine(parallel);
     let clients = clients_per_shard(&engine);
     let victim = engine.shard_of(&frame_for(clients[2], false));
 
@@ -217,12 +239,42 @@ fn assert_trapped_shard_isolated(mut engine: Engine) {
     assert!(matches!(err, EngineError::Poisoned { shard, .. } if shard == victim));
     let ok = engine.process(&frame_for(clients[0], false)).unwrap();
     assert_eq!(ok.tx.len(), 1);
+
+    // Every entry point agrees on a stream with a mid-stream trap *and*
+    // oversized frames — one for a healthy shard (rejected), one for the
+    // victim after its trap (refused as poisoned before its size is even
+    // looked at): the same per-frame results and the same telemetry
+    // from a `process` loop and from `process_batch`, whole and in
+    // chunks of 1.
+    let healthy: Vec<Frame> = clients.iter().map(|&c| frame_for(c, false)).collect();
+    let mut stream = healthy.clone();
+    stream.push(oversize_for(clients[0]));
+    stream.push(frame_for(clients[2], true));
+    stream.push(oversize_for(clients[2]));
+    stream.extend(healthy);
+    let mut scalar = trappable_engine(false);
+    let want: Vec<_> = stream.iter().map(|f| scalar.process(f)).collect();
+    let want_snap = scalar.telemetry().unwrap();
+    let c = want_snap.total().counters;
+    assert_eq!(
+        (c.drop_oversize, c.drop_trap, c.drop_poisoned),
+        (1, 1, 2),
+        "{c:?}"
+    );
+    for chunk in [stream.len(), 1] {
+        let mut batched = trappable_engine(parallel);
+        let got: Vec<_> = stream
+            .chunks(chunk)
+            .flat_map(|frames| batched.process_batch(frames).outputs)
+            .collect();
+        assert_eq!(got, want, "chunks of {chunk}");
+        assert_eq!(batched.telemetry().unwrap(), want_snap, "chunks of {chunk}");
+    }
 }
 
 #[test]
 fn trapped_shard_is_isolated_from_siblings() {
-    let svc = trappable_mirror();
-    assert_trapped_shard_isolated(svc.engine(Target::Fpga).shards(4).build().unwrap());
+    assert_trapped_shard_isolated(false);
 }
 
 #[test]
@@ -230,14 +282,7 @@ fn trapped_shard_is_isolated_under_parallel_execution() {
     // The same wedge on real threads: the victim shard is poisoned and
     // isolated exactly as in sequential mode — same per-frame errors,
     // same surviving siblings.
-    let svc = trappable_mirror();
-    assert_trapped_shard_isolated(
-        svc.engine(Target::Fpga)
-            .shards(4)
-            .parallel(true)
-            .build()
-            .unwrap(),
-    );
+    assert_trapped_shard_isolated(true);
 }
 
 #[test]
