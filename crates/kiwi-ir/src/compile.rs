@@ -1954,6 +1954,10 @@ pub struct CompiledMachine {
     pub max_ops_per_cycle: u64,
 }
 
+/// Panic message of the const-index array micro-ops: their indices are
+/// proven in bounds when the op is built, so a miss is a compiler bug.
+const CONST_IDX: &str = "const array index proven in bounds at compile time";
+
 impl CompiledMachine {
     /// Builds a machine from compiled bytecode.
     pub fn new(cp: CompiledProgram) -> Self {
@@ -2129,25 +2133,25 @@ impl CompiledMachine {
                 }
                 MOp::LdArrS { dst, arr, idx } => {
                     let i = small[*idx as usize] as usize;
-                    small[*dst as usize] = state.arrays[*arr as usize]
-                        .get(i)
-                        .map(|b| b.to_u64())
-                        .unwrap_or(0);
+                    small[*dst as usize] = state.arrays[*arr as usize].get_u64(i).unwrap_or(0);
                 }
                 MOp::LdArrW { dst, arr, idx, w } => {
                     let i = small[*idx as usize] as usize;
                     wide[*dst as usize] = state.arrays[*arr as usize]
                         .get(i)
-                        .cloned()
                         .unwrap_or_else(|| Bits::zero(*w));
                 }
                 // Const-index loads are proven in bounds at compile
                 // time (array lengths are fixed at declaration).
                 MOp::LdArrCS { dst, arr, idx } => {
-                    small[*dst as usize] = state.arrays[*arr as usize][*idx as usize].to_u64()
+                    small[*dst as usize] = state.arrays[*arr as usize]
+                        .get_u64(*idx as usize)
+                        .expect(CONST_IDX);
                 }
                 MOp::LdArrCW { dst, arr, idx } => {
-                    wide[*dst as usize] = state.arrays[*arr as usize][*idx as usize].clone()
+                    wide[*dst as usize] = state.arrays[*arr as usize]
+                        .get(*idx as usize)
+                        .expect(CONST_IDX);
                 }
                 MOp::LdArrPairS {
                     dst,
@@ -2159,15 +2163,17 @@ impl CompiledMachine {
                 } => {
                     let a = &state.arrays[*arr as usize];
                     let i = small[*idx as usize].wrapping_add(*off) & mask;
-                    let hi = a.get(i as usize).map(|b| b.to_u64()).unwrap_or(0);
+                    let hi = a.get_u64(i as usize).unwrap_or(0);
                     let j = i.wrapping_add(1) & mask;
-                    let lo = a.get(j as usize).map(|b| b.to_u64()).unwrap_or(0);
+                    let lo = a.get_u64(j as usize).unwrap_or(0);
                     small[*dst as usize] = (hi << bw) | lo;
                 }
                 MOp::LdArrPairCS { dst, arr, idx, bw } => {
                     let a = &state.arrays[*arr as usize];
                     let i = *idx as usize;
-                    small[*dst as usize] = (a[i].to_u64() << bw) | a[i + 1].to_u64();
+                    let hi = a.get_u64(i).expect(CONST_IDX);
+                    let lo = a.get_u64(i + 1).expect(CONST_IDX);
+                    small[*dst as usize] = (hi << bw) | lo;
                 }
                 MOp::ConcatLdS {
                     dst,
@@ -2177,8 +2183,7 @@ impl CompiledMachine {
                     bw,
                 } => {
                     let lo = state.arrays[*arr as usize]
-                        .get(small[*idx as usize] as usize)
-                        .map(|b| b.to_u64())
+                        .get_u64(small[*idx as usize] as usize)
                         .unwrap_or(0);
                     small[*dst as usize] = (small[*a as usize] << bw) | lo;
                 }
@@ -2189,8 +2194,10 @@ impl CompiledMachine {
                     idx,
                     bw,
                 } => {
-                    small[*dst as usize] = (small[*a as usize] << bw)
-                        | state.arrays[*arr as usize][*idx as usize].to_u64();
+                    let lo = state.arrays[*arr as usize]
+                        .get_u64(*idx as usize)
+                        .expect(CONST_IDX);
+                    small[*dst as usize] = (small[*a as usize] << bw) | lo;
                 }
                 MOp::CopyS { dst, a } => small[*dst as usize] = small[*a as usize],
                 MOp::CopyW { dst, a } => wide[*dst as usize] = wide[*a as usize].clone(),
@@ -2285,35 +2292,38 @@ impl CompiledMachine {
                     obs.on_assign(*var, &state.vars[i], &new);
                     state.vars[i] = new;
                 }
-                MOp::StArrS { arr, idx, a, w } => {
+                // Array stores mask to the declared element width inside
+                // `Cells` (the op's `w` is that same width) and report
+                // whether the index was in range.
+                MOp::StArrS { arr, idx, a, .. } => {
                     tick!();
                     let i = small[*idx as usize] as usize;
                     let ai = *arr as usize;
-                    if i < state.arrays[ai].len() {
-                        state.arrays[ai][i] = Bits::from_u64(small[*a as usize], *w);
+                    if state.arrays[ai].set_u64(i, small[*a as usize]) {
                         state.note_arr_write(ai, i);
                     }
                 }
                 // Const-index stores are proven in bounds at compile
                 // time, like the const-index loads above.
-                MOp::StArrCS { arr, idx, a, w } => {
+                MOp::StArrCS { arr, idx, a, .. } => {
                     tick!();
                     let (ai, i) = (*arr as usize, *idx as usize);
-                    state.arrays[ai][i] = Bits::from_u64(small[*a as usize], *w);
+                    let stored = state.arrays[ai].set_u64(i, small[*a as usize]);
+                    assert!(stored, "{CONST_IDX}");
                     state.note_arr_write(ai, i);
                 }
-                MOp::StArrCW { arr, idx, a, w } => {
+                MOp::StArrCW { arr, idx, a, .. } => {
                     tick!();
                     let (ai, i) = (*arr as usize, *idx as usize);
-                    state.arrays[ai][i] = wide[*a as usize].resize(*w);
+                    let stored = state.arrays[ai].set(i, &wide[*a as usize]);
+                    assert!(stored, "{CONST_IDX}");
                     state.note_arr_write(ai, i);
                 }
-                MOp::StArrW { arr, idx, a, w } => {
+                MOp::StArrW { arr, idx, a, .. } => {
                     tick!();
                     let i = small[*idx as usize] as usize;
                     let ai = *arr as usize;
-                    if i < state.arrays[ai].len() {
-                        state.arrays[ai][i] = wide[*a as usize].resize(*w);
+                    if state.arrays[ai].set(i, &wide[*a as usize]) {
                         state.note_arr_write(ai, i);
                     }
                 }

@@ -17,6 +17,7 @@
 //! relies on this).
 
 use crate::ast::{BinOp, Expr, IrError, IrResult, UnOp};
+use crate::cells::Cells;
 use crate::flat::{FlatProgram, Op};
 use crate::program::{Program, SigDir};
 use emu_types::Bits;
@@ -26,8 +27,17 @@ use emu_types::Bits;
 pub struct MachineState {
     /// Register values, indexed by `VarId`.
     pub vars: Vec<Bits>,
-    /// Array contents, indexed by `ArrId`.
-    pub arrays: Vec<Vec<Bits>>,
+    /// Array contents, indexed by `ArrId`. Each array is a [`Cells`]:
+    /// stored by the width class of its declared element width (`u8`
+    /// slab up to 8 bits, `u64` slab up to 64, [`Bits`] cells above),
+    /// every element masked to that width. The dataplane `frame` array is
+    /// 8 bits wide and therefore a byte slab, so a platform driver
+    /// DMA-copies a frame in and a transmission out with `memcpy`
+    /// ([`Cells::bytes`] / [`Cells::bytes_mut`]) and a 1536 B buffer is
+    /// 1.5 KiB of state. All three machines — this tree-walker, the
+    /// compiled backend and the RTL FSM — access arrays only through
+    /// the [`Cells`] accessors.
+    pub arrays: Vec<Cells>,
     /// Latched input-signal values, indexed by `SigId` (entries for output
     /// signals are unused). The environment writes these in [`Env::tick`].
     pub sigs_in: Vec<Bits>,
@@ -51,9 +61,9 @@ impl MachineState {
                 .arrays()
                 .iter()
                 .map(|a| {
-                    let mut data = vec![Bits::zero(a.elem_width); a.len];
+                    let mut data = Cells::zeroed(a.elem_width, a.len);
                     for (i, v) in &a.init {
-                        data[*i] = v.resize(a.elem_width);
+                        data.set(*i, v);
                     }
                     data
                 })
@@ -278,13 +288,9 @@ impl Machine {
                     ctx.pc = pc + 1;
                 }
                 Op::ArrWrite(arr, idx, val) => {
-                    let decl = prog.array(*arr).expect("validated");
-                    let w = decl.elem_width;
                     let i = eval(idx, prog, state).to_u64() as usize;
-                    let v = eval(val, prog, state).resize(w);
-                    let data = &mut state.arrays[arr.0 as usize];
-                    if i < data.len() {
-                        data[i] = v;
+                    let v = eval(val, prog, state);
+                    if state.arrays[arr.0 as usize].set(i, &v) {
                         state.note_arr_write(arr.0 as usize, i);
                     }
                     ctx.pc = pc + 1;
@@ -333,12 +339,9 @@ pub fn eval(e: &Expr, prog: &Program, st: &MachineState) -> Bits {
         Expr::Const(b) => b.clone(),
         Expr::Var(v) => st.vars[v.0 as usize].clone(),
         Expr::ArrRead(a, idx) => {
-            let decl = prog.array(*a).expect("validated");
             let i = eval(idx, prog, st).to_u64() as usize;
-            st.arrays[a.0 as usize]
-                .get(i)
-                .cloned()
-                .unwrap_or_else(|| Bits::zero(decl.elem_width))
+            let cells = &st.arrays[a.0 as usize];
+            cells.get(i).unwrap_or_else(|| Bits::zero(cells.width()))
         }
         Expr::SigRead(s) => {
             let decl = prog.signal(*s).expect("validated");
@@ -469,7 +472,8 @@ mod tests {
         let mut m = machine(pb);
         m.run_cycles(5, &mut NullEnv, &mut NullObserver).unwrap();
         assert_eq!(m.state().vars[0].to_u64(), 0xbeef);
-        assert!(m.state().arrays[0].iter().all(|b| b.to_u64() != 0xdead));
+        let t = &m.state().arrays[0];
+        assert!((0..t.len()).all(|i| t.get_u64(i) != Some(0xdead)));
     }
 
     #[test]

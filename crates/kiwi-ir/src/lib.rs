@@ -9,6 +9,8 @@
 //! * program containers ([`program`]) mirroring Kiwi's split into
 //!   registers, arrays (RAMs), boundary signals, and hardware threads,
 //! * a structured-to-linear lowering ([`flat`]) shared by all back ends,
+//! * width-typed array storage ([`cells`]) shared by every execution
+//!   backend,
 //! * a sequential tree-walking interpreter ([`interp`]) — the *reference*
 //!   software semantics,
 //! * a compiled micro-op backend ([`mod@compile`]) with an optimization pass
@@ -21,6 +23,7 @@
 //! simulator lives in `emu-rtl`.
 
 pub mod ast;
+pub mod cells;
 pub mod compile;
 pub mod dsl;
 pub mod flat;
@@ -30,6 +33,7 @@ pub mod pretty;
 pub mod program;
 
 pub use ast::{BinOp, Expr, IrError, IrResult, Stmt, UnOp};
+pub use cells::Cells;
 pub use compile::{
     compile, compile_with_passes, mops_to_string, CompiledMachine, CompiledProgram, CompiledThread,
     RegionInfo,

@@ -130,8 +130,14 @@ pub struct DataplaneDriver<B: ExecBackend> {
     pub max_cycles_per_frame: u64,
 }
 
+/// Why the driver may treat the frame array as bytes.
+const FRAME_IS_BYTES: &str = "frame array is 8 bits wide (checked in DataplaneDriver::new)";
+
 impl<B: ExecBackend> DataplaneDriver<B> {
-    /// Wraps a backend, resolving the contract's names.
+    /// Wraps a backend, resolving the contract's names and checking the
+    /// shape the driver relies on: the `frame` array holds bytes (8-bit
+    /// elements, so frames are copied in and out as byte slices) and is
+    /// no longer than the 16-bit `rx_len`/`tx_len` signals can describe.
     pub fn new(backend: B) -> IrResult<Self> {
         let prog = backend.program();
         let sig = |n: &str| {
@@ -152,6 +158,20 @@ impl<B: ExecBackend> DataplaneDriver<B> {
                 .map(|a| a.0 as usize)
                 .ok_or_else(|| IrError("program lacks `frame` array".into()))?,
         };
+        let frame = &prog.arrays()[ids.frame];
+        if frame.elem_width != 8 {
+            return Err(IrError(format!(
+                "dataplane `frame` array must be 8 bits wide, found {}",
+                frame.elem_width
+            )));
+        }
+        if frame.len > usize::from(u16::MAX) {
+            return Err(IrError(format!(
+                "dataplane `frame` array of {} B exceeds the {} B that 16-bit rx_len/tx_len can describe",
+                frame.len,
+                u16::MAX
+            )));
+        }
         Ok(DataplaneDriver {
             backend,
             ids,
@@ -193,30 +213,25 @@ impl<B: ExecBackend> DataplaneDriver<B> {
 
     /// DMA-copies `frame` into the core's buffer and raises `rx_valid`.
     ///
-    /// Only the prefix up to the buffer's write high-water mark (or the
-    /// frame length, whichever is larger) is touched: slots beyond it are
-    /// already zero, because the driver zero-fills up to the mark and both
-    /// execution backends maintain [`kiwi_ir::interp::MachineState::arr_high`]
-    /// on every program-side store. This is what makes back-to-back
-    /// processing cheap — a 64 B frame through a 1536 B buffer writes 64
-    /// slots, not 1536.
+    /// The frame buffer is a byte slab ([`kiwi_ir::Cells`]), so this is
+    /// one `memcpy` of the frame plus a zero-fill of whatever the
+    /// previous frame left above it. Only the prefix up to the buffer's
+    /// write high-water mark (or the frame length, whichever is larger)
+    /// is touched: slots beyond it are already zero, because the driver
+    /// zero-fills up to the mark and every execution backend maintains
+    /// [`kiwi_ir::interp::MachineState::arr_high`] on every program-side
+    /// store — a 64 B frame through a 1536 B buffer writes 64 bytes, not
+    /// 1536. The caller has checked `frame.len() <= cap`.
     fn load_frame(&mut self, frame: &Frame, cap: usize) {
         let st = self.backend.machine_state_mut();
         let len = frame.len();
         let fill = st.arr_high[self.ids.frame].max(len).min(cap);
-        let buf = &mut st.arrays[self.ids.frame];
-        for (i, slot) in buf[..fill].iter_mut().enumerate() {
-            let byte = u64::from(frame.bytes().get(i).copied().unwrap_or(0));
-            // Skip slots that already hold the byte: consecutive frames
-            // share most header/padding bytes, so the DMA is mostly
-            // no-ops and the buffer stays untouched in cache.
-            if slot.width() != 8 || slot.to_u64() != byte {
-                *slot = Bits::from_u64(byte, 8);
-            }
-        }
+        let buf = st.arrays[self.ids.frame].bytes_mut().expect(FRAME_IS_BYTES);
+        buf[..len].copy_from_slice(frame.bytes());
+        buf[len..fill].fill(0);
         // The prefix [0, len) now holds frame bytes; everything above is
         // zero again.
-        st.arr_high[self.ids.frame] = len.min(cap);
+        st.arr_high[self.ids.frame] = len;
         st.sigs_in[self.ids.rx_valid] = Bits::from_u64(1, 1);
         st.sigs_in[self.ids.rx_len] = Bits::from_u64(len as u64, 16);
         st.sigs_in[self.ids.rx_port] = Bits::from_u64(u64::from(frame.in_port), 8);
@@ -280,13 +295,10 @@ impl<B: ExecBackend> DataplaneDriver<B> {
                 let st = self.backend.machine_state();
                 let len = (st.sigs_out[self.ids.tx_len].to_u64() as usize).min(cap);
                 let ports = st.sigs_out[self.ids.tx_ports].to_u64() as u8;
-                let bytes: Vec<u8> = st.arrays[self.ids.frame][..len]
-                    .iter()
-                    .map(|b| b.to_u64() as u8)
-                    .collect();
+                let buf = st.arrays[self.ids.frame].bytes().expect(FRAME_IS_BYTES);
                 tx.push(TxFrame {
                     ports,
-                    frame: Frame::new(bytes),
+                    frame: Frame::new(buf[..len].to_vec()),
                 });
             }
             prev_tx = tx_now;
@@ -387,6 +399,119 @@ mod tests {
         let prog = pb.build().unwrap();
         let rtl = RtlMachine::new(kiwi::compile(&prog).unwrap());
         assert!(DataplaneDriver::new(rtl).is_err());
+    }
+
+    /// The contract's signals around a caller-shaped `frame` array, on
+    /// the tree-walker.
+    fn driver_with_frame_array(width: u16, len: usize) -> IrResult<DataplaneDriver<Machine>> {
+        let mut pb = ProgramBuilder::new("odd-frame");
+        for (name, w) in [
+            (names::RX_VALID, 1),
+            (names::RX_LEN, 16),
+            (names::RX_PORT, 8),
+        ] {
+            pb.sig_in(name, w);
+        }
+        for (name, w) in [
+            (names::RX_DONE, 1),
+            (names::TX_VALID, 1),
+            (names::TX_LEN, 16),
+            (names::TX_PORTS, 8),
+        ] {
+            pb.sig_out(name, w);
+        }
+        pb.array(names::FRAME, width, len, ArrayBacking::BlockRam);
+        pb.thread("main", vec![forever(vec![pause()])]);
+        DataplaneDriver::new(Machine::new(
+            kiwi_ir::flatten(&pb.build().unwrap()).unwrap(),
+        ))
+    }
+
+    #[test]
+    fn frame_array_must_hold_bytes() {
+        assert!(driver_with_frame_array(8, 64).is_ok());
+        for width in [4, 16, 96] {
+            let err = driver_with_frame_array(width, 64).err().expect("rejected");
+            assert!(err.0.contains("must be 8 bits wide"), "{width}: {}", err.0);
+        }
+    }
+
+    #[test]
+    fn frame_array_longer_than_rx_len_can_say_rejected() {
+        assert!(driver_with_frame_array(8, 65_535).is_ok());
+        let err = driver_with_frame_array(8, 65_536).err().expect("rejected");
+        assert!(err.0.contains("exceeds the 65535 B"), "{}", err.0);
+    }
+
+    /// Echoes `rx_len + 8` bytes of every frame; a frame whose first byte
+    /// is `0xa5` first gets `0xee` stored three bytes past its end.
+    fn tail_echo_program() -> kiwi_ir::Program {
+        let mut pb = ProgramBuilder::new("tail-echo");
+        let dp = declare(&mut pb, 1536);
+        pb.thread(
+            "main",
+            vec![forever(vec![
+                wait_until(sig(dp.rx_valid)),
+                if_then(
+                    eq(arr_read(dp.frame, lit(0, 16)), lit(0xa5, 8)),
+                    vec![arr_write(
+                        dp.frame,
+                        add(sig(dp.rx_len), lit(3, 16)),
+                        lit(0xee, 8),
+                    )],
+                ),
+                sig_write(dp.tx_len, add(sig(dp.rx_len), lit(8, 16))),
+                sig_write(dp.tx_ports, lit(1, 8)),
+                sig_write(dp.tx_valid, tru()),
+                pause(),
+                sig_write(dp.tx_valid, fls()),
+                sig_write(dp.rx_done, tru()),
+                pause(),
+                sig_write(dp.rx_done, fls()),
+            ])],
+        );
+        pb.build().unwrap()
+    }
+
+    /// Runs the zero-tail scenario on one backend; returns what the
+    /// cross-backend comparison needs.
+    fn zero_tail_run<B: ExecBackend>(backend: B) -> Vec<(Vec<TxFrame>, usize)> {
+        let mut drv = DataplaneDriver::new(backend).unwrap();
+        let frame_id = drv.ids.frame;
+        let long = Frame::new(vec![0xcc; 1514]);
+        let mut storing = vec![0x11; 60];
+        storing[0] = 0xa5;
+        let plain = Frame::new(vec![0x22; 60]);
+        let mut seen = Vec::new();
+        for (f, tail) in [
+            (&long, [0u8; 8]),
+            // The stored byte and zeros: nothing of the 1514 B frame.
+            (&Frame::new(storing), [0, 0, 0, 0xee, 0, 0, 0, 0]),
+            (&plain, [0u8; 8]),
+        ] {
+            let out = drv.process(f, &mut NullEnv, &mut NullObserver).unwrap();
+            assert_eq!(out.tx.len(), 1);
+            let echoed = out.tx[0].frame.bytes();
+            assert_eq!(echoed.len(), f.len() + 8);
+            assert_eq!(&echoed[..f.len()], f.bytes());
+            assert_eq!(echoed[f.len()..], tail);
+            seen.push((out.tx, drv.backend().machine_state().arr_high[frame_id]));
+        }
+        seen
+    }
+
+    #[test]
+    fn bytes_above_the_frame_are_zero_on_every_backend() {
+        let prog = tail_echo_program();
+        let tw = zero_tail_run(Machine::new(kiwi_ir::flatten(&prog).unwrap()));
+        let cm = zero_tail_run(kiwi_ir::CompiledMachine::from_program(&prog).unwrap());
+        let rtl = zero_tail_run(RtlMachine::new(kiwi::compile(&prog).unwrap()));
+        // The mark the next load relies on: the store lifts it to 64,
+        // plain frames leave it at their length.
+        let marks: Vec<usize> = tw.iter().map(|(_, high)| *high).collect();
+        assert_eq!(marks, [1514, 64, 60]);
+        assert_eq!(tw, cm, "compiled diverged from the tree-walker");
+        assert_eq!(tw, rtl, "RTL diverged from the tree-walker");
     }
 
     #[test]

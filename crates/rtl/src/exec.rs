@@ -302,13 +302,9 @@ impl RtlMachine {
                     pc += 1;
                 }
                 Op::ArrWrite(arr, idx, val) => {
-                    let decl = self.fsm.prog.array(*arr).expect("validated");
-                    let w = decl.elem_width;
                     let i = eval(idx, &self.fsm.prog, &self.state).to_u64() as usize;
-                    let v = eval(val, &self.fsm.prog, &self.state).resize(w);
-                    let data = &mut self.state.arrays[arr.0 as usize];
-                    if i < data.len() {
-                        data[i] = v;
+                    let v = eval(val, &self.fsm.prog, &self.state);
+                    if self.state.arrays[arr.0 as usize].set(i, &v) {
                         self.state.note_arr_write(arr.0 as usize, i);
                     }
                     pc += 1;

@@ -136,13 +136,21 @@
 //! target stays the golden reference for both. This is enforced by
 //! directed lockstep tests in `kiwi-ir`, random-program proptests across
 //! all three executions in `tests/backend_equiv.rs`, and the soak
-//! harness. Both backends also maintain the `arr_high` per-array
-//! high-water contract ([`ir::interp::MachineState::arr_high`]): after
-//! any run, `arr_high[a]` is one past the highest slot of array `a` that
-//! may differ from zero. Platform drivers rely on it to bound per-frame
-//! buffer re-initialization, so a backend that under-reports it corrupts
-//! frame data and one that never resets it makes every frame reload the
-//! whole buffer.
+//! harness.
+//!
+//! All three machines keep arrays in one width-typed representation,
+//! [`ir::Cells`]: a `u8` slab for elements up to 8 bits, a `u64` slab up
+//! to 64, [`types::Bits`] cells only above that, every element masked to
+//! its declared width. The dataplane `frame` array is therefore a plain
+//! byte slab, and the platform driver loads a frame and harvests a
+//! transmission with a `memcpy` each. Both backends also maintain the
+//! `arr_high` per-array high-water contract
+//! ([`ir::interp::MachineState::arr_high`]): after any run, `arr_high[a]`
+//! is one past the highest slot of array `a` that may differ from zero.
+//! The driver zero-fills the frame buffer only from the end of the new
+//! frame up to that mark, so a backend that under-reports it leaks the
+//! previous frame's bytes into the next one and one that never resets it
+//! makes every frame clear the whole buffer.
 //!
 //! ## Stateful tables at scale
 //!

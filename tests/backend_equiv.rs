@@ -77,7 +77,8 @@ impl Tape {
 /// The fixed declaration signature every generated program shares:
 /// registers and array elements span narrow, word-size, and wide (>64)
 /// widths so both the u64 fast path and the `Bits` limb path of the
-/// compiled backend are exercised.
+/// compiled backend are exercised, and the three arrays land in the
+/// three storage classes of `kiwi_ir::Cells` (`u8`, `u64`, `Bits`).
 struct Sig {
     regs: Vec<(VarId, u16)>,
     arrs: Vec<(ArrId, u16, u64)>,
@@ -97,6 +98,7 @@ fn declare(pb: &mut kiwi_ir::ProgramBuilder, threads: usize) -> Sig {
         .collect();
     let arrs = vec![
         (pb.array("mem8", 8, 16, ArrayBacking::LutRam), 8, 16),
+        (pb.array("mem24", 24, 8, ArrayBacking::LutRam), 24, 8),
         (pb.array("memw", 96, 4, ArrayBacking::BlockRam), 96, 4),
     ];
     let ins = vec![pb.sig_in("in_a", 32), pb.sig_in("in_b", 80)];
