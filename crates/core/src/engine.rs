@@ -619,7 +619,9 @@ impl EngineBuilder<'_> {
     /// entries). Cpu engines accept up to millions of entries; the
     /// Fpga target rejects anything beyond
     /// [`crate::FPGA_MAX_TABLE_ENTRIES`] at build time, so the
-    /// cycle-accurate reference stays within the paper's BRAM budget.
+    /// cycle-accurate reference stays within the paper's BRAM budget,
+    /// and every target rejects `0` and anything above `u32::MAX` (table
+    /// slots are numbered in 32 bits).
     /// Services built with a fixed-size environment recipe ignore this.
     pub fn table_entries(mut self, n: usize) -> Self {
         self.tables.entries = Some(n);
@@ -675,15 +677,21 @@ impl EngineBuilder<'_> {
                 "an engine needs at least one shard".into(),
             ));
         }
-        if self.target == Target::Fpga {
-            if let Some(n) = self.tables.entries {
-                if n > crate::runner::FPGA_MAX_TABLE_ENTRIES {
-                    return Err(EngineError::Build(format!(
-                        "Fpga tables are BRAM-bounded: {n} entries exceeds the \
-                         {max}-entry budget (use Target::Cpu for scaled-up tables)",
-                        max = crate::runner::FPGA_MAX_TABLE_ENTRIES
-                    )));
-                }
+        if let Some(n) = self.tables.entries {
+            // `CamTable` numbers its slots in `u32` and asserts both
+            // ends; a configuration mistake is an error, not a panic.
+            if n == 0 || n > u32::MAX as usize {
+                return Err(EngineError::Build(format!(
+                    "table_entries({n}): a table holds between 1 and {} entries",
+                    u32::MAX
+                )));
+            }
+            if self.target == Target::Fpga && n > crate::runner::FPGA_MAX_TABLE_ENTRIES {
+                return Err(EngineError::Build(format!(
+                    "Fpga tables are BRAM-bounded: {n} entries exceeds the \
+                     {max}-entry budget (use Target::Cpu for scaled-up tables)",
+                    max = crate::runner::FPGA_MAX_TABLE_ENTRIES
+                )));
             }
         }
         let backend = self.backend.unwrap_or_else(Backend::env_default);

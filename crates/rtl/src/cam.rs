@@ -7,6 +7,42 @@
 //! the same code. The port protocol the programs speak is unchanged;
 //! only the model behind it scales.
 //!
+//! # Storage
+//!
+//! The modelled block answers in one cycle whatever the key looks like,
+//! so the host cost of a probe should follow the *declared* geometry,
+//! not the 72-byte [`Bits`] a key travels in. Entries live in one flat
+//! `Vec<u64>` slab: slot *i* is `stride = kw + vw + 1` consecutive
+//! words — `kw = ⌈key_bits/64⌉` key limbs, `vw = ⌈value_bits/64⌉`
+//! value limbs, then the stamp (frame epoch of the last touch;
+//! `u64::MAX` marks a free slot). A 48-bit MAC → 8-bit port table is
+//! 24 B an entry, NAT's 56 → 16 and 24 → 56 tables likewise, a 72-bit
+//! memcached key is `kw = 2`. The slab grows one slot at a time up to
+//! `capacity`, so memory tracks resident entries.
+//!
+//! Keys are found through an open-addressed `Vec<u32>` of slot numbers
+//! with linear probing: power-of-two length, at most half full (so 8
+//! to 16 B of index per resident entry and a probe sequence that ends
+//! within a cache line or two), doubled by re-placing the slot numbers,
+//! and repaired on removal by backward shift, so there are no
+//! tombstones to skip. A hit reads one index line and one slab line.
+//! `Bits` exist only at the API boundary: a key is cut to its `kw`
+//! limbs on the way in and values are rebuilt on the way out; nothing
+//! inside hashes, stores or compares one.
+//!
+//! The index hash is std's keyed SipHash
+//! ([`RandomState`], a fresh key per table) over the `kw` limbs. Keys
+//! are MAC addresses, 5-tuples and memcached keys taken from received
+//! frames; with an unkeyed hash a sender could aim every key at one
+//! probe run and turn the single-cycle CAM into a linear scan.
+//!
+//! Expiry order is a queue of `(slot, stamp)` records beside the slab,
+//! not a recency list threaded through it: a touch appends one record
+//! sequentially (and only once per slot per epoch), whereas relinking
+//! a list would dirty two neighbours' cache lines on every hit. With a
+//! TTL the queue adds 16 B per touched entry per epoch it was touched
+//! in, dropped again as the front ages out.
+//!
 //! # Capacity / expiry / eviction contract
 //!
 //! * Slots grow on demand up to `capacity`; memory tracks resident
@@ -22,6 +58,8 @@
 //! * Lookups and writes *touch* (re-stamp) their entry; expiry is
 //!   therefore an idle timeout, like a NAT mapping timeout or MAC
 //!   aging.
+//! * Every entry point reads its key the way [`CamTable::write`] stores
+//!   it: truncated or zero-extended to `key_bits`.
 //!
 //! [`CamPair`] binds two tables whose entries exist in 1:1
 //! correspondence (NAT's `fwd`/`rev`): any eviction or expiry on one
@@ -29,11 +67,23 @@
 //! under the same cause in the sibling's stats), and touches propagate,
 //! so the pair ages in lockstep and half-dead mappings cannot exist.
 
+use emu_types::bits::MAX_WIDTH;
 use emu_types::Bits;
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::RandomState;
+use std::collections::VecDeque;
+use std::hash::{BuildHasher, Hasher};
 
 /// Expired entries reclaimed per frame by the background sweep.
 const TICK_RECLAIM: usize = 4;
+
+/// Index word of a position that names no slot.
+const EMPTY: u32 = u32::MAX;
+
+/// Stamp word of a slot that holds no entry.
+const FREE: u64 = u64::MAX;
+
+/// Index positions of a new table (power of two).
+const INDEX_MIN: usize = 8;
 
 /// CAM lifetime statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -97,16 +147,19 @@ pub struct CamSnapshot {
     pub stats: CamStats,
 }
 
-#[derive(Debug)]
-struct Entry {
-    key: Bits,
-    value: Bits,
-    /// Frame epoch of the last touch.
-    stamp: u64,
+/// `bits` cut or zero-extended to `width`, as limbs; only the first
+/// `⌈width/64⌉` are meaningful. The one place a `Bits` becomes table
+/// words, so every entry point agrees on what a key is. (A `Bits` holds
+/// zeros above its own width, so only the cut needs a mask, and no
+/// 72-byte `resize` copy is made to apply it.)
+fn limbs_at(bits: &Bits, width: u16) -> [u64; MAX_WIDTH as usize / 64] {
+    let mut limbs = *bits.limbs();
+    limbs[(usize::from(width) - 1) / 64] &= u64::MAX >> (63 - (width - 1) % 64);
+    limbs
 }
 
-/// Hashed, TTL-aware CAM storage (see the module docs for the
-/// capacity/expiry/eviction contract).
+/// Hashed, TTL-aware CAM storage (see the module docs for the storage
+/// layout and the capacity/expiry/eviction contract).
 #[derive(Debug)]
 pub struct CamTable {
     capacity: usize,
@@ -114,8 +167,19 @@ pub struct CamTable {
     value_bits: u16,
     ttl: Option<u64>,
     now: u64,
-    slots: Vec<Option<Entry>>,
-    index: HashMap<Bits, u32>,
+    /// Key limbs per slot.
+    kw: usize,
+    /// Value limbs per slot.
+    vw: usize,
+    /// Slot `i` is words `i * stride ..`: `kw` key limbs, `vw` value
+    /// limbs, the stamp ([`FREE`] while the slot holds no entry).
+    slab: Vec<u64>,
+    /// Open-addressed slot numbers ([`EMPTY`] where none), linear
+    /// probing from `hash & (len - 1)`; at most half full.
+    index: Vec<u32>,
+    /// Slot numbers in `index`.
+    len: usize,
+    hasher: RandomState,
     free: Vec<u32>,
     rr: usize,
     /// (slot, stamp) records in stamp order; a record is valid iff the
@@ -130,16 +194,29 @@ pub struct CamTable {
 
 impl CamTable {
     /// Creates an empty table with the given geometry and no TTL.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero or exceeds `u32::MAX` (slots are
+    /// numbered in `u32`, and one number marks an empty index position).
     pub fn new(capacity: usize, key_bits: u16, value_bits: u16) -> Self {
         assert!(capacity > 0, "a CAM needs at least one entry");
+        assert!(
+            capacity <= EMPTY as usize,
+            "a CAM's slots are numbered in 32 bits: {capacity} entries are too many"
+        );
         CamTable {
             capacity,
             key_bits,
             value_bits,
             ttl: None,
             now: 0,
-            slots: Vec::new(),
-            index: HashMap::new(),
+            kw: usize::from(key_bits).div_ceil(64),
+            vw: usize::from(value_bits).div_ceil(64),
+            slab: Vec::new(),
+            index: vec![EMPTY; INDEX_MIN],
+            len: 0,
+            hasher: RandomState::new(),
             free: Vec::new(),
             rr: 0,
             exp_q: VecDeque::new(),
@@ -171,7 +248,7 @@ impl CamTable {
 
     /// Resident entries (live + expired-but-not-yet-reclaimed).
     pub fn occupancy(&self) -> usize {
-        self.index.len()
+        self.len
     }
 
     /// The current frame epoch.
@@ -199,32 +276,156 @@ impl CamTable {
         self.ttl.is_some_and(|t| self.now.saturating_sub(stamp) > t)
     }
 
+    fn stride(&self) -> usize {
+        self.kw + self.vw + 1
+    }
+
+    /// Slots the slab has grown to (occupied or free).
+    fn n_slots(&self) -> usize {
+        self.slab.len() / self.stride()
+    }
+
+    fn key_of(&self, slot: u32) -> &[u64] {
+        let at = slot as usize * self.stride();
+        &self.slab[at..at + self.kw]
+    }
+
+    fn value_of(&self, slot: u32) -> Bits {
+        let at = slot as usize * self.stride() + self.kw;
+        Bits::from_limbs(&self.slab[at..at + self.vw], self.value_bits)
+    }
+
+    fn stamp_at(&self, slot: u32) -> usize {
+        slot as usize * self.stride() + self.kw + self.vw
+    }
+
+    fn hash(&self, key: &[u64]) -> u64 {
+        let mut h = self.hasher.build_hasher();
+        for &limb in key {
+            h.write_u64(limb);
+        }
+        h.finish()
+    }
+
+    /// Index position and slot of the entry keyed `key`, if resident.
+    fn find(&self, hash: u64, key: &[u64]) -> Option<(usize, u32)> {
+        let mask = self.index.len() - 1;
+        let mut pos = hash as usize & mask;
+        loop {
+            let slot = self.index[pos];
+            if slot == EMPTY {
+                return None;
+            }
+            // Limb by limb: `==` on slices of unknown length calls memcmp.
+            if self.key_of(slot).iter().eq(key) {
+                return Some((pos, slot));
+            }
+            pos = (pos + 1) & mask;
+        }
+    }
+
+    /// [`CamTable::find`] for a caller's `Bits`, read the way `write`
+    /// stores a key: cut or zero-extended to `key_bits`.
+    fn probe(&self, key: &Bits) -> Option<(usize, u32)> {
+        let key = limbs_at(key, self.key_bits);
+        let key = &key[..self.kw];
+        self.find(self.hash(key), key)
+    }
+
+    /// Index position naming the occupied `slot`.
+    fn pos_of(&self, slot: u32) -> usize {
+        let mask = self.index.len() - 1;
+        let mut pos = self.hash(self.key_of(slot)) as usize & mask;
+        while self.index[pos] != slot {
+            assert!(self.index[pos] != EMPTY, "indexed");
+            pos = (pos + 1) & mask;
+        }
+        pos
+    }
+
+    /// Puts `slot` at the first empty position of its probe run.
+    fn place(index: &mut [u32], hash: u64, slot: u32) {
+        let mask = index.len() - 1;
+        let mut pos = hash as usize & mask;
+        while index[pos] != EMPTY {
+            pos = (pos + 1) & mask;
+        }
+        index[pos] = slot;
+    }
+
+    /// Indexes `slot` (whose key hashes to `hash`), doubling the index
+    /// first if it would pass half full.
+    fn index_insert(&mut self, hash: u64, slot: u32) {
+        if (self.len + 1) * 2 > self.index.len() {
+            let mut wider = vec![EMPTY; self.index.len() * 2];
+            for &s in self.index.iter().filter(|&&s| s != EMPTY) {
+                Self::place(&mut wider, self.hash(self.key_of(s)), s);
+            }
+            self.index = wider;
+        }
+        Self::place(&mut self.index, hash, slot);
+        self.len += 1;
+    }
+
+    /// Empties index position `hole` and shifts the rest of its probe
+    /// run back over it, so every remaining entry stays reachable from
+    /// its home position without tombstones.
+    fn index_remove(&mut self, mut hole: usize) {
+        let mask = self.index.len() - 1;
+        let mut pos = hole;
+        loop {
+            pos = (pos + 1) & mask;
+            let slot = self.index[pos];
+            if slot == EMPTY {
+                break;
+            }
+            let home = self.hash(self.key_of(slot)) as usize & mask;
+            // Movable iff its home is no later in the run than the hole.
+            if (pos.wrapping_sub(home) & mask) >= (pos.wrapping_sub(hole) & mask) {
+                self.index[hole] = slot;
+                hole = pos;
+            }
+        }
+        self.index[hole] = EMPTY;
+        self.len -= 1;
+    }
+
     /// Re-stamps `slot` to the current epoch (at most one queue record
     /// per slot per frame, so held strobes stay idempotent).
     fn restamp(&mut self, slot: u32) {
         let now = self.now;
-        let e = self.slots[slot as usize].as_mut().expect("occupied slot");
-        if e.stamp != now {
-            e.stamp = now;
+        let at = self.stamp_at(slot);
+        assert!(self.slab[at] != FREE, "occupied slot");
+        if self.slab[at] != now {
+            self.slab[at] = now;
             if self.ttl.is_some() {
                 self.exp_q.push_back((slot, now));
             }
         }
     }
 
-    fn remove_slot(&mut self, slot: u32, cause: Option<RemoveCause>) -> (Bits, Bits) {
-        let e = self.slots[slot as usize].take().expect("occupied slot");
-        self.index.remove(&e.key);
+    /// Frees the entry in `slot`, indexed at `pos`; returns it.
+    fn remove_slot(&mut self, pos: usize, slot: u32, cause: Option<RemoveCause>) -> (Bits, Bits) {
+        let at = self.stamp_at(slot);
+        assert!(self.slab[at] != FREE, "occupied slot");
+        let entry = (
+            Bits::from_limbs(self.key_of(slot), self.key_bits),
+            self.value_of(slot),
+        );
+        self.slab[at] = FREE;
+        self.index_remove(pos);
         self.free.push(slot);
         match cause {
             Some(RemoveCause::Expired) => self.stats.expiries += 1,
             Some(RemoveCause::Evicted) => self.stats.evictions += 1,
             None => {}
         }
-        (e.key, e.value)
+        entry
     }
 
-    fn report(&mut self, key: Bits, value: Bits, cause: RemoveCause) {
+    /// Removes the entry in `slot` involuntarily and reports it.
+    fn expel(&mut self, pos: usize, slot: u32, cause: RemoveCause) {
+        let (key, value) = self.remove_slot(pos, slot, Some(cause));
         self.removed.push(Removed { key, value, cause });
     }
 
@@ -232,10 +433,8 @@ impl CamTable {
     /// expired entry, reclaims it and returns its freed slot.
     fn reclaim_oldest_expired(&mut self) -> Option<u32> {
         while let Some(&(slot, stamp)) = self.exp_q.front() {
-            let valid = self.slots[slot as usize]
-                .as_ref()
-                .is_some_and(|e| e.stamp == stamp);
-            if !valid {
+            // Stale: the slot is free or was re-stamped since.
+            if self.slab[self.stamp_at(slot)] != stamp {
                 self.exp_q.pop_front();
                 continue;
             }
@@ -243,8 +442,7 @@ impl CamTable {
                 return None;
             }
             self.exp_q.pop_front();
-            let (k, v) = self.remove_slot(slot, Some(RemoveCause::Expired));
-            self.report(k, v, RemoveCause::Expired);
+            self.expel(self.pos_of(slot), slot, RemoveCause::Expired);
             return Some(slot);
         }
         None
@@ -267,34 +465,30 @@ impl CamTable {
     /// resident entry is reclaimed and reported as a miss.
     pub fn lookup(&mut self, key: &Bits) -> Option<Bits> {
         self.stats.lookups += 1;
-        let slot = *self.index.get(key)?;
-        let stamp = self.slots[slot as usize].as_ref().expect("indexed").stamp;
+        let (pos, slot) = self.probe(key)?;
+        let stamp = self.slab[self.stamp_at(slot)];
+        assert!(stamp != FREE, "indexed");
         if self.is_expired(stamp) {
-            let (k, v) = self.remove_slot(slot, Some(RemoveCause::Expired));
-            self.report(k, v, RemoveCause::Expired);
+            self.expel(pos, slot, RemoveCause::Expired);
             return None;
         }
         self.stats.hits += 1;
         self.restamp(slot);
-        Some(
-            self.slots[slot as usize]
-                .as_ref()
-                .expect("live")
-                .value
-                .clone(),
-        )
+        Some(self.value_of(slot))
     }
 
-    /// Is `key` resident and live? No touch, no stats, no reclaim.
-    pub fn peek(&self, key: &Bits) -> Option<&Bits> {
-        let slot = *self.index.get(key)?;
-        let e = self.slots[slot as usize].as_ref().expect("indexed");
-        (!self.is_expired(e.stamp)).then_some(&e.value)
+    /// The value of `key` if it is resident and live. No touch, no
+    /// stats, no reclaim.
+    pub fn peek(&self, key: &Bits) -> Option<Bits> {
+        let (_, slot) = self.probe(key)?;
+        let stamp = self.slab[self.stamp_at(slot)];
+        assert!(stamp != FREE, "indexed");
+        (!self.is_expired(stamp)).then(|| self.value_of(slot))
     }
 
     /// Re-stamps `key` if resident (pair-twin touch propagation).
     pub fn touch(&mut self, key: &Bits) {
-        if let Some(&slot) = self.index.get(key) {
+        if let Some((_, slot)) = self.probe(key) {
             self.restamp(slot);
         }
     }
@@ -304,41 +498,44 @@ impl CamTable {
     /// entry, else evicts round-robin.
     pub fn write(&mut self, key: Bits, value: Bits) -> WriteEffect {
         self.stats.writes += 1;
-        let key = key.resize(self.key_bits);
-        let value = value.resize(self.value_bits);
-        if let Some(&slot) = self.index.get(&key) {
-            let e = self.slots[slot as usize].as_mut().expect("indexed");
-            let old = std::mem::replace(&mut e.value, value);
+        let (key, value) = (
+            limbs_at(&key, self.key_bits),
+            limbs_at(&value, self.value_bits),
+        );
+        let (key, value) = (&key[..self.kw], &value[..self.vw]);
+        let hash = self.hash(key);
+        if let Some((_, slot)) = self.find(hash, key) {
+            let old = self.value_of(slot);
+            let at = slot as usize * self.stride() + self.kw;
+            self.slab[at..at + self.vw].copy_from_slice(value);
             self.restamp(slot);
             return WriteEffect::Replaced(old);
         }
         let slot = if let Some(s) = self.free.pop() {
             s
-        } else if self.slots.len() < self.capacity {
-            self.slots.push(None);
-            (self.slots.len() - 1) as u32
+        } else if self.n_slots() < self.capacity {
+            let grown = self.slab.len() + self.stride();
+            self.slab.resize(grown, FREE);
+            (self.n_slots() - 1) as u32
         } else if let Some(s) = self.reclaim_oldest_expired() {
             self.free.pop();
             s
         } else {
             // All resident and live: round-robin overwrite, like the
             // NetFPGA reference switch on MAC-table overflow.
-            let victim = (self.rr % self.slots.len()) as u32;
-            self.rr = (self.rr + 1) % self.slots.len();
-            let (k, v) = self.remove_slot(victim, Some(RemoveCause::Evicted));
-            self.report(k, v, RemoveCause::Evicted);
+            let victim = (self.rr % self.n_slots()) as u32;
+            self.rr = (self.rr + 1) % self.n_slots();
+            self.expel(self.pos_of(victim), victim, RemoveCause::Evicted);
             self.free.pop();
             victim
         };
-        let stamp = self.now;
-        self.slots[slot as usize] = Some(Entry {
-            key: key.clone(),
-            value,
-            stamp,
-        });
-        self.index.insert(key, slot);
+        let at = slot as usize * self.stride();
+        self.slab[at..at + self.kw].copy_from_slice(key);
+        self.slab[at + self.kw..at + self.kw + self.vw].copy_from_slice(value);
+        self.slab[at + self.kw + self.vw] = self.now;
+        self.index_insert(hash, slot);
         if self.ttl.is_some() {
-            self.exp_q.push_back((slot, stamp));
+            self.exp_q.push_back((slot, self.now));
         }
         WriteEffect::Fresh
     }
@@ -346,15 +543,15 @@ impl CamTable {
     /// Removes `key` if resident (live or expired); returns the entry.
     /// Explicit deletes count in no statistic.
     pub fn delete(&mut self, key: &Bits) -> Option<(Bits, Bits)> {
-        let slot = *self.index.get(key)?;
-        Some(self.remove_slot(slot, None))
+        let (pos, slot) = self.probe(key)?;
+        Some(self.remove_slot(pos, slot, None))
     }
 
     /// Removes `key` on behalf of a pair twin, charging `cause` to this
     /// table's stats. Does not report (no propagation loops).
     fn remove_for_pair(&mut self, key: &Bits, cause: RemoveCause) {
-        if let Some(&slot) = self.index.get(key) {
-            self.remove_slot(slot, Some(cause));
+        if let Some((pos, slot)) = self.probe(key) {
+            self.remove_slot(pos, slot, Some(cause));
         }
     }
 }
@@ -487,6 +684,7 @@ impl CamPair {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn b(v: u64, w: u16) -> Bits {
         Bits::from_u64(v, w)
@@ -516,8 +714,8 @@ mod tests {
         assert_eq!(t.occupancy(), 2);
         assert_eq!(t.stats.evictions, 1);
         assert!(t.peek(&b(1, 8)).is_none());
-        assert_eq!(t.peek(&b(2, 8)), Some(&b(0x22, 8)));
-        assert_eq!(t.peek(&b(3, 8)), Some(&b(0x33, 8)));
+        assert_eq!(t.peek(&b(2, 8)), Some(b(0x22, 8)));
+        assert_eq!(t.peek(&b(3, 8)), Some(b(0x33, 8)));
         let removed = t.take_removed();
         assert_eq!(removed.len(), 1);
         assert_eq!(removed[0].key, b(1, 8));
@@ -638,6 +836,333 @@ mod tests {
         t.lookup(&b(1, 8));
         assert_eq!(t.occupancy(), occ);
         assert_eq!(t.exp_q.len(), q_len, "no duplicate queue records");
-        assert_eq!(t.peek(&b(1, 8)), Some(&b(7, 8)));
+        assert_eq!(t.peek(&b(1, 8)), Some(b(7, 8)));
+    }
+
+    #[test]
+    fn key_of_another_width_follows_the_write_rule() {
+        // `write` stores the 16-bit key 0x0101 as the 8-bit key 0x01;
+        // every other entry point must read a wider or narrower
+        // spelling of that key the same way.
+        let mut t = CamTable::new(4, 8, 8).with_ttl(Some(2));
+        assert_eq!(t.write(b(0x0101, 16), b(7, 8)), WriteEffect::Fresh);
+        assert_eq!(t.write(b(1, 8), b(8, 8)), WriteEffect::Replaced(b(7, 8)));
+        assert_eq!(t.peek(&b(0x0101, 16)), Some(b(8, 8)));
+        assert_eq!(t.peek(&b(1, 4)), Some(b(8, 8)), "narrow keys zero-extend");
+        assert_eq!(t.lookup(&b(0x0101, 16)), Some(b(8, 8)));
+        assert_eq!((t.stats.lookups, t.stats.hits), (1, 1));
+
+        // Stamped at epoch 0 with a TTL of 2, the entry dies at epoch 3
+        // unless the touch at epoch 2 reached it.
+        t.tick_frame();
+        t.tick_frame();
+        t.touch(&b(0x0201, 16));
+        t.tick_frame();
+        assert_eq!(t.peek(&b(1, 8)), Some(b(8, 8)), "touch must re-stamp");
+
+        t.write(b(2, 8), b(9, 8));
+        t.remove_for_pair(&b(0x0302, 16), RemoveCause::Evicted);
+        assert_eq!(t.peek(&b(2, 8)), None);
+        assert_eq!(t.stats.evictions, 1);
+
+        assert_eq!(t.delete(&b(0x0101, 16)), Some((b(1, 8), b(8, 8))));
+        assert_eq!(t.occupancy(), 0);
+    }
+
+    #[test]
+    fn slot_numbers_bound_the_capacity() {
+        // Nothing is allocated for capacity, so the largest table the
+        // 32-bit slot numbers can address is cheap to make.
+        let t = CamTable::new(u32::MAX as usize, 48, 8);
+        assert_eq!(t.capacity(), u32::MAX as usize);
+        assert!(t.slab.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "numbered in 32 bits")]
+    fn capacity_beyond_the_slot_numbers_rejected() {
+        let _ = CamTable::new(u32::MAX as usize + 1, 48, 8);
+    }
+
+    /// Fills a table to capacity (every index doubling from
+    /// `INDEX_MIN`), deletes every other key, and checks that the index
+    /// still finds exactly the survivors and that the freed slots are
+    /// reused last-freed first.
+    fn index_survives_churn(key_bits: u16, key: impl Fn(u64) -> Bits) {
+        const N: u64 = 50_000;
+        let val = |i| b(i, 32);
+        let mut t = CamTable::new(N as usize, key_bits, 32);
+        for i in 0..N {
+            assert_eq!(t.write(key(i), val(i)), WriteEffect::Fresh);
+        }
+        assert_eq!(t.occupancy(), N as usize);
+        assert!(t.index.len() >= 2 * N as usize && t.index.len().is_power_of_two());
+        for i in (0..N).step_by(2) {
+            assert_eq!(t.delete(&key(i)), Some((key(i), val(i))));
+        }
+        assert_eq!(t.occupancy(), N as usize / 2);
+        for i in 0..N {
+            assert_eq!(t.peek(&key(i)), (i % 2 == 1).then(|| val(i)), "key {i}");
+        }
+        // Key i was written into slot i, so the free list holds the even
+        // slots in rising order and hands them back from the top.
+        for (j, i) in (0..N).step_by(2).enumerate() {
+            assert_eq!(t.write(key(N + i), val(N + i)), WriteEffect::Fresh);
+            let (_, slot) = t.probe(&key(N + i)).expect("just written");
+            assert_eq!(u64::from(slot), N - 2 - 2 * j as u64);
+        }
+        assert_eq!(t.occupancy(), N as usize);
+        assert_eq!(t.n_slots(), N as usize);
+        for i in 0..N {
+            assert_eq!(t.lookup(&key(N + i)), (i % 2 == 0).then(|| val(N + i)));
+            assert_eq!(t.lookup(&key(i)), (i % 2 == 1).then(|| val(i)));
+        }
+        assert_eq!((t.stats.evictions, t.stats.expiries), (0, 0));
+    }
+
+    #[test]
+    fn index_finds_every_survivor_after_churn() {
+        // Multiplying by an odd constant permutes the 48-bit keys.
+        index_survives_churn(48, |i| b(i.wrapping_mul(0x9e37_79b9_7f4b), 48));
+    }
+
+    #[test]
+    fn index_tells_keys_apart_by_their_high_limb() {
+        index_survives_churn(96, |i| Bits::from_u128((u128::from(i) << 64) | 0xfeed, 96));
+    }
+
+    /// The table as the module docs state its contract, by linear scan:
+    /// no hash, no index, and the expiry order kept as an append-only
+    /// log that is searched from the start every time.
+    #[derive(Default)]
+    struct Model {
+        cap: usize,
+        ttl: Option<u64>,
+        now: u64,
+        rr: usize,
+        /// `(key, value, stamp)` per slot.
+        slots: Vec<Option<(Bits, Bits, u64)>>,
+        free: Vec<usize>,
+        log: Vec<(usize, u64)>,
+        stats: CamStats,
+        removed: Vec<(Bits, Bits, RemoveCause)>,
+    }
+
+    impl Model {
+        fn expired(&self, stamp: u64) -> bool {
+            self.ttl.is_some_and(|t| self.now - stamp > t)
+        }
+
+        fn find(&self, key: &Bits) -> Option<usize> {
+            let holds = |s: &Option<(Bits, Bits, u64)>| s.as_ref().is_some_and(|e| e.0 == *key);
+            self.slots.iter().position(holds)
+        }
+
+        fn restamp(&mut self, i: usize) {
+            let e = self.slots[i].as_mut().unwrap();
+            if e.2 != self.now {
+                e.2 = self.now;
+                self.log.push((i, self.now));
+            }
+        }
+
+        fn remove(&mut self, i: usize, cause: Option<RemoveCause>) -> (Bits, Bits) {
+            let (key, value, _) = self.slots[i].take().unwrap();
+            self.free.push(i);
+            if let Some(cause) = cause {
+                match cause {
+                    RemoveCause::Expired => self.stats.expiries += 1,
+                    RemoveCause::Evicted => self.stats.evictions += 1,
+                }
+                self.removed.push((key.clone(), value.clone(), cause));
+            }
+            (key, value)
+        }
+
+        /// The first log record that still describes its slot names the
+        /// oldest-stamped entry; reclaim it if it has expired.
+        fn reclaim(&mut self) -> Option<usize> {
+            let current =
+                |&&(i, s): &&(usize, u64)| self.slots[i].as_ref().is_some_and(|e| e.2 == s);
+            let &(i, stamp) = self.log.iter().find(current)?;
+            self.expired(stamp).then(|| {
+                self.remove(i, Some(RemoveCause::Expired));
+                i
+            })
+        }
+
+        fn tick(&mut self) {
+            self.now += 1;
+            for _ in 0..TICK_RECLAIM {
+                if self.reclaim().is_none() {
+                    break;
+                }
+            }
+        }
+
+        fn lookup(&mut self, key: &Bits) -> Option<Bits> {
+            self.stats.lookups += 1;
+            let i = self.find(key)?;
+            if self.expired(self.slots[i].as_ref().unwrap().2) {
+                self.remove(i, Some(RemoveCause::Expired));
+                return None;
+            }
+            self.stats.hits += 1;
+            self.restamp(i);
+            self.slots[i].as_ref().map(|e| e.1.clone())
+        }
+
+        fn peek(&self, key: &Bits) -> Option<Bits> {
+            let e = self.slots[self.find(key)?].as_ref().unwrap();
+            (!self.expired(e.2)).then(|| e.1.clone())
+        }
+
+        fn write(&mut self, key: Bits, value: Bits) -> WriteEffect {
+            self.stats.writes += 1;
+            if let Some(i) = self.find(&key) {
+                let old = std::mem::replace(&mut self.slots[i].as_mut().unwrap().1, value);
+                self.restamp(i);
+                return WriteEffect::Replaced(old);
+            }
+            let i = if let Some(i) = self.free.pop() {
+                i
+            } else if self.slots.len() < self.cap {
+                self.slots.push(None);
+                self.slots.len() - 1
+            } else {
+                let i = self.reclaim().unwrap_or_else(|| {
+                    let victim = self.rr % self.cap;
+                    self.rr = (self.rr + 1) % self.cap;
+                    self.remove(victim, Some(RemoveCause::Evicted));
+                    victim
+                });
+                assert_eq!(self.free.pop(), Some(i));
+                i
+            };
+            self.slots[i] = Some((key, value, self.now));
+            self.log.push((i, self.now));
+            WriteEffect::Fresh
+        }
+    }
+
+    /// `v`'s low two bits at the bottom of the width and the rest at the
+    /// top, so wide keys differ in their highest limb.
+    fn spread(v: u64, w: u16) -> Bits {
+        let top = Bits::from_u64(v >> 2, w).shl(u32::from(w) - 6);
+        top.or(&b(v & 3, w))
+    }
+
+    /// NAT's partner-key derivations (`emu_services::nat_cam_pair`).
+    fn fwd_to_rev(key: &Bits, value: &Bits) -> Bits {
+        Bits::from_u64((value.to_u64() << 8) | (key.to_u64() & 0xff), 24)
+    }
+
+    fn rev_to_fwd(key: &Bits, value: &Bits) -> Bits {
+        Bits::from_u64(((value.to_u64() >> 8) << 8) | (key.to_u64() & 0xff), 56)
+    }
+
+    const WIDTHS: [u16; 5] = [8, 48, 64, 72, 200];
+    const TTLS: [Option<u64>; 3] = [None, Some(1), Some(3)];
+
+    proptest! {
+        /// Every return value, counter, occupancy and removal report
+        /// (key, value, cause, order) agrees with the linear-scan
+        /// reference after every operation, at one-limb, boundary and
+        /// multi-limb widths, through growth, free-list reuse,
+        /// expired-first reclaim and round-robin eviction.
+        #[test]
+        fn table_matches_the_linear_scan_reference(
+            (kw, vw, ttl) in (0usize..5, 0usize..5, 0usize..3),
+            capacity in 1usize..=8,
+            ops in proptest::collection::vec((0u8..8, 0u64..16, any::<u64>()), 1..200),
+        ) {
+            let (kb, vb, ttl) = (WIDTHS[kw], WIDTHS[vw], TTLS[ttl]);
+            let mut t = CamTable::new(capacity, kb, vb).with_ttl(ttl);
+            let mut m = Model {
+                cap: capacity,
+                ttl,
+                ..Model::default()
+            };
+            for (op, k, v) in ops {
+                let key = spread(k, kb);
+                let value = Bits::from_limbs(&[v, !v, v.rotate_left(21), v ^ 0xa5a5], vb);
+                match op {
+                    0 | 1 => prop_assert_eq!(
+                        t.write(key.clone(), value.clone()),
+                        m.write(key, value)
+                    ),
+                    2 | 3 => prop_assert_eq!(t.lookup(&key), m.lookup(&key)),
+                    4 => prop_assert_eq!(t.peek(&key), m.peek(&key)),
+                    5 => {
+                        t.touch(&key);
+                        if let Some(i) = m.find(&key) {
+                            m.restamp(i);
+                        }
+                    }
+                    6 => prop_assert_eq!(
+                        t.delete(&key),
+                        m.find(&key).map(|i| m.remove(i, None))
+                    ),
+                    _ => {
+                        t.tick_frame();
+                        m.tick();
+                    }
+                }
+                prop_assert_eq!(t.stats, m.stats);
+                prop_assert_eq!(t.occupancy(), m.slots.iter().flatten().count());
+                let reported: Vec<_> = t
+                    .take_removed()
+                    .into_iter()
+                    .map(|r| (r.key, r.value, r.cause))
+                    .collect();
+                prop_assert_eq!(reported, std::mem::take(&mut m.removed));
+            }
+        }
+
+        /// NAT's two tables never disagree: after every operation the
+        /// sides hold equally many entries and a flow is live on one
+        /// side iff its twin is live on the other.
+        #[test]
+        fn pair_sides_stay_in_lockstep(
+            capacity in 1usize..=8,
+            ttl in 0usize..3,
+            ops in proptest::collection::vec((0u8..6, 0u64..16), 1..200),
+        ) {
+            let ttl = TTLS[ttl];
+            let mut p = CamPair::new(
+                CamTable::new(capacity, 56, 16).with_ttl(ttl),
+                CamTable::new(capacity, 24, 56).with_ttl(ttl),
+                fwd_to_rev,
+                rev_to_fwd,
+            );
+            // Flow f: {int_ip, int_port} and proto → external port.
+            let flow = |f: u64| {
+                let (host, proto, port) = (0x0a00_0001_1000 + f, 6 + 11 * (f % 2), 50_000 + f);
+                let fwd = (b((host << 8) | proto, 56), b(port, 16));
+                let rev = (b((port << 8) | proto, 24), b((host << 8) | (1 + f % 3), 56));
+                (fwd, rev)
+            };
+            for (op, f) in ops {
+                let ((fk, fv), (rk, rv)) = flow(f);
+                match op {
+                    0 | 1 => {
+                        p.write_a(fk, fv);
+                        p.write_b(rk, rv);
+                    }
+                    2 => prop_assert_eq!(p.lookup_a(&fk).is_some(), p.b.peek(&rk).is_some()),
+                    3 => prop_assert_eq!(p.lookup_b(&rk).is_some(), p.a.peek(&fk).is_some()),
+                    4 if f % 2 == 0 => p.delete_a(&fk),
+                    4 => p.delete_b(&rk),
+                    _ => p.tick_frame(),
+                }
+                prop_assert_eq!(p.a.occupancy(), p.b.occupancy());
+                for g in 0..16 {
+                    let ((fk, fv), (rk, rv)) = flow(g);
+                    let (a, b) = (p.a.peek(&fk), p.b.peek(&rk));
+                    prop_assert_eq!(a.is_some(), b.is_some(), "flow {} is half-dead", g);
+                    prop_assert!(a.is_none() || (a, b) == (Some(fv), Some(rv)));
+                }
+            }
+        }
     }
 }

@@ -403,7 +403,7 @@ pub fn udp_checksum_valid(b: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emu_core::{assert_targets_agree, Target};
+    use emu_core::{assert_targets_agree, EngineError, Target};
     use emu_types::bitutil;
 
     fn public() -> Ipv4 {
@@ -727,6 +727,30 @@ mod tests {
         assert!(svc
             .engine(Target::Cpu)
             .table_entries(1_000_000)
+            .build()
+            .is_ok());
+    }
+
+    #[test]
+    fn tables_of_no_or_unaddressable_size_are_build_errors() {
+        let svc = nat(public());
+        for target in [Target::Cpu, Target::Fpga] {
+            for entries in [0, u32::MAX as usize + 1] {
+                let err = svc
+                    .engine(target)
+                    .table_entries(entries)
+                    .build()
+                    .unwrap_err();
+                assert!(
+                    matches!(&err, EngineError::Build(m) if m.contains("table_entries")),
+                    "{target:?}, {entries} entries: {err}"
+                );
+            }
+        }
+        // The largest addressable table costs nothing until it fills.
+        assert!(svc
+            .engine(Target::Cpu)
+            .table_entries(u32::MAX as usize)
             .build()
             .is_ok());
     }

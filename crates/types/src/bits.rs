@@ -78,6 +78,22 @@ impl Bits {
         b
     }
 
+    /// Creates a value of the given width from little-endian 64-bit
+    /// limbs (the layout [`Bits::limbs`] exposes), zero-extending a short
+    /// slice and truncating to `width`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `limbs` is longer than the backing store
+    /// ([`MAX_WIDTH`]` / 64` limbs) or `width` is invalid.
+    #[inline]
+    pub fn from_limbs(limbs: &[u64], width: u16) -> Self {
+        let mut b = Bits::zero(width);
+        b.limbs[..limbs.len()].copy_from_slice(limbs);
+        b.normalize();
+        b
+    }
+
     /// Creates a value from a boolean, with width 1.
     #[inline]
     pub fn from_bool(v: bool) -> Self {
@@ -434,6 +450,17 @@ mod tests {
     fn from_u64_truncates() {
         assert_eq!(Bits::from_u64(0x1ff, 8).to_u64(), 0xff);
         assert_eq!(Bits::from_u64(u64::MAX, 1).to_u64(), 1);
+    }
+
+    #[test]
+    fn from_limbs_zero_extends_and_truncates() {
+        let wide = Bits::from_u128((0xabcd_u128 << 64) | 0x1234, 80);
+        assert_eq!(Bits::from_limbs(&wide.limbs()[..2], 80), wide);
+        assert_eq!(Bits::from_limbs(wide.limbs(), 80), wide);
+        // A short slice zero-extends; bits above the width are dropped.
+        assert_eq!(Bits::from_limbs(&[0x1234], 80).to_u128(), 0x1234);
+        assert_eq!(Bits::from_limbs(&[0x1234, 0xabcd], 72), wide.resize(72));
+        assert_eq!(Bits::from_limbs(&[u64::MAX], 8), Bits::from_u64(0xff, 8));
     }
 
     #[test]

@@ -158,7 +158,18 @@
 //! [`rtl::CamTable`] — a hashed, cache-conscious index behind the same
 //! CAM port protocol the RTL IP blocks speak — so lookups and writes
 //! are O(1) in resident entries whether a table holds 10^3 or 10^6
-//! flows. The capacity/expiry/eviction contract:
+//! flows. An entry costs what its declared geometry says, not what a
+//! 72-byte [`Bits`](types::Bits) does: `8 × (⌈key_bits/64⌉ +
+//! ⌈value_bits/64⌉ + 1)` bytes in one flat `u64` slab (key limbs, value
+//! limbs, last-touch stamp — 24 B for the switch's 48-bit MAC → port
+//! and for both NAT tables) plus 8 to 16 B of an open-addressed,
+//! at-most-half-full `u32` slot index, so a lookup in a table far
+//! larger than the cache reads two lines: one of the index, one of the
+//! slab. With a TTL the expiry queue adds 16 B per entry per epoch it
+//! was touched in. The index hash is std's keyed SipHash over the used
+//! key limbs — table keys come out of received frames, and an unkeyed
+//! hash would let a sender line them up in one probe run. The
+//! capacity/expiry/eviction contract:
 //!
 //! * **Capacity** is configured per engine with
 //!   [`EngineBuilder::table_entries`](stdlib::EngineBuilder::table_entries).
@@ -167,7 +178,9 @@
 //!   Fpga target refuses anything past the BRAM-sized
 //!   [`FPGA_MAX_TABLE_ENTRIES`](stdlib::FPGA_MAX_TABLE_ENTRIES) — the
 //!   paper's hardware resource wall, surfaced at build time instead of
-//!   synthesis time. The same service code runs at either size.
+//!   synthesis time — and every target refuses `0` and more than
+//!   `u32::MAX` entries (slots are numbered in 32 bits). The same
+//!   service code runs at either size.
 //! * **Expiry** —
 //!   [`EngineBuilder::ttl_frames`](stdlib::EngineBuilder::ttl_frames)
 //!   arms TTL aging on a frame-count epoch: every admitted frame ticks
