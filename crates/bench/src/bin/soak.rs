@@ -11,21 +11,16 @@
 //! identical — parallel execution is invisible to semantics — and both
 //! must be **zero violations**.
 //!
-//! Emits a bench report (`emu-telemetry`'s versioned schema) on stdout
-//! — one row per service × mode carrying the checker's name, its
-//! per-checker frame/violation counts, and the first violation notes
-//! verbatim — plus a human-readable table on stderr; exits non-zero on
-//! any violation or verdict divergence.
+//! Prints one row per service × mode on stderr, each followed by its
+//! checker's first violation notes verbatim; exits non-zero on any
+//! violation or verdict divergence.
 //!
 //! Run: `cargo run --release -p emu-bench --bin soak
 //! [-- --frames N] [-- --backend compiled|treewalk]`
 //! (default 1,000,000 frames per service on the compiled CPU backend;
-//! CI's `soak-smoke` job runs 50,000). Every row reports `us_per_frame`
-//! for the selected backend; `backend_compare` reports the compiled-vs-
-//! tree-walk matrix directly.
+//! CI's `soak-smoke` job runs 50,000). Any other argument is an error.
 
 use emu_core::{Backend, Engine, NatSteering, Target};
-use emu_telemetry::{BenchReport, Json};
 use emu_traffic::{
     Adversarial, Background, Checker, DnsWeighted, FlowChurn, MacChurn, McModel, MemcachedZipf,
     Mix, NatChecker, SwitchModel, TcpConversations, TrafficGen,
@@ -54,15 +49,6 @@ struct Verdict {
     tx: u64,
     rejected: u64,
     violations: u64,
-}
-
-struct Row {
-    service: &'static str,
-    mode: &'static str,
-    checker: &'static str,
-    verdict: Verdict,
-    wall_s: f64,
-    notes: Vec<String>,
 }
 
 fn public() -> Ipv4 {
@@ -171,23 +157,27 @@ fn run(
     )
 }
 
-fn main() {
+/// `--frames N` and `--backend compiled|treewalk`, nothing else: a
+/// misspelt flag must not silently run the million-frame default.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Option<(u64, Backend)> {
     let mut frames: u64 = 1_000_000;
     let mut backend = Backend::Compiled;
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--frames") {
-        frames = args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .expect("--frames N");
+    while let Some(flag) = args.next() {
+        match (flag.as_str(), args.next()?.as_str()) {
+            ("--frames", n) => frames = n.parse().ok()?,
+            ("--backend", "compiled") => backend = Backend::Compiled,
+            ("--backend", "treewalk") => backend = Backend::TreeWalk,
+            _ => return None,
+        }
     }
-    if let Some(i) = args.iter().position(|a| a == "--backend") {
-        backend = match args.get(i + 1).map(String::as_str) {
-            Some("treewalk") => Backend::TreeWalk,
-            Some("compiled") => Backend::Compiled,
-            other => panic!("--backend compiled|treewalk, got {other:?}"),
-        };
-    }
+    Some((frames, backend))
+}
+
+fn main() {
+    let Some((frames, backend)) = parse_args(std::env::args().skip(1)) else {
+        eprintln!("usage: soak [--frames N] [--backend compiled|treewalk]");
+        std::process::exit(2);
+    };
 
     type ServiceCase = (
         &'static str,
@@ -245,7 +235,6 @@ fn main() {
         "service", "mode", "frames", "tx", "rejected", "violations", "wall (s)", "kfps", "us/f"
     );
 
-    let mut rows: Vec<Row> = Vec::new();
     let mut failed = false;
     for (name, build, mix, checker, ttl, bounce, steer) in &cases {
         let svc = build();
@@ -287,15 +276,7 @@ fn main() {
             if verdict.violations > 0 {
                 failed = true;
             }
-            verdicts.push(verdict.clone());
-            rows.push(Row {
-                service: name,
-                mode,
-                checker: chk.name(),
-                verdict,
-                wall_s,
-                notes: chk.notes().to_vec(),
-            });
+            verdicts.push(verdict);
         }
         if verdicts[0] != verdicts[1] {
             eprintln!(
@@ -305,40 +286,6 @@ fn main() {
             failed = true;
         }
     }
-
-    // Bench report on stdout. Each row carries its checker's own
-    // frame/violation tally and the first violation notes verbatim
-    // (escaped by the JSON writer), so a failing soak is diagnosable
-    // from the report alone.
-    let mut report = BenchReport::new("soak")
-        .param("frames_per_service", frames)
-        .param("shards", SHARDS as u64)
-        .param("seed", SEED)
-        .param("backend", backend.label())
-        .param("table_entries", TABLE_ENTRIES as u64)
-        .param("ttl_frames", TTL_FRAMES);
-    for r in &rows {
-        report.push_row(Json::obj(vec![
-            ("service", Json::from(r.service)),
-            ("mode", Json::from(r.mode)),
-            ("backend", Json::from(backend.label())),
-            ("checker", Json::from(r.checker)),
-            ("frames", Json::from(r.verdict.frames)),
-            ("tx", Json::from(r.verdict.tx)),
-            ("rejected", Json::from(r.verdict.rejected)),
-            ("violations", Json::from(r.verdict.violations)),
-            ("wall_s", Json::from(r.wall_s)),
-            (
-                "us_per_frame",
-                Json::from(r.wall_s / r.verdict.frames.max(1) as f64 * 1e6),
-            ),
-            (
-                "notes",
-                Json::Arr(r.notes.iter().map(|n| Json::from(n.as_str())).collect()),
-            ),
-        ]));
-    }
-    println!("{}", report.render());
 
     if failed {
         eprintln!("\nsoak FAILED: violations or verdict divergence (see above)");

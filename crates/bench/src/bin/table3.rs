@@ -4,44 +4,10 @@
 //!
 //! Run: `cargo run --release -p emu-bench --bin table3`
 
-use emu_bench::emu_pipeline;
+use emu_bench::{emu_pipeline, line_rate_mpps, switch_frame};
 use emu_core::Target;
 use emu_services::switch::{switch_ip_cam, switch_ip_cam_blocks};
-use emu_types::{Frame, MacAddr};
-use netfpga_sim::{timing, CoreMode, NativeCore, P4FpgaCore, PipelineSim, RefSwitchCore};
-
-fn test_frame(src: u64, dst: u64, port: u8) -> Frame {
-    let mut f = Frame::ethernet(
-        MacAddr::from_u64(dst),
-        MacAddr::from_u64(src),
-        0x0800,
-        &[0; 46],
-    );
-    f.in_port = port;
-    f
-}
-
-/// Offers 64 B frames at aggregate line rate with egress spread over all
-/// four ports; returns achieved Mpps.
-fn line_rate_mpps(sim: &mut PipelineSim, n: u64) -> f64 {
-    for p in 0..4u8 {
-        sim.inject(
-            &test_frame(100 + u64::from(p), 0xEE, p),
-            f64::from(p) * 100.0,
-        )
-        .expect("inject");
-    }
-    let gap = timing::wire_ns(64) / timing::NUM_PORTS as f64;
-    let mut t = 1000.0;
-    for i in 0..n {
-        let port = (i % 4) as u8;
-        let dst = 100 + (u64::from(port) + 1) % 4;
-        sim.inject(&test_frame(100 + u64::from(port), dst, port), t)
-            .expect("inject");
-        t += gap;
-    }
-    sim.throughput_pps() / 1e6
-}
+use netfpga_sim::{CoreMode, NativeCore, P4FpgaCore, PipelineSim, RefSwitchCore};
 
 fn main() {
     println!("== Table 3: switch comparison (64-byte packets, 256-entry tables) ==\n");
@@ -53,9 +19,9 @@ fn main() {
 
     // Module latency: measured on a learned unicast path.
     let mut inst = svc.engine(Target::Fpga).build().expect("instantiate");
-    inst.process(&test_frame(0xB, 0xA, 1)).expect("learn");
-    inst.process(&test_frame(0xA, 0xB, 0)).expect("learn");
-    let out = inst.process(&test_frame(0xA, 0xB, 0)).expect("forward");
+    inst.process(&switch_frame(0xB, 0xA, 1)).expect("learn");
+    inst.process(&switch_frame(0xA, 0xB, 0)).expect("learn");
+    let out = inst.process(&switch_frame(0xA, 0xB, 0)).expect("forward");
     let emu_latency = out.cycles;
 
     let mut emu_sim = emu_pipeline(&svc, CoreMode::Streaming).expect("pipeline");

@@ -88,7 +88,7 @@ fn main() {
             let design_name = format!("{}{}", art.name, label);
             let fsm = kiwi::compile(&svc.program).expect("compile");
             // IP blocks are identical across variants; utilization deltas
-            // come from the generated logic. P&R noise per DESIGN.md.
+            // come from the generated logic. P&R noise: see `pnr_factor`.
             let logic = kiwi::estimate(&fsm, &[]).logic as f64 * pnr_factor(&design_name);
 
             let lat = emu_latency(&svc, art.request, 1_500, warm).expect("latency");

@@ -1,16 +1,19 @@
 //! Shared harness code for the table/figure regeneration binaries.
 //!
 //! Each binary under `src/bin/` reproduces one artefact of the paper's
-//! evaluation (see DESIGN.md §5 for the experiment index); the
-//! functions here build the workloads and drive the pipeline simulator
-//! so that every harness measures the same way.
+//! evaluation (§5: `table3`, `table4`, `table5`, `tails`, `scaling`,
+//! `ablation_parallelism`) or soaks the engine under checkers (`soak`);
+//! the functions here build the workloads and drive the pipeline
+//! simulator so that every harness measures the same way. Host-speed
+//! numbers are not measured here: that is `bash benchmark/run.sh`
+//! (ROADMAP "Measuring performance").
 
 use emu_core::{Service, Target};
 use emu_services::{dns, icmp, memcached, nat, tcp_ping};
-use emu_types::{Frame, Ipv4, Summary};
+use emu_types::{Frame, Ipv4, MacAddr, Summary};
 
 use kiwi_ir::IrResult;
-use netfpga_sim::{CoreMode, PipelineSim};
+use netfpga_sim::{timing, CoreMode, PipelineSim};
 
 /// Number of latency samples for Emu-side runs (the paper uses 100 K;
 /// the cycle-accurate simulator makes 5 K plenty for a deterministic
@@ -210,139 +213,40 @@ pub fn emu_throughput(
     Ok(outs.len() as f64 / ((t_last - t_first) / 1e9))
 }
 
-/// A Table 4 service prepared for shard-scaling runs: like
-/// [`Table4Service`] but with a request generator that varies the *flow*
-/// (addresses/ports) across a pool of client flows, so an RSS dispatcher
-/// has entropy to spread — a single-flow workload degenerates to one
-/// shard by design.
-pub struct ShardScaleService {
-    /// Row label.
-    pub name: &'static str,
-    /// Builds the Emu service.
-    pub build: fn() -> Service,
-    /// Builds the i-th request frame, cycling through `FLOW_POOL` flows.
-    pub request: fn(u64) -> Frame,
-    /// Whether per-shard state partitioning is semantics-preserving for
-    /// arbitrary traffic (true) or requires flow affinity (false).
-    pub stateless: bool,
-}
-
-/// Number of distinct client flows the shard-scaling generators cycle
-/// through.
-pub const FLOW_POOL: u64 = 64;
-
-/// Rewrites the IPv4 source address of `f` and refreshes the IP header
-/// checksum (the L4 checksum, where present, is left for the caller —
-/// the generators below only patch frames whose L4 checksum is absent
-/// or does not cover the mutated field).
-pub fn set_src_ip(f: &mut Frame, ip: Ipv4) {
-    use emu_types::{bitutil, checksum, proto::offset};
-    let b = f.bytes_mut();
-    b[offset::IPV4_SRC..offset::IPV4_SRC + 4].copy_from_slice(&ip.octets());
-    bitutil::set16(b, offset::IPV4_CSUM, 0);
-    let ihl = usize::from(b[offset::IPV4] & 0x0f) * 4;
-    let c = checksum::internet_checksum(&b[offset::IPV4..offset::IPV4 + ihl]);
-    bitutil::set16(b, offset::IPV4_CSUM, c);
-}
-
-fn icmp_flow_request(i: u64) -> Frame {
-    // Vary the pinging client's address: ICMP has no ports, so the RSS
-    // hash falls back to MACs+IPs. The ICMP checksum does not cover the
-    // IP header, so only the IP checksum needs refreshing.
-    let mut f = icmp::echo_request_frame(56, i as u16);
-    set_src_ip(&mut f, Ipv4::new(10, 1, (i % FLOW_POOL) as u8, 2));
-    f.in_port = (i % 4) as u8;
-    f
-}
-
-fn tcp_flow_request(i: u64) -> Frame {
-    let mut f = tcp_ping::syn_frame(40_000 + (i % FLOW_POOL) as u16, 80, i as u32);
-    f.in_port = (i % 4) as u8;
-    f
-}
-
-fn dns_flow_request(i: u64) -> Frame {
-    let names = ["example.com", "emu.cam.ac.uk", "a.b", "cache.io"];
-    let mut f = dns::query_frame(names[(i % 4) as usize], i as u16);
-    // Vary the resolver client's source port (the query's UDP checksum
-    // is 0 = absent, so no fixup is needed).
-    emu_types::bitutil::set16(
-        f.bytes_mut(),
-        emu_types::proto::offset::L4,
-        4000 + (i % FLOW_POOL) as u16,
+/// A minimum-size Ethernet frame `src` → `dst` arriving on `port`, as
+/// the Table 3 switch runs use.
+pub fn switch_frame(src: u64, dst: u64, port: u8) -> Frame {
+    let mut f = Frame::ethernet(
+        MacAddr::from_u64(dst),
+        MacAddr::from_u64(src),
+        0x0800,
+        &[0; 46],
     );
-    f.in_port = (i % 4) as u8;
+    f.in_port = port;
     f
 }
 
-fn nat_flow_request(i: u64) -> Frame {
-    // Outbound flows from the internal side; flow affinity is what keeps
-    // the per-flow translation state consistent (see `emu_services::nat`).
-    let mut f = nat::udp_frame(
-        "192.168.1.50".parse().expect("valid"),
-        2000 + (i % FLOW_POOL) as u16,
-        "8.8.8.8".parse().expect("valid"),
-        53,
-        1 + (i % 3) as u8,
-    );
-    f.in_port = 1 + (i % 3) as u8;
-    f
-}
-
-fn memcached_flow_request(i: u64) -> Frame {
-    // Key and client flow move in lockstep, so one key's GETs and SETs
-    // always share a shard and per-shard stores stay coherent.
-    let key = format!("k{:04}", i % FLOW_POOL);
-    let body = if i % 10 == 9 {
-        format!("set {key} 0 0 8\r\nVALUE{:03}\r\n", i % 1000)
-    } else {
-        format!("get {key}\r\n")
-    };
-    let mut f = memcached::request_frame(&body, i as u16);
-    emu_types::bitutil::set16(
-        f.bytes_mut(),
-        emu_types::proto::offset::L4,
-        5000 + (i % FLOW_POOL) as u16,
-    );
-    f.in_port = (i % 4) as u8;
-    f
-}
-
-/// The Table 4 service set with flow-varied request generators, for the
-/// `scaling_shards` harness.
-pub fn shard_scale_services() -> Vec<ShardScaleService> {
-    vec![
-        ShardScaleService {
-            name: "icmp-echo",
-            build: icmp::icmp_echo,
-            request: icmp_flow_request,
-            stateless: true,
-        },
-        ShardScaleService {
-            name: "tcp-ping",
-            build: tcp_ping::tcp_ping,
-            request: tcp_flow_request,
-            stateless: true,
-        },
-        ShardScaleService {
-            name: "dns",
-            build: || dns::dns_server(bench_zone()),
-            request: dns_flow_request,
-            stateless: true,
-        },
-        ShardScaleService {
-            name: "nat",
-            build: || nat::nat("203.0.113.1".parse().expect("valid")),
-            request: nat_flow_request,
-            stateless: false,
-        },
-        ShardScaleService {
-            name: "memcached",
-            build: memcached::memcached,
-            request: memcached_flow_request,
-            stateless: false,
-        },
-    ]
+/// Table 3's throughput column: teaches a switch one station per port,
+/// then offers `n` 64 B frames at aggregate line rate with egress spread
+/// over all four ports; returns achieved Mpps.
+pub fn line_rate_mpps(sim: &mut PipelineSim, n: u64) -> f64 {
+    for p in 0..4u8 {
+        sim.inject(
+            &switch_frame(100 + u64::from(p), 0xEE, p),
+            f64::from(p) * 100.0,
+        )
+        .expect("inject");
+    }
+    let gap = timing::wire_ns(64) / timing::NUM_PORTS as f64;
+    let mut t = 1000.0;
+    for i in 0..n {
+        let port = (i % 4) as u8;
+        let dst = 100 + (u64::from(port) + 1) % 4;
+        sim.inject(&switch_frame(100 + u64::from(port), dst, port), t)
+            .expect("inject");
+        t += gap;
+    }
+    sim.throughput_pps() / 1e6
 }
 
 /// Deterministic "place-and-route noise" for utilization comparisons.
@@ -352,8 +256,7 @@ pub fn shard_scale_services() -> Vec<ShardScaleService> {
 /// during the place-and-route state... occasionally this results in more
 /// utilization-efficient allocations". Our additive estimator cannot
 /// reproduce that by itself, so comparisons apply a small deterministic,
-/// design-keyed factor in ±1.5 %, mirroring P&R luck. Documented in
-/// DESIGN.md §2 (known deviations).
+/// design-keyed factor in ±1.5 %, mirroring P&R luck.
 pub fn pnr_factor(design: &str) -> f64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for b in design.bytes() {
@@ -402,6 +305,48 @@ mod tests {
                 svc.name
             );
         }
+    }
+
+    #[test]
+    fn table3_stays_near_the_paper() {
+        // Paper Table 3, the numbers the `table3` bin prints beside its
+        // own: module latency 8 / 6 / 85 cycles and 59.52 / 59.52 / 53.0
+        // Mpps at 64 B for the Emu, NetFPGA reference and P4FPGA
+        // switches, and an Emu design 1.24x the reference's logic.
+        use emu_services::switch::{switch_ip_cam, switch_ip_cam_blocks};
+        use netfpga_sim::{NativeCore, P4FpgaCore, RefSwitchCore};
+        let near = |got: f64, paper: f64, tol: f64| (got / paper - 1.0).abs() <= tol;
+
+        let svc = switch_ip_cam();
+        let mut inst = svc.engine(Target::Fpga).build().unwrap();
+        inst.process(&switch_frame(0xB, 0xA, 1)).unwrap();
+        inst.process(&switch_frame(0xA, 0xB, 0)).unwrap();
+        let learned = inst.process(&switch_frame(0xA, 0xB, 0)).unwrap();
+        // Ours schedules the learned unicast path in 6 cycles; anything
+        // from the reference's 6 to the paper's 8 is the same design.
+        assert!((6..=8).contains(&learned.cycles), "{}", learned.cycles);
+        assert_eq!(RefSwitchCore::new().module_latency_cycles(), 6);
+        assert_eq!(P4FpgaCore::default().module_latency_cycles(), 85);
+
+        // Line rate at 64 B, within 1 % of the paper over the bin's
+        // 20 000 frames (the microsecond of table learning before the
+        // stream starts is inside the measured interval).
+        let mut emu = emu_pipeline(&svc, CoreMode::Streaming).unwrap();
+        let mut reference = PipelineSim::new_native(Box::new(RefSwitchCore::new()));
+        let mut p4 = PipelineSim::new_native(Box::new(P4FpgaCore::default()));
+        for (name, sim, paper) in [
+            ("emu", &mut emu, 59.52),
+            ("reference", &mut reference, 59.52),
+            ("p4fpga", &mut p4, 53.0),
+        ] {
+            let mpps = line_rate_mpps(sim, 20_000);
+            assert!(near(mpps, paper, 0.01), "{name}: {mpps:.2} Mpps vs {paper}");
+        }
+
+        let fsm = kiwi::compile(&svc.program).unwrap();
+        let logic = kiwi::estimate(&fsm, &switch_ip_cam_blocks()).logic as f64;
+        let ratio = logic / RefSwitchCore::new().resources().logic as f64;
+        assert!(near(ratio, 1.24, 0.08), "Emu/reference logic {ratio:.2}x");
     }
 
     #[test]

@@ -49,8 +49,8 @@
 //! and differ only in speed; `EngineBuilder::backend` pins one
 //! explicitly, and the `EMU_CPU_BACKEND` environment variable flips the
 //! default (CI uses it to run the whole suite on the reference
-//! interpreter). The `backend_compare` bench bin reports the per-frame
-//! speedup per service.
+//! interpreter). `emubench` reports the per-frame cost of each as
+//! `kiwi-ir.exec_ns_per_frame` and `kiwi-ir.treewalk_ns_per_frame`.
 //!
 //! # Execution modes
 //!
@@ -61,8 +61,8 @@
 //! shards on real OS threads (scoped threads, one per non-idle shard per
 //! batch, the first of them the calling thread itself); outputs and
 //! failure semantics are identical by construction, only host wall-clock
-//! time changes. The `sustained` bench runs every service both ways and
-//! fails on any snapshot difference.
+//! time changes. `tests/telemetry_equiv.rs` runs both ways and fails on
+//! any snapshot difference.
 //!
 //! # Failure isolation
 //!
@@ -84,8 +84,9 @@
 //! [`Engine::telemetry`] snapshots the whole engine; counters are
 //! updated on whichever thread runs the shard's slice, so parallel
 //! mode pays no synchronization. Builders can opt out with
-//! [`EngineBuilder::telemetry`]`(false)` — the `sustained` bench bin
-//! uses that to prove the instrumentation costs < 5 % of the hot path.
+//! [`EngineBuilder::telemetry`]`(false)` — `emubench` uses that to
+//! measure what the instrumentation costs the hot path
+//! (`telemetry.overhead_share`, budget 5 %).
 
 use crate::runner::{flow_hash, AnyDriver, Backend, Service, TableConfig, Target};
 use emu_rtl::{IpEnv, RtlMachine};

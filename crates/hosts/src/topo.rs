@@ -57,8 +57,8 @@ pub struct TopoSpec {
     /// Impairments applied to **every** link (each link gets its own
     /// derived RNG seed); `None` for a clean fabric.
     pub impair: Option<Impairments>,
-    /// Service model time per cycle (the sustained bench's 5 ns/cycle
-    /// convention); 0.0 for instantaneous services.
+    /// Service model time per cycle (5 ns at the paper's 200 MHz core
+    /// clock); 0.0 for instantaneous services.
     pub ns_per_cycle: f64,
     /// Closed-loop pacing/reliability knobs shared by every client.
     pub client: ClientConfig,

@@ -11,9 +11,10 @@
 //! the breakdown in the authors' own measurement study ("Where has my
 //! time gone?", PAM 2017, reference 50 of the paper); the shape
 //! parameters are calibrated per service so that the *averages and tail
-//! ratios* of Table 4 are reproduced (see `EXPERIMENTS.md` for measured
-//! vs paper values). The scheduler/wake-up stage carries most of the
-//! variance, which is where Linux tail latency physically comes from.
+//! ratios* of Table 4 are reproduced (`emu-bench`'s `table4` and `tails`
+//! bins print measured vs paper values). The scheduler/wake-up stage
+//! carries most of the variance, which is where Linux tail latency
+//! physically comes from.
 //!
 //! NAT is special: the paper measures it as a loaded gateway (its host
 //! throughput column, 1.037 Mq/s, implies near-saturation), so its

@@ -12,7 +12,7 @@
 //! functional behaviour (MAC learning, forwarding) is implemented for
 //! real, their resources are computed from the same cost model as Emu
 //! designs where possible, and their published timing figures are
-//! parameters (see DESIGN.md's substitution table).
+//! parameters.
 
 use crate::dataplane::TxFrame;
 use crate::timing;

@@ -6,7 +6,7 @@
 //! queues). The MAC/PHY constants are the usual figures for 10GBASE-R
 //! with a store-and-forward MAC, chosen so the end-to-end RTTs land in
 //! the 1.0–2.0 µs band the paper measures with the DAG card (Table 4).
-//! EXPERIMENTS.md reports measured-vs-paper per service.
+//! `emu-bench`'s `table4` bin prints measured-vs-paper per service.
 
 /// Core clock: 200 MHz (§5.1, "NetFPGA SUME's native frequency").
 pub const CLOCK_HZ: u64 = 200_000_000;

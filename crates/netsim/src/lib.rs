@@ -283,9 +283,9 @@ impl NetSim {
     /// Models service processing latency: every frame a service node
     /// handles delays its transmissions by `cycles × ns`, where
     /// `cycles` is the engine's model-cycle count for that frame (the
-    /// same quantity the telemetry histograms record). The `sustained`
-    /// bench's convention is 5 ns/cycle (`netfpga_sim::timing`'s 200 MHz
-    /// core clock); the default `0.0` preserves the historical
+    /// same quantity the telemetry histograms record). The paper's
+    /// figure is 5 ns/cycle (`netfpga_sim::timing`'s 200 MHz core
+    /// clock); the default `0.0` preserves the historical
     /// "transmit immediately" behaviour. With a non-zero value,
     /// closed-loop round-trip times become meaningful — and stay
     /// deterministic per seed, because model cycles are deterministic.
@@ -649,8 +649,8 @@ impl NetSim {
         self.nodes[n.0].last_drop.as_deref()
     }
 
-    /// Whole-network telemetry as one JSON object in the bench-report
-    /// row shape: per-node drop accounting (with the embedded engine's
+    /// Whole-network telemetry as one JSON object: per-node drop
+    /// accounting (with the embedded engine's
     /// [`Engine::telemetry`] snapshot for service nodes), plus the
     /// network-level counters — frames offered to unlinked ports and
     /// the aggregate [`ImpairStats`].

@@ -1,8 +1,8 @@
 //! Cycle-accurate execution substrate: the reproduction's "FPGA".
 //!
 //! The paper runs compiled services on a NetFPGA SUME card; this crate
-//! runs the same compiled FSMs in a cycle-accurate simulator instead
-//! (DESIGN.md explains the substitution). It provides:
+//! runs the same compiled FSMs in a cycle-accurate simulator instead.
+//! It provides:
 //!
 //! * [`RtlMachine`] — one 5 ns clock edge per step, with a state-occupancy
 //!   profiler,

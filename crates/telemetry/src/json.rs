@@ -3,9 +3,9 @@
 //! The container build is offline (no serde), and the bench bins used
 //! to hand-print JSON with `println!` — which is how unescaped checker
 //! notes and drifting ad-hoc schemas happen. This module is the one
-//! JSON implementation every report goes through: writing always
-//! escapes, parsing is strict enough to validate committed artifacts
-//! (`BENCH_6.json`) in CI.
+//! JSON implementation every snapshot and result file goes through:
+//! writing always escapes, parsing is strict enough to validate what
+//! was written.
 //!
 //! Numbers are `f64`; the counters that flow through reports are far
 //! below 2^53, so round-tripping is exact in practice. Object keys keep

@@ -1,33 +1,22 @@
-//! The versioned bench-report schema.
+//! Host metadata for result files.
 //!
-//! Every bench bin emits one [`BenchReport`]: a fixed envelope —
-//! schema tag, bench name, host metadata, free-form parameters — around
-//! an array of row objects. Rows are bench-specific, but the envelope
-//! is uniform, so tooling can diff any two reports (and CI can validate
-//! a committed artifact like `BENCH_6.json`) without knowing which
-//! bench produced them.
+//! Wall-clock numbers are only comparable between hosts of the same
+//! shape, so every result file `emubench` (`benchmark/`) writes carries
+//! the block [`host_info`] returns.
 //!
 //! ```
-//! use emu_telemetry::{BenchReport, Json};
+//! use emu_telemetry::{host_info, Json};
 //!
-//! let mut r = BenchReport::new("sustained").param("frames", 1000u64);
-//! r.push_row(Json::obj(vec![
-//!     ("service", Json::from("dns")),
-//!     ("mpps", Json::from(1.25)),
-//! ]));
-//! let doc = Json::parse(&r.render()).unwrap();
-//! BenchReport::validate(&doc).unwrap();
-//! assert_eq!(doc.get("bench").and_then(Json::as_str), Some("sustained"));
+//! let host = host_info();
+//! assert!(host.get("cores").and_then(Json::as_u64) >= Some(1));
+//! assert!(host.get("os").and_then(Json::as_str).is_some());
+//! assert!(host.get("arch").and_then(Json::as_str).is_some());
 //! ```
 
 use crate::json::Json;
 
-/// The schema tag every report carries. Bump the suffix on breaking
-/// changes to the envelope.
-pub const SCHEMA: &str = "emu-bench-report/v1";
-
-/// Host metadata recorded in every report: enough to know whether two
-/// throughput numbers are comparable at all.
+/// Host metadata recorded with every wall-clock result: enough to know
+/// whether two throughput numbers are comparable at all.
 pub fn host_info() -> Json {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -37,168 +26,4 @@ pub fn host_info() -> Json {
         ("arch", Json::from(std::env::consts::ARCH)),
         ("cores", Json::from(cores as u64)),
     ])
-}
-
-/// A machine-readable bench report (see the module docs).
-#[derive(Debug, Clone)]
-pub struct BenchReport {
-    bench: String,
-    params: Vec<(String, Json)>,
-    rows: Vec<Json>,
-}
-
-impl BenchReport {
-    /// Starts an empty report for the named bench.
-    pub fn new(bench: &str) -> BenchReport {
-        BenchReport {
-            bench: bench.to_string(),
-            params: Vec::new(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Records a bench parameter (frame counts, seeds, sweep axes — the
-    /// knobs a reader needs to reproduce the run).
-    pub fn param(mut self, key: &str, value: impl Into<Json>) -> BenchReport {
-        self.params.push((key.to_string(), value.into()));
-        self
-    }
-
-    /// Appends one result row (must be a JSON object).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is not an object — the schema requires uniform
-    /// rows so reports stay diffable.
-    pub fn push_row(&mut self, row: Json) {
-        assert!(matches!(row, Json::Obj(_)), "report rows must be objects");
-        self.rows.push(row);
-    }
-
-    /// The rows pushed so far.
-    pub fn rows(&self) -> &[Json] {
-        &self.rows
-    }
-
-    /// The full report as a JSON value.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema", Json::from(SCHEMA)),
-            ("bench", Json::from(self.bench.as_str())),
-            ("host", host_info()),
-            ("params", Json::Obj(self.params.clone())),
-            ("rows", Json::Arr(self.rows.clone())),
-        ])
-    }
-
-    /// The pretty-printed document (what bins print to stdout and CI
-    /// commits as `BENCH_*.json`).
-    pub fn render(&self) -> String {
-        self.to_json().pretty()
-    }
-
-    /// Validates the envelope of a parsed report: schema tag, bench
-    /// name, host block, and object-shaped rows.
-    pub fn validate(doc: &Json) -> Result<(), String> {
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("missing `schema`")?;
-        if schema != SCHEMA {
-            return Err(format!("schema `{schema}` != `{SCHEMA}`"));
-        }
-        match doc.get("bench").and_then(Json::as_str) {
-            Some(b) if !b.is_empty() => {}
-            _ => return Err("missing or empty `bench`".into()),
-        }
-        let host = doc.get("host").ok_or("missing `host`")?;
-        for key in ["os", "arch", "cores"] {
-            if host.get(key).is_none() {
-                return Err(format!("host block missing `{key}`"));
-            }
-        }
-        if doc.get("params").and_then(Json::as_obj).is_none() {
-            return Err("missing `params` object".into());
-        }
-        let rows = doc
-            .get("rows")
-            .and_then(Json::as_arr)
-            .ok_or("missing `rows` array")?;
-        for (i, row) in rows.iter().enumerate() {
-            if row.as_obj().is_none() {
-                return Err(format!("row {i} is not an object"));
-            }
-        }
-        Ok(())
-    }
-
-    /// Checks that every row of a validated report has all of `keys` —
-    /// the bench-specific half of validation.
-    pub fn require_row_keys(doc: &Json, keys: &[&str]) -> Result<(), String> {
-        let rows = doc
-            .get("rows")
-            .and_then(Json::as_arr)
-            .ok_or("missing `rows` array")?;
-        for (i, row) in rows.iter().enumerate() {
-            for key in keys {
-                if row.get(key).is_none() {
-                    return Err(format!("row {i} missing `{key}`"));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn envelope_validates_and_round_trips() {
-        let mut r = BenchReport::new("soak").param("frames", 50_000u64);
-        r.push_row(Json::obj(vec![("service", Json::from("nat"))]));
-        let doc = Json::parse(&r.render()).unwrap();
-        BenchReport::validate(&doc).unwrap();
-        BenchReport::require_row_keys(&doc, &["service"]).unwrap();
-        assert!(BenchReport::require_row_keys(&doc, &["mpps"]).is_err());
-        assert_eq!(
-            doc.get("params")
-                .and_then(|p| p.get("frames"))
-                .and_then(Json::as_u64),
-            Some(50_000)
-        );
-    }
-
-    #[test]
-    fn validation_rejects_broken_envelopes() {
-        let good = BenchReport::new("x").to_json();
-        BenchReport::validate(&good).unwrap();
-        for (mutate, why) in [
-            (
-                Json::obj(vec![("schema", Json::from("emu-bench-report/v0"))]),
-                "wrong schema",
-            ),
-            (Json::obj(vec![]), "empty object"),
-            (Json::Arr(vec![]), "not an object"),
-        ] {
-            assert!(BenchReport::validate(&mutate).is_err(), "{why}");
-        }
-        // Rows must be objects.
-        let mut doc = good;
-        if let Json::Obj(members) = &mut doc {
-            for (k, v) in members.iter_mut() {
-                if k == "rows" {
-                    *v = Json::Arr(vec![Json::from(1u64)]);
-                }
-            }
-        }
-        assert!(BenchReport::validate(&doc).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "objects")]
-    fn non_object_rows_panic_at_push() {
-        BenchReport::new("x").push_row(Json::from(3u64));
-    }
 }

@@ -5,7 +5,7 @@
 //! toolchain that lets network services written in a high-level language
 //! run unchanged on CPUs, in network simulation, and on NetFPGA — is
 //! rebuilt here with every hardware dependency replaced by a simulator
-//! (see `DESIGN.md` for the substitution table).
+//! (the layout table below names the stand-in for each).
 //!
 //! ## Layout
 //!
@@ -23,7 +23,7 @@
 //! | [`simnet`] | `netsim` | Mininet-analogue network simulator |
 //! | [`hosts`] | `emu-hosts` | closed-loop endpoint agents + generated topologies |
 //! | [`traffic`] | `emu-traffic` | seeded workload generators, checkers, record/replay |
-//! | [`telemetry`] | `emu-telemetry` | counters, latency histograms, bench-report schema |
+//! | [`telemetry`] | `emu-telemetry` | counters, latency histograms, JSON |
 //!
 //! ## Quickstart
 //!
@@ -70,18 +70,20 @@
 //! the shard that allocated the external port — see
 //! `examples/sharded_nat.rs`). Batches execute shards sequentially under
 //! the parallel-datapath cost model by default; `.parallel(true)` runs
-//! them on real OS threads with identical results (the `sustained`
-//! bench — `cargo run --release -p emu-bench --bin sustained` — runs
-//! every service both ways and fails on any difference).
+//! them on real OS threads with identical results
+//! (`tests/telemetry_equiv.rs` and `tests/sharding.rs` run both ways and
+//! fail on any difference, as does every `bash benchmark/run.sh`).
 //!
 //! A shard whose program traps is poisoned and isolated while its
 //! siblings keep serving; every failure is an
 //! [`EngineError`](stdlib::EngineError) naming the shard.
 //!
 //! The Mininet-analogue target takes the same engines via
-//! [`simnet::NetSim::add_service`], and
-//! `cargo run --release -p emu-bench --bin scaling_shards` sweeps shard
-//! counts 1/2/4/8 over the Table 4 services.
+//! [`simnet::NetSim::add_service`]. `tests/sharding.rs` holds the
+//! scale-out claim — a stateless service's batch time under the cost
+//! model falls with every added shard — and
+//! `cargo run --release -p emu-bench --bin scaling` reproduces the
+//! paper's §5.4 multi-core memcached figure.
 //!
 //! ## Execution backends
 //!
@@ -101,10 +103,10 @@
 //!   and common-subexpression elimination, loop-invariant load motion,
 //!   adjacent-load pair fusion, copy propagation, slice/resize
 //!   coalescing, and dead-scratch elimination. Pick it everywhere
-//!   throughput matters — it is what the soak and scaling benches
-//!   measure, and
-//!   `cargo run --release -p emu-bench --bin backend_compare` prints the
-//!   per-service speedup matrix.
+//!   throughput matters — it is what `soak` and `emubench` drive, and
+//!   `bash benchmark/run.sh` reports its per-frame cost beside the
+//!   tree-walker's (`kiwi-ir.exec_ns_per_frame` vs
+//!   `kiwi-ir.treewalk_ns_per_frame`).
 //! * [`Backend::TreeWalk`](stdlib::Backend) — the recursive reference
 //!   interpreter over the flattened statement stream ([`ir::interp`]).
 //!   Pick it when debugging a suspected compiled-backend bug, or as the
@@ -196,9 +198,11 @@
 //!   port becomes honestly re-allocatable.
 //!
 //! Per-table occupancy/hit/eviction/expiry counters ride the normal
-//! telemetry snapshot ([`telemetry::CamCounters`]). The `flow_scale`
-//! bench bin gates the O(1) claim — per-frame cost flat within 2x from
-//! 10^3 to 10^6 live flows — and `soak` churns ≥1M frames per service
+//! telemetry snapshot ([`telemetry::CamCounters`]).
+//! `tests/cam_golden.rs` holds the O(1) claim — per-frame cost flat from
+//! 10^3 to 10^5 resident MACs — emubench's `flows-1m-churn` workload
+//! measures the table beyond the last-level cache (`rtl.cam_hit_ns`,
+//! `rtl.cam_miss_ns`), and `soak` churns ≥1M frames per service
 //! against million-entry TTL'd tables under shadow checkers that replay
 //! the very same `CamTable`s, so expiry and eviction are *predicted*,
 //! not tolerated.
@@ -250,8 +254,9 @@
 //! than wall time, a snapshot is deterministic: sequential and parallel
 //! execution — and the compiled and tree-walk backends — produce
 //! *equal* [`EngineSnapshot`](telemetry::EngineSnapshot)s for the same
-//! frames (asserted in `tests/telemetry_equiv.rs` and by the
-//! `sustained` bench). [`simnet::NetSim::telemetry`] folds per-node
+//! frames (asserted in `tests/telemetry_equiv.rs`, which also pins the
+//! cycle counts of five seeded service mixes as literals).
+//! [`simnet::NetSim::telemetry`] folds per-node
 //! drops, impairment stats, and embedded engine snapshots into one JSON
 //! document.
 //!
@@ -271,14 +276,13 @@
 //! assert!(lo <= hi && hi <= total.cycles.max().unwrap());
 //! ```
 //!
-//! The bench bins all emit one versioned JSON envelope
-//! ([`telemetry::BenchReport`], schema `emu-bench-report/v1`), so any
-//! two runs diff mechanically. The canonical sustained-rate numbers
-//! live in the committed `BENCH_*.json` trajectory (latest:
-//! `BENCH_10.json`), regenerated by
-//! `cargo run --release -p emu-bench --bin sustained -- --check --out BENCH_10.json`
-//! and regression-gated in CI against the previous PR's record
-//! (>10 % Mpps drop or >20 % p99 rise fails).
+//! Host-speed numbers come from one place: `bash benchmark/run.sh`
+//! (`emubench`, described in `benchmark/README.md`) runs six workloads
+//! and writes three end-to-end metrics and the per-layer breakdown for
+//! each; `BENCHMARK.json` is its contract. The bins in `crates/bench`
+//! reproduce the paper's tables (`table3`, `table4`, `table5`, `tails`,
+//! `scaling`, `ablation_parallelism`) in model time, and `soak` hunts
+//! bugs; none of them is a performance record.
 //!
 //! ## Closed-loop hosts
 //!
@@ -327,11 +331,11 @@
 //! and TCP-ping service leaves, and a closed-loop client on every
 //! remaining slot; [`hosts::Topo::harvest`] merges the client-side
 //! accounting and feeds every per-request outcome through
-//! [`traffic::ClientCheck`]. The `topo` bench bin
-//! (`cargo run --release -p emu-bench --bin topo`) sweeps impairment
-//! levels over that fabric and emits goodput + RTT quantiles as
-//! `emu-bench-report/v1` rows; `tests/closed_loop.rs` holds the
-//! retries-recover-from-loss, duplicate-suppression, RTT-monotonicity,
+//! [`traffic::ClientCheck`]. emubench's `fabric-closed-loop` workload
+//! measures that fabric (verified requests per second,
+//! `netsim.events_per_s`, `hosts.retx_per_request`);
+//! `tests/closed_loop.rs` holds the retries-recover-from-loss,
+//! duplicate-suppression, all-impairments-at-once, RTT-monotonicity,
 //! and whole-topology differential (seq==par, compiled==treewalk)
 //! suites.
 

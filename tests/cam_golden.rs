@@ -8,6 +8,10 @@
 //! table was a `HashMap` over `Bits` keys. A change to the table's
 //! storage must reproduce them exactly: slot order, victim choice and
 //! expiry order all feed these numbers.
+//!
+//! The one property of the table that is not an observable — a lookup
+//! costs the same however many entries are resident — is checked last,
+//! against a bound wide enough to hold in a debug build on a busy host.
 
 use emu::prelude::*;
 use emu::traffic::{FlowChurn, MacChurn, TrafficGen};
@@ -117,5 +121,45 @@ fn nat_flow_churn_is_pinned() {
             ("fwd", 100_000, 75_318, 24_682, 4930, 18_856, 896),
             ("rev", 24_682, 0, 24_682, 4930, 18_856, 896),
         ],
+    );
+}
+
+#[test]
+fn per_frame_cost_is_flat_in_resident_macs() {
+    // A switch with 10^5 learned MACs must serve a frame about as fast
+    // as one with 10^3: every frame is two table lookups, and a table
+    // that scanned its entries would be 100x slower at the large point.
+    // The streams are zero-churn, so nothing is learned or evicted
+    // while the clock runs; trials alternate between the two engines so
+    // a neighbour's burst of load lands on both, and the minimum of
+    // three is compared.
+    let mut points: Vec<_> = [1_000, 100_000]
+        .into_iter()
+        .map(|live| {
+            let mut gen = MacChurn::new(0xf10a, live, 0);
+            let mut engine = switch()
+                .engine(Target::Cpu)
+                .backend(Backend::Compiled)
+                .table_entries(1 << 17)
+                .build()
+                .unwrap();
+            let warmup = gen.warmup_frames();
+            assert_eq!(engine.process_batch(&warmup).ok_count(), live);
+            (engine, gen.take(20_000), std::time::Duration::MAX)
+        })
+        .collect();
+    for _ in 0..3 {
+        for (engine, frames, best) in &mut points {
+            let t0 = std::time::Instant::now();
+            for chunk in frames.chunks(1024) {
+                assert_eq!(engine.process_batch(chunk).ok_count(), chunk.len());
+            }
+            *best = t0.elapsed().min(*best);
+        }
+    }
+    let (small, large) = (points[0].2, points[1].2);
+    assert!(
+        large < 4 * small,
+        "20k frames took {large:?} over 10^5 resident MACs, {small:?} over 10^3"
     );
 }

@@ -8,6 +8,8 @@
 //! * retransmission actually recovers goodput under link loss,
 //! * duplicated links produce suppressed duplicates, never double
 //!   completions or checker violations,
+//! * loss, duplication, reorder and jitter together still leave every
+//!   request completed and verified,
 //! * measured RTT is monotone in configured link delay and never dips
 //!   below the physical floor,
 //! * the whole-network telemetry snapshot is byte-identical across
@@ -111,6 +113,28 @@ fn duplicated_links_are_suppressed_not_double_counted() {
     // the checker (via `run`) saw exactly `issued` outcomes.
     assert_eq!(sum.completed, sum.issued);
     assert_eq!(sum.timeouts, 0);
+    assert_eq!(sum.mismatches, 0);
+}
+
+#[test]
+fn chaos_links_leave_every_request_completed_and_verified() {
+    // Loss, duplication, reorder and jitter on every link at once: the
+    // impairments interact (a reordered duplicate of a retransmitted
+    // request is the interesting frame), so the checker inside `run`
+    // must stay silent with all four armed, and the retry budget must
+    // still land every request.
+    let mut spec = small_spec();
+    spec.impair = Some(Impairments {
+        loss: 0.02,
+        duplicate: 0.02,
+        reorder: 0.05,
+        jitter_ns: 2_000.0,
+        seed: 0xc4a05,
+    });
+    let (sum, _) = run(spec);
+    assert!(sum.retransmits > 0, "2% loss must trigger retransmission");
+    assert!(sum.duplicates > 0, "2% duplication must surface duplicates");
+    assert_eq!(sum.completed, sum.issued, "{} timed out", sum.timeouts);
     assert_eq!(sum.mismatches, 0);
 }
 

@@ -32,44 +32,55 @@ fn client_frame(flow: u16, extra: usize) -> Frame {
     f
 }
 
+/// ICMP echo request `i` from one of `flows` client addresses (ICMP has
+/// no ports, so the flow hash spreads on the source address; the ICMP
+/// checksum does not cover it).
+fn icmp_flow_frame(i: u64, flows: u64) -> Frame {
+    let mut f = s::icmp::echo_request_frame(16 + (i as usize % 48), i as u16);
+    let b = f.bytes_mut();
+    b[29] = (i % flows) as u8 + 1;
+    bitutil::set16(b, 24, 0);
+    let c = emu_types::checksum::internet_checksum(&b[14..34]);
+    bitutil::set16(b, 24, c);
+    f.in_port = (i % 4) as u8;
+    f
+}
+
+fn dns_zone() -> Vec<(String, emu_types::Ipv4)> {
+    vec![
+        ("a.b".to_string(), "1.2.3.4".parse().unwrap()),
+        ("example.com".to_string(), "93.184.216.34".parse().unwrap()),
+    ]
+}
+
+/// DNS query `i` from one of `flows` client source ports (the query's
+/// UDP checksum is absent, so nothing needs refreshing).
+fn dns_flow_frame(i: u64, flows: u64) -> Frame {
+    let name = if i.is_multiple_of(3) {
+        "a.b"
+    } else {
+        "example.com"
+    };
+    let mut f = s::dns::query_frame(name, i as u16);
+    bitutil::set16(f.bytes_mut(), 34, 4000 + (i % flows) as u16);
+    f.in_port = (i % 4) as u8;
+    f
+}
+
 #[test]
 fn stateless_services_shard_transparently() {
     // ICMP echo and DNS hold no cross-frame state: sharded output must be
     // byte-identical to a single instance under every shard count.
-    let zone = vec![
-        ("a.b".to_string(), "1.2.3.4".parse().unwrap()),
-        ("example.com".to_string(), "93.184.216.34".parse().unwrap()),
-    ];
     let cases: Vec<(&str, emu::stdlib::Service, Vec<Frame>)> = vec![
         (
             "icmp",
             s::icmp::icmp_echo(),
-            (0..24u64)
-                .map(|i| {
-                    let mut f = s::icmp::echo_request_frame(16 + (i as usize % 48), i as u16);
-                    // Vary the client address so flows spread.
-                    let b = f.bytes_mut();
-                    b[29] = (i % 9) as u8 + 1;
-                    bitutil::set16(b, 24, 0);
-                    let c = emu_types::checksum::internet_checksum(&b[14..34]);
-                    bitutil::set16(b, 24, c);
-                    f.in_port = (i % 4) as u8;
-                    f
-                })
-                .collect(),
+            (0..24).map(|i| icmp_flow_frame(i, 9)).collect(),
         ),
         (
             "dns",
-            s::dns::dns_server(zone),
-            (0..24u64)
-                .map(|i| {
-                    let name = if i % 3 == 0 { "a.b" } else { "example.com" };
-                    let mut f = s::dns::query_frame(name, i as u16);
-                    bitutil::set16(f.bytes_mut(), 34, 4000 + (i % 11) as u16);
-                    f.in_port = (i % 4) as u8;
-                    f
-                })
-                .collect(),
+            s::dns::dns_server(dns_zone()),
+            (0..24).map(|i| dns_flow_frame(i, 11)).collect(),
         ),
     ];
 
@@ -85,6 +96,51 @@ fn stateless_services_shard_transparently() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn stateless_model_wall_time_falls_with_every_added_shard() {
+    // The paper's §5.4 scale-out (3.7x at four memcached cores) for the
+    // services that need no flow affinity: under the parallel-datapath
+    // cost model a batch takes as long as its busiest shard, so with 64
+    // client flows for the flow hash to spread, each doubling of the
+    // pipelines must shorten the batch. A dispatcher that stops
+    // spreading, or a `wall_cycles` that stops taking the maximum,
+    // breaks the strict fall. Two requests a flow is as many as a debug
+    // build affords: tcp-ping's RTL simulation runs ~20 ms a frame.
+    const FLOWS: u64 = 64;
+    const REQUESTS: u64 = 128;
+    let cases: Vec<(&str, emu::stdlib::Service, Vec<Frame>)> = vec![
+        (
+            "icmp",
+            s::icmp::icmp_echo(),
+            (0..REQUESTS).map(|i| icmp_flow_frame(i, FLOWS)).collect(),
+        ),
+        (
+            "tcp-ping",
+            s::tcp_ping::tcp_ping(),
+            (0..REQUESTS)
+                .map(|i| s::tcp_ping::syn_frame(40_000 + (i % FLOWS) as u16, 80, i as u32))
+                .collect(),
+        ),
+        (
+            "dns",
+            s::dns::dns_server(dns_zone()),
+            (0..REQUESTS).map(|i| dns_flow_frame(i, FLOWS)).collect(),
+        ),
+    ];
+    for (name, svc, frames) in cases {
+        let wall = [1usize, 2, 4].map(|shards| {
+            let mut engine = svc.engine(Target::Fpga).shards(shards).build().unwrap();
+            let batch = engine.process_batch(&frames);
+            assert_eq!(batch.ok_count(), frames.len(), "{name}: {shards} shards");
+            batch.wall_cycles()
+        });
+        assert!(
+            wall[0] > wall[1] && wall[1] > wall[2],
+            "{name}: batch wall cycles must fall 1 -> 2 -> 4 shards: {wall:?}"
+        );
     }
 }
 
