@@ -66,9 +66,11 @@
 //!
 //! # Failure isolation
 //!
-//! A shard whose program traps (hung core, executor error) is *poisoned*:
-//! the trapping frame and every later frame dispatched to it report
-//! errors, its siblings keep processing, and the error is retained on
+//! A shard whose program traps (hung core, executor error) or whose
+//! core panics on a frame (a bug in an IP-block model or an executor;
+//! retained as `panicked: <message>`) is *poisoned*: the failing frame
+//! and every later frame dispatched to it report errors, its siblings
+//! keep processing, and the error is retained on
 //! [`Engine::shard_error`]. Input-validation failures (an oversized
 //! frame) are rejected per frame *without* poisoning — the core never saw
 //! the frame, so its state is still good. These semantics are identical
@@ -97,6 +99,7 @@ use kiwi_ir::interp::{NullObserver, Observer};
 use kiwi_ir::{IrError, IrResult};
 use netfpga_sim::dataplane::CoreOutput;
 use netfpga_sim::DataplaneDriver;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 // ---------------------------------------------------------------------
@@ -123,8 +126,8 @@ pub enum EngineError {
         cap: usize,
     },
     /// The shard's core trapped while processing this frame (hung past
-    /// its cycle budget, halted, executor error); the shard is now
-    /// poisoned.
+    /// its cycle budget, halted, executor error, or a panic, reported
+    /// as `panicked: <message>`); the shard is now poisoned.
     Trap {
         /// Shard that trapped.
         shard: usize,
@@ -514,6 +517,22 @@ impl Shard {
             reason: e.0,
         }
     }
+
+    /// The trap for a frame whose [`Shard::run`] unwound (a bug in an
+    /// IP-block model or an executor) with `payload`: counted and
+    /// reported like any other trap, so the panic costs this shard and
+    /// not its worker thread or its siblings. The callers catch per
+    /// slice or per call, never inside `run`: an unwind guard around
+    /// the core's step costs the executor-bound workloads ~5 %.
+    fn panicked(&mut self, k: usize, payload: Box<dyn std::any::Any + Send>) -> EngineError {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string payload");
+        self.record_drop(DropKind::Trap);
+        self.trap(k, IrError(format!("panicked: {msg}")))
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -809,12 +828,24 @@ fn run_slice(k: usize, shard: &mut Shard, frames: &[Frame], idxs: &[usize]) -> S
         results: Vec::with_capacity(idxs.len()),
         cycles: 0,
     };
-    for &i in idxs {
-        let r = shard.run(k, &frames[i], &mut NullObserver);
-        if let Ok(out) = &r {
-            run.cycles += out.cycles;
+    // A second pass only after a panic: the frame in flight is the one
+    // `results` stops short of, and what is left of the slice then
+    // finds the shard poisoned.
+    while run.results.len() < idxs.len() {
+        let rest = &idxs[run.results.len()..];
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            for &i in rest {
+                let r = shard.run(k, &frames[i], &mut NullObserver);
+                if let Ok(out) = &r {
+                    run.cycles += out.cycles;
+                }
+                run.results.push((i, r));
+            }
+        }));
+        if let Err(payload) = unwound {
+            let i = idxs[run.results.len()];
+            run.results.push((i, Err(shard.panicked(k, payload))));
         }
-        run.results.push((i, r));
     }
     run
 }
@@ -941,7 +972,9 @@ impl Engine {
         obs: &mut dyn Observer,
     ) -> EngineResult<CoreOutput> {
         let k = self.shard_of(frame);
-        self.shards[k].run(k, frame, obs)
+        let shard = &mut self.shards[k];
+        catch_unwind(AssertUnwindSafe(|| shard.run(k, frame, obs)))
+            .unwrap_or_else(|payload| Err(shard.panicked(k, payload)))
     }
 
     /// Processes a batch: frames are dispatched up front (one
@@ -985,7 +1018,7 @@ impl Engine {
                 let mine = first.map(|(k, (shard, idxs))| (k, run_slice(k, shard, frames, idxs)));
                 let others = handles
                     .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"));
+                    .map(|h| h.join().expect("run_slice catches core panics"));
                 mine.into_iter().chain(others).collect()
             })
         } else {

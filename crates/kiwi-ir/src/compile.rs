@@ -20,8 +20,10 @@
 //!   no per-node clones, no heap traffic on the fast path.
 //!
 //! Lowering feeds the pass pipeline in [`crate::opt`] (constant folding,
-//! copy propagation, slice/resize coalescing, dead scratch elimination)
-//! before the bytecode is frozen into a [`CompiledProgram`].
+//! array-access strength reduction, redundant-load and
+//! common-subexpression elimination, adjacent-load pair fusion, copy
+//! propagation, dead scratch elimination) before the bytecode is frozen
+//! into a [`CompiledProgram`].
 //!
 //! [`CompiledMachine`] mirrors [`crate::interp::Machine`] exactly:
 //! pause-to-pause cycles, the same [`Env`]/[`Observer`] hooks, the same
@@ -236,16 +238,6 @@ pub enum MOp {
         /// Constant element index, proven in bounds at compile time.
         idx: u32,
     },
-    /// Array element read at a compile-time-constant, in-bounds index
-    /// (elements > 64 bits).
-    LdArrCW {
-        /// Destination slot.
-        dst: Slot,
-        /// Array index.
-        arr: u32,
-        /// Constant element index, proven in bounds at compile time.
-        idx: u32,
-    },
     /// Fused read of two adjacent array elements (≤ 64 bits each),
     /// concatenated high-to-low: with `i = (idx + off) & mask` and
     /// `j = (i + 1) & mask`, `dst = (a[i] << bw) | a[j]`. The offset
@@ -282,25 +274,11 @@ pub enum MOp {
         /// Element width in bits.
         bw: u16,
     },
-    /// Fused concat whose low part is an array load at a dynamic
-    /// index: `dst = (a << bw) | arr[idx]` (out-of-range reads zero).
+    /// Fused concat whose low part is an array load at a compile-time-
+    /// constant, in-bounds index: `dst = (a << bw) | arr[#idx]`.
     /// Produced by [`FusePairs`](crate::opt::Pass::FusePairs) for the
     /// inner steps of multi-byte concat towers, where the high part is
     /// itself an accumulated value rather than a single load.
-    ConcatLdS {
-        /// Destination slot.
-        dst: Slot,
-        /// High-part slot.
-        a: Slot,
-        /// Array index.
-        arr: u32,
-        /// Small slot holding the low part's element index.
-        idx: Slot,
-        /// Width of the low part.
-        bw: u16,
-    },
-    /// Fused concat whose low part is an array load at a compile-time-
-    /// constant, in-bounds index: `dst = (a << bw) | arr[#idx]`.
     ConcatLdCS {
         /// Destination slot.
         dst: Slot,
@@ -622,17 +600,6 @@ pub enum MOp {
         /// Element width.
         w: u16,
     },
-    /// Terminal: wide-slot counterpart of [`MOp::StArrCS`].
-    StArrCW {
-        /// Array index.
-        arr: u32,
-        /// Constant element index.
-        idx: u32,
-        /// Value slot.
-        a: Slot,
-        /// Element width.
-        w: u16,
-    },
     /// Terminal: output-signal drive from a small slot.
     StSigS {
         /// Signal index.
@@ -684,64 +651,7 @@ impl MOp {
     /// The scratch slot this op defines, with its file (`true` = wide).
     /// Terminals define nothing.
     pub(crate) fn dst(&self) -> Option<(Slot, bool)> {
-        use MOp::*;
-        match self {
-            ConstS { dst, .. }
-            | LdVarS { dst, .. }
-            | LdSigS { dst, .. }
-            | LdArrS { dst, .. }
-            | LdArrCS { dst, .. }
-            | LdArrPairS { dst, .. }
-            | LdArrPairCS { dst, .. }
-            | ConcatLdS { dst, .. }
-            | ConcatLdCS { dst, .. }
-            | CopyS { dst, .. }
-            | Narrow { dst, .. }
-            | MaskS { dst, .. }
-            | NotS { dst, .. }
-            | NegS { dst, .. }
-            | RedOrS { dst, .. }
-            | RedOrW { dst, .. }
-            | BinS { dst, .. }
-            | CmpS { dst, .. }
-            | ShlS { dst, .. }
-            | ShrS { dst, .. }
-            | ConcatS { dst, .. }
-            | SliceS { dst, .. }
-            | SliceWS { dst, .. }
-            | CmpW { dst, .. }
-            | MuxS { dst, .. } => Some((*dst, false)),
-            ConstW { dst, .. }
-            | LdVarW { dst, .. }
-            | LdSigW { dst, .. }
-            | LdArrW { dst, .. }
-            | LdArrCW { dst, .. }
-            | CopyW { dst, .. }
-            | Widen { dst, .. }
-            | ResizeW { dst, .. }
-            | NotW { dst, .. }
-            | NegW { dst, .. }
-            | BinW { dst, .. }
-            | ShlW { dst, .. }
-            | ShrW { dst, .. }
-            | ConcatW { dst, .. }
-            | SliceW { dst, .. }
-            | MuxW { dst, .. } => Some((*dst, true)),
-            StVarS { .. }
-            | StVarW { .. }
-            | StArrS { .. }
-            | StArrW { .. }
-            | StArrCS { .. }
-            | StArrCW { .. }
-            | StSigS { .. }
-            | StSigW { .. }
-            | BranchZ { .. }
-            | Jmp { .. }
-            | PauseOp
-            | LabelOp { .. }
-            | ExtOp { .. }
-            | HaltOp => None,
-        }
+        self.clone().dst_mut().map(|(d, wide)| (*d, wide))
     }
 
     /// Visits every scratch-slot operand as `(&mut slot, wide)`.
@@ -755,7 +665,6 @@ impl MOp {
             | LdSigS { .. }
             | LdSigW { .. }
             | LdArrCS { .. }
-            | LdArrCW { .. }
             | LdArrPairCS { .. }
             | Jmp { .. }
             | PauseOp
@@ -763,10 +672,6 @@ impl MOp {
             | ExtOp { .. }
             | HaltOp => {}
             LdArrS { idx, .. } | LdArrW { idx, .. } | LdArrPairS { idx, .. } => f(idx, false),
-            ConcatLdS { a, idx, .. } => {
-                f(a, false);
-                f(idx, false);
-            }
             ConcatLdCS { a, .. } => f(a, false),
             CopyS { a, .. }
             | MaskS { a, .. }
@@ -787,7 +692,6 @@ impl MOp {
             | SliceWS { a, .. }
             | SliceW { a, .. }
             | StVarW { a, .. }
-            | StArrCW { a, .. }
             | StSigW { a, .. } => f(a, true),
             BinS { a, b, .. }
             | CmpS { a, b, .. }
@@ -834,8 +738,9 @@ impl MOp {
     }
 
     /// Mutable access to the destination slot, with its file
-    /// (`true` = wide). Mirror of [`MOp::dst`]; the region-widening
-    /// renumbering in [`crate::opt`] uses it to shift whole slot ranges.
+    /// (`true` = wide) — the one table of which ops define what; the
+    /// region-widening renumbering in [`crate::opt`] uses it to shift
+    /// whole slot ranges.
     pub(crate) fn dst_mut(&mut self) -> Option<(&mut Slot, bool)> {
         use MOp::*;
         match self {
@@ -846,7 +751,6 @@ impl MOp {
             | LdArrCS { dst, .. }
             | LdArrPairS { dst, .. }
             | LdArrPairCS { dst, .. }
-            | ConcatLdS { dst, .. }
             | ConcatLdCS { dst, .. }
             | CopyS { dst, .. }
             | Narrow { dst, .. }
@@ -868,7 +772,6 @@ impl MOp {
             | LdVarW { dst, .. }
             | LdSigW { dst, .. }
             | LdArrW { dst, .. }
-            | LdArrCW { dst, .. }
             | CopyW { dst, .. }
             | Widen { dst, .. }
             | ResizeW { dst, .. }
@@ -885,7 +788,6 @@ impl MOp {
             | StArrS { .. }
             | StArrW { .. }
             | StArrCS { .. }
-            | StArrCW { .. }
             | StSigS { .. }
             | StSigW { .. }
             | BranchZ { .. }
@@ -902,8 +804,9 @@ impl MOp {
 // Compiled containers
 // ---------------------------------------------------------------------
 
-/// One widened optimization region of a compiled thread, with the
-/// summary of its externally visible effects.
+/// One widened optimization region of a compiled thread
+/// ([`mops_to_string`] prints each with a summary of its externally
+/// visible effects).
 ///
 /// Lowering initially produces one region per source statement; the
 /// observer-visibility analysis in [`crate::opt`] then merges runs of
@@ -918,9 +821,6 @@ pub struct RegionInfo {
     pub start: u32,
     /// Half-open range of source-op indices the region covers.
     pub stmts: (u32, u32),
-    /// Human-readable visibility summary: which vars/signals/arrays the
-    /// region exposes to observers and the environment, and how it ends.
-    pub vis: String,
 }
 
 /// One thread lowered to micro-ops.
@@ -1663,7 +1563,6 @@ fn compile_thread(
         region_info.push(RegionInfo {
             start: starts[h],
             stmts: (h as u32, end as u32),
-            vis: region_visibility(&regions[h], prog, &c.labels),
         });
     }
     for m in &mut mops {
@@ -1676,24 +1575,14 @@ fn compile_thread(
     }
 
     // Scratch-file sizes: the passes may have shrunk them.
-    let (mut n_small, mut n_wide) = (0usize, 0usize);
-    for m in &mops {
-        let mut bump = |s: Slot, wide: bool| {
-            let n = if wide { &mut n_wide } else { &mut n_small };
-            *n = (*n).max(s as usize + 1);
-        };
-        if let Some((d, wide)) = m.dst() {
-            bump(d, wide);
-        }
-        m.uses(&mut |s, wide| bump(s, wide));
-    }
+    let (n_small, n_wide) = crate::opt::region_slots(&mops);
 
     Ok(CompiledThread {
         name: t.name.clone(),
         mops,
         labels: c.labels,
-        n_small,
-        n_wide,
+        n_small: n_small as usize,
+        n_wide: n_wide as usize,
         regions: region_info,
     })
 }
@@ -1728,10 +1617,7 @@ fn region_visibility(region: &[MOp], prog: &Program, labels: &[String]) -> Strin
                     .unwrap_or_else(|| format!("?s{sig}"));
                 add(format!("${name}"), &mut tags);
             }
-            MOp::StArrS { arr, .. }
-            | MOp::StArrW { arr, .. }
-            | MOp::StArrCS { arr, .. }
-            | MOp::StArrCW { arr, .. } => {
+            MOp::StArrS { arr, .. } | MOp::StArrW { arr, .. } | MOp::StArrCS { arr, .. } => {
                 let name = prog
                     .arrays()
                     .get(*arr as usize)
@@ -1798,12 +1684,18 @@ pub fn mops_to_string(t: &CompiledThread, prog: &Program) -> String {
             if r.start as usize != i {
                 break;
             }
+            next_region += 1;
+            let end = t
+                .regions
+                .get(next_region)
+                .map_or(t.mops.len(), |n| n.start as usize);
             let _ = writeln!(
                 out,
                 "  -- region stmts {}..{} | vis: {}",
-                r.stmts.0, r.stmts.1, r.vis
+                r.stmts.0,
+                r.stmts.1,
+                region_visibility(&t.mops[i..end], prog, &t.labels)
             );
-            next_region += 1;
         }
         let body = match m {
             MOp::ConstS { dst, v } => format!("s{dst} <- const {v:#x}"),
@@ -1829,7 +1721,6 @@ pub fn mops_to_string(t: &CompiledThread, prog: &Program) -> String {
                 dst, arr: a, idx, ..
             } => format!("w{dst} <- {}[s{idx}]", arr(*a)),
             MOp::LdArrCS { dst, arr: a, idx } => format!("s{dst} <- {}[#{idx}]", arr(*a)),
-            MOp::LdArrCW { dst, arr: a, idx } => format!("w{dst} <- {}[#{idx}]", arr(*a)),
             MOp::LdArrPairS {
                 dst,
                 idx,
@@ -1850,13 +1741,6 @@ pub fn mops_to_string(t: &CompiledThread, prog: &Program) -> String {
                 let n = arr(*a);
                 format!("s{dst} <- {{{n}[#{idx}], {n}[#{}]:u{bw}}}", idx + 1)
             }
-            MOp::ConcatLdS {
-                dst,
-                a: hi,
-                arr: a,
-                idx,
-                bw,
-            } => format!("s{dst} <- {{s{hi}, {}[s{idx}]:u{bw}}}", arr(*a)),
             MOp::ConcatLdCS {
                 dst,
                 a: hi,
@@ -1902,9 +1786,6 @@ pub fn mops_to_string(t: &CompiledThread, prog: &Program) -> String {
             MOp::StArrCS {
                 arr: ar, idx, a, ..
             } => format!("{}[#{idx}] := s{a}", arr(*ar)),
-            MOp::StArrCW {
-                arr: ar, idx, a, ..
-            } => format!("{}[#{idx}] := w{a}", arr(*ar)),
             MOp::StArrS {
                 arr: ar, idx, a, ..
             } => format!("{}[s{idx}] := s{a}", arr(*ar)),
@@ -2148,11 +2029,6 @@ impl CompiledMachine {
                         .get_u64(*idx as usize)
                         .expect(CONST_IDX);
                 }
-                MOp::LdArrCW { dst, arr, idx } => {
-                    wide[*dst as usize] = state.arrays[*arr as usize]
-                        .get(*idx as usize)
-                        .expect(CONST_IDX);
-                }
                 MOp::LdArrPairS {
                     dst,
                     idx,
@@ -2174,18 +2050,6 @@ impl CompiledMachine {
                     let hi = a.get_u64(i).expect(CONST_IDX);
                     let lo = a.get_u64(i + 1).expect(CONST_IDX);
                     small[*dst as usize] = (hi << bw) | lo;
-                }
-                MOp::ConcatLdS {
-                    dst,
-                    a,
-                    arr,
-                    idx,
-                    bw,
-                } => {
-                    let lo = state.arrays[*arr as usize]
-                        .get_u64(small[*idx as usize] as usize)
-                        .unwrap_or(0);
-                    small[*dst as usize] = (small[*a as usize] << bw) | lo;
                 }
                 MOp::ConcatLdCS {
                     dst,
@@ -2309,13 +2173,6 @@ impl CompiledMachine {
                     tick!();
                     let (ai, i) = (*arr as usize, *idx as usize);
                     let stored = state.arrays[ai].set_u64(i, small[*a as usize]);
-                    assert!(stored, "{CONST_IDX}");
-                    state.note_arr_write(ai, i);
-                }
-                MOp::StArrCW { arr, idx, a, .. } => {
-                    tick!();
-                    let (ai, i) = (*arr as usize, *idx as usize);
-                    let stored = state.arrays[ai].set(i, &wide[*a as usize]);
                     assert!(stored, "{CONST_IDX}");
                     state.note_arr_write(ai, i);
                 }

@@ -40,7 +40,7 @@ pub use compile::{
 };
 pub use flat::{flatten, FlatProgram, FlatThread, Op};
 pub use interp::{eval, Env, Machine, MachineState, NullEnv, NullObserver, Observer};
-pub use opt::{default_pipeline, env_pipeline, parse_passes, statement_pipeline, Pass};
+pub use opt::{default_pipeline, env_pipeline, parse_passes, Pass};
 pub use program::{
     ArrId, ArrayBacking, ArrayDecl, Program, ProgramBuilder, SigDecl, SigDir, SigId, Thread,
     VarDecl, VarId,

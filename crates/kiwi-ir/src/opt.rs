@@ -42,19 +42,20 @@
 //! # Pipelines
 //!
 //! The default pipeline is
-//! [`ConstFold`](Pass::ConstFold) → [`Simplify`](Pass::Simplify) →
+//! [`ConstFold`](Pass::ConstFold) →
 //! [`ArrayStrength`](Pass::ArrayStrength) →
 //! [`RedundantLoad`](Pass::RedundantLoad) → [`Cse`](Pass::Cse) →
-//! [`LoopInvLoad`](Pass::LoopInvLoad) →
 //! [`FusePairs`](Pass::FusePairs) → [`CopyProp`](Pass::CopyProp) →
-//! [`Coalesce`](Pass::Coalesce) → [`DeadScratch`](Pass::DeadScratch).
+//! [`DeadScratch`](Pass::DeadScratch).
 //! Constant folding routes through the *same* ALU helpers the executor
-//! uses, so a fold can never disagree with execution.
-//! [`statement_pipeline`] is the pre-widening-era subset that never
-//! moves work across statements. The `EMU_CPU_PASSES` environment
-//! variable (see [`env_pipeline`]) selects the pipeline for
-//! [`crate::compile::compile`]; `EMU_CPU_DUMP_MOPS=1` dumps the
-//! annotated listings of every compiled thread to stderr.
+//! uses, so a fold can never disagree with execution. Every pass is
+//! sound on its own and in any order (a proptest in
+//! `tests/backend_equiv.rs` draws random subsets and orders), and each
+//! one is there because removing it changes the bytecode of a shipped
+//! service (`tests/pass_census.rs` fails otherwise). The
+//! `EMU_CPU_PASSES` environment variable (see [`env_pipeline`]) selects
+//! the pipeline for [`crate::compile::compile`]; `EMU_CPU_DUMP_MOPS=1`
+//! dumps the annotated listings of every compiled thread to stderr.
 //!
 //! # Before / after
 //!
@@ -70,15 +71,15 @@
 //!   5: var a := s4
 //! ```
 //!
-//! after the pipeline the copy is propagated, the mask collapses, and
-//! the dead slots disappear:
+//! after the pipeline the copy is propagated and its dead slot
+//! disappears:
 //!
 //! ```text
 //!   0: s0 <- var a
 //!   1: s1 <- const 0x1
 //!   2: s2 <- s0 Add s1 & 0xff
-//!   3: s3 <- s2 & 0xff
-//!   4: var a := s3
+//!   3: s4 <- s2 & 0xff
+//!   4: var a := s4
 //! ```
 //!
 //! (each pass is individually testable — see the tests below, which
@@ -97,30 +98,15 @@ pub enum Pass {
     /// Evaluate pure micro-ops whose operands are all constants,
     /// replacing them with `ConstS`/`ConstW` loads.
     ConstFold,
-    /// Algebraic identities over the small scratch file: an op with an
-    /// identity constant operand (`x + 0`, `x | 0`, `x ^ 0`, `x - 0`,
-    /// `x * 1`, `x << 0`, `x >> 0`, `x & full`) folds to a copy — or a
-    /// mask, when the surviving operand may overflow the result width —
-    /// and one with an absorbing operand (`x * 0`, `x & 0`, `x - x`,
-    /// `x ^ x`, any compare of a slot against itself) to a constant.
-    /// Loop counters and byte cursors lower to exactly these shapes
-    /// (`idx + 0` on a first iteration unrolled by hand in the source),
-    /// and the copies they leave behind let [`Pass::RedundantLoad`]
-    /// unify dynamic array indices by *value*.
-    ///
-    /// ```text
-    ///   0: s1 <- const 0x0        0: s1 <- const 0x0
-    ///   1: s2 <- s0 Add s1 & 0xff 1: s2 <- s0 & 0xff
-    ///   2: ...               =>   2: ...
-    /// ```
-    Simplify,
     /// Array-access strength reduction: an element access whose index
-    /// is a known constant becomes a direct `LdArrCS`/`LdArrCW` (or
-    /// `StArrCS`/`StArrCW`) with the bounds check discharged at compile
-    /// time. An out-of-range constant *read* folds to the architectural
-    /// zero; an out-of-range constant *store* is left dynamic — it is a
-    /// terminal (it ticks the op budget) whose only effect is being
-    /// dropped, which the executor's bounds check already provides.
+    /// is a known constant becomes a direct `LdArrCS` (or `StArrCS`)
+    /// with the bounds check discharged at compile time. An
+    /// out-of-range constant *read* folds to the architectural zero; an
+    /// out-of-range constant *store* is left dynamic — it is a terminal
+    /// (it ticks the op budget) whose only effect is being dropped,
+    /// which the executor's bounds check already provides. Arrays of
+    /// elements wider than 64 bits keep the dynamic `LdArrW`/`StArrW`:
+    /// no shipped service indexes one with a constant.
     ///
     /// ```text
     ///   0: s0 <- const 0x2        0: s1 <- t[#2]
@@ -166,8 +152,8 @@ pub enum Pass {
     /// `LdArrPairS`/`LdArrPairCS` reading both elements at the concat
     /// site. When only the *low* operand is a load (the inner steps of
     /// a multi-byte concat tower, whose high part is the accumulated
-    /// value), the load rides the concat as `ConcatLdS`/`ConcatLdCS`
-    /// instead. The displaced loads and index adds die in
+    /// value) and its index is a constant, the load rides the concat as
+    /// `ConcatLdCS` instead. The displaced loads and index adds die in
     /// [`Pass::DeadScratch`] when nothing else reads them. These are
     /// the shapes every big-endian field access lowers to (Internet
     /// checksum loops, header field extraction): a 16-bit pair read
@@ -185,94 +171,50 @@ pub enum Pass {
     ///                                    // 0-3 die when otherwise unread
     /// ```
     FusePairs,
-    /// Loop-invariant load motion: in a pause-free, single-entry loop,
-    /// loads of registers/arrays the loop never writes (and of input
-    /// signals, which only change at pauses) are hoisted once into the
-    /// loop's fall-through predecessor, landing in *pinned* scratch
-    /// slots above every region's own slot range.
-    ///
-    /// ```text
-    ///   head:                     pred:  ...
-    ///     s1 <- var len             s64 <- var len    // pinned, once
-    ///     s2 <- s0 Lt s1          head:
-    ///     brz s2 -> exit            s1 <- s64
-    ///   body: ...            =>     s2 <- s0 Lt s1
-    ///     jmp -> head               brz s2 -> exit
-    ///                             body: ...
-    ///                               jmp -> head
-    /// ```
-    LoopInvLoad,
     /// Rewrite uses of `CopyS`/`CopyW` destinations to their sources
     /// (the copies themselves die in [`Pass::DeadScratch`]).
     CopyProp,
-    /// Merge chained slice/resize ops — `(x >> a & m1) >> b & m2` folds
-    /// to one shift-and-mask — the coalescing that makes byte-field
-    /// access over `Resize`/`Slice` towers cheap.
-    Coalesce,
     /// Remove producer ops whose destination slot is never read.
-    /// Pinned slots (hoisted by [`Pass::LoopInvLoad`]) are read from
-    /// *other* regions, so their defining loads are liveness roots.
     DeadScratch,
 }
 
-/// The default pipeline, in order. `Simplify` runs right after
-/// `ConstFold` so identity arithmetic on array indices collapses
-/// *before* `ArrayStrength`/`RedundantLoad` try to unify accesses by
-/// index value; `Cse` runs after `RedundantLoad` so loads it unified
-/// feed value numbering as one slot; `FusePairs` runs *after*
-/// `LoopInvLoad`, so a loop-invariant load hoists out of its loop (one
-/// read, ever) rather than fusing into a concat that would re-read it
-/// every iteration.
+/// The default pipeline, in order. `ArrayStrength` follows `ConstFold`
+/// so folded index arithmetic reaches it as a constant, and precedes
+/// `RedundantLoad` so constant-index accesses unify by index value;
+/// `Cse` runs after `RedundantLoad` so loads it unified feed value
+/// numbering as one slot; `FusePairs` fuses the constant-index loads
+/// `ArrayStrength` made; `CopyProp` and `DeadScratch` go last to sweep
+/// up the copies and orphans the others leave behind.
 pub fn default_pipeline() -> &'static [Pass] {
     &[
         Pass::ConstFold,
-        Pass::Simplify,
         Pass::ArrayStrength,
         Pass::RedundantLoad,
         Pass::Cse,
-        Pass::LoopInvLoad,
         Pass::FusePairs,
         Pass::CopyProp,
-        Pass::Coalesce,
-        Pass::DeadScratch,
-    ]
-}
-
-/// The statement-local subset (the PR 5 pipeline): never moves or
-/// merges work across source statements, useful as a differential
-/// baseline for the cross-statement passes.
-pub fn statement_pipeline() -> &'static [Pass] {
-    &[
-        Pass::ConstFold,
-        Pass::CopyProp,
-        Pass::Coalesce,
         Pass::DeadScratch,
     ]
 }
 
 /// Parses an `EMU_CPU_PASSES`-style pipeline spec: `default` (or
-/// empty), `none`, `stmt`, or a comma-separated list of pass names
-/// (`const_fold`, `simplify`, `array_strength`, `redundant_load`,
-/// `cse`, `fuse_pairs`, `loop_inv_load`, `copy_prop`, `coalesce`,
-/// `dead_scratch`).
+/// empty), `none`, or a comma-separated list of pass names
+/// (`const_fold`, `array_strength`, `redundant_load`, `cse`,
+/// `fuse_pairs`, `copy_prop`, `dead_scratch`).
 pub fn parse_passes(spec: &str) -> Result<Vec<Pass>, String> {
     match spec.trim() {
         "" | "default" => return Ok(default_pipeline().to_vec()),
         "none" => return Ok(Vec::new()),
-        "stmt" => return Ok(statement_pipeline().to_vec()),
         _ => {}
     }
     spec.split(',')
         .map(|name| match name.trim() {
             "const_fold" => Ok(Pass::ConstFold),
-            "simplify" => Ok(Pass::Simplify),
             "array_strength" => Ok(Pass::ArrayStrength),
             "redundant_load" => Ok(Pass::RedundantLoad),
             "cse" => Ok(Pass::Cse),
             "fuse_pairs" => Ok(Pass::FusePairs),
-            "loop_inv_load" => Ok(Pass::LoopInvLoad),
             "copy_prop" => Ok(Pass::CopyProp),
-            "coalesce" => Ok(Pass::Coalesce),
             "dead_scratch" => Ok(Pass::DeadScratch),
             other => Err(format!("unknown pass `{other}`")),
         })
@@ -287,8 +229,8 @@ pub fn env_pipeline() -> Vec<Pass> {
     match std::env::var("EMU_CPU_PASSES") {
         Ok(v) => parse_passes(&v).unwrap_or_else(|e| {
             panic!(
-                "EMU_CPU_PASSES: {e} (accepted: `none`, `default`, `stmt`, \
-                 or a comma-separated pass list)"
+                "EMU_CPU_PASSES: {e} (accepted: `none`, `default`, or a \
+                 comma-separated pass list)"
             )
         }),
         Err(_) => default_pipeline().to_vec(),
@@ -343,8 +285,8 @@ pub(crate) fn widen_regions(regions: &mut [Vec<MOp>]) {
     }
 }
 
-/// Slot-file sizes (small, wide) used by one region.
-fn region_slots(region: &[MOp]) -> (u32, u32) {
+/// Slot-file sizes (small, wide) used by one run of micro-ops.
+pub(crate) fn region_slots(region: &[MOp]) -> (u32, u32) {
     let (mut ns, mut nw) = (0u32, 0u32);
     for m in region {
         let mut bump = |s: Slot, wide: bool| {
@@ -359,66 +301,18 @@ fn region_slots(region: &[MOp]) -> (u32, u32) {
     (ns, nw)
 }
 
-/// Allocator for *pinned* scratch slots: slots above every region's own
-/// range, used by [`Pass::LoopInvLoad`] to carry hoisted values across
-/// region boundaries. [`Pass::DeadScratch`] treats definitions of
-/// pinned slots as liveness roots, since their readers live in other
-/// regions.
-struct Pins {
-    base_s: Slot,
-    base_w: Slot,
-    next_s: Slot,
-    next_w: Slot,
-}
-
-impl Pins {
-    fn over(regions: &[Vec<MOp>]) -> Pins {
-        let (mut s, mut w) = (0u32, 0u32);
-        for r in regions {
-            let (a, b) = region_slots(r);
-            s = s.max(a);
-            w = w.max(b);
-        }
-        Pins {
-            base_s: s,
-            base_w: w,
-            next_s: s,
-            next_w: w,
-        }
-    }
-
-    fn alloc(&mut self, wide: bool) -> Slot {
-        let n = if wide {
-            &mut self.next_w
-        } else {
-            &mut self.next_s
-        };
-        let s = *n;
-        *n += 1;
-        s
-    }
-}
-
 /// Runs `passes` over the (widened) regions, in order.
 pub fn run(regions: &mut [Vec<MOp>], passes: &[Pass], prog: &Program) {
-    let mut pins = Pins::over(regions);
     for pass in passes {
-        if *pass == Pass::LoopInvLoad {
-            loop_inv_load(regions, &mut pins);
-            continue;
-        }
         for region in regions.iter_mut() {
             match pass {
                 Pass::ConstFold => const_fold(region),
-                Pass::Simplify => simplify(region),
                 Pass::ArrayStrength => array_strength(region, prog),
                 Pass::RedundantLoad => redundant_load(region, prog),
                 Pass::Cse => cse(region),
                 Pass::FusePairs => fuse_pairs(region),
                 Pass::CopyProp => copy_prop(region),
-                Pass::Coalesce => coalesce(region),
-                Pass::DeadScratch => dead_scratch(region, &pins),
-                Pass::LoopInvLoad => unreachable!("handled above"),
+                Pass::DeadScratch => dead_scratch(region),
             }
         }
     }
@@ -564,121 +458,12 @@ fn const_fold(region: &mut [MOp]) {
     }
 }
 
-/// Algebraic simplification over the small scratch file (see
-/// [`Pass::Simplify`]). Forward scan tracking known constants, copy
-/// sources, and possibly-set-bit bounds; every rewrite reproduces the
-/// op's exact masking semantics, so a fold can never disagree with
-/// execution: an identity operand yields a bare copy only when the
-/// surviving operand provably fits the result mask, and a `MaskS`
-/// otherwise.
-fn simplify(region: &mut [MOp]) {
-    let mut consts: HashMap<Slot, u64> = HashMap::new();
-    let mut copies: HashMap<Slot, Slot> = HashMap::new();
-    let mut nz: HashMap<Slot, u64> = HashMap::new();
-    fn resolve(copies: &HashMap<Slot, Slot>, s: Slot) -> Slot {
-        copies.get(&s).copied().unwrap_or(s)
-    }
-    // `(a <op> identity) & mask` is `a & mask`: a copy when `a` provably
-    // fits the mask, the explicit mask otherwise.
-    fn copy_masked(dst: Slot, a: Slot, mask: u64, nz: &HashMap<Slot, u64>) -> MOp {
-        if nz.get(&a).copied().unwrap_or(u64::MAX) & !mask == 0 {
-            MOp::CopyS { dst, a }
-        } else {
-            MOp::MaskS { dst, a, mask }
-        }
-    }
-
-    for op in region.iter_mut() {
-        let rep: Option<MOp> = match &*op {
-            MOp::BinS {
-                dst,
-                op: bop,
-                a,
-                b,
-                mask,
-            } => {
-                let (ca, cb) = (consts.get(a).copied(), consts.get(b).copied());
-                let same = resolve(&copies, *a) == resolve(&copies, *b);
-                match bop {
-                    BinOp::Add | BinOp::Or if cb == Some(0) => {
-                        Some(copy_masked(*dst, *a, *mask, &nz))
-                    }
-                    BinOp::Add | BinOp::Or if ca == Some(0) => {
-                        Some(copy_masked(*dst, *b, *mask, &nz))
-                    }
-                    BinOp::Xor | BinOp::Sub if same => Some(MOp::ConstS { dst: *dst, v: 0 }),
-                    BinOp::Xor | BinOp::Sub if cb == Some(0) => {
-                        Some(copy_masked(*dst, *a, *mask, &nz))
-                    }
-                    BinOp::Xor if ca == Some(0) => Some(copy_masked(*dst, *b, *mask, &nz)),
-                    BinOp::Mul | BinOp::And if ca == Some(0) || cb == Some(0) => {
-                        Some(MOp::ConstS { dst: *dst, v: 0 })
-                    }
-                    BinOp::Mul if cb == Some(1) => Some(copy_masked(*dst, *a, *mask, &nz)),
-                    BinOp::Mul if ca == Some(1) => Some(copy_masked(*dst, *b, *mask, &nz)),
-                    // `(a & k) & mask` is `a & mask` when `k` covers it.
-                    BinOp::And if cb.is_some_and(|k| k & mask == *mask) => {
-                        Some(copy_masked(*dst, *a, *mask, &nz))
-                    }
-                    BinOp::And if ca.is_some_and(|k| k & mask == *mask) => {
-                        Some(copy_masked(*dst, *b, *mask, &nz))
-                    }
-                    _ => None,
-                }
-            }
-            MOp::ShlS { dst, a, b, mask } if consts.get(b) == Some(&0) => {
-                Some(copy_masked(*dst, *a, *mask, &nz))
-            }
-            MOp::ShrS { dst, a, b } if consts.get(b) == Some(&0) => {
-                Some(MOp::CopyS { dst: *dst, a: *a })
-            }
-            MOp::MaskS { dst, a, mask } if nz.get(a).copied().unwrap_or(u64::MAX) & !mask == 0 => {
-                Some(MOp::CopyS { dst: *dst, a: *a })
-            }
-            MOp::MuxS { dst, c, t, e } => consts.get(c).map(|&cv| MOp::CopyS {
-                dst: *dst,
-                a: if cv != 0 { *t } else { *e },
-            }),
-            // Comparing a slot against itself is the same for any
-            // value, so evaluate the op on an arbitrary equal pair.
-            MOp::CmpS { dst, op: cop, a, b } if resolve(&copies, *a) == resolve(&copies, *b) => {
-                Some(MOp::ConstS {
-                    dst: *dst,
-                    v: cmp_s(*cop, 0, 0),
-                })
-            }
-            _ => None,
-        };
-        if let Some(r) = rep {
-            *op = r;
-        }
-
-        if let Some((d, false)) = op.dst() {
-            nz.insert(d, small_value_mask(op, &nz, &consts));
-        }
-        match &*op {
-            MOp::ConstS { dst, v } => {
-                consts.insert(*dst, *v);
-            }
-            MOp::CopyS { dst, a } => {
-                let src = resolve(&copies, *a);
-                copies.insert(*dst, src);
-                if let Some(&v) = consts.get(&src) {
-                    consts.insert(*dst, v);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
 /// Array-access strength reduction: loads and stores with constant
-/// in-range indices become direct `LdArrCS`/`LdArrCW`/`StArrCS`/
-/// `StArrCW` (bounds discharged at compile time); an out-of-range
-/// constant load folds to the architectural zero. Out-of-range constant
-/// stores stay dynamic: they are terminals, so they must keep ticking
-/// the op budget, and the executor's bounds check drops them exactly as
-/// before.
+/// in-range indices become direct `LdArrCS`/`StArrCS` (bounds
+/// discharged at compile time); an out-of-range constant load folds to
+/// the architectural zero. Out-of-range constant stores stay dynamic:
+/// they are terminals, so they must keep ticking the op budget, and the
+/// executor's bounds check drops them exactly as before.
 fn array_strength(region: &mut [MOp], prog: &Program) {
     let mut consts: HashMap<Slot, u64> = HashMap::new();
     let in_range = |prog: &Program, arr: u32, c: u64| {
@@ -697,31 +482,8 @@ fn array_strength(region: &mut [MOp], prog: &Program) {
                     MOp::ConstS { dst: *dst, v: 0 }
                 }
             }),
-            MOp::LdArrW { dst, arr, idx, w } => consts.get(idx).map(|&c| {
-                if in_range(prog, *arr, c) {
-                    MOp::LdArrCW {
-                        dst: *dst,
-                        arr: *arr,
-                        idx: c as u32,
-                    }
-                } else {
-                    MOp::ConstW {
-                        dst: *dst,
-                        v: Bits::zero(*w),
-                    }
-                }
-            }),
             MOp::StArrS { arr, idx, a, w } => match consts.get(idx) {
                 Some(&c) if in_range(prog, *arr, c) => Some(MOp::StArrCS {
-                    arr: *arr,
-                    idx: c as u32,
-                    a: *a,
-                    w: *w,
-                }),
-                _ => None,
-            },
-            MOp::StArrW { arr, idx, a, w } => match consts.get(idx) {
-                Some(&c) if in_range(prog, *arr, c) => Some(MOp::StArrCW {
                     arr: *arr,
                     idx: c as u32,
                     a: *a,
@@ -792,9 +554,6 @@ fn redundant_load(region: &mut [MOp], prog: &Program) {
             MOp::LdArrCS { dst, arr, idx } => arr_s
                 .get(&(*arr, IdxKey::Const(*idx)))
                 .map(|&a| MOp::CopyS { dst: *dst, a }),
-            MOp::LdArrCW { dst, arr, idx } => arr_w
-                .get(&(*arr, IdxKey::Const(*idx)))
-                .map(|&a| MOp::CopyW { dst: *dst, a }),
             MOp::LdArrS { dst, arr, idx } => arr_s
                 .get(&(*arr, IdxKey::Dyn(resolve(&copies, *idx))))
                 .map(|&a| MOp::CopyS { dst: *dst, a }),
@@ -842,9 +601,6 @@ fn redundant_load(region: &mut [MOp], prog: &Program) {
             }
             MOp::LdArrCS { dst, arr, idx } => {
                 arr_s.insert((*arr, IdxKey::Const(*idx)), *dst);
-            }
-            MOp::LdArrCW { dst, arr, idx } => {
-                arr_w.insert((*arr, IdxKey::Const(*idx)), *dst);
             }
             MOp::LdArrS { dst, arr, idx } => {
                 arr_s.insert((*arr, IdxKey::Dyn(resolve(&copies, *idx))), *dst);
@@ -897,15 +653,12 @@ fn redundant_load(region: &mut [MOp], prog: &Program) {
             },
             // Const-index stores (from ArrayStrength) are in range by
             // construction: invalidate and forward like an in-range
-            // StArrS/StArrW with a known index.
+            // StArrS with a known index.
             MOp::StArrCS { arr, idx, a, w } => {
                 invalidate_arr(&mut arr_s, &mut arr_w, *arr, Some(*idx));
                 if fits(&nz, *a, *w) {
                     arr_s.insert((*arr, IdxKey::Const(*idx)), *a);
                 }
-            }
-            MOp::StArrCW { arr, idx, .. } => {
-                invalidate_arr(&mut arr_s, &mut arr_w, *arr, Some(*idx));
             }
             MOp::PauseOp | MOp::ExtOp { .. } => {
                 var_s.clear();
@@ -1221,13 +974,6 @@ fn fuse_pairs(region: &mut [MOp]) {
                         bw: *bw,
                     })
                 }
-                Some((MOp::LdArrS { arr, idx, .. }, q)) if clean(*arr, q) => Some(MOp::ConcatLdS {
-                    dst: *dst,
-                    a: *a,
-                    arr: *arr,
-                    idx: *idx,
-                    bw: *bw,
-                }),
                 _ => None,
             })
         } else {
@@ -1237,10 +983,7 @@ fn fuse_pairs(region: &mut [MOp]) {
             region[p] = r;
         }
         match &region[p] {
-            MOp::StArrS { arr, .. }
-            | MOp::StArrW { arr, .. }
-            | MOp::StArrCS { arr, .. }
-            | MOp::StArrCW { arr, .. } => {
+            MOp::StArrS { arr, .. } | MOp::StArrW { arr, .. } | MOp::StArrCS { arr, .. } => {
                 dirty.insert(*arr, p);
             }
             MOp::PauseOp | MOp::ExtOp { .. } => env_dirty = Some(p),
@@ -1259,121 +1002,6 @@ fn fuse_pairs(region: &mut [MOp]) {
         if let Some((d, false)) = region[p].dst() {
             def.insert(d, p);
         }
-    }
-}
-
-/// Loop-invariant load motion (see [`Pass::LoopInvLoad`]).
-///
-/// A loop is a region `j` ending in `Jmp -> h` with `h <= j` (the shape
-/// `while`/`forever` lower to; the loop is entered by falling through
-/// from its predecessor). It is eligible when regions `h..=j` contain
-/// no `pause`/`ext`/`halt` (nothing inside lets the environment mutate
-/// state), every branch into `h..=j` comes from inside (single entry),
-/// and a fall-through predecessor region exists to host the hoisted
-/// loads. Inner loops are processed first, so invariant loads chain
-/// outward through nested loops.
-fn loop_inv_load(regions: &mut [Vec<MOp>], pins: &mut Pins) {
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    let mut loops: Vec<(usize, usize)> = Vec::new();
-    for (i, r) in regions.iter().enumerate() {
-        for m in r {
-            if let MOp::BranchZ { target, .. } | MOp::Jmp { target } = m {
-                edges.push((i, *target as usize));
-            }
-        }
-        if let Some(MOp::Jmp { target }) = r.last() {
-            let h = *target as usize;
-            if h <= i {
-                loops.push((h, i));
-            }
-        }
-    }
-
-    'next_loop: for (h, j) in loops {
-        for r in &regions[h..=j] {
-            for m in r {
-                if matches!(m, MOp::PauseOp | MOp::ExtOp { .. } | MOp::HaltOp) {
-                    continue 'next_loop;
-                }
-            }
-        }
-        for &(src, t) in &edges {
-            if (h..=j).contains(&t) && !(h..=j).contains(&src) {
-                continue 'next_loop;
-            }
-        }
-        // The hoist site: the region execution falls through into the
-        // loop from. Hoisted loads are appended after its terminal, so
-        // they run on the fall-through (loop entry) path only.
-        let Some(p) = (0..h).rev().find(|&p| !regions[p].is_empty()) else {
-            continue;
-        };
-        if matches!(regions[p].last(), Some(MOp::Jmp { .. } | MOp::HaltOp)) {
-            continue;
-        }
-
-        let mut wvars: HashSet<u32> = HashSet::new();
-        let mut wsigs: HashSet<u32> = HashSet::new();
-        let mut warrs: HashSet<u32> = HashSet::new();
-        for r in &regions[h..=j] {
-            for m in r {
-                match m {
-                    MOp::StVarS { var, .. } | MOp::StVarW { var, .. } => {
-                        wvars.insert(*var);
-                    }
-                    MOp::StSigS { sig, .. } | MOp::StSigW { sig, .. } => {
-                        wsigs.insert(*sig);
-                    }
-                    MOp::StArrS { arr, .. }
-                    | MOp::StArrW { arr, .. }
-                    | MOp::StArrCS { arr, .. }
-                    | MOp::StArrCW { arr, .. } => {
-                        warrs.insert(*arr);
-                    }
-                    _ => {}
-                }
-            }
-        }
-
-        let mut pinned: HashMap<(u8, u32, u32, bool), Slot> = HashMap::new();
-        let mut hoisted: Vec<MOp> = Vec::new();
-        for r in regions[h..=j].iter_mut() {
-            for m in r.iter_mut() {
-                // Input signals only change at pauses, so any in-signal
-                // read in a pause-free loop is invariant; everything
-                // else must not be written inside the loop.
-                let key = match &*m {
-                    MOp::LdVarS { var, .. } if !wvars.contains(var) => (0u8, *var, 0u32, false),
-                    MOp::LdVarW { var, .. } if !wvars.contains(var) => (0, *var, 0, true),
-                    MOp::LdSigS { sig, out, .. } if !*out || !wsigs.contains(sig) => {
-                        (1, *sig, u32::from(*out), false)
-                    }
-                    MOp::LdSigW { sig, out, .. } if !*out || !wsigs.contains(sig) => {
-                        (1, *sig, u32::from(*out), true)
-                    }
-                    MOp::LdArrCS { arr, idx, .. } if !warrs.contains(arr) => (2, *arr, *idx, false),
-                    MOp::LdArrCW { arr, idx, .. } if !warrs.contains(arr) => (2, *arr, *idx, true),
-                    _ => continue,
-                };
-                let wide = key.3;
-                let pin = *pinned.entry(key).or_insert_with(|| {
-                    let s = pins.alloc(wide);
-                    let mut hop = m.clone();
-                    if let Some((d, _)) = hop.dst_mut() {
-                        *d = s;
-                    }
-                    hoisted.push(hop);
-                    s
-                });
-                let dst = m.dst().expect("loads define a slot").0;
-                *m = if wide {
-                    MOp::CopyW { dst, a: pin }
-                } else {
-                    MOp::CopyS { dst, a: pin }
-                };
-            }
-        }
-        regions[p].extend(hoisted);
     }
 }
 
@@ -1401,84 +1029,15 @@ fn copy_prop(region: &mut [MOp]) {
     }
 }
 
-/// Slice/resize coalescing over the small scratch file.
-///
-/// All four rewrites are pure shift-and-mask algebra on canonical `u64`
-/// values; the summed shifts stay below 64 because each `lo` is bounded
-/// by its source expression's width.
-fn coalesce(region: &mut [MOp]) {
-    let mut defs: HashMap<Slot, MOp> = HashMap::new();
-    for op in region.iter_mut() {
-        let rep = match &*op {
-            MOp::MaskS { dst, a, mask } => match defs.get(a) {
-                Some(MOp::MaskS {
-                    a: a2, mask: m2, ..
-                }) => Some(MOp::MaskS {
-                    dst: *dst,
-                    a: *a2,
-                    mask: mask & m2,
-                }),
-                Some(MOp::SliceS {
-                    a: a2,
-                    lo,
-                    mask: m2,
-                    ..
-                }) => Some(MOp::SliceS {
-                    dst: *dst,
-                    a: *a2,
-                    lo: *lo,
-                    mask: m2 & mask,
-                }),
-                _ => None,
-            },
-            MOp::SliceS { dst, a, lo, mask } => match defs.get(a) {
-                Some(MOp::MaskS {
-                    a: a2, mask: m2, ..
-                }) => Some(MOp::SliceS {
-                    dst: *dst,
-                    a: *a2,
-                    lo: *lo,
-                    mask: (m2 >> lo) & mask,
-                }),
-                Some(MOp::SliceS {
-                    a: a2,
-                    lo: l2,
-                    mask: m2,
-                    ..
-                }) => Some(MOp::SliceS {
-                    dst: *dst,
-                    a: *a2,
-                    lo: lo + l2,
-                    mask: (m2 >> lo) & mask,
-                }),
-                _ => None,
-            },
-            _ => None,
-        };
-        if let Some(r) = rep {
-            *op = r;
-        }
-        if let Some((d, false)) = op.dst() {
-            defs.insert(d, op.clone());
-        }
-    }
-}
-
 /// Dead scratch elimination: backward liveness within the region;
-/// terminals are the roots, plus definitions of pinned slots, whose
-/// readers live in other regions (the [`Pass::LoopInvLoad`] bodies).
-fn dead_scratch(region: &mut Vec<MOp>, pins: &Pins) {
+/// terminals are the roots.
+fn dead_scratch(region: &mut Vec<MOp>) {
     let mut live: HashSet<(Slot, bool)> = HashSet::new();
     let mut keep = vec![true; region.len()];
     for i in (0..region.len()).rev() {
         let op = &region[i];
-        let needed = match op.dst() {
-            Some((d, wide)) => {
-                live.contains(&(d, wide)) || d >= if wide { pins.base_w } else { pins.base_s }
-            }
-            None => true, // terminals
-        };
-        if !needed {
+        // Terminals define nothing and are always kept.
+        if op.dst().is_some_and(|d| !live.contains(&d)) {
             keep[i] = false;
             continue;
         }
@@ -1589,42 +1148,10 @@ mod tests {
     }
 
     #[test]
-    fn coalesce_merges_slice_chains() {
-        // slice(slice(x, 15, 4), 7, 4) == slice(x, 11, 8): two shifts
-        // collapse into one.
-        let mut pb = ProgramBuilder::new("p");
-        let a = pb.reg("a", 16);
-        let b = pb.reg("b", 4);
-        pb.thread(
-            "main",
-            vec![assign(b, slice(slice(var(a), 15, 4), 7, 4)), halt()],
-        );
-        let naive = lower(&pb, &[]);
-        assert_eq!(
-            listing(&naive).matches(">>").count(),
-            2,
-            "{}",
-            listing(&naive)
-        );
-        let opt = lower(&pb, &[Pass::CopyProp, Pass::Coalesce, Pass::DeadScratch]);
-        let text = listing(&opt);
-        assert_eq!(text.matches(">>").count(), 1, "{text}");
-        assert!(text.contains(">> 8 & 0xf"), "merged shift of 4+4:\n{text}");
-        // And it still computes the right value.
-        let mut cm = crate::compile::CompiledMachine::new(opt);
-        cm.state_mut().vars[0] = emu_types::Bits::from_u64(0xabcd, 16);
-        cm.run_cycles(3, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(cm.state().vars[1].to_u64(), 0xb);
-    }
-
-    #[test]
     fn dead_scratch_removes_orphans() {
         let prop = lower(&resize_tower(), &[Pass::CopyProp]);
         let n_before = prop.threads[0].mops.len();
-        let full = lower(
-            &resize_tower(),
-            &[Pass::CopyProp, Pass::Coalesce, Pass::DeadScratch],
-        );
+        let full = lower(&resize_tower(), &[Pass::CopyProp, Pass::DeadScratch]);
         let n_after = full.threads[0].mops.len();
         assert!(n_after < n_before, "{n_before} -> {n_after}");
         // The orphaned copy is gone; the terminal survives.
@@ -1742,42 +1269,6 @@ mod tests {
     }
 
     #[test]
-    fn loop_invariant_loads_hoist_to_predecessor() {
-        // `len` is never written inside the pause-free loop, so its
-        // load hoists into the predecessor region and the loop body
-        // reads the pinned slot.
-        let mut pb = ProgramBuilder::new("p");
-        let len = pb.reg_init("len", 8, Bits::from_u64(5, 8));
-        let i = pb.reg("i", 8);
-        let acc = pb.reg("acc", 8);
-        pb.thread(
-            "main",
-            vec![
-                assign(acc, lit(0, 8)),
-                while_loop(
-                    lt(var(i), var(len)),
-                    vec![
-                        assign(acc, add(var(acc), var(i))),
-                        assign(i, add(var(i), lit(1, 8))),
-                    ],
-                ),
-                halt(),
-            ],
-        );
-        let text = listing(&lower(&pb, default_pipeline()));
-        assert_eq!(
-            text.matches("<- var len").count(),
-            1,
-            "hoisted once:\n{text}"
-        );
-        // 0+1+2+3+4 = 10, computed identically by both backends.
-        assert_lockstep(&pb, 3);
-        let mut cm = CompiledMachine::new(lower(&pb, default_pipeline()));
-        cm.run_cycles(3, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(cm.state().vars[2].to_u64(), 10);
-    }
-
-    #[test]
     fn pause_blocks_cross_statement_reuse() {
         // The env can rewrite input signals at every pause, so a signal
         // read after a pause must re-sample.
@@ -1818,11 +1309,9 @@ mod tests {
 
     #[test]
     fn dead_scratch_keeps_cross_statement_values() {
-        // Satellite regression for the widened DeadScratch: a slot
-        // produced under one source statement and read (after
-        // redundant-load forwarding) by a later statement's store must
-        // survive, as must a pinned hoisted load that is never read in
-        // its own region.
+        // Regression for the widened DeadScratch: a slot produced under
+        // one source statement and read (after redundant-load
+        // forwarding) by a later statement's store must survive.
         let mut pb = ProgramBuilder::new("p");
         let x = pb.reg_init("x", 8, Bits::from_u64(0x21, 8));
         let a = pb.reg("a", 8);
@@ -1850,7 +1339,6 @@ mod tests {
             default_pipeline().to_vec()
         );
         assert_eq!(parse_passes("none").unwrap(), Vec::new());
-        assert_eq!(parse_passes("stmt").unwrap(), statement_pipeline().to_vec());
         assert_eq!(
             parse_passes("const_fold, dead_scratch").unwrap(),
             vec![Pass::ConstFold, Pass::DeadScratch]
@@ -1878,66 +1366,11 @@ mod tests {
         let flat = flatten(&pb.clone().build().unwrap()).unwrap();
         let mut tw = Machine::new(flat);
         tw.run_cycles(4, &mut NullEnv, &mut NullObserver).unwrap();
-        for passes in [&[][..], statement_pipeline(), default_pipeline()] {
+        for passes in [&[][..], default_pipeline()] {
             let mut cm = CompiledMachine::new(lower(&pb, passes));
             cm.run_cycles(4, &mut NullEnv, &mut NullObserver).unwrap();
             assert_eq!(tw.state().vars, cm.state().vars, "passes = {passes:?}");
         }
-    }
-
-    #[test]
-    fn simplify_folds_identity_add() {
-        // `b := a + 0` on an 8-bit register: the Add disappears; only a
-        // mask of the loaded value remains (loaded values are not
-        // trusted to fit their declared width).
-        let mut pb = ProgramBuilder::new("p");
-        let a = pb.reg_init("a", 8, Bits::from_u64(0x21, 8));
-        let b = pb.reg("b", 8);
-        pb.thread("main", vec![assign(b, add(var(a), lit(0, 8))), halt()]);
-        let text = listing(&lower(&pb, default_pipeline()));
-        assert!(!text.contains("Add"), "identity add must fold:\n{text}");
-        assert_lockstep(&pb, 3);
-    }
-
-    #[test]
-    fn simplify_folds_absorbing_operands() {
-        // `b := a * 0` and `c := a & 0` are constants regardless of `a`.
-        let mut pb = ProgramBuilder::new("p");
-        let a = pb.reg_init("a", 8, Bits::from_u64(0x5a, 8));
-        let b = pb.reg("b", 8);
-        let c = pb.reg("c", 8);
-        pb.thread(
-            "main",
-            vec![
-                assign(b, mul(var(a), lit(0, 8))),
-                assign(c, band(var(a), lit(0, 8))),
-                halt(),
-            ],
-        );
-        let text = listing(&lower(&pb, default_pipeline()));
-        assert!(!text.contains("Mul"), "{text}");
-        assert!(!text.contains("And"), "{text}");
-        assert_lockstep(&pb, 3);
-    }
-
-    #[test]
-    fn simplify_keeps_mask_when_operand_may_overflow() {
-        // `x + 0` where `x` is computed (so its bits are bounded) folds
-        // to a bare copy that CopyProp then erases; the value is exact.
-        let mut pb = ProgramBuilder::new("p");
-        let a = pb.reg_init("a", 8, Bits::from_u64(0xff, 8));
-        let b = pb.reg("b", 8);
-        pb.thread(
-            "main",
-            vec![assign(b, add(add(var(a), lit(1, 8)), lit(0, 8))), halt()],
-        );
-        let text = listing(&lower(&pb, default_pipeline()));
-        // Only the inner (real) Add survives.
-        assert_eq!(text.matches("Add").count(), 1, "{text}");
-        let mut cm = CompiledMachine::new(lower(&pb, default_pipeline()));
-        cm.run_cycles(3, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(cm.state().vars[1].to_u64(), 0, "0xff + 1 wraps to 0");
-        assert_lockstep(&pb, 3);
     }
 
     #[test]

@@ -98,11 +98,12 @@
 //!   **cross-statement** optimization pass pipeline ([`ir::opt`]):
 //!   observer-visibility analysis widens optimization regions past
 //!   source-statement boundaries wherever no observer event intervenes,
-//!   and the widened regions get constant folding, algebraic
-//!   simplification, array-access strength reduction, redundant-load
-//!   and common-subexpression elimination, loop-invariant load motion,
-//!   adjacent-load pair fusion, copy propagation, slice/resize
-//!   coalescing, and dead-scratch elimination. Pick it everywhere
+//!   and the widened regions get constant folding, array-access
+//!   strength reduction, redundant-load and common-subexpression
+//!   elimination, adjacent-load pair fusion, copy propagation, and
+//!   dead-scratch elimination — seven passes, each one kept because
+//!   removing it changes the bytecode of a shipped service
+//!   (`tests/pass_census.rs`). Pick it everywhere
 //!   throughput matters — it is what `soak` and `emubench` drive, and
 //!   `bash benchmark/run.sh` reports its per-frame cost beside the
 //!   tree-walker's (`kiwi-ir.exec_ns_per_frame` vs

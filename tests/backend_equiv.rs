@@ -230,7 +230,7 @@ fn stmts(t: &mut Tape, sig: &Sig, depth: u32, count: usize) -> Vec<Stmt> {
             }
             10 => {
                 // Back-to-back input-signal reads across statements
-                // (loop-invariant when no pause intervenes).
+                // (one read serves both when no pause intervenes).
                 let s = sig.ins[t.pick(sig.ins.len())];
                 let r1 = sig.regs[t.pick(sig.regs.len())].0;
                 let r2 = sig.regs[t.pick(sig.regs.len())].0;
@@ -331,42 +331,78 @@ impl Env for Pump {
     }
 }
 
+/// Two random threads over shared state, from one seed tape.
+fn two_thread_program(seed: &[u8]) -> Program {
+    let mut t = Tape::new(seed);
+    let mut pb = kiwi_ir::ProgramBuilder::new("rand");
+    let sig = declare(&mut pb, 2);
+    let b0 = thread_body(&mut t, &sig, sig.ctrs[0], sig.ctrs[1]);
+    let b1 = thread_body(&mut t, &sig, sig.ctrs[2], sig.ctrs[3]);
+    pb.thread("t0", b0);
+    pb.thread("t1", b1);
+    pb.build().expect("generated program must be valid")
+}
+
+/// Tree-walk vs compiled, strongest form: env-driven input signals,
+/// full state snapshot compared after **every** cycle, full observer
+/// traces, and the cycle/op accounting the engine's cost model is
+/// built on.
+fn assert_cycle_lockstep(what: &str, prog: &Program, mut cm: CompiledMachine) {
+    let mut tw = Machine::new(flatten(prog).unwrap());
+    let (mut ta, mut tb) = (Trace::default(), Trace::default());
+    for cycle in 0..300u64 {
+        if tw.halted() {
+            break;
+        }
+        tw.step_cycle(&mut Pump, &mut ta).unwrap();
+        cm.step_cycle(&mut Pump, &mut tb).unwrap();
+        assert_eq!(
+            tw.halted(),
+            cm.halted(),
+            "{what}: halt state at cycle {cycle}"
+        );
+        assert_state_eq(&format!("{what}: cycle {cycle}"), tw.state(), cm.state());
+    }
+    assert_eq!(tw.cycle(), cm.cycle(), "{what}: cycle counts diverged");
+    assert_eq!(
+        tw.ops_executed(),
+        cm.ops_executed(),
+        "{what}: op counts diverged"
+    );
+    assert_eq!(ta, tb, "{what}: observer traces diverged");
+}
+
+/// A random subset of [`kiwi_ir::default_pipeline`] in a random order:
+/// each byte removes one of the passes still in the pool, so a list
+/// holds no pass twice and its length is the tape's (capped at the
+/// pool's).
+fn pass_subset(picks: &[u8]) -> Vec<kiwi_ir::Pass> {
+    let mut pool = kiwi_ir::default_pipeline().to_vec();
+    let mut out = Vec::new();
+    for &b in picks {
+        if pool.is_empty() {
+            break;
+        }
+        out.push(pool.remove(usize::from(b) % pool.len()));
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Tree-walk vs compiled, strongest form: two random threads over
-    /// shared state, env-driven input signals, full state snapshot
-    /// compared after **every** cycle, full observer traces, and the
-    /// cycle/op accounting the engine's cost model is built on.
+    /// The ambient pipeline (`EMU_CPU_PASSES`, else the default) on two
+    /// random threads, in cycle lockstep with the tree-walker.
     #[test]
     fn random_programs_treewalk_vs_compiled_cycle_lockstep(
         seed in proptest::collection::vec(any::<u8>(), 16..96)
     ) {
-        let mut t = Tape::new(&seed);
-        let mut pb = kiwi_ir::ProgramBuilder::new("rand");
-        let sig = declare(&mut pb, 2);
-        let b0 = thread_body(&mut t, &sig, sig.ctrs[0], sig.ctrs[1]);
-        let b1 = thread_body(&mut t, &sig, sig.ctrs[2], sig.ctrs[3]);
-        pb.thread("t0", b0);
-        pb.thread("t1", b1);
-        let prog = pb.build().expect("generated program must be valid");
-
-        let mut tw = Machine::new(flatten(&prog).unwrap());
-        let mut cm = CompiledMachine::from_program(&prog).unwrap();
-        let (mut ta, mut tb) = (Trace::default(), Trace::default());
-
-        for cycle in 0..300u64 {
-            if tw.halted() {
-                break;
-            }
-            tw.step_cycle(&mut Pump, &mut ta).unwrap();
-            cm.step_cycle(&mut Pump, &mut tb).unwrap();
-            prop_assert_eq!(tw.halted(), cm.halted(), "halt state at cycle {}", cycle);
-            assert_state_eq(&format!("cycle {cycle}"), tw.state(), cm.state());
-        }
-        prop_assert_eq!(tw.cycle(), cm.cycle(), "cycle counts diverged");
-        prop_assert_eq!(tw.ops_executed(), cm.ops_executed(), "op counts diverged");
-        prop_assert_eq!(ta, tb, "observer traces diverged");
+        let prog = two_thread_program(&seed);
+        assert_cycle_lockstep(
+            "ambient pipeline",
+            &prog,
+            CompiledMachine::from_program(&prog).unwrap(),
+        );
     }
 
     /// All three backends on the same random halting program: the
@@ -665,22 +701,78 @@ proptest! {
     }
 }
 
+proptest! {
+    // Default config: 64 cases, `PROPTEST_CASES` scales it (CI's deep
+    // leg runs these two at 1024 in release).
+
+    /// Optimizer trust, program level: any subset of the pass list in
+    /// any order must leave a random two-thread program in cycle
+    /// lockstep with the tree-walker — no pass may rely on another
+    /// having run first.
+    #[test]
+    fn pass_subsets_keep_random_programs_in_cycle_lockstep(
+        seed in proptest::collection::vec(any::<u8>(), 16..96),
+        picks in proptest::collection::vec(any::<u8>(), 0..16)
+    ) {
+        let prog = two_thread_program(&seed);
+        let passes = pass_subset(&picks);
+        let cp = kiwi_ir::compile_with_passes(&flatten(&prog).unwrap(), &passes)
+            .unwrap_or_else(|e| panic!("passes {passes:?}: {e:?}"));
+        assert_cycle_lockstep(&format!("passes {passes:?}"), &prog, CompiledMachine::new(cp));
+    }
+
+    /// Optimizer trust, service level: one soak service per case, built
+    /// with a random pass subset through `EngineBuilder::passes`, must
+    /// match the tree-walk engine frame for frame, in per-shard cycle
+    /// accounting and in the whole telemetry snapshot.
+    #[test]
+    fn pass_subsets_are_invisible_through_the_engine(
+        seed in any::<u64>(),
+        which in 0usize..5,
+        picks in proptest::collection::vec(any::<u8>(), 0..16)
+    ) {
+        let (label, svc, mut gen) = soak_pairings(seed).swap_remove(which);
+        let frames: Vec<Frame> = (0..64).map(|_| gen.next_frame()).collect();
+        let passes = pass_subset(&picks);
+        let mut reference = svc
+            .engine(Target::Cpu)
+            .backend(Backend::TreeWalk)
+            .build()
+            .unwrap();
+        let mut subject = svc
+            .engine(Target::Cpu)
+            .backend(Backend::Compiled)
+            .passes(&passes)
+            .build()
+            .unwrap();
+        let want = reference.process_batch(&frames);
+        let got = subject.process_batch(&frames);
+        prop_assert_eq!(
+            &want.shard_cycles, &got.shard_cycles,
+            "{}: passes {:?} changed cycle accounting", label, passes
+        );
+        for (i, (x, y)) in want.outputs.iter().zip(&got.outputs).enumerate() {
+            prop_assert_eq!(x, y, "{}: passes {:?} diverged on frame {}", label, passes, i);
+        }
+        prop_assert_eq!(
+            reference.telemetry().expect("telemetry on by default"),
+            subject.telemetry().expect("telemetry on by default"),
+            "{}: passes {:?} changed telemetry", label, passes
+        );
+    }
+}
+
 /// The builder-side mirror of `EMU_CPU_PASSES`: pinning the compiled
-/// backend's pipeline to empty (no optimization) or to the
-/// statement-local list must be behaviour-invisible — identical
-/// outcomes, cycle accounting, and telemetry against the default
-/// (cross-statement) pipeline.
+/// backend's pipeline to empty (no optimization) must be
+/// behaviour-invisible — identical outcomes, cycle accounting, and
+/// telemetry against the default pipeline.
 #[test]
 fn engine_passes_knob_is_behavior_invisible() {
     for (label, svc, mut gen) in soak_pairings(0xE11A) {
         let frames: Vec<Frame> = (0..80).map(|_| gen.next_frame()).collect();
         let mut reports = Vec::new();
         let mut snaps = Vec::new();
-        let pipelines: [&[kiwi_ir::Pass]; 3] = [
-            kiwi_ir::default_pipeline(),
-            kiwi_ir::statement_pipeline(),
-            &[],
-        ];
+        let pipelines: [&[kiwi_ir::Pass]; 2] = [kiwi_ir::default_pipeline(), &[]];
         for passes in pipelines {
             let mut engine = svc
                 .engine(Target::Cpu)

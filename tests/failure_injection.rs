@@ -285,6 +285,97 @@ fn trapped_shard_is_isolated_under_parallel_execution() {
     assert_trapped_shard_isolated(true);
 }
 
+/// An IP block with a planted bug: it panics while its shard's core
+/// works on that shard's `at`-th frame — a host-side failure, where the
+/// wedge above is a program-side one.
+struct PanicsOnFrame {
+    seen: u32,
+    at: u32,
+}
+
+impl emu::rtl::IpBlockModel for PanicsOnFrame {
+    fn step(&mut self, _prog: &emu::ir::Program, _st: &mut emu::ir::MachineState) {
+        assert!(self.seen < self.at, "planted model bug");
+    }
+    fn resources(&self) -> IpBlock {
+        IpBlock::Hash
+    }
+    fn frame_start(&mut self) {
+        self.seen += 1;
+    }
+}
+
+/// A [`trappable_engine`] whose shard `victim` panics on its second
+/// frame.
+fn panicking_engine(parallel: bool, victim: usize) -> Engine {
+    let mut engine = trappable_engine(parallel);
+    engine
+        .shard_mut(victim)
+        .env_mut()
+        .attach(Box::new(PanicsOnFrame { seen: 0, at: 2 }));
+    engine
+}
+
+#[test]
+fn panicking_model_poisons_only_its_shard() {
+    // A panic inside one shard's core is that shard's trap, not the
+    // process's: the frame in flight reports `Trap`, the shard's later
+    // frames `Poisoned`, what it had already produced stands, siblings
+    // keep serving — the same through `process`, sequential
+    // `process_batch` and worker threads.
+    let clients = clients_per_shard(&trappable_engine(false));
+    let victim = 2;
+    // Three rounds over every shard: the victim serves round one,
+    // panics in round two, refuses round three.
+    let stream: Vec<Frame> = (0..3)
+        .flat_map(|_| clients.iter().map(|&c| frame_for(c, false)))
+        .collect();
+
+    let mut scalar = panicking_engine(false, victim);
+    let want: Vec<_> = stream.iter().map(|f| scalar.process(f)).collect();
+    for (i, (f, out)) in stream.iter().zip(&want).enumerate() {
+        let round = i / clients.len();
+        match out {
+            Ok(out) => {
+                assert!(i % clients.len() != victim || round == 0, "frame {i}");
+                assert_eq!(out.tx[0].frame.bytes(), f.bytes(), "frame {i}");
+            }
+            Err(EngineError::Trap { shard, reason }) => {
+                assert_eq!((*shard, round), (victim, 1), "frame {i}");
+                assert_eq!(reason, "panicked: planted model bug");
+            }
+            Err(EngineError::Poisoned { shard, .. }) => {
+                assert_eq!((*shard, round), (victim, 2), "frame {i}");
+            }
+            Err(other) => panic!("frame {i}: unexpected error {other}"),
+        }
+    }
+    assert_eq!(
+        scalar.shard_error(victim),
+        Some("panicked: planted model bug")
+    );
+    assert_eq!(scalar.healthy_shards(), 3);
+    let want_snap = scalar.telemetry().unwrap();
+    let c = want_snap.total().counters;
+    assert_eq!((c.drop_trap, c.drop_poisoned), (1, 1), "{c:?}");
+
+    for parallel in [false, true] {
+        for chunk in [stream.len(), 1] {
+            let mut batched = panicking_engine(parallel, victim);
+            let got: Vec<_> = stream
+                .chunks(chunk)
+                .flat_map(|frames| batched.process_batch(frames).outputs)
+                .collect();
+            assert_eq!(got, want, "parallel {parallel}, chunks of {chunk}");
+            assert_eq!(
+                batched.telemetry().unwrap(),
+                want_snap,
+                "parallel {parallel}, chunks of {chunk}"
+            );
+        }
+    }
+}
+
 #[test]
 fn oversized_frames_are_rejected_without_poisoning() {
     // An oversized frame is an input-validation failure: the shard never
