@@ -5,8 +5,8 @@
 //! Run: `cargo run --release -p emu-bench --bin table3`
 
 use emu_bench::{emu_pipeline, line_rate_mpps, switch_frame};
-use emu_core::Target;
-use emu_services::switch::{switch_ip_cam, switch_ip_cam_blocks};
+use emu_core::{TableConfig, Target};
+use emu_services::switch::switch_ip_cam;
 use netfpga_sim::{CoreMode, NativeCore, P4FpgaCore, PipelineSim, RefSwitchCore};
 
 fn main() {
@@ -15,7 +15,7 @@ fn main() {
     // --- Emu switch (C# → Kiwi analogue) -----------------------------
     let svc = switch_ip_cam();
     let fsm = kiwi::compile(&svc.program).expect("compile");
-    let resources = kiwi::estimate(&fsm, &switch_ip_cam_blocks());
+    let resources = kiwi::estimate(&fsm, &(svc.make_env)(&TableConfig::default()).resources());
 
     // Module latency: measured on a learned unicast path.
     let mut inst = svc.engine(Target::Fpga).build().expect("instantiate");

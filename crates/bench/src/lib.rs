@@ -313,7 +313,8 @@ mod tests {
         // own: module latency 8 / 6 / 85 cycles and 59.52 / 59.52 / 53.0
         // Mpps at 64 B for the Emu, NetFPGA reference and P4FPGA
         // switches, and an Emu design 1.24x the reference's logic.
-        use emu_services::switch::{switch_ip_cam, switch_ip_cam_blocks};
+        use emu_core::TableConfig;
+        use emu_services::switch::switch_ip_cam;
         use netfpga_sim::{NativeCore, P4FpgaCore, RefSwitchCore};
         let near = |got: f64, paper: f64, tol: f64| (got / paper - 1.0).abs() <= tol;
 
@@ -344,7 +345,8 @@ mod tests {
         }
 
         let fsm = kiwi::compile(&svc.program).unwrap();
-        let logic = kiwi::estimate(&fsm, &switch_ip_cam_blocks()).logic as f64;
+        let logic =
+            kiwi::estimate(&fsm, &(svc.make_env)(&TableConfig::default()).resources()).logic as f64;
         let ratio = logic / RefSwitchCore::new().resources().logic as f64;
         assert!(near(ratio, 1.24, 0.08), "Emu/reference logic {ratio:.2}x");
     }

@@ -394,9 +394,13 @@ impl Shard {
         tables: &TableConfig,
         passes: Option<&[kiwi_ir::Pass]>,
     ) -> IrResult<Self> {
+        let env = (service.make_env)(tables);
+        // Every model indexes the signal arrays by its handle's ids, so
+        // the handle must be this program's: checked here, once.
+        env.check(&service.program).map_err(IrError)?;
         Ok(Shard {
             driver: AnyDriver::new(service, target, backend, passes)?,
-            env: (service.make_env)(tables),
+            env,
             stats: telemetry.then(|| Box::new(ShardStats::new())),
             poisoned: None,
         })
@@ -455,7 +459,7 @@ impl Shard {
     }
 
     /// The shard's IP-block environment (attaching extra models in
-    /// tests).
+    /// tests; a model attached here is past the build-time port check).
     pub fn env_mut(&mut self) -> &mut IpEnv {
         &mut self.env
     }
@@ -641,8 +645,10 @@ impl EngineBuilder<'_> {
     /// [`crate::FPGA_MAX_TABLE_ENTRIES`] at build time, so the
     /// cycle-accurate reference stays within the paper's BRAM budget,
     /// and every target rejects `0` and anything above `u32::MAX` (table
-    /// slots are numbered in 32 bits).
-    /// Services built with a fixed-size environment recipe ignore this.
+    /// slots are numbered in 32 bits). Every shipped service with a
+    /// learned or stored table honours this; a recipe whose tables are
+    /// sized by their contents (the DNS zone) or by a protocol constant
+    /// (the LRU cache's slot count) has nothing to resize.
     pub fn table_entries(mut self, n: usize) -> Self {
         self.tables.entries = Some(n);
         self
@@ -651,42 +657,17 @@ impl EngineBuilder<'_> {
     /// Sets the idle timeout, in frame epochs, after which TTL-aware
     /// tables expire an untouched entry (NAT mapping timeout, switch
     /// MAC aging). Default: no expiry.
+    ///
+    /// Tables age by *frames processed*, not by a clock: every frame
+    /// offered to a shard advances its epoch by one. A timeout the
+    /// paper gives in seconds is `ceil(timeout_ns / ns_per_frame)` epochs,
+    /// where `ns_per_frame` is the mean inter-frame gap the deployment
+    /// expects (`1e9 / rate_fps`, or a NetSim scenario's send
+    /// interval); rounding up means a mapping never expires before its
+    /// wall-clock TTL at the stated rate.
     pub fn ttl_frames(mut self, frames: u64) -> Self {
         self.tables.ttl_frames = Some(frames);
         self
-    }
-
-    /// Sets the idle timeout in **wall-clock paper units** — seconds of
-    /// simulated time expressed as nanoseconds — bridged onto the frame
-    /// epoch [`EngineBuilder::ttl_frames`] counts in.
-    ///
-    /// The engine's tables age by *frames processed*, not by a clock:
-    /// every frame offered to a shard advances its epoch by one. At a
-    /// sustained offered rate the two are equivalent — a flow idle for
-    /// `ttl_ns` of simulated time is idle for `ttl_ns / ns_per_frame`
-    /// epochs, where `ns_per_frame` is the mean inter-frame gap the
-    /// deployment expects (e.g. `1e9 / rate_fps`, or in a NetSim run
-    /// the scenario's send interval). The bridge rounds **up**, so a
-    /// mapping never expires *before* its wall-clock TTL at the stated
-    /// rate; under burstier-than-stated traffic entries age faster in
-    /// wall time (frames arrive sooner), exactly as a frame-count epoch
-    /// implies. This is how NAT's mapping timeout and the switch's MAC
-    /// aging — specified in seconds in the paper — are configured
-    /// inside NetSim scenarios.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both arguments are finite and positive.
-    pub fn ttl_ns(self, ttl_ns: f64, ns_per_frame: f64) -> Self {
-        assert!(
-            ttl_ns > 0.0 && ttl_ns.is_finite(),
-            "ttl_ns must be finite and positive"
-        );
-        assert!(
-            ns_per_frame > 0.0 && ns_per_frame.is_finite(),
-            "ns_per_frame must be finite and positive"
-        );
-        self.ttl_frames((ttl_ns / ns_per_frame).ceil() as u64)
     }
 
     /// Instantiates the engine: `shards` copies of the service on the
@@ -1061,21 +1042,7 @@ impl Engine {
                 s.stats().cloned().map(|mut stats| {
                     // CAM lifecycle counters live in the shard's
                     // environment; fold them in at snapshot time.
-                    stats.cams = s
-                        .env
-                        .cam_snapshots()
-                        .into_iter()
-                        .map(|c| emu_telemetry::CamCounters {
-                            prefix: c.prefix,
-                            capacity: c.capacity as u64,
-                            occupancy: c.occupancy as u64,
-                            lookups: c.stats.lookups,
-                            hits: c.stats.hits,
-                            writes: c.stats.writes,
-                            evictions: c.stats.evictions,
-                            expiries: c.stats.expiries,
-                        })
-                        .collect();
+                    stats.cams = s.env.cam_snapshots();
                     stats
                 })
             })

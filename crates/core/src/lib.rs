@@ -9,8 +9,9 @@
 //! * [`proto`] — the protocol wrappers of Figures 3–4 (Ethernet, ARP,
 //!   IPv4, ICMP, UDP, TCP, DNS),
 //! * [`csum`] — RFC 1071/1624 checksum arithmetic as IR expressions,
-//! * [`ipblock`] — wrappers for hardware IP blocks: CAM, the Figure 5
-//!   streaming hash, and the Figure 9 LRU cache,
+//! * [`ipblock`] — port handles for hardware IP blocks: CAM, the
+//!   Figure 5 streaming hash, FIFO, BRAM and the Figure 9 LRU cache
+//!   (re-exported from beside their models in `emu-rtl`),
 //! * [`runner`] — the heterogeneous-target service description: one
 //!   program targeting the CPU (interpreter) or FPGA (cycle-accurate
 //!   FSM) backend, the RSS flow digest, and the differential-testing
@@ -35,7 +36,7 @@ pub use engine::{
     BatchReport, Dispatch, Engine, EngineBuilder, EngineError, EngineResult, NatSteering,
     RoundRobin, RssHash, Shard,
 };
-pub use ipblock::{CamDeleteIf, CamIf, HashIf, LruIf, NaughtyQIf};
+pub use ipblock::{BramIf, CamDeleteIf, CamIf, FifoIf, HashIf, LruIf, NaughtyQIf};
 pub use proto::{
     ArpWrapper, DnsWrapper, EthernetWrapper, IcmpWrapper, Ipv4Wrapper, TcpWrapper, UdpWrapper,
 };

@@ -125,8 +125,9 @@ pub struct Service {
     /// The service program (must declare the dataplane contract).
     pub program: Program,
     /// Builds the IP-block environment the program expects, sized per
-    /// the engine's [`TableConfig`]. Recipes that predate configurable
-    /// tables (built via [`Service::with_env`]) ignore the config.
+    /// the engine's [`TableConfig`]: each model is constructed from the
+    /// port handle the program's builder returned, and the engine
+    /// checks that binding once per shard at build time.
     pub make_env: Box<dyn Fn(&TableConfig) -> IpEnv>,
     /// Compiler cost model for the FPGA target.
     pub cost_model: CostModel,
@@ -142,19 +143,10 @@ impl Service {
         }
     }
 
-    /// Wraps a program with a fixed-size IP-block environment recipe
-    /// (the recipe ignores the engine's table configuration).
-    pub fn with_env(program: Program, make_env: impl Fn() -> IpEnv + 'static) -> Self {
-        Service {
-            program,
-            make_env: Box::new(move |_| make_env()),
-            cost_model: CostModel::default(),
-        }
-    }
-
-    /// Wraps a program with a table-size-aware environment recipe: the
+    /// Wraps a program with its IP-block environment recipe: the
     /// engine's [`TableConfig`] (capacity override, TTL) is passed
-    /// through at build time.
+    /// through at build time. A recipe whose blocks have no table to
+    /// size ignores it.
     pub fn with_sized_env(
         program: Program,
         make_env: impl Fn(&TableConfig) -> IpEnv + 'static,

@@ -2377,16 +2377,16 @@ mod tests {
             vec![forever(vec![assign(x, add(var(x), lit(2, 32))), pause()])],
         );
 
-        struct RaiseAt(u64);
+        struct RaiseAt(u64, crate::SigId);
         impl Env for RaiseAt {
-            fn tick(&mut self, cycle: u64, prog: &Program, st: &mut MachineState) {
+            fn tick(&mut self, cycle: u64, _prog: &Program, st: &mut MachineState) {
                 if cycle >= self.0 {
-                    st.drive(prog, "ready", Bits::from_u64(1, 1));
+                    st.sigs_in[self.1 .0 as usize] = Bits::from_u64(1, 1);
                 }
             }
         }
         let mut m = compiled(&pb);
-        m.run_cycles(10, &mut RaiseAt(3), &mut NullObserver)
+        m.run_cycles(10, &mut RaiseAt(3, ready), &mut NullObserver)
             .unwrap();
         assert_eq!(m.state().sigs_out[1].to_u64(), 7);
         assert!(m.cycle() >= 3);

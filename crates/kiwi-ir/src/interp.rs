@@ -78,16 +78,6 @@ impl MachineState {
         }
     }
 
-    /// Reads an input or output signal by id.
-    pub fn signal(&self, prog: &Program, name: &str) -> Option<&Bits> {
-        let id = prog.signal_by_name(name)?;
-        let decl = prog.signal(id)?;
-        Some(match decl.dir {
-            SigDir::In => &self.sigs_in[id.0 as usize],
-            SigDir::Out => &self.sigs_out[id.0 as usize],
-        })
-    }
-
     /// Records that array `arr` had slot `idx` written, lifting its
     /// high-water mark. Every array store in an execution backend must
     /// call this so platform drivers can trust [`MachineState::arr_high`].
@@ -95,14 +85,6 @@ impl MachineState {
     pub fn note_arr_write(&mut self, arr: usize, idx: usize) {
         if self.arr_high[arr] < idx + 1 {
             self.arr_high[arr] = idx + 1;
-        }
-    }
-
-    /// Drives an input signal by name; ignores unknown names.
-    pub fn drive(&mut self, prog: &Program, name: &str, v: Bits) {
-        if let Some(id) = prog.signal_by_name(name) {
-            let w = prog.signal(id).map(|d| d.width).unwrap_or(1);
-            self.sigs_in[id.0 as usize] = v.resize(w);
         }
     }
 }
@@ -505,17 +487,17 @@ mod tests {
             vec![wait_until(sig(ready)), sig_write(done, lit(1, 1)), halt()],
         );
 
-        struct RaiseAt(u64);
+        struct RaiseAt(u64, crate::SigId);
         impl Env for RaiseAt {
-            fn tick(&mut self, cycle: u64, prog: &Program, st: &mut MachineState) {
+            fn tick(&mut self, cycle: u64, _prog: &Program, st: &mut MachineState) {
                 if cycle >= self.0 {
-                    st.drive(prog, "ready", Bits::from_u64(1, 1));
+                    st.sigs_in[self.1 .0 as usize] = Bits::from_u64(1, 1);
                 }
             }
         }
 
         let mut m = machine(pb);
-        let mut env = RaiseAt(3);
+        let mut env = RaiseAt(3, ready);
         m.run_cycles(10, &mut env, &mut NullObserver).unwrap();
         assert!(m.halted());
         assert_eq!(m.state().sigs_out[1].to_u64(), 1);

@@ -133,20 +133,6 @@ pub enum WriteEffect {
     Replaced(Bits),
 }
 
-/// One point-in-time view of a CAM model's table, exported through
-/// engine telemetry snapshots.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CamSnapshot {
-    /// The model's signal prefix (`"fwd"`, `"cam"`, ...).
-    pub prefix: String,
-    /// Configured capacity in entries.
-    pub capacity: usize,
-    /// Resident entries (live + expired-but-not-yet-reclaimed).
-    pub occupancy: usize,
-    /// Lifetime counters.
-    pub stats: CamStats,
-}
-
 /// `bits` cut or zero-extended to `width`, as limbs; only the first
 /// `⌈width/64⌉` are meaningful. The one place a `Bits` becomes table
 /// words, so every entry point agrees on what a key is. (A `Bits` holds

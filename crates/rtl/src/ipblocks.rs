@@ -1,4 +1,5 @@
-//! Behavioural models of hardware IP blocks.
+//! Hardware IP blocks: each block's port handle beside the behavioural
+//! model built from it.
 //!
 //! §3.4 of the paper: "to maximize the performance of a design, it is
 //! sometimes recommended to use specialized IP blocks that take advantage
@@ -8,24 +9,40 @@
 //! ordinary program code, "this enables us to interface with any IP
 //! block".
 //!
-//! Each model here binds to program boundary signals by name, using a
-//! `<prefix>_<port>` convention, and advances one cycle per [`Env::tick`].
-//! The same models serve every target: the sequential interpreter ticks
-//! them at each `pause()`, the RTL executor at each clock edge.
+//! This module is the one place that says what a block's ports are, and
+//! they are bound once, when the program is written. A block's
+//! `declare(pb, prefix, widths…)` adds its boundary signals to the
+//! program, named `<prefix>_<port>`, and returns the block's *handle*
+//! ([`CamIf`], [`HashIf`], [`FifoIf`], [`NaughtyQIf`], [`BramIf`];
+//! [`LruIf`] composes two): the signal ids and widths. The program
+//! generates its protocol statements from the handle (`lookup`, `seed`,
+//! `enlist`, …) and the model is constructed from the same handle
+//! (`CamModel::new(&cam_if, entries, native)`), indexing the machine's
+//! signal arrays by those ids every cycle — nothing is looked up by name
+//! while frames flow, widths are stated once, and the prefix survives
+//! only as the label on telemetry and errors. The engine runs
+//! [`IpEnv::check`] once per shard at build, so a model whose handle
+//! came from another program is a build error naming the block.
 //!
-//! All protocols are level-based (request/ready), so they tolerate the
-//! extra states inserted by the scheduler's budget cuts.
+//! Each model advances one cycle per [`Env::tick`]: the sequential
+//! interpreter ticks them at each `pause()`, the RTL executor at each
+//! clock edge. All protocols are level-based (request/ready), so they
+//! tolerate the extra states inserted by the scheduler's budget cuts.
 
+pub use crate::cam::CamStats;
 use crate::cam::{CamPair, CamTable};
-pub use crate::cam::{CamSnapshot, CamStats};
+use emu_telemetry::CamCounters;
 use emu_types::checksum::PEARSON_TABLE;
 use emu_types::Bits;
 use kiwi::resources::IpBlock;
+use kiwi_ir::dsl::*;
 use kiwi_ir::interp::{Env, MachineState};
 use kiwi_ir::program::{Program, SigDir};
+use kiwi_ir::{Expr, ProgramBuilder, SigId, Stmt, VarId};
 use std::collections::VecDeque;
+use SigDir::{In, Out};
 
-/// A steppable IP block bound to a signal prefix.
+/// A steppable IP block model, built from its block's port handle.
 ///
 /// Models must be [`Send`] so a service instance (and its environment)
 /// can move to a worker thread — the engine's parallel execution mode
@@ -33,30 +50,26 @@ use std::collections::VecDeque;
 pub trait IpBlockModel: Send {
     /// One clock cycle: sample the program's outputs, drive its inputs.
     fn step(&mut self, prog: &Program, st: &mut MachineState);
-    /// Resource accounting entry for `kiwi::resources::estimate`.
-    fn resources(&self) -> IpBlock;
-    /// All resource entries; blocks that model several hardware tables
-    /// (e.g. [`PairedCamModel`]) override this. Defaults to
-    /// `vec![self.resources()]`.
-    fn resources_all(&self) -> Vec<IpBlock> {
-        vec![self.resources()]
+    /// Resource accounting entries for `kiwi::resources::estimate`, one
+    /// per hardware block modelled.
+    fn resources(&self) -> Vec<IpBlock>;
+    /// Whether this model can serve `prog`: every port of its handle is
+    /// the signal it was declared as (same index, name, direction and
+    /// width), and the model's own geometry is usable. `Err` names the
+    /// block. Models without ports have nothing to check.
+    fn check(&self, _prog: &Program) -> Result<(), String> {
+        Ok(())
     }
     /// One frame epoch: called once per delivered frame, before the
     /// frame enters the pipeline. TTL-expiring tables age here; idle
     /// cycles between frames never age anything.
     fn frame_start(&mut self) {}
-    /// Telemetry snapshots of any CAM tables this block hosts.
-    fn cam_snapshots(&self) -> Vec<CamSnapshot> {
+    /// Telemetry counters of any CAM tables this block hosts.
+    fn cam_snapshots(&self) -> Vec<CamCounters> {
         Vec::new()
     }
     /// Zeroes any CAM statistics (table contents untouched).
     fn reset_cam_stats(&mut self) {}
-}
-
-fn out_val(prog: &Program, st: &MachineState, name: &str) -> Bits {
-    st.signal(prog, name)
-        .cloned()
-        .unwrap_or_else(|| Bits::zero(1))
 }
 
 /// An environment hosting a set of IP blocks.
@@ -77,13 +90,19 @@ impl IpEnv {
         self
     }
 
-    /// Resource entries for all attached blocks.
-    pub fn resources(&self) -> Vec<IpBlock> {
-        self.blocks.iter().flat_map(|b| b.resources_all()).collect()
+    /// Runs every attached block's [`IpBlockModel::check`] against the
+    /// program this environment is about to serve.
+    pub fn check(&self, prog: &Program) -> Result<(), String> {
+        self.blocks.iter().try_for_each(|b| b.check(prog))
     }
 
-    /// Telemetry snapshots of every CAM table hosted by any block.
-    pub fn cam_snapshots(&self) -> Vec<CamSnapshot> {
+    /// Resource entries for all attached blocks.
+    pub fn resources(&self) -> Vec<IpBlock> {
+        self.blocks.iter().flat_map(|b| b.resources()).collect()
+    }
+
+    /// Telemetry counters of every CAM table hosted by any block.
+    pub fn cam_snapshots(&self) -> Vec<CamCounters> {
         self.blocks.iter().flat_map(|b| b.cam_snapshots()).collect()
     }
 
@@ -109,23 +128,93 @@ impl Env for IpEnv {
     }
 }
 
-/// Chains two environments: `first` ticks before `second`.
-pub struct ChainEnv<'a> {
-    /// Ticked first (typically the platform).
-    pub first: &'a mut dyn Env,
-    /// Ticked second (typically the IP blocks).
-    pub second: &'a mut dyn Env,
+/// One boundary signal of a block, as its model uses it each cycle.
+#[derive(Debug, Clone, Copy)]
+struct Port {
+    id: SigId,
+    width: u16,
 }
 
-impl Env for ChainEnv<'_> {
-    fn tick(&mut self, cycle: u64, prog: &Program, st: &mut MachineState) {
-        self.first.tick(cycle, prog, st);
-        self.second.tick(cycle, prog, st);
+impl Port {
+    /// The program's current value on this `Out` port.
+    #[inline]
+    fn get<'a>(&self, st: &'a MachineState) -> &'a Bits {
+        &st.sigs_out[self.id.0 as usize]
     }
 
-    fn frame_start(&mut self) {
-        self.first.frame_start();
-        self.second.frame_start();
+    /// Whether this 1-bit `Out` strobe is raised.
+    #[inline]
+    fn high(&self, st: &MachineState) -> bool {
+        self.get(st).to_bool()
+    }
+
+    /// The program's current value, at the port's width.
+    #[inline]
+    fn sample(&self, st: &MachineState) -> Bits {
+        self.fit(self.get(st).clone())
+    }
+
+    /// Drives this `In` port for the program's next cycle.
+    #[inline]
+    fn drive(&self, st: &mut MachineState, v: Bits) {
+        st.sigs_in[self.id.0 as usize] = self.fit(v);
+    }
+
+    /// `v` at the port's width. Every value a machine or a model puts
+    /// on a port already has it, so this is a move; the resize keeps the
+    /// signal arrays' width invariant if one ever does not.
+    #[inline]
+    fn fit(&self, v: Bits) -> Bits {
+        if v.width() == self.width {
+            v
+        } else {
+            v.resize(self.width)
+        }
+    }
+}
+
+/// What a handle declared, kept so a model can prove at engine build
+/// that it is attached to the program its handle came from.
+#[derive(Debug, Clone)]
+struct Bound {
+    /// The prefix: the block's label on telemetry and in errors.
+    label: String,
+    ports: Vec<(SigId, String, SigDir, u16)>,
+}
+
+impl Bound {
+    fn new(prefix: &str) -> Bound {
+        Bound {
+            label: prefix.to_string(),
+            ports: Vec::new(),
+        }
+    }
+
+    /// Declares `<prefix>_<suffix>` on the program.
+    fn port(&mut self, pb: &mut ProgramBuilder, suffix: &str, dir: SigDir, width: u16) -> Port {
+        let name = format!("{}_{suffix}", self.label);
+        let id = match dir {
+            In => pb.sig_in(&name, width),
+            Out => pb.sig_out(&name, width),
+        };
+        self.ports.push((id, name, dir, width));
+        Port { id, width }
+    }
+
+    /// The build-time binding check behind [`IpBlockModel::check`]:
+    /// every port must be, in `prog`, exactly the signal declared here.
+    fn check(&self, prog: &Program) -> Result<(), String> {
+        for (id, name, dir, width) in &self.ports {
+            let decl = prog.signal(*id);
+            if !decl.is_some_and(|d| d.name == *name && d.dir == *dir && d.width == *width) {
+                return Err(format!(
+                    "IP block `{}`: port `{name}` ({dir:?}, {width} bits) is not signal {} of \
+                     program `{}` — build the model from the handle that program declared",
+                    self.label, id.0, prog.name
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -133,64 +222,165 @@ impl Env for ChainEnv<'_> {
 // CAM
 // ---------------------------------------------------------------------
 
-/// Resolved signal indices for one CAM port set. Signal lookup by name
-/// is a linear scan over the program's declarations, so the models
-/// resolve each port once on first `step` and index the state arrays
-/// directly afterwards — the table operations themselves are O(1), and
-/// port binding must not reintroduce a per-cycle scan.
-#[derive(Clone, Copy, Default)]
-struct CamPorts {
-    lookup_en: Option<usize>,
-    lookup_key: Option<usize>,
-    write_en: Option<usize>,
-    write_key: Option<usize>,
-    write_value: Option<usize>,
-    delete_en: Option<usize>,
-    delete_key: Option<usize>,
-    matched: Option<(usize, u16)>,
-    value: Option<(usize, u16)>,
+/// Port handle of a CAM block.
+///
+/// Ports: out `{p}_lookup_en`, `{p}_lookup_key`, `{p}_write_en`,
+/// `{p}_write_key`, `{p}_write_value`; in `{p}_match`, `{p}_value`; and,
+/// once a [`CamDeleteIf`] is declared on the handle, out `{p}_delete_en`,
+/// `{p}_delete_key`.
+#[derive(Debug, Clone)]
+pub struct CamIf {
+    lookup_en: Port,
+    lookup_key: Port,
+    write_en: Port,
+    write_key: Port,
+    write_value: Port,
+    matched: Port,
+    value: Port,
+    /// Strobe and key of the optional delete extension.
+    delete: Option<(Port, Port)>,
+    bound: Bound,
 }
 
-impl CamPorts {
-    fn resolve(prog: &Program, prefix: &str) -> Self {
-        let out = |suffix: &str| {
-            let id = prog.signal_by_name(&format!("{prefix}_{suffix}"))?;
-            let d = prog.signal(id)?;
-            (d.dir == SigDir::Out).then_some(id.0 as usize)
-        };
-        let inp = |suffix: &str| {
-            let id = prog.signal_by_name(&format!("{prefix}_{suffix}"))?;
-            let d = prog.signal(id)?;
-            (d.dir == SigDir::In).then_some((id.0 as usize, d.width))
-        };
-        CamPorts {
-            lookup_en: out("lookup_en"),
-            lookup_key: out("lookup_key"),
-            write_en: out("write_en"),
-            write_key: out("write_key"),
-            write_value: out("write_value"),
-            delete_en: out("delete_en"),
-            delete_key: out("delete_key"),
-            matched: inp("match"),
-            value: inp("value"),
+impl CamIf {
+    /// Declares the CAM ports under `prefix`.
+    pub fn declare(pb: &mut ProgramBuilder, prefix: &str, key_bits: u16, value_bits: u16) -> Self {
+        let mut b = Bound::new(prefix);
+        CamIf {
+            lookup_en: b.port(pb, "lookup_en", Out, 1),
+            lookup_key: b.port(pb, "lookup_key", Out, key_bits),
+            write_en: b.port(pb, "write_en", Out, 1),
+            write_key: b.port(pb, "write_key", Out, key_bits),
+            write_value: b.port(pb, "write_value", Out, value_bits),
+            matched: b.port(pb, "match", In, 1),
+            value: b.port(pb, "value", In, value_bits),
+            delete: None,
+            bound: b,
         }
     }
 
-    fn strobe(&self, st: &MachineState, port: Option<usize>) -> bool {
-        port.is_some_and(|i| st.sigs_out[i].to_bool())
+    /// Key width in bits.
+    pub fn key_bits(&self) -> u16 {
+        self.lookup_key.width
     }
 
-    fn sample(&self, st: &MachineState, port: Option<usize>, width: u16) -> Bits {
-        match port {
-            Some(i) => st.sigs_out[i].clone().resize(width),
-            None => Bits::zero(width),
-        }
+    /// Value width in bits.
+    pub fn value_bits(&self) -> u16 {
+        self.value.width
     }
 
-    fn drive(&self, st: &mut MachineState, port: Option<(usize, u16)>, v: Bits) {
-        if let Some((i, w)) = port {
-            st.sigs_in[i] = v.resize(w);
+    /// Launches a lookup for `key`; results are valid after the embedded
+    /// pause (read them with [`CamIf::matched`] / [`CamIf::value`]).
+    pub fn lookup(&self, key: Expr) -> Vec<Stmt> {
+        request(self.lookup_en, 1, self.lookup_key, key)
+    }
+
+    /// Match flag of the most recent lookup.
+    pub fn matched(&self) -> Expr {
+        sig(self.matched.id)
+    }
+
+    /// Value of the most recent lookup.
+    pub fn value(&self) -> Expr {
+        sig(self.value.id)
+    }
+
+    /// Inserts `key → value` (replaces in place on key match, else fills
+    /// a free slot, else evicts; see [`CamModel`]).
+    pub fn write(&self, key: Expr, value: Expr) -> Vec<Stmt> {
+        let mut stmts = vec![sig_write(self.write_key.id, key)];
+        stmts.extend(request(self.write_en, 1, self.write_value, value));
+        stmts
+    }
+}
+
+/// The one-cycle request every block protocol here is made of: put `v`
+/// on `operand`, hold `strobe` at `on` across one pause, drop it to zero.
+fn request(strobe: Port, on: u64, operand: Port, v: Expr) -> Vec<Stmt> {
+    vec![
+        sig_write(operand.id, v),
+        sig_write(strobe.id, lit(on, strobe.width)),
+        pause(),
+        sig_write(strobe.id, lit(0, strobe.width)),
+    ]
+}
+
+/// Optional delete extension of the CAM protocol (used by Memcached's
+/// DELETE command). Declared separately so CAM users without deletion
+/// pay nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct CamDeleteIf {
+    en: Port,
+    key: Port,
+}
+
+impl CamDeleteIf {
+    /// Declares the delete strobe/key on `cam` (same prefix, same key
+    /// width), so a model built from `cam` serves them.
+    pub fn declare(pb: &mut ProgramBuilder, cam: &mut CamIf) -> Self {
+        let en = cam.bound.port(pb, "delete_en", Out, 1);
+        let key = cam.bound.port(pb, "delete_key", Out, cam.key_bits());
+        cam.delete = Some((en, key));
+        CamDeleteIf { en, key }
+    }
+
+    /// Removes `key` from the CAM (no-op when absent).
+    pub fn delete(&self, key: Expr) -> Vec<Stmt> {
+        request(self.en, 1, self.key, key)
+    }
+}
+
+/// One cycle of the CAM port protocol on one port set: an optional
+/// delete, then a write, then a lookup whose `match`/`value` the program
+/// reads next cycle. [`CamModel`] serves its table through this once per
+/// cycle, [`PairedCamModel`] once per side.
+#[inline]
+fn serve<T, D, W>(
+    ports: &CamIf,
+    st: &mut MachineState,
+    table: &mut T,
+    (delete, write, lookup): (
+        impl FnOnce(&mut T, &Bits) -> D,
+        impl FnOnce(&mut T, Bits, Bits) -> W,
+        impl FnOnce(&mut T, &Bits) -> Option<Bits>,
+    ),
+) {
+    if let Some((en, key)) = &ports.delete {
+        if en.high(st) {
+            delete(table, &key.sample(st));
         }
+    }
+    if ports.write_en.high(st) {
+        let (key, value) = (ports.write_key.sample(st), ports.write_value.sample(st));
+        write(table, key, value);
+    }
+    if ports.lookup_en.high(st) {
+        let hit = lookup(table, &ports.lookup_key.sample(st));
+        ports.matched.drive(st, Bits::from_bool(hit.is_some()));
+        let miss = || Bits::zero(ports.value.width);
+        ports.value.drive(st, hit.unwrap_or_else(miss));
+    }
+}
+
+fn cam_block(t: &CamTable, native: bool) -> IpBlock {
+    IpBlock::Cam {
+        entries: t.capacity(),
+        key_bits: t.key_bits(),
+        value_bits: t.value_bits(),
+        native,
+    }
+}
+
+fn cam_counters(ports: &CamIf, t: &CamTable) -> CamCounters {
+    CamCounters {
+        prefix: ports.bound.label.clone(),
+        capacity: t.capacity() as u64,
+        occupancy: t.occupancy() as u64,
+        lookups: t.stats.lookups,
+        hits: t.stats.hits,
+        writes: t.stats.writes,
+        evictions: t.stats.evictions,
+        expiries: t.stats.expiries,
     }
 }
 
@@ -198,31 +388,25 @@ impl CamPorts {
 /// hashed [`CamTable`] (see [`crate::cam`] for the
 /// capacity/expiry/eviction contract).
 ///
-/// Ports (program side): out `{p}_lookup_en`, `{p}_lookup_key`,
-/// `{p}_write_en`, `{p}_write_key`, `{p}_write_value`, optional
-/// `{p}_delete_en`/`{p}_delete_key`; in `{p}_match`, `{p}_value`.
-///
 /// A lookup launched in cycle *n* presents `match`/`value` during cycle
 /// *n + 1*. Writes replace an existing key in place, otherwise fill a
 /// free slot, otherwise reclaim an expired entry, otherwise overwrite
 /// round-robin (how the NetFPGA reference switch handles MAC-table
 /// overflow).
 pub struct CamModel {
-    prefix: String,
+    ports: CamIf,
     native: bool,
     table: CamTable,
-    ports: Option<CamPorts>,
 }
 
 impl CamModel {
-    /// Creates a CAM bound to `prefix` with the given geometry and no
-    /// expiry.
-    pub fn new(prefix: &str, entries: usize, key_bits: u16, value_bits: u16, native: bool) -> Self {
+    /// Creates a CAM of `entries` entries serving `ports`, with the
+    /// handle's key/value widths and no expiry.
+    pub fn new(ports: &CamIf, entries: usize, native: bool) -> Self {
         CamModel {
-            prefix: prefix.to_string(),
+            ports: ports.clone(),
             native,
-            table: CamTable::new(entries, key_bits, value_bits),
-            ports: None,
+            table: CamTable::new(entries, ports.key_bits(), ports.value_bits()),
         }
     }
 
@@ -230,23 +414,6 @@ impl CamModel {
     pub fn with_ttl(mut self, ttl: Option<u64>) -> Self {
         self.table = self.table.with_ttl(ttl);
         self
-    }
-
-    /// Declares the CAM's ports on a program builder; returns nothing, the
-    /// program looks signals up by name.
-    pub fn declare_ports(
-        pb: &mut kiwi_ir::ProgramBuilder,
-        prefix: &str,
-        key_bits: u16,
-        value_bits: u16,
-    ) {
-        pb.sig_out(&format!("{prefix}_lookup_en"), 1);
-        pb.sig_out(&format!("{prefix}_lookup_key"), key_bits);
-        pb.sig_out(&format!("{prefix}_write_en"), 1);
-        pb.sig_out(&format!("{prefix}_write_key"), key_bits);
-        pb.sig_out(&format!("{prefix}_write_value"), value_bits);
-        pb.sig_in(&format!("{prefix}_match"), 1);
-        pb.sig_in(&format!("{prefix}_value"), value_bits);
     }
 
     /// Resident entries (live + expired-but-not-yet-reclaimed).
@@ -266,52 +433,23 @@ impl CamModel {
         self.table.write(key, value);
         self.table.clear_removed();
     }
-
-    /// Telemetry snapshot of the backing table.
-    pub fn snapshot(&self) -> CamSnapshot {
-        CamSnapshot {
-            prefix: self.prefix.clone(),
-            capacity: self.table.capacity(),
-            occupancy: self.table.occupancy(),
-            stats: self.table.stats,
-        }
-    }
 }
 
 impl IpBlockModel for CamModel {
-    fn step(&mut self, prog: &Program, st: &mut MachineState) {
-        let ports = *self
-            .ports
-            .get_or_insert_with(|| CamPorts::resolve(prog, &self.prefix));
-        // Optional delete strobe (programs that never declare the signal
-        // have no port here, so legacy CAM users are unaffected).
-        if ports.strobe(st, ports.delete_en) {
-            let key = ports.sample(st, ports.delete_key, self.table.key_bits());
-            self.table.delete(&key);
-        }
-        if ports.strobe(st, ports.write_en) {
-            let key = ports.sample(st, ports.write_key, self.table.key_bits());
-            let val = ports.sample(st, ports.write_value, self.table.value_bits());
-            self.table.write(key, val);
-        }
-        if ports.strobe(st, ports.lookup_en) {
-            let key = ports.sample(st, ports.lookup_key, self.table.key_bits());
-            let hit = self.table.lookup(&key);
-            ports.drive(st, ports.matched, Bits::from_bool(hit.is_some()));
-            let vw = self.table.value_bits();
-            ports.drive(st, ports.value, hit.unwrap_or_else(|| Bits::zero(vw)));
-        }
+    fn step(&mut self, _prog: &Program, st: &mut MachineState) {
+        let (ports, table) = (&self.ports, &mut self.table);
+        let ops = (CamTable::delete, CamTable::write, CamTable::lookup);
+        serve(ports, st, table, ops);
         // Unpaired CAM: nobody consumes removal reports.
         self.table.clear_removed();
     }
 
-    fn resources(&self) -> IpBlock {
-        IpBlock::Cam {
-            entries: self.table.capacity(),
-            key_bits: self.table.key_bits(),
-            value_bits: self.table.value_bits(),
-            native: self.native,
-        }
+    fn resources(&self) -> Vec<IpBlock> {
+        vec![cam_block(&self.table, self.native)]
+    }
+
+    fn check(&self, prog: &Program) -> Result<(), String> {
+        self.ports.bound.check(prog)
     }
 
     fn frame_start(&mut self) {
@@ -319,8 +457,8 @@ impl IpBlockModel for CamModel {
         self.table.clear_removed();
     }
 
-    fn cam_snapshots(&self) -> Vec<CamSnapshot> {
-        vec![self.snapshot()]
+    fn cam_snapshots(&self) -> Vec<CamCounters> {
+        vec![cam_counters(&self.ports, &self.table)]
     }
 
     fn reset_cam_stats(&mut self) {
@@ -334,124 +472,69 @@ impl IpBlockModel for CamModel {
 /// the paired-table desync where a round-robin overwrite in one table
 /// left a half-dead mapping in its twin.
 ///
-/// Each side speaks the same port protocol as [`CamModel`] under its
-/// own prefix, so programs are unchanged.
+/// Each side speaks the same port protocol as [`CamModel`] on its own
+/// handle, so programs are unchanged.
 pub struct PairedCamModel {
-    prefix_a: String,
-    prefix_b: String,
+    ports_a: CamIf,
+    ports_b: CamIf,
     native: bool,
     pair: CamPair,
-    ports: Option<(CamPorts, CamPorts)>,
 }
 
 impl PairedCamModel {
-    /// Binds `pair` to two port prefixes (side A, side B).
-    pub fn new(prefix_a: &str, prefix_b: &str, pair: CamPair, native: bool) -> Self {
+    /// Serves `pair` on two port sets (side A, side B); each side's
+    /// table must have its handle's key/value widths.
+    pub fn new(ports_a: &CamIf, ports_b: &CamIf, pair: CamPair, native: bool) -> Self {
         PairedCamModel {
-            prefix_a: prefix_a.to_string(),
-            prefix_b: prefix_b.to_string(),
+            ports_a: ports_a.clone(),
+            ports_b: ports_b.clone(),
             native,
             pair,
-            ports: None,
-        }
-    }
-
-    /// The paired tables.
-    pub fn pair(&self) -> &CamPair {
-        &self.pair
-    }
-
-    /// Mutable access (preloads, tests).
-    pub fn pair_mut(&mut self) -> &mut CamPair {
-        &mut self.pair
-    }
-
-    fn snapshot_of(&self, prefix: &str, t: &CamTable) -> CamSnapshot {
-        CamSnapshot {
-            prefix: prefix.to_string(),
-            capacity: t.capacity(),
-            occupancy: t.occupancy(),
-            stats: t.stats,
         }
     }
 }
 
 impl IpBlockModel for PairedCamModel {
-    fn step(&mut self, prog: &Program, st: &mut MachineState) {
-        let (pa, pb) = *self.ports.get_or_insert_with(|| {
-            (
-                CamPorts::resolve(prog, &self.prefix_a),
-                CamPorts::resolve(prog, &self.prefix_b),
-            )
-        });
-        if pa.strobe(st, pa.delete_en) {
-            let key = pa.sample(st, pa.delete_key, self.pair.a.key_bits());
-            self.pair.delete_a(&key);
-        }
-        if pa.strobe(st, pa.write_en) {
-            let key = pa.sample(st, pa.write_key, self.pair.a.key_bits());
-            let val = pa.sample(st, pa.write_value, self.pair.a.value_bits());
-            self.pair.write_a(key, val);
-        }
-        if pa.strobe(st, pa.lookup_en) {
-            let key = pa.sample(st, pa.lookup_key, self.pair.a.key_bits());
-            let hit = self.pair.lookup_a(&key);
-            pa.drive(st, pa.matched, Bits::from_bool(hit.is_some()));
-            let vw = self.pair.a.value_bits();
-            pa.drive(st, pa.value, hit.unwrap_or_else(|| Bits::zero(vw)));
-        }
-        if pb.strobe(st, pb.delete_en) {
-            let key = pb.sample(st, pb.delete_key, self.pair.b.key_bits());
-            self.pair.delete_b(&key);
-        }
-        if pb.strobe(st, pb.write_en) {
-            let key = pb.sample(st, pb.write_key, self.pair.b.key_bits());
-            let val = pb.sample(st, pb.write_value, self.pair.b.value_bits());
-            self.pair.write_b(key, val);
-        }
-        if pb.strobe(st, pb.lookup_en) {
-            let key = pb.sample(st, pb.lookup_key, self.pair.b.key_bits());
-            let hit = self.pair.lookup_b(&key);
-            pb.drive(st, pb.matched, Bits::from_bool(hit.is_some()));
-            let vw = self.pair.b.value_bits();
-            pb.drive(st, pb.value, hit.unwrap_or_else(|| Bits::zero(vw)));
-        }
+    fn step(&mut self, _prog: &Program, st: &mut MachineState) {
+        let (a, b, pair) = (&self.ports_a, &self.ports_b, &mut self.pair);
+        let ops_a = (CamPair::delete_a, CamPair::write_a, CamPair::lookup_a);
+        let ops_b = (CamPair::delete_b, CamPair::write_b, CamPair::lookup_b);
+        serve(a, st, pair, ops_a);
+        serve(b, st, pair, ops_b);
     }
 
-    fn resources(&self) -> IpBlock {
-        IpBlock::Cam {
-            entries: self.pair.a.capacity(),
-            key_bits: self.pair.a.key_bits(),
-            value_bits: self.pair.a.value_bits(),
-            native: self.native,
-        }
-    }
-
-    fn resources_all(&self) -> Vec<IpBlock> {
+    fn resources(&self) -> Vec<IpBlock> {
         vec![
-            IpBlock::Cam {
-                entries: self.pair.a.capacity(),
-                key_bits: self.pair.a.key_bits(),
-                value_bits: self.pair.a.value_bits(),
-                native: self.native,
-            },
-            IpBlock::Cam {
-                entries: self.pair.b.capacity(),
-                key_bits: self.pair.b.key_bits(),
-                value_bits: self.pair.b.value_bits(),
-                native: self.native,
-            },
+            cam_block(&self.pair.a, self.native),
+            cam_block(&self.pair.b, self.native),
         ]
+    }
+
+    fn check(&self, prog: &Program) -> Result<(), String> {
+        for (ports, t) in [(&self.ports_a, &self.pair.a), (&self.ports_b, &self.pair.b)] {
+            ports.bound.check(prog)?;
+            let (have, want) = (
+                (t.key_bits(), t.value_bits()),
+                (ports.key_bits(), ports.value_bits()),
+            );
+            if have != want {
+                return Err(format!(
+                    "IP block `{}`: a {have:?}-bit key/value table cannot serve {want:?}-bit ports",
+                    ports.bound.label
+                ));
+            }
+        }
+        Ok(())
     }
 
     fn frame_start(&mut self) {
         self.pair.tick_frame();
     }
 
-    fn cam_snapshots(&self) -> Vec<CamSnapshot> {
+    fn cam_snapshots(&self) -> Vec<CamCounters> {
         vec![
-            self.snapshot_of(&self.prefix_a, &self.pair.a),
-            self.snapshot_of(&self.prefix_b, &self.pair.b),
+            cam_counters(&self.ports_a, &self.pair.a),
+            cam_counters(&self.ports_b, &self.pair.b),
         ]
     }
 
@@ -465,10 +548,79 @@ impl IpBlockModel for PairedCamModel {
 // Pearson hash (Figure 5)
 // ---------------------------------------------------------------------
 
-/// Streaming Pearson hash unit with the Figure 5 seed handshake.
+/// Port handle of the streaming Pearson hash unit.
 ///
 /// Ports: out `{p}_data_in` (8), `{p}_init_enable`, `{p}_feed_en`,
 /// `{p}_clear`; in `{p}_init_ready`, `{p}_digest` (8).
+#[derive(Debug, Clone)]
+pub struct HashIf {
+    data_in: Port,
+    init_enable: Port,
+    feed_en: Port,
+    clear: Port,
+    init_ready: Port,
+    digest: Port,
+    bound: Bound,
+}
+
+impl HashIf {
+    /// Declares the hash unit's ports under `prefix`.
+    pub fn declare(pb: &mut ProgramBuilder, prefix: &str) -> Self {
+        let mut b = Bound::new(prefix);
+        HashIf {
+            data_in: b.port(pb, "data_in", Out, 8),
+            init_enable: b.port(pb, "init_enable", Out, 1),
+            feed_en: b.port(pb, "feed_en", Out, 1),
+            clear: b.port(pb, "clear", Out, 1),
+            init_ready: b.port(pb, "init_ready", In, 1),
+            digest: b.port(pb, "digest", In, 8),
+            bound: b,
+        }
+    }
+
+    /// The seed protocol of Figure 5, transliterated:
+    ///
+    /// ```csharp
+    /// while (init_hash_ready) { Kiwi.Pause(); }
+    /// PearsonHash.data_in = data_in;
+    /// init_hash_enable = true;  Kiwi.Pause();
+    /// while (!init_hash_ready) { Kiwi.Pause(); }  Kiwi.Pause();
+    /// init_hash_enable = false; Kiwi.Pause();
+    /// ```
+    pub fn seed(&self, data: Expr) -> Vec<Stmt> {
+        vec![
+            wait_until(lnot(sig(self.init_ready.id))),
+            sig_write(self.data_in.id, data),
+            sig_write(self.init_enable.id, tru()),
+            pause(),
+            wait_until(sig(self.init_ready.id)),
+            pause(),
+            sig_write(self.init_enable.id, fls()),
+            pause(),
+        ]
+    }
+
+    /// Feeds one byte into the digest (one cycle).
+    pub fn feed(&self, data: Expr) -> Vec<Stmt> {
+        request(self.feed_en, 1, self.data_in, data)
+    }
+
+    /// Clears the digest (one cycle).
+    pub fn clear(&self) -> Vec<Stmt> {
+        vec![
+            sig_write(self.clear.id, tru()),
+            pause(),
+            sig_write(self.clear.id, fls()),
+        ]
+    }
+
+    /// The current digest value.
+    pub fn digest(&self) -> Expr {
+        sig(self.digest.id)
+    }
+}
+
+/// Streaming Pearson hash unit with the Figure 5 seed handshake.
 ///
 /// Seeding (paper Figure 5): the program waits for `init_ready` low, puts
 /// the seed on `data_in`, raises `init_enable`; the unit latches the seed,
@@ -476,7 +628,7 @@ impl IpBlockModel for PairedCamModel {
 /// `init_ready` and is seeded. Feeding: each cycle with `feed_en` high
 /// absorbs one byte from `data_in`. `clear` resets the digest.
 pub struct PearsonHashModel {
-    prefix: String,
+    ports: HashIf,
     h: u8,
     init_ready: bool,
     /// Bytes absorbed since the last clear/seed.
@@ -484,36 +636,24 @@ pub struct PearsonHashModel {
 }
 
 impl PearsonHashModel {
-    /// Creates a hash unit bound to `prefix`.
-    pub fn new(prefix: &str) -> Self {
+    /// Creates a hash unit serving `ports`.
+    pub fn new(ports: &HashIf) -> Self {
         PearsonHashModel {
-            prefix: prefix.to_string(),
+            ports: ports.clone(),
             h: 0,
             init_ready: false,
             fed: 0,
         }
     }
-
-    /// Declares the unit's ports.
-    pub fn declare_ports(pb: &mut kiwi_ir::ProgramBuilder, prefix: &str) {
-        pb.sig_out(&format!("{prefix}_data_in"), 8);
-        pb.sig_out(&format!("{prefix}_init_enable"), 1);
-        pb.sig_out(&format!("{prefix}_feed_en"), 1);
-        pb.sig_out(&format!("{prefix}_clear"), 1);
-        pb.sig_in(&format!("{prefix}_init_ready"), 1);
-        pb.sig_in(&format!("{prefix}_digest"), 8);
-    }
 }
 
 impl IpBlockModel for PearsonHashModel {
-    fn step(&mut self, prog: &Program, st: &mut MachineState) {
-        let p = &self.prefix;
-        let data = out_val(prog, st, &format!("{p}_data_in")).to_u64() as u8;
-        let init_en = out_val(prog, st, &format!("{p}_init_enable")).to_bool();
-        let feed_en = out_val(prog, st, &format!("{p}_feed_en")).to_bool();
-        let clear = out_val(prog, st, &format!("{p}_clear")).to_bool();
+    fn step(&mut self, _prog: &Program, st: &mut MachineState) {
+        let p = &self.ports;
+        let data = p.data_in.get(st).to_u64() as u8;
+        let init_en = p.init_enable.high(st);
 
-        if clear {
+        if p.clear.high(st) {
             self.h = 0;
             self.fed = 0;
         }
@@ -524,25 +664,21 @@ impl IpBlockModel for PearsonHashModel {
             self.init_ready = true;
         } else if !init_en && self.init_ready {
             self.init_ready = false;
-        } else if feed_en {
+        } else if p.feed_en.high(st) {
             self.h = PEARSON_TABLE[usize::from(self.h ^ data)];
             self.fed += 1;
         }
 
-        st.drive(
-            prog,
-            &format!("{p}_init_ready"),
-            Bits::from_bool(self.init_ready),
-        );
-        st.drive(
-            prog,
-            &format!("{p}_digest"),
-            Bits::from_u64(u64::from(self.h), 8),
-        );
+        p.init_ready.drive(st, Bits::from_bool(self.init_ready));
+        p.digest.drive(st, Bits::from_u64(u64::from(self.h), 8));
     }
 
-    fn resources(&self) -> IpBlock {
-        IpBlock::Hash
+    fn resources(&self) -> Vec<IpBlock> {
+        vec![IpBlock::Hash]
+    }
+
+    fn check(&self, prog: &Program) -> Result<(), String> {
+        self.ports.bound.check(prog)
     }
 }
 
@@ -550,15 +686,42 @@ impl IpBlockModel for PearsonHashModel {
 // FIFO
 // ---------------------------------------------------------------------
 
-/// A synchronous FIFO.
+/// Port handle of a synchronous FIFO.
 ///
 /// Ports: out `{p}_push`, `{p}_push_data`, `{p}_pop`; in `{p}_pop_data`,
-/// `{p}_empty`, `{p}_full`. `pop_data` always shows the head; a `pop`
-/// strobe consumes it. Pushing into a full FIFO drops the element (as an
+/// `{p}_empty`, `{p}_full`.
+#[derive(Debug, Clone)]
+pub struct FifoIf {
+    push: Port,
+    push_data: Port,
+    pop: Port,
+    pop_data: Port,
+    empty: Port,
+    full: Port,
+    bound: Bound,
+}
+
+impl FifoIf {
+    /// Declares the FIFO's ports under `prefix`.
+    pub fn declare(pb: &mut ProgramBuilder, prefix: &str, width: u16) -> Self {
+        let mut b = Bound::new(prefix);
+        FifoIf {
+            push: b.port(pb, "push", Out, 1),
+            push_data: b.port(pb, "push_data", Out, width),
+            pop: b.port(pb, "pop", Out, 1),
+            pop_data: b.port(pb, "pop_data", In, width),
+            empty: b.port(pb, "empty", In, 1),
+            full: b.port(pb, "full", In, 1),
+            bound: b,
+        }
+    }
+}
+
+/// A synchronous FIFO. `pop_data` always shows the head; a `pop` strobe
+/// consumes it. Pushing into a full FIFO drops the element (as an
 /// overflowing output queue drops frames, §5's output-queue model).
 pub struct FifoModel {
-    prefix: String,
-    width: u16,
+    ports: FifoIf,
     depth: usize,
     q: VecDeque<Bits>,
     /// Elements dropped on overflow.
@@ -566,25 +729,14 @@ pub struct FifoModel {
 }
 
 impl FifoModel {
-    /// Creates a FIFO bound to `prefix`.
-    pub fn new(prefix: &str, depth: usize, width: u16) -> Self {
+    /// Creates a FIFO of `depth` elements serving `ports`.
+    pub fn new(ports: &FifoIf, depth: usize) -> Self {
         FifoModel {
-            prefix: prefix.to_string(),
-            width,
+            ports: ports.clone(),
             depth,
             q: VecDeque::new(),
             drops: 0,
         }
-    }
-
-    /// Declares the FIFO's ports.
-    pub fn declare_ports(pb: &mut kiwi_ir::ProgramBuilder, prefix: &str, width: u16) {
-        pb.sig_out(&format!("{prefix}_push"), 1);
-        pb.sig_out(&format!("{prefix}_push_data"), width);
-        pb.sig_out(&format!("{prefix}_pop"), 1);
-        pb.sig_in(&format!("{prefix}_pop_data"), width);
-        pb.sig_in(&format!("{prefix}_empty"), 1);
-        pb.sig_in(&format!("{prefix}_full"), 1);
     }
 
     /// Current length.
@@ -599,156 +751,269 @@ impl FifoModel {
 }
 
 impl IpBlockModel for FifoModel {
-    fn step(&mut self, prog: &Program, st: &mut MachineState) {
-        let p = &self.prefix;
-        if out_val(prog, st, &format!("{p}_pop")).to_bool() {
+    fn step(&mut self, _prog: &Program, st: &mut MachineState) {
+        let p = &self.ports;
+        if p.pop.high(st) {
             self.q.pop_front();
         }
-        if out_val(prog, st, &format!("{p}_push")).to_bool() {
+        if p.push.high(st) {
             if self.q.len() >= self.depth {
                 self.drops += 1;
             } else {
-                self.q
-                    .push_back(out_val(prog, st, &format!("{p}_push_data")).resize(self.width));
+                self.q.push_back(p.push_data.sample(st));
             }
         }
-        let head = self
-            .q
-            .front()
-            .cloned()
-            .unwrap_or_else(|| Bits::zero(self.width));
-        st.drive(prog, &format!("{p}_pop_data"), head);
-        st.drive(
-            prog,
-            &format!("{p}_empty"),
-            Bits::from_bool(self.q.is_empty()),
-        );
-        st.drive(
-            prog,
-            &format!("{p}_full"),
-            Bits::from_bool(self.q.len() >= self.depth),
-        );
+        let head = self.q.front().cloned();
+        let no_head = || Bits::zero(p.pop_data.width);
+        p.pop_data.drive(st, head.unwrap_or_else(no_head));
+        p.empty.drive(st, Bits::from_bool(self.q.is_empty()));
+        let full = self.q.len() >= self.depth;
+        p.full.drive(st, Bits::from_bool(full));
     }
 
-    fn resources(&self) -> IpBlock {
-        IpBlock::Fifo {
+    fn resources(&self) -> Vec<IpBlock> {
+        let width = self.ports.push_data.width;
+        vec![IpBlock::Fifo {
             depth: self.depth,
-            width: self.width,
-        }
+            width,
+        }]
+    }
+
+    fn check(&self, prog: &Program) -> Result<(), String> {
+        self.ports.bound.check(prog)
     }
 }
 
 // ---------------------------------------------------------------------
-// NaughtyQ (the LRU recency queue of Figure 9)
+// NaughtyQ and the LRU cache of Figure 9
 // ---------------------------------------------------------------------
+
+/// Port handle of the NaughtyQ slot store (Figure 9).
+///
+/// Ports: out `{p}_op` (2: 0 idle, 1 enlist, 2 read, 3 back-of-q),
+/// `{p}_value_in`, `{p}_idx_in` (16); in `{p}_idx_out` (16),
+/// `{p}_value_out`, `{p}_evicted` (1), `{p}_evicted_idx` (16).
+#[derive(Debug, Clone)]
+pub struct NaughtyQIf {
+    op: Port,
+    value_in: Port,
+    idx_in: Port,
+    idx_out: Port,
+    value_out: Port,
+    evicted: Port,
+    evicted_idx: Port,
+    bound: Bound,
+}
+
+impl NaughtyQIf {
+    /// Declares the block's ports under `prefix`.
+    pub fn declare(pb: &mut ProgramBuilder, prefix: &str, width: u16) -> Self {
+        let mut b = Bound::new(prefix);
+        NaughtyQIf {
+            op: b.port(pb, "op", Out, 2),
+            value_in: b.port(pb, "value_in", Out, width),
+            idx_in: b.port(pb, "idx_in", Out, 16),
+            idx_out: b.port(pb, "idx_out", In, 16),
+            value_out: b.port(pb, "value_out", In, width),
+            evicted: b.port(pb, "evicted", In, 1),
+            evicted_idx: b.port(pb, "evicted_idx", In, 16),
+            bound: b,
+        }
+    }
+
+    /// `NaughtyQ.Enlist(value)`: allocates a slot; index readable via
+    /// [`NaughtyQIf::idx_out`] after the pause.
+    pub fn enlist(&self, value: Expr) -> Vec<Stmt> {
+        request(self.op, 1, self.value_in, value)
+    }
+
+    /// `NaughtyQ.Read(idx)`: value readable via [`NaughtyQIf::value_out`]
+    /// after the pause.
+    pub fn read(&self, idx: Expr) -> Vec<Stmt> {
+        request(self.op, 2, self.idx_in, idx)
+    }
+
+    /// `NaughtyQ.BackOfQ(idx)`: marks the slot most recently used.
+    pub fn back_of_q(&self, idx: Expr) -> Vec<Stmt> {
+        request(self.op, 3, self.idx_in, idx)
+    }
+
+    /// Slot index returned by the last enlist.
+    pub fn idx_out(&self) -> Expr {
+        sig(self.idx_out.id)
+    }
+
+    /// Value returned by the last read.
+    pub fn value_out(&self) -> Expr {
+        sig(self.value_out.id)
+    }
+
+    /// Whether the last enlist evicted a slot.
+    pub fn evicted(&self) -> Expr {
+        sig(self.evicted.id)
+    }
+
+    /// The evicted slot index.
+    pub fn evicted_idx(&self) -> Expr {
+        sig(self.evicted_idx.id)
+    }
+}
 
 /// The slot-store + recency-queue block behind the paper's LRU cache
 /// (Figure 9: `NaughtyQ.Enlist`, `NaughtyQ.Read`, `NaughtyQ.BackOfQ`).
-///
-/// Ports: out `{p}_op` (2: 0 idle, 1 enlist, 2 read, 3 back-of-q),
-/// `{p}_value_in`, `{p}_idx_in`; in `{p}_idx_out`, `{p}_value_out`,
-/// `{p}_evicted` (1), `{p}_evicted_idx`.
 ///
 /// `Enlist` allocates a slot for a value (evicting the least-recently-used
 /// slot when full — the eviction logic that would have to live in the
 /// control plane under P4, §4.4) and reports the slot index. `Read`
 /// returns a slot's value. `BackOfQ` marks a slot most-recently-used.
 pub struct NaughtyQModel {
-    prefix: String,
-    width: u16,
+    ports: NaughtyQIf,
     slots: Vec<Option<Bits>>,
-    /// Recency order: front = least recently used.
+    /// Recency order: front = least recently used. Holds exactly the
+    /// occupied slots.
     order: VecDeque<usize>,
 }
 
 impl NaughtyQModel {
-    /// Creates a queue bound to `prefix` with `cap` slots.
-    pub fn new(prefix: &str, cap: usize, width: u16) -> Self {
+    /// Creates a queue of `cap` slots serving `ports`. `cap` must be
+    /// between 1 and 65 536 (slot indices travel on 16-bit ports);
+    /// [`IpBlockModel::check`] rejects anything else at engine build.
+    pub fn new(ports: &NaughtyQIf, cap: usize) -> Self {
         NaughtyQModel {
-            prefix: prefix.to_string(),
-            width,
+            ports: ports.clone(),
             slots: vec![None; cap],
             order: VecDeque::new(),
         }
     }
+}
 
-    /// Declares the block's ports.
-    pub fn declare_ports(pb: &mut kiwi_ir::ProgramBuilder, prefix: &str, width: u16) {
-        pb.sig_out(&format!("{prefix}_op"), 2);
-        pb.sig_out(&format!("{prefix}_value_in"), width);
-        pb.sig_out(&format!("{prefix}_idx_in"), 16);
-        pb.sig_in(&format!("{prefix}_idx_out"), 16);
-        pb.sig_in(&format!("{prefix}_value_out"), width);
-        pb.sig_in(&format!("{prefix}_evicted"), 1);
-        pb.sig_in(&format!("{prefix}_evicted_idx"), 16);
-    }
-
-    /// Live slot count.
-    pub fn occupancy(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
+/// Moves slot `idx` to the most-recently-used end of `order`.
+fn touch(order: &mut VecDeque<usize>, idx: usize) {
+    order.retain(|&i| i != idx);
+    order.push_back(idx);
 }
 
 impl IpBlockModel for NaughtyQModel {
-    fn step(&mut self, prog: &Program, st: &mut MachineState) {
-        let p = &self.prefix;
-        let op = out_val(prog, st, &format!("{p}_op")).to_u64();
-        let mut evicted = false;
-        let mut evicted_idx = 0usize;
-        match op {
+    fn step(&mut self, _prog: &Program, st: &mut MachineState) {
+        let p = &self.ports;
+        let mut evicted = None;
+        match p.op.get(st).to_u64() {
             1 => {
                 // Enlist.
-                let v = out_val(prog, st, &format!("{p}_value_in")).resize(self.width);
-                let idx = if let Some(free) = self.slots.iter().position(|s| s.is_none()) {
-                    free
-                } else {
-                    let lru = self.order.pop_front().unwrap_or(0);
-                    evicted = true;
-                    evicted_idx = lru;
-                    lru
+                let idx = match self.slots.iter().position(|s| s.is_none()) {
+                    Some(free) => free,
+                    None => {
+                        evicted = self.order.pop_front();
+                        evicted.expect("a full queue of at least one slot has an LRU slot")
+                    }
                 };
-                self.slots[idx] = Some(v);
-                self.order.retain(|&i| i != idx);
-                self.order.push_back(idx);
-                st.drive(
-                    prog,
-                    &format!("{p}_idx_out"),
-                    Bits::from_u64(idx as u64, 16),
-                );
+                self.slots[idx] = Some(p.value_in.sample(st));
+                touch(&mut self.order, idx);
+                p.idx_out.drive(st, Bits::from_u64(idx as u64, 16));
             }
             2 => {
                 // Read.
-                let idx = out_val(prog, st, &format!("{p}_idx_in")).to_u64() as usize;
-                let v = self
-                    .slots
-                    .get(idx)
-                    .and_then(|s| s.clone())
-                    .unwrap_or_else(|| Bits::zero(self.width));
-                st.drive(prog, &format!("{p}_value_out"), v);
+                let idx = p.idx_in.get(st).to_u64() as usize;
+                let v = self.slots.get(idx).and_then(|s| s.clone());
+                let empty = || Bits::zero(p.value_out.width);
+                p.value_out.drive(st, v.unwrap_or_else(empty));
             }
             3 => {
                 // BackOfQ.
-                let idx = out_val(prog, st, &format!("{p}_idx_in")).to_u64() as usize;
+                let idx = p.idx_in.get(st).to_u64() as usize;
                 if idx < self.slots.len() {
-                    self.order.retain(|&i| i != idx);
-                    self.order.push_back(idx);
+                    touch(&mut self.order, idx);
                 }
             }
             _ => {}
         }
-        st.drive(prog, &format!("{p}_evicted"), Bits::from_bool(evicted));
-        st.drive(
-            prog,
-            &format!("{p}_evicted_idx"),
-            Bits::from_u64(evicted_idx as u64, 16),
-        );
+        // An eviction report lasts one cycle. Only this model writes the
+        // two ports, so when neither last cycle nor this one evicted they
+        // already read zero and an idle cycle writes nothing.
+        if evicted.is_some() || st.sigs_in[p.evicted.id.0 as usize].to_bool() {
+            let idx = evicted.unwrap_or(0) as u64;
+            p.evicted.drive(st, Bits::from_bool(evicted.is_some()));
+            p.evicted_idx.drive(st, Bits::from_u64(idx, 16));
+        }
     }
 
-    fn resources(&self) -> IpBlock {
-        IpBlock::Fifo {
+    fn resources(&self) -> Vec<IpBlock> {
+        let width = self.ports.value_in.width;
+        vec![IpBlock::Fifo {
             depth: self.slots.len(),
-            width: self.width,
+            width,
+        }]
+    }
+
+    fn check(&self, prog: &Program) -> Result<(), String> {
+        let (label, cap) = (&self.ports.bound.label, self.slots.len());
+        if !(1..=1 << 16).contains(&cap) {
+            return Err(format!(
+                "IP block `{label}`: a NaughtyQ holds between 1 and 65536 slots, not {cap}"
+            ));
         }
+        self.ports.bound.check(prog)
+    }
+}
+
+/// The look-aside LRU cache of Figure 9, assembled from a HashCAM and a
+/// NaughtyQ exactly as the paper's C# does. Attach a [`CamModel`] built
+/// from `cam` and a [`NaughtyQModel`] built from `q`.
+#[derive(Debug, Clone)]
+pub struct LruIf {
+    /// Key → slot-index CAM ("HashCAM").
+    pub cam: CamIf,
+    /// Slot store + recency queue.
+    pub q: NaughtyQIf,
+}
+
+impl LruIf {
+    /// Declares both sub-blocks under `prefix`.
+    pub fn declare(pb: &mut ProgramBuilder, prefix: &str, key_bits: u16, value_bits: u16) -> Self {
+        LruIf {
+            cam: CamIf::declare(pb, &format!("{prefix}_cam"), key_bits, 16),
+            q: NaughtyQIf::declare(pb, &format!("{prefix}_q"), value_bits),
+        }
+    }
+
+    /// `LRU.Lookup(key)` (Figure 9): sets `matched` and `result`, touching
+    /// the entry on hit:
+    ///
+    /// ```csharp
+    /// ulong idx = HashCAM.Read(key_in);
+    /// if (HashCAM.matched) {
+    ///     res.result = NaughtyQ.Read(idx);
+    ///     NaughtyQ.BackOfQ(idx);
+    /// }
+    /// ```
+    pub fn lookup(
+        &self,
+        key: Expr,
+        matched: VarId,
+        result: VarId,
+        idx_scratch: VarId,
+    ) -> Vec<Stmt> {
+        let mut out = self.cam.lookup(key);
+        out.push(assign(matched, self.cam.matched()));
+        out.push(assign(idx_scratch, self.cam.value()));
+        let mut hit = self.q.read(resize(var(idx_scratch), 16));
+        hit.push(assign(result, self.q.value_out()));
+        hit.extend(self.q.back_of_q(resize(var(idx_scratch), 16)));
+        out.push(if_then(var(matched), hit));
+        out
+    }
+
+    /// `LRU.Cache(key, value)` (Figure 9):
+    ///
+    /// ```csharp
+    /// ulong idx = NaughtyQ.Enlist(value_in);
+    /// HashCAM.Write(key_in, idx);
+    /// ```
+    pub fn cache(&self, key: Expr, value: Expr, idx_scratch: VarId) -> Vec<Stmt> {
+        let mut out = self.q.enlist(value);
+        out.push(assign(idx_scratch, self.q.idx_out()));
+        out.extend(self.cam.write(key, resize(var(idx_scratch), 16)));
+        out
     }
 }
 
@@ -756,101 +1021,118 @@ impl IpBlockModel for NaughtyQModel {
 // BRAM
 // ---------------------------------------------------------------------
 
-/// Single-port block RAM with one-cycle read latency — the "on-chip
-/// memory" scaling option of §5.4's optimizations discussion.
+/// Port handle of a single-port block RAM.
 ///
 /// Ports: out `{p}_addr` (32), `{p}_wdata`, `{p}_we`; in `{p}_rdata`.
+#[derive(Debug, Clone)]
+pub struct BramIf {
+    addr: Port,
+    wdata: Port,
+    we: Port,
+    rdata: Port,
+    bound: Bound,
+}
+
+impl BramIf {
+    /// Declares the RAM's ports under `prefix`.
+    pub fn declare(pb: &mut ProgramBuilder, prefix: &str, width: u16) -> Self {
+        let mut b = Bound::new(prefix);
+        BramIf {
+            addr: b.port(pb, "addr", Out, 32),
+            wdata: b.port(pb, "wdata", Out, width),
+            we: b.port(pb, "we", Out, 1),
+            rdata: b.port(pb, "rdata", In, width),
+            bound: b,
+        }
+    }
+}
+
+/// Single-port block RAM with one-cycle read latency — the "on-chip
+/// memory" scaling option of §5.4's optimizations discussion.
 pub struct BramModel {
-    prefix: String,
-    width: u16,
+    ports: BramIf,
     data: Vec<Bits>,
 }
 
 impl BramModel {
-    /// Creates a RAM bound to `prefix` with `words` entries.
-    pub fn new(prefix: &str, words: usize, width: u16) -> Self {
+    /// Creates a RAM of `words` entries serving `ports`.
+    pub fn new(ports: &BramIf, words: usize) -> Self {
         BramModel {
-            prefix: prefix.to_string(),
-            width,
-            data: vec![Bits::zero(width); words],
+            ports: ports.clone(),
+            data: vec![Bits::zero(ports.wdata.width); words],
         }
-    }
-
-    /// Declares the RAM's ports.
-    pub fn declare_ports(pb: &mut kiwi_ir::ProgramBuilder, prefix: &str, width: u16) {
-        pb.sig_out(&format!("{prefix}_addr"), 32);
-        pb.sig_out(&format!("{prefix}_wdata"), width);
-        pb.sig_out(&format!("{prefix}_we"), 1);
-        pb.sig_in(&format!("{prefix}_rdata"), width);
     }
 }
 
 impl IpBlockModel for BramModel {
-    fn step(&mut self, prog: &Program, st: &mut MachineState) {
-        let p = &self.prefix;
-        let addr = out_val(prog, st, &format!("{p}_addr")).to_u64() as usize;
-        if out_val(prog, st, &format!("{p}_we")).to_bool() {
+    fn step(&mut self, _prog: &Program, st: &mut MachineState) {
+        let p = &self.ports;
+        let addr = p.addr.get(st).to_u64() as usize;
+        if p.we.high(st) {
             if let Some(slot) = self.data.get_mut(addr) {
-                *slot = out_val(prog, st, &format!("{p}_wdata")).resize(self.width);
+                *slot = p.wdata.sample(st);
             }
         }
-        let rd = self
-            .data
-            .get(addr)
-            .cloned()
-            .unwrap_or_else(|| Bits::zero(self.width));
-        st.drive(prog, &format!("{p}_rdata"), rd);
+        let rd = self.data.get(addr).cloned();
+        let unmapped = || Bits::zero(p.rdata.width);
+        p.rdata.drive(st, rd.unwrap_or_else(unmapped));
     }
 
-    fn resources(&self) -> IpBlock {
-        IpBlock::Bram {
-            bits: self.data.len() as u64 * u64::from(self.width),
-        }
+    fn resources(&self) -> Vec<IpBlock> {
+        let bits = self.data.len() as u64 * u64::from(self.ports.wdata.width);
+        vec![IpBlock::Bram { bits }]
+    }
+
+    fn check(&self, prog: &Program) -> Result<(), String> {
+        self.ports.bound.check(prog)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kiwi_ir::dsl::*;
     use kiwi_ir::interp::NullObserver;
-    use kiwi_ir::{Machine, ProgramBuilder};
+    use kiwi_ir::Machine;
+
+    /// A program that only declares a block's ports, and its reset
+    /// state — for driving a model directly.
+    fn ports_only<H>(declare: impl FnOnce(&mut ProgramBuilder) -> H) -> (H, Program, MachineState) {
+        let mut pb = ProgramBuilder::new("t");
+        let handle = declare(&mut pb);
+        pb.thread("main", vec![halt()]);
+        let prog = pb.build().unwrap();
+        let st = MachineState::init(&prog);
+        (handle, prog, st)
+    }
+
+    /// Program side of a directly driven model: puts `v` on an `Out` port.
+    fn put(st: &mut MachineState, port: Port, v: u64) {
+        st.sigs_out[port.id.0 as usize] = Bits::from_u64(v, port.width);
+    }
+
+    /// Program side of a directly driven model: reads an `In` port.
+    fn read(st: &MachineState, port: Port) -> u64 {
+        st.sigs_in[port.id.0 as usize].to_u64()
+    }
 
     #[test]
     fn cam_write_then_lookup_hits() {
         let mut pb = ProgramBuilder::new("t");
-        let lookup_en = pb.sig_out("cam_lookup_en", 1);
-        let lookup_key = pb.sig_out("cam_lookup_key", 48);
-        let write_en = pb.sig_out("cam_write_en", 1);
-        let write_key = pb.sig_out("cam_write_key", 48);
-        let write_value = pb.sig_out("cam_write_value", 16);
-        let m_in = pb.sig_in("cam_match", 1);
-        let v_in = pb.sig_in("cam_value", 16);
+        let cam = CamIf::declare(&mut pb, "cam", 48, 16);
         let matched = pb.reg("matched", 1);
         let value = pb.reg("value", 16);
-        pb.thread(
-            "main",
-            vec![
-                // Write 0xAABB -> 7.
-                sig_write(write_key, lit(0xAABB, 48)),
-                sig_write(write_value, lit(7, 16)),
-                sig_write(write_en, lit(1, 1)),
-                pause(),
-                sig_write(write_en, lit(0, 1)),
-                // Look it up.
-                sig_write(lookup_key, lit(0xAABB, 48)),
-                sig_write(lookup_en, lit(1, 1)),
-                pause(),
-                sig_write(lookup_en, lit(0, 1)),
-                assign(matched, sig(m_in)),
-                assign(value, sig(v_in)),
-                halt(),
-            ],
-        );
+        // Write 0xAABB -> 7, then look it up.
+        let mut body = cam.write(lit(0xAABB, 48), lit(7, 16));
+        body.extend(cam.lookup(lit(0xAABB, 48)));
+        body.push(assign(matched, cam.matched()));
+        body.push(assign(value, cam.value()));
+        body.push(halt());
+        pb.thread("main", body);
         let prog = pb.build().unwrap();
         let mut m = Machine::new(kiwi_ir::flatten(&prog).unwrap());
         let mut env = IpEnv::new();
-        env.attach(Box::new(CamModel::new("cam", 16, 48, 16, false)));
+        env.attach(Box::new(CamModel::new(&cam, 16, false)));
+        env.check(&prog).unwrap();
         m.run_cycles(10, &mut env, &mut NullObserver).unwrap();
         assert!(m.halted());
         assert_eq!(m.state().vars[0].to_u64(), 1, "lookup must match");
@@ -860,28 +1142,16 @@ mod tests {
     #[test]
     fn cam_miss_reports_no_match() {
         let mut pb = ProgramBuilder::new("t");
-        let lookup_en = pb.sig_out("cam_lookup_en", 1);
-        let lookup_key = pb.sig_out("cam_lookup_key", 48);
-        pb.sig_out("cam_write_en", 1);
-        pb.sig_out("cam_write_key", 48);
-        pb.sig_out("cam_write_value", 16);
-        let m_in = pb.sig_in("cam_match", 1);
-        pb.sig_in("cam_value", 16);
+        let cam = CamIf::declare(&mut pb, "cam", 48, 16);
         let matched = pb.reg_init("matched", 1, Bits::from_u64(1, 1));
-        pb.thread(
-            "main",
-            vec![
-                sig_write(lookup_key, lit(0x1234, 48)),
-                sig_write(lookup_en, lit(1, 1)),
-                pause(),
-                assign(matched, sig(m_in)),
-                halt(),
-            ],
-        );
+        let mut body = cam.lookup(lit(0x1234, 48));
+        body.push(assign(matched, cam.matched()));
+        body.push(halt());
+        pb.thread("main", body);
         let prog = pb.build().unwrap();
         let mut m = Machine::new(kiwi_ir::flatten(&prog).unwrap());
         let mut env = IpEnv::new();
-        env.attach(Box::new(CamModel::new("cam", 4, 48, 16, false)));
+        env.attach(Box::new(CamModel::new(&cam, 4, false)));
         m.run_cycles(10, &mut env, &mut NullObserver).unwrap();
         assert_eq!(m.state().vars[0].to_u64(), 0);
     }
@@ -889,20 +1159,12 @@ mod tests {
     #[test]
     fn cam_model_direct_eviction_round_robin() {
         // Drive the model directly (no program) to test replacement.
-        let mut pb = ProgramBuilder::new("t");
-        CamModel::declare_ports(&mut pb, "c", 8, 8);
-        pb.thread("main", vec![halt()]);
-        let prog = pb.build().unwrap();
-        let mut st = kiwi_ir::MachineState::init(&prog);
-        let mut cam = CamModel::new("c", 2, 8, 8, true);
-
-        let we = prog.signal_by_name("c_write_en").unwrap();
-        let wk = prog.signal_by_name("c_write_key").unwrap();
-        let wv = prog.signal_by_name("c_write_value").unwrap();
+        let (c, prog, mut st) = ports_only(|pb| CamIf::declare(pb, "c", 8, 8));
+        let mut cam = CamModel::new(&c, 2, true);
         for i in 0..3u64 {
-            st.sigs_out[we.0 as usize] = Bits::from_u64(1, 1);
-            st.sigs_out[wk.0 as usize] = Bits::from_u64(i, 8);
-            st.sigs_out[wv.0 as usize] = Bits::from_u64(i * 10, 8);
+            put(&mut st, c.write_en, 1);
+            put(&mut st, c.write_key, i);
+            put(&mut st, c.write_value, i * 10);
             cam.step(&prog, &mut st);
         }
         assert_eq!(cam.occupancy(), 2);
@@ -914,7 +1176,8 @@ mod tests {
     fn cam_insert_accounts_stats_like_the_dataplane_path() {
         // The control-plane preload path must not be invisible to the
         // write/eviction counters.
-        let mut cam = CamModel::new("c", 2, 8, 8, true);
+        let (c, _, _) = ports_only(|pb| CamIf::declare(pb, "c", 8, 8));
+        let mut cam = CamModel::new(&c, 2, true);
         for i in 0..3u64 {
             cam.insert(Bits::from_u64(i, 8), Bits::from_u64(i * 10, 8));
         }
@@ -931,41 +1194,19 @@ mod tests {
     fn hash_handshake_matches_software_pearson() {
         // Program follows Figure 5: seed with 0x5A, then feed "ab".
         let mut pb = ProgramBuilder::new("t");
-        let data_in = pb.sig_out("h_data_in", 8);
-        let init_en = pb.sig_out("h_init_enable", 1);
-        let feed_en = pb.sig_out("h_feed_en", 1);
-        pb.sig_out("h_clear", 1);
-        let ready = pb.sig_in("h_init_ready", 1);
-        let digest = pb.sig_in("h_digest", 8);
+        let h = HashIf::declare(&mut pb, "h");
         let out = pb.reg("out", 8);
-        pb.thread(
-            "main",
-            vec![
-                // Seed(0x5A), transliterating Figure 5.
-                wait_until(lnot(sig(ready))),
-                sig_write(data_in, lit(0x5A, 8)),
-                sig_write(init_en, lit(1, 1)),
-                pause(),
-                wait_until(sig(ready)),
-                pause(),
-                sig_write(init_en, lit(0, 1)),
-                pause(),
-                // Feed 'a' then 'b'.
-                sig_write(data_in, lit(b'a' as u64, 8)),
-                sig_write(feed_en, lit(1, 1)),
-                pause(),
-                sig_write(data_in, lit(b'b' as u64, 8)),
-                pause(),
-                sig_write(feed_en, lit(0, 1)),
-                pause(),
-                assign(out, sig(digest)),
-                halt(),
-            ],
-        );
+        let mut body = h.seed(lit(0x5A, 8));
+        body.extend(h.feed(lit(u64::from(b'a'), 8)));
+        body.extend(h.feed(lit(u64::from(b'b'), 8)));
+        body.push(assign(out, h.digest()));
+        body.push(halt());
+        pb.thread("main", body);
         let prog = pb.build().unwrap();
         let mut m = Machine::new(kiwi_ir::flatten(&prog).unwrap());
         let mut env = IpEnv::new();
-        env.attach(Box::new(PearsonHashModel::new("h")));
+        env.attach(Box::new(PearsonHashModel::new(&h)));
+        env.check(&prog).unwrap();
         m.run_cycles(40, &mut env, &mut NullObserver).unwrap();
         assert!(m.halted());
         let expect = emu_types::checksum::pearson8_seeded(0x5A, b"ab");
@@ -974,96 +1215,76 @@ mod tests {
 
     #[test]
     fn fifo_round_trip_and_overflow() {
-        let mut pb = ProgramBuilder::new("t");
-        FifoModel::declare_ports(&mut pb, "q", 16);
-        pb.thread("main", vec![halt()]);
-        let prog = pb.build().unwrap();
-        let mut st = kiwi_ir::MachineState::init(&prog);
-        let mut q = FifoModel::new("q", 2, 16);
-
-        let push = prog.signal_by_name("q_push").unwrap();
-        let pd = prog.signal_by_name("q_push_data").unwrap();
-        let pop = prog.signal_by_name("q_pop").unwrap();
+        let (f, prog, mut st) = ports_only(|pb| FifoIf::declare(pb, "q", 16));
+        let mut q = FifoModel::new(&f, 2);
+        q.check(&prog).unwrap();
 
         for i in 1..=3u64 {
-            st.sigs_out[push.0 as usize] = Bits::from_u64(1, 1);
-            st.sigs_out[pd.0 as usize] = Bits::from_u64(i, 16);
+            put(&mut st, f.push, 1);
+            put(&mut st, f.push_data, i);
             q.step(&prog, &mut st);
         }
         assert_eq!(q.len(), 2);
         assert_eq!(q.drops, 1);
-        st.sigs_out[push.0 as usize] = Bits::from_u64(0, 1);
+        put(&mut st, f.push, 0);
 
         // Head must be 1; pop it; head becomes 2.
-        assert_eq!(st.signal(&prog, "q_pop_data").unwrap().to_u64(), 1);
-        st.sigs_out[pop.0 as usize] = Bits::from_u64(1, 1);
+        assert_eq!(read(&st, f.pop_data), 1);
+        put(&mut st, f.pop, 1);
         q.step(&prog, &mut st);
-        assert_eq!(st.signal(&prog, "q_pop_data").unwrap().to_u64(), 2);
+        assert_eq!(read(&st, f.pop_data), 2);
     }
 
     #[test]
     fn naughtyq_lru_eviction_order() {
-        let mut pb = ProgramBuilder::new("t");
-        NaughtyQModel::declare_ports(&mut pb, "nq", 32);
-        pb.thread("main", vec![halt()]);
-        let prog = pb.build().unwrap();
-        let mut st = kiwi_ir::MachineState::init(&prog);
-        let mut nq = NaughtyQModel::new("nq", 2, 32);
-
-        let op = prog.signal_by_name("nq_op").unwrap();
-        let vin = prog.signal_by_name("nq_value_in").unwrap();
-        let iin = prog.signal_by_name("nq_idx_in").unwrap();
+        let (n, prog, mut st) = ports_only(|pb| NaughtyQIf::declare(pb, "nq", 32));
+        let mut nq = NaughtyQModel::new(&n, 2);
+        nq.check(&prog).unwrap();
 
         // Enlist A, B (fills both slots).
-        st.sigs_out[op.0 as usize] = Bits::from_u64(1, 2);
-        st.sigs_out[vin.0 as usize] = Bits::from_u64(0xA, 32);
+        put(&mut st, n.op, 1);
+        put(&mut st, n.value_in, 0xA);
         nq.step(&prog, &mut st);
-        let idx_a = st.signal(&prog, "nq_idx_out").unwrap().to_u64();
-        st.sigs_out[vin.0 as usize] = Bits::from_u64(0xB, 32);
+        let idx_a = read(&st, n.idx_out);
+        put(&mut st, n.value_in, 0xB);
         nq.step(&prog, &mut st);
 
         // Touch A (BackOfQ) so B becomes LRU.
-        st.sigs_out[op.0 as usize] = Bits::from_u64(3, 2);
-        st.sigs_out[iin.0 as usize] = Bits::from_u64(idx_a, 16);
+        put(&mut st, n.op, 3);
+        put(&mut st, n.idx_in, idx_a);
         nq.step(&prog, &mut st);
 
         // Enlist C: must evict B's slot, not A's.
-        st.sigs_out[op.0 as usize] = Bits::from_u64(1, 2);
-        st.sigs_out[vin.0 as usize] = Bits::from_u64(0xC, 32);
+        put(&mut st, n.op, 1);
+        put(&mut st, n.value_in, 0xC);
         nq.step(&prog, &mut st);
-        assert_eq!(st.signal(&prog, "nq_evicted").unwrap().to_u64(), 1);
+        assert_eq!(read(&st, n.evicted), 1);
+        assert_ne!(read(&st, n.evicted_idx), idx_a);
 
         // Read A's slot: still 0xA.
-        st.sigs_out[op.0 as usize] = Bits::from_u64(2, 2);
-        st.sigs_out[iin.0 as usize] = Bits::from_u64(idx_a, 16);
+        put(&mut st, n.op, 2);
+        put(&mut st, n.idx_in, idx_a);
         nq.step(&prog, &mut st);
-        assert_eq!(st.signal(&prog, "nq_value_out").unwrap().to_u64(), 0xA);
+        assert_eq!(read(&st, n.value_out), 0xA);
     }
 
     #[test]
     fn bram_read_write() {
-        let mut pb = ProgramBuilder::new("t");
-        BramModel::declare_ports(&mut pb, "m", 64);
-        pb.thread("main", vec![halt()]);
-        let prog = pb.build().unwrap();
-        let mut st = kiwi_ir::MachineState::init(&prog);
-        let mut ram = BramModel::new("m", 16, 64);
+        let (b, prog, mut st) = ports_only(|pb| BramIf::declare(pb, "m", 64));
+        let mut ram = BramModel::new(&b, 16);
+        ram.check(&prog).unwrap();
 
-        let addr = prog.signal_by_name("m_addr").unwrap();
-        let wd = prog.signal_by_name("m_wdata").unwrap();
-        let we = prog.signal_by_name("m_we").unwrap();
-
-        st.sigs_out[addr.0 as usize] = Bits::from_u64(5, 32);
-        st.sigs_out[wd.0 as usize] = Bits::from_u64(0xFEED, 64);
-        st.sigs_out[we.0 as usize] = Bits::from_u64(1, 1);
+        put(&mut st, b.addr, 5);
+        put(&mut st, b.wdata, 0xFEED);
+        put(&mut st, b.we, 1);
         ram.step(&prog, &mut st);
-        st.sigs_out[we.0 as usize] = Bits::from_u64(0, 1);
+        put(&mut st, b.we, 0);
         ram.step(&prog, &mut st);
-        assert_eq!(st.signal(&prog, "m_rdata").unwrap().to_u64(), 0xFEED);
+        assert_eq!(read(&st, b.rdata), 0xFEED);
 
         // Out-of-range address reads zero and writes are dropped.
-        st.sigs_out[addr.0 as usize] = Bits::from_u64(999, 32);
+        put(&mut st, b.addr, 999);
         ram.step(&prog, &mut st);
-        assert_eq!(st.signal(&prog, "m_rdata").unwrap().to_u64(), 0);
+        assert_eq!(read(&st, b.rdata), 0);
     }
 }

@@ -6,9 +6,9 @@
 //!
 //! * [`RtlMachine`] — one 5 ns clock edge per step, with a state-occupancy
 //!   profiler,
-//! * behavioural IP-block models ([`ipblocks`]) with signal-level
-//!   protocols: CAM, Pearson hash (Figure 5), FIFO, the Figure 9 LRU
-//!   queue, and BRAM,
+//! * IP blocks ([`ipblocks`]): each block's port handle and the
+//!   behavioural model built from it — CAM, Pearson hash (Figure 5),
+//!   FIFO, the Figure 9 LRU queue, and BRAM,
 //! * AXI4-Stream framing ([`axis`]) matching the SUME 256-bit datapath,
 //! * VCD waveform dumping ([`vcd`]) for debugging without an RTL
 //!   simulator.
@@ -20,12 +20,10 @@ pub mod ipblocks;
 pub mod vcd;
 
 pub use axis::{beats_for_len, beats_to_frame, frame_to_beats, Beat, BEAT_BYTES};
-pub use cam::{
-    CamPair, CamSnapshot, CamStats, CamTable, PartnerKeyFn, RemoveCause, Removed, WriteEffect,
-};
+pub use cam::{CamPair, CamStats, CamTable, PartnerKeyFn, RemoveCause, Removed, WriteEffect};
 pub use exec::{ExecBackend, RtlMachine};
 pub use ipblocks::{
-    BramModel, CamModel, ChainEnv, FifoModel, IpBlockModel, IpEnv, NaughtyQModel, PairedCamModel,
-    PearsonHashModel,
+    BramIf, BramModel, CamDeleteIf, CamIf, CamModel, FifoIf, FifoModel, HashIf, IpBlockModel,
+    IpEnv, LruIf, NaughtyQIf, NaughtyQModel, PairedCamModel, PearsonHashModel,
 };
 pub use vcd::VcdTrace;

@@ -257,20 +257,10 @@ pub fn lru_cache() -> Service {
 
     pb.thread("main", vec![forever(body)]);
     let prog = pb.build().expect("cache program is well-formed");
-    Service::with_env(prog, || {
+    Service::with_sized_env(prog, move |_| {
         let mut env = IpEnv::new();
-        env.attach(Box::new(CamModel::new(
-            "lru_cam",
-            2 * CACHE_SLOTS,
-            CAM_KEY_BITS,
-            16,
-            false,
-        )));
-        env.attach(Box::new(NaughtyQModel::new(
-            "lru_q",
-            CACHE_SLOTS,
-            TAGGED_BITS,
-        )));
+        env.attach(Box::new(CamModel::new(&lru.cam, 2 * CACHE_SLOTS, false)));
+        env.attach(Box::new(NaughtyQModel::new(&lru.q, CACHE_SLOTS)));
         env
     })
 }

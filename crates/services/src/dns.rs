@@ -197,13 +197,13 @@ pub fn dns_server(zone: Vec<(String, Ipv4)>) -> Service {
     pb.thread("main", vec![forever(body)]);
     let prog = pb.build().expect("dns program is well-formed");
 
-    Service::with_env(prog, move || {
-        let mut cam = CamModel::new("zone", ZONE_ENTRIES, KEY_BITS, 32, false);
+    Service::with_sized_env(prog, move |_| {
+        let mut model = CamModel::new(&cam, ZONE_ENTRIES, false);
         for (name, addr) in &zone {
-            cam.insert(dns_key(name), Bits::from_u64(u64::from(addr.0), 32));
+            model.insert(dns_key(name), Bits::from_u64(u64::from(addr.0), 32));
         }
         let mut env = IpEnv::new();
-        env.attach(Box::new(cam));
+        env.attach(Box::new(model));
         env
     })
 }

@@ -11,10 +11,10 @@
 //! learning switch's forwarding decision — code generation, exactly as
 //! the paper's tool does.
 
+use crate::switch::mac_table_env;
 use emu_core::ipblock::CamIf;
 use emu_core::proto::Ipv4Wrapper;
 use emu_core::{service_builder, Service};
-use emu_rtl::{CamModel, IpEnv};
 use emu_types::proto::{ether_type, ip_proto, offset};
 use emu_types::Ipv4;
 use kiwi_ir::dsl::*;
@@ -265,11 +265,7 @@ pub fn filter_switch(rules: &[FilterRule], default: FilterAction) -> Service {
 
     pb.thread("main", vec![forever(body)]);
     let prog = pb.build().expect("filter program is well-formed");
-    Service::with_env(prog, || {
-        let mut env = IpEnv::new();
-        env.attach(Box::new(CamModel::new("cam", 256, 48, 8, false)));
-        env
-    })
+    Service::with_sized_env(prog, move |cfg| mac_table_env(&cam, cfg))
 }
 
 /// Parses a list of rule lines and builds the filter switch.
@@ -313,6 +309,27 @@ mod tests {
     fn single_port_shorthand() {
         let r = parse_rule("-p udp --dport 53 -j DROP").unwrap();
         assert_eq!(r.dport, Some((53, 53)));
+    }
+
+    #[test]
+    fn table_config_reaches_the_mac_table() {
+        // The filter learns into the switch's MAC table, so the engine's
+        // table sizing and aging must reach it: five stations overflow a
+        // 4-entry table, and a 2-frame TTL ages the first ones out.
+        let svc = filter_switch(&[], FilterAction::Accept);
+        let mut small = svc.engine(Target::Cpu).table_entries(4).build().unwrap();
+        let mut aged = svc.engine(Target::Cpu).ttl_frames(2).build().unwrap();
+        for station in 1..=5 {
+            let src = emu_types::MacAddr::from_u64(station);
+            let dst = emu_types::MacAddr::from_u64(0xFF);
+            let f = emu_types::Frame::ethernet(dst, src, ether_type::IPV4, &[0; 46]);
+            small.process(&f).unwrap();
+            aged.process(&f).unwrap();
+        }
+        let cam = |e: &emu_core::Engine| e.telemetry().unwrap().total().cams[0].clone();
+        assert_eq!(cam(&small).capacity, 4);
+        assert!(cam(&small).evictions > 0, "{:?}", cam(&small));
+        assert!(cam(&aged).expiries > 0, "{:?}", cam(&aged));
     }
 
     #[test]

@@ -70,8 +70,8 @@ pub fn memcached() -> Service {
     let (mut pb, dp) = service_builder("emu_memcached", FRAME_CAP);
     let ip = Ipv4Wrapper::new(dp);
     let udp = UdpWrapper::new(dp);
-    let cam = CamIf::declare(&mut pb, "store", CAM_KEY_BITS, (VALUE_BYTES as u16) * 8);
-    let del = CamDeleteIf::declare(&mut pb, "store", CAM_KEY_BITS);
+    let mut cam = CamIf::declare(&mut pb, "store", CAM_KEY_BITS, (VALUE_BYTES as u16) * 8);
+    let del = CamDeleteIf::declare(&mut pb, &mut cam);
 
     let scratch48 = pb.reg("scratch48", 48);
     let scratch32 = pb.reg("scratch32", 32);
@@ -317,13 +317,7 @@ pub fn memcached() -> Service {
     Service::with_sized_env(prog, move |cfg| {
         let entries = cfg.entries.unwrap_or(STORE_ENTRIES);
         let mut env = IpEnv::new();
-        env.attach(Box::new(CamModel::new(
-            "store",
-            entries,
-            CAM_KEY_BITS,
-            (VALUE_BYTES as u16) * 8,
-            false,
-        )));
+        env.attach(Box::new(CamModel::new(&cam, entries, false)));
         env
     })
 }

@@ -312,8 +312,8 @@ pub fn nat(public_ip: Ipv4) -> Service {
         let entries = cfg.entries.unwrap_or(NAT_ENTRIES);
         let mut env = IpEnv::new();
         env.attach(Box::new(PairedCamModel::new(
-            "fwd",
-            "rev",
+            &fwd,
+            &rev,
             nat_cam_pair(entries, cfg.ttl_frames),
             false,
         )));
@@ -588,51 +588,6 @@ mod tests {
         let out = inst.process(&stale).unwrap();
         assert_eq!(out.tx.len(), 1, "the port now belongs to flow 4444");
         assert_eq!(bitutil::get16(out.tx[0].frame.bytes(), 36), 4444);
-    }
-
-    #[test]
-    fn ttl_ns_bridges_wall_clock_onto_the_frame_epoch() {
-        // `ttl_ns(t, ns_per_frame)` must configure exactly the engine
-        // `ttl_frames(ceil(t / ns_per_frame))` does: same aging
-        // sequence, same expiry, same port reuse. 2 s at one frame per
-        // 0.9 s rounds *up* to a 3-frame epoch (never early expiry).
-        let svc = nat(public());
-        let run = |build: &dyn Fn() -> emu_core::Engine| {
-            let mut inst = build();
-            inst.process(&udp_frame(internal(), 3333, remote(), 53, 2))
-                .unwrap();
-            // Two other-flow frames: 2 idle epochs — not yet expired
-            // under the 3-frame TTL, so the reply still translates.
-            for i in 0..2u16 {
-                inst.process(&udp_frame(internal(), 5000 + i, remote(), 53, 2))
-                    .unwrap();
-            }
-            let alive = inst
-                .process(&udp_frame(remote(), 53, public(), FIRST_EPHEMERAL, 0))
-                .unwrap()
-                .tx
-                .len();
-            // The reply touched the mapping; now let it idle past TTL.
-            for i in 0..4u16 {
-                inst.process(&udp_frame(internal(), 6000 + i, remote(), 123, 2))
-                    .unwrap();
-            }
-            let expired = inst
-                .process(&udp_frame(remote(), 53, public(), FIRST_EPHEMERAL, 0))
-                .unwrap()
-                .tx
-                .len();
-            (alive, expired)
-        };
-        let by_frames = run(&|| svc.engine(Target::Cpu).ttl_frames(3).build().unwrap());
-        let by_ns = run(&|| {
-            svc.engine(Target::Cpu)
-                .ttl_ns(2_000_000_000.0, 900_000_000.0)
-                .build()
-                .unwrap()
-        });
-        assert_eq!(by_frames, (1, 0), "alive inside TTL, dead past it");
-        assert_eq!(by_ns, by_frames, "the ns bridge is the frame TTL");
     }
 
     #[test]

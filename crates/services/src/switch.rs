@@ -15,9 +15,8 @@
 //!   forward or broadcast, with the `free` pointer wrap of line 17.
 
 use emu_core::ipblock::CamIf;
-use emu_core::{service_builder, Service};
+use emu_core::{service_builder, Service, TableConfig};
 use emu_rtl::{CamModel, IpEnv};
-use kiwi::resources::IpBlock;
 use kiwi_ir::dsl::*;
 use kiwi_ir::program::ArrayBacking;
 use kiwi_ir::{ArrId, Expr};
@@ -66,28 +65,22 @@ pub fn switch_ip_cam() -> Service {
 
     pb.thread("main", vec![forever(body)]);
     let prog = pb.build().expect("switch program is well-formed");
-    // Table sizing/aging comes from the engine's TableConfig: a Cpu
-    // deployment can hold millions of MACs, and a TTL gives the learned
-    // entries IEEE-style aging (an idle station's entry expires and its
-    // traffic floods again until re-learned).
-    Service::with_sized_env(prog, move |cfg| {
-        let entries = cfg.entries.unwrap_or(TABLE_ENTRIES);
-        let mut env = IpEnv::new();
-        env.attach(Box::new(
-            CamModel::new("cam", entries, 48, 8, false).with_ttl(cfg.ttl_frames),
-        ));
-        env
-    })
+    Service::with_sized_env(prog, move |cfg| mac_table_env(&cam, cfg))
 }
 
-/// IP blocks used by [`switch_ip_cam`], for resource accounting.
-pub fn switch_ip_cam_blocks() -> Vec<IpBlock> {
-    vec![IpBlock::Cam {
-        entries: TABLE_ENTRIES,
-        key_bits: 48,
-        value_bits: 8,
-        native: false,
-    }]
+/// The learning switch's environment: its MAC table behind `cam`.
+/// Sizing/aging comes from the engine's [`TableConfig`]: a Cpu
+/// deployment can hold millions of MACs, and a TTL gives the learned
+/// entries IEEE-style aging (an idle station's entry expires and its
+/// traffic floods again until re-learned). Shared with the filter
+/// switch, which learns exactly the same way.
+pub(crate) fn mac_table_env(cam: &CamIf, cfg: &TableConfig) -> IpEnv {
+    let entries = cfg.entries.unwrap_or(TABLE_ENTRIES);
+    let mut env = IpEnv::new();
+    env.attach(Box::new(
+        CamModel::new(cam, entries, false).with_ttl(cfg.ttl_frames),
+    ));
+    env
 }
 
 /// Balanced-tree parallel match over a program array: returns

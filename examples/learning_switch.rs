@@ -6,7 +6,8 @@
 
 use emu::platform::{timing, NativeCore, RefSwitchCore};
 use emu::prelude::*;
-use emu::services::switch::{switch_ip_cam, switch_ip_cam_blocks};
+use emu::services::switch::switch_ip_cam;
+use emu::stdlib::TableConfig;
 
 fn frame(src: u64, dst: u64, port: u8) -> Frame {
     let mut f = Frame::ethernet(
@@ -71,7 +72,7 @@ fn main() {
 
     // --- resources vs the hand-written reference ------------------------
     let fsm = compile(&svc.program).expect("compile");
-    let emu_res = estimate(&fsm, &switch_ip_cam_blocks());
+    let emu_res = estimate(&fsm, &(svc.make_env)(&TableConfig::default()).resources());
     let ref_res = RefSwitchCore::new().resources();
     println!("\n== utilization ==");
     println!(

@@ -158,10 +158,16 @@
 //! ## Stateful tables at scale
 //!
 //! Every stateful service keeps its per-flow state in
-//! [`rtl::CamTable`] — a hashed, cache-conscious index behind the same
-//! CAM port protocol the RTL IP blocks speak — so lookups and writes
-//! are O(1) in resident entries whether a table holds 10^3 or 10^6
-//! flows. An entry costs what its declared geometry says, not what a
+//! [`rtl::CamTable`] — a hashed, cache-conscious index behind the CAM
+//! IP block's port protocol — so lookups and writes are O(1) in
+//! resident entries whether a table holds 10^3 or 10^6 flows. The
+//! service declares the block once: [`rtl::CamIf::declare`] puts the
+//! ports on the program and returns their handle, the program's
+//! `lookup`/`write` statements and the [`rtl::CamModel`] in the
+//! environment recipe are both made from that handle, and the engine
+//! checks the binding once at build — no port is looked up by name
+//! while frames flow, and a handle from the wrong program is a build
+//! error, not an inert table. An entry costs what its declared geometry says, not what a
 //! 72-byte [`Bits`](types::Bits) does: `8 × (⌈key_bits/64⌉ +
 //! ⌈value_bits/64⌉ + 1)` bytes in one flat `u64` slab (key limbs, value
 //! limbs, last-touch stamp — 24 B for the switch's 48-bit MAC → port

@@ -30,7 +30,7 @@ use kiwi_ir::dsl::*;
 // `dsl::sig` would be shadowed by `sig: &Sig` parameters below.
 use kiwi_ir::dsl::sig as dsl_sig;
 use kiwi_ir::interp::{Env, Machine, MachineState, NullEnv, Observer};
-use kiwi_ir::program::{ArrId, ArrayBacking, Program, SigId, VarId};
+use kiwi_ir::program::{ArrId, ArrayBacking, Program, SigDir, SigId, VarId};
 use kiwi_ir::{flatten, CompiledMachine, Expr, Stmt};
 use proptest::prelude::*;
 
@@ -322,11 +322,13 @@ struct Pump;
 
 impl Env for Pump {
     fn tick(&mut self, cycle: u64, prog: &Program, st: &mut MachineState) {
-        for (i, name) in ["in_a", "in_b"].iter().enumerate() {
+        let signals = prog.signals().iter().enumerate();
+        let inputs = signals.filter(|(_, d)| d.dir == SigDir::In);
+        for (i, (id, d)) in inputs.enumerate() {
             let mut z = cycle.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1));
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            st.drive(prog, name, Bits::from_u64(z ^ (z >> 31), 80));
+            st.sigs_in[id] = Bits::from_u64(z ^ (z >> 31), 80).resize(d.width);
         }
     }
 }

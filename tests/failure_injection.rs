@@ -297,8 +297,8 @@ impl emu::rtl::IpBlockModel for PanicsOnFrame {
     fn step(&mut self, _prog: &emu::ir::Program, _st: &mut emu::ir::MachineState) {
         assert!(self.seen < self.at, "planted model bug");
     }
-    fn resources(&self) -> IpBlock {
-        IpBlock::Hash
+    fn resources(&self) -> Vec<IpBlock> {
+        vec![IpBlock::Hash]
     }
     fn frame_start(&mut self) {
         self.seen += 1;
@@ -439,4 +439,111 @@ fn malformed_direction_packets_rejected() {
         .process(&s::memcached::request_frame("get zz\r\n", 1))
         .unwrap();
     assert_eq!(s::memcached::reply_text(&out.tx[0].frame), b"END\r\n");
+}
+
+/// A service whose program drives one IP block per frame; `declare`
+/// puts the block's ports on the program and returns what the recipe
+/// needs, `attach` builds the model.
+fn block_service<H: 'static>(
+    declare: impl FnOnce(&mut ProgramBuilder) -> (H, Vec<emu::ir::Stmt>),
+    attach: impl Fn(&H) -> Box<dyn emu::rtl::IpBlockModel> + 'static,
+) -> Service {
+    let (mut pb, dp) = emu::stdlib::service_builder("block_user", 128);
+    let (handle, request) = declare(&mut pb);
+    let mut body = vec![dp.rx_wait()];
+    body.extend(request);
+    body.extend(dp.done());
+    pb.thread("main", vec![dsl::forever(body)]);
+    Service::with_sized_env(pb.build().unwrap(), move |_| {
+        let mut env = emu::rtl::IpEnv::new();
+        env.attach(attach(&handle));
+        env
+    })
+}
+
+/// The message of the `EngineError::Build` that `svc` must fail with.
+fn build_error(svc: &Service, target: Target) -> String {
+    match svc.engine(target).build() {
+        Err(EngineError::Build(msg)) => msg,
+        Err(other) => panic!("expected a build error, got {other}"),
+        Ok(_) => panic!("expected a build error, got an engine"),
+    }
+}
+
+#[test]
+fn model_on_another_programs_handle_is_a_build_error() {
+    // The same CAM declared one signal later in a second program: every
+    // port of that handle names a neighbour's signal in the first
+    // program, and the last one is past its end. Attaching a model built
+    // from it must fail the build and name the block — before any cycle
+    // indexes the signal arrays with it.
+    use emu::rtl::{CamIf, CamModel};
+    let mut other = ProgramBuilder::new("other");
+    other.sig_out("pad", 1);
+    let _dp = emu::stdlib::Dataplane::declare(&mut other, 128);
+    let foreign = CamIf::declare(&mut other, "tbl", 16, 8);
+
+    let wired = |foreign: Option<CamIf>| {
+        block_service(
+            |pb| {
+                let own = CamIf::declare(pb, "tbl", 16, 8);
+                let request = own.lookup(dsl::lit(1, 16));
+                (foreign.unwrap_or(own), request)
+            },
+            |cam| Box::new(CamModel::new(cam, 4, false)),
+        )
+    };
+    for target in [Target::Cpu, Target::Fpga] {
+        let msg = build_error(&wired(Some(foreign.clone())), target);
+        assert!(msg.contains("IP block `tbl`"), "{msg}");
+        // The program's own handle builds and serves.
+        let mut engine = wired(None).engine(target).build().unwrap();
+        engine.process(&Frame::new(vec![0; 60])).unwrap();
+    }
+}
+
+#[test]
+fn zero_capacity_naughtyq_is_a_build_error() {
+    // A slot store with no slots has nothing to evict on the first
+    // Enlist; like `table_entries(0)`, that is a configuration mistake
+    // reported at build, not a panic on the first frame.
+    use emu::rtl::{NaughtyQIf, NaughtyQModel};
+    let with_slots = |cap: usize| {
+        block_service(
+            |pb| {
+                let q = NaughtyQIf::declare(pb, "slots", 8);
+                let request = q.enlist(dsl::lit(7, 8));
+                (q, request)
+            },
+            move |q| Box::new(NaughtyQModel::new(q, cap)),
+        )
+    };
+    let msg = build_error(&with_slots(0), Target::Cpu);
+    assert!(msg.contains("IP block `slots`"), "{msg}");
+    // One slot is enough to enlist (and evict) forever.
+    let mut engine = with_slots(1).engine(Target::Cpu).build().unwrap();
+    for _ in 0..3 {
+        engine.process(&Frame::new(vec![0; 60])).unwrap();
+    }
+}
+
+#[test]
+fn extend_program_preserves_every_base_signal() {
+    // IP-block models index signals by the ids their handles were
+    // declared with, and directed services re-wrap the base recipe
+    // around the extended program — so the transformation must keep
+    // every base signal's index, name, direction and width.
+    for base in [
+        s::memcached::memcached(),
+        s::nat::nat("203.0.113.1".parse().unwrap()),
+        s::switch_ip_cam(),
+        s::lru_cache(),
+    ] {
+        let cfg = ControllerConfig::full(&[], 8);
+        let ext = extend_program(&base.program, &cfg).unwrap();
+        let kept = &ext.signals()[..base.program.signals().len()];
+        assert_eq!(kept, base.program.signals(), "{}", base.program.name);
+        let env = (base.make_env)(&emu::stdlib::TableConfig::default());
+        env.check(&ext).unwrap();
+    }
 }
