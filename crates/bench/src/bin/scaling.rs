@@ -6,16 +6,11 @@
 //!
 //! Run: `cargo run --release -p emu-bench --bin scaling`
 
+use emu_bench::memcached_frame;
 use emu_core::Target;
-use emu_services::memcached::{self, memcached};
-use hoststack::{McOp, Memaslap};
+use emu_services::memcached::memcached;
+use hoststack::Memaslap;
 use netfpga_sim::MultiCoreSim;
-
-fn frame_of(op: &McOp, i: u64) -> emu_types::Frame {
-    let mut f = memcached::request_frame(&op.request_body(), i as u16);
-    f.in_port = (i % 4) as u8;
-    f
-}
 
 /// Runs `n` requests of a 90/10 mix through a `cores`-wide pipeline.
 fn run(cores: usize, n: usize, seed: u64) -> f64 {
@@ -36,15 +31,15 @@ fn run(cores: usize, n: usize, seed: u64) -> f64 {
     // Warm every core with the keyspace (SETs replicate).
     let mut t = 0.0;
     for (i, op) in gen.warmup().iter().enumerate() {
-        sim.inject(&frame_of(op, i as u64), t, i % 4, true)
-            .expect("warm");
+        let f = memcached_frame(&op.request_body(), i as u64);
+        sim.inject(&f, t, i % 4, true).expect("warm");
         t += 5_000.0;
     }
     // Offered load beyond single-core capacity.
     let gap = 100.0;
     for (i, op) in gen.ops(n).iter().enumerate() {
-        sim.inject(&frame_of(op, i as u64), t, i % 4, op.is_set())
-            .expect("inject");
+        let f = memcached_frame(&op.request_body(), i as u64);
+        sim.inject(&f, t, i % 4, op.is_set()).expect("inject");
         t += gap;
     }
     sim.throughput_rps()

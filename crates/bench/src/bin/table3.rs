@@ -4,9 +4,10 @@
 //!
 //! Run: `cargo run --release -p emu-bench --bin table3`
 
-use emu_bench::{emu_pipeline, line_rate_mpps, switch_frame};
+use emu_bench::{emu_pipeline, line_rate_mpps};
 use emu_core::{TableConfig, Target};
 use emu_services::switch::switch_ip_cam;
+use emu_types::wire::l2_frame as switch_frame;
 use netfpga_sim::{CoreMode, NativeCore, P4FpgaCore, PipelineSim, RefSwitchCore};
 
 fn main() {

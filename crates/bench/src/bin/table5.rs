@@ -5,7 +5,9 @@
 //! Run: `cargo run --release -p emu-bench --bin table5`
 
 use direction::{extend_program, ControllerConfig};
-use emu_bench::{bench_zone, emu_latency, emu_throughput, pct, pnr_factor};
+use emu_bench::{
+    bench_zone, dns_request, emu_latency, emu_throughput, memcached_request, pct, pnr_factor,
+};
 use emu_core::Service;
 use emu_services::{dns, memcached};
 use emu_types::Frame;
@@ -15,25 +17,6 @@ struct Artefact {
     build: fn() -> Service,
     request: fn(u64) -> Frame,
     ctl_vars: &'static [&'static str],
-}
-
-fn dns_request(i: u64) -> Frame {
-    let names = ["example.com", "emu.cam.ac.uk", "a.b", "cache.io"];
-    let mut f = dns::query_frame(names[(i % 4) as usize], i as u16);
-    f.in_port = (i % 4) as u8;
-    f
-}
-
-fn mc_request(i: u64) -> Frame {
-    let key = format!("k{:04}", i % 64);
-    let body = if i % 10 == 9 {
-        format!("set {key} 0 0 8\r\nVALUE{:03}\r\n", i % 1000)
-    } else {
-        format!("get {key}\r\n")
-    };
-    let mut f = memcached::request_frame(&body, i as u16);
-    f.in_port = (i % 4) as u8;
-    f
 }
 
 fn variants(vars: &[&str]) -> Vec<(&'static str, Option<ControllerConfig>)> {
@@ -63,7 +46,7 @@ fn main() {
         Artefact {
             name: "memcached",
             build: memcached::memcached,
-            request: mc_request,
+            request: memcached_request,
             ctl_vars: &["n_get", "n_set", "n_hit"],
         },
     ];

@@ -10,7 +10,8 @@
 
 use emu_core::{Service, Target};
 use emu_services::{dns, icmp, memcached, nat, tcp_ping};
-use emu_types::{Frame, Ipv4, MacAddr, Summary};
+use emu_types::wire::l2_frame as switch_frame;
+use emu_types::{Frame, Ipv4, Summary};
 
 use kiwi_ir::IrResult;
 use netfpga_sim::{timing, CoreMode, PipelineSim};
@@ -52,22 +53,31 @@ pub fn bench_zone() -> Vec<(String, Ipv4)> {
     ]
 }
 
-fn dns_request(i: u64) -> Frame {
+/// The `i`-th DNS query of the benches: the four zone names in turn,
+/// arriving round-robin over the four ports.
+pub fn dns_request(i: u64) -> Frame {
     let names = ["example.com", "emu.cam.ac.uk", "a.b", "cache.io"];
     let mut f = dns::query_frame(names[(i % 4) as usize], i as u16);
     f.in_port = (i % 4) as u8;
     f
 }
 
-fn memcached_request(i: u64) -> Frame {
-    // 90/10 GET/SET over a small hot keyset (pre-warmed by the harness).
+/// The `i`-th memcached request of the benches: 90/10 GET/SET over a
+/// small hot keyset (pre-warmed by the harness).
+pub fn memcached_request(i: u64) -> Frame {
     let key = format!("k{:04}", i % 64);
     let body = if i % 10 == 9 {
         format!("set {key} 0 0 8\r\nVALUE{:03}\r\n", i % 1000)
     } else {
         format!("get {key}\r\n")
     };
-    let mut f = memcached::request_frame(&body, i as u16);
+    memcached_frame(&body, i)
+}
+
+/// Request `i` carrying ASCII `body`, arriving round-robin over the
+/// four ports.
+pub fn memcached_frame(body: &str, i: u64) -> Frame {
+    let mut f = memcached::request_frame(body, i as u16);
     f.in_port = (i % 4) as u8;
     f
 }
@@ -75,15 +85,13 @@ fn memcached_request(i: u64) -> Frame {
 fn nat_request(i: u64) -> Frame {
     // A modest set of flows from the internal side.
     let sport = 2000 + (i % 32) as u16;
-    let mut f = nat::udp_frame(
+    nat::udp_frame(
         "192.168.1.50".parse().expect("valid"),
         sport,
         "8.8.8.8".parse().expect("valid"),
         53,
         1 + (i % 3) as u8,
-    );
-    f.in_port = 1 + (i % 3) as u8;
-    f
+    )
 }
 
 fn icmp_request(i: u64) -> Frame {
@@ -211,19 +219,6 @@ pub fn emu_throughput(
     let t_first = recs.iter().map(|r| r.t_in_ns).fold(f64::INFINITY, f64::min);
     let t_last = outs.iter().fold(0.0f64, |a, &b| a.max(b));
     Ok(outs.len() as f64 / ((t_last - t_first) / 1e9))
-}
-
-/// A minimum-size Ethernet frame `src` → `dst` arriving on `port`, as
-/// the Table 3 switch runs use.
-pub fn switch_frame(src: u64, dst: u64, port: u8) -> Frame {
-    let mut f = Frame::ethernet(
-        MacAddr::from_u64(dst),
-        MacAddr::from_u64(src),
-        0x0800,
-        &[0; 46],
-    );
-    f.in_port = port;
-    f
 }
 
 /// Table 3's throughput column: teaches a switch one station per port,

@@ -1082,6 +1082,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::runner::service_builder;
+    use crate::runner::tests::flow_frame;
     use kiwi_ir::dsl::*;
 
     fn port_mirror() -> Service {
@@ -1091,24 +1092,6 @@ mod tests {
         body.extend(dp.done());
         pb.thread("main", vec![forever(body)]);
         Service::new(pb.build().unwrap())
-    }
-
-    fn flow_frame(src_mac: u64, sport: u16, len: usize) -> Frame {
-        use emu_types::{bitutil, MacAddr};
-        let mut ip = vec![
-            0x45, 0, 0, 40, 0, 0, 0x40, 0, 64, 17, 0, 0, 10, 0, 0, 1, 10, 0, 0, 2,
-        ];
-        let mut udp = vec![0u8; 8];
-        bitutil::set16(&mut udp, 0, sport);
-        bitutil::set16(&mut udp, 2, 53);
-        ip.extend_from_slice(&udp);
-        ip.resize(len.max(28), 0xaa);
-        Frame::ethernet(
-            MacAddr::from_u64(0xB),
-            MacAddr::from_u64(src_mac),
-            0x0800,
-            &ip,
-        )
     }
 
     #[test]

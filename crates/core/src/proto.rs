@@ -451,34 +451,23 @@ mod tests {
     use super::*;
     use crate::dataplane::Dataplane;
     use emu_rtl::RtlMachine;
-    use emu_types::proto::{ether_type, ip_proto};
-    use emu_types::{Frame, MacAddr};
+    use emu_types::proto::ip_proto;
+    use emu_types::{wire, Frame, Ipv4, MacAddr};
     use kiwi_ir::interp::{NullEnv, NullObserver};
     use kiwi_ir::ProgramBuilder;
     use netfpga_sim::DataplaneDriver;
 
     /// Builds a valid ICMP echo request frame for tests.
-    pub(crate) fn icmp_echo_request() -> Frame {
-        let mut ip = vec![
-            0x45, 0x00, 0x00, 0x54, 0x12, 0x34, 0x40, 0x00, 0x40, 0x01, 0, 0, // csum
-            10, 0, 0, 1, // src
-            10, 0, 0, 2, // dst
-        ];
-        let c = emu_types::checksum::internet_checksum(&ip);
-        ip[10] = (c >> 8) as u8;
-        ip[11] = c as u8;
-        let mut icmp = vec![8, 0, 0, 0, 0x12, 0x34, 0x00, 0x01];
-        icmp.extend_from_slice(&[0x61; 56]);
-        let cc = emu_types::checksum::internet_checksum(&icmp);
-        icmp[2] = (cc >> 8) as u8;
-        icmp[3] = cc as u8;
-        let mut payload = ip;
-        payload.extend_from_slice(&icmp);
-        Frame::ethernet(
-            MacAddr::from_u64(0x02_00_00_00_00_01),
+    fn icmp_echo_request() -> Frame {
+        wire::ipv4_frame(
             MacAddr::from_u64(0x02_00_00_00_00_02),
-            ether_type::IPV4,
-            &payload,
+            MacAddr::from_u64(0x02_00_00_00_00_01),
+            Ipv4::new(10, 0, 0, 1),
+            Ipv4::new(10, 0, 0, 2),
+            ip_proto::ICMP,
+            0x1234,
+            &wire::echo_request(0x1234, 1, &[0x61; 56]),
+            0,
         )
     }
 

@@ -384,7 +384,7 @@ pub fn service_builder(name: &str, frame_capacity: usize) -> (kiwi_ir::ProgramBu
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use kiwi_ir::dsl::*;
 
@@ -419,21 +419,19 @@ mod tests {
         assert!(assert_targets_agree(&svc, &[Frame::new(vec![0; 60])]).is_ok());
     }
 
-    fn flow_frame(src_mac: u64, sport: u16, len: usize) -> Frame {
-        use emu_types::{bitutil, MacAddr};
-        let mut ip = vec![
-            0x45, 0, 0, 40, 0, 0, 0x40, 0, 64, 17, 0, 0, 10, 0, 0, 1, 10, 0, 0, 2,
-        ];
-        let mut udp = vec![0u8; 8];
-        bitutil::set16(&mut udp, 0, sport);
-        bitutil::set16(&mut udp, 2, 53);
-        ip.extend_from_slice(&udp);
-        ip.resize(len.max(28), 0xaa);
-        Frame::ethernet(
-            MacAddr::from_u64(0xB),
+    /// A UDP frame of flow `{src_mac, sport}` carrying `len` bytes of
+    /// IP packet (header included), shared with the engine's tests.
+    pub(crate) fn flow_frame(src_mac: u64, sport: u16, len: usize) -> Frame {
+        use emu_types::{proto::ip_proto, wire, Ipv4, MacAddr};
+        wire::ipv4_frame(
             MacAddr::from_u64(src_mac),
-            0x0800,
-            &ip,
+            MacAddr::from_u64(0xB),
+            Ipv4::new(10, 0, 0, 1),
+            Ipv4::new(10, 0, 0, 2),
+            ip_proto::UDP,
+            0,
+            &wire::udp_segment(sport, 53, &vec![0xaa; len.saturating_sub(28)]),
+            0,
         )
     }
 

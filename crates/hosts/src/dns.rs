@@ -10,8 +10,8 @@
 
 use crate::client::{Classify, Client, ClientConfig, RequestProto, Sent};
 use emu_types::proto::{ether_type, ip_proto, offset, port};
+use emu_types::wire;
 use emu_types::{bitutil, Frame, Ipv4, MacAddr};
-use hoststack::dns_wire;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -74,14 +74,8 @@ impl RequestProto for DnsProto {
     fn build(&mut self, serial: u64) -> Frame {
         let idx = self.rng.gen_range(0..self.names.len());
         self.pending = Some(idx);
-        let qname = dns_wire(&self.names[idx].0);
-        let mut dns = Vec::with_capacity(12 + qname.len() + 4);
-        dns.extend_from_slice(&((serial & 0xffff) as u16).to_be_bytes());
-        dns.extend_from_slice(&[0x01, 0x00]); // RD
-        dns.extend_from_slice(&[0, 1, 0, 0, 0, 0, 0, 0]); // QDCOUNT=1
-        dns.extend_from_slice(&qname);
-        dns.extend_from_slice(&[0, 1, 0, 1]); // QTYPE A, QCLASS IN
-        emu_traffic::build::udp_frame(
+        let dns = wire::dns_query(&self.names[idx].0, serial as u16);
+        wire::udp_frame(
             self.mac,
             self.server_mac,
             self.ip,
@@ -98,7 +92,7 @@ impl RequestProto for DnsProto {
         if frame.dst_mac() != self.mac
             || frame.ethertype() != ether_type::IPV4
             || b.len() < offset::L4 + 8 + 12
-            || b[offset::IPV4_PROTO] != ip_proto::UDP
+            || bitutil::get8(b, offset::IPV4_PROTO) != ip_proto::UDP
             || bitutil::get16(b, offset::L4) != port::DNS
             || bitutil::get16(b, offset::L4 + 2) != self.sport
         {
@@ -127,7 +121,7 @@ impl RequestProto for DnsProto {
             Some(addr) => {
                 // Answer: pointer to the question name, type A, class
                 // IN, TTL, RDLENGTH 4, then the address.
-                let ans = dns + 12 + dns_wire(name).len() + 4;
+                let ans = dns + 12 + wire::dns_name(name).len() + 4;
                 if rcode != 0 || ancount != 1 {
                     (
                         false,
@@ -135,18 +129,13 @@ impl RequestProto for DnsProto {
                             "{name}: expected NOERROR with 1 answer, got rcode {rcode} / {ancount} answers"
                         )),
                     )
-                } else if b.len() < ans + 16 || b[ans..ans + 2] != [0xc0, 0x0c] {
+                } else if b.len() < ans + 16 || bitutil::get16(b, ans) != 0xc00c {
                     (false, Some(format!("{name}: malformed answer section")))
-                } else if b[ans + 12..ans + 16] != addr.octets() {
+                } else if bitutil::get32(b, ans + 12) != addr.0 {
+                    let got = Ipv4(bitutil::get32(b, ans + 12));
                     (
                         false,
-                        Some(format!(
-                            "{name}: answered {}.{}.{}.{}, zone holds {addr}",
-                            b[ans + 12],
-                            b[ans + 13],
-                            b[ans + 14],
-                            b[ans + 15]
-                        )),
+                        Some(format!("{name}: answered {got}, zone holds {addr}")),
                     )
                 } else {
                     (true, None)

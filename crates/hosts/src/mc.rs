@@ -30,8 +30,8 @@
 //! well below the retransmission timeout — [`crate::topo`] asserts it.
 
 use crate::client::{Classify, Client, ClientConfig, RequestProto, Sent};
-use emu_services::memcached::reply_text;
 use emu_types::proto::{ether_type, ip_proto, offset, port};
+use emu_types::wire::{self, reply_text};
 use emu_types::{bitutil, Frame, Ipv4, MacAddr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -143,12 +143,8 @@ impl RequestProto for McProto {
             Op::Get => format!("get {}\r\n", self.keys[key]),
             Op::Del => format!("delete {}\r\n", self.keys[key]),
         };
-        // 8-byte memcached-UDP header: request id, seq 0, count 1.
-        let mut payload = Vec::with_capacity(8 + body.len());
-        payload.extend_from_slice(&((serial & 0xffff) as u16).to_be_bytes());
-        payload.extend_from_slice(&[0, 0, 0, 1, 0, 0]);
-        payload.extend_from_slice(body.as_bytes());
-        let f = emu_traffic::build::udp_frame(
+        let payload = wire::mc_request(&body, serial as u16);
+        let f = wire::udp_frame(
             self.mac,
             self.server_mac,
             self.ip,
@@ -167,7 +163,7 @@ impl RequestProto for McProto {
         if frame.dst_mac() != self.mac
             || frame.ethertype() != ether_type::IPV4
             || b.len() < offset::L4 + 8 + 8
-            || b[offset::IPV4_PROTO] != ip_proto::UDP
+            || bitutil::get8(b, offset::IPV4_PROTO) != ip_proto::UDP
             || bitutil::get16(b, offset::L4) != port::MEMCACHED
             || bitutil::get16(b, offset::L4 + 2) != self.sport
         {

@@ -15,8 +15,8 @@
 //! for the client's current connection are folded into its buffer.
 
 use crate::client::{Classify, Client, ClientConfig, RequestProto, Sent};
-use emu_traffic::build::{tcp_flags, tcp_frame};
-use emu_types::proto::{ether_type, ip_proto, offset};
+use emu_types::proto::{ether_type, ip_proto, offset, tcp_flags};
+use emu_types::wire::tcp_frame;
 use emu_types::{bitutil, Frame, Ipv4, MacAddr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -209,15 +209,15 @@ impl RequestProto for TcpProto {
         if frame.dst_mac() != self.mac
             || frame.ethertype() != ether_type::IPV4
             || b.len() < offset::L4 + 20
-            || b[offset::IPV4_PROTO] != ip_proto::TCP
+            || bitutil::get8(b, offset::IPV4_PROTO) != ip_proto::TCP
             || bitutil::get16(b, offset::L4) != self.dport
         {
             return Classify::NotMine;
         }
         let dst_port = bitutil::get16(b, offset::L4 + 2);
-        let flags = b[offset::L4 + 13];
+        let flags = bitutil::get8(b, offset::L4 + 13);
         // Data-bearing segment for an established stream: reassemble.
-        let data_off = (b[offset::L4 + 12] >> 4) as usize * 4;
+        let data_off = usize::from(bitutil::get8(b, offset::L4 + 12) >> 4) * 4;
         let payload_start = offset::L4 + data_off;
         if flags & tcp_flags::SYN == 0 && b.len() > payload_start {
             let seq = bitutil::get32(b, offset::L4 + 4);

@@ -22,14 +22,3 @@ pub mod workload;
 pub use path::{HostProfile, Stage};
 pub use services::{HostDns, HostIcmpEcho, HostMemcached, HostService};
 pub use workload::{constant_rate_ns, McOp, Memaslap};
-
-/// DNS wire-format name encoding (shared with the resolver and tests).
-pub fn dns_wire(name: &str) -> Vec<u8> {
-    let mut out = Vec::new();
-    for label in name.split('.').filter(|l| !l.is_empty()) {
-        out.push(label.len() as u8);
-        out.extend_from_slice(label.as_bytes());
-    }
-    out.push(0);
-    out
-}

@@ -8,8 +8,8 @@
 //! compiled for the FPGA target — the strongest functional check the
 //! reproduction has.
 
-use emu_types::proto::{ether_type, ip_proto, offset};
-use emu_types::{bitutil, checksum, Frame, Ipv4};
+use emu_types::proto::{ether_type, ip_proto, offset, port};
+use emu_types::{bitutil, checksum, wire, Frame, Ipv4};
 use std::collections::HashMap;
 
 /// A software network function: frames in, frames out.
@@ -18,12 +18,16 @@ pub trait HostService {
     fn process(&mut self, frame: &Frame) -> Vec<Frame>;
 }
 
-fn is_ipv4(b: &[u8]) -> bool {
-    bitutil::get16(b, offset::ETH_TYPE) == ether_type::IPV4 && b[offset::IPV4] >> 4 == 4
+/// True for an option-less IPv4 frame carrying `proto`.
+fn is_plain_ipv4(b: &[u8], proto: u8) -> bool {
+    bitutil::get16(b, offset::ETH_TYPE) == ether_type::IPV4
+        && bitutil::get8(b, offset::IPV4) == 0x45
+        && bitutil::get8(b, offset::IPV4_PROTO) == proto
 }
 
-fn has_options(b: &[u8]) -> bool {
-    b[offset::IPV4] & 0xf != 5
+/// True for an option-less IPv4/UDP frame addressed to `dport`.
+fn is_udp_to(b: &[u8], dport: u16) -> bool {
+    is_plain_ipv4(b, ip_proto::UDP) && bitutil::get16(b, offset::L4 + 2) == dport
 }
 
 fn swap_l2_l3(b: &mut [u8]) {
@@ -35,6 +39,37 @@ fn swap_l2_l3(b: &mut [u8]) {
     }
 }
 
+/// Turns a UDP request into its reply's addressing in place: MACs,
+/// addresses and ports swapped, UDP checksum cleared (absent).
+fn swap_udp_endpoints(b: &mut [u8]) {
+    swap_l2_l3(b);
+    b.swap(offset::L4, offset::L4 + 2);
+    b.swap(offset::L4 + 1, offset::L4 + 3);
+    bitutil::set16(b, offset::L4 + 6, 0);
+}
+
+/// Sets the IP total length (updating the header checksum
+/// incrementally) and the UDP length from the buffer's length.
+fn fix_udp_lengths(out: &mut [u8]) {
+    let new_total = (out.len() - offset::L3) as u16;
+    let old_total = bitutil::get16(out, offset::IPV4 + 2);
+    let c = bitutil::get16(out, offset::IPV4_CSUM);
+    bitutil::set16(out, offset::IPV4 + 2, new_total);
+    bitutil::set16(
+        out,
+        offset::IPV4_CSUM,
+        checksum::update_word(c, old_total, new_total),
+    );
+    let udp_len = (out.len() - offset::L4) as u16;
+    bitutil::set16(out, offset::L4 + 4, udp_len);
+}
+
+fn reply_frame(bytes: Vec<u8>, request: &Frame) -> Vec<Frame> {
+    let mut f = Frame::new(bytes);
+    f.in_port = request.in_port;
+    vec![f]
+}
+
 /// ICMP echo responder (kernel behaviour).
 #[derive(Debug, Default)]
 pub struct HostIcmpEcho;
@@ -42,16 +77,15 @@ pub struct HostIcmpEcho;
 impl HostService for HostIcmpEcho {
     fn process(&mut self, frame: &Frame) -> Vec<Frame> {
         let b = frame.bytes();
-        if !is_ipv4(b)
-            || has_options(b)
-            || b[offset::IPV4_PROTO] != ip_proto::ICMP
-            || b[offset::L4] != 8
-        {
+        if !is_plain_ipv4(b, ip_proto::ICMP) || bitutil::get8(b, offset::L4) != 8 {
             return Vec::new();
         }
-        let total = bitutil::get16(b, offset::IPV4 + 2) as usize;
-        if !checksum::verify(&b[offset::L4..14 + total]) {
-            return Vec::new();
+        // A total length shorter than the headers or running past the
+        // frame is a truncated datagram: nothing to verify, drop.
+        let total = usize::from(bitutil::get16(b, offset::IPV4 + 2));
+        match b.get(offset::L4..offset::L3 + total) {
+            Some(icmp) if checksum::verify(icmp) => {}
+            _ => return Vec::new(),
         }
         let mut out = b.to_vec();
         swap_l2_l3(&mut out);
@@ -62,9 +96,7 @@ impl HostService for HostIcmpEcho {
             offset::L4 + 2,
             checksum::update_word(c, 0x0800, 0x0000),
         );
-        let mut f = Frame::new(out);
-        f.in_port = frame.in_port;
-        vec![f]
+        reply_frame(out, frame)
     }
 }
 
@@ -82,8 +114,9 @@ impl HostDns {
         let map = zone
             .into_iter()
             .map(|(n, a)| {
-                let wire = crate::dns_wire(&n);
-                (wire[..wire.len() - 1].to_vec(), a)
+                let mut name = wire::dns_name(&n);
+                name.pop(); // the zone is keyed without the terminal zero
+                (name, a)
             })
             .collect();
         HostDns {
@@ -96,16 +129,14 @@ impl HostDns {
 impl HostService for HostDns {
     fn process(&mut self, frame: &Frame) -> Vec<Frame> {
         let b = frame.bytes();
-        if !is_ipv4(b)
-            || has_options(b)
-            || b[offset::IPV4_PROTO] != ip_proto::UDP
-            || bitutil::get16(b, offset::L4 + 2) != 53
-            || b[offset::L4 + 8 + 2] & 0x80 != 0
-            || bitutil::get16(b, offset::L4 + 8 + 4) != 1
+        let hdr = offset::L4 + 8;
+        if !is_udp_to(b, port::DNS)
+            || bitutil::get8(b, hdr + 2) & 0x80 != 0
+            || bitutil::get16(b, hdr + 4) != 1
         {
             return Vec::new();
         }
-        let q = offset::L4 + 8 + 12;
+        let q = hdr + 12;
         // Walk the QNAME.
         let mut i = q;
         while i < b.len() && b[i] != 0 && i - q < self.max_name {
@@ -113,15 +144,11 @@ impl HostService for HostDns {
         }
         let too_long = i - q >= self.max_name;
         let mut out = b.to_vec();
-        swap_l2_l3(&mut out);
-        out.swap(offset::L4, offset::L4 + 2);
-        out.swap(offset::L4 + 1, offset::L4 + 3);
-        bitutil::set16(&mut out, offset::L4 + 6, 0); // UDP csum cleared
-        let hdr = offset::L4 + 8;
+        swap_udp_endpoints(&mut out);
         if too_long {
             bitutil::set16(&mut out, hdr + 2, 0x8184);
             bitutil::set16(&mut out, hdr + 6, 0);
-        } else if let Some(addr) = self.zone.get(&b[q..i]) {
+        } else if let Some(addr) = b.get(q..i).and_then(|name| self.zone.get(name)) {
             bitutil::set16(&mut out, hdr + 2, 0x8180);
             bitutil::set16(&mut out, hdr + 6, 1);
             let ans = i + 1 + 4;
@@ -129,24 +156,12 @@ impl HostService for HostDns {
             out.truncate(ans);
             out.extend_from_slice(&record);
             out.extend_from_slice(&addr.octets());
-            let new_total = (out.len() - 14) as u16;
-            let old_total = bitutil::get16(&out, 16);
-            let c = bitutil::get16(&out, offset::IPV4_CSUM);
-            bitutil::set16(&mut out, 16, new_total);
-            bitutil::set16(
-                &mut out,
-                offset::IPV4_CSUM,
-                checksum::update_word(c, old_total, new_total),
-            );
-            let udp_len = (out.len() - 34) as u16;
-            bitutil::set16(&mut out, offset::L4 + 4, udp_len);
+            fix_udp_lengths(&mut out);
         } else {
             bitutil::set16(&mut out, hdr + 2, 0x8183);
             bitutil::set16(&mut out, hdr + 6, 0);
         }
-        let mut f = Frame::new(out);
-        f.in_port = frame.in_port;
-        vec![f]
+        reply_frame(out, frame)
     }
 }
 
@@ -171,17 +186,11 @@ impl HostMemcached {
 impl HostService for HostMemcached {
     fn process(&mut self, frame: &Frame) -> Vec<Frame> {
         let b = frame.bytes();
-        if !is_ipv4(b)
-            || has_options(b)
-            || b[offset::IPV4_PROTO] != ip_proto::UDP
-            || bitutil::get16(b, offset::L4 + 2) != 11211
-        {
+        if !is_udp_to(b, port::MEMCACHED) {
             return Vec::new();
         }
         let cmd = offset::L4 + 8 + 8;
-        let udp_len = bitutil::get16(b, offset::L4 + 4) as usize;
-        let text_end = (offset::L4 + udp_len).min(b.len());
-        let text = &b[cmd..text_end];
+        let text = wire::reply_text(frame);
         let key_of = |rest: &[u8]| -> Option<Vec<u8>> {
             let end = rest.iter().position(|&c| c == b' ' || c == b'\r')?;
             if end == 0 || end > 8 {
@@ -228,53 +237,36 @@ impl HostService for HostMemcached {
         };
         let mut out = b[..cmd].to_vec();
         out.extend_from_slice(&reply);
-        swap_l2_l3(&mut out);
-        out.swap(offset::L4, offset::L4 + 2);
-        out.swap(offset::L4 + 1, offset::L4 + 3);
-        bitutil::set16(&mut out, offset::L4 + 6, 0);
-        let new_total = (out.len() - 14) as u16;
-        let old_total = bitutil::get16(&out, 16);
-        let c = bitutil::get16(&out, offset::IPV4_CSUM);
-        bitutil::set16(&mut out, 16, new_total);
-        bitutil::set16(
-            &mut out,
-            offset::IPV4_CSUM,
-            checksum::update_word(c, old_total, new_total),
-        );
-        let udp_len = (out.len() - 34) as u16;
-        bitutil::set16(&mut out, offset::L4 + 4, udp_len);
-        let mut f = Frame::new(out);
-        f.in_port = frame.in_port;
-        vec![f]
+        swap_udp_endpoints(&mut out);
+        fix_udp_lengths(&mut out);
+        reply_frame(out, frame)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emu_types::MacAddr;
+
+    const CLIENT: Ipv4 = Ipv4(0x0a00_0009);
+    const SERVER: Ipv4 = Ipv4(0x0a00_000a);
+
+    fn mac(x: u64) -> MacAddr {
+        MacAddr::from_u64(x)
+    }
 
     #[test]
     fn icmp_echo_replies_and_validates() {
         let mut svc = HostIcmpEcho;
-        // Reuse a hand-built valid echo request.
-        let mut ip = vec![
-            0x45, 0, 0, 0x54, 0, 0, 0x40, 0, 0x40, 1, 0, 0, 10, 0, 0, 1, 10, 0, 0, 2,
-        ];
-        let c = checksum::internet_checksum(&ip);
-        ip[10] = (c >> 8) as u8;
-        ip[11] = c as u8;
-        let mut icmp = vec![8u8, 0, 0, 0, 0, 1, 0, 2];
-        icmp.extend_from_slice(&[7; 56]);
-        let cc = checksum::internet_checksum(&icmp);
-        icmp[2] = (cc >> 8) as u8;
-        icmp[3] = cc as u8;
-        let mut payload = ip;
-        payload.extend_from_slice(&icmp);
-        let f = Frame::ethernet(
-            emu_types::MacAddr::from_u64(1),
-            emu_types::MacAddr::from_u64(2),
-            ether_type::IPV4,
-            &payload,
+        let f = wire::ipv4_frame(
+            mac(2),
+            mac(1),
+            CLIENT,
+            SERVER,
+            ip_proto::ICMP,
+            0,
+            &wire::echo_request(1, 2, &[7; 56]),
+            0,
         );
         let out = svc.process(&f);
         assert_eq!(out.len(), 1);
@@ -292,62 +284,30 @@ mod tests {
         let mut svc = HostMemcached::default();
         let set = mc_frame("set foo 0 0 8\r\nAAAABBBB\r\n");
         let out = svc.process(&set);
-        assert!(reply_of(&out[0]).starts_with(b"STORED"));
+        assert!(wire::reply_text(&out[0]).starts_with(b"STORED"));
         let get = mc_frame("get foo\r\n");
         let out = svc.process(&get);
-        assert_eq!(reply_of(&out[0]), b"VALUE foo 0 8\r\nAAAABBBB\r\nEND\r\n");
+        assert_eq!(
+            wire::reply_text(&out[0]),
+            b"VALUE foo 0 8\r\nAAAABBBB\r\nEND\r\n"
+        );
         let del = mc_frame("delete foo\r\n");
-        assert!(reply_of(&svc.process(&del)[0]).starts_with(b"DELETED"));
+        assert!(wire::reply_text(&svc.process(&del)[0]).starts_with(b"DELETED"));
         assert!(svc.is_empty());
     }
 
     fn mc_frame(body: &str) -> Frame {
-        let udp_len = 8 + 8 + body.len();
-        let total = 20 + udp_len;
-        let mut ip = vec![
-            0x45,
+        let payload = wire::mc_request(body, 1);
+        wire::udp_frame(
+            mac(2),
+            mac(1),
+            CLIENT,
+            31337,
+            SERVER,
+            port::MEMCACHED,
+            &payload,
             0,
-            (total >> 8) as u8,
-            total as u8,
-            0,
-            1,
-            0x40,
-            0,
-            0x40,
-            17,
-            0,
-            0,
-            10,
-            0,
-            0,
-            9,
-            10,
-            0,
-            0,
-            10,
-        ];
-        let c = checksum::internet_checksum(&ip);
-        ip[10] = (c >> 8) as u8;
-        ip[11] = c as u8;
-        let mut p = ip;
-        p.extend_from_slice(&31337u16.to_be_bytes());
-        p.extend_from_slice(&11211u16.to_be_bytes());
-        p.extend_from_slice(&(udp_len as u16).to_be_bytes());
-        p.extend_from_slice(&[0, 0]);
-        p.extend_from_slice(&[0, 1, 0, 0, 0, 1, 0, 0]);
-        p.extend_from_slice(body.as_bytes());
-        Frame::ethernet(
-            emu_types::MacAddr::from_u64(1),
-            emu_types::MacAddr::from_u64(2),
-            ether_type::IPV4,
-            &p,
         )
-    }
-
-    fn reply_of(f: &Frame) -> Vec<u8> {
-        let b = f.bytes();
-        let udp_len = bitutil::get16(b, 38) as usize;
-        b[50..34 + udp_len].to_vec()
     }
 
     #[test]
@@ -366,47 +326,7 @@ mod tests {
     }
 
     fn dns_frame(name: &str) -> Frame {
-        let qname = crate::dns_wire(name);
-        let udp_len = 8 + 12 + qname.len() + 4;
-        let total = 20 + udp_len;
-        let mut ip = vec![
-            0x45,
-            0,
-            (total >> 8) as u8,
-            total as u8,
-            0,
-            1,
-            0x40,
-            0,
-            0x40,
-            17,
-            0,
-            0,
-            10,
-            0,
-            0,
-            9,
-            10,
-            0,
-            0,
-            53,
-        ];
-        let c = checksum::internet_checksum(&ip);
-        ip[10] = (c >> 8) as u8;
-        ip[11] = c as u8;
-        let mut p = ip;
-        p.extend_from_slice(&4242u16.to_be_bytes());
-        p.extend_from_slice(&53u16.to_be_bytes());
-        p.extend_from_slice(&(udp_len as u16).to_be_bytes());
-        p.extend_from_slice(&[0, 0]);
-        p.extend_from_slice(&[0, 7, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0]);
-        p.extend_from_slice(&qname);
-        p.extend_from_slice(&[0, 1, 0, 1]);
-        Frame::ethernet(
-            emu_types::MacAddr::from_u64(1),
-            emu_types::MacAddr::from_u64(2),
-            ether_type::IPV4,
-            &p,
-        )
+        let query = wire::dns_query(name, 7);
+        wire::udp_frame(mac(2), mac(1), CLIENT, 4242, SERVER, port::DNS, &query, 0)
     }
 }

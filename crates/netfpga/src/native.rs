@@ -286,17 +286,7 @@ impl NativeCore for P4FpgaCore {
 mod tests {
     use super::*;
     use emu_types::proto::ether_type;
-
-    fn frame(src: u64, dst: u64, port: u8) -> Frame {
-        let mut f = Frame::ethernet(
-            MacAddr::from_u64(dst),
-            MacAddr::from_u64(src),
-            ether_type::IPV4,
-            &[0; 46],
-        );
-        f.in_port = port;
-        f
-    }
+    use emu_types::wire::l2_frame as frame;
 
     #[test]
     fn switch_learns_then_forwards_unicast() {

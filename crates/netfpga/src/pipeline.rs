@@ -336,23 +336,12 @@ impl MultiCoreSim {
 mod tests {
     use super::*;
     use crate::native::{P4FpgaCore, RefSwitchCore};
-    use emu_types::MacAddr;
-
-    fn test_frame(src: u64, dst: u64, port: u8, len: usize) -> Frame {
-        let mut f = Frame::ethernet(
-            MacAddr::from_u64(dst),
-            MacAddr::from_u64(src),
-            0x0800,
-            &vec![0u8; len.saturating_sub(14)],
-        );
-        f.in_port = port;
-        f
-    }
+    use emu_types::wire::l2_frame as test_frame;
 
     #[test]
     fn native_switch_single_frame_latency() {
         let mut sim = PipelineSim::new_native(Box::new(RefSwitchCore::new()));
-        sim.inject(&test_frame(0xA, 0xB, 0, 64), 0.0).unwrap();
+        sim.inject(&test_frame(0xA, 0xB, 0), 0.0).unwrap();
         let s = sim.summary().unwrap();
         // Wire (67.2) + 2×MAC (640) + arbiter + 6 cycles + queue + wire:
         // total should sit near 850–900 ns... the exact budget:
@@ -367,7 +356,7 @@ mod tests {
     fn offer_line_rate(sim: &mut PipelineSim, n: u64) {
         for p in 0..4u8 {
             sim.inject(
-                &test_frame(100 + u64::from(p), 0xEE, p, 64),
+                &test_frame(100 + u64::from(p), 0xEE, p),
                 f64::from(p) * 100.0,
             )
             .unwrap();
@@ -377,7 +366,7 @@ mod tests {
         for i in 0..n {
             let port = (i % 4) as u8;
             let dst = 100 + (u64::from(port) + 1) % 4;
-            sim.inject(&test_frame(100 + u64::from(port), dst, port, 64), t)
+            sim.inject(&test_frame(100 + u64::from(port), dst, port), t)
                 .unwrap();
             t += gap;
         }
@@ -404,8 +393,8 @@ mod tests {
     fn p4fpga_latency_exceeds_reference() {
         let mut ref_sim = PipelineSim::new_native(Box::new(RefSwitchCore::new()));
         let mut p4_sim = PipelineSim::new_native(Box::new(P4FpgaCore::default()));
-        ref_sim.inject(&test_frame(0xA, 0xB, 0, 64), 0.0).unwrap();
-        p4_sim.inject(&test_frame(0xA, 0xB, 0, 64), 0.0).unwrap();
+        ref_sim.inject(&test_frame(0xA, 0xB, 0), 0.0).unwrap();
+        p4_sim.inject(&test_frame(0xA, 0xB, 0), 0.0).unwrap();
         let r = ref_sim.summary().unwrap().mean;
         let p = p4_sim.summary().unwrap().mean;
         // 85 cycles @4 ns vs 6 cycles @5 ns: ~310 ns extra.

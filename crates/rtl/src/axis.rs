@@ -1,4 +1,5 @@
-//! AXI4-Stream framing: the bus the NetFPGA SUME reference pipeline uses.
+//! AXI4-Stream beat arithmetic: the bus the NetFPGA SUME reference
+//! pipeline uses.
 //!
 //! The SUME datapath moves packets as 256-bit beats at 200 MHz (§5.1),
 //! giving 51.2 Gb/s of core bandwidth for 4×10G of line bandwidth — which
@@ -6,78 +7,8 @@
 //! frame is exactly two beats; beat counts feed the latency and throughput
 //! models in `netfpga-sim`.
 
-use emu_types::{Frame, U256};
-
 /// Width of one beat in bytes.
-pub const BEAT_BYTES: usize = 32;
-
-/// One AXI4-Stream transfer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Beat {
-    /// 256 bits of data, first wire byte in the most-significant position.
-    pub tdata: U256,
-    /// Byte-enable mask: bit *i* covers byte *i* (0 = first wire byte).
-    pub tkeep: u32,
-    /// Last beat of the packet.
-    pub tlast: bool,
-    /// Sideband metadata (the SUME pipeline carries source/destination
-    /// port bitmaps here).
-    pub tuser: u64,
-}
-
-/// Splits a frame into beats.
-pub fn frame_to_beats(f: &Frame) -> Vec<Beat> {
-    let bytes = f.bytes();
-    let n = bytes.len().div_ceil(BEAT_BYTES).max(1);
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let chunk = &bytes[i * BEAT_BYTES..((i + 1) * BEAT_BYTES).min(bytes.len())];
-        let mut padded = [0u8; BEAT_BYTES];
-        padded[..chunk.len()].copy_from_slice(chunk);
-        out.push(Beat {
-            tdata: U256::from_be_bytes(&padded),
-            tkeep: if chunk.len() == BEAT_BYTES {
-                u32::MAX
-            } else {
-                (1u32 << chunk.len()) - 1
-            },
-            tlast: i == n - 1,
-            tuser: u64::from(f.in_port),
-        });
-    }
-    out
-}
-
-/// Reassembles a frame from beats.
-///
-/// Returns `None` when the beat sequence is malformed (empty, missing
-/// `tlast`, or a non-final partial beat) — the failure-injection tests
-/// exercise these paths.
-pub fn beats_to_frame(beats: &[Beat]) -> Option<Frame> {
-    if beats.is_empty() || !beats.last()?.tlast {
-        return None;
-    }
-    let mut bytes = Vec::with_capacity(beats.len() * BEAT_BYTES);
-    for (i, b) in beats.iter().enumerate() {
-        let full = b.tkeep == u32::MAX;
-        if !full && i != beats.len() - 1 {
-            return None;
-        }
-        if b.tlast != (i == beats.len() - 1) {
-            return None;
-        }
-        let nbytes = b.tkeep.count_ones() as usize;
-        // tkeep must be contiguous from byte 0.
-        if b.tkeep != u32::MAX && b.tkeep != (1u32 << nbytes) - 1 {
-            return None;
-        }
-        let data = b.tdata.to_be_bytes();
-        bytes.extend_from_slice(&data[..nbytes]);
-    }
-    let mut f = Frame::new(bytes);
-    f.in_port = beats[0].tuser as u8;
-    Some(f)
-}
+const BEAT_BYTES: usize = 32;
 
 /// Number of beats a frame of `len` bytes occupies.
 pub fn beats_for_len(len: usize) -> u64 {
@@ -87,52 +18,6 @@ pub fn beats_for_len(len: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emu_types::MacAddr;
-
-    #[test]
-    fn min_frame_is_two_beats() {
-        let f = Frame::new(vec![0xaa; 60]);
-        let beats = frame_to_beats(&f);
-        assert_eq!(beats.len(), 2);
-        assert!(beats[1].tlast);
-        assert!(!beats[0].tlast);
-        assert_eq!(beats[0].tkeep, u32::MAX);
-        assert_eq!(beats[1].tkeep, (1 << 28) - 1); // 60 - 32 = 28 bytes
-    }
-
-    #[test]
-    fn round_trip_preserves_bytes_and_port() {
-        let mut f = Frame::ethernet(
-            MacAddr::from_u64(1),
-            MacAddr::from_u64(2),
-            0x0800,
-            &(0u8..100).collect::<Vec<_>>(),
-        );
-        f.in_port = 3;
-        let beats = frame_to_beats(&f);
-        let g = beats_to_frame(&beats).unwrap();
-        assert_eq!(g.bytes(), f.bytes());
-        assert_eq!(g.in_port, 3);
-    }
-
-    #[test]
-    fn malformed_sequences_rejected() {
-        let f = Frame::new(vec![1; 64]);
-        let mut beats = frame_to_beats(&f);
-        // Missing tlast.
-        beats.last_mut().unwrap().tlast = false;
-        assert!(beats_to_frame(&beats).is_none());
-        // Empty.
-        assert!(beats_to_frame(&[]).is_none());
-        // Early tlast.
-        let mut beats2 = frame_to_beats(&Frame::new(vec![1; 96]));
-        beats2[0].tlast = true;
-        assert!(beats_to_frame(&beats2).is_none());
-        // Holey tkeep.
-        let mut beats3 = frame_to_beats(&f);
-        beats3[1].tkeep = 0b101;
-        assert!(beats_to_frame(&beats3).is_none());
-    }
 
     #[test]
     fn beat_arithmetic() {

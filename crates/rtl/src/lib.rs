@@ -9,7 +9,7 @@
 //! * IP blocks ([`ipblocks`]): each block's port handle and the
 //!   behavioural model built from it — CAM, Pearson hash (Figure 5),
 //!   FIFO, the Figure 9 LRU queue, and BRAM,
-//! * AXI4-Stream framing ([`axis`]) matching the SUME 256-bit datapath,
+//! * AXI4-Stream beat arithmetic ([`axis`]) for the SUME 256-bit datapath,
 //! * VCD waveform dumping ([`vcd`]) for debugging without an RTL
 //!   simulator.
 
@@ -19,7 +19,7 @@ pub mod exec;
 pub mod ipblocks;
 pub mod vcd;
 
-pub use axis::{beats_for_len, beats_to_frame, frame_to_beats, Beat, BEAT_BYTES};
+pub use axis::beats_for_len;
 pub use cam::{CamPair, CamStats, CamTable, PartnerKeyFn, RemoveCause, Removed, WriteEffect};
 pub use exec::{ExecBackend, RtlMachine};
 pub use ipblocks::{

@@ -34,21 +34,10 @@ pub const ZONE_ENTRIES: usize = 256;
 
 const FRAME_CAP: usize = 512;
 
-/// Encodes a dotted name into DNS wire format (labels + terminal zero).
-pub fn dns_name_wire(name: &str) -> Vec<u8> {
-    let mut out = Vec::new();
-    for label in name.split('.').filter(|l| !l.is_empty()) {
-        out.push(label.len() as u8);
-        out.extend_from_slice(label.as_bytes());
-    }
-    out.push(0);
-    out
-}
-
 /// The CAM key for a name: wire bytes (excluding the terminal zero)
 /// folded MSB-first, exactly as the hardware accumulation loop does.
 pub fn dns_key(name: &str) -> Bits {
-    let wire = dns_name_wire(name);
+    let wire = emu_types::wire::dns_name(name);
     let mut key = Bits::zero(KEY_BITS);
     for &b in &wire[..wire.len() - 1] {
         key = key.shl(8).or(&Bits::from_u64(u64::from(b), KEY_BITS));
@@ -210,62 +199,17 @@ pub fn dns_server(zone: Vec<(String, Ipv4)>) -> Service {
 
 /// Builds a DNS query test frame for `name` with transaction `id`.
 pub fn query_frame(name: &str, id: u16) -> emu_types::Frame {
-    use emu_types::{checksum, Frame, MacAddr};
-    let qname = dns_name_wire(name);
-    let dns_len = 12 + qname.len() + 4;
-    let udp_len = 8 + dns_len;
-    let total = 20 + udp_len;
-
-    let mut iphdr = vec![
-        0x45,
-        0x00,
-        (total >> 8) as u8,
-        total as u8,
-        0x00,
-        id as u8,
-        0x40,
-        0x00,
-        0x40,
-        0x11,
-        0,
-        0,
-        10,
-        0,
-        0,
-        50,
-        10,
-        0,
-        0,
-        53,
-    ];
-    let c = checksum::internet_checksum(&iphdr);
-    iphdr[10] = (c >> 8) as u8;
-    iphdr[11] = c as u8;
-
-    let mut udp = Vec::new();
-    udp.extend_from_slice(&4242u16.to_be_bytes());
-    udp.extend_from_slice(&53u16.to_be_bytes());
-    udp.extend_from_slice(&(udp_len as u16).to_be_bytes());
-    udp.extend_from_slice(&[0, 0]); // checksum optional over IPv4
-
-    let mut dns = Vec::new();
-    dns.extend_from_slice(&id.to_be_bytes());
-    dns.extend_from_slice(&[0x01, 0x00]); // RD
-    dns.extend_from_slice(&[0, 1, 0, 0, 0, 0, 0, 0]); // QD=1
-    dns.extend_from_slice(&qname);
-    dns.extend_from_slice(&[0, 1, 0, 1]); // QTYPE A, QCLASS IN
-
-    let mut payload = iphdr;
-    payload.extend_from_slice(&udp);
-    payload.extend_from_slice(&dns);
-    let mut f = Frame::ethernet(
-        MacAddr::from_u64(0x02_00_00_00_00_aa),
+    use emu_types::{wire, MacAddr};
+    wire::ipv4_frame(
         MacAddr::from_u64(0x02_00_00_00_00_bb),
-        ether_type::IPV4,
-        &payload,
-    );
-    f.in_port = 1;
-    f
+        MacAddr::from_u64(0x02_00_00_00_00_aa),
+        Ipv4::new(10, 0, 0, 50),
+        Ipv4::new(10, 0, 0, 53),
+        ip_proto::UDP,
+        id & 0xff,
+        &wire::udp_segment(4242, port::DNS, &wire::dns_query(name, id)),
+        1,
+    )
 }
 
 #[cfg(test)]
@@ -273,6 +217,7 @@ mod tests {
     use super::*;
     use emu_core::{assert_targets_agree, Target};
     use emu_types::bitutil;
+    use emu_types::wire::dns_name;
 
     fn test_zone() -> Vec<(String, Ipv4)> {
         vec![
@@ -295,7 +240,7 @@ mod tests {
         // ANCOUNT = 1.
         assert_eq!(bitutil::get16(b, 48), 1);
         // The answer's rdata carries the right address at the tail.
-        let ans_off = 54 + dns_name_wire("example.com").len() + 4;
+        let ans_off = 54 + dns_name("example.com").len() + 4;
         assert_eq!(&b[ans_off..ans_off + 2], &[0xc0, 0x0c]);
         assert_eq!(&b[ans_off + 12..ans_off + 16], &[93, 184, 216, 34]);
         // UDP ports swapped; transaction id preserved.
@@ -322,7 +267,7 @@ mod tests {
         let svc = dns_server(test_zone());
         let mut inst = svc.engine(Target::Fpga).build().unwrap();
         let long = "aaaaaaaaaaaaaaaaaaaa.bbbbbbbbbbbbbbbbbbbb.cc";
-        assert!(dns_name_wire(long).len() > MAX_NAME_BYTES);
+        assert!(dns_name(long).len() > MAX_NAME_BYTES);
         let out = inst.process(&query_frame(long, 9)).unwrap();
         let b = out.tx[0].frame.bytes();
         assert_eq!(bitutil::get16(b, 44) & 0x000f, 4, "RCODE must be NOTIMP");
@@ -346,8 +291,6 @@ mod tests {
         // Injective on distinct short names.
         assert_ne!(dns_key("a.b"), dns_key("ab"));
         assert_ne!(dns_key("example.com"), dns_key("example.org"));
-        // Wire format shape.
-        assert_eq!(dns_name_wire("a.b"), vec![1, b'a', 1, b'b', 0]);
     }
 
     #[test]

@@ -98,48 +98,18 @@ pub fn icmp_echo() -> Service {
 /// Builds a well-formed ICMP echo request test frame with `payload_len`
 /// payload bytes (also used by the benches and examples).
 pub fn echo_request_frame(payload_len: usize, seq: u16) -> emu_types::Frame {
-    use emu_types::{checksum, Frame, MacAddr};
-    let total_len = 20 + 8 + payload_len;
-    let mut ip = vec![
-        0x45,
-        0x00,
-        (total_len >> 8) as u8,
-        total_len as u8,
-        0x12,
-        0x34,
-        0x40,
-        0x00,
-        0x40,
-        0x01,
-        0,
-        0,
-        10,
-        0,
-        0,
-        1,
-        10,
-        0,
-        0,
-        2,
-    ];
-    let c = checksum::internet_checksum(&ip);
-    ip[10] = (c >> 8) as u8;
-    ip[11] = c as u8;
-    let mut icmp = vec![8, 0, 0, 0, 0x56, 0x78, (seq >> 8) as u8, seq as u8];
-    icmp.extend((0..payload_len).map(|i| (i % 251) as u8));
-    let cc = checksum::internet_checksum(&icmp);
-    icmp[2] = (cc >> 8) as u8;
-    icmp[3] = cc as u8;
-    let mut payload = ip;
-    payload.extend_from_slice(&icmp);
-    let mut f = Frame::ethernet(
-        MacAddr::from_u64(0x02_00_00_00_00_01),
+    use emu_types::{wire, Ipv4, MacAddr};
+    let payload: Vec<u8> = (0..payload_len).map(|i| (i % 251) as u8).collect();
+    wire::ipv4_frame(
         MacAddr::from_u64(0x02_00_00_00_00_02),
-        ether_type::IPV4,
-        &payload,
-    );
-    f.in_port = 0;
-    f
+        MacAddr::from_u64(0x02_00_00_00_00_01),
+        Ipv4::new(10, 0, 0, 1),
+        Ipv4::new(10, 0, 0, 2),
+        ip_proto::ICMP,
+        0x1234,
+        &wire::echo_request(0x5678, seq, &payload),
+        0,
+    )
 }
 
 #[cfg(test)]

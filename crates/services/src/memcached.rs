@@ -25,6 +25,8 @@ use emu_types::proto::{ether_type, ip_proto, port};
 use kiwi_ir::dsl::*;
 use kiwi_ir::{Expr, Stmt, VarId};
 
+pub use emu_types::wire::reply_text;
+
 /// Maximum key length in bytes.
 pub const MAX_KEY: usize = 8;
 
@@ -38,11 +40,13 @@ pub const STORE_ENTRIES: usize = 1024;
 pub const CAM_KEY_BITS: u16 = 8 + (MAX_KEY as u16) * 8;
 
 /// Offset of the memcached UDP frame header.
-const MC_HDR: usize = UdpWrapper::PAYLOAD;
+pub const MC_HDR: usize = UdpWrapper::PAYLOAD;
 /// Offset of the ASCII command.
-const CMD: usize = MC_HDR + 8;
+pub const CMD: usize = MC_HDR + 8;
 
-const FRAME_CAP: usize = 512;
+/// Frame buffer size: longer frames are rejected before the program
+/// sees them.
+pub const FRAME_CAP: usize = 512;
 
 /// Emits statements writing an ASCII literal at a constant offset.
 fn put_ascii(dp: &emu_core::Dataplane, off: usize, s: &[u8]) -> Vec<Stmt> {
@@ -324,60 +328,17 @@ pub fn memcached() -> Service {
 
 /// Builds a memcached-over-UDP request frame with ASCII `body`.
 pub fn request_frame(body: &str, req_id: u16) -> emu_types::Frame {
-    use emu_types::{checksum, Frame, MacAddr};
-    let mc_payload_len = 8 + body.len();
-    let udp_len = 8 + mc_payload_len;
-    let total = 20 + udp_len;
-    let mut iphdr = vec![
-        0x45,
-        0x00,
-        (total >> 8) as u8,
-        total as u8,
-        0x00,
-        0x01,
-        0x40,
-        0x00,
-        0x40,
-        0x11,
-        0,
-        0,
-        10,
-        0,
-        0,
-        9,
-        10,
-        0,
-        0,
-        10,
-    ];
-    let c = checksum::internet_checksum(&iphdr);
-    iphdr[10] = (c >> 8) as u8;
-    iphdr[11] = c as u8;
-    let mut payload = iphdr;
-    payload.extend_from_slice(&31337u16.to_be_bytes()); // src port
-    payload.extend_from_slice(&11211u16.to_be_bytes());
-    payload.extend_from_slice(&(udp_len as u16).to_be_bytes());
-    payload.extend_from_slice(&[0, 0]);
-    // memcached UDP frame header.
-    payload.extend_from_slice(&req_id.to_be_bytes());
-    payload.extend_from_slice(&[0, 0, 0, 1, 0, 0]);
-    payload.extend_from_slice(body.as_bytes());
-    let mut f = Frame::ethernet(
-        MacAddr::from_u64(0x02_00_00_00_00_31),
+    use emu_types::{wire, Ipv4, MacAddr};
+    wire::ipv4_frame(
         MacAddr::from_u64(0x02_00_00_00_00_32),
-        ether_type::IPV4,
-        &payload,
-    );
-    f.in_port = 3;
-    f
-}
-
-/// Extracts the ASCII portion of a memcached-UDP reply.
-pub fn reply_text(frame: &emu_types::Frame) -> Vec<u8> {
-    let b = frame.bytes();
-    let udp_len = emu_types::bitutil::get16(b, 38) as usize;
-    let text_len = udp_len.saturating_sub(8 + 8);
-    b[CMD..CMD + text_len].to_vec()
+        MacAddr::from_u64(0x02_00_00_00_00_31),
+        Ipv4::new(10, 0, 0, 9),
+        Ipv4::new(10, 0, 0, 10),
+        ip_proto::UDP,
+        0x0001,
+        &wire::udp_segment(31337, port::MEMCACHED, &wire::mc_request(body, req_id)),
+        3,
+    )
 }
 
 #[cfg(test)]

@@ -323,81 +323,23 @@ pub fn nat(public_ip: Ipv4) -> Service {
 
 /// Builds a UDP test frame from `src/sport` to `dst/dport` on `in_port`.
 pub fn udp_frame(src: Ipv4, sport: u16, dst: Ipv4, dport: u16, in_port: u8) -> emu_types::Frame {
-    use emu_types::{bitutil, checksum, Frame, MacAddr};
-    let payload_data = b"nat-test-payload";
-    let udp_len = 8 + payload_data.len();
-    let total = 20 + udp_len;
-    let mut iphdr = vec![
-        0x45,
-        0x00,
-        (total >> 8) as u8,
-        total as u8,
-        0x11,
-        0x22,
-        0x40,
-        0x00,
-        0x40,
-        0x11,
-        0,
-        0,
-        0,
-        0,
-        0,
-        0,
-        0,
-        0,
-        0,
-        0,
-    ];
-    iphdr[12..16].copy_from_slice(&src.octets());
-    iphdr[16..20].copy_from_slice(&dst.octets());
-    let c = checksum::internet_checksum(&iphdr);
-    iphdr[10] = (c >> 8) as u8;
-    iphdr[11] = c as u8;
-
-    let mut udp = vec![0u8; 8];
-    bitutil::set16(&mut udp, 0, sport);
-    bitutil::set16(&mut udp, 2, dport);
-    bitutil::set16(&mut udp, 4, udp_len as u16);
-    // Real UDP checksum over the pseudo-header.
-    let mut ph = Vec::new();
-    ph.extend_from_slice(&iphdr[12..20]);
-    ph.push(0);
-    ph.push(17);
-    ph.extend_from_slice(&(udp_len as u16).to_be_bytes());
-    ph.extend_from_slice(&udp);
-    ph.extend_from_slice(payload_data);
-    let cc = checksum::internet_checksum(&ph);
-    bitutil::set16(&mut udp, 6, if cc == 0 { 0xffff } else { cc });
-
-    let mut payload = iphdr;
-    payload.extend_from_slice(&udp);
-    payload.extend_from_slice(payload_data);
-    let mut f = Frame::ethernet(
-        MacAddr::from_u64(0x02_00_00_00_00_41),
-        MacAddr::from_u64(0x02_00_00_00_00_42),
-        ether_type::IPV4,
-        &payload,
+    use emu_types::{wire, MacAddr};
+    let seg = wire::with_l4_checksum(
+        src,
+        dst,
+        ip_proto::UDP,
+        wire::udp_segment(sport, dport, b"nat-test-payload"),
     );
-    f.in_port = in_port;
-    f
-}
-
-/// Verifies the UDP checksum of a frame (0 counts as valid/absent).
-pub fn udp_checksum_valid(b: &[u8]) -> bool {
-    use emu_types::{bitutil, checksum};
-    let csum = bitutil::get16(b, 40);
-    if csum == 0 {
-        return true;
-    }
-    let udp_len = bitutil::get16(b, 38) as usize;
-    let mut ph = Vec::new();
-    ph.extend_from_slice(&b[26..34]);
-    ph.push(0);
-    ph.push(17);
-    ph.extend_from_slice(&(udp_len as u16).to_be_bytes());
-    ph.extend_from_slice(&b[34..34 + udp_len]);
-    checksum::internet_checksum(&ph) == 0
+    wire::ipv4_frame(
+        MacAddr::from_u64(0x02_00_00_00_00_42),
+        MacAddr::from_u64(0x02_00_00_00_00_41),
+        src,
+        dst,
+        ip_proto::UDP,
+        0x1122,
+        &seg,
+        in_port,
+    )
 }
 
 #[cfg(test)]
@@ -405,6 +347,7 @@ mod tests {
     use super::*;
     use emu_core::{assert_targets_agree, EngineError, Target};
     use emu_types::bitutil;
+    use emu_types::wire::l4_csum_ok;
 
     fn public() -> Ipv4 {
         "203.0.113.1".parse().unwrap()
@@ -435,7 +378,7 @@ mod tests {
         // TTL decremented; checksums valid.
         assert_eq!(b[22], 63);
         assert!(emu_types::checksum::verify(&b[14..34]), "bad IP csum");
-        assert!(udp_checksum_valid(b), "bad UDP csum");
+        assert_eq!(l4_csum_ok(&out.tx[0].frame), Some(true), "bad UDP csum");
     }
 
     #[test]
@@ -455,7 +398,7 @@ mod tests {
         // Delivered to the internal physical port the flow came from.
         assert_eq!(out.tx[0].ports, 1 << 2);
         assert!(emu_types::checksum::verify(&b[14..34]));
-        assert!(udp_checksum_valid(b));
+        assert_eq!(l4_csum_ok(&out.tx[0].frame), Some(true));
     }
 
     #[test]
@@ -497,8 +440,9 @@ mod tests {
         assert_eq!(out.tx.len(), 1);
         let b = out.tx[0].frame.bytes();
         assert_eq!(&b[26..30], &public().octets());
-        assert!(
-            crate::tcp_ping::tcp_checksum_valid(b),
+        assert_eq!(
+            l4_csum_ok(&out.tx[0].frame),
+            Some(true),
             "bad TCP csum after NAT"
         );
     }

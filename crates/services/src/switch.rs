@@ -163,20 +163,9 @@ pub fn switch_behavioural(entries: usize) -> Service {
 mod tests {
     use super::*;
     use emu_core::{assert_targets_agree, Target};
-    use emu_types::proto::ether_type;
-    use emu_types::{Frame, MacAddr};
+    use emu_types::wire::l2_frame as frame;
+    use emu_types::Frame;
     use netfpga_sim::native::{switch_forward, MacTable};
-
-    fn frame(src: u64, dst: u64, port: u8) -> Frame {
-        let mut f = Frame::ethernet(
-            MacAddr::from_u64(dst),
-            MacAddr::from_u64(src),
-            ether_type::IPV4,
-            &[0; 46],
-        );
-        f.in_port = port;
-        f
-    }
 
     fn check_learning(svc: Service) {
         let mut inst = svc.engine(Target::Fpga).build().unwrap();

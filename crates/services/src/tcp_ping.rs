@@ -128,56 +128,25 @@ pub fn tcp_ping() -> Service {
 
 /// Builds a valid TCP SYN test frame.
 pub fn syn_frame(sport: u16, dport: u16, seq: u32) -> emu_types::Frame {
-    use emu_types::{checksum, Frame, MacAddr};
-    let mut iphdr = vec![
-        0x45, 0x00, 0x00, 40, 0xab, 0xcd, 0x40, 0x00, 0x40, 0x06, 0, 0, 192, 168, 0, 1, 192, 168,
-        0, 2,
-    ];
-    let c = checksum::internet_checksum(&iphdr);
-    iphdr[10] = (c >> 8) as u8;
-    iphdr[11] = c as u8;
-
-    let mut tcphdr = vec![0u8; 20];
-    emu_types::bitutil::set16(&mut tcphdr, 0, sport);
-    emu_types::bitutil::set16(&mut tcphdr, 2, dport);
-    emu_types::bitutil::set32(&mut tcphdr, 4, seq);
-    tcphdr[12] = 5 << 4; // data offset 5
-    tcphdr[13] = 0x02; // SYN
-    emu_types::bitutil::set16(&mut tcphdr, 14, 0xffff); // window
-                                                        // Pseudo-header checksum.
-    let mut ph = Vec::new();
-    ph.extend_from_slice(&iphdr[12..20]);
-    ph.push(0);
-    ph.push(6);
-    ph.extend_from_slice(&20u16.to_be_bytes());
-    ph.extend_from_slice(&tcphdr);
-    let cc = checksum::internet_checksum(&ph);
-    emu_types::bitutil::set16(&mut tcphdr, 16, cc);
-
-    let mut payload = iphdr;
-    payload.extend_from_slice(&tcphdr);
-    let mut f = Frame::ethernet(
-        MacAddr::from_u64(0x02_00_00_00_00_11),
-        MacAddr::from_u64(0x02_00_00_00_00_22),
-        ether_type::IPV4,
-        &payload,
+    use emu_types::proto::tcp_flags;
+    use emu_types::{wire, Ipv4, MacAddr};
+    let (src, dst) = (Ipv4::new(192, 168, 0, 1), Ipv4::new(192, 168, 0, 2));
+    let seg = wire::with_l4_checksum(
+        src,
+        dst,
+        ip_proto::TCP,
+        wire::tcp_segment(sport, dport, seq, 0, tcp_flags::SYN, &[]),
     );
-    f.in_port = 2;
-    f
-}
-
-/// Verifies the TCP checksum of a frame (test helper shared with NAT).
-pub fn tcp_checksum_valid(frame_bytes: &[u8]) -> bool {
-    use emu_types::{bitutil, checksum};
-    let total = bitutil::get16(frame_bytes, 16) as usize;
-    let tcp_len = total - 20;
-    let mut ph = Vec::new();
-    ph.extend_from_slice(&frame_bytes[26..34]);
-    ph.push(0);
-    ph.push(6);
-    ph.extend_from_slice(&(tcp_len as u16).to_be_bytes());
-    ph.extend_from_slice(&frame_bytes[34..14 + total]);
-    checksum::internet_checksum(&ph) == 0
+    wire::ipv4_frame(
+        MacAddr::from_u64(0x02_00_00_00_00_22),
+        MacAddr::from_u64(0x02_00_00_00_00_11),
+        src,
+        dst,
+        ip_proto::TCP,
+        0xabcd,
+        &seg,
+        2,
+    )
 }
 
 #[cfg(test)]
@@ -204,7 +173,11 @@ mod tests {
         // Addresses swapped.
         assert_eq!(&b[26..30], &[192, 168, 0, 2]);
         // TCP checksum of the reply verifies.
-        assert!(tcp_checksum_valid(b), "SYN-ACK checksum invalid");
+        assert_eq!(
+            emu_types::wire::l4_csum_ok(&out.tx[0].frame),
+            Some(true),
+            "SYN-ACK checksum invalid"
+        );
     }
 
     #[test]

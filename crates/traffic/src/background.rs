@@ -4,13 +4,9 @@
 //! a switch floods/forwards them — so soak mixes always include a slice
 //! of this generator.
 
-use crate::build::arp_request;
-#[cfg(test)]
-use crate::build::byte_at;
 use crate::TrafficGen;
-use emu_services::icmp::echo_request_frame;
-use emu_types::proto::offset;
-use emu_types::{bitutil, checksum, Frame, Ipv4, MacAddr};
+use emu_types::proto::ip_proto;
+use emu_types::{wire, Frame, Ipv4, MacAddr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -53,22 +49,23 @@ impl TrafficGen for Background {
         let src_ip = Ipv4::new(10, 2, host as u8, 1);
         if self.rng.gen_bool(0.5) {
             let target = Ipv4::new(10, 2, self.rng.gen_range(0u8..32), 1);
-            arp_request(Self::host_mac(host), src_ip, target, port)
+            wire::arp_request(Self::host_mac(host), src_ip, target, port)
         } else {
             self.seq = self.seq.wrapping_add(1);
             let len = self.rng.gen_range(8usize..64);
-            let mut f = echo_request_frame(len, self.seq);
-            // Re-source the echo from the chattering host (the ICMP
-            // checksum does not cover the IP header, so only the IP
-            // checksum needs refreshing).
-            let b = f.bytes_mut();
-            b[offset::IPV4_SRC..offset::IPV4_SRC + 4].copy_from_slice(&src_ip.octets());
-            bitutil::set16(b, offset::IPV4_CSUM, 0);
-            let c = checksum::internet_checksum(&b[offset::IPV4..offset::IPV4 + 20]);
-            bitutil::set16(b, offset::IPV4_CSUM, c);
-            b[offset::ETH_SRC..offset::ETH_SRC + 6].copy_from_slice(&Self::host_mac(host).octets());
-            f.in_port = port;
-            f
+            let payload: Vec<u8> = (0..len as u8).collect();
+            // The chattering host pings the echo responder of
+            // `emu_services::icmp::echo_request_frame`.
+            wire::ipv4_frame(
+                Self::host_mac(host),
+                MacAddr::from_u64(0x02_00_00_00_00_01),
+                src_ip,
+                Ipv4::new(10, 0, 0, 2),
+                ip_proto::ICMP,
+                0x1234,
+                &wire::echo_request(0x5678, self.seq, &payload),
+                port,
+            )
         }
     }
 }
@@ -76,6 +73,8 @@ impl TrafficGen for Background {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::byte_at;
+    use emu_types::proto::offset;
 
     #[test]
     fn chatter_is_arp_and_icmp_only_with_unicast_sources() {

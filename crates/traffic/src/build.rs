@@ -1,138 +1,12 @@
-//! Low-level frame construction shared by the generators: IPv4/UDP/TCP
-//! frames with *valid* checksums, ARP requests, and small patch helpers.
-//!
-//! The service crates ship fixed-shape test frames
-//! (`emu_services::nat::udp_frame`, …); the generators need the general
-//! forms — arbitrary addresses, ports, TCP state and payloads — so they
-//! are built here once, against `emu_types` only.
+//! The general frame builders and checksum verifiers of
+//! [`emu_types::wire`] under the path the generators and `benchmark/`
+//! import them by, plus the one NAT-specific builder, [`reply_to`].
 
-use emu_types::proto::{ether_type, ip_proto, offset};
-use emu_types::{bitutil, checksum, Frame, Ipv4, MacAddr};
+use emu_types::proto::{ip_proto, offset};
+use emu_types::{bitutil, Frame, Ipv4};
 
 pub use emu_types::proto::tcp_flags;
-
-/// Builds a minimal IPv4 header (IHL 5, TTL 64, DF) with a valid
-/// checksum.
-fn ipv4_header(src: Ipv4, dst: Ipv4, proto: u8, payload_len: usize, ident: u16) -> Vec<u8> {
-    let total = 20 + payload_len;
-    let mut h = vec![
-        0x45,
-        0x00,
-        (total >> 8) as u8,
-        total as u8,
-        (ident >> 8) as u8,
-        ident as u8,
-        0x40,
-        0x00,
-        64,
-        proto,
-        0,
-        0,
-        0,
-        0,
-        0,
-        0,
-        0,
-        0,
-        0,
-        0,
-    ];
-    h[12..16].copy_from_slice(&src.octets());
-    h[16..20].copy_from_slice(&dst.octets());
-    let c = checksum::internet_checksum(&h);
-    bitutil::set16(&mut h, 10, c);
-    h
-}
-
-/// Internet checksum over an L4 segment plus its IPv4 pseudo-header.
-fn l4_checksum(src: Ipv4, dst: Ipv4, proto: u8, segment: &[u8]) -> u16 {
-    let mut ph = Vec::with_capacity(12 + segment.len());
-    ph.extend_from_slice(&src.octets());
-    ph.extend_from_slice(&dst.octets());
-    ph.push(0);
-    ph.push(proto);
-    ph.extend_from_slice(&(segment.len() as u16).to_be_bytes());
-    ph.extend_from_slice(segment);
-    checksum::internet_checksum(&ph)
-}
-
-/// Builds a complete UDP frame with valid IP and UDP checksums.
-#[allow(clippy::too_many_arguments)]
-pub fn udp_frame(
-    src_mac: MacAddr,
-    dst_mac: MacAddr,
-    src: Ipv4,
-    sport: u16,
-    dst: Ipv4,
-    dport: u16,
-    payload: &[u8],
-    in_port: u8,
-) -> Frame {
-    let udp_len = 8 + payload.len();
-    let mut seg = vec![0u8; 8];
-    bitutil::set16(&mut seg, 0, sport);
-    bitutil::set16(&mut seg, 2, dport);
-    bitutil::set16(&mut seg, 4, udp_len as u16);
-    seg.extend_from_slice(payload);
-    let c = l4_checksum(src, dst, ip_proto::UDP, &seg);
-    bitutil::set16(&mut seg, 6, if c == 0 { 0xffff } else { c });
-    let mut bytes = ipv4_header(src, dst, ip_proto::UDP, udp_len, sport ^ dport);
-    bytes.extend_from_slice(&seg);
-    let mut f = Frame::ethernet(dst_mac, src_mac, ether_type::IPV4, &bytes);
-    f.in_port = in_port;
-    f
-}
-
-/// Builds a complete TCP segment (no options) with valid IP and TCP
-/// checksums.
-#[allow(clippy::too_many_arguments)]
-pub fn tcp_frame(
-    src_mac: MacAddr,
-    dst_mac: MacAddr,
-    src: Ipv4,
-    sport: u16,
-    dst: Ipv4,
-    dport: u16,
-    seq: u32,
-    ack: u32,
-    flags: u8,
-    payload: &[u8],
-    in_port: u8,
-) -> Frame {
-    let mut seg = vec![0u8; 20];
-    bitutil::set16(&mut seg, 0, sport);
-    bitutil::set16(&mut seg, 2, dport);
-    bitutil::set32(&mut seg, 4, seq);
-    bitutil::set32(&mut seg, 8, ack);
-    seg[12] = 5 << 4;
-    seg[13] = flags;
-    bitutil::set16(&mut seg, 14, 0xffff);
-    seg.extend_from_slice(payload);
-    let c = l4_checksum(src, dst, ip_proto::TCP, &seg);
-    bitutil::set16(&mut seg, 16, c);
-    let mut bytes = ipv4_header(src, dst, ip_proto::TCP, seg.len(), seq as u16);
-    bytes.extend_from_slice(&seg);
-    let mut f = Frame::ethernet(dst_mac, src_mac, ether_type::IPV4, &bytes);
-    f.in_port = in_port;
-    f
-}
-
-/// Builds an ARP who-has request, broadcast from `src_mac`.
-pub fn arp_request(src_mac: MacAddr, src_ip: Ipv4, target: Ipv4, in_port: u8) -> Frame {
-    let mut p = vec![
-        0, 1, // htype ethernet
-        8, 0, // ptype IPv4
-        6, 4, // hlen, plen
-        0, 1, // op request
-    ];
-    p.extend_from_slice(&src_mac.octets());
-    p.extend_from_slice(&src_ip.octets());
-    p.extend_from_slice(&[0; 6]);
-    p.extend_from_slice(&target.octets());
-    let mut f = Frame::ethernet(MacAddr::BROADCAST, src_mac, ether_type::ARP, &p);
-    f.in_port = in_port;
-    f
-}
+pub use emu_types::wire::{arp_request, byte_at, ipv4_csum_ok, l4_csum_ok, tcp_frame, udp_frame};
 
 /// Builds the remote peer's answer to a NAT-translated outbound frame:
 /// endpoints swapped, same protocol (a SYN-ACK echoing the translated
@@ -145,7 +19,7 @@ pub fn reply_to(translated: &Frame, payload: &[u8]) -> Frame {
     let dst = Ipv4(bitutil::get32(b, offset::IPV4_SRC));
     let dport = bitutil::get16(b, offset::L4);
     let (dmac, smac) = (translated.src_mac(), translated.dst_mac());
-    let mut r = if byte_at(translated, offset::IPV4_PROTO) == ip_proto::TCP {
+    if byte_at(translated, offset::IPV4_PROTO) == ip_proto::TCP {
         tcp_frame(
             smac,
             dmac,
@@ -161,76 +35,14 @@ pub fn reply_to(translated: &Frame, payload: &[u8]) -> Frame {
         )
     } else {
         udp_frame(smac, dmac, src, sport, dst, dport, payload, 0)
-    };
-    r.in_port = 0;
-    r
-}
-
-/// Reads the frame's byte at `i` the way a service core does: bytes past
-/// the frame's end read as zero (the driver zero-fills the buffer up to
-/// its write high-water mark — see `DataplaneDriver::load_frame`).
-pub fn byte_at(frame: &Frame, i: usize) -> u8 {
-    frame.bytes().get(i).copied().unwrap_or(0)
-}
-
-/// Verifies the IPv4 header checksum; `None` when the frame is too short
-/// to carry the claimed header.
-pub fn ipv4_csum_ok(frame: &Frame) -> Option<bool> {
-    let b = frame.bytes();
-    let ihl = usize::from(byte_at(frame, offset::IPV4) & 0x0f) * 4;
-    if ihl < 20 || b.len() < offset::IPV4 + ihl {
-        return None;
-    }
-    Some(checksum::verify(&b[offset::IPV4..offset::IPV4 + ihl]))
-}
-
-/// Verifies the L4 checksum of an IHL-5 IPv4 TCP/UDP frame against the
-/// pseudo-header; `None` when the lengths don't allow a safe
-/// computation (lying length fields, truncation). A UDP checksum of 0
-/// counts as valid/absent.
-pub fn l4_csum_ok(frame: &Frame) -> Option<bool> {
-    let b = frame.bytes();
-    if byte_at(frame, offset::IPV4) != 0x45 {
-        return None;
-    }
-    let proto = byte_at(frame, offset::IPV4_PROTO);
-    let total = bitutil::get16(b, offset::IPV4 + 2) as usize;
-    let l4_min = if proto == ip_proto::TCP { 20 } else { 8 };
-    if total < 20 + l4_min || b.len() < 14 + total {
-        return None;
-    }
-    let seg = &b[offset::L4..14 + total];
-    match proto {
-        p if p == ip_proto::UDP => {
-            if seg.len() < 8 {
-                return None;
-            }
-            if bitutil::get16(seg, 6) == 0 {
-                return Some(true);
-            }
-            let udp_len = bitutil::get16(seg, 4) as usize;
-            if udp_len != seg.len() {
-                return None;
-            }
-            let src = Ipv4(bitutil::get32(b, offset::IPV4_SRC));
-            let dst = Ipv4(bitutil::get32(b, offset::IPV4_DST));
-            Some(l4_checksum(src, dst, proto, seg) == 0)
-        }
-        p if p == ip_proto::TCP => {
-            if seg.len() < 20 {
-                return None;
-            }
-            let src = Ipv4(bitutil::get32(b, offset::IPV4_SRC));
-            let dst = Ipv4(bitutil::get32(b, offset::IPV4_DST));
-            Some(l4_checksum(src, dst, proto, seg) == 0)
-        }
-        _ => None,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emu_types::proto::ether_type;
+    use emu_types::MacAddr;
 
     fn mac(x: u64) -> MacAddr {
         MacAddr::from_u64(x)
@@ -250,7 +62,6 @@ mod tests {
         );
         assert_eq!(ipv4_csum_ok(&f), Some(true));
         assert_eq!(l4_csum_ok(&f), Some(true));
-        assert!(emu_services::nat::udp_checksum_valid(f.bytes()));
     }
 
     #[test]
@@ -270,7 +81,6 @@ mod tests {
         );
         assert_eq!(ipv4_csum_ok(&f), Some(true));
         assert_eq!(l4_csum_ok(&f), Some(true));
-        assert!(emu_services::tcp_ping::tcp_checksum_valid(f.bytes()));
     }
 
     #[test]

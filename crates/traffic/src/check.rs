@@ -17,6 +17,7 @@
 use crate::build::{byte_at, ipv4_csum_ok, l4_csum_ok};
 use emu_core::{BatchReport, Dispatch, EngineError, EngineResult, NatSteering, RssHash};
 use emu_rtl::{CamPair, CamTable};
+use emu_services::memcached::{CMD, FRAME_CAP as MC_FRAME_CAP, MC_HDR};
 use emu_services::nat::{nat_cam_pair, FIRST_EPHEMERAL, NAT_ENTRIES, PORT_SCAN_CAP};
 use emu_services::switch::TABLE_ENTRIES;
 use emu_types::proto::{ether_type, ip_proto, offset};
@@ -403,13 +404,6 @@ impl Checker for NatChecker {
 // ---------------------------------------------------------------------
 // Memcached
 // ---------------------------------------------------------------------
-
-/// Offset of the memcached-UDP frame header in a request frame.
-const MC_HDR: usize = 42;
-/// Offset of the ASCII command.
-const CMD: usize = 50;
-/// The service's frame buffer capacity (see `emu_services::memcached`).
-const MC_FRAME_CAP: usize = 512;
 
 /// Reference model for `emu_services::memcached`: a shadow store that
 /// predicts every GET/SET/DELETE reply, byte-reads mirrored from the

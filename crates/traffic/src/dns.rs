@@ -3,8 +3,8 @@
 //! transaction ids and client source ports drawn from the seeded RNG.
 
 use crate::TrafficGen;
-use emu_services::dns::query_frame;
-use emu_types::{bitutil, Frame};
+use emu_types::proto::{ip_proto, port};
+use emu_types::{wire, Frame, Ipv4, MacAddr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -46,13 +46,21 @@ impl TrafficGen for DnsWeighted {
             pick -= w;
         }
         let id = self.rng.gen_range(0u16..u16::MAX);
-        let mut f = query_frame(name, id);
-        // Spread client flows over a pool of source ports (the query's
-        // UDP checksum is absent, so no fix-up is needed).
+        let query = wire::dns_query(name, id);
+        // Client flows spread over a pool of source ports on the one
+        // client host of `emu_services::dns::query_frame`; UDP checksum
+        // absent.
         let sport = 4_000 + self.rng.gen_range(0u16..64);
-        bitutil::set16(f.bytes_mut(), emu_types::proto::offset::L4, sport);
-        f.in_port = self.rng.gen_range(0u8..4);
-        f
+        wire::ipv4_frame(
+            MacAddr::from_u64(0x02_00_00_00_00_bb),
+            MacAddr::from_u64(0x02_00_00_00_00_aa),
+            Ipv4::new(10, 0, 0, 50),
+            Ipv4::new(10, 0, 0, 53),
+            ip_proto::UDP,
+            id & 0xff,
+            &wire::udp_segment(sport, port::DNS, &query),
+            self.rng.gen_range(0u8..4),
+        )
     }
 }
 

@@ -10,8 +10,8 @@
 //! [`crate::check::McModel`].
 
 use crate::TrafficGen;
-use emu_services::memcached::request_frame;
-use emu_types::{bitutil, Frame};
+use emu_types::proto::{ip_proto, port};
+use emu_types::{wire, Frame, Ipv4, MacAddr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -96,17 +96,25 @@ impl TrafficGen for MemcachedZipf {
             format!("delete {key}\r\n")
         };
         self.req_id = self.req_id.wrapping_add(1);
-        let mut f = request_frame(&body, self.req_id);
         // Key ↔ flow lockstep: the sport identifies the key, so RSS
-        // keeps each key's ops on one shard (UDP checksum is absent in
-        // `request_frame`, so the patch needs no checksum fix).
-        bitutil::set16(
-            f.bytes_mut(),
-            emu_types::proto::offset::L4,
+        // keeps each key's ops on one shard. One client host, the
+        // endpoints of `emu_services::memcached::request_frame`, UDP
+        // checksum absent.
+        let seg = wire::udp_segment(
             5_000 + idx as u16,
+            port::MEMCACHED,
+            &wire::mc_request(&body, self.req_id),
         );
-        f.in_port = self.rng.gen_range(0u8..4);
-        f
+        wire::ipv4_frame(
+            MacAddr::from_u64(0x02_00_00_00_00_32),
+            MacAddr::from_u64(0x02_00_00_00_00_31),
+            Ipv4::new(10, 0, 0, 9),
+            Ipv4::new(10, 0, 0, 10),
+            ip_proto::UDP,
+            0x0001,
+            &seg,
+            self.rng.gen_range(0u8..4),
+        )
     }
 }
 
@@ -149,12 +157,7 @@ mod tests {
             let f = g.next_frame();
             let sport = emu_types::bitutil::get16(f.bytes(), 34);
             // Extract the key from the ASCII command.
-            let b = f.bytes();
-            let text: Vec<u8> = b[50..]
-                .iter()
-                .copied()
-                .take_while(|&c| c != b'\r')
-                .collect();
+            let text = wire::reply_text(&f);
             let key = String::from_utf8_lossy(&text)
                 .split_whitespace()
                 .nth(1)

@@ -4,10 +4,9 @@
 //! 64-bit word, while high-performance network datapaths need much wider
 //! I/O busses (the NetFPGA SUME reference pipeline is 256 bits wide). Emu
 //! therefore defines user types for larger words with overloads for all
-//! arithmetic operators. [`Bits`] is the dynamic-width value representation
-//! used across the IR interpreter and the RTL simulator; the fixed-width
-//! wrapper types in [`crate::wide`] provide the operator-overloaded user
-//! types of the paper.
+//! arithmetic operators. [`Bits`] is that type here: the dynamic-width
+//! value representation used across the IR interpreter and the RTL
+//! simulator.
 
 use std::fmt;
 

@@ -1,11 +1,11 @@
 //! Primitive types shared by every crate in the Emu reproduction.
 //!
 //! This crate is the bottom of the dependency stack: arbitrary-width words
-//! ([`Bits`]), the operator-overloaded wide word types of the paper's
-//! §3.2(iv) ([`U128`]/[`U256`]/[`U512`]), the `BitUtil` field accessors of
+//! ([`Bits`], the paper's §3.2(iv)), the `BitUtil` field accessors of
 //! Figure 4 ([`bitutil`]), Internet checksum and Pearson hashing
 //! ([`checksum`]), addresses ([`MacAddr`], [`Ipv4`]), protocol constants
-//! ([`proto`]), and the common [`Frame`] buffer.
+//! ([`proto`]), the common [`Frame`] buffer, and the one place frames are
+//! assembled from fields and decoded back ([`wire`]).
 //!
 //! Nothing here knows about the IR, the compiler, or any simulator.
 
@@ -16,10 +16,9 @@ pub mod checksum;
 pub mod frame;
 pub mod proto;
 pub mod stats;
-pub mod wide;
+pub mod wire;
 
 pub use addr::{AddrParseError, Ipv4, MacAddr};
 pub use bits::Bits;
 pub use frame::{hexdump, Frame};
 pub use stats::Summary;
-pub use wide::{U128, U256, U512};

@@ -8,17 +8,7 @@ use emu::platform::{timing, NativeCore, RefSwitchCore};
 use emu::prelude::*;
 use emu::services::switch::switch_ip_cam;
 use emu::stdlib::TableConfig;
-
-fn frame(src: u64, dst: u64, port: u8) -> Frame {
-    let mut f = Frame::ethernet(
-        MacAddr::from_u64(dst),
-        MacAddr::from_u64(src),
-        0x0800,
-        &[0; 46],
-    );
-    f.in_port = port;
-    f
-}
+use emu::types::wire::l2_frame as frame;
 
 fn main() {
     let svc = switch_ip_cam();

@@ -37,15 +37,13 @@ fn main() {
     // Eight client flows (distinct source ports) send outbound...
     let outbound: Vec<Frame> = (0..8u16)
         .map(|flow| {
-            let mut f = nat::udp_frame(
+            nat::udp_frame(
                 "192.168.1.50".parse().unwrap(),
                 4000 + flow,
                 "8.8.8.8".parse().unwrap(),
                 53,
                 1 + (flow % 3) as u8,
-            );
-            f.in_port = 1 + (flow % 3) as u8;
-            f
+            )
         })
         .collect();
 

@@ -11,7 +11,7 @@
 //!
 //! | module | crate | role |
 //! |---|---|---|
-//! | [`types`] | `emu-types` | wide words, bit utilities, checksums, frames |
+//! | [`types`] | `emu-types` | `Bits`, bit utilities, checksums, frames, the `wire` frame builders and codecs |
 //! | [`ir`] | `kiwi-ir` | the IR + builder DSL + interpreter (CPU target) |
 //! | [`compiler`] | `kiwi` | scheduling → FSM, resources, Verilog emission |
 //! | [`rtl`] | `emu-rtl` | cycle-accurate executor + IP-block models |

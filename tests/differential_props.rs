@@ -8,6 +8,8 @@ use emu_traffic::{
     Adversarial, Background, DnsWeighted, FlowChurn, MacChurn, MemcachedZipf, Mix,
     TcpConversations, TrafficGen,
 };
+use emu_types::proto::ip_proto;
+use emu_types::wire;
 use kiwi_ir::dsl::*;
 use kiwi_ir::interp::{NullEnv, NullObserver};
 use proptest::prelude::*;
@@ -23,13 +25,7 @@ proptest! {
         let mut cpu = svc.engine(Target::Cpu).build().unwrap();
         let mut fpga = svc.engine(Target::Fpga).build().unwrap();
         for (i, (src, dst, port)) in seeds.iter().enumerate() {
-            let mut f = Frame::ethernet(
-                MacAddr::from_u64(0x100 + dst),
-                MacAddr::from_u64(0x100 + src),
-                0x0800,
-                &[0u8; 46],
-            );
-            f.in_port = *port;
+            let f = wire::l2_frame(0x100 + src, 0x100 + dst, *port);
             let a = cpu.process(&f).unwrap();
             let b = fpga.process(&f).unwrap();
             prop_assert_eq!(&a.tx, &b.tx, "frame {}", i);
@@ -207,19 +203,16 @@ proptest! {
         for (name, engine) in &policies {
             for (mac, sport, extra) in &flows {
                 let frame = |extra: usize| {
-                    let mut f = s::nat::udp_frame(
-                        emu_types::Ipv4::new(10, 0, (*mac % 250) as u8 + 1, 2),
+                    wire::udp_frame(
+                        MacAddr::from_u64(0x0200_0000_0042),
+                        MacAddr::from_u64(0x0200_0000_0041),
+                        Ipv4::new(10, 0, (*mac % 250) as u8 + 1, 2),
                         *sport,
-                        "8.8.8.8".parse().unwrap(),
+                        Ipv4::new(8, 8, 8, 8),
                         53,
+                        &vec![0x5a; 16 + extra],
                         1,
-                    );
-                    let mut bytes = f.bytes().to_vec();
-                    bytes.extend(std::iter::repeat_n(0x5a, extra));
-                    let mut g = Frame::new(bytes);
-                    g.in_port = f.in_port;
-                    f = g;
-                    f
+                    )
                 };
                 let home = engine.shard_of(&frame(0));
                 prop_assert!(home < shards, "{}: shard out of range", name);
@@ -242,14 +235,17 @@ proptest! {
         // dispatch policy — including round-robin, which scatters flows.
         let svc = s::icmp::icmp_echo();
         let frames: Vec<Frame> = seqs.iter().map(|(client, len, port)| {
-            let mut f = s::icmp::echo_request_frame(*len, *client as u16);
-            let b = f.bytes_mut();
-            b[29] = (*client % 200) as u8 + 1;
-            emu_types::bitutil::set16(b, 24, 0);
-            let c = emu_types::checksum::internet_checksum(&b[14..34]);
-            emu_types::bitutil::set16(b, 24, c);
-            f.in_port = *port;
-            f
+            let payload: Vec<u8> = (0..*len).map(|i| i as u8).collect();
+            wire::ipv4_frame(
+                MacAddr::from_u64(0x0200_0000_0002),
+                MacAddr::from_u64(0x0200_0000_0001),
+                Ipv4::new(10, 0, 0, (*client % 200) as u8 + 1),
+                Ipv4::new(10, 0, 0, 2),
+                ip_proto::ICMP,
+                0x1234,
+                &wire::echo_request(0x5678, *client as u16, &payload),
+                *port,
+            )
         }).collect();
 
         let mut single = svc.engine(Target::Cpu).build().unwrap();

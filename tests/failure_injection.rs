@@ -3,9 +3,13 @@
 //! must degrade gracefully — dropped or rejected, never wedging a core.
 
 use emu::debug::{extend_program, ControllerConfig, DirectionPacket, Opcode};
+use emu::host::{HostDns, HostIcmpEcho, HostMemcached, HostService};
 use emu::prelude::*;
 use emu::services as s;
 use emu::stdlib::Service;
+use emu::traffic::{Adversarial, TrafficGen};
+use emu::types::proto::offset;
+use emu::types::{bitutil, wire};
 
 #[test]
 fn truncated_and_garbage_frames_are_survivable() {
@@ -73,13 +77,7 @@ fn mac_table_exhaustion_keeps_forwarding() {
     let svc = s::switch::switch_behavioural(4);
     let mut inst = svc.engine(Target::Fpga).build().unwrap();
     for i in 0..64u64 {
-        let mut f = Frame::ethernet(
-            MacAddr::from_u64(0xE000 + (i % 7)),
-            MacAddr::from_u64(0x1000 + i),
-            0x0800,
-            &[0; 46],
-        );
-        f.in_port = (i % 4) as u8;
+        let f = wire::l2_frame(0x1000 + i, 0xE000 + (i % 7), (i % 4) as u8);
         let out = inst.process(&f).unwrap();
         assert!(!out.tx.is_empty(), "frame {i} must still forward");
     }
@@ -91,38 +89,19 @@ fn output_queue_overflow_drops_cleanly() {
     let mut sim = PipelineSim::new_native(Box::new(RefSwitchCore::new()));
     sim.out_queue_frames = 4;
     // All traffic converges on one egress port at 4x its line rate.
-    sim.inject(&learned(0xB, 0xA, 1), 0.0).unwrap(); // learn A@1... (src 0xB)
+    sim.inject(&wire::l2_frame(0xB, 0xA, 1), 0.0).unwrap(); // learn A@1... (src 0xB)
     let gap = 4.2; // far beyond line rate
     let mut t = 1000.0;
     for i in 0..2000u64 {
-        let mut f = Frame::ethernet(
-            MacAddr::from_u64(0xB),
-            MacAddr::from_u64(0xA),
-            0x0800,
-            &[0; 46],
-        );
-        f.in_port = (i % 3) as u8;
-        if f.in_port == 1 {
-            f.in_port = 3;
-        }
-        sim.inject(&f, t).unwrap();
+        // Any ingress but port 1, where the destination lives.
+        let port = [0, 3, 2][(i % 3) as usize];
+        sim.inject(&wire::l2_frame(0xA, 0xB, port), t).unwrap();
         t += gap;
     }
     assert!(sim.queue_drops > 0, "oversubscription must drop");
     // And completed frames still have sane latencies.
     let s = sim.summary().unwrap();
     assert!(s.min > 0.0);
-}
-
-fn learned(src: u64, dst: u64, port: u8) -> Frame {
-    let mut f = Frame::ethernet(
-        MacAddr::from_u64(dst),
-        MacAddr::from_u64(src),
-        0x0800,
-        &[0; 46],
-    );
-    f.in_port = port;
-    f
 }
 
 /// A mirror service with a planted fault: any frame whose first payload
@@ -545,5 +524,114 @@ fn extend_program_preserves_every_base_signal() {
         assert_eq!(kept, base.program.signals(), "{}", base.program.name);
         let env = (base.make_env)(&emu::stdlib::TableConfig::default());
         env.check(&ext).unwrap();
+    }
+}
+
+// ---------------------------------------------------------------------
+// Host-side decoders: frames off the wire may lie about their lengths
+// ---------------------------------------------------------------------
+
+#[test]
+fn reply_text_clamps_a_lying_udp_length() {
+    let mut f = s::memcached::request_frame("get foo\r\n", 1);
+    for (udp_len, text) in [
+        (25, &b"get foo\r\n"[..]),
+        // Past the frame: the text runs to the end of what arrived.
+        (0xffff, b"get foo\r\n\0"),
+        // Short of the text, or of the UDP header itself: no text.
+        (18, b"ge"),
+        (15, b""),
+        (0, b""),
+    ] {
+        bitutil::set16(f.bytes_mut(), offset::L4 + 4, udp_len);
+        assert_eq!(s::memcached::reply_text(&f), text, "UDP length {udp_len}");
+    }
+}
+
+#[test]
+fn tcp_checksum_of_an_ip_total_length_below_the_header_is_none() {
+    let mut f = s::tcp_ping::syn_frame(1, 2, 3);
+    assert_eq!(wire::l4_csum_ok(&f), Some(true));
+    bitutil::set16(f.bytes_mut(), offset::IPV4 + 2, 10);
+    assert_eq!(wire::l4_csum_ok(&f), None);
+}
+
+#[test]
+fn tcp_checksum_of_a_frame_cut_inside_the_ip_header_is_invalid() {
+    let syn = s::tcp_ping::syn_frame(1, 2, 3);
+    // 30 bytes: the addresses are gone, the MAC pads the rest with zeros.
+    let cut = Frame::new(syn.bytes()[..30].to_vec());
+    assert_eq!(wire::l4_csum_ok(&cut), Some(false));
+}
+
+#[test]
+fn udp_checksum_of_a_length_past_the_frame_is_none() {
+    let good = s::nat::udp_frame(Ipv4::new(10, 0, 0, 1), 1, Ipv4::new(10, 0, 0, 2), 2, 1);
+    assert_eq!((good.len(), wire::l4_csum_ok(&good)), (60, Some(true)));
+    for (field, lie) in [
+        (offset::L4 + 4, 2000),   // UDP length past the frame
+        (offset::L4 + 4, 3),      // … shorter than its own header
+        (offset::IPV4 + 2, 2000), // IP total length past the frame
+        (offset::IPV4 + 2, 27),   // … with no room for a UDP header
+    ] {
+        let mut f = good.clone();
+        bitutil::set16(f.bytes_mut(), field, lie);
+        assert_eq!(wire::l4_csum_ok(&f), None, "{field}: {lie}");
+    }
+    // An IHL of 15 claims a 60-byte header the 60-byte frame cannot hold.
+    let mut options = good;
+    options.bytes_mut()[offset::IPV4] = 0x4f;
+    assert_eq!(wire::l4_csum_ok(&options), None);
+    assert_eq!(wire::ipv4_csum_ok(&options), None);
+}
+
+#[test]
+fn host_icmp_drops_an_echo_request_cut_short_of_its_total_length() {
+    let ping = s::icmp::echo_request_frame(56, 1);
+    assert_eq!(HostIcmpEcho.process(&ping).len(), 1);
+    // 40 bytes survive, the MAC pads to 60, the IP header still says 84.
+    let cut = Frame::new(ping.bytes()[..40].to_vec());
+    assert_eq!(cut.len(), 60);
+    assert!(HostIcmpEcho.process(&cut).is_empty());
+}
+
+#[test]
+fn host_side_decoders_survive_adversarial_and_truncated_frames() {
+    let mut dns = HostDns::new(vec![("a.b".into(), Ipv4::new(1, 2, 3, 4))]);
+    let mut mc = HostMemcached::default();
+    let mut decode = |f: &Frame| {
+        let _ = HostIcmpEcho.process(f);
+        let _ = dns.process(f);
+        let _ = mc.process(f);
+        let _ = wire::reply_text(f);
+        let _ = wire::ipv4_csum_ok(f);
+        let _ = wire::l4_csum_ok(f);
+    };
+    let mut adversarial = Adversarial::new(0x601d_0024, &[0, 1, 2, 3]);
+    for _ in 0..20_000 {
+        decode(&adversarial.next_frame());
+    }
+    // One valid frame per protocol, cut at every byte — as the MAC would
+    // deliver it (zero-padded to 60), then with each length field
+    // claiming nothing, next to nothing, and more than any frame holds.
+    for whole in [
+        s::icmp::echo_request_frame(56, 1),
+        s::dns::query_frame("a.b", 7),
+        s::memcached::request_frame("set foo 0 0 8\r\nAAAABBBB\r\n", 1),
+        s::memcached::request_frame("get foo\r\n", 2),
+        s::tcp_ping::syn_frame(40_000, 80, 0x1000),
+        s::nat::udp_frame(Ipv4::new(10, 0, 0, 1), 53, Ipv4::new(10, 0, 0, 2), 53, 1),
+    ] {
+        for cut in 0..=whole.len() {
+            let f = Frame::new(whole.bytes()[..cut].to_vec());
+            decode(&f);
+            for len_field in [offset::IPV4 + 2, offset::L4 + 4] {
+                for lie in [0, 1, 0xffff] {
+                    let mut lying = f.clone();
+                    bitutil::set16(lying.bytes_mut(), len_field, lie);
+                    decode(&lying);
+                }
+            }
+        }
     }
 }

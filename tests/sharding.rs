@@ -12,38 +12,41 @@
 use emu::prelude::*;
 use emu::services as s;
 use emu::stdlib::flow_hash;
-use emu_types::bitutil;
+use emu_types::proto::ip_proto;
+use emu_types::{bitutil, wire};
 
-/// Builds a UDP frame for client flow `flow` (distinct sport + src IP)
-/// with `extra` payload bytes, so the same flow can send varied frames.
+const CLIENT_MAC: MacAddr = MacAddr([0x02, 0, 0, 0, 0, 0x42]);
+const SERVER_MAC: MacAddr = MacAddr([0x02, 0, 0, 0, 0, 0x41]);
+
+/// Builds a UDP frame for client flow `flow` (distinct sport) with
+/// `extra` more payload bytes, so the same flow can send varied frames.
 fn client_frame(flow: u16, extra: usize) -> Frame {
-    let mut f = s::nat::udp_frame(
-        emu_types::Ipv4::new(192, 168, 1, 50),
+    wire::udp_frame(
+        CLIENT_MAC,
+        SERVER_MAC,
+        Ipv4::new(192, 168, 1, 50),
         2000 + flow,
-        "8.8.8.8".parse().unwrap(),
+        Ipv4::new(8, 8, 8, 8),
         53,
+        &vec![0xa5; 16 + extra],
         1 + (flow % 3) as u8,
-    );
-    let mut bytes = f.bytes().to_vec();
-    bytes.extend(std::iter::repeat_n(0xa5, extra));
-    let mut g = Frame::new(bytes);
-    g.in_port = f.in_port;
-    f = g;
-    f
+    )
 }
 
 /// ICMP echo request `i` from one of `flows` client addresses (ICMP has
-/// no ports, so the flow hash spreads on the source address; the ICMP
-/// checksum does not cover it).
+/// no ports, so the flow hash spreads on the source address).
 fn icmp_flow_frame(i: u64, flows: u64) -> Frame {
-    let mut f = s::icmp::echo_request_frame(16 + (i as usize % 48), i as u16);
-    let b = f.bytes_mut();
-    b[29] = (i % flows) as u8 + 1;
-    bitutil::set16(b, 24, 0);
-    let c = emu_types::checksum::internet_checksum(&b[14..34]);
-    bitutil::set16(b, 24, c);
-    f.in_port = (i % 4) as u8;
-    f
+    let payload: Vec<u8> = (0..16 + (i % 48) as u8).collect();
+    wire::ipv4_frame(
+        CLIENT_MAC,
+        SERVER_MAC,
+        Ipv4::new(10, 0, 0, (i % flows) as u8 + 1),
+        Ipv4::new(10, 0, 0, 2),
+        ip_proto::ICMP,
+        0x1234,
+        &wire::echo_request(0x5678, i as u16, &payload),
+        (i % 4) as u8,
+    )
 }
 
 fn dns_zone() -> Vec<(String, emu_types::Ipv4)> {
@@ -53,18 +56,23 @@ fn dns_zone() -> Vec<(String, emu_types::Ipv4)> {
     ]
 }
 
-/// DNS query `i` from one of `flows` client source ports (the query's
-/// UDP checksum is absent, so nothing needs refreshing).
+/// DNS query `i` from one of `flows` client source ports.
 fn dns_flow_frame(i: u64, flows: u64) -> Frame {
     let name = if i.is_multiple_of(3) {
         "a.b"
     } else {
         "example.com"
     };
-    let mut f = s::dns::query_frame(name, i as u16);
-    bitutil::set16(f.bytes_mut(), 34, 4000 + (i % flows) as u16);
-    f.in_port = (i % 4) as u8;
-    f
+    wire::udp_frame(
+        CLIENT_MAC,
+        SERVER_MAC,
+        Ipv4::new(10, 0, 0, 50),
+        4000 + (i % flows) as u16,
+        Ipv4::new(10, 0, 0, 53),
+        53,
+        &wire::dns_query(name, i as u16),
+        (i % 4) as u8,
+    )
 }
 
 #[test]
@@ -185,7 +193,11 @@ fn sharded_nat_keeps_per_flow_mappings_consistent() {
             let prev = *first_port.entry(flow).or_insert(ext);
             assert_eq!(prev, ext, "flow {flow} changed external port");
             assert!(emu_types::checksum::verify(&b[14..34]), "bad IP csum");
-            assert!(s::nat::udp_checksum_valid(b), "bad UDP csum");
+            assert_eq!(
+                wire::l4_csum_ok(&out.tx[0].frame),
+                Some(true),
+                "bad UDP csum"
+            );
         }
     }
 }
