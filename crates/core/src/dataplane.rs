@@ -71,14 +71,6 @@ impl Dataplane {
         concat_all((0..8).map(|i| self.byte(off + i)))
     }
 
-    /// Big-endian 16-bit field at a dynamic offset.
-    pub fn get16_dyn(&self, off: Expr) -> Expr {
-        concat(
-            self.byte_dyn(off.clone()),
-            self.byte_dyn(add(off, lit(1, 16))),
-        )
-    }
-
     /// Writes a byte at a constant offset.
     pub fn set8(&self, off: usize, v: Expr) -> Stmt {
         arr_write(self.ports.frame, lit(off as u64, 16), v)

@@ -37,9 +37,7 @@ pub use engine::{
     RoundRobin, RssHash, Shard,
 };
 pub use ipblock::{BramIf, CamDeleteIf, CamIf, FifoIf, HashIf, LruIf, NaughtyQIf};
-pub use proto::{
-    ArpWrapper, DnsWrapper, EthernetWrapper, IcmpWrapper, Ipv4Wrapper, TcpWrapper, UdpWrapper,
-};
+pub use proto::{DnsWrapper, EthernetWrapper, IcmpWrapper, Ipv4Wrapper, TcpWrapper, UdpWrapper};
 pub use runner::{
     assert_targets_agree, flow_hash, flow_key, service_builder, Backend, Service, TableConfig,
     Target, FPGA_MAX_TABLE_ENTRIES,

@@ -60,11 +60,6 @@ impl EthernetWrapper {
     pub fn set_src(&self, v: Expr) -> Vec<Stmt> {
         self.dp.set_src_mac(v)
     }
-
-    /// Sets the EtherType.
-    pub fn set_ethertype(&self, v: Expr) -> Vec<Stmt> {
-        self.dp.set16(offset::ETH_TYPE, v)
-    }
 }
 
 /// IPv4 header accessors (Figure 4's `DestinationIPAddress` et al.).
@@ -104,11 +99,6 @@ impl Ipv4Wrapper {
         self.dp.byte(offset::IPV4_TTL)
     }
 
-    /// Sets the TTL.
-    pub fn set_ttl(&self, v: Expr) -> Stmt {
-        self.dp.set8(offset::IPV4_TTL, v)
-    }
-
     /// Protocol byte.
     pub fn protocol(&self) -> Expr {
         self.dp.byte(offset::IPV4_PROTO)
@@ -122,11 +112,6 @@ impl Ipv4Wrapper {
     /// Header checksum field.
     pub fn header_checksum(&self) -> Expr {
         self.dp.get16(offset::IPV4_CSUM)
-    }
-
-    /// Sets the header checksum field.
-    pub fn set_header_checksum(&self, v: Expr) -> Vec<Stmt> {
-        self.dp.set16(offset::IPV4_CSUM, v)
     }
 
     /// Source address (Figure 4's `SourceIPAddress` getter).
@@ -155,49 +140,6 @@ impl Ipv4Wrapper {
         out.extend(self.set_dst(self.src()));
         out.extend(self.set_src(resize(var(scratch), 32)));
         out
-    }
-}
-
-/// ARP (IPv4-over-Ethernet) accessors.
-#[derive(Debug, Clone, Copy)]
-pub struct ArpWrapper {
-    dp: Dataplane,
-}
-
-impl ArpWrapper {
-    /// Wraps the dataplane's frame buffer.
-    pub fn new(dp: Dataplane) -> Self {
-        ArpWrapper { dp }
-    }
-
-    /// Operation: 1 request, 2 reply.
-    pub fn oper(&self) -> Expr {
-        self.dp.get16(offset::L3 + 6)
-    }
-
-    /// Sets the operation.
-    pub fn set_oper(&self, v: Expr) -> Vec<Stmt> {
-        self.dp.set16(offset::L3 + 6, v)
-    }
-
-    /// Sender MAC.
-    pub fn sha(&self) -> Expr {
-        self.dp.get48(offset::L3 + 8)
-    }
-
-    /// Sender IPv4.
-    pub fn spa(&self) -> Expr {
-        self.dp.get32(offset::L3 + 14)
-    }
-
-    /// Target MAC.
-    pub fn tha(&self) -> Expr {
-        self.dp.get48(offset::L3 + 18)
-    }
-
-    /// Target IPv4.
-    pub fn tpa(&self) -> Expr {
-        self.dp.get32(offset::L3 + 24)
     }
 }
 

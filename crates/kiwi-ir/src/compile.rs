@@ -6,24 +6,43 @@
 //! software semantics: simple, obviously faithful to [`crate::ast`], and
 //! slow — it re-decodes the same `Box<Expr>` nodes every frame, clones a
 //! multi-limb [`Bits`] at every node, and re-resolves widths on every
-//! binary op. This module trades that tree for a **pre-decoded linear
-//! program** over explicit scratch-slot registers:
+//! binary op. This module trades that tree for a
+//! **pre-decoded linear program** over one file of `u64` scratch slots:
 //!
 //! * every `VarId` / `ArrId` / `SigId` is resolved to a plain index at
 //!   lowering time,
 //! * every operand and result width is pre-computed, with the width rules
 //!   of [`crate::ast`] baked into per-op masks,
-//! * values of width ≤ 64 live in a `u64` scratch file (the fast path —
-//!   all frame bytes and almost every service register), while wider
-//!   values fall back to [`Bits`] scratch slots,
 //! * execution is a single `match` over compact micro-ops — no recursion,
-//!   no per-node clones, no heap traffic on the fast path.
+//!   no per-node clones, no heap traffic.
+//!
+//! # What is lowered and what is evaluated
+//!
+//! The machine is 64 bits wide and nothing else. A sub-expression is
+//! **lowered** to micro-ops when it and every one of its operands is at
+//! most 64 bits wide — all frame bytes and almost every service
+//! register (98.6 % of the shipped services' bytecode). The *maximal*
+//! sub-expression that is wider than 64 bits, or that sits directly on
+//! top of an operand that is, is **evaluated**: lowering stores the
+//! [`Expr`] in the thread's side table ([`CompiledThread::exprs`]) and
+//! emits one micro-op that calls the reference [`eval`] on
+//! [`MachineState`] at that point in program order —
+//! [`MOp::EvalS`] when the result fits a slot (a compare, reduction,
+//! slice or narrowing of something wider; an array index, shift amount
+//! or branch condition that is itself wider), [`MOp::StVarE`] /
+//! [`MOp::StArrE`] / [`MOp::StSigE`] when the statement's value is
+//! itself wider, in which case the micro-op *is* the tree-walker's
+//! store ([`MachineState::assign`] and friends). There is no second
+//! implementation of arithmetic beyond 64 bits for the spec to disagree
+//! with.
 //!
 //! Lowering feeds the pass pipeline in [`crate::opt`] (constant folding,
 //! array-access strength reduction, redundant-load and
 //! common-subexpression elimination, adjacent-load pair fusion, copy
 //! propagation, dead scratch elimination) before the bytecode is frozen
-//! into a [`CompiledProgram`].
+//! into a [`CompiledProgram`]. The passes treat the four evaluating
+//! micro-ops as opaque: they read machine state where they stand, and
+//! the stores among them invalidate what any store does.
 //!
 //! [`CompiledMachine`] mirrors [`crate::interp::Machine`] exactly:
 //! pause-to-pause cycles, the same [`Env`]/[`Observer`] hooks, the same
@@ -33,13 +52,13 @@
 //! is byte-identical to the tree-walker by construction, and the
 //! differential suites assert it.
 
-use crate::ast::{BinOp, IrError, IrResult, UnOp};
+use crate::ast::{BinOp, Expr, IrError, IrResult, UnOp};
 use crate::flat::{FlatProgram, FlatThread, Op};
-use crate::interp::{Env, MachineState, Observer};
-use crate::program::{Program, SigDir};
+use crate::interp::{eval, Env, MachineState, Observer};
+use crate::program::{ArrId, Program, SigDir, SigId, VarId};
 use emu_types::Bits;
 
-/// Index of a scratch slot (small and wide slots are separate files).
+/// Index of a scratch slot.
 pub type Slot = u32;
 
 // ---------------------------------------------------------------------
@@ -59,7 +78,7 @@ pub(crate) fn mask_of(w: u16) -> u64 {
     }
 }
 
-/// Small-path arithmetic/logic in the result width encoded by `mask`.
+/// Arithmetic/logic in the result width encoded by `mask`.
 #[inline]
 pub(crate) fn bin_s(op: BinOp, a: u64, b: u64, mask: u64) -> u64 {
     match op {
@@ -73,8 +92,8 @@ pub(crate) fn bin_s(op: BinOp, a: u64, b: u64, mask: u64) -> u64 {
     }
 }
 
-/// Small-path unsigned comparison (operands are canonical, so raw `u64`
-/// comparison equals comparison at the common width).
+/// Unsigned comparison (operands are canonical, so raw `u64` comparison
+/// equals comparison at the common width).
 #[inline]
 pub(crate) fn cmp_s(op: BinOp, a: u64, b: u64) -> u64 {
     u64::from(match op {
@@ -88,9 +107,9 @@ pub(crate) fn cmp_s(op: BinOp, a: u64, b: u64) -> u64 {
     })
 }
 
-/// Small-path `<<` in the left operand's width (`mask`); shifts at or
-/// beyond 64 bits yield zero, and `(a << n) & mask` zeroes everything
-/// shifted past the operand width, matching [`Bits::shl`].
+/// `<<` in the left operand's width (`mask`); shifts at or beyond 64
+/// bits yield zero, and `(a << n) & mask` zeroes everything shifted past
+/// the operand width, matching [`Bits::shl`].
 #[inline]
 pub(crate) fn shl_s(a: u64, n: u64, mask: u64) -> u64 {
     if n >= 64 {
@@ -100,7 +119,7 @@ pub(crate) fn shl_s(a: u64, n: u64, mask: u64) -> u64 {
     }
 }
 
-/// Small-path `>>`; operands are canonical so no mask is needed.
+/// `>>`; operands are canonical so no mask is needed.
 #[inline]
 pub(crate) fn shr_s(a: u64, n: u64) -> u64 {
     if n >= 64 {
@@ -110,79 +129,29 @@ pub(crate) fn shr_s(a: u64, n: u64) -> u64 {
     }
 }
 
-/// Wide-path arithmetic/logic; operands have been resized to the common
-/// result width already.
-#[inline]
-pub(crate) fn bin_w(op: BinOp, a: &Bits, b: &Bits) -> Bits {
-    match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::And => a.and(b),
-        BinOp::Or => a.or(b),
-        BinOp::Xor => a.xor(b),
-        _ => unreachable!("bin_w on non-arith op {op:?}"),
-    }
-}
-
-/// Wide-path comparison on operands resized to the common width.
-#[inline]
-pub(crate) fn cmp_w(op: BinOp, a: &Bits, b: &Bits) -> u64 {
-    use std::cmp::Ordering::*;
-    u64::from(match op {
-        BinOp::Eq => a == b,
-        BinOp::Ne => a != b,
-        BinOp::Lt => a.cmp_u(b) == Less,
-        BinOp::Le => a.cmp_u(b) != Greater,
-        BinOp::Gt => a.cmp_u(b) == Greater,
-        BinOp::Ge => a.cmp_u(b) != Less,
-        _ => unreachable!("cmp_w on non-compare op {op:?}"),
-    })
-}
-
-/// Wide-path shift amount clamp, mirroring `eval`'s
-/// `rv.to_u64().min(u32::MAX)`.
-#[inline]
-pub(crate) fn shift_amount(n: u64) -> u32 {
-    n.min(u64::from(u32::MAX)) as u32
-}
-
 // ---------------------------------------------------------------------
 // The micro-op ISA
 // ---------------------------------------------------------------------
 
-/// One pre-decoded micro-op.
+/// One pre-decoded micro-op of the 64-bit machine.
 ///
-/// Naming convention: a trailing `S` operates on the small (`u64`)
-/// scratch file, `W` on the wide ([`Bits`]) file. `St*` / control ops are
-/// *terminals* — each corresponds to exactly one source [`Op`], which is
-/// where the op budget and `ops_executed` are counted, keeping profiling
-/// and trap behaviour aligned with the tree-walker.
-#[derive(Debug, Clone, PartialEq)]
+/// Naming convention: a trailing `S` computes in the `u64` scratch file;
+/// a trailing `E` hands a side-table [`Expr`] to the reference [`eval`]
+/// (see the module docs for which sub-expressions those are). `St*` /
+/// control ops are *terminals* — each corresponds to exactly one source
+/// [`Op`], which is where the op budget and `ops_executed` are counted,
+/// keeping profiling and trap behaviour aligned with the tree-walker.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MOp {
-    /// Load a constant into a small slot.
+    /// Load a constant into a slot.
     ConstS {
         /// Destination slot.
         dst: Slot,
         /// Canonical value.
         v: u64,
     },
-    /// Load a constant into a wide slot.
-    ConstW {
-        /// Destination slot.
-        dst: Slot,
-        /// The constant (carries its exact width).
-        v: Bits,
-    },
     /// Read a register (width ≤ 64).
     LdVarS {
-        /// Destination slot.
-        dst: Slot,
-        /// Register index.
-        var: u32,
-    },
-    /// Read a register (width > 64).
-    LdVarW {
         /// Destination slot.
         dst: Slot,
         /// Register index.
@@ -197,39 +166,18 @@ pub enum MOp {
         /// Sample `sigs_out` instead of `sigs_in`.
         out: bool,
     },
-    /// Sample a signal (width > 64).
-    LdSigW {
-        /// Destination slot.
-        dst: Slot,
-        /// Signal index.
-        sig: u32,
-        /// Sample `sigs_out` instead of `sigs_in`.
-        out: bool,
-    },
     /// Array element read, elements ≤ 64 bits; out-of-range reads zero.
     LdArrS {
         /// Destination slot.
         dst: Slot,
         /// Array index.
         arr: u32,
-        /// Small slot holding the element index.
+        /// Slot holding the element index.
         idx: Slot,
     },
-    /// Array element read, elements > 64 bits.
-    LdArrW {
-        /// Destination slot.
-        dst: Slot,
-        /// Array index.
-        arr: u32,
-        /// Small slot holding the element index.
-        idx: Slot,
-        /// Element width (for the out-of-range zero).
-        w: u16,
-    },
-    /// Array element read at a compile-time-constant, in-bounds index
-    /// (elements ≤ 64 bits). Produced by
-    /// [`ArrayStrength`](crate::opt::Pass::ArrayStrength): the index
-    /// slot and its `ConstS` feeder disappear entirely.
+    /// Array element read at a compile-time-constant, in-bounds index.
+    /// Produced by [`ArrayStrength`](crate::opt::Pass::ArrayStrength):
+    /// the index slot and its `ConstS` feeder disappear entirely.
     LdArrCS {
         /// Destination slot.
         dst: Slot,
@@ -238,8 +186,8 @@ pub enum MOp {
         /// Constant element index, proven in bounds at compile time.
         idx: u32,
     },
-    /// Fused read of two adjacent array elements (≤ 64 bits each),
-    /// concatenated high-to-low: with `i = (idx + off) & mask` and
+    /// Fused read of two adjacent array elements, concatenated
+    /// high-to-low: with `i = (idx + off) & mask` and
     /// `j = (i + 1) & mask`, `dst = (a[i] << bw) | a[j]`. The offset
     /// add, wrap masks, and both loads reproduce the index arithmetic
     /// the fusion replaced, micro-op for micro-op. Produced by
@@ -250,7 +198,7 @@ pub enum MOp {
     LdArrPairS {
         /// Destination slot.
         dst: Slot,
-        /// Small slot holding the base index.
+        /// Slot holding the base index.
         idx: Slot,
         /// Array index.
         arr: u32,
@@ -291,39 +239,14 @@ pub enum MOp {
         /// Width of the low part.
         bw: u16,
     },
-    /// Small-to-small move (identity resize; fodder for copy propagation).
+    /// Slot-to-slot move (identity resize; fodder for copy propagation).
     CopyS {
         /// Destination slot.
         dst: Slot,
         /// Source slot.
         a: Slot,
     },
-    /// Wide-to-wide move.
-    CopyW {
-        /// Destination slot.
-        dst: Slot,
-        /// Source slot.
-        a: Slot,
-    },
-    /// Small value into a wide slot of width `w` (zero-extension).
-    Widen {
-        /// Destination slot (wide).
-        dst: Slot,
-        /// Source slot (small).
-        a: Slot,
-        /// Exact result width.
-        w: u16,
-    },
-    /// Wide value truncated into a small slot (`mask` = result width).
-    Narrow {
-        /// Destination slot (small).
-        dst: Slot,
-        /// Source slot (wide).
-        a: Slot,
-        /// Mask of the result width.
-        mask: u64,
-    },
-    /// Small resize/truncate: `dst = a & mask`.
+    /// Resize/truncate: `dst = a & mask`.
     MaskS {
         /// Destination slot.
         dst: Slot,
@@ -332,16 +255,7 @@ pub enum MOp {
         /// Mask of the result width.
         mask: u64,
     },
-    /// Wide-to-wide resize to width `w`.
-    ResizeW {
-        /// Destination slot.
-        dst: Slot,
-        /// Source slot.
-        a: Slot,
-        /// Result width.
-        w: u16,
-    },
-    /// Small bitwise NOT in the operand width.
+    /// Bitwise NOT in the operand width.
     NotS {
         /// Destination slot.
         dst: Slot,
@@ -350,7 +264,7 @@ pub enum MOp {
         /// Mask of the operand width.
         mask: u64,
     },
-    /// Small two's-complement negation in the operand width.
+    /// Two's-complement negation in the operand width.
     NegS {
         /// Destination slot.
         dst: Slot,
@@ -359,35 +273,14 @@ pub enum MOp {
         /// Mask of the operand width.
         mask: u64,
     },
-    /// Small OR-reduction to one bit.
+    /// OR-reduction to one bit.
     RedOrS {
         /// Destination slot.
         dst: Slot,
         /// Source slot.
         a: Slot,
     },
-    /// Wide bitwise NOT.
-    NotW {
-        /// Destination slot.
-        dst: Slot,
-        /// Source slot.
-        a: Slot,
-    },
-    /// Wide two's-complement negation.
-    NegW {
-        /// Destination slot.
-        dst: Slot,
-        /// Source slot.
-        a: Slot,
-    },
-    /// Wide OR-reduction into a small 1-bit slot.
-    RedOrW {
-        /// Destination slot (small).
-        dst: Slot,
-        /// Source slot (wide).
-        a: Slot,
-    },
-    /// Small arithmetic/logic at the pre-computed result width.
+    /// Arithmetic/logic at the pre-computed result width.
     BinS {
         /// Destination slot.
         dst: Slot,
@@ -400,7 +293,7 @@ pub enum MOp {
         /// Mask of the result width.
         mask: u64,
     },
-    /// Small unsigned comparison (1-bit result).
+    /// Unsigned comparison (1-bit result).
     CmpS {
         /// Destination slot.
         dst: Slot,
@@ -411,7 +304,7 @@ pub enum MOp {
         /// Right operand slot.
         b: Slot,
     },
-    /// Small `<<` in the left operand's width.
+    /// `<<` in the left operand's width.
     ShlS {
         /// Destination slot.
         dst: Slot,
@@ -422,7 +315,7 @@ pub enum MOp {
         /// Mask of the left operand's width.
         mask: u64,
     },
-    /// Small `>>`.
+    /// `>>`.
     ShrS {
         /// Destination slot.
         dst: Slot,
@@ -431,7 +324,7 @@ pub enum MOp {
         /// Shift-amount slot.
         b: Slot,
     },
-    /// Small concatenation: `dst = (a << bw) | b`.
+    /// Concatenation: `dst = (a << bw) | b`.
     ConcatS {
         /// Destination slot.
         dst: Slot,
@@ -442,7 +335,7 @@ pub enum MOp {
         /// Width of the low part.
         bw: u16,
     },
-    /// Small slice: `dst = (a >> lo) & mask`.
+    /// Slice: `dst = (a >> lo) & mask`.
     SliceS {
         /// Destination slot.
         dst: Slot,
@@ -453,100 +346,30 @@ pub enum MOp {
         /// Mask of the slice width.
         mask: u64,
     },
-    /// Slice of a wide value into a small slot.
-    SliceWS {
-        /// Destination slot (small).
-        dst: Slot,
-        /// Source slot (wide).
-        a: Slot,
-        /// Low bit of the slice.
-        lo: u16,
-        /// Mask of the slice width.
-        mask: u64,
-    },
-    /// Slice of a wide value into a wide slot.
-    SliceW {
-        /// Destination slot.
-        dst: Slot,
-        /// Source slot.
-        a: Slot,
-        /// High bit of the slice (inclusive).
-        hi: u16,
-        /// Low bit of the slice.
-        lo: u16,
-    },
-    /// Wide arithmetic/logic; operands pre-resized to the result width.
-    BinW {
-        /// Destination slot.
-        dst: Slot,
-        /// Operator (arith/logic subset).
-        op: BinOp,
-        /// Left operand slot.
-        a: Slot,
-        /// Right operand slot.
-        b: Slot,
-    },
-    /// Wide comparison into a small 1-bit slot; operands pre-resized.
-    CmpW {
-        /// Destination slot (small).
-        dst: Slot,
-        /// Comparison operator.
-        op: BinOp,
-        /// Left operand slot (wide).
-        a: Slot,
-        /// Right operand slot (wide).
-        b: Slot,
-    },
-    /// Wide `<<` in the (unresized) left operand's width.
-    ShlW {
-        /// Destination slot.
-        dst: Slot,
-        /// Left operand slot (wide).
-        a: Slot,
-        /// Shift-amount slot (small).
-        b: Slot,
-    },
-    /// Wide `>>`.
-    ShrW {
-        /// Destination slot.
-        dst: Slot,
-        /// Left operand slot (wide).
-        a: Slot,
-        /// Shift-amount slot (small).
-        b: Slot,
-    },
-    /// Wide concatenation; operand widths are carried by the values.
-    ConcatW {
-        /// Destination slot.
-        dst: Slot,
-        /// High part slot.
-        a: Slot,
-        /// Low part slot.
-        b: Slot,
-    },
-    /// Small two-way mux (operands canonical at the result width).
+    /// Two-way mux (operands canonical at the result width).
     MuxS {
         /// Destination slot.
         dst: Slot,
-        /// Condition slot (small; non-zero selects `t`).
+        /// Condition slot (non-zero selects `t`).
         c: Slot,
         /// Then-value slot.
         t: Slot,
         /// Else-value slot.
         e: Slot,
     },
-    /// Wide two-way mux; arms pre-resized to the result width.
-    MuxW {
+    /// The low 64 bits of a side-table expression, computed by the
+    /// reference [`eval`] on the machine state as it stands: the whole
+    /// value when the expression is at most 64 bits wide (a compare,
+    /// reduction, slice or narrowing of an operand that is wider), the
+    /// `to_u64()` the tree-walker itself takes when it is an array
+    /// index that is wider. Not a terminal: no tick.
+    EvalS {
         /// Destination slot.
         dst: Slot,
-        /// Condition slot (small).
-        c: Slot,
-        /// Then-value slot (wide).
-        t: Slot,
-        /// Else-value slot (wide).
-        e: Slot,
+        /// Index into [`CompiledThread::exprs`].
+        e: u32,
     },
-    /// Terminal: register assignment from a small slot.
+    /// Terminal: register assignment from a slot.
     StVarS {
         /// Register index.
         var: u32,
@@ -555,38 +378,27 @@ pub enum MOp {
         /// Register width.
         w: u16,
     },
-    /// Terminal: register assignment from a wide slot.
-    StVarW {
+    /// Terminal: register assignment of a side-table expression wider
+    /// than 64 bits — the tree-walker's own `Assign` step
+    /// ([`MachineState::assign`]).
+    StVarE {
         /// Register index.
         var: u32,
-        /// Value slot.
-        a: Slot,
-        /// Register width.
-        w: u16,
+        /// Index into [`CompiledThread::exprs`].
+        e: u32,
     },
-    /// Terminal: array element write from a small slot.
+    /// Terminal: array element write from a slot.
     StArrS {
         /// Array index.
         arr: u32,
-        /// Small slot holding the element index.
+        /// Slot holding the element index.
         idx: Slot,
         /// Value slot.
         a: Slot,
         /// Element width.
         w: u16,
     },
-    /// Terminal: array element write from a wide slot.
-    StArrW {
-        /// Array index.
-        arr: u32,
-        /// Small slot holding the element index.
-        idx: Slot,
-        /// Value slot.
-        a: Slot,
-        /// Element width.
-        w: u16,
-    },
-    /// Terminal: array element write from a small slot at a
+    /// Terminal: array element write from a slot at a
     /// compile-time-constant index, proven in bounds by
     /// [`crate::opt::Pass::ArrayStrength`] (no index slot to read, no
     /// bounds check to run). Budget-wise identical to [`MOp::StArrS`].
@@ -600,7 +412,18 @@ pub enum MOp {
         /// Element width.
         w: u16,
     },
-    /// Terminal: output-signal drive from a small slot.
+    /// Terminal: array element write of a side-table expression wider
+    /// than 64 bits — the tree-walker's own `ArrWrite` step
+    /// ([`MachineState::arr_write`]) at the index in `idx`.
+    StArrE {
+        /// Array index.
+        arr: u32,
+        /// Slot holding the element index.
+        idx: Slot,
+        /// Index into [`CompiledThread::exprs`].
+        e: u32,
+    },
+    /// Terminal: output-signal drive from a slot.
     StSigS {
         /// Signal index.
         sig: u32,
@@ -609,18 +432,18 @@ pub enum MOp {
         /// Signal width.
         w: u16,
     },
-    /// Terminal: output-signal drive from a wide slot.
-    StSigW {
+    /// Terminal: output-signal drive of a side-table expression wider
+    /// than 64 bits — the tree-walker's own `SigWrite` step
+    /// ([`MachineState::sig_write`]).
+    StSigE {
         /// Signal index.
         sig: u32,
-        /// Value slot.
-        a: Slot,
-        /// Signal width.
-        w: u16,
+        /// Index into [`CompiledThread::exprs`].
+        e: u32,
     },
     /// Terminal: fall through when the slot is non-zero, else jump.
     BranchZ {
-        /// Condition slot (small).
+        /// Condition slot.
         c: Slot,
         /// Micro-op index taken when the condition is zero.
         target: u32,
@@ -648,100 +471,69 @@ pub enum MOp {
 }
 
 impl MOp {
-    /// The scratch slot this op defines, with its file (`true` = wide).
-    /// Terminals define nothing.
-    pub(crate) fn dst(&self) -> Option<(Slot, bool)> {
-        self.clone().dst_mut().map(|(d, wide)| (*d, wide))
+    /// The scratch slot this op defines. Terminals define nothing.
+    pub(crate) fn dst(mut self) -> Option<Slot> {
+        self.dst_mut().map(|d| *d)
     }
 
-    /// Visits every scratch-slot operand as `(&mut slot, wide)`.
-    pub(crate) fn uses_mut(&mut self, f: &mut dyn FnMut(&mut Slot, bool)) {
+    /// Visits every scratch-slot operand.
+    pub(crate) fn uses_mut(&mut self, f: &mut dyn FnMut(&mut Slot)) {
         use MOp::*;
         match self {
             ConstS { .. }
-            | ConstW { .. }
             | LdVarS { .. }
-            | LdVarW { .. }
             | LdSigS { .. }
-            | LdSigW { .. }
             | LdArrCS { .. }
             | LdArrPairCS { .. }
+            | EvalS { .. }
+            | StVarE { .. }
+            | StSigE { .. }
             | Jmp { .. }
             | PauseOp
             | LabelOp { .. }
             | ExtOp { .. }
             | HaltOp => {}
-            LdArrS { idx, .. } | LdArrW { idx, .. } | LdArrPairS { idx, .. } => f(idx, false),
-            ConcatLdCS { a, .. } => f(a, false),
-            CopyS { a, .. }
+            LdArrS { idx, .. } | LdArrPairS { idx, .. } | StArrE { idx, .. } => f(idx),
+            ConcatLdCS { a, .. }
+            | CopyS { a, .. }
             | MaskS { a, .. }
             | NotS { a, .. }
             | NegS { a, .. }
             | RedOrS { a, .. }
             | SliceS { a, .. }
-            | Widen { a, .. }
             | StVarS { a, .. }
             | StArrCS { a, .. }
-            | StSigS { a, .. } => f(a, false),
-            CopyW { a, .. }
-            | Narrow { a, .. }
-            | ResizeW { a, .. }
-            | NotW { a, .. }
-            | NegW { a, .. }
-            | RedOrW { a, .. }
-            | SliceWS { a, .. }
-            | SliceW { a, .. }
-            | StVarW { a, .. }
-            | StSigW { a, .. } => f(a, true),
+            | StSigS { a, .. } => f(a),
             BinS { a, b, .. }
             | CmpS { a, b, .. }
             | ShlS { a, b, .. }
             | ShrS { a, b, .. }
             | ConcatS { a, b, .. } => {
-                f(a, false);
-                f(b, false);
-            }
-            BinW { a, b, .. } | CmpW { a, b, .. } | ConcatW { a, b, .. } => {
-                f(a, true);
-                f(b, true);
-            }
-            ShlW { a, b, .. } | ShrW { a, b, .. } => {
-                f(a, true);
-                f(b, false);
+                f(a);
+                f(b);
             }
             MuxS { c, t, e, .. } => {
-                f(c, false);
-                f(t, false);
-                f(e, false);
-            }
-            MuxW { c, t, e, .. } => {
-                f(c, false);
-                f(t, true);
-                f(e, true);
+                f(c);
+                f(t);
+                f(e);
             }
             StArrS { idx, a, .. } => {
-                f(idx, false);
-                f(a, false);
+                f(idx);
+                f(a);
             }
-            StArrW { idx, a, .. } => {
-                f(idx, false);
-                f(a, true);
-            }
-            BranchZ { c, .. } => f(c, false),
+            BranchZ { c, .. } => f(c),
         }
     }
 
-    /// Visits every scratch-slot operand as `(slot, wide)`.
-    pub(crate) fn uses(&self, f: &mut dyn FnMut(Slot, bool)) {
-        let mut me = self.clone();
-        me.uses_mut(&mut |s, w| f(*s, w));
+    /// Visits every scratch-slot operand by value.
+    pub(crate) fn uses(mut self, f: &mut dyn FnMut(Slot)) {
+        self.uses_mut(&mut |s| f(*s));
     }
 
-    /// Mutable access to the destination slot, with its file
-    /// (`true` = wide) — the one table of which ops define what; the
-    /// region-widening renumbering in [`crate::opt`] uses it to shift
-    /// whole slot ranges.
-    pub(crate) fn dst_mut(&mut self) -> Option<(&mut Slot, bool)> {
+    /// Mutable access to the destination slot — the one table of which
+    /// ops define what; the region-widening renumbering in
+    /// [`crate::opt`] uses it to shift whole slot ranges.
+    pub(crate) fn dst_mut(&mut self) -> Option<&mut Slot> {
         use MOp::*;
         match self {
             ConstS { dst, .. }
@@ -753,43 +545,25 @@ impl MOp {
             | LdArrPairCS { dst, .. }
             | ConcatLdCS { dst, .. }
             | CopyS { dst, .. }
-            | Narrow { dst, .. }
             | MaskS { dst, .. }
             | NotS { dst, .. }
             | NegS { dst, .. }
             | RedOrS { dst, .. }
-            | RedOrW { dst, .. }
             | BinS { dst, .. }
             | CmpS { dst, .. }
             | ShlS { dst, .. }
             | ShrS { dst, .. }
             | ConcatS { dst, .. }
             | SliceS { dst, .. }
-            | SliceWS { dst, .. }
-            | CmpW { dst, .. }
-            | MuxS { dst, .. } => Some((dst, false)),
-            ConstW { dst, .. }
-            | LdVarW { dst, .. }
-            | LdSigW { dst, .. }
-            | LdArrW { dst, .. }
-            | CopyW { dst, .. }
-            | Widen { dst, .. }
-            | ResizeW { dst, .. }
-            | NotW { dst, .. }
-            | NegW { dst, .. }
-            | BinW { dst, .. }
-            | ShlW { dst, .. }
-            | ShrW { dst, .. }
-            | ConcatW { dst, .. }
-            | SliceW { dst, .. }
-            | MuxW { dst, .. } => Some((dst, true)),
+            | MuxS { dst, .. }
+            | EvalS { dst, .. } => Some(dst),
             StVarS { .. }
-            | StVarW { .. }
+            | StVarE { .. }
             | StArrS { .. }
-            | StArrW { .. }
             | StArrCS { .. }
+            | StArrE { .. }
             | StSigS { .. }
-            | StSigW { .. }
+            | StSigE { .. }
             | BranchZ { .. }
             | Jmp { .. }
             | PauseOp
@@ -832,10 +606,11 @@ pub struct CompiledThread {
     pub mops: Vec<MOp>,
     /// Label strings referenced by [`MOp::LabelOp`].
     pub labels: Vec<String>,
-    /// Small (`u64`) scratch slots required.
-    pub n_small: usize,
-    /// Wide ([`Bits`]) scratch slots required.
-    pub n_wide: usize,
+    /// The evaluated sub-expressions referenced by [`MOp::EvalS`] and
+    /// the `St*E` terminals (see the module docs).
+    pub exprs: Vec<Expr>,
+    /// Scratch slots required.
+    pub n_slots: usize,
     /// Widened optimization regions, in program order (annotation and
     /// diagnostics; execution never consults this).
     pub regions: Vec<RegionInfo>,
@@ -887,33 +662,27 @@ pub fn compile_with_passes(
     Ok(cp)
 }
 
-/// A compile-time value: which slot it lives in, its exact width, and
-/// which scratch file holds it.
+/// A compile-time value: its exact width and, when that is at most 64
+/// bits, the slot it was lowered into (a value beyond 64 bits is never
+/// lowered, so its `slot` means nothing and is never read).
 #[derive(Debug, Clone, Copy)]
 struct Val {
     slot: Slot,
     w: u16,
-    wide: bool,
 }
 
 struct ThreadCompiler<'a> {
     prog: &'a Program,
     cur: Vec<MOp>,
     labels: Vec<String>,
-    next_small: Slot,
-    next_wide: Slot,
+    exprs: Vec<Expr>,
+    next: Slot,
 }
 
 impl<'a> ThreadCompiler<'a> {
     fn s(&mut self) -> Slot {
-        let s = self.next_small;
-        self.next_small += 1;
-        s
-    }
-
-    fn w(&mut self) -> Slot {
-        let s = self.next_wide;
-        self.next_wide += 1;
+        let s = self.next;
+        self.next += 1;
         s
     }
 
@@ -921,317 +690,103 @@ impl<'a> ThreadCompiler<'a> {
         self.cur.push(m);
     }
 
-    /// Ensures `v` sits in a wide slot resized to exactly `w`.
-    fn wide_slot(&mut self, v: Val, w: u16) -> Slot {
-        if v.wide && v.w == w {
-            return v.slot;
-        }
-        let dst = self.w();
-        if v.wide {
-            self.push(MOp::ResizeW { dst, a: v.slot, w });
-        } else {
-            self.push(MOp::Widen { dst, a: v.slot, w });
-        }
-        dst
+    /// Files `e` in the side table the evaluating micro-ops index.
+    fn side(&mut self, e: Expr) -> u32 {
+        self.exprs.push(e);
+        (self.exprs.len() - 1) as u32
     }
 
-    /// Ensures `v` sits in a wide slot at its own width (for concat
-    /// operands, whose widths must be exact).
-    fn wide_slot_exact(&mut self, v: Val) -> Slot {
-        if v.wide {
-            v.slot
-        } else {
-            let dst = self.w();
-            self.push(MOp::Widen {
-                dst,
-                a: v.slot,
-                w: v.w,
-            });
-            dst
-        }
-    }
-
-    /// The low 64 bits of `v` in a small slot (array indices and shift
-    /// amounts, mirroring `eval`'s `to_u64()`).
-    fn low64(&mut self, v: Val) -> Slot {
-        if !v.wide {
-            return v.slot;
-        }
+    /// Emits the [`MOp::EvalS`] that leaves the low 64 bits of `e` in a
+    /// fresh slot.
+    fn eval_s(&mut self, e: Expr) -> Slot {
         let dst = self.s();
-        self.push(MOp::Narrow {
-            dst,
-            a: v.slot,
-            mask: u64::MAX,
-        });
+        let e = self.side(e);
+        self.push(MOp::EvalS { dst, e });
         dst
     }
 
-    /// A small slot whose non-zero-ness equals `v.to_bool()`.
-    fn cond_slot(&mut self, v: Val) -> Slot {
-        if !v.wide {
-            return v.slot;
-        }
-        let dst = self.s();
-        self.push(MOp::RedOrW { dst, a: v.slot });
-        dst
-    }
-
-    fn expr(&mut self, e: &crate::ast::Expr) -> IrResult<Val> {
-        use crate::ast::Expr;
-        Ok(match e {
+    /// Lowers `e` when it and all of its operands are at most 64 bits
+    /// wide. Otherwise nothing below `e` is lowered: at most 64 bits
+    /// wide itself, `e` is the maximal sub-expression on top of an
+    /// operand beyond 64 bits and becomes one [`MOp::EvalS`]; beyond 64
+    /// bits itself, it only reports its width, and the node or statement
+    /// above it takes it in.
+    fn expr(&mut self, e: &Expr) -> IrResult<Val> {
+        let mark = (self.cur.len(), self.next);
+        // Operands first, in `eval`'s order; `widest` is the widest of
+        // them. Then the node's width and the micro-op that computes it
+        // from the operand slots — built even when an operand has no
+        // slot, and dropped below in that case.
+        let mut widest = 0;
+        let mut operand = |c: &mut Self, x: &Expr| -> IrResult<Val> {
+            let v = c.expr(x)?;
+            widest = v.w.max(widest);
+            Ok(v)
+        };
+        let (w, m) = match e {
             Expr::Const(b) => {
-                let w = b.width();
-                if w <= 64 {
-                    let dst = self.s();
-                    self.push(MOp::ConstS { dst, v: b.to_u64() });
-                    Val {
-                        slot: dst,
-                        w,
-                        wide: false,
-                    }
-                } else {
-                    let dst = self.w();
-                    self.push(MOp::ConstW { dst, v: b.clone() });
-                    Val {
-                        slot: dst,
-                        w,
-                        wide: true,
-                    }
-                }
+                let (dst, v) = (self.s(), b.to_u64());
+                (b.width(), MOp::ConstS { dst, v })
             }
             Expr::Var(v) => {
-                let w = self
+                let decl = self
                     .prog
                     .var(*v)
-                    .ok_or_else(|| IrError(format!("unknown var {v:?}")))?
-                    .width;
-                if w <= 64 {
-                    let dst = self.s();
-                    self.push(MOp::LdVarS { dst, var: v.0 });
-                    Val {
-                        slot: dst,
-                        w,
-                        wide: false,
-                    }
-                } else {
-                    let dst = self.w();
-                    self.push(MOp::LdVarW { dst, var: v.0 });
-                    Val {
-                        slot: dst,
-                        w,
-                        wide: true,
-                    }
-                }
+                    .ok_or_else(|| IrError(format!("unknown var {v:?}")))?;
+                let (dst, var) = (self.s(), v.0);
+                (decl.width, MOp::LdVarS { dst, var })
             }
             Expr::SigRead(s) => {
                 let d = self
                     .prog
                     .signal(*s)
                     .ok_or_else(|| IrError(format!("unknown signal {s:?}")))?;
-                let out = d.dir == SigDir::Out;
-                if d.width <= 64 {
-                    let dst = self.s();
-                    self.push(MOp::LdSigS { dst, sig: s.0, out });
-                    Val {
-                        slot: dst,
-                        w: d.width,
-                        wide: false,
-                    }
-                } else {
-                    let dst = self.w();
-                    self.push(MOp::LdSigW { dst, sig: s.0, out });
-                    Val {
-                        slot: dst,
-                        w: d.width,
-                        wide: true,
-                    }
-                }
+                let (dst, sig, out) = (self.s(), s.0, d.dir == SigDir::Out);
+                (d.width, MOp::LdSigS { dst, sig, out })
             }
             Expr::ArrRead(a, idx) => {
-                let decl = self
+                let ew = self
                     .prog
                     .array(*a)
-                    .ok_or_else(|| IrError(format!("unknown array {a:?}")))?;
-                let (ew, arr) = (decl.elem_width, a.0);
-                let iv = self.expr(idx)?;
-                let islot = self.low64(iv);
-                if ew <= 64 {
-                    let dst = self.s();
-                    self.push(MOp::LdArrS {
-                        dst,
-                        arr,
-                        idx: islot,
-                    });
-                    Val {
-                        slot: dst,
-                        w: ew,
-                        wide: false,
-                    }
-                } else {
-                    let dst = self.w();
-                    self.push(MOp::LdArrW {
-                        dst,
-                        arr,
-                        idx: islot,
-                        w: ew,
-                    });
-                    Val {
-                        slot: dst,
-                        w: ew,
-                        wide: true,
-                    }
-                }
+                    .ok_or_else(|| IrError(format!("unknown array {a:?}")))?
+                    .elem_width;
+                let idx = operand(self, idx)?.slot;
+                let (dst, arr) = (self.s(), a.0);
+                (ew, MOp::LdArrS { dst, arr, idx })
             }
             Expr::Un(op, x) => {
-                let v = self.expr(x)?;
+                let v = operand(self, x)?;
+                let (dst, a, mask) = (self.s(), v.slot, mask_of(v.w));
                 match op {
-                    UnOp::RedOr => {
-                        let dst = self.s();
-                        if v.wide {
-                            self.push(MOp::RedOrW { dst, a: v.slot });
-                        } else {
-                            self.push(MOp::RedOrS { dst, a: v.slot });
-                        }
-                        Val {
-                            slot: dst,
-                            w: 1,
-                            wide: false,
-                        }
-                    }
-                    UnOp::Not | UnOp::Neg => {
-                        if v.wide {
-                            let dst = self.w();
-                            self.push(match op {
-                                UnOp::Not => MOp::NotW { dst, a: v.slot },
-                                _ => MOp::NegW { dst, a: v.slot },
-                            });
-                            Val {
-                                slot: dst,
-                                w: v.w,
-                                wide: true,
-                            }
-                        } else {
-                            let dst = self.s();
-                            let mask = mask_of(v.w);
-                            self.push(match op {
-                                UnOp::Not => MOp::NotS {
-                                    dst,
-                                    a: v.slot,
-                                    mask,
-                                },
-                                _ => MOp::NegS {
-                                    dst,
-                                    a: v.slot,
-                                    mask,
-                                },
-                            });
-                            Val {
-                                slot: dst,
-                                w: v.w,
-                                wide: false,
-                            }
-                        }
-                    }
+                    UnOp::RedOr => (1, MOp::RedOrS { dst, a }),
+                    UnOp::Not => (v.w, MOp::NotS { dst, a, mask }),
+                    UnOp::Neg => (v.w, MOp::NegS { dst, a, mask }),
                 }
             }
             Expr::Bin(op, l, r) => {
-                let lv = self.expr(l)?;
-                let rv = self.expr(r)?;
+                let (lv, rv) = (operand(self, l)?, operand(self, r)?);
+                let (dst, op, a, b) = (self.s(), *op, lv.slot, rv.slot);
                 match op {
                     // Shifts: the left operand is NOT widened — the
                     // result keeps `wl` and bits shifted past it are
                     // lost (see the shift rule in `crate::ast::BinOp`).
-                    BinOp::Shl | BinOp::Shr => {
-                        let n = self.low64(rv);
-                        if lv.wide {
-                            let dst = self.w();
-                            self.push(match op {
-                                BinOp::Shl => MOp::ShlW {
-                                    dst,
-                                    a: lv.slot,
-                                    b: n,
-                                },
-                                _ => MOp::ShrW {
-                                    dst,
-                                    a: lv.slot,
-                                    b: n,
-                                },
-                            });
-                            Val {
-                                slot: dst,
-                                w: lv.w,
-                                wide: true,
-                            }
-                        } else {
-                            let dst = self.s();
-                            self.push(match op {
-                                BinOp::Shl => MOp::ShlS {
-                                    dst,
-                                    a: lv.slot,
-                                    b: n,
-                                    mask: mask_of(lv.w),
-                                },
-                                _ => MOp::ShrS {
-                                    dst,
-                                    a: lv.slot,
-                                    b: n,
-                                },
-                            });
-                            Val {
-                                slot: dst,
-                                w: lv.w,
-                                wide: false,
-                            }
-                        }
+                    BinOp::Shl => {
+                        let mask = mask_of(lv.w);
+                        (lv.w, MOp::ShlS { dst, a, b, mask })
                     }
-                    _ if op.is_compare() => {
-                        let dst = self.s();
-                        if !lv.wide && !rv.wide {
-                            self.push(MOp::CmpS {
-                                dst,
-                                op: *op,
-                                a: lv.slot,
-                                b: rv.slot,
-                            });
-                        } else {
-                            let w = lv.w.max(rv.w);
-                            let a = self.wide_slot(lv, w);
-                            let b = self.wide_slot(rv, w);
-                            self.push(MOp::CmpW { dst, op: *op, a, b });
-                        }
-                        Val {
-                            slot: dst,
-                            w: 1,
-                            wide: false,
-                        }
-                    }
+                    BinOp::Shr => (lv.w, MOp::ShrS { dst, a, b }),
+                    _ if op.is_compare() => (1, MOp::CmpS { dst, op, a, b }),
                     _ => {
                         let w = lv.w.max(rv.w);
-                        if w <= 64 {
-                            let dst = self.s();
-                            self.push(MOp::BinS {
-                                dst,
-                                op: *op,
-                                a: lv.slot,
-                                b: rv.slot,
-                                mask: mask_of(w),
-                            });
-                            Val {
-                                slot: dst,
-                                w,
-                                wide: false,
-                            }
-                        } else {
-                            let a = self.wide_slot(lv, w);
-                            let b = self.wide_slot(rv, w);
-                            let dst = self.w();
-                            self.push(MOp::BinW { dst, op: *op, a, b });
-                            Val {
-                                slot: dst,
-                                w,
-                                wide: true,
-                            }
-                        }
+                        let mask = mask_of(w);
+                        let m = MOp::BinS {
+                            dst,
+                            op,
+                            a,
+                            b,
+                            mask,
+                        };
+                        (w, m)
                     }
                 }
             }
@@ -1239,177 +794,52 @@ impl<'a> ThreadCompiler<'a> {
                 // Same evaluation order as `eval`: both arms, then the
                 // condition (all expressions are pure, so only the
                 // values matter).
-                let tv = self.expr(t)?;
-                let ev = self.expr(e2)?;
-                let cv = self.expr(c)?;
-                let cond = self.cond_slot(cv);
-                let w = tv.w.max(ev.w);
-                if w <= 64 {
-                    let dst = self.s();
-                    self.push(MOp::MuxS {
-                        dst,
-                        c: cond,
-                        t: tv.slot,
-                        e: ev.slot,
-                    });
-                    Val {
-                        slot: dst,
-                        w,
-                        wide: false,
-                    }
-                } else {
-                    let t = self.wide_slot(tv, w);
-                    let e = self.wide_slot(ev, w);
-                    let dst = self.w();
-                    self.push(MOp::MuxW { dst, c: cond, t, e });
-                    Val {
-                        slot: dst,
-                        w,
-                        wide: true,
-                    }
-                }
+                let (tv, ev) = (operand(self, t)?, operand(self, e2)?);
+                let c = operand(self, c)?.slot;
+                let (dst, t, e) = (self.s(), tv.slot, ev.slot);
+                let m = MOp::MuxS { dst, c, t, e };
+                (tv.w.max(ev.w), m)
             }
             Expr::Slice(x, hi, lo) => {
-                let v = self.expr(x)?;
-                let ow = hi - lo + 1;
-                if !v.wide {
-                    let dst = self.s();
-                    self.push(MOp::SliceS {
-                        dst,
-                        a: v.slot,
-                        lo: *lo,
-                        mask: mask_of(ow),
-                    });
-                    Val {
-                        slot: dst,
-                        w: ow,
-                        wide: false,
-                    }
-                } else if ow <= 64 {
-                    let dst = self.s();
-                    self.push(MOp::SliceWS {
-                        dst,
-                        a: v.slot,
-                        lo: *lo,
-                        mask: mask_of(ow),
-                    });
-                    Val {
-                        slot: dst,
-                        w: ow,
-                        wide: false,
-                    }
-                } else {
-                    let dst = self.w();
-                    self.push(MOp::SliceW {
-                        dst,
-                        a: v.slot,
-                        hi: *hi,
-                        lo: *lo,
-                    });
-                    Val {
-                        slot: dst,
-                        w: ow,
-                        wide: true,
-                    }
-                }
+                let a = operand(self, x)?.slot;
+                let (dst, lo, ow) = (self.s(), *lo, hi - lo + 1);
+                let mask = mask_of(ow);
+                (ow, MOp::SliceS { dst, a, lo, mask })
             }
             Expr::Concat(h, l) => {
-                let hv = self.expr(h)?;
-                let lv = self.expr(l)?;
-                let w = hv.w + lv.w;
-                if w <= 64 {
-                    let dst = self.s();
-                    self.push(MOp::ConcatS {
-                        dst,
-                        a: hv.slot,
-                        b: lv.slot,
-                        bw: lv.w,
-                    });
-                    Val {
-                        slot: dst,
-                        w,
-                        wide: false,
-                    }
-                } else {
-                    let a = self.wide_slot_exact(hv);
-                    let b = self.wide_slot_exact(lv);
-                    let dst = self.w();
-                    self.push(MOp::ConcatW { dst, a, b });
-                    Val {
-                        slot: dst,
-                        w,
-                        wide: true,
-                    }
-                }
+                let (hv, lv) = (operand(self, h)?, operand(self, l)?);
+                let (dst, a, b, bw) = (self.s(), hv.slot, lv.slot, lv.w);
+                (hv.w + lv.w, MOp::ConcatS { dst, a, b, bw })
             }
             Expr::Resize(x, w) => {
-                let v = self.expr(x)?;
-                match (v.wide, *w > 64) {
-                    (false, false) => {
-                        let dst = self.s();
-                        if *w >= v.w {
-                            // Zero-extension of a canonical small value
-                            // is the identity.
-                            self.push(MOp::CopyS { dst, a: v.slot });
-                        } else {
-                            self.push(MOp::MaskS {
-                                dst,
-                                a: v.slot,
-                                mask: mask_of(*w),
-                            });
-                        }
-                        Val {
-                            slot: dst,
-                            w: *w,
-                            wide: false,
-                        }
-                    }
-                    (false, true) => {
-                        let dst = self.w();
-                        self.push(MOp::Widen {
-                            dst,
-                            a: v.slot,
-                            w: *w,
-                        });
-                        Val {
-                            slot: dst,
-                            w: *w,
-                            wide: true,
-                        }
-                    }
-                    (true, false) => {
-                        let dst = self.s();
-                        self.push(MOp::Narrow {
-                            dst,
-                            a: v.slot,
-                            mask: mask_of(*w),
-                        });
-                        Val {
-                            slot: dst,
-                            w: *w,
-                            wide: false,
-                        }
-                    }
-                    (true, true) => {
-                        let dst = self.w();
-                        if *w == v.w {
-                            self.push(MOp::CopyW { dst, a: v.slot });
-                        } else {
-                            self.push(MOp::ResizeW {
-                                dst,
-                                a: v.slot,
-                                w: *w,
-                            });
-                        }
-                        Val {
-                            slot: dst,
-                            w: *w,
-                            wide: true,
-                        }
-                    }
-                }
+                let v = operand(self, x)?;
+                let (dst, a) = (self.s(), v.slot);
+                let m = if *w >= v.w {
+                    // Zero-extension of a canonical value is the
+                    // identity.
+                    MOp::CopyS { dst, a }
+                } else {
+                    let mask = mask_of(*w);
+                    MOp::MaskS { dst, a, mask }
+                };
+                (*w, m)
             }
-        })
+        };
+        if w.max(widest) <= 64 {
+            let slot = m.dst().expect("expression micro-ops define a slot");
+            self.push(m);
+            return Ok(Val { slot, w });
+        }
+        // Beyond 64 bits here or one level down: whatever was lowered
+        // under this node is dead, so take it back.
+        self.cur.truncate(mark.0);
+        self.next = mark.1;
+        let slot = if w <= 64 {
+            self.eval_s(e.clone())
+        } else {
+            Slot::MAX
+        };
+        Ok(Val { slot, w })
     }
 
     /// Compiles one source op into `self.cur` (ending in its terminal).
@@ -1421,20 +851,14 @@ impl<'a> ThreadCompiler<'a> {
                     .var(*dst)
                     .ok_or_else(|| IrError(format!("unknown var {dst:?}")))?
                     .width;
-                let v = self.expr(e)?;
-                self.push(if v.wide {
-                    MOp::StVarW {
-                        var: dst.0,
-                        a: v.slot,
-                        w,
-                    }
+                let (var, v) = (dst.0, self.expr(e)?);
+                let m = if v.w <= 64 {
+                    MOp::StVarS { var, a: v.slot, w }
                 } else {
-                    MOp::StVarS {
-                        var: dst.0,
-                        a: v.slot,
-                        w,
-                    }
-                });
+                    let e = self.side(e.clone());
+                    MOp::StVarE { var, e }
+                };
+                self.push(m);
             }
             Op::ArrWrite(arr, idx, val) => {
                 let w = self
@@ -1442,24 +866,23 @@ impl<'a> ThreadCompiler<'a> {
                     .array(*arr)
                     .ok_or_else(|| IrError(format!("unknown array {arr:?}")))?
                     .elem_width;
+                // An index beyond 64 bits addresses by its low 64, the
+                // `to_u64()` the tree-walker takes.
                 let iv = self.expr(idx)?;
-                let islot = self.low64(iv);
-                let v = self.expr(val)?;
-                self.push(if v.wide {
-                    MOp::StArrW {
-                        arr: arr.0,
-                        idx: islot,
-                        a: v.slot,
-                        w,
-                    }
+                let idx = if iv.w <= 64 {
+                    iv.slot
                 } else {
-                    MOp::StArrS {
-                        arr: arr.0,
-                        idx: islot,
-                        a: v.slot,
-                        w,
-                    }
-                });
+                    self.eval_s(idx.clone())
+                };
+                let (arr, v) = (arr.0, self.expr(val)?);
+                let m = if v.w <= 64 {
+                    let a = v.slot;
+                    MOp::StArrS { arr, idx, a, w }
+                } else {
+                    let e = self.side(val.clone());
+                    MOp::StArrE { arr, idx, e }
+                };
+                self.push(m);
             }
             Op::SigWrite(sig, e) => {
                 let w = self
@@ -1467,28 +890,26 @@ impl<'a> ThreadCompiler<'a> {
                     .signal(*sig)
                     .ok_or_else(|| IrError(format!("unknown signal {sig:?}")))?
                     .width;
-                let v = self.expr(e)?;
-                self.push(if v.wide {
-                    MOp::StSigW {
-                        sig: sig.0,
-                        a: v.slot,
-                        w,
-                    }
+                let (sig, v) = (sig.0, self.expr(e)?);
+                let m = if v.w <= 64 {
+                    MOp::StSigS { sig, a: v.slot, w }
                 } else {
-                    MOp::StSigS {
-                        sig: sig.0,
-                        a: v.slot,
-                        w,
-                    }
-                });
+                    let e = self.side(e.clone());
+                    MOp::StSigE { sig, e }
+                };
+                self.push(m);
             }
-            Op::Branch(c, if_false) => {
-                let cv = self.expr(c)?;
-                let cond = self.cond_slot(cv);
-                self.push(MOp::BranchZ {
-                    c: cond,
-                    target: *if_false as u32,
-                });
+            Op::Branch(cond, if_false) => {
+                // A condition beyond 64 bits is true when any bit is
+                // set, not when one of the low 64 is.
+                let cv = self.expr(cond)?;
+                let c = if cv.w <= 64 {
+                    cv.slot
+                } else {
+                    self.eval_s(Expr::Un(UnOp::RedOr, Box::new(cond.clone())))
+                };
+                let target = *if_false as u32;
+                self.push(MOp::BranchZ { c, target });
             }
             Op::Jump(t) => self.push(MOp::Jmp { target: *t as u32 }),
             Op::Pause => self.push(MOp::PauseOp),
@@ -1516,16 +937,15 @@ fn compile_thread(
         prog,
         cur: Vec::new(),
         labels: Vec::new(),
-        next_small: 0,
-        next_wide: 0,
+        exprs: Vec::new(),
+        next: 0,
     };
     // One region per source op; scratch slots are written-before-read
     // within a region (fresh slots per statement), which is the
     // invariant the passes rely on.
     let mut regions: Vec<Vec<MOp>> = Vec::with_capacity(t.ops.len());
     for op in &t.ops {
-        c.next_small = 0;
-        c.next_wide = 0;
+        c.next = 0;
         c.op(op)?;
         regions.push(std::mem::take(&mut c.cur));
     }
@@ -1547,7 +967,7 @@ fn compile_thread(
     let mut mops = Vec::new();
     for r in &regions {
         starts.push(mops.len() as u32);
-        mops.extend(r.iter().cloned());
+        mops.extend_from_slice(r);
     }
     starts.push(mops.len() as u32);
 
@@ -1574,15 +994,15 @@ fn compile_thread(
         }
     }
 
-    // Scratch-file sizes: the passes may have shrunk them.
-    let (n_small, n_wide) = crate::opt::region_slots(&mops);
+    // Scratch-file size: the passes may have shrunk it.
+    let n_slots = crate::opt::region_slots(&mops) as usize;
 
     Ok(CompiledThread {
         name: t.name.clone(),
         mops,
         labels: c.labels,
-        n_small: n_small as usize,
-        n_wide: n_wide as usize,
+        exprs: c.exprs,
+        n_slots,
         regions: region_info,
     })
 }
@@ -1606,10 +1026,10 @@ fn region_visibility(region: &[MOp], prog: &Program, labels: &[String]) -> Strin
     };
     for m in region {
         match m {
-            MOp::StVarS { var: v, .. } | MOp::StVarW { var: v, .. } => {
+            MOp::StVarS { var: v, .. } | MOp::StVarE { var: v, .. } => {
                 add(format!("var {}", var(*v)), &mut tags)
             }
-            MOp::StSigS { sig, .. } | MOp::StSigW { sig, .. } => {
+            MOp::StSigS { sig, .. } | MOp::StSigE { sig, .. } => {
                 let name = prog
                     .signals()
                     .get(*sig as usize)
@@ -1617,7 +1037,7 @@ fn region_visibility(region: &[MOp], prog: &Program, labels: &[String]) -> Strin
                     .unwrap_or_else(|| format!("?s{sig}"));
                 add(format!("${name}"), &mut tags);
             }
-            MOp::StArrS { arr, .. } | MOp::StArrW { arr, .. } | MOp::StArrCS { arr, .. } => {
+            MOp::StArrS { arr, .. } | MOp::StArrCS { arr, .. } | MOp::StArrE { arr, .. } => {
                 let name = prog
                     .arrays()
                     .get(*arr as usize)
@@ -1651,9 +1071,9 @@ fn region_visibility(region: &[MOp], prog: &Program, labels: &[String]) -> Strin
 // Pretty printing (pass-pipeline diagnostics and tests)
 // ---------------------------------------------------------------------
 
-/// Renders a compiled thread as a numbered micro-op listing. Small slots
-/// print as `sN`, wide slots as `wN`; this is the form the pass tests in
-/// [`crate::opt`] assert against.
+/// Renders a compiled thread as a numbered micro-op listing. Slots print
+/// as `sN`, evaluated sub-expressions as `eval(<expr>)`; this is the
+/// form the pass tests in [`crate::opt`] assert against.
 pub fn mops_to_string(t: &CompiledThread, prog: &Program) -> String {
     use std::fmt::Write as _;
     let var = |i: u32| {
@@ -1674,10 +1094,11 @@ pub fn mops_to_string(t: &CompiledThread, prog: &Program) -> String {
             .map(|d| d.name.clone())
             .unwrap_or_else(|| format!("?s{i}"))
     };
-    let mut out = format!(
-        "compiled thread {} ({} small, {} wide):\n",
-        t.name, t.n_small, t.n_wide
-    );
+    let ev = |i: u32| match t.exprs.get(i as usize) {
+        Some(e) => format!("eval({})", crate::pretty::expr_to_string(e, prog)),
+        None => format!("eval(?e{i})"),
+    };
+    let mut out = format!("compiled thread {} ({} slots):\n", t.name, t.n_slots);
     let mut next_region = 0usize;
     for (i, m) in t.mops.iter().enumerate() {
         while let Some(r) = t.regions.get(next_region) {
@@ -1699,9 +1120,7 @@ pub fn mops_to_string(t: &CompiledThread, prog: &Program) -> String {
         }
         let body = match m {
             MOp::ConstS { dst, v } => format!("s{dst} <- const {v:#x}"),
-            MOp::ConstW { dst, v } => format!("w{dst} <- const {v}"),
             MOp::LdVarS { dst, var: v } => format!("s{dst} <- var {}", var(*v)),
-            MOp::LdVarW { dst, var: v } => format!("w{dst} <- var {}", var(*v)),
             MOp::LdSigS { dst, sig: s, out } => {
                 format!(
                     "s{dst} <- sig{} {}",
@@ -1709,17 +1128,7 @@ pub fn mops_to_string(t: &CompiledThread, prog: &Program) -> String {
                     sig(*s)
                 )
             }
-            MOp::LdSigW { dst, sig: s, out } => {
-                format!(
-                    "w{dst} <- sig{} {}",
-                    if *out { "_out" } else { "" },
-                    sig(*s)
-                )
-            }
             MOp::LdArrS { dst, arr: a, idx } => format!("s{dst} <- {}[s{idx}]", arr(*a)),
-            MOp::LdArrW {
-                dst, arr: a, idx, ..
-            } => format!("w{dst} <- {}[s{idx}]", arr(*a)),
             MOp::LdArrCS { dst, arr: a, idx } => format!("s{dst} <- {}[#{idx}]", arr(*a)),
             MOp::LdArrPairS {
                 dst,
@@ -1749,17 +1158,10 @@ pub fn mops_to_string(t: &CompiledThread, prog: &Program) -> String {
                 bw,
             } => format!("s{dst} <- {{s{hi}, {}[#{idx}]:u{bw}}}", arr(*a)),
             MOp::CopyS { dst, a } => format!("s{dst} <- s{a}"),
-            MOp::CopyW { dst, a } => format!("w{dst} <- w{a}"),
-            MOp::Widen { dst, a, w } => format!("w{dst} <- widen s{a} to u{w}"),
-            MOp::Narrow { dst, a, mask } => format!("s{dst} <- narrow w{a} & {mask:#x}"),
             MOp::MaskS { dst, a, mask } => format!("s{dst} <- s{a} & {mask:#x}"),
-            MOp::ResizeW { dst, a, w } => format!("w{dst} <- resize w{a} to u{w}"),
             MOp::NotS { dst, a, mask } => format!("s{dst} <- ~s{a} & {mask:#x}"),
             MOp::NegS { dst, a, mask } => format!("s{dst} <- -s{a} & {mask:#x}"),
             MOp::RedOrS { dst, a } => format!("s{dst} <- |s{a}"),
-            MOp::NotW { dst, a } => format!("w{dst} <- ~w{a}"),
-            MOp::NegW { dst, a } => format!("w{dst} <- -w{a}"),
-            MOp::RedOrW { dst, a } => format!("s{dst} <- |w{a}"),
             MOp::BinS {
                 dst,
                 op,
@@ -1772,28 +1174,19 @@ pub fn mops_to_string(t: &CompiledThread, prog: &Program) -> String {
             MOp::ShrS { dst, a, b } => format!("s{dst} <- s{a} >> s{b}"),
             MOp::ConcatS { dst, a, b, bw } => format!("s{dst} <- {{s{a}, s{b}:u{bw}}}"),
             MOp::SliceS { dst, a, lo, mask } => format!("s{dst} <- s{a} >> {lo} & {mask:#x}"),
-            MOp::SliceWS { dst, a, lo, mask } => format!("s{dst} <- w{a} >> {lo} & {mask:#x}"),
-            MOp::SliceW { dst, a, hi, lo } => format!("w{dst} <- w{a}[{hi}:{lo}]"),
-            MOp::BinW { dst, op, a, b } => format!("w{dst} <- w{a} {op:?} w{b}"),
-            MOp::CmpW { dst, op, a, b } => format!("s{dst} <- w{a} {op:?} w{b}"),
-            MOp::ShlW { dst, a, b } => format!("w{dst} <- w{a} << s{b}"),
-            MOp::ShrW { dst, a, b } => format!("w{dst} <- w{a} >> s{b}"),
-            MOp::ConcatW { dst, a, b } => format!("w{dst} <- {{w{a}, w{b}}}"),
             MOp::MuxS { dst, c, t, e } => format!("s{dst} <- s{c} ? s{t} : s{e}"),
-            MOp::MuxW { dst, c, t, e } => format!("w{dst} <- s{c} ? w{t} : w{e}"),
+            MOp::EvalS { dst, e } => format!("s{dst} <- {}", ev(*e)),
             MOp::StVarS { var: v, a, .. } => format!("var {} := s{a}", var(*v)),
-            MOp::StVarW { var: v, a, .. } => format!("var {} := w{a}", var(*v)),
+            MOp::StVarE { var: v, e } => format!("var {} := {}", var(*v), ev(*e)),
             MOp::StArrCS {
                 arr: ar, idx, a, ..
             } => format!("{}[#{idx}] := s{a}", arr(*ar)),
             MOp::StArrS {
                 arr: ar, idx, a, ..
             } => format!("{}[s{idx}] := s{a}", arr(*ar)),
-            MOp::StArrW {
-                arr: ar, idx, a, ..
-            } => format!("{}[s{idx}] := w{a}", arr(*ar)),
+            MOp::StArrE { arr: ar, idx, e } => format!("{}[s{idx}] := {}", arr(*ar), ev(*e)),
             MOp::StSigS { sig: s, a, .. } => format!("${} := s{a}", sig(*s)),
-            MOp::StSigW { sig: s, a, .. } => format!("${} := w{a}", sig(*s)),
+            MOp::StSigE { sig: s, e } => format!("${} := {}", sig(*s), ev(*e)),
             MOp::BranchZ { c, target } => format!("brz s{c} -> {target}"),
             MOp::Jmp { target } => format!("jmp -> {target}"),
             MOp::PauseOp => "pause".into(),
@@ -1825,8 +1218,7 @@ pub struct CompiledMachine {
     cp: CompiledProgram,
     state: MachineState,
     threads: Vec<ThreadCtx>,
-    small: Vec<u64>,
-    wide: Vec<Bits>,
+    slots: Vec<u64>,
     cycle: u64,
     ops_executed: u64,
     /// Abort threshold for a single thread-cycle without a pause,
@@ -1851,11 +1243,9 @@ impl CompiledMachine {
                 halted: false,
             })
             .collect();
-        let n_small = cp.threads.iter().map(|t| t.n_small).max().unwrap_or(0);
-        let n_wide = cp.threads.iter().map(|t| t.n_wide).max().unwrap_or(0);
+        let n_slots = cp.threads.iter().map(|t| t.n_slots).max().unwrap_or(0);
         CompiledMachine {
-            small: vec![0; n_small],
-            wide: vec![Bits::zero(1); n_wide],
+            slots: vec![0; n_slots],
             state,
             threads,
             cycle: 0,
@@ -1958,8 +1348,7 @@ impl CompiledMachine {
             cp,
             state,
             threads,
-            small,
-            wide,
+            slots,
             ops_executed,
             ..
         } = self;
@@ -1990,42 +1379,26 @@ impl CompiledMachine {
                 return Ok(());
             };
             match op {
-                MOp::ConstS { dst, v } => small[*dst as usize] = *v,
-                MOp::ConstW { dst, v } => wide[*dst as usize] = v.clone(),
+                MOp::ConstS { dst, v } => slots[*dst as usize] = *v,
                 MOp::LdVarS { dst, var } => {
-                    small[*dst as usize] = state.vars[*var as usize].to_u64()
+                    slots[*dst as usize] = state.vars[*var as usize].to_u64()
                 }
-                MOp::LdVarW { dst, var } => wide[*dst as usize] = state.vars[*var as usize].clone(),
                 MOp::LdSigS { dst, sig, out } => {
                     let sigs = if *out {
                         &state.sigs_out
                     } else {
                         &state.sigs_in
                     };
-                    small[*dst as usize] = sigs[*sig as usize].to_u64();
-                }
-                MOp::LdSigW { dst, sig, out } => {
-                    let sigs = if *out {
-                        &state.sigs_out
-                    } else {
-                        &state.sigs_in
-                    };
-                    wide[*dst as usize] = sigs[*sig as usize].clone();
+                    slots[*dst as usize] = sigs[*sig as usize].to_u64();
                 }
                 MOp::LdArrS { dst, arr, idx } => {
-                    let i = small[*idx as usize] as usize;
-                    small[*dst as usize] = state.arrays[*arr as usize].get_u64(i).unwrap_or(0);
-                }
-                MOp::LdArrW { dst, arr, idx, w } => {
-                    let i = small[*idx as usize] as usize;
-                    wide[*dst as usize] = state.arrays[*arr as usize]
-                        .get(i)
-                        .unwrap_or_else(|| Bits::zero(*w));
+                    let i = slots[*idx as usize] as usize;
+                    slots[*dst as usize] = state.arrays[*arr as usize].get_u64(i).unwrap_or(0);
                 }
                 // Const-index loads are proven in bounds at compile
                 // time (array lengths are fixed at declaration).
                 MOp::LdArrCS { dst, arr, idx } => {
-                    small[*dst as usize] = state.arrays[*arr as usize]
+                    slots[*dst as usize] = state.arrays[*arr as usize]
                         .get_u64(*idx as usize)
                         .expect(CONST_IDX);
                 }
@@ -2038,18 +1411,18 @@ impl CompiledMachine {
                     bw,
                 } => {
                     let a = &state.arrays[*arr as usize];
-                    let i = small[*idx as usize].wrapping_add(*off) & mask;
+                    let i = slots[*idx as usize].wrapping_add(*off) & mask;
                     let hi = a.get_u64(i as usize).unwrap_or(0);
                     let j = i.wrapping_add(1) & mask;
                     let lo = a.get_u64(j as usize).unwrap_or(0);
-                    small[*dst as usize] = (hi << bw) | lo;
+                    slots[*dst as usize] = (hi << bw) | lo;
                 }
                 MOp::LdArrPairCS { dst, arr, idx, bw } => {
                     let a = &state.arrays[*arr as usize];
                     let i = *idx as usize;
                     let hi = a.get_u64(i).expect(CONST_IDX);
                     let lo = a.get_u64(i + 1).expect(CONST_IDX);
-                    small[*dst as usize] = (hi << bw) | lo;
+                    slots[*dst as usize] = (hi << bw) | lo;
                 }
                 MOp::ConcatLdCS {
                     dst,
@@ -2061,31 +1434,15 @@ impl CompiledMachine {
                     let lo = state.arrays[*arr as usize]
                         .get_u64(*idx as usize)
                         .expect(CONST_IDX);
-                    small[*dst as usize] = (small[*a as usize] << bw) | lo;
+                    slots[*dst as usize] = (slots[*a as usize] << bw) | lo;
                 }
-                MOp::CopyS { dst, a } => small[*dst as usize] = small[*a as usize],
-                MOp::CopyW { dst, a } => wide[*dst as usize] = wide[*a as usize].clone(),
-                MOp::Widen { dst, a, w } => {
-                    wide[*dst as usize] = Bits::from_u64(small[*a as usize], *w)
-                }
-                MOp::Narrow { dst, a, mask } => {
-                    small[*dst as usize] = wide[*a as usize].to_u64() & mask
-                }
-                MOp::MaskS { dst, a, mask } => small[*dst as usize] = small[*a as usize] & mask,
-                MOp::ResizeW { dst, a, w } => wide[*dst as usize] = wide[*a as usize].resize(*w),
-                MOp::NotS { dst, a, mask } => small[*dst as usize] = !small[*a as usize] & mask,
+                MOp::CopyS { dst, a } => slots[*dst as usize] = slots[*a as usize],
+                MOp::MaskS { dst, a, mask } => slots[*dst as usize] = slots[*a as usize] & mask,
+                MOp::NotS { dst, a, mask } => slots[*dst as usize] = !slots[*a as usize] & mask,
                 MOp::NegS { dst, a, mask } => {
-                    small[*dst as usize] = small[*a as usize].wrapping_neg() & mask
+                    slots[*dst as usize] = slots[*a as usize].wrapping_neg() & mask
                 }
-                MOp::RedOrS { dst, a } => small[*dst as usize] = u64::from(small[*a as usize] != 0),
-                MOp::NotW { dst, a } => wide[*dst as usize] = wide[*a as usize].not(),
-                MOp::NegW { dst, a } => {
-                    let v = &wide[*a as usize];
-                    wide[*dst as usize] = Bits::zero(v.width()).wrapping_sub(v);
-                }
-                MOp::RedOrW { dst, a } => {
-                    small[*dst as usize] = u64::from(!wide[*a as usize].is_zero())
-                }
+                MOp::RedOrS { dst, a } => slots[*dst as usize] = u64::from(slots[*a as usize] != 0),
                 MOp::BinS {
                     dst,
                     op,
@@ -2093,77 +1450,54 @@ impl CompiledMachine {
                     b,
                     mask,
                 } => {
-                    small[*dst as usize] = bin_s(*op, small[*a as usize], small[*b as usize], *mask)
+                    slots[*dst as usize] = bin_s(*op, slots[*a as usize], slots[*b as usize], *mask)
                 }
                 MOp::CmpS { dst, op, a, b } => {
-                    small[*dst as usize] = cmp_s(*op, small[*a as usize], small[*b as usize])
+                    slots[*dst as usize] = cmp_s(*op, slots[*a as usize], slots[*b as usize])
                 }
                 MOp::ShlS { dst, a, b, mask } => {
-                    small[*dst as usize] = shl_s(small[*a as usize], small[*b as usize], *mask)
+                    slots[*dst as usize] = shl_s(slots[*a as usize], slots[*b as usize], *mask)
                 }
                 MOp::ShrS { dst, a, b } => {
-                    small[*dst as usize] = shr_s(small[*a as usize], small[*b as usize])
+                    slots[*dst as usize] = shr_s(slots[*a as usize], slots[*b as usize])
                 }
                 MOp::ConcatS { dst, a, b, bw } => {
-                    small[*dst as usize] = (small[*a as usize] << bw) | small[*b as usize]
+                    slots[*dst as usize] = (slots[*a as usize] << bw) | slots[*b as usize]
                 }
                 MOp::SliceS { dst, a, lo, mask } => {
-                    small[*dst as usize] = (small[*a as usize] >> lo) & mask
-                }
-                MOp::SliceWS { dst, a, lo, mask } => {
-                    small[*dst as usize] = wide[*a as usize].shr(u32::from(*lo)).to_u64() & mask
-                }
-                MOp::SliceW { dst, a, hi, lo } => {
-                    wide[*dst as usize] = wide[*a as usize].slice(*hi, *lo)
-                }
-                MOp::BinW { dst, op, a, b } => {
-                    wide[*dst as usize] = bin_w(*op, &wide[*a as usize], &wide[*b as usize])
-                }
-                MOp::CmpW { dst, op, a, b } => {
-                    small[*dst as usize] = cmp_w(*op, &wide[*a as usize], &wide[*b as usize])
-                }
-                MOp::ShlW { dst, a, b } => {
-                    wide[*dst as usize] = wide[*a as usize].shl(shift_amount(small[*b as usize]))
-                }
-                MOp::ShrW { dst, a, b } => {
-                    wide[*dst as usize] = wide[*a as usize].shr(shift_amount(small[*b as usize]))
-                }
-                MOp::ConcatW { dst, a, b } => {
-                    wide[*dst as usize] = wide[*a as usize].concat(&wide[*b as usize])
+                    slots[*dst as usize] = (slots[*a as usize] >> lo) & mask
                 }
                 MOp::MuxS { dst, c, t, e } => {
-                    small[*dst as usize] = if small[*c as usize] != 0 {
-                        small[*t as usize]
+                    slots[*dst as usize] = if slots[*c as usize] != 0 {
+                        slots[*t as usize]
                     } else {
-                        small[*e as usize]
+                        slots[*e as usize]
                     }
                 }
-                MOp::MuxW { dst, c, t, e } => {
-                    let src = if small[*c as usize] != 0 { t } else { e };
-                    wide[*dst as usize] = wide[*src as usize].clone();
+                MOp::EvalS { dst, e } => {
+                    slots[*dst as usize] =
+                        eval(&thread.exprs[*e as usize], &cp.prog, state).to_u64()
                 }
                 MOp::StVarS { var, a, w } => {
                     tick!();
-                    let new = Bits::from_u64(small[*a as usize], *w);
+                    let new = Bits::from_u64(slots[*a as usize], *w);
                     let i = *var as usize;
                     obs.on_assign(*var, &state.vars[i], &new);
                     state.vars[i] = new;
                 }
-                MOp::StVarW { var, a, w } => {
+                // The `St*E` terminals are the tree-walker's own stores.
+                MOp::StVarE { var, e } => {
                     tick!();
-                    let new = wide[*a as usize].resize(*w);
-                    let i = *var as usize;
-                    obs.on_assign(*var, &state.vars[i], &new);
-                    state.vars[i] = new;
+                    state.assign(VarId(*var), &thread.exprs[*e as usize], &cp.prog, obs);
                 }
                 // Array stores mask to the declared element width inside
                 // `Cells` (the op's `w` is that same width) and report
                 // whether the index was in range.
                 MOp::StArrS { arr, idx, a, .. } => {
                     tick!();
-                    let i = small[*idx as usize] as usize;
+                    let i = slots[*idx as usize] as usize;
                     let ai = *arr as usize;
-                    if state.arrays[ai].set_u64(i, small[*a as usize]) {
+                    if state.arrays[ai].set_u64(i, slots[*a as usize]) {
                         state.note_arr_write(ai, i);
                     }
                 }
@@ -2172,29 +1506,26 @@ impl CompiledMachine {
                 MOp::StArrCS { arr, idx, a, .. } => {
                     tick!();
                     let (ai, i) = (*arr as usize, *idx as usize);
-                    let stored = state.arrays[ai].set_u64(i, small[*a as usize]);
+                    let stored = state.arrays[ai].set_u64(i, slots[*a as usize]);
                     assert!(stored, "{CONST_IDX}");
                     state.note_arr_write(ai, i);
                 }
-                MOp::StArrW { arr, idx, a, .. } => {
+                MOp::StArrE { arr, idx, e } => {
                     tick!();
-                    let i = small[*idx as usize] as usize;
-                    let ai = *arr as usize;
-                    if state.arrays[ai].set(i, &wide[*a as usize]) {
-                        state.note_arr_write(ai, i);
-                    }
+                    let i = slots[*idx as usize] as usize;
+                    state.arr_write(ArrId(*arr), i, &thread.exprs[*e as usize], &cp.prog);
                 }
                 MOp::StSigS { sig, a, w } => {
                     tick!();
-                    state.sigs_out[*sig as usize] = Bits::from_u64(small[*a as usize], *w);
+                    state.sigs_out[*sig as usize] = Bits::from_u64(slots[*a as usize], *w);
                 }
-                MOp::StSigW { sig, a, w } => {
+                MOp::StSigE { sig, e } => {
                     tick!();
-                    state.sigs_out[*sig as usize] = wide[*a as usize].resize(*w);
+                    state.sig_write(SigId(*sig), &thread.exprs[*e as usize], &cp.prog);
                 }
                 MOp::BranchZ { c, target } => {
                     tick!();
-                    if small[*c as usize] == 0 {
+                    if slots[*c as usize] == 0 {
                         pc = *target as usize;
                         continue;
                     }
@@ -2313,7 +1644,8 @@ mod tests {
 
     #[test]
     fn wide_values_round_trip() {
-        // 128/512-bit registers exercise every wide micro-op class.
+        // 128/512-bit registers: every statement goes through the
+        // evaluating micro-ops (`St*E`, `EvalS`).
         let mut pb = ProgramBuilder::new("wide");
         let a = pb.reg("a", 128);
         let b = pb.reg("b", 512);

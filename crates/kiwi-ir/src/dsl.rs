@@ -115,11 +115,6 @@ pub fn land(l: Expr, r: Expr) -> Expr {
     band(nonzero(l), nonzero(r))
 }
 
-/// Logical OR of 1-bit values.
-pub fn lor(l: Expr, r: Expr) -> Expr {
-    bor(nonzero(l), nonzero(r))
-}
-
 /// Two-way mux: `cond ? t : e`.
 pub fn mux(cond: Expr, t: Expr, e: Expr) -> Expr {
     Expr::Mux(Box::new(cond), Box::new(t), Box::new(e))

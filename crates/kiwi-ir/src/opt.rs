@@ -87,16 +87,15 @@
 //! documents its own before/after).
 
 use crate::ast::BinOp;
-use crate::compile::{bin_s, bin_w, cmp_s, cmp_w, mask_of, shift_amount, shl_s, shr_s, MOp, Slot};
+use crate::compile::{bin_s, cmp_s, mask_of, shl_s, shr_s, MOp, Slot};
 use crate::program::Program;
-use emu_types::Bits;
 use std::collections::{HashMap, HashSet};
 
 /// One optimization pass over the lowered regions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pass {
     /// Evaluate pure micro-ops whose operands are all constants,
-    /// replacing them with `ConstS`/`ConstW` loads.
+    /// replacing them with `ConstS` loads.
     ConstFold,
     /// Array-access strength reduction: an element access whose index
     /// is a known constant becomes a direct `LdArrCS` (or `StArrCS`)
@@ -104,9 +103,7 @@ pub enum Pass {
     /// out-of-range constant *read* folds to the architectural zero; an
     /// out-of-range constant *store* is left dynamic — it is a terminal
     /// (it ticks the op budget) whose only effect is being dropped,
-    /// which the executor's bounds check already provides. Arrays of
-    /// elements wider than 64 bits keep the dynamic `LdArrW`/`StArrW`:
-    /// no shipped service indexes one with a constant.
+    /// which the executor's bounds check already provides.
     ///
     /// ```text
     ///   0: s0 <- const 0x2        0: s1 <- t[#2]
@@ -171,8 +168,8 @@ pub enum Pass {
     ///                                    // 0-3 die when otherwise unread
     /// ```
     FusePairs,
-    /// Rewrite uses of `CopyS`/`CopyW` destinations to their sources
-    /// (the copies themselves die in [`Pass::DeadScratch`]).
+    /// Rewrite uses of `CopyS` destinations to their sources (the
+    /// copies themselves die in [`Pass::DeadScratch`]).
     CopyProp,
     /// Remove producer ops whose destination slot is never read.
     DeadScratch,
@@ -255,7 +252,7 @@ pub(crate) fn widen_regions(regions: &mut [Vec<MOp>]) {
         }
     }
     let mut head = 0usize;
-    let mut off = (0u32, 0u32);
+    let mut off = 0u32;
     for i in 0..n {
         let barrier_after = matches!(
             regions[i].last(),
@@ -265,19 +262,16 @@ pub(crate) fn widen_regions(regions: &mut [Vec<MOp>]) {
             head = i;
             off = region_slots(&regions[i]);
         } else {
-            let (cs, cw) = region_slots(&regions[i]);
+            let used = region_slots(&regions[i]);
             let mut moved = std::mem::take(&mut regions[i]);
             for m in &mut moved {
-                if let Some((d, wide)) = m.dst_mut() {
-                    *d += if wide { off.1 } else { off.0 };
+                if let Some(d) = m.dst_mut() {
+                    *d += off;
                 }
-                m.uses_mut(&mut |s, wide| {
-                    *s += if wide { off.1 } else { off.0 };
-                });
+                m.uses_mut(&mut |s| *s += off);
             }
             regions[head].extend(moved);
-            off.0 += cs;
-            off.1 += cw;
+            off += used;
         }
         if barrier_after {
             head = i + 1;
@@ -285,20 +279,17 @@ pub(crate) fn widen_regions(regions: &mut [Vec<MOp>]) {
     }
 }
 
-/// Slot-file sizes (small, wide) used by one run of micro-ops.
-pub(crate) fn region_slots(region: &[MOp]) -> (u32, u32) {
-    let (mut ns, mut nw) = (0u32, 0u32);
+/// Scratch-file size used by one run of micro-ops.
+pub(crate) fn region_slots(region: &[MOp]) -> u32 {
+    let mut n = 0u32;
     for m in region {
-        let mut bump = |s: Slot, wide: bool| {
-            let n = if wide { &mut nw } else { &mut ns };
-            *n = (*n).max(s + 1);
-        };
-        if let Some((d, wide)) = m.dst() {
-            bump(d, wide);
+        let mut bump = |s: Slot| n = n.max(s + 1);
+        if let Some(d) = m.dst() {
+            bump(d);
         }
-        m.uses(&mut |s, w| bump(s, w));
+        m.uses(&mut bump);
     }
-    (ns, nw)
+    n
 }
 
 /// Runs `passes` over the (widened) regions, in order.
@@ -320,140 +311,34 @@ pub fn run(regions: &mut [Vec<MOp>], passes: &[Pass], prog: &Program) {
 
 /// Constant folding: forward pass tracking slots with known values.
 fn const_fold(region: &mut [MOp]) {
-    let mut sc: HashMap<Slot, u64> = HashMap::new();
-    let mut wc: HashMap<Slot, Bits> = HashMap::new();
+    let mut consts: HashMap<Slot, u64> = HashMap::new();
     for op in region.iter_mut() {
-        let s = |slot: &Slot| sc.get(slot).copied();
-        let w = |slot: &Slot| wc.get(slot);
-        let folded: Option<MOp> = match &*op {
-            MOp::CopyS { dst, a } => s(a).map(|v| MOp::ConstS { dst: *dst, v }),
-            MOp::CopyW { dst, a } => w(a).map(|v| MOp::ConstW {
-                dst: *dst,
-                v: v.clone(),
-            }),
-            MOp::Widen { dst, a, w: width } => s(a).map(|v| MOp::ConstW {
-                dst: *dst,
-                v: Bits::from_u64(v, *width),
-            }),
-            MOp::Narrow { dst, a, mask } => w(a).map(|v| MOp::ConstS {
-                dst: *dst,
-                v: v.to_u64() & mask,
-            }),
-            MOp::MaskS { dst, a, mask } => s(a).map(|v| MOp::ConstS {
-                dst: *dst,
-                v: v & mask,
-            }),
-            MOp::ResizeW { dst, a, w: width } => w(a).map(|v| MOp::ConstW {
-                dst: *dst,
-                v: v.resize(*width),
-            }),
-            MOp::NotS { dst, a, mask } => s(a).map(|v| MOp::ConstS {
-                dst: *dst,
-                v: !v & mask,
-            }),
-            MOp::NegS { dst, a, mask } => s(a).map(|v| MOp::ConstS {
-                dst: *dst,
-                v: v.wrapping_neg() & mask,
-            }),
-            MOp::RedOrS { dst, a } => s(a).map(|v| MOp::ConstS {
-                dst: *dst,
-                v: u64::from(v != 0),
-            }),
-            MOp::NotW { dst, a } => w(a).map(|v| MOp::ConstW {
-                dst: *dst,
-                v: v.not(),
-            }),
-            MOp::NegW { dst, a } => w(a).map(|v| MOp::ConstW {
-                dst: *dst,
-                v: Bits::zero(v.width()).wrapping_sub(v),
-            }),
-            MOp::RedOrW { dst, a } => w(a).map(|v| MOp::ConstS {
-                dst: *dst,
-                v: u64::from(!v.is_zero()),
-            }),
-            MOp::BinS {
-                dst,
-                op,
-                a,
-                b,
-                mask,
-            } => s(a).zip(s(b)).map(|(x, y)| MOp::ConstS {
-                dst: *dst,
-                v: bin_s(*op, x, y, *mask),
-            }),
-            MOp::CmpS { dst, op, a, b } => s(a).zip(s(b)).map(|(x, y)| MOp::ConstS {
-                dst: *dst,
-                v: cmp_s(*op, x, y),
-            }),
-            MOp::ShlS { dst, a, b, mask } => s(a).zip(s(b)).map(|(x, n)| MOp::ConstS {
-                dst: *dst,
-                v: shl_s(x, n, *mask),
-            }),
-            MOp::ShrS { dst, a, b } => s(a).zip(s(b)).map(|(x, n)| MOp::ConstS {
-                dst: *dst,
-                v: shr_s(x, n),
-            }),
-            MOp::ConcatS { dst, a, b, bw } => s(a).zip(s(b)).map(|(x, y)| MOp::ConstS {
-                dst: *dst,
-                v: (x << bw) | y,
-            }),
-            MOp::SliceS { dst, a, lo, mask } => s(a).map(|v| MOp::ConstS {
-                dst: *dst,
-                v: (v >> lo) & mask,
-            }),
-            MOp::SliceWS { dst, a, lo, mask } => w(a).map(|v| MOp::ConstS {
-                dst: *dst,
-                v: v.shr(u32::from(*lo)).to_u64() & mask,
-            }),
-            MOp::SliceW { dst, a, hi, lo } => w(a).map(|v| MOp::ConstW {
-                dst: *dst,
-                v: v.slice(*hi, *lo),
-            }),
-            MOp::BinW { dst, op, a, b } => w(a).zip(w(b)).map(|(x, y)| MOp::ConstW {
-                dst: *dst,
-                v: bin_w(*op, x, y),
-            }),
-            MOp::CmpW { dst, op, a, b } => w(a).zip(w(b)).map(|(x, y)| MOp::ConstS {
-                dst: *dst,
-                v: cmp_w(*op, x, y),
-            }),
-            MOp::ShlW { dst, a, b } => w(a).zip(s(b).as_ref()).map(|(x, n)| MOp::ConstW {
-                dst: *dst,
-                v: x.shl(shift_amount(*n)),
-            }),
-            MOp::ShrW { dst, a, b } => w(a).zip(s(b).as_ref()).map(|(x, n)| MOp::ConstW {
-                dst: *dst,
-                v: x.shr(shift_amount(*n)),
-            }),
-            MOp::ConcatW { dst, a, b } => w(a).zip(w(b)).map(|(x, y)| MOp::ConstW {
-                dst: *dst,
-                v: x.concat(y),
-            }),
-            MOp::MuxS { dst, c, t, e } => {
-                s(c).zip(s(t).zip(s(e))).map(|(cv, (tv, ev))| MOp::ConstS {
-                    dst: *dst,
-                    v: if cv != 0 { tv } else { ev },
-                })
+        let s = |slot: &Slot| consts.get(slot).copied();
+        let folded: Option<u64> = match &*op {
+            MOp::CopyS { a, .. } => s(a),
+            MOp::MaskS { a, mask, .. } => s(a).map(|v| v & mask),
+            MOp::NotS { a, mask, .. } => s(a).map(|v| !v & mask),
+            MOp::NegS { a, mask, .. } => s(a).map(|v| v.wrapping_neg() & mask),
+            MOp::RedOrS { a, .. } => s(a).map(|v| u64::from(v != 0)),
+            MOp::BinS { op, a, b, mask, .. } => {
+                s(a).zip(s(b)).map(|(x, y)| bin_s(*op, x, y, *mask))
             }
-            MOp::MuxW { dst, c, t, e } => {
-                s(c).zip(w(t).zip(w(e))).map(|(cv, (tv, ev))| MOp::ConstW {
-                    dst: *dst,
-                    v: if cv != 0 { tv.clone() } else { ev.clone() },
-                })
+            MOp::CmpS { op, a, b, .. } => s(a).zip(s(b)).map(|(x, y)| cmp_s(*op, x, y)),
+            MOp::ShlS { a, b, mask, .. } => s(a).zip(s(b)).map(|(x, n)| shl_s(x, n, *mask)),
+            MOp::ShrS { a, b, .. } => s(a).zip(s(b)).map(|(x, n)| shr_s(x, n)),
+            MOp::ConcatS { a, b, bw, .. } => s(a).zip(s(b)).map(|(x, y)| (x << bw) | y),
+            MOp::SliceS { a, lo, mask, .. } => s(a).map(|v| (v >> lo) & mask),
+            MOp::MuxS { c, t, e, .. } => {
+                s(c).zip(s(t).zip(s(e)))
+                    .map(|(cv, (tv, ev))| if cv != 0 { tv } else { ev })
             }
             _ => None,
         };
-        if let Some(f) = folded {
-            *op = f;
+        if let (Some(v), Some(dst)) = (folded, op.dst()) {
+            *op = MOp::ConstS { dst, v };
         }
-        match op {
-            MOp::ConstS { dst, v } => {
-                sc.insert(*dst, *v);
-            }
-            MOp::ConstW { dst, v } => {
-                wc.insert(*dst, v.clone());
-            }
-            _ => {}
+        if let MOp::ConstS { dst, v } = op {
+            consts.insert(*dst, *v);
         }
     }
 }
@@ -518,18 +403,15 @@ enum IdxKey {
 /// [`Pass::RedundantLoad`]). Forward scan over availability maps; a
 /// store invalidates exactly the locations it can alias, then forwards
 /// its own value when it provably fits the declared width (stores
-/// truncate, so forwarding an over-wide slot would disagree with a
-/// reload). `pause`/`ext` hand the environment a mutable view of all
-/// machine state and clear everything.
+/// truncate, so forwarding a slot with bits beyond it would disagree
+/// with a reload). `pause`/`ext` hand the environment a mutable view of
+/// all machine state and clear everything.
 fn redundant_load(region: &mut [MOp], prog: &Program) {
     let mut var_s: HashMap<u32, Slot> = HashMap::new();
-    let mut var_w: HashMap<u32, Slot> = HashMap::new();
     let mut sig_s: HashMap<(u32, bool), Slot> = HashMap::new();
-    let mut sig_w: HashMap<(u32, bool), Slot> = HashMap::new();
     let mut arr_s: HashMap<(u32, IdxKey), Slot> = HashMap::new();
-    let mut arr_w: HashMap<(u32, IdxKey), Slot> = HashMap::new();
-    // Known possibly-set bits per small slot (for store forwarding) and
-    // known constants / copy sources (for index resolution).
+    // Known possibly-set bits per slot (for store forwarding) and known
+    // constants / copy sources (for index resolution).
     let mut nz: HashMap<Slot, u64> = HashMap::new();
     let mut consts: HashMap<Slot, u64> = HashMap::new();
     let mut copies: HashMap<Slot, Slot> = HashMap::new();
@@ -544,22 +426,15 @@ fn redundant_load(region: &mut [MOp], prog: &Program) {
         // 1. Replace loads whose value is already in a slot.
         let rep = match &*op {
             MOp::LdVarS { dst, var } => var_s.get(var).map(|&a| MOp::CopyS { dst: *dst, a }),
-            MOp::LdVarW { dst, var } => var_w.get(var).map(|&a| MOp::CopyW { dst: *dst, a }),
             MOp::LdSigS { dst, sig, out } => sig_s
                 .get(&(*sig, *out))
                 .map(|&a| MOp::CopyS { dst: *dst, a }),
-            MOp::LdSigW { dst, sig, out } => sig_w
-                .get(&(*sig, *out))
-                .map(|&a| MOp::CopyW { dst: *dst, a }),
             MOp::LdArrCS { dst, arr, idx } => arr_s
                 .get(&(*arr, IdxKey::Const(*idx)))
                 .map(|&a| MOp::CopyS { dst: *dst, a }),
             MOp::LdArrS { dst, arr, idx } => arr_s
                 .get(&(*arr, IdxKey::Dyn(resolve(&copies, *idx))))
                 .map(|&a| MOp::CopyS { dst: *dst, a }),
-            MOp::LdArrW { dst, arr, idx, .. } => arr_w
-                .get(&(*arr, IdxKey::Dyn(resolve(&copies, *idx))))
-                .map(|&a| MOp::CopyW { dst: *dst, a }),
             _ => None,
         };
         if let Some(r) = rep {
@@ -567,8 +442,8 @@ fn redundant_load(region: &mut [MOp], prog: &Program) {
         }
 
         // 2. Value bookkeeping for the (possibly rewritten) op.
-        if let Some((d, false)) = op.dst() {
-            let m = small_value_mask(op, &nz, &consts);
+        if let Some(d) = op.dst() {
+            let m = value_mask(op, &nz, &consts);
             nz.insert(d, m);
         }
         match &*op {
@@ -590,14 +465,8 @@ fn redundant_load(region: &mut [MOp], prog: &Program) {
             MOp::LdVarS { dst, var } => {
                 var_s.insert(*var, *dst);
             }
-            MOp::LdVarW { dst, var } => {
-                var_w.insert(*var, *dst);
-            }
             MOp::LdSigS { dst, sig, out } => {
                 sig_s.insert((*sig, *out), *dst);
-            }
-            MOp::LdSigW { dst, sig, out } => {
-                sig_w.insert((*sig, *out), *dst);
             }
             MOp::LdArrCS { dst, arr, idx } => {
                 arr_s.insert((*arr, IdxKey::Const(*idx)), *dst);
@@ -605,68 +474,56 @@ fn redundant_load(region: &mut [MOp], prog: &Program) {
             MOp::LdArrS { dst, arr, idx } => {
                 arr_s.insert((*arr, IdxKey::Dyn(resolve(&copies, *idx))), *dst);
             }
-            MOp::LdArrW { dst, arr, idx, .. } => {
-                arr_w.insert((*arr, IdxKey::Dyn(resolve(&copies, *idx))), *dst);
-            }
+            // A store kills what it may alias, then forwards its own
+            // slot when it has one (the `St*E` terminals store a value
+            // no slot holds).
             MOp::StVarS { var, a, w } => {
                 var_s.remove(var);
-                var_w.remove(var);
                 if fits(&nz, *a, *w) {
                     var_s.insert(*var, *a);
                 }
             }
-            MOp::StVarW { var, .. } => {
+            MOp::StVarE { var, .. } => {
                 var_s.remove(var);
-                var_w.remove(var);
             }
             MOp::StSigS { sig, a, w } => {
                 sig_s.remove(&(*sig, true));
-                sig_w.remove(&(*sig, true));
                 if fits(&nz, *a, *w) {
                     sig_s.insert((*sig, true), *a);
                 }
             }
-            MOp::StSigW { sig, .. } => {
+            MOp::StSigE { sig, .. } => {
                 sig_s.remove(&(*sig, true));
-                sig_w.remove(&(*sig, true));
             }
-            MOp::StArrS { arr, idx, a, w } => {
+            MOp::StArrS { arr, idx, .. } | MOp::StArrE { arr, idx, .. } => {
                 match consts.get(&resolve(&copies, *idx)) {
                     Some(&c) if c < arr_len(prog, *arr) as u64 && c <= u64::from(u32::MAX) => {
-                        invalidate_arr(&mut arr_s, &mut arr_w, *arr, Some(c as u32));
-                        if fits(&nz, *a, *w) {
-                            arr_s.insert((*arr, IdxKey::Const(c as u32)), *a);
+                        invalidate_arr(&mut arr_s, *arr, Some(c as u32));
+                        if let MOp::StArrS { a, w, .. } = &*op {
+                            if fits(&nz, *a, *w) {
+                                arr_s.insert((*arr, IdxKey::Const(c as u32)), *a);
+                            }
                         }
                     }
                     // Constant out-of-range store: the executor drops
                     // it, so nothing it could alias changes.
                     Some(_) => {}
-                    None => invalidate_arr(&mut arr_s, &mut arr_w, *arr, None),
+                    None => invalidate_arr(&mut arr_s, *arr, None),
                 }
             }
-            MOp::StArrW { arr, idx, .. } => match consts.get(&resolve(&copies, *idx)) {
-                Some(&c) if c < arr_len(prog, *arr) as u64 && c <= u64::from(u32::MAX) => {
-                    invalidate_arr(&mut arr_s, &mut arr_w, *arr, Some(c as u32));
-                }
-                Some(_) => {}
-                None => invalidate_arr(&mut arr_s, &mut arr_w, *arr, None),
-            },
             // Const-index stores (from ArrayStrength) are in range by
             // construction: invalidate and forward like an in-range
             // StArrS with a known index.
             MOp::StArrCS { arr, idx, a, w } => {
-                invalidate_arr(&mut arr_s, &mut arr_w, *arr, Some(*idx));
+                invalidate_arr(&mut arr_s, *arr, Some(*idx));
                 if fits(&nz, *a, *w) {
                     arr_s.insert((*arr, IdxKey::Const(*idx)), *a);
                 }
             }
             MOp::PauseOp | MOp::ExtOp { .. } => {
                 var_s.clear();
-                var_w.clear();
                 sig_s.clear();
-                sig_w.clear();
                 arr_s.clear();
-                arr_w.clear();
             }
             _ => {}
         }
@@ -677,12 +534,7 @@ fn redundant_load(region: &mut [MOp], prog: &Program) {
 /// in-range index `Some(c)`, every dynamic-index entry plus the entry
 /// for `c` itself (other constant indices cannot alias); with an
 /// unknown index, everything for the array.
-fn invalidate_arr(
-    arr_s: &mut HashMap<(u32, IdxKey), Slot>,
-    arr_w: &mut HashMap<(u32, IdxKey), Slot>,
-    arr: u32,
-    known_idx: Option<u32>,
-) {
+fn invalidate_arr(arr_s: &mut HashMap<(u32, IdxKey), Slot>, arr: u32, known_idx: Option<u32>) {
     let stale = |k: &(u32, IdxKey)| {
         k.0 == arr
             && match (known_idx, k.1) {
@@ -691,27 +543,24 @@ fn invalidate_arr(
             }
     };
     arr_s.retain(|k, _| !stale(k));
-    arr_w.retain(|k, _| !stale(k));
 }
 
-/// An upper bound on the bits a small-slot value can have set, used to
-/// decide whether store forwarding is exact. Loads get `u64::MAX`
-/// (drivers may poke machine state between regions, so declared widths
-/// are not trusted for values *read* from state — only for values the
-/// region computes itself).
-fn small_value_mask(op: &MOp, nz: &HashMap<Slot, u64>, consts: &HashMap<Slot, u64>) -> u64 {
+/// An upper bound on the bits a slot's value can have set, used to
+/// decide whether store forwarding is exact. Loads (and `EvalS`, which
+/// reads state too) get `u64::MAX`: drivers may poke machine state
+/// between regions, so declared widths are not trusted for values
+/// *read* from state — only for values the region computes itself.
+fn value_mask(op: &MOp, nz: &HashMap<Slot, u64>, consts: &HashMap<Slot, u64>) -> u64 {
     let g = |s: &Slot| nz.get(s).copied().unwrap_or(u64::MAX);
     match op {
         MOp::ConstS { v, .. } => *v,
         MOp::CopyS { a, .. } => g(a),
         MOp::MaskS { a, mask, .. } => g(a) & mask,
-        MOp::Narrow { mask, .. }
-        | MOp::NotS { mask, .. }
+        MOp::NotS { mask, .. }
         | MOp::NegS { mask, .. }
         | MOp::ShlS { mask, .. }
-        | MOp::SliceS { mask, .. }
-        | MOp::SliceWS { mask, .. } => *mask,
-        MOp::RedOrS { .. } | MOp::RedOrW { .. } | MOp::CmpS { .. } | MOp::CmpW { .. } => 1,
+        | MOp::SliceS { mask, .. } => *mask,
+        MOp::RedOrS { .. } | MOp::CmpS { .. } => 1,
         MOp::BinS {
             op: BinOp::And,
             a,
@@ -761,30 +610,20 @@ fn commutes(op: BinOp) -> bool {
 /// stores, labels, and branch exits because slots are written once
 /// before use and an interior `BranchZ` only ever *leaves* the region —
 /// any op that executes is preceded by every earlier op in the region.
-/// Loads and `ConstW` (whose `Bits` payload has no cheap key) are left
-/// alone.
+/// Loads and `EvalS` read machine state and are left alone.
 fn cse(region: &mut [MOp]) {
     // kind discriminant + up to four packed operand/immediate words.
     type Key = (u8, u64, u64, u64, u64);
     let mut avail: HashMap<Key, Slot> = HashMap::new();
-    let mut cs: HashMap<Slot, Slot> = HashMap::new();
-    let mut cw: HashMap<Slot, Slot> = HashMap::new();
+    let mut copies: HashMap<Slot, Slot> = HashMap::new();
     for op in region.iter_mut() {
-        let rs = |s: &Slot| u64::from(cs.get(s).copied().unwrap_or(*s));
-        let rw = |s: &Slot| u64::from(cw.get(s).copied().unwrap_or(*s));
-        // (key, dst, destination-is-wide)
-        let keyed: Option<(Key, Slot, bool)> = match &*op {
-            MOp::ConstS { dst, v } => Some(((0, *v, 0, 0, 0), *dst, false)),
-            MOp::Widen { dst, a, w } => Some(((1, rs(a), u64::from(*w), 0, 0), *dst, true)),
-            MOp::Narrow { dst, a, mask } => Some(((2, rw(a), *mask, 0, 0), *dst, false)),
-            MOp::MaskS { dst, a, mask } => Some(((3, rs(a), *mask, 0, 0), *dst, false)),
-            MOp::ResizeW { dst, a, w } => Some(((4, rw(a), u64::from(*w), 0, 0), *dst, true)),
-            MOp::NotS { dst, a, mask } => Some(((5, rs(a), *mask, 0, 0), *dst, false)),
-            MOp::NegS { dst, a, mask } => Some(((6, rs(a), *mask, 0, 0), *dst, false)),
-            MOp::RedOrS { dst, a } => Some(((7, rs(a), 0, 0, 0), *dst, false)),
-            MOp::NotW { dst, a } => Some(((8, rw(a), 0, 0, 0), *dst, true)),
-            MOp::NegW { dst, a } => Some(((9, rw(a), 0, 0, 0), *dst, true)),
-            MOp::RedOrW { dst, a } => Some(((10, rw(a), 0, 0, 0), *dst, false)),
+        let rs = |s: &Slot| u64::from(copies.get(s).copied().unwrap_or(*s));
+        let keyed: Option<(Key, Slot)> = match &*op {
+            MOp::ConstS { dst, v } => Some(((0, *v, 0, 0, 0), *dst)),
+            MOp::MaskS { dst, a, mask } => Some(((1, rs(a), *mask, 0, 0), *dst)),
+            MOp::NotS { dst, a, mask } => Some(((2, rs(a), *mask, 0, 0), *dst)),
+            MOp::NegS { dst, a, mask } => Some(((3, rs(a), *mask, 0, 0), *dst)),
+            MOp::RedOrS { dst, a } => Some(((4, rs(a), 0, 0, 0), *dst)),
             MOp::BinS {
                 dst,
                 op: bop,
@@ -796,69 +635,32 @@ fn cse(region: &mut [MOp]) {
                 if commutes(*bop) && x > y {
                     std::mem::swap(&mut x, &mut y);
                 }
-                Some(((11, *bop as u64, x, y, *mask), *dst, false))
+                Some(((5, *bop as u64, x, y, *mask), *dst))
             }
-            MOp::CmpS { dst, op: cop, a, b } => {
-                Some(((12, *cop as u64, rs(a), rs(b), 0), *dst, false))
-            }
-            MOp::ShlS { dst, a, b, mask } => Some(((13, rs(a), rs(b), *mask, 0), *dst, false)),
-            MOp::ShrS { dst, a, b } => Some(((14, rs(a), rs(b), 0, 0), *dst, false)),
-            MOp::ConcatS { dst, a, b, bw } => {
-                Some(((15, rs(a), rs(b), u64::from(*bw), 0), *dst, false))
-            }
-            MOp::SliceS { dst, a, lo, mask } => {
-                Some(((16, rs(a), u64::from(*lo), *mask, 0), *dst, false))
-            }
-            MOp::SliceWS { dst, a, lo, mask } => {
-                Some(((17, rw(a), u64::from(*lo), *mask, 0), *dst, false))
-            }
-            MOp::SliceW { dst, a, hi, lo } => {
-                Some(((18, rw(a), u64::from(*hi), u64::from(*lo), 0), *dst, true))
-            }
-            MOp::BinW { dst, op: bop, a, b } => {
-                let (mut x, mut y) = (rw(a), rw(b));
-                if commutes(*bop) && x > y {
-                    std::mem::swap(&mut x, &mut y);
-                }
-                Some(((19, *bop as u64, x, y, 0), *dst, true))
-            }
-            MOp::CmpW { dst, op: cop, a, b } => {
-                Some(((20, *cop as u64, rw(a), rw(b), 0), *dst, false))
-            }
-            MOp::ShlW { dst, a, b } => Some(((21, rw(a), rs(b), 0, 0), *dst, true)),
-            MOp::ShrW { dst, a, b } => Some(((22, rw(a), rs(b), 0, 0), *dst, true)),
-            MOp::ConcatW { dst, a, b } => Some(((23, rw(a), rw(b), 0, 0), *dst, true)),
-            MOp::MuxS { dst, c, t, e } => Some(((24, rs(c), rs(t), rs(e), 0), *dst, false)),
-            MOp::MuxW { dst, c, t, e } => Some(((25, rs(c), rw(t), rw(e), 0), *dst, true)),
+            MOp::CmpS { dst, op: cop, a, b } => Some(((6, *cop as u64, rs(a), rs(b), 0), *dst)),
+            MOp::ShlS { dst, a, b, mask } => Some(((7, rs(a), rs(b), *mask, 0), *dst)),
+            MOp::ShrS { dst, a, b } => Some(((8, rs(a), rs(b), 0, 0), *dst)),
+            MOp::ConcatS { dst, a, b, bw } => Some(((9, rs(a), rs(b), u64::from(*bw), 0), *dst)),
+            MOp::SliceS { dst, a, lo, mask } => Some(((10, rs(a), u64::from(*lo), *mask, 0), *dst)),
+            MOp::MuxS { dst, c, t, e } => Some(((11, rs(c), rs(t), rs(e), 0), *dst)),
             _ => None,
         };
-        if let Some((key, dst, wide)) = keyed {
+        if let Some((key, dst)) = keyed {
             if let Some(&prev) = avail.get(&key) {
-                *op = if wide {
-                    MOp::CopyW { dst, a: prev }
-                } else {
-                    MOp::CopyS { dst, a: prev }
-                };
+                *op = MOp::CopyS { dst, a: prev };
             } else {
                 avail.insert(key, dst);
             }
         }
-        match &*op {
-            MOp::CopyS { dst, a } => {
-                let src = cs.get(a).copied().unwrap_or(*a);
-                cs.insert(*dst, src);
-            }
-            MOp::CopyW { dst, a } => {
-                let src = cw.get(a).copied().unwrap_or(*a);
-                cw.insert(*dst, src);
-            }
-            _ => {}
+        if let MOp::CopyS { dst, a } = &*op {
+            let src = copies.get(a).copied().unwrap_or(*a);
+            copies.insert(*dst, src);
         }
     }
 }
 
 /// Load-pair fusion (see [`Pass::FusePairs`]). Forward scan recording
-/// the defining op of every small slot, known constants, and copy
+/// the defining op of every slot, known constants, and copy
 /// sources; a `ConcatS` of two adjacent-element loads becomes the fused
 /// pair read. Safety is re-read equivalence: the fused op samples both
 /// elements at the concat site, so any store into the array (or a
@@ -983,7 +785,7 @@ fn fuse_pairs(region: &mut [MOp]) {
             region[p] = r;
         }
         match &region[p] {
-            MOp::StArrS { arr, .. } | MOp::StArrW { arr, .. } | MOp::StArrCS { arr, .. } => {
+            MOp::StArrS { arr, .. } | MOp::StArrCS { arr, .. } | MOp::StArrE { arr, .. } => {
                 dirty.insert(*arr, p);
             }
             MOp::PauseOp | MOp::ExtOp { .. } => env_dirty = Some(p),
@@ -999,7 +801,7 @@ fn fuse_pairs(region: &mut [MOp]) {
             }
             _ => {}
         }
-        if let Some((d, false)) = region[p].dst() {
+        if let Some(d) = region[p].dst() {
             def.insert(d, p);
         }
     }
@@ -1007,24 +809,16 @@ fn fuse_pairs(region: &mut [MOp]) {
 
 /// Copy propagation: substitute copy sources into later uses.
 fn copy_prop(region: &mut [MOp]) {
-    let mut map_s: HashMap<Slot, Slot> = HashMap::new();
-    let mut map_w: HashMap<Slot, Slot> = HashMap::new();
+    let mut map: HashMap<Slot, Slot> = HashMap::new();
     for op in region.iter_mut() {
-        op.uses_mut(&mut |slot, wide| {
-            let m = if wide { &map_w } else { &map_s };
-            if let Some(&r) = m.get(slot) {
+        op.uses_mut(&mut |slot| {
+            if let Some(&r) = map.get(slot) {
                 *slot = r;
             }
         });
         // Record after rewriting, so chains resolve transitively.
-        match op {
-            MOp::CopyS { dst, a } => {
-                map_s.insert(*dst, *a);
-            }
-            MOp::CopyW { dst, a } => {
-                map_w.insert(*dst, *a);
-            }
-            _ => {}
+        if let MOp::CopyS { dst, a } = op {
+            map.insert(*dst, *a);
         }
     }
 }
@@ -1032,7 +826,7 @@ fn copy_prop(region: &mut [MOp]) {
 /// Dead scratch elimination: backward liveness within the region;
 /// terminals are the roots.
 fn dead_scratch(region: &mut Vec<MOp>) {
-    let mut live: HashSet<(Slot, bool)> = HashSet::new();
+    let mut live: HashSet<Slot> = HashSet::new();
     let mut keep = vec![true; region.len()];
     for i in (0..region.len()).rev() {
         let op = &region[i];
@@ -1041,8 +835,8 @@ fn dead_scratch(region: &mut Vec<MOp>) {
             keep[i] = false;
             continue;
         }
-        op.uses(&mut |s, w| {
-            live.insert((s, w));
+        op.uses(&mut |s| {
+            live.insert(s);
         });
     }
     let mut it = keep.iter();
@@ -1057,6 +851,7 @@ mod tests {
     use crate::flat::flatten;
     use crate::interp::{Env, Machine, MachineState, NullEnv, NullObserver};
     use crate::program::{ArrayBacking, ProgramBuilder};
+    use emu_types::Bits;
 
     /// Compiles `pb`'s program under the given passes.
     fn lower(pb: &ProgramBuilder, passes: &[Pass]) -> CompiledProgram {

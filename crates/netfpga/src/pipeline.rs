@@ -137,18 +137,6 @@ impl PipelineSim {
         (outs.len() as f64) / ((t_last - t_first_in) / 1e9)
     }
 
-    /// Mean module latency in cycles across processed frames.
-    pub fn mean_core_cycles(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        self.records
-            .iter()
-            .map(|r| r.core_cycles as f64)
-            .sum::<f64>()
-            / self.records.len() as f64
-    }
-
     /// Injects a frame whose first bit hits the ingress wire at `t_ns`.
     /// Frames must be injected in nondecreasing time order.
     pub fn inject(&mut self, frame: &Frame, t_ns: f64) -> IrResult<()> {

@@ -294,25 +294,16 @@ impl RtlMachine {
             }
             match &thread.ops[pc] {
                 Op::Assign(dst, e) => {
-                    let w = self.fsm.prog.var(*dst).expect("validated").width;
-                    let v = eval(e, &self.fsm.prog, &self.state).resize(w);
-                    let old = self.state.vars[dst.0 as usize].clone();
-                    obs.on_assign(dst.0, &old, &v);
-                    self.state.vars[dst.0 as usize] = v;
+                    self.state.assign(*dst, e, &self.fsm.prog, obs);
                     pc += 1;
                 }
                 Op::ArrWrite(arr, idx, val) => {
                     let i = eval(idx, &self.fsm.prog, &self.state).to_u64() as usize;
-                    let v = eval(val, &self.fsm.prog, &self.state);
-                    if self.state.arrays[arr.0 as usize].set(i, &v) {
-                        self.state.note_arr_write(arr.0 as usize, i);
-                    }
+                    self.state.arr_write(*arr, i, val, &self.fsm.prog);
                     pc += 1;
                 }
                 Op::SigWrite(sig, e) => {
-                    let w = self.fsm.prog.signal(*sig).expect("validated").width;
-                    let v = eval(e, &self.fsm.prog, &self.state).resize(w);
-                    self.state.sigs_out[sig.0 as usize] = v;
+                    self.state.sig_write(*sig, e, &self.fsm.prog);
                     pc += 1;
                 }
                 Op::Branch(cond, if_false) => {

@@ -792,13 +792,6 @@ impl ClientCheck {
         }
     }
 
-    /// Consumes a batch of outcomes.
-    pub fn observe_all<'a>(&mut self, outcomes: impl IntoIterator<Item = &'a ClientOutcome>) {
-        for o in outcomes {
-            self.observe(o);
-        }
-    }
-
     /// Checker label for reports.
     pub fn name(&self) -> &'static str {
         "client-end-to-end"

@@ -152,7 +152,9 @@ impl Trace {
             return Err("bad trace magic".into());
         }
         let count = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        let mut entries = Vec::with_capacity(count);
+        // Counts come from the file: reserve no more than the bytes left
+        // could hold (an entry is at least 8 bytes, an output at least 5).
+        let mut entries = Vec::with_capacity(count.min((data.len() - pos) / 8));
         for _ in 0..count {
             let rejected = take(&mut pos, 1)?[0] != 0;
             let in_port = take(&mut pos, 1)?[0];
@@ -160,7 +162,7 @@ impl Trace {
             let mut input = Frame::new(take(&mut pos, len)?.to_vec());
             input.in_port = in_port;
             let out_count = u16::from_le_bytes(take(&mut pos, 2)?.try_into().unwrap()) as usize;
-            let mut outputs = Vec::with_capacity(out_count);
+            let mut outputs = Vec::with_capacity(out_count.min((data.len() - pos) / 5));
             for _ in 0..out_count {
                 let ports = take(&mut pos, 1)?[0];
                 let flen = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
@@ -241,6 +243,8 @@ mod tests {
     #[test]
     fn malformed_bytes_are_rejected() {
         assert!(Trace::from_bytes(b"not a trace").is_err());
+        // An entry count the file cannot hold must not be reserved.
+        assert!(Trace::from_bytes(b"EMUTRC01\xff\xff\xff\xff").is_err());
         let svc = emu_services::switch_ip_cam();
         let mut engine = svc.engine(Target::Cpu).build().unwrap();
         let trace = Trace::record(&mut engine, &Background::new(3, &[0]).take(4));

@@ -70,11 +70,6 @@ impl TcpConversations {
             .collect();
         TcpConversations { rng, sessions }
     }
-
-    /// Number of distinct 5-tuples the stream will ever use.
-    pub fn flow_count(&self) -> usize {
-        self.sessions.len()
-    }
 }
 
 impl TrafficGen for TcpConversations {

@@ -59,11 +59,6 @@ impl Frame {
         &mut self.bytes
     }
 
-    /// Consumes the frame, returning its bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
-    }
-
     /// Destination MAC address.
     pub fn dst_mac(&self) -> MacAddr {
         MacAddr::from_u64(bitutil::get48(&self.bytes, offset::ETH_DST))

@@ -93,8 +93,13 @@
 //!
 //! * [`Backend::Compiled`](stdlib::Backend) (**default**) — each thread
 //!   is lowered once, at build time, to a linear micro-op bytecode with
-//!   explicit scratch registers, pre-resolved ids, pre-computed widths,
-//!   and a `u64` fast path for values ≤ 64 bits, then run through the
+//!   explicit scratch registers, pre-resolved ids and pre-computed
+//!   widths. The bytecode is a 64-bit machine — 34 micro-ops over one
+//!   `u64` scratch file; the few sub-expressions wider than that (or
+//!   directly on top of one that is) are not lowered but handed, as
+//!   they stand, to the reference [`ir::eval`] by four of those
+//!   micro-ops, so the product re-implements none of the spec's
+//!   multi-limb arithmetic. It is then run through the
 //!   **cross-statement** optimization pass pipeline ([`ir::opt`]):
 //!   observer-visibility analysis widens optimization regions past
 //!   source-statement boundaries wherever no observer event intervenes,

@@ -374,6 +374,200 @@ fn assert_cycle_lockstep(what: &str, prog: &Program, mut cm: CompiledMachine) {
     assert_eq!(ta, tb, "{what}: observer traces diverged");
 }
 
+// ---------------------------------------------------------------------
+// Statements the compiled backend hands to the reference `eval`.
+// ---------------------------------------------------------------------
+
+/// Declarations for [`wide_program`]: the same shape as [`declare`] with
+/// registers, an array and an output signal well beyond 64 bits.
+fn declare_wide(pb: &mut kiwi_ir::ProgramBuilder, threads: usize) -> Sig {
+    let regs = [8u16, 32, 64, 65, 200, 512]
+        .iter()
+        .enumerate()
+        .map(|(i, &w)| (pb.reg(&format!("r{i}"), w), w))
+        .collect();
+    let arrs = vec![
+        (pb.array("mem8", 8, 16, ArrayBacking::LutRam), 8, 16),
+        (pb.array("memw", 300, 4, ArrayBacking::BlockRam), 300, 4),
+    ];
+    let ins = vec![pb.sig_in("in_a", 32), pb.sig_in("in_b", 80)];
+    let outs = vec![pb.sig_out("out_a", 24), pb.sig_out("out_b", 320)];
+    let ctrs = (0..threads)
+        .map(|i| pb.reg(&format!("ctr{i}"), 8))
+        .collect();
+    Sig {
+        regs,
+        arrs,
+        ins,
+        outs,
+        ctrs,
+    }
+}
+
+/// A random expression at most 64 bits wide.
+fn narrow(t: &mut Tape, sig: &Sig) -> Expr {
+    resize(expr(t, sig, 1), 1 + t.pick(64) as u16)
+}
+
+/// A random expression 65..=512 bits wide. `depth` bounds the nesting
+/// of the operator arms.
+fn wide(t: &mut Tape, sig: &Sig, depth: u32) -> Expr {
+    let w = 65 + t.pick(448) as u16;
+    if depth == 0 {
+        return match t.pick(5) {
+            // A literal with bits set in every limb.
+            0 => {
+                let limbs: Vec<u64> = (0..w.div_ceil(64)).map(|_| t.val()).collect();
+                lit_bits(Bits::from_limbs(&limbs, w))
+            }
+            // Non-zero only beyond bit 64: true as a condition, and an
+            // in-range index by its low 64 bits.
+            1 => bor(
+                shl(lit(1, w), lit(64 + t.pick(usize::from(w) - 64) as u64, 16)),
+                resize(lit(t.pick(4) as u64, 8), w),
+            ),
+            2 => var(sig.regs[3 + t.pick(3)].0),
+            3 => dsl_sig(sig.ins[1]),
+            _ => arr_read(sig.arrs[1].0, narrow(t, sig)),
+        };
+    }
+    match t.pick(8) {
+        0 => resize(expr(t, sig, 1), w),
+        1 => concat(
+            resize(wide(t, sig, depth - 1), 64 + t.pick(137) as u16),
+            narrow(t, sig),
+        ),
+        2 => add(wide(t, sig, depth - 1), expr(t, sig, 1)),
+        3 => mul(narrow(t, sig), wide(t, sig, depth - 1)),
+        4 => bxor(wide(t, sig, depth - 1), wide(t, sig, depth - 1)),
+        5 => match t.pick(2) {
+            0 => shl(wide(t, sig, depth - 1), narrow(t, sig)),
+            _ => shr(wide(t, sig, depth - 1), wide(t, sig, 0)),
+        },
+        6 => mux(narrow(t, sig), wide(t, sig, depth - 1), expr(t, sig, 1)),
+        _ => match t.pick(2) {
+            0 => not(wide(t, sig, depth - 1)),
+            _ => neg(wide(t, sig, depth - 1)),
+        },
+    }
+}
+
+/// A run of random statements, every one of which contains a node
+/// beyond 64 bits: as the stored value, as an array index, shift amount
+/// or condition, or as the operand of a compare / reduction / slice
+/// whose small result feeds lowered arithmetic.
+fn wide_stmts(t: &mut Tape, sig: &Sig, depth: u32, count: usize) -> Vec<Stmt> {
+    let any_reg = |t: &mut Tape| sig.regs[t.pick(sig.regs.len())].0;
+    let small_reg = |t: &mut Tape| sig.regs[t.pick(3)].0;
+    let mem8 = sig.arrs[0].0;
+    let mut out = Vec::with_capacity(count);
+    for _ in 0..count {
+        let last = match t.pick(12) {
+            0 | 1 => assign(any_reg(t), wide(t, sig, 2)),
+            // Compare of something wide feeding small arithmetic.
+            2 => {
+                let c = match t.pick(3) {
+                    0 => eq(wide(t, sig, 1), wide(t, sig, 1)),
+                    1 => lt(wide(t, sig, 1), narrow(t, sig)),
+                    _ => nonzero(wide(t, sig, 1)),
+                };
+                assign(small_reg(t), add(resize(c, 8), narrow(t, sig)))
+            }
+            // Index beyond 64 bits, on a read and on a write.
+            3 => assign(any_reg(t), arr_read(mem8, wide(t, sig, 1))),
+            4 => arr_write(mem8, wide(t, sig, 1), narrow(t, sig)),
+            // Stored element beyond 64 bits, into either array.
+            5 => {
+                let idx = match t.pick(2) {
+                    0 => narrow(t, sig),
+                    _ => wide(t, sig, 0),
+                };
+                arr_write(sig.arrs[t.pick(2)].0, idx, wide(t, sig, 2))
+            }
+            // Shift amount beyond 64 bits.
+            6 => {
+                let (l, n) = (narrow(t, sig), wide(t, sig, 1));
+                assign(
+                    small_reg(t),
+                    if t.pick(2) == 0 { shl(l, n) } else { shr(l, n) },
+                )
+            }
+            7 => sig_write(sig.outs[t.pick(sig.outs.len())], wide(t, sig, 2)),
+            // Small slice and small mux over something wide.
+            8 => {
+                let lo = t.pick(65) as u16;
+                let hi = lo + t.pick(64) as u16;
+                let x = resize(wide(t, sig, 1), 130);
+                assign(any_reg(t), bor(slice(x, hi, lo), narrow(t, sig)))
+            }
+            9 => assign(
+                small_reg(t),
+                mux(wide(t, sig, 1), narrow(t, sig), narrow(t, sig)),
+            ),
+            // Lowered reads of one register, array element or output
+            // signal on both sides of an evaluated store to it: the
+            // second read must see the store.
+            10 => {
+                let (read, store) = match t.pick(3) {
+                    0 => {
+                        let r = small_reg(t);
+                        (var(r), assign(r, wide(t, sig, 1)))
+                    }
+                    1 => {
+                        let i = lit(t.pick(16) as u64, 8);
+                        (
+                            arr_read(mem8, i.clone()),
+                            arr_write(mem8, i, wide(t, sig, 1)),
+                        )
+                    }
+                    _ => (
+                        dsl_sig(sig.outs[0]),
+                        sig_write(sig.outs[0], wide(t, sig, 1)),
+                    ),
+                };
+                let before = add(read.clone(), resize(nonzero(wide(t, sig, 0)), 8));
+                out.push(assign(small_reg(t), before));
+                out.push(store);
+                assign(
+                    small_reg(t),
+                    bxor(read, resize(nonzero(wide(t, sig, 0)), 8)),
+                )
+            }
+            // Branch condition beyond 64 bits.
+            _ if depth > 0 => {
+                let cond = wide(t, sig, 1);
+                let nt = 1 + t.pick(2);
+                let then_ = wide_stmts(t, sig, depth - 1, nt);
+                let ne = 1 + t.pick(2);
+                let else_ = wide_stmts(t, sig, depth - 1, ne);
+                if_else(cond, then_, else_)
+            }
+            _ => assign(any_reg(t), wide(t, sig, 2)),
+        };
+        out.push(last);
+    }
+    out
+}
+
+/// Two random halting threads of [`wide_stmts`] over shared state.
+fn wide_program(seed: &[u8]) -> Program {
+    let mut t = Tape::new(seed);
+    let mut pb = kiwi_ir::ProgramBuilder::new("randwide");
+    let sig = declare_wide(&mut pb, 2);
+    for (i, &ctr) in sig.ctrs.iter().enumerate() {
+        let n_pre = 1 + t.pick(3);
+        let mut body = wide_stmts(&mut t, &sig, 1, n_pre);
+        let (trips, n_loop) = (1 + t.pick(4) as u64, 2 + t.pick(5));
+        let loop_body = wide_stmts(&mut t, &sig, 2, n_loop);
+        body.push(bounded_loop(ctr, trips, loop_body));
+        let n_post = 1 + t.pick(3);
+        body.extend(wide_stmts(&mut t, &sig, 1, n_post));
+        body.push(halt());
+        pb.thread(&format!("t{i}"), body);
+    }
+    pb.build().expect("generated program must be valid")
+}
+
 /// A random subset of [`kiwi_ir::default_pipeline`] in a random order:
 /// each byte removes one of the passes still in the pool, so a list
 /// holds no pass twice and its length is the tape's (capped at the
@@ -721,6 +915,21 @@ proptest! {
         let cp = kiwi_ir::compile_with_passes(&flatten(&prog).unwrap(), &passes)
             .unwrap_or_else(|e| panic!("passes {passes:?}: {e:?}"));
         assert_cycle_lockstep(&format!("passes {passes:?}"), &prog, CompiledMachine::new(cp));
+    }
+
+    /// The 64-bit machine's borrowed path: programs in which every
+    /// statement contains a node 65..=512 bits wide (see [`wide_stmts`])
+    /// stay in cycle lockstep with the tree-walker — state after every
+    /// cycle, op counts, observer trace — under the default and the
+    /// empty pipeline.
+    #[test]
+    fn wide_statements_agree(seed in proptest::collection::vec(any::<u8>(), 16..96)) {
+        let prog = wide_program(&seed);
+        for passes in [kiwi_ir::default_pipeline(), &[][..]] {
+            let cp = kiwi_ir::compile_with_passes(&flatten(&prog).unwrap(), passes).unwrap();
+            prop_assert!(cp.threads.iter().all(|t| !t.exprs.is_empty()));
+            assert_cycle_lockstep(&format!("passes {passes:?}"), &prog, CompiledMachine::new(cp));
+        }
     }
 
     /// Optimizer trust, service level: one soak service per case, built
