@@ -8,6 +8,8 @@
 //! numbers are not measured here: that is `bash benchmark/run.sh`
 //! (ROADMAP "Measuring performance").
 
+#![forbid(unsafe_code)]
+
 use emu_core::{Service, Target};
 use emu_services::{dns, icmp, memcached, nat, tcp_ping};
 use emu_types::wire::l2_frame as switch_frame;

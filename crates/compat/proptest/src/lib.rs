@@ -12,6 +12,8 @@
 //! be overridden with the `PROPTEST_CASES` environment variable or
 //! `ProptestConfig::with_cases`.
 
+#![forbid(unsafe_code)]
+
 use std::marker::PhantomData;
 use std::ops::{Range, RangeInclusive};
 

@@ -6,6 +6,8 @@
 //! `rngs::StdRng`. The generator is xoshiro256** seeded via splitmix64 —
 //! deterministic across platforms, which the latency-model tests rely on.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Core source of randomness: a stream of `u64`s.

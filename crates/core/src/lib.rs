@@ -24,6 +24,8 @@
 //! Services built from these pieces live in `emu-services`; the Mininet
 //! analogue in `netsim` provides the third target.
 
+#![forbid(unsafe_code)]
+
 pub mod csum;
 pub mod dataplane;
 pub mod engine;

@@ -364,15 +364,24 @@ pub fn flow_key(frame: &Frame) -> [u8; 26] {
 }
 
 /// RSS-style flow hash over [`flow_key`], built from four independently
-/// seeded passes of the Pearson hash the platform's hashing IP block
+/// seeded lanes of the Pearson hash the platform's hashing IP block
 /// models (Figure 5) — the same digest function on every target.
+///
+/// Lane `seed` (1 to 4, high byte to low) is
+/// `checksum::pearson8_seeded(seed, &key)`. The lanes never read each
+/// other, so one pass over the key steps all four: four table loads in
+/// flight per key byte instead of four serial walks of the key, and
+/// byte for byte the digest of four separate calls
+/// (`tests/sharding.rs` pins it and checks it against that definition).
 pub fn flow_hash(frame: &Frame) -> u64 {
-    let key = flow_key(frame);
-    let mut h = 0u64;
-    for seed in 1..=4u8 {
-        h = (h << 8) | u64::from(checksum::pearson8_seeded(seed, &key));
+    const T: [u8; 256] = checksum::PEARSON_TABLE;
+    let mut lanes = [T[1], T[2], T[3], T[4]];
+    for b in flow_key(frame) {
+        for h in &mut lanes {
+            *h = T[usize::from(*h ^ b)];
+        }
     }
-    h
+    u64::from(u32::from_be_bytes(lanes))
 }
 
 /// A convenience used by services and examples: declare the dataplane and

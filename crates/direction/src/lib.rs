@@ -17,6 +17,8 @@
 //! Table 5's +R/+W/+I overhead measurements are regenerated by
 //! `emu-bench`'s `table5` harness using [`transform::ControllerConfig`].
 
+#![forbid(unsafe_code)]
+
 pub mod director;
 pub mod lang;
 pub mod packet;

@@ -35,6 +35,8 @@
 //! [`emu_traffic::ClientCheck`] invariant checker. Every quantity is
 //! simulation-time, so a seed replays byte-identically.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod dns;
 pub mod mc;

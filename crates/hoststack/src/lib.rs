@@ -14,6 +14,8 @@
 //! * [`workload`] — memaslap- and OSNT-style load generators,
 //! * [`rng`] — auditable samplers (Box–Muller, lognormal, exponential).
 
+#![forbid(unsafe_code)]
+
 pub mod path;
 pub mod rng;
 pub mod services;

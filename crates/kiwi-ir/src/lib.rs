@@ -22,6 +22,8 @@
 //! Verilog emission) lives in the `kiwi` crate; the cycle-accurate
 //! simulator lives in `emu-rtl`.
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod cells;
 pub mod compile;

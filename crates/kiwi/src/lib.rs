@@ -14,6 +14,8 @@
 //!
 //! Cycle-accurate *execution* of the compiled FSM lives in `emu-rtl`.
 
+#![forbid(unsafe_code)]
+
 pub mod fsm;
 pub mod resources;
 pub mod verilog;

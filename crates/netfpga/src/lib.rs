@@ -15,6 +15,8 @@
 //!   module latency, end-to-end latency and throughput, including the
 //!   multi-core configuration of §5.4.
 
+#![forbid(unsafe_code)]
+
 pub mod dataplane;
 pub mod native;
 pub mod pipeline;

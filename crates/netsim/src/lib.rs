@@ -39,6 +39,8 @@
 //! round-trip times include service time and stay deterministic per
 //! seed.
 
+#![forbid(unsafe_code)]
+
 use emu_core::{Engine, EngineError};
 use emu_telemetry::Json;
 use emu_types::Frame;

@@ -13,6 +13,8 @@
 //! * VCD waveform dumping ([`vcd`]) for debugging without an RTL
 //!   simulator.
 
+#![forbid(unsafe_code)]
+
 pub mod axis;
 pub mod cam;
 pub mod exec;

@@ -17,6 +17,8 @@
 //! Every service is a plain function returning an [`emu_core::Service`],
 //! runnable unmodified on the CPU and FPGA targets (and inside `netsim`).
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod dns;
 pub mod filter;

@@ -37,6 +37,8 @@
 //! end-to-end cost against a telemetry-disabled engine and reports it
 //! as `telemetry.overhead_share` (budget: 5 %).
 
+#![forbid(unsafe_code)]
+
 pub mod counters;
 pub mod hist;
 pub mod json;

@@ -57,6 +57,8 @@
 //! `tests/fixtures/` replay byte-exact on every target, so generator or
 //! service refactors cannot silently change semantics.
 
+#![forbid(unsafe_code)]
+
 pub mod adversarial;
 pub mod background;
 pub mod build;

@@ -11,11 +11,28 @@ use crate::proto::{ether_type, frame, offset};
 use std::fmt;
 
 /// An Ethernet II frame (without FCS) plus receive metadata.
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct Frame {
     bytes: Vec<u8>,
     /// Port index the frame arrived on (platform metadata, not on the wire).
     pub in_port: u8,
+}
+
+/// By hand for `clone_from`: the derived one is `*self = src.clone()`,
+/// an allocation per call, where refilling a frame buffer that is
+/// already large enough should copy bytes and nothing else.
+impl Clone for Frame {
+    fn clone(&self) -> Self {
+        Frame {
+            bytes: self.bytes.clone(),
+            in_port: self.in_port,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.bytes.clone_from(&src.bytes);
+        self.in_port = src.in_port;
+    }
 }
 
 impl Frame {
@@ -165,6 +182,22 @@ mod tests {
         assert!(f.is_direction());
         let g = Frame::ethernet(mac(1), mac(2), ether_type::IPV4, &[]);
         assert!(!g.is_direction());
+    }
+
+    #[test]
+    fn clone_from_refills_in_place_when_the_buffer_is_large_enough() {
+        for len in [60usize, 1514] {
+            let mut src = Frame::new((0..len).map(|i| i as u8).collect());
+            src.in_port = 3;
+            // Equal capacity, then larger: the same buffer both times.
+            for spare in [len, len + 100] {
+                let mut slot = Frame::new(vec![0xff; spare]);
+                let buf = slot.bytes().as_ptr();
+                slot.clone_from(&src);
+                assert_eq!(slot, src, "{len} B into {spare} B");
+                assert_eq!(slot.bytes().as_ptr(), buf, "{len} B into {spare} B");
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //!
 //! Nothing here knows about the IR, the compiler, or any simulator.
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod bits;
 pub mod bitutil;

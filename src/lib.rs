@@ -351,6 +351,8 @@
 //! and whole-topology differential (seq==par, compiled==treewalk)
 //! suites.
 
+#![forbid(unsafe_code)]
+
 pub use direction as debug;
 pub use emu_core as stdlib;
 pub use emu_hosts as hosts;

@@ -301,9 +301,15 @@ fn panicking_model_poisons_only_its_shard() {
     // process's: the frame in flight reports `Trap`, the shard's later
     // frames `Poisoned`, what it had already produced stands, siblings
     // keep serving — the same through `process`, sequential
-    // `process_batch` and worker threads.
+    // `process_batch` and worker threads. Shard 0's slice of a whole
+    // round runs on the calling thread, the others' on their workers.
+    for victim in [0, 1, 3] {
+        assert_panic_poisons_only(victim);
+    }
+}
+
+fn assert_panic_poisons_only(victim: usize) {
     let clients = clients_per_shard(&trappable_engine(false));
-    let victim = 2;
     // Three rounds over every shard: the victim serves round one,
     // panics in round two, refuses round three.
     let stream: Vec<Frame> = (0..3)
@@ -345,12 +351,37 @@ fn panicking_model_poisons_only_its_shard() {
                 .chunks(chunk)
                 .flat_map(|frames| batched.process_batch(frames).outputs)
                 .collect();
-            assert_eq!(got, want, "parallel {parallel}, chunks of {chunk}");
+            let label = format!("victim {victim}, parallel {parallel}, chunks of {chunk}");
+            assert_eq!(got, want, "{label}");
+            assert_eq!(batched.telemetry().unwrap(), want_snap, "{label}");
+            // The shard came home from whichever thread its core
+            // unwound on: it still answers, and keeps refusing.
             assert_eq!(
-                batched.telemetry().unwrap(),
-                want_snap,
-                "parallel {parallel}, chunks of {chunk}"
+                batched.shard_error(victim),
+                Some("panicked: planted model bug"),
+                "{label}"
             );
+            let drops = |e: &Engine| {
+                let direct = e.shard(victim).stats().unwrap().counters.drop_poisoned;
+                let snap = e.telemetry().unwrap();
+                assert_eq!(snap.shards[victim].counters.drop_poisoned, direct);
+                direct
+            };
+            assert_eq!(drops(&batched), 1, "{label}");
+            let round = &stream[..clients.len()];
+            for later in 1..=3 {
+                let report = batched.process_batch(round);
+                for (k, out) in report.outputs.iter().enumerate() {
+                    match out {
+                        Err(EngineError::Poisoned { shard, .. }) => {
+                            assert_eq!((*shard, k), (victim, victim), "{label}")
+                        }
+                        other => assert!(other.is_ok() && k != victim, "{label}: {other:?}"),
+                    }
+                }
+                assert_eq!(drops(&batched), 1 + later, "{label}");
+                assert_eq!(batched.healthy_shards(), 3, "{label}");
+            }
         }
     }
 }

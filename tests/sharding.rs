@@ -11,9 +11,11 @@
 
 use emu::prelude::*;
 use emu::services as s;
-use emu::stdlib::flow_hash;
-use emu_types::proto::ip_proto;
+use emu::stdlib::{flow_hash, flow_key};
+use emu_types::checksum::pearson8_seeded;
+use emu_types::proto::{ip_proto, offset};
 use emu_types::{bitutil, wire};
+use proptest::prelude::*;
 
 const CLIENT_MAC: MacAddr = MacAddr([0x02, 0, 0, 0, 0, 0x42]);
 const SERVER_MAC: MacAddr = MacAddr([0x02, 0, 0, 0, 0, 0x41]);
@@ -388,4 +390,181 @@ fn shard_of_is_stable_and_engine_reports_shape() {
     assert!(!engine.is_parallel());
     let f = s::icmp::echo_request_frame(56, 1);
     assert_eq!(engine.shard_of(&f), (flow_hash(&f) % 5) as usize);
+}
+
+/// The frames the flow-hash golden walks: the first 512 of every
+/// generator `tests/wire_golden.rs` pins, then the shapes `flow_key`
+/// branches on — non-IP, every IPv4 header length (options push the
+/// ports out, the longest past the end of a 60-byte frame), and six
+/// valid frames cut at every byte with their length fields lying, as
+/// `tests/failure_injection.rs` sweeps them.
+fn flow_hash_corpus() -> Vec<Frame> {
+    use emu::traffic::{
+        Adversarial, Background, DnsWeighted, FlowChurn, MacChurn, MemcachedZipf, TcpConversations,
+        TrafficGen,
+    };
+    const SEED: u64 = 0x601d_0022;
+    let mut gens: Vec<Box<dyn TrafficGen>> = vec![
+        Box::new(MemcachedZipf::new(SEED, 256, 1.1, 0.9)),
+        Box::new(DnsWeighted::new(
+            SEED,
+            &[("example.com", 6), ("a.b", 3), ("nope.invalid", 1)],
+        )),
+        Box::new(Background::new(SEED, &[0, 1, 2, 3])),
+        Box::new(TcpConversations::new(SEED, 8, &[1, 2, 3])),
+        Box::new(FlowChurn::new(SEED, 40, 150, &[1, 2, 3])),
+        Box::new(MacChurn::new(SEED, 24, 120)),
+        Box::new(Adversarial::new(SEED, &[0, 1, 2, 3])),
+        Box::new(Adversarial::new(0x601d_0024, &[0, 1, 2, 3])),
+    ];
+    let mut frames: Vec<Frame> = gens
+        .iter_mut()
+        .flat_map(|g| (0..512).map(|_| g.next_frame()).collect::<Vec<_>>())
+        .collect();
+    frames.push(Frame::ethernet(SERVER_MAC, CLIENT_MAC, 0x0806, &[0x5a; 28]));
+    for ihl in 0..16u8 {
+        for whole in [client_frame(7, 0), s::tcp_ping::syn_frame(40_000, 80, 1)] {
+            let mut f = whole;
+            f.bytes_mut()[offset::IPV4] = 0x40 | ihl;
+            frames.push(f);
+        }
+    }
+    for whole in [
+        s::icmp::echo_request_frame(56, 1),
+        s::dns::query_frame("a.b", 7),
+        s::memcached::request_frame("get foo\r\n", 2),
+        s::tcp_ping::syn_frame(40_000, 80, 0x1000),
+        s::nat::udp_frame(Ipv4::new(10, 0, 0, 1), 53, Ipv4::new(10, 0, 0, 2), 53, 1),
+    ] {
+        for cut in 0..=whole.len() {
+            let f = Frame::new(whole.bytes()[..cut].to_vec());
+            for len_field in [offset::IPV4 + 2, offset::L4 + 4] {
+                for lie in [0, 0xffff] {
+                    let mut lying = f.clone();
+                    bitutil::set16(lying.bytes_mut(), len_field, lie);
+                    frames.push(lying);
+                }
+            }
+            frames.push(f);
+        }
+    }
+    frames
+}
+
+#[test]
+fn flow_hash_digest_is_pinned() {
+    // Recorded while `flow_hash` was four `pearson8_seeded` calls; shard
+    // assignment, and with it every per-shard counter on file, hangs on
+    // each of these values.
+    let corpus = flow_hash_corpus();
+    let digest = corpus.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, f| {
+        flow_hash(f).to_le_bytes().iter().fold(h, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    });
+    println!("{} frames, digest {digest:#018x}", corpus.len());
+    assert_eq!((corpus.len(), digest), (5859, 0xf47c_1b2b_4524_c628));
+    // MACs only, + addresses, + protocol and ports: all three key shapes.
+    let shapes: std::collections::BTreeSet<u8> = corpus.iter().map(|f| flow_key(f)[25]).collect();
+    assert_eq!(shapes.into_iter().collect::<Vec<_>>(), [12, 20, 25]);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn flow_hash_is_four_seeded_pearson_digests_of_the_flow_key(
+        bytes in proptest::collection::vec(any::<u8>(), 0..160),
+        shape in 0u8..4,
+        ihl in 0u8..16,
+        proto in 0u8..3,
+        in_port in 0u8..4,
+    ) {
+        // Random bytes are almost never IPv4, let alone TCP or UDP:
+        // three draws in four patch the fields `flow_key` branches on.
+        let mut f = Frame::new(bytes);
+        f.in_port = in_port;
+        if shape > 0 {
+            bitutil::set16(f.bytes_mut(), offset::ETH_TYPE, 0x0800);
+            f.bytes_mut()[offset::IPV4] = 0x40 | if shape > 1 { ihl } else { 5 };
+            f.bytes_mut()[offset::IPV4_PROTO] = [ip_proto::TCP, ip_proto::UDP, ip_proto::ICMP][proto as usize];
+        }
+        let key = flow_key(&f);
+        let want = (1..=4u8).fold(0u64, |h, seed| {
+            (h << 8) | u64::from(pearson8_seeded(seed, &key))
+        });
+        prop_assert_eq!(flow_hash(&f), want);
+    }
+}
+
+/// Sequential and parallel 4-shard NAT engines fed the same `rounds`
+/// of batches of `sizes`: every report and every snapshot must agree,
+/// batch after batch — the workers of the parallel engine are parked
+/// and woken, lent shards and handed them back, over a hundred times.
+fn assert_modes_agree_batch_after_batch(target: Target, sizes: &[usize], rounds: usize) {
+    let svc = s::nat::nat("203.0.113.1".parse().unwrap());
+    let engine = |parallel: bool| {
+        svc.engine(target)
+            .shards(4)
+            .dispatch(NatSteering::default())
+            .parallel(parallel)
+            .build()
+            .unwrap()
+    };
+    let (mut seq, mut par) = (engine(false), engine(true));
+    // Outbound frames of 96 client flows, and every fifth frame an
+    // inbound one on the external port, steered by its destination.
+    let mut serial = 0u64;
+    let mut next_frame = |flow: Option<u16>| {
+        serial += 1;
+        let (inbound, flow) = match flow {
+            Some(lone) => (false, lone),
+            None => (serial.is_multiple_of(5), (serial * 7 % 96) as u16),
+        };
+        if inbound {
+            let public = "203.0.113.1".parse().unwrap();
+            s::nat::udp_frame("8.8.8.8".parse().unwrap(), 53, public, 50_000 + flow, 0)
+        } else {
+            client_frame(flow, (serial % 40) as usize)
+        }
+    };
+    let mut lone_shards = std::collections::BTreeSet::new();
+    let mut batches = 0;
+    for round in 0..rounds {
+        for &size in sizes {
+            // Every other round all of a batch is one outbound flow's:
+            // one shard busy, three idle, nobody to wake.
+            let lone = (round % 2 == 1).then_some(round as u16 * 5);
+            let frames: Vec<Frame> = (0..size).map(|_| next_frame(lone)).collect();
+            let (a, b) = (seq.process_batch(&frames), par.process_batch(&frames));
+            let at = format!("{target:?}, round {round}, batch of {size}");
+            assert_eq!(a.outputs, b.outputs, "{at}");
+            assert_eq!(a.shard_cycles, b.shard_cycles, "{at}");
+            assert_eq!(seq.telemetry(), par.telemetry(), "{at}");
+            if lone.is_some() {
+                let busy: Vec<usize> = (0..4).filter(|&k| a.shard_cycles[k] > 0).collect();
+                assert!(busy.len() <= 1, "{at}: {busy:?}");
+                lone_shards.extend(busy);
+            }
+            batches += 1;
+        }
+    }
+    assert!(batches >= 64, "{batches} batches");
+    assert!(
+        lone_shards.iter().any(|&k| k > 0) && lone_shards.len() > 1,
+        "one-shard batches should land on worker-side shards too: {lone_shards:?}"
+    );
+    let total = seq.telemetry().unwrap().total().counters;
+    assert!(total.frames > 0 && total.tx_frames > 0, "{total:?}");
+}
+
+#[test]
+fn modes_agree_batch_after_batch_on_cpu() {
+    assert_modes_agree_batch_after_batch(Target::Cpu, &[0, 1, 7, 256, 1024], 13);
+}
+
+#[test]
+fn modes_agree_batch_after_batch_on_fpga() {
+    // The RTL machine costs milliseconds a frame in a debug build.
+    assert_modes_agree_batch_after_batch(Target::Fpga, &[0, 1, 7], 22);
 }
