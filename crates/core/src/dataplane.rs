@@ -226,13 +226,19 @@ impl Dataplane {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use emu_rtl::RtlMachine;
+    use emu_rtl::{Core, RtlMachine};
     use emu_types::proto::{ether_type, offset};
     use emu_types::{Frame, MacAddr};
     use kiwi_ir::interp::{NullEnv, NullObserver};
     use netfpga_sim::DataplaneDriver;
+
+    /// `prog` compiled to the FSM behind a platform driver.
+    pub(crate) fn rtl_driver(prog: &kiwi_ir::Program) -> DataplaneDriver {
+        let fsm = kiwi::compile(prog).unwrap();
+        DataplaneDriver::new(Core::Fpga(RtlMachine::new(fsm))).unwrap()
+    }
 
     /// An echo service built only from the Figure 6-style helpers: swaps
     /// MACs and reflects the frame to its arrival port.
@@ -252,7 +258,7 @@ mod tests {
     #[test]
     fn macswap_round_trip_on_rtl() {
         let prog = macswap_service();
-        let mut drv = DataplaneDriver::new(RtlMachine::new(kiwi::compile(&prog).unwrap())).unwrap();
+        let mut drv = rtl_driver(&prog);
         let mut f = Frame::ethernet(
             MacAddr::from_u64(0x0a0b0c0d0e0f),
             MacAddr::from_u64(0x010203040506),
@@ -285,7 +291,7 @@ mod tests {
         body.extend(dp.done());
         pb.thread("main", vec![forever(body)]);
         let prog = pb.build().unwrap();
-        let mut drv = DataplaneDriver::new(RtlMachine::new(kiwi::compile(&prog).unwrap())).unwrap();
+        let mut drv = rtl_driver(&prog);
         let out = drv
             .process(&Frame::new(vec![0; 60]), &mut NullEnv, &mut NullObserver)
             .unwrap();
@@ -308,7 +314,7 @@ mod tests {
         body.extend(dp.done());
         pb.thread("main", vec![forever(body)]);
         let prog = pb.build().unwrap();
-        let mut drv = DataplaneDriver::new(RtlMachine::new(kiwi::compile(&prog).unwrap())).unwrap();
+        let mut drv = rtl_driver(&prog);
 
         let ipv4 = Frame::ethernet(MacAddr::ZERO, MacAddr::ZERO, ether_type::IPV4, &[0; 46]);
         let arp = Frame::ethernet(MacAddr::ZERO, MacAddr::ZERO, ether_type::ARP, &[0; 46]);
@@ -327,7 +333,7 @@ mod tests {
         body.extend(dp.done());
         pb.thread("main", vec![forever(body)]);
         let prog = pb.build().unwrap();
-        let mut drv = DataplaneDriver::new(RtlMachine::new(kiwi::compile(&prog).unwrap())).unwrap();
+        let mut drv = rtl_driver(&prog);
         for port in 0..4u8 {
             let mut f = Frame::new(vec![0; 60]);
             f.in_port = port;
@@ -348,7 +354,7 @@ mod tests {
         body.extend(dp.done());
         pb.thread("main", vec![forever(body)]);
         let prog = pb.build().unwrap();
-        let mut drv = DataplaneDriver::new(RtlMachine::new(kiwi::compile(&prog).unwrap())).unwrap();
+        let mut drv = rtl_driver(&prog);
         let mut bytes = vec![0u8; 60];
         bytes[14] = 20; // index
         bytes[20] = 0x99; // value to fetch

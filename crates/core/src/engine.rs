@@ -52,6 +52,15 @@
 //! interpreter). `emubench` reports the per-frame cost of each as
 //! `kiwi-ir.exec_ns_per_frame` and `kiwi-ir.treewalk_ns_per_frame`.
 //!
+//! Target and backend together pick one [`emu_rtl::Core`]: the
+//! tree-walker, the compiled bytecode or the FSM. [`EngineBuilder::build`]
+//! makes it once — one flatten, one compile or FSM schedule, one
+//! dataplane port resolution — and every shard gets a `clone()` of the
+//! resulting [`DataplaneDriver`] beside its own environment, so building
+//! an engine costs one compilation whatever its shard count. Every
+//! shard, on every target, runs the one frame loop,
+//! [`DataplaneDriver::process`].
+//!
 //! # Execution modes
 //!
 //! By default shards execute **sequentially** on the calling thread under
@@ -106,8 +115,8 @@
 //! measure what the instrumentation costs the hot path
 //! (`telemetry.overhead_share`, budget 5 %).
 
-use crate::runner::{flow_hash, AnyDriver, Backend, Service, TableConfig, Target};
-use emu_rtl::{IpEnv, RtlMachine};
+use crate::runner::{flow_hash, Backend, Service, TableConfig, Target};
+use emu_rtl::{Core, IpEnv};
 use emu_telemetry::{DropKind, EngineSnapshot, ShardStats};
 use emu_types::proto::{ether_type, ip_proto, offset};
 use emu_types::{Bits, Frame};
@@ -385,14 +394,14 @@ impl Dispatch for NatSteering {
 // Shard
 // ---------------------------------------------------------------------
 
-/// One replicated pipeline of an [`Engine`]: a driver plus its private
-/// IP-block environment.
+/// One replicated pipeline of an [`Engine`]: a copy of the engine's
+/// driver plus its private IP-block environment.
 ///
 /// Traffic goes through the engine (which owns dispatch and poisoning);
 /// the shard handle exposes the inspection/configuration surface used by
 /// tests, debug tooling, and [`Dispatch::configure`].
 pub struct Shard {
-    driver: AnyDriver,
+    driver: DataplaneDriver,
     env: IpEnv,
     /// Per-shard telemetry, `None` when the engine was built with
     /// telemetry disabled. Boxed: the histogram's bucket array should
@@ -405,19 +414,17 @@ pub struct Shard {
 
 impl Shard {
     fn new(
+        driver: DataplaneDriver,
         service: &Service,
-        target: Target,
-        backend: Backend,
-        telemetry: bool,
         tables: &TableConfig,
-        passes: Option<&[kiwi_ir::Pass]>,
+        telemetry: bool,
     ) -> IrResult<Self> {
         let env = (service.make_env)(tables);
         // Every model indexes the signal arrays by its handle's ids, so
         // the handle must be this program's: checked here, once.
         env.check(&service.program).map_err(IrError)?;
         Ok(Shard {
-            driver: AnyDriver::new(service, target, backend, passes)?,
+            driver,
             env,
             stats: telemetry.then(|| Box::new(ShardStats::new())),
             poisoned: None,
@@ -454,9 +461,9 @@ impl Shard {
 
     /// Reads a register by name (debug/verification convenience).
     pub fn read_reg(&self, name: &str) -> Option<Bits> {
-        let prog = self.driver.program();
-        let idx = prog.var_by_name(name)?.0 as usize;
-        Some(self.driver.machine_state().vars[idx].clone())
+        let core = self.driver.core();
+        let idx = core.program().var_by_name(name)?.0 as usize;
+        Some(core.state().vars[idx].clone())
     }
 
     /// Writes a register by name, truncating `value` to the register's
@@ -465,14 +472,14 @@ impl Shard {
     /// use at build time; mid-traffic writes are for fault injection.
     pub fn write_reg(&mut self, name: &str, value: u64) -> bool {
         let meta = {
-            let prog = self.driver.program();
+            let prog = self.driver.core().program();
             prog.var_by_name(name)
                 .and_then(|id| prog.var(id).map(|d| (id.0 as usize, d.width)))
         };
         let Some((idx, width)) = meta else {
             return false;
         };
-        self.driver.machine_state_mut().vars[idx] = Bits::from_u64(value, width);
+        self.driver.core_mut().state_mut().vars[idx] = Bits::from_u64(value, width);
         true
     }
 
@@ -521,14 +528,6 @@ impl Shard {
                 Err(self.trap(k, e))
             }
         }
-    }
-
-    /// Lets the core run `n` cycles with no frame offered; a trap
-    /// poisons the shard exactly as one on a frame would.
-    fn idle(&mut self, k: usize, n: u64) -> EngineResult<()> {
-        self.driver
-            .idle(n, &mut self.env)
-            .map_err(|e| self.trap(k, e))
     }
 
     /// Poisons the shard (as shard `k`) with the core's error.
@@ -688,8 +687,10 @@ impl EngineBuilder<'_> {
         self
     }
 
-    /// Instantiates the engine: `shards` copies of the service on the
-    /// target, each configured by the dispatch policy.
+    /// Instantiates the engine: builds the service's core on the target
+    /// once — one flatten, one compile or FSM schedule, one port
+    /// resolution — and gives each of the `shards` shards a copy of it
+    /// beside its own environment, configured by the dispatch policy.
     pub fn build(self) -> EngineResult<Engine> {
         if self.shards == 0 {
             return Err(EngineError::Build(
@@ -714,19 +715,14 @@ impl EngineBuilder<'_> {
             }
         }
         let backend = self.backend.unwrap_or_else(Backend::env_default);
+        let core = crate::runner::core(self.service, self.target, backend, self.passes.as_deref())?;
+        let mut driver = DataplaneDriver::new(core)?;
+        if let Some(n) = self.max_cycles_per_frame {
+            driver.max_cycles_per_frame = n;
+        }
         let mut shards = Vec::with_capacity(self.shards);
-        for k in 0..self.shards {
-            let mut shard = Shard::new(
-                self.service,
-                self.target,
-                backend,
-                self.telemetry,
-                &self.tables,
-                self.passes.as_deref(),
-            )?;
-            if let Some(n) = self.max_cycles_per_frame {
-                shard.driver.set_max_cycles_per_frame(n);
-            }
+        for (k, driver) in std::iter::repeat_n(driver, self.shards).enumerate() {
+            let mut shard = Shard::new(driver, self.service, &self.tables, self.telemetry)?;
             self.dispatch.configure(k, self.shards, &mut shard)?;
             shards.push(Some(Box::new(shard)));
         }
@@ -1010,13 +1006,6 @@ impl Engine {
         self.shards[shard].as_deref_mut().expect(HOME)
     }
 
-    /// Sets every shard's per-frame cycle budget.
-    pub fn set_max_cycles_per_frame(&mut self, n: u64) {
-        for s in self.shards.iter_mut().flatten() {
-            s.driver.set_max_cycles_per_frame(n);
-        }
-    }
-
     /// Frame buffer capacity of the underlying program (uniform across
     /// shards — they run the same program).
     pub fn frame_capacity(&self) -> usize {
@@ -1032,27 +1021,6 @@ impl Engine {
     /// Shard 0's IP-block environment — the single-pipeline convenience.
     pub fn env_mut(&mut self) -> &mut IpEnv {
         self.shard_mut(0).env_mut()
-    }
-
-    /// Lets every healthy shard run `n` cycles without traffic (service
-    /// background threads make progress).
-    ///
-    /// A shard whose core traps while idling is poisoned exactly as if
-    /// it had trapped on a frame; the remaining shards still idle, and
-    /// the first trap is returned.
-    pub fn idle(&mut self, n: u64) -> EngineResult<()> {
-        let mut first_trap = None;
-        for (k, s) in self.shards.iter_mut().flatten().enumerate() {
-            if s.poisoned.is_none() {
-                if let Err(e) = s.idle(k, n) {
-                    first_trap.get_or_insert(e);
-                }
-            }
-        }
-        match first_trap {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
     }
 
     /// Processes one frame on its flow's shard — the same step
@@ -1191,14 +1159,14 @@ impl Engine {
     /// environment for the NetFPGA pipeline simulator. `None` for CPU
     /// engines or multi-shard engines (the pipeline model replicates
     /// cores itself).
-    pub fn into_fpga_parts(self) -> Option<(DataplaneDriver<RtlMachine>, IpEnv)> {
+    pub fn into_fpga_parts(self) -> Option<(DataplaneDriver, IpEnv)> {
         if self.shards.len() != 1 {
             return None;
         }
         let shard = *self.shards.into_iter().next().flatten().expect(HOME);
-        match shard.driver {
-            AnyDriver::Fpga(d) => Some((d, shard.env)),
-            AnyDriver::Cpu(_) | AnyDriver::CpuCompiled(_) => None,
+        match shard.driver.core() {
+            Core::Fpga(_) => Some((shard.driver, shard.env)),
+            Core::TreeWalk(_) | Core::Compiled(_) => None,
         }
     }
 }

@@ -11,7 +11,9 @@
 //! ```
 //!
 //! Each wrapper exposes typed getters/setters over the byte array; here
-//! they produce IR expressions/statements against the [`Dataplane`].
+//! they produce IR expressions/statements against the [`Dataplane`],
+//! which itself carries the Ethernet fields (`dst_mac`, `src_mac`,
+//! `ethertype` and their setters).
 //! "Writing new parsers for custom protocols is straightforward" (§3.4) —
 //! every wrapper below is a thin offset table, exactly like Figure 4.
 //!
@@ -23,44 +25,6 @@ use crate::dataplane::Dataplane;
 use emu_types::proto::offset;
 use kiwi_ir::dsl::*;
 use kiwi_ir::{Expr, Stmt};
-
-/// Ethernet II header accessors.
-#[derive(Debug, Clone, Copy)]
-pub struct EthernetWrapper {
-    dp: Dataplane,
-}
-
-impl EthernetWrapper {
-    /// Wraps the dataplane's frame buffer.
-    pub fn new(dp: Dataplane) -> Self {
-        EthernetWrapper { dp }
-    }
-
-    /// Destination MAC (48 bits).
-    pub fn dst(&self) -> Expr {
-        self.dp.dst_mac()
-    }
-
-    /// Source MAC (48 bits).
-    pub fn src(&self) -> Expr {
-        self.dp.src_mac()
-    }
-
-    /// EtherType.
-    pub fn ethertype(&self) -> Expr {
-        self.dp.ethertype()
-    }
-
-    /// Sets the destination MAC.
-    pub fn set_dst(&self, v: Expr) -> Vec<Stmt> {
-        self.dp.set_dst_mac(v)
-    }
-
-    /// Sets the source MAC.
-    pub fn set_src(&self, v: Expr) -> Vec<Stmt> {
-        self.dp.set_src_mac(v)
-    }
-}
 
 /// IPv4 header accessors (Figure 4's `DestinationIPAddress` et al.).
 #[derive(Debug, Clone, Copy)]
@@ -391,13 +355,12 @@ impl DnsWrapper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataplane::tests::rtl_driver;
     use crate::dataplane::Dataplane;
-    use emu_rtl::RtlMachine;
     use emu_types::proto::ip_proto;
     use emu_types::{wire, Frame, Ipv4, MacAddr};
     use kiwi_ir::interp::{NullEnv, NullObserver};
     use kiwi_ir::ProgramBuilder;
-    use netfpga_sim::DataplaneDriver;
 
     /// Builds a valid ICMP echo request frame for tests.
     fn icmp_echo_request() -> Frame {
@@ -439,10 +402,10 @@ mod tests {
             ])],
         );
         let prog = pb.build().unwrap();
-        let mut drv = DataplaneDriver::new(RtlMachine::new(kiwi::compile(&prog).unwrap())).unwrap();
+        let mut drv = rtl_driver(&prog);
         drv.process(&icmp_echo_request(), &mut NullEnv, &mut NullObserver)
             .unwrap();
-        let st = drv.backend().state();
+        let st = drv.core().state();
         assert_eq!(st.vars[0].to_u64(), 4);
         assert_eq!(st.vars[1].to_u64(), u64::from(ip_proto::ICMP));
         assert_eq!(st.vars[2].to_u64(), 0x0a00_0001);
@@ -463,7 +426,7 @@ mod tests {
         body.extend(dp.done());
         pb.thread("main", vec![forever(body)]);
         let prog = pb.build().unwrap();
-        let mut drv = DataplaneDriver::new(RtlMachine::new(kiwi::compile(&prog).unwrap())).unwrap();
+        let mut drv = rtl_driver(&prog);
         let out = drv
             .process(&icmp_echo_request(), &mut NullEnv, &mut NullObserver)
             .unwrap();
@@ -492,13 +455,13 @@ mod tests {
             ])],
         );
         let prog = pb.build().unwrap();
-        let mut drv = DataplaneDriver::new(RtlMachine::new(kiwi::compile(&prog).unwrap())).unwrap();
+        let mut drv = rtl_driver(&prog);
         let mut bytes = vec![0u8; 60];
         bytes[14 + 20 + 13] = 0x02; // SYN
         drv.process(&Frame::new(bytes), &mut NullEnv, &mut NullObserver)
             .unwrap();
-        assert_eq!(drv.backend().state().vars[0].to_u64(), 1);
-        assert_eq!(drv.backend().state().vars[1].to_u64(), 0);
+        assert_eq!(drv.core().state().vars[0].to_u64(), 1);
+        assert_eq!(drv.core().state().vars[1].to_u64(), 0);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! This is contribution 2 of the paper: "an execution environment that
 //! supports running a single codebase over heterogeneous targets,
 //! including CPUs, network simulators, and FPGAs." A [`Service`] bundles
-//! a program with a recipe for its IP-block environment; [`Target`]
-//! selects the backend. Execution goes through the unified engine in
+//! a program with a recipe for its IP-block environment; [`Target`] and
+//! [`Backend`] select the machine. Execution goes through the unified engine in
 //! [`crate::engine`]: `service.engine(target).build()` yields an
 //! [`crate::Engine`] whether the deployment is a single pipeline or a
 //! sharded scale-out (§5.4's "one core per port"). The Mininet-analogue
@@ -17,14 +17,11 @@
 //! [`assert_targets_agree`] differential harness.
 
 use crate::dataplane::Dataplane;
-use emu_rtl::IpEnv;
+use emu_rtl::{Core, IpEnv};
 use emu_types::proto::{ether_type, ip_proto, offset};
 use emu_types::{checksum, Frame};
 use kiwi::CostModel;
-use kiwi_ir::interp::Observer;
 use kiwi_ir::{IrResult, Machine, Program};
-use netfpga_sim::dataplane::CoreOutput;
-use netfpga_sim::DataplaneDriver;
 
 /// Execution target selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,6 +48,11 @@ pub enum Target {
 /// * [`Backend::TreeWalk`]: the recursive `Box<Expr>` interpreter — the
 ///   slow, obviously-correct reference. CI forces it once over the whole
 ///   test suite (`EMU_CPU_BACKEND=treewalk`) so it cannot rot.
+///
+/// With [`Target`] it selects which [`emu_rtl::Core`] an engine builds:
+/// `Core::Compiled` or `Core::TreeWalk` on [`Target::Cpu`], `Core::Fpga`
+/// whatever the backend on [`Target::Fpga`]. The engine builds that core
+/// once and copies it into every shard.
 ///
 /// An explicit [`crate::EngineBuilder::backend`] call always wins; the
 /// `EMU_CPU_BACKEND` environment variable (`compiled` / `treewalk`)
@@ -159,116 +161,35 @@ impl Service {
     }
 }
 
-/// Target-erased dataplane driver (internal: the public execution
-/// surface is [`crate::Engine`]).
-pub(crate) enum AnyDriver {
-    /// Tree-walking interpreter (the reference CPU backend).
-    Cpu(DataplaneDriver<Machine>),
-    /// Compiled micro-op bytecode (the fast CPU backend).
-    CpuCompiled(DataplaneDriver<kiwi_ir::CompiledMachine>),
-    /// FSM-backed.
-    Fpga(DataplaneDriver<emu_rtl::RtlMachine>),
-}
-
-impl AnyDriver {
-    /// Instantiates the driver for `service` on `target`, using
-    /// `backend` when the target is software. `passes` pins the
-    /// compiled backend's optimization pipeline; `None` defers to
-    /// `EMU_CPU_PASSES` / the default pipeline (ignored by the other
-    /// backends, which have no pass pipeline).
-    pub(crate) fn new(
-        service: &Service,
-        target: Target,
-        backend: Backend,
-        passes: Option<&[kiwi_ir::Pass]>,
-    ) -> IrResult<Self> {
-        Ok(match (target, backend) {
-            (Target::Cpu, Backend::TreeWalk) => {
-                let m = Machine::new(kiwi_ir::flatten(&service.program)?);
-                AnyDriver::Cpu(DataplaneDriver::new(m)?)
-            }
-            (Target::Cpu, Backend::Compiled) => {
-                let flat = kiwi_ir::flatten(&service.program)?;
-                let cp = match passes {
-                    Some(p) => kiwi_ir::compile_with_passes(&flat, p)?,
-                    None => kiwi_ir::compile(&flat)?,
-                };
-                AnyDriver::CpuCompiled(DataplaneDriver::new(kiwi_ir::CompiledMachine::new(cp))?)
-            }
-            (Target::Fpga, _) => {
-                let fsm = kiwi::compile_with(&service.program, service.cost_model.clone())?;
-                AnyDriver::Fpga(DataplaneDriver::new(emu_rtl::RtlMachine::new(fsm))?)
-            }
-        })
-    }
-
-    /// One frame through the backend's driver. Generic over the
-    /// observer so the engine's `NullObserver` hot path reaches a fully
-    /// monomorphized [`DataplaneDriver::process`].
-    pub(crate) fn process<O: Observer + ?Sized>(
-        &mut self,
-        frame: &Frame,
-        env: &mut IpEnv,
-        obs: &mut O,
-    ) -> IrResult<CoreOutput> {
-        match self {
-            AnyDriver::Cpu(d) => d.process(frame, env, obs),
-            AnyDriver::CpuCompiled(d) => d.process(frame, env, obs),
-            AnyDriver::Fpga(d) => d.process(frame, env, obs),
+/// Builds the core `service` runs on `target`, using `backend` when the
+/// target is software: one flatten and one compile (or one FSM schedule)
+/// per call, which [`crate::EngineBuilder::build`] makes once per engine.
+/// `passes` pins the compiled backend's optimization pipeline; `None`
+/// defers to `EMU_CPU_PASSES` / the default pipeline (ignored by the
+/// other backends, which have no pass pipeline).
+pub(crate) fn core(
+    service: &Service,
+    target: Target,
+    backend: Backend,
+    passes: Option<&[kiwi_ir::Pass]>,
+) -> IrResult<Core> {
+    Ok(match (target, backend) {
+        (Target::Cpu, Backend::TreeWalk) => {
+            Core::TreeWalk(Machine::new(kiwi_ir::flatten(&service.program)?))
         }
-    }
-
-    pub(crate) fn idle(&mut self, n: u64, env: &mut IpEnv) -> IrResult<()> {
-        let obs = &mut kiwi_ir::NullObserver;
-        match self {
-            AnyDriver::Cpu(d) => d.idle(n, env, obs),
-            AnyDriver::CpuCompiled(d) => d.idle(n, env, obs),
-            AnyDriver::Fpga(d) => d.idle(n, env, obs),
+        (Target::Cpu, Backend::Compiled) => {
+            let flat = kiwi_ir::flatten(&service.program)?;
+            let cp = match passes {
+                Some(p) => kiwi_ir::compile_with_passes(&flat, p)?,
+                None => kiwi_ir::compile(&flat)?,
+            };
+            Core::Compiled(kiwi_ir::CompiledMachine::new(cp))
         }
-    }
-
-    pub(crate) fn set_max_cycles_per_frame(&mut self, n: u64) {
-        match self {
-            AnyDriver::Cpu(d) => d.max_cycles_per_frame = n,
-            AnyDriver::CpuCompiled(d) => d.max_cycles_per_frame = n,
-            AnyDriver::Fpga(d) => d.max_cycles_per_frame = n,
+        (Target::Fpga, _) => {
+            let fsm = kiwi::compile_with(&service.program, service.cost_model.clone())?;
+            Core::Fpga(emu_rtl::RtlMachine::new(fsm))
         }
-    }
-
-    pub(crate) fn frame_capacity(&self) -> usize {
-        match self {
-            AnyDriver::Cpu(d) => d.frame_capacity(),
-            AnyDriver::CpuCompiled(d) => d.frame_capacity(),
-            AnyDriver::Fpga(d) => d.frame_capacity(),
-        }
-    }
-
-    pub(crate) fn program(&self) -> &Program {
-        use emu_rtl::ExecBackend;
-        match self {
-            AnyDriver::Cpu(d) => d.backend().program(),
-            AnyDriver::CpuCompiled(d) => d.backend().program(),
-            AnyDriver::Fpga(d) => d.backend().program(),
-        }
-    }
-
-    pub(crate) fn machine_state(&self) -> &kiwi_ir::interp::MachineState {
-        use emu_rtl::ExecBackend;
-        match self {
-            AnyDriver::Cpu(d) => d.backend().machine_state(),
-            AnyDriver::CpuCompiled(d) => d.backend().machine_state(),
-            AnyDriver::Fpga(d) => d.backend().machine_state(),
-        }
-    }
-
-    pub(crate) fn machine_state_mut(&mut self) -> &mut kiwi_ir::interp::MachineState {
-        use emu_rtl::ExecBackend;
-        match self {
-            AnyDriver::Cpu(d) => d.backend_mut().machine_state_mut(),
-            AnyDriver::CpuCompiled(d) => d.backend_mut().machine_state_mut(),
-            AnyDriver::Fpga(d) => d.backend_mut().machine_state_mut(),
-        }
-    }
+    })
 }
 
 /// Runs the same frames through every execution backend — tree-walking

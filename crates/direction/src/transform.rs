@@ -21,7 +21,7 @@
 use emu_core::Dataplane;
 use kiwi_ir::dsl::*;
 use kiwi_ir::{Expr, IrError, IrResult, Program, ProgramBuilder, Stmt, VarId};
-use netfpga_sim::dataplane::{names, DataplanePorts};
+use netfpga_sim::dataplane::DataplanePorts;
 
 use crate::packet::{field, status, Opcode, REPLY_BIT};
 
@@ -160,7 +160,7 @@ pub fn extend_program(prog: &Program, cfg: &ControllerConfig) -> IrResult<Progra
 
     // Reconstruct the dataplane handle over the existing ids.
     let dp = Dataplane {
-        ports: resolve_ports(prog)?,
+        ports: DataplanePorts::resolve(prog)?,
     };
 
     let controller = controller_body(&dp, &regs, cfg, &var_ids);
@@ -170,25 +170,6 @@ pub fn extend_program(prog: &Program, cfg: &ControllerConfig) -> IrResult<Progra
         pb.thread(&t.name, body);
     }
     pb.build()
-}
-
-fn resolve_ports(prog: &Program) -> IrResult<DataplanePorts> {
-    let sig = |n: &str| {
-        prog.signal_by_name(n)
-            .ok_or_else(|| IrError(format!("program lacks dataplane signal `{n}`")))
-    };
-    Ok(DataplanePorts {
-        rx_valid: sig(names::RX_VALID)?,
-        rx_len: sig(names::RX_LEN)?,
-        rx_port: sig(names::RX_PORT)?,
-        rx_done: sig(names::RX_DONE)?,
-        tx_valid: sig(names::TX_VALID)?,
-        tx_len: sig(names::TX_LEN)?,
-        tx_ports: sig(names::TX_PORTS)?,
-        frame: prog
-            .array_by_name(names::FRAME)
-            .ok_or_else(|| IrError("program lacks `frame` array".into()))?,
-    })
 }
 
 /// The controller's packet handler (runs instead of the program body when

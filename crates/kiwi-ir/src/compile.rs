@@ -1214,6 +1214,7 @@ struct ThreadCtx {
 
 /// Micro-op executor for one compiled program — the fast software
 /// backend, a drop-in for [`crate::interp::Machine`].
+#[derive(Clone)]
 pub struct CompiledMachine {
     cp: CompiledProgram,
     state: MachineState,

@@ -176,6 +176,7 @@ struct ThreadCtx {
 }
 
 /// Interpreter instance for one program.
+#[derive(Clone)]
 pub struct Machine {
     flat: FlatProgram,
     state: MachineState,

@@ -6,7 +6,8 @@
 //! `frame`, presents metadata on input signals, and the program signals
 //! transmission and completion on output signals. The *program-side*
 //! convenience wrappers over this contract live in `emu-core::dataplane`;
-//! this module owns the names, the declaration helper, and the
+//! this module owns the names, the declaration helper, their by-name
+//! resolution in a built program ([`DataplanePorts::resolve`]), and the
 //! platform-side driver.
 //!
 //! Signal protocol, from the program's perspective:
@@ -22,12 +23,12 @@
 //! * out `rx_done`   — pulse: finished with this frame (platform drops
 //!   `rx_valid` the same tick).
 
-use emu_rtl::exec::ExecBackend;
+use emu_rtl::Core;
 use emu_types::Bits;
 use emu_types::Frame;
 use kiwi_ir::interp::{Env, Observer};
 use kiwi_ir::program::{ArrId, ArrayBacking, SigId};
-use kiwi_ir::{IrError, IrResult, ProgramBuilder};
+use kiwi_ir::{IrError, IrResult, Program, ProgramBuilder};
 
 /// Canonical signal / array names of the dataplane contract.
 pub mod names {
@@ -70,6 +71,29 @@ pub struct DataplanePorts {
     pub frame: ArrId,
 }
 
+impl DataplanePorts {
+    /// Finds the contract's signals and frame array in `prog` by name —
+    /// the one place a built program's dataplane is resolved.
+    pub fn resolve(prog: &Program) -> IrResult<DataplanePorts> {
+        let sig = |n: &str| {
+            prog.signal_by_name(n)
+                .ok_or_else(|| IrError(format!("program lacks dataplane signal `{n}`")))
+        };
+        Ok(DataplanePorts {
+            rx_valid: sig(names::RX_VALID)?,
+            rx_len: sig(names::RX_LEN)?,
+            rx_port: sig(names::RX_PORT)?,
+            rx_done: sig(names::RX_DONE)?,
+            tx_valid: sig(names::TX_VALID)?,
+            tx_len: sig(names::TX_LEN)?,
+            tx_ports: sig(names::TX_PORTS)?,
+            frame: prog
+                .array_by_name(names::FRAME)
+                .ok_or_else(|| IrError("program lacks `frame` array".into()))?,
+        })
+    }
+}
+
 /// Declares the dataplane contract on a program under construction.
 ///
 /// `frame_capacity` sizes the frame buffer; services handling only small
@@ -106,26 +130,16 @@ pub struct CoreOutput {
     pub cycles: u64,
 }
 
-struct ResolvedIds {
-    rx_valid: usize,
-    rx_len: usize,
-    rx_port: usize,
-    rx_done: usize,
-    tx_valid: usize,
-    tx_len: usize,
-    tx_ports: usize,
-    frame: usize,
-}
-
 /// Platform-side driver: feeds frames to a program over the dataplane
 /// contract and collects its transmissions.
 ///
-/// Generic over [`ExecBackend`], so the identical service program can be
-/// driven on the cycle-accurate FSM (hardware target) or the sequential
-/// interpreter (software target).
-pub struct DataplaneDriver<B: ExecBackend> {
-    backend: B,
-    ids: ResolvedIds,
+/// It holds a [`Core`], so the identical service program is driven on the
+/// cycle-accurate FSM (hardware target), the compiled micro-op backend or
+/// the tree-walking interpreter (software targets) by the same frame loop.
+#[derive(Clone)]
+pub struct DataplaneDriver {
+    core: Core,
+    ports: DataplanePorts,
     /// Per-frame cycle budget before the driver declares the core hung.
     pub max_cycles_per_frame: u64,
 }
@@ -133,32 +147,15 @@ pub struct DataplaneDriver<B: ExecBackend> {
 /// Why the driver may treat the frame array as bytes.
 const FRAME_IS_BYTES: &str = "frame array is 8 bits wide (checked in DataplaneDriver::new)";
 
-impl<B: ExecBackend> DataplaneDriver<B> {
-    /// Wraps a backend, resolving the contract's names and checking the
+impl DataplaneDriver {
+    /// Wraps a core, resolving the contract's names and checking the
     /// shape the driver relies on: the `frame` array holds bytes (8-bit
     /// elements, so frames are copied in and out as byte slices) and is
     /// no longer than the 16-bit `rx_len`/`tx_len` signals can describe.
-    pub fn new(backend: B) -> IrResult<Self> {
-        let prog = backend.program();
-        let sig = |n: &str| {
-            prog.signal_by_name(n)
-                .map(|s| s.0 as usize)
-                .ok_or_else(|| IrError(format!("program lacks dataplane signal `{n}`")))
-        };
-        let ids = ResolvedIds {
-            rx_valid: sig(names::RX_VALID)?,
-            rx_len: sig(names::RX_LEN)?,
-            rx_port: sig(names::RX_PORT)?,
-            rx_done: sig(names::RX_DONE)?,
-            tx_valid: sig(names::TX_VALID)?,
-            tx_len: sig(names::TX_LEN)?,
-            tx_ports: sig(names::TX_PORTS)?,
-            frame: prog
-                .array_by_name(names::FRAME)
-                .map(|a| a.0 as usize)
-                .ok_or_else(|| IrError("program lacks `frame` array".into()))?,
-        };
-        let frame = &prog.arrays()[ids.frame];
+    pub fn new(core: Core) -> IrResult<Self> {
+        let prog = core.program();
+        let ports = DataplanePorts::resolve(prog)?;
+        let frame = &prog.arrays()[ports.frame.0 as usize];
         if frame.elem_width != 8 {
             return Err(IrError(format!(
                 "dataplane `frame` array must be 8 bits wide, found {}",
@@ -173,42 +170,25 @@ impl<B: ExecBackend> DataplaneDriver<B> {
             )));
         }
         Ok(DataplaneDriver {
-            backend,
-            ids,
+            core,
+            ports,
             max_cycles_per_frame: 200_000,
         })
     }
 
-    /// The wrapped backend.
-    pub fn backend(&self) -> &B {
-        &self.backend
+    /// The wrapped core.
+    pub fn core(&self) -> &Core {
+        &self.core
     }
 
-    /// Mutable access to the wrapped backend.
-    pub fn backend_mut(&mut self) -> &mut B {
-        &mut self.backend
+    /// Mutable access to the wrapped core.
+    pub fn core_mut(&mut self) -> &mut Core {
+        &mut self.core
     }
 
     /// Frame buffer capacity of the wrapped program.
     pub fn frame_capacity(&self) -> usize {
-        self.backend.machine_state().arrays[self.ids.frame].len()
-    }
-
-    /// Runs the core for `n` cycles with no frame offered (lets service
-    /// background threads make progress).
-    pub fn idle<E: Env + ?Sized, O: Observer + ?Sized>(
-        &mut self,
-        n: u64,
-        env: &mut E,
-        obs: &mut O,
-    ) -> IrResult<()> {
-        for _ in 0..n {
-            if self.backend.is_halted() {
-                break;
-            }
-            self.backend.step(env, obs)?;
-        }
-        Ok(())
+        self.core.state().arrays[self.ports.frame.0 as usize].len()
     }
 
     /// DMA-copies `frame` into the core's buffer and raises `rx_valid`.
@@ -223,28 +203,32 @@ impl<B: ExecBackend> DataplaneDriver<B> {
     /// store — a 64 B frame through a 1536 B buffer writes 64 bytes, not
     /// 1536. The caller has checked `frame.len() <= cap`.
     fn load_frame(&mut self, frame: &Frame, cap: usize) {
-        let st = self.backend.machine_state_mut();
+        let p = self.ports;
+        let st = self.core.state_mut();
         let len = frame.len();
-        let fill = st.arr_high[self.ids.frame].max(len).min(cap);
-        let buf = st.arrays[self.ids.frame].bytes_mut().expect(FRAME_IS_BYTES);
+        let fill = st.arr_high[p.frame.0 as usize].max(len).min(cap);
+        let buf = st.arrays[p.frame.0 as usize]
+            .bytes_mut()
+            .expect(FRAME_IS_BYTES);
         buf[..len].copy_from_slice(frame.bytes());
         buf[len..fill].fill(0);
         // The prefix [0, len) now holds frame bytes; everything above is
         // zero again.
-        st.arr_high[self.ids.frame] = len;
-        st.sigs_in[self.ids.rx_valid] = Bits::from_u64(1, 1);
-        st.sigs_in[self.ids.rx_len] = Bits::from_u64(len as u64, 16);
-        st.sigs_in[self.ids.rx_port] = Bits::from_u64(u64::from(frame.in_port), 8);
+        st.arr_high[p.frame.0 as usize] = len;
+        st.sigs_in[p.rx_valid.0 as usize] = Bits::from_u64(1, 1);
+        st.sigs_in[p.rx_len.0 as usize] = Bits::from_u64(len as u64, 16);
+        st.sigs_in[p.rx_port.0 as usize] = Bits::from_u64(u64::from(frame.in_port), 8);
     }
 
     /// Delivers `frame` to the core and runs until the core pulses
     /// `rx_done`, collecting every `tx_valid` pulse along the way.
     ///
-    /// The one frame loop of every target. It is statically dispatched:
-    /// handed a concrete environment and [`kiwi_ir::NullObserver`] the
-    /// cycle loop monomorphizes and the observer hooks compile away
-    /// (the engine's hot path); handed a `&mut dyn Observer` the same
-    /// code is the observed path.
+    /// The one frame loop of every target: the per-cycle step below runs
+    /// inside [`Core::run`], which picks the machine once per frame. It
+    /// is statically dispatched: handed a concrete environment and
+    /// [`kiwi_ir::NullObserver`] the cycle loop monomorphizes and the
+    /// observer hooks compile away (the engine's hot path); handed a
+    /// `&mut dyn Observer` the same code is the observed path.
     pub fn process<E: Env + ?Sized, O: Observer + ?Sized>(
         &mut self,
         frame: &Frame,
@@ -266,57 +250,48 @@ impl<B: ExecBackend> DataplaneDriver<B> {
         // DMA the frame into the buffer and raise rx_valid.
         self.load_frame(frame, cap);
 
-        let start_cycle = self.backend.cycles();
+        let p = self.ports;
+        let max = self.max_cycles_per_frame;
+        let mut cycles = 0;
         let mut tx = Vec::new();
         let mut prev_tx = false;
         let mut prev_done = false;
+        // One call per cycle, inlined into each machine's loop: left out
+        // of line it cost emubench's `min64-switch` ~2 % of its frame
+        // rate on a 2-vCPU Xeon host.
+        let end = self.core.run(
+            env,
+            obs,
+            #[inline(always)]
+            |st| {
+                cycles += 1;
+                let tx_now = st.sigs_out[p.tx_valid.0 as usize].to_bool();
+                let done_now = st.sigs_out[p.rx_done.0 as usize].to_bool();
 
-        loop {
-            if self.backend.cycles() - start_cycle > self.max_cycles_per_frame {
-                return Err(IrError(format!(
-                    "core exceeded {} cycles on one frame",
-                    self.max_cycles_per_frame
-                )));
-            }
-            if self.backend.is_halted() {
-                return Err(IrError("core halted while processing a frame".into()));
-            }
-            self.backend.step(env, obs)?;
+                if tx_now && !prev_tx {
+                    let len = (st.sigs_out[p.tx_len.0 as usize].to_u64() as usize).min(cap);
+                    let ports = st.sigs_out[p.tx_ports.0 as usize].to_u64() as u8;
+                    let buf = st.arrays[p.frame.0 as usize].bytes().expect(FRAME_IS_BYTES);
+                    tx.push(TxFrame {
+                        ports,
+                        frame: Frame::new(buf[..len].to_vec()),
+                    });
+                }
+                prev_tx = tx_now;
 
-            let (tx_now, done_now) = {
-                let st = self.backend.machine_state();
-                (
-                    st.sigs_out[self.ids.tx_valid].to_bool(),
-                    st.sigs_out[self.ids.rx_done].to_bool(),
-                )
-            };
-
-            if tx_now && !prev_tx {
-                let st = self.backend.machine_state();
-                let len = (st.sigs_out[self.ids.tx_len].to_u64() as usize).min(cap);
-                let ports = st.sigs_out[self.ids.tx_ports].to_u64() as u8;
-                let buf = st.arrays[self.ids.frame].bytes().expect(FRAME_IS_BYTES);
-                tx.push(TxFrame {
-                    ports,
-                    frame: Frame::new(buf[..len].to_vec()),
-                });
-            }
-            prev_tx = tx_now;
-
-            if done_now && !prev_done {
-                // Drop rx_valid the same tick so the core's next loop
-                // iteration sees no frame.
-                let st = self.backend.machine_state_mut();
-                st.sigs_in[self.ids.rx_valid] = Bits::from_u64(0, 1);
-                break;
-            }
-            prev_done = done_now;
-        }
-
-        Ok(CoreOutput {
-            tx,
-            cycles: self.backend.cycles() - start_cycle,
-        })
+                if done_now && !prev_done {
+                    // Drop rx_valid the same tick so the core's next loop
+                    // iteration sees no frame.
+                    st.sigs_in[p.rx_valid.0 as usize] = Bits::from_u64(0, 1);
+                    return Some(Ok(()));
+                }
+                prev_done = done_now;
+                (cycles > max)
+                    .then(|| Err(IrError(format!("core exceeded {max} cycles on one frame"))))
+            },
+        )?;
+        end.unwrap_or_else(|| Err(IrError("core halted while processing a frame".into())))?;
+        Ok(CoreOutput { tx, cycles })
     }
 }
 
@@ -327,6 +302,16 @@ mod tests {
     use kiwi_ir::dsl::*;
     use kiwi_ir::interp::{NullEnv, NullObserver};
     use kiwi_ir::Machine;
+
+    /// `prog` on the FSM.
+    fn rtl(prog: &Program) -> Core {
+        Core::Fpga(RtlMachine::new(kiwi::compile(prog).unwrap()))
+    }
+
+    /// `prog` on the tree-walker.
+    fn treewalk(prog: &Program) -> Core {
+        Core::TreeWalk(Machine::new(kiwi_ir::flatten(prog).unwrap()))
+    }
 
     /// A mirror service: sends every frame back out of its arrival port,
     /// the "quickstart"-grade service used throughout the platform tests.
@@ -354,8 +339,7 @@ mod tests {
     #[test]
     fn mirror_on_rtl_backend() {
         let prog = mirror_program();
-        let rtl = RtlMachine::new(kiwi::compile(&prog).unwrap());
-        let mut drv = DataplaneDriver::new(rtl).unwrap();
+        let mut drv = DataplaneDriver::new(rtl(&prog)).unwrap();
         let mut f = Frame::new(vec![0xab; 64]);
         f.in_port = 2;
         let out = drv.process(&f, &mut NullEnv, &mut NullObserver).unwrap();
@@ -368,10 +352,8 @@ mod tests {
     #[test]
     fn mirror_on_interpreter_backend_matches_rtl() {
         let prog = mirror_program();
-        let mut rtl_drv =
-            DataplaneDriver::new(RtlMachine::new(kiwi::compile(&prog).unwrap())).unwrap();
-        let mut sw_drv =
-            DataplaneDriver::new(Machine::new(kiwi_ir::flatten(&prog).unwrap())).unwrap();
+        let mut rtl_drv = DataplaneDriver::new(rtl(&prog)).unwrap();
+        let mut sw_drv = DataplaneDriver::new(treewalk(&prog)).unwrap();
         for len in [60usize, 64, 65, 100, 127] {
             let mut f = Frame::new((0..len).map(|i| i as u8).collect());
             f.in_port = (len % 4) as u8;
@@ -386,8 +368,7 @@ mod tests {
     #[test]
     fn oversized_frame_rejected() {
         let prog = mirror_program();
-        let rtl = RtlMachine::new(kiwi::compile(&prog).unwrap());
-        let mut drv = DataplaneDriver::new(rtl).unwrap();
+        let mut drv = DataplaneDriver::new(rtl(&prog)).unwrap();
         let f = Frame::new(vec![0; 500]);
         assert!(drv.process(&f, &mut NullEnv, &mut NullObserver).is_err());
     }
@@ -397,13 +378,12 @@ mod tests {
         let mut pb = ProgramBuilder::new("bare");
         pb.thread("main", vec![forever(vec![pause()])]);
         let prog = pb.build().unwrap();
-        let rtl = RtlMachine::new(kiwi::compile(&prog).unwrap());
-        assert!(DataplaneDriver::new(rtl).is_err());
+        assert!(DataplaneDriver::new(rtl(&prog)).is_err());
     }
 
     /// The contract's signals around a caller-shaped `frame` array, on
     /// the tree-walker.
-    fn driver_with_frame_array(width: u16, len: usize) -> IrResult<DataplaneDriver<Machine>> {
+    fn driver_with_frame_array(width: u16, len: usize) -> IrResult<DataplaneDriver> {
         let mut pb = ProgramBuilder::new("odd-frame");
         for (name, w) in [
             (names::RX_VALID, 1),
@@ -422,9 +402,7 @@ mod tests {
         }
         pb.array(names::FRAME, width, len, ArrayBacking::BlockRam);
         pb.thread("main", vec![forever(vec![pause()])]);
-        DataplaneDriver::new(Machine::new(
-            kiwi_ir::flatten(&pb.build().unwrap()).unwrap(),
-        ))
+        DataplaneDriver::new(treewalk(&pb.build().unwrap()))
     }
 
     #[test]
@@ -475,9 +453,9 @@ mod tests {
 
     /// Runs the zero-tail scenario on one backend; returns what the
     /// cross-backend comparison needs.
-    fn zero_tail_run<B: ExecBackend>(backend: B) -> Vec<(Vec<TxFrame>, usize)> {
-        let mut drv = DataplaneDriver::new(backend).unwrap();
-        let frame_id = drv.ids.frame;
+    fn zero_tail_run(core: Core) -> Vec<(Vec<TxFrame>, usize)> {
+        let mut drv = DataplaneDriver::new(core).unwrap();
+        let frame_id = drv.ports.frame.0 as usize;
         let long = Frame::new(vec![0xcc; 1514]);
         let mut storing = vec![0x11; 60];
         storing[0] = 0xa5;
@@ -495,7 +473,7 @@ mod tests {
             assert_eq!(echoed.len(), f.len() + 8);
             assert_eq!(&echoed[..f.len()], f.bytes());
             assert_eq!(echoed[f.len()..], tail);
-            seen.push((out.tx, drv.backend().machine_state().arr_high[frame_id]));
+            seen.push((out.tx, drv.core().state().arr_high[frame_id]));
         }
         seen
     }
@@ -503,15 +481,17 @@ mod tests {
     #[test]
     fn bytes_above_the_frame_are_zero_on_every_backend() {
         let prog = tail_echo_program();
-        let tw = zero_tail_run(Machine::new(kiwi_ir::flatten(&prog).unwrap()));
-        let cm = zero_tail_run(kiwi_ir::CompiledMachine::from_program(&prog).unwrap());
-        let rtl = zero_tail_run(RtlMachine::new(kiwi::compile(&prog).unwrap()));
+        let tw = zero_tail_run(treewalk(&prog));
+        let cm = zero_tail_run(Core::Compiled(
+            kiwi_ir::CompiledMachine::from_program(&prog).unwrap(),
+        ));
+        let fpga = zero_tail_run(rtl(&prog));
         // The mark the next load relies on: the store lifts it to 64,
         // plain frames leave it at their length.
         let marks: Vec<usize> = tw.iter().map(|(_, high)| *high).collect();
         assert_eq!(marks, [1514, 64, 60]);
         assert_eq!(tw, cm, "compiled diverged from the tree-walker");
-        assert_eq!(tw, rtl, "RTL diverged from the tree-walker");
+        assert_eq!(tw, fpga, "RTL diverged from the tree-walker");
     }
 
     #[test]
@@ -521,8 +501,7 @@ mod tests {
         let _dp = declare(&mut pb, 64);
         pb.thread("main", vec![forever(vec![pause()])]);
         let prog = pb.build().unwrap();
-        let rtl = RtlMachine::new(kiwi::compile(&prog).unwrap());
-        let mut drv = DataplaneDriver::new(rtl).unwrap();
+        let mut drv = DataplaneDriver::new(rtl(&prog)).unwrap();
         drv.max_cycles_per_frame = 100;
         let err = drv
             .process(&Frame::new(vec![0; 60]), &mut NullEnv, &mut NullObserver)
@@ -545,8 +524,7 @@ mod tests {
             ])],
         );
         let prog = pb.build().unwrap();
-        let rtl = RtlMachine::new(kiwi::compile(&prog).unwrap());
-        let mut drv = DataplaneDriver::new(rtl).unwrap();
+        let mut drv = DataplaneDriver::new(rtl(&prog)).unwrap();
         let out = drv
             .process(&Frame::new(vec![0; 60]), &mut NullEnv, &mut NullObserver)
             .unwrap();

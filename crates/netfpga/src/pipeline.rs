@@ -23,7 +23,7 @@
 use crate::dataplane::{DataplaneDriver, TxFrame};
 use crate::native::NativeCore;
 use crate::timing;
-use emu_rtl::{IpEnv, RtlMachine};
+use emu_rtl::IpEnv;
 use emu_types::{Frame, Summary};
 use kiwi_ir::interp::NullObserver;
 use kiwi_ir::IrResult;
@@ -56,7 +56,7 @@ pub struct FrameRecord {
 
 enum CoreBox {
     Emu {
-        driver: Box<DataplaneDriver<RtlMachine>>,
+        driver: Box<DataplaneDriver>,
         env: IpEnv,
         mode: CoreMode,
     },
@@ -77,7 +77,7 @@ pub struct PipelineSim {
 
 impl PipelineSim {
     /// Builds a pipeline around a compiled Emu core.
-    pub fn new_emu(driver: DataplaneDriver<RtlMachine>, env: IpEnv, mode: CoreMode) -> Self {
+    pub fn new_emu(driver: DataplaneDriver, env: IpEnv, mode: CoreMode) -> Self {
         PipelineSim {
             core: CoreBox::Emu {
                 driver: Box::new(driver),
@@ -253,7 +253,7 @@ fn admit(t_arrival: f64, core_free: f64, cyc_ns: f64) -> f64 {
 /// \[throughput\] by 3.7×... SET requests must be applied to all
 /// instances").
 pub struct MultiCoreSim {
-    cores: Vec<DataplaneDriver<RtlMachine>>,
+    cores: Vec<DataplaneDriver>,
     envs: Vec<IpEnv>,
     core_free_ns: Vec<f64>,
     completions: Vec<f64>,
@@ -262,7 +262,7 @@ pub struct MultiCoreSim {
 
 impl MultiCoreSim {
     /// Builds an n-core pipeline from per-core drivers and environments.
-    pub fn new(cores: Vec<DataplaneDriver<RtlMachine>>, envs: Vec<IpEnv>) -> Self {
+    pub fn new(cores: Vec<DataplaneDriver>, envs: Vec<IpEnv>) -> Self {
         let n = cores.len();
         assert_eq!(n, envs.len(), "one env per core");
         MultiCoreSim {

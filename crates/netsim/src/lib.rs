@@ -320,7 +320,17 @@ impl NetSim {
     ///
     /// Service nodes conventionally run the CPU target (Mininet gives
     /// functional, not temporal, fidelity), but any engine works.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ports` exceeds 8: a service addresses its ports through
+    /// the dataplane's 8-bit `tx_ports` bitmap, so a ninth port could
+    /// never be transmitted on.
     pub fn add_service(&mut self, name: &str, engine: Engine, ports: usize) -> NodeId {
+        assert!(
+            ports <= 8,
+            "add_service: {name} has {ports} ports, but tx_ports is an 8-bit bitmap"
+        );
         self.nodes.push(Node {
             name: name.to_string(),
             kind: NodeKind::Service(Box::new(engine)),
@@ -1196,6 +1206,22 @@ mod tests {
         let mut net = NetSim::new();
         let m = net.add_service("mirror", cpu_engine(&mirror_service(), 1), 1);
         let _ = net.inbox(m);
+    }
+
+    #[test]
+    fn an_eight_port_service_node_is_accepted() {
+        let mut net = NetSim::new();
+        net.add_service("mirror", cpu_engine(&mirror_service(), 1), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "8-bit bitmap")]
+    fn a_ninth_service_port_panics() {
+        // Port 8 would test bit 8 of the 8-bit `tx_ports` bitmap: a
+        // shift overflow in a debug build, port 0's frames in a release
+        // build.
+        let mut net = NetSim::new();
+        net.add_service("mirror", cpu_engine(&mirror_service(), 1), 9);
     }
 
     #[test]

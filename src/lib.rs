@@ -120,11 +120,14 @@
 //!   forces it process-wide without code changes (CI runs the whole
 //!   test suite this way so the reference cannot rot).
 //!
+//! Target and backend pick one [`rtl::Core`] — the tree-walker, the
+//! compiled bytecode or the Fpga FSM — which an engine builds once, at
+//! build time, and copies into every shard: a 4-shard engine costs one
+//! compilation, not four.
 //! [`Engine::process`](stdlib::Engine::process) and
 //! [`Engine::process_batch`](stdlib::Engine::process_batch) share one
-//! statically dispatched frame loop on every backend, so a frame's
-//! outputs, telemetry, and observer trace do not depend on how it was
-//! handed in.
+//! frame loop over that core on every target, so a frame's outputs,
+//! telemetry, and observer trace do not depend on how it was handed in.
 //!
 //! Three env knobs make the whole compilation story inspectable without
 //! code changes: `EMU_CPU_BACKEND=treewalk|compiled` picks the backend,
@@ -133,7 +136,7 @@
 //! builder mirror is
 //! [`EngineBuilder::passes`](stdlib::EngineBuilder::passes)), and
 //! `EMU_CPU_DUMP_MOPS=1` prints each thread's annotated micro-op listing
-//! at build time. CI re-runs the entire suite under
+//! once per engine build. CI re-runs the entire suite under
 //! `EMU_CPU_PASSES=none` so the unoptimized lowering stays a working
 //! fallback and a miscompiling pass bisects with one env var.
 //!

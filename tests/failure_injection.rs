@@ -150,14 +150,13 @@ fn client_frame(client: u64, payload: &[u8]) -> Frame {
 /// A 4-shard trappable mirror with a cycle budget that trips the wedge
 /// quickly.
 fn trappable_engine(parallel: bool) -> Engine {
-    let mut engine = trappable_mirror()
+    trappable_mirror()
         .engine(Target::Fpga)
         .shards(4)
         .parallel(parallel)
+        .max_cycles_per_frame(500)
         .build()
-        .unwrap();
-    engine.set_max_cycles_per_frame(500);
-    engine
+        .unwrap()
 }
 
 /// One representative client per shard of a 4-shard RSS engine.

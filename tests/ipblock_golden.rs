@@ -8,6 +8,11 @@
 //! handles. A change to how a model binds, samples or drives its ports
 //! must reproduce them exactly — `lru_cache` (CAM + NaughtyQ) and
 //! `filter_switch` have no other engine-level differential coverage.
+//!
+//! The same stream then runs through a 2-shard engine of each
+//! execution, whose shards are copies of one built core: its tx digest
+//! and per-shard cycles were recorded while every shard still compiled
+//! its own.
 
 use emu::prelude::*;
 use emu::services::{FilterAction, FilterRule};
@@ -16,6 +21,9 @@ use emu::traffic::{
 };
 
 const FRAMES: usize = 2048;
+
+/// FNV-1a offset basis.
+const FNV: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a.
 fn fnv(h: u64, bytes: &[u8]) -> u64 {
@@ -39,6 +47,51 @@ struct Golden {
     fpga_cycles: (u64, u64),
     cams: &'static [CamRow],
     regs: &'static [(&'static str, u64)],
+    /// The stream through a 2-shard engine.
+    two_shards: TwoShards,
+}
+
+/// A 2-shard engine's tx digest, in input order and the same on all
+/// three executions, and each shard's busy cycles over the stream on
+/// the Cpu target (compiled and tree-walk) and on the Fpga target.
+struct TwoShards {
+    tx: u64,
+    cpu: [u64; 2],
+    fpga: [u64; 2],
+}
+
+/// What a stream did on one engine.
+struct Run {
+    tx: u64,
+    /// `(total cycles, digest of the per-frame cycle counts)`.
+    cycles: (u64, u64),
+    shard_cycles: Vec<u64>,
+}
+
+/// Drives `frames` through `engine` in batches of 256.
+fn drive(engine: &mut Engine, frames: &[Frame]) -> Run {
+    let mut run = Run {
+        tx: FNV,
+        cycles: (0, FNV),
+        shard_cycles: vec![0; engine.num_shards()],
+    };
+    for chunk in frames.chunks(256) {
+        let report = engine.process_batch(chunk);
+        for (sum, c) in run.shard_cycles.iter_mut().zip(&report.shard_cycles) {
+            *sum += c;
+        }
+        for out in report.outputs {
+            let out = out.expect("golden streams never trap");
+            run.cycles.0 += out.cycles;
+            run.cycles.1 = fnv(run.cycles.1, &out.cycles.to_le_bytes());
+            for t in out.tx {
+                run.tx = fnv(run.tx, &[t.ports]);
+                run.tx = fnv(run.tx, &(t.frame.bytes().len() as u32).to_le_bytes());
+                run.tx = fnv(run.tx, t.frame.bytes());
+            }
+        }
+    }
+    run
 }
 
 fn run(
@@ -49,36 +102,23 @@ fn run(
     want: &Golden,
 ) {
     assert!(frames.len() >= 2000);
-    for (exec, builder, want_cycles) in [
-        (
-            "compiled",
-            svc.engine(Target::Cpu).backend(Backend::Compiled),
-            want.cpu_cycles,
-        ),
-        (
-            "treewalk",
-            svc.engine(Target::Cpu).backend(Backend::TreeWalk),
-            want.cpu_cycles,
-        ),
-        ("fpga", svc.engine(Target::Fpga), want.fpga_cycles),
+    for (exec, target, backend) in [
+        ("compiled", Target::Cpu, Backend::Compiled),
+        ("treewalk", Target::Cpu, Backend::TreeWalk),
+        ("fpga", Target::Fpga, Backend::Compiled),
     ] {
-        let mut engine = tune(builder).build().unwrap();
-        let mut tx = 0xcbf2_9ce4_8422_2325;
-        let mut cyc = 0xcbf2_9ce4_8422_2325;
-        let mut total_cycles = 0u64;
-        for chunk in frames.chunks(256) {
-            for out in engine.process_batch(chunk).outputs {
-                let out = out.expect("golden streams never trap");
-                total_cycles += out.cycles;
-                cyc = fnv(cyc, &out.cycles.to_le_bytes());
-                for t in out.tx {
-                    tx = fnv(tx, &[t.ports]);
-                    tx = fnv(tx, &(t.frame.bytes().len() as u32).to_le_bytes());
-                    tx = fnv(tx, t.frame.bytes());
-                }
-            }
-        }
-        let total = engine.telemetry().expect("telemetry on").total();
+        let (want_cycles, want_shards) = match target {
+            Target::Cpu => (want.cpu_cycles, want.two_shards.cpu),
+            Target::Fpga => (want.fpga_cycles, want.two_shards.fpga),
+        };
+        let engine = |shards| {
+            tune(svc.engine(target).backend(backend).shards(shards))
+                .build()
+                .unwrap()
+        };
+        let mut one = engine(1);
+        let Run { tx, cycles, .. } = drive(&mut one, frames);
+        let total = one.telemetry().expect("telemetry on").total();
         let cams: Vec<_> = total
             .cams
             .iter()
@@ -99,23 +139,33 @@ fn run(
             .regs
             .iter()
             .map(|(r, _)| {
-                let v = engine.shard(0).read_reg(r).expect("register exists");
+                let v = one.shard(0).read_reg(r).expect("register exists");
                 (*r, v.to_u64())
             })
             .collect();
+        let two = drive(&mut engine(2), frames);
         // `-- --nocapture` prints what a run produced, in literal syntax.
         eprintln!(
-            "{name}/{exec}: tx: {tx:#018x}, cycles: ({total_cycles}, {cyc:#018x}), \
-             cams: {cams:?}, regs: {regs:?}"
+            "{name}/{exec}: tx: {tx:#018x}, cycles: ({}, {:#018x}), cams: {cams:?}, \
+             regs: {regs:?}, two_shards: {{ tx: {:#018x}, cycles: {:?} }}",
+            cycles.0, cycles.1, two.tx, two.shard_cycles
         );
         assert_eq!(tx, want.tx, "{name}/{exec}: tx stream moved: {tx:#018x}");
         assert_eq!(
-            (total_cycles, cyc),
-            want_cycles,
-            "{name}/{exec}: cycles moved: ({total_cycles}, {cyc:#018x})"
+            cycles, want_cycles,
+            "{name}/{exec}: cycles moved: {cycles:?}"
         );
         assert_eq!(cams, want.cams, "{name}/{exec}: CAM counters moved");
         assert_eq!(regs, want.regs, "{name}/{exec}: registers moved");
+        assert_eq!(
+            two.tx, want.two_shards.tx,
+            "{name}/{exec}: 2-shard tx stream moved: {:#018x}",
+            two.tx
+        );
+        assert_eq!(
+            two.shard_cycles, want_shards,
+            "{name}/{exec}: 2-shard cycles moved"
+        );
     }
 }
 
@@ -135,6 +185,11 @@ fn lru_cache_is_pinned() {
             fpga_cycles: (52_720, 0xcfa6_944d_583d_79bd),
             cams: &[("lru_cam", 128, 128, 926, 491, 492, 104, 0)],
             regs: &[("n_hits", 351), ("n_misses", 687)],
+            two_shards: TwoShards {
+                tx: 0x953c_9441_20b5_a3f6,
+                cpu: [10_446, 9587],
+                fpga: [32_659, 28_880],
+            },
         },
     );
 }
@@ -171,6 +226,11 @@ fn dns_server_is_pinned() {
             fpga_cycles: (124_971, 0xae52_8095_58ab_3340),
             cams: &[("zone", 256, 3, 1901, 1583, 3, 0, 0)],
             regs: &[],
+            two_shards: TwoShards {
+                tx: 0xa403_3288_2451_6017,
+                cpu: [19_410, 15_758],
+                fpga: [68_839, 56_131],
+            },
         },
     );
 }
@@ -205,6 +265,11 @@ fn filter_switch_is_pinned() {
             fpga_cycles: (11_236, 0x7034_7ce2_6f79_e5e7),
             cams: &[("cam", 256, 91, 2954, 1386, 91, 0, 0)],
             regs: &[("n_dropped", 571)],
+            two_shards: TwoShards {
+                tx: 0x901d_e765_cb99_30bb,
+                cpu: [3451, 3135],
+                fpga: [6051, 5200],
+            },
         },
     );
 }
@@ -225,6 +290,11 @@ fn memcached_is_pinned() {
             fpga_cycles: (125_742, 0x557d_5b5e_a66e_f653),
             cams: &[("store", 24, 22, 1213, 692, 835, 215, 0)],
             regs: &[("n_get", 1029), ("n_set", 835), ("n_hit", 588)],
+            two_shards: TwoShards {
+                tx: 0x59d9_70fd_cb58_81c6,
+                cpu: [14_494, 11_720],
+                fpga: [73_217, 59_583],
+            },
         },
     );
 }
@@ -232,13 +302,19 @@ fn memcached_is_pinned() {
 #[test]
 fn nat_is_pinned() {
     // A table smaller than the live flow set under a short TTL: paired
-    // evictions and expiries both propagate to the twin table.
+    // evictions and expiries both propagate to the twin table. Steering
+    // partitions the ephemeral range across the 2-shard engine's shards
+    // and leaves the 1-shard engine's allocation registers as they are.
     let frames = FlowChurn::new(0x1b10_0005, 120, 150, &[1, 2, 3]).take(FRAMES);
     run(
         "nat",
         &emu::services::nat("203.0.113.1".parse().unwrap()),
         &frames,
-        |b| b.table_entries(48).ttl_frames(200),
+        |b| {
+            b.table_entries(48)
+                .ttl_frames(200)
+                .dispatch(NatSteering::default())
+        },
         &Golden {
             tx: 0x5f68_c941_3831_e665,
             cpu_cycles: (8019, 0xeb9b_ed36_2f07_0740),
@@ -248,6 +324,11 @@ fn nat_is_pinned() {
                 ("rev", 48, 48, 625, 0, 625, 553, 24),
             ],
             regs: &[("alloc_fail", 0)],
+            two_shards: TwoShards {
+                tx: 0x7787_1f45_1685_39ec,
+                cpu: [2985, 4257],
+                fpga: [17_304, 25_484],
+            },
         },
     );
 }
@@ -266,6 +347,11 @@ fn switch_ip_cam_is_pinned() {
             fpga_cycles: (13_010, 0xed3f_2bec_a3bb_8ba5),
             cams: &[("cam", 128, 128, 4096, 2525, 723, 458, 137)],
             regs: &[],
+            two_shards: TwoShards {
+                tx: 0x9e09_cd2f_4e70_0c6b,
+                cpu: [4576, 4503],
+                fpga: [6641, 6532],
+            },
         },
     );
 }

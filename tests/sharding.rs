@@ -7,7 +7,8 @@
 //! * `process_batch` is exactly equivalent to frame-by-frame `process`,
 //!   on both execution targets and in both execution modes,
 //! * `NatSteering` dispatch delivers inbound NAT replies to the shard
-//!   that allocated the mapping — which plain RSS provably cannot.
+//!   that allocated the mapping — which plain RSS provably cannot,
+//! * shards built as copies of one core share no state on any execution.
 
 use emu::prelude::*;
 use emu::services as s;
@@ -567,4 +568,57 @@ fn modes_agree_batch_after_batch_on_cpu() {
 fn modes_agree_batch_after_batch_on_fpga() {
     // The RTL machine costs milliseconds a frame in a debug build.
     assert_modes_agree_batch_after_batch(Target::Fpga, &[0, 1, 7], 22);
+}
+
+#[test]
+fn shards_share_no_state_on_any_execution() {
+    // Every shard's core is a copy of one built core: a register written
+    // on one shard and a station learned on another (the behavioural
+    // switch keeps its MAC table in program arrays, i.e. in the core)
+    // must stay invisible to their siblings.
+    let svc = s::switch::switch_behavioural(16);
+    let station = |mac: u64, dst: u64, port: u8| wire::l2_frame(mac, dst, port);
+    for (exec, target, backend) in [
+        ("compiled", Target::Cpu, Backend::Compiled),
+        ("treewalk", Target::Cpu, Backend::TreeWalk),
+        ("fpga", Target::Fpga, Backend::Compiled),
+    ] {
+        let mut engine = svc
+            .engine(target)
+            .backend(backend)
+            .shards(3)
+            .build()
+            .unwrap();
+        let free = |engine: &Engine| -> Vec<u64> {
+            (0..3)
+                .map(|k| engine.shard(k).read_reg("free").unwrap().to_u64())
+                .collect()
+        };
+        assert!(engine.shard_mut(0).write_reg("free", 9));
+        assert_eq!(free(&engine), [9, 0, 0], "{exec}");
+
+        // A station on port 2 speaks first, on shard 1.
+        let (mac, hello) = (0xA..)
+            .map(|mac| (mac, station(mac, 0xB, 2)))
+            .find(|(_, f)| engine.shard_of(f) == 1)
+            .unwrap();
+        assert_eq!(
+            engine.process(&hello).unwrap().tx[0].ports,
+            0b1011,
+            "{exec}"
+        );
+        // Then one frame to it lands on each shard: only shard 1 knows
+        // where it is, its siblings still flood.
+        for k in 0..3 {
+            let probe = (0x100..)
+                .map(|src| station(src, mac, 0))
+                .find(|f| engine.shard_of(f) == k)
+                .unwrap();
+            let want = if k == 1 { 0b0100 } else { 0b1110 };
+            let ports = engine.process(&probe).unwrap().tx[0].ports;
+            assert_eq!(ports, want, "{exec}: shard {k}");
+        }
+        // Each shard learned its probe's sender, shard 1 the station too.
+        assert_eq!(free(&engine), [10, 2, 1], "{exec}");
+    }
 }
