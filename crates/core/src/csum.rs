@@ -74,8 +74,7 @@ mod tests {
 
     fn eval_const(e: &Expr) -> u64 {
         let prog = ProgramBuilder::new("t").build().unwrap();
-        let st = MachineState::init(&prog);
-        eval(e, &prog, &st).to_u64()
+        eval(e, &MachineState::init(&prog)).to_u64()
     }
 
     #[test]

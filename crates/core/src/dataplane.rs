@@ -228,16 +228,16 @@ impl Dataplane {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use emu_rtl::{Core, RtlMachine};
     use emu_types::proto::{ether_type, offset};
     use emu_types::{Frame, MacAddr};
     use kiwi_ir::interp::{NullEnv, NullObserver};
+    use kiwi_ir::{Code, Core};
     use netfpga_sim::DataplaneDriver;
 
     /// `prog` compiled to the FSM behind a platform driver.
     pub(crate) fn rtl_driver(prog: &kiwi_ir::Program) -> DataplaneDriver {
         let fsm = kiwi::compile(prog).unwrap();
-        DataplaneDriver::new(Core::Fpga(RtlMachine::new(fsm))).unwrap()
+        DataplaneDriver::new(Core::new(Code::Fpga(fsm))).unwrap()
     }
 
     /// An echo service built only from the Figure 6-style helpers: swaps

@@ -52,14 +52,16 @@
 //! interpreter). `emubench` reports the per-frame cost of each as
 //! `kiwi-ir.exec_ns_per_frame` and `kiwi-ir.treewalk_ns_per_frame`.
 //!
-//! Target and backend together pick one [`emu_rtl::Core`]: the
-//! tree-walker, the compiled bytecode or the FSM. [`EngineBuilder::build`]
-//! makes it once — one flatten, one compile or FSM schedule, one
-//! dataplane port resolution — and every shard gets a `clone()` of the
-//! resulting [`DataplaneDriver`] beside its own environment, so building
-//! an engine costs one compilation whatever its shard count. Every
-//! shard, on every target, runs the one frame loop,
-//! [`DataplaneDriver::process`].
+//! Target and backend together pick the code image a [`kiwi_ir::Core`]
+//! runs ([`kiwi_ir::Code`]): the tree-walker's ops, the compiled bytecode
+//! or the FSM. [`EngineBuilder::build`] makes it once — one flatten, one
+//! compile or FSM schedule, one dataplane port resolution — and every
+//! shard gets a `clone()` of the resulting [`DataplaneDriver`] beside its
+//! own environment. The clone shares the image behind an `Arc` and
+//! copies only the machine state, so building an engine costs one
+//! compilation whatever its shard count, and the shards' parallel
+//! workers read one copy of the code. Every shard, on every target, runs
+//! the one frame loop, [`DataplaneDriver::process`].
 //!
 //! # Execution modes
 //!
@@ -116,12 +118,12 @@
 //! (`telemetry.overhead_share`, budget 5 %).
 
 use crate::runner::{flow_hash, Backend, Service, TableConfig, Target};
-use emu_rtl::{Core, IpEnv};
+use emu_rtl::IpEnv;
 use emu_telemetry::{DropKind, EngineSnapshot, ShardStats};
 use emu_types::proto::{ether_type, ip_proto, offset};
 use emu_types::{Bits, Frame};
 use kiwi_ir::interp::{NullObserver, Observer};
-use kiwi_ir::{IrError, IrResult};
+use kiwi_ir::{Code, IrError, IrResult};
 use netfpga_sim::dataplane::CoreOutput;
 use netfpga_sim::DataplaneDriver;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -420,7 +422,7 @@ impl Shard {
         telemetry: bool,
     ) -> IrResult<Self> {
         let env = (service.make_env)(tables);
-        // Every model indexes the signal arrays by its handle's ids, so
+        // Every model indexes the signal file by its handle's ids, so
         // the handle must be this program's: checked here, once.
         env.check(&service.program).map_err(IrError)?;
         Ok(Shard {
@@ -1164,9 +1166,9 @@ impl Engine {
             return None;
         }
         let shard = *self.shards.into_iter().next().flatten().expect(HOME);
-        match shard.driver.core() {
-            Core::Fpga(_) => Some((shard.driver, shard.env)),
-            Core::TreeWalk(_) | Core::Compiled(_) => None,
+        match **shard.driver.core().code() {
+            Code::Fpga(_) => Some((shard.driver, shard.env)),
+            Code::TreeWalk(_) | Code::Compiled(_) => None,
         }
     }
 }
@@ -1177,6 +1179,7 @@ mod tests {
     use crate::runner::service_builder;
     use crate::runner::tests::flow_frame;
     use kiwi_ir::dsl::*;
+    use std::sync::Arc;
 
     fn port_mirror() -> Service {
         let (mut pb, dp) = service_builder("mirror", 128);
@@ -1397,6 +1400,32 @@ mod tests {
         assert_eq!(a.shard_cycles, b.shard_cycles);
         for (x, y) in a.outputs.iter().zip(&b.outputs) {
             assert_eq!(x.as_ref().unwrap(), y.as_ref().unwrap());
+        }
+    }
+
+    #[test]
+    fn shards_share_one_code_image_on_every_execution() {
+        let svc = port_mirror();
+        for (target, backend) in [
+            (Target::Cpu, Backend::Compiled),
+            (Target::Cpu, Backend::TreeWalk),
+            (Target::Fpga, Backend::Compiled),
+        ] {
+            let engine = svc
+                .engine(target)
+                .backend(backend)
+                .shards(3)
+                .build()
+                .unwrap();
+            let codes: Vec<_> = engine
+                .shards
+                .iter()
+                .map(|s| s.as_ref().expect(HOME).driver.core().code())
+                .collect();
+            assert!(
+                codes.iter().all(|c| Arc::ptr_eq(c, codes[0])),
+                "{target:?}/{backend:?}: every shard must share the engine's code image"
+            );
         }
     }
 

@@ -20,10 +20,11 @@ pub use emu_rtl::ipblocks::{BramIf, CamDeleteIf, CamIf, FifoIf, HashIf, LruIf, N
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emu_rtl::{CamModel, IpEnv, NaughtyQModel, PearsonHashModel, RtlMachine};
+    use emu_rtl::{CamModel, IpEnv, NaughtyQModel, PearsonHashModel};
     use kiwi_ir::dsl::*;
     use kiwi_ir::interp::NullObserver;
     use kiwi_ir::ProgramBuilder;
+    use kiwi_ir::{Code, Core};
 
     #[test]
     fn cam_if_round_trip_on_rtl() {
@@ -38,7 +39,7 @@ mod tests {
         body.push(halt());
         pb.thread("main", body);
         let prog = pb.build().unwrap();
-        let mut rtl = RtlMachine::new(kiwi::compile(&prog).unwrap());
+        let mut rtl = Core::new(Code::Fpga(kiwi::compile(&prog).unwrap()));
         let mut env = IpEnv::new();
         env.attach(Box::new(CamModel::new(&cam, 8, false)));
         rtl.run_cycles(50, &mut env, &mut NullObserver).unwrap();
@@ -60,7 +61,7 @@ mod tests {
         body.push(halt());
         pb.thread("main", body);
         let prog = pb.build().unwrap();
-        let mut rtl = RtlMachine::new(kiwi::compile(&prog).unwrap());
+        let mut rtl = Core::new(Code::Fpga(kiwi::compile(&prog).unwrap()));
         let mut env = IpEnv::new();
         env.attach(Box::new(PearsonHashModel::new(&h)));
         rtl.run_cycles(100, &mut env, &mut NullObserver).unwrap();
@@ -90,7 +91,7 @@ mod tests {
         body.push(halt());
         pb.thread("main", body);
         let prog = pb.build().unwrap();
-        let mut rtl = RtlMachine::new(kiwi::compile(&prog).unwrap());
+        let mut rtl = Core::new(Code::Fpga(kiwi::compile(&prog).unwrap()));
         let mut env = IpEnv::new();
         env.attach(Box::new(CamModel::new(&lru.cam, 4, false)));
         env.attach(Box::new(NaughtyQModel::new(&lru.q, 2)));

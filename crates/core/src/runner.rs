@@ -17,11 +17,11 @@
 //! [`assert_targets_agree`] differential harness.
 
 use crate::dataplane::Dataplane;
-use emu_rtl::{Core, IpEnv};
+use emu_rtl::IpEnv;
 use emu_types::proto::{ether_type, ip_proto, offset};
 use emu_types::{checksum, Frame};
 use kiwi::CostModel;
-use kiwi_ir::{IrResult, Machine, Program};
+use kiwi_ir::{Code, Core, IrResult, Program};
 
 /// Execution target selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,10 +49,11 @@ pub enum Target {
 ///   slow, obviously-correct reference. CI forces it once over the whole
 ///   test suite (`EMU_CPU_BACKEND=treewalk`) so it cannot rot.
 ///
-/// With [`Target`] it selects which [`emu_rtl::Core`] an engine builds:
-/// `Core::Compiled` or `Core::TreeWalk` on [`Target::Cpu`], `Core::Fpga`
-/// whatever the backend on [`Target::Fpga`]. The engine builds that core
-/// once and copies it into every shard.
+/// With [`Target`] it selects which code image ([`kiwi_ir::Code`]) an
+/// engine's [`kiwi_ir::Core`] runs: `Code::Compiled` or `Code::TreeWalk`
+/// on [`Target::Cpu`], `Code::Fpga` whatever the backend on
+/// [`Target::Fpga`]. The engine builds that image once and every shard's
+/// core shares it.
 ///
 /// An explicit [`crate::EngineBuilder::backend`] call always wins; the
 /// `EMU_CPU_BACKEND` environment variable (`compiled` / `treewalk`)
@@ -173,23 +174,21 @@ pub(crate) fn core(
     backend: Backend,
     passes: Option<&[kiwi_ir::Pass]>,
 ) -> IrResult<Core> {
-    Ok(match (target, backend) {
-        (Target::Cpu, Backend::TreeWalk) => {
-            Core::TreeWalk(Machine::new(kiwi_ir::flatten(&service.program)?))
-        }
+    let code = match (target, backend) {
+        (Target::Cpu, Backend::TreeWalk) => Code::TreeWalk(kiwi_ir::flatten(&service.program)?),
         (Target::Cpu, Backend::Compiled) => {
             let flat = kiwi_ir::flatten(&service.program)?;
-            let cp = match passes {
+            Code::Compiled(match passes {
                 Some(p) => kiwi_ir::compile_with_passes(&flat, p)?,
                 None => kiwi_ir::compile(&flat)?,
-            };
-            Core::Compiled(kiwi_ir::CompiledMachine::new(cp))
+            })
         }
-        (Target::Fpga, _) => {
-            let fsm = kiwi::compile_with(&service.program, service.cost_model.clone())?;
-            Core::Fpga(emu_rtl::RtlMachine::new(fsm))
-        }
-    })
+        (Target::Fpga, _) => Code::Fpga(kiwi::compile_with(
+            &service.program,
+            service.cost_model.clone(),
+        )?),
+    };
+    Ok(Core::new(code))
 }
 
 /// Runs the same frames through every execution backend — tree-walking

@@ -44,18 +44,23 @@
 //! micro-ops as opaque: they read machine state where they stand, and
 //! the stores among them invalidate what any store does.
 //!
-//! [`CompiledMachine`] mirrors [`crate::interp::Machine`] exactly:
-//! pause-to-pause cycles, the same [`Env`]/[`Observer`] hooks, the same
-//! op budget, the same [`MachineState`] (including the `arr_high`
-//! high-water contract). Every observable — register values, array
-//! contents, signal drives, observer callbacks, cycle and op counts —
-//! is byte-identical to the tree-walker by construction, and the
-//! differential suites assert it.
+//! The bytecode runs as [`crate::Code::Compiled`] on the same
+//! [`crate::Core`] shell as the tree-walker: pause-to-pause cycles, the
+//! same [`crate::Env`]/[`Observer`] hooks, the same op budget, the same
+//! [`MachineState`] (including the `arr_high` high-water contract); this
+//! module contributes only the per-thread executor loop. Every
+//! observable — register values, array contents, signal drives,
+//! observer callbacks, cycle and op counts — is byte-identical to the
+//! tree-walker by construction, and the differential suites assert it.
+//!
+//! [`MachineState`]: crate::MachineState
+//! [`MachineState::assign`]: crate::MachineState::assign
 
 use crate::ast::{BinOp, Expr, IrError, IrResult, UnOp};
 use crate::flat::{FlatProgram, FlatThread, Op};
-use crate::interp::{eval, Env, MachineState, Observer};
-use crate::program::{ArrId, Program, SigDir, SigId, VarId};
+use crate::interp::{eval, Observer};
+use crate::machine::{missing_pause, Instance, MAX_OPS_PER_CYCLE};
+use crate::program::{ArrId, Program, SigId, VarId};
 use emu_types::Bits;
 
 /// Index of a scratch slot.
@@ -163,8 +168,6 @@ pub enum MOp {
         dst: Slot,
         /// Signal index.
         sig: u32,
-        /// Sample `sigs_out` instead of `sigs_in`.
-        out: bool,
     },
     /// Array element read, elements ≤ 64 bits; out-of-range reads zero.
     LdArrS {
@@ -380,7 +383,7 @@ pub enum MOp {
     },
     /// Terminal: register assignment of a side-table expression wider
     /// than 64 bits — the tree-walker's own `Assign` step
-    /// ([`MachineState::assign`]).
+    /// ([`MachineState::assign`](crate::MachineState::assign)).
     StVarE {
         /// Register index.
         var: u32,
@@ -414,7 +417,8 @@ pub enum MOp {
     },
     /// Terminal: array element write of a side-table expression wider
     /// than 64 bits — the tree-walker's own `ArrWrite` step
-    /// ([`MachineState::arr_write`]) at the index in `idx`.
+    /// ([`MachineState::arr_write`](crate::MachineState::arr_write)) at
+    /// the index in `idx`.
     StArrE {
         /// Array index.
         arr: u32,
@@ -434,7 +438,7 @@ pub enum MOp {
     },
     /// Terminal: output-signal drive of a side-table expression wider
     /// than 64 bits — the tree-walker's own `SigWrite` step
-    /// ([`MachineState::sig_write`]).
+    /// ([`MachineState::sig_write`](crate::MachineState::sig_write)).
     StSigE {
         /// Signal index.
         sig: u32,
@@ -741,8 +745,8 @@ impl<'a> ThreadCompiler<'a> {
                     .prog
                     .signal(*s)
                     .ok_or_else(|| IrError(format!("unknown signal {s:?}")))?;
-                let (dst, sig, out) = (self.s(), s.0, d.dir == SigDir::Out);
-                (d.width, MOp::LdSigS { dst, sig, out })
+                let (dst, sig) = (self.s(), s.0);
+                (d.width, MOp::LdSigS { dst, sig })
             }
             Expr::ArrRead(a, idx) => {
                 let ew = self
@@ -1121,13 +1125,7 @@ pub fn mops_to_string(t: &CompiledThread, prog: &Program) -> String {
         let body = match m {
             MOp::ConstS { dst, v } => format!("s{dst} <- const {v:#x}"),
             MOp::LdVarS { dst, var: v } => format!("s{dst} <- var {}", var(*v)),
-            MOp::LdSigS { dst, sig: s, out } => {
-                format!(
-                    "s{dst} <- sig{} {}",
-                    if *out { "_out" } else { "" },
-                    sig(*s)
-                )
-            }
+            MOp::LdSigS { dst, sig: s } => format!("s{dst} <- sig {}", sig(*s)),
             MOp::LdArrS { dst, arr: a, idx } => format!("s{dst} <- {}[s{idx}]", arr(*a)),
             MOp::LdArrCS { dst, arr: a, idx } => format!("s{dst} <- {}[#{idx}]", arr(*a)),
             MOp::LdArrPairS {
@@ -1206,358 +1204,218 @@ pub fn mops_to_string(t: &CompiledThread, prog: &Program) -> String {
 // The executor
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
-struct ThreadCtx {
-    pc: usize,
-    halted: bool,
-}
-
-/// Micro-op executor for one compiled program — the fast software
-/// backend, a drop-in for [`crate::interp::Machine`].
-#[derive(Clone)]
-pub struct CompiledMachine {
-    cp: CompiledProgram,
-    state: MachineState,
-    threads: Vec<ThreadCtx>,
-    slots: Vec<u64>,
-    cycle: u64,
-    ops_executed: u64,
-    /// Abort threshold for a single thread-cycle without a pause,
-    /// counted in *source* ops (terminals), identical to the
-    /// tree-walker's accounting.
-    pub max_ops_per_cycle: u64,
-}
-
 /// Panic message of the const-index array micro-ops: their indices are
 /// proven in bounds when the op is built, so a miss is a compiler bug.
 const CONST_IDX: &str = "const array index proven in bounds at compile time";
 
-impl CompiledMachine {
-    /// Builds a machine from compiled bytecode.
-    pub fn new(cp: CompiledProgram) -> Self {
-        let state = MachineState::init(&cp.prog);
-        let threads = cp
-            .threads
-            .iter()
-            .map(|_| ThreadCtx {
-                pc: 0,
-                halted: false,
-            })
-            .collect();
-        let n_slots = cp.threads.iter().map(|t| t.n_slots).max().unwrap_or(0);
-        CompiledMachine {
-            slots: vec![0; n_slots],
-            state,
-            threads,
-            cycle: 0,
-            ops_executed: 0,
-            max_ops_per_cycle: 100_000,
-            cp,
-        }
+/// Compiled thread `ti`'s share of a cycle: executes its micro-ops from
+/// its pc until it pauses or halts.
+///
+/// `budget` is deliberately decremented even by terminals that return
+/// (pause/halt), so op accounting matches the tree-walker exactly.
+#[allow(unused_assignments)]
+pub(crate) fn exec_thread<O: Observer + ?Sized>(
+    cp: &CompiledProgram,
+    ti: usize,
+    inst: &mut Instance,
+    obs: &mut O,
+) -> IrResult<()> {
+    let (thread, prog) = (&cp.threads[ti], &cp.prog);
+    let Instance {
+        state,
+        threads,
+        slots,
+        ops_executed,
+        ..
+    } = inst;
+    let ctx = &mut threads[ti];
+    let mops = &thread.mops[..];
+    let mut pc = ctx.pc;
+    let mut budget = MAX_OPS_PER_CYCLE;
+
+    // One budget unit per *terminal* (= one source op), so op counts
+    // and missing-pause traps match the tree-walker exactly.
+    macro_rules! tick {
+        () => {
+            *ops_executed += 1;
+            budget = budget
+                .checked_sub(1)
+                .ok_or_else(|| missing_pause(&thread.name))?;
+        };
     }
 
-    /// Flattens and compiles `prog` in one step.
-    pub fn from_program(prog: &Program) -> IrResult<Self> {
-        Ok(CompiledMachine::new(compile(&crate::flat::flatten(prog)?)?))
-    }
-
-    /// The program being executed.
-    pub fn program(&self) -> &Program {
-        &self.cp.prog
-    }
-
-    /// The compiled bytecode.
-    pub fn compiled(&self) -> &CompiledProgram {
-        &self.cp
-    }
-
-    /// Current cycle count.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Total source-level ops executed (matches the tree-walker's count
-    /// for the same run).
-    pub fn ops_executed(&self) -> u64 {
-        self.ops_executed
-    }
-
-    /// Immutable state access.
-    pub fn state(&self) -> &MachineState {
-        &self.state
-    }
-
-    /// Mutable state access (environment-side pokes between cycles).
-    pub fn state_mut(&mut self) -> &mut MachineState {
-        &mut self.state
-    }
-
-    /// True when every thread has halted.
-    pub fn halted(&self) -> bool {
-        self.threads.iter().all(|t| t.halted)
-    }
-
-    /// Runs one clock cycle: each live thread executes until it pauses
-    /// or halts, then `env.tick` runs once — the exact contract of
-    /// [`crate::interp::Machine::step_cycle`].
-    ///
-    /// Called with concrete types (a known environment, `NullObserver`)
-    /// the executor's hot loop monomorphizes and the observer hooks
-    /// inline away; trait objects work too (`?Sized`).
-    pub fn step_cycle<E: Env + ?Sized, O: Observer + ?Sized>(
-        &mut self,
-        env: &mut E,
-        obs: &mut O,
-    ) -> IrResult<()> {
-        for ti in 0..self.threads.len() {
-            self.run_thread_to_pause(ti, obs)?;
-        }
-        self.cycle += 1;
-        env.tick(self.cycle, &self.cp.prog, &mut self.state);
-        Ok(())
-    }
-
-    /// Runs `n` cycles (stops early if all threads halt).
-    pub fn run_cycles(
-        &mut self,
-        n: u64,
-        env: &mut dyn Env,
-        obs: &mut dyn Observer,
-    ) -> IrResult<u64> {
-        for i in 0..n {
-            if self.halted() {
-                return Ok(i);
-            }
-            self.step_cycle(env, obs)?;
-        }
-        Ok(n)
-    }
-
-    // `budget` is deliberately decremented even by terminals that return
-    // (pause/halt), so op accounting matches the tree-walker exactly.
-    #[allow(unused_assignments)]
-    fn run_thread_to_pause<O: Observer + ?Sized>(
-        &mut self,
-        ti: usize,
-        obs: &mut O,
-    ) -> IrResult<()> {
-        if self.threads[ti].halted {
+    loop {
+        let Some(op) = mops.get(pc) else {
+            ctx.pc = pc;
+            ctx.halted = true;
             return Ok(());
-        }
-        let max_ops = self.max_ops_per_cycle;
-        let CompiledMachine {
-            cp,
-            state,
-            threads,
-            slots,
-            ops_executed,
-            ..
-        } = self;
-        let thread = &cp.threads[ti];
-        let ctx = &mut threads[ti];
-        let mops = &thread.mops[..];
-        let mut pc = ctx.pc;
-        let mut budget = max_ops;
-
-        // One budget unit per *terminal* (= one source op), so op counts
-        // and missing-pause traps match the tree-walker exactly.
-        macro_rules! tick {
-            () => {
-                *ops_executed += 1;
-                budget = budget.checked_sub(1).ok_or_else(|| {
-                    IrError(format!(
-                        "thread {} exceeded {} ops without pausing (missing pause()?)",
-                        thread.name, max_ops
-                    ))
-                })?;
-            };
-        }
-
-        loop {
-            let Some(op) = mops.get(pc) else {
-                ctx.pc = pc;
-                ctx.halted = true;
-                return Ok(());
-            };
-            match op {
-                MOp::ConstS { dst, v } => slots[*dst as usize] = *v,
-                MOp::LdVarS { dst, var } => {
-                    slots[*dst as usize] = state.vars[*var as usize].to_u64()
+        };
+        match op {
+            MOp::ConstS { dst, v } => slots[*dst as usize] = *v,
+            MOp::LdVarS { dst, var } => slots[*dst as usize] = state.vars[*var as usize].to_u64(),
+            MOp::LdSigS { dst, sig } => slots[*dst as usize] = state.sigs[*sig as usize].to_u64(),
+            MOp::LdArrS { dst, arr, idx } => {
+                let i = slots[*idx as usize] as usize;
+                slots[*dst as usize] = state.arrays[*arr as usize].get_u64(i).unwrap_or(0);
+            }
+            // Const-index loads are proven in bounds at compile
+            // time (array lengths are fixed at declaration).
+            MOp::LdArrCS { dst, arr, idx } => {
+                slots[*dst as usize] = state.arrays[*arr as usize]
+                    .get_u64(*idx as usize)
+                    .expect(CONST_IDX);
+            }
+            MOp::LdArrPairS {
+                dst,
+                idx,
+                arr,
+                off,
+                mask,
+                bw,
+            } => {
+                let a = &state.arrays[*arr as usize];
+                let i = slots[*idx as usize].wrapping_add(*off) & mask;
+                let hi = a.get_u64(i as usize).unwrap_or(0);
+                let j = i.wrapping_add(1) & mask;
+                let lo = a.get_u64(j as usize).unwrap_or(0);
+                slots[*dst as usize] = (hi << bw) | lo;
+            }
+            MOp::LdArrPairCS { dst, arr, idx, bw } => {
+                let a = &state.arrays[*arr as usize];
+                let i = *idx as usize;
+                let hi = a.get_u64(i).expect(CONST_IDX);
+                let lo = a.get_u64(i + 1).expect(CONST_IDX);
+                slots[*dst as usize] = (hi << bw) | lo;
+            }
+            MOp::ConcatLdCS {
+                dst,
+                a,
+                arr,
+                idx,
+                bw,
+            } => {
+                let lo = state.arrays[*arr as usize]
+                    .get_u64(*idx as usize)
+                    .expect(CONST_IDX);
+                slots[*dst as usize] = (slots[*a as usize] << bw) | lo;
+            }
+            MOp::CopyS { dst, a } => slots[*dst as usize] = slots[*a as usize],
+            MOp::MaskS { dst, a, mask } => slots[*dst as usize] = slots[*a as usize] & mask,
+            MOp::NotS { dst, a, mask } => slots[*dst as usize] = !slots[*a as usize] & mask,
+            MOp::NegS { dst, a, mask } => {
+                slots[*dst as usize] = slots[*a as usize].wrapping_neg() & mask
+            }
+            MOp::RedOrS { dst, a } => slots[*dst as usize] = u64::from(slots[*a as usize] != 0),
+            MOp::BinS {
+                dst,
+                op,
+                a,
+                b,
+                mask,
+            } => slots[*dst as usize] = bin_s(*op, slots[*a as usize], slots[*b as usize], *mask),
+            MOp::CmpS { dst, op, a, b } => {
+                slots[*dst as usize] = cmp_s(*op, slots[*a as usize], slots[*b as usize])
+            }
+            MOp::ShlS { dst, a, b, mask } => {
+                slots[*dst as usize] = shl_s(slots[*a as usize], slots[*b as usize], *mask)
+            }
+            MOp::ShrS { dst, a, b } => {
+                slots[*dst as usize] = shr_s(slots[*a as usize], slots[*b as usize])
+            }
+            MOp::ConcatS { dst, a, b, bw } => {
+                slots[*dst as usize] = (slots[*a as usize] << bw) | slots[*b as usize]
+            }
+            MOp::SliceS { dst, a, lo, mask } => {
+                slots[*dst as usize] = (slots[*a as usize] >> lo) & mask
+            }
+            MOp::MuxS { dst, c, t, e } => {
+                slots[*dst as usize] = if slots[*c as usize] != 0 {
+                    slots[*t as usize]
+                } else {
+                    slots[*e as usize]
                 }
-                MOp::LdSigS { dst, sig, out } => {
-                    let sigs = if *out {
-                        &state.sigs_out
-                    } else {
-                        &state.sigs_in
-                    };
-                    slots[*dst as usize] = sigs[*sig as usize].to_u64();
-                }
-                MOp::LdArrS { dst, arr, idx } => {
-                    let i = slots[*idx as usize] as usize;
-                    slots[*dst as usize] = state.arrays[*arr as usize].get_u64(i).unwrap_or(0);
-                }
-                // Const-index loads are proven in bounds at compile
-                // time (array lengths are fixed at declaration).
-                MOp::LdArrCS { dst, arr, idx } => {
-                    slots[*dst as usize] = state.arrays[*arr as usize]
-                        .get_u64(*idx as usize)
-                        .expect(CONST_IDX);
-                }
-                MOp::LdArrPairS {
-                    dst,
-                    idx,
-                    arr,
-                    off,
-                    mask,
-                    bw,
-                } => {
-                    let a = &state.arrays[*arr as usize];
-                    let i = slots[*idx as usize].wrapping_add(*off) & mask;
-                    let hi = a.get_u64(i as usize).unwrap_or(0);
-                    let j = i.wrapping_add(1) & mask;
-                    let lo = a.get_u64(j as usize).unwrap_or(0);
-                    slots[*dst as usize] = (hi << bw) | lo;
-                }
-                MOp::LdArrPairCS { dst, arr, idx, bw } => {
-                    let a = &state.arrays[*arr as usize];
-                    let i = *idx as usize;
-                    let hi = a.get_u64(i).expect(CONST_IDX);
-                    let lo = a.get_u64(i + 1).expect(CONST_IDX);
-                    slots[*dst as usize] = (hi << bw) | lo;
-                }
-                MOp::ConcatLdCS {
-                    dst,
-                    a,
-                    arr,
-                    idx,
-                    bw,
-                } => {
-                    let lo = state.arrays[*arr as usize]
-                        .get_u64(*idx as usize)
-                        .expect(CONST_IDX);
-                    slots[*dst as usize] = (slots[*a as usize] << bw) | lo;
-                }
-                MOp::CopyS { dst, a } => slots[*dst as usize] = slots[*a as usize],
-                MOp::MaskS { dst, a, mask } => slots[*dst as usize] = slots[*a as usize] & mask,
-                MOp::NotS { dst, a, mask } => slots[*dst as usize] = !slots[*a as usize] & mask,
-                MOp::NegS { dst, a, mask } => {
-                    slots[*dst as usize] = slots[*a as usize].wrapping_neg() & mask
-                }
-                MOp::RedOrS { dst, a } => slots[*dst as usize] = u64::from(slots[*a as usize] != 0),
-                MOp::BinS {
-                    dst,
-                    op,
-                    a,
-                    b,
-                    mask,
-                } => {
-                    slots[*dst as usize] = bin_s(*op, slots[*a as usize], slots[*b as usize], *mask)
-                }
-                MOp::CmpS { dst, op, a, b } => {
-                    slots[*dst as usize] = cmp_s(*op, slots[*a as usize], slots[*b as usize])
-                }
-                MOp::ShlS { dst, a, b, mask } => {
-                    slots[*dst as usize] = shl_s(slots[*a as usize], slots[*b as usize], *mask)
-                }
-                MOp::ShrS { dst, a, b } => {
-                    slots[*dst as usize] = shr_s(slots[*a as usize], slots[*b as usize])
-                }
-                MOp::ConcatS { dst, a, b, bw } => {
-                    slots[*dst as usize] = (slots[*a as usize] << bw) | slots[*b as usize]
-                }
-                MOp::SliceS { dst, a, lo, mask } => {
-                    slots[*dst as usize] = (slots[*a as usize] >> lo) & mask
-                }
-                MOp::MuxS { dst, c, t, e } => {
-                    slots[*dst as usize] = if slots[*c as usize] != 0 {
-                        slots[*t as usize]
-                    } else {
-                        slots[*e as usize]
-                    }
-                }
-                MOp::EvalS { dst, e } => {
-                    slots[*dst as usize] =
-                        eval(&thread.exprs[*e as usize], &cp.prog, state).to_u64()
-                }
-                MOp::StVarS { var, a, w } => {
-                    tick!();
-                    let new = Bits::from_u64(slots[*a as usize], *w);
-                    let i = *var as usize;
-                    obs.on_assign(*var, &state.vars[i], &new);
-                    state.vars[i] = new;
-                }
-                // The `St*E` terminals are the tree-walker's own stores.
-                MOp::StVarE { var, e } => {
-                    tick!();
-                    state.assign(VarId(*var), &thread.exprs[*e as usize], &cp.prog, obs);
-                }
-                // Array stores mask to the declared element width inside
-                // `Cells` (the op's `w` is that same width) and report
-                // whether the index was in range.
-                MOp::StArrS { arr, idx, a, .. } => {
-                    tick!();
-                    let i = slots[*idx as usize] as usize;
-                    let ai = *arr as usize;
-                    if state.arrays[ai].set_u64(i, slots[*a as usize]) {
-                        state.note_arr_write(ai, i);
-                    }
-                }
-                // Const-index stores are proven in bounds at compile
-                // time, like the const-index loads above.
-                MOp::StArrCS { arr, idx, a, .. } => {
-                    tick!();
-                    let (ai, i) = (*arr as usize, *idx as usize);
-                    let stored = state.arrays[ai].set_u64(i, slots[*a as usize]);
-                    assert!(stored, "{CONST_IDX}");
+            }
+            MOp::EvalS { dst, e } => {
+                slots[*dst as usize] = eval(&thread.exprs[*e as usize], state).to_u64()
+            }
+            MOp::StVarS { var, a, w } => {
+                tick!();
+                let new = Bits::from_u64(slots[*a as usize], *w);
+                let i = *var as usize;
+                obs.on_assign(*var, &state.vars[i], &new);
+                state.vars[i] = new;
+            }
+            // The `St*E` terminals are the tree-walker's own stores.
+            MOp::StVarE { var, e } => {
+                tick!();
+                state.assign(VarId(*var), &thread.exprs[*e as usize], prog, obs);
+            }
+            // Array stores mask to the declared element width inside
+            // `Cells` (the op's `w` is that same width) and report
+            // whether the index was in range.
+            MOp::StArrS { arr, idx, a, .. } => {
+                tick!();
+                let i = slots[*idx as usize] as usize;
+                let ai = *arr as usize;
+                if state.arrays[ai].set_u64(i, slots[*a as usize]) {
                     state.note_arr_write(ai, i);
                 }
-                MOp::StArrE { arr, idx, e } => {
-                    tick!();
-                    let i = slots[*idx as usize] as usize;
-                    state.arr_write(ArrId(*arr), i, &thread.exprs[*e as usize], &cp.prog);
-                }
-                MOp::StSigS { sig, a, w } => {
-                    tick!();
-                    state.sigs_out[*sig as usize] = Bits::from_u64(slots[*a as usize], *w);
-                }
-                MOp::StSigE { sig, e } => {
-                    tick!();
-                    state.sig_write(SigId(*sig), &thread.exprs[*e as usize], &cp.prog);
-                }
-                MOp::BranchZ { c, target } => {
-                    tick!();
-                    if slots[*c as usize] == 0 {
-                        pc = *target as usize;
-                        continue;
-                    }
-                }
-                MOp::Jmp { target } => {
-                    tick!();
+            }
+            // Const-index stores are proven in bounds at compile
+            // time, like the const-index loads above.
+            MOp::StArrCS { arr, idx, a, .. } => {
+                tick!();
+                let (ai, i) = (*arr as usize, *idx as usize);
+                let stored = state.arrays[ai].set_u64(i, slots[*a as usize]);
+                assert!(stored, "{CONST_IDX}");
+                state.note_arr_write(ai, i);
+            }
+            MOp::StArrE { arr, idx, e } => {
+                tick!();
+                let i = slots[*idx as usize] as usize;
+                state.arr_write(ArrId(*arr), i, &thread.exprs[*e as usize]);
+            }
+            MOp::StSigS { sig, a, w } => {
+                tick!();
+                state.sigs[*sig as usize] = Bits::from_u64(slots[*a as usize], *w);
+            }
+            MOp::StSigE { sig, e } => {
+                tick!();
+                state.sig_write(SigId(*sig), &thread.exprs[*e as usize], prog);
+            }
+            MOp::BranchZ { c, target } => {
+                tick!();
+                if slots[*c as usize] == 0 {
                     pc = *target as usize;
                     continue;
                 }
-                MOp::PauseOp => {
-                    tick!();
-                    ctx.pc = pc + 1;
-                    return Ok(());
-                }
-                MOp::LabelOp { id } => {
-                    tick!();
-                    obs.on_label(&thread.labels[*id as usize]);
-                }
-                MOp::ExtOp { id } => {
-                    tick!();
-                    obs.on_ext_point(*id, state);
-                }
-                MOp::HaltOp => {
-                    tick!();
-                    ctx.pc = pc;
-                    ctx.halted = true;
-                    return Ok(());
-                }
             }
-            pc += 1;
+            MOp::Jmp { target } => {
+                tick!();
+                pc = *target as usize;
+                continue;
+            }
+            MOp::PauseOp => {
+                tick!();
+                ctx.pc = pc + 1;
+                return Ok(());
+            }
+            MOp::LabelOp { id } => {
+                tick!();
+                obs.on_label(&thread.labels[*id as usize]);
+            }
+            MOp::ExtOp { id } => {
+                tick!();
+                obs.on_ext_point(*id, state);
+            }
+            MOp::HaltOp => {
+                tick!();
+                ctx.pc = pc;
+                ctx.halted = true;
+                return Ok(());
+            }
         }
+        pc += 1;
     }
 }
 
@@ -1566,18 +1424,21 @@ mod tests {
     use super::*;
     use crate::dsl::*;
     use crate::flat::flatten;
-    use crate::interp::{Machine, NullEnv, NullObserver};
+    use crate::interp::{Env, MachineState, NullEnv, NullObserver};
+    use crate::machine::{Code, Core};
     use crate::program::{ArrayBacking, ProgramBuilder};
 
-    fn compiled(pb: &ProgramBuilder) -> CompiledMachine {
-        CompiledMachine::from_program(&pb.clone().build().unwrap()).unwrap()
+    fn compiled(pb: &ProgramBuilder) -> Core {
+        let flat = flatten(&pb.clone().build().unwrap()).unwrap();
+        Core::new(Code::Compiled(compile(&flat).unwrap()))
     }
 
-    fn both(pb: &ProgramBuilder) -> (Machine, CompiledMachine) {
-        let prog = pb.clone().build().unwrap();
+    fn both(pb: &ProgramBuilder) -> (Core, Core) {
+        let flat = flatten(&pb.clone().build().unwrap()).unwrap();
+        let cp = compile(&flat).unwrap();
         (
-            Machine::new(flatten(&prog).unwrap()),
-            CompiledMachine::from_program(&prog).unwrap(),
+            Core::new(Code::TreeWalk(flat)),
+            Core::new(Code::Compiled(cp)),
         )
     }
 
@@ -1594,7 +1455,7 @@ mod tests {
             cm.step_cycle(&mut NullEnv, &mut NullObserver).unwrap();
             assert_eq!(tw.state().vars, cm.state().vars, "vars diverged");
             assert_eq!(tw.state().arrays, cm.state().arrays, "arrays diverged");
-            assert_eq!(tw.state().sigs_out, cm.state().sigs_out, "sigs diverged");
+            assert_eq!(tw.state().sigs, cm.state().sigs, "sigs diverged");
             assert_eq!(
                 tw.state().arr_high,
                 cm.state().arr_high,
@@ -1714,14 +1575,14 @@ mod tests {
         impl Env for RaiseAt {
             fn tick(&mut self, cycle: u64, _prog: &Program, st: &mut MachineState) {
                 if cycle >= self.0 {
-                    st.sigs_in[self.1 .0 as usize] = Bits::from_u64(1, 1);
+                    st.sigs[self.1 .0 as usize] = Bits::from_u64(1, 1);
                 }
             }
         }
         let mut m = compiled(&pb);
         m.run_cycles(10, &mut RaiseAt(3, ready), &mut NullObserver)
             .unwrap();
-        assert_eq!(m.state().sigs_out[1].to_u64(), 7);
+        assert_eq!(m.state().sigs[1].to_u64(), 7);
         assert!(m.cycle() >= 3);
         assert!(m.state().vars[0].to_u64() >= 6);
     }
@@ -1779,8 +1640,6 @@ mod tests {
             vec![forever(vec![assign(a, add(var(a), lit(1, 8)))])],
         );
         let (mut tw, mut cm) = both(&pb);
-        tw.max_ops_per_cycle = 1000;
-        cm.max_ops_per_cycle = 1000;
         let e1 = tw.step_cycle(&mut NullEnv, &mut NullObserver).unwrap_err();
         let e2 = cm.step_cycle(&mut NullEnv, &mut NullObserver).unwrap_err();
         assert_eq!(e1, e2, "trap messages must match");

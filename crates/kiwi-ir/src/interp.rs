@@ -9,17 +9,23 @@
 //! `EMU_CPU_BACKEND=treewalk` so this reference cannot rot).
 //!
 //! The interpreter executes the flattened op stream of each thread until a
-//! `Pause`, then hands control to the environment — virtual NICs, IP-block
-//! behavioural models, the Mininet-analogue network — exactly once per
-//! "cycle". Because the FSM target advances attached models once per clock
-//! and the interpreter advances them once per pause, a program observes
-//! the same handshake sequence on both targets (§3.4's hash-seed protocol
-//! relies on this).
+//! `Pause` ([`crate::Code::TreeWalk`] on the one [`crate::Core`]), then
+//! hands control to the environment — virtual NICs, IP-block behavioural
+//! models, the Mininet-analogue network — exactly once per "cycle".
+//! Because the FSM target advances attached models once per clock and the
+//! interpreter advances them once per pause, a program observes the same
+//! handshake sequence on both targets (§3.4's hash-seed protocol relies
+//! on this).
+//!
+//! This module also holds what every machine shares: the
+//! [`MachineState`], the [`Env`] / [`Observer`] hooks and the reference
+//! [`eval`].
 
-use crate::ast::{BinOp, Expr, IrError, IrResult, UnOp};
+use crate::ast::{BinOp, Expr, IrResult, UnOp};
 use crate::cells::Cells;
 use crate::flat::{FlatProgram, Op};
-use crate::program::{ArrId, Program, SigDir, SigId, VarId};
+use crate::machine::{missing_pause, Instance, MAX_OPS_PER_CYCLE};
+use crate::program::{ArrId, Program, SigId, VarId};
 use emu_types::Bits;
 
 /// Mutable machine state shared with the environment between cycles.
@@ -38,11 +44,12 @@ pub struct MachineState {
     /// compiled backend and the RTL FSM — access arrays only through
     /// the [`Cells`] accessors.
     pub arrays: Vec<Cells>,
-    /// Latched input-signal values, indexed by `SigId` (entries for output
-    /// signals are unused). The environment writes these in [`Env::tick`].
-    pub sigs_in: Vec<Bits>,
-    /// Current output-signal values, indexed by `SigId`.
-    pub sigs_out: Vec<Bits>,
+    /// Signal values, indexed by `SigId`: an input as the environment
+    /// last drove it (in [`Env::tick`]), an output as the program last
+    /// drove it. Each signal has one driver — validation rejects a
+    /// program write to an input — and each starts at its declared reset
+    /// value.
+    pub sigs: Vec<Bits>,
     /// Per-array write high-water mark, indexed by `ArrId`: one past the
     /// highest slot that may differ from zero. Both execution backends
     /// bump this on every `ArrWrite`; platform drivers use it to bound
@@ -52,8 +59,8 @@ pub struct MachineState {
 }
 
 impl MachineState {
-    /// Builds the reset state for `prog`: registers and output signals at
-    /// their declared init values, arrays loaded with their initializers.
+    /// Builds the reset state for `prog`: registers and signals at their
+    /// declared init values, arrays loaded with their initializers.
     pub fn init(prog: &Program) -> Self {
         MachineState {
             vars: prog.vars().iter().map(|v| v.init.clone()).collect(),
@@ -73,8 +80,7 @@ impl MachineState {
                 .iter()
                 .map(|a| a.init.iter().map(|(i, _)| i + 1).max().unwrap_or(0))
                 .collect(),
-            sigs_in: prog.signals().iter().map(|s| Bits::zero(s.width)).collect(),
-            sigs_out: prog.signals().iter().map(|s| s.init.clone()).collect(),
+            sigs: prog.signals().iter().map(|s| s.init.clone()).collect(),
         }
     }
 
@@ -107,7 +113,7 @@ impl MachineState {
         obs: &mut O,
     ) {
         let w = prog.var(dst).expect("validated").width;
-        let v = eval(e, prog, self).resize(w);
+        let v = eval(e, self).resize(w);
         let reg = &mut self.vars[dst.0 as usize];
         obs.on_assign(dst.0, reg, &v);
         *reg = v;
@@ -117,8 +123,8 @@ impl MachineState {
     /// element width, lifting the high-water mark; an out-of-range `i`
     /// stores nothing.
     #[inline(never)]
-    pub fn arr_write(&mut self, arr: ArrId, i: usize, val: &Expr, prog: &Program) {
-        let v = eval(val, prog, self);
+    pub fn arr_write(&mut self, arr: ArrId, i: usize, val: &Expr) {
+        let v = eval(val, self);
         if self.arrays[arr.0 as usize].set(i, &v) {
             self.note_arr_write(arr.0 as usize, i);
         }
@@ -129,7 +135,7 @@ impl MachineState {
     #[inline(never)]
     pub fn sig_write(&mut self, sig: SigId, e: &Expr, prog: &Program) {
         let w = prog.signal(sig).expect("validated").width;
-        self.sigs_out[sig.0 as usize] = eval(e, prog, self).resize(w);
+        self.sigs[sig.0 as usize] = eval(e, self).resize(w);
     }
 }
 
@@ -169,180 +175,70 @@ pub struct NullObserver;
 
 impl Observer for NullObserver {}
 
-#[derive(Debug, Clone)]
-struct ThreadCtx {
-    pc: usize,
-    halted: bool,
-}
-
-/// Interpreter instance for one program.
-#[derive(Clone)]
-pub struct Machine {
-    flat: FlatProgram,
-    state: MachineState,
-    threads: Vec<ThreadCtx>,
-    cycle: u64,
-    ops_executed: u64,
-    /// Abort threshold for a single thread-cycle without a pause.
-    pub max_ops_per_cycle: u64,
-}
-
-impl Machine {
-    /// Builds a machine from a flattened program.
-    pub fn new(flat: FlatProgram) -> Self {
-        let state = MachineState::init(&flat.prog);
-        let threads = flat
-            .threads
-            .iter()
-            .map(|_| ThreadCtx {
-                pc: 0,
-                halted: false,
-            })
-            .collect();
-        Machine {
-            flat,
-            state,
-            threads,
-            cycle: 0,
-            ops_executed: 0,
-            max_ops_per_cycle: 100_000,
-        }
-    }
-
-    /// The program being executed.
-    pub fn program(&self) -> &Program {
-        &self.flat.prog
-    }
-
-    /// Current cycle count.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Total ops executed (software-target profiling).
-    pub fn ops_executed(&self) -> u64 {
-        self.ops_executed
-    }
-
-    /// Immutable state access.
-    pub fn state(&self) -> &MachineState {
-        &self.state
-    }
-
-    /// Mutable state access (environment-side pokes between cycles).
-    pub fn state_mut(&mut self) -> &mut MachineState {
-        &mut self.state
-    }
-
-    /// True when every thread has halted.
-    pub fn halted(&self) -> bool {
-        self.threads.iter().all(|t| t.halted)
-    }
-
-    /// Runs one clock cycle: each live thread executes until it pauses or
-    /// halts, then `env.tick` runs once.
-    pub fn step_cycle<E: Env + ?Sized, O: Observer + ?Sized>(
-        &mut self,
-        env: &mut E,
-        obs: &mut O,
-    ) -> IrResult<()> {
-        for ti in 0..self.threads.len() {
-            self.run_thread_to_pause(ti, obs)?;
-        }
-        self.cycle += 1;
-        env.tick(self.cycle, &self.flat.prog, &mut self.state);
-        Ok(())
-    }
-
-    /// Runs `n` cycles (stops early if all threads halt).
-    pub fn run_cycles(
-        &mut self,
-        n: u64,
-        env: &mut dyn Env,
-        obs: &mut dyn Observer,
-    ) -> IrResult<u64> {
-        for i in 0..n {
-            if self.halted() {
-                return Ok(i);
-            }
-            self.step_cycle(env, obs)?;
-        }
-        Ok(n)
-    }
-
-    fn run_thread_to_pause<O: Observer + ?Sized>(
-        &mut self,
-        ti: usize,
-        obs: &mut O,
-    ) -> IrResult<()> {
-        if self.threads[ti].halted {
+/// Tree-walker thread `ti`'s share of a cycle: executes its flattened
+/// ops from its pc until it pauses or halts, counting every op against
+/// the per-cycle budget.
+pub(crate) fn run_thread_to_pause<O: Observer + ?Sized>(
+    flat: &FlatProgram,
+    ti: usize,
+    inst: &mut Instance,
+    obs: &mut O,
+) -> IrResult<()> {
+    let (thread, prog) = (&flat.threads[ti], &flat.prog);
+    let Instance {
+        state,
+        threads,
+        ops_executed,
+        ..
+    } = inst;
+    let ctx = &mut threads[ti];
+    let mut budget = MAX_OPS_PER_CYCLE;
+    loop {
+        let pc = ctx.pc;
+        let Some(op) = thread.ops.get(pc) else {
+            ctx.halted = true;
             return Ok(());
-        }
-        // Split borrows: the op stream and program are read-only, state
-        // and the thread context are mutated — so ops are executed in
-        // place, never cloned.
-        let max_ops = self.max_ops_per_cycle;
-        let Machine {
-            flat,
-            state,
-            threads,
-            ops_executed,
-            ..
-        } = self;
-        let thread = &flat.threads[ti];
-        let prog = &flat.prog;
-        let ctx = &mut threads[ti];
-        let mut budget = max_ops;
-        loop {
-            let pc = ctx.pc;
-            let Some(op) = thread.ops.get(pc) else {
+        };
+        *ops_executed += 1;
+        budget = budget
+            .checked_sub(1)
+            .ok_or_else(|| missing_pause(&thread.name))?;
+        match op {
+            Op::Assign(dst, e) => {
+                state.assign(*dst, e, prog, obs);
+                ctx.pc = pc + 1;
+            }
+            Op::ArrWrite(arr, idx, val) => {
+                let i = eval(idx, state).to_u64() as usize;
+                state.arr_write(*arr, i, val);
+                ctx.pc = pc + 1;
+            }
+            Op::SigWrite(sig, val) => {
+                state.sig_write(*sig, val, prog);
+                ctx.pc = pc + 1;
+            }
+            Op::Branch(cond, if_false) => {
+                let c = eval(cond, state);
+                ctx.pc = if c.to_bool() { pc + 1 } else { *if_false };
+            }
+            Op::Jump(t) => {
+                ctx.pc = *t;
+            }
+            Op::Pause => {
+                ctx.pc = pc + 1;
+                return Ok(());
+            }
+            Op::Label(name) => {
+                obs.on_label(name);
+                ctx.pc = pc + 1;
+            }
+            Op::ExtPoint(id) => {
+                obs.on_ext_point(*id, state);
+                ctx.pc = pc + 1;
+            }
+            Op::Halt => {
                 ctx.halted = true;
                 return Ok(());
-            };
-            *ops_executed += 1;
-            budget = budget.checked_sub(1).ok_or_else(|| {
-                IrError(format!(
-                    "thread {} exceeded {} ops without pausing (missing pause()?)",
-                    thread.name, max_ops
-                ))
-            })?;
-            match op {
-                Op::Assign(dst, e) => {
-                    state.assign(*dst, e, prog, obs);
-                    ctx.pc = pc + 1;
-                }
-                Op::ArrWrite(arr, idx, val) => {
-                    let i = eval(idx, prog, state).to_u64() as usize;
-                    state.arr_write(*arr, i, val, prog);
-                    ctx.pc = pc + 1;
-                }
-                Op::SigWrite(sig, val) => {
-                    state.sig_write(*sig, val, prog);
-                    ctx.pc = pc + 1;
-                }
-                Op::Branch(cond, if_false) => {
-                    let c = eval(cond, prog, state);
-                    ctx.pc = if c.to_bool() { pc + 1 } else { *if_false };
-                }
-                Op::Jump(t) => {
-                    ctx.pc = *t;
-                }
-                Op::Pause => {
-                    ctx.pc = pc + 1;
-                    return Ok(());
-                }
-                Op::Label(name) => {
-                    obs.on_label(name);
-                    ctx.pc = pc + 1;
-                }
-                Op::ExtPoint(id) => {
-                    obs.on_ext_point(*id, state);
-                    ctx.pc = pc + 1;
-                }
-                Op::Halt => {
-                    ctx.halted = true;
-                    return Ok(());
-                }
             }
         }
     }
@@ -353,24 +249,18 @@ impl Machine {
 /// Follows the width rules of [`crate::ast`]: binary operands are
 /// zero-extended to the result width; comparisons are unsigned; shift
 /// amounts ≥ width produce zero; out-of-range array reads produce zero.
-pub fn eval(e: &Expr, prog: &Program, st: &MachineState) -> Bits {
+pub fn eval(e: &Expr, st: &MachineState) -> Bits {
     match e {
         Expr::Const(b) => b.clone(),
         Expr::Var(v) => st.vars[v.0 as usize].clone(),
         Expr::ArrRead(a, idx) => {
-            let i = eval(idx, prog, st).to_u64() as usize;
+            let i = eval(idx, st).to_u64() as usize;
             let cells = &st.arrays[a.0 as usize];
             cells.get(i).unwrap_or_else(|| Bits::zero(cells.width()))
         }
-        Expr::SigRead(s) => {
-            let decl = prog.signal(*s).expect("validated");
-            match decl.dir {
-                SigDir::In => st.sigs_in[s.0 as usize].clone(),
-                SigDir::Out => st.sigs_out[s.0 as usize].clone(),
-            }
-        }
+        Expr::SigRead(s) => st.sigs[s.0 as usize].clone(),
         Expr::Un(op, e) => {
-            let v = eval(e, prog, st);
+            let v = eval(e, st);
             match op {
                 UnOp::Not => v.not(),
                 UnOp::Neg => Bits::zero(v.width()).wrapping_sub(&v),
@@ -378,8 +268,8 @@ pub fn eval(e: &Expr, prog: &Program, st: &MachineState) -> Bits {
             }
         }
         Expr::Bin(op, l, r) => {
-            let lv = eval(l, prog, st);
-            let rv = eval(r, prog, st);
+            let lv = eval(l, st);
+            let rv = eval(r, st);
             // Shifts keep the left operand's own width, so they alone
             // read the operands as evaluated.
             if matches!(op, BinOp::Shl | BinOp::Shr) {
@@ -411,18 +301,18 @@ pub fn eval(e: &Expr, prog: &Program, st: &MachineState) -> Bits {
             }
         }
         Expr::Mux(c, t, e2) => {
-            let tv = eval(t, prog, st);
-            let ev = eval(e2, prog, st);
+            let tv = eval(t, st);
+            let ev = eval(e2, st);
             let w = tv.width().max(ev.width());
-            if eval(c, prog, st).to_bool() {
+            if eval(c, st).to_bool() {
                 tv.resize(w)
             } else {
                 ev.resize(w)
             }
         }
-        Expr::Slice(e, hi, lo) => eval(e, prog, st).slice(*hi, *lo),
-        Expr::Concat(h, l) => eval(h, prog, st).concat(&eval(l, prog, st)),
-        Expr::Resize(e, w) => eval(e, prog, st).resize(*w),
+        Expr::Slice(e, hi, lo) => eval(e, st).slice(*hi, *lo),
+        Expr::Concat(h, l) => eval(h, st).concat(&eval(l, st)),
+        Expr::Resize(e, w) => eval(e, st).resize(*w),
     }
 }
 
@@ -431,10 +321,11 @@ mod tests {
     use super::*;
     use crate::dsl::*;
     use crate::flat::flatten;
+    use crate::machine::{Code, Core};
     use crate::program::{ArrayBacking, ProgramBuilder};
 
-    fn machine(pb: ProgramBuilder) -> Machine {
-        Machine::new(flatten(&pb.build().unwrap()).unwrap())
+    fn machine(pb: ProgramBuilder) -> Core {
+        Core::new(Code::TreeWalk(flatten(&pb.build().unwrap()).unwrap()))
     }
 
     #[test]
@@ -472,7 +363,6 @@ mod tests {
             vec![forever(vec![assign(a, add(var(a), lit(1, 8)))])],
         );
         let mut m = machine(pb);
-        m.max_ops_per_cycle = 1000;
         let err = m.step_cycle(&mut NullEnv, &mut NullObserver).unwrap_err();
         assert!(err.0.contains("without pausing"));
     }
@@ -531,7 +421,7 @@ mod tests {
         impl Env for RaiseAt {
             fn tick(&mut self, cycle: u64, _prog: &Program, st: &mut MachineState) {
                 if cycle >= self.0 {
-                    st.sigs_in[self.1 .0 as usize] = Bits::from_u64(1, 1);
+                    st.sigs[self.1 .0 as usize] = Bits::from_u64(1, 1);
                 }
             }
         }
@@ -540,7 +430,7 @@ mod tests {
         let mut env = RaiseAt(3, ready);
         m.run_cycles(10, &mut env, &mut NullObserver).unwrap();
         assert!(m.halted());
-        assert_eq!(m.state().sigs_out[1].to_u64(), 1);
+        assert_eq!(m.state().sigs[1].to_u64(), 1);
         // It must have taken at least 3 cycles of waiting.
         assert!(m.cycle() >= 3);
     }

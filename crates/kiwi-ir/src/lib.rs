@@ -15,12 +15,17 @@
 //!   software semantics,
 //! * a compiled micro-op backend ([`mod@compile`]) with an optimization pass
 //!   pipeline ([`opt`]) — the *fast* software target, byte-identical to
-//!   the tree-walker by construction, and
+//!   the tree-walker by construction,
+//! * the FSM image ([`fsm`]) and its cycle-accurate step — the hardware
+//!   target,
+//! * the one machine all three run on ([`machine`]): a [`Core`] is a
+//!   shared, immutable [`Code`] image (tree-walk, compiled or FSM) plus
+//!   the state of one running copy, and
 //! * pretty-printers ([`pretty`]) for diagnostics.
 //!
-//! The FPGA back end (scheduling, FSM generation, resource estimation,
-//! Verilog emission) lives in the `kiwi` crate; the cycle-accurate
-//! simulator lives in `emu-rtl`.
+//! The rest of the FPGA back end (scheduling the FSM, resource
+//! estimation, Verilog emission) lives in the `kiwi` crate; the IP-block
+//! models the machines run against live in `emu-rtl`.
 
 #![forbid(unsafe_code)]
 
@@ -29,7 +34,9 @@ pub mod cells;
 pub mod compile;
 pub mod dsl;
 pub mod flat;
+pub mod fsm;
 pub mod interp;
+pub mod machine;
 pub mod opt;
 pub mod pretty;
 pub mod program;
@@ -37,11 +44,12 @@ pub mod program;
 pub use ast::{BinOp, Expr, IrError, IrResult, Stmt, UnOp};
 pub use cells::Cells;
 pub use compile::{
-    compile, compile_with_passes, mops_to_string, CompiledMachine, CompiledProgram, CompiledThread,
-    RegionInfo,
+    compile, compile_with_passes, mops_to_string, CompiledProgram, CompiledThread, RegionInfo,
 };
 pub use flat::{flatten, FlatProgram, FlatThread, Op};
-pub use interp::{eval, Env, Machine, MachineState, NullEnv, NullObserver, Observer};
+pub use fsm::{Fsm, FsmThread};
+pub use interp::{eval, Env, MachineState, NullEnv, NullObserver, Observer};
+pub use machine::{Code, Core};
 pub use opt::{default_pipeline, env_pipeline, parse_passes, Pass};
 pub use program::{
     ArrId, ArrayBacking, ArrayDecl, Program, ProgramBuilder, SigDecl, SigDir, SigId, Thread,

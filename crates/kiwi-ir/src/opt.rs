@@ -408,7 +408,7 @@ enum IdxKey {
 /// all machine state and clear everything.
 fn redundant_load(region: &mut [MOp], prog: &Program) {
     let mut var_s: HashMap<u32, Slot> = HashMap::new();
-    let mut sig_s: HashMap<(u32, bool), Slot> = HashMap::new();
+    let mut sig_s: HashMap<u32, Slot> = HashMap::new();
     let mut arr_s: HashMap<(u32, IdxKey), Slot> = HashMap::new();
     // Known possibly-set bits per slot (for store forwarding) and known
     // constants / copy sources (for index resolution).
@@ -426,9 +426,7 @@ fn redundant_load(region: &mut [MOp], prog: &Program) {
         // 1. Replace loads whose value is already in a slot.
         let rep = match &*op {
             MOp::LdVarS { dst, var } => var_s.get(var).map(|&a| MOp::CopyS { dst: *dst, a }),
-            MOp::LdSigS { dst, sig, out } => sig_s
-                .get(&(*sig, *out))
-                .map(|&a| MOp::CopyS { dst: *dst, a }),
+            MOp::LdSigS { dst, sig } => sig_s.get(sig).map(|&a| MOp::CopyS { dst: *dst, a }),
             MOp::LdArrCS { dst, arr, idx } => arr_s
                 .get(&(*arr, IdxKey::Const(*idx)))
                 .map(|&a| MOp::CopyS { dst: *dst, a }),
@@ -465,8 +463,8 @@ fn redundant_load(region: &mut [MOp], prog: &Program) {
             MOp::LdVarS { dst, var } => {
                 var_s.insert(*var, *dst);
             }
-            MOp::LdSigS { dst, sig, out } => {
-                sig_s.insert((*sig, *out), *dst);
+            MOp::LdSigS { dst, sig } => {
+                sig_s.insert(*sig, *dst);
             }
             MOp::LdArrCS { dst, arr, idx } => {
                 arr_s.insert((*arr, IdxKey::Const(*idx)), *dst);
@@ -487,13 +485,13 @@ fn redundant_load(region: &mut [MOp], prog: &Program) {
                 var_s.remove(var);
             }
             MOp::StSigS { sig, a, w } => {
-                sig_s.remove(&(*sig, true));
+                sig_s.remove(sig);
                 if fits(&nz, *a, *w) {
-                    sig_s.insert((*sig, true), *a);
+                    sig_s.insert(*sig, *a);
                 }
             }
             MOp::StSigE { sig, .. } => {
-                sig_s.remove(&(*sig, true));
+                sig_s.remove(sig);
             }
             MOp::StArrS { arr, idx, .. } | MOp::StArrE { arr, idx, .. } => {
                 match consts.get(&resolve(&copies, *idx)) {
@@ -846,16 +844,26 @@ fn dead_scratch(region: &mut Vec<MOp>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::{compile_with_passes, mops_to_string, CompiledMachine, CompiledProgram};
+    use crate::compile::{compile_with_passes, mops_to_string, CompiledProgram};
     use crate::dsl::*;
     use crate::flat::flatten;
-    use crate::interp::{Env, Machine, MachineState, NullEnv, NullObserver};
+    use crate::flat::FlatProgram;
+    use crate::interp::{Env, MachineState, NullEnv, NullObserver};
+    use crate::machine::{Code, Core};
     use crate::program::{ArrayBacking, ProgramBuilder};
     use emu_types::Bits;
 
     /// Compiles `pb`'s program under the given passes.
     fn lower(pb: &ProgramBuilder, passes: &[Pass]) -> CompiledProgram {
         compile_with_passes(&flatten(&pb.clone().build().unwrap()).unwrap(), passes).unwrap()
+    }
+
+    fn treewalk(flat: FlatProgram) -> Core {
+        Core::new(Code::TreeWalk(flat))
+    }
+
+    fn compiled(cp: CompiledProgram) -> Core {
+        Core::new(Code::Compiled(cp))
     }
 
     fn listing(cp: &CompiledProgram) -> String {
@@ -866,15 +874,15 @@ mod tests {
     /// for `cycles` and asserts identical register/array/signal state.
     fn assert_lockstep(pb: &ProgramBuilder, cycles: u64) {
         let flat = flatten(&pb.clone().build().unwrap()).unwrap();
-        let mut tw = Machine::new(flat);
+        let mut tw = treewalk(flat);
         tw.run_cycles(cycles, &mut NullEnv, &mut NullObserver)
             .unwrap();
-        let mut cm = CompiledMachine::new(lower(pb, default_pipeline()));
+        let mut cm = compiled(lower(pb, default_pipeline()));
         cm.run_cycles(cycles, &mut NullEnv, &mut NullObserver)
             .unwrap();
         assert_eq!(tw.state().vars, cm.state().vars);
         assert_eq!(tw.state().arrays, cm.state().arrays);
-        assert_eq!(tw.state().sigs_out, cm.state().sigs_out);
+        assert_eq!(tw.state().sigs, cm.state().sigs);
     }
 
     /// The doc-example program: `a := resize(resize(a + 1, 16), 8)`.
@@ -923,10 +931,9 @@ mod tests {
                 halt(),
             ],
         );
-        let mut tw = Machine::new(flatten(&pb.clone().build().unwrap()).unwrap());
+        let mut tw = treewalk(flatten(&pb.clone().build().unwrap()).unwrap());
         tw.run_cycles(3, &mut NullEnv, &mut NullObserver).unwrap();
-        let mut cm =
-            crate::compile::CompiledMachine::new(lower(&pb, &[Pass::ConstFold, Pass::DeadScratch]));
+        let mut cm = compiled(lower(&pb, &[Pass::ConstFold, Pass::DeadScratch]));
         cm.run_cycles(3, &mut NullEnv, &mut NullObserver).unwrap();
         assert_eq!(tw.state().vars[0], cm.state().vars[0]);
     }
@@ -960,7 +967,7 @@ mod tests {
         // The doc example end-to-end: optimized and unoptimized bytecode
         // both agree with the tree-walker.
         for passes in [&[][..], default_pipeline()] {
-            let mut cm = crate::compile::CompiledMachine::new(lower(&resize_tower(), passes));
+            let mut cm = compiled(lower(&resize_tower(), passes));
             cm.state_mut().vars[0] = emu_types::Bits::from_u64(0xfe, 8);
             cm.run_cycles(3, &mut NullEnv, &mut NullObserver).unwrap();
             assert_eq!(cm.state().vars[0].to_u64(), 0xff);
@@ -1070,7 +1077,7 @@ mod tests {
         struct SigTick;
         impl Env for SigTick {
             fn tick(&mut self, cycle: u64, _prog: &Program, st: &mut MachineState) {
-                st.sigs_in[0] = Bits::from_u64(0x11 + cycle, 8);
+                st.sigs[0] = Bits::from_u64(0x11 + cycle, 8);
             }
         }
         let mut pb = ProgramBuilder::new("p");
@@ -1083,9 +1090,9 @@ mod tests {
         );
         let text = listing(&lower(&pb, default_pipeline()));
         assert_eq!(text.matches("<- sig s").count(), 2, "{text}");
-        let mut tw = Machine::new(flatten(&pb.clone().build().unwrap()).unwrap());
+        let mut tw = treewalk(flatten(&pb.clone().build().unwrap()).unwrap());
         tw.run_cycles(4, &mut SigTick, &mut NullObserver).unwrap();
-        let mut cm = CompiledMachine::new(lower(&pb, default_pipeline()));
+        let mut cm = compiled(lower(&pb, default_pipeline()));
         cm.run_cycles(4, &mut SigTick, &mut NullObserver).unwrap();
         assert_eq!(tw.state().vars, cm.state().vars);
         assert_ne!(cm.state().vars[0], cm.state().vars[1], "tick was visible");
@@ -1120,7 +1127,7 @@ mod tests {
         assert_eq!(text.matches("<- var a").count(), 0, "{text}");
         // ...but the producing Add must survive for both stores.
         assert_eq!(text.matches("Add").count(), 1, "{text}");
-        let mut cm = CompiledMachine::new(lower(&pb, default_pipeline()));
+        let mut cm = compiled(lower(&pb, default_pipeline()));
         cm.run_cycles(3, &mut NullEnv, &mut NullObserver).unwrap();
         assert_eq!(cm.state().vars[2].to_u64(), 0x22);
         assert_lockstep(&pb, 3);
@@ -1159,10 +1166,10 @@ mod tests {
             ],
         );
         let flat = flatten(&pb.clone().build().unwrap()).unwrap();
-        let mut tw = Machine::new(flat);
+        let mut tw = treewalk(flat);
         tw.run_cycles(4, &mut NullEnv, &mut NullObserver).unwrap();
         for passes in [&[][..], default_pipeline()] {
-            let mut cm = CompiledMachine::new(lower(&pb, passes));
+            let mut cm = compiled(lower(&pb, passes));
             cm.run_cycles(4, &mut NullEnv, &mut NullObserver).unwrap();
             assert_eq!(tw.state().vars, cm.state().vars, "passes = {passes:?}");
         }
@@ -1388,7 +1395,7 @@ mod tests {
         );
         assert_lockstep(&pb, 5);
         // x must see the *stored* low byte.
-        let mut cm = CompiledMachine::new(lower(&pb, default_pipeline()));
+        let mut cm = compiled(lower(&pb, default_pipeline()));
         cm.run_cycles(5, &mut NullEnv, &mut NullObserver).unwrap();
         assert_eq!(cm.state().vars[1].to_u64(), 0x1299);
     }

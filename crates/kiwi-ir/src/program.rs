@@ -84,7 +84,7 @@ pub struct SigDecl {
     pub width: u16,
     /// Direction.
     pub dir: SigDir,
-    /// Reset value for `Out` signals.
+    /// Reset value (zero for every signal the builder declares).
     pub init: Bits,
 }
 

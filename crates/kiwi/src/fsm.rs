@@ -21,11 +21,17 @@
 //! deeper pipeline; the `ablation-parallelism` bench uses this to
 //! reproduce the paper's observation (§2, §5.3) that adding parallelism
 //! (pipeline depth) *increases* network latency.
+//!
+//! The image the scheduler produces, [`Fsm`], is defined in `kiwi-ir`
+//! beside the machine that runs it (`kiwi_ir::Code::Fpga`) and
+//! re-exported here.
 
 use kiwi_ir::flat::{FlatProgram, FlatThread, Op};
+use kiwi_ir::fsm::resolve;
+pub use kiwi_ir::fsm::{Fsm, FsmThread};
 use kiwi_ir::program::Program;
 use kiwi_ir::{IrError, IrResult};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Calibration constants for the scheduler and resource estimator.
 ///
@@ -47,71 +53,6 @@ impl Default for CostModel {
             period_units: 24,
             clock_hz: 200_000_000,
         }
-    }
-}
-
-impl CostModel {
-    /// Nanoseconds per clock cycle.
-    pub fn ns_per_cycle(&self) -> f64 {
-        1e9 / self.clock_hz as f64
-    }
-}
-
-/// A state machine compiled from one thread.
-#[derive(Debug, Clone)]
-pub struct FsmThread {
-    /// Thread name.
-    pub name: String,
-    /// The op stream (shared shape with the flattened thread).
-    pub ops: Vec<Op>,
-    /// State entry points: op index → dense state number, ascending in pc.
-    pub state_of_pc: BTreeMap<usize, usize>,
-    /// Entry state pc (`resolve(0)`).
-    pub entry_pc: usize,
-}
-
-/// A compiled program: declarations plus one FSM per thread.
-#[derive(Debug, Clone)]
-pub struct Fsm {
-    /// Declarations (registers, arrays, signals).
-    pub prog: Program,
-    /// Per-thread state machines.
-    pub threads: Vec<FsmThread>,
-    /// The cost model used for scheduling.
-    pub model: CostModel,
-}
-
-impl FsmThread {
-    /// Number of FSM states.
-    pub fn state_count(&self) -> usize {
-        self.state_of_pc.len()
-    }
-
-    /// True if `pc` begins a state.
-    pub fn is_boundary(&self, pc: usize) -> bool {
-        self.state_of_pc.contains_key(&pc)
-    }
-
-    /// Follows `Jump` and `Label` chains from `pc` to the first effective
-    /// op. Safe on malformed chains (gives up after `ops.len()` hops).
-    pub fn resolve(&self, mut pc: usize) -> usize {
-        resolve(&self.ops, &mut pc);
-        pc
-    }
-}
-
-fn resolve(ops: &[Op], pc: &mut usize) {
-    let mut hops = 0;
-    loop {
-        if hops > ops.len() {
-            return;
-        }
-        match ops.get(*pc) {
-            Some(Op::Jump(t)) => *pc = *t,
-            Some(Op::Label(_)) => *pc += 1,
-            _ => return,
-        }
-        hops += 1;
     }
 }
 
@@ -139,26 +80,16 @@ fn schedule_thread(t: &FlatThread, prog: &Program, model: &CostModel) -> IrResul
     let n = ops.len();
     let mut boundaries: BTreeSet<usize> = BTreeSet::new();
 
-    let mut entry = 0usize;
-    resolve(&ops, &mut entry);
+    let entry = resolve(&ops, 0);
     boundaries.insert(entry);
 
     for (i, op) in ops.iter().enumerate() {
         match op {
             Op::Pause if i < n => {
-                let mut t2 = i + 1;
-                resolve(&ops, &mut t2);
-                boundaries.insert(t2.min(n.saturating_sub(1)));
+                boundaries.insert(resolve(&ops, i + 1).min(n.saturating_sub(1)));
             }
-            Op::Jump(t) if *t <= i => {
-                let mut t2 = *t;
-                resolve(&ops, &mut t2);
-                boundaries.insert(t2);
-            }
-            Op::Branch(_, t) if *t <= i => {
-                let mut t2 = *t;
-                resolve(&ops, &mut t2);
-                boundaries.insert(t2);
+            Op::Jump(t) | Op::Branch(_, t) if *t <= i => {
+                boundaries.insert(resolve(&ops, *t));
             }
             _ => {}
         }
@@ -201,19 +132,7 @@ fn schedule_thread(t: &FlatThread, prog: &Program, model: &CostModel) -> IrResul
         }
     }
 
-    let state_of_pc: BTreeMap<usize, usize> = boundaries
-        .iter()
-        .filter(|&&pc| pc < n)
-        .enumerate()
-        .map(|(s, &pc)| (pc, s))
-        .collect();
-
-    Ok(FsmThread {
-        name: t.name.clone(),
-        ops,
-        state_of_pc,
-        entry_pc: entry,
-    })
+    Ok(FsmThread::new(t.name.clone(), ops, entry, boundaries))
 }
 
 /// Compiles a flattened program into per-thread FSMs under `model`.
@@ -228,7 +147,6 @@ pub fn schedule(flat: &FlatProgram, model: CostModel) -> IrResult<Fsm> {
     Ok(Fsm {
         prog: flat.prog.clone(),
         threads,
-        model,
     })
 }
 
@@ -237,10 +155,17 @@ mod tests {
     use super::*;
     use kiwi_ir::dsl::*;
     use kiwi_ir::flat::flatten;
+    use kiwi_ir::interp::{NullEnv, NullObserver};
     use kiwi_ir::program::ProgramBuilder;
+    use kiwi_ir::{Code, Core};
 
     fn fsm_of(pb: ProgramBuilder, model: CostModel) -> Fsm {
         schedule(&flatten(&pb.build().unwrap()).unwrap(), model).unwrap()
+    }
+
+    /// `pb`'s program scheduled under `model`, on the cycle-accurate core.
+    fn rtl(pb: &ProgramBuilder, model: CostModel) -> Core {
+        Core::new(Code::Fpga(fsm_of(pb.clone(), model)))
     }
 
     #[test]
@@ -340,7 +265,7 @@ mod tests {
         );
         let f = fsm_of(pb, CostModel::default());
         let t = &f.threads[0];
-        for &pc in t.state_of_pc.keys() {
+        for (pc, _) in t.states() {
             // No state may begin on a Jump (they must be resolved through).
             assert!(!matches!(t.ops[pc], Op::Jump(_)), "state at jump pc {pc}");
         }
@@ -351,5 +276,123 @@ mod tests {
         let pb = ProgramBuilder::new("p");
         let flat = flatten(&pb.build().unwrap()).unwrap();
         assert!(schedule(&flat, CostModel::default()).is_err());
+    }
+
+    #[test]
+    fn counter_advances_once_per_cycle() {
+        let mut pb = ProgramBuilder::new("c");
+        let c = pb.reg("c", 32);
+        pb.thread(
+            "main",
+            vec![forever(vec![assign(c, add(var(c), lit(1, 32))), pause()])],
+        );
+        let mut m = rtl(&pb, CostModel::default());
+        m.run_cycles(100, &mut NullEnv, &mut NullObserver).unwrap();
+        assert_eq!(m.state().vars[0].to_u64(), 100);
+        assert_eq!(m.cycle(), 100);
+    }
+
+    #[test]
+    fn budget_split_changes_cycles_not_result() {
+        // Ten chained adds: generous budget = 1 cycle/iteration, tight
+        // budget = several cycles/iteration; the final value must agree.
+        let mut pb = ProgramBuilder::new("chain");
+        let a = pb.reg("a", 32);
+        let done = pb.reg("done", 1);
+        let mut body = Vec::new();
+        for _ in 0..10 {
+            body.push(assign(a, add(var(a), lit(3, 32))));
+        }
+        body.push(assign(done, lit(1, 1)));
+        body.push(halt());
+        pb.thread("main", body);
+        let model = |period_units| CostModel {
+            period_units,
+            clock_hz: 200_000_000,
+        };
+        let mut loose = rtl(&pb, model(10_000));
+        let mut tight = rtl(&pb, model(8));
+        loose
+            .run_cycles(1000, &mut NullEnv, &mut NullObserver)
+            .unwrap();
+        tight
+            .run_cycles(1000, &mut NullEnv, &mut NullObserver)
+            .unwrap();
+        assert_eq!(loose.state().vars[0].to_u64(), 30);
+        assert_eq!(tight.state().vars[0].to_u64(), 30);
+        assert!(tight.cycle() > loose.cycle());
+    }
+
+    #[test]
+    fn rtl_matches_interpreter_functionally() {
+        // A program with data-dependent control flow; both targets must
+        // compute the same fibonacci-ish sequence.
+        let mut pb = ProgramBuilder::new("fib");
+        let a = pb.reg("a", 64);
+        let b = pb.reg("b", 64);
+        let i = pb.reg("i", 8);
+        let t = pb.reg("t", 64);
+        pb.reg_init("seed", 64, emu_types::Bits::from_u64(1, 64));
+        pb.thread(
+            "main",
+            vec![
+                assign(b, lit(1, 64)),
+                while_loop(
+                    lt(var(i), lit(30, 8)),
+                    vec![
+                        assign(t, add(var(a), var(b))),
+                        assign(a, var(b)),
+                        assign(b, var(t)),
+                        assign(i, add(var(i), lit(1, 8))),
+                        pause(),
+                    ],
+                ),
+                halt(),
+            ],
+        );
+        let flat = flatten(&pb.clone().build().unwrap()).unwrap();
+        let mut interp = Core::new(Code::TreeWalk(flat));
+        interp
+            .run_cycles(100, &mut NullEnv, &mut NullObserver)
+            .unwrap();
+
+        let mut m = rtl(&pb, CostModel::default());
+        m.run_cycles(1000, &mut NullEnv, &mut NullObserver).unwrap();
+
+        assert!(interp.halted() && m.halted());
+        assert_eq!(interp.state().vars[0], m.state().vars[0]);
+        assert_eq!(interp.state().vars[1], m.state().vars[1]);
+        assert_eq!(m.state().vars[1].to_u64(), 1_346_269); // fib(31)
+    }
+
+    #[test]
+    fn occupancy_profile_accumulates() {
+        let mut pb = ProgramBuilder::new("p");
+        let a = pb.reg("a", 8);
+        pb.thread(
+            "main",
+            vec![forever(vec![
+                assign(a, add(var(a), lit(1, 8))),
+                pause(),
+                assign(a, add(var(a), lit(2, 8))),
+                pause(),
+            ])],
+        );
+        let mut m = rtl(&pb, CostModel::default());
+        m.run_cycles(10, &mut NullEnv, &mut NullObserver).unwrap();
+        let total: u64 = m.occupancy().iter().flatten().sum();
+        assert_eq!(total, 10);
+        assert!(m.occupancy_report().contains("thread main"));
+    }
+
+    #[test]
+    fn halted_design_stops_consuming_cycles() {
+        let mut pb = ProgramBuilder::new("p");
+        let a = pb.reg("a", 8);
+        pb.thread("main", vec![assign(a, lit(9, 8)), halt()]);
+        let mut m = rtl(&pb, CostModel::default());
+        let ran = m.run_cycles(100, &mut NullEnv, &mut NullObserver).unwrap();
+        assert!(ran <= 2);
+        assert!(m.halted());
     }
 }

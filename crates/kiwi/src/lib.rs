@@ -12,7 +12,9 @@
 //! * **Verilog emission** ([`verilog`]): textual RTL with forward-
 //!   substituted, guard-qualified non-blocking assignments.
 //!
-//! Cycle-accurate *execution* of the compiled FSM lives in `emu-rtl`.
+//! The FSM image itself ([`Fsm`]) lives in `kiwi-ir`, beside its
+//! cycle-accurate *execution*: a `kiwi_ir::Core` on `kiwi_ir::Code::Fpga`
+//! runs one state per clock edge.
 
 #![forbid(unsafe_code)]
 

@@ -8,8 +8,8 @@
 //! every leaving edge (pause, boundary, halt) records a guarded next-state.
 //!
 //! The emitted text is syntactically valid Verilog-2001. It is not run
-//! here (no RTL simulator ships with this reproduction — the cycle-accurate
-//! `emu-rtl` crate executes the same FSM natively), but the structure is
+//! here (no RTL simulator ships with this reproduction — `kiwi_ir::Core`
+//! executes the same FSM natively, cycle by cycle), but the structure is
 //! tested: balanced blocks, declared identifiers, complete state coverage.
 
 use crate::fsm::{Fsm, FsmThread};
@@ -62,7 +62,7 @@ pub fn emit(fsm: &Fsm) -> IrResult<String> {
     for (ti, t) in fsm.threads.iter().enumerate() {
         let state_bits = bits_for(t.state_count());
         let _ = writeln!(v, "  reg [{}:0] t{}_state;", state_bits.max(1) - 1, ti);
-        for (pc, sid) in &t.state_of_pc {
+        for (pc, sid) in t.states() {
             let _ = writeln!(v, "  localparam T{}_S{} = {}; // pc {}", ti, sid, sid, pc);
         }
     }
@@ -87,12 +87,12 @@ fn emit_thread(v: &mut String, prog: &Program, t: &FsmThread, ti: usize) -> IrRe
             let _ = writeln!(v, "      {} <= {};", sanitize(&s.name), s.init);
         }
     }
-    let entry_sid = t.state_of_pc.get(&t.entry_pc).copied().unwrap_or(0);
+    let entry_sid = t.state_at(t.entry_pc).unwrap_or(0);
     let _ = writeln!(v, "      t{}_state <= T{}_S{};", ti, ti, entry_sid);
     let _ = writeln!(v, "    end else begin");
     let _ = writeln!(v, "      case (t{}_state)", ti);
 
-    for (&pc, &sid) in &t.state_of_pc {
+    for (pc, sid) in t.states() {
         let _ = writeln!(v, "        T{}_S{}: begin", ti, sid);
         let paths = enumerate_paths(prog, t, pc)?;
         emit_state_body(v, prog, t, ti, &paths);
@@ -176,7 +176,7 @@ fn enumerate_paths(_prog: &Program, t: &FsmThread, start: usize) -> IrResult<Vec
                         writes: env.into_iter().collect(),
                         sig_writes: sigw,
                         arr_writes: arrw,
-                        next: t.state_of_pc.get(&pc).copied(),
+                        next: t.state_at(pc),
                     });
                     break;
                 }
@@ -189,7 +189,7 @@ fn enumerate_paths(_prog: &Program, t: &FsmThread, start: usize) -> IrResult<Vec
                     writes: env.into_iter().collect(),
                     sig_writes: sigw,
                     arr_writes: arrw,
-                    next: t.state_of_pc.get(&pc).copied(),
+                    next: t.state_at(pc),
                 });
                 break;
             }
@@ -227,7 +227,7 @@ fn enumerate_paths(_prog: &Program, t: &FsmThread, start: usize) -> IrResult<Vec
                         writes: env.into_iter().collect(),
                         sig_writes: sigw,
                         arr_writes: arrw,
-                        next: t.state_of_pc.get(&next_pc).copied(),
+                        next: t.state_at(next_pc),
                     });
                     break;
                 }

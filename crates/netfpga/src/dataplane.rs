@@ -23,12 +23,11 @@
 //! * out `rx_done`   — pulse: finished with this frame (platform drops
 //!   `rx_valid` the same tick).
 
-use emu_rtl::Core;
 use emu_types::Bits;
 use emu_types::Frame;
 use kiwi_ir::interp::{Env, Observer};
 use kiwi_ir::program::{ArrId, ArrayBacking, SigId};
-use kiwi_ir::{IrError, IrResult, Program, ProgramBuilder};
+use kiwi_ir::{Core, IrError, IrResult, Program, ProgramBuilder};
 
 /// Canonical signal / array names of the dataplane contract.
 pub mod names {
@@ -133,9 +132,12 @@ pub struct CoreOutput {
 /// Platform-side driver: feeds frames to a program over the dataplane
 /// contract and collects its transmissions.
 ///
-/// It holds a [`Core`], so the identical service program is driven on the
-/// cycle-accurate FSM (hardware target), the compiled micro-op backend or
-/// the tree-walking interpreter (software targets) by the same frame loop.
+/// It holds a [`Core`]: a shared code image — the cycle-accurate FSM
+/// (hardware target), the compiled micro-op bytecode or the tree-walking
+/// interpreter's ops (software targets) — plus this driver's machine
+/// state, so the identical service program is driven by the same frame
+/// loop on every target, and a `clone()` (one per engine shard) shares
+/// the image and copies only the state.
 #[derive(Clone)]
 pub struct DataplaneDriver {
     core: Core,
@@ -215,9 +217,9 @@ impl DataplaneDriver {
         // The prefix [0, len) now holds frame bytes; everything above is
         // zero again.
         st.arr_high[p.frame.0 as usize] = len;
-        st.sigs_in[p.rx_valid.0 as usize] = Bits::from_u64(1, 1);
-        st.sigs_in[p.rx_len.0 as usize] = Bits::from_u64(len as u64, 16);
-        st.sigs_in[p.rx_port.0 as usize] = Bits::from_u64(u64::from(frame.in_port), 8);
+        st.sigs[p.rx_valid.0 as usize] = Bits::from_u64(1, 1);
+        st.sigs[p.rx_len.0 as usize] = Bits::from_u64(len as u64, 16);
+        st.sigs[p.rx_port.0 as usize] = Bits::from_u64(u64::from(frame.in_port), 8);
     }
 
     /// Delivers `frame` to the core and runs until the core pulses
@@ -265,12 +267,12 @@ impl DataplaneDriver {
             #[inline(always)]
             |st| {
                 cycles += 1;
-                let tx_now = st.sigs_out[p.tx_valid.0 as usize].to_bool();
-                let done_now = st.sigs_out[p.rx_done.0 as usize].to_bool();
+                let tx_now = st.sigs[p.tx_valid.0 as usize].to_bool();
+                let done_now = st.sigs[p.rx_done.0 as usize].to_bool();
 
                 if tx_now && !prev_tx {
-                    let len = (st.sigs_out[p.tx_len.0 as usize].to_u64() as usize).min(cap);
-                    let ports = st.sigs_out[p.tx_ports.0 as usize].to_u64() as u8;
+                    let len = (st.sigs[p.tx_len.0 as usize].to_u64() as usize).min(cap);
+                    let ports = st.sigs[p.tx_ports.0 as usize].to_u64() as u8;
                     let buf = st.arrays[p.frame.0 as usize].bytes().expect(FRAME_IS_BYTES);
                     tx.push(TxFrame {
                         ports,
@@ -282,7 +284,7 @@ impl DataplaneDriver {
                 if done_now && !prev_done {
                     // Drop rx_valid the same tick so the core's next loop
                     // iteration sees no frame.
-                    st.sigs_in[p.rx_valid.0 as usize] = Bits::from_u64(0, 1);
+                    st.sigs[p.rx_valid.0 as usize] = Bits::from_u64(0, 1);
                     return Some(Ok(()));
                 }
                 prev_done = done_now;
@@ -298,19 +300,18 @@ impl DataplaneDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emu_rtl::RtlMachine;
     use kiwi_ir::dsl::*;
     use kiwi_ir::interp::{NullEnv, NullObserver};
-    use kiwi_ir::Machine;
+    use kiwi_ir::Code;
 
     /// `prog` on the FSM.
     fn rtl(prog: &Program) -> Core {
-        Core::Fpga(RtlMachine::new(kiwi::compile(prog).unwrap()))
+        Core::new(Code::Fpga(kiwi::compile(prog).unwrap()))
     }
 
     /// `prog` on the tree-walker.
     fn treewalk(prog: &Program) -> Core {
-        Core::TreeWalk(Machine::new(kiwi_ir::flatten(prog).unwrap()))
+        Core::new(Code::TreeWalk(kiwi_ir::flatten(prog).unwrap()))
     }
 
     /// A mirror service: sends every frame back out of its arrival port,
@@ -482,9 +483,8 @@ mod tests {
     fn bytes_above_the_frame_are_zero_on_every_backend() {
         let prog = tail_echo_program();
         let tw = zero_tail_run(treewalk(&prog));
-        let cm = zero_tail_run(Core::Compiled(
-            kiwi_ir::CompiledMachine::from_program(&prog).unwrap(),
-        ));
+        let flat = kiwi_ir::flatten(&prog).unwrap();
+        let cm = zero_tail_run(Core::new(Code::Compiled(kiwi_ir::compile(&flat).unwrap())));
         let fpga = zero_tail_run(rtl(&prog));
         // The mark the next load relies on: the store lifts it to 64,
         // plain frames leave it at their length.

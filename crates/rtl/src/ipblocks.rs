@@ -18,7 +18,7 @@
 //! generates its protocol statements from the handle (`lookup`, `seed`,
 //! `enlist`, …) and the model is constructed from the same handle
 //! (`CamModel::new(&cam_if, entries, native)`), indexing the machine's
-//! signal arrays by those ids every cycle — nothing is looked up by name
+//! signal file by those ids every cycle — nothing is looked up by name
 //! while frames flow, widths are stated once, and the prefix survives
 //! only as the label on telemetry and errors. The engine runs
 //! [`IpEnv::check`] once per shard at build, so a model whose handle
@@ -136,19 +136,19 @@ struct Port {
 }
 
 impl Port {
-    /// The program's current value on this `Out` port.
+    /// The current value on this port.
     #[inline]
     fn get<'a>(&self, st: &'a MachineState) -> &'a Bits {
-        &st.sigs_out[self.id.0 as usize]
+        &st.sigs[self.id.0 as usize]
     }
 
-    /// Whether this 1-bit `Out` strobe is raised.
+    /// Whether this 1-bit strobe is raised.
     #[inline]
     fn high(&self, st: &MachineState) -> bool {
         self.get(st).to_bool()
     }
 
-    /// The program's current value, at the port's width.
+    /// The current value, at the port's width.
     #[inline]
     fn sample(&self, st: &MachineState) -> Bits {
         self.fit(self.get(st).clone())
@@ -157,12 +157,12 @@ impl Port {
     /// Drives this `In` port for the program's next cycle.
     #[inline]
     fn drive(&self, st: &mut MachineState, v: Bits) {
-        st.sigs_in[self.id.0 as usize] = self.fit(v);
+        st.sigs[self.id.0 as usize] = self.fit(v);
     }
 
     /// `v` at the port's width. Every value a machine or a model puts
     /// on a port already has it, so this is a move; the resize keeps the
-    /// signal arrays' width invariant if one ever does not.
+    /// signal file's width invariant if one ever does not.
     #[inline]
     fn fit(&self, v: Bits) -> Bits {
         if v.width() == self.width {
@@ -930,7 +930,7 @@ impl IpBlockModel for NaughtyQModel {
         // An eviction report lasts one cycle. Only this model writes the
         // two ports, so when neither last cycle nor this one evicted they
         // already read zero and an idle cycle writes nothing.
-        if evicted.is_some() || st.sigs_in[p.evicted.id.0 as usize].to_bool() {
+        if evicted.is_some() || p.evicted.high(st) {
             let idx = evicted.unwrap_or(0) as u64;
             p.evicted.drive(st, Bits::from_bool(evicted.is_some()));
             p.evicted_idx.drive(st, Bits::from_u64(idx, 16));
@@ -1092,7 +1092,7 @@ impl IpBlockModel for BramModel {
 mod tests {
     use super::*;
     use kiwi_ir::interp::NullObserver;
-    use kiwi_ir::Machine;
+    use kiwi_ir::{Code, Core};
 
     /// A program that only declares a block's ports, and its reset
     /// state — for driving a model directly.
@@ -1107,12 +1107,17 @@ mod tests {
 
     /// Program side of a directly driven model: puts `v` on an `Out` port.
     fn put(st: &mut MachineState, port: Port, v: u64) {
-        st.sigs_out[port.id.0 as usize] = Bits::from_u64(v, port.width);
+        st.sigs[port.id.0 as usize] = Bits::from_u64(v, port.width);
     }
 
     /// Program side of a directly driven model: reads an `In` port.
     fn read(st: &MachineState, port: Port) -> u64 {
-        st.sigs_in[port.id.0 as usize].to_u64()
+        port.get(st).to_u64()
+    }
+
+    /// `prog` on the tree-walker.
+    fn treewalk(prog: &Program) -> Core {
+        Core::new(Code::TreeWalk(kiwi_ir::flatten(prog).unwrap()))
     }
 
     #[test]
@@ -1129,7 +1134,7 @@ mod tests {
         body.push(halt());
         pb.thread("main", body);
         let prog = pb.build().unwrap();
-        let mut m = Machine::new(kiwi_ir::flatten(&prog).unwrap());
+        let mut m = treewalk(&prog);
         let mut env = IpEnv::new();
         env.attach(Box::new(CamModel::new(&cam, 16, false)));
         env.check(&prog).unwrap();
@@ -1149,7 +1154,7 @@ mod tests {
         body.push(halt());
         pb.thread("main", body);
         let prog = pb.build().unwrap();
-        let mut m = Machine::new(kiwi_ir::flatten(&prog).unwrap());
+        let mut m = treewalk(&prog);
         let mut env = IpEnv::new();
         env.attach(Box::new(CamModel::new(&cam, 4, false)));
         m.run_cycles(10, &mut env, &mut NullObserver).unwrap();
@@ -1203,7 +1208,7 @@ mod tests {
         body.push(halt());
         pb.thread("main", body);
         let prog = pb.build().unwrap();
-        let mut m = Machine::new(kiwi_ir::flatten(&prog).unwrap());
+        let mut m = treewalk(&prog);
         let mut env = IpEnv::new();
         env.attach(Box::new(PearsonHashModel::new(&h)));
         env.check(&prog).unwrap();

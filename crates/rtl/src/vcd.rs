@@ -3,21 +3,20 @@
 //! Emu's debugging story (§2, §3.5) includes inspecting runtime behaviour
 //! without an RTL-level simulator; dumping register traffic in the VCD
 //! format lets any standard waveform viewer display a run of the
-//! cycle-accurate simulator. The writer records every register and output
-//! signal each sampled cycle, emitting changes only.
+//! cycle-accurate simulator. The writer records every register and every
+//! signal, input and output, each sampled cycle, emitting changes only.
 
 use emu_types::Bits;
 use kiwi_ir::interp::MachineState;
 use kiwi_ir::program::Program;
 use std::fmt::Write as _;
 
-/// Incremental VCD writer over a program's registers and output signals.
+/// Incremental VCD writer over a program's registers and signals.
 pub struct VcdTrace {
     header: String,
     body: String,
     ids: Vec<(String, u16)>, // (vcd id, width) per tracked slot
     last: Vec<Option<Bits>>,
-    nvars: usize,
 }
 
 fn vcd_id(i: usize) -> String {
@@ -36,7 +35,7 @@ fn vcd_id(i: usize) -> String {
 
 impl VcdTrace {
     /// Creates a trace for `prog`, writing declarations for every register
-    /// and every output signal.
+    /// and every signal.
     pub fn new(prog: &Program, timescale_ns: f64) -> Self {
         let mut header = String::new();
         let _ = writeln!(header, "$date Emu reproduction trace $end");
@@ -55,14 +54,12 @@ impl VcdTrace {
         }
         let _ = writeln!(header, "$upscope $end");
         let _ = writeln!(header, "$enddefinitions $end");
-        let nvars = prog.vars().len();
         let last = vec![None; ids.len()];
         VcdTrace {
             header,
             body: String::new(),
             ids,
             last,
-            nvars,
         }
     }
 
@@ -79,25 +76,17 @@ impl VcdTrace {
     }
 
     /// Samples the machine state at `cycle`, appending changes.
-    pub fn sample(&mut self, cycle: u64, prog: &Program, st: &MachineState) {
+    pub fn sample(&mut self, cycle: u64, st: &MachineState) {
         let mut stamp_written = false;
-        for (slot, (id, width)) in self.ids.iter().enumerate() {
-            let v: &Bits = if slot < self.nvars {
-                &st.vars[slot]
-            } else {
-                let sidx = slot - self.nvars;
-                match prog.signals()[sidx].dir {
-                    kiwi_ir::SigDir::In => &st.sigs_in[sidx],
-                    kiwi_ir::SigDir::Out => &st.sigs_out[sidx],
-                }
-            };
-            if self.last[slot].as_ref() != Some(v) {
+        let values = st.vars.iter().chain(&st.sigs);
+        for (((id, width), last), v) in self.ids.iter().zip(&mut self.last).zip(values) {
+            if last.as_ref() != Some(v) {
                 if !stamp_written {
                     let _ = writeln!(self.body, "#{cycle}");
                     stamp_written = true;
                 }
                 Self::emit_value(&mut self.body, id, *width, v);
-                self.last[slot] = Some(v.clone());
+                *last = Some(v.clone());
             }
         }
     }
@@ -113,7 +102,7 @@ mod tests {
     use super::*;
     use kiwi_ir::dsl::*;
     use kiwi_ir::interp::{NullEnv, NullObserver};
-    use kiwi_ir::{Machine, ProgramBuilder};
+    use kiwi_ir::{Code, Core, ProgramBuilder};
 
     #[test]
     fn vcd_has_declarations_and_changes() {
@@ -125,12 +114,11 @@ mod tests {
             vec![forever(vec![assign(c, add(var(c), lit(1, 8))), pause()])],
         );
         let prog = pb.build().unwrap();
-        let mut m = Machine::new(kiwi_ir::flatten(&prog).unwrap());
+        let mut m = Core::new(Code::TreeWalk(kiwi_ir::flatten(&prog).unwrap()));
         let mut vcd = VcdTrace::new(m.program(), 5.0);
         for cycle in 0..5 {
             m.step_cycle(&mut NullEnv, &mut NullObserver).unwrap();
-            let prog = m.program().clone();
-            vcd.sample(cycle, &prog, m.state());
+            vcd.sample(cycle, m.state());
         }
         let text = vcd.finish();
         assert!(text.contains("$var reg 8"));
@@ -146,12 +134,11 @@ mod tests {
         pb.reg("still", 8);
         pb.thread("main", vec![forever(vec![pause()])]);
         let prog = pb.build().unwrap();
-        let mut m = Machine::new(kiwi_ir::flatten(&prog).unwrap());
+        let mut m = Core::new(Code::TreeWalk(kiwi_ir::flatten(&prog).unwrap()));
         let mut vcd = VcdTrace::new(m.program(), 5.0);
         for cycle in 0..10 {
             m.step_cycle(&mut NullEnv, &mut NullObserver).unwrap();
-            let prog = m.program().clone();
-            vcd.sample(cycle, &prog, m.state());
+            vcd.sample(cycle, m.state());
         }
         let text = vcd.finish();
         // Exactly one change record (the initial value at #0).

@@ -12,9 +12,9 @@
 //! | module | crate | role |
 //! |---|---|---|
 //! | [`types`] | `emu-types` | `Bits`, bit utilities, checksums, frames, the `wire` frame builders and codecs |
-//! | [`ir`] | `kiwi-ir` | the IR + builder DSL + interpreter (CPU target) |
+//! | [`ir`] | `kiwi-ir` | the IR + builder DSL + `Core`, the one machine (tree-walk, compiled, FSM) |
 //! | [`compiler`] | `kiwi` | scheduling → FSM, resources, Verilog emission |
-//! | [`rtl`] | `emu-rtl` | cycle-accurate executor + IP-block models |
+//! | [`rtl`] | `emu-rtl` | IP-block models, the CAM table, VCD traces |
 //! | [`platform`] | `netfpga-sim` | NetFPGA pipeline model + baselines |
 //! | [`stdlib`] | `emu-core` | the Emu standard library + unified engine |
 //! | [`debug`] | `direction` | direction commands / controller / packets |
@@ -120,10 +120,12 @@
 //!   forces it process-wide without code changes (CI runs the whole
 //!   test suite this way so the reference cannot rot).
 //!
-//! Target and backend pick one [`rtl::Core`] — the tree-walker, the
-//! compiled bytecode or the Fpga FSM — which an engine builds once, at
-//! build time, and copies into every shard: a 4-shard engine costs one
-//! compilation, not four.
+//! Target and backend pick the code image an [`ir::Core`] runs
+//! ([`ir::Code`]) — the tree-walker's ops, the compiled bytecode or the
+//! Fpga FSM — which an engine builds once, at build time, and shares
+//! between its shards: each shard's core is the image behind an `Arc`
+//! plus its own machine state, so a 4-shard engine costs one compilation,
+//! not four, and holds one copy of the code.
 //! [`Engine::process`](stdlib::Engine::process) and
 //! [`Engine::process_batch`](stdlib::Engine::process_batch) share one
 //! frame loop over that core on every target, so a frame's outputs,
@@ -141,7 +143,7 @@
 //! fallback and a miscompiling pass bisects with one env var.
 //!
 //! The two backends are **byte-identical in every observable**: machine
-//! state after every cycle (registers, arrays, output signals), observer
+//! state after every cycle (registers, arrays, signals), observer
 //! traces (assignments, labels, extension points, in order), cycle and
 //! op counts, trap messages, and per-frame engine outcomes. The Fpga
 //! target stays the golden reference for both. This is enforced by

@@ -39,6 +39,42 @@ fn every_service_compiles_and_emits_valid_verilog() {
     }
 }
 
+/// Every service's emitted Verilog (FNV-1a of the text) and each
+/// thread's FSM state count, pinned as literals: the FSM's in-memory
+/// representation may change, the schedule and the Verilog may not.
+/// (`-- --nocapture` prints a run's values in literal syntax.)
+#[test]
+fn verilog_and_state_counts_are_pinned() {
+    let fnv = |text: &str| {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    let got: Vec<(&str, u64, Vec<usize>)> = all_services()
+        .into_iter()
+        .map(|(name, svc)| {
+            let fsm = compile(&svc.program).unwrap();
+            let states = fsm.threads.iter().map(|t| t.state_count()).collect();
+            (name, fnv(&emit(&fsm).unwrap()), states)
+        })
+        .collect();
+    for (name, digest, states) in &got {
+        println!("        (\"{name}\", {digest:#018x}, vec!{states:?}),");
+    }
+    let want: Vec<(&str, u64, Vec<usize>)> = vec![
+        ("switch-cam", 0x0f5f9baeade99209, vec![7]),
+        ("switch-behavioural", 0x794840d9b80b32b1, vec![8]),
+        ("filter", 0x75304396205a6d41, vec![8]),
+        ("icmp", 0xd29e6248b54b7986, vec![29]),
+        ("tcp-ping", 0x7de6798857739697, vec![41]),
+        ("dns", 0x2904d37198ba5010, vec![59]),
+        ("memcached", 0x549b3ccfa56d579c, vec![212]),
+        ("nat", 0xf8211546bbc76610, vec![45]),
+        ("cache", 0x923c44633f59773d, vec![82]),
+    ];
+    assert_eq!(got, want, "the schedule or the emitted Verilog moved");
+}
+
 #[test]
 fn resource_reports_are_sane_and_ordered() {
     let mut logic = Vec::new();
@@ -64,13 +100,12 @@ fn vcd_traces_capture_service_activity() {
     let svc = s::icmp::icmp_echo();
     let prog = svc.program.clone();
     let flat = kiwi_ir::flatten(&prog).unwrap();
-    let mut m = kiwi_ir::Machine::new(flat);
+    let mut m = kiwi_ir::Core::new(kiwi_ir::Code::TreeWalk(flat));
     let mut vcd = emu::rtl::VcdTrace::new(&prog, 5.0);
     let mut env = kiwi_ir::NullEnv;
     for cycle in 0..50 {
         m.step_cycle(&mut env, &mut kiwi_ir::NullObserver).unwrap();
-        let p = m.program().clone();
-        vcd.sample(cycle, &p, m.state());
+        vcd.sample(cycle, m.state());
     }
     let text = vcd.finish();
     assert!(text.contains("$enddefinitions"));
@@ -84,11 +119,10 @@ fn state_occupancy_profile_identifies_wait_state() {
     // profiler (Emu's "where does time go" tooling) must show that.
     let svc = s::icmp::icmp_echo();
     let fsm = compile(&svc.program).unwrap();
-    let mut rtl = emu::rtl::RtlMachine::new(fsm);
+    let mut rtl = kiwi_ir::Core::new(kiwi_ir::Code::Fpga(fsm));
     rtl.run_cycles(500, &mut NullEnv, &mut NullObserver)
         .unwrap();
-    let occ = rtl.occupancy();
-    let max = occ.values().max().copied().unwrap_or(0);
+    let max = rtl.occupancy().iter().flatten().max().copied().unwrap_or(0);
     assert!(max > 450, "idle core must sit in one state, max={max}");
     assert!(rtl.occupancy_report().contains("%"));
 }

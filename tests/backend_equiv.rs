@@ -3,15 +3,14 @@
 //! Random IR programs generated over `kiwi_ir::dsl` must behave
 //! identically under all three executions of the same `Program`:
 //!
-//! * the tree-walking interpreter (`kiwi_ir::Machine`, the reference),
-//! * the compiled micro-op backend (`kiwi_ir::CompiledMachine`, the
-//!   production CPU path), and
-//! * the FSM/RTL executor (`emu::rtl::RtlMachine`, the hardware target),
-//!
-//! comparing full [`MachineState`] snapshots — registers, arrays, output
-//! signals, and the `arr_high` high-water marks platform drivers rely
-//! on — plus the complete [`Observer`] trace (assignments with old/new
-//! values, labels, extension points, in order).
+//! one [`Core`] each, on the tree-walker's ops (`Code::TreeWalk`, the
+//! reference), the compiled micro-op bytecode (`Code::Compiled`, the
+//! production CPU path) and the scheduled FSM (`Code::Fpga`, the
+//! hardware target), comparing full [`MachineState`] snapshots —
+//! registers, arrays, signals, and the `arr_high` high-water marks
+//! platform drivers rely on — plus the complete [`Observer`] trace
+//! (assignments with old/new values, labels, extension points, in
+//! order).
 //!
 //! The soak-level leg drives whole `emu-traffic` mixes through
 //! `Engine`s built on [`Backend::Compiled`] and [`Backend::TreeWalk`]
@@ -29,9 +28,9 @@ use emu_types::Bits;
 use kiwi_ir::dsl::*;
 // `dsl::sig` would be shadowed by `sig: &Sig` parameters below.
 use kiwi_ir::dsl::sig as dsl_sig;
-use kiwi_ir::interp::{Env, Machine, MachineState, NullEnv, Observer};
+use kiwi_ir::interp::{Env, MachineState, NullEnv, Observer};
 use kiwi_ir::program::{ArrId, ArrayBacking, Program, SigDir, SigId, VarId};
-use kiwi_ir::{flatten, CompiledMachine, Expr, Stmt};
+use kiwi_ir::{flatten, Code, CompiledProgram, Core, Expr, Stmt};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -311,7 +310,7 @@ impl Observer for Trace {
 fn assert_state_eq(label: &str, a: &MachineState, b: &MachineState) {
     assert_eq!(a.vars, b.vars, "{label}: registers diverged");
     assert_eq!(a.arrays, b.arrays, "{label}: arrays diverged");
-    assert_eq!(a.sigs_out, b.sigs_out, "{label}: output signals diverged");
+    assert_eq!(a.sigs, b.sigs, "{label}: signals diverged");
     assert_eq!(a.arr_high, b.arr_high, "{label}: arr_high marks diverged");
 }
 
@@ -328,7 +327,7 @@ impl Env for Pump {
             let mut z = cycle.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1));
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            st.sigs_in[id] = Bits::from_u64(z ^ (z >> 31), 80).resize(d.width);
+            st.sigs[id] = Bits::from_u64(z ^ (z >> 31), 80).resize(d.width);
         }
     }
 }
@@ -349,8 +348,9 @@ fn two_thread_program(seed: &[u8]) -> Program {
 /// full state snapshot compared after **every** cycle, full observer
 /// traces, and the cycle/op accounting the engine's cost model is
 /// built on.
-fn assert_cycle_lockstep(what: &str, prog: &Program, mut cm: CompiledMachine) {
-    let mut tw = Machine::new(flatten(prog).unwrap());
+fn assert_cycle_lockstep(what: &str, prog: &Program, cp: CompiledProgram) {
+    let mut tw = Core::new(Code::TreeWalk(flatten(prog).unwrap()));
+    let mut cm = Core::new(Code::Compiled(cp));
     let (mut ta, mut tb) = (Trace::default(), Trace::default());
     for cycle in 0..300u64 {
         if tw.halted() {
@@ -594,11 +594,8 @@ proptest! {
         seed in proptest::collection::vec(any::<u8>(), 16..96)
     ) {
         let prog = two_thread_program(&seed);
-        assert_cycle_lockstep(
-            "ambient pipeline",
-            &prog,
-            CompiledMachine::from_program(&prog).unwrap(),
-        );
+        let cp = kiwi_ir::compile(&flatten(&prog).unwrap()).unwrap();
+        assert_cycle_lockstep("ambient pipeline", &prog, cp);
     }
 
     /// All three backends on the same random halting program: the
@@ -617,8 +614,9 @@ proptest! {
         pb.thread("main", body);
         let prog = pb.build().expect("generated program must be valid");
 
-        let mut tw = Machine::new(flatten(&prog).unwrap());
-        let mut cm = CompiledMachine::from_program(&prog).unwrap();
+        let flat = flatten(&prog).unwrap();
+        let cp = kiwi_ir::compile(&flat).unwrap();
+        let (mut tw, mut cm) = (Core::new(Code::TreeWalk(flat)), Core::new(Code::Compiled(cp)));
         let mut traces = vec![Trace::default(), Trace::default()];
         tw.run_cycles(10_000, &mut NullEnv, &mut traces[0]).unwrap();
         cm.run_cycles(10_000, &mut NullEnv, &mut traces[1]).unwrap();
@@ -632,7 +630,7 @@ proptest! {
         let mut rtls = Vec::new();
         for (label, model) in models {
             let fsm = kiwi::compile_with(&prog, model).unwrap();
-            let mut rtl = emu::rtl::RtlMachine::new(fsm);
+            let mut rtl = Core::new(Code::Fpga(fsm));
             let mut trace = Trace::default();
             rtl.run_cycles(500_000, &mut NullEnv, &mut trace).unwrap();
             prop_assert!(rtl.halted(), "{} must halt", label);
@@ -647,7 +645,7 @@ proptest! {
         // The CPU backends must agree on the *entire* trace, labels
         // included. The FSM target erases `Label` markers that land on
         // state boundaries (they are zero-delay debug symbols, resolved
-        // through like jumps — see `kiwi::fsm::FsmThread::resolve`), so
+        // through like jumps — see `kiwi_ir::FsmThread::resolve`), so
         // against the RTL only the semantic events — assignments and
         // extension points — are required to match.
         prop_assert_eq!(&traces[0], &traces[1], "CPU backend traces diverged");
@@ -914,7 +912,7 @@ proptest! {
         let passes = pass_subset(&picks);
         let cp = kiwi_ir::compile_with_passes(&flatten(&prog).unwrap(), &passes)
             .unwrap_or_else(|e| panic!("passes {passes:?}: {e:?}"));
-        assert_cycle_lockstep(&format!("passes {passes:?}"), &prog, CompiledMachine::new(cp));
+        assert_cycle_lockstep(&format!("passes {passes:?}"), &prog, cp);
     }
 
     /// The 64-bit machine's borrowed path: programs in which every
@@ -928,7 +926,7 @@ proptest! {
         for passes in [kiwi_ir::default_pipeline(), &[][..]] {
             let cp = kiwi_ir::compile_with_passes(&flatten(&prog).unwrap(), passes).unwrap();
             prop_assert!(cp.threads.iter().all(|t| !t.exprs.is_empty()));
-            assert_cycle_lockstep(&format!("passes {passes:?}"), &prog, CompiledMachine::new(cp));
+            assert_cycle_lockstep(&format!("passes {passes:?}"), &prog, cp);
         }
     }
 

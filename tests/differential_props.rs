@@ -12,6 +12,7 @@ use emu_types::proto::ip_proto;
 use emu_types::wire;
 use kiwi_ir::dsl::*;
 use kiwi_ir::interp::{NullEnv, NullObserver};
+use kiwi_ir::{Code, Core};
 use proptest::prelude::*;
 
 proptest! {
@@ -84,12 +85,12 @@ proptest! {
         pb.thread("main", body);
         let prog = pb.build().unwrap();
 
-        let mut interp = kiwi_ir::Machine::new(kiwi_ir::flatten(&prog).unwrap());
+        let mut interp = Core::new(Code::TreeWalk(kiwi_ir::flatten(&prog).unwrap()));
         interp.run_cycles(10_000, &mut NullEnv, &mut NullObserver).unwrap();
 
         // A tight budget forces extra state splits — results must agree.
         let fsm = kiwi::compile_with(&prog, CostModel { period_units: 10, clock_hz: 200_000_000 }).unwrap();
-        let mut rtl = emu::rtl::RtlMachine::new(fsm);
+        let mut rtl = Core::new(Code::Fpga(fsm));
         rtl.run_cycles(100_000, &mut NullEnv, &mut NullObserver).unwrap();
 
         prop_assert!(interp.halted() && rtl.halted());
