@@ -14,11 +14,11 @@ use emu_types::Bits;
 /// The contents of one program array, stored by the width class of its
 /// **declared** element width:
 ///
-/// | declared width | storage      | bytes per element |
-/// |----------------|--------------|-------------------|
-/// | 1..=8          | `Vec<u8>`    | 1                 |
-/// | 9..=64         | `Vec<u64>`   | 8                 |
-/// | 65..=512       | `Vec<Bits>`  | 72                |
+/// | declared width | storage      | bytes per element           |
+/// |----------------|--------------|-----------------------------|
+/// | 1..=8          | `Vec<u8>`    | 1                           |
+/// | 9..=64         | `Vec<u64>`   | 8                           |
+/// | 65..=512       | `Vec<Bits>`  | 40, +64 heap past 256 bits  |
 ///
 /// The class is fixed at construction from what the program declares;
 /// the tree-walker, the compiled machine and the RTL FSM all read and
@@ -121,7 +121,7 @@ impl Cells {
         match &mut self.store {
             Store::U8(d) => store_at(d, i, (v & mask) as u8),
             Store::U64(d) => store_at(d, i, v & mask),
-            Store::Wide(d) => store_at(d, i, Bits::from_u64(v, self.width)),
+            Store::Wide(d) => store_wide(d, i, v, self.width),
         }
     }
 
@@ -146,6 +146,15 @@ impl Cells {
             _ => None,
         }
     }
+}
+
+/// [`Cells::set_u64`] into an array wider than 64 bits, out of line: no
+/// shipped service declares one, and inlined it kept `set_u64` itself
+/// out of the compiled executor's store micro-ops.
+#[cold]
+#[inline(never)]
+fn store_wide(d: &mut [Bits], i: usize, v: u64, width: u16) -> bool {
+    store_at(d, i, Bits::from_u64(v, width))
 }
 
 /// `d[i] = v` when `i` is in range; says whether it was.

@@ -4,10 +4,10 @@
 //!
 //! The tree-walking interpreter in [`crate::interp`] is the *reference*
 //! software semantics: simple, obviously faithful to [`crate::ast`], and
-//! slow — it re-decodes the same `Box<Expr>` nodes every frame, clones a
-//! multi-limb [`Bits`] at every node, and re-resolves widths on every
-//! binary op. This module trades that tree for a
-//! **pre-decoded linear program** over one file of `u64` scratch slots:
+//! slow — it re-decodes the same `Box<Expr>` nodes every frame, builds a
+//! [`Bits`] at every node, and re-resolves widths on every binary op.
+//! This module trades that tree for a **pre-decoded linear program** of
+//! 33 micro-ops ([`MOp`]) over one file of `u64` slots:
 //!
 //! * every `VarId` / `ArrId` / `SigId` is resolved to a plain index at
 //!   lowering time,
@@ -15,6 +15,22 @@
 //!   of [`crate::ast`] baked into per-op masks,
 //! * execution is a single `match` over compact micro-ops — no recursion,
 //!   no per-node clones, no heap traffic.
+//!
+//! # Scratch and constant pool
+//!
+//! The slot file is two parts. The low slots are **scratch**: every
+//! thread's regions number their values from 0, written once before
+//! they are read within a region, and the threads share them (a thread
+//! runs to its pause before the next starts). Above every thread's
+//! scratch lies the **constant pool**
+//! ([`CompiledProgram::pool`], from [`CompiledProgram::pool_base`]):
+//! each distinct constant of the program has one slot there. A literal
+//! lowers to its pool slot and nothing else, and a pass that folds a
+//! value rewrites the folded op into a copy of the result's pool slot,
+//! which copy propagation and dead-scratch elimination then remove.
+//! [`crate::Core::new`] writes the pool once per running copy; no
+//! micro-op writes a pool slot and none loads a constant at run time
+//! (`tests/pass_census.rs` checks both on every shipped program).
 //!
 //! # What is lowered and what is evaluated
 //!
@@ -40,7 +56,8 @@
 //! array-access strength reduction, redundant-load and
 //! common-subexpression elimination, adjacent-load pair fusion, copy
 //! propagation, dead scratch elimination) before the bytecode is frozen
-//! into a [`CompiledProgram`]. The passes treat the four evaluating
+//! into a [`CompiledProgram`] and the pool is laid out above the
+//! scratch. The passes treat the four evaluating
 //! micro-ops as opaque: they read machine state where they stand, and
 //! the stores among them invalidate what any store does.
 //!
@@ -62,9 +79,44 @@ use crate::interp::{eval, Observer};
 use crate::machine::{missing_pause, Instance, MAX_OPS_PER_CYCLE};
 use crate::program::{ArrId, Program, SigId, VarId};
 use emu_types::Bits;
+use std::collections::HashMap;
 
-/// Index of a scratch slot.
+/// Index of a slot: a scratch slot, or a constant-pool slot above them.
 pub type Slot = u32;
+
+/// Marks a pool slot between lowering and layout: pool entry `k` is
+/// slot `POOL | k` until [`compile_with_passes`] places the pool above
+/// every thread's scratch.
+const POOL: Slot = 1 << 31;
+
+/// Whether `s` names a constant-pool slot (before layout).
+#[inline]
+pub(crate) fn is_pool(s: Slot) -> bool {
+    s & POOL != 0
+}
+
+/// The constants of one program under compilation, each distinct value
+/// once (see the module docs).
+#[derive(Debug, Default)]
+pub(crate) struct Pool {
+    values: Vec<u64>,
+    index: HashMap<u64, Slot>,
+}
+
+impl Pool {
+    /// The pool slot holding `v`, added on first use.
+    pub(crate) fn slot(&mut self, v: u64) -> Slot {
+        *self.index.entry(v).or_insert_with(|| {
+            self.values.push(v);
+            POOL | (self.values.len() - 1) as Slot
+        })
+    }
+
+    /// The value of pool slot `s`; `None` for a scratch slot.
+    pub(crate) fn value(&self, s: Slot) -> Option<u64> {
+        is_pool(s).then(|| self.values[(s & !POOL) as usize])
+    }
+}
 
 // ---------------------------------------------------------------------
 // Shared ALU helpers
@@ -140,7 +192,7 @@ pub(crate) fn shr_s(a: u64, n: u64) -> u64 {
 
 /// One pre-decoded micro-op of the 64-bit machine.
 ///
-/// Naming convention: a trailing `S` computes in the `u64` scratch file;
+/// Naming convention: a trailing `S` computes in the `u64` slot file;
 /// a trailing `E` hands a side-table [`Expr`] to the reference [`eval`]
 /// (see the module docs for which sub-expressions those are). `St*` /
 /// control ops are *terminals* — each corresponds to exactly one source
@@ -148,13 +200,6 @@ pub(crate) fn shr_s(a: u64, n: u64) -> u64 {
 /// keeping profiling and trap behaviour aligned with the tree-walker.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MOp {
-    /// Load a constant into a slot.
-    ConstS {
-        /// Destination slot.
-        dst: Slot,
-        /// Canonical value.
-        v: u64,
-    },
     /// Read a register (width ≤ 64).
     LdVarS {
         /// Destination slot.
@@ -180,7 +225,7 @@ pub enum MOp {
     },
     /// Array element read at a compile-time-constant, in-bounds index.
     /// Produced by [`ArrayStrength`](crate::opt::Pass::ArrayStrength):
-    /// the index slot and its `ConstS` feeder disappear entirely.
+    /// the read of the index slot disappears.
     LdArrCS {
         /// Destination slot.
         dst: Slot,
@@ -476,16 +521,15 @@ pub enum MOp {
 
 impl MOp {
     /// The scratch slot this op defines. Terminals define nothing.
-    pub(crate) fn dst(mut self) -> Option<Slot> {
+    pub fn dst(mut self) -> Option<Slot> {
         self.dst_mut().map(|d| *d)
     }
 
-    /// Visits every scratch-slot operand.
+    /// Visits every slot operand (scratch or pool).
     pub(crate) fn uses_mut(&mut self, f: &mut dyn FnMut(&mut Slot)) {
         use MOp::*;
         match self {
-            ConstS { .. }
-            | LdVarS { .. }
+            LdVarS { .. }
             | LdSigS { .. }
             | LdArrCS { .. }
             | LdArrPairCS { .. }
@@ -529,8 +573,8 @@ impl MOp {
         }
     }
 
-    /// Visits every scratch-slot operand by value.
-    pub(crate) fn uses(mut self, f: &mut dyn FnMut(Slot)) {
+    /// Visits every slot operand (scratch or pool) by value.
+    pub fn uses(mut self, f: &mut dyn FnMut(Slot)) {
         self.uses_mut(&mut |s| f(*s));
     }
 
@@ -540,8 +584,7 @@ impl MOp {
     pub(crate) fn dst_mut(&mut self) -> Option<&mut Slot> {
         use MOp::*;
         match self {
-            ConstS { dst, .. }
-            | LdVarS { dst, .. }
+            LdVarS { dst, .. }
             | LdSigS { dst, .. }
             | LdArrS { dst, .. }
             | LdArrCS { dst, .. }
@@ -620,14 +663,32 @@ pub struct CompiledThread {
     pub regions: Vec<RegionInfo>,
 }
 
-/// A program lowered to micro-op bytecode: declarations plus one
-/// [`CompiledThread`] per source thread.
+/// A program lowered to micro-op bytecode: declarations, one
+/// [`CompiledThread`] per source thread, and the constant pool.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledProgram {
     /// The source declarations (shared with every other backend).
     pub prog: Program,
     /// One entry per source thread.
     pub threads: Vec<CompiledThread>,
+    /// The constant pool, one distinct value per entry: entry `k` is
+    /// slot [`CompiledProgram::pool_base`]` + k`.
+    pub pool: Vec<u64>,
+}
+
+impl CompiledProgram {
+    /// The first pool slot: every thread's scratch lies below it.
+    pub fn pool_base(&self) -> usize {
+        self.threads.iter().map(|t| t.n_slots).max().unwrap_or(0)
+    }
+
+    /// A running copy's slot file as it starts: the scratch (zero), then
+    /// the pool, which no micro-op writes.
+    pub(crate) fn slot_file(&self) -> Vec<u64> {
+        let mut slots = vec![0; self.pool_base()];
+        slots.extend_from_slice(&self.pool);
+        slots
+    }
 }
 
 /// Lowers a flattened program through the ambient optimization pipeline:
@@ -650,17 +711,33 @@ pub fn compile_with_passes(
     flat: &FlatProgram,
     passes: &[crate::opt::Pass],
 ) -> IrResult<CompiledProgram> {
+    let mut pool = Pool::default();
     let mut threads = Vec::with_capacity(flat.threads.len());
     for t in &flat.threads {
-        threads.push(compile_thread(t, &flat.prog, passes)?);
+        threads.push(compile_thread(t, &flat.prog, passes, &mut pool)?);
     }
-    let cp = CompiledProgram {
+    let mut cp = CompiledProgram {
         prog: flat.prog.clone(),
         threads,
+        pool: Vec::new(),
     };
+    // Lay the pool out above every thread's scratch, keeping only the
+    // constants a micro-op still reads, in order of first use.
+    let base = cp.pool_base();
+    let mut placed: HashMap<Slot, Slot> = HashMap::new();
+    for m in cp.threads.iter_mut().flat_map(|t| &mut t.mops) {
+        m.uses_mut(&mut |s| {
+            if let Some(v) = pool.value(*s) {
+                *s = *placed.entry(*s).or_insert_with(|| {
+                    cp.pool.push(v);
+                    (base + cp.pool.len() - 1) as Slot
+                });
+            }
+        });
+    }
     if std::env::var("EMU_CPU_DUMP_MOPS").is_ok_and(|v| !v.is_empty()) {
-        for t in &cp.threads {
-            eprintln!("{}", mops_to_string(t, &cp.prog));
+        for ti in 0..cp.threads.len() {
+            eprintln!("{}", mops_to_string(&cp, ti));
         }
     }
     Ok(cp)
@@ -677,6 +754,7 @@ struct Val {
 
 struct ThreadCompiler<'a> {
     prog: &'a Program,
+    pool: &'a mut Pool,
     cur: Vec<MOp>,
     labels: Vec<String>,
     exprs: Vec<Expr>,
@@ -728,9 +806,15 @@ impl<'a> ThreadCompiler<'a> {
             Ok(v)
         };
         let (w, m) = match e {
+            // A literal is its pool slot: nothing runs to load it.
             Expr::Const(b) => {
-                let (dst, v) = (self.s(), b.to_u64());
-                (b.width(), MOp::ConstS { dst, v })
+                let w = b.width();
+                let slot = if w <= 64 {
+                    self.pool.slot(b.to_u64())
+                } else {
+                    Slot::MAX
+                };
+                return Ok(Val { slot, w });
             }
             Expr::Var(v) => {
                 let decl = self
@@ -817,6 +901,14 @@ impl<'a> ThreadCompiler<'a> {
             }
             Expr::Resize(x, w) => {
                 let v = operand(self, x)?;
+                if *w >= v.w && *w <= 64 && is_pool(v.slot) {
+                    // A constant zero-extended is that constant: its
+                    // pool slot, not a copy of it.
+                    return Ok(Val {
+                        slot: v.slot,
+                        w: *w,
+                    });
+                }
                 let (dst, a) = (self.s(), v.slot);
                 let m = if *w >= v.w {
                     // Zero-extension of a canonical value is the
@@ -935,10 +1027,12 @@ fn compile_thread(
     t: &FlatThread,
     prog: &Program,
     passes: &[crate::opt::Pass],
+    pool: &mut Pool,
 ) -> IrResult<CompiledThread> {
     t.check_targets()?;
     let mut c = ThreadCompiler {
         prog,
+        pool,
         cur: Vec::new(),
         labels: Vec::new(),
         exprs: Vec::new(),
@@ -962,7 +1056,7 @@ fn compile_thread(
     // written-once-before-read invariant across each widened region.
     crate::opt::widen_regions(&mut regions);
 
-    crate::opt::run(&mut regions, passes, prog);
+    crate::opt::run(&mut regions, passes, prog, c.pool);
 
     // Flatten, recording region starts, then retarget branches from
     // source-op indices to micro-op indices (a target equal to the op
@@ -998,7 +1092,8 @@ fn compile_thread(
         }
     }
 
-    // Scratch-file size: the passes may have shrunk it.
+    // Scratch-file size (pool slots aside): the passes may have shrunk
+    // it.
     let n_slots = crate::opt::region_slots(&mops) as usize;
 
     Ok(CompiledThread {
@@ -1075,11 +1170,13 @@ fn region_visibility(region: &[MOp], prog: &Program, labels: &[String]) -> Strin
 // Pretty printing (pass-pipeline diagnostics and tests)
 // ---------------------------------------------------------------------
 
-/// Renders a compiled thread as a numbered micro-op listing. Slots print
-/// as `sN`, evaluated sub-expressions as `eval(<expr>)`; this is the
-/// form the pass tests in [`crate::opt`] assert against.
-pub fn mops_to_string(t: &CompiledThread, prog: &Program) -> String {
+/// Renders compiled thread `ti` of `cp` as a numbered micro-op listing.
+/// Scratch slots print as `sN`, pool slots as the constant they hold,
+/// evaluated sub-expressions as `eval(<expr>)`; this is the form the
+/// pass tests in [`crate::opt`] assert against.
+pub fn mops_to_string(cp: &CompiledProgram, ti: usize) -> String {
     use std::fmt::Write as _;
+    let (t, prog, base) = (&cp.threads[ti], &cp.prog, cp.pool_base());
     let var = |i: u32| {
         prog.vars()
             .get(i as usize)
@@ -1102,6 +1199,10 @@ pub fn mops_to_string(t: &CompiledThread, prog: &Program) -> String {
         Some(e) => format!("eval({})", crate::pretty::expr_to_string(e, prog)),
         None => format!("eval(?e{i})"),
     };
+    let o = |s: &Slot| match (*s as usize).checked_sub(base) {
+        Some(k) => format!("{:#x}", cp.pool[k]),
+        None => format!("s{s}"),
+    };
     let mut out = format!("compiled thread {} ({} slots):\n", t.name, t.n_slots);
     let mut next_region = 0usize;
     for (i, m) in t.mops.iter().enumerate() {
@@ -1123,10 +1224,9 @@ pub fn mops_to_string(t: &CompiledThread, prog: &Program) -> String {
             );
         }
         let body = match m {
-            MOp::ConstS { dst, v } => format!("s{dst} <- const {v:#x}"),
             MOp::LdVarS { dst, var: v } => format!("s{dst} <- var {}", var(*v)),
             MOp::LdSigS { dst, sig: s } => format!("s{dst} <- sig {}", sig(*s)),
-            MOp::LdArrS { dst, arr: a, idx } => format!("s{dst} <- {}[s{idx}]", arr(*a)),
+            MOp::LdArrS { dst, arr: a, idx } => format!("s{dst} <- {}[{}]", arr(*a), o(idx)),
             MOp::LdArrCS { dst, arr: a, idx } => format!("s{dst} <- {}[#{idx}]", arr(*a)),
             MOp::LdArrPairS {
                 dst,
@@ -1137,7 +1237,8 @@ pub fn mops_to_string(t: &CompiledThread, prog: &Program) -> String {
                 bw,
             } => {
                 let n = arr(*a);
-                format!("s{dst} <- {{{n}[(s{idx}+{off:#x}) & {mask:#x}], {n}[+1]:u{bw}}}")
+                let i = o(idx);
+                format!("s{dst} <- {{{n}[({i}+{off:#x}) & {mask:#x}], {n}[+1]:u{bw}}}")
             }
             MOp::LdArrPairCS {
                 dst,
@@ -1154,38 +1255,42 @@ pub fn mops_to_string(t: &CompiledThread, prog: &Program) -> String {
                 arr: a,
                 idx,
                 bw,
-            } => format!("s{dst} <- {{s{hi}, {}[#{idx}]:u{bw}}}", arr(*a)),
-            MOp::CopyS { dst, a } => format!("s{dst} <- s{a}"),
-            MOp::MaskS { dst, a, mask } => format!("s{dst} <- s{a} & {mask:#x}"),
-            MOp::NotS { dst, a, mask } => format!("s{dst} <- ~s{a} & {mask:#x}"),
-            MOp::NegS { dst, a, mask } => format!("s{dst} <- -s{a} & {mask:#x}"),
-            MOp::RedOrS { dst, a } => format!("s{dst} <- |s{a}"),
+            } => format!("s{dst} <- {{{}, {}[#{idx}]:u{bw}}}", o(hi), arr(*a)),
+            MOp::CopyS { dst, a } => format!("s{dst} <- {}", o(a)),
+            MOp::MaskS { dst, a, mask } => format!("s{dst} <- {} & {mask:#x}", o(a)),
+            MOp::NotS { dst, a, mask } => format!("s{dst} <- ~{} & {mask:#x}", o(a)),
+            MOp::NegS { dst, a, mask } => format!("s{dst} <- -{} & {mask:#x}", o(a)),
+            MOp::RedOrS { dst, a } => format!("s{dst} <- |{}", o(a)),
             MOp::BinS {
                 dst,
                 op,
                 a,
                 b,
                 mask,
-            } => format!("s{dst} <- s{a} {op:?} s{b} & {mask:#x}"),
-            MOp::CmpS { dst, op, a, b } => format!("s{dst} <- s{a} {op:?} s{b}"),
-            MOp::ShlS { dst, a, b, mask } => format!("s{dst} <- s{a} << s{b} & {mask:#x}"),
-            MOp::ShrS { dst, a, b } => format!("s{dst} <- s{a} >> s{b}"),
-            MOp::ConcatS { dst, a, b, bw } => format!("s{dst} <- {{s{a}, s{b}:u{bw}}}"),
-            MOp::SliceS { dst, a, lo, mask } => format!("s{dst} <- s{a} >> {lo} & {mask:#x}"),
-            MOp::MuxS { dst, c, t, e } => format!("s{dst} <- s{c} ? s{t} : s{e}"),
+            } => format!("s{dst} <- {} {op:?} {} & {mask:#x}", o(a), o(b)),
+            MOp::CmpS { dst, op, a, b } => format!("s{dst} <- {} {op:?} {}", o(a), o(b)),
+            MOp::ShlS { dst, a, b, mask } => {
+                format!("s{dst} <- {} << {} & {mask:#x}", o(a), o(b))
+            }
+            MOp::ShrS { dst, a, b } => format!("s{dst} <- {} >> {}", o(a), o(b)),
+            MOp::ConcatS { dst, a, b, bw } => format!("s{dst} <- {{{}, {}:u{bw}}}", o(a), o(b)),
+            MOp::SliceS { dst, a, lo, mask } => {
+                format!("s{dst} <- {} >> {lo} & {mask:#x}", o(a))
+            }
+            MOp::MuxS { dst, c, t, e } => format!("s{dst} <- {} ? {} : {}", o(c), o(t), o(e)),
             MOp::EvalS { dst, e } => format!("s{dst} <- {}", ev(*e)),
-            MOp::StVarS { var: v, a, .. } => format!("var {} := s{a}", var(*v)),
+            MOp::StVarS { var: v, a, .. } => format!("var {} := {}", var(*v), o(a)),
             MOp::StVarE { var: v, e } => format!("var {} := {}", var(*v), ev(*e)),
             MOp::StArrCS {
                 arr: ar, idx, a, ..
-            } => format!("{}[#{idx}] := s{a}", arr(*ar)),
+            } => format!("{}[#{idx}] := {}", arr(*ar), o(a)),
             MOp::StArrS {
                 arr: ar, idx, a, ..
-            } => format!("{}[s{idx}] := s{a}", arr(*ar)),
-            MOp::StArrE { arr: ar, idx, e } => format!("{}[s{idx}] := {}", arr(*ar), ev(*e)),
-            MOp::StSigS { sig: s, a, .. } => format!("${} := s{a}", sig(*s)),
+            } => format!("{}[{}] := {}", arr(*ar), o(idx), o(a)),
+            MOp::StArrE { arr: ar, idx, e } => format!("{}[{}] := {}", arr(*ar), o(idx), ev(*e)),
+            MOp::StSigS { sig: s, a, .. } => format!("${} := {}", sig(*s), o(a)),
             MOp::StSigE { sig: s, e } => format!("${} := {}", sig(*s), ev(*e)),
-            MOp::BranchZ { c, target } => format!("brz s{c} -> {target}"),
+            MOp::BranchZ { c, target } => format!("brz {} -> {target}", o(c)),
             MOp::Jmp { target } => format!("jmp -> {target}"),
             MOp::PauseOp => "pause".into(),
             MOp::LabelOp { id } => format!(
@@ -1251,7 +1356,6 @@ pub(crate) fn exec_thread<O: Observer + ?Sized>(
             return Ok(());
         };
         match op {
-            MOp::ConstS { dst, v } => slots[*dst as usize] = *v,
             MOp::LdVarS { dst, var } => slots[*dst as usize] = state.vars[*var as usize].to_u64(),
             MOp::LdSigS { dst, sig } => slots[*dst as usize] = state.sigs[*sig as usize].to_u64(),
             MOp::LdArrS { dst, arr, idx } => {
@@ -1338,12 +1442,13 @@ pub(crate) fn exec_thread<O: Observer + ?Sized>(
             MOp::EvalS { dst, e } => {
                 slots[*dst as usize] = eval(&thread.exprs[*e as usize], state).to_u64()
             }
+            // Register and signal stores write the value in place: `w`
+            // is the declared width, which the stored value keeps.
             MOp::StVarS { var, a, w } => {
                 tick!();
-                let new = Bits::from_u64(slots[*a as usize], *w);
-                let i = *var as usize;
-                obs.on_assign(*var, &state.vars[i], &new);
-                state.vars[i] = new;
+                let (reg, v) = (&mut state.vars[*var as usize], slots[*a as usize]);
+                obs.on_assign(*var, reg, &Bits::from_u64(v, *w));
+                reg.set_u64(v);
             }
             // The `St*E` terminals are the tree-walker's own stores.
             MOp::StVarE { var, e } => {
@@ -1375,9 +1480,9 @@ pub(crate) fn exec_thread<O: Observer + ?Sized>(
                 let i = slots[*idx as usize] as usize;
                 state.arr_write(ArrId(*arr), i, &thread.exprs[*e as usize]);
             }
-            MOp::StSigS { sig, a, w } => {
+            MOp::StSigS { sig, a, .. } => {
                 tick!();
-                state.sigs[*sig as usize] = Bits::from_u64(slots[*a as usize], *w);
+                state.sigs[*sig as usize].set_u64(slots[*a as usize]);
             }
             MOp::StSigE { sig, e } => {
                 tick!();
@@ -1676,7 +1781,7 @@ mod tests {
         let a = pb.reg("a", 8);
         pb.thread("main", vec![assign(a, add(var(a), lit(1, 8))), halt()]);
         let cp = compile(&flatten(&pb.build().unwrap()).unwrap()).unwrap();
-        let text = mops_to_string(&cp.threads[0], &cp.prog);
+        let text = mops_to_string(&cp, 0);
         assert!(text.contains("var a"), "{text}");
         assert!(text.contains("halt"), "{text}");
     }

@@ -113,7 +113,7 @@ impl MachineState {
         obs: &mut O,
     ) {
         let w = prog.var(dst).expect("validated").width;
-        let v = eval(e, self).resize(w);
+        let v = fit(eval(e, self), w);
         let reg = &mut self.vars[dst.0 as usize];
         obs.on_assign(dst.0, reg, &v);
         *reg = v;
@@ -135,7 +135,7 @@ impl MachineState {
     #[inline(never)]
     pub fn sig_write(&mut self, sig: SigId, e: &Expr, prog: &Program) {
         let w = prog.signal(sig).expect("validated").width;
-        self.sigs[sig.0 as usize] = eval(e, self).resize(w);
+        self.sigs[sig.0 as usize] = fit(eval(e, self), w);
     }
 }
 
@@ -281,8 +281,7 @@ pub fn eval(e: &Expr, st: &MachineState) -> Bits {
                 };
             }
             let w = lv.width().max(rv.width());
-            let lw = lv.resize(w);
-            let rw = rv.resize(w);
+            let (lw, rw) = (fit(lv, w), fit(rv, w));
             use std::cmp::Ordering::*;
             match op {
                 BinOp::Add => lw.wrapping_add(&rw),
@@ -304,15 +303,23 @@ pub fn eval(e: &Expr, st: &MachineState) -> Bits {
             let tv = eval(t, st);
             let ev = eval(e2, st);
             let w = tv.width().max(ev.width());
-            if eval(c, st).to_bool() {
-                tv.resize(w)
-            } else {
-                ev.resize(w)
-            }
+            fit(if eval(c, st).to_bool() { tv } else { ev }, w)
         }
         Expr::Slice(e, hi, lo) => eval(e, st).slice(*hi, *lo),
         Expr::Concat(h, l) => eval(h, st).concat(&eval(l, st)),
-        Expr::Resize(e, w) => eval(e, st).resize(*w),
+        Expr::Resize(e, w) => fit(eval(e, st), *w),
+    }
+}
+
+/// `v` zero-extended or truncated to `w` bits: moved as it is when it
+/// already has that width, so a value wider than a machine word is not
+/// copied for nothing.
+#[inline]
+fn fit(v: Bits, w: u16) -> Bits {
+    if v.width() == w {
+        v
+    } else {
+        v.resize(w)
     }
 }
 

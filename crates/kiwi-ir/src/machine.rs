@@ -13,8 +13,9 @@
 //! The image is immutable and held behind an [`Arc`], so an engine
 //! builds it once and every shard's `clone()` shares it. What a clone
 //! owns is its state: the [`MachineState`], one pc per thread, the
-//! compiled image's scratch file, the cycle and op counters, and the FSM
-//! image's state-occupancy profile.
+//! compiled image's slot file (scratch plus the constant pool, written
+//! once here), the cycle and op counters, and the FSM image's
+//! state-occupancy profile.
 
 use crate::ast::{IrError, IrResult};
 use crate::compile::{exec_thread, CompiledProgram};
@@ -72,7 +73,8 @@ pub struct Core {
 pub(crate) struct Instance {
     pub(crate) state: MachineState,
     pub(crate) threads: Vec<ThreadCtx>,
-    /// The compiled image's scratch file (empty on the others).
+    /// The compiled image's slot file: scratch, then the constant pool
+    /// (empty on the other images).
     pub(crate) slots: Vec<u64>,
     pub(crate) cycle: u64,
     pub(crate) ops_executed: u64,
@@ -86,16 +88,23 @@ pub(crate) struct Instance {
 impl Core {
     /// Instantiates `code` in its reset state.
     pub fn new(code: Code) -> Self {
-        let (prog, entries, n_slots, occupancy) = match &code {
-            Code::TreeWalk(flat) => (&flat.prog, vec![0; flat.threads.len()], 0, Vec::new()),
-            Code::Compiled(cp) => {
-                let n_slots = cp.threads.iter().map(|t| t.n_slots).max().unwrap_or(0);
-                (&cp.prog, vec![0; cp.threads.len()], n_slots, Vec::new())
-            }
+        let (prog, entries, slots, occupancy) = match &code {
+            Code::TreeWalk(flat) => (
+                &flat.prog,
+                vec![0; flat.threads.len()],
+                Vec::new(),
+                Vec::new(),
+            ),
+            Code::Compiled(cp) => (
+                &cp.prog,
+                vec![0; cp.threads.len()],
+                cp.slot_file(),
+                Vec::new(),
+            ),
             Code::Fpga(fsm) => (
                 &fsm.prog,
                 fsm.threads.iter().map(|t| t.entry_pc).collect(),
-                0,
+                Vec::new(),
                 fsm.threads
                     .iter()
                     .map(|t| vec![0; t.state_count() + 1])
@@ -108,7 +117,7 @@ impl Core {
                 .into_iter()
                 .map(|pc| ThreadCtx { pc, halted: false })
                 .collect(),
-            slots: vec![0; n_slots],
+            slots,
             cycle: 0,
             ops_executed: 0,
             occupancy,

@@ -60,15 +60,15 @@
 //! # Before / after
 //!
 //! The statement `a := resize(resize(a + 1, 16), 8)` on an 8-bit
-//! register lowers naively to
+//! register lowers naively to the listing below; the literal `1` is a
+//! constant-pool slot, printed as its value, and no micro-op loads it:
 //!
 //! ```text
 //!   0: s0 <- var a
-//!   1: s1 <- const 0x1
-//!   2: s2 <- s0 Add s1 & 0xff
-//!   3: s3 <- s2            // resize 8 -> 16: identity copy
-//!   4: s4 <- s3 & 0xff     // resize 16 -> 8: mask
-//!   5: var a := s4
+//!   1: s1 <- s0 Add 0x1 & 0xff
+//!   2: s2 <- s1            // resize 8 -> 16: identity copy
+//!   3: s3 <- s2 & 0xff     // resize 16 -> 8: mask
+//!   4: var a := s3
 //! ```
 //!
 //! after the pipeline the copy is propagated and its dead slot
@@ -76,10 +76,9 @@
 //!
 //! ```text
 //!   0: s0 <- var a
-//!   1: s1 <- const 0x1
-//!   2: s2 <- s0 Add s1 & 0xff
-//!   3: s4 <- s2 & 0xff
-//!   4: var a := s4
+//!   1: s1 <- s0 Add 0x1 & 0xff
+//!   2: s3 <- s1 & 0xff
+//!   3: var a := s3
 //! ```
 //!
 //! (each pass is individually testable — see the tests below, which
@@ -87,7 +86,7 @@
 //! documents its own before/after).
 
 use crate::ast::BinOp;
-use crate::compile::{bin_s, cmp_s, mask_of, shl_s, shr_s, MOp, Slot};
+use crate::compile::{bin_s, cmp_s, is_pool, mask_of, shl_s, shr_s, MOp, Pool, Slot};
 use crate::program::Program;
 use std::collections::{HashMap, HashSet};
 
@@ -95,7 +94,14 @@ use std::collections::{HashMap, HashSet};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pass {
     /// Evaluate pure micro-ops whose operands are all constants,
-    /// replacing them with `ConstS` loads.
+    /// replacing each with a copy of its result's pool slot, which
+    /// [`Pass::CopyProp`] and [`Pass::DeadScratch`] then remove.
+    ///
+    /// ```text
+    ///   0: s0 <- 0x5 Mul 0x7 & 0xffff     0: s0 <- 0x23
+    ///   1: s1 <- 0x3 Add s0 & 0xffff =>   1: s1 <- 0x26
+    ///   2: var a := s1                    2: var a := s1
+    /// ```
     ConstFold,
     /// Array-access strength reduction: an element access whose index
     /// is a known constant becomes a direct `LdArrCS` (or `StArrCS`)
@@ -106,9 +112,8 @@ pub enum Pass {
     /// which the executor's bounds check already provides.
     ///
     /// ```text
-    ///   0: s0 <- const 0x2        0: s1 <- t[#2]
-    ///   1: s1 <- t[s0]       =>   1: t[#2] := s1
-    ///   2: t[s0] := s1
+    ///   0: s0 <- t[0x2]      =>   0: s0 <- t[#2]
+    ///   1: t[0x2] := s0           1: t[#2] := s0
     /// ```
     ArrayStrength,
     /// Redundant-load/store elimination across the statements of a
@@ -119,19 +124,18 @@ pub enum Pass {
     /// invalidate exactly what they can touch.
     ///
     /// ```text
-    ///   0: s0 <- var a            0: s0 <- var a
-    ///   1: s1 <- const 0x1        1: s1 <- const 0x1
-    ///   2: s2 <- s0 Add s1 & 0xff 2: s2 <- s0 Add s1 & 0xff
-    ///   3: var a := s2       =>   3: var a := s2
-    ///   4: s3 <- var a            4: s3 <- s2
-    ///   5: ...                    5: ...
+    ///   0: s0 <- var a              0: s0 <- var a
+    ///   1: s1 <- s0 Add 0x1 & 0xff  1: s1 <- s0 Add 0x1 & 0xff
+    ///   2: var a := s1         =>   2: var a := s1
+    ///   3: s2 <- var a              3: s2 <- s1
+    ///   4: ...                      4: ...
     /// ```
     RedundantLoad,
     /// Local value numbering over the pure micro-ops of a widened
     /// region: an op recomputing a value an earlier op already produced
     /// (same opcode, same copy-resolved operands, commutative operand
-    /// order canonicalized) becomes a copy of the earlier result, as
-    /// does a re-materialized small constant. Loads are deliberately
+    /// order canonicalized) becomes a copy of the earlier result; a
+    /// constant operand is its one pool slot. Loads are deliberately
     /// *not* value-numbered — [`Pass::RedundantLoad`] owns them, with
     /// the store-invalidation logic that makes them sound.
     ///
@@ -160,12 +164,11 @@ pub enum Pass {
     /// elements.
     ///
     /// ```text
-    ///   0: s1 <- frame[s0]            0: s1 <- frame[s0]
-    ///   1: s2 <- const 0x1            1: s2 <- const 0x1
-    ///   2: s3 <- s0 Add s2 & 0xffff   2: s3 <- s0 Add s2 & 0xffff
-    ///   3: s4 <- frame[s3]            3: s4 <- frame[s3]
-    ///   4: s5 <- {s1, s4:u8}     =>   4: s5 <- {frame[s0], frame[s0+1 & 0xffff]:u8}
-    ///                                    // 0-3 die when otherwise unread
+    ///   0: s1 <- frame[s0]             0: s1 <- frame[s0]
+    ///   1: s2 <- s0 Add 0x1 & 0xffff   1: s2 <- s0 Add 0x1 & 0xffff
+    ///   2: s3 <- frame[s2]             2: s3 <- frame[s2]
+    ///   3: s4 <- {s1, s3:u8}      =>   3: s4 <- {frame[s0], frame[s0+1 & 0xffff]:u8}
+    ///                                     // 0-2 die when otherwise unread
     /// ```
     FusePairs,
     /// Rewrite uses of `CopyS` destinations to their sources (the
@@ -268,7 +271,11 @@ pub(crate) fn widen_regions(regions: &mut [Vec<MOp>]) {
                 if let Some(d) = m.dst_mut() {
                     *d += off;
                 }
-                m.uses_mut(&mut |s| *s += off);
+                m.uses_mut(&mut |s| {
+                    if !is_pool(*s) {
+                        *s += off;
+                    }
+                });
             }
             regions[head].extend(moved);
             off += used;
@@ -279,11 +286,16 @@ pub(crate) fn widen_regions(regions: &mut [Vec<MOp>]) {
     }
 }
 
-/// Scratch-file size used by one run of micro-ops.
+/// Scratch-file size used by one run of micro-ops (pool slots are not
+/// scratch).
 pub(crate) fn region_slots(region: &[MOp]) -> u32 {
     let mut n = 0u32;
     for m in region {
-        let mut bump = |s: Slot| n = n.max(s + 1);
+        let mut bump = |s: Slot| {
+            if !is_pool(s) {
+                n = n.max(s + 1);
+            }
+        };
         if let Some(d) = m.dst() {
             bump(d);
         }
@@ -292,16 +304,18 @@ pub(crate) fn region_slots(region: &[MOp]) -> u32 {
     n
 }
 
-/// Runs `passes` over the (widened) regions, in order.
-pub fn run(regions: &mut [Vec<MOp>], passes: &[Pass], prog: &Program) {
+/// Runs `passes` over the (widened) regions, in order. The passes read
+/// constants from `pool`; `ConstFold` and `ArrayStrength` add the values
+/// they fold to.
+pub(crate) fn run(regions: &mut [Vec<MOp>], passes: &[Pass], prog: &Program, pool: &mut Pool) {
     for pass in passes {
         for region in regions.iter_mut() {
             match pass {
-                Pass::ConstFold => const_fold(region),
-                Pass::ArrayStrength => array_strength(region, prog),
-                Pass::RedundantLoad => redundant_load(region, prog),
+                Pass::ConstFold => const_fold(region, pool),
+                Pass::ArrayStrength => array_strength(region, prog, pool),
+                Pass::RedundantLoad => redundant_load(region, prog, pool),
                 Pass::Cse => cse(region),
-                Pass::FusePairs => fuse_pairs(region),
+                Pass::FusePairs => fuse_pairs(region, pool),
                 Pass::CopyProp => copy_prop(region),
                 Pass::DeadScratch => dead_scratch(region),
             }
@@ -309,11 +323,33 @@ pub fn run(regions: &mut [Vec<MOp>], passes: &[Pass], prog: &Program) {
     }
 }
 
-/// Constant folding: forward pass tracking slots with known values.
-fn const_fold(region: &mut [MOp]) {
-    let mut consts: HashMap<Slot, u64> = HashMap::new();
+/// The constants a forward scan over a region knows: every pool slot,
+/// and each scratch slot an earlier copy filled from a known constant.
+#[derive(Default)]
+struct Consts(HashMap<Slot, u64>);
+
+impl Consts {
+    fn get(&self, pool: &Pool, s: Slot) -> Option<u64> {
+        pool.value(s).or_else(|| self.0.get(&s).copied())
+    }
+
+    /// Records the constant `op` leaves in its destination, if it copies
+    /// one.
+    fn note(&mut self, pool: &Pool, op: &MOp) {
+        if let MOp::CopyS { dst, a } = *op {
+            if let Some(v) = self.get(pool, a) {
+                self.0.insert(dst, v);
+            }
+        }
+    }
+}
+
+/// Constant folding: forward pass tracking slots with known values; a
+/// folded op becomes a copy of the result's pool slot.
+fn const_fold(region: &mut [MOp], pool: &mut Pool) {
+    let mut consts = Consts::default();
     for op in region.iter_mut() {
-        let s = |slot: &Slot| consts.get(slot).copied();
+        let s = |slot: &Slot| consts.get(pool, *slot);
         let folded: Option<u64> = match &*op {
             MOp::CopyS { a, .. } => s(a),
             MOp::MaskS { a, mask, .. } => s(a).map(|v| v & mask),
@@ -335,11 +371,12 @@ fn const_fold(region: &mut [MOp]) {
             _ => None,
         };
         if let (Some(v), Some(dst)) = (folded, op.dst()) {
-            *op = MOp::ConstS { dst, v };
+            *op = MOp::CopyS {
+                dst,
+                a: pool.slot(v),
+            };
         }
-        if let MOp::ConstS { dst, v } = op {
-            consts.insert(*dst, *v);
-        }
+        consts.note(pool, op);
     }
 }
 
@@ -349,14 +386,14 @@ fn const_fold(region: &mut [MOp]) {
 /// the architectural zero. Out-of-range constant stores stay dynamic:
 /// they are terminals, so they must keep ticking the op budget, and the
 /// executor's bounds check drops them exactly as before.
-fn array_strength(region: &mut [MOp], prog: &Program) {
-    let mut consts: HashMap<Slot, u64> = HashMap::new();
+fn array_strength(region: &mut [MOp], prog: &Program, pool: &mut Pool) {
+    let mut consts = Consts::default();
     let in_range = |prog: &Program, arr: u32, c: u64| {
         c < arr_len(prog, arr) as u64 && c <= u64::from(u32::MAX)
     };
     for op in region.iter_mut() {
         let rep = match &*op {
-            MOp::LdArrS { dst, arr, idx } => consts.get(idx).map(|&c| {
+            MOp::LdArrS { dst, arr, idx } => consts.get(pool, *idx).map(|c| {
                 if in_range(prog, *arr, c) {
                     MOp::LdArrCS {
                         dst: *dst,
@@ -364,11 +401,14 @@ fn array_strength(region: &mut [MOp], prog: &Program) {
                         idx: c as u32,
                     }
                 } else {
-                    MOp::ConstS { dst: *dst, v: 0 }
+                    MOp::CopyS {
+                        dst: *dst,
+                        a: pool.slot(0),
+                    }
                 }
             }),
-            MOp::StArrS { arr, idx, a, w } => match consts.get(idx) {
-                Some(&c) if in_range(prog, *arr, c) => Some(MOp::StArrCS {
+            MOp::StArrS { arr, idx, a, w } => match consts.get(pool, *idx) {
+                Some(c) if in_range(prog, *arr, c) => Some(MOp::StArrCS {
                     arr: *arr,
                     idx: c as u32,
                     a: *a,
@@ -381,9 +421,7 @@ fn array_strength(region: &mut [MOp], prog: &Program) {
         if let Some(r) = rep {
             *op = r;
         }
-        if let MOp::ConstS { dst, v } = op {
-            consts.insert(*dst, *v);
-        }
+        consts.note(pool, op);
     }
 }
 
@@ -406,21 +444,19 @@ enum IdxKey {
 /// truncate, so forwarding a slot with bits beyond it would disagree
 /// with a reload). `pause`/`ext` hand the environment a mutable view of
 /// all machine state and clear everything.
-fn redundant_load(region: &mut [MOp], prog: &Program) {
+fn redundant_load(region: &mut [MOp], prog: &Program, pool: &Pool) {
     let mut var_s: HashMap<u32, Slot> = HashMap::new();
     let mut sig_s: HashMap<u32, Slot> = HashMap::new();
     let mut arr_s: HashMap<(u32, IdxKey), Slot> = HashMap::new();
     // Known possibly-set bits per slot (for store forwarding) and known
     // constants / copy sources (for index resolution).
-    let mut nz: HashMap<Slot, u64> = HashMap::new();
-    let mut consts: HashMap<Slot, u64> = HashMap::new();
+    let mut nz = SetBits::default();
+    let mut consts = Consts::default();
     let mut copies: HashMap<Slot, Slot> = HashMap::new();
     fn resolve(copies: &HashMap<Slot, Slot>, s: Slot) -> Slot {
         copies.get(&s).copied().unwrap_or(s)
     }
-    fn fits(nz: &HashMap<Slot, u64>, a: Slot, w: u16) -> bool {
-        nz.get(&a).copied().unwrap_or(u64::MAX) & !mask_of(w) == 0
-    }
+    let fits = |nz: &SetBits, a: Slot, w: u16| nz.get(pool, a) & !mask_of(w) == 0;
 
     for op in region.iter_mut() {
         // 1. Replace loads whose value is already in a slot.
@@ -441,22 +477,13 @@ fn redundant_load(region: &mut [MOp], prog: &Program) {
 
         // 2. Value bookkeeping for the (possibly rewritten) op.
         if let Some(d) = op.dst() {
-            let m = value_mask(op, &nz, &consts);
-            nz.insert(d, m);
+            let m = value_mask(op, &nz, pool, &consts);
+            nz.0.insert(d, m);
         }
-        match &*op {
-            MOp::ConstS { dst, v } => {
-                consts.insert(*dst, *v);
-            }
-            MOp::CopyS { dst, a } => {
-                let src = resolve(&copies, *a);
-                copies.insert(*dst, src);
-                if let Some(&v) = consts.get(&src) {
-                    consts.insert(*dst, v);
-                }
-            }
-            _ => {}
+        if let MOp::CopyS { dst, a } = &*op {
+            copies.insert(*dst, resolve(&copies, *a));
         }
+        consts.note(pool, op);
 
         // 3. Availability and invalidation.
         match &*op {
@@ -494,8 +521,8 @@ fn redundant_load(region: &mut [MOp], prog: &Program) {
                 sig_s.remove(sig);
             }
             MOp::StArrS { arr, idx, .. } | MOp::StArrE { arr, idx, .. } => {
-                match consts.get(&resolve(&copies, *idx)) {
-                    Some(&c) if c < arr_len(prog, *arr) as u64 && c <= u64::from(u32::MAX) => {
+                match consts.get(pool, resolve(&copies, *idx)) {
+                    Some(c) if c < arr_len(prog, *arr) as u64 && c <= u64::from(u32::MAX) => {
                         invalidate_arr(&mut arr_s, *arr, Some(c as u32));
                         if let MOp::StArrS { a, w, .. } = &*op {
                             if fits(&nz, *a, *w) {
@@ -543,15 +570,28 @@ fn invalidate_arr(arr_s: &mut HashMap<(u32, IdxKey), Slot>, arr: u32, known_idx:
     arr_s.retain(|k, _| !stale(k));
 }
 
+/// Per slot, an upper bound on the bits its value can have set: a pool
+/// slot's value itself, a scratch slot's as [`value_mask`] found it, and
+/// all bits for a slot not seen.
+#[derive(Default)]
+struct SetBits(HashMap<Slot, u64>);
+
+impl SetBits {
+    fn get(&self, pool: &Pool, s: Slot) -> u64 {
+        pool.value(s)
+            .or_else(|| self.0.get(&s).copied())
+            .unwrap_or(u64::MAX)
+    }
+}
+
 /// An upper bound on the bits a slot's value can have set, used to
 /// decide whether store forwarding is exact. Loads (and `EvalS`, which
 /// reads state too) get `u64::MAX`: drivers may poke machine state
 /// between regions, so declared widths are not trusted for values
 /// *read* from state — only for values the region computes itself.
-fn value_mask(op: &MOp, nz: &HashMap<Slot, u64>, consts: &HashMap<Slot, u64>) -> u64 {
-    let g = |s: &Slot| nz.get(s).copied().unwrap_or(u64::MAX);
+fn value_mask(op: &MOp, nz: &SetBits, pool: &Pool, consts: &Consts) -> u64 {
+    let g = |s: &Slot| nz.get(pool, *s);
     match op {
-        MOp::ConstS { v, .. } => *v,
         MOp::CopyS { a, .. } => g(a),
         MOp::MaskS { a, mask, .. } => g(a) & mask,
         MOp::NotS { mask, .. }
@@ -572,8 +612,8 @@ fn value_mask(op: &MOp, nz: &HashMap<Slot, u64>, consts: &HashMap<Slot, u64>) ->
             ..
         } => g(a) | g(b),
         MOp::BinS { mask, .. } => *mask,
-        MOp::ShrS { a, b, .. } => match consts.get(b) {
-            Some(&n) => shr_s(g(a), n),
+        MOp::ShrS { a, b, .. } => match consts.get(pool, *b) {
+            Some(n) => shr_s(g(a), n),
             None => smear_down(g(a)),
         },
         MOp::ConcatS { a, b, bw, .. } => shl_s(g(a), u64::from(*bw), u64::MAX) | g(b),
@@ -603,7 +643,8 @@ fn commutes(op: BinOp) -> bool {
 
 /// Local value numbering within one widened region (see [`Pass::Cse`]).
 /// Forward scan: each pure op is keyed on a kind discriminant plus its
-/// copy-resolved operands and immediates; a key hit rewrites the op to
+/// copy-resolved operands (a constant is its one pool slot) and
+/// immediates; a key hit rewrites the op to
 /// a copy of the first computation's slot. Sound across interior
 /// stores, labels, and branch exits because slots are written once
 /// before use and an interior `BranchZ` only ever *leaves* the region —
@@ -617,7 +658,6 @@ fn cse(region: &mut [MOp]) {
     for op in region.iter_mut() {
         let rs = |s: &Slot| u64::from(copies.get(s).copied().unwrap_or(*s));
         let keyed: Option<(Key, Slot)> = match &*op {
-            MOp::ConstS { dst, v } => Some(((0, *v, 0, 0, 0), *dst)),
             MOp::MaskS { dst, a, mask } => Some(((1, rs(a), *mask, 0, 0), *dst)),
             MOp::NotS { dst, a, mask } => Some(((2, rs(a), *mask, 0, 0), *dst)),
             MOp::NegS { dst, a, mask } => Some(((3, rs(a), *mask, 0, 0), *dst)),
@@ -664,9 +704,9 @@ fn cse(region: &mut [MOp]) {
 /// elements at the concat site, so any store into the array (or a
 /// pause/ext handing control to the environment, though those only ever
 /// end a region) after the first of the two loads blocks the fusion.
-fn fuse_pairs(region: &mut [MOp]) {
+fn fuse_pairs(region: &mut [MOp], pool: &Pool) {
     let mut def: HashMap<Slot, usize> = HashMap::new();
-    let mut consts: HashMap<Slot, u64> = HashMap::new();
+    let mut consts = Consts::default();
     let mut copies: HashMap<Slot, Slot> = HashMap::new();
     // Latest op that may have changed an array's contents.
     let mut dirty: HashMap<u32, usize> = HashMap::new();
@@ -715,7 +755,7 @@ fn fuse_pairs(region: &mut [MOp]) {
                         // with the same mask), so the fused op can
                         // reproduce every wrap exactly.
                         let ri1 = resolve(&copies, *i1);
-                        let ckonst = |s: &Slot| consts.get(&resolve(&copies, *s)).copied();
+                        let ckonst = |s: &Slot| consts.get(pool, resolve(&copies, *s));
                         let low = match def.get(&resolve(&copies, *i2)).map(|&q| &region[q]) {
                             Some(MOp::BinS {
                                 op: BinOp::Add,
@@ -787,18 +827,12 @@ fn fuse_pairs(region: &mut [MOp]) {
                 dirty.insert(*arr, p);
             }
             MOp::PauseOp | MOp::ExtOp { .. } => env_dirty = Some(p),
-            MOp::ConstS { dst, v } => {
-                consts.insert(*dst, *v);
-            }
             MOp::CopyS { dst, a } => {
-                let src = resolve(&copies, *a);
-                copies.insert(*dst, src);
-                if let Some(&v) = consts.get(&src) {
-                    consts.insert(*dst, v);
-                }
+                copies.insert(*dst, resolve(&copies, *a));
             }
             _ => {}
         }
+        consts.note(pool, &region[p]);
         if let Some(d) = region[p].dst() {
             def.insert(d, p);
         }
@@ -867,7 +901,7 @@ mod tests {
     }
 
     fn listing(cp: &CompiledProgram) -> String {
-        mops_to_string(&cp.threads[0], &cp.prog)
+        mops_to_string(cp, 0)
     }
 
     /// Runs the tree-walker and the fully optimized compiled backend
@@ -915,7 +949,7 @@ mod tests {
         let folded = lower(&pb, &[Pass::ConstFold, Pass::DeadScratch]);
         let text = listing(&folded);
         assert!(!text.contains("Add"), "arith must fold away:\n{text}");
-        assert!(text.contains("const 0x26"), "3 + 5*7 = 38:\n{text}");
+        assert!(text.contains("<- 0x26\n"), "3 + 5*7 = 38:\n{text}");
     }
 
     #[test]
@@ -942,11 +976,11 @@ mod tests {
     fn copy_prop_bypasses_identity_resizes() {
         let naive = lower(&resize_tower(), &[]);
         let text = listing(&naive);
-        assert!(text.contains("s3 <- s2"), "naive keeps the copy:\n{text}");
+        assert!(text.contains("s2 <- s1\n"), "naive keeps the copy:\n{text}");
         let prop = lower(&resize_tower(), &[Pass::CopyProp]);
         let text = listing(&prop);
         // The mask now reads the Add's slot directly.
-        assert!(text.contains("s4 <- s2 & 0xff"), "{text}");
+        assert!(text.contains("s3 <- s1 & 0xff"), "{text}");
     }
 
     #[test]
@@ -958,7 +992,7 @@ mod tests {
         assert!(n_after < n_before, "{n_before} -> {n_after}");
         // The orphaned copy is gone; the terminal survives.
         let text = listing(&full);
-        assert!(!text.contains("s3 <- s2\n"), "{text}");
+        assert!(!text.contains("s2 <- s1\n"), "{text}");
         assert!(text.contains("var a :="), "{text}");
     }
 
@@ -1236,9 +1270,9 @@ mod tests {
     }
 
     #[test]
-    fn cse_merges_rematerialized_constants() {
-        // The same literal in two statements lowers to two ConstS ops;
-        // value numbering keeps one.
+    fn a_repeated_literal_is_one_pool_slot() {
+        // The same literal in two statements is read from one pool slot
+        // under any pipeline, and no micro-op loads it.
         let mut pb = ProgramBuilder::new("p");
         let a = pb.reg_init("a", 8, Bits::from_u64(3, 8));
         let b = pb.reg("b", 8);
@@ -1251,8 +1285,13 @@ mod tests {
                 halt(),
             ],
         );
-        let text = listing(&lower(&pb, default_pipeline()));
-        assert_eq!(text.matches("const 0x2d").count(), 1, "{text}");
+        for passes in [&[][..], default_pipeline()] {
+            let cp = lower(&pb, passes);
+            assert_eq!(cp.pool.iter().filter(|&&v| v == 0x2d).count(), 1);
+            let text = listing(&cp);
+            assert_eq!(text.matches(" 0x2d ").count(), 2, "{text}");
+            assert_eq!(text.matches("<- 0x2d").count(), 0, "{text}");
+        }
         assert_lockstep(&pb, 3);
     }
 

@@ -23,7 +23,6 @@
 //! * out `rx_done`   — pulse: finished with this frame (platform drops
 //!   `rx_valid` the same tick).
 
-use emu_types::Bits;
 use emu_types::Frame;
 use kiwi_ir::interp::{Env, Observer};
 use kiwi_ir::program::{ArrId, ArrayBacking, SigId};
@@ -217,9 +216,9 @@ impl DataplaneDriver {
         // The prefix [0, len) now holds frame bytes; everything above is
         // zero again.
         st.arr_high[p.frame.0 as usize] = len;
-        st.sigs[p.rx_valid.0 as usize] = Bits::from_u64(1, 1);
-        st.sigs[p.rx_len.0 as usize] = Bits::from_u64(len as u64, 16);
-        st.sigs[p.rx_port.0 as usize] = Bits::from_u64(u64::from(frame.in_port), 8);
+        st.sigs[p.rx_valid.0 as usize].set_u64(1);
+        st.sigs[p.rx_len.0 as usize].set_u64(len as u64);
+        st.sigs[p.rx_port.0 as usize].set_u64(u64::from(frame.in_port));
     }
 
     /// Delivers `frame` to the core and runs until the core pulses
@@ -284,7 +283,7 @@ impl DataplaneDriver {
                 if done_now && !prev_done {
                     // Drop rx_valid the same tick so the core's next loop
                     // iteration sees no frame.
-                    st.sigs[p.rx_valid.0 as usize] = Bits::from_u64(0, 1);
+                    st.sigs[p.rx_valid.0 as usize].set_u64(0);
                     return Some(Ok(()));
                 }
                 prev_done = done_now;

@@ -11,7 +11,7 @@
 //!
 //! The modelled block answers in one cycle whatever the key looks like,
 //! so the host cost of a probe should follow the *declared* geometry,
-//! not the 72-byte [`Bits`] a key travels in. Entries live in one flat
+//! not the [`Bits`] a key travels in. Entries live in one flat
 //! `Vec<u64>` slab: slot *i* is `stride = kw + vw + 1` consecutive
 //! words — `kw = ⌈key_bits/64⌉` key limbs, `vw = ⌈value_bits/64⌉`
 //! value limbs, then the stamp (frame epoch of the last touch;
@@ -67,8 +67,8 @@
 //! under the same cause in the sibling's stats), and touches propagate,
 //! so the pair ages in lockstep and half-dead mappings cannot exist.
 
-use emu_types::bits::MAX_WIDTH;
 use emu_types::Bits;
+use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::collections::VecDeque;
 use std::hash::{BuildHasher, Hasher};
@@ -133,15 +133,16 @@ pub enum WriteEffect {
     Replaced(Bits),
 }
 
-/// `bits` cut or zero-extended to `width`, as limbs; only the first
-/// `⌈width/64⌉` are meaningful. The one place a `Bits` becomes table
-/// words, so every entry point agrees on what a key is. (A `Bits` holds
-/// zeros above its own width, so only the cut needs a mask, and no
-/// 72-byte `resize` copy is made to apply it.)
-fn limbs_at(bits: &Bits, width: u16) -> [u64; MAX_WIDTH as usize / 64] {
-    let mut limbs = *bits.limbs();
-    limbs[(usize::from(width) - 1) / 64] &= u64::MAX >> (63 - (width - 1) % 64);
-    limbs
+/// `bits` cut or zero-extended to `width`, whose `⌈width/64⌉` limbs
+/// are the table words. The one place a `Bits` becomes table words, so
+/// every entry point agrees on what a key is. A port samples a value at
+/// its declared width, which is borrowed as it is, not copied.
+fn at_width(bits: &Bits, width: u16) -> Cow<'_, Bits> {
+    if bits.width() == width {
+        Cow::Borrowed(bits)
+    } else {
+        Cow::Owned(bits.resize(width))
+    }
 }
 
 /// Hashed, TTL-aware CAM storage (see the module docs for the storage
@@ -313,9 +314,8 @@ impl CamTable {
     /// [`CamTable::find`] for a caller's `Bits`, read the way `write`
     /// stores a key: cut or zero-extended to `key_bits`.
     fn probe(&self, key: &Bits) -> Option<(usize, u32)> {
-        let key = limbs_at(key, self.key_bits);
-        let key = &key[..self.kw];
-        self.find(self.hash(key), key)
+        let key = at_width(key, self.key_bits);
+        self.find(self.hash(key.limbs()), key.limbs())
     }
 
     /// Index position naming the occupied `slot`.
@@ -485,10 +485,10 @@ impl CamTable {
     pub fn write(&mut self, key: Bits, value: Bits) -> WriteEffect {
         self.stats.writes += 1;
         let (key, value) = (
-            limbs_at(&key, self.key_bits),
-            limbs_at(&value, self.value_bits),
+            at_width(&key, self.key_bits),
+            at_width(&value, self.value_bits),
         );
-        let (key, value) = (&key[..self.kw], &value[..self.vw]);
+        let (key, value) = (key.limbs(), value.limbs());
         let hash = self.hash(key);
         if let Some((_, slot)) = self.find(hash, key) {
             let old = self.value_of(slot);

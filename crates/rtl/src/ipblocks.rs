@@ -160,6 +160,12 @@ impl Port {
         st.sigs[self.id.0 as usize] = self.fit(v);
     }
 
+    /// Drives this `In` port with `v` cut to the port's width, in place.
+    #[inline]
+    fn drive_u64(&self, st: &mut MachineState, v: u64) {
+        st.sigs[self.id.0 as usize].set_u64(v);
+    }
+
     /// `v` at the port's width. Every value a machine or a model puts
     /// on a port already has it, so this is a move; the resize keeps the
     /// signal file's width invariant if one ever does not.
@@ -356,7 +362,7 @@ fn serve<T, D, W>(
     }
     if ports.lookup_en.high(st) {
         let hit = lookup(table, &ports.lookup_key.sample(st));
-        ports.matched.drive(st, Bits::from_bool(hit.is_some()));
+        ports.matched.drive_u64(st, u64::from(hit.is_some()));
         let miss = || Bits::zero(ports.value.width);
         ports.value.drive(st, hit.unwrap_or_else(miss));
     }
@@ -669,8 +675,8 @@ impl IpBlockModel for PearsonHashModel {
             self.fed += 1;
         }
 
-        p.init_ready.drive(st, Bits::from_bool(self.init_ready));
-        p.digest.drive(st, Bits::from_u64(u64::from(self.h), 8));
+        p.init_ready.drive_u64(st, u64::from(self.init_ready));
+        p.digest.drive_u64(st, u64::from(self.h));
     }
 
     fn resources(&self) -> Vec<IpBlock> {
@@ -766,9 +772,9 @@ impl IpBlockModel for FifoModel {
         let head = self.q.front().cloned();
         let no_head = || Bits::zero(p.pop_data.width);
         p.pop_data.drive(st, head.unwrap_or_else(no_head));
-        p.empty.drive(st, Bits::from_bool(self.q.is_empty()));
+        p.empty.drive_u64(st, u64::from(self.q.is_empty()));
         let full = self.q.len() >= self.depth;
-        p.full.drive(st, Bits::from_bool(full));
+        p.full.drive_u64(st, u64::from(full));
     }
 
     fn resources(&self) -> Vec<IpBlock> {
@@ -909,7 +915,7 @@ impl IpBlockModel for NaughtyQModel {
                 };
                 self.slots[idx] = Some(p.value_in.sample(st));
                 touch(&mut self.order, idx);
-                p.idx_out.drive(st, Bits::from_u64(idx as u64, 16));
+                p.idx_out.drive_u64(st, idx as u64);
             }
             2 => {
                 // Read.
@@ -932,8 +938,8 @@ impl IpBlockModel for NaughtyQModel {
         // already read zero and an idle cycle writes nothing.
         if evicted.is_some() || p.evicted.high(st) {
             let idx = evicted.unwrap_or(0) as u64;
-            p.evicted.drive(st, Bits::from_bool(evicted.is_some()));
-            p.evicted_idx.drive(st, Bits::from_u64(idx, 16));
+            p.evicted.drive_u64(st, u64::from(evicted.is_some()));
+            p.evicted_idx.drive_u64(st, idx);
         }
     }
 

@@ -7,14 +7,46 @@
 //! arithmetic operators. [`Bits`] is that type here: the dynamic-width
 //! value representation used across the IR interpreter and the RTL
 //! simulator.
+//!
+//! # Representation
+//!
+//! A value is its width plus little-endian 64-bit limbs:
+//!
+//! * a value of at most 256 bits is stored **inline**, in four limbs
+//!   (40 bytes in all);
+//! * a wider value **spills**: its limbs live in one heap block,
+//!   allocated when the value is built, with limb 0 repeated inline.
+//!
+//! Almost every value a service holds fits one limb. The inline width is
+//! 256 rather than 128 bits because of the DNS server's 208-bit query
+//! key: spilled, every expression node over it allocates, which made a
+//! query frame cost twice as much host time on a 2-vCPU Xeon host.
+//!
+//! Which of the two a value uses is a function of its width alone, so
+//! the derived equality and hash are width-and-value. Limb 0 sits at the
+//! same offset in both layouts, so reading a value's low 64 bits, the
+//! executors' most frequent access, does not branch on the layout. Bits
+//! above the width are always zero. An operation on values of at most
+//! 128 bits is `u128` arithmetic; a wider one works on a copy of the
+//! limbs on the stack.
 
 use std::fmt;
 
 /// Maximum supported width in bits.
 pub const MAX_WIDTH: u16 = 512;
 
-/// Number of 64-bit limbs backing a [`Bits`] value.
-const LIMBS: usize = (MAX_WIDTH as usize) / 64;
+/// Widest value stored inline; a wider one spills to the heap.
+const INLINE_BITS: u16 = 256;
+
+/// Limbs of an inline value.
+const INLINE: usize = INLINE_BITS as usize / 64;
+
+/// Limbs of the widest value.
+const MAX_LIMBS: usize = MAX_WIDTH as usize / 64;
+
+/// A value's limbs zero-extended to [`MAX_WIDTH`]: the scratch an
+/// operation on values wider than 128 bits computes on.
+type Wide = [u64; MAX_LIMBS];
 
 /// An unsigned integer value with an explicit bit width in `1..=512`.
 ///
@@ -32,12 +64,118 @@ const LIMBS: usize = (MAX_WIDTH as usize) / 64;
 /// assert_eq!(a.wrapping_add(&b).to_u64(), 0); // modular in 32 bits
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Bits {
-    width: u16,
-    limbs: [u64; LIMBS],
+pub struct Bits(Repr);
+
+/// The two layouts (see the module docs); the variant follows from the
+/// width. `repr(u8)` lays each variant out as a C struct behind the tag,
+/// which puts limb 0 at offset 8 in both.
+#[derive(Clone, PartialEq, Eq, Hash)]
+#[repr(u8)]
+enum Repr {
+    /// Width `1..=INLINE_BITS`; limbs above the width's are zero.
+    Inline { width: u16, limbs: [u64; INLINE] },
+    /// Wider: `lo` is limb 0, and the heap block holds every limb, zero
+    /// above the width's.
+    Spill {
+        width: u16,
+        lo: u64,
+        limbs: Box<Wide>,
+    },
+}
+
+/// Panics unless `width` is in `1..=MAX_WIDTH`.
+#[inline]
+fn check(width: u16) {
+    assert!((1..=MAX_WIDTH).contains(&width), "invalid width {width}");
+}
+
+/// Limbs a value of `width` bits occupies.
+#[inline]
+fn n_limbs(width: u16) -> usize {
+    usize::from(width).div_ceil(64)
+}
+
+/// `a << n` over the whole scratch (`n < MAX_WIDTH`).
+fn shl_wide(a: &Wide, n: usize) -> Wide {
+    let (q, r) = (n / 64, n % 64);
+    let at = |i: usize| i.checked_sub(q).map_or(0, |j| a[j]);
+    std::array::from_fn(|i| {
+        let carry = if r == 0 || i == 0 {
+            0
+        } else {
+            at(i - 1) >> (64 - r)
+        };
+        (at(i) << r) | carry
+    })
+}
+
+/// `a >> n` over the whole scratch (`n < MAX_WIDTH`).
+fn shr_wide(a: &Wide, n: usize) -> Wide {
+    let (q, r) = (n / 64, n % 64);
+    let at = |i: usize| a.get(i + q).copied().unwrap_or(0);
+    std::array::from_fn(|i| {
+        let carry = if r == 0 { 0 } else { at(i + 1) << (64 - r) };
+        (at(i) >> r) | carry
+    })
 }
 
 impl Bits {
+    /// The value of `width` bits held in the front of `a`, cut to the
+    /// width.
+    #[inline]
+    fn from_wide(width: u16, a: Wide) -> Self {
+        check(width);
+        let w = usize::from(width);
+        // All of a limb below the width's top one, the low bits of the
+        // top one, nothing above it.
+        let cut = |i: usize| match w.saturating_sub(64 * i) {
+            0 => 0,
+            r @ 1..64 => a[i] & (u64::MAX >> (64 - r)),
+            _ => a[i],
+        };
+        if width > INLINE_BITS {
+            return Bits::spill(width, std::array::from_fn(cut));
+        }
+        let limbs = std::array::from_fn(cut);
+        Bits(Repr::Inline { width, limbs })
+    }
+
+    /// The spilled value of `width` bits whose limbs are `a`, built out
+    /// of line so that the inline path stays small where it is inlined.
+    #[cold]
+    #[inline(never)]
+    fn spill(width: u16, a: Wide) -> Self {
+        Bits(Repr::Spill {
+            width,
+            lo: a[0],
+            limbs: Box::new(a),
+        })
+    }
+
+    /// The value of `width` (`1..=128`) holding `v` cut to the width:
+    /// the fast path of everything that fits a `u128`.
+    #[inline]
+    fn narrow(width: u16, v: u128) -> Self {
+        let v = v & (u128::MAX >> (128 - width));
+        let mut limbs = [0; INLINE];
+        limbs[0] = v as u64;
+        limbs[1] = (v >> 64) as u64;
+        Bits(Repr::Inline { width, limbs })
+    }
+
+    /// The value's limbs, zero-extended.
+    #[inline]
+    fn wide(&self) -> Wide {
+        match &self.0 {
+            Repr::Inline { limbs, .. } => {
+                let mut a = [0; MAX_LIMBS];
+                a[..INLINE].copy_from_slice(limbs);
+                a
+            }
+            Repr::Spill { limbs, .. } => **limbs,
+        }
+    }
+
     /// Creates an all-zero value of the given width.
     ///
     /// # Panics
@@ -45,11 +183,7 @@ impl Bits {
     /// Panics if `width` is zero or exceeds [`MAX_WIDTH`].
     #[inline]
     pub fn zero(width: u16) -> Self {
-        assert!((1..=MAX_WIDTH).contains(&width), "invalid width {width}");
-        Bits {
-            width,
-            limbs: [0; LIMBS],
-        }
+        Bits::from_u64(0, width)
     }
 
     /// Creates a value of the given width holding `1`.
@@ -61,20 +195,40 @@ impl Bits {
     /// Creates a value of the given width from a `u64`, truncating if needed.
     #[inline]
     pub fn from_u64(v: u64, width: u16) -> Self {
-        let mut b = Bits::zero(width);
-        b.limbs[0] = v;
-        b.normalize();
-        b
+        if (1..=64).contains(&width) {
+            let mut limbs = [0; INLINE];
+            limbs[0] = v & (u64::MAX >> (64 - width));
+            return Bits(Repr::Inline { width, limbs });
+        }
+        Bits::from_u128(u128::from(v), width)
+    }
+
+    /// Replaces the value with `v` cut to the value's own width, in
+    /// place: the store of a register or signal, whose width never
+    /// changes. (Building a value and moving it in makes a copy the
+    /// processor cannot forward from the stores that built it, 5 ns a
+    /// store more on a 2-vCPU Xeon host.)
+    #[inline]
+    pub fn set_u64(&mut self, v: u64) {
+        match &mut self.0 {
+            Repr::Inline { width, limbs } => {
+                *limbs = [0; INLINE];
+                limbs[0] = v & (u64::MAX >> (64 - (*width).min(64)));
+            }
+            Repr::Spill { lo, limbs, .. } => {
+                **limbs = [0; MAX_LIMBS];
+                (*lo, limbs[0]) = (v, v);
+            }
+        }
     }
 
     /// Creates a value of the given width from a `u128`, truncating if needed.
     #[inline]
     pub fn from_u128(v: u128, width: u16) -> Self {
-        let mut b = Bits::zero(width);
-        b.limbs[0] = v as u64;
-        b.limbs[1] = (v >> 64) as u64;
-        b.normalize();
-        b
+        if (1..=128).contains(&width) {
+            return Bits::narrow(width, v);
+        }
+        Bits::from_limbs(&[v as u64, (v >> 64) as u64], width)
     }
 
     /// Creates a value of the given width from little-endian 64-bit
@@ -83,14 +237,14 @@ impl Bits {
     ///
     /// # Panics
     ///
-    /// Panics if `limbs` is longer than the backing store
-    /// ([`MAX_WIDTH`]` / 64` limbs) or `width` is invalid.
+    /// Panics if `limbs` is longer than [`MAX_WIDTH`]` / 64` or `width`
+    /// is invalid.
     #[inline]
     pub fn from_limbs(limbs: &[u64], width: u16) -> Self {
-        let mut b = Bits::zero(width);
-        b.limbs[..limbs.len()].copy_from_slice(limbs);
-        b.normalize();
-        b
+        assert!(limbs.len() <= MAX_LIMBS, "too many limbs");
+        let mut a = [0; MAX_LIMBS];
+        a[..limbs.len()].copy_from_slice(limbs);
+        Bits::from_wide(width, a)
     }
 
     /// Creates a value from a boolean, with width 1.
@@ -107,41 +261,48 @@ impl Bits {
     /// Panics if `bytes` is empty or longer than 64 bytes.
     pub fn from_be_bytes(bytes: &[u8]) -> Self {
         assert!(!bytes.is_empty() && bytes.len() <= 64, "bad byte length");
-        let width = (bytes.len() * 8) as u16;
-        let mut b = Bits::zero(width);
+        let mut a = [0; MAX_LIMBS];
         for (i, &byte) in bytes.iter().rev().enumerate() {
-            b.limbs[i / 8] |= u64::from(byte) << ((i % 8) * 8);
+            a[i / 8] |= u64::from(byte) << ((i % 8) * 8);
         }
-        b
+        Bits::from_wide((bytes.len() * 8) as u16, a)
     }
 
     /// Returns the value as big-endian bytes (`width/8` rounded up).
     pub fn to_be_bytes(&self) -> Vec<u8> {
-        let nbytes = usize::from(self.width).div_ceil(8);
-        let mut out = vec![0u8; nbytes];
-        for i in 0..nbytes {
-            let byte = (self.limbs[i / 8] >> ((i % 8) * 8)) as u8;
-            out[nbytes - 1 - i] = byte;
-        }
-        out
+        let nbytes = usize::from(self.width()).div_ceil(8);
+        let limbs = self.limbs();
+        (0..nbytes)
+            .rev()
+            .map(|i| (limbs[i / 8] >> ((i % 8) * 8)) as u8)
+            .collect()
     }
 
     /// Width of the value in bits.
     #[inline]
     pub fn width(&self) -> u16 {
-        self.width
+        match self.0 {
+            Repr::Inline { width, .. } | Repr::Spill { width, .. } => width,
+        }
     }
 
     /// Low 64 bits of the value.
     #[inline]
     pub fn to_u64(&self) -> u64 {
-        self.limbs[0]
+        match &self.0 {
+            Repr::Inline { limbs, .. } => limbs[0],
+            Repr::Spill { lo, .. } => *lo,
+        }
     }
 
     /// Low 128 bits of the value.
     #[inline]
     pub fn to_u128(&self) -> u128 {
-        u128::from(self.limbs[0]) | (u128::from(self.limbs[1]) << 64)
+        let hi = match &self.0 {
+            Repr::Inline { limbs, .. } => limbs[1],
+            Repr::Spill { limbs, .. } => limbs[1],
+        };
+        u128::from(self.to_u64()) | (u128::from(hi) << 64)
     }
 
     /// Interprets the value as a boolean (true iff non-zero).
@@ -153,62 +314,35 @@ impl Bits {
     /// Returns true iff the value is zero.
     #[inline]
     pub fn is_zero(&self) -> bool {
-        self.limbs.iter().all(|&l| l == 0)
+        match &self.0 {
+            Repr::Inline { limbs, .. } => limbs.iter().fold(0, |a, l| a | l) == 0,
+            Repr::Spill { limbs, .. } => limbs.iter().fold(0, |a, l| a | l) == 0,
+        }
     }
 
-    /// Raw limbs (little-endian 64-bit words). Used by the RTL simulator's
-    /// trace dump.
+    /// The `⌈width/64⌉` limbs the value occupies, little-endian 64-bit
+    /// words (the layout [`Bits::from_limbs`] takes).
     #[inline]
-    pub fn limbs(&self) -> &[u64; LIMBS] {
-        &self.limbs
-    }
-
-    /// Masks off bits above `width`, restoring the representation invariant.
-    #[inline]
-    fn normalize(&mut self) {
-        let w = usize::from(self.width);
-        for (i, limb) in self.limbs.iter_mut().enumerate() {
-            let lo = i * 64;
-            if lo >= w {
-                *limb = 0;
-            } else if w - lo < 64 {
-                *limb &= (1u64 << (w - lo)) - 1;
-            }
+    pub fn limbs(&self) -> &[u64] {
+        match &self.0 {
+            Repr::Inline { width, limbs } => &limbs[..n_limbs(*width)],
+            Repr::Spill { width, limbs, .. } => &limbs[..n_limbs(*width)],
         }
     }
 
     /// Returns a copy resized to `width` (zero-extend or truncate).
     pub fn resize(&self, width: u16) -> Self {
-        let mut b = self.clone();
-        b.width = width;
-        assert!((1..=MAX_WIDTH).contains(&width), "invalid width {width}");
-        b.normalize();
-        b
+        check(width);
+        if width <= 128 {
+            return Bits::narrow(width, self.to_u128());
+        }
+        Bits::from_wide(width, self.wide())
     }
 
     /// Returns bit `i` (false if `i >= width`).
     #[inline]
     pub fn bit(&self, i: u16) -> bool {
-        if i >= self.width {
-            return false;
-        }
-        let i = usize::from(i);
-        (self.limbs[i / 64] >> (i % 64)) & 1 == 1
-    }
-
-    /// Sets bit `i` to `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= width`.
-    pub fn set_bit(&mut self, i: u16, v: bool) {
-        assert!(i < self.width, "bit index {i} out of range");
-        let i = usize::from(i);
-        if v {
-            self.limbs[i / 64] |= 1u64 << (i % 64);
-        } else {
-            self.limbs[i / 64] &= !(1u64 << (i % 64));
-        }
+        i < self.width() && (self.limbs()[usize::from(i / 64)] >> (i % 64)) & 1 == 1
     }
 
     /// Extracts bits `hi..=lo` (inclusive, `hi >= lo`) as a new value of
@@ -219,10 +353,12 @@ impl Bits {
     /// Panics if `hi < lo` or `hi >= width`.
     pub fn slice(&self, hi: u16, lo: u16) -> Self {
         assert!(hi >= lo, "slice hi {hi} < lo {lo}");
-        assert!(hi < self.width, "slice hi {hi} out of range");
-        let out_w = hi - lo + 1;
-        let shifted = self.shr(u32::from(lo));
-        shifted.resize(out_w)
+        assert!(hi < self.width(), "slice hi {hi} out of range");
+        let width = hi - lo + 1;
+        if hi < 128 {
+            return Bits::narrow(width, self.to_u128() >> lo);
+        }
+        Bits::from_wide(width, shr_wide(&self.wide(), usize::from(lo)))
     }
 
     /// Concatenates `self` (high bits) with `low` (low bits).
@@ -231,67 +367,66 @@ impl Bits {
     ///
     /// Panics if the combined width exceeds [`MAX_WIDTH`].
     pub fn concat(&self, low: &Bits) -> Self {
-        let w = self.width + low.width;
+        let (lw, w) = (low.width(), self.width() + low.width());
         assert!(w <= MAX_WIDTH, "concat width {w} exceeds max");
-        let mut hi = self.resize(w).shl(u32::from(low.width));
-        let lo = low.resize(w);
-        for i in 0..LIMBS {
-            hi.limbs[i] |= lo.limbs[i];
+        if w <= 128 {
+            return Bits::narrow(w, (self.to_u128() << lw) | low.to_u128());
         }
-        hi
+        let mut a = shl_wide(&self.wide(), usize::from(lw));
+        for (x, y) in a.iter_mut().zip(low.wide()) {
+            *x |= y;
+        }
+        Bits::from_wide(w, a)
     }
 
     /// Modular addition in `self`'s width.
     pub fn wrapping_add(&self, rhs: &Bits) -> Self {
-        let mut out = Bits::zero(self.width);
-        let mut carry = 0u64;
-        for i in 0..LIMBS {
-            let (s1, c1) = self.limbs[i].overflowing_add(rhs.limbs[i]);
-            let (s2, c2) = s1.overflowing_add(carry);
-            out.limbs[i] = s2;
-            carry = u64::from(c1) + u64::from(c2);
+        let w = self.width();
+        if w <= 128 {
+            return Bits::narrow(w, self.to_u128().wrapping_add(rhs.to_u128()));
         }
-        out.normalize();
-        out
+        let (mut a, b, mut carry) = (self.wide(), rhs.wide(), false);
+        for (x, y) in a.iter_mut().zip(b) {
+            let (s, c1) = x.overflowing_add(y);
+            let (s, c2) = s.overflowing_add(u64::from(carry));
+            (*x, carry) = (s, c1 | c2);
+        }
+        Bits::from_wide(w, a)
     }
 
     /// Modular subtraction in `self`'s width.
     pub fn wrapping_sub(&self, rhs: &Bits) -> Self {
-        let mut out = Bits::zero(self.width);
-        let mut borrow = 0u64;
-        for i in 0..LIMBS {
-            let (d1, b1) = self.limbs[i].overflowing_sub(rhs.limbs[i]);
-            let (d2, b2) = d1.overflowing_sub(borrow);
-            out.limbs[i] = d2;
-            borrow = u64::from(b1) + u64::from(b2);
+        let w = self.width();
+        if w <= 128 {
+            return Bits::narrow(w, self.to_u128().wrapping_sub(rhs.to_u128()));
         }
-        out.normalize();
-        out
+        let (mut a, b, mut borrow) = (self.wide(), rhs.wide(), false);
+        for (x, y) in a.iter_mut().zip(b) {
+            let (d, b1) = x.overflowing_sub(y);
+            let (d, b2) = d.overflowing_sub(u64::from(borrow));
+            (*x, borrow) = (d, b1 | b2);
+        }
+        Bits::from_wide(w, a)
     }
 
     /// Modular multiplication (low `width` bits of the product).
     pub fn wrapping_mul(&self, rhs: &Bits) -> Self {
-        let mut acc = [0u128; LIMBS + 1];
-        for i in 0..LIMBS {
-            if self.limbs[i] == 0 {
-                continue;
-            }
-            for j in 0..LIMBS - i {
-                let p = u128::from(self.limbs[i]) * u128::from(rhs.limbs[j]);
-                let k = i + j;
-                acc[k] += p & u128::from(u64::MAX);
-                acc[k + 1] += p >> 64;
+        let w = self.width();
+        if w <= 128 {
+            return Bits::narrow(w, self.to_u128().wrapping_mul(rhs.to_u128()));
+        }
+        // Schoolbook over the limbs of the result width only.
+        let (a, b, n) = (self.wide(), rhs.wide(), n_limbs(w));
+        let mut acc = [0; MAX_LIMBS];
+        for i in 0..n {
+            let mut carry = 0u128;
+            for j in 0..n - i {
+                let t = u128::from(a[i]) * u128::from(b[j]) + u128::from(acc[i + j]) + carry;
+                acc[i + j] = t as u64;
+                carry = t >> 64;
             }
         }
-        let mut out = Bits::zero(self.width);
-        let mut carry = 0u128;
-        for (slot, &a) in out.limbs.iter_mut().zip(acc.iter()) {
-            let v = a + carry;
-            *slot = v as u64;
-            carry = v >> 64;
-        }
-        out.normalize();
-        out
+        Bits::from_wide(w, acc)
     }
 
     /// Bitwise AND.
@@ -311,91 +446,58 @@ impl Bits {
 
     /// Bitwise NOT (in `self`'s width).
     pub fn not(&self) -> Self {
-        let mut out = Bits::zero(self.width);
-        for i in 0..LIMBS {
-            out.limbs[i] = !self.limbs[i];
-        }
-        out.normalize();
-        out
+        self.zip(self, |a, _| !a)
     }
 
+    /// `f` limb by limb over `self` and `rhs`, in `self`'s width.
+    #[inline]
     fn zip(&self, rhs: &Bits, f: impl Fn(u64, u64) -> u64) -> Self {
-        let mut out = Bits::zero(self.width);
-        for i in 0..LIMBS {
-            out.limbs[i] = f(self.limbs[i], rhs.limbs[i]);
+        let w = self.width();
+        if w <= 128 {
+            let (x, y) = (self.to_u128(), rhs.to_u128());
+            let hi = f((x >> 64) as u64, (y >> 64) as u64);
+            return Bits::narrow(
+                w,
+                u128::from(f(x as u64, y as u64)) | (u128::from(hi) << 64),
+            );
         }
-        out.normalize();
-        out
+        let (mut a, b) = (self.wide(), rhs.wide());
+        for (x, y) in a.iter_mut().zip(b) {
+            *x = f(*x, y);
+        }
+        Bits::from_wide(w, a)
     }
 
     /// Logical left shift (in `self`'s width). Shifts ≥ width yield zero.
     pub fn shl(&self, n: u32) -> Self {
-        let mut out = Bits::zero(self.width);
-        if n as usize >= LIMBS * 64 {
-            return out;
+        let w = self.width();
+        if n >= u32::from(w) {
+            return Bits::zero(w);
         }
-        let limb_shift = (n / 64) as usize;
-        let bit_shift = n % 64;
-        for i in (0..LIMBS).rev() {
-            if i < limb_shift {
-                break;
-            }
-            let mut v = self.limbs[i - limb_shift] << bit_shift;
-            if bit_shift > 0 && i > limb_shift {
-                v |= self.limbs[i - limb_shift - 1] >> (64 - bit_shift);
-            }
-            out.limbs[i] = v;
+        if w <= 128 {
+            return Bits::narrow(w, self.to_u128() << n);
         }
-        out.normalize();
-        out
+        Bits::from_wide(w, shl_wide(&self.wide(), n as usize))
     }
 
     /// Logical right shift. Shifts ≥ width yield zero.
     pub fn shr(&self, n: u32) -> Self {
-        let mut out = Bits::zero(self.width);
-        if n as usize >= LIMBS * 64 {
-            return out;
+        let w = self.width();
+        if n >= u32::from(w) {
+            return Bits::zero(w);
         }
-        let limb_shift = (n / 64) as usize;
-        let bit_shift = n % 64;
-        for i in 0..LIMBS {
-            if i + limb_shift >= LIMBS {
-                break;
-            }
-            let mut v = self.limbs[i + limb_shift] >> bit_shift;
-            if bit_shift > 0 && i + limb_shift + 1 < LIMBS {
-                v |= self.limbs[i + limb_shift + 1] << (64 - bit_shift);
-            }
-            out.limbs[i] = v;
+        if w <= 128 {
+            return Bits::narrow(w, self.to_u128() >> n);
         }
-        out.normalize();
-        out
+        Bits::from_wide(w, shr_wide(&self.wide(), n as usize))
     }
 
     /// Unsigned comparison.
     pub fn cmp_u(&self, rhs: &Bits) -> std::cmp::Ordering {
-        for i in (0..LIMBS).rev() {
-            match self.limbs[i].cmp(&rhs.limbs[i]) {
-                std::cmp::Ordering::Equal => continue,
-                ord => return ord,
-            }
+        if self.width().max(rhs.width()) <= 128 {
+            return self.to_u128().cmp(&rhs.to_u128());
         }
-        std::cmp::Ordering::Equal
-    }
-
-    /// Number of significant bits (position of highest set bit + 1; 0 for zero).
-    pub fn significant_bits(&self) -> u16 {
-        for i in (0..LIMBS).rev() {
-            if self.limbs[i] != 0 {
-                return (i * 64) as u16 + (64 - self.limbs[i].leading_zeros() as u16);
-            }
-        }
-        0
-    }
-
-    /// Population count (number of set bits).
-    pub fn count_ones(&self) -> u32 {
-        self.limbs.iter().map(|l| l.count_ones()).sum()
+        self.wide().iter().rev().cmp(rhs.wide().iter().rev())
     }
 }
 
@@ -408,11 +510,11 @@ impl fmt::Debug for Bits {
 impl fmt::Display for Bits {
     /// Formats as `<width>'h<hex>`, Verilog style.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}'h", self.width)?;
-        let digits = usize::from(self.width).div_ceil(4);
+        write!(f, "{}'h", self.width())?;
+        let digits = usize::from(self.width()).div_ceil(4);
         let mut started = false;
         for d in (0..digits).rev() {
-            let nibble = (self.limbs[d / 16] >> ((d % 16) * 4)) & 0xf;
+            let nibble = (self.limbs()[d / 16] >> ((d % 16) * 4)) & 0xf;
             if nibble != 0 || started || d == 0 {
                 started = true;
                 write!(f, "{nibble:x}")?;
@@ -569,16 +671,6 @@ mod tests {
     }
 
     #[test]
-    fn bit_set_get() {
-        let mut b = Bits::zero(65);
-        b.set_bit(64, true);
-        assert!(b.bit(64));
-        assert_eq!(b.significant_bits(), 65);
-        b.set_bit(64, false);
-        assert!(b.is_zero());
-    }
-
-    #[test]
     fn compare_unsigned() {
         use std::cmp::Ordering;
         let a = Bits::from_u128(1u128 << 100, 128);
@@ -596,15 +688,28 @@ mod tests {
     }
 
     #[test]
-    fn count_ones_works() {
-        assert_eq!(Bits::from_u64(0xf0f0, 16).count_ones(), 8);
-        assert_eq!(Bits::zero(512).count_ones(), 0);
-    }
-
-    #[test]
     fn resize_zero_extends_and_truncates() {
         let a = Bits::from_u64(0x1ff, 16);
         assert_eq!(a.resize(8).to_u64(), 0xff);
         assert_eq!(a.resize(64).to_u64(), 0x1ff);
+    }
+
+    #[test]
+    fn a_value_spills_past_inline_bits() {
+        assert_eq!(std::mem::size_of::<Bits>(), 8 + 8 * INLINE);
+        for w in [1, 63, 64, 65, 128, 129, 208, 256, 257, 511, 512] {
+            let b = Bits::zero(w).not();
+            assert_eq!(b.limbs().len(), usize::from(w).div_ceil(64), "width {w}");
+            let inline = matches!(b.0, Repr::Inline { .. });
+            assert_eq!(inline, w <= INLINE_BITS, "width {w}");
+            assert_eq!(b.resize(512).resize(w), b, "width {w}");
+            // An in-place store keeps the width and matches a fresh value.
+            for v in [0, 1, 0xdead_beef, u64::MAX] {
+                let mut s = b.clone();
+                s.set_u64(v);
+                assert_eq!(s, Bits::from_u64(v, w), "width {w}, {v:#x}");
+                assert_eq!(s.to_u64(), Bits::from_u64(v, w).to_u64());
+            }
+        }
     }
 }

@@ -94,12 +94,13 @@
 //! * [`Backend::Compiled`](stdlib::Backend) (**default**) — each thread
 //!   is lowered once, at build time, to a linear micro-op bytecode with
 //!   explicit scratch registers, pre-resolved ids and pre-computed
-//!   widths. The bytecode is a 64-bit machine — 34 micro-ops over one
-//!   `u64` scratch file; the few sub-expressions wider than that (or
-//!   directly on top of one that is) are not lowered but handed, as
-//!   they stand, to the reference [`ir::eval`] by four of those
-//!   micro-ops, so the product re-implements none of the spec's
-//!   multi-limb arithmetic. It is then run through the
+//!   widths. The bytecode is a 64-bit machine — 33 micro-ops over one
+//!   `u64` slot file, scratch below and the program's constant pool
+//!   above, so no micro-op loads a literal; the few sub-expressions
+//!   wider than that (or directly on top of one that is) are not
+//!   lowered but handed, as they stand, to the reference [`ir::eval`]
+//!   by four of those micro-ops, so the product re-implements none of
+//!   the spec's multi-limb arithmetic. It is then run through the
 //!   **cross-statement** optimization pass pipeline ([`ir::opt`]):
 //!   observer-visibility analysis widens optimization regions past
 //!   source-statement boundaries wherever no observer event intervenes,
@@ -178,7 +179,7 @@
 //! checks the binding once at build — no port is looked up by name
 //! while frames flow, and a handle from the wrong program is a build
 //! error, not an inert table. An entry costs what its declared geometry says, not what a
-//! 72-byte [`Bits`](types::Bits) does: `8 × (⌈key_bits/64⌉ +
+//! [`Bits`](types::Bits) does: `8 × (⌈key_bits/64⌉ +
 //! ⌈value_bits/64⌉ + 1)` bytes in one flat `u64` slab (key limbs, value
 //! limbs, last-touch stamp — 24 B for the switch's 48-bit MAC → port
 //! and for both NAT tables) plus 8 to 16 B of an open-addressed,

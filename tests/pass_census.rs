@@ -8,6 +8,8 @@
 //! (micro-ops per service under the default pipeline, under the
 //! pipeline minus each pass, and under the empty pipeline with the
 //! share that is handed to the reference `eval`).
+//!
+//! The same programs pin the constant pool's contract.
 
 use emu::debug::{extend_program, ControllerConfig};
 use emu::ir::compile::MOp;
@@ -68,8 +70,7 @@ fn variant(m: &MOp) -> String {
 
 /// Every variant of [`MOp`]. Lowering emits all but the five fused ops
 /// of part (b), which only a pass produces.
-const VARIANTS: [&str; 34] = [
-    "ConstS",
+const VARIANTS: [&str; 33] = [
     "LdVarS",
     "LdSigS",
     "LdArrS",
@@ -222,4 +223,49 @@ fn every_default_pass_and_fused_op_shows_up_in_a_shipped_service() {
         "size_of::<MOp>() = {}",
         std::mem::size_of::<MOp>()
     );
+}
+
+/// The constant pool, on every shipped program under the default and
+/// the empty pipeline: no micro-op writes a pool slot; none loads a
+/// constant at run time (a copy out of a pool slot is such a load); and
+/// the pool holds each value once, every one read by some micro-op.
+#[test]
+fn constants_are_pooled_once_and_never_loaded() {
+    for (name, prog) in shipped() {
+        for passes in [default_pipeline(), &[][..]] {
+            let cp = compile_with_passes(&flatten(&prog).unwrap(), passes).unwrap();
+            let base = cp.pool_base() as u32;
+            let mut read = vec![false; cp.pool.len()];
+            for m in cp.threads.iter().flat_map(|t| &t.mops) {
+                assert!(
+                    m.dst().is_none_or(|d| d < base),
+                    "{name} ({} passes): {m:?} writes a pool slot",
+                    passes.len()
+                );
+                if let MOp::CopyS { a, .. } = m {
+                    assert!(
+                        *a < base,
+                        "{name} ({} passes): {m:?} loads a constant",
+                        passes.len()
+                    );
+                }
+                m.uses(&mut |s| {
+                    if s >= base {
+                        read[(s - base) as usize] = true;
+                    }
+                });
+            }
+            assert!(!cp.pool.is_empty(), "{name} has literals");
+            assert!(
+                read.iter().all(|&r| r),
+                "{name}: a pool entry nothing reads"
+            );
+            let distinct: std::collections::BTreeSet<_> = cp.pool.iter().collect();
+            assert_eq!(
+                distinct.len(),
+                cp.pool.len(),
+                "{name}: a value pooled twice"
+            );
+        }
+    }
 }
