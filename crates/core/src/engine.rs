@@ -86,10 +86,15 @@
 //! crate needs no `unsafe`, and every shard is home whenever no batch
 //! is in flight. A batch that lands on one shard — every one-frame
 //! batch — wakes nobody and costs what it costs a sequential engine; a
-//! second shard costs one wake-up and one copy of its frames. Left out
-//! by choice: chunked hand-off while the caller still plans, and a
-//! per-shard arena for transmitted frames (the worker allocates them,
-//! the caller frees them).
+//! second shard costs one wake-up and one copy of its frames.
+//!
+//! A transmitted frame costs one allocation, its bytes, sized once at
+//! the padded length: a lone transmission sits inline in
+//! [`CoreOutput::tx`](netfpga_sim::CoreOutput) (a
+//! [`TxList`](netfpga_sim::TxList)), so only a second transmission on
+//! the same input allocates a list. Left out by choice: chunked hand-off
+//! while the caller still plans, and a per-shard arena for those bytes
+//! (the worker allocates them, the caller frees them).
 //!
 //! # Failure isolation
 //!

@@ -23,7 +23,7 @@
 //! * out `rx_done`   — pulse: finished with this frame (platform drops
 //!   `rx_valid` the same tick).
 
-use emu_types::Frame;
+use emu_types::{proto, Frame};
 use kiwi_ir::interp::{Env, Observer};
 use kiwi_ir::program::{ArrId, ArrayBacking, SigId};
 use kiwi_ir::{Core, IrError, IrResult, Program, ProgramBuilder};
@@ -119,11 +119,106 @@ pub struct TxFrame {
     pub frame: Frame,
 }
 
+/// The frames one received frame made the core transmit, in pulse order.
+///
+/// Nearly every frame transmits at most once (a forward, a reply, a
+/// flood is one frame with several port bits), so a lone frame is held
+/// inline and the list costs no allocation of its own: a transmitted
+/// frame costs exactly one, its bytes. Only a second `tx_valid` pulse
+/// on the same input moves the frames into a `Vec` (`Many` always holds
+/// at least two).
+///
+/// It reads as a `[TxFrame]` (`len`, indexing, `iter`, slice patterns),
+/// iterates by value and by reference, compares by contents and prints
+/// as the same frames in a `Vec` do.
+#[derive(Clone, Default)]
+pub enum TxList {
+    /// Nothing transmitted.
+    #[default]
+    Empty,
+    /// One frame, held inline.
+    One(TxFrame),
+    /// Two or more frames.
+    Many(Vec<TxFrame>),
+}
+
+impl TxList {
+    /// Appends a frame after those already transmitted.
+    pub fn push(&mut self, tx: TxFrame) {
+        *self = match std::mem::take(self) {
+            TxList::Empty => TxList::One(tx),
+            TxList::One(first) => TxList::Many(vec![first, tx]),
+            TxList::Many(mut all) => {
+                all.push(tx);
+                TxList::Many(all)
+            }
+        };
+    }
+}
+
+impl std::ops::Deref for TxList {
+    type Target = [TxFrame];
+
+    fn deref(&self) -> &[TxFrame] {
+        match self {
+            TxList::Empty => &[],
+            TxList::One(tx) => std::slice::from_ref(tx),
+            TxList::Many(all) => all,
+        }
+    }
+}
+
+impl std::ops::DerefMut for TxList {
+    fn deref_mut(&mut self) -> &mut [TxFrame] {
+        match self {
+            TxList::Empty => &mut [],
+            TxList::One(tx) => std::slice::from_mut(tx),
+            TxList::Many(all) => all,
+        }
+    }
+}
+
+impl IntoIterator for TxList {
+    type Item = TxFrame;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<TxFrame>, std::vec::IntoIter<TxFrame>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let (one, many) = match self {
+            TxList::Empty => (None, Vec::new()),
+            TxList::One(tx) => (Some(tx), Vec::new()),
+            TxList::Many(all) => (None, all),
+        };
+        one.into_iter().chain(many)
+    }
+}
+
+impl<'a> IntoIterator for &'a TxList {
+    type Item = &'a TxFrame;
+    type IntoIter = std::slice::Iter<'a, TxFrame>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for TxList {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for TxList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// Result of processing one received frame.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreOutput {
-    /// Frames transmitted while handling the input.
-    pub tx: Vec<TxFrame>,
+    /// Frames transmitted while handling the input, in pulse order; a
+    /// lone frame is held inline (see [`TxList`]).
+    pub tx: TxList,
     /// Core-clock cycles consumed from `rx_valid` to `rx_done`.
     pub cycles: u64,
 }
@@ -254,7 +349,7 @@ impl DataplaneDriver {
         let p = self.ports;
         let max = self.max_cycles_per_frame;
         let mut cycles = 0;
-        let mut tx = Vec::new();
+        let mut tx = TxList::Empty;
         let mut prev_tx = false;
         let mut prev_done = false;
         // One call per cycle, inlined into each machine's loop: left out
@@ -273,9 +368,13 @@ impl DataplaneDriver {
                     let len = (st.sigs[p.tx_len.0 as usize].to_u64() as usize).min(cap);
                     let ports = st.sigs[p.tx_ports.0 as usize].to_u64() as u8;
                     let buf = st.arrays[p.frame.0 as usize].bytes().expect(FRAME_IS_BYTES);
+                    // One allocation at the padded length: `Frame::new`
+                    // pads a short frame within this capacity.
+                    let mut bytes = Vec::with_capacity(len.max(proto::frame::MIN));
+                    bytes.extend_from_slice(&buf[..len]);
                     tx.push(TxFrame {
                         ports,
-                        frame: Frame::new(buf[..len].to_vec()),
+                        frame: Frame::new(bytes),
                     });
                 }
                 prev_tx = tx_now;
@@ -311,6 +410,158 @@ mod tests {
     /// `prog` on the tree-walker.
     fn treewalk(prog: &Program) -> Core {
         Core::new(Code::TreeWalk(kiwi_ir::flatten(prog).unwrap()))
+    }
+
+    /// `prog` as compiled micro-ops.
+    fn compiled(prog: &Program) -> Core {
+        let flat = kiwi_ir::flatten(prog).unwrap();
+        Core::new(Code::Compiled(kiwi_ir::compile(&flat).unwrap()))
+    }
+
+    /// A transmitted frame of 60 bytes `tag`, to `ports`.
+    fn tx_frame(tag: u8, ports: u8) -> TxFrame {
+        TxFrame {
+            ports,
+            frame: Frame::new(vec![tag; 60]),
+        }
+    }
+
+    #[test]
+    fn tx_list_reads_like_the_vec_it_replaces() {
+        let mut list = TxList::default();
+        let mut vec = Vec::new();
+        for n in 0..=3u8 {
+            assert_eq!(list.len(), usize::from(n));
+            assert_eq!(*list, vec[..]);
+            assert_eq!(format!("{list:?}"), format!("{vec:?}"));
+            assert_eq!(format!("{list:#?}"), format!("{vec:#?}"));
+            assert_eq!(list.clone().into_iter().collect::<Vec<_>>(), vec);
+            assert_eq!(
+                (&list).into_iter().collect::<Vec<_>>(),
+                vec.iter().collect::<Vec<_>>()
+            );
+            let shape = match &list {
+                TxList::Empty => 0,
+                TxList::One(_) => 1,
+                TxList::Many(all) => all.len(),
+            };
+            assert_eq!(
+                shape,
+                usize::from(n),
+                "a lone frame is inline, two or more a Vec"
+            );
+            list.push(tx_frame(n, 1 << n));
+            vec.push(tx_frame(n, 1 << n));
+        }
+        // Mutation through the slice keeps push order.
+        for (i, tx) in list.iter_mut().enumerate() {
+            tx.ports = 0x80 | i as u8;
+        }
+        list[3].frame.bytes_mut()[0] = 0xee;
+        let ports: Vec<u8> = list.iter().map(|tx| tx.ports).collect();
+        assert_eq!(ports, [0x80, 0x81, 0x82, 0x83]);
+        let tags: Vec<u8> = list.into_iter().map(|tx| tx.frame.bytes()[0]).collect();
+        assert_eq!(tags, [0, 1, 2, 0xee]);
+    }
+
+    #[test]
+    fn tx_list_equality_is_by_contents() {
+        let one = TxList::One(tx_frame(7, 1));
+        assert_eq!(one, TxList::Many(vec![tx_frame(7, 1)]));
+        assert_eq!(TxList::Empty, TxList::Many(Vec::with_capacity(4)));
+        assert_ne!(one, TxList::One(tx_frame(7, 2)));
+        assert_ne!(one, TxList::Empty);
+        let mut two = TxList::Empty;
+        two.push(tx_frame(1, 1));
+        two.push(tx_frame(2, 1));
+        assert_eq!(two, TxList::Many(vec![tx_frame(1, 1), tx_frame(2, 1)]));
+        assert_ne!(two, TxList::Many(vec![tx_frame(2, 1), tx_frame(1, 1)]));
+    }
+
+    /// Transmits every frame twice: to port 0 as received, then to port
+    /// 1 with its first byte set to `0x77`.
+    fn double_pulse_program() -> kiwi_ir::Program {
+        let mut pb = ProgramBuilder::new("double-pulse");
+        let dp = declare(&mut pb, 128);
+        pb.thread(
+            "main",
+            vec![forever(vec![
+                wait_until(sig(dp.rx_valid)),
+                sig_write(dp.tx_len, sig(dp.rx_len)),
+                sig_write(dp.tx_ports, lit(0b01, 8)),
+                sig_write(dp.tx_valid, tru()),
+                pause(),
+                sig_write(dp.tx_valid, fls()),
+                arr_write(dp.frame, lit(0, 16), lit(0x77, 8)),
+                sig_write(dp.tx_ports, lit(0b10, 8)),
+                pause(),
+                sig_write(dp.tx_valid, tru()),
+                pause(),
+                sig_write(dp.tx_valid, fls()),
+                sig_write(dp.rx_done, tru()),
+                pause(),
+                sig_write(dp.rx_done, fls()),
+            ])],
+        );
+        pb.build().unwrap()
+    }
+
+    #[test]
+    fn one_pulse_is_inline_and_two_are_many_on_every_execution() {
+        let (mirror, double) = (mirror_program(), double_pulse_program());
+        let mut f = Frame::new((0..64).collect());
+        f.in_port = 1;
+        for build in [rtl, treewalk, compiled] {
+            let mut drv = DataplaneDriver::new(build(&mirror)).unwrap();
+            let out = drv.process(&f, &mut NullEnv, &mut NullObserver).unwrap();
+            let TxList::One(tx) = out.tx else {
+                panic!("a mirror transmits one frame inline: {:?}", out.tx)
+            };
+            assert_eq!((tx.ports, tx.frame.bytes()), (0b10, f.bytes()));
+
+            let mut drv = DataplaneDriver::new(build(&double)).unwrap();
+            let out = drv.process(&f, &mut NullEnv, &mut NullObserver).unwrap();
+            let TxList::Many(all) = out.tx else {
+                panic!("two pulses make a list: {:?}", out.tx)
+            };
+            let mut rewritten = f.bytes().to_vec();
+            rewritten[0] = 0x77;
+            let seen: Vec<(u8, &[u8])> =
+                all.iter().map(|tx| (tx.ports, tx.frame.bytes())).collect();
+            assert_eq!(seen, [(0b01, f.bytes()), (0b10, &rewritten[..])]);
+        }
+    }
+
+    #[test]
+    fn a_short_transmit_is_padded_to_the_ethernet_minimum() {
+        // Echoes 42 bytes (an ARP reply's length) of a 60 B frame whose
+        // tail is non-zero: the pad is zeros, not the buffer's bytes.
+        let mut pb = ProgramBuilder::new("short");
+        let dp = declare(&mut pb, 128);
+        pb.thread(
+            "main",
+            vec![forever(vec![
+                wait_until(sig(dp.rx_valid)),
+                sig_write(dp.tx_len, lit(42, 16)),
+                sig_write(dp.tx_ports, lit(1, 8)),
+                sig_write(dp.tx_valid, tru()),
+                pause(),
+                sig_write(dp.tx_valid, fls()),
+                sig_write(dp.rx_done, tru()),
+                pause(),
+                sig_write(dp.rx_done, fls()),
+            ])],
+        );
+        let prog = pb.build().unwrap();
+        let f = Frame::new(vec![0xab; 60]);
+        for build in [rtl, treewalk, compiled] {
+            let mut drv = DataplaneDriver::new(build(&prog)).unwrap();
+            let out = drv.process(&f, &mut NullEnv, &mut NullObserver).unwrap();
+            let bytes = out.tx[0].frame.bytes();
+            assert_eq!(bytes.len(), proto::frame::MIN);
+            assert_eq!(bytes[..42], [0xab; 42]);
+            assert_eq!(bytes[42..], [0; 18]);
+        }
     }
 
     /// A mirror service: sends every frame back out of its arrival port,
@@ -453,7 +704,7 @@ mod tests {
 
     /// Runs the zero-tail scenario on one backend; returns what the
     /// cross-backend comparison needs.
-    fn zero_tail_run(core: Core) -> Vec<(Vec<TxFrame>, usize)> {
+    fn zero_tail_run(core: Core) -> Vec<(TxList, usize)> {
         let mut drv = DataplaneDriver::new(core).unwrap();
         let frame_id = drv.ports.frame.0 as usize;
         let long = Frame::new(vec![0xcc; 1514]);
@@ -482,8 +733,7 @@ mod tests {
     fn bytes_above_the_frame_are_zero_on_every_backend() {
         let prog = tail_echo_program();
         let tw = zero_tail_run(treewalk(&prog));
-        let flat = kiwi_ir::flatten(&prog).unwrap();
-        let cm = zero_tail_run(Core::new(Code::Compiled(kiwi_ir::compile(&flat).unwrap())));
+        let cm = zero_tail_run(compiled(&prog));
         let fpga = zero_tail_run(rtl(&prog));
         // The mark the next load relies on: the store lifts it to 64,
         // plain frames leave it at their length.

@@ -22,6 +22,6 @@ pub mod native;
 pub mod pipeline;
 pub mod timing;
 
-pub use dataplane::{declare, CoreOutput, DataplaneDriver, DataplanePorts, TxFrame};
+pub use dataplane::{declare, CoreOutput, DataplaneDriver, DataplanePorts, TxFrame, TxList};
 pub use native::{MacTable, NativeCore, P4FpgaConfig, P4FpgaCore, RefSwitchCore};
 pub use pipeline::{CoreMode, FrameRecord, MultiCoreSim, PipelineSim};

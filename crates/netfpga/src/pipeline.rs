@@ -20,7 +20,7 @@
 //!   frame per its beat count), so the switch reaches full line rate
 //!   (Table 3) while module latency stays the measured FSM path.
 
-use crate::dataplane::{DataplaneDriver, TxFrame};
+use crate::dataplane::{DataplaneDriver, TxFrame, TxList};
 use crate::native::NativeCore;
 use crate::timing;
 use emu_rtl::IpEnv;
@@ -144,41 +144,46 @@ impl PipelineSim {
         // Frame fully received and through the MAC + arbiter.
         let t_ready = t_ns + timing::wire_ns(in_len) + timing::MAC_PHY_NS + timing::ARBITER_NS;
 
-        let (outputs, cycles, t_core_start, t_core_done) = match &mut self.core {
-            CoreBox::Emu { driver, env, mode } => {
-                let out = driver.process(frame, env, &mut NullObserver)?;
-                let cycles = out.cycles;
-                match mode {
-                    CoreMode::Iterative => {
-                        let start = admit(t_ready, self.core_free_ns, timing::NS_PER_CYCLE);
-                        let done = start + cycles as f64 * timing::NS_PER_CYCLE;
-                        self.core_free_ns = done;
-                        (out.tx, cycles, start, done)
-                    }
-                    CoreMode::Streaming => {
-                        // Cut-through-ish: the core sees headers as beats
-                        // arrive; admission is limited by the stream.
-                        let t_head = t_ns + timing::MAC_PHY_NS + timing::ARBITER_NS;
-                        let start = admit(t_head, self.core_free_ns, timing::NS_PER_CYCLE);
-                        let ii = emu_rtl::beats_for_len(in_len) as f64 * timing::NS_PER_CYCLE;
-                        self.core_free_ns = start + ii;
-                        let done = start + cycles as f64 * timing::NS_PER_CYCLE;
-                        (out.tx, cycles, start, done)
+        // Whichever core ran owns its transmissions; `outputs` borrows them.
+        let emu_tx: TxList;
+        let native_tx: Vec<TxFrame>;
+        let (outputs, cycles, t_core_start, t_core_done): (&[TxFrame], _, _, _) =
+            match &mut self.core {
+                CoreBox::Emu { driver, env, mode } => {
+                    let out = driver.process(frame, env, &mut NullObserver)?;
+                    let cycles = out.cycles;
+                    emu_tx = out.tx;
+                    match mode {
+                        CoreMode::Iterative => {
+                            let start = admit(t_ready, self.core_free_ns, timing::NS_PER_CYCLE);
+                            let done = start + cycles as f64 * timing::NS_PER_CYCLE;
+                            self.core_free_ns = done;
+                            (&emu_tx, cycles, start, done)
+                        }
+                        CoreMode::Streaming => {
+                            // Cut-through-ish: the core sees headers as beats
+                            // arrive; admission is limited by the stream.
+                            let t_head = t_ns + timing::MAC_PHY_NS + timing::ARBITER_NS;
+                            let start = admit(t_head, self.core_free_ns, timing::NS_PER_CYCLE);
+                            let ii = emu_rtl::beats_for_len(in_len) as f64 * timing::NS_PER_CYCLE;
+                            self.core_free_ns = start + ii;
+                            let done = start + cycles as f64 * timing::NS_PER_CYCLE;
+                            (&emu_tx, cycles, start, done)
+                        }
                     }
                 }
-            }
-            CoreBox::Native(core) => {
-                let tx = core.process(frame);
-                let cyc = core.module_latency_cycles();
-                let cyc_ns = 1e9 / core.clock_hz() as f64;
-                let t_head = t_ns + timing::MAC_PHY_NS + timing::ARBITER_NS;
-                // Snap to the *core's* clock grid (e.g. P4FPGA at 250 MHz).
-                let start = admit(t_head, self.core_free_ns, cyc_ns);
-                self.core_free_ns = start + core.initiation_ns(in_len);
-                let done = start + cyc as f64 * cyc_ns;
-                (tx, cyc, start, done)
-            }
-        };
+                CoreBox::Native(core) => {
+                    native_tx = core.process(frame);
+                    let cyc = core.module_latency_cycles();
+                    let cyc_ns = 1e9 / core.clock_hz() as f64;
+                    let t_head = t_ns + timing::MAC_PHY_NS + timing::ARBITER_NS;
+                    // Snap to the *core's* clock grid (e.g. P4FPGA at 250 MHz).
+                    let start = admit(t_head, self.core_free_ns, cyc_ns);
+                    self.core_free_ns = start + core.initiation_ns(in_len);
+                    let done = start + cyc as f64 * cyc_ns;
+                    (&native_tx, cyc, start, done)
+                }
+            };
         let _ = t_core_start;
 
         let mut rec = FrameRecord {
@@ -189,7 +194,7 @@ impl PipelineSim {
             core_cycles: cycles,
         };
 
-        for tx in &outputs {
+        for tx in outputs {
             let out = self.egress(tx, t_core_done);
             if rec.t_out_ns.is_none() {
                 rec.t_out_ns = out;

@@ -12,6 +12,13 @@
 //! link is an independent lane (full duplex): serialization on a→b
 //! never delays b→a.
 //!
+//! A frame moves from hop to hop: the bytes a service's engine
+//! transmitted are the bytes that cross the link and land in the next
+//! node's event, with no copy and no per-hop allocation. A copy is made
+//! only where the network itself makes one — for each earlier port of
+//! a multicast (the last linked port takes the frame) and for a frame
+//! an impaired link duplicates.
+//!
 //! Links can additionally carry seeded **impairments** — loss,
 //! duplication, and reorder jitter — layered on the delay/rate model
 //! (see [`Impairments`]). Emulation work (Lochin et al., *When Should I
@@ -389,7 +396,12 @@ impl NetSim {
     ///
     /// # Panics
     ///
-    /// Panics if either port is out of range or already connected.
+    /// Panics if either port is out of range or already connected, if
+    /// `delay_ns` is not a finite value `>= 0`, or if `gbps` is not a
+    /// finite value `> 0`. Such a link would break the simulator far
+    /// from its cause: a NaN time panics inside the event heap, a zero
+    /// rate parks every frame at t = ∞ and never delivers it, and a
+    /// negative delay or rate delivers a frame before it was sent.
     pub fn link(
         &mut self,
         a: NodeId,
@@ -399,6 +411,14 @@ impl NetSim {
         delay_ns: f64,
         gbps: f64,
     ) -> LinkId {
+        assert!(
+            delay_ns.is_finite() && delay_ns >= 0.0,
+            "link: delay_ns must be finite and >= 0, got {delay_ns}"
+        );
+        assert!(
+            gbps.is_finite() && gbps > 0.0,
+            "link: gbps must be finite and > 0, got {gbps}"
+        );
         assert!(self.nodes[a.0].ifaces[port_a].is_none(), "port in use");
         assert!(self.nodes[b.0].ifaces[port_b].is_none(), "port in use");
         let id = self.links.len();
@@ -450,53 +470,49 @@ impl NetSim {
         // then lost, delivered (possibly jittered), and possibly
         // delivered twice. Draws come from the link's seeded RNG in a
         // fixed order, so a seed fully determines the outcome sequence.
-        let mut deliveries: Vec<f64> = Vec::with_capacity(1);
-        match &mut link.impair {
-            None => deliveries.push(arrive),
+        let (first, copy) = match &mut link.impair {
+            None => (arrive, None),
             Some((imp, rng)) => {
                 if imp.loss > 0.0 && rng.gen_bool(imp.loss) {
                     self.impair_stats.lost += 1;
-                } else {
-                    let mut jittered = arrive;
-                    if imp.reorder > 0.0 && imp.jitter_ns > 0.0 && rng.gen_bool(imp.reorder) {
-                        jittered += rng.gen_range(0.0..imp.jitter_ns);
-                        self.impair_stats.reordered += 1;
-                    }
-                    deliveries.push(jittered);
-                    if imp.duplicate > 0.0 && rng.gen_bool(imp.duplicate) {
-                        let mut copy = arrive;
-                        if imp.reorder > 0.0 && imp.jitter_ns > 0.0 && rng.gen_bool(imp.reorder) {
-                            copy += rng.gen_range(0.0..imp.jitter_ns);
-                        }
-                        deliveries.push(copy);
-                        self.impair_stats.duplicated += 1;
-                    }
+                    return;
                 }
+                let mut jittered = arrive;
+                if imp.reorder > 0.0 && imp.jitter_ns > 0.0 && rng.gen_bool(imp.reorder) {
+                    jittered += rng.gen_range(0.0..imp.jitter_ns);
+                    self.impair_stats.reordered += 1;
+                }
+                let mut copy = None;
+                if imp.duplicate > 0.0 && rng.gen_bool(imp.duplicate) {
+                    let mut t = arrive;
+                    if imp.reorder > 0.0 && imp.jitter_ns > 0.0 && rng.gen_bool(imp.reorder) {
+                        t += rng.gen_range(0.0..imp.jitter_ns);
+                    }
+                    copy = Some(t);
+                    self.impair_stats.duplicated += 1;
+                }
+                (jittered, copy)
             }
-        }
-        // Move the frame into the last delivery; only duplicates clone.
-        let last = deliveries.pop();
-        for t in deliveries {
-            self.seq += 1;
-            self.events.push(Event {
-                t_ns: t,
-                seq: self.seq,
-                dst_node,
-                payload: Payload::Deliver {
-                    dst_port,
-                    frame: frame.clone(),
-                },
-            });
-        }
-        if let Some(t) = last {
-            self.seq += 1;
-            self.events.push(Event {
-                t_ns: t,
-                seq: self.seq,
-                dst_node,
-                payload: Payload::Deliver { dst_port, frame },
-            });
-        }
+        };
+        // The frame moves into the last delivery; only a duplicate clones.
+        let last = match copy {
+            Some(t) => {
+                self.deliver(first, dst_node, dst_port, frame.clone());
+                t
+            }
+            None => first,
+        };
+        self.deliver(last, dst_node, dst_port, frame);
+    }
+
+    fn deliver(&mut self, t_ns: f64, dst_node: usize, dst_port: usize, frame: Frame) {
+        self.seq += 1;
+        self.events.push(Event {
+            t_ns,
+            seq: self.seq,
+            dst_node,
+            payload: Payload::Deliver { dst_port, frame },
+        });
     }
 
     /// Runs until the event queue drains or `t_end_ns` passes. Returns the
@@ -564,12 +580,27 @@ impl NetSim {
             // cycle count for this frame delays its transmissions, so
             // closed-loop RTTs are meaningful and deterministic.
             let t = ev.t_ns + out.cycles as f64 * self.ns_per_cycle;
-            let n_ports = self.nodes[ev.dst_node].ifaces.len();
+            let ifaces = &self.nodes[ev.dst_node].ifaces;
+            let (mut linked, mut unlinked) = (0u8, 0u8);
+            for (p, iface) in ifaces.iter().enumerate() {
+                match iface {
+                    Some(_) => linked |= 1 << p,
+                    None => unlinked |= 1 << p,
+                }
+            }
             for tx in out.tx {
-                for p in 0..n_ports {
-                    if tx.ports & (1 << p) != 0 {
-                        self.transmit(ev.dst_node, p, tx.frame.clone(), t);
+                self.dropped_no_link += u64::from((tx.ports & unlinked).count_ones());
+                // Ascending port order: earlier ports get copies, the
+                // last linked port takes the frame itself.
+                let mut ports = tx.ports & linked;
+                while ports != 0 {
+                    let p = ports.trailing_zeros() as usize;
+                    ports &= ports - 1;
+                    if ports == 0 {
+                        self.transmit(ev.dst_node, p, tx.frame, t);
+                        break;
                     }
+                    self.transmit(ev.dst_node, p, tx.frame.clone(), t);
                 }
             }
         }
@@ -871,6 +902,72 @@ mod tests {
         let h = net.add_host("h", 1);
         assert_eq!(net.engine_mut(m).unwrap().num_shards(), 3);
         assert!(net.engine_mut(h).is_none());
+    }
+
+    #[test]
+    fn multicast_reaches_linked_ports_in_ascending_order() {
+        // Every frame goes to service ports 0–3; port 2 has no link.
+        let (mut pb, dp) = service_builder("fan-out", 1536);
+        let mut body = vec![dp.rx_wait(), sig_write(dp.ports.tx_ports, lit(0b1111, 8))];
+        body.extend(dp.transmit(dp.rx_len()));
+        body.extend(dp.done());
+        pb.thread("main", vec![forever(body)]);
+        let svc = Service::new(pb.build().unwrap());
+
+        let mut net = NetSim::new();
+        let src = net.add_host("src", 1);
+        let sink = net.add_host("sink", 3);
+        let fan = net.add_service("fan-out", cpu_engine(&svc, 1), 5);
+        net.link(src, 0, fan, 4, 100.0, 10.0);
+        // Service ports 0, 1 and 3 reach sink ports 2, 0 and 1: equal
+        // links, so the three copies arrive together, in send order.
+        for (svc_port, sink_port) in [(0, 2), (1, 0), (3, 1)] {
+            net.link(fan, svc_port, sink, sink_port, 100.0, 10.0);
+        }
+        let sent = Frame::new((0..60).collect());
+        net.send(src, 0, sent.clone(), 0.0);
+        net.run_until(1e9).unwrap();
+
+        let inbox = net.inbox(sink);
+        let arrivals: Vec<u8> = inbox.iter().map(|d| d.frame.in_port).collect();
+        assert_eq!(arrivals, [2, 0, 1], "service ports 0, 1, 3 in that order");
+        for d in &inbox {
+            assert_eq!(d.frame.bytes(), sent.bytes());
+            assert_eq!(d.t_ns, inbox[0].t_ns);
+        }
+        assert_eq!(net.dropped_no_link, 1, "port 2 has no link");
+        assert!(net.inbox(src).is_empty());
+    }
+
+    /// Two hosts joined by a link of the given delay and rate.
+    fn linked_pair(delay_ns: f64, gbps: f64) {
+        let mut net = NetSim::new();
+        let a = net.add_host("a", 1);
+        let b = net.add_host("b", 1);
+        net.link(a, 0, b, 0, delay_ns, gbps);
+    }
+
+    #[test]
+    fn a_link_of_zero_delay_is_accepted() {
+        linked_pair(0.0, 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "delay_ns must be finite and >= 0")]
+    fn a_nan_link_delay_panics() {
+        linked_pair(f64::NAN, 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "delay_ns must be finite and >= 0")]
+    fn a_negative_link_delay_panics() {
+        linked_pair(-1.0, 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "gbps must be finite and > 0")]
+    fn a_zero_link_rate_panics() {
+        linked_pair(100.0, 0.0);
     }
 
     #[test]
