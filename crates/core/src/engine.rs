@@ -469,8 +469,8 @@ impl Shard {
     /// Reads a register by name (debug/verification convenience).
     pub fn read_reg(&self, name: &str) -> Option<Bits> {
         let core = self.driver.core();
-        let idx = core.program().var_by_name(name)?.0 as usize;
-        Some(core.state().vars[idx].clone())
+        let id = core.program().var_by_name(name)?;
+        Some(core.state().reg(id))
     }
 
     /// Writes a register by name, truncating `value` to the register's
@@ -478,15 +478,11 @@ impl Shard {
     /// such register. This is the configuration hook dispatch policies
     /// use at build time; mid-traffic writes are for fault injection.
     pub fn write_reg(&mut self, name: &str, value: u64) -> bool {
-        let meta = {
-            let prog = self.driver.core().program();
-            prog.var_by_name(name)
-                .and_then(|id| prog.var(id).map(|d| (id.0 as usize, d.width)))
-        };
-        let Some((idx, width)) = meta else {
+        let Some(id) = self.driver.core().program().var_by_name(name) else {
             return false;
         };
-        self.driver.core_mut().state_mut().vars[idx] = Bits::from_u64(value, width);
+        let state = self.driver.core_mut().state_mut();
+        state.set_reg(id, Bits::from_u64(value, 64));
         true
     }
 
@@ -1042,10 +1038,13 @@ impl Engine {
     }
 
     /// Processes one frame under an observer (debug tooling).
-    pub fn process_observed(
+    /// Statically dispatched like [`kiwi_ir::Core::run`]: under
+    /// [`NullObserver`], which [`Engine::process`] passes, the observer
+    /// hooks compile away; a `&mut dyn Observer` works too (`?Sized`).
+    pub fn process_observed<O: Observer + ?Sized>(
         &mut self,
         frame: &Frame,
-        obs: &mut dyn Observer,
+        obs: &mut O,
     ) -> EngineResult<CoreOutput> {
         let k = self.shard_of(frame);
         let shard = self.shard_mut(k);

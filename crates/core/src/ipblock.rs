@@ -24,7 +24,7 @@ mod tests {
     use kiwi_ir::dsl::*;
     use kiwi_ir::interp::NullObserver;
     use kiwi_ir::ProgramBuilder;
-    use kiwi_ir::{Code, Core};
+    use kiwi_ir::{Code, Core, VarId};
 
     #[test]
     fn cam_if_round_trip_on_rtl() {
@@ -44,8 +44,8 @@ mod tests {
         env.attach(Box::new(CamModel::new(&cam, 8, false)));
         rtl.run_cycles(50, &mut env, &mut NullObserver).unwrap();
         assert!(rtl.halted());
-        assert_eq!(rtl.state().vars[0].to_u64(), 1);
-        assert_eq!(rtl.state().vars[1].to_u64(), 321);
+        assert_eq!(rtl.state().reg(VarId(0)).to_u64(), 1);
+        assert_eq!(rtl.state().reg(VarId(1)).to_u64(), 321);
     }
 
     #[test]
@@ -67,7 +67,7 @@ mod tests {
         rtl.run_cycles(100, &mut env, &mut NullObserver).unwrap();
         assert!(rtl.halted());
         let expect = emu_types::checksum::pearson8_seeded(7, b"net");
-        assert_eq!(rtl.state().vars[0].to_u64(), u64::from(expect));
+        assert_eq!(rtl.state().reg(VarId(0)).to_u64(), u64::from(expect));
     }
 
     #[test]
@@ -98,9 +98,9 @@ mod tests {
         rtl.run_cycles(200, &mut env, &mut NullObserver).unwrap();
         assert!(rtl.halted());
         let st = rtl.state();
-        assert_eq!(st.vars[0].to_u64(), 1, "k1 lookup must hit");
-        assert_eq!(st.vars[1].to_u64(), 0x11);
-        assert_eq!(st.vars[3].to_u64(), 1, "k3 lookup must hit");
-        assert_eq!(st.vars[4].to_u64(), 0x33);
+        assert_eq!(st.reg(VarId(0)).to_u64(), 1, "k1 lookup must hit");
+        assert_eq!(st.reg(VarId(1)).to_u64(), 0x11);
+        assert_eq!(st.reg(VarId(3)).to_u64(), 1, "k3 lookup must hit");
+        assert_eq!(st.reg(VarId(4)).to_u64(), 0x33);
     }
 }

@@ -360,7 +360,7 @@ mod tests {
     use emu_types::proto::ip_proto;
     use emu_types::{wire, Frame, Ipv4, MacAddr};
     use kiwi_ir::interp::{NullEnv, NullObserver};
-    use kiwi_ir::ProgramBuilder;
+    use kiwi_ir::{ProgramBuilder, VarId};
 
     /// Builds a valid ICMP echo request frame for tests.
     fn icmp_echo_request() -> Frame {
@@ -406,11 +406,11 @@ mod tests {
         drv.process(&icmp_echo_request(), &mut NullEnv, &mut NullObserver)
             .unwrap();
         let st = drv.core().state();
-        assert_eq!(st.vars[0].to_u64(), 4);
-        assert_eq!(st.vars[1].to_u64(), u64::from(ip_proto::ICMP));
-        assert_eq!(st.vars[2].to_u64(), 0x0a00_0001);
-        assert_eq!(st.vars[3].to_u64(), 0x0a00_0002);
-        assert_eq!(st.vars[4].to_u64(), 0);
+        assert_eq!(st.reg(VarId(0)).to_u64(), 4);
+        assert_eq!(st.reg(VarId(1)).to_u64(), u64::from(ip_proto::ICMP));
+        assert_eq!(st.reg(VarId(2)).to_u64(), 0x0a00_0001);
+        assert_eq!(st.reg(VarId(3)).to_u64(), 0x0a00_0002);
+        assert_eq!(st.reg(VarId(4)).to_u64(), 0);
     }
 
     #[test]
@@ -460,8 +460,8 @@ mod tests {
         bytes[14 + 20 + 13] = 0x02; // SYN
         drv.process(&Frame::new(bytes), &mut NullEnv, &mut NullObserver)
             .unwrap();
-        assert_eq!(drv.core().state().vars[0].to_u64(), 1);
-        assert_eq!(drv.core().state().vars[1].to_u64(), 0);
+        assert_eq!(drv.core().state().reg(VarId(0)).to_u64(), 1);
+        assert_eq!(drv.core().state().reg(VarId(1)).to_u64(), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! slow — it re-decodes the same `Box<Expr>` nodes every frame, builds a
 //! [`Bits`] at every node, and re-resolves widths on every binary op.
 //! This module trades that tree for a **pre-decoded linear program** of
-//! 33 micro-ops ([`MOp`]) over one file of `u64` slots:
+//! 32 micro-ops ([`MOp`]) over one file of `u64` slots:
 //!
 //! * every `VarId` / `ArrId` / `SigId` is resolved to a plain index at
 //!   lowering time,
@@ -16,21 +16,32 @@
 //! * execution is a single `match` over compact micro-ops — no recursion,
 //!   no per-node clones, no heap traffic.
 //!
-//! # Scratch and constant pool
+//! # Registers, scratch and constant pool
 //!
-//! The slot file is two parts. The low slots are **scratch**: every
-//! thread's regions number their values from 0, written once before
-//! they are read within a region, and the threads share them (a thread
-//! runs to its pause before the next starts). Above every thread's
-//! scratch lies the **constant pool**
-//! ([`CompiledProgram::pool`], from [`CompiledProgram::pool_base`]):
-//! each distinct constant of the program has one slot there. A literal
-//! lowers to its pool slot and nothing else, and a pass that folds a
-//! value rewrites the folded op into a copy of the result's pool slot,
-//! which copy propagation and dead-scratch elimination then remove.
-//! [`crate::Core::new`] writes the pool once per running copy; no
-//! micro-op writes a pool slot and none loads a constant at run time
-//! (`tests/pass_census.rs` checks both on every shipped program).
+//! The slot file is the [`MachineState`]'s word file, in three parts:
+//!
+//! * **Registers.** Slot `v` is register `v` (see the
+//!   [`MachineState`] docs): a read of a register of at most 64 bits
+//!   lowers to its slot and nothing else, and [`MOp::StVarS`] is a
+//!   masked store of a slot into it. A register slot is the one slot
+//!   written more than once, by every store to that register, so no
+//!   pass carries a read of it past a store to it.
+//! * **Scratch** ([`CompiledProgram::scratch_base`] up): every thread's
+//!   regions number their values from there, each written once before
+//!   it is read within a region, and the threads share them (a thread
+//!   runs to its pause before the next starts).
+//! * **The constant pool** ([`CompiledProgram::pool`], from
+//!   [`CompiledProgram::pool_base`]), above every thread's scratch: each
+//!   distinct constant of the program has one slot there. A literal
+//!   lowers to its pool slot and nothing else, and a pass that folds a
+//!   value rewrites the folded op into a copy of the result's pool slot,
+//!   which copy propagation and dead-scratch elimination then remove.
+//!
+//! [`crate::Core::new`] extends the state's file with the scratch and
+//! the pool once per running copy. Only the register stores write a
+//! register slot, no micro-op writes a pool slot and none loads a
+//! constant at run time (`tests/pass_census.rs` checks all three on
+//! every shipped program).
 //!
 //! # What is lowered and what is evaluated
 //!
@@ -47,7 +58,8 @@
 //! slice or narrowing of something wider; an array index, shift amount
 //! or branch condition that is itself wider), [`MOp::StVarE`] /
 //! [`MOp::StArrE`] / [`MOp::StSigE`] when the statement's value is
-//! itself wider, in which case the micro-op *is* the tree-walker's
+//! itself wider (or, for `StVarE`, the register it stores to is), in
+//! which case the micro-op *is* the tree-walker's
 //! store ([`MachineState::assign`] and friends). There is no second
 //! implementation of arithmetic beyond 64 bits for the spec to disagree
 //! with.
@@ -81,7 +93,8 @@ use crate::program::{ArrId, Program, SigId, VarId};
 use emu_types::Bits;
 use std::collections::HashMap;
 
-/// Index of a slot: a scratch slot, or a constant-pool slot above them.
+/// Index of a slot in the word file: a register, a scratch slot, or a
+/// constant-pool slot (see the module docs).
 pub type Slot = u32;
 
 /// Marks a pool slot between lowering and layout: pool entry `k` is
@@ -89,10 +102,38 @@ pub type Slot = u32;
 /// every thread's scratch.
 const POOL: Slot = 1 << 31;
 
+/// Marks a register slot between lowering and layout: register `v` is
+/// slot `REG | v` until [`compile_with_passes`] moves the scratch above
+/// the registers and register `v` becomes slot `v`.
+const REG: Slot = 1 << 30;
+
+/// Numbers no slot has before layout (both marks set): the passes'
+/// names for the values register stores leave (`opt::Values`).
+pub(crate) const UNSLOTTED: Slot = POOL | REG;
+
 /// Whether `s` names a constant-pool slot (before layout).
 #[inline]
 pub(crate) fn is_pool(s: Slot) -> bool {
     s & POOL != 0
+}
+
+/// Whether `s` names a register slot (before layout).
+#[inline]
+pub(crate) fn is_reg(s: Slot) -> bool {
+    s & (POOL | REG) == REG
+}
+
+/// Whether `s` names a scratch slot (before layout): written once, by
+/// the one micro-op that defines it, before any reads in its region.
+#[inline]
+pub(crate) fn is_scratch(s: Slot) -> bool {
+    s & (POOL | REG) == 0
+}
+
+/// The slot of register `var` (before layout).
+#[inline]
+pub(crate) fn reg_slot(var: u32) -> Slot {
+    REG | var
 }
 
 /// The constants of one program under compilation, each distinct value
@@ -200,13 +241,6 @@ pub(crate) fn shr_s(a: u64, n: u64) -> u64 {
 /// keeping profiling and trap behaviour aligned with the tree-walker.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MOp {
-    /// Read a register (width ≤ 64).
-    LdVarS {
-        /// Destination slot.
-        dst: Slot,
-        /// Register index.
-        var: u32,
-    },
     /// Sample a signal (width ≤ 64).
     LdSigS {
         /// Destination slot.
@@ -417,9 +451,10 @@ pub enum MOp {
         /// Index into [`CompiledThread::exprs`].
         e: u32,
     },
-    /// Terminal: register assignment from a slot.
+    /// Terminal: register assignment from a slot — the value masked to
+    /// the register's width, stored in the register's own slot.
     StVarS {
-        /// Register index.
+        /// Register index (and, after layout, its slot).
         var: u32,
         /// Value slot.
         a: Slot,
@@ -427,7 +462,8 @@ pub enum MOp {
         w: u16,
     },
     /// Terminal: register assignment of a side-table expression wider
-    /// than 64 bits — the tree-walker's own `Assign` step
+    /// than 64 bits, or to a register wider than 64 bits — the
+    /// tree-walker's own `Assign` step
     /// ([`MachineState::assign`](crate::MachineState::assign)).
     StVarE {
         /// Register index.
@@ -520,17 +556,17 @@ pub enum MOp {
 }
 
 impl MOp {
-    /// The scratch slot this op defines. Terminals define nothing.
+    /// The scratch slot this op defines. Terminals define nothing (a
+    /// register store writes its register, named by `var`).
     pub fn dst(mut self) -> Option<Slot> {
         self.dst_mut().map(|d| *d)
     }
 
-    /// Visits every slot operand (scratch or pool).
+    /// Visits every slot operand (register, scratch or pool).
     pub(crate) fn uses_mut(&mut self, f: &mut dyn FnMut(&mut Slot)) {
         use MOp::*;
         match self {
-            LdVarS { .. }
-            | LdSigS { .. }
+            LdSigS { .. }
             | LdArrCS { .. }
             | LdArrPairCS { .. }
             | EvalS { .. }
@@ -573,7 +609,7 @@ impl MOp {
         }
     }
 
-    /// Visits every slot operand (scratch or pool) by value.
+    /// Visits every slot operand (register, scratch or pool) by value.
     pub fn uses(mut self, f: &mut dyn FnMut(Slot)) {
         self.uses_mut(&mut |s| f(*s));
     }
@@ -584,8 +620,7 @@ impl MOp {
     pub(crate) fn dst_mut(&mut self) -> Option<&mut Slot> {
         use MOp::*;
         match self {
-            LdVarS { dst, .. }
-            | LdSigS { dst, .. }
+            LdSigS { dst, .. }
             | LdArrS { dst, .. }
             | LdArrCS { dst, .. }
             | LdArrPairS { dst, .. }
@@ -677,17 +712,23 @@ pub struct CompiledProgram {
 }
 
 impl CompiledProgram {
-    /// The first pool slot: every thread's scratch lies below it.
-    pub fn pool_base(&self) -> usize {
-        self.threads.iter().map(|t| t.n_slots).max().unwrap_or(0)
+    /// The first scratch slot: the registers lie below it, one slot each.
+    pub fn scratch_base(&self) -> usize {
+        self.prog.vars().len()
     }
 
-    /// A running copy's slot file as it starts: the scratch (zero), then
-    /// the pool, which no micro-op writes.
-    pub(crate) fn slot_file(&self) -> Vec<u64> {
-        let mut slots = vec![0; self.pool_base()];
-        slots.extend_from_slice(&self.pool);
-        slots
+    /// The first pool slot: every thread's scratch lies below it.
+    pub fn pool_base(&self) -> usize {
+        self.scratch_base() + self.threads.iter().map(|t| t.n_slots).max().unwrap_or(0)
+    }
+
+    /// Extends a running copy's word file, which holds its registers, to
+    /// the whole slot file: the scratch (zero), then the pool, which no
+    /// micro-op writes.
+    pub(crate) fn extend_file(&self, words: &mut Vec<u64>) {
+        debug_assert_eq!(words.len(), self.scratch_base(), "one word per register");
+        words.resize(self.pool_base(), 0);
+        words.extend_from_slice(&self.pool);
     }
 }
 
@@ -721,17 +762,25 @@ pub fn compile_with_passes(
         threads,
         pool: Vec::new(),
     };
-    // Lay the pool out above every thread's scratch, keeping only the
+    // Lay the file out: registers at their own index, every thread's
+    // scratch above them, and the pool above that, keeping only the
     // constants a micro-op still reads, in order of first use.
-    let base = cp.pool_base();
+    let (regs, base) = (cp.scratch_base() as Slot, cp.pool_base());
     let mut placed: HashMap<Slot, Slot> = HashMap::new();
     for m in cp.threads.iter_mut().flat_map(|t| &mut t.mops) {
+        if let Some(d) = m.dst_mut() {
+            *d += regs;
+        }
         m.uses_mut(&mut |s| {
             if let Some(v) = pool.value(*s) {
                 *s = *placed.entry(*s).or_insert_with(|| {
                     cp.pool.push(v);
                     (base + cp.pool.len() - 1) as Slot
                 });
+            } else if is_reg(*s) {
+                *s &= !REG;
+            } else {
+                *s += regs;
             }
         });
     }
@@ -816,13 +865,15 @@ impl<'a> ThreadCompiler<'a> {
                 };
                 return Ok(Val { slot, w });
             }
+            // A register is its slot: nothing runs to read it.
             Expr::Var(v) => {
-                let decl = self
+                let w = self
                     .prog
                     .var(*v)
-                    .ok_or_else(|| IrError(format!("unknown var {v:?}")))?;
-                let (dst, var) = (self.s(), v.0);
-                (decl.width, MOp::LdVarS { dst, var })
+                    .ok_or_else(|| IrError(format!("unknown var {v:?}")))?
+                    .width;
+                let slot = if w <= 64 { reg_slot(v.0) } else { Slot::MAX };
+                return Ok(Val { slot, w });
             }
             Expr::SigRead(s) => {
                 let d = self
@@ -947,10 +998,15 @@ impl<'a> ThreadCompiler<'a> {
                     .var(*dst)
                     .ok_or_else(|| IrError(format!("unknown var {dst:?}")))?
                     .width;
+                // A register beyond 64 bits has no slot: its store is
+                // the tree-walker's, whatever the value's width.
+                let mark = (self.cur.len(), self.next);
                 let (var, v) = (dst.0, self.expr(e)?);
-                let m = if v.w <= 64 {
+                let m = if v.w <= 64 && w <= 64 {
                     MOp::StVarS { var, a: v.slot, w }
                 } else {
+                    self.cur.truncate(mark.0);
+                    self.next = mark.1;
                     let e = self.side(e.clone());
                     MOp::StVarE { var, e }
                 };
@@ -1171,12 +1227,14 @@ fn region_visibility(region: &[MOp], prog: &Program, labels: &[String]) -> Strin
 // ---------------------------------------------------------------------
 
 /// Renders compiled thread `ti` of `cp` as a numbered micro-op listing.
-/// Scratch slots print as `sN`, pool slots as the constant they hold,
-/// evaluated sub-expressions as `eval(<expr>)`; this is the form the
-/// pass tests in [`crate::opt`] assert against.
+/// Register slots print as the register's name, scratch slots as `sN`
+/// (numbered from the first scratch slot), pool slots as the constant
+/// they hold, evaluated sub-expressions as `eval(<expr>)`; this is the
+/// form the pass tests in [`crate::opt`] assert against.
 pub fn mops_to_string(cp: &CompiledProgram, ti: usize) -> String {
     use std::fmt::Write as _;
-    let (t, prog, base) = (&cp.threads[ti], &cp.prog, cp.pool_base());
+    let (t, prog) = (&cp.threads[ti], &cp.prog);
+    let (regs, base) = (cp.scratch_base(), cp.pool_base());
     let var = |i: u32| {
         prog.vars()
             .get(i as usize)
@@ -1199,9 +1257,10 @@ pub fn mops_to_string(cp: &CompiledProgram, ti: usize) -> String {
         Some(e) => format!("eval({})", crate::pretty::expr_to_string(e, prog)),
         None => format!("eval(?e{i})"),
     };
-    let o = |s: &Slot| match (*s as usize).checked_sub(base) {
-        Some(k) => format!("{:#x}", cp.pool[k]),
-        None => format!("s{s}"),
+    let o = |s: &Slot| match *s as usize {
+        s if s < regs => var(s as u32),
+        s if s >= base => format!("{:#x}", cp.pool[s - base]),
+        s => format!("s{}", s - regs),
     };
     let mut out = format!("compiled thread {} ({} slots):\n", t.name, t.n_slots);
     let mut next_region = 0usize;
@@ -1224,10 +1283,9 @@ pub fn mops_to_string(cp: &CompiledProgram, ti: usize) -> String {
             );
         }
         let body = match m {
-            MOp::LdVarS { dst, var: v } => format!("s{dst} <- var {}", var(*v)),
-            MOp::LdSigS { dst, sig: s } => format!("s{dst} <- sig {}", sig(*s)),
-            MOp::LdArrS { dst, arr: a, idx } => format!("s{dst} <- {}[{}]", arr(*a), o(idx)),
-            MOp::LdArrCS { dst, arr: a, idx } => format!("s{dst} <- {}[#{idx}]", arr(*a)),
+            MOp::LdSigS { dst, sig: s } => format!("{} <- sig {}", o(dst), sig(*s)),
+            MOp::LdArrS { dst, arr: a, idx } => format!("{} <- {}[{}]", o(dst), arr(*a), o(idx)),
+            MOp::LdArrCS { dst, arr: a, idx } => format!("{} <- {}[#{idx}]", o(dst), arr(*a)),
             MOp::LdArrPairS {
                 dst,
                 idx,
@@ -1238,7 +1296,10 @@ pub fn mops_to_string(cp: &CompiledProgram, ti: usize) -> String {
             } => {
                 let n = arr(*a);
                 let i = o(idx);
-                format!("s{dst} <- {{{n}[({i}+{off:#x}) & {mask:#x}], {n}[+1]:u{bw}}}")
+                format!(
+                    "{} <- {{{n}[({i}+{off:#x}) & {mask:#x}], {n}[+1]:u{bw}}}",
+                    o(dst)
+                )
             }
             MOp::LdArrPairCS {
                 dst,
@@ -1247,7 +1308,7 @@ pub fn mops_to_string(cp: &CompiledProgram, ti: usize) -> String {
                 bw,
             } => {
                 let n = arr(*a);
-                format!("s{dst} <- {{{n}[#{idx}], {n}[#{}]:u{bw}}}", idx + 1)
+                format!("{} <- {{{n}[#{idx}], {n}[#{}]:u{bw}}}", o(dst), idx + 1)
             }
             MOp::ConcatLdCS {
                 dst,
@@ -1255,30 +1316,30 @@ pub fn mops_to_string(cp: &CompiledProgram, ti: usize) -> String {
                 arr: a,
                 idx,
                 bw,
-            } => format!("s{dst} <- {{{}, {}[#{idx}]:u{bw}}}", o(hi), arr(*a)),
-            MOp::CopyS { dst, a } => format!("s{dst} <- {}", o(a)),
-            MOp::MaskS { dst, a, mask } => format!("s{dst} <- {} & {mask:#x}", o(a)),
-            MOp::NotS { dst, a, mask } => format!("s{dst} <- ~{} & {mask:#x}", o(a)),
-            MOp::NegS { dst, a, mask } => format!("s{dst} <- -{} & {mask:#x}", o(a)),
-            MOp::RedOrS { dst, a } => format!("s{dst} <- |{}", o(a)),
+            } => format!("{} <- {{{}, {}[#{idx}]:u{bw}}}", o(dst), o(hi), arr(*a)),
+            MOp::CopyS { dst, a } => format!("{} <- {}", o(dst), o(a)),
+            MOp::MaskS { dst, a, mask } => format!("{} <- {} & {mask:#x}", o(dst), o(a)),
+            MOp::NotS { dst, a, mask } => format!("{} <- ~{} & {mask:#x}", o(dst), o(a)),
+            MOp::NegS { dst, a, mask } => format!("{} <- -{} & {mask:#x}", o(dst), o(a)),
+            MOp::RedOrS { dst, a } => format!("{} <- |{}", o(dst), o(a)),
             MOp::BinS {
                 dst,
                 op,
                 a,
                 b,
                 mask,
-            } => format!("s{dst} <- {} {op:?} {} & {mask:#x}", o(a), o(b)),
-            MOp::CmpS { dst, op, a, b } => format!("s{dst} <- {} {op:?} {}", o(a), o(b)),
+            } => format!("{} <- {} {op:?} {} & {mask:#x}", o(dst), o(a), o(b)),
+            MOp::CmpS { dst, op, a, b } => format!("{} <- {} {op:?} {}", o(dst), o(a), o(b)),
             MOp::ShlS { dst, a, b, mask } => {
-                format!("s{dst} <- {} << {} & {mask:#x}", o(a), o(b))
+                format!("{} <- {} << {} & {mask:#x}", o(dst), o(a), o(b))
             }
-            MOp::ShrS { dst, a, b } => format!("s{dst} <- {} >> {}", o(a), o(b)),
-            MOp::ConcatS { dst, a, b, bw } => format!("s{dst} <- {{{}, {}:u{bw}}}", o(a), o(b)),
+            MOp::ShrS { dst, a, b } => format!("{} <- {} >> {}", o(dst), o(a), o(b)),
+            MOp::ConcatS { dst, a, b, bw } => format!("{} <- {{{}, {}:u{bw}}}", o(dst), o(a), o(b)),
             MOp::SliceS { dst, a, lo, mask } => {
-                format!("s{dst} <- {} >> {lo} & {mask:#x}", o(a))
+                format!("{} <- {} >> {lo} & {mask:#x}", o(dst), o(a))
             }
-            MOp::MuxS { dst, c, t, e } => format!("s{dst} <- {} ? {} : {}", o(c), o(t), o(e)),
-            MOp::EvalS { dst, e } => format!("s{dst} <- {}", ev(*e)),
+            MOp::MuxS { dst, c, t, e } => format!("{} <- {} ? {} : {}", o(dst), o(c), o(t), o(e)),
+            MOp::EvalS { dst, e } => format!("{} <- {}", o(dst), ev(*e)),
             MOp::StVarS { var: v, a, .. } => format!("var {} := {}", var(*v), o(a)),
             MOp::StVarE { var: v, e } => format!("var {} := {}", var(*v), ev(*e)),
             MOp::StArrCS {
@@ -1316,6 +1377,15 @@ const CONST_IDX: &str = "const array index proven in bounds at compile time";
 /// Compiled thread `ti`'s share of a cycle: executes its micro-ops from
 /// its pc until it pauses or halts.
 ///
+/// The slot file is the state's word file, held as a local slice so its
+/// base and length stay in machine registers across the dispatch loop
+/// (read through the state on every access, they are reloaded from
+/// memory after each store). The inner loop runs every micro-op that
+/// reaches the rest of the state through its other fields; the ones
+/// that hand the whole [`MachineState`] to the reference code —
+/// `EvalS`, the `St*E` stores and `ExtOp` — leave it, run in the outer
+/// loop, and the file is taken again after them.
+///
 /// `budget` is deliberately decremented even by terminals that return
 /// (pause/halt), so op accounting matches the tree-walker exactly.
 #[allow(unused_assignments)]
@@ -1329,7 +1399,6 @@ pub(crate) fn exec_thread<O: Observer + ?Sized>(
     let Instance {
         state,
         threads,
-        slots,
         ops_executed,
         ..
     } = inst;
@@ -1350,175 +1419,192 @@ pub(crate) fn exec_thread<O: Observer + ?Sized>(
     }
 
     loop {
-        let Some(op) = mops.get(pc) else {
-            ctx.pc = pc;
-            ctx.halted = true;
-            return Ok(());
-        };
-        match op {
-            MOp::LdVarS { dst, var } => slots[*dst as usize] = state.vars[*var as usize].to_u64(),
-            MOp::LdSigS { dst, sig } => slots[*dst as usize] = state.sigs[*sig as usize].to_u64(),
-            MOp::LdArrS { dst, arr, idx } => {
-                let i = slots[*idx as usize] as usize;
-                slots[*dst as usize] = state.arrays[*arr as usize].get_u64(i).unwrap_or(0);
-            }
-            // Const-index loads are proven in bounds at compile
-            // time (array lengths are fixed at declaration).
-            MOp::LdArrCS { dst, arr, idx } => {
-                slots[*dst as usize] = state.arrays[*arr as usize]
-                    .get_u64(*idx as usize)
-                    .expect(CONST_IDX);
-            }
-            MOp::LdArrPairS {
-                dst,
-                idx,
-                arr,
-                off,
-                mask,
-                bw,
-            } => {
-                let a = &state.arrays[*arr as usize];
-                let i = slots[*idx as usize].wrapping_add(*off) & mask;
-                let hi = a.get_u64(i as usize).unwrap_or(0);
-                let j = i.wrapping_add(1) & mask;
-                let lo = a.get_u64(j as usize).unwrap_or(0);
-                slots[*dst as usize] = (hi << bw) | lo;
-            }
-            MOp::LdArrPairCS { dst, arr, idx, bw } => {
-                let a = &state.arrays[*arr as usize];
-                let i = *idx as usize;
-                let hi = a.get_u64(i).expect(CONST_IDX);
-                let lo = a.get_u64(i + 1).expect(CONST_IDX);
-                slots[*dst as usize] = (hi << bw) | lo;
-            }
-            MOp::ConcatLdCS {
-                dst,
-                a,
-                arr,
-                idx,
-                bw,
-            } => {
-                let lo = state.arrays[*arr as usize]
-                    .get_u64(*idx as usize)
-                    .expect(CONST_IDX);
-                slots[*dst as usize] = (slots[*a as usize] << bw) | lo;
-            }
-            MOp::CopyS { dst, a } => slots[*dst as usize] = slots[*a as usize],
-            MOp::MaskS { dst, a, mask } => slots[*dst as usize] = slots[*a as usize] & mask,
-            MOp::NotS { dst, a, mask } => slots[*dst as usize] = !slots[*a as usize] & mask,
-            MOp::NegS { dst, a, mask } => {
-                slots[*dst as usize] = slots[*a as usize].wrapping_neg() & mask
-            }
-            MOp::RedOrS { dst, a } => slots[*dst as usize] = u64::from(slots[*a as usize] != 0),
-            MOp::BinS {
-                dst,
-                op,
-                a,
-                b,
-                mask,
-            } => slots[*dst as usize] = bin_s(*op, slots[*a as usize], slots[*b as usize], *mask),
-            MOp::CmpS { dst, op, a, b } => {
-                slots[*dst as usize] = cmp_s(*op, slots[*a as usize], slots[*b as usize])
-            }
-            MOp::ShlS { dst, a, b, mask } => {
-                slots[*dst as usize] = shl_s(slots[*a as usize], slots[*b as usize], *mask)
-            }
-            MOp::ShrS { dst, a, b } => {
-                slots[*dst as usize] = shr_s(slots[*a as usize], slots[*b as usize])
-            }
-            MOp::ConcatS { dst, a, b, bw } => {
-                slots[*dst as usize] = (slots[*a as usize] << bw) | slots[*b as usize]
-            }
-            MOp::SliceS { dst, a, lo, mask } => {
-                slots[*dst as usize] = (slots[*a as usize] >> lo) & mask
-            }
-            MOp::MuxS { dst, c, t, e } => {
-                slots[*dst as usize] = if slots[*c as usize] != 0 {
-                    slots[*t as usize]
-                } else {
-                    slots[*e as usize]
+        let file: &mut [u64] = &mut state.words;
+        let whole = loop {
+            let Some(op) = mops.get(pc) else {
+                ctx.pc = pc;
+                ctx.halted = true;
+                return Ok(());
+            };
+            match op {
+                MOp::LdSigS { dst, sig } => {
+                    file[*dst as usize] = state.sigs[*sig as usize].to_u64()
                 }
+                MOp::LdArrS { dst, arr, idx } => {
+                    let i = file[*idx as usize] as usize;
+                    file[*dst as usize] = state.arrays[*arr as usize].get_u64(i).unwrap_or(0);
+                }
+                // Const-index loads are proven in bounds at compile
+                // time (array lengths are fixed at declaration).
+                MOp::LdArrCS { dst, arr, idx } => {
+                    file[*dst as usize] = state.arrays[*arr as usize]
+                        .get_u64(*idx as usize)
+                        .expect(CONST_IDX);
+                }
+                MOp::LdArrPairS {
+                    dst,
+                    idx,
+                    arr,
+                    off,
+                    mask,
+                    bw,
+                } => {
+                    let a = &state.arrays[*arr as usize];
+                    let i = file[*idx as usize].wrapping_add(*off) & mask;
+                    let hi = a.get_u64(i as usize).unwrap_or(0);
+                    let j = i.wrapping_add(1) & mask;
+                    let lo = a.get_u64(j as usize).unwrap_or(0);
+                    file[*dst as usize] = (hi << bw) | lo;
+                }
+                MOp::LdArrPairCS { dst, arr, idx, bw } => {
+                    let a = &state.arrays[*arr as usize];
+                    let i = *idx as usize;
+                    let hi = a.get_u64(i).expect(CONST_IDX);
+                    let lo = a.get_u64(i + 1).expect(CONST_IDX);
+                    file[*dst as usize] = (hi << bw) | lo;
+                }
+                MOp::ConcatLdCS {
+                    dst,
+                    a,
+                    arr,
+                    idx,
+                    bw,
+                } => {
+                    let lo = state.arrays[*arr as usize]
+                        .get_u64(*idx as usize)
+                        .expect(CONST_IDX);
+                    file[*dst as usize] = (file[*a as usize] << bw) | lo;
+                }
+                MOp::CopyS { dst, a } => file[*dst as usize] = file[*a as usize],
+                MOp::MaskS { dst, a, mask } => file[*dst as usize] = file[*a as usize] & mask,
+                MOp::NotS { dst, a, mask } => file[*dst as usize] = !file[*a as usize] & mask,
+                MOp::NegS { dst, a, mask } => {
+                    file[*dst as usize] = file[*a as usize].wrapping_neg() & mask
+                }
+                MOp::RedOrS { dst, a } => file[*dst as usize] = u64::from(file[*a as usize] != 0),
+                MOp::BinS {
+                    dst,
+                    op,
+                    a,
+                    b,
+                    mask,
+                } => file[*dst as usize] = bin_s(*op, file[*a as usize], file[*b as usize], *mask),
+                MOp::CmpS { dst, op, a, b } => {
+                    file[*dst as usize] = cmp_s(*op, file[*a as usize], file[*b as usize])
+                }
+                MOp::ShlS { dst, a, b, mask } => {
+                    file[*dst as usize] = shl_s(file[*a as usize], file[*b as usize], *mask)
+                }
+                MOp::ShrS { dst, a, b } => {
+                    file[*dst as usize] = shr_s(file[*a as usize], file[*b as usize])
+                }
+                MOp::ConcatS { dst, a, b, bw } => {
+                    file[*dst as usize] = (file[*a as usize] << bw) | file[*b as usize]
+                }
+                MOp::SliceS { dst, a, lo, mask } => {
+                    file[*dst as usize] = (file[*a as usize] >> lo) & mask
+                }
+                MOp::MuxS { dst, c, t, e } => {
+                    file[*dst as usize] = if file[*c as usize] != 0 {
+                        file[*t as usize]
+                    } else {
+                        file[*e as usize]
+                    }
+                }
+                // A register store masks the value to the register's
+                // width (`1..=64`) and writes it in the register's slot.
+                MOp::StVarS { var, a, w } => {
+                    tick!();
+                    let (r, w) = (*var as usize, *w);
+                    let v = file[*a as usize] & (u64::MAX >> (64 - w));
+                    obs.on_assign(*var, &Bits::from_u64(file[r], w), &Bits::from_u64(v, w));
+                    file[r] = v;
+                }
+                // Array stores mask to the declared element width inside
+                // `Cells` (the op's `w` is that same width) and report
+                // whether the index was in range; one that was lifts the
+                // high-water mark (`MachineState::note_arr_write`, spelt
+                // out here, where the file is held).
+                MOp::StArrS { arr, idx, a, .. } => {
+                    tick!();
+                    let i = file[*idx as usize] as usize;
+                    let ai = *arr as usize;
+                    if state.arrays[ai].set_u64(i, file[*a as usize]) {
+                        state.arr_high[ai] = state.arr_high[ai].max(i + 1);
+                    }
+                }
+                // Const-index stores are proven in bounds at compile
+                // time, like the const-index loads above.
+                MOp::StArrCS { arr, idx, a, .. } => {
+                    tick!();
+                    let (ai, i) = (*arr as usize, *idx as usize);
+                    let stored = state.arrays[ai].set_u64(i, file[*a as usize]);
+                    assert!(stored, "{CONST_IDX}");
+                    state.arr_high[ai] = state.arr_high[ai].max(i + 1);
+                }
+                MOp::StSigS { sig, a, .. } => {
+                    tick!();
+                    state.sigs[*sig as usize].set_u64(file[*a as usize]);
+                }
+                MOp::BranchZ { c, target } => {
+                    tick!();
+                    if file[*c as usize] == 0 {
+                        pc = *target as usize;
+                        continue;
+                    }
+                }
+                MOp::Jmp { target } => {
+                    tick!();
+                    pc = *target as usize;
+                    continue;
+                }
+                MOp::PauseOp => {
+                    tick!();
+                    ctx.pc = pc + 1;
+                    return Ok(());
+                }
+                MOp::LabelOp { id } => {
+                    tick!();
+                    obs.on_label(&thread.labels[*id as usize]);
+                }
+                MOp::HaltOp => {
+                    tick!();
+                    ctx.pc = pc;
+                    ctx.halted = true;
+                    return Ok(());
+                }
+                MOp::EvalS { .. }
+                | MOp::StVarE { .. }
+                | MOp::StArrE { .. }
+                | MOp::StSigE { .. }
+                | MOp::ExtOp { .. } => break op,
             }
+            pc += 1;
+        };
+        match whole {
             MOp::EvalS { dst, e } => {
-                slots[*dst as usize] = eval(&thread.exprs[*e as usize], state).to_u64()
-            }
-            // Register and signal stores write the value in place: `w`
-            // is the declared width, which the stored value keeps.
-            MOp::StVarS { var, a, w } => {
-                tick!();
-                let (reg, v) = (&mut state.vars[*var as usize], slots[*a as usize]);
-                obs.on_assign(*var, reg, &Bits::from_u64(v, *w));
-                reg.set_u64(v);
+                let v = eval(&thread.exprs[*e as usize], state).to_u64();
+                state.words[*dst as usize] = v;
             }
             // The `St*E` terminals are the tree-walker's own stores.
             MOp::StVarE { var, e } => {
                 tick!();
-                state.assign(VarId(*var), &thread.exprs[*e as usize], prog, obs);
-            }
-            // Array stores mask to the declared element width inside
-            // `Cells` (the op's `w` is that same width) and report
-            // whether the index was in range.
-            MOp::StArrS { arr, idx, a, .. } => {
-                tick!();
-                let i = slots[*idx as usize] as usize;
-                let ai = *arr as usize;
-                if state.arrays[ai].set_u64(i, slots[*a as usize]) {
-                    state.note_arr_write(ai, i);
-                }
-            }
-            // Const-index stores are proven in bounds at compile
-            // time, like the const-index loads above.
-            MOp::StArrCS { arr, idx, a, .. } => {
-                tick!();
-                let (ai, i) = (*arr as usize, *idx as usize);
-                let stored = state.arrays[ai].set_u64(i, slots[*a as usize]);
-                assert!(stored, "{CONST_IDX}");
-                state.note_arr_write(ai, i);
+                state.assign(VarId(*var), &thread.exprs[*e as usize], obs);
             }
             MOp::StArrE { arr, idx, e } => {
                 tick!();
-                let i = slots[*idx as usize] as usize;
+                let i = state.words[*idx as usize] as usize;
                 state.arr_write(ArrId(*arr), i, &thread.exprs[*e as usize]);
-            }
-            MOp::StSigS { sig, a, .. } => {
-                tick!();
-                state.sigs[*sig as usize].set_u64(slots[*a as usize]);
             }
             MOp::StSigE { sig, e } => {
                 tick!();
                 state.sig_write(SigId(*sig), &thread.exprs[*e as usize], prog);
             }
-            MOp::BranchZ { c, target } => {
-                tick!();
-                if slots[*c as usize] == 0 {
-                    pc = *target as usize;
-                    continue;
-                }
-            }
-            MOp::Jmp { target } => {
-                tick!();
-                pc = *target as usize;
-                continue;
-            }
-            MOp::PauseOp => {
-                tick!();
-                ctx.pc = pc + 1;
-                return Ok(());
-            }
-            MOp::LabelOp { id } => {
-                tick!();
-                obs.on_label(&thread.labels[*id as usize]);
-            }
             MOp::ExtOp { id } => {
                 tick!();
                 obs.on_ext_point(*id, state);
             }
-            MOp::HaltOp => {
-                tick!();
-                ctx.pc = pc;
-                ctx.halted = true;
-                return Ok(());
-            }
+            _ => unreachable!("the inner loop runs every other micro-op"),
         }
         pc += 1;
     }
@@ -1531,7 +1617,7 @@ mod tests {
     use crate::flat::flatten;
     use crate::interp::{Env, MachineState, NullEnv, NullObserver};
     use crate::machine::{Code, Core};
-    use crate::program::{ArrayBacking, ProgramBuilder};
+    use crate::program::{ArrayBacking, ProgramBuilder, VarId};
 
     fn compiled(pb: &ProgramBuilder) -> Core {
         let flat = flatten(&pb.clone().build().unwrap()).unwrap();
@@ -1558,7 +1644,7 @@ mod tests {
             }
             tw.step_cycle(&mut NullEnv, &mut NullObserver).unwrap();
             cm.step_cycle(&mut NullEnv, &mut NullObserver).unwrap();
-            assert_eq!(tw.state().vars, cm.state().vars, "vars diverged");
+            assert_eq!(tw.state().regs(), cm.state().regs(), "vars diverged");
             assert_eq!(tw.state().arrays, cm.state().arrays, "arrays diverged");
             assert_eq!(tw.state().sigs, cm.state().sigs, "sigs diverged");
             assert_eq!(
@@ -1582,7 +1668,7 @@ mod tests {
         );
         let mut m = compiled(&pb);
         m.run_cycles(10, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(m.state().vars[0].to_u64(), 10);
+        assert_eq!(m.state().reg(VarId(0)).to_u64(), 10);
         assert_eq!(m.cycle(), 10);
         assert_lockstep(&pb, 10);
     }
@@ -1604,7 +1690,7 @@ mod tests {
         );
         let mut m = compiled(&pb);
         m.run_cycles(5, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(m.state().vars[0].to_u64(), 0xbeef);
+        assert_eq!(m.state().reg(VarId(0)).to_u64(), 0xbeef);
         assert_eq!(m.state().arr_high[0], 3, "high-water lifted by slot 2");
         assert_lockstep(&pb, 5);
     }
@@ -1655,10 +1741,10 @@ mod tests {
         let (mut tw, mut cm) = both(&pb);
         tw.run_cycles(5, &mut NullEnv, &mut NullObserver).unwrap();
         cm.run_cycles(5, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(tw.state().vars, cm.state().vars);
-        assert_eq!(cm.state().vars[0].to_u64(), 0);
-        assert_eq!(cm.state().vars[1].to_u64(), 0x200);
-        assert_eq!(cm.state().vars[2].to_u64(), 0);
+        assert_eq!(tw.state().regs(), cm.state().regs());
+        assert_eq!(cm.state().reg(VarId(0)).to_u64(), 0);
+        assert_eq!(cm.state().reg(VarId(1)).to_u64(), 0x200);
+        assert_eq!(cm.state().reg(VarId(2)).to_u64(), 0);
     }
 
     #[test]
@@ -1689,7 +1775,7 @@ mod tests {
             .unwrap();
         assert_eq!(m.state().sigs[1].to_u64(), 7);
         assert!(m.cycle() >= 3);
-        assert!(m.state().vars[0].to_u64() >= 6);
+        assert!(m.state().reg(VarId(0)).to_u64() >= 6);
     }
 
     #[test]
@@ -1782,7 +1868,9 @@ mod tests {
         pb.thread("main", vec![assign(a, add(var(a), lit(1, 8))), halt()]);
         let cp = compile(&flatten(&pb.build().unwrap()).unwrap()).unwrap();
         let text = mops_to_string(&cp, 0);
-        assert!(text.contains("var a"), "{text}");
+        // The register is an operand named like itself; nothing loads it.
+        assert!(text.contains("0: s0 <- a Add 0x1 & 0xff\n"), "{text}");
+        assert!(text.contains("1: var a := s0\n"), "{text}");
         assert!(text.contains("halt"), "{text}");
     }
 }

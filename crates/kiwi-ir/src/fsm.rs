@@ -164,7 +164,7 @@ pub(crate) fn step_thread<O: Observer + ?Sized>(
         }
         match &thread.ops[pc] {
             Op::Assign(dst, e) => {
-                state.assign(*dst, e, prog, obs);
+                state.assign(*dst, e, obs);
                 pc += 1;
             }
             Op::ArrWrite(arr, idx, val) => {

@@ -23,16 +23,40 @@
 
 use crate::ast::{BinOp, Expr, IrResult, UnOp};
 use crate::cells::Cells;
+use crate::compile::mask_of;
 use crate::flat::{FlatProgram, Op};
 use crate::machine::{missing_pause, Instance, MAX_OPS_PER_CYCLE};
 use crate::program::{ArrId, Program, SigId, VarId};
 use emu_types::Bits;
 
 /// Mutable machine state shared with the environment between cycles.
+///
+/// # The word file
+///
+/// Registers live in one file of `u64` words: word `v` is register `v`
+/// ([`VarId`]) when that register is at most 64 bits wide, its value
+/// masked to the declared width. A register wider than 64 bits keeps
+/// its value as a [`Bits`] outside the file and leaves its word unused.
+/// Every machine reaches registers through [`MachineState::reg`],
+/// [`MachineState::set_reg`] and the stores below, so the file is the
+/// one home of a register's value on all three.
+///
+/// The compiled image lays its scratch and its constant pool out in the
+/// same file, above the registers (registers | scratch | pool; see
+/// [`mod@crate::compile`]): a micro-op names a register by its word, as
+/// it names a scratch value or a constant, and reading one costs
+/// nothing but that operand. [`crate::Core::new`] extends the file for
+/// the compiled image; what lies above the registers belongs to it.
 #[derive(Debug, Clone)]
 pub struct MachineState {
-    /// Register values, indexed by `VarId`.
-    pub vars: Vec<Bits>,
+    /// The word file: one word per register, then (compiled image only)
+    /// scratch and pool.
+    pub(crate) words: Vec<u64>,
+    /// Per register, its declared width and, for one wider than 64
+    /// bits, where in `wide` its value is.
+    regs: Vec<RegDecl>,
+    /// The values of the registers wider than 64 bits.
+    wide: Vec<Bits>,
     /// Array contents, indexed by `ArrId`. Each array is a [`Cells`]:
     /// stored by the width class of its declared element width (`u8`
     /// slab up to 8 bits, `u64` slab up to 64, [`Bits`] cells above),
@@ -58,12 +82,36 @@ pub struct MachineState {
     pub arr_high: Vec<usize>,
 }
 
+/// What the register accessors need of a declaration.
+#[derive(Debug, Clone, Copy)]
+struct RegDecl {
+    width: u16,
+    /// Index into [`MachineState::wide`] (registers beyond 64 bits).
+    wide: u32,
+}
+
 impl MachineState {
     /// Builds the reset state for `prog`: registers and signals at their
     /// declared init values, arrays loaded with their initializers.
     pub fn init(prog: &Program) -> Self {
+        let (mut words, mut regs, mut wide) = (Vec::new(), Vec::new(), Vec::new());
+        for v in prog.vars() {
+            let width = v.init.width();
+            regs.push(RegDecl {
+                width,
+                wide: wide.len() as u32,
+            });
+            if width <= 64 {
+                words.push(v.init.to_u64());
+            } else {
+                words.push(0);
+                wide.push(v.init.clone());
+            }
+        }
         MachineState {
-            vars: prog.vars().iter().map(|v| v.init.clone()).collect(),
+            words,
+            regs,
+            wide,
             arrays: prog
                 .arrays()
                 .iter()
@@ -81,6 +129,34 @@ impl MachineState {
                 .map(|a| a.init.iter().map(|(i, _)| i + 1).max().unwrap_or(0))
                 .collect(),
             sigs: prog.signals().iter().map(|s| s.init.clone()).collect(),
+        }
+    }
+
+    /// Register `v`'s value, at its declared width.
+    pub fn reg(&self, v: VarId) -> Bits {
+        let (i, r) = (v.0 as usize, self.regs[v.0 as usize]);
+        if r.width <= 64 {
+            Bits::from_u64(self.words[i], r.width)
+        } else {
+            self.wide[r.wide as usize].clone()
+        }
+    }
+
+    /// Every register's value, in declaration order.
+    pub fn regs(&self) -> Vec<Bits> {
+        (0..self.regs.len() as u32)
+            .map(|v| self.reg(VarId(v)))
+            .collect()
+    }
+
+    /// Sets register `v` to `value`, zero-extended or truncated to the
+    /// register's declared width (an environment's or observer's write).
+    pub fn set_reg(&mut self, v: VarId, value: Bits) {
+        let (i, r) = (v.0 as usize, self.regs[v.0 as usize]);
+        if r.width <= 64 {
+            self.words[i] = value.to_u64() & mask_of(r.width);
+        } else {
+            self.wide[r.wide as usize] = fit(value, r.width);
         }
     }
 
@@ -105,18 +181,20 @@ impl MachineState {
     /// `dst := e`: evaluates `e`, resizes it to the register's declared
     /// width, reports old and new value to the observer, then stores.
     #[inline(never)]
-    pub fn assign<O: Observer + ?Sized>(
-        &mut self,
-        dst: VarId,
-        e: &Expr,
-        prog: &Program,
-        obs: &mut O,
-    ) {
-        let w = prog.var(dst).expect("validated").width;
-        let v = fit(eval(e, self), w);
-        let reg = &mut self.vars[dst.0 as usize];
-        obs.on_assign(dst.0, reg, &v);
-        *reg = v;
+    pub fn assign<O: Observer + ?Sized>(&mut self, dst: VarId, e: &Expr, obs: &mut O) {
+        let v = eval(e, self);
+        let (i, r) = (dst.0 as usize, self.regs[dst.0 as usize]);
+        if r.width <= 64 {
+            let new = v.to_u64() & mask_of(r.width);
+            let old = Bits::from_u64(self.words[i], r.width);
+            obs.on_assign(dst.0, &old, &Bits::from_u64(new, r.width));
+            self.words[i] = new;
+        } else {
+            let new = fit(v, r.width);
+            let reg = &mut self.wide[r.wide as usize];
+            obs.on_assign(dst.0, reg, &new);
+            *reg = new;
+        }
     }
 
     /// `arr[i] := val`: evaluates `val` and stores it at the declared
@@ -205,7 +283,7 @@ pub(crate) fn run_thread_to_pause<O: Observer + ?Sized>(
             .ok_or_else(|| missing_pause(&thread.name))?;
         match op {
             Op::Assign(dst, e) => {
-                state.assign(*dst, e, prog, obs);
+                state.assign(*dst, e, obs);
                 ctx.pc = pc + 1;
             }
             Op::ArrWrite(arr, idx, val) => {
@@ -252,7 +330,7 @@ pub(crate) fn run_thread_to_pause<O: Observer + ?Sized>(
 pub fn eval(e: &Expr, st: &MachineState) -> Bits {
     match e {
         Expr::Const(b) => b.clone(),
-        Expr::Var(v) => st.vars[v.0 as usize].clone(),
+        Expr::Var(v) => st.reg(*v),
         Expr::ArrRead(a, idx) => {
             let i = eval(idx, st).to_u64() as usize;
             let cells = &st.arrays[a.0 as usize];
@@ -345,7 +423,7 @@ mod tests {
         );
         let mut m = machine(pb);
         m.run_cycles(10, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(m.state().vars[0].to_u64(), 10);
+        assert_eq!(m.state().reg(VarId(0)).to_u64(), 10);
         assert_eq!(m.cycle(), 10);
     }
 
@@ -358,7 +436,7 @@ mod tests {
         let ran = m.run_cycles(100, &mut NullEnv, &mut NullObserver).unwrap();
         assert!(m.halted());
         assert!(ran <= 2);
-        assert_eq!(m.state().vars[0].to_u64(), 42);
+        assert_eq!(m.state().reg(VarId(0)).to_u64(), 42);
     }
 
     #[test]
@@ -390,7 +468,7 @@ mod tests {
         );
         let mut m = machine(pb);
         m.run_cycles(5, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(m.state().vars[0].to_u64(), 0xbeef);
+        assert_eq!(m.state().reg(VarId(0)).to_u64(), 0xbeef);
         let t = &m.state().arrays[0];
         assert!((0..t.len()).all(|i| t.get_u64(i) != Some(0xdead)));
     }
@@ -410,7 +488,7 @@ mod tests {
         );
         let mut m = machine(pb);
         m.run_cycles(5, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(m.state().vars[0].to_u64(), 0);
+        assert_eq!(m.state().reg(VarId(0)).to_u64(), 0);
     }
 
     #[test]
@@ -457,8 +535,8 @@ mod tests {
         );
         let mut m = machine(pb);
         m.run_cycles(5, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(m.state().vars[0].to_u64(), 5);
-        assert_eq!(m.state().vars[1].to_u64(), 10);
+        assert_eq!(m.state().reg(VarId(0)).to_u64(), 5);
+        assert_eq!(m.state().reg(VarId(1)).to_u64(), 10);
     }
 
     #[test]
@@ -509,7 +587,7 @@ mod tests {
         );
         let mut m = machine(pb);
         m.run_cycles(3, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(m.state().vars[1].to_u64(), 1);
+        assert_eq!(m.state().reg(VarId(1)).to_u64(), 1);
     }
 
     #[test]
@@ -527,7 +605,7 @@ mod tests {
         );
         let mut m = machine(pb);
         m.run_cycles(3, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(m.state().vars[0].to_u64(), 0xff);
-        assert_eq!(m.state().vars[1].to_u64(), 1);
+        assert_eq!(m.state().reg(VarId(0)).to_u64(), 0xff);
+        assert_eq!(m.state().reg(VarId(1)).to_u64(), 1);
     }
 }

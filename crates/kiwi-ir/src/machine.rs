@@ -12,10 +12,10 @@
 //!
 //! The image is immutable and held behind an [`Arc`], so an engine
 //! builds it once and every shard's `clone()` shares it. What a clone
-//! owns is its state: the [`MachineState`], one pc per thread, the
-//! compiled image's slot file (scratch plus the constant pool, written
-//! once here), the cycle and op counters, and the FSM image's
-//! state-occupancy profile.
+//! owns is its state: the [`MachineState`] — whose word file the
+//! compiled image extends with its scratch and constant pool, written
+//! once here — one pc per thread, the cycle and op counters, and the
+//! FSM image's state-occupancy profile.
 
 use crate::ast::{IrError, IrResult};
 use crate::compile::{exec_thread, CompiledProgram};
@@ -73,9 +73,6 @@ pub struct Core {
 pub(crate) struct Instance {
     pub(crate) state: MachineState,
     pub(crate) threads: Vec<ThreadCtx>,
-    /// The compiled image's slot file: scratch, then the constant pool
-    /// (empty on the other images).
-    pub(crate) slots: Vec<u64>,
     pub(crate) cycle: u64,
     pub(crate) ops_executed: u64,
     /// The FSM image's state-occupancy profile (§2: "where time goes"):
@@ -88,36 +85,28 @@ pub(crate) struct Instance {
 impl Core {
     /// Instantiates `code` in its reset state.
     pub fn new(code: Code) -> Self {
-        let (prog, entries, slots, occupancy) = match &code {
-            Code::TreeWalk(flat) => (
-                &flat.prog,
-                vec![0; flat.threads.len()],
-                Vec::new(),
-                Vec::new(),
-            ),
-            Code::Compiled(cp) => (
-                &cp.prog,
-                vec![0; cp.threads.len()],
-                cp.slot_file(),
-                Vec::new(),
-            ),
+        let (prog, entries, occupancy) = match &code {
+            Code::TreeWalk(flat) => (&flat.prog, vec![0; flat.threads.len()], Vec::new()),
+            Code::Compiled(cp) => (&cp.prog, vec![0; cp.threads.len()], Vec::new()),
             Code::Fpga(fsm) => (
                 &fsm.prog,
                 fsm.threads.iter().map(|t| t.entry_pc).collect(),
-                Vec::new(),
                 fsm.threads
                     .iter()
                     .map(|t| vec![0; t.state_count() + 1])
                     .collect(),
             ),
         };
+        let mut state = MachineState::init(prog);
+        if let Code::Compiled(cp) = &code {
+            cp.extend_file(&mut state.words);
+        }
         let inst = Instance {
-            state: MachineState::init(prog),
+            state,
             threads: entries
                 .into_iter()
                 .map(|pc| ThreadCtx { pc, halted: false })
                 .collect(),
-            slots,
             cycle: 0,
             ops_executed: 0,
             occupancy,

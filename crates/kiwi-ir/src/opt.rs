@@ -9,6 +9,17 @@
 //! exactly once before use (region-local SSA, restored by slot
 //! renumbering during the merge).
 //!
+//! Register slots are the exception. A read of a register is an operand
+//! naming the register's own slot ([`mod@crate::compile`]), and every
+//! store to the register writes that slot, so one register slot holds
+//! a new value after each store. The passes never renumber a register
+//! slot nor count it as scratch, and the ones that reuse a read or move
+//! it later — [`Cse`](Pass::Cse), [`CopyProp`](Pass::CopyProp),
+//! [`FusePairs`](Pass::FusePairs), and [`RedundantLoad`](Pass::RedundantLoad)
+//! for what it forwards — number values so that a read of a register
+//! before a store to it is never taken for one after: no pass carries a
+//! read of a register past a store to it.
+//!
 //! # The observer-visibility analysis
 //!
 //! Widening is driven by what the outside world can *see or touch* at
@@ -60,25 +71,24 @@
 //! # Before / after
 //!
 //! The statement `a := resize(resize(a + 1, 16), 8)` on an 8-bit
-//! register lowers naively to the listing below; the literal `1` is a
-//! constant-pool slot, printed as its value, and no micro-op loads it:
+//! register lowers naively to the listing below; the register `a` and
+//! the literal `1` are slots of their own, printed as the register's
+//! name and the constant's value, and no micro-op loads either:
 //!
 //! ```text
-//!   0: s0 <- var a
-//!   1: s1 <- s0 Add 0x1 & 0xff
-//!   2: s2 <- s1            // resize 8 -> 16: identity copy
-//!   3: s3 <- s2 & 0xff     // resize 16 -> 8: mask
-//!   4: var a := s3
+//!   0: s0 <- a Add 0x1 & 0xff
+//!   1: s1 <- s0            // resize 8 -> 16: identity copy
+//!   2: s2 <- s1 & 0xff     // resize 16 -> 8: mask
+//!   3: var a := s2
 //! ```
 //!
 //! after the pipeline the copy is propagated and its dead slot
 //! disappears:
 //!
 //! ```text
-//!   0: s0 <- var a
-//!   1: s1 <- s0 Add 0x1 & 0xff
-//!   2: s3 <- s1 & 0xff
-//!   3: var a := s3
+//!   0: s0 <- a Add 0x1 & 0xff
+//!   1: s2 <- s0 & 0xff
+//!   2: var a := s2
 //! ```
 //!
 //! (each pass is individually testable — see the tests below, which
@@ -86,7 +96,9 @@
 //! documents its own before/after).
 
 use crate::ast::BinOp;
-use crate::compile::{bin_s, cmp_s, is_pool, mask_of, shl_s, shr_s, MOp, Pool, Slot};
+use crate::compile::{
+    bin_s, cmp_s, is_scratch, mask_of, reg_slot, shl_s, shr_s, MOp, Pool, Slot, UNSLOTTED,
+};
 use crate::program::Program;
 use std::collections::{HashMap, HashSet};
 
@@ -117,27 +129,32 @@ pub enum Pass {
     /// ```
     ArrayStrength,
     /// Redundant-load/store elimination across the statements of a
-    /// widened region: a second read of the same register, signal, or
-    /// array element becomes a copy of the first, and a read following
-    /// a store forwards the stored slot (when the stored value provably
+    /// widened region: a second read of the same signal or array
+    /// element becomes a copy of the first, and a read following a
+    /// store forwards the stored slot (when the stored value provably
     /// fits the declared width). Stores, pauses, and ext points
-    /// invalidate exactly what they can touch.
+    /// invalidate exactly what they can touch; a register store drops
+    /// every forward of that register's slot. A register needs neither
+    /// rewrite: its reads are its slot, which after a store holds the
+    /// stored value.
     ///
     /// ```text
-    ///   0: s0 <- var a              0: s0 <- var a
+    ///   0: s0 <- t[#2]              0: s0 <- t[#2]
     ///   1: s1 <- s0 Add 0x1 & 0xff  1: s1 <- s0 Add 0x1 & 0xff
-    ///   2: var a := s1         =>   2: var a := s1
-    ///   3: s2 <- var a              3: s2 <- s1
-    ///   4: ...                      4: ...
+    ///   2: t[#3] := s1         =>   2: t[#3] := s1
+    ///   3: s2 <- t[#3]              3: s2 <- s1
+    ///   4: s3 <- t[#2]              4: s3 <- s0
     /// ```
     RedundantLoad,
     /// Local value numbering over the pure micro-ops of a widened
     /// region: an op recomputing a value an earlier op already produced
     /// (same opcode, same copy-resolved operands, commutative operand
     /// order canonicalized) becomes a copy of the earlier result; a
-    /// constant operand is its one pool slot. Loads are deliberately
-    /// *not* value-numbered — [`Pass::RedundantLoad`] owns them, with
-    /// the store-invalidation logic that makes them sound.
+    /// constant operand is its one pool slot, and a register operand is
+    /// numbered by the stores to it before the op, so `x + y` after a
+    /// store to `x` is a new value. Loads are deliberately *not*
+    /// value-numbered — [`Pass::RedundantLoad`] owns them, with the
+    /// store-invalidation logic that makes them sound.
     ///
     /// ```text
     ///   0: s2 <- s0 Add s1 & 0xffff   0: s2 <- s0 Add s1 & 0xffff
@@ -161,7 +178,9 @@ pub enum Pass {
     /// drops from five micro-ops to two, an n-byte tower from `2n-1`
     /// to `n-1`. A store into the array between a fused load and the
     /// concat blocks the fusion, since the fused op re-reads the
-    /// elements.
+    /// elements; so does a store into a base-index register between
+    /// the index arithmetic and the concat, since the fused op re-reads
+    /// the base.
     ///
     /// ```text
     ///   0: s1 <- frame[s0]             0: s1 <- frame[s0]
@@ -172,7 +191,8 @@ pub enum Pass {
     /// ```
     FusePairs,
     /// Rewrite uses of `CopyS` destinations to their sources (the
-    /// copies themselves die in [`Pass::DeadScratch`]).
+    /// copies themselves die in [`Pass::DeadScratch`]) — up to a store
+    /// into a source register, past which a use keeps the copy.
     CopyProp,
     /// Remove producer ops whose destination slot is never read.
     DeadScratch,
@@ -272,7 +292,7 @@ pub(crate) fn widen_regions(regions: &mut [Vec<MOp>]) {
                     *d += off;
                 }
                 m.uses_mut(&mut |s| {
-                    if !is_pool(*s) {
+                    if is_scratch(*s) {
                         *s += off;
                     }
                 });
@@ -286,13 +306,13 @@ pub(crate) fn widen_regions(regions: &mut [Vec<MOp>]) {
     }
 }
 
-/// Scratch-file size used by one run of micro-ops (pool slots are not
-/// scratch).
+/// Scratch-file size used by one run of micro-ops (register and pool
+/// slots are not scratch).
 pub(crate) fn region_slots(region: &[MOp]) -> u32 {
     let mut n = 0u32;
     for m in region {
         let mut bump = |s: Slot| {
-            if !is_pool(s) {
+            if is_scratch(s) {
                 n = n.max(s + 1);
             }
         };
@@ -341,6 +361,58 @@ impl Consts {
                 self.0.insert(dst, v);
             }
         }
+    }
+}
+
+/// The values a forward scan over a region sees in its slots, each as
+/// one number. A scratch or pool slot holds one value (it is written
+/// once, or never) and is its own number; a register slot holds a new
+/// value after every store to the register, numbered past every slot
+/// ([`UNSLOTTED`]); a copy's destination holds its source's value as of
+/// the copy. Two operands with the same number hold the same value
+/// wherever they are read, which is what lets a pass reuse one for the
+/// other — and a read of a register before a store to it never has the
+/// number of a read after it.
+#[derive(Default)]
+struct Values {
+    /// Per register slot stored to so far, the number of the value its
+    /// last store left.
+    stored: HashMap<Slot, Slot>,
+    /// Per copy destination, the number of the value it copied.
+    copies: HashMap<Slot, Slot>,
+    /// Register stores seen so far.
+    stores: u32,
+}
+
+impl Values {
+    /// The number of the value in `s` at this point of the scan.
+    fn of(&self, s: Slot) -> Slot {
+        let known = self.copies.get(&s).or_else(|| self.stored.get(&s));
+        known.copied().unwrap_or(s)
+    }
+
+    /// Records what `op` changes: a copy's destination, or the
+    /// register a store writes.
+    fn note(&mut self, op: &MOp) {
+        match *op {
+            MOp::CopyS { dst, a } => {
+                let v = self.of(a);
+                self.copies.insert(dst, v);
+            }
+            MOp::StVarS { var, .. } | MOp::StVarE { var, .. } => {
+                self.stores += 1;
+                self.stored.insert(reg_slot(var), UNSLOTTED | self.stores);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The register slot `op` stores to, if it is a register store.
+fn stored_reg(op: &MOp) -> Option<Slot> {
+    match *op {
+        MOp::StVarS { var, .. } | MOp::StVarE { var, .. } => Some(reg_slot(var)),
+        _ => None,
     }
 }
 
@@ -430,7 +502,8 @@ fn arr_len(prog: &Program, arr: u32) -> usize {
 }
 
 /// How an array-load caches in the availability maps: by constant index
-/// value, or by the (write-once) slot holding a dynamic index.
+/// value, or by the number ([`Values`]) of the value holding a dynamic
+/// index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum IdxKey {
     Const(u32),
@@ -442,32 +515,29 @@ enum IdxKey {
 /// store invalidates exactly the locations it can alias, then forwards
 /// its own value when it provably fits the declared width (stores
 /// truncate, so forwarding a slot with bits beyond it would disagree
-/// with a reload). `pause`/`ext` hand the environment a mutable view of
-/// all machine state and clear everything.
+/// with a reload). A register store drops every entry that forwards the
+/// register's own slot, which no longer holds the value stored from it.
+/// `pause`/`ext` hand the environment a mutable view of all machine
+/// state and clear everything.
 fn redundant_load(region: &mut [MOp], prog: &Program, pool: &Pool) {
-    let mut var_s: HashMap<u32, Slot> = HashMap::new();
     let mut sig_s: HashMap<u32, Slot> = HashMap::new();
     let mut arr_s: HashMap<(u32, IdxKey), Slot> = HashMap::new();
-    // Known possibly-set bits per slot (for store forwarding) and known
-    // constants / copy sources (for index resolution).
+    // Known possibly-set bits per slot (for store forwarding), known
+    // constants, and value numbers (for index resolution).
     let mut nz = SetBits::default();
     let mut consts = Consts::default();
-    let mut copies: HashMap<Slot, Slot> = HashMap::new();
-    fn resolve(copies: &HashMap<Slot, Slot>, s: Slot) -> Slot {
-        copies.get(&s).copied().unwrap_or(s)
-    }
+    let mut vals = Values::default();
     let fits = |nz: &SetBits, a: Slot, w: u16| nz.get(pool, a) & !mask_of(w) == 0;
 
     for op in region.iter_mut() {
         // 1. Replace loads whose value is already in a slot.
         let rep = match &*op {
-            MOp::LdVarS { dst, var } => var_s.get(var).map(|&a| MOp::CopyS { dst: *dst, a }),
             MOp::LdSigS { dst, sig } => sig_s.get(sig).map(|&a| MOp::CopyS { dst: *dst, a }),
             MOp::LdArrCS { dst, arr, idx } => arr_s
                 .get(&(*arr, IdxKey::Const(*idx)))
                 .map(|&a| MOp::CopyS { dst: *dst, a }),
             MOp::LdArrS { dst, arr, idx } => arr_s
-                .get(&(*arr, IdxKey::Dyn(resolve(&copies, *idx))))
+                .get(&(*arr, IdxKey::Dyn(vals.of(*idx))))
                 .map(|&a| MOp::CopyS { dst: *dst, a }),
             _ => None,
         };
@@ -480,16 +550,11 @@ fn redundant_load(region: &mut [MOp], prog: &Program, pool: &Pool) {
             let m = value_mask(op, &nz, pool, &consts);
             nz.0.insert(d, m);
         }
-        if let MOp::CopyS { dst, a } = &*op {
-            copies.insert(*dst, resolve(&copies, *a));
-        }
+        vals.note(op);
         consts.note(pool, op);
 
         // 3. Availability and invalidation.
         match &*op {
-            MOp::LdVarS { dst, var } => {
-                var_s.insert(*var, *dst);
-            }
             MOp::LdSigS { dst, sig } => {
                 sig_s.insert(*sig, *dst);
             }
@@ -497,19 +562,15 @@ fn redundant_load(region: &mut [MOp], prog: &Program, pool: &Pool) {
                 arr_s.insert((*arr, IdxKey::Const(*idx)), *dst);
             }
             MOp::LdArrS { dst, arr, idx } => {
-                arr_s.insert((*arr, IdxKey::Dyn(resolve(&copies, *idx))), *dst);
+                arr_s.insert((*arr, IdxKey::Dyn(vals.of(*idx))), *dst);
             }
             // A store kills what it may alias, then forwards its own
             // slot when it has one (the `St*E` terminals store a value
             // no slot holds).
-            MOp::StVarS { var, a, w } => {
-                var_s.remove(var);
-                if fits(&nz, *a, *w) {
-                    var_s.insert(*var, *a);
-                }
-            }
-            MOp::StVarE { var, .. } => {
-                var_s.remove(var);
+            MOp::StVarS { .. } | MOp::StVarE { .. } => {
+                let r = stored_reg(op);
+                sig_s.retain(|_, s| Some(*s) != r);
+                arr_s.retain(|_, s| Some(*s) != r);
             }
             MOp::StSigS { sig, a, w } => {
                 sig_s.remove(sig);
@@ -521,7 +582,7 @@ fn redundant_load(region: &mut [MOp], prog: &Program, pool: &Pool) {
                 sig_s.remove(sig);
             }
             MOp::StArrS { arr, idx, .. } | MOp::StArrE { arr, idx, .. } => {
-                match consts.get(pool, resolve(&copies, *idx)) {
+                match consts.get(pool, *idx) {
                     Some(c) if c < arr_len(prog, *arr) as u64 && c <= u64::from(u32::MAX) => {
                         invalidate_arr(&mut arr_s, *arr, Some(c as u32));
                         if let MOp::StArrS { a, w, .. } = &*op {
@@ -546,7 +607,6 @@ fn redundant_load(region: &mut [MOp], prog: &Program, pool: &Pool) {
                 }
             }
             MOp::PauseOp | MOp::ExtOp { .. } => {
-                var_s.clear();
                 sig_s.clear();
                 arr_s.clear();
             }
@@ -643,20 +703,22 @@ fn commutes(op: BinOp) -> bool {
 
 /// Local value numbering within one widened region (see [`Pass::Cse`]).
 /// Forward scan: each pure op is keyed on a kind discriminant plus its
-/// copy-resolved operands (a constant is its one pool slot) and
-/// immediates; a key hit rewrites the op to
-/// a copy of the first computation's slot. Sound across interior
-/// stores, labels, and branch exits because slots are written once
-/// before use and an interior `BranchZ` only ever *leaves* the region —
-/// any op that executes is preceded by every earlier op in the region.
-/// Loads and `EvalS` read machine state and are left alone.
+/// operands' value numbers ([`Values`]: copies resolved, a constant its
+/// one pool slot, a register read numbered by the stores before it) and
+/// immediates; a key hit rewrites the op to a copy of the first
+/// computation's slot. Sound across interior stores, labels, and branch
+/// exits because scratch slots are written once before use, a register
+/// read after a store never keys like one before it, and an interior
+/// `BranchZ` only ever *leaves* the region — any op that executes is
+/// preceded by every earlier op in the region. Loads and `EvalS` read
+/// machine state and are left alone.
 fn cse(region: &mut [MOp]) {
     // kind discriminant + up to four packed operand/immediate words.
     type Key = (u8, u64, u64, u64, u64);
     let mut avail: HashMap<Key, Slot> = HashMap::new();
-    let mut copies: HashMap<Slot, Slot> = HashMap::new();
+    let mut vals = Values::default();
     for op in region.iter_mut() {
-        let rs = |s: &Slot| u64::from(copies.get(s).copied().unwrap_or(*s));
+        let rs = |s: &Slot| u64::from(vals.of(*s));
         let keyed: Option<(Key, Slot)> = match &*op {
             MOp::MaskS { dst, a, mask } => Some(((1, rs(a), *mask, 0, 0), *dst)),
             MOp::NotS { dst, a, mask } => Some(((2, rs(a), *mask, 0, 0), *dst)),
@@ -690,34 +752,33 @@ fn cse(region: &mut [MOp]) {
                 avail.insert(key, dst);
             }
         }
-        if let MOp::CopyS { dst, a } = &*op {
-            let src = copies.get(a).copied().unwrap_or(*a);
-            copies.insert(*dst, src);
-        }
+        vals.note(op);
     }
 }
 
 /// Load-pair fusion (see [`Pass::FusePairs`]). Forward scan recording
-/// the defining op of every slot, known constants, and copy
-/// sources; a `ConcatS` of two adjacent-element loads becomes the fused
-/// pair read. Safety is re-read equivalence: the fused op samples both
-/// elements at the concat site, so any store into the array (or a
-/// pause/ext handing control to the environment, though those only ever
-/// end a region) after the first of the two loads blocks the fusion.
+/// the defining op of every value ([`Values`]), known constants, and
+/// the last store into each array and register; a `ConcatS` of two
+/// adjacent-element loads becomes the fused pair read. Safety is
+/// re-read equivalence: the fused op samples both elements at the
+/// concat site, so any store into the array (or a pause/ext handing
+/// control to the environment, though those only ever end a region)
+/// after the first of the two loads blocks the fusion; and it reads its
+/// base index there too, so a store into a base register after the
+/// index arithmetic read it blocks the fusion as well.
 fn fuse_pairs(region: &mut [MOp], pool: &Pool) {
     let mut def: HashMap<Slot, usize> = HashMap::new();
     let mut consts = Consts::default();
-    let mut copies: HashMap<Slot, Slot> = HashMap::new();
-    // Latest op that may have changed an array's contents.
+    let mut vals = Values::default();
+    // Latest op that may have changed an array's contents, and latest
+    // store into each register slot.
     let mut dirty: HashMap<u32, usize> = HashMap::new();
+    let mut stored: HashMap<Slot, usize> = HashMap::new();
     let mut env_dirty: Option<usize> = None;
-    fn resolve(copies: &HashMap<Slot, Slot>, s: Slot) -> Slot {
-        copies.get(&s).copied().unwrap_or(s)
-    }
     for p in 0..region.len() {
         let rep: Option<MOp> = if let MOp::ConcatS { dst, a, b, bw } = &region[p] {
-            let pa = def.get(&resolve(&copies, *a)).copied();
-            let pb = def.get(&resolve(&copies, *b)).copied();
+            let pa = def.get(&vals.of(*a)).copied();
+            let pb = def.get(&vals.of(*b)).copied();
             // No store into `arr` (nor env control) since `first`, so
             // the fused op's re-read sees the same element values.
             let clean = |arr: u32, first: usize| {
@@ -753,25 +814,31 @@ fn fuse_pairs(region: &mut [MOp], pool: &Pool) {
                         // the high index from a masked offset of some
                         // base (`base & mask` or `(base + k) & mask`
                         // with the same mask), so the fused op can
-                        // reproduce every wrap exactly.
-                        let ri1 = resolve(&copies, *i1);
-                        let ckonst = |s: &Slot| consts.get(pool, resolve(&copies, *s));
-                        let low = match def.get(&resolve(&copies, *i2)).map(|&q| &region[q]) {
+                        // reproduce every wrap exactly — from a base
+                        // that still holds, at the concat, what that
+                        // offset read.
+                        let ri1 = vals.of(*i1);
+                        let ckonst = |s: &Slot| consts.get(pool, *s);
+                        let low = match def.get(&vals.of(*i2)).map(|&q| &region[q]) {
                             Some(MOp::BinS {
                                 op: BinOp::Add,
                                 a: x,
                                 b: y,
                                 mask,
                                 ..
-                            }) if (resolve(&copies, *x) == ri1 && ckonst(y) == Some(1))
-                                || (resolve(&copies, *y) == ri1 && ckonst(x) == Some(1)) =>
+                            }) if (vals.of(*x) == ri1 && ckonst(y) == Some(1))
+                                || (vals.of(*y) == ri1 && ckonst(x) == Some(1)) =>
                             {
                                 Some(*mask)
                             }
                             _ => None,
                         };
+                        let q1 = def.get(&ri1).copied();
+                        let unstored = |base: Slot| {
+                            q1.is_some_and(|q| stored.get(&base).is_none_or(|&s| s < q))
+                        };
                         low.and_then(|mask| {
-                            let base_off = match def.get(&ri1).map(|&q| &region[q]) {
+                            let base_off = match q1.map(|q| &region[q]) {
                                 Some(MOp::MaskS {
                                     a: base, mask: m1, ..
                                 }) if *m1 == mask => Some((*base, 0)),
@@ -788,6 +855,7 @@ fn fuse_pairs(region: &mut [MOp], pool: &Pool) {
                                 },
                                 _ => None,
                             };
+                            let base_off = base_off.filter(|&(base, _)| unstored(base));
                             base_off.map(|(base, off)| MOp::LdArrPairS {
                                 dst: *dst,
                                 idx: base,
@@ -827,19 +895,28 @@ fn fuse_pairs(region: &mut [MOp], pool: &Pool) {
                 dirty.insert(*arr, p);
             }
             MOp::PauseOp | MOp::ExtOp { .. } => env_dirty = Some(p),
-            MOp::CopyS { dst, a } => {
-                copies.insert(*dst, resolve(&copies, *a));
+            op => {
+                if let Some(r) = stored_reg(op) {
+                    stored.insert(r, p);
+                }
             }
-            _ => {}
         }
+        vals.note(&region[p]);
         consts.note(pool, &region[p]);
-        if let Some(d) = region[p].dst() {
+        // A copy's destination numbers as its source, whose definition
+        // it is not.
+        if let Some(d) = region[p]
+            .dst()
+            .filter(|_| !matches!(region[p], MOp::CopyS { .. }))
+        {
             def.insert(d, p);
         }
     }
 }
 
-/// Copy propagation: substitute copy sources into later uses.
+/// Copy propagation: substitute copy sources into later uses — up to
+/// the next store into a source register, after which the register no
+/// longer holds what was copied and the copy's own slot stays in use.
 fn copy_prop(region: &mut [MOp]) {
     let mut map: HashMap<Slot, Slot> = HashMap::new();
     for op in region.iter_mut() {
@@ -851,6 +928,9 @@ fn copy_prop(region: &mut [MOp]) {
         // Record after rewriting, so chains resolve transitively.
         if let MOp::CopyS { dst, a } = op {
             map.insert(*dst, *a);
+        }
+        if let Some(r) = stored_reg(op) {
+            map.retain(|_, src| *src != r);
         }
     }
 }
@@ -884,7 +964,7 @@ mod tests {
     use crate::flat::FlatProgram;
     use crate::interp::{Env, MachineState, NullEnv, NullObserver};
     use crate::machine::{Code, Core};
-    use crate::program::{ArrayBacking, ProgramBuilder};
+    use crate::program::{ArrayBacking, ProgramBuilder, VarId};
     use emu_types::Bits;
 
     /// Compiles `pb`'s program under the given passes.
@@ -914,7 +994,7 @@ mod tests {
         let mut cm = compiled(lower(pb, default_pipeline()));
         cm.run_cycles(cycles, &mut NullEnv, &mut NullObserver)
             .unwrap();
-        assert_eq!(tw.state().vars, cm.state().vars);
+        assert_eq!(tw.state().regs(), cm.state().regs());
         assert_eq!(tw.state().arrays, cm.state().arrays);
         assert_eq!(tw.state().sigs, cm.state().sigs);
     }
@@ -969,18 +1049,18 @@ mod tests {
         tw.run_cycles(3, &mut NullEnv, &mut NullObserver).unwrap();
         let mut cm = compiled(lower(&pb, &[Pass::ConstFold, Pass::DeadScratch]));
         cm.run_cycles(3, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(tw.state().vars[0], cm.state().vars[0]);
+        assert_eq!(tw.state().reg(VarId(0)), cm.state().reg(VarId(0)));
     }
 
     #[test]
     fn copy_prop_bypasses_identity_resizes() {
         let naive = lower(&resize_tower(), &[]);
         let text = listing(&naive);
-        assert!(text.contains("s2 <- s1\n"), "naive keeps the copy:\n{text}");
+        assert!(text.contains("s1 <- s0\n"), "naive keeps the copy:\n{text}");
         let prop = lower(&resize_tower(), &[Pass::CopyProp]);
         let text = listing(&prop);
         // The mask now reads the Add's slot directly.
-        assert!(text.contains("s3 <- s1 & 0xff"), "{text}");
+        assert!(text.contains("s2 <- s0 & 0xff"), "{text}");
     }
 
     #[test]
@@ -992,7 +1072,7 @@ mod tests {
         assert!(n_after < n_before, "{n_before} -> {n_after}");
         // The orphaned copy is gone; the terminal survives.
         let text = listing(&full);
-        assert!(!text.contains("s2 <- s1\n"), "{text}");
+        assert!(!text.contains("s1 <- s0\n"), "{text}");
         assert!(text.contains("var a :="), "{text}");
     }
 
@@ -1002,9 +1082,9 @@ mod tests {
         // both agree with the tree-walker.
         for passes in [&[][..], default_pipeline()] {
             let mut cm = compiled(lower(&resize_tower(), passes));
-            cm.state_mut().vars[0] = emu_types::Bits::from_u64(0xfe, 8);
+            cm.state_mut().set_reg(VarId(0), Bits::from_u64(0xfe, 8));
             cm.run_cycles(3, &mut NullEnv, &mut NullObserver).unwrap();
-            assert_eq!(cm.state().vars[0].to_u64(), 0xff);
+            assert_eq!(cm.state().reg(VarId(0)).to_u64(), 0xff);
         }
     }
 
@@ -1014,9 +1094,9 @@ mod tests {
 
     #[test]
     fn store_forwarding_spans_statements() {
-        // `a := a + 1; b := a + 2`: after widening, the second
-        // statement's reload of `a` forwards the stored sum — one
-        // register read survives.
+        // `a := a + 1; b := a + 2`: the second statement reads `a`'s
+        // slot, which the first statement's store has just written —
+        // the stored sum, with no register load on either side.
         let mut pb = ProgramBuilder::new("p");
         let a = pb.reg("a", 8);
         let b = pb.reg("b", 8);
@@ -1029,7 +1109,8 @@ mod tests {
             ],
         );
         let text = listing(&lower(&pb, default_pipeline()));
-        assert_eq!(text.matches("<- var a").count(), 1, "{text}");
+        assert!(text.contains("1: var a := s0\n"), "{text}");
+        assert!(text.contains("2: s1 <- a Add 0x2 & 0xff\n"), "{text}");
         assert_lockstep(&pb, 3);
     }
 
@@ -1128,8 +1209,12 @@ mod tests {
         tw.run_cycles(4, &mut SigTick, &mut NullObserver).unwrap();
         let mut cm = compiled(lower(&pb, default_pipeline()));
         cm.run_cycles(4, &mut SigTick, &mut NullObserver).unwrap();
-        assert_eq!(tw.state().vars, cm.state().vars);
-        assert_ne!(cm.state().vars[0], cm.state().vars[1], "tick was visible");
+        assert_eq!(tw.state().regs(), cm.state().regs());
+        assert_ne!(
+            cm.state().reg(VarId(0)),
+            cm.state().reg(VarId(1)),
+            "tick was visible"
+        );
     }
 
     #[test]
@@ -1157,13 +1242,13 @@ mod tests {
             vec![assign(a, add(var(x), lit(1, 8))), assign(y, var(a)), halt()],
         );
         let text = listing(&lower(&pb, default_pipeline()));
-        // The reload of `a` is forwarded away entirely...
-        assert_eq!(text.matches("<- var a").count(), 0, "{text}");
+        // `y` takes `a` from its slot...
+        assert!(text.contains("var y := a\n"), "{text}");
         // ...but the producing Add must survive for both stores.
         assert_eq!(text.matches("Add").count(), 1, "{text}");
         let mut cm = compiled(lower(&pb, default_pipeline()));
         cm.run_cycles(3, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(cm.state().vars[2].to_u64(), 0x22);
+        assert_eq!(cm.state().reg(VarId(2)).to_u64(), 0x22);
         assert_lockstep(&pb, 3);
     }
 
@@ -1205,7 +1290,7 @@ mod tests {
         for passes in [&[][..], default_pipeline()] {
             let mut cm = compiled(lower(&pb, passes));
             cm.run_cycles(4, &mut NullEnv, &mut NullObserver).unwrap();
-            assert_eq!(tw.state().vars, cm.state().vars, "passes = {passes:?}");
+            assert_eq!(tw.state().regs(), cm.state().regs(), "passes = {passes:?}");
         }
     }
 
@@ -1350,7 +1435,7 @@ mod tests {
         );
         let text = listing(&lower(&pb, default_pipeline()));
         assert_eq!(
-            text.matches("{t[(s0+0x2) & 0xf], t[+1]:u8}").count(),
+            text.matches("{t[(i+0x2) & 0xf], t[+1]:u8}").count(),
             1,
             "{text}"
         );
@@ -1436,6 +1521,6 @@ mod tests {
         // x must see the *stored* low byte.
         let mut cm = compiled(lower(&pb, default_pipeline()));
         cm.run_cycles(5, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(cm.state().vars[1].to_u64(), 0x1299);
+        assert_eq!(cm.state().reg(VarId(1)).to_u64(), 0x1299);
     }
 }

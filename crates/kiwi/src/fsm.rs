@@ -156,7 +156,7 @@ mod tests {
     use kiwi_ir::dsl::*;
     use kiwi_ir::flat::flatten;
     use kiwi_ir::interp::{NullEnv, NullObserver};
-    use kiwi_ir::program::ProgramBuilder;
+    use kiwi_ir::program::{ProgramBuilder, VarId};
     use kiwi_ir::{Code, Core};
 
     fn fsm_of(pb: ProgramBuilder, model: CostModel) -> Fsm {
@@ -288,7 +288,7 @@ mod tests {
         );
         let mut m = rtl(&pb, CostModel::default());
         m.run_cycles(100, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(m.state().vars[0].to_u64(), 100);
+        assert_eq!(m.state().reg(VarId(0)).to_u64(), 100);
         assert_eq!(m.cycle(), 100);
     }
 
@@ -318,8 +318,8 @@ mod tests {
         tight
             .run_cycles(1000, &mut NullEnv, &mut NullObserver)
             .unwrap();
-        assert_eq!(loose.state().vars[0].to_u64(), 30);
-        assert_eq!(tight.state().vars[0].to_u64(), 30);
+        assert_eq!(loose.state().reg(VarId(0)).to_u64(), 30);
+        assert_eq!(tight.state().reg(VarId(0)).to_u64(), 30);
         assert!(tight.cycle() > loose.cycle());
     }
 
@@ -360,9 +360,9 @@ mod tests {
         m.run_cycles(1000, &mut NullEnv, &mut NullObserver).unwrap();
 
         assert!(interp.halted() && m.halted());
-        assert_eq!(interp.state().vars[0], m.state().vars[0]);
-        assert_eq!(interp.state().vars[1], m.state().vars[1]);
-        assert_eq!(m.state().vars[1].to_u64(), 1_346_269); // fib(31)
+        assert_eq!(interp.state().reg(VarId(0)), m.state().reg(VarId(0)));
+        assert_eq!(interp.state().reg(VarId(1)), m.state().reg(VarId(1)));
+        assert_eq!(m.state().reg(VarId(1)).to_u64(), 1_346_269); // fib(31)
     }
 
     #[test]

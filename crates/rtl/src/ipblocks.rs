@@ -1098,7 +1098,7 @@ impl IpBlockModel for BramModel {
 mod tests {
     use super::*;
     use kiwi_ir::interp::NullObserver;
-    use kiwi_ir::{Code, Core};
+    use kiwi_ir::{Code, Core, VarId};
 
     /// A program that only declares a block's ports, and its reset
     /// state — for driving a model directly.
@@ -1146,8 +1146,8 @@ mod tests {
         env.check(&prog).unwrap();
         m.run_cycles(10, &mut env, &mut NullObserver).unwrap();
         assert!(m.halted());
-        assert_eq!(m.state().vars[0].to_u64(), 1, "lookup must match");
-        assert_eq!(m.state().vars[1].to_u64(), 7);
+        assert_eq!(m.state().reg(VarId(0)).to_u64(), 1, "lookup must match");
+        assert_eq!(m.state().reg(VarId(1)).to_u64(), 7);
     }
 
     #[test]
@@ -1164,7 +1164,7 @@ mod tests {
         let mut env = IpEnv::new();
         env.attach(Box::new(CamModel::new(&cam, 4, false)));
         m.run_cycles(10, &mut env, &mut NullObserver).unwrap();
-        assert_eq!(m.state().vars[0].to_u64(), 0);
+        assert_eq!(m.state().reg(VarId(0)).to_u64(), 0);
     }
 
     #[test]
@@ -1221,7 +1221,7 @@ mod tests {
         m.run_cycles(40, &mut env, &mut NullObserver).unwrap();
         assert!(m.halted());
         let expect = emu_types::checksum::pearson8_seeded(0x5A, b"ab");
-        assert_eq!(m.state().vars[0].to_u64(), u64::from(expect));
+        assert_eq!(m.state().reg(VarId(0)).to_u64(), u64::from(expect));
     }
 
     #[test]

@@ -254,4 +254,142 @@ mod tests {
         bytes.extend_from_slice(&[0; 40]);
         assert!(Trace::from_bytes(&bytes).is_err());
     }
+
+    /// A small trace with every shape the format has: an entry with no
+    /// output, one with two, a rejected one, and an empty frame.
+    fn fixture() -> Trace {
+        let frame = |n: usize, seed: u8| Frame::new((0..n).map(|i| seed ^ i as u8).collect());
+        let mut tagged = frame(42, 7);
+        tagged.in_port = 3;
+        Trace {
+            entries: vec![
+                TraceEntry {
+                    input: frame(60, 1),
+                    rejected: false,
+                    outputs: Vec::new(),
+                },
+                TraceEntry {
+                    input: tagged,
+                    rejected: false,
+                    outputs: vec![(0b0101, frame(64, 2)), (0b1000, frame(0, 3))],
+                },
+                TraceEntry {
+                    input: frame(90, 4),
+                    rejected: true,
+                    outputs: Vec::new(),
+                },
+            ],
+        }
+    }
+
+    /// Where a valid serialization keeps its entries (byte ranges) and
+    /// its counts and lengths (`(offset, width)`: the entry `count`,
+    /// then every `len` and `out_count`).
+    fn layout(bytes: &[u8]) -> (Vec<std::ops::Range<usize>>, Vec<(usize, usize)>) {
+        let le = |at: usize, w: usize| {
+            let mut v = 0usize;
+            for (k, b) in bytes[at..at + w].iter().enumerate() {
+                v |= usize::from(*b) << (8 * k);
+            }
+            v
+        };
+        let (mut entries, mut fields) = (Vec::new(), vec![(8, 4)]);
+        let mut pos = 12;
+        for _ in 0..le(8, 4) {
+            let start = pos;
+            fields.push((pos + 2, 4));
+            pos += 6 + le(pos + 2, 4);
+            fields.push((pos, 2));
+            let outs = le(pos, 2);
+            pos += 2;
+            for _ in 0..outs {
+                fields.push((pos + 1, 4));
+                pos += 5 + le(pos + 1, 4);
+            }
+            entries.push(start..pos);
+        }
+        (entries, fields)
+    }
+
+    /// One mutation of a valid serialization, chosen and placed by
+    /// `pick`: flipped bits, a truncation, a count or length field set
+    /// to an inflated value, or entries spliced in, out or over each
+    /// other (with the entry count left as it was, or kept in step).
+    fn mutate(valid: &[u8], pick: &[u64]) -> Vec<u8> {
+        let mut bytes = valid.to_vec();
+        let (entries, fields) = layout(valid);
+        let at = |k: usize, n: usize| (pick[k % pick.len()] as usize) % n.max(1);
+        match pick[0] % 5 {
+            0 => {
+                for k in 1..=1 + at(1, 8) {
+                    let bit = at(k + 1, bytes.len() * 8);
+                    bytes[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+            1 => bytes.truncate(at(1, bytes.len())),
+            2 => {
+                let (off, w) = fields[at(1, fields.len())];
+                let old = bytes[off..off + w].to_vec();
+                let grown: u64 = match pick[2] % 4 {
+                    0 => u64::MAX,
+                    1 => 1 << (8 * w - 1),
+                    2 => old.iter().rev().fold(0, |v, b| v << 8 | u64::from(*b)) + 1,
+                    _ => pick[3],
+                };
+                bytes[off..off + w].copy_from_slice(&grown.to_le_bytes()[..w]);
+            }
+            _ => {
+                // Splice: copy one entry over, before or instead of
+                // another, or cut one out.
+                let src = entries[at(1, entries.len())].clone();
+                let dst = entries[at(2, entries.len())].clone();
+                let piece = valid[src].to_vec();
+                let count = u32::from_le_bytes(valid[8..12].try_into().unwrap());
+                let count = match pick[3] % 4 {
+                    0 => {
+                        bytes.splice(dst.start..dst.start, piece);
+                        count + 1
+                    }
+                    1 => {
+                        bytes.splice(dst, piece);
+                        count
+                    }
+                    2 => {
+                        bytes.drain(dst);
+                        count - 1
+                    }
+                    _ => {
+                        let cut = dst.start + at(4, dst.len());
+                        bytes.splice(cut..cut, piece);
+                        count + 1
+                    }
+                };
+                if pick[0] % 5 == 4 {
+                    bytes[8..12].copy_from_slice(&count.to_le_bytes());
+                }
+            }
+        }
+        bytes
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+        /// The reader never panics and never runs long on a damaged
+        /// trace: whatever the bytes, it returns `Ok` or `Err`, and a
+        /// trace it accepts serializes to bytes it reads back as that
+        /// same trace.
+        #[test]
+        fn mutated_traces_parse_or_fail_cleanly(
+            pick in proptest::collection::vec(proptest::prelude::any::<u64>(), 6..7)
+        ) {
+            let bytes = mutate(&fixture().to_bytes(), &pick);
+            let t = std::time::Instant::now();
+            let parsed = Trace::from_bytes(&bytes);
+            proptest::prop_assert!(t.elapsed() < std::time::Duration::from_secs(1));
+            if let Ok(trace) = parsed {
+                proptest::prop_assert_eq!(Trace::from_bytes(&trace.to_bytes()), Ok(trace));
+            }
+        }
+    }
 }

@@ -94,9 +94,10 @@
 //! * [`Backend::Compiled`](stdlib::Backend) (**default**) — each thread
 //!   is lowered once, at build time, to a linear micro-op bytecode with
 //!   explicit scratch registers, pre-resolved ids and pre-computed
-//!   widths. The bytecode is a 64-bit machine — 33 micro-ops over one
-//!   `u64` slot file, scratch below and the program's constant pool
-//!   above, so no micro-op loads a literal; the few sub-expressions
+//!   widths. The bytecode is a 64-bit machine — 32 micro-ops over one
+//!   `u64` slot file, the machine state's registers, scratch above them
+//!   and the program's constant pool above that, so no micro-op loads a
+//!   register or a literal; the few sub-expressions
 //!   wider than that (or directly on top of one that is) are not
 //!   lowered but handed, as they stand, to the reference [`ir::eval`]
 //!   by four of those micro-ops, so the product re-implements none of

@@ -308,7 +308,7 @@ impl Observer for Trace {
 /// Asserts two machine states are identical in every field a backend
 /// can influence.
 fn assert_state_eq(label: &str, a: &MachineState, b: &MachineState) {
-    assert_eq!(a.vars, b.vars, "{label}: registers diverged");
+    assert_eq!(a.regs(), b.regs(), "{label}: registers diverged");
     assert_eq!(a.arrays, b.arrays, "{label}: arrays diverged");
     assert_eq!(a.sigs, b.sigs, "{label}: signals diverged");
     assert_eq!(a.arr_high, b.arr_high, "{label}: arr_high marks diverged");
@@ -1011,4 +1011,237 @@ fn engine_passes_knob_is_behavior_invisible() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Register hazards: the compiled backend reads a register where it lives,
+// and a register is written by every store to it. A pass that reuses a
+// read, or moves it later, must never carry it past a store to that
+// register. Each program below puts such a store in the middle of one
+// widened region (or, in the last one, hands the register to an
+// observer mid-frame) and runs in lockstep on the tree-walker, the FSM
+// and the compiled backend under the default pipeline, the empty one
+// and each pass alone.
+// ---------------------------------------------------------------------
+
+/// Extension point at which [`Poke`] rewrites register 0.
+const POKE_EXT: u32 = 1;
+
+/// The value [`Poke`] writes into register 0.
+const POKED: u64 = 0x5a;
+
+/// A full [`Trace`] that also writes [`POKED`] into register 0 at
+/// [`POKE_EXT`]: the mid-frame write a debug controller makes.
+#[derive(Default)]
+struct Poke(Trace);
+
+impl Observer for Poke {
+    fn on_assign(&mut self, v: u32, old: &Bits, new: &Bits) {
+        self.0.on_assign(v, old, new);
+    }
+    fn on_label(&mut self, n: &str) {
+        self.0.on_label(n);
+    }
+    fn on_ext_point(&mut self, id: u32, s: &mut MachineState) {
+        self.0.on_ext_point(id, s);
+        if id == POKE_EXT {
+            s.set_reg(VarId(0), Bits::from_u64(POKED, 64));
+        }
+    }
+}
+
+/// The default pipeline, the empty one and each pass alone.
+fn hazard_pipelines() -> Vec<Vec<kiwi_ir::Pass>> {
+    let default = kiwi_ir::default_pipeline();
+    let mut out = vec![default.to_vec(), Vec::new()];
+    out.extend(default.iter().map(|p| vec![*p]));
+    out
+}
+
+/// Runs `prog` (one thread that halts) on the tree-walker, the FSM and
+/// the compiled backend under every [`hazard_pipelines`] entry: the
+/// compiled runs in cycle lockstep with the tree-walker (state after
+/// every cycle, cycle and op counts, whole observer trace), the FSM to
+/// the same final state and the same assignments and extension points.
+/// Returns the tree-walker's final state for the caller's own checks.
+fn assert_hazard_lockstep(what: &str, prog: &Program) -> MachineState {
+    let flat = flatten(prog).unwrap();
+    let mut tw = Core::new(Code::TreeWalk(flat.clone()));
+    let mut tw_obs = Poke::default();
+    let mut states = Vec::new();
+    while !tw.halted() {
+        tw.step_cycle(&mut NullEnv, &mut tw_obs).unwrap();
+        states.push(tw.state().clone());
+        assert!(states.len() < 200, "{what}: the program must halt");
+    }
+    for passes in hazard_pipelines() {
+        let label = format!("{what}, passes {passes:?}");
+        let cp = kiwi_ir::compile_with_passes(&flat, &passes).unwrap();
+        let mut cm = Core::new(Code::Compiled(cp));
+        let mut cm_obs = Poke::default();
+        for (cycle, want) in states.iter().enumerate() {
+            cm.step_cycle(&mut NullEnv, &mut cm_obs).unwrap();
+            assert_state_eq(&format!("{label}: cycle {cycle}"), want, cm.state());
+        }
+        assert!(cm.halted(), "{label}: halts with the tree-walker");
+        assert_eq!(tw.cycle(), cm.cycle(), "{label}: cycle counts");
+        assert_eq!(tw.ops_executed(), cm.ops_executed(), "{label}: op counts");
+        assert_eq!(tw_obs.0, cm_obs.0, "{label}: observer traces");
+    }
+    let mut rtl = Core::new(Code::Fpga(kiwi::compile(prog).unwrap()));
+    let mut rtl_obs = Poke::default();
+    rtl.run_cycles(10_000, &mut NullEnv, &mut rtl_obs).unwrap();
+    assert!(rtl.halted(), "{what}: the FSM halts");
+    assert_state_eq(&format!("{what}: fsm"), tw.state(), rtl.state());
+    assert_eq!(tw_obs.0.assigns, rtl_obs.0.assigns, "{what}: fsm assigns");
+    assert_eq!(tw_obs.0.exts, rtl_obs.0.exts, "{what}: fsm ext points");
+    tw.state().clone()
+}
+
+/// Three trips of `body`, each ending in a pause, then halt: the body is
+/// one widened region per trip.
+fn three_trips(pb: &mut kiwi_ir::ProgramBuilder, body: Vec<Stmt>) {
+    let n = pb.reg("trip", 4);
+    let mut body = body;
+    body.push(assign(n, add(var(n), lit(1, 4))));
+    body.push(pause());
+    pb.thread(
+        "main",
+        vec![while_loop(lt(var(n), lit(3, 4)), body), halt()],
+    );
+}
+
+#[test]
+fn register_read_reused_after_a_store_to_it() {
+    // `y := x; x := x + 1; z := y + x`: the value read for `y` is the
+    // old `x`, the one `z` adds is the new.
+    let mut pb = kiwi_ir::ProgramBuilder::new("reuse");
+    let x = pb.reg_init("x", 16, Bits::from_u64(5, 16));
+    let y = pb.reg("y", 16);
+    let z = pb.reg("z", 16);
+    three_trips(
+        &mut pb,
+        vec![
+            assign(y, var(x)),
+            assign(x, add(var(x), lit(1, 16))),
+            assign(z, add(var(y), var(x))),
+        ],
+    );
+    let end = assert_hazard_lockstep("reuse", &pb.build().unwrap());
+    assert_eq!(end.reg(VarId(2)).to_u64(), 7 + 8);
+}
+
+#[test]
+fn identity_resize_copy_of_a_register_across_a_store() {
+    // `resize(x, 64)` of a 32-bit `x` is a copy; the array store's value
+    // forwards to the reload of `t[0]`, which must see the copy, not
+    // the register stored in between. `t[1] := w` stores the register
+    // itself, whose forwarding must stop at the store to `w`.
+    let mut pb = kiwi_ir::ProgramBuilder::new("copy");
+    let x = pb.reg_init("x", 32, Bits::from_u64(0x1234, 32));
+    let w = pb.reg_init("w", 64, Bits::from_u64(0xabcd, 64));
+    let t = pb.array("t", 64, 4, ArrayBacking::LutRam);
+    let y = pb.reg("y", 64);
+    let v = pb.reg("v", 64);
+    three_trips(
+        &mut pb,
+        vec![
+            arr_write(t, lit(0, 2), resize(var(x), 64)),
+            arr_write(t, lit(1, 2), var(w)),
+            assign(x, add(var(x), lit(1, 32))),
+            assign(w, add(var(w), lit(1, 64))),
+            assign(y, arr_read(t, lit(0, 2))),
+            assign(v, arr_read(t, lit(1, 2))),
+        ],
+    );
+    let end = assert_hazard_lockstep("copy", &pb.build().unwrap());
+    assert_eq!(end.reg(VarId(2)).to_u64(), 0x1234 + 2);
+    assert_eq!(end.reg(VarId(3)).to_u64(), 0xabcd + 2);
+}
+
+#[test]
+fn fused_pair_load_indexed_by_a_register_stored_before_the_concat() {
+    // A big-endian pair read at `(i + 2, i + 3)`, where `i` is stored
+    // after an earlier statement computed the same index arithmetic:
+    // neither the index add nor a fused read may see the other `i`.
+    // `p` reaches the old index add through the forwarded store to
+    // `u[0]`, so a fused read there would index by the register itself,
+    // stored between that add and the concat.
+    let mut pb = kiwi_ir::ProgramBuilder::new("pair");
+    let init = (0..16).map(|k| (k, Bits::from_u64(0x10 + k as u64, 8)));
+    let t = pb.array_init("t", 8, 16, ArrayBacking::LutRam, init.collect());
+    let u = pb.array("u", 4, 2, ArrayBacking::LutRam);
+    let i = pb.reg_init("i", 4, Bits::from_u64(3, 4));
+    let k = pb.reg("k", 4);
+    let a = pb.reg("a", 8);
+    let x = pb.reg("x", 16);
+    let q = pb.reg("q", 16);
+    let p = pb.reg("p", 16);
+    let base = || add(var(i), lit(2, 4));
+    let pair = |idx: Expr| concat(arr_read(t, idx.clone()), arr_read(t, add(idx, lit(1, 4))));
+    three_trips(
+        &mut pb,
+        vec![
+            arr_write(u, lit(0, 1), base()),
+            assign(k, base()),
+            assign(a, arr_read(t, base())),
+            assign(i, add(var(i), lit(5, 4))),
+            assign(x, pair(base())),
+            assign(q, pair(var(k))),
+            assign(p, pair(arr_read(u, lit(0, 1)))),
+        ],
+    );
+    let end = assert_hazard_lockstep("pair", &pb.build().unwrap());
+    // The last trip starts with `i` = 13 and ends with it at 2 (mod 16):
+    // `x` reads t[4], t[5]; `q` and `p` read t[15], t[0].
+    assert_eq!(end.reg(VarId(3)).to_u64(), 0x1415);
+    assert_eq!(end.reg(VarId(4)).to_u64(), 0x1f10);
+    assert_eq!(end.reg(VarId(5)).to_u64(), 0x1f10);
+}
+
+#[test]
+fn cse_candidate_over_a_register_across_a_store() {
+    // `x + y` before and after a store to `x` are two values, and so
+    // are the two identity-resized sums.
+    let mut pb = kiwi_ir::ProgramBuilder::new("cse");
+    let x = pb.reg_init("x", 8, Bits::from_u64(9, 8));
+    let y = pb.reg_init("y", 8, Bits::from_u64(4, 8));
+    let a = pb.reg("a", 8);
+    let b = pb.reg("b", 8);
+    let c = pb.reg("c", 16);
+    let d = pb.reg("d", 16);
+    three_trips(
+        &mut pb,
+        vec![
+            assign(a, add(var(x), var(y))),
+            assign(c, add(resize(var(x), 16), lit(1, 16))),
+            assign(x, add(var(x), lit(1, 8))),
+            assign(b, add(var(y), var(x))),
+            assign(d, add(resize(var(x), 16), lit(1, 16))),
+        ],
+    );
+    let end = assert_hazard_lockstep("cse", &pb.build().unwrap());
+    assert_eq!(end.reg(VarId(3)).to_u64(), 4 + 12);
+    assert_eq!(end.reg(VarId(5)).to_u64(), 13);
+}
+
+#[test]
+fn observer_writes_a_register_mid_frame() {
+    // At the extension point the observer sets `x`; reads after it, in
+    // the same trip, must see the observer's value.
+    let mut pb = kiwi_ir::ProgramBuilder::new("poke");
+    let x = pb.reg_init("x", 8, Bits::from_u64(1, 8));
+    let y = pb.reg("y", 8);
+    let z = pb.reg("z", 8);
+    three_trips(
+        &mut pb,
+        vec![
+            assign(y, add(var(x), lit(1, 8))),
+            ext_point(POKE_EXT),
+            assign(z, add(var(x), lit(1, 8))),
+            assign(x, add(var(x), var(y))),
+        ],
+    );
+    let end = assert_hazard_lockstep("poke", &pb.build().unwrap());
+    assert_eq!(end.reg(VarId(2)).to_u64(), POKED + 1);
 }

@@ -12,7 +12,7 @@ use emu_types::proto::ip_proto;
 use emu_types::wire;
 use kiwi_ir::dsl::*;
 use kiwi_ir::interp::{NullEnv, NullObserver};
-use kiwi_ir::{Code, Core};
+use kiwi_ir::{Code, Core, VarId};
 use proptest::prelude::*;
 
 proptest! {
@@ -96,7 +96,7 @@ proptest! {
         prop_assert!(interp.halted() && rtl.halted());
         for i in 0..3 {
             prop_assert_eq!(
-                &interp.state().vars[i], &rtl.state().vars[i],
+                &interp.state().reg(VarId(i as u32)), &rtl.state().reg(VarId(i as u32)),
                 "register {} diverged", i
             );
         }

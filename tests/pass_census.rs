@@ -9,7 +9,8 @@
 //! pipeline minus each pass, and under the empty pipeline with the
 //! share that is handed to the reference `eval`).
 //!
-//! The same programs pin the constant pool's contract.
+//! The same programs pin the contracts of the slot file's registers
+//! and constant pool.
 
 use emu::debug::{extend_program, ControllerConfig};
 use emu::ir::compile::MOp;
@@ -70,8 +71,7 @@ fn variant(m: &MOp) -> String {
 
 /// Every variant of [`MOp`]. Lowering emits all but the five fused ops
 /// of part (b), which only a pass produces.
-const VARIANTS: [&str; 33] = [
-    "LdVarS",
+const VARIANTS: [&str; 32] = [
     "LdSigS",
     "LdArrS",
     "LdArrCS",
@@ -266,6 +266,35 @@ fn constants_are_pooled_once_and_never_loaded() {
                 cp.pool.len(),
                 "{name}: a value pooled twice"
             );
+        }
+    }
+}
+
+/// The registers, on every shipped program under the default and the
+/// empty pipeline: slot `v` is register `v`, and no micro-op defines a
+/// register slot — only the register stores write one, `StVarS` in
+/// place. A register read is its slot, so no micro-op reads a register
+/// into scratch either.
+#[test]
+fn registers_are_written_only_by_stores() {
+    for (name, prog) in shipped() {
+        for passes in [default_pipeline(), &[][..]] {
+            let cp = compile_with_passes(&flatten(&prog).unwrap(), passes).unwrap();
+            let regs = cp.scratch_base() as u32;
+            assert_eq!(regs as usize, prog.vars().len());
+            let mut read = false;
+            for m in cp.threads.iter().flat_map(|t| &t.mops) {
+                assert!(
+                    m.dst().is_none_or(|d| d >= regs),
+                    "{name} ({} passes): {m:?} writes a register slot",
+                    passes.len()
+                );
+                if let MOp::StVarS { var, w, .. } = m {
+                    assert!(*var < regs && *w <= 64, "{name}: {m:?}");
+                }
+                m.uses(&mut |s| read |= s < regs);
+            }
+            assert!(read, "{name}: some micro-op reads a register slot");
         }
     }
 }

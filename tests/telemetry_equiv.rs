@@ -219,3 +219,52 @@ fn pinned_mixes_reproduce_recorded_cycle_counts() {
         assert_eq!(shard_rows(&svc, nat, 2, &frames), two, "{name}: 2 shards");
     }
 }
+
+/// `Engine::process` runs the statically dispatched executor (under
+/// `NullObserver`); `process_observed` with a `&mut dyn Observer` runs
+/// the virtual one. On a mixed stream, oversize frames included, both
+/// give the same outputs, the same cycle counts and the same telemetry,
+/// and the observer sees the program's assignments.
+#[test]
+fn process_equals_dyn_observed_process() {
+    #[derive(Default)]
+    struct Count(u64);
+    impl emu::ir::Observer for Count {
+        fn on_assign(&mut self, _v: u32, _old: &emu::types::Bits, _new: &emu::types::Bits) {
+            self.0 += 1;
+        }
+    }
+    let services = [
+        (
+            emu::services::switch_ip_cam(),
+            mixed_frames(0x7e1e_0002, 256),
+        ),
+        (
+            emu::services::memcached(),
+            MemcachedZipf::new(0x7e1e_0003, 64, 1.1, 0.9).take(256),
+        ),
+    ];
+    for (svc, mut frames) in services {
+        let cap = svc.engine(Target::Cpu).build().unwrap().frame_capacity();
+        frames.insert(17, Frame::new(vec![0; cap + 1]));
+        let mut plain = svc.engine(Target::Cpu).build().unwrap();
+        let mut observed = svc.engine(Target::Cpu).build().unwrap();
+        let mut count = Count::default();
+        for (i, f) in frames.iter().enumerate() {
+            let want = plain.process(f);
+            let got = observed.process_observed(f, &mut count as &mut dyn emu::ir::Observer);
+            assert_eq!(want, got, "{}: frame {i}", svc.program.name);
+        }
+        assert!(
+            count.0 > 0,
+            "{}: the observer saw no assignment",
+            svc.program.name
+        );
+        assert_eq!(
+            plain.telemetry(),
+            observed.telemetry(),
+            "{}",
+            svc.program.name
+        );
+    }
+}
