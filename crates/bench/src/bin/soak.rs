@@ -1,9 +1,9 @@
 //! The standing scenario engine: millions of generated frames through
 //! sharded **parallel** engines, with reference checkers asserting
 //! service invariants on every frame — translation consistency for
-//! NAT, cache coherence for memcached, learned forwarding for the
-//! switch — and the engine-wide rule that no input may ever trap a
-//! shard.
+//! NAT, learned forwarding for the switch, and for memcached, DNS and
+//! ICMP echo replies byte-identical to the host services' — and the
+//! engine-wide rule that no input may ever trap a shard.
 //!
 //! Every service runs twice with the *same generator seed*: once on a
 //! `shards(4).parallel(true)` engine (real OS threads) and once on the
@@ -20,12 +20,14 @@
 //! (default 1,000,000 frames per service on the compiled CPU backend;
 //! CI's `soak-smoke` job runs 50,000). Any other argument is an error.
 
+use emu_bench::bench_zone;
 use emu_core::{Backend, Engine, NatSteering, Target};
 use emu_traffic::{
-    Adversarial, Background, Checker, DnsWeighted, FlowChurn, MacChurn, McModel, MemcachedZipf,
-    Mix, NatChecker, SwitchModel, TcpConversations, TrafficGen,
+    Adversarial, Background, Checker, DnsWeighted, FlowChurn, HostChecker, MacChurn, McModel,
+    MemcachedZipf, Mix, NatChecker, SwitchModel, TcpConversations, TrafficGen,
 };
 use emu_types::{Frame, Ipv4};
+use hoststack::{HostDns, HostIcmpEcho};
 use std::time::Instant;
 
 const SHARDS: usize = 4;
@@ -79,6 +81,31 @@ fn mc_mix(seed: u64) -> Mix {
         .add(12, MemcachedZipf::new(seed ^ 1, 200_000, 1.1, 0.9))
         .add(2, Background::new(seed ^ 2, &[0, 1, 2, 3]))
         .add(1, Adversarial::new(seed ^ 3, &[0, 1, 2, 3]))
+}
+
+fn dns_mix(seed: u64) -> Mix {
+    // Zone hits, a miss, and the chatter and malformations around them.
+    Mix::new(seed)
+        .add(
+            12,
+            DnsWeighted::new(
+                seed ^ 1,
+                &[
+                    ("example.com", 6),
+                    ("emu.cam.ac.uk", 3),
+                    ("a.b", 2),
+                    ("miss.example", 1),
+                ],
+            ),
+        )
+        .add(2, Background::new(seed ^ 2, &[0, 1, 2, 3]))
+        .add(1, Adversarial::new(seed ^ 3, &[0, 1, 2, 3]))
+}
+
+fn icmp_mix(seed: u64) -> Mix {
+    Mix::new(seed)
+        .add(8, Background::new(seed ^ 1, &[0, 1, 2, 3]))
+        .add(1, Adversarial::new(seed ^ 2, &[0, 1, 2, 3]))
 }
 
 fn switch_mix(seed: u64) -> Mix {
@@ -210,6 +237,24 @@ fn main() {
             // The store keeps keys until DELETE (GET-after-SET must
             // always hit), so no TTL — the model needs no resizing.
             |_, _| Box::new(McModel::new()),
+            None,
+            false,
+            false,
+        ),
+        (
+            "dns",
+            || emu_services::dns_server(bench_zone()),
+            dns_mix,
+            |_, _| Box::new(HostChecker::from(HostDns::new(bench_zone()))),
+            None,
+            false,
+            false,
+        ),
+        (
+            "icmp",
+            emu_services::icmp_echo,
+            icmp_mix,
+            |_, _| Box::new(HostChecker::<HostIcmpEcho>::new()),
             None,
             false,
             false,

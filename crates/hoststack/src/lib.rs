@@ -8,9 +8,9 @@
 //! * [`path`] — the staged receive/transmit path model (NIC DMA, IRQ,
 //!   softirq, stack, socket wake-up, application) with per-service
 //!   profiles calibrated to the paper's averages and tail ratios,
-//! * [`services`] — real software implementations of ICMP echo, DNS and
-//!   memcached, byte-compatible with the Emu services for differential
-//!   testing,
+//! * [`services`] — software ICMP echo, DNS and memcached, the
+//!   references the Emu services' replies are checked against byte for
+//!   byte (`emu_traffic::HostChecker`),
 //! * [`workload`] — memaslap- and OSNT-style load generators,
 //! * [`rng`] — auditable samplers (Box–Muller, lognormal, exponential).
 

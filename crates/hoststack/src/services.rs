@@ -1,12 +1,14 @@
-//! Host-native functional implementations of the paper's services.
+//! ICMP echo, DNS and memcached as ordinary software, the "Linux native
+//! counterparts" of §5.4, and the references the Emu services are
+//! checked against: `emu_traffic::HostChecker` demands an engine's
+//! replies equal these, byte for byte.
 //!
-//! These are the "Linux native counterparts" of §5.4 — ordinary software
-//! implementations that run inside the host-path model's application
-//! stage. They are deliberately byte-compatible with the Emu services'
-//! replies (same checksum conventions, same response formats), which lets
-//! the integration tests diff a host service against the same service
-//! compiled for the FPGA target — the strongest functional check the
-//! reproduction has.
+//! So each answers what its Emu service answers, malformed frames
+//! included, and reads a frame as a service core does: bytes past its
+//! end read as zero (`DataplaneDriver::load_frame` zero-fills the
+//! buffer). Where that or an Emu limit departs from a general-purpose
+//! server, the type lists it under *Restrictions*. One holds for all
+//! three: IPv4 is recognised by IHL 5 alone; the version is not read.
 
 use emu_types::proto::{ether_type, ip_proto, offset, port};
 use emu_types::{bitutil, checksum, wire, Frame, Ipv4};
@@ -14,18 +16,21 @@ use std::collections::HashMap;
 
 /// A software network function: frames in, frames out.
 pub trait HostService {
+    /// Service label for reports.
+    const NAME: &'static str;
+
     /// Processes one frame.
     fn process(&mut self, frame: &Frame) -> Vec<Frame>;
 }
 
-/// True for an option-less IPv4 frame carrying `proto`.
+/// True for an IHL-5 IPv4 frame carrying `proto`.
 fn is_plain_ipv4(b: &[u8], proto: u8) -> bool {
     bitutil::get16(b, offset::ETH_TYPE) == ether_type::IPV4
-        && bitutil::get8(b, offset::IPV4) == 0x45
+        && bitutil::get8(b, offset::IPV4) & 0x0f == 5
         && bitutil::get8(b, offset::IPV4_PROTO) == proto
 }
 
-/// True for an option-less IPv4/UDP frame addressed to `dport`.
+/// True for an IHL-5 IPv4/UDP frame addressed to `dport`.
 fn is_udp_to(b: &[u8], dport: u16) -> bool {
     is_plain_ipv4(b, ip_proto::UDP) && bitutil::get16(b, offset::L4 + 2) == dport
 }
@@ -70,11 +75,13 @@ fn reply_frame(bytes: Vec<u8>, request: &Frame) -> Vec<Frame> {
     vec![f]
 }
 
-/// ICMP echo responder (kernel behaviour).
+/// ICMP echo responder.
 #[derive(Debug, Default)]
 pub struct HostIcmpEcho;
 
 impl HostService for HostIcmpEcho {
+    const NAME: &'static str = "icmp";
+
     fn process(&mut self, frame: &Frame) -> Vec<Frame> {
         let b = frame.bytes();
         if !is_plain_ipv4(b, ip_proto::ICMP) || bitutil::get8(b, offset::L4) != 8 {
@@ -101,6 +108,14 @@ impl HostService for HostIcmpEcho {
 }
 
 /// Non-recursive DNS resolver over a static zone.
+///
+/// Restrictions:
+/// - **Names of at most 26 bytes (§4.3).** The QNAME runs to its first
+///   zero byte. One still running after [`HostDns::max_name`] wire bytes
+///   is answered RCODE 4 (not implemented).
+/// - **The answer follows the question in place.** The A record goes at
+///   name end + 5, after QTYPE/QCLASS, even when the frame is cut short
+///   of them: the missing bytes are the zero fill.
 #[derive(Debug)]
 pub struct HostDns {
     zone: HashMap<Vec<u8>, Ipv4>,
@@ -111,7 +126,7 @@ pub struct HostDns {
 impl HostDns {
     /// Builds a resolver for dotted names.
     pub fn new(zone: Vec<(String, Ipv4)>) -> Self {
-        let map = zone
+        let zone = zone
             .into_iter()
             .map(|(n, a)| {
                 let mut name = wire::dns_name(&n);
@@ -119,14 +134,14 @@ impl HostDns {
                 (name, a)
             })
             .collect();
-        HostDns {
-            zone: map,
-            max_name: 26,
-        }
+        let max_name = 26;
+        HostDns { zone, max_name }
     }
 }
 
 impl HostService for HostDns {
+    const NAME: &'static str = "dns";
+
     fn process(&mut self, frame: &Frame) -> Vec<Frame> {
         let b = frame.bytes();
         let hdr = offset::L4 + 8;
@@ -137,35 +152,55 @@ impl HostService for HostDns {
             return Vec::new();
         }
         let q = hdr + 12;
-        // Walk the QNAME.
+        // Walk the QNAME; the zero fill ends a name cut by the frame's end.
         let mut i = q;
-        while i < b.len() && b[i] != 0 && i - q < self.max_name {
+        while bitutil::get8(b, i) != 0 && i - q < self.max_name {
             i += 1;
         }
-        let too_long = i - q >= self.max_name;
+        let too_long = bitutil::get8(b, i) != 0;
         let mut out = b.to_vec();
         swap_udp_endpoints(&mut out);
-        if too_long {
-            bitutil::set16(&mut out, hdr + 2, 0x8184);
-            bitutil::set16(&mut out, hdr + 6, 0);
-        } else if let Some(addr) = b.get(q..i).and_then(|name| self.zone.get(name)) {
+        if let Some(addr) = self.zone.get(&b[q..i]).filter(|_| !too_long) {
             bitutil::set16(&mut out, hdr + 2, 0x8180);
             bitutil::set16(&mut out, hdr + 6, 1);
             let ans = i + 1 + 4;
             let record = [0xc0, 0x0c, 0, 1, 0, 1, 0, 0, 0, 0x3c, 0, 4];
-            out.truncate(ans);
+            out.resize(ans, 0);
             out.extend_from_slice(&record);
             out.extend_from_slice(&addr.octets());
             fix_udp_lengths(&mut out);
         } else {
-            bitutil::set16(&mut out, hdr + 2, 0x8183);
+            // RCODE 4 (not implemented) or 3 (NXDOMAIN).
+            bitutil::set16(&mut out, hdr + 2, if too_long { 0x8184 } else { 0x8183 });
             bitutil::set16(&mut out, hdr + 6, 0);
         }
         reply_frame(out, frame)
     }
 }
 
+/// Offset of the memcached text: past the UDP and memcached headers.
+const MC_TEXT: usize = offset::L4 + 8 + 8;
+/// Longest key in bytes (§4.3).
+const MC_MAX_KEY: usize = 8;
+/// The Emu memcached service's frame buffer in bytes.
+const MC_FRAME_CAP: usize = 512;
+
 /// Memcached ASCII-over-UDP server (GET/SET/DELETE, 8-byte values).
+///
+/// Restrictions:
+/// - **One-byte commands.** The first text byte alone picks the
+///   command — `g` GET, `s` SET, `d` DELETE — and the key starts at a
+///   fixed offset after it (4 bytes for GET and SET, 7 for DELETE). So
+///   `"gxx foo\r\n"` is a GET of `foo`.
+/// - **Short keys (§4.3).** A key runs to the first space or CR and is
+///   1 to 8 bytes long, or the request is dropped. Any other byte is a
+///   key byte, `\n` and the zero fill included.
+/// - **8-byte values (§4.3).** A SET stores the 8 bytes after the first
+///   `\n` past the key, whatever length the command line gives. The scan
+///   for that `\n` stops at `FRAME_CAP − 9` (503). A SET with no data
+///   line stores the zero fill and answers `STORED`.
+/// - **Lengths are not read.** The text runs through the zero-filled
+///   buffer whatever the UDP length says, 0 and 1 included.
 #[derive(Debug, Default)]
 pub struct HostMemcached {
     store: HashMap<Vec<u8>, [u8; 8]>,
@@ -181,61 +216,57 @@ impl HostMemcached {
     pub fn is_empty(&self) -> bool {
         self.store.is_empty()
     }
+
+    /// The key at `at` and the offset of the space or CR that ends it.
+    fn key(b: &[u8], at: usize) -> Option<(Vec<u8>, usize)> {
+        let len = (0..=MC_MAX_KEY).find(|&k| matches!(bitutil::get8(b, at + k), b' ' | b'\r'))?;
+        let key = (at..at + len).map(|i| bitutil::get8(b, i)).collect();
+        (len > 0).then_some((key, at + len))
+    }
+
+    /// The SET value: the 8 bytes after the first `\n` at or past `from`.
+    fn value(b: &[u8], from: usize) -> [u8; 8] {
+        let scan_end = MC_FRAME_CAP - 9;
+        let nl = (from..scan_end)
+            .find(|&i| bitutil::get8(b, i) == b'\n')
+            .unwrap_or(scan_end);
+        std::array::from_fn(|k| bitutil::get8(b, nl + 1 + k))
+    }
+
+    /// The reply text for the request in `b`, or `None` for a drop.
+    /// Updates the store.
+    fn reply(&mut self, b: &[u8]) -> Option<Vec<u8>> {
+        let cmd = bitutil::get8(b, MC_TEXT);
+        let (key, end) = Self::key(b, MC_TEXT + if cmd == b'd' { 7 } else { 4 })?;
+        Some(match cmd {
+            b'g' => match self.store.get(&key) {
+                Some(v) => [&b"VALUE "[..], &key, b" 0 8\r\n", v, b"\r\nEND\r\n"].concat(),
+                None => b"END\r\n".to_vec(),
+            },
+            b's' => {
+                self.store.insert(key, Self::value(b, end));
+                b"STORED\r\n".to_vec()
+            }
+            b'd' if self.store.remove(&key).is_some() => b"DELETED\r\n".to_vec(),
+            b'd' => b"NOT_FOUND\r\n".to_vec(),
+            _ => return None,
+        })
+    }
 }
 
 impl HostService for HostMemcached {
+    const NAME: &'static str = "memcached";
+
     fn process(&mut self, frame: &Frame) -> Vec<Frame> {
         let b = frame.bytes();
         if !is_udp_to(b, port::MEMCACHED) {
             return Vec::new();
         }
-        let cmd = offset::L4 + 8 + 8;
-        let text = wire::reply_text(frame);
-        let key_of = |rest: &[u8]| -> Option<Vec<u8>> {
-            let end = rest.iter().position(|&c| c == b' ' || c == b'\r')?;
-            if end == 0 || end > 8 {
-                return None;
-            }
-            Some(rest[..end].to_vec())
-        };
-
-        let reply: Option<Vec<u8>> = if text.starts_with(b"get ") {
-            key_of(&text[4..]).map(|key| match self.store.get(&key) {
-                Some(v) => {
-                    let mut r = b"VALUE ".to_vec();
-                    r.extend_from_slice(&key);
-                    r.extend_from_slice(b" 0 8\r\n");
-                    r.extend_from_slice(v);
-                    r.extend_from_slice(b"\r\nEND\r\n");
-                    r
-                }
-                None => b"END\r\n".to_vec(),
-            })
-        } else if text.starts_with(b"set ") {
-            key_of(&text[4..]).and_then(|key| {
-                let nl = text.iter().position(|&c| c == b'\n')?;
-                let data = text.get(nl + 1..nl + 9)?;
-                let mut v = [0u8; 8];
-                v.copy_from_slice(data);
-                self.store.insert(key, v);
-                Some(b"STORED\r\n".to_vec())
-            })
-        } else if text.starts_with(b"delete ") {
-            key_of(&text[7..]).map(|key| {
-                if self.store.remove(&key).is_some() {
-                    b"DELETED\r\n".to_vec()
-                } else {
-                    b"NOT_FOUND\r\n".to_vec()
-                }
-            })
-        } else {
-            None
-        };
-
-        let Some(reply) = reply else {
+        let Some(reply) = self.reply(b) else {
             return Vec::new();
         };
-        let mut out = b[..cmd].to_vec();
+        // A frame is never shorter than the 60-byte Ethernet minimum.
+        let mut out = b[..MC_TEXT].to_vec();
         out.extend_from_slice(&reply);
         swap_udp_endpoints(&mut out);
         fix_udp_lengths(&mut out);
@@ -296,6 +327,45 @@ mod tests {
         assert!(svc.is_empty());
     }
 
+    /// One row per restriction of [`HostMemcached`], each on a store
+    /// holding `foo` = `AAAABBBB`: the request text, an edit to its frame
+    /// (byte 39 is the UDP length's low byte, its high byte is 0), the
+    /// reply text (empty: dropped), and a key's value after it.
+    #[test]
+    fn memcached_restrictions() {
+        const FOO: (&[u8], [u8; 8]) = (b"foo", *b"AAAABBBB");
+        let (hit, stored) = ("VALUE foo 0 8\r\nAAAABBBB\r\nEND\r\n", "STORED\r\n");
+        let long_line = format!("set foo {}12345678", "x".repeat(446));
+        type Row<'a> = (
+            &'a str,
+            &'a str,
+            fn(&mut [u8]),
+            &'a str,
+            (&'a [u8], [u8; 8]),
+        );
+        #[rustfmt::skip]
+        let rows: [Row; 8] = [
+            ("one-byte commands", "gxx foo\r\n", |_| {}, hit, FOO),
+            ("zero fill: UDP length 0", "get foo\r\n", |b| b[39] = 0, hit, FOO),
+            ("zero fill: UDP length 1", "get foo\r\n", |b| b[39] = 1, hit, FOO),
+            ("IP version 5, IHL 5", "get foo\r\n", |b| b[14] = 0x55, hit, FOO),
+            ("§4.3 values: no data line", "set foo 0 0 8\r\n", |_| {}, stored, (b"foo", [0; 8])),
+            ("§4.3 values: scan end", &long_line, |_| {}, stored, (b"foo", *b"12345678")),
+            ("§4.3 keys: `\\n`", "set f\no 0 0 8\r\nVVVVVVVV\r\n", |_| {}, stored, (b"f\no", *b"VVVVVVVV")),
+            ("§4.3 keys: 9 bytes", "get foofoofoo\r\n", |_| {}, "", FOO),
+        ];
+        for (restriction, body, edit, reply, (key, value)) in rows {
+            let mut svc = HostMemcached::default();
+            svc.store.insert(FOO.0.to_vec(), FOO.1);
+            let mut request = mc_frame(body);
+            edit(request.bytes_mut());
+            let out = svc.process(&request);
+            let got = out.first().map(wire::reply_text).unwrap_or_default();
+            assert_eq!(got, reply.as_bytes(), "{restriction}");
+            assert_eq!(svc.store.get(key), Some(&value), "{restriction}");
+        }
+    }
+
     fn mc_frame(body: &str) -> Frame {
         let payload = wire::mc_request(body, 1);
         wire::udp_frame(
@@ -323,6 +393,15 @@ mod tests {
         let miss = dns_frame("x.y");
         let out = svc.process(&miss);
         assert_eq!(bitutil::get16(out[0].bytes(), 44) & 0xf, 3);
+
+        // The name ends at 58, QTYPE and QCLASS take 59..63: cut at 61,
+        // the record still goes at 63 over the zero fill, as the service
+        // writes it.
+        let out = svc.process(&Frame::new(q.bytes()[..61].to_vec()));
+        let b = out[0].bytes();
+        assert_eq!(b.len(), 63 + 16);
+        assert_eq!(&b[59..65], &[0, 1, 0, 0, 0xc0, 0x0c]);
+        assert_eq!(&b[75..], &[1, 2, 3, 4]);
     }
 
     fn dns_frame(name: &str) -> Frame {

@@ -37,9 +37,14 @@ pub fn icmp_echo() -> Service {
     let ok = pb.reg("ok", 1);
 
     // Checksum-verification loop: sum 16-bit words of the ICMP message,
-    // four words (8 bytes) per cycle.
+    // four words (8 bytes) per cycle. A byte at or past the message's
+    // end sums as zero, whatever the frame carries there (padding, an
+    // Ethernet trailer).
+    let byte_at = |off: kiwi_ir::Expr| -> kiwi_ir::Expr {
+        mux(lt(off.clone(), var(end)), dp.byte_dyn(off), lit(0, 8))
+    };
     let word_at = |off: kiwi_ir::Expr| -> kiwi_ir::Expr {
-        concat(dp.byte_dyn(off.clone()), dp.byte_dyn(add(off, lit(1, 16))))
+        concat(byte_at(off.clone()), byte_at(add(off, lit(1, 16))))
     };
     let mut sum_step = Vec::new();
     let mut sum_expr = var(acc);
@@ -53,13 +58,21 @@ pub fn icmp_echo() -> Service {
     let verify_loop = vec![
         assign(acc, lit(0, 32)),
         assign(idx, lit(offset::L4 as u64, 16)),
-        // ICMP message ends at 14 + total_len; frames are padded with
-        // zeroes, which are checksum-neutral, so summing to a padded
-        // 8-byte boundary is exact.
+        // The ICMP message ends at 14 + total_len; the last step's
+        // bytes past it sum as zero, so summing to the next 8-byte
+        // boundary is exact.
         assign(end, add(lit(14, 16), ip.total_len())),
         while_loop(lt(var(idx), var(end)), sum_step),
-        // Fold and compare with 0xffff (valid checksum sums to ~0).
-        assign(ok, eq(emu_core::csum::fold16(var(acc)), lit(0xffff, 16))),
+        // Fold and compare with 0xffff (valid checksum sums to ~0). A
+        // request cut short of its total length is dropped: its sum
+        // over the zero-filled buffer can still come out valid.
+        assign(
+            ok,
+            band(
+                eq(emu_core::csum::fold16(var(acc)), lit(0xffff, 16)),
+                le(var(end), dp.rx_len()),
+            ),
+        ),
     ];
 
     // Reply construction: swap L2/L3 addresses, set type 0, update the
@@ -151,6 +164,27 @@ mod tests {
         req.bytes_mut()[40] ^= 0xff; // corrupt payload without fixing csum
         let out = inst.process(&req).unwrap();
         assert!(out.tx.is_empty(), "corrupt request must be dropped");
+    }
+
+    #[test]
+    fn the_checksum_covers_exactly_the_ip_datagram() {
+        let mut inst = icmp_echo().engine(Target::Fpga).build().unwrap();
+        // A payload ending in zeros, cut inside them: the missing bytes
+        // read back as the zero fill and would still sum right.
+        let mut payload = vec![0x5a; 16];
+        payload.resize(56, 0);
+        let mut req = echo_request_frame(56, 1);
+        let icmp = emu_types::wire::echo_request(0x5678, 1, &payload);
+        req.bytes_mut()[34..].copy_from_slice(&icmp);
+        assert_eq!(inst.process(&req).unwrap().tx.len(), 1);
+        let cut = emu_types::Frame::new(req.bytes()[..70].to_vec());
+        assert!(inst.process(&cut).unwrap().tx.is_empty());
+        // A 17-byte message followed by an Ethernet trailer: the last
+        // 8-byte step reaches into the trailer, which must not count.
+        let mut bytes = echo_request_frame(9, 1).bytes()[..51].to_vec();
+        bytes.extend_from_slice(&[0xff; 9]);
+        let trailed = emu_types::Frame::new(bytes);
+        assert_eq!(inst.process(&trailed).unwrap().tx.len(), 1);
     }
 
     #[test]

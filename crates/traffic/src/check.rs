@@ -6,7 +6,8 @@
 //! implementation — byte-reads included: a service core sees the frame
 //! zero-extended to its buffer (see [`crate::build::byte_at`]), so the
 //! models parse exactly the bytes the core parses, and malformed
-//! traffic stays checkable.
+//! traffic stays checkable. [`HostChecker`] holds memcached, DNS and
+//! ICMP echo to their one reference, the host services.
 //!
 //! Every checker also enforces the engine-wide invariant that no frame
 //! may *trap* a shard: [`EngineError::Trap`]/[`EngineError::Poisoned`]
@@ -17,13 +18,12 @@
 use crate::build::{byte_at, ipv4_csum_ok, l4_csum_ok};
 use emu_core::{BatchReport, Dispatch, EngineError, EngineResult, NatSteering, RssHash};
 use emu_rtl::{CamPair, CamTable};
-use emu_services::memcached::{CMD, FRAME_CAP as MC_FRAME_CAP, MC_HDR};
 use emu_services::nat::{nat_cam_pair, FIRST_EPHEMERAL, NAT_ENTRIES, PORT_SCAN_CAP};
 use emu_services::switch::TABLE_ENTRIES;
 use emu_types::proto::{ether_type, ip_proto, offset};
 use emu_types::{bitutil, Bits, Frame, Ipv4};
+use hoststack::{HostMemcached, HostService};
 use netfpga_sim::dataplane::CoreOutput;
-use std::collections::HashMap;
 
 /// A frame-by-frame invariant checker over engine results.
 pub trait Checker {
@@ -80,12 +80,6 @@ impl Tally {
             }
         }
     }
-}
-
-/// The service-side view of "is this frame translatable/parsable":
-/// IPv4 EtherType, IHL 5 (the services reject options), protocol match.
-fn ihl5(f: &Frame) -> bool {
-    byte_at(f, offset::IPV4) & 0x0f == 5
 }
 
 fn l4_proto(f: &Frame) -> u8 {
@@ -205,9 +199,11 @@ impl NatChecker {
         self.shards.iter().map(|s| s.pair.a.occupancy()).sum()
     }
 
+    /// The service's view: IPv4 EtherType, IHL 5 (options are
+    /// rejected), TCP or UDP.
     fn translatable(f: &Frame) -> bool {
         f.ethertype() == ether_type::IPV4
-            && ihl5(f)
+            && byte_at(f, offset::IPV4) & 0x0f == 5
             && matches!(l4_proto(f), p if p == ip_proto::TCP || p == ip_proto::UDP)
     }
 
@@ -402,115 +398,50 @@ impl Checker for NatChecker {
 }
 
 // ---------------------------------------------------------------------
-// Memcached
+// Host services
 // ---------------------------------------------------------------------
 
-/// Reference model for `emu_services::memcached`: a shadow store that
-/// predicts every GET/SET/DELETE reply, byte-reads mirrored from the
-/// service's parser (zero-extended buffer, 8-byte key limit, skip-line
-/// value scan).
+/// Reference checker for a request/reply service: for every admitted
+/// frame the engine must transmit exactly the host service's replies
+/// (`hoststack::services`), byte for byte, each out of the arrival port.
 ///
-/// **Precondition for sharded engines:** traffic must keep each key on
-/// one flow (as [`crate::MemcachedZipf`] does), so per-shard stores
-/// partition the keyspace and a single global model stays exact.
+/// One service state shadows the whole engine. **Precondition for a
+/// sharded memcached:** traffic must keep each key on one flow (as
+/// [`crate::MemcachedZipf`] does), so per-shard stores partition the
+/// keyspace and one shadow store stays exact.
 #[derive(Default)]
-pub struct McModel {
-    store: HashMap<Vec<u8>, [u8; 8]>,
+pub struct HostChecker<S> {
+    service: S,
     tally: Tally,
 }
 
-impl McModel {
-    /// Creates an empty model.
+/// The memcached checker, under the name the workloads import.
+pub type McModel = HostChecker<HostMemcached>;
+
+impl<S: HostService + Default> HostChecker<S> {
+    /// Creates the checker over a fresh service.
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Keys currently live in the model.
-    pub fn live_keys(&self) -> usize {
-        self.store.len()
-    }
-
-    fn is_mc(f: &Frame) -> bool {
-        f.ethertype() == ether_type::IPV4
-            && l4_proto(f) == ip_proto::UDP
-            && ihl5(f)
-            && bitutil::get16(f.bytes(), offset::L4 + 2) == 11_211
-    }
-
-    /// Mirrors the service's key parser: from `idx` until space/CR,
-    /// `None` when empty or over 8 bytes.
-    fn parse_key(f: &Frame, idx: &mut usize) -> Option<Vec<u8>> {
-        let mut key = Vec::new();
-        loop {
-            let b = byte_at(f, *idx);
-            if b == b' ' || b == b'\r' {
-                break;
-            }
-            if key.len() >= 8 {
-                return None;
-            }
-            key.push(b);
-            *idx += 1;
-        }
-        (!key.is_empty()).then_some(key)
-    }
-
-    /// Mirrors the SET value scan: skip to past the command line's
-    /// `\n`, then read 8 bytes.
-    fn parse_value(f: &Frame, mut idx: usize) -> [u8; 8] {
-        while byte_at(f, idx) != b'\n' && idx < MC_FRAME_CAP - 9 {
-            idx += 1;
-        }
-        idx += 1;
-        std::array::from_fn(|k| byte_at(f, idx + k))
-    }
-
-    /// The reply the service must produce for `input`, or `None` for a
-    /// drop. Updates the shadow store.
-    fn expected_reply(&mut self, input: &Frame) -> Option<Vec<u8>> {
-        if !Self::is_mc(input) {
-            return None;
-        }
-        match byte_at(input, CMD) {
-            b'g' => {
-                let mut idx = CMD + 4;
-                let key = Self::parse_key(input, &mut idx)?;
-                Some(match self.store.get(&key) {
-                    Some(v) => {
-                        let mut r = b"VALUE ".to_vec();
-                        r.extend_from_slice(&key);
-                        r.extend_from_slice(b" 0 8\r\n");
-                        r.extend_from_slice(v);
-                        r.extend_from_slice(b"\r\nEND\r\n");
-                        r
-                    }
-                    None => b"END\r\n".to_vec(),
-                })
-            }
-            b's' => {
-                let mut idx = CMD + 4;
-                let key = Self::parse_key(input, &mut idx)?;
-                let value = Self::parse_value(input, idx);
-                self.store.insert(key, value);
-                Some(b"STORED\r\n".to_vec())
-            }
-            b'd' => {
-                let mut idx = CMD + 7;
-                let key = Self::parse_key(input, &mut idx)?;
-                Some(if self.store.remove(&key).is_some() {
-                    b"DELETED\r\n".to_vec()
-                } else {
-                    b"NOT_FOUND\r\n".to_vec()
-                })
-            }
-            _ => None,
-        }
+impl<S: HostService> From<S> for HostChecker<S> {
+    fn from(service: S) -> Self {
+        let tally = Tally::default();
+        HostChecker { service, tally }
     }
 }
 
-impl Checker for McModel {
+impl<S> HostChecker<S> {
+    /// The reference service, in the state the observed frames left.
+    pub fn service(&self) -> &S {
+        &self.service
+    }
+}
+
+impl<S: HostService> Checker for HostChecker<S> {
     fn name(&self) -> &'static str {
-        "memcached"
+        S::NAME
     }
 
     fn observe(&mut self, input: &Frame, result: &EngineResult<CoreOutput>) {
@@ -518,44 +449,25 @@ impl Checker for McModel {
         if !self.tally.admit(i, result) {
             return;
         }
-        let out = result.as_ref().expect("admitted");
-        match self.expected_reply(input) {
-            None => {
-                if !out.tx.is_empty() {
-                    self.tally
-                        .violate(format!("frame {i}: non-request frame answered"));
-                }
-            }
-            Some(want) => {
-                let [tx] = &out.tx[..] else {
-                    self.tally
-                        .violate(format!("frame {i}: request produced {} tx", out.tx.len()));
-                    return;
-                };
-                let got = emu_services::memcached::reply_text(&tx.frame);
-                if got != want {
-                    self.tally.violate(format!(
-                        "frame {i}: reply {:?} != model {:?} (cache coherence)",
-                        String::from_utf8_lossy(&got),
-                        String::from_utf8_lossy(&want)
-                    ));
-                }
-                if bitutil::get16(tx.frame.bytes(), MC_HDR) != bitutil::get16(input.bytes(), MC_HDR)
-                {
-                    self.tally
-                        .violate(format!("frame {i}: request id not echoed"));
-                }
-                if tx.ports != 1u8.checked_shl(input.in_port.into()).unwrap_or(0) {
-                    self.tally.violate(format!(
-                        "frame {i}: reply left ports {:#06b}, not the arrival port",
-                        tx.ports
-                    ));
-                }
-                if ipv4_csum_ok(&tx.frame) != Some(true) {
-                    self.tally
-                        .violate(format!("frame {i}: reply IP checksum invalid"));
-                }
-            }
+        let got = &result.as_ref().expect("admitted").tx;
+        let want = self.service.process(input);
+        let ports = 1u8.checked_shl(input.in_port.into()).unwrap_or(0);
+        if got.len() != want.len() {
+            let (g, w) = (got.len(), want.len());
+            self.tally
+                .violate(format!("frame {i}: engine sent {g} frames, host {w}"));
+        } else if let Some((k, (g, w))) = (got.iter().zip(&want).enumerate())
+            .find(|(_, (g, w))| g.ports != ports || g.frame.bytes() != w.bytes())
+        {
+            let (gb, wb) = (g.frame.bytes(), w.bytes());
+            let at = gb.iter().zip(wb).position(|(a, b)| a != b);
+            self.tally.violate(format!(
+                "frame {i}: reply {k} ({} B out of ports {:#06b}) differs from the host's \
+                 ({} B out of {ports:#06b}), first differing byte {at:?}",
+                gb.len(),
+                g.ports,
+                wb.len()
+            ));
         }
     }
 
@@ -953,7 +865,7 @@ mod tests {
                 model.notes()
             );
         }
-        assert!(model.live_keys() > 0);
+        assert!(!model.service().is_empty());
     }
 
     #[test]
@@ -970,7 +882,12 @@ mod tests {
             .process(&emu_services::memcached::request_frame("get zz\r\n", 2))
             .unwrap();
         model.observe(&get, &Ok(miss));
-        assert!(model.violations() > 0, "stale END must be flagged");
+        assert_eq!(model.violations(), 1, "stale END must be flagged");
+        // A right reply out of the wrong port is flagged too.
+        let mut hit = engine.process(&get).unwrap();
+        hit.tx[0].ports <<= 1;
+        model.observe(&get, &Ok(hit));
+        assert_eq!(model.violations(), 2, "notes: {:?}", model.notes());
     }
 
     #[test]

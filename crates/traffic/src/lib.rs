@@ -42,11 +42,13 @@
 //!
 //! ## Checkers
 //!
-//! [`check`] holds per-service reference models — [`NatChecker`],
-//! [`McModel`], [`SwitchModel`] — that consume a batch's inputs plus its
-//! [`emu_core::BatchReport`] and verify service invariants frame by
-//! frame (translation consistency, cache coherence, learned
-//! forwarding). The `soak` bench bin (`crates/bench/src/bin/soak.rs`)
+//! [`check`] holds per-service reference models that consume a batch's
+//! inputs plus its [`emu_core::BatchReport`] and verify service
+//! invariants frame by frame: [`NatChecker`] (translation consistency),
+//! [`SwitchModel`] (learned forwarding), and [`HostChecker`], which
+//! demands a request/reply service's replies equal those of its host
+//! service in `hoststack::services`, byte for byte — memcached ([`McModel`]),
+//! DNS and ICMP echo. The `soak` bench bin (`crates/bench/src/bin/soak.rs`)
 //! wires generators and checkers around sharded parallel engines at the
 //! million-frame scale.
 //!
@@ -73,7 +75,9 @@ pub mod tcp;
 
 pub use adversarial::Adversarial;
 pub use background::Background;
-pub use check::{Checker, ClientCheck, ClientOutcome, McModel, NatChecker, SwitchModel};
+pub use check::{
+    Checker, ClientCheck, ClientOutcome, HostChecker, McModel, NatChecker, SwitchModel,
+};
 pub use churn::{FlowChurn, MacChurn};
 pub use dns::DnsWeighted;
 pub use mc::MemcachedZipf;

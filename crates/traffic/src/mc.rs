@@ -7,7 +7,7 @@
 //! the key index, so every operation on one key shares one 5-tuple —
 //! under RSS dispatch all ops on a key land on one shard and per-shard
 //! stores stay coherent. This is the documented precondition of
-//! [`crate::check::McModel`].
+//! [`crate::HostChecker`] over a memcached store.
 
 use crate::TrafficGen;
 use emu_types::proto::{ip_proto, port};

@@ -252,10 +252,13 @@
 //! assert!(report.tx_count() >= 64); // floods fan out
 //! ```
 //!
-//! Reference checkers ([`traffic::NatChecker`], [`traffic::McModel`],
-//! [`traffic::SwitchModel`]) consume each batch's
+//! Reference checkers consume each batch's
 //! [`BatchReport`](stdlib::BatchReport) and assert service invariants
-//! frame by frame; `cargo run --release -p emu-bench --bin soak` drives
+//! frame by frame: [`traffic::NatChecker`] and [`traffic::SwitchModel`]
+//! replay the services' own tables, and [`traffic::HostChecker`] holds
+//! memcached, DNS and ICMP echo to the replies of their host services
+//! ([`host::HostMemcached`], [`host::HostDns`], [`host::HostIcmpEcho`]),
+//! byte for byte. `cargo run --release -p emu-bench --bin soak` drives
 //! ≥1M generated frames per service through 4-shard parallel engines
 //! under those checkers, and [`traffic::Trace`] records any stream into
 //! a byte-exact replay fixture (see `tests/fixtures/`). `netsim` links

@@ -65,7 +65,7 @@ fn verilog_and_state_counts_are_pinned() {
         ("switch-cam", 0x0f5f9baeade99209, vec![7]),
         ("switch-behavioural", 0x794840d9b80b32b1, vec![8]),
         ("filter", 0x75304396205a6d41, vec![8]),
-        ("icmp", 0xd29e6248b54b7986, vec![29]),
+        ("icmp", 0x93c24cd7ad3307d9, vec![29]),
         ("tcp-ping", 0x7de6798857739697, vec![41]),
         ("dns", 0x2904d37198ba5010, vec![59]),
         ("memcached", 0x549b3ccfa56d579c, vec![212]),
