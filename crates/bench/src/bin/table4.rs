@@ -1,14 +1,27 @@
 //! Regenerates Table 4: average / 99th-percentile latency and throughput
 //! for ICMP echo, TCP ping, DNS, NAT and Memcached — Emu (cycle-accurate
-//! pipeline) vs host (Linux-path model).
+//! pipeline) vs host (Linux-path model). The paper's rows and the cells
+//! we knowingly miss are `emu_bench::TABLE4` and
+//! `emu_bench::TABLE4_DEVIATIONS`, which `table4_stays_near_the_paper`
+//! gates; this bin only prints.
 //!
 //! Run: `cargo run --release -p emu-bench --bin table4`
 
-use emu_bench::{
-    emu_latency, emu_throughput, table4_services, EMU_LATENCY_SAMPLES, HOST_LATENCY_SAMPLES,
-    THROUGHPUT_REQUESTS,
-};
+use emu_bench::{table4_row, table4_services, Table4Row, TABLE4, TABLE4_BIN_SAMPLES};
 use hoststack::HostProfile;
+
+fn print_row(r: &Table4Row) {
+    println!(
+        "{:<12} | {:>10.2} {:>10.2} {:>10.3} | {:>10.2} {:>10.2} {:>10.3}",
+        r.service,
+        r.emu_avg_us,
+        r.emu_p99_us,
+        r.emu_mqps,
+        r.host_avg_us,
+        r.host_p99_us,
+        r.host_mqps,
+    );
+}
 
 fn main() {
     println!("== Table 4: Emu-based services vs host-based services ==\n");
@@ -22,39 +35,12 @@ fn main() {
     );
     println!("{}", "-".repeat(84));
 
-    let hosts = HostProfile::all();
-    for (svc, host) in table4_services().iter().zip(&hosts) {
-        let service = (svc.build)();
-        let warm = svc.name == "memcached";
-
-        let lat = emu_latency(&service, svc.request, EMU_LATENCY_SAMPLES, warm).expect(svc.name);
-        let tput =
-            emu_throughput(&service, svc.request, THROUGHPUT_REQUESTS, warm).expect(svc.name);
-
-        let host_lat = host.latency_run(HOST_LATENCY_SAMPLES, 42);
-        let host_tput = host.throughput_rps(500_000, 7);
-
-        println!(
-            "{:<12} | {:>10.2} {:>10.2} {:>10.3} | {:>10.2} {:>10.2} {:>10.3}",
-            svc.name,
-            lat.mean / 1000.0,
-            lat.p99 / 1000.0,
-            tput / 1e6,
-            host_lat.mean / 1000.0,
-            host_lat.p99 / 1000.0,
-            host_tput / 1e6,
-        );
+    for (svc, host) in table4_services().iter().zip(HostProfile::all()) {
+        print_row(&table4_row(svc, &host, TABLE4_BIN_SAMPLES).expect(svc.name));
     }
 
     println!("\npaper values:");
-    let paper = [
-        ("icmp-echo", 1.09, 1.11, 3.226, 12.28, 22.63, 1.068),
-        ("tcp-ping", 1.27, 1.29, 2.105, 21.79, 65.00, 1.012),
-        ("dns", 1.82, 1.86, 1.176, 126.46, 138.33, 0.226),
-        ("nat", 1.32, 1.34, 2.439, 2444.76, 6185.27, 1.037),
-        ("memcached", 1.21, 1.26, 1.932, 24.29, 28.65, 0.876),
-    ];
-    for (n, a, b, c, d, e, f) in paper {
-        println!("{n:<12} | {a:>10.2} {b:>10.2} {c:>10.3} | {d:>10.2} {e:>10.2} {f:>10.3}");
+    for r in &TABLE4 {
+        print_row(r);
     }
 }

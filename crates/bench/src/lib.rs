@@ -139,6 +139,276 @@ pub fn table4_services() -> Vec<Table4Service> {
     ]
 }
 
+/// One row of the paper's Table 4 (§5.3, "Emu-based services vs
+/// host-based services"): average and 99th-percentile latency in µs and
+/// throughput in millions of queries per second, for Emu on the NetFPGA
+/// and for the same service on a Linux host.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Table4Row {
+    /// Row label, matching [`Table4Service::name`].
+    pub service: &'static str,
+    /// Emu average latency (µs).
+    pub emu_avg_us: f64,
+    /// Emu 99th-percentile latency (µs).
+    pub emu_p99_us: f64,
+    /// Emu throughput (Mq/s).
+    pub emu_mqps: f64,
+    /// Host average latency (µs).
+    pub host_avg_us: f64,
+    /// Host 99th-percentile latency (µs).
+    pub host_p99_us: f64,
+    /// Host throughput (Mq/s).
+    pub host_mqps: f64,
+}
+
+/// A column of Table 4.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Table4Column {
+    /// Emu average latency.
+    EmuAvg,
+    /// Emu 99th-percentile latency.
+    EmuP99,
+    /// Emu throughput.
+    EmuMqps,
+    /// Host average latency.
+    HostAvg,
+    /// Host 99th-percentile latency.
+    HostP99,
+    /// Host throughput.
+    HostMqps,
+}
+
+impl Table4Column {
+    /// Every column, in the table's order.
+    pub const ALL: [Table4Column; 6] = [
+        Table4Column::EmuAvg,
+        Table4Column::EmuP99,
+        Table4Column::EmuMqps,
+        Table4Column::HostAvg,
+        Table4Column::HostP99,
+        Table4Column::HostMqps,
+    ];
+}
+
+impl Table4Row {
+    /// The value in column `c`.
+    pub fn cell(&self, c: Table4Column) -> f64 {
+        match c {
+            Table4Column::EmuAvg => self.emu_avg_us,
+            Table4Column::EmuP99 => self.emu_p99_us,
+            Table4Column::EmuMqps => self.emu_mqps,
+            Table4Column::HostAvg => self.host_avg_us,
+            Table4Column::HostP99 => self.host_p99_us,
+            Table4Column::HostMqps => self.host_mqps,
+        }
+    }
+}
+
+/// Table 4, row "ICMP echo": Emu 1.09 / 1.11 µs and 3.226 Mq/s, host
+/// 12.28 / 22.63 µs and 1.068 Mq/s.
+pub const TABLE4_ICMP_ECHO: Table4Row = Table4Row {
+    service: "icmp-echo",
+    emu_avg_us: 1.09,
+    emu_p99_us: 1.11,
+    emu_mqps: 3.226,
+    host_avg_us: 12.28,
+    host_p99_us: 22.63,
+    host_mqps: 1.068,
+};
+
+/// Table 4, row "TCP ping": Emu 1.27 / 1.29 µs and 2.105 Mq/s, host
+/// 21.79 / 65.00 µs and 1.012 Mq/s.
+pub const TABLE4_TCP_PING: Table4Row = Table4Row {
+    service: "tcp-ping",
+    emu_avg_us: 1.27,
+    emu_p99_us: 1.29,
+    emu_mqps: 2.105,
+    host_avg_us: 21.79,
+    host_p99_us: 65.00,
+    host_mqps: 1.012,
+};
+
+/// Table 4, row "DNS": Emu 1.82 / 1.86 µs and 1.176 Mq/s, host
+/// 126.46 / 138.33 µs and 0.226 Mq/s.
+pub const TABLE4_DNS: Table4Row = Table4Row {
+    service: "dns",
+    emu_avg_us: 1.82,
+    emu_p99_us: 1.86,
+    emu_mqps: 1.176,
+    host_avg_us: 126.46,
+    host_p99_us: 138.33,
+    host_mqps: 0.226,
+};
+
+/// Table 4, row "NAT": Emu 1.32 / 1.34 µs and 2.439 Mq/s, host
+/// 2444.76 / 6185.27 µs and 1.037 Mq/s.
+pub const TABLE4_NAT: Table4Row = Table4Row {
+    service: "nat",
+    emu_avg_us: 1.32,
+    emu_p99_us: 1.34,
+    emu_mqps: 2.439,
+    host_avg_us: 2444.76,
+    host_p99_us: 6185.27,
+    host_mqps: 1.037,
+};
+
+/// Table 4, row "Memcached": Emu 1.21 / 1.26 µs and 1.932 Mq/s, host
+/// 24.29 / 28.65 µs and 0.876 Mq/s.
+pub const TABLE4_MEMCACHED: Table4Row = Table4Row {
+    service: "memcached",
+    emu_avg_us: 1.21,
+    emu_p99_us: 1.26,
+    emu_mqps: 1.932,
+    host_avg_us: 24.29,
+    host_p99_us: 28.65,
+    host_mqps: 0.876,
+};
+
+/// The paper's Table 4, in its row order (that of [`table4_services`]).
+pub const TABLE4: [Table4Row; 5] = [
+    TABLE4_ICMP_ECHO,
+    TABLE4_TCP_PING,
+    TABLE4_DNS,
+    TABLE4_NAT,
+    TABLE4_MEMCACHED,
+];
+
+/// How close a measured Table 4 cell must come to the paper's, as a
+/// share of the paper's value.
+pub const TABLE4_TOLERANCE: f64 = 0.10;
+
+/// How close a measured cell listed in [`TABLE4_DEVIATIONS`] must stay
+/// to our own recorded reading, as a share of that reading.
+pub const DEVIATION_TOLERANCE: f64 = 0.05;
+
+/// A Table 4 cell this reproduction does not bring within
+/// [`TABLE4_TOLERANCE`] of the paper. It is recorded, not tuned away:
+/// the cell is held to [`DEVIATION_TOLERANCE`] of our own reading
+/// instead, so it cannot drift unnoticed either.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Table4Deviation {
+    /// Row label.
+    pub service: &'static str,
+    /// The cell's column.
+    pub column: Table4Column,
+    /// Our reading, taken with [`TABLE4_TEST_SAMPLES`].
+    pub ours: f64,
+    /// Why the two disagree, as far as it is known.
+    pub why: &'static str,
+}
+
+/// Emu's throughput here is the simulated core's saturation rate
+/// under an 8 Mpps offer; the paper's is lower on every row.
+const THROUGHPUT_ABOVE_PAPER: &str = "the simulated core saturates at fewer cycles per request \
+     than the paper's measured rate implies; what bounded the paper's runs is not modelled";
+
+/// The scheduler's FSM answers in fewer cycles than the paper's Kiwi
+/// build of the same service.
+const FEWER_CYCLES: &str = "our FSM schedules the service's request path in fewer cycles \
+     than the paper's Kiwi build";
+
+/// The memcached host profile's tail is heavier than the paper's host.
+const HOST_TAIL: &str = "the Linux-path model's memcached stages give a heavier tail \
+     than the paper's host measured";
+
+/// Every Table 4 cell held to our own reading instead of the paper's.
+pub const TABLE4_DEVIATIONS: [Table4Deviation; 12] = [
+    deviation(
+        "icmp-echo",
+        Table4Column::EmuMqps,
+        3.908,
+        THROUGHPUT_ABOVE_PAPER,
+    ),
+    deviation("tcp-ping", Table4Column::EmuAvg, 1.045, FEWER_CYCLES),
+    deviation("tcp-ping", Table4Column::EmuP99, 1.047, FEWER_CYCLES),
+    deviation(
+        "tcp-ping",
+        Table4Column::EmuMqps,
+        4.153,
+        THROUGHPUT_ABOVE_PAPER,
+    ),
+    deviation("dns", Table4Column::EmuAvg, 1.142, FEWER_CYCLES),
+    deviation("dns", Table4Column::EmuP99, 1.171, FEWER_CYCLES),
+    deviation("dns", Table4Column::EmuMqps, 3.230, THROUGHPUT_ABOVE_PAPER),
+    deviation("nat", Table4Column::EmuAvg, 0.921, FEWER_CYCLES),
+    deviation("nat", Table4Column::EmuP99, 0.932, FEWER_CYCLES),
+    deviation("nat", Table4Column::EmuMqps, 7.950, THROUGHPUT_ABOVE_PAPER),
+    deviation(
+        "memcached",
+        Table4Column::EmuMqps,
+        2.501,
+        THROUGHPUT_ABOVE_PAPER,
+    ),
+    deviation("memcached", Table4Column::HostP99, 35.15, HOST_TAIL),
+];
+
+const fn deviation(
+    service: &'static str,
+    column: Table4Column,
+    ours: f64,
+    why: &'static str,
+) -> Table4Deviation {
+    Table4Deviation {
+        service,
+        column,
+        ours,
+        why,
+    }
+}
+
+/// How many requests each Table 4 measurement takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Table4Samples {
+    /// Emu latency requests, spaced far apart.
+    pub emu_latency: usize,
+    /// Emu requests offered back to back for throughput.
+    pub emu_throughput: usize,
+    /// Host latency samples.
+    pub host_latency: usize,
+    /// Host requests for throughput.
+    pub host_throughput: usize,
+}
+
+/// The samples the `table4` bin takes.
+pub const TABLE4_BIN_SAMPLES: Table4Samples = Table4Samples {
+    emu_latency: EMU_LATENCY_SAMPLES,
+    emu_throughput: THROUGHPUT_REQUESTS,
+    host_latency: HOST_LATENCY_SAMPLES,
+    host_throughput: 500_000,
+};
+
+/// The samples the tier-1 test takes: model time is deterministic, so
+/// a few requests give the same cells a debug build reads in seconds.
+pub const TABLE4_TEST_SAMPLES: Table4Samples = Table4Samples {
+    emu_latency: 50,
+    emu_throughput: 1_000,
+    host_latency: 20_000,
+    host_throughput: 50_000,
+};
+
+/// Measures one row of Table 4: the service on the pipeline simulator
+/// and its host profile on the Linux-path model.
+pub fn table4_row(
+    svc: &Table4Service,
+    host: &hoststack::HostProfile,
+    n: Table4Samples,
+) -> IrResult<Table4Row> {
+    let service = (svc.build)();
+    let warm = svc.name == "memcached";
+    let lat = emu_latency(&service, svc.request, n.emu_latency, warm)?;
+    let tput = emu_throughput(&service, svc.request, n.emu_throughput, warm)?;
+    let host_lat = host.latency_run(n.host_latency, 42);
+    Ok(Table4Row {
+        service: svc.name,
+        emu_avg_us: lat.mean / 1000.0,
+        emu_p99_us: lat.p99 / 1000.0,
+        emu_mqps: tput / 1e6,
+        host_avg_us: host_lat.mean / 1000.0,
+        host_p99_us: host_lat.p99 / 1000.0,
+        host_mqps: host.throughput_rps(n.host_throughput, 7) / 1e6,
+    })
+}
+
 /// Builds an iterative-mode pipeline around a service's FPGA instance.
 pub fn emu_pipeline(svc: &Service, mode: CoreMode) -> IrResult<PipelineSim> {
     let inst = svc.engine(Target::Fpga).build()?;
@@ -274,17 +544,56 @@ mod tests {
     use super::*;
 
     #[test]
-    fn emu_latency_runs_for_every_service() {
-        for svc in table4_services() {
-            let s = (svc.build)();
-            let warm = svc.name == "memcached";
-            let sum = emu_latency(&s, svc.request, 50, warm).expect(svc.name);
-            assert!(sum.count >= 45, "{}: only {} samples", svc.name, sum.count);
+    fn table4_stays_near_the_paper() {
+        // Every cell of every row within `TABLE4_TOLERANCE` of the paper,
+        // or a named deviation within `DEVIATION_TOLERANCE` of our own
+        // reading. A deviation that has come back within tolerance of
+        // the paper must be struck from the list. (`-- --nocapture`
+        // prints the rows measured.)
+        let near = |got: f64, want: f64, tol: f64| (got / want - 1.0).abs() <= tol;
+        let rows: Vec<Table4Row> = table4_services()
+            .iter()
+            .zip(hoststack::HostProfile::all())
+            .map(|(svc, host)| table4_row(svc, &host, TABLE4_TEST_SAMPLES).expect(svc.name))
+            .collect();
+        for ours in &rows {
+            println!("{ours:?}");
+        }
+        for (ours, paper) in rows.iter().zip(TABLE4) {
+            assert_eq!(ours.service, paper.service);
+            for col in Table4Column::ALL {
+                let (got, want) = (ours.cell(col), paper.cell(col));
+                let deviation = TABLE4_DEVIATIONS
+                    .iter()
+                    .find(|d| d.service == ours.service && d.column == col);
+                match deviation {
+                    Some(d) => {
+                        assert!(
+                            near(got, d.ours, DEVIATION_TOLERANCE),
+                            "{} {col:?}: {got} vs our recorded {}",
+                            ours.service,
+                            d.ours
+                        );
+                        assert!(
+                            !near(d.ours, want, TABLE4_TOLERANCE),
+                            "{} {col:?}: {} is back near the paper's {want}",
+                            ours.service,
+                            d.ours
+                        );
+                    }
+                    None => assert!(
+                        near(got, want, TABLE4_TOLERANCE),
+                        "{} {col:?}: {got} vs the paper's {want}",
+                        ours.service
+                    ),
+                }
+            }
+        }
+        for d in &TABLE4_DEVIATIONS {
             assert!(
-                sum.mean > 500.0 && sum.mean < 10_000.0,
-                "{}: {}",
-                svc.name,
-                sum.mean
+                rows.iter().any(|r| r.service == d.service),
+                "{}: no such row",
+                d.service
             );
         }
     }

@@ -135,6 +135,53 @@ mod tests {
         assert_eq!(got, 0xb861);
     }
 
+    /// Nodes of `e`, each counted once however many parents share it.
+    fn distinct_nodes(e: &Expr) -> usize {
+        fn walk(e: &Expr, seen: &mut std::collections::HashSet<*const Expr>) {
+            if !seen.insert(e) {
+                return;
+            }
+            match e {
+                Expr::Const(_) | Expr::Var(_) | Expr::SigRead(_) => {}
+                Expr::ArrRead(_, x) | Expr::Un(_, x) | Expr::Slice(x, ..) | Expr::Resize(x, _) => {
+                    walk(x, seen)
+                }
+                Expr::Bin(_, l, r) | Expr::Concat(l, r) => {
+                    walk(l, seen);
+                    walk(r, seen);
+                }
+                Expr::Mux(c, t, f) => {
+                    walk(c, seen);
+                    walk(t, seen);
+                    walk(f, seen);
+                }
+            }
+        }
+        let mut seen = std::collections::HashSet::new();
+        walk(e, &mut seen);
+        seen.len()
+    }
+
+    #[test]
+    fn chained_updates_share_their_operands() {
+        // `fold16` uses its accumulator four times, so each link of a
+        // chain of updates holds four copies of the chain below it: the
+        // tree grows fourfold per link, the shared nodes by a constant.
+        let chain = |links: u64| {
+            (0..links).fold(lit(0xb861, 16), |c, k| {
+                csum_update_word(c, lit(k, 16), lit(k + 1, 16))
+            })
+        };
+        let distinct: Vec<usize> = (1..=5).map(|n| distinct_nodes(&chain(n))).collect();
+        let per_link = distinct[1] - distinct[0];
+        for w in distinct.windows(2) {
+            assert_eq!(w[1] - w[0], per_link, "distinct nodes {distinct:?}");
+        }
+        let mut expanded = 0;
+        chain(5).visit(&mut |_| expanded += 1);
+        assert!(expanded > 100 * distinct[4], "{expanded} vs {distinct:?}");
+    }
+
     #[test]
     #[should_panic(expected = "at least one word")]
     fn empty_word_list_panics() {

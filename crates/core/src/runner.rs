@@ -45,7 +45,7 @@ pub enum Target {
 ///   pre-decoded micro-op bytecode through the optimization pipeline in
 ///   `kiwi_ir::opt` and run by a tight non-recursive loop with a `u64`
 ///   fast path — the production software backend.
-/// * [`Backend::TreeWalk`]: the recursive `Box<Expr>` interpreter — the
+/// * [`Backend::TreeWalk`]: the recursive `Expr` interpreter — the
 ///   slow, obviously-correct reference. CI forces it once over the whole
 ///   test suite (`EMU_CPU_BACKEND=treewalk`) so it cannot rot.
 ///

@@ -271,30 +271,88 @@ mod tests {
 
     #[test]
     fn parse_and_display_round_trip() {
-        for line in [
-            "print count",
-            "set count 42",
-            "increment count",
-            "break rx",
-            "break rx count > 5",
-            "unbreak rx",
-            "backtrace",
-            "backtrace 8",
-            "watch count",
-            "watch count count == 3",
-            "unwatch count",
-            "count writes count",
-            "count calls rx",
-            "trace start count 16",
-            "trace stop count",
-            "trace clear count",
-            "trace print count",
-            "trace full count",
-        ] {
+        for line in LINES {
             let cmd = parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
             let printed = cmd.to_string();
             let reparsed = parse(&printed).unwrap();
             assert_eq!(cmd, reparsed, "{line}");
+        }
+    }
+
+    /// One line of every command form, with and without the optional
+    /// parts.
+    const LINES: [&str; 18] = [
+        "print count",
+        "set count 42",
+        "increment count",
+        "break rx",
+        "break rx count > 5",
+        "unbreak rx",
+        "backtrace",
+        "backtrace 8",
+        "watch count",
+        "watch count count == 3",
+        "unwatch count",
+        "count writes count",
+        "count calls rx",
+        "trace start count 16",
+        "trace stop count",
+        "trace clear count",
+        "trace print count",
+        "trace full count",
+    ];
+
+    /// One mutation of a valid line, chosen and placed by `pick`:
+    /// flipped bits, a truncation, or a piece of another line spliced
+    /// into it, over part of it, or a piece cut out of it.
+    fn mutate(valid: &[u8], pick: &[u64]) -> Vec<u8> {
+        let mut bytes = valid.to_vec();
+        let at = |k: usize, n: usize| (pick[k % pick.len()] as usize) % n.max(1);
+        match pick[0] % 3 {
+            0 => {
+                for k in 1..=1 + at(1, 8) {
+                    let bit = at(k + 1, bytes.len() * 8);
+                    bytes[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+            1 => bytes.truncate(at(1, bytes.len())),
+            _ => {
+                let other = LINES[at(1, LINES.len())].as_bytes();
+                let src = at(2, other.len());
+                let piece = other[src..src + at(3, other.len() - src + 1)].to_vec();
+                let dst = at(4, bytes.len() + 1);
+                match pick[5] % 3 {
+                    0 => drop(bytes.splice(dst..dst, piece)),
+                    1 => {
+                        let end = (dst + piece.len()).min(bytes.len());
+                        drop(bytes.splice(dst..end, piece));
+                    }
+                    _ => drop(bytes.drain(dst..dst + at(6, bytes.len() - dst + 1))),
+                }
+            }
+        }
+        bytes
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+        /// The parser never panics and never runs long on a damaged
+        /// line: it returns `Ok` or `Err`, and a command it accepts
+        /// prints as a line that parses back to that same command.
+        #[test]
+        fn mutated_lines_parse_or_fail_cleanly(
+            pick in proptest::collection::vec(proptest::prelude::any::<u64>(), 8..9)
+        ) {
+            let valid = LINES[(pick[7] % LINES.len() as u64) as usize];
+            let bytes = mutate(valid.as_bytes(), &pick);
+            let line = String::from_utf8_lossy(&bytes);
+            let t = std::time::Instant::now();
+            let parsed = parse(&line);
+            proptest::prop_assert!(t.elapsed() < std::time::Duration::from_secs(1));
+            if let Ok(cmd) = parsed {
+                proptest::prop_assert_eq!(parse(&cmd.to_string()), Ok(cmd));
+            }
         }
     }
 

@@ -186,6 +186,66 @@ mod tests {
         assert!(DirectionPacket::decode(&f).is_none());
     }
 
+    /// One mutation of a valid frame, chosen and placed by `pick`:
+    /// flipped bits, a truncation, or a run of the frame's own bytes
+    /// copied over, into or out of it.
+    fn mutate(valid: &[u8], pick: &[u64]) -> Vec<u8> {
+        let mut bytes = valid.to_vec();
+        let at = |k: usize, n: usize| (pick[k % pick.len()] as usize) % n.max(1);
+        match pick[0] % 3 {
+            0 => {
+                for k in 1..=1 + at(1, 8) {
+                    let bit = at(k + 1, bytes.len() * 8);
+                    bytes[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+            1 => bytes.truncate(at(1, bytes.len())),
+            _ => {
+                let src = at(1, valid.len());
+                let piece = valid[src..src + at(2, valid.len() - src)].to_vec();
+                let dst = at(3, bytes.len());
+                match pick[4] % 3 {
+                    0 => drop(bytes.splice(dst..dst, piece)),
+                    1 => {
+                        let end = (dst + piece.len()).min(bytes.len());
+                        drop(bytes.splice(dst..end, piece));
+                    }
+                    _ => drop(bytes.drain(dst..dst + at(5, bytes.len() - dst))),
+                }
+            }
+        }
+        bytes
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+        /// The decoder never panics and never runs long on a damaged
+        /// frame: it returns `Some` or `None`, and a packet it accepts
+        /// encodes to a frame it decodes back to that same packet.
+        #[test]
+        fn mutated_packets_decode_or_fail_cleanly(
+            pick in proptest::collection::vec(proptest::prelude::any::<u64>(), 8..9)
+        ) {
+            let mut p = DirectionPacket::request(
+                Opcode::from_byte(1 + (pick[6] % 7) as u8).unwrap(),
+                pick[6] as u8,
+                pick[7],
+            );
+            p.is_reply = pick[6] & 1 << 20 != 0;
+            p.status = (pick[6] >> 24) as u8 % 3;
+            let (dst, src) = (MacAddr::from_u64(1), MacAddr::from_u64(2));
+            let valid = p.encode(dst, src);
+            let frame = Frame::new(mutate(valid.bytes(), &pick));
+            let t = std::time::Instant::now();
+            let decoded = DirectionPacket::decode(&frame);
+            proptest::prop_assert!(t.elapsed() < std::time::Duration::from_secs(1));
+            if let Some(q) = decoded {
+                proptest::prop_assert_eq!(DirectionPacket::decode(&q.encode(dst, src)), Some(q));
+            }
+        }
+    }
+
     #[test]
     fn field_offsets_match_layout() {
         let p = DirectionPacket::request(Opcode::WriteVar, 9, 0x0102030405060708);

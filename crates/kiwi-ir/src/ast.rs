@@ -11,10 +11,31 @@
 //! fixed-width words (see [`emu_types::Bits`]), arithmetic is modular in
 //! the result width, and `Pause` marks a clock-cycle boundary exactly like
 //! `Kiwi.Pause()` in the paper (§3.2(ii), Figure 2 line 11).
+//!
+//! # Shared sub-expressions
+//!
+//! An [`Expr`]'s children are [`Arc`]s, so a clone copies one node and
+//! is otherwise a pointer copy: a helper that uses its argument four
+//! times (`emu_core::csum::fold16`) holds it once, and a chain of five
+//! checksum updates is 151 nodes, not the 26 599 a copied tree would
+//! spell out. One image is shared by every shard thread, hence `Arc`
+//! rather than `Rc`.
+//!
+//! Node identity is an optimisation, never semantics. A shared node
+//! means what its copies would: every consumer must give a shared tree
+//! the result it gives the fully copied one. The walks on the build
+//! path visit a shared node once — [`Expr::width`] and [`Expr::delay`]
+//! once per call, the compiled backend's lowering once per statement —
+//! by memoising on the node's address. The reference machines
+//! ([`crate::interp::eval`], the FSM), the resource estimate and the
+//! Verilog emitter still walk every use, and so describe the inlined
+//! logic.
 
 use crate::program::{ArrId, Program, SigId, VarId};
 use emu_types::Bits;
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Unary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -106,21 +127,21 @@ pub enum Expr {
     Var(VarId),
     /// An array element read (`arr[idx]`); out-of-range reads yield zero,
     /// matching hardware address decoding with undriven outputs tied low.
-    ArrRead(ArrId, Box<Expr>),
+    ArrRead(ArrId, Arc<Expr>),
     /// An input-signal sample (IP block output or platform input).
     SigRead(SigId),
     /// Unary operation.
-    Un(UnOp, Box<Expr>),
+    Un(UnOp, Arc<Expr>),
     /// Binary operation.
-    Bin(BinOp, Box<Expr>, Box<Expr>),
+    Bin(BinOp, Arc<Expr>, Arc<Expr>),
     /// Two-way multiplexer: `cond ? then : else` (cond ≠ 0 selects `then`).
-    Mux(Box<Expr>, Box<Expr>, Box<Expr>),
+    Mux(Arc<Expr>, Arc<Expr>, Arc<Expr>),
     /// Bit slice `[hi:lo]`, inclusive, Verilog order.
-    Slice(Box<Expr>, u16, u16),
+    Slice(Arc<Expr>, u16, u16),
     /// Concatenation `{hi, lo}`.
-    Concat(Box<Expr>, Box<Expr>),
+    Concat(Arc<Expr>, Arc<Expr>),
     /// Zero-extension or truncation to an explicit width.
-    Resize(Box<Expr>, u16),
+    Resize(Arc<Expr>, u16),
 }
 
 /// Errors from IR validation or lowering.
@@ -138,10 +159,39 @@ impl std::error::Error for IrError {}
 /// Convenience alias.
 pub type IrResult<T> = Result<T, IrError>;
 
+/// A value computed at shared nodes during one walk, keyed by node
+/// identity (see the module docs).
+type NodeMemo<T> = HashMap<*const Expr, T>;
+
+/// Computes `f` at `node`, once per walk when the node is shared: a node
+/// only one parent holds is reached once anyway, so it skips the memo.
+fn once<T: Clone>(
+    node: &Arc<Expr>,
+    memo: &mut NodeMemo<T>,
+    f: impl FnOnce(&Expr, &mut NodeMemo<T>) -> T,
+) -> T {
+    if Arc::strong_count(node) == 1 {
+        return f(node, memo);
+    }
+    let key = Arc::as_ptr(node);
+    if let Some(v) = memo.get(&key) {
+        return v.clone();
+    }
+    let v = f(node, memo);
+    memo.insert(key, v.clone());
+    v
+}
+
 impl Expr {
     /// Computes the width of this expression in `prog`'s declaration
-    /// context, validating sub-expressions along the way.
+    /// context, validating sub-expressions along the way. A shared node
+    /// is visited once.
     pub fn width(&self, prog: &Program) -> IrResult<u16> {
+        self.width_in(prog, &mut NodeMemo::new())
+    }
+
+    fn width_in(&self, prog: &Program, memo: &mut NodeMemo<IrResult<u16>>) -> IrResult<u16> {
+        let mut width = |e: &Arc<Expr>| once(e, memo, |e, m| e.width_in(prog, m));
         match self {
             Expr::Const(b) => Ok(b.width()),
             Expr::Var(v) => prog
@@ -149,7 +199,7 @@ impl Expr {
                 .map(|d| d.width)
                 .ok_or_else(|| IrError(format!("unknown var {v:?}"))),
             Expr::ArrRead(a, idx) => {
-                idx.width(prog)?;
+                width(idx)?;
                 prog.array(*a)
                     .map(|d| d.elem_width)
                     .ok_or_else(|| IrError(format!("unknown array {a:?}")))
@@ -161,15 +211,15 @@ impl Expr {
                 Ok(d.width)
             }
             Expr::Un(op, e) => {
-                let w = e.width(prog)?;
+                let w = width(e)?;
                 Ok(match op {
                     UnOp::Not | UnOp::Neg => w,
                     UnOp::RedOr => 1,
                 })
             }
             Expr::Bin(op, l, r) => {
-                let wl = l.width(prog)?;
-                let wr = r.width(prog)?;
+                let wl = width(l)?;
+                let wr = width(r)?;
                 Ok(match op {
                     _ if op.is_compare() => 1,
                     BinOp::Shl | BinOp::Shr => wl,
@@ -177,13 +227,13 @@ impl Expr {
                 })
             }
             Expr::Mux(c, t, e) => {
-                c.width(prog)?;
-                let wt = t.width(prog)?;
-                let we = e.width(prog)?;
+                width(c)?;
+                let wt = width(t)?;
+                let we = width(e)?;
                 Ok(wt.max(we))
             }
             Expr::Slice(e, hi, lo) => {
-                let w = e.width(prog)?;
+                let w = width(e)?;
                 if hi < lo || *hi >= w {
                     return Err(IrError(format!(
                         "slice [{hi}:{lo}] out of range for width {w}"
@@ -192,14 +242,14 @@ impl Expr {
                 Ok(hi - lo + 1)
             }
             Expr::Concat(h, l) => {
-                let w = h.width(prog)? + l.width(prog)?;
+                let w = width(h)? + width(l)?;
                 if w > emu_types::bits::MAX_WIDTH {
                     return Err(IrError(format!("concat width {w} exceeds maximum")));
                 }
                 Ok(w)
             }
             Expr::Resize(e, w) => {
-                e.width(prog)?;
+                width(e)?;
                 if *w == 0 || *w > emu_types::bits::MAX_WIDTH {
                     return Err(IrError(format!("resize to invalid width {w}")));
                 }
@@ -215,8 +265,20 @@ impl Expr {
     ///
     /// The model is a crude depth estimate: carry chains cost proportional
     /// to `log2(width)`, logic costs 1, muxes/array reads cost address-decode
-    /// depth. Absolute values are calibrated in `kiwi::resources`.
+    /// depth. Absolute values are calibrated in `kiwi::resources`. A depth
+    /// does not depend on how often a node is shared, so a shared node is
+    /// visited once.
     pub fn delay(&self, prog: &Program) -> u32 {
+        self.delay_in(prog, &mut NodeMemo::new(), &mut NodeMemo::new())
+    }
+
+    fn delay_in(
+        &self,
+        prog: &Program,
+        memo: &mut NodeMemo<u32>,
+        widths: &mut NodeMemo<IrResult<u16>>,
+    ) -> u32 {
+        let mut delay = |e: &Arc<Expr>| once(e, memo, |e, m| e.delay_in(prog, m, widths));
         match self {
             Expr::Const(_) | Expr::Var(_) | Expr::SigRead(_) => 0,
             Expr::ArrRead(a, idx) => {
@@ -224,10 +286,10 @@ impl Expr {
                     .array(*a)
                     .map(|d| (usize::BITS - d.len.leading_zeros()).max(1))
                     .unwrap_or(1);
-                idx.delay(prog) + decode
+                delay(idx) + decode
             }
             Expr::Un(op, e) => {
-                e.delay(prog)
+                delay(e)
                     + match op {
                         UnOp::Not => 1,
                         UnOp::Neg => 4,
@@ -235,8 +297,8 @@ impl Expr {
                     }
             }
             Expr::Bin(op, l, r) => {
-                let base = l.delay(prog).max(r.delay(prog));
-                let w = u32::from(self.width(prog).unwrap_or(64));
+                let base = delay(l).max(delay(r));
+                let w = u32::from(self.width_in(prog, widths).unwrap_or(64));
                 let logw = (32 - w.leading_zeros()).max(1);
                 base + match op {
                     BinOp::And | BinOp::Or | BinOp::Xor => 1,
@@ -247,10 +309,10 @@ impl Expr {
                     BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => logw + 1,
                 }
             }
-            Expr::Mux(c, t, e) => c.delay(prog).max(t.delay(prog)).max(e.delay(prog)) + 1,
-            Expr::Slice(e, _, _) => e.delay(prog),
-            Expr::Concat(h, l) => h.delay(prog).max(l.delay(prog)),
-            Expr::Resize(e, _) => e.delay(prog),
+            Expr::Mux(c, t, e) => delay(c).max(delay(t)).max(delay(e)) + 1,
+            Expr::Slice(e, _, _) => delay(e),
+            Expr::Concat(h, l) => delay(h).max(delay(l)),
+            Expr::Resize(e, _) => delay(e),
         }
     }
 

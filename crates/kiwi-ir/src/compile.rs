@@ -4,7 +4,7 @@
 //!
 //! The tree-walking interpreter in [`crate::interp`] is the *reference*
 //! software semantics: simple, obviously faithful to [`crate::ast`], and
-//! slow — it re-decodes the same `Box<Expr>` nodes every frame, builds a
+//! slow — it re-decodes the same `Expr` nodes every frame, builds a
 //! [`Bits`] at every node, and re-resolves widths on every binary op.
 //! This module trades that tree for a **pre-decoded linear program** of
 //! 32 micro-ops ([`MOp`]) over one file of `u64` slots:
@@ -92,6 +92,7 @@ use crate::machine::{missing_pause, Instance, MAX_OPS_PER_CYCLE};
 use crate::program::{ArrId, Program, SigId, VarId};
 use emu_types::Bits;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Index of a slot in the word file: a register, a scratch slot, or a
 /// constant-pool slot (see the module docs).
@@ -808,7 +809,17 @@ struct ThreadCompiler<'a> {
     labels: Vec<String>,
     exprs: Vec<Expr>,
     next: Slot,
+    /// The statement's shared nodes lowered so far, by identity, with
+    /// the scratch slots their lowering numbered, and the order they were
+    /// lowered in (see [`ThreadCompiler::operand`]).
+    memo: HashMap<*const Expr, (Val, Slot)>,
+    memo_log: Vec<*const Expr>,
 }
+
+/// Where lowering stood before a node: micro-ops, next scratch slot and
+/// memo entries, all three taken back together by
+/// [`ThreadCompiler::rewind`].
+type Mark = (usize, Slot, usize);
 
 impl<'a> ThreadCompiler<'a> {
     fn s(&mut self) -> Slot {
@@ -819,6 +830,59 @@ impl<'a> ThreadCompiler<'a> {
 
     fn push(&mut self, m: MOp) {
         self.cur.push(m);
+    }
+
+    /// Starts a statement: fresh scratch slots, and no node lowered yet —
+    /// a store may have come between this statement and a node an
+    /// earlier one lowered.
+    fn begin_statement(&mut self) {
+        self.next = 0;
+        self.memo.clear();
+        self.memo_log.clear();
+    }
+
+    fn mark(&self) -> Mark {
+        (self.cur.len(), self.next, self.memo_log.len())
+    }
+
+    /// Takes back everything lowered since `mark`, the memo entries too:
+    /// a node lowered there has no micro-ops any more.
+    fn rewind(&mut self, mark: Mark) {
+        self.cur.truncate(mark.0);
+        self.next = mark.1;
+        for key in self.memo_log.drain(mark.2..) {
+            self.memo.remove(&key);
+        }
+    }
+
+    /// Lowers the operand `x`, once per statement when it is shared: a
+    /// second use of the node reuses the first one's value. Reads have no
+    /// side effect and nothing in a statement stores before its terminal,
+    /// so the reuse cannot be seen.
+    ///
+    /// A reuse still steps past the scratch slots the first lowering
+    /// numbered, so every later slot keeps the number lowering the node
+    /// again would have given it. The passes merge such a second copy
+    /// into the first, which makes the optimized bytecode the same either
+    /// way, slot numbers included.
+    fn operand(&mut self, x: &Arc<Expr>) -> IrResult<Val> {
+        if Arc::strong_count(x) == 1 {
+            return self.expr(x);
+        }
+        let key = Arc::as_ptr(x);
+        if let Some(&(v, span)) = self.memo.get(&key) {
+            // A few shared nodes can spell out more slots than a slot
+            // number holds below the register mark.
+            self.next = (self.next.checked_add(span))
+                .filter(|&n| n < REG)
+                .ok_or_else(|| IrError("statement too large to lower".into()))?;
+            return Ok(v);
+        }
+        let first = self.next;
+        let v = self.expr(x)?;
+        self.memo.insert(key, (v, self.next - first));
+        self.memo_log.push(key);
+        Ok(v)
     }
 
     /// Files `e` in the side table the evaluating micro-ops index.
@@ -843,14 +907,14 @@ impl<'a> ThreadCompiler<'a> {
     /// bits itself, it only reports its width, and the node or statement
     /// above it takes it in.
     fn expr(&mut self, e: &Expr) -> IrResult<Val> {
-        let mark = (self.cur.len(), self.next);
+        let mark = self.mark();
         // Operands first, in `eval`'s order; `widest` is the widest of
         // them. Then the node's width and the micro-op that computes it
         // from the operand slots — built even when an operand has no
         // slot, and dropped below in that case.
         let mut widest = 0;
-        let mut operand = |c: &mut Self, x: &Expr| -> IrResult<Val> {
-            let v = c.expr(x)?;
+        let mut operand = |c: &mut Self, x: &Arc<Expr>| -> IrResult<Val> {
+            let v = c.operand(x)?;
             widest = v.w.max(widest);
             Ok(v)
         };
@@ -979,8 +1043,7 @@ impl<'a> ThreadCompiler<'a> {
         }
         // Beyond 64 bits here or one level down: whatever was lowered
         // under this node is dead, so take it back.
-        self.cur.truncate(mark.0);
-        self.next = mark.1;
+        self.rewind(mark);
         let slot = if w <= 64 {
             self.eval_s(e.clone())
         } else {
@@ -1000,13 +1063,12 @@ impl<'a> ThreadCompiler<'a> {
                     .width;
                 // A register beyond 64 bits has no slot: its store is
                 // the tree-walker's, whatever the value's width.
-                let mark = (self.cur.len(), self.next);
+                let mark = self.mark();
                 let (var, v) = (dst.0, self.expr(e)?);
                 let m = if v.w <= 64 && w <= 64 {
                     MOp::StVarS { var, a: v.slot, w }
                 } else {
-                    self.cur.truncate(mark.0);
-                    self.next = mark.1;
+                    self.rewind(mark);
                     let e = self.side(e.clone());
                     MOp::StVarE { var, e }
                 };
@@ -1058,7 +1120,7 @@ impl<'a> ThreadCompiler<'a> {
                 let c = if cv.w <= 64 {
                     cv.slot
                 } else {
-                    self.eval_s(Expr::Un(UnOp::RedOr, Box::new(cond.clone())))
+                    self.eval_s(Expr::Un(UnOp::RedOr, Arc::new(cond.clone())))
                 };
                 let target = *if_false as u32;
                 self.push(MOp::BranchZ { c, target });
@@ -1093,13 +1155,15 @@ fn compile_thread(
         labels: Vec::new(),
         exprs: Vec::new(),
         next: 0,
+        memo: HashMap::new(),
+        memo_log: Vec::new(),
     };
     // One region per source op; scratch slots are written-before-read
     // within a region (fresh slots per statement), which is the
     // invariant the passes rely on.
     let mut regions: Vec<Vec<MOp>> = Vec::with_capacity(t.ops.len());
     for op in &t.ops {
-        c.next = 0;
+        c.begin_statement();
         c.op(op)?;
         regions.push(std::mem::take(&mut c.cur));
     }
@@ -1859,6 +1923,22 @@ mod tests {
             ],
         );
         assert_lockstep(&pb, 50);
+    }
+
+    #[test]
+    fn statement_spelling_out_too_many_slots_is_an_error() {
+        // Forty doublings of one shared node: a few dozen nodes whose
+        // expansion numbers more scratch slots than a slot can name.
+        let mut pb = ProgramBuilder::new("t");
+        let a = pb.reg("a", 32);
+        let e = (0..40).fold(var(a), |e, _| {
+            let x = resize(e, 32);
+            add(x.clone(), x)
+        });
+        pb.thread("main", vec![assign(a, e), pause(), halt()]);
+        let flat = flatten(&pb.build().unwrap()).unwrap();
+        let err = compile_with_passes(&flat, &[]).unwrap_err();
+        assert!(err.0.contains("too large"), "{err}");
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use crate::ast::{BinOp, Expr, Stmt, UnOp};
 use crate::program::{ArrId, SigId, VarId};
 use emu_types::Bits;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // Expressions
@@ -44,7 +45,7 @@ pub fn var(v: VarId) -> Expr {
 
 /// Array element read.
 pub fn arr_read(a: ArrId, idx: Expr) -> Expr {
-    Expr::ArrRead(a, Box::new(idx))
+    Expr::ArrRead(a, Arc::new(idx))
 }
 
 /// Input-signal sample.
@@ -54,29 +55,29 @@ pub fn sig(s: SigId) -> Expr {
 
 /// Bitwise NOT.
 pub fn not(e: Expr) -> Expr {
-    Expr::Un(UnOp::Not, Box::new(e))
+    Expr::Un(UnOp::Not, Arc::new(e))
 }
 
 /// Two's-complement negation.
 pub fn neg(e: Expr) -> Expr {
-    Expr::Un(UnOp::Neg, Box::new(e))
+    Expr::Un(UnOp::Neg, Arc::new(e))
 }
 
 /// OR-reduction to one bit; the idiomatic "is non-zero" test.
 pub fn nonzero(e: Expr) -> Expr {
-    Expr::Un(UnOp::RedOr, Box::new(e))
+    Expr::Un(UnOp::RedOr, Arc::new(e))
 }
 
 /// Logical negation of a 1-bit value (or of a reduction).
 pub fn lnot(e: Expr) -> Expr {
-    Expr::Bin(BinOp::Eq, Box::new(e), Box::new(lit(0, 1)))
+    Expr::Bin(BinOp::Eq, Arc::new(e), Arc::new(lit(0, 1)))
 }
 
 macro_rules! binop_fn {
     ($(#[$doc:meta])* $name:ident, $op:ident) => {
         $(#[$doc])*
         pub fn $name(l: Expr, r: Expr) -> Expr {
-            Expr::Bin(BinOp::$op, Box::new(l), Box::new(r))
+            Expr::Bin(BinOp::$op, Arc::new(l), Arc::new(r))
         }
     };
 }
@@ -117,17 +118,17 @@ pub fn land(l: Expr, r: Expr) -> Expr {
 
 /// Two-way mux: `cond ? t : e`.
 pub fn mux(cond: Expr, t: Expr, e: Expr) -> Expr {
-    Expr::Mux(Box::new(cond), Box::new(t), Box::new(e))
+    Expr::Mux(Arc::new(cond), Arc::new(t), Arc::new(e))
 }
 
 /// Bit slice `[hi:lo]` (inclusive, Verilog order).
 pub fn slice(e: Expr, hi: u16, lo: u16) -> Expr {
-    Expr::Slice(Box::new(e), hi, lo)
+    Expr::Slice(Arc::new(e), hi, lo)
 }
 
 /// Concatenation `{hi, lo}`.
 pub fn concat(hi: Expr, lo: Expr) -> Expr {
-    Expr::Concat(Box::new(hi), Box::new(lo))
+    Expr::Concat(Arc::new(hi), Arc::new(lo))
 }
 
 /// Concatenation of many parts, first argument highest.
@@ -139,7 +140,7 @@ pub fn concat_all<I: IntoIterator<Item = Expr>>(parts: I) -> Expr {
 
 /// Zero-extend or truncate to `width`.
 pub fn resize(e: Expr, width: u16) -> Expr {
-    Expr::Resize(Box::new(e), width)
+    Expr::Resize(Arc::new(e), width)
 }
 
 // ---------------------------------------------------------------------

@@ -19,6 +19,7 @@ use kiwi_ir::program::{Program, SigDir};
 use kiwi_ir::{IrError, IrResult};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Maximum within-cycle control paths before we refuse to emit (guards
 /// against pathological branch fans; services in this repo stay < 64).
@@ -131,17 +132,17 @@ fn subst(e: &Expr, env: &HashMap<u32, Expr>) -> Expr {
     match e {
         Expr::Const(_) | Expr::SigRead(_) => e.clone(),
         Expr::Var(vid) => env.get(&vid.0).cloned().unwrap_or_else(|| e.clone()),
-        Expr::ArrRead(a, i) => Expr::ArrRead(*a, Box::new(subst(i, env))),
-        Expr::Un(op, x) => Expr::Un(*op, Box::new(subst(x, env))),
-        Expr::Bin(op, l, r) => Expr::Bin(*op, Box::new(subst(l, env)), Box::new(subst(r, env))),
+        Expr::ArrRead(a, i) => Expr::ArrRead(*a, Arc::new(subst(i, env))),
+        Expr::Un(op, x) => Expr::Un(*op, Arc::new(subst(x, env))),
+        Expr::Bin(op, l, r) => Expr::Bin(*op, Arc::new(subst(l, env)), Arc::new(subst(r, env))),
         Expr::Mux(c, t, f) => Expr::Mux(
-            Box::new(subst(c, env)),
-            Box::new(subst(t, env)),
-            Box::new(subst(f, env)),
+            Arc::new(subst(c, env)),
+            Arc::new(subst(t, env)),
+            Arc::new(subst(f, env)),
         ),
-        Expr::Slice(x, hi, lo) => Expr::Slice(Box::new(subst(x, env)), *hi, *lo),
-        Expr::Concat(l, r) => Expr::Concat(Box::new(subst(l, env)), Box::new(subst(r, env))),
-        Expr::Resize(x, w) => Expr::Resize(Box::new(subst(x, env)), *w),
+        Expr::Slice(x, hi, lo) => Expr::Slice(Arc::new(subst(x, env)), *hi, *lo),
+        Expr::Concat(l, r) => Expr::Concat(Arc::new(subst(l, env)), Arc::new(subst(r, env))),
+        Expr::Resize(x, w) => Expr::Resize(Arc::new(subst(x, env)), *w),
     }
 }
 

@@ -127,7 +127,14 @@
 //! Fpga FSM — which an engine builds once, at build time, and shares
 //! between its shards: each shard's core is the image behind an `Arc`
 //! plus its own machine state, so a 4-shard engine costs one compilation,
-//! not four, and holds one copy of the code.
+//! not four, and holds one copy of the code. Building an image costs
+//! what the program holds, not what it spells out: an expression's
+//! children are shared `Arc` nodes (a service helper that uses a value
+//! four times holds it once), validation and the FSM scheduler's delay
+//! estimate visit a shared node once, and lowering compiles it once per
+//! statement and reuses its value, which leaves the optimized bytecode
+//! byte for byte what lowering every use would give after the passes
+//! (`default_listings_are_pinned` in `tests/artifacts.rs`).
 //! [`Engine::process`](stdlib::Engine::process) and
 //! [`Engine::process_batch`](stdlib::Engine::process_batch) share one
 //! frame loop over that core on every target, so a frame's outputs,

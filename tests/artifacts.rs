@@ -28,6 +28,13 @@ fn all_services() -> Vec<(&'static str, emu::stdlib::Service)> {
     ]
 }
 
+/// FNV-1a of a text, the digest the pinned artefacts below are held to.
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[test]
 fn every_service_compiles_and_emits_valid_verilog() {
     for (name, svc) in all_services() {
@@ -45,11 +52,6 @@ fn every_service_compiles_and_emits_valid_verilog() {
 /// (`-- --nocapture` prints a run's values in literal syntax.)
 #[test]
 fn verilog_and_state_counts_are_pinned() {
-    let fnv = |text: &str| {
-        text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    };
     let got: Vec<(&str, u64, Vec<usize>)> = all_services()
         .into_iter()
         .map(|(name, svc)| {
@@ -73,6 +75,53 @@ fn verilog_and_state_counts_are_pinned() {
         ("cache", 0x923c44633f59773d, vec![82]),
     ];
     assert_eq!(got, want, "the schedule or the emitted Verilog moved");
+}
+
+/// The product bytecode: every thread's default-pipeline listing of
+/// every shipped program (the services above plus one direction
+/// extension), pinned as an FNV-1a digest per program. How lowering
+/// walks an expression may change; the micro-ops it ends in may not.
+/// (`-- --nocapture` prints a run's values in literal syntax.)
+#[test]
+fn default_listings_are_pinned() {
+    use emu::ir::compile::mops_to_string;
+    use emu::ir::{compile_with_passes, default_pipeline, flatten};
+    let mut programs: Vec<(&str, emu::ir::Program)> = all_services()
+        .into_iter()
+        .map(|(name, svc)| (name, svc.program))
+        .collect();
+    let directed = emu::debug::extend_program(
+        &s::memcached::memcached().program,
+        &ControllerConfig::full(&["n_get", "n_set", "n_hit"], 32),
+    )
+    .unwrap();
+    programs.push(("memcached+direction", directed));
+    let got: Vec<(&str, u64)> = programs
+        .iter()
+        .map(|(name, prog)| {
+            let cp = compile_with_passes(&flatten(prog).unwrap(), default_pipeline()).unwrap();
+            let text: String = (0..cp.threads.len())
+                .map(|ti| mops_to_string(&cp, ti))
+                .collect();
+            (*name, fnv(&text))
+        })
+        .collect();
+    for (name, digest) in &got {
+        println!("        (\"{name}\", {digest:#018x}),");
+    }
+    let want: Vec<(&str, u64)> = vec![
+        ("switch-cam", 0x650564d29ebe408a),
+        ("switch-behavioural", 0xc98dcd5b47d8c40e),
+        ("filter", 0x43602e4fc84a4645),
+        ("icmp", 0x62deb8abd517cd1f),
+        ("tcp-ping", 0x1b8a447ad63245cc),
+        ("dns", 0xa8b12b54d03f1e48),
+        ("memcached", 0x59f6c2f0d01a6c4b),
+        ("nat", 0x07b3930d17c24e24),
+        ("cache", 0xd1f9ce43f196a086),
+        ("memcached+direction", 0xcde0f6e74220e468),
+    ];
+    assert_eq!(got, want, "the compiled bytecode moved");
 }
 
 #[test]

@@ -1245,3 +1245,113 @@ fn observer_writes_a_register_mid_frame() {
     let end = assert_hazard_lockstep("poke", &pb.build().unwrap());
     assert_eq!(end.reg(VarId(2)).to_u64(), POKED + 1);
 }
+
+// ---------------------------------------------------------------------
+// Sharing hazards: a sub-expression used twice is one node, and the
+// compiled backend lowers a node once per statement and reuses its
+// slot. That reuse must stop at the statement's end (a store may come
+// between two statements that share a node) and must not outlive the
+// micro-ops it points at (a node wider than 64 bits takes back what was
+// lowered under it). In each program below, `shared(..)` hands out
+// copies of one wrapper node whose operand is the same node every time.
+// Each runs in lockstep like the register hazards above.
+// ---------------------------------------------------------------------
+
+/// Copies of `resize(inner, width)`: each copy is a node of its own, and
+/// every copy's operand is the one `inner` node.
+fn shared(inner: Expr, width: u16) -> impl Fn() -> Expr {
+    let wrapper = resize(inner, width);
+    move || wrapper.clone()
+}
+
+#[test]
+fn shared_node_under_a_wide_ancestor_and_narrow_in_one_statement() {
+    // `n = x + 3` sits under a 116-bit concat, whose slice is handed
+    // whole to the reference `eval`, and again as a plain operand of the
+    // add. The slice straddles `big` and `n`, so it differs from `n`.
+    let mut pb = kiwi_ir::ProgramBuilder::new("wide_and_narrow");
+    let x = pb.reg_init("x", 16, Bits::from_u64(0x0102, 16));
+    let big = pb.reg_init("big", 100, Bits::from_u64(0xdead_beef, 100));
+    let y = pb.reg("y", 16);
+    let n = shared(add(var(x), lit(3, 16)), 16);
+    three_trips(
+        &mut pb,
+        vec![
+            assign(y, add(slice(concat(var(big), n()), 23, 8), n())),
+            assign(x, add(var(x), var(y))),
+        ],
+    );
+    let end = assert_hazard_lockstep("wide_and_narrow", &pb.build().unwrap());
+    let mut x = 0x0102u64;
+    let mut y = 0;
+    for _ in 0..3 {
+        let n = (x + 3) & 0xffff;
+        y = ((0xef << 8 | n >> 8) + n) & 0xffff;
+        x = (x + y) & 0xffff;
+    }
+    assert_eq!(end.reg(VarId(2)).to_u64(), y);
+}
+
+#[test]
+fn shared_node_in_both_mux_arms_and_the_condition() {
+    let mut pb = kiwi_ir::ProgramBuilder::new("mux");
+    let x = pb.reg_init("x", 8, Bits::from_u64(0xfd, 8));
+    let y = pb.reg_init("y", 8, Bits::from_u64(1, 8));
+    let z = pb.reg("z", 8);
+    let s = shared(add(var(x), var(y)), 8);
+    three_trips(
+        &mut pb,
+        vec![
+            assign(z, mux(s(), add(s(), lit(1, 8)), not(s()))),
+            assign(x, add(var(x), lit(1, 8))),
+        ],
+    );
+    let end = assert_hazard_lockstep("mux", &pb.build().unwrap());
+    // The trips see x + y = 0xfe, 0xff, 0x00.
+    assert_eq!(end.reg(VarId(2)).to_u64(), 0xff);
+}
+
+#[test]
+fn shared_node_over_a_register_in_two_statements_with_a_store_between() {
+    // `r + 1` before and after a store to `r` are two values, though
+    // they are one node.
+    let mut pb = kiwi_ir::ProgramBuilder::new("store_between");
+    let r = pb.reg_init("r", 8, Bits::from_u64(10, 8));
+    let a = pb.reg("a", 8);
+    let b = pb.reg("b", 8);
+    let s = shared(add(var(r), lit(1, 8)), 8);
+    three_trips(
+        &mut pb,
+        vec![
+            assign(a, s()),
+            assign(r, add(var(r), lit(5, 8))),
+            assign(b, s()),
+        ],
+    );
+    let end = assert_hazard_lockstep("store_between", &pb.build().unwrap());
+    assert_eq!(end.reg(VarId(1)).to_u64(), 10 + 10 + 1);
+    assert_eq!(end.reg(VarId(2)).to_u64(), 10 + 15 + 1);
+}
+
+#[test]
+fn shared_array_index_in_a_write_whose_value_reads_the_same_element() {
+    // `t[i] := t[i] + 1` with `i` one node, then a read of the element
+    // just written through the same node.
+    let mut pb = kiwi_ir::ProgramBuilder::new("same_element");
+    let init = (0..8).map(|k| (k, Bits::from_u64(0x10 * k as u64, 8)));
+    let t = pb.array_init("t", 8, 8, ArrayBacking::LutRam, init.collect());
+    let k = pb.reg_init("k", 3, Bits::from_u64(1, 3));
+    let v = pb.reg("v", 8);
+    let i = shared(add(var(k), lit(2, 3)), 3);
+    three_trips(
+        &mut pb,
+        vec![
+            arr_write(t, i(), add(arr_read(t, i()), lit(1, 8))),
+            assign(v, arr_read(t, i())),
+            assign(k, add(var(k), lit(1, 3))),
+        ],
+    );
+    let end = assert_hazard_lockstep("same_element", &pb.build().unwrap());
+    // The last trip bumps t[5]; each trip touches a different element.
+    assert_eq!(end.reg(VarId(1)).to_u64(), 0x51);
+}

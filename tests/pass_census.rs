@@ -7,7 +7,8 @@
 //! `cargo test --test pass_census -- --nocapture` prints the tables
 //! (micro-ops per service under the default pipeline, under the
 //! pipeline minus each pass, and under the empty pipeline with the
-//! share that is handed to the reference `eval`).
+//! share that is handed to the reference `eval`). The empty pipeline's
+//! counts are pinned: they are what lowering makes of shared nodes.
 //!
 //! The same programs pin the contracts of the slot file's registers
 //! and constant pool.
@@ -199,6 +200,30 @@ fn every_default_pass_and_fused_op_shows_up_in_a_shipped_service() {
         }
         println!("{row}");
     }
+    // The empty pipeline's micro-op counts, pinned: lowering visits a
+    // shared node once per statement, so a count that grows is a node
+    // lowered once per use.
+    let naive_counts: Vec<(&str, usize)> = services
+        .iter()
+        .zip(&naive)
+        .map(|((name, _), code)| (*name, total(code)))
+        .collect();
+    assert_eq!(
+        naive_counts,
+        vec![
+            ("switch_ip_cam", 84),
+            ("switch_behavioural", 512),
+            ("icmp_echo", 320),
+            ("tcp_ping", 688),
+            ("dns_server", 403),
+            ("memcached", 1618),
+            ("nat", 800),
+            ("lru_cache", 599),
+            ("filter_switch", 131),
+            ("memcached+direction", 1881),
+        ],
+        "the naive lowering moved"
+    );
     for v in &seen {
         assert!(
             VARIANTS.contains(&v.as_str()),
