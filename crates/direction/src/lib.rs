@@ -15,7 +15,7 @@
 //!   running service (Figure 8).
 //!
 //! Table 5's +R/+W/+I overhead measurements are regenerated by
-//! `emu-bench`'s `table5` harness using [`transform::ControllerConfig`].
+//! `emu_bench::table5` using [`transform::ControllerConfig`].
 
 #![forbid(unsafe_code)]
 

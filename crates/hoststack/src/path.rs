@@ -11,10 +11,16 @@
 //! the breakdown in the authors' own measurement study ("Where has my
 //! time gone?", PAM 2017, reference 50 of the paper); the shape
 //! parameters are calibrated per service so that the *averages and tail
-//! ratios* of Table 4 are reproduced (`emu-bench`'s `table4` and `tails`
-//! bins print measured vs paper values). The scheduler/wake-up stage
+//! ratios* of Table 4 are reproduced. The scheduler/wake-up stage
 //! carries most of the variance, which is where Linux tail latency
 //! physically comes from.
+//!
+//! Every profile is a calibration, not a measurement: each constructor
+//! says which paper cells its figures were fitted to, and `emu_bench`'s
+//! gate (`every_paper_cell_holds`) pins them there — the host columns
+//! of Table 4 within 10 % and §5.6's host tail-to-average span — at
+//! 20 000 latency samples (seed 42) and 50 000 throughput requests
+//! (seed 7). A profile change that moves a cell fails that gate.
 //!
 //! NAT is special: the paper measures it as a loaded gateway (its host
 //! throughput column, 1.037 Mq/s, implies near-saturation), so its
@@ -60,7 +66,9 @@ fn stage(name: &'static str, mean_us: f64, sigma: f64) -> Stage {
 }
 
 /// Common kernel receive stages (NIC → socket), with the tail
-/// concentrated in the IRQ and wake-up stages.
+/// concentrated in the IRQ and wake-up stages. The means follow
+/// reference 50's breakdown; the shapes are a modelling choice, fitted
+/// with each profile's own stages to its Table 4 row.
 fn rx_stages(wake_sigma: f64) -> Vec<Stage> {
     vec![
         stage("nic-dma", 1.1, 0.10),
@@ -77,6 +85,10 @@ fn tx_stages() -> Vec<Stage> {
 
 impl HostProfile {
     /// ICMP echo: handled entirely in the kernel (no socket/app stages).
+    ///
+    /// Fitted to Table 4's ICMP echo host cells, 12.28 / 22.63 µs
+    /// (the `icmp-kernel` stage) and 1.068 Mq/s (`cpu_cost_us`); pinned
+    /// by the gate cells Table 4 · icmp-echo · host avg, p99, throughput.
     pub fn icmp() -> Self {
         let mut stages = vec![
             stage("nic-dma", 1.1, 0.10),
@@ -95,6 +107,11 @@ impl HostProfile {
 
     /// TCP ping: kernel TCP SYN processing; listen-queue locking gives it
     /// the widest tail of the request/response services (paper ratio 2.98).
+    ///
+    /// Fitted to Table 4's TCP ping host cells, 21.79 / 65.00 µs and
+    /// 1.012 Mq/s, and its SYN and wake-up shapes to §5.6's highest host
+    /// tail-to-average, 2.98; pinned by Table 4 · tcp-ping · host avg,
+    /// p99, throughput and §5.6 · host · highest tail-to-average.
     pub fn tcp_ping() -> Self {
         let mut stages = rx_stages(0.9);
         stages.insert(4, stage("tcp-syn-handling", 9.5, 0.85));
@@ -109,6 +126,11 @@ impl HostProfile {
 
     /// DNS: a user-space resolver (the app stage dominates; its per-query
     /// work is long but *regular*, hence the paper's tight 1.09 ratio).
+    ///
+    /// Fitted to Table 4's DNS host cells, 126.46 / 138.33 µs and
+    /// 0.226 Mq/s, and the resolver's shape to §5.6's lowest host
+    /// tail-to-average, 1.09; pinned by Table 4 · dns · host avg, p99,
+    /// throughput and §5.6 · host · lowest tail-to-average.
     pub fn dns() -> Self {
         let mut stages = rx_stages(0.30);
         stages.push(stage("syscall-recv", 2.1, 0.15));
@@ -125,6 +147,10 @@ impl HostProfile {
 
     /// NAT: the kernel forwarding path of a *loaded* gateway — per-packet
     /// conntrack work is sub-µs, latency is gateway queueing.
+    ///
+    /// The queueing stage is a modelling choice fitted to Table 4's NAT
+    /// host cells, 2444.76 / 6185.27 µs and 1.037 Mq/s; pinned by
+    /// Table 4 · nat · host avg, p99, throughput.
     pub fn nat() -> Self {
         HostProfile {
             name: "nat",
@@ -140,6 +166,10 @@ impl HostProfile {
     }
 
     /// Memcached: 4 worker threads, UDP + ASCII (§5.4's setup).
+    ///
+    /// Fitted to Table 4's memcached host cells, 24.29 µs and 0.876 Mq/s
+    /// (pinned by Table 4 · memcached · host avg, throughput); its p99
+    /// reads 35.15 µs against the paper's 28.65, a recorded deviation.
     pub fn memcached() -> Self {
         let mut stages = rx_stages(0.38);
         stages.push(stage("syscall-recv", 2.2, 0.18));
@@ -218,64 +248,6 @@ impl HostProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Paper Table 4 host column: (avg µs, p99 µs, Mq/s).
-    const PAPER: [(&str, f64, f64, f64); 5] = [
-        ("icmp-echo", 12.28, 22.63, 1.068),
-        ("tcp-ping", 21.79, 65.00, 1.012),
-        ("dns", 126.46, 138.33, 0.226),
-        ("nat", 2444.76, 6185.27, 1.037),
-        ("memcached", 24.29, 28.65, 0.876),
-    ];
-
-    #[test]
-    fn latency_lands_near_paper_values() {
-        for (profile, (name, avg, p99, _)) in HostProfile::all().iter().zip(PAPER) {
-            assert_eq!(profile.name, name);
-            let s = profile.latency_run(100_000, 42);
-            let mean_us = s.mean / 1000.0;
-            let p99_us = s.p99 / 1000.0;
-            assert!(
-                (mean_us - avg).abs() / avg < 0.25,
-                "{name}: mean {mean_us:.2} vs paper {avg}"
-            );
-            assert!(
-                (p99_us - p99).abs() / p99 < 0.35,
-                "{name}: p99 {p99_us:.2} vs paper {p99}"
-            );
-        }
-    }
-
-    #[test]
-    fn throughput_lands_near_paper_values() {
-        for (profile, (name, _, _, mqps)) in HostProfile::all().iter().zip(PAPER) {
-            let got = profile.throughput_rps(200_000, 7) / 1e6;
-            assert!(
-                (got - mqps).abs() / mqps < 0.15,
-                "{name}: {got:.3} Mq/s vs paper {mqps}"
-            );
-        }
-    }
-
-    #[test]
-    fn tail_ratios_match_section_5_6() {
-        // §5.6: host tail-to-average varies from 1.09 to 2.98.
-        let mut ratios: Vec<f64> = HostProfile::all()
-            .iter()
-            .map(|p| p.latency_run(100_000, 11).tail_to_average())
-            .collect();
-        ratios.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-        assert!(
-            ratios[0] > 1.0 && ratios[0] < 1.2,
-            "min ratio {}",
-            ratios[0]
-        );
-        assert!(
-            ratios[ratios.len() - 1] > 2.0 && ratios[ratios.len() - 1] < 3.6,
-            "max ratio {}",
-            ratios[ratios.len() - 1]
-        );
-    }
 
     #[test]
     fn breakdown_sums_to_latency_scale() {

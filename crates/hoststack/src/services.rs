@@ -380,6 +380,82 @@ mod tests {
         )
     }
 
+    /// A request each service answers: an ICMP echo, a DNS query for a
+    /// zone name, memcached SET, GET and DELETE of a stored key.
+    fn requests() -> [Frame; 5] {
+        let echo = wire::echo_request(1, 2, &[7; 56]);
+        [
+            wire::ipv4_frame(mac(2), mac(1), CLIENT, SERVER, ip_proto::ICMP, 0, &echo, 0),
+            dns_frame("a.b"),
+            mc_frame("set foo 0 0 8\r\nAAAABBBB\r\n"),
+            mc_frame("get foo\r\n"),
+            mc_frame("delete foo\r\n"),
+        ]
+    }
+
+    /// One mutation of a valid request, chosen and placed by `pick`:
+    /// flipped bits, a truncation, or a piece of another request spliced
+    /// into it, over part of it, or a piece cut out of it.
+    fn mutate(valid: &[u8], other: &[u8], pick: &[u64]) -> Vec<u8> {
+        let mut bytes = valid.to_vec();
+        let at = |k: usize, n: usize| (pick[k % pick.len()] as usize) % n.max(1);
+        match pick[0] % 3 {
+            0 => {
+                for k in 1..=1 + at(1, 8) {
+                    let bit = at(k + 1, bytes.len() * 8);
+                    bytes[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+            1 => bytes.truncate(at(1, bytes.len())),
+            _ => {
+                let src = at(2, other.len());
+                let piece = other[src..src + at(3, other.len() - src + 1)].to_vec();
+                let dst = at(4, bytes.len() + 1);
+                match pick[5] % 3 {
+                    0 => drop(bytes.splice(dst..dst, piece)),
+                    1 => {
+                        let end = (dst + piece.len()).min(bytes.len());
+                        drop(bytes.splice(dst..end, piece));
+                    }
+                    _ => drop(bytes.drain(dst..dst + at(6, bytes.len() - dst + 1))),
+                }
+            }
+        }
+        bytes
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+        /// Each service is fed whatever frame arrives, as a checker's
+        /// reference is: a damaged request of any of the three protocols
+        /// gives replies or none, never a panic, within a second, and
+        /// every reply leaves by the port the request came in on.
+        #[test]
+        fn mutated_frames_get_replies_or_none(
+            pick in proptest::collection::vec(proptest::prelude::any::<u64>(), 8..9)
+        ) {
+            let reqs = requests();
+            let valid = &reqs[(pick[7] % 5) as usize];
+            let other = &reqs[(pick[6] % 5) as usize];
+            let mut frame = Frame::new(mutate(valid.bytes(), other.bytes(), &pick));
+            frame.in_port = (pick[6] >> 8) as u8 % 4;
+            let mut mc = HostMemcached::default();
+            mc.process(&reqs[2]);
+            let mut dns = HostDns::new(vec![("a.b".into(), "1.2.3.4".parse().unwrap())]);
+            let t = std::time::Instant::now();
+            let replies = [
+                HostIcmpEcho.process(&frame),
+                dns.process(&frame),
+                mc.process(&frame),
+            ];
+            proptest::prop_assert!(t.elapsed() < std::time::Duration::from_secs(1));
+            for reply in replies.iter().flatten() {
+                proptest::prop_assert_eq!(reply.in_port, frame.in_port);
+            }
+        }
+    }
+
     #[test]
     fn dns_resolves_and_nxdomains() {
         let mut svc = HostDns::new(vec![("a.b".into(), "1.2.3.4".parse().unwrap())]);

@@ -18,7 +18,7 @@
 //!    exceed [`CostModel::period_units`].
 //!
 //! Lowering the clock-period budget models a higher clock frequency /
-//! deeper pipeline; the `ablation-parallelism` bench uses this to
+//! deeper pipeline; the §5.3 ablation in `emu_bench` uses this to
 //! reproduce the paper's observation (§2, §5.3) that adding parallelism
 //! (pipeline depth) *increases* network latency.
 //!

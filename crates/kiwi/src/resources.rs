@@ -14,8 +14,9 @@
 //! LUT/bit for carry chains, 1 LUT per 2 bits of 2:1 mux, ~w²/8 for small
 //! array multipliers). The paper's own breakdown (§5.3: 85 % of the Emu
 //! switch is the CAM, 15 % generated logic) anchors the CAM constants.
-//! Absolute agreement with Vivado is *not* claimed; `emu-bench`'s
-//! `table3` and `table5` bins print measured vs paper values side by side.
+//! Absolute agreement with Vivado is *not* claimed; `emu-bench`'s `paper`
+//! bin prints its Table 3 and Table 5 cells beside the paper's, and the
+//! cells it misses are named deviations there.
 
 use crate::fsm::Fsm;
 use kiwi_ir::ast::{BinOp, Expr, UnOp};

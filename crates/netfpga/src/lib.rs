@@ -12,8 +12,8 @@
 //! * [`native`] — the Table 3 baselines: the hand-written reference
 //!   switch and the P4FPGA-generated switch,
 //! * [`pipeline`] — the discrete-event pipeline simulation that produces
-//!   module latency, end-to-end latency and throughput, including the
-//!   multi-core configuration of §5.4.
+//!   module latency, end-to-end latency and throughput (§5.4's multi-core
+//!   memcached is one pipeline per core, `emu_bench::scaling`).
 
 #![forbid(unsafe_code)]
 
@@ -24,4 +24,4 @@ pub mod timing;
 
 pub use dataplane::{declare, CoreOutput, DataplaneDriver, DataplanePorts, TxFrame, TxList};
 pub use native::{MacTable, NativeCore, P4FpgaConfig, P4FpgaCore, RefSwitchCore};
-pub use pipeline::{CoreMode, FrameRecord, MultiCoreSim, PipelineSim};
+pub use pipeline::{CoreMode, FrameRecord, PipelineSim};

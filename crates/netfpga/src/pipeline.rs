@@ -230,12 +230,6 @@ impl PipelineSim {
     }
 }
 
-/// Snaps a time to the next 5 ns clock edge (the only latency "jitter" a
-/// synchronous design exhibits; cf. §5.6 on hardware predictability).
-fn snap(t_ns: f64) -> f64 {
-    snap_to(t_ns, timing::NS_PER_CYCLE)
-}
-
 /// Snaps a time to the next edge of an arbitrary clock grid.
 fn snap_to(t_ns: f64, cyc_ns: f64) -> f64 {
     (t_ns / cyc_ns).ceil() * cyc_ns
@@ -250,78 +244,6 @@ fn admit(t_arrival: f64, core_free: f64, cyc_ns: f64) -> f64 {
         core_free
     } else {
         snap_to(t_arrival, cyc_ns)
-    }
-}
-
-/// A pipeline with one Emu core per port — the §5.4 multi-core Memcached
-/// configuration ("using four Emu cores (one per port) further increases
-/// \[throughput\] by 3.7×... SET requests must be applied to all
-/// instances").
-pub struct MultiCoreSim {
-    cores: Vec<DataplaneDriver>,
-    envs: Vec<IpEnv>,
-    core_free_ns: Vec<f64>,
-    completions: Vec<f64>,
-    t_first_in: f64,
-}
-
-impl MultiCoreSim {
-    /// Builds an n-core pipeline from per-core drivers and environments.
-    pub fn new(cores: Vec<DataplaneDriver>, envs: Vec<IpEnv>) -> Self {
-        let n = cores.len();
-        assert_eq!(n, envs.len(), "one env per core");
-        MultiCoreSim {
-            cores,
-            envs,
-            core_free_ns: vec![0.0; n],
-            completions: Vec::new(),
-            t_first_in: f64::INFINITY,
-        }
-    }
-
-    /// Number of cores.
-    pub fn cores(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// Injects a request at `t_ns` on `port`. When `replicate` is set the
-    /// frame is applied to *every* core (SETs must hit all instances);
-    /// otherwise only `port`'s core serves it.
-    pub fn inject(
-        &mut self,
-        frame: &Frame,
-        t_ns: f64,
-        port: usize,
-        replicate: bool,
-    ) -> IrResult<()> {
-        self.t_first_in = self.t_first_in.min(t_ns);
-        let t_ready = t_ns + timing::wire_ns(frame.len()) + timing::MAC_PHY_NS + timing::ARBITER_NS;
-        let targets: Vec<usize> = if replicate {
-            (0..self.cores.len()).collect()
-        } else {
-            vec![port % self.cores.len()]
-        };
-        let mut t_reply = 0.0f64;
-        for c in targets {
-            let out = self.cores[c].process(frame, &mut self.envs[c], &mut NullObserver)?;
-            let start = snap(t_ready.max(self.core_free_ns[c]));
-            let done = start + out.cycles as f64 * timing::NS_PER_CYCLE;
-            self.core_free_ns[c] = done;
-            t_reply = t_reply.max(done);
-        }
-        self.completions.push(
-            t_reply + timing::OUT_QUEUE_NS + timing::wire_ns(frame.len()) + timing::MAC_PHY_NS,
-        );
-        Ok(())
-    }
-
-    /// Achieved request rate (requests/s).
-    pub fn throughput_rps(&self) -> f64 {
-        if self.completions.len() < 2 {
-            return 0.0;
-        }
-        let t_last = self.completions.iter().fold(0.0f64, |a, &b| a.max(b));
-        self.completions.len() as f64 / ((t_last - self.t_first_in) / 1e9)
     }
 }
 
@@ -396,6 +318,9 @@ mod tests {
 
     #[test]
     fn snap_quantizes_to_cycle_grid() {
+        // The only latency "jitter" a synchronous design exhibits (cf.
+        // §5.6 on hardware predictability).
+        let snap = |t| snap_to(t, timing::NS_PER_CYCLE);
         assert_eq!(snap(0.0), 0.0);
         assert_eq!(snap(0.1), 5.0);
         assert_eq!(snap(5.0), 5.0);

@@ -399,6 +399,13 @@ fn cam_counters(ports: &CamIf, t: &CamTable) -> CamCounters {
 /// free slot, otherwise reclaim an expired entry, otherwise overwrite
 /// round-robin (how the NetFPGA reference switch handles MAC-table
 /// overflow).
+///
+/// The one-cycle lookup is a modelling choice: the paper gives no CAM
+/// latency, only the switch's module latency. It is pinned by
+/// `emu_bench`'s cell Table 3 · Emu · module latency (6 cycles, a
+/// recorded deviation from the paper's 8) and by every Emu latency cell
+/// of Table 4 whose service looks up a CAM (nat, memcached), and cycle
+/// for cycle by `tests/ipblock_golden.rs`.
 pub struct CamModel {
     ports: CamIf,
     native: bool,
@@ -627,6 +634,10 @@ impl HashIf {
 }
 
 /// Streaming Pearson hash unit with the Figure 5 seed handshake.
+///
+/// One byte a cycle and a one-cycle seed handshake are modelling
+/// choices (the paper gives the protocol, not its timing); no paper cell
+/// reads them and no shipped service uses the unit.
 ///
 /// Seeding (paper Figure 5): the program waits for `init_ready` low, puts
 /// the seed on `data_in`, raises `init_enable`; the unit latches the seed,
@@ -867,6 +878,9 @@ impl NaughtyQIf {
 
 /// The slot-store + recency-queue block behind the paper's LRU cache
 /// (Figure 9: `NaughtyQ.Enlist`, `NaughtyQ.Read`, `NaughtyQ.BackOfQ`).
+/// Each operation answers in the cycle after its request, a modelling
+/// choice no paper cell reads; `lru_cache_is_pinned` in
+/// `tests/ipblock_golden.rs` pins it cycle for cycle.
 ///
 /// `Enlist` allocates a slot for a value (evicting the least-recently-used
 /// slot when full — the eviction logic that would have to live in the
@@ -1054,7 +1068,9 @@ impl BramIf {
 }
 
 /// Single-port block RAM with one-cycle read latency — the "on-chip
-/// memory" scaling option of §5.4's optimizations discussion.
+/// memory" scaling option of §5.4's optimizations discussion. The
+/// latency is a modelling choice (a BRAM's registered read); no paper
+/// cell reads it.
 pub struct BramModel {
     ports: BramIf,
     data: Vec<Bits>,

@@ -228,7 +228,7 @@ mod tests {
     fn cycle_count_in_expected_band() {
         // The verification loop makes a 56-byte ping cost tens of cycles:
         // that is what grounds Table 4's ~3.2 Mq/s (≈ 62 cycle service
-        // time at 200 MHz). Accept a band; `emu-bench`'s `table4` prints
+        // time at 200 MHz). Accept a band; `emu-bench`'s `paper` bin prints
         // the exact values.
         let svc = icmp_echo();
         let mut inst = svc.engine(Target::Fpga).build().unwrap();

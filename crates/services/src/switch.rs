@@ -232,7 +232,7 @@ mod tests {
     #[test]
     fn module_latency_near_paper() {
         // Table 3: Emu switch module latency 8 cycles. Accept a small
-        // band — `emu-bench`'s `table3` prints the exact measured value.
+        // band — `emu-bench`'s `paper` bin prints the exact measured value.
         let svc = switch_ip_cam();
         let mut inst = svc.engine(Target::Fpga).build().unwrap();
         inst.process(&frame(0xB, 0xA, 1)).unwrap();

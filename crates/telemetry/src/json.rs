@@ -500,6 +500,88 @@ mod tests {
         }
     }
 
+    /// Documents of the shapes reports carry: nested objects and arrays,
+    /// escapes, non-ASCII text, integers, fractions and exponents.
+    const DOCS: [&str; 3] = [
+        r#"{"schema": "emu-bench/1", "rows": [{"name": "nat", "mpps": 1.25e1, "ok": true}]}"#,
+        r#"[null, false, -0.5, 12345678901, "tab\there \u00e9 \"q\"", {"": []}]"#,
+        "{\n  \"notes\": [\"µs ÷ 2\", \"\\\\\"],\n  \"n\": -7E-3,\n  \"deep\": [[[{}]]]\n}\n",
+    ];
+
+    /// One mutation of a valid document, chosen and placed by `pick`:
+    /// flipped bits, a truncation, or a piece of another document
+    /// spliced into it, over part of it, or a piece cut out of it.
+    fn mutate(valid: &[u8], pick: &[u64]) -> Vec<u8> {
+        let mut bytes = valid.to_vec();
+        let at = |k: usize, n: usize| (pick[k % pick.len()] as usize) % n.max(1);
+        match pick[0] % 3 {
+            0 => {
+                for k in 1..=1 + at(1, 8) {
+                    let bit = at(k + 1, bytes.len() * 8);
+                    bytes[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+            1 => bytes.truncate(at(1, bytes.len())),
+            _ => {
+                let other = DOCS[at(1, DOCS.len())].as_bytes();
+                let src = at(2, other.len());
+                let piece = other[src..src + at(3, other.len() - src + 1)].to_vec();
+                let dst = at(4, bytes.len() + 1);
+                match pick[5] % 3 {
+                    0 => drop(bytes.splice(dst..dst, piece)),
+                    1 => {
+                        let end = (dst + piece.len()).min(bytes.len());
+                        drop(bytes.splice(dst..end, piece));
+                    }
+                    _ => drop(bytes.drain(dst..dst + at(6, bytes.len() - dst + 1))),
+                }
+            }
+        }
+        bytes
+    }
+
+    /// Whether every number in `j` is finite, so that writing it and
+    /// parsing it back is defined (JSON has no NaN or infinity).
+    fn finite(j: &Json) -> bool {
+        match j {
+            Json::Num(n) => n.is_finite(),
+            Json::Arr(items) => items.iter().all(finite),
+            Json::Obj(members) => members.iter().all(|(_, v)| finite(v)),
+            _ => true,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+        /// The parser never panics and never runs long on a damaged
+        /// document: it returns `Ok` or `Err`, and a value it accepts
+        /// writes, compact and pretty, as text that parses back to it.
+        #[test]
+        fn mutated_documents_parse_or_fail_cleanly(
+            pick in proptest::collection::vec(proptest::prelude::any::<u64>(), 8..9)
+        ) {
+            let valid = DOCS[(pick[7] % DOCS.len() as u64) as usize];
+            let bytes = mutate(valid.as_bytes(), &pick);
+            let text = String::from_utf8_lossy(&bytes);
+            let t = std::time::Instant::now();
+            let parsed = Json::parse(&text);
+            proptest::prop_assert!(t.elapsed() < std::time::Duration::from_secs(1));
+            if let Some(j) = parsed.ok().filter(finite) {
+                proptest::prop_assert_eq!(Json::parse(&j.to_string()), Ok(j.clone()));
+                proptest::prop_assert_eq!(Json::parse(&j.pretty()), Ok(j));
+            }
+        }
+    }
+
+    #[test]
+    fn every_seed_document_parses() {
+        for doc in DOCS {
+            let j = Json::parse(doc).unwrap_or_else(|e| panic!("{doc}: {e}"));
+            assert_eq!(Json::parse(&j.to_string()), Ok(j));
+        }
+    }
+
     #[test]
     fn integers_print_without_fraction() {
         assert_eq!(Json::from(1_000_000u64).to_string(), "1000000");

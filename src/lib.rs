@@ -82,8 +82,9 @@
 //! [`simnet::NetSim::add_service`]. `tests/sharding.rs` holds the
 //! scale-out claim — a stateless service's batch time under the cost
 //! model falls with every added shard — and
-//! `cargo run --release -p emu-bench --bin scaling` reproduces the
-//! paper's §5.4 multi-core memcached figure.
+//! `emu_bench::scaling` measures the paper's §5.4 multi-core memcached
+//! figure (one pipeline per core; `cargo run --release -p emu-bench --bin
+//! paper` prints it with every other §5 cell).
 //!
 //! ## Execution backends
 //!
@@ -308,10 +309,10 @@
 //! Host-speed numbers come from one place: `bash benchmark/run.sh`
 //! (`emubench`, described in `benchmark/README.md`) runs six workloads
 //! and writes three end-to-end metrics and the per-layer breakdown for
-//! each; `BENCHMARK.json` is its contract. The bins in `crates/bench`
-//! reproduce the paper's tables (`table3`, `table4`, `table5`, `tails`,
-//! `scaling`, `ablation_parallelism`) in model time, and `soak` hunts
-//! bugs; none of them is a performance record.
+//! each; `BENCHMARK.json` is its contract. `crates/bench` holds the
+//! paper's evaluation as one table of cited cells, measured in model
+//! time, gated by its test and printed by the `paper` bin; its `soak`
+//! bin hunts bugs. Neither is a performance record.
 //!
 //! ## Closed-loop hosts
 //!
