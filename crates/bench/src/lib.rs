@@ -530,7 +530,7 @@ pub fn readings() -> IrResult<Vec<Reading>> {
         for run in runs {
             all.extend(run.join().expect("a measuring thread panicked")?);
         }
-        all.sort_by_key(|r| cells().position(|c| std::ptr::eq(c, r.cell)));
+        all.sort_by_key(|r| cells().position(|c| c == r.cell));
         Ok(all)
     })
 }
@@ -701,38 +701,59 @@ const LATENCY_PROBES: usize = 50;
 const SATURATING_REQUESTS: usize = 1_000;
 
 /// Measures Table 4 — each service on the pipeline simulator and its
-/// host profile on the Linux-path model — and, from the same runs, the
-/// §5.6 cells.
+/// host profile on the Linux-path model ([`table4_host`]) — and, from
+/// the same runs, the §5.6 cells.
 pub fn table4() -> IrResult<Vec<Reading>> {
-    let mut out = Vec::new();
-    let (mut emu_tails, mut host_tails) = (Vec::new(), Vec::new());
-    for (svc, host) in table4_services().iter().zip(HostProfile::all()) {
+    let (mut out, host_latency) = table4_host();
+    let mut emu_tails = Vec::new();
+    for (svc, lat) in table4_services().iter().zip(&host_latency) {
         let (service, warm) = ((svc.build)(), svc.name == "memcached");
         let emu = emu_latency(&service, svc.request, LATENCY_PROBES, warm)?;
         let emu_rps = emu_throughput(&service, svc.request, SATURATING_REQUESTS, warm)?;
-        let lat = host.latency_run(20_000, 42);
         for (column, ours) in [
             (EMU_AVG, emu.mean / 1e3),
             (EMU_P99, emu.p99 / 1e3),
             (EMU_MQPS, emu_rps / 1e6),
-            (HOST_AVG, lat.mean / 1e3),
-            (HOST_P99, lat.p99 / 1e3),
-            (HOST_MQPS, host.throughput_rps(50_000, 7) / 1e6),
         ] {
             out.push(Reading::of(T4, svc.name, column, ours));
         }
         out.push(Reading::of(S56, svc.name, TAIL_SPREAD, emu.p99 - emu.p50));
         out.push(Reading::of(S56, svc.name, MEDIAN_GAP, lat.p50 / emu.p50));
         emu_tails.push(emu.tail_to_average());
-        host_tails.push(lat.tail_to_average());
     }
-    for (row, tails) in [("Emu", emu_tails), ("host", host_tails)] {
-        let min = tails.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = tails.iter().copied().fold(0.0, f64::max);
-        out.push(Reading::of(S56, row, MIN_TAIL, min));
-        out.push(Reading::of(S56, row, MAX_TAIL, max));
-    }
+    push_tail_span(&mut out, "Emu", &emu_tails);
     Ok(out)
+}
+
+/// Measures Table 4's host columns — each [`HostProfile`] on the
+/// Linux-path model, 20 000 latency samples (seed 42) and 50 000
+/// throughput requests (seed 7) — and §5.6's host tail-to-average span.
+/// Also returns each profile's latency summary, in
+/// [`HostProfile::all`]'s order, for [`table4`]'s §5.6 median gap.
+pub fn table4_host() -> (Vec<Reading>, Vec<Summary>) {
+    let (mut out, mut latency) = (Vec::new(), Vec::new());
+    for host in HostProfile::all() {
+        let lat = host.latency_run(20_000, 42);
+        for (column, ours) in [
+            (HOST_AVG, lat.mean / 1e3),
+            (HOST_P99, lat.p99 / 1e3),
+            (HOST_MQPS, host.throughput_rps(50_000, 7) / 1e6),
+        ] {
+            out.push(Reading::of(T4, host.name, column, ours));
+        }
+        latency.push(lat);
+    }
+    let tails: Vec<f64> = latency.iter().map(Summary::tail_to_average).collect();
+    push_tail_span(&mut out, "host", &tails);
+    (out, latency)
+}
+
+/// Pushes §5.6's lowest and highest tail-to-average ratio of `row`.
+fn push_tail_span(out: &mut Vec<Reading>, row: &str, tails: &[f64]) {
+    let min = tails.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = tails.iter().copied().fold(0.0, f64::max);
+    out.push(Reading::of(S56, row, MIN_TAIL, min));
+    out.push(Reading::of(S56, row, MAX_TAIL, max));
 }
 
 /// Measures Table 5: DNS and memcached extended with the direction
@@ -877,27 +898,36 @@ pub fn ablation() -> IrResult<Vec<Reading>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// [`readings`], measured once and shared by every test here.
+    fn measured() -> &'static [Reading] {
+        static READINGS: OnceLock<Vec<Reading>> = OnceLock::new();
+        READINGS.get_or_init(|| readings().unwrap())
+    }
+
+    /// Holds every reading whose cell is `wanted` to the cell's check,
+    /// or — a recorded deviation — to within `DEVIATION_TOLERANCE` of
+    /// our recorded reading; returns how many it held. (`-- --nocapture`
+    /// prints the readings.)
+    fn hold(wanted: impl Fn(&Cell) -> bool) -> usize {
+        let held: Vec<&Reading> = measured().iter().filter(|r| wanted(r.cell)).collect();
+        for r in &held {
+            let c = r.cell;
+            println!("{} · {} · {}: {}", c.artefact, c.row, c.column, r.ours);
+        }
+        let failures: Vec<String> = held.iter().filter_map(|r| r.verdict().err()).collect();
+        assert!(failures.is_empty(), "{failures:#?}");
+        held.len()
+    }
 
     #[test]
     fn every_paper_cell_holds() {
-        // Every cell of `PAPER` read exactly once, and each within its
-        // check or — a recorded deviation — within `DEVIATION_TOLERANCE`
-        // of our recorded reading. (`-- --nocapture` prints the
-        // readings.)
-        let readings = readings().unwrap();
-        let mut failures = Vec::new();
-        for r in &readings {
-            println!(
-                "{} · {} · {}: {}",
-                r.cell.artefact, r.cell.row, r.cell.column, r.ours
-            );
-            if let Err(e) = r.verdict() {
-                failures.push(e);
-            }
-        }
-        assert!(failures.is_empty(), "{failures:#?}");
+        // Every cell of `PAPER` read exactly once and held, and every
+        // recorded deviation names a cell.
+        assert_eq!(hold(|_| true), cells().count());
         for c in cells() {
-            let n = readings.iter().filter(|r| std::ptr::eq(r.cell, c)).count();
+            let n = measured().iter().filter(|r| r.cell == c).count();
             assert_eq!(
                 n, 1,
                 "{} · {} · {} read {n} times",
@@ -911,6 +941,18 @@ mod tests {
     }
 
     #[test]
+    fn table3_stays_near_the_paper() {
+        // Line rate within 1 %, the reference's 6 and P4FPGA's 85 cycles
+        // exact, the Emu/reference logic ratio within 8 %.
+        assert_eq!(hold(|c| c.artefact == T3), TABLE3.len());
+    }
+
+    #[test]
+    fn table4_stays_near_the_paper() {
+        assert_eq!(hold(|c| c.artefact == T4), TABLE4.len());
+    }
+
+    #[test]
     fn scaling_does_not_time_the_warm_up() {
         // Stretching the gap between §5.4's warm-up SETs tenfold must not
         // move the speedup: the warm-up is outside the measured interval.
@@ -921,9 +963,8 @@ mod tests {
 
     #[test]
     fn emu_throughput_exceeds_host_for_every_service() {
-        let readings = table4().unwrap();
         let cell = |row: &str, column: &str| {
-            let r = readings
+            let r = measured()
                 .iter()
                 .find(|r| (r.cell.row, r.cell.column) == (row, column));
             r.expect(column).ours

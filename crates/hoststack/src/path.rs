@@ -248,6 +248,53 @@ impl HostProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emu_bench::{Cell, Reading};
+    use std::sync::OnceLock;
+
+    /// The paper gate's readings of this crate's cells — Table 4's host
+    /// columns and §5.6's host tail-to-average span — measured once by
+    /// `emu_bench::table4_host`, the function `every_paper_cell_holds`
+    /// takes them from.
+    fn gate_readings() -> &'static [Reading] {
+        static READINGS: OnceLock<Vec<Reading>> = OnceLock::new();
+        READINGS.get_or_init(|| emu_bench::table4_host().0)
+    }
+
+    /// Holds every gate reading whose cell is `wanted` to the cell's
+    /// check (or its recorded deviation); returns how many it held.
+    fn hold(wanted: impl Fn(&Cell) -> bool) -> usize {
+        let held: Vec<&Reading> = gate_readings().iter().filter(|r| wanted(r.cell)).collect();
+        let failures: Vec<String> = held.iter().filter_map(|r| r.verdict().err()).collect();
+        assert!(failures.is_empty(), "{failures:#?}");
+        held.len()
+    }
+
+    /// Whether `cell` is Table 4's `column` for one of [`HostProfile::all`].
+    fn host_column(cell: &Cell, column: &str) -> bool {
+        let profiles = HostProfile::all();
+        cell.artefact == "Table 4"
+            && cell.column == column
+            && profiles.iter().any(|p| p.name == cell.row)
+    }
+
+    #[test]
+    fn latency_lands_near_paper_values() {
+        let n = hold(|c| host_column(c, "host avg (µs)") || host_column(c, "host p99 (µs)"));
+        assert_eq!(n, 2 * HostProfile::all().len());
+    }
+
+    #[test]
+    fn throughput_lands_near_paper_values() {
+        let n = hold(|c| host_column(c, "host throughput (Mq/s)"));
+        assert_eq!(n, HostProfile::all().len());
+    }
+
+    #[test]
+    fn tail_ratios_match_section_5_6() {
+        // §5.6: host tail-to-average varies from 1.09 to 2.98.
+        let n = hold(|c| c.artefact == "§5.6" && c.row == "host");
+        assert_eq!(n, 2);
+    }
 
     #[test]
     fn breakdown_sums_to_latency_scale() {
