@@ -7,7 +7,7 @@
 //! slow — it re-decodes the same `Expr` nodes every frame, builds a
 //! [`Bits`] at every node, and re-resolves widths on every binary op.
 //! This module trades that tree for a **pre-decoded linear program** of
-//! 32 micro-ops ([`MOp`]) over one file of `u64` slots:
+//! 31 micro-ops ([`MOp`]) over one file of `u64` slots:
 //!
 //! * every `VarId` / `ArrId` / `SigId` is resolved to a plain index at
 //!   lowering time,
@@ -29,13 +29,17 @@
 //! * **Scratch** ([`CompiledProgram::scratch_base`] up): every thread's
 //!   regions number their values from there, each written once before
 //!   it is read within a region, and the threads share them (a thread
-//!   runs to its pause before the next starts).
+//!   runs to its pause before the next starts). A scratch slot is one
+//!   micro-op lowering emitted: a node an expression shares is lowered
+//!   once per statement and its slot read by every use, so a thread
+//!   never needs more scratch than its naive lowering has micro-ops.
 //! * **The constant pool** ([`CompiledProgram::pool`], from
 //!   [`CompiledProgram::pool_base`]), above every thread's scratch: each
 //!   distinct constant of the program has one slot there. A literal
-//!   lowers to its pool slot and nothing else, and a pass that folds a
-//!   value rewrites the folded op into a copy of the result's pool slot,
-//!   which copy propagation and dead-scratch elimination then remove.
+//!   lowers to its pool slot and nothing else; the one value a pass
+//!   folds (an out-of-range constant-index read, to zero) becomes a
+//!   copy of the zero's pool slot, which copy propagation and
+//!   dead-scratch elimination then remove.
 //!
 //! [`crate::Core::new`] extends the state's file with the scratch and
 //! the pool once per running copy. Only the register stores write a
@@ -64,10 +68,10 @@
 //! implementation of arithmetic beyond 64 bits for the spec to disagree
 //! with.
 //!
-//! Lowering feeds the pass pipeline in [`crate::opt`] (constant folding,
-//! array-access strength reduction, redundant-load and
-//! common-subexpression elimination, adjacent-load pair fusion, copy
-//! propagation, dead scratch elimination) before the bytecode is frozen
+//! Lowering feeds the pass pipeline in [`crate::opt`] (array-access
+//! strength reduction, redundant-load and common-subexpression
+//! elimination, constant-index pair fusion, copy propagation, dead
+//! scratch elimination) before the bytecode is frozen
 //! into a [`CompiledProgram`] and the pool is laid out above the
 //! scratch. The passes treat the four evaluating
 //! micro-ops as opaque: they read machine state where they stand, and
@@ -161,10 +165,10 @@ impl Pool {
 }
 
 // ---------------------------------------------------------------------
-// Shared ALU helpers
+// ALU helpers
 //
-// Both the executor and the constant folder in `opt.rs` go through these
-// functions, so folding can never diverge from execution.
+// The executor's arithmetic; `opt.rs` bounds a value's set bits with the
+// two shifts.
 // ---------------------------------------------------------------------
 
 /// Bit mask covering the low `w` bits (`w >= 64` saturates to all-ones).
@@ -179,7 +183,7 @@ pub(crate) fn mask_of(w: u16) -> u64 {
 
 /// Arithmetic/logic in the result width encoded by `mask`.
 #[inline]
-pub(crate) fn bin_s(op: BinOp, a: u64, b: u64, mask: u64) -> u64 {
+fn bin_s(op: BinOp, a: u64, b: u64, mask: u64) -> u64 {
     match op {
         BinOp::Add => a.wrapping_add(b) & mask,
         BinOp::Sub => a.wrapping_sub(b) & mask,
@@ -194,7 +198,7 @@ pub(crate) fn bin_s(op: BinOp, a: u64, b: u64, mask: u64) -> u64 {
 /// Unsigned comparison (operands are canonical, so raw `u64` comparison
 /// equals comparison at the common width).
 #[inline]
-pub(crate) fn cmp_s(op: BinOp, a: u64, b: u64) -> u64 {
+fn cmp_s(op: BinOp, a: u64, b: u64) -> u64 {
     u64::from(match op {
         BinOp::Eq => a == b,
         BinOp::Ne => a != b,
@@ -269,32 +273,11 @@ pub enum MOp {
         /// Constant element index, proven in bounds at compile time.
         idx: u32,
     },
-    /// Fused read of two adjacent array elements, concatenated
-    /// high-to-low: with `i = (idx + off) & mask` and
-    /// `j = (i + 1) & mask`, `dst = (a[i] << bw) | a[j]`. The offset
-    /// add, wrap masks, and both loads reproduce the index arithmetic
-    /// the fusion replaced, micro-op for micro-op. Produced by
-    /// [`FusePairs`](crate::opt::Pass::FusePairs) from a `ConcatS` of
-    /// two loads at consecutive indices; each element reads the
-    /// architectural zero when out of range, exactly like the two
-    /// `LdArrS` it replaces.
-    LdArrPairS {
-        /// Destination slot.
-        dst: Slot,
-        /// Slot holding the base index.
-        idx: Slot,
-        /// Array index.
-        arr: u32,
-        /// Constant offset the replaced index add applied to `idx`.
-        off: u64,
-        /// Wrap mask the replaced index arithmetic applied.
-        mask: u64,
-        /// Element width in bits (the concat's low-part width).
-        bw: u16,
-    },
     /// Fused read of two adjacent array elements at compile-time-
     /// constant indices: `dst = (a[idx] << bw) | a[idx + 1]`, both
-    /// indices proven in bounds at compile time.
+    /// indices proven in bounds at compile time. Produced by
+    /// [`FusePairs`](crate::opt::Pass::FusePairs) from a `ConcatS` of
+    /// two such loads.
     LdArrPairCS {
         /// Destination slot.
         dst: Slot,
@@ -578,7 +561,7 @@ impl MOp {
             | LabelOp { .. }
             | ExtOp { .. }
             | HaltOp => {}
-            LdArrS { idx, .. } | LdArrPairS { idx, .. } | StArrE { idx, .. } => f(idx),
+            LdArrS { idx, .. } | StArrE { idx, .. } => f(idx),
             ConcatLdCS { a, .. }
             | CopyS { a, .. }
             | MaskS { a, .. }
@@ -624,7 +607,6 @@ impl MOp {
             LdSigS { dst, .. }
             | LdArrS { dst, .. }
             | LdArrCS { dst, .. }
-            | LdArrPairS { dst, .. }
             | LdArrPairCS { dst, .. }
             | ConcatLdCS { dst, .. }
             | CopyS { dst, .. }
@@ -809,10 +791,9 @@ struct ThreadCompiler<'a> {
     labels: Vec<String>,
     exprs: Vec<Expr>,
     next: Slot,
-    /// The statement's shared nodes lowered so far, by identity, with
-    /// the scratch slots their lowering numbered, and the order they were
-    /// lowered in (see [`ThreadCompiler::operand`]).
-    memo: HashMap<*const Expr, (Val, Slot)>,
+    /// The statement's shared nodes lowered so far, by identity, and the
+    /// order they were lowered in (see [`ThreadCompiler::operand`]).
+    memo: HashMap<*const Expr, Val>,
     memo_log: Vec<*const Expr>,
 }
 
@@ -856,31 +837,20 @@ impl<'a> ThreadCompiler<'a> {
     }
 
     /// Lowers the operand `x`, once per statement when it is shared: a
-    /// second use of the node reuses the first one's value. Reads have no
-    /// side effect and nothing in a statement stores before its terminal,
-    /// so the reuse cannot be seen.
-    ///
-    /// A reuse still steps past the scratch slots the first lowering
-    /// numbered, so every later slot keeps the number lowering the node
-    /// again would have given it. The passes merge such a second copy
-    /// into the first, which makes the optimized bytecode the same either
-    /// way, slot numbers included.
+    /// second use of the node reads the slot the first one's lowering
+    /// left, and numbers nothing. Reads have no side effect and nothing
+    /// in a statement stores before its terminal, so the reuse cannot be
+    /// seen, and every scratch slot is one micro-op lowering emitted.
     fn operand(&mut self, x: &Arc<Expr>) -> IrResult<Val> {
         if Arc::strong_count(x) == 1 {
             return self.expr(x);
         }
         let key = Arc::as_ptr(x);
-        if let Some(&(v, span)) = self.memo.get(&key) {
-            // A few shared nodes can spell out more slots than a slot
-            // number holds below the register mark.
-            self.next = (self.next.checked_add(span))
-                .filter(|&n| n < REG)
-                .ok_or_else(|| IrError("statement too large to lower".into()))?;
+        if let Some(&v) = self.memo.get(&key) {
             return Ok(v);
         }
-        let first = self.next;
         let v = self.expr(x)?;
-        self.memo.insert(key, (v, self.next - first));
+        self.memo.insert(key, v);
         self.memo_log.push(key);
         Ok(v)
     }
@@ -1350,21 +1320,6 @@ pub fn mops_to_string(cp: &CompiledProgram, ti: usize) -> String {
             MOp::LdSigS { dst, sig: s } => format!("{} <- sig {}", o(dst), sig(*s)),
             MOp::LdArrS { dst, arr: a, idx } => format!("{} <- {}[{}]", o(dst), arr(*a), o(idx)),
             MOp::LdArrCS { dst, arr: a, idx } => format!("{} <- {}[#{idx}]", o(dst), arr(*a)),
-            MOp::LdArrPairS {
-                dst,
-                idx,
-                arr: a,
-                off,
-                mask,
-                bw,
-            } => {
-                let n = arr(*a);
-                let i = o(idx);
-                format!(
-                    "{} <- {{{n}[({i}+{off:#x}) & {mask:#x}], {n}[+1]:u{bw}}}",
-                    o(dst)
-                )
-            }
             MOp::LdArrPairCS {
                 dst,
                 arr: a,
@@ -1504,21 +1459,6 @@ pub(crate) fn exec_thread<O: Observer + ?Sized>(
                     file[*dst as usize] = state.arrays[*arr as usize]
                         .get_u64(*idx as usize)
                         .expect(CONST_IDX);
-                }
-                MOp::LdArrPairS {
-                    dst,
-                    idx,
-                    arr,
-                    off,
-                    mask,
-                    bw,
-                } => {
-                    let a = &state.arrays[*arr as usize];
-                    let i = file[*idx as usize].wrapping_add(*off) & mask;
-                    let hi = a.get_u64(i as usize).unwrap_or(0);
-                    let j = i.wrapping_add(1) & mask;
-                    let lo = a.get_u64(j as usize).unwrap_or(0);
-                    file[*dst as usize] = (hi << bw) | lo;
                 }
                 MOp::LdArrPairCS { dst, arr, idx, bw } => {
                     let a = &state.arrays[*arr as usize];
@@ -1926,19 +1866,32 @@ mod tests {
     }
 
     #[test]
-    fn statement_spelling_out_too_many_slots_is_an_error() {
-        // Forty doublings of one shared node: a few dozen nodes whose
-        // expansion numbers more scratch slots than a slot can name.
+    fn shared_doublings_number_one_slot_per_micro_op() {
+        // Forty doublings, each adding two resizes of the one shared
+        // node below: a hundred-odd nodes whose every-use expansion
+        // would be 2^40 of them. Each node lowers once, and each scratch
+        // slot is one micro-op lowering emitted.
         let mut pb = ProgramBuilder::new("t");
-        let a = pb.reg("a", 32);
+        let a = pb.reg_init("a", 64, Bits::from_u64(1, 64));
         let e = (0..40).fold(var(a), |e, _| {
-            let x = resize(e, 32);
+            let x = resize(e, 64);
             add(x.clone(), x)
         });
         pb.thread("main", vec![assign(a, e), pause(), halt()]);
         let flat = flatten(&pb.build().unwrap()).unwrap();
-        let err = compile_with_passes(&flat, &[]).unwrap_err();
-        assert!(err.0.contains("too large"), "{err}");
+        for passes in [&[][..], crate::opt::default_pipeline()] {
+            let cp = compile_with_passes(&flat, passes).unwrap();
+            let t = &cp.threads[0];
+            assert!(t.n_slots <= 120, "{passes:?}: {} slots", t.n_slots);
+            let mut m = Core::new(Code::Compiled(cp));
+            m.run_cycles(1, &mut NullEnv, &mut NullObserver).unwrap();
+            assert_eq!(m.state().reg(VarId(0)).to_u64(), 1 << 40);
+        }
+        let naive = compile_with_passes(&flat, &[]).unwrap();
+        // Two copies and an add per doubling, each in a slot of its own.
+        let t = &naive.threads[0];
+        assert_eq!(t.mops.iter().filter(|m| m.dst().is_some()).count(), 120);
+        assert_eq!(t.n_slots, 120);
     }
 
     #[test]

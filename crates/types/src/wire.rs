@@ -384,6 +384,94 @@ mod tests {
         assert_eq!(l4_checksum(src, dst, ip_proto::TCP, &tcp), 0);
     }
 
+    /// A valid frame drawn by `pick`: a UDP datagram carrying a
+    /// memcached request (with its text), or a TCP segment, with a
+    /// payload of any length up to 63 bytes, odd ones included.
+    fn valid_frame(pick: &[u64]) -> (Frame, Option<Vec<u8>>) {
+        let (src, dst) = (Ipv4(pick[6] as u32), Ipv4((pick[6] >> 32) as u32));
+        let (sport, dport) = (pick[7] as u16, (pick[7] >> 16) as u16);
+        let body: String = (0..pick[7] >> 32 & 63)
+            .map(|k| char::from(b'a' + (k % 26) as u8))
+            .collect();
+        if pick[7] >> 48 & 1 == 0 {
+            let text = format!("get {body}");
+            let payload = mc_request(&text, pick[6] as u16);
+            let f = udp_frame(mac(1), mac(2), src, sport, dst, dport, &payload, 0);
+            (f, Some(text.into_bytes()))
+        } else {
+            let (seq, ack, flags) = (pick[6] as u32, (pick[6] >> 16) as u32, pick[7] as u8);
+            let f = tcp_frame(
+                mac(1),
+                mac(2),
+                src,
+                sport,
+                dst,
+                dport,
+                seq,
+                ack,
+                flags,
+                body.as_bytes(),
+                0,
+            );
+            (f, None)
+        }
+    }
+
+    /// One mutation of `valid`, chosen and placed by `pick`: flipped
+    /// bits, a truncation, or a piece of the frame spliced into it, over
+    /// part of it, or a piece cut out of it.
+    fn mutate(valid: &[u8], pick: &[u64]) -> Vec<u8> {
+        let mut bytes = valid.to_vec();
+        let at = |k: usize, n: usize| (pick[k % pick.len()] as usize) % n.max(1);
+        match pick[0] % 3 {
+            0 => {
+                for k in 1..=1 + at(1, 8) {
+                    let bit = at(k + 1, bytes.len() * 8);
+                    bytes[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+            1 => bytes.truncate(at(1, bytes.len())),
+            _ => {
+                let src = at(1, valid.len());
+                let piece = valid[src..src + at(2, valid.len() - src + 1)].to_vec();
+                let dst = at(3, bytes.len() + 1);
+                match pick[4] % 3 {
+                    0 => drop(bytes.splice(dst..dst, piece)),
+                    1 => {
+                        let end = (dst + piece.len()).min(bytes.len());
+                        drop(bytes.splice(dst..end, piece));
+                    }
+                    _ => drop(bytes.drain(dst..dst + at(5, bytes.len() - dst + 1))),
+                }
+            }
+        }
+        bytes
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+        /// The decoders take frames off a hostile wire: every frame
+        /// `udp_frame` / `tcp_frame` builds verifies, and a damaged one
+        /// gets an answer (`Some`, `None` or a clamped slice), never a
+        /// panic, within a second.
+        #[test]
+        fn mutated_frames_decode_or_fail_cleanly(
+            pick in proptest::collection::vec(proptest::prelude::any::<u64>(), 8..9)
+        ) {
+            let (valid, text) = valid_frame(&pick);
+            proptest::prop_assert_eq!(ipv4_csum_ok(&valid), Some(true));
+            proptest::prop_assert_eq!(l4_csum_ok(&valid), Some(true));
+            if let Some(text) = text {
+                proptest::prop_assert_eq!(reply_text(&valid), text);
+            }
+            let frame = Frame::new(mutate(valid.bytes(), &pick));
+            let t = std::time::Instant::now();
+            let _ = (reply_text(&frame), ipv4_csum_ok(&frame), l4_csum_ok(&frame));
+            proptest::prop_assert!(t.elapsed() < std::time::Duration::from_secs(1));
+        }
+    }
+
     #[test]
     fn payload_codecs_lay_out_their_headers() {
         assert_eq!(dns_name("a.b"), [1, b'a', 1, b'b', 0]);

@@ -95,7 +95,7 @@
 //! * [`Backend::Compiled`](stdlib::Backend) (**default**) — each thread
 //!   is lowered once, at build time, to a linear micro-op bytecode with
 //!   explicit scratch registers, pre-resolved ids and pre-computed
-//!   widths. The bytecode is a 64-bit machine — 32 micro-ops over one
+//!   widths. The bytecode is a 64-bit machine — 31 micro-ops over one
 //!   `u64` slot file, the machine state's registers, scratch above them
 //!   and the program's constant pool above that, so no micro-op loads a
 //!   register or a literal; the few sub-expressions
@@ -106,11 +106,11 @@
 //!   **cross-statement** optimization pass pipeline ([`ir::opt`]):
 //!   observer-visibility analysis widens optimization regions past
 //!   source-statement boundaries wherever no observer event intervenes,
-//!   and the widened regions get constant folding, array-access
-//!   strength reduction, redundant-load and common-subexpression
-//!   elimination, adjacent-load pair fusion, copy propagation, and
-//!   dead-scratch elimination — seven passes, each one kept because
-//!   removing it changes the bytecode of a shipped service
+//!   and the widened regions get array-access strength reduction,
+//!   redundant-load and common-subexpression elimination,
+//!   constant-index pair fusion, copy propagation, and dead-scratch
+//!   elimination — six passes, each one kept because removing it
+//!   changes the bytecode of a shipped service
 //!   (`tests/pass_census.rs`). Pick it everywhere
 //!   throughput matters — it is what `soak` and `emubench` drive, and
 //!   `bash benchmark/run.sh` reports its per-frame cost beside the
@@ -133,9 +133,11 @@
 //! children are shared `Arc` nodes (a service helper that uses a value
 //! four times holds it once), validation and the FSM scheduler's delay
 //! estimate visit a shared node once, and lowering compiles it once per
-//! statement and reuses its value, which leaves the optimized bytecode
-//! byte for byte what lowering every use would give after the passes
-//! (`default_listings_are_pinned` in `tests/artifacts.rs`).
+//! statement and reads its slot at every use, so a thread's scratch is
+//! never larger than the micro-ops its lowering emits
+//! (`scratch_is_numbered_by_what_lowering_emits` in
+//! `tests/pass_census.rs`; the listings themselves are pinned by
+//! `default_listings_are_pinned` in `tests/artifacts.rs`).
 //! [`Engine::process`](stdlib::Engine::process) and
 //! [`Engine::process_batch`](stdlib::Engine::process_batch) share one
 //! frame loop over that core on every target, so a frame's outputs,
@@ -144,7 +146,7 @@
 //! Three env knobs make the whole compilation story inspectable without
 //! code changes: `EMU_CPU_BACKEND=treewalk|compiled` picks the backend,
 //! `EMU_CPU_PASSES` overrides the pass list (`none` disables every
-//! optimization; or a comma list like `const_fold,copy_prop` — the
+//! optimization; or a comma list like `array_strength,copy_prop` — the
 //! builder mirror is
 //! [`EngineBuilder::passes`](stdlib::EngineBuilder::passes)), and
 //! `EMU_CPU_DUMP_MOPS=1` prints each thread's annotated micro-op listing

@@ -111,15 +111,15 @@ fn default_listings_are_pinned() {
     }
     let want: Vec<(&str, u64)> = vec![
         ("switch-cam", 0x650564d29ebe408a),
-        ("switch-behavioural", 0xc98dcd5b47d8c40e),
-        ("filter", 0x43602e4fc84a4645),
-        ("icmp", 0x62deb8abd517cd1f),
-        ("tcp-ping", 0x1b8a447ad63245cc),
-        ("dns", 0xa8b12b54d03f1e48),
-        ("memcached", 0x59f6c2f0d01a6c4b),
-        ("nat", 0x07b3930d17c24e24),
-        ("cache", 0xd1f9ce43f196a086),
-        ("memcached+direction", 0xcde0f6e74220e468),
+        ("switch-behavioural", 0x028ba1bfbe11ceaa),
+        ("filter", 0xd1d45c74e198b18f),
+        ("icmp", 0x9754fecc84683052),
+        ("tcp-ping", 0x935f6ed71f263141),
+        ("dns", 0x673cadcc65d31357),
+        ("memcached", 0x8346f96f526aaffd),
+        ("nat", 0xb7e9faa5d0e61706),
+        ("cache", 0xe08df84363346c14),
+        ("memcached+direction", 0xc8f9ed03573d9f21),
     ];
     assert_eq!(got, want, "the compiled bytecode moved");
 }

@@ -10,8 +10,8 @@
 //! share that is handed to the reference `eval`). The empty pipeline's
 //! counts are pinned: they are what lowering makes of shared nodes.
 //!
-//! The same programs pin the contracts of the slot file's registers
-//! and constant pool.
+//! The same programs pin the contracts of the slot file's registers,
+//! scratch and constant pool.
 
 use emu::debug::{extend_program, ControllerConfig};
 use emu::ir::compile::MOp;
@@ -70,13 +70,12 @@ fn variant(m: &MOp) -> String {
     s[..end].to_string()
 }
 
-/// Every variant of [`MOp`]. Lowering emits all but the five fused ops
+/// Every variant of [`MOp`]. Lowering emits all but the four fused ops
 /// of part (b), which only a pass produces.
-const VARIANTS: [&str; 32] = [
+const VARIANTS: [&str; 31] = [
     "LdSigS",
     "LdArrS",
     "LdArrCS",
-    "LdArrPairS",
     "LdArrPairCS",
     "ConcatLdCS",
     "CopyS",
@@ -162,13 +161,7 @@ fn every_default_pass_and_fused_op_shows_up_in_a_shipped_service() {
 
     // (b) Every micro-op that lowering never emits — only a pass can
     // produce it — must occur somewhere.
-    for name in [
-        "LdArrCS",
-        "StArrCS",
-        "LdArrPairS",
-        "LdArrPairCS",
-        "ConcatLdCS",
-    ] {
+    for name in ["LdArrCS", "StArrCS", "LdArrPairCS", "ConcatLdCS"] {
         let users: Vec<_> = services
             .iter()
             .zip(&full)
@@ -241,13 +234,46 @@ fn every_default_pass_and_fused_op_shows_up_in_a_shipped_service() {
         idle, kept,
         "a micro-op no shipped program emits must go, or be listed in KEPT_IDLE with its reason"
     );
-    // The machine is 64 bits wide: no micro-op carries more than two
-    // 64-bit immediates (`LdArrPairS`: offset and wrap mask).
+    // The machine is 64 bits wide: no micro-op carries more than one
+    // 64-bit immediate.
     assert!(
-        std::mem::size_of::<MOp>() <= 40,
+        std::mem::size_of::<MOp>() <= 24,
         "size_of::<MOp>() = {}",
         std::mem::size_of::<MOp>()
     );
+}
+
+/// The scratch, on every shipped program under the default and the
+/// empty pipeline: a scratch slot is one micro-op lowering emitted, so
+/// no thread numbers more scratch slots than its naive lowering has
+/// micro-ops. A node an expression shares is lowered once per statement
+/// and numbered once; numbering it again per use is what this catches.
+#[test]
+fn scratch_is_numbered_by_what_lowering_emits() {
+    println!(
+        "{:<22}{:>8}{:>8}  (scratch slots, widest thread)",
+        "service", "default", "none"
+    );
+    for (name, prog) in shipped() {
+        let naive = bytecode(&prog, &[]);
+        let mut row = format!("{name:<22}");
+        for passes in [default_pipeline(), &[][..]] {
+            let cp = compile_with_passes(&flatten(&prog).unwrap(), passes).unwrap();
+            for (t, raw) in cp.threads.iter().zip(&naive) {
+                assert!(
+                    t.n_slots <= raw.len(),
+                    "{name} ({} passes), thread {}: {} scratch slots for {} naive micro-ops",
+                    passes.len(),
+                    t.name,
+                    t.n_slots,
+                    raw.len()
+                );
+            }
+            let widest = cp.threads.iter().map(|t| t.n_slots).max().unwrap_or(0);
+            row.push_str(&format!("{widest:>8}"));
+        }
+        println!("{row}");
+    }
 }
 
 /// The constant pool, on every shipped program under the default and
