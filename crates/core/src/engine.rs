@@ -31,14 +31,16 @@
 //! * [`RssHash`] (the default): the Pearson-digest flow hash of
 //!   [`crate::flow_hash`]; every frame of one 5-tuple shares a shard, so
 //!   flow-keyed state (NAT mappings, learned MACs) partitions cleanly.
-//! * [`RoundRobin`]: stateless spreading for services with no cross-frame
-//!   state at all; ignores frame contents entirely.
 //! * [`NatSteering`]: external-port-keyed steering for NAT-shaped
 //!   services. Outbound frames follow the RSS hash; *inbound* frames are
 //!   steered by their destination (external) port to the shard that
 //!   allocated it, which plain RSS cannot do because the reply 5-tuple
 //!   hashes independently of the outbound one. See [`NatSteering`] for
 //!   the allocation-register contract.
+//!
+//! [`Dispatch::shard_of`] is pure: a function of the frame and the shard
+//! count only. The engine keeps no dispatch state, so its shards hold
+//! all of its mutable state.
 //!
 //! # Execution backends
 //!
@@ -132,7 +134,6 @@ use kiwi_ir::{Code, IrError, IrResult};
 use netfpga_sim::dataplane::CoreOutput;
 use netfpga_sim::DataplaneDriver;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
@@ -221,9 +222,10 @@ pub type EngineResult<T> = Result<T, EngineError>;
 /// pipelines a frame runs on, and may configure per-shard state at build
 /// time (e.g. disjoint resource ranges).
 ///
-/// Policies must be deterministic given their own state — the engine
-/// calls [`Dispatch::shard_of`] exactly once per offered frame, in input
-/// order, so sequential and parallel execution see the same assignment.
+/// [`Dispatch::shard_of`] must be a pure function of the frame and the
+/// shard count (a policy's fields are configuration it reads, never
+/// state it updates), so sequential and parallel execution, and a
+/// replay of the same frames, see the same assignment.
 pub trait Dispatch: Send {
     /// Policy name (diagnostics, bench labels).
     fn name(&self) -> &'static str;
@@ -252,33 +254,6 @@ impl Dispatch for RssHash {
     }
     fn shard_of(&self, frame: &Frame, shards: usize) -> usize {
         (flow_hash(frame) % shards as u64) as usize
-    }
-}
-
-/// Stateless round-robin: frame `i` goes to shard `i % N`, regardless of
-/// contents. Only correct for services with **no cross-frame state** (a
-/// mirror, a stateless filter): it deliberately ignores flows, so two
-/// frames of one connection will usually land on different shards. Each
-/// call to [`Dispatch::shard_of`] advances the rotor — it is a dispatch
-/// *decision*, not a pure query.
-#[derive(Debug, Default)]
-pub struct RoundRobin {
-    next: AtomicUsize,
-}
-
-impl RoundRobin {
-    /// A fresh rotor starting at shard 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Dispatch for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-    fn shard_of(&self, _frame: &Frame, shards: usize) -> usize {
-        self.next.fetch_add(1, Ordering::Relaxed) % shards
     }
 }
 
@@ -965,8 +940,7 @@ impl Engine {
         self.dispatch.name()
     }
 
-    /// The shard index `frame` dispatches to. For stateful policies
-    /// ([`RoundRobin`]) every call is a fresh dispatch decision.
+    /// The shard index `frame` dispatches to.
     ///
     /// # Panics
     ///
@@ -1337,23 +1311,6 @@ mod tests {
             single.iter().map(|o| o.cycles).sum::<u64>(),
             "no idle cycles between back-to-back frames"
         );
-    }
-
-    #[test]
-    fn round_robin_rotates() {
-        let svc = port_mirror();
-        let engine = svc
-            .engine(Target::Cpu)
-            .shards(3)
-            .dispatch(RoundRobin::new())
-            .build()
-            .unwrap();
-        let f = Frame::new(vec![0; 60]);
-        assert_eq!(engine.dispatch_name(), "round-robin");
-        assert_eq!(engine.shard_of(&f), 0);
-        assert_eq!(engine.shard_of(&f), 1);
-        assert_eq!(engine.shard_of(&f), 2);
-        assert_eq!(engine.shard_of(&f), 0);
     }
 
     #[test]

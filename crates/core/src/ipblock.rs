@@ -1,5 +1,5 @@
 //! The IP-block port handles of the Emu standard library: CAM,
-//! streaming hash, FIFO, BRAM, and the Figure 9 LRU cache.
+//! streaming hash, and the Figure 9 LRU cache.
 //!
 //! §3.4: "While C# provides an easy development environment, to maximize
 //! the performance of a design it is sometimes recommended to use
@@ -15,7 +15,7 @@
 //! re-exported here because a service author reaches for them next to
 //! [`crate::Dataplane`] and the protocol wrappers.
 
-pub use emu_rtl::ipblocks::{BramIf, CamDeleteIf, CamIf, FifoIf, HashIf, LruIf, NaughtyQIf};
+pub use emu_rtl::ipblocks::{CamDeleteIf, CamIf, HashIf, LruIf, NaughtyQIf};
 
 #[cfg(test)]
 mod tests {

@@ -10,7 +10,7 @@
 //!   TCP, DNS; the Ethernet fields are [`Dataplane`] methods),
 //! * [`csum`] — RFC 1071/1624 checksum arithmetic as IR expressions,
 //! * [`ipblock`] — port handles for hardware IP blocks: CAM, the
-//!   Figure 5 streaming hash, FIFO, BRAM and the Figure 9 LRU cache
+//!   Figure 5 streaming hash and the Figure 9 LRU cache
 //!   (re-exported from beside their models in `emu-rtl`),
 //! * [`runner`] — the heterogeneous-target service description: one
 //!   program targeting the CPU (compiled bytecode or tree-walking
@@ -35,10 +35,10 @@ pub mod runner;
 
 pub use dataplane::Dataplane;
 pub use engine::{
-    BatchReport, Dispatch, Engine, EngineBuilder, EngineError, EngineResult, NatSteering,
-    RoundRobin, RssHash, Shard,
+    BatchReport, Dispatch, Engine, EngineBuilder, EngineError, EngineResult, NatSteering, RssHash,
+    Shard,
 };
-pub use ipblock::{BramIf, CamDeleteIf, CamIf, FifoIf, HashIf, LruIf, NaughtyQIf};
+pub use ipblock::{CamDeleteIf, CamIf, HashIf, LruIf, NaughtyQIf};
 pub use proto::{DnsWrapper, IcmpWrapper, Ipv4Wrapper, TcpWrapper, UdpWrapper};
 pub use runner::{
     assert_targets_agree, flow_hash, flow_key, service_builder, Backend, Service, TableConfig,

@@ -14,8 +14,7 @@
 //!
 //! * [`TcpClient`] — the paper's §4.2 TCP-ping prober as a real state
 //!   machine: SYN, retransmission timeout, exponential backoff,
-//!   SYN-ACK verification; [`Reassembly`] adds in-order byte-stream
-//!   assembly for data-bearing peers.
+//!   SYN-ACK verification.
 //! * [`McClient`] — a memcached client driving GET/SET/DELETE mixes
 //!   against the §4.3 service, verifying every response against a
 //!   shadow store that models timed-out-write uncertainty.
@@ -50,5 +49,5 @@ pub use dns::DnsClient;
 pub use mc::McClient;
 pub use responder::Responder;
 pub use stats::ClientStats;
-pub use tcp::{Reassembly, TcpClient};
+pub use tcp::TcpClient;
 pub use topo::{fat_tree, ClientKind, Topo, TopoSpec, TopoSummary};

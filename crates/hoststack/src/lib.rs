@@ -11,7 +11,7 @@
 //! * [`services`] — software ICMP echo, DNS and memcached, the
 //!   references the Emu services' replies are checked against byte for
 //!   byte (`emu_traffic::HostChecker`),
-//! * [`workload`] — memaslap- and OSNT-style load generators,
+//! * [`workload`] — a memaslap-style load generator,
 //! * [`rng`] — auditable samplers (Box–Muller, lognormal, exponential).
 
 #![forbid(unsafe_code)]
@@ -23,4 +23,4 @@ pub mod workload;
 
 pub use path::{HostProfile, Stage};
 pub use services::{HostDns, HostIcmpEcho, HostMemcached, HostService};
-pub use workload::{constant_rate_ns, McOp, Memaslap};
+pub use workload::{McOp, Memaslap};

@@ -1,10 +1,8 @@
-//! Workload generation: the memaslap / OSNT analogues.
+//! Workload generation: the memaslap analogue.
 //!
 //! §5.2: "The Memcached evaluation uses the memaslap benchmark,
 //! configured to use a mix of 90 % GET and 10 % SET requests with random
-//! keys", and "we use the Open Source Network Tester (OSNT) as the
-//! traffic source... modifying traffic rate to find the maximum
-//! throughput."
+//! keys".
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -92,13 +90,6 @@ impl Memaslap {
     }
 }
 
-/// OSNT-style constant-rate arrival times: `n` arrivals at `rate_pps`
-/// starting at `t0_ns`.
-pub fn constant_rate_ns(n: usize, rate_pps: f64, t0_ns: f64) -> Vec<f64> {
-    let gap = 1e9 / rate_pps;
-    (0..n).map(|i| t0_ns + i as f64 * gap).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,14 +126,6 @@ mod tests {
                 assert!(v.iter().all(|b| b.is_ascii_uppercase()));
             }
         }
-    }
-
-    #[test]
-    fn constant_rate_spacing() {
-        let ts = constant_rate_ns(4, 1e9 / 16.8, 100.0);
-        assert!((ts[1] - ts[0] - 16.8).abs() < 1e-9);
-        assert_eq!(ts.len(), 4);
-        assert_eq!(ts[0], 100.0);
     }
 
     #[test]

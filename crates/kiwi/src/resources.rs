@@ -48,11 +48,12 @@ pub enum IpBlock {
     },
     /// Streaming Pearson hash unit (Figure 5).
     Hash,
-    /// A FIFO queue of `depth` × `width` bits.
-    Fifo {
-        /// Entries.
-        depth: usize,
-        /// Bits per entry.
+    /// The Figure 9 NaughtyQ: `slots` × `width` bits of values beside
+    /// their recency order.
+    NaughtyQ {
+        /// Value slots.
+        slots: usize,
+        /// Bits per value.
         width: u16,
     },
     /// Raw block RAM of `bits` capacity (e.g. DNS resolution tables).
@@ -89,8 +90,8 @@ impl IpBlock {
                 }
             }
             IpBlock::Hash => (96, 4, 24), // table ROM + xor network
-            IpBlock::Fifo { depth, width } => {
-                let bits = *depth as u64 * u64::from(*width);
+            IpBlock::NaughtyQ { slots, width } => {
+                let bits = *slots as u64 * u64::from(*width);
                 let mem = if bits > 4096 {
                     32 * bits.div_ceil(18_432)
                 } else {
@@ -108,7 +109,7 @@ impl IpBlock {
             IpBlock::Cam { native: true, .. } => "cam(native)",
             IpBlock::Cam { native: false, .. } => "cam(behavioural)",
             IpBlock::Hash => "hash",
-            IpBlock::Fifo { .. } => "fifo",
+            IpBlock::NaughtyQ { .. } => "naughtyq",
             IpBlock::Bram { .. } => "bram",
         }
     }
@@ -397,14 +398,14 @@ mod tests {
     }
 
     #[test]
-    fn fifo_scales_with_capacity() {
-        let small = IpBlock::Fifo {
-            depth: 16,
+    fn naughtyq_scales_with_capacity() {
+        let small = IpBlock::NaughtyQ {
+            slots: 16,
             width: 32,
         }
         .cost();
-        let large = IpBlock::Fifo {
-            depth: 4096,
+        let large = IpBlock::NaughtyQ {
+            slots: 4096,
             width: 256,
         }
         .cost();

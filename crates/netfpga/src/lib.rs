@@ -10,7 +10,9 @@
 //!   the platform (the substrate binding of Figure 6), plus the
 //!   platform-side driver,
 //! * [`native`] — the Table 3 baselines: the hand-written reference
-//!   switch and the P4FPGA-generated switch,
+//!   switch and the P4FPGA-generated switch, and [`switch_forward`], the
+//!   one learning-switch reference they, the switch service's tests and
+//!   `emu_traffic::SwitchModel` share,
 //! * [`pipeline`] — the discrete-event pipeline simulation that produces
 //!   module latency, end-to-end latency and throughput (§5.4's multi-core
 //!   memcached is one pipeline per core, `emu_bench::scaling`).
@@ -23,5 +25,5 @@ pub mod pipeline;
 pub mod timing;
 
 pub use dataplane::{declare, CoreOutput, DataplaneDriver, DataplanePorts, TxFrame, TxList};
-pub use native::{MacTable, NativeCore, P4FpgaConfig, P4FpgaCore, RefSwitchCore};
+pub use native::{switch_forward, NativeCore, P4FpgaConfig, P4FpgaCore, RefSwitchCore};
 pub use pipeline::{CoreMode, FrameRecord, PipelineSim};

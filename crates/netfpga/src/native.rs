@@ -8,18 +8,20 @@
 //!   (85-cycle latency, 53 Mpps at 64 B, a parser per port) are encoded as
 //!   model parameters.
 //!
-//! Both are *models of third-party artifacts we cannot run*: their
-//! functional behaviour (MAC learning, forwarding) is implemented for
-//! real, their resources are computed from the same cost model as Emu
-//! designs where possible, and their published timing figures are
-//! parameters. Each figure below says whether it is a Table 3 cell or a
-//! modelling choice, and which cell of `emu_bench::PAPER` pins it.
+//! Both are *models of third-party artifacts we cannot run*. Both
+//! forward with [`switch_forward`], the Figure 2 step of the Emu switch,
+//! over a 256-entry [`CamTable`], the table the Emu switch deploys, so
+//! Table 3 compares one switching function. Their resources are
+//! computed from the same cost model as Emu designs where possible, and
+//! their published timing figures are parameters. Each figure below
+//! says whether it is a Table 3 cell or a modelling choice, and which
+//! cell of `emu_bench::PAPER` pins it.
 
 use crate::dataplane::TxFrame;
 use crate::timing;
-use emu_types::{Frame, MacAddr};
+use emu_rtl::CamTable;
+use emu_types::{Bits, Frame};
 use kiwi::resources::{IpBlock, ResourceReport};
-use std::collections::HashMap;
 
 /// A hand-written (non-Emu) main logical core.
 pub trait NativeCore {
@@ -38,95 +40,57 @@ pub trait NativeCore {
     fn resources(&self) -> ResourceReport;
 }
 
-/// Shared learning-switch functional behaviour (used by both baselines so
-/// that Table 3 compares identical functionality).
-#[derive(Debug, Default)]
-pub struct MacTable {
-    map: HashMap<u64, u8>,
-    order: Vec<u64>,
-    capacity: usize,
-    rr: usize,
-}
-
-impl MacTable {
-    /// Creates a table with `capacity` entries (Table 3 uses 256).
-    pub fn new(capacity: usize) -> Self {
-        MacTable {
-            map: HashMap::new(),
-            order: Vec::new(),
-            capacity,
-            rr: 0,
-        }
-    }
-
-    /// Learns `mac → port`, evicting round-robin when full.
-    pub fn learn(&mut self, mac: MacAddr, port: u8) {
-        let key = mac.to_u64();
-        if let std::collections::hash_map::Entry::Occupied(mut e) = self.map.entry(key) {
-            e.insert(port);
-            return;
-        }
-        if self.map.len() >= self.capacity {
-            let victim = self.order[self.rr % self.order.len()];
-            self.map.remove(&victim);
-            self.order[self.rr % self.capacity] = key;
-            self.rr = (self.rr + 1) % self.capacity;
-        } else {
-            self.order.push(key);
-        }
-        self.map.insert(key, port);
-    }
-
-    /// Looks up the port for `mac`.
-    pub fn lookup(&self, mac: MacAddr) -> Option<u8> {
-        self.map.get(&mac.to_u64()).copied()
-    }
-
-    /// Live entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no entries are present.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-/// Switch forwarding decision shared by every switch implementation,
-/// with Figure 2 semantics: look up the destination first (forward to the
-/// learned port or flood, never reflecting a flood to the arrival port),
-/// then learn the source only if it is not already in the table.
-pub fn switch_forward(table: &mut MacTable, frame: &Frame, num_ports: usize) -> Vec<TxFrame> {
-    let src = frame.src_mac();
-    let dst = frame.dst_mac();
-    let all: u8 = ((1u16 << num_ports) - 1) as u8;
-    let ports = match table.lookup(dst) {
-        Some(p) if !dst.is_broadcast() => 1u8 << p,
-        _ => all & !(1u8 << frame.in_port),
+/// The learning switch's forwarding decision: the Figure 2 step of
+/// `emu_services::switch_ip_cam`, in program order, on `table` (MAC →
+/// port, 48 → 8 bits). Returns the output-port bitmap.
+///
+/// 1. One frame epoch passes (`CamTable::tick_frame`), as the engine
+///    ticks a shard's tables once per frame.
+/// 2. The destination is looked up: a hit sends to the learned port, a
+///    miss to every port but the arrival one.
+/// 3. The source is learned on a lookup miss, whatever its address: a
+///    multicast or broadcast source is learned like any other.
+///
+/// A port past the bitmap's eight bits selects no port.
+pub fn switch_forward(table: &mut CamTable, frame: &Frame) -> u8 {
+    let bit = |port: u8| 1u8.checked_shl(port.into()).unwrap_or(0);
+    let all = (1u8 << timing::NUM_PORTS) - 1;
+    table.tick_frame();
+    let dst = Bits::from_u64(frame.dst_mac().to_u64(), 48);
+    let src = Bits::from_u64(frame.src_mac().to_u64(), 48);
+    let ports = match table.lookup(&dst) {
+        // The value is 8 bits wide: the cast is exact.
+        Some(p) => bit(p.to_u64() as u8),
+        None => all & !bit(frame.in_port),
     };
-    if !src.is_multicast() && table.lookup(src).is_none() {
-        table.learn(src, frame.in_port);
+    if table.lookup(&src).is_none() {
+        table.write(src, Bits::from_u64(frame.in_port.into(), 8));
     }
-    if ports == 0 {
-        return Vec::new();
+    ports
+}
+
+/// A baseline's transmission: the frame, unmodified, out of the ports
+/// [`switch_forward`] picks; nothing when it picks none.
+fn transmit(table: &mut CamTable, frame: &Frame) -> Vec<TxFrame> {
+    match switch_forward(table, frame) {
+        0 => Vec::new(),
+        ports => vec![TxFrame {
+            ports,
+            frame: frame.clone(),
+        }],
     }
-    vec![TxFrame {
-        ports,
-        frame: frame.clone(),
-    }]
 }
 
 /// The NetFPGA SUME reference learning switch (native Verilog baseline).
 pub struct RefSwitchCore {
-    table: MacTable,
+    table: CamTable,
 }
 
 impl RefSwitchCore {
     /// Creates the reference switch with a 256-entry MAC table.
     pub fn new() -> Self {
         RefSwitchCore {
-            table: MacTable::new(256),
+            table: CamTable::new(256, 48, 8),
         }
     }
 }
@@ -143,7 +107,7 @@ impl NativeCore for RefSwitchCore {
     }
 
     fn process(&mut self, frame: &Frame) -> Vec<TxFrame> {
-        switch_forward(&mut self.table, frame, timing::NUM_PORTS)
+        transmit(&mut self.table, frame)
     }
 
     fn module_latency_cycles(&self) -> u64 {
@@ -222,7 +186,7 @@ impl Default for P4FpgaConfig {
 /// The P4FPGA-compiled switch baseline.
 pub struct P4FpgaCore {
     cfg: P4FpgaConfig,
-    table: MacTable,
+    table: CamTable,
 }
 
 impl P4FpgaCore {
@@ -230,7 +194,7 @@ impl P4FpgaCore {
     pub fn new(cfg: P4FpgaConfig) -> Self {
         P4FpgaCore {
             cfg,
-            table: MacTable::new(256),
+            table: CamTable::new(256, 48, 8),
         }
     }
 }
@@ -247,7 +211,7 @@ impl NativeCore for P4FpgaCore {
     }
 
     fn process(&mut self, frame: &Frame) -> Vec<TxFrame> {
-        switch_forward(&mut self.table, frame, timing::NUM_PORTS)
+        transmit(&mut self.table, frame)
     }
 
     fn module_latency_cycles(&self) -> u64 {
@@ -294,7 +258,6 @@ impl NativeCore for P4FpgaCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emu_types::proto::ether_type;
     use emu_types::wire::l2_frame as frame;
 
     #[test]
@@ -312,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_always_floods() {
+    fn unknown_broadcast_floods() {
         let mut sw = RefSwitchCore::new();
         let out = sw.process(&frame(0xA, 0xffff_ffff_ffff, 2));
         assert_eq!(out[0].ports, 0b1011);
@@ -327,32 +290,6 @@ mod tests {
                                          // table blindly; flooding never reflects though.
         let out = sw.process(&frame(0xC, 0xD, 1));
         assert_eq!(out[0].ports & (1 << 1), 0, "flood must exclude arrival");
-    }
-
-    #[test]
-    fn mac_table_eviction_at_capacity() {
-        let mut t = MacTable::new(4);
-        for i in 0..6u64 {
-            t.learn(MacAddr::from_u64(i), (i % 4) as u8);
-        }
-        assert_eq!(t.len(), 4);
-        // The first two entries were evicted round-robin.
-        assert!(t.lookup(MacAddr::from_u64(0)).is_none());
-        assert!(t.lookup(MacAddr::from_u64(1)).is_none());
-        assert!(t.lookup(MacAddr::from_u64(5)).is_some());
-    }
-
-    #[test]
-    fn multicast_source_not_learned() {
-        let mut t = MacTable::new(8);
-        let mcast = MacAddr([0x01, 0, 0x5e, 0, 0, 1]);
-        let f = {
-            let mut f = Frame::ethernet(MacAddr::from_u64(2), mcast, ether_type::IPV4, &[0; 46]);
-            f.in_port = 0;
-            f
-        };
-        switch_forward(&mut t, &f, 4);
-        assert!(t.is_empty());
     }
 
     #[test]

@@ -105,23 +105,20 @@ pub struct CamStats {
 
 /// Why an entry left a [`CamTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RemoveCause {
+pub(crate) enum RemoveCause {
     /// TTL lapsed.
     Expired,
     /// Displaced live to make room.
     Evicted,
 }
 
-/// An involuntarily removed entry, reported so callers (pair twins,
-/// checker shadows) can react.
+/// An involuntarily removed entry, reported so a [`CamPair`] can
+/// remove its twin.
 #[derive(Debug, Clone)]
-pub struct Removed {
-    /// The removed entry's key.
-    pub key: Bits,
-    /// The removed entry's value.
-    pub value: Bits,
-    /// Why it was removed.
-    pub cause: RemoveCause,
+struct Removed {
+    key: Bits,
+    value: Bits,
+    cause: RemoveCause,
 }
 
 /// Effect of a [`CamTable::write`] on the written key itself.
@@ -174,6 +171,9 @@ pub struct CamTable {
     /// front-most valid record always names the oldest-stamped resident
     /// entry — amortized-O(1) oldest-first reclaim.
     exp_q: VecDeque<(u32, u64)>,
+    /// The involuntary removals of the last `lookup`, `write`,
+    /// `delete`, `touch` or `tick_frame`: each starts by clearing them,
+    /// so the table holds at most one call's reports.
     removed: Vec<Removed>,
     /// Lifetime statistics.
     pub stats: CamStats,
@@ -246,17 +246,6 @@ impl CamTable {
     /// Zeroes the lifetime counters (table contents are untouched).
     pub fn reset_stats(&mut self) {
         self.stats = CamStats::default();
-    }
-
-    /// Drains the involuntary removals since the last drain.
-    pub fn take_removed(&mut self) -> Vec<Removed> {
-        std::mem::take(&mut self.removed)
-    }
-
-    /// Discards pending removal reports (callers that don't track
-    /// pairs or shadows).
-    pub fn clear_removed(&mut self) {
-        self.removed.clear();
     }
 
     fn is_expired(&self, stamp: u64) -> bool {
@@ -437,6 +426,7 @@ impl CamTable {
     /// Advances the frame epoch and reclaims up to `TICK_RECLAIM`
     /// expired entries. Call once per delivered frame.
     pub fn tick_frame(&mut self) {
+        self.removed.clear();
         self.now += 1;
         if self.ttl.is_some() {
             for _ in 0..TICK_RECLAIM {
@@ -450,6 +440,7 @@ impl CamTable {
     /// Looks `key` up; a live hit is touched (re-stamped), an expired
     /// resident entry is reclaimed and reported as a miss.
     pub fn lookup(&mut self, key: &Bits) -> Option<Bits> {
+        self.removed.clear();
         self.stats.lookups += 1;
         let (pos, slot) = self.probe(key)?;
         let stamp = self.slab[self.stamp_at(slot)];
@@ -474,6 +465,7 @@ impl CamTable {
 
     /// Re-stamps `key` if resident (pair-twin touch propagation).
     pub fn touch(&mut self, key: &Bits) {
+        self.removed.clear();
         if let Some((_, slot)) = self.probe(key) {
             self.restamp(slot);
         }
@@ -483,6 +475,7 @@ impl CamTable {
     /// a free slot, else (at capacity) reclaims the oldest expired
     /// entry, else evicts round-robin.
     pub fn write(&mut self, key: Bits, value: Bits) -> WriteEffect {
+        self.removed.clear();
         self.stats.writes += 1;
         let (key, value) = (
             at_width(&key, self.key_bits),
@@ -529,6 +522,7 @@ impl CamTable {
     /// Removes `key` if resident (live or expired); returns the entry.
     /// Explicit deletes count in no statistic.
     pub fn delete(&mut self, key: &Bits) -> Option<(Bits, Bits)> {
+        self.removed.clear();
         let (pos, slot) = self.probe(key)?;
         Some(self.remove_slot(pos, slot, None))
     }
@@ -570,14 +564,14 @@ impl CamPair {
     }
 
     fn propagate_a(&mut self) {
-        for r in self.a.take_removed() {
+        for r in &self.a.removed {
             let pk = (self.a_to_b)(&r.key, &r.value);
             self.b.remove_for_pair(&pk, r.cause);
         }
     }
 
     fn propagate_b(&mut self) {
-        for r in self.b.take_removed() {
+        for r in &self.b.removed {
             let pk = (self.b_to_a)(&r.key, &r.value);
             self.a.remove_for_pair(&pk, r.cause);
         }
@@ -702,10 +696,21 @@ mod tests {
         assert!(t.peek(&b(1, 8)).is_none());
         assert_eq!(t.peek(&b(2, 8)), Some(b(0x22, 8)));
         assert_eq!(t.peek(&b(3, 8)), Some(b(0x33, 8)));
-        let removed = t.take_removed();
-        assert_eq!(removed.len(), 1);
-        assert_eq!(removed[0].key, b(1, 8));
-        assert_eq!(removed[0].cause, RemoveCause::Evicted);
+        assert_eq!(t.removed.len(), 1);
+        assert_eq!(t.removed[0].key, b(1, 8));
+        assert_eq!(t.removed[0].cause, RemoveCause::Evicted);
+    }
+
+    #[test]
+    fn reports_are_those_of_the_last_call() {
+        // A table nobody drains (an unpaired CAM, a checker's shadow)
+        // must not keep a report per eviction.
+        let mut t = CamTable::new(2, 16, 8);
+        for k in 0..1000 {
+            t.write(b(k, 16), b(0, 8));
+            assert!(t.removed.len() <= 1, "after key {k}: {}", t.removed.len());
+        }
+        assert_eq!(t.stats.evictions, 998);
     }
 
     #[test]
@@ -1072,6 +1077,10 @@ mod tests {
             for (op, k, v) in ops {
                 let key = spread(k, kb);
                 let value = Bits::from_limbs(&[v, !v, v.rotate_left(21), v ^ 0xa5a5], vb);
+                // Every operation but a peek replaces the reports.
+                if op != 4 {
+                    m.removed.clear();
+                }
                 match op {
                     0 | 1 => prop_assert_eq!(
                         t.write(key.clone(), value.clone()),
@@ -1097,11 +1106,11 @@ mod tests {
                 prop_assert_eq!(t.stats, m.stats);
                 prop_assert_eq!(t.occupancy(), m.slots.iter().flatten().count());
                 let reported: Vec<_> = t
-                    .take_removed()
-                    .into_iter()
-                    .map(|r| (r.key, r.value, r.cause))
+                    .removed
+                    .iter()
+                    .map(|r| (r.key.clone(), r.value.clone(), r.cause))
                     .collect();
-                prop_assert_eq!(reported, std::mem::take(&mut m.removed));
+                prop_assert_eq!(&reported, &m.removed);
             }
         }
 

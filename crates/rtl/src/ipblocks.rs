@@ -13,8 +13,8 @@
 //! they are bound once, when the program is written. A block's
 //! `declare(pb, prefix, widths…)` adds its boundary signals to the
 //! program, named `<prefix>_<port>`, and returns the block's *handle*
-//! ([`CamIf`], [`HashIf`], [`FifoIf`], [`NaughtyQIf`], [`BramIf`];
-//! [`LruIf`] composes two): the signal ids and widths. The program
+//! ([`CamIf`], [`HashIf`], [`NaughtyQIf`]; [`LruIf`] composes the CAM
+//! and the NaughtyQ): the signal ids and widths. The program
 //! generates its protocol statements from the handle (`lookup`, `seed`,
 //! `enlist`, …) and the model is constructed from the same handle
 //! (`CamModel::new(&cam_if, entries, native)`), indexing the machine's
@@ -444,7 +444,6 @@ impl CamModel {
     /// evictions exactly like the dataplane write strobe.
     pub fn insert(&mut self, key: Bits, value: Bits) {
         self.table.write(key, value);
-        self.table.clear_removed();
     }
 }
 
@@ -453,8 +452,6 @@ impl IpBlockModel for CamModel {
         let (ports, table) = (&self.ports, &mut self.table);
         let ops = (CamTable::delete, CamTable::write, CamTable::lookup);
         serve(ports, st, table, ops);
-        // Unpaired CAM: nobody consumes removal reports.
-        self.table.clear_removed();
     }
 
     fn resources(&self) -> Vec<IpBlock> {
@@ -467,7 +464,6 @@ impl IpBlockModel for CamModel {
 
     fn frame_start(&mut self) {
         self.table.tick_frame();
-        self.table.clear_removed();
     }
 
     fn cam_snapshots(&self) -> Vec<CamCounters> {
@@ -700,108 +696,6 @@ impl IpBlockModel for PearsonHashModel {
 }
 
 // ---------------------------------------------------------------------
-// FIFO
-// ---------------------------------------------------------------------
-
-/// Port handle of a synchronous FIFO.
-///
-/// Ports: out `{p}_push`, `{p}_push_data`, `{p}_pop`; in `{p}_pop_data`,
-/// `{p}_empty`, `{p}_full`.
-#[derive(Debug, Clone)]
-pub struct FifoIf {
-    push: Port,
-    push_data: Port,
-    pop: Port,
-    pop_data: Port,
-    empty: Port,
-    full: Port,
-    bound: Bound,
-}
-
-impl FifoIf {
-    /// Declares the FIFO's ports under `prefix`.
-    pub fn declare(pb: &mut ProgramBuilder, prefix: &str, width: u16) -> Self {
-        let mut b = Bound::new(prefix);
-        FifoIf {
-            push: b.port(pb, "push", Out, 1),
-            push_data: b.port(pb, "push_data", Out, width),
-            pop: b.port(pb, "pop", Out, 1),
-            pop_data: b.port(pb, "pop_data", In, width),
-            empty: b.port(pb, "empty", In, 1),
-            full: b.port(pb, "full", In, 1),
-            bound: b,
-        }
-    }
-}
-
-/// A synchronous FIFO. `pop_data` always shows the head; a `pop` strobe
-/// consumes it. Pushing into a full FIFO drops the element (as an
-/// overflowing output queue drops frames, §5's output-queue model).
-pub struct FifoModel {
-    ports: FifoIf,
-    depth: usize,
-    q: VecDeque<Bits>,
-    /// Elements dropped on overflow.
-    pub drops: u64,
-}
-
-impl FifoModel {
-    /// Creates a FIFO of `depth` elements serving `ports`.
-    pub fn new(ports: &FifoIf, depth: usize) -> Self {
-        FifoModel {
-            ports: ports.clone(),
-            depth,
-            q: VecDeque::new(),
-            drops: 0,
-        }
-    }
-
-    /// Current length.
-    pub fn len(&self) -> usize {
-        self.q.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.q.is_empty()
-    }
-}
-
-impl IpBlockModel for FifoModel {
-    fn step(&mut self, _prog: &Program, st: &mut MachineState) {
-        let p = &self.ports;
-        if p.pop.high(st) {
-            self.q.pop_front();
-        }
-        if p.push.high(st) {
-            if self.q.len() >= self.depth {
-                self.drops += 1;
-            } else {
-                self.q.push_back(p.push_data.sample(st));
-            }
-        }
-        let head = self.q.front().cloned();
-        let no_head = || Bits::zero(p.pop_data.width);
-        p.pop_data.drive(st, head.unwrap_or_else(no_head));
-        p.empty.drive_u64(st, u64::from(self.q.is_empty()));
-        let full = self.q.len() >= self.depth;
-        p.full.drive_u64(st, u64::from(full));
-    }
-
-    fn resources(&self) -> Vec<IpBlock> {
-        let width = self.ports.push_data.width;
-        vec![IpBlock::Fifo {
-            depth: self.depth,
-            width,
-        }]
-    }
-
-    fn check(&self, prog: &Program) -> Result<(), String> {
-        self.ports.bound.check(prog)
-    }
-}
-
-// ---------------------------------------------------------------------
 // NaughtyQ and the LRU cache of Figure 9
 // ---------------------------------------------------------------------
 
@@ -959,8 +853,8 @@ impl IpBlockModel for NaughtyQModel {
 
     fn resources(&self) -> Vec<IpBlock> {
         let width = self.ports.value_in.width;
-        vec![IpBlock::Fifo {
-            depth: self.slots.len(),
+        vec![IpBlock::NaughtyQ {
+            slots: self.slots.len(),
             width,
         }]
     }
@@ -1034,79 +928,6 @@ impl LruIf {
         out.push(assign(idx_scratch, self.q.idx_out()));
         out.extend(self.cam.write(key, resize(var(idx_scratch), 16)));
         out
-    }
-}
-
-// ---------------------------------------------------------------------
-// BRAM
-// ---------------------------------------------------------------------
-
-/// Port handle of a single-port block RAM.
-///
-/// Ports: out `{p}_addr` (32), `{p}_wdata`, `{p}_we`; in `{p}_rdata`.
-#[derive(Debug, Clone)]
-pub struct BramIf {
-    addr: Port,
-    wdata: Port,
-    we: Port,
-    rdata: Port,
-    bound: Bound,
-}
-
-impl BramIf {
-    /// Declares the RAM's ports under `prefix`.
-    pub fn declare(pb: &mut ProgramBuilder, prefix: &str, width: u16) -> Self {
-        let mut b = Bound::new(prefix);
-        BramIf {
-            addr: b.port(pb, "addr", Out, 32),
-            wdata: b.port(pb, "wdata", Out, width),
-            we: b.port(pb, "we", Out, 1),
-            rdata: b.port(pb, "rdata", In, width),
-            bound: b,
-        }
-    }
-}
-
-/// Single-port block RAM with one-cycle read latency — the "on-chip
-/// memory" scaling option of §5.4's optimizations discussion. The
-/// latency is a modelling choice (a BRAM's registered read); no paper
-/// cell reads it.
-pub struct BramModel {
-    ports: BramIf,
-    data: Vec<Bits>,
-}
-
-impl BramModel {
-    /// Creates a RAM of `words` entries serving `ports`.
-    pub fn new(ports: &BramIf, words: usize) -> Self {
-        BramModel {
-            ports: ports.clone(),
-            data: vec![Bits::zero(ports.wdata.width); words],
-        }
-    }
-}
-
-impl IpBlockModel for BramModel {
-    fn step(&mut self, _prog: &Program, st: &mut MachineState) {
-        let p = &self.ports;
-        let addr = p.addr.get(st).to_u64() as usize;
-        if p.we.high(st) {
-            if let Some(slot) = self.data.get_mut(addr) {
-                *slot = p.wdata.sample(st);
-            }
-        }
-        let rd = self.data.get(addr).cloned();
-        let unmapped = || Bits::zero(p.rdata.width);
-        p.rdata.drive(st, rd.unwrap_or_else(unmapped));
-    }
-
-    fn resources(&self) -> Vec<IpBlock> {
-        let bits = self.data.len() as u64 * u64::from(self.ports.wdata.width);
-        vec![IpBlock::Bram { bits }]
-    }
-
-    fn check(&self, prog: &Program) -> Result<(), String> {
-        self.ports.bound.check(prog)
     }
 }
 
@@ -1241,28 +1062,6 @@ mod tests {
     }
 
     #[test]
-    fn fifo_round_trip_and_overflow() {
-        let (f, prog, mut st) = ports_only(|pb| FifoIf::declare(pb, "q", 16));
-        let mut q = FifoModel::new(&f, 2);
-        q.check(&prog).unwrap();
-
-        for i in 1..=3u64 {
-            put(&mut st, f.push, 1);
-            put(&mut st, f.push_data, i);
-            q.step(&prog, &mut st);
-        }
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.drops, 1);
-        put(&mut st, f.push, 0);
-
-        // Head must be 1; pop it; head becomes 2.
-        assert_eq!(read(&st, f.pop_data), 1);
-        put(&mut st, f.pop, 1);
-        q.step(&prog, &mut st);
-        assert_eq!(read(&st, f.pop_data), 2);
-    }
-
-    #[test]
     fn naughtyq_lru_eviction_order() {
         let (n, prog, mut st) = ports_only(|pb| NaughtyQIf::declare(pb, "nq", 32));
         let mut nq = NaughtyQModel::new(&n, 2);
@@ -1293,25 +1092,5 @@ mod tests {
         put(&mut st, n.idx_in, idx_a);
         nq.step(&prog, &mut st);
         assert_eq!(read(&st, n.value_out), 0xA);
-    }
-
-    #[test]
-    fn bram_read_write() {
-        let (b, prog, mut st) = ports_only(|pb| BramIf::declare(pb, "m", 64));
-        let mut ram = BramModel::new(&b, 16);
-        ram.check(&prog).unwrap();
-
-        put(&mut st, b.addr, 5);
-        put(&mut st, b.wdata, 0xFEED);
-        put(&mut st, b.we, 1);
-        ram.step(&prog, &mut st);
-        put(&mut st, b.we, 0);
-        ram.step(&prog, &mut st);
-        assert_eq!(read(&st, b.rdata), 0xFEED);
-
-        // Out-of-range address reads zero and writes are dropped.
-        put(&mut st, b.addr, 999);
-        ram.step(&prog, &mut st);
-        assert_eq!(read(&st, b.rdata), 0);
     }
 }

@@ -6,8 +6,8 @@
 //! It provides:
 //!
 //! * IP blocks ([`ipblocks`]): each block's port handle and the
-//!   behavioural model built from it — CAM, Pearson hash (Figure 5),
-//!   FIFO, the Figure 9 LRU queue, and BRAM,
+//!   behavioural model built from it — CAM, Pearson hash (Figure 5)
+//!   and the Figure 9 LRU queue,
 //! * AXI4-Stream beat arithmetic ([`axis`]) for the SUME 256-bit datapath,
 //! * VCD waveform dumping ([`vcd`]) for debugging without an RTL
 //!   simulator.
@@ -20,9 +20,9 @@ pub mod ipblocks;
 pub mod vcd;
 
 pub use axis::beats_for_len;
-pub use cam::{CamPair, CamStats, CamTable, PartnerKeyFn, RemoveCause, Removed, WriteEffect};
+pub use cam::{CamPair, CamStats, CamTable, PartnerKeyFn, WriteEffect};
 pub use ipblocks::{
-    BramIf, BramModel, CamDeleteIf, CamIf, CamModel, FifoIf, FifoModel, HashIf, IpBlockModel,
-    IpEnv, LruIf, NaughtyQIf, NaughtyQModel, PairedCamModel, PearsonHashModel,
+    CamDeleteIf, CamIf, CamModel, HashIf, IpBlockModel, IpEnv, LruIf, NaughtyQIf, NaughtyQModel,
+    PairedCamModel, PearsonHashModel,
 };
 pub use vcd::VcdTrace;

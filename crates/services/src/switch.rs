@@ -163,9 +163,11 @@ pub fn switch_behavioural(entries: usize) -> Service {
 mod tests {
     use super::*;
     use emu_core::{assert_targets_agree, Target};
+    use emu_rtl::CamTable;
+    use emu_traffic::{Checker, SwitchModel};
     use emu_types::wire::l2_frame as frame;
     use emu_types::Frame;
-    use netfpga_sim::native::{switch_forward, MacTable};
+    use netfpga_sim::native::switch_forward;
 
     fn check_learning(svc: Service) {
         let mut inst = svc.engine(Target::Fpga).build().unwrap();
@@ -194,29 +196,44 @@ mod tests {
 
     #[test]
     fn both_variants_match_reference_model() {
-        // Differential test against the reference switch's functional
-        // model over a pseudo-random MAC workload.
-        for svc in [switch_ip_cam(), switch_behavioural(16)] {
-            let mut inst = svc.engine(Target::Fpga).build().unwrap();
-            let mut reference = MacTable::new(TABLE_ENTRIES);
-            let mut x = 0x12345u64;
-            for i in 0..60 {
+        // Differential test against the one learning-switch reference,
+        // `switch_forward` on a `CamTable`, over a pseudo-random MAC
+        // workload and then the addresses and ports past it: a
+        // multicast and a broadcast source are learned like any other,
+        // and an arrival port past the bitmap floods to every port.
+        let mut x = 0x12345u64;
+        let mut frames: Vec<Frame> = (0..60)
+            .map(|i| {
                 x = x
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                let src = (x >> 10) % 8;
-                let dst = (x >> 20) % 8;
-                let port = (i % 4) as u8;
-                let f = frame(src + 1, dst + 1, port);
-                let got = inst.process(&f).unwrap();
-                let want = switch_forward(&mut reference, &f, 4);
-                let got_ports = got.tx.first().map(|t| t.ports).unwrap_or(0);
-                let want_ports = want.first().map(|t| t.ports).unwrap_or(0);
-                assert_eq!(
-                    got_ports, want_ports,
-                    "frame {i}: src {src} dst {dst} port {port}"
-                );
+                frame((x >> 10) % 8 + 1, (x >> 20) % 8 + 1, (i % 4) as u8)
+            })
+            .collect();
+        let (mcast, bcast) = (0x0100_5e00_0001, 0xffff_ffff_ffff);
+        let edges = [
+            (frame(mcast, 0xA, 0), 0b1110),
+            (frame(0xB, mcast, 2), 0b0001),
+            (frame(bcast, 0xC, 1), 0b1101),
+            (frame(0xD, bcast, 3), 0b0010),
+            (frame(0xE, 0xF, 9), 0b1111),
+        ];
+        frames.extend(edges.iter().map(|(f, _)| f.clone()));
+        for svc in [switch_ip_cam(), switch_behavioural(16)] {
+            let mut inst = svc.engine(Target::Fpga).build().unwrap();
+            let mut reference = CamTable::new(TABLE_ENTRIES, 48, 8);
+            let mut model = SwitchModel::new(1);
+            for (i, f) in frames.iter().enumerate() {
+                let got = inst.process(f);
+                model.observe(f, &got);
+                let got_ports = got.unwrap().tx.first().map(|t| t.ports).unwrap_or(0);
+                let want_ports = switch_forward(&mut reference, f);
+                assert_eq!(got_ports, want_ports, "frame {i}: {f:?}");
+                if let Some(k) = i.checked_sub(60) {
+                    assert_eq!(want_ports, edges[k].1, "edge case {k}");
+                }
             }
+            assert_eq!(model.violations(), 0, "notes: {:?}", model.notes());
         }
     }
 

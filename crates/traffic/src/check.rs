@@ -24,6 +24,7 @@ use emu_types::proto::{ether_type, ip_proto, offset};
 use emu_types::{bitutil, Bits, Frame, Ipv4};
 use hoststack::{HostMemcached, HostService};
 use netfpga_sim::dataplane::CoreOutput;
+use netfpga_sim::switch_forward;
 
 /// A frame-by-frame invariant checker over engine results.
 pub trait Checker {
@@ -492,11 +493,11 @@ impl<S: HostService> Checker for HostChecker<S> {
 /// must never modify bytes).
 ///
 /// Each shard's shadow is the same [`CamTable`] the service deploys,
-/// replayed in program order (destination lookup, then source
-/// learn-on-miss), so the model stays exact through capacity eviction
-/// and — when the engine is built with a TTL — MAC aging: an idle
-/// station's entry expires in the shadow exactly when it expires in
-/// the engine, and its traffic floods again until re-learned.
+/// stepped by [`switch_forward`] (the Figure 2 step the Table 3
+/// baselines run too), so the model stays exact through capacity
+/// eviction and — when the engine is built with a TTL — MAC aging: an
+/// idle station's entry expires in the shadow exactly when it expires
+/// in the engine, and its traffic floods again until re-learned.
 pub struct SwitchModel {
     tables: Vec<CamTable>,
     tally: Tally,
@@ -549,20 +550,7 @@ impl Checker for SwitchModel {
         } else {
             RssHash.shard_of(input, self.tables.len())
         };
-        let table = &mut self.tables[shard];
-        // The shard ticks its table once per processed frame; then the
-        // program looks up the destination (deciding the ports),
-        // transmits, and finally learns the source on a lookup miss.
-        table.tick_frame();
-        let dst = Bits::from_u64(input.dst_mac().to_u64(), 48);
-        let src = Bits::from_u64(input.src_mac().to_u64(), 48);
-        let want_ports = match table.lookup(&dst) {
-            Some(p) => 1u8.checked_shl(p.to_u64() as u32).unwrap_or(0),
-            None => 0b1111 & !1u8.checked_shl(input.in_port.into()).unwrap_or(0),
-        };
-        if table.lookup(&src).is_none() {
-            table.write(src, Bits::from_u64(u64::from(input.in_port), 8));
-        }
+        let want_ports = switch_forward(&mut self.tables[shard], input);
         let [tx] = &out.tx[..] else {
             self.tally
                 .violate(format!("frame {i}: switch produced {} tx", out.tx.len()));

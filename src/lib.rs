@@ -64,11 +64,11 @@
 //! *Which shard* a frame runs on is a pluggable
 //! [`Dispatch`](stdlib::Dispatch) policy: [`RssHash`](stdlib::RssHash)
 //! (default — the Pearson flow hash, so one 5-tuple's frames share one
-//! shard and per-flow state needs no coordination),
-//! [`RoundRobin`](stdlib::RoundRobin) (stateless services), and
+//! shard and per-flow state needs no coordination) and
 //! [`NatSteering`](stdlib::NatSteering) (steers NAT return traffic to
 //! the shard that allocated the external port — see
-//! `examples/sharded_nat.rs`). Batches execute shards sequentially under
+//! `examples/sharded_nat.rs`). Either is a pure function of the frame
+//! and the shard count. Batches execute shards sequentially under
 //! the parallel-datapath cost model by default; `.parallel(true)` runs
 //! them on real OS threads with identical results
 //! (`tests/telemetry_equiv.rs` and `tests/sharding.rs` run both ways and
@@ -391,8 +391,8 @@ pub use netsim as simnet;
 pub mod prelude {
     pub use direction::{ControllerConfig, DirectionPacket, Director};
     pub use emu_core::{
-        Backend, BatchReport, Dispatch, Engine, EngineBuilder, EngineError, NatSteering,
-        RoundRobin, RssHash, Service, Target,
+        Backend, BatchReport, Dispatch, Engine, EngineBuilder, EngineError, NatSteering, RssHash,
+        Service, Target,
     };
     pub use emu_types::{Frame, Ipv4, MacAddr, Summary};
     pub use kiwi::{compile, emit, estimate, CostModel, IpBlock};

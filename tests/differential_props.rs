@@ -187,8 +187,6 @@ proptest! {
     ) {
         // For every flow-affine dispatch policy, all frames of one
         // 5-tuple — whatever their payload size — land on one shard.
-        // (`RoundRobin` is deliberately not flow-affine, which is why it
-        // is documented as stateless-only.)
         let svc = s::nat::nat("203.0.113.1".parse().unwrap());
         let policies: Vec<(&str, Engine)> = vec![
             ("rss-hash", svc.engine(Target::Cpu).shards(shards).build().unwrap()),
@@ -254,14 +252,6 @@ proptest! {
 
         let engines: Vec<(&str, Engine)> = vec![
             ("rss-hash", svc.engine(Target::Cpu).shards(shards).build().unwrap()),
-            (
-                "round-robin",
-                svc.engine(Target::Cpu)
-                    .shards(shards)
-                    .dispatch(RoundRobin::new())
-                    .build()
-                    .unwrap(),
-            ),
             (
                 "nat-steering",
                 svc.engine(Target::Cpu)
