@@ -26,6 +26,7 @@ use emu_core::{Backend, Engine, EngineResult, Service, Target};
 use emu_telemetry::Histogram;
 use emu_traffic::ClientCheck;
 use emu_types::{Ipv4, MacAddr};
+use netfpga_sim::timing::NodeClock;
 use netsim::{Impairments, NetSim, NodeId};
 
 /// The memcached server's address at its leaf slot.
@@ -35,7 +36,9 @@ pub const DNS_SERVER_MAC: u64 = 0x02_00_00_00_a0_02;
 /// The TCP-ping server's address.
 pub const TCP_SERVER_MAC: u64 = 0x02_00_00_00_a0_03;
 
-/// Everything a generated fat-tree derives from.
+/// Everything a generated fat-tree derives from. Node timing is not
+/// here: every switch and service node is timed as an Emu node by its
+/// [`NodeClock`] (see `netsim`), whatever its shard count or backend.
 #[derive(Debug, Clone, Copy)]
 pub struct TopoSpec {
     /// Master seed for clients and impairments.
@@ -57,9 +60,6 @@ pub struct TopoSpec {
     /// Impairments applied to **every** link (each link gets its own
     /// derived RNG seed); `None` for a clean fabric.
     pub impair: Option<Impairments>,
-    /// Service model time per cycle (5 ns at the paper's 200 MHz core
-    /// clock); 0.0 for instantaneous services.
-    pub ns_per_cycle: f64,
     /// Closed-loop pacing/reliability knobs shared by every client.
     pub client: ClientConfig,
     /// Names in the DNS zone (clients also query this many absent
@@ -81,7 +81,6 @@ impl Default for TopoSpec {
             link_delay_ns: 1_000.0,
             link_gbps: 10.0,
             impair: None,
-            ns_per_cycle: netfpga_sim::timing::NS_PER_CYCLE,
             client: ClientConfig::default(),
             zone_names: 6,
             mc_keys: 6,
@@ -193,7 +192,6 @@ pub fn fat_tree(spec: TopoSpec) -> EngineResult<Topo> {
     }
 
     let mut net = NetSim::new();
-    net.set_ns_per_cycle(spec.ns_per_cycle);
     let mut switches = Vec::new();
     let mut link_idx = 0u64;
 
@@ -376,10 +374,12 @@ impl Topo {
         self.net.run_until(f64::MAX)
     }
 
-    /// A physical lower bound on any measured RTT: the shortest path is
-    /// client ↔ edge ↔ server, two links each way.
+    /// A lower bound on any RTT the model can produce: the shortest
+    /// path is client ↔ edge ↔ server, two links each way, and it
+    /// crosses the edge switch twice and the server once, each paying
+    /// at least the node's fixed path ([`NodeClock::FIXED_NS`]).
     pub fn rtt_floor_ns(&self) -> u64 {
-        (4.0 * self.spec.link_delay_ns) as u64
+        (4.0 * self.spec.link_delay_ns + 3.0 * NodeClock::FIXED_NS) as u64
     }
 
     /// Drains every client's outcomes into `check` and merges their

@@ -5,7 +5,8 @@
 //! arbiter and output queues across services so that "no hardware
 //! expertise" is required (§5.1). This crate reproduces that platform:
 //!
-//! * [`timing`] — the 200 MHz / 4×10G timing constants,
+//! * [`timing`] — the 200 MHz / 4×10G timing constants and
+//!   [`timing::NodeClock`], an Emu node's port-to-port timing,
 //! * [`dataplane`] — the frame/metadata contract between a program and
 //!   the platform (the substrate binding of Figure 6), plus the
 //!   platform-side driver,
@@ -25,5 +26,5 @@ pub mod pipeline;
 pub mod timing;
 
 pub use dataplane::{declare, CoreOutput, DataplaneDriver, DataplanePorts, TxFrame, TxList};
-pub use native::{switch_forward, NativeCore, P4FpgaConfig, P4FpgaCore, RefSwitchCore};
+pub use native::{switch_forward, NativeCore, P4FpgaCore, RefSwitchCore};
 pub use pipeline::{CoreMode, FrameRecord, PipelineSim};

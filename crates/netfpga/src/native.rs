@@ -152,48 +152,32 @@ impl NativeCore for RefSwitchCore {
     }
 }
 
-/// Configuration for the P4FPGA baseline, encoding its published figures.
-/// Latency and peak rate are Table 3 cells, pinned exactly and within
-/// 1 % by Table 3 · P4FPGA · module latency and 64 B throughput.
-#[derive(Debug, Clone)]
-pub struct P4FpgaConfig {
-    /// Pipeline latency in cycles (Table 3: 85).
-    pub latency_cycles: u64,
-    /// Clock (the paper quotes 250 MHz).
-    pub clock_hz: u64,
-    /// Peak packet rate at 64 B (Table 3: 53 Mpps).
-    pub peak_mpps_64b: f64,
-    /// Parsers are replicated per port (§5.3: "a header parser for every
-    /// port").
-    pub parsers: usize,
-    /// Match-action stages in the generated pipeline (a modelling choice;
-    /// with the parsers it sets the resource estimate).
-    pub stages: usize,
-}
-
-impl Default for P4FpgaConfig {
-    fn default() -> Self {
-        P4FpgaConfig {
-            latency_cycles: 85,
-            clock_hz: 250_000_000,
-            peak_mpps_64b: 53.0,
-            parsers: 4,
-            stages: 4,
-        }
-    }
-}
-
-/// The P4FPGA-compiled switch baseline.
+/// The P4FPGA-compiled switch baseline. Its published figures are
+/// constants: latency and peak rate are Table 3 cells, pinned exactly
+/// and within 1 % by Table 3 · P4FPGA · module latency and 64 B
+/// throughput.
 pub struct P4FpgaCore {
-    cfg: P4FpgaConfig,
     table: CamTable,
 }
 
 impl P4FpgaCore {
-    /// Creates the baseline with the published default parameters.
-    pub fn new(cfg: P4FpgaConfig) -> Self {
+    /// Pipeline latency in cycles (Table 3: 85).
+    pub const LATENCY_CYCLES: u64 = 85;
+    /// Clock (the paper quotes 250 MHz).
+    pub const CLOCK_HZ: u64 = 250_000_000;
+    /// Peak packet rate at 64 B (Table 3: 53 Mpps).
+    pub const PEAK_MPPS_64B: f64 = 53.0;
+    /// Parsers are replicated per port (§5.3: "a header parser for every
+    /// port"). With [`Self::STAGES`] it sets the resource estimate,
+    /// pinned by Table 3 · P4FPGA · memory and logic.
+    pub const PARSERS: usize = 4;
+    /// Match-action stages in the generated pipeline (a modelling choice;
+    /// with the parsers it sets the resource estimate).
+    pub const STAGES: usize = 4;
+
+    /// Creates the baseline with an empty 256-entry MAC table.
+    pub fn new() -> Self {
         P4FpgaCore {
-            cfg,
             table: CamTable::new(256, 48, 8),
         }
     }
@@ -201,7 +185,7 @@ impl P4FpgaCore {
 
 impl Default for P4FpgaCore {
     fn default() -> Self {
-        Self::new(P4FpgaConfig::default())
+        Self::new()
     }
 }
 
@@ -215,16 +199,16 @@ impl NativeCore for P4FpgaCore {
     }
 
     fn module_latency_cycles(&self) -> u64 {
-        self.cfg.latency_cycles
+        Self::LATENCY_CYCLES
     }
 
     fn clock_hz(&self) -> u64 {
-        self.cfg.clock_hz
+        Self::CLOCK_HZ
     }
 
     fn initiation_ns(&self, _frame_len: usize) -> f64 {
         // The deparser serializes the pipeline at the published peak rate.
-        1e3 / self.cfg.peak_mpps_64b
+        1e3 / Self::PEAK_MPPS_64B
     }
 
     fn resources(&self) -> ResourceReport {
@@ -235,10 +219,10 @@ impl NativeCore for P4FpgaCore {
         // modelling choice, pinned by Table 3 · P4FPGA · memory (near 236)
         // and logic (a recorded deviation, 26708 against 24161).
         let mut rep = ResourceReport::default();
-        for i in 0..self.cfg.parsers {
+        for i in 0..Self::PARSERS {
             rep.add(&format!("parser{i}"), 1450, 8, 700);
         }
-        for i in 0..self.cfg.stages {
+        for i in 0..Self::STAGES {
             let (l, m, f) = IpBlock::Cam {
                 entries: 256,
                 key_bits: 48,

@@ -22,7 +22,7 @@
 
 use crate::dataplane::{DataplaneDriver, TxFrame, TxList};
 use crate::native::NativeCore;
-use crate::timing;
+use crate::timing::{self, NodeClock};
 use emu_rtl::IpEnv;
 use emu_types::{Frame, Summary};
 use kiwi_ir::interp::NullObserver;
@@ -66,7 +66,7 @@ enum CoreBox {
 /// The simulated pipeline.
 pub struct PipelineSim {
     core: CoreBox,
-    core_free_ns: f64,
+    clock: NodeClock,
     out_port_free_ns: [f64; timing::NUM_PORTS],
     /// Output queue capacity in frames (per port).
     pub out_queue_frames: usize,
@@ -78,25 +78,19 @@ pub struct PipelineSim {
 impl PipelineSim {
     /// Builds a pipeline around a compiled Emu core.
     pub fn new_emu(driver: DataplaneDriver, env: IpEnv, mode: CoreMode) -> Self {
-        PipelineSim {
-            core: CoreBox::Emu {
-                driver: Box::new(driver),
-                env,
-                mode,
-            },
-            core_free_ns: 0.0,
-            out_port_free_ns: [0.0; timing::NUM_PORTS],
-            out_queue_frames: 64,
-            records: Vec::new(),
-            queue_drops: 0,
-        }
+        let driver = Box::new(driver);
+        Self::around(CoreBox::Emu { driver, env, mode })
     }
 
     /// Builds a pipeline around a native baseline core.
     pub fn new_native(core: Box<dyn NativeCore>) -> Self {
+        Self::around(CoreBox::Native(core))
+    }
+
+    fn around(core: CoreBox) -> Self {
         PipelineSim {
-            core: CoreBox::Native(core),
-            core_free_ns: 0.0,
+            core,
+            clock: NodeClock::default(),
             out_port_free_ns: [0.0; timing::NUM_PORTS],
             out_queue_frames: 64,
             records: Vec::new(),
@@ -141,50 +135,38 @@ impl PipelineSim {
     /// Frames must be injected in nondecreasing time order.
     pub fn inject(&mut self, frame: &Frame, t_ns: f64) -> IrResult<()> {
         let in_len = frame.len();
-        // Frame fully received and through the MAC + arbiter.
-        let t_ready = t_ns + timing::wire_ns(in_len) + timing::MAC_PHY_NS + timing::ARBITER_NS;
-
-        // Whichever core ran owns its transmissions; `outputs` borrows them.
+        // Whichever core ran owns its transmissions; `outputs` borrows
+        // them. Every arm times the core with the node's `NodeClock`.
         let emu_tx: TxList;
         let native_tx: Vec<TxFrame>;
-        let (outputs, cycles, t_core_start, t_core_done): (&[TxFrame], _, _, _) =
-            match &mut self.core {
-                CoreBox::Emu { driver, env, mode } => {
-                    let out = driver.process(frame, env, &mut NullObserver)?;
-                    let cycles = out.cycles;
-                    emu_tx = out.tx;
-                    match mode {
-                        CoreMode::Iterative => {
-                            let start = admit(t_ready, self.core_free_ns, timing::NS_PER_CYCLE);
-                            let done = start + cycles as f64 * timing::NS_PER_CYCLE;
-                            self.core_free_ns = done;
-                            (&emu_tx, cycles, start, done)
-                        }
-                        CoreMode::Streaming => {
-                            // Cut-through-ish: the core sees headers as beats
-                            // arrive; admission is limited by the stream.
-                            let t_head = t_ns + timing::MAC_PHY_NS + timing::ARBITER_NS;
-                            let start = admit(t_head, self.core_free_ns, timing::NS_PER_CYCLE);
-                            let ii = emu_rtl::beats_for_len(in_len) as f64 * timing::NS_PER_CYCLE;
-                            self.core_free_ns = start + ii;
-                            let done = start + cycles as f64 * timing::NS_PER_CYCLE;
-                            (&emu_tx, cycles, start, done)
-                        }
+        let (outputs, cycles, t_leave): (&[TxFrame], _, _) = match &mut self.core {
+            CoreBox::Emu { driver, env, mode } => {
+                let out = driver.process(frame, env, &mut NullObserver)?;
+                let cycles = out.cycles;
+                emu_tx = out.tx;
+                let t_leave = match mode {
+                    // Store-and-forward: the frame is fully received first.
+                    CoreMode::Iterative => self.clock.serve(t_ns + timing::wire_ns(in_len), cycles),
+                    CoreMode::Streaming => {
+                        // Cut-through-ish: the core sees headers as beats
+                        // arrive; admission is limited by the stream.
+                        let ii = emu_rtl::beats_for_len(in_len) as f64 * timing::NS_PER_CYCLE;
+                        let start = self.clock.admit(t_ns, timing::NS_PER_CYCLE, ii);
+                        start + cycles as f64 * timing::NS_PER_CYCLE + timing::OUT_QUEUE_NS
                     }
-                }
-                CoreBox::Native(core) => {
-                    native_tx = core.process(frame);
-                    let cyc = core.module_latency_cycles();
-                    let cyc_ns = 1e9 / core.clock_hz() as f64;
-                    let t_head = t_ns + timing::MAC_PHY_NS + timing::ARBITER_NS;
-                    // Snap to the *core's* clock grid (e.g. P4FPGA at 250 MHz).
-                    let start = admit(t_head, self.core_free_ns, cyc_ns);
-                    self.core_free_ns = start + core.initiation_ns(in_len);
-                    let done = start + cyc as f64 * cyc_ns;
-                    (&native_tx, cyc, start, done)
-                }
-            };
-        let _ = t_core_start;
+                };
+                (&emu_tx, cycles, t_leave)
+            }
+            CoreBox::Native(core) => {
+                native_tx = core.process(frame);
+                let cyc = core.module_latency_cycles();
+                // Snap to the *core's* clock grid (e.g. P4FPGA at 250 MHz).
+                let cyc_ns = 1e9 / core.clock_hz() as f64;
+                let ii = core.initiation_ns(in_len);
+                let done = self.clock.admit(t_ns, cyc_ns, ii) + cyc as f64 * cyc_ns;
+                (&native_tx, cyc, done + timing::OUT_QUEUE_NS)
+            }
+        };
 
         let mut rec = FrameRecord {
             in_port: frame.in_port,
@@ -195,7 +177,7 @@ impl PipelineSim {
         };
 
         for tx in outputs {
-            let out = self.egress(tx, t_core_done);
+            let out = self.egress(tx, t_leave);
             if rec.t_out_ns.is_none() {
                 rec.t_out_ns = out;
                 rec.out_ports = tx.ports;
@@ -205,9 +187,10 @@ impl PipelineSim {
         Ok(())
     }
 
-    /// Enqueues a transmission on each destination port; returns the wire
-    /// completion time of the earliest copy.
-    fn egress(&mut self, tx: &TxFrame, t_core_done: f64) -> Option<f64> {
+    /// Enqueues a transmission that left the output queue at `t_q` on
+    /// each destination port; returns the wire completion time of the
+    /// earliest copy.
+    fn egress(&mut self, tx: &TxFrame, t_q: f64) -> Option<f64> {
         let len = tx.frame.len();
         let wire = timing::wire_ns(len);
         let mut first: Option<f64> = None;
@@ -215,7 +198,6 @@ impl PipelineSim {
             if tx.ports & (1 << p) == 0 {
                 continue;
             }
-            let t_q = t_core_done + timing::OUT_QUEUE_NS;
             let backlog = self.out_port_free_ns[p] - t_q;
             if backlog > self.out_queue_frames as f64 * wire {
                 self.queue_drops += 1;
@@ -227,23 +209,6 @@ impl PipelineSim {
             first = Some(first.map_or(t_done, |f: f64| f.min(t_done)));
         }
         first
-    }
-}
-
-/// Snaps a time to the next edge of an arbitrary clock grid.
-fn snap_to(t_ns: f64, cyc_ns: f64) -> f64 {
-    (t_ns / cyc_ns).ceil() * cyc_ns
-}
-
-/// Admission time for a packet: an idle core samples the new arrival on
-/// its next clock edge; a backlogged core admits as soon as it frees up
-/// (the initiation interval is already clock-exact on average, so
-/// re-snapping would systematically over-quantize the pipeline's rate).
-fn admit(t_arrival: f64, core_free: f64, cyc_ns: f64) -> f64 {
-    if core_free > t_arrival {
-        core_free
-    } else {
-        snap_to(t_arrival, cyc_ns)
     }
 }
 
@@ -320,7 +285,8 @@ mod tests {
     fn snap_quantizes_to_cycle_grid() {
         // The only latency "jitter" a synchronous design exhibits (cf.
         // §5.6 on hardware predictability).
-        let snap = |t| snap_to(t, timing::NS_PER_CYCLE);
+        let ingress = timing::MAC_PHY_NS + timing::ARBITER_NS;
+        let snap = |t| NodeClock::default().admit(t - ingress, timing::NS_PER_CYCLE, 0.0);
         assert_eq!(snap(0.0), 0.0);
         assert_eq!(snap(0.1), 5.0);
         assert_eq!(snap(5.0), 5.0);

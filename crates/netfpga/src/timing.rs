@@ -1,4 +1,5 @@
-//! Timing constants for the NetFPGA SUME platform model.
+//! Timing constants for the NetFPGA SUME platform model, and
+//! [`NodeClock`], the one port-to-port timing model of an Emu node.
 //!
 //! Everything here reproduces §5.1's hardware description: a Virtex-7
 //! fabric clocked at 200 MHz, four 10 GbE ports, and the reference
@@ -51,6 +52,50 @@ pub const ARBITER_NS: f64 = 4.0 * NS_PER_CYCLE;
 /// (the paper gives no figure); pinned with [`MAC_PHY_NS`] by the
 /// Table 4 Emu latency cells.
 pub const OUT_QUEUE_NS: f64 = 3.0 * NS_PER_CYCLE;
+
+/// One Emu node's port-to-port timing around its one core, less the
+/// port queues: `PipelineSim` (Tables 3/4, §5.4, §5.6) and NetSim's
+/// service node both time frames with it. A frame is ready
+/// [`MAC_PHY_NS`] + [`ARBITER_NS`] after its last bit is in, starts on
+/// the clock grid behind the frame before it, is done after its cycles
+/// and leaves [`OUT_QUEUE_NS`] later; the egress MAC adds [`MAC_PHY_NS`].
+/// The core holds one frame at a time, so departures keep arrival order.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct NodeClock {
+    core_free_ns: f64,
+}
+
+impl NodeClock {
+    /// What every frame pays on the path whatever its cycles and its
+    /// queue: the MAC/PHY both ways, the arbiter and the output queue.
+    pub const FIXED_NS: f64 = 2.0 * MAC_PHY_NS + ARBITER_NS + OUT_QUEUE_NS;
+
+    /// Admits a frame that reached the MAC at `t_ns` (its last bit; a
+    /// streaming core's first) to a core clocked every `cyc_ns`, busy
+    /// for `busy_ns`; returns the start. The frame is ready after the
+    /// MAC and the arbiter; an idle core samples it on its next clock
+    /// edge, a busy one takes it as it frees up (re-snapping would
+    /// over-quantize a clock-exact busy time).
+    pub fn admit(&mut self, t_ns: f64, cyc_ns: f64, busy_ns: f64) -> f64 {
+        let t_ready = t_ns + MAC_PHY_NS + ARBITER_NS;
+        let start = if self.core_free_ns > t_ready {
+            self.core_free_ns
+        } else {
+            (t_ready / cyc_ns).ceil() * cyc_ns
+        };
+        self.core_free_ns = start + busy_ns;
+        start
+    }
+
+    /// Serves a frame whose last bit arrived at `t_in_ns` on an
+    /// iterative Emu core busy for `cycles`; returns when it leaves the
+    /// output queue for the egress MAC.
+    pub fn serve(&mut self, t_in_ns: f64, cycles: u64) -> f64 {
+        let busy = cycles as f64 * NS_PER_CYCLE;
+        let start = self.admit(t_in_ns, NS_PER_CYCLE, busy);
+        start + busy + OUT_QUEUE_NS
+    }
+}
 
 /// Wire time of a frame (bytes on the wire including the 20-byte
 /// preamble/IFG overhead convention used for the paper's 59.52 Mpps).

@@ -10,7 +10,14 @@
 //! Links model propagation delay and serialization at a configurable
 //! rate; frames are delivered in global time order. Each direction of a
 //! link is an independent lane (full duplex): serialization on a→b
-//! never delays b→a.
+//! never delays b→a, and a frame waits for its lane's wire to free up.
+//!
+//! A service node is timed like the Emu node of Tables 3 and 4, by the
+//! [`netfpga_sim::timing::NodeClock`] `PipelineSim` uses: MAC/PHY and
+//! arbiter, one core on the 200 MHz grid busy for the engine's model
+//! cycles whatever its shard count, output queue and egress MAC/PHY.
+//! The link adds the wire, so nothing is counted twice, and round-trip
+//! times are deterministic per seed.
 //!
 //! A frame moves from hop to hop: the bytes a service's engine
 //! transmitted are the bytes that cross the link and land in the next
@@ -40,11 +47,7 @@
 //! events to it, and it answers with frames-to-send and timers-to-arm —
 //! enough to express retransmission timeouts, exponential backoff, and
 //! request/response dialogues (the `emu-hosts` crate builds TCP,
-//! memcached, and DNS clients on this). Optionally,
-//! [`NetSim::set_ns_per_cycle`] converts each service engine's model
-//! cycle count into simulated processing latency, so closed-loop
-//! round-trip times include service time and stay deterministic per
-//! seed.
+//! memcached, and DNS clients on this).
 
 #![forbid(unsafe_code)]
 
@@ -52,6 +55,7 @@ use emu_core::{Engine, EngineError};
 use emu_telemetry::Json;
 use emu_types::Frame;
 use kiwi_ir::IrResult;
+use netfpga_sim::timing::{NodeClock, MAC_PHY_NS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
@@ -182,8 +186,9 @@ enum NodeKind {
     Host { inbox: Vec<Delivery> },
     /// A service node: an [`Engine`] of 1..N pipelines, built by the
     /// caller — the same engine (and dispatch policy) every other target
-    /// uses, so the Mininet-analogue exercises identical behaviour.
-    Service(Box<Engine>),
+    /// uses, so the Mininet-analogue exercises identical behaviour —
+    /// and the node's one core clock.
+    Service(Box<Engine>, NodeClock),
     /// A closed-loop endpoint agent reacting to frames and timers
     /// inside `run_until` (see [`HostAgent`]).
     Agent(Box<dyn HostAgent>),
@@ -258,10 +263,6 @@ pub struct NetSim {
     events: BinaryHeap<Event>,
     time_ns: f64,
     seq: u64,
-    /// Service processing latency: ns of simulated time per model cycle
-    /// consumed by a service node's engine (default 0.0 — transmissions
-    /// leave "immediately", the pre-timer behaviour).
-    ns_per_cycle: f64,
     /// Frames delivered to a port with no link attached.
     pub dropped_no_link: u64,
     /// Aggregate impairment accounting across every impaired link.
@@ -283,24 +284,9 @@ impl NetSim {
             events: BinaryHeap::new(),
             time_ns: 0.0,
             seq: 0,
-            ns_per_cycle: 0.0,
             dropped_no_link: 0,
             impair_stats: ImpairStats::default(),
         }
-    }
-
-    /// Models service processing latency: every frame a service node
-    /// handles delays its transmissions by `cycles × ns`, where
-    /// `cycles` is the engine's model-cycle count for that frame (the
-    /// same quantity the telemetry histograms record). The paper's
-    /// figure is 5 ns/cycle (`netfpga_sim::timing`'s 200 MHz core
-    /// clock); the default `0.0` preserves the historical
-    /// "transmit immediately" behaviour. With a non-zero value,
-    /// closed-loop round-trip times become meaningful — and stay
-    /// deterministic per seed, because model cycles are deterministic.
-    pub fn set_ns_per_cycle(&mut self, ns: f64) {
-        assert!(ns >= 0.0 && ns.is_finite(), "ns_per_cycle must be finite");
-        self.ns_per_cycle = ns;
     }
 
     /// Adds an end host with `ports` interfaces.
@@ -325,8 +311,9 @@ impl NetSim {
     /// let node = net.add_service("nat", svc.engine(Target::Cpu).shards(4).build()?, 4);
     /// ```
     ///
-    /// Service nodes conventionally run the CPU target (Mininet gives
-    /// functional, not temporal, fidelity), but any engine works.
+    /// Any target works: the node's timing comes from the engine's model
+    /// cycles and the node's [`NodeClock`], which are the same on every
+    /// target's engine for the same program.
     ///
     /// # Panics
     ///
@@ -340,7 +327,7 @@ impl NetSim {
         );
         self.nodes.push(Node {
             name: name.to_string(),
-            kind: NodeKind::Service(Box::new(engine)),
+            kind: NodeKind::Service(Box::new(engine), NodeClock::default()),
             ifaces: vec![None; ports],
             drops: 0,
             last_drop: None,
@@ -437,7 +424,30 @@ impl NetSim {
 
     /// Attaches seeded impairments to a link (both directions share the
     /// configuration and the RNG).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, unless `loss`, `duplicate` and `reorder`
+    /// are each finite and in `[0, 1]` and `jitter_ns` is finite and
+    /// `>= 0`. An infinite jitter parks a frame at t = ∞, a NaN one
+    /// panics inside the event heap, and a probability above 1 would
+    /// silently mean "always".
     pub fn impair(&mut self, link: LinkId, imp: Impairments) {
+        for (field, p) in [
+            ("loss", imp.loss),
+            ("duplicate", imp.duplicate),
+            ("reorder", imp.reorder),
+        ] {
+            assert!(
+                (0.0..=1.0).contains(&p),
+                "impair: {field} must be a probability in [0, 1], got {p}"
+            );
+        }
+        let jitter = imp.jitter_ns;
+        assert!(
+            jitter.is_finite() && jitter >= 0.0,
+            "impair: jitter_ns must be finite and >= 0, got {jitter}"
+        );
         self.links[link.0].impair = Some((imp, StdRng::seed_from_u64(imp.seed ^ 0x11e7_51f1)));
     }
 
@@ -477,21 +487,17 @@ impl NetSim {
                     self.impair_stats.lost += 1;
                     return;
                 }
-                let mut jittered = arrive;
-                if imp.reorder > 0.0 && imp.jitter_ns > 0.0 && rng.gen_bool(imp.reorder) {
-                    jittered += rng.gen_range(0.0..imp.jitter_ns);
-                    self.impair_stats.reordered += 1;
-                }
-                let mut copy = None;
-                if imp.duplicate > 0.0 && rng.gen_bool(imp.duplicate) {
-                    let mut t = arrive;
-                    if imp.reorder > 0.0 && imp.jitter_ns > 0.0 && rng.gen_bool(imp.reorder) {
-                        t += rng.gen_range(0.0..imp.jitter_ns);
-                    }
-                    copy = Some(t);
-                    self.impair_stats.duplicated += 1;
-                }
-                (jittered, copy)
+                // Each delivery draws its own reorder jitter.
+                let jitter = |rng: &mut StdRng| {
+                    (imp.reorder > 0.0 && imp.jitter_ns > 0.0 && rng.gen_bool(imp.reorder))
+                        .then(|| rng.gen_range(0.0..imp.jitter_ns))
+                };
+                let first = jitter(rng);
+                self.impair_stats.reordered += u64::from(first.is_some());
+                let copy = (imp.duplicate > 0.0 && rng.gen_bool(imp.duplicate))
+                    .then(|| arrive + jitter(rng).unwrap_or(0.0));
+                self.impair_stats.duplicated += u64::from(copy.is_some());
+                (arrive + first.unwrap_or(0.0), copy)
             }
         };
         // The frame moves into the last delivery; only a duplicate clones.
@@ -551,7 +557,7 @@ impl NetSim {
             };
             frame.in_port = dst_port as u8;
             let node = &mut self.nodes[ev.dst_node];
-            let out = match &mut node.kind {
+            let (out, t) = match &mut node.kind {
                 NodeKind::Host { inbox } => {
                     inbox.push(Delivery {
                         t_ns: ev.t_ns,
@@ -564,8 +570,13 @@ impl NetSim {
                     self.apply_agent_output(ev.dst_node, ev.t_ns, out);
                     continue;
                 }
-                NodeKind::Service(engine) => match engine.process(&frame) {
-                    Ok(out) => out,
+                // The frame's last bit is in at `ev.t_ns`; it leaves the
+                // node's egress MAC onto the link after the node's path.
+                NodeKind::Service(engine, clock) => match engine.process(&frame) {
+                    Ok(out) => {
+                        let t = clock.serve(ev.t_ns, out.cycles) + MAC_PHY_NS;
+                        (out, t)
+                    }
                     Err(e @ (EngineError::Oversize { .. } | EngineError::Trap { .. })) => {
                         node.drops += 1;
                         node.last_drop = Some(e.to_string());
@@ -574,12 +585,6 @@ impl NetSim {
                     Err(e) => return Err(e.into()),
                 },
             };
-            // Service processing time: by default transmissions leave
-            // "immediately" (Mininet gives functional, not temporal,
-            // fidelity); with `set_ns_per_cycle` the engine's model
-            // cycle count for this frame delays its transmissions, so
-            // closed-loop RTTs are meaningful and deterministic.
-            let t = ev.t_ns + out.cycles as f64 * self.ns_per_cycle;
             let ifaces = &self.nodes[ev.dst_node].ifaces;
             let (mut linked, mut unlinked) = (0u8, 0u8);
             for (p, iface) in ifaces.iter().enumerate() {
@@ -644,7 +649,7 @@ impl NetSim {
     pub fn try_inbox(&mut self, node: NodeId) -> Option<Vec<Delivery>> {
         match &mut self.nodes[node.0].kind {
             NodeKind::Host { inbox } => Some(std::mem::take(inbox)),
-            NodeKind::Service(_) | NodeKind::Agent(_) => None,
+            NodeKind::Service(..) | NodeKind::Agent(_) => None,
         }
     }
 
@@ -657,7 +662,7 @@ impl NetSim {
     /// tests) — the one accessor for every node shape.
     pub fn engine_mut(&mut self, n: NodeId) -> Option<&mut Engine> {
         match &mut self.nodes[n.0].kind {
-            NodeKind::Service(engine) => Some(engine),
+            NodeKind::Service(engine, _) => Some(engine),
             NodeKind::Host { .. } | NodeKind::Agent(_) => None,
         }
     }
@@ -711,7 +716,7 @@ impl NetSim {
                         "kind",
                         Json::from(match node.kind {
                             NodeKind::Host { .. } => "host",
-                            NodeKind::Service(_) => "service",
+                            NodeKind::Service(..) => "service",
                             NodeKind::Agent(_) => "agent",
                         }),
                     ),
@@ -720,7 +725,7 @@ impl NetSim {
                 if let Some(reason) = &node.last_drop {
                     fields.push(("last_drop", Json::from(reason.as_str())));
                 }
-                if let NodeKind::Service(engine) = &node.kind {
+                if let NodeKind::Service(engine, _) = &node.kind {
                     if let Some(snap) = engine.telemetry() {
                         fields.push(("engine", snap.to_json()));
                     }
@@ -754,6 +759,7 @@ mod tests {
     use super::*;
     use emu_core::{service_builder, Service, Target};
     use kiwi_ir::dsl::*;
+    use netfpga_sim::timing::{ARBITER_NS, NS_PER_CYCLE, OUT_QUEUE_NS};
 
     fn cpu_engine(svc: &Service, shards: usize) -> Engine {
         svc.engine(Target::Cpu).shards(shards).build().unwrap()
@@ -968,6 +974,52 @@ mod tests {
     #[should_panic(expected = "gbps must be finite and > 0")]
     fn a_zero_link_rate_panics() {
         linked_pair(100.0, 0.0);
+    }
+
+    /// Two hosts joined by a link impaired with `imp`.
+    fn impaired_pair(imp: Impairments) {
+        let mut net = NetSim::new();
+        let a = net.add_host("a", 1);
+        let b = net.add_host("b", 1);
+        let l = net.link(a, 0, b, 0, 100.0, 10.0);
+        net.impair(l, imp);
+    }
+
+    #[test]
+    #[should_panic(expected = "loss must be a probability in [0, 1]")]
+    fn a_loss_above_one_panics() {
+        impaired_pair(Impairments {
+            loss: 1.5,
+            ..Impairments::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate must be a probability in [0, 1]")]
+    fn a_nan_duplicate_panics() {
+        impaired_pair(Impairments {
+            duplicate: f64::NAN,
+            ..Impairments::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "reorder must be a probability in [0, 1]")]
+    fn a_negative_reorder_panics() {
+        impaired_pair(Impairments {
+            reorder: -0.1,
+            ..Impairments::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "jitter_ns must be finite and >= 0")]
+    fn an_infinite_jitter_panics() {
+        impaired_pair(Impairments {
+            reorder: 0.5,
+            jitter_ns: f64::INFINITY,
+            ..Impairments::default()
+        });
     }
 
     #[test]
@@ -1264,26 +1316,170 @@ mod tests {
     }
 
     #[test]
-    fn service_latency_delays_transmissions_by_model_cycles() {
-        let run = |ns_per_cycle: f64| {
-            let mut net = NetSim::new();
-            net.set_ns_per_cycle(ns_per_cycle);
-            let h = net.add_host("h", 1);
-            let m = net.add_service("mirror", cpu_engine(&mirror_service(), 1), 1);
-            net.link(h, 0, m, 0, 500.0, 10.0);
-            net.send(h, 0, Frame::new(vec![1; 60]), 0.0);
-            net.run_until(1e9).unwrap();
-            net.inbox(h)[0].t_ns
-        };
-        let immediate = run(0.0);
-        let modelled = run(5.0);
+    fn service_node_echo_takes_pipelinesim_port_to_port_latency() {
+        // One timing model: an Fpga `icmp_echo` node behind a zero-delay
+        // 10 Gb/s link echoes a ping after exactly the port-to-port
+        // latency PipelineSim (Iterative) records for the same frame —
+        // the link's wire time each way is the pipeline's ingress and
+        // egress wire.
+        use netfpga_sim::{CoreMode, PipelineSim};
+        let svc = emu_services::icmp_echo();
+        let ping = emu_services::icmp::echo_request_frame(56, 1);
+        let fpga = || svc.engine(Target::Fpga).build().unwrap();
+        let (driver, env) = fpga().into_fpga_parts().unwrap();
+        let mut sim = PipelineSim::new_emu(driver, env, CoreMode::Iterative);
+        sim.inject(&ping, 0.0).unwrap();
+        let port_to_port = sim.latencies_ns()[0];
+
+        let mut net = NetSim::new();
+        let h = net.add_host("h", 1);
+        let node = net.add_service("icmp", fpga(), 1);
+        net.link(h, 0, node, 0, 0.0, 10.0);
+        net.send(h, 0, ping, 0.0);
+        net.run_until(1e9).unwrap();
+        let echo = net.inbox(h);
+        assert_eq!(echo.len(), 1, "the ping must be echoed");
         assert!(
-            modelled > immediate,
-            "service cycles must delay the echo: {modelled} <= {immediate}"
+            (echo[0].t_ns - port_to_port).abs() < 1e-6,
+            "NetSim echo at {} ns, PipelineSim port to port {port_to_port} ns",
+            echo[0].t_ns
         );
-        // The delta is exactly cycles × 5 ns — deterministic, so two
-        // modelled runs agree to the bit.
-        assert_eq!(run(5.0).to_bits(), modelled.to_bits());
+    }
+
+    #[test]
+    fn a_node_serves_frames_that_arrive_together_one_at_a_time() {
+        // One core per node whatever its shard count: two frames in at
+        // once on two ports leave one core-time apart.
+        let svc = mirror_service();
+        let frame = |tag: u8| Frame::new(vec![tag; 60]);
+        let cycles = cpu_engine(&svc, 1).process(&frame(0)).unwrap().cycles;
+        let mut net = NetSim::new();
+        let (a, b) = (net.add_host("a", 1), net.add_host("b", 1));
+        let m = net.add_service("mirror", cpu_engine(&svc, 2), 2);
+        net.link(a, 0, m, 0, 0.0, 10.0);
+        net.link(b, 0, m, 1, 0.0, 10.0);
+        net.send(a, 0, frame(1), 0.0);
+        net.send(b, 0, frame(2), 0.0);
+        net.run_until(1e9).unwrap();
+        let gap = net.inbox(b)[0].t_ns - net.inbox(a)[0].t_ns;
+        let busy = cycles as f64 * NS_PER_CYCLE;
+        assert!(busy > 0.0);
+        assert!(
+            (gap - busy).abs() < 1e-6,
+            "echoes {gap} ns apart, core busy {busy} ns"
+        );
+    }
+
+    /// `n` exponential gaps of mean `1 / rate_per_ns`, from `seed`.
+    fn poisson_times(seed: u64, rate_per_ns: f64, n: usize) -> impl Iterator<Item = f64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut t = 0.0;
+        (0..n).map(move |_| {
+            t += -(1.0 - rng.gen_range(0.0..1.0f64)).ln() / rate_per_ns;
+            t
+        })
+    }
+
+    /// Arrivals per queueing check: at 10^5 a Lindley simulation missed
+    /// 3 % on some seeds (up to 4.8 % at ρ = 0.8).
+    const ARRIVALS: usize = 400_000;
+
+    /// Asserts a measured mean wait is within 3 % of theory.
+    fn within_3_percent(what: &str, rho: f64, mean: f64, theory: f64) {
+        let err = (mean - theory).abs() / theory;
+        assert!(
+            err < 0.03,
+            "{what} at rho {rho}: mean wait {mean:.2} ns vs {theory:.2} ns ({:.2} %)",
+            err * 100.0
+        );
+    }
+
+    #[test]
+    fn a_link_fed_poisson_frames_is_an_m_d_1_queue() {
+        // Fixed-size frames at Poisson times on one lane: the mean wait
+        // for the wire is ρ / (2μ(1 − ρ)), μ = 1 / serialisation time.
+        let frame = Frame::new(vec![0; 60]);
+        let ser_ns = frame.wire_bytes() as f64 * 8.0 / 10.0;
+        for (rho, seed) in [(0.5, 1), (0.8, 2)] {
+            let mut net = NetSim::new();
+            let (a, b) = (net.add_host("a", 1), net.add_host("b", 1));
+            net.link(a, 0, b, 0, 0.0, 10.0);
+            let sent: Vec<f64> = poisson_times(seed, rho / ser_ns, ARRIVALS).collect();
+            let mut waited = 0.0;
+            // Batches keep the inbox small; a lane is FIFO, so the
+            // k-th arrival is the k-th send.
+            for batch in sent.chunks(10_000) {
+                for &t in batch {
+                    net.send(a, 0, frame.clone(), t);
+                }
+                net.run_until(f64::MAX).unwrap();
+                let inbox = net.inbox(b);
+                assert_eq!(inbox.len(), batch.len());
+                waited += inbox
+                    .iter()
+                    .zip(batch)
+                    .map(|(d, &t)| d.t_ns - ser_ns - t)
+                    .sum::<f64>();
+            }
+            let theory = rho * ser_ns / (2.0 * (1.0 - rho));
+            within_3_percent("link", rho, waited / ARRIVALS as f64, theory);
+        }
+    }
+
+    #[test]
+    fn an_icmp_echo_node_fed_poisson_frames_is_an_m_d_1_queue_on_the_clock_grid() {
+        // The node value alone, busy for `icmp_echo`'s Fpga cycles per
+        // frame (D = cycles × Δ, Δ = 5 ns). An idle core admits a frame
+        // on the next clock edge, and a busy one frees up on an edge, so
+        // a frame starts at max(core free, its ready time rounded up to
+        // an edge): an M/D/1 queue fed the rounded times, plus the
+        // rounding. For Poisson arrivals the mean wait from ready to
+        // start is exactly
+        //     W = ρ / (2μ(1 − ρ)) + Δ / 2,   μ = 1 / D, ρ = λD.
+        let ping = emu_services::icmp::echo_request_frame(56, 1);
+        let mut engine = emu_services::icmp_echo()
+            .engine(Target::Fpga)
+            .build()
+            .unwrap();
+        let cycles = engine.process(&ping).unwrap().cycles;
+        assert!(
+            (40..=60).contains(&cycles),
+            "icmp_echo Fpga cycles {cycles}"
+        );
+        let d_ns = cycles as f64 * NS_PER_CYCLE;
+        // What a frame pays besides its wait: the MAC/PHY and arbiter
+        // in, its cycles and the output queue.
+        let fixed = MAC_PHY_NS + ARBITER_NS + d_ns + OUT_QUEUE_NS;
+        for (rho, seed) in [(0.5, 3), (0.8, 4)] {
+            let mut clock = NodeClock::default();
+            let waited: f64 = poisson_times(seed, rho / d_ns, ARRIVALS)
+                .map(|t| clock.serve(t, cycles) - t - fixed)
+                .sum();
+            let theory = rho * d_ns / (2.0 * (1.0 - rho)) + NS_PER_CYCLE / 2.0;
+            within_3_percent("node", rho, waited / ARRIVALS as f64, theory);
+        }
+    }
+
+    #[test]
+    fn impairment_counts_stay_inside_5_sigma_binomial_bounds() {
+        // Loss is drawn once per offered frame, duplication once per
+        // frame that survived the loss draw.
+        let (n, loss, dup) = (20_000u16, 0.1, 0.05);
+        let (_, stats) = run_impaired(n, lossy(loss, dup, 0.0, 0xb1));
+        let inside = |what: &str, k: u64, trials: f64, p: f64| {
+            let sigma = (trials * p * (1.0 - p)).sqrt();
+            assert!(
+                (k as f64 - trials * p).abs() <= 5.0 * sigma,
+                "{what}: {k} of {trials} at p = {p} is outside 5 sigma ({sigma:.1})"
+            );
+        };
+        inside("lost", stats.lost, f64::from(n), loss);
+        inside(
+            "duplicated",
+            stats.duplicated,
+            f64::from(n) - stats.lost as f64,
+            dup,
+        );
     }
 
     #[test]

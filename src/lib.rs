@@ -325,17 +325,18 @@
 //! [`simnet::HostAgent`]s living inside the event loop — they arm
 //! retransmission timers, back off exponentially, suppress duplicated
 //! responses, verify every answer against a model of the server, and
-//! sample RTTs under Karn's rule into [`telemetry::Histogram`]s. With
-//! [`simnet::NetSim::set_ns_per_cycle`] the service's model cycle count
-//! becomes simulated processing latency, so the measured RTT is wire +
-//! engine, deterministic per seed:
+//! sample RTTs under Karn's rule into [`telemetry::Histogram`]s. A
+//! service node is timed by [`platform::timing::NodeClock`], the
+//! port-to-port arithmetic Table 4's pipeline uses (MAC/PHY, arbiter,
+//! one core on the 200 MHz grid busy for the engine's model cycles,
+//! output queue), so the measured RTT is wire + node, deterministic per
+//! seed:
 //!
 //! ```
 //! use emu::prelude::*;
 //! use emu::hosts::{ClientConfig, TcpClient, KICK};
 //!
 //! let mut net = emu::simnet::NetSim::new();
-//! net.set_ns_per_cycle(5.0); // the 200 MHz core clock of Table 4
 //! let ping = emu::services::tcp_ping();
 //! let server = net.add_service("ping", ping.engine(Target::Cpu).build().unwrap(), 1);
 //! let client = net.add_agent(
@@ -353,8 +354,10 @@
 //! net.run_until(f64::MAX).unwrap();
 //! let probe = net.agent_as::<TcpClient>(client).unwrap();
 //! assert_eq!(probe.stats().completed, 32); // every SYN got a verified SYN-ACK
-//! // RTT ≥ two traversals of the 500 ns wire (plus service cycles).
-//! assert!(probe.stats().rtt.quantile(0.5).unwrap() >= 1_000);
+//! // RTT ≥ two traversals of the 500 ns wire plus the server's fixed
+//! // path (MAC/PHY both ways, arbiter, output queue), before its cycles.
+//! let floor = 1_000.0 + emu::platform::timing::NodeClock::FIXED_NS;
+//! assert!(probe.stats().rtt.quantile(0.5).unwrap() as f64 >= floor);
 //! ```
 //!
 //! [`hosts::fat_tree`] scales the same machinery to whole topologies: a
