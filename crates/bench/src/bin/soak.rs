@@ -295,7 +295,7 @@ fn main() {
                 b = b.ttl_frames(*t);
             }
             if *steer {
-                b = b.dispatch(NatSteering::default());
+                b = b.dispatch(NatSteering);
             }
             let mut engine = b.build().expect("engine build");
             let mut chk = checker(SHARDS, *ttl);

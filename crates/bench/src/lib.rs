@@ -27,7 +27,7 @@ use emu_types::{Frame, Ipv4, Summary};
 use hoststack::{HostProfile, Memaslap};
 use kiwi::CostModel;
 use kiwi_ir::IrResult;
-use netfpga_sim::{timing, CoreMode, NativeCore, P4FpgaCore, PipelineSim, RefSwitchCore};
+use netfpga_sim::{pipeline, timing, Baseline, CoreMode, PipelineSim};
 
 /// The five Table 4 services with request generators.
 struct Table4Service {
@@ -354,13 +354,13 @@ pub const SCALING: [Cell; 1] = [cell(
 )];
 
 /// The clock-period budgets of the §5.3 ablation, loosest first:
-/// `(label, period units, clock)`. A tighter budget is a higher clock
-/// and a deeper pipeline.
-const BUDGETS: [(&str, u32, u64); 4] = [
-    ("relaxed (150 MHz)", 36, 150_000_000),
-    ("NetFPGA default (200 MHz)", 24, 200_000_000),
-    ("aggressive (300 MHz)", 14, 300_000_000),
-    ("max pipeline (400 MHz)", 8, 400_000_000),
+/// `(label, period units)`; the label names the clock a budget stands
+/// for. A tighter budget is a higher clock and a deeper pipeline.
+const BUDGETS: [(&str, u32); 4] = [
+    ("relaxed (150 MHz)", 36),
+    ("NetFPGA default (200 MHz)", 24),
+    ("aggressive (300 MHz)", 14),
+    ("max pipeline (400 MHz)", 8),
 ];
 
 const CYCLES_RISE: &str = "cycles/request ÷ looser budget's";
@@ -427,9 +427,9 @@ const ESTIMATE: &str = "`kiwi::estimate` is a per-component sum, not a Vivado re
 const SIX_CYCLES: &str = "our FSM schedules the learned unicast path in 6 cycles, the \
      reference switch's count; the paper's Kiwi build took 8";
 const REFERENCE_MODEL: &str = "the reference switch is a component model of a design we do \
-     not synthesise (`RefSwitchCore::resources`); its components miss memory the real one uses";
+     not synthesise (`Baseline::resources`); its components miss memory the real one uses";
 const P4FPGA_MODEL: &str = "the P4FPGA switch is a component model of a design we cannot \
-     build (`P4FpgaCore::resources`); its per-parser and per-stage figures sum above the \
+     build (`Baseline::resources`); its per-parser and per-stage figures sum above the \
      published logic";
 const THROUGHPUT_ABOVE_PAPER: &str = "the simulated core saturates at fewer cycles per request \
      than the paper's measured rate implies; what bounded the paper's runs is not modelled";
@@ -581,11 +581,8 @@ fn emu_latency(
         }
         r
     };
-    let lat: Vec<f64> = sim.records()[warm_records..]
-        .iter()
-        .filter_map(|r| r.t_out_ns.map(|o| o - r.t_in_ns))
-        .collect();
-    Summary::of(&lat).ok_or_else(|| kiwi_ir::IrError("no completions".into()))
+    Summary::of(&pipeline::latencies_ns(&sim.records()[warm_records..]))
+        .ok_or_else(|| kiwi_ir::IrError("no completions".into()))
 }
 
 /// Measures saturation throughput: requests offered faster than the core
@@ -609,14 +606,8 @@ fn emu_throughput(
         sim.inject(&request(i), t)?;
         t += gap;
     }
-    let recs = &sim.records()[skip..];
-    let outs: Vec<f64> = recs.iter().filter_map(|r| r.t_out_ns).collect();
-    if outs.len() < 2 {
-        return Err(kiwi_ir::IrError("too few completions".into()));
-    }
-    let t_first = recs.iter().map(|r| r.t_in_ns).fold(f64::INFINITY, f64::min);
-    let t_last = outs.iter().fold(0.0f64, |a, &b| a.max(b));
-    Ok(outs.len() as f64 / ((t_last - t_first) / 1e9))
+    pipeline::throughput_pps(&sim.records()[skip..])
+        .ok_or_else(|| kiwi_ir::IrError("too few completions".into()))
 }
 
 /// Table 3's throughput column: teaches a switch one station per port,
@@ -667,7 +658,7 @@ pub fn table3() -> IrResult<Vec<Reading>> {
         .filter(|b| b.0.contains("cam"))
         .map(|b| b.1)
         .sum();
-    let reference = RefSwitchCore::new().resources().logic;
+    let reference = Baseline::Reference.resources().logic;
     let mut out = vec![
         Reading::of(T3, "Emu", LOGIC, emu.logic as f64),
         Reading::of(T3, "Emu", MEMORY, emu.memory as f64),
@@ -676,13 +667,12 @@ pub fn table3() -> IrResult<Vec<Reading>> {
         Reading::of(T3, "Emu", CAM_SHARE, 100.0 * cam as f64 / emu.logic as f64),
         Reading::of(T3, "Emu", LOGIC_RATIO, emu.logic as f64 / reference as f64),
     ];
-    let natives: [(&str, Box<dyn NativeCore>); 2] = [
-        ("reference", Box::new(RefSwitchCore::new())),
-        ("P4FPGA", Box::new(P4FpgaCore::default())),
-    ];
-    for (row, core) in natives {
-        let (res, cycles) = (core.resources(), core.module_latency_cycles());
-        let mpps = line_rate_mpps(&mut PipelineSim::new_native(core), LINE_RATE_FRAMES);
+    for (row, design) in [
+        ("reference", Baseline::Reference),
+        ("P4FPGA", Baseline::P4Fpga),
+    ] {
+        let (res, cycles) = (design.resources(), design.module_latency_cycles());
+        let mpps = line_rate_mpps(&mut PipelineSim::new_native(design), LINE_RATE_FRAMES);
         out.extend([
             Reading::of(T3, row, LOGIC, res.logic as f64),
             Reading::of(T3, row, MEMORY, res.memory as f64),
@@ -842,7 +832,7 @@ fn memcached_rps(cores: usize, warm_gap_ns: f64) -> IrResult<f64> {
     let mut sims = (0..cores)
         .map(|_| emu_pipeline(&svc, CoreMode::Iterative))
         .collect::<IrResult<Vec<_>>>()?;
-    let mut gen = Memaslap::new(64, 0.9, 11);
+    let mut gen = Memaslap::new(64, 11);
     let mut t = 0.0;
     for (i, op) in gen.warmup().iter().enumerate() {
         let f = memcached_frame(&op.request_body(), i as u64);
@@ -880,12 +870,9 @@ fn memcached_rps(cores: usize, warm_gap_ns: f64) -> IrResult<f64> {
 pub fn ablation() -> IrResult<Vec<Reading>> {
     let cycles = BUDGETS
         .iter()
-        .map(|&(_, period_units, clock_hz)| {
+        .map(|&(_, period_units)| {
             let mut svc = icmp::icmp_echo();
-            svc.cost_model = CostModel {
-                period_units,
-                clock_hz,
-            };
+            svc.cost_model = CostModel { period_units };
             let mut inst = svc.engine(Target::Fpga).build()?;
             Ok(inst.process(&icmp::echo_request_frame(56, 1))?.cycles as f64)
         })

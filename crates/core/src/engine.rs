@@ -266,51 +266,42 @@ impl Dispatch for RssHash {
 /// `NatSteering` steers:
 ///
 /// * **outbound** frames (arriving on any port other than
-///   [`NatSteering::external_port`]) by the RSS flow hash — stable per
+///   [`NatSteering::EXTERNAL_PORT`]) by the RSS flow hash — stable per
 ///   flow, so the allocating shard also sees every later outbound frame;
 /// * **inbound** IPv4 TCP/UDP frames on the external port by their
-///   destination port: shard `(dport - first_ephemeral) % N`.
+///   destination port: shard `(dport - FIRST_EPHEMERAL) % N`.
 ///
 /// That inversion works because `configure` partitions the ephemeral
-/// range across shards — shard *k* allocates `first_ephemeral + k`,
+/// range across shards — shard *k* allocates `FIRST_EPHEMERAL + k`,
 /// stepping by *N* — so external ports are globally unique and their
 /// residue identifies the owner. The policy programs this through the
 /// service's allocation registers:
 ///
 /// | register | written to |
 /// |---|---|
-/// | `next_port` | `first_ephemeral + shard` |
-/// | `port_base` | `first_ephemeral + shard` (wrap-around restart) |
+/// | `next_port` | `FIRST_EPHEMERAL + shard` |
+/// | `port_base` | `FIRST_EPHEMERAL + shard` (wrap-around restart) |
 /// | `port_stride` | shard count |
 ///
-/// `emu_services::nat` declares exactly this contract. Building an
+/// `emu_services::nat` declares exactly this contract, and reads its
+/// port numbers from the two constants here. Building an
 /// engine errors if the service declares only *some* of the registers;
 /// a service with none of them (e.g. a stateless service in a dispatch
 /// comparison) is left untouched, but then only the steering half of the
 /// policy applies.
 ///
-/// Inbound frames whose destination port is below `first_ephemeral`
+/// Inbound frames whose destination port is below `FIRST_EPHEMERAL`
 /// (never allocated) fall back to the RSS hash; every shard drops them
 /// identically, so their placement is immaterial.
-#[derive(Debug, Clone, Copy)]
-pub struct NatSteering {
-    /// The port index of the external (public) side. The NAT service
-    /// convention is port 0.
-    pub external_port: u8,
-    /// First ephemeral port of the allocation range.
-    pub first_ephemeral: u16,
-}
-
-impl Default for NatSteering {
-    fn default() -> Self {
-        NatSteering {
-            external_port: 0,
-            first_ephemeral: 50_000,
-        }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NatSteering;
 
 impl NatSteering {
+    /// The port index of the external (public) side.
+    pub const EXTERNAL_PORT: u8 = 0;
+    /// First ephemeral port of the allocation range.
+    pub const FIRST_EPHEMERAL: u16 = 50_000;
+
     /// The registers of the allocation contract.
     const REGS: [&'static str; 3] = ["next_port", "port_base", "port_stride"];
 
@@ -338,10 +329,10 @@ impl Dispatch for NatSteering {
     }
 
     fn shard_of(&self, frame: &Frame, shards: usize) -> usize {
-        if frame.in_port == self.external_port {
+        if frame.in_port == Self::EXTERNAL_PORT {
             if let Some(dport) = Self::l4_dport(frame) {
-                if dport >= self.first_ephemeral {
-                    return usize::from(dport - self.first_ephemeral) % shards;
+                if dport >= Self::FIRST_EPHEMERAL {
+                    return usize::from(dport - Self::FIRST_EPHEMERAL) % shards;
                 }
             }
         }
@@ -364,7 +355,7 @@ impl Dispatch for NatSteering {
                 Self::REGS
             )));
         }
-        let base = u64::from(self.first_ephemeral) + shard as u64;
+        let base = u64::from(Self::FIRST_EPHEMERAL) + shard as u64;
         inst.write_reg("next_port", base);
         inst.write_reg("port_base", base);
         inst.write_reg("port_stride", shards as u64);
@@ -1315,7 +1306,7 @@ mod tests {
 
     #[test]
     fn nat_steering_keys_inbound_on_external_port() {
-        let steer = NatSteering::default();
+        let steer = NatSteering;
         // Inbound on the external port: dport picks the shard residue.
         for (dport, want) in [(50_000u16, 0usize), (50_001, 1), (50_006, 2), (50_011, 3)] {
             let mut f = flow_frame(9, 53, 40);

@@ -206,8 +206,12 @@ pub fn compile(cmd: &Command, var_table: &[String]) -> Result<Vec<CaspOp>, Strin
     })
 }
 
+/// Labels a [`DirectionObserver`]'s backtrace keeps, newest last.
+const BACKTRACE_DEPTH: usize = 32;
+
 /// Software-target direction support: an [`Observer`] implementing
-/// watchpoints, breakpoints, write/call counters and a label backtrace.
+/// watchpoints, breakpoints, write/call counters and a label backtrace
+/// of the last `BACKTRACE_DEPTH` labels.
 #[derive(Debug, Default)]
 pub struct DirectionObserver {
     /// Active watchpoints: var index → optional condition.
@@ -224,17 +228,12 @@ pub struct DirectionObserver {
     pub call_counts: HashMap<String, u64>,
     /// Rolling label history (the "function call stack" of `backtrace`).
     pub backtrace: Vec<String>,
-    /// Backtrace depth bound.
-    pub backtrace_depth: usize,
 }
 
 impl DirectionObserver {
-    /// Creates an observer with a default backtrace depth.
+    /// Creates an observer with nothing watched, broken on or counted.
     pub fn new() -> Self {
-        DirectionObserver {
-            backtrace_depth: 32,
-            ..Default::default()
-        }
+        Self::default()
     }
 }
 
@@ -252,7 +251,7 @@ impl Observer for DirectionObserver {
     fn on_label(&mut self, name: &str) {
         *self.call_counts.entry(name.to_string()).or_insert(0) += 1;
         self.backtrace.push(name.to_string());
-        if self.backtrace.len() > self.backtrace_depth {
+        if self.backtrace.len() > BACKTRACE_DEPTH {
             self.backtrace.remove(0);
         }
         if let Some(cond) = self.breaks.get(name) {
@@ -432,5 +431,20 @@ mod tests {
         assert_eq!(obs.call_counts["rx"], 2);
         assert_eq!(obs.break_hits.len(), 2);
         assert_eq!(obs.backtrace, vec!["rx", "rx"]);
+    }
+
+    #[test]
+    fn every_observer_keeps_the_last_backtrace_depth_labels() {
+        use kiwi_ir::interp::Observer as _;
+        let mut obs = DirectionObserver::default();
+        for i in 0..BACKTRACE_DEPTH + 8 {
+            obs.on_label(&format!("l{i}"));
+        }
+        assert_eq!(obs.backtrace.len(), BACKTRACE_DEPTH);
+        assert_eq!(obs.backtrace[0], "l8");
+        assert_eq!(
+            obs.backtrace[BACKTRACE_DEPTH - 1],
+            format!("l{}", BACKTRACE_DEPTH + 7)
+        );
     }
 }

@@ -25,7 +25,9 @@ use std::any::Any;
 /// [`netsim::NetSim::arm_timer`] to start a client.
 pub const KICK: u64 = 1 << 63;
 
-/// Closed-loop pacing and reliability knobs, shared by every client.
+/// Closed-loop reliability knobs, shared by every client. There is no
+/// think time: a client arms its next request at the instant the last
+/// one resolves.
 #[derive(Debug, Clone, Copy)]
 pub struct ClientConfig {
     /// Requests to issue before going idle.
@@ -34,8 +36,6 @@ pub struct ClientConfig {
     pub rto_ns: f64,
     /// Retransmissions allowed per request before declaring a timeout.
     pub retries: u32,
-    /// Think time between a resolution and the next issue.
-    pub gap_ns: f64,
 }
 
 impl Default for ClientConfig {
@@ -44,7 +44,6 @@ impl Default for ClientConfig {
             requests: 100,
             rto_ns: 2_000_000.0, // 2 ms
             retries: 4,
-            gap_ns: 0.0,
         }
     }
 }
@@ -201,7 +200,7 @@ impl<P: RequestProto> Client<P> {
             note,
         });
         if self.next_serial < self.cfg.requests {
-            AgentOutput::none().arm(now + self.cfg.gap_ns, KICK | self.next_serial)
+            AgentOutput::none().arm(now, KICK | self.next_serial)
         } else {
             AgentOutput::none()
         }

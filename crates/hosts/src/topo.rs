@@ -36,9 +36,12 @@ pub const DNS_SERVER_MAC: u64 = 0x02_00_00_00_a0_02;
 /// The TCP-ping server's address.
 pub const TCP_SERVER_MAC: u64 = 0x02_00_00_00_a0_03;
 
-/// Everything a generated fat-tree derives from. Node timing is not
-/// here: every switch and service node is timed as an Emu node by its
-/// [`NodeClock`] (see `netsim`), whatever its shard count or backend.
+/// Everything a generated fat-tree derives from that a caller varies.
+/// Node timing is not here: every switch and service node is timed as
+/// an Emu node by its [`NodeClock`] (see `netsim`), whatever its shard
+/// count or backend. Neither are the link rate (`LINK_GBPS`), the DNS
+/// zone's size (`ZONE_NAMES`) or a memcached client's key count
+/// (`MC_KEYS`), which every fabric shares.
 #[derive(Debug, Clone, Copy)]
 pub struct TopoSpec {
     /// Master seed for clients and impairments.
@@ -49,25 +52,32 @@ pub struct TopoSpec {
     pub edges_per_agg: usize,
     /// Shards per engine (switches and services alike).
     pub shards: usize,
-    /// Run engine shards on worker threads.
+    /// Build every engine with `Engine::parallel`. A NetSim node never
+    /// uses the workers: it calls `Engine::process`, which runs each
+    /// frame on the calling thread, so `true` (not the default) only
+    /// parks an idle worker per extra shard of each engine.
     pub parallel: bool,
-    /// CPU backend for every engine.
+    /// CPU backend for every engine; by default `EMU_CPU_BACKEND`'s
+    /// ([`Backend::env_default`]).
     pub backend: Backend,
     /// Propagation delay of every link.
     pub link_delay_ns: f64,
-    /// Serialization rate of every link.
-    pub link_gbps: f64,
     /// Impairments applied to **every** link (each link gets its own
     /// derived RNG seed); `None` for a clean fabric.
     pub impair: Option<Impairments>,
     /// Closed-loop pacing/reliability knobs shared by every client.
     pub client: ClientConfig,
-    /// Names in the DNS zone (clients also query this many absent
-    /// names, expecting NXDOMAIN).
-    pub zone_names: usize,
-    /// Private keys per memcached client.
-    pub mc_keys: usize,
 }
+
+/// Serialization rate of every link, Gb/s.
+const LINK_GBPS: f64 = 10.0;
+
+/// Names in the DNS zone (clients also query this many absent names,
+/// expecting NXDOMAIN).
+const ZONE_NAMES: usize = 6;
+
+/// Private keys per memcached client.
+const MC_KEYS: usize = 6;
 
 impl Default for TopoSpec {
     fn default() -> Self {
@@ -76,14 +86,11 @@ impl Default for TopoSpec {
             aggs: 2,
             edges_per_agg: 2,
             shards: 2,
-            parallel: true,
-            backend: Backend::default(),
+            parallel: false,
+            backend: Backend::env_default(),
             link_delay_ns: 1_000.0,
-            link_gbps: 10.0,
             impair: None,
             client: ClientConfig::default(),
-            zone_names: 6,
-            mc_keys: 6,
         }
     }
 }
@@ -197,7 +204,7 @@ pub fn fat_tree(spec: TopoSpec) -> EngineResult<Topo> {
 
     let impaired_link =
         |net: &mut NetSim, a: NodeId, pa: usize, b: NodeId, pb: usize, idx: &mut u64| {
-            let l = net.link(a, pa, b, pb, spec.link_delay_ns, spec.link_gbps);
+            let l = net.link(a, pa, b, pb, spec.link_delay_ns, LINK_GBPS);
             if let Some(imp) = spec.impair {
                 let per_link = Impairments {
                     seed: imp
@@ -246,7 +253,7 @@ pub fn fat_tree(spec: TopoSpec) -> EngineResult<Topo> {
     );
 
     // Services on the first three slots.
-    let dns_zone = zone(spec.zone_names);
+    let dns_zone = zone(ZONE_NAMES);
     let mc_node = net.add_service(
         "mc_server",
         build_engine(&emu_services::memcached(), &spec)?,
@@ -277,7 +284,7 @@ pub fn fat_tree(spec: TopoSpec) -> EngineResult<Topo> {
         .iter()
         .map(|(n, a)| (n.clone(), Some(*a)))
         .collect();
-    for i in 0..spec.zone_names {
+    for i in 0..ZONE_NAMES {
         query_names.push((format!("x{i}.emu.test"), None));
     }
     let mut clients = Vec::new();
@@ -305,7 +312,7 @@ pub fn fat_tree(spec: TopoSpec) -> EngineResult<Topo> {
                     MacAddr::from_u64(MC_SERVER_MAC),
                     Ipv4::new(10, 9, 0, 1),
                     &format!("c{i}k"),
-                    spec.mc_keys,
+                    MC_KEYS,
                     seed,
                     spec.client,
                 )),
@@ -435,4 +442,21 @@ fn harvest_one<P: RequestProto>(
         sum.last_resolve_ns = sum.last_resolve_ns.max(s.last_resolve_ns);
     }
     sum.rtt.merge(&s.rtt);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn default_fabric_parks_no_workers() {
+        let mut topo = fat_tree(TopoSpec::default()).expect("engines build");
+        let services = topo.services.iter().map(|&(node, _)| node);
+        let engines: Vec<NodeId> = topo.switches.iter().copied().chain(services).collect();
+        assert_eq!(engines.len(), topo.engines());
+        for node in engines {
+            let engine = topo.net.engine_mut(node).expect("an engine node");
+            assert!(!engine.is_parallel(), "{node:?} is parallel");
+        }
+    }
 }

@@ -33,26 +33,24 @@ use kiwi_ir::program::Program;
 use kiwi_ir::{IrError, IrResult};
 use std::collections::BTreeSet;
 
-/// Calibration constants for the scheduler and resource estimator.
+/// The scheduler's one calibration setting: the combinational budget per
+/// clock cycle.
 ///
-/// `period_units` is the combinational budget per 5 ns cycle, in the gate
-/// units returned by `Expr::delay`: one unit ≈ one LUT level ≈ 0.2 ns with
-/// generous routing slack. 24 units ≈ what a 200 MHz Virtex-7 design can
-/// absorb between registers.
+/// `period_units` is in the gate units returned by `Expr::delay`: one
+/// unit ≈ one LUT level ≈ 0.2 ns with generous routing slack. 24 units ≈
+/// what a 200 MHz Virtex-7 design can absorb between registers in its
+/// 5 ns cycle. The model holds no clock: cycles become time on the
+/// platform's 200 MHz grid (§5.1), and the §5.3 ablation names the clock
+/// each tighter budget stands for in its labels only.
 #[derive(Debug, Clone)]
 pub struct CostModel {
     /// Combinational depth budget per clock cycle, in gate units.
     pub period_units: u32,
-    /// Clock frequency in Hz; 200 MHz on NetFPGA SUME (§5.1).
-    pub clock_hz: u64,
 }
 
 impl Default for CostModel {
     fn default() -> Self {
-        CostModel {
-            period_units: 24,
-            clock_hz: 200_000_000,
-        }
+        CostModel { period_units: 24 }
     }
 }
 
@@ -217,18 +215,11 @@ mod tests {
         body.push(halt());
         pb.thread("main", body);
 
-        let tight = fsm_of(
-            pb.clone(),
-            CostModel {
-                period_units: 8,
-                clock_hz: 400_000_000,
-            },
-        );
+        let tight = fsm_of(pb.clone(), CostModel { period_units: 8 });
         let loose = fsm_of(
             pb,
             CostModel {
                 period_units: 10_000,
-                clock_hz: 50_000_000,
             },
         );
         assert!(
@@ -306,10 +297,7 @@ mod tests {
         body.push(assign(done, lit(1, 1)));
         body.push(halt());
         pb.thread("main", body);
-        let model = |period_units| CostModel {
-            period_units,
-            clock_hz: 200_000_000,
-        };
+        let model = |period_units| CostModel { period_units };
         let mut loose = rtl(&pb, model(10_000));
         let mut tight = rtl(&pb, model(8));
         loose

@@ -10,13 +10,17 @@
 //! * [`dataplane`] — the frame/metadata contract between a program and
 //!   the platform (the substrate binding of Figure 6), plus the
 //!   platform-side driver,
-//! * [`native`] — the Table 3 baselines: the hand-written reference
-//!   switch and the P4FPGA-generated switch, and [`switch_forward`], the
-//!   one learning-switch reference they, the switch service's tests and
-//!   `emu_traffic::SwitchModel` share,
+//! * [`native`] — the Table 3 baselines, one type with two values:
+//!   [`Baseline::Reference`] (the hand-written reference switch) and
+//!   [`Baseline::P4Fpga`] (the P4FPGA-generated switch), and
+//!   [`switch_forward`], the one learning-switch reference they, the
+//!   switch service's tests and `emu_traffic::SwitchModel` share,
 //! * [`pipeline`] — the discrete-event pipeline simulation that produces
 //!   module latency, end-to-end latency and throughput (§5.4's multi-core
-//!   memcached is one pipeline per core, `emu_bench::scaling`).
+//!   memcached is one pipeline per core, `emu_bench::scaling`), behind
+//!   output queues of [`pipeline::OUT_QUEUE_FRAMES`] frames per port;
+//!   [`pipeline::latencies_ns`] and [`pipeline::throughput_pps`] read any
+//!   slice of its records.
 
 #![forbid(unsafe_code)]
 
@@ -26,5 +30,5 @@ pub mod pipeline;
 pub mod timing;
 
 pub use dataplane::{declare, CoreOutput, DataplaneDriver, DataplanePorts, TxFrame, TxList};
-pub use native::{switch_forward, NativeCore, P4FpgaCore, RefSwitchCore};
+pub use native::{switch_forward, Baseline};
 pub use pipeline::{CoreMode, FrameRecord, PipelineSim};

@@ -21,7 +21,7 @@
 //!   (Table 3) while module latency stays the measured FSM path.
 
 use crate::dataplane::{DataplaneDriver, TxFrame, TxList};
-use crate::native::NativeCore;
+use crate::native::Baseline;
 use crate::timing::{self, NodeClock};
 use emu_rtl::IpEnv;
 use emu_types::{Frame, Summary};
@@ -60,16 +60,21 @@ enum CoreBox {
         env: IpEnv,
         mode: CoreMode,
     },
-    Native(Box<dyn NativeCore>),
+    Native {
+        design: Baseline,
+        table: Box<emu_rtl::CamTable>,
+    },
 }
+
+/// Output queue capacity in frames, per port: a frame that would wait
+/// behind more than this many wire times of its own length is dropped.
+pub const OUT_QUEUE_FRAMES: usize = 64;
 
 /// The simulated pipeline.
 pub struct PipelineSim {
     core: CoreBox,
     clock: NodeClock,
     out_port_free_ns: [f64; timing::NUM_PORTS],
-    /// Output queue capacity in frames (per port).
-    pub out_queue_frames: usize,
     records: Vec<FrameRecord>,
     /// Frames dropped at full output queues.
     pub queue_drops: u64,
@@ -82,9 +87,10 @@ impl PipelineSim {
         Self::around(CoreBox::Emu { driver, env, mode })
     }
 
-    /// Builds a pipeline around a native baseline core.
-    pub fn new_native(core: Box<dyn NativeCore>) -> Self {
-        Self::around(CoreBox::Native(core))
+    /// Builds a pipeline around a Table 3 baseline with an empty table.
+    pub fn new_native(design: Baseline) -> Self {
+        let table = Box::new(Baseline::table());
+        Self::around(CoreBox::Native { design, table })
     }
 
     fn around(core: CoreBox) -> Self {
@@ -92,7 +98,6 @@ impl PipelineSim {
             core,
             clock: NodeClock::default(),
             out_port_free_ns: [0.0; timing::NUM_PORTS],
-            out_queue_frames: 64,
             records: Vec::new(),
             queue_drops: 0,
         }
@@ -105,10 +110,7 @@ impl PipelineSim {
 
     /// Latency samples (ns) of frames that produced output.
     pub fn latencies_ns(&self) -> Vec<f64> {
-        self.records
-            .iter()
-            .filter_map(|r| r.t_out_ns.map(|o| o - r.t_in_ns))
-            .collect()
+        latencies_ns(&self.records)
     }
 
     /// Latency summary.
@@ -116,34 +118,21 @@ impl PipelineSim {
         Summary::of(&self.latencies_ns())
     }
 
-    /// Achieved throughput in packets/s over the span of completed frames.
+    /// Achieved throughput in packets/s over the span of completed
+    /// frames; 0 with fewer than two.
     pub fn throughput_pps(&self) -> f64 {
-        let outs: Vec<f64> = self.records.iter().filter_map(|r| r.t_out_ns).collect();
-        if outs.len() < 2 {
-            return 0.0;
-        }
-        let t_first_in = self
-            .records
-            .iter()
-            .map(|r| r.t_in_ns)
-            .fold(f64::INFINITY, f64::min);
-        let t_last = outs.iter().fold(0.0f64, |a, &b| a.max(b));
-        (outs.len() as f64) / ((t_last - t_first_in) / 1e9)
+        throughput_pps(&self.records).unwrap_or(0.0)
     }
 
     /// Injects a frame whose first bit hits the ingress wire at `t_ns`.
     /// Frames must be injected in nondecreasing time order.
     pub fn inject(&mut self, frame: &Frame, t_ns: f64) -> IrResult<()> {
         let in_len = frame.len();
-        // Whichever core ran owns its transmissions; `outputs` borrows
-        // them. Every arm times the core with the node's `NodeClock`.
-        let emu_tx: TxList;
-        let native_tx: Vec<TxFrame>;
-        let (outputs, cycles, t_leave): (&[TxFrame], _, _) = match &mut self.core {
+        // Every arm times the core with the node's `NodeClock`.
+        let (outputs, cycles, t_leave): (TxList, _, _) = match &mut self.core {
             CoreBox::Emu { driver, env, mode } => {
                 let out = driver.process(frame, env, &mut NullObserver)?;
                 let cycles = out.cycles;
-                emu_tx = out.tx;
                 let t_leave = match mode {
                     // Store-and-forward: the frame is fully received first.
                     CoreMode::Iterative => self.clock.serve(t_ns + timing::wire_ns(in_len), cycles),
@@ -155,16 +144,16 @@ impl PipelineSim {
                         start + cycles as f64 * timing::NS_PER_CYCLE + timing::OUT_QUEUE_NS
                     }
                 };
-                (&emu_tx, cycles, t_leave)
+                (out.tx, cycles, t_leave)
             }
-            CoreBox::Native(core) => {
-                native_tx = core.process(frame);
-                let cyc = core.module_latency_cycles();
+            CoreBox::Native { design, table } => {
+                let tx = Baseline::process(table, frame);
+                let cyc = design.module_latency_cycles();
                 // Snap to the *core's* clock grid (e.g. P4FPGA at 250 MHz).
-                let cyc_ns = 1e9 / core.clock_hz() as f64;
-                let ii = core.initiation_ns(in_len);
+                let cyc_ns = 1e9 / design.clock_hz() as f64;
+                let ii = design.initiation_ns(in_len);
                 let done = self.clock.admit(t_ns, cyc_ns, ii) + cyc as f64 * cyc_ns;
-                (&native_tx, cyc, done + timing::OUT_QUEUE_NS)
+                (tx, cyc, done + timing::OUT_QUEUE_NS)
             }
         };
 
@@ -176,7 +165,7 @@ impl PipelineSim {
             core_cycles: cycles,
         };
 
-        for tx in outputs {
+        for tx in &outputs {
             let out = self.egress(tx, t_leave);
             if rec.t_out_ns.is_none() {
                 rec.t_out_ns = out;
@@ -199,7 +188,7 @@ impl PipelineSim {
                 continue;
             }
             let backlog = self.out_port_free_ns[p] - t_q;
-            if backlog > self.out_queue_frames as f64 * wire {
+            if backlog > OUT_QUEUE_FRAMES as f64 * wire {
                 self.queue_drops += 1;
                 continue;
             }
@@ -212,15 +201,37 @@ impl PipelineSim {
     }
 }
 
+/// Latency samples (ns) of the `records` whose frames produced output.
+pub fn latencies_ns(records: &[FrameRecord]) -> Vec<f64> {
+    records
+        .iter()
+        .filter_map(|r| r.t_out_ns.map(|o| o - r.t_in_ns))
+        .collect()
+}
+
+/// Throughput in packets/s of the `records`' completed frames, from the
+/// first arrival to the last departure; `None` with fewer than two.
+pub fn throughput_pps(records: &[FrameRecord]) -> Option<f64> {
+    let outs: Vec<f64> = records.iter().filter_map(|r| r.t_out_ns).collect();
+    if outs.len() < 2 {
+        return None;
+    }
+    let t_first_in = records
+        .iter()
+        .map(|r| r.t_in_ns)
+        .fold(f64::INFINITY, f64::min);
+    let t_last = outs.iter().fold(0.0f64, |a, &b| a.max(b));
+    Some((outs.len() as f64) / ((t_last - t_first_in) / 1e9))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::native::{P4FpgaCore, RefSwitchCore};
     use emu_types::wire::l2_frame as test_frame;
 
     #[test]
     fn native_switch_single_frame_latency() {
-        let mut sim = PipelineSim::new_native(Box::new(RefSwitchCore::new()));
+        let mut sim = PipelineSim::new_native(Baseline::Reference);
         sim.inject(&test_frame(0xA, 0xB, 0), 0.0).unwrap();
         let s = sim.summary().unwrap();
         // Wire (67.2) + 2×MAC (640) + arbiter + 6 cycles + queue + wire:
@@ -254,7 +265,7 @@ mod tests {
 
     #[test]
     fn line_rate_through_reference_switch() {
-        let mut sim = PipelineSim::new_native(Box::new(RefSwitchCore::new()));
+        let mut sim = PipelineSim::new_native(Baseline::Reference);
         offer_line_rate(&mut sim, 4000);
         let mpps = sim.throughput_pps() / 1e6;
         assert!(mpps > 55.0 && mpps < 62.0, "got {mpps} Mpps");
@@ -263,7 +274,7 @@ mod tests {
 
     #[test]
     fn p4fpga_saturates_below_line_rate() {
-        let mut sim = PipelineSim::new_native(Box::new(P4FpgaCore::default()));
+        let mut sim = PipelineSim::new_native(Baseline::P4Fpga);
         offer_line_rate(&mut sim, 4000);
         let mpps = sim.throughput_pps() / 1e6;
         assert!(mpps > 48.0 && mpps < 56.0, "got {mpps} Mpps");
@@ -271,8 +282,8 @@ mod tests {
 
     #[test]
     fn p4fpga_latency_exceeds_reference() {
-        let mut ref_sim = PipelineSim::new_native(Box::new(RefSwitchCore::new()));
-        let mut p4_sim = PipelineSim::new_native(Box::new(P4FpgaCore::default()));
+        let mut ref_sim = PipelineSim::new_native(Baseline::Reference);
+        let mut p4_sim = PipelineSim::new_native(Baseline::P4Fpga);
         ref_sim.inject(&test_frame(0xA, 0xB, 0), 0.0).unwrap();
         p4_sim.inject(&test_frame(0xA, 0xB, 0), 0.0).unwrap();
         let r = ref_sim.summary().unwrap().mean;

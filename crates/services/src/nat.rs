@@ -9,7 +9,8 @@
 //! here. Table 4: 1.32 µs / 2.439 Mq/s vs 2.44 ms / 1.037 Mq/s for the
 //! Linux-gateway host path.
 //!
-//! Port 0 is the external (public) side; all other ports are internal.
+//! Port 0 ([`emu_core::NatSteering::EXTERNAL_PORT`]) is the external
+//! (public) side; all other ports are internal.
 //! Outbound flows get a translation allocated from an ephemeral port
 //! counter; inbound packets are matched against the reverse table and
 //! dropped when no mapping exists. TTL is decremented and both the IPv4
@@ -48,12 +49,15 @@
 //! service declares: `next_port` (the allocation cursor), `port_base`
 //! (where the cursor restarts after wrap-around), and `port_stride` (the
 //! cursor's step). Their defaults — `FIRST_EPHEMERAL`, `FIRST_EPHEMERAL`,
-//! 1 — reproduce the unsharded behaviour exactly.
+//! 1 — reproduce the unsharded behaviour exactly. Both port numbers of
+//! the contract, the external port and [`FIRST_EPHEMERAL`], are
+//! `NatSteering`'s constants, so the policy and the service read one
+//! definition.
 
 use emu_core::csum::{csum_update_u32, csum_update_word};
 use emu_core::ipblock::CamIf;
 use emu_core::proto::Ipv4Wrapper;
-use emu_core::{service_builder, Service};
+use emu_core::{service_builder, NatSteering, Service};
 use emu_rtl::{CamPair, CamTable, IpEnv, PairedCamModel};
 use emu_types::proto::{ether_type, ip_proto, offset};
 use emu_types::{Bits, Ipv4};
@@ -63,8 +67,8 @@ use kiwi_ir::dsl::*;
 /// engines may raise it via `EngineBuilder::table_entries`.
 pub const NAT_ENTRIES: usize = 1024;
 
-/// First ephemeral port handed out.
-pub const FIRST_EPHEMERAL: u16 = 50000;
+/// First ephemeral port handed out: `NatSteering`'s.
+pub const FIRST_EPHEMERAL: u16 = NatSteering::FIRST_EPHEMERAL;
 
 /// Upper bound on ports probed per allocation before the service gives
 /// up and drops the frame (port-range exhaustion). The ephemeral space
@@ -252,7 +256,7 @@ pub fn nat(public_ip: Ipv4) -> Service {
     rewrite.extend(ip.set_src(pub_ip.clone()));
     rewrite.extend(dp.set16(offset::L4, var(ext_port)));
     rewrite.extend(ttl_dec.clone());
-    rewrite.push(dp.set_output_port(lit(0, 8)));
+    rewrite.push(dp.set_output_port(lit(NatSteering::EXTERNAL_PORT.into(), 8)));
     rewrite.extend(dp.transmit(dp.rx_len()));
     outbound.push(if_then(var(alloc_ok), rewrite));
 
@@ -293,7 +297,11 @@ pub fn nat(public_ip: Ipv4) -> Service {
         assign(proto, ip.protocol()),
         assign(l4_sport, dp.get16(offset::L4)),
         assign(l4_dport, dp.get16(offset::L4 + 2)),
-        if_else(eq(dp.input_port(), lit(0, 8)), inbound, outbound),
+        if_else(
+            eq(dp.input_port(), lit(NatSteering::EXTERNAL_PORT.into(), 8)),
+            inbound,
+            outbound,
+        ),
     ];
     let mut body = vec![dp.rx_wait(), label("rx")];
     body.push(if_then(translatable, {

@@ -264,7 +264,7 @@ impl Checker for NatChecker {
         // Every admitted frame advances its owning shard's epoch — the
         // engine ticks the shard's tables once per processed frame,
         // translatable or not — so the shadow ages in lockstep.
-        let shard = NatSteering::default().shard_of(input, self.shards.len());
+        let shard = NatSteering.shard_of(input, self.shards.len());
         self.shards[shard].pair.tick_frame();
         if !Self::translatable(input) {
             if !out.tx.is_empty() {
@@ -734,7 +734,7 @@ mod tests {
         let mut engine = svc
             .engine(Target::Cpu)
             .shards(4)
-            .dispatch(NatSteering::default())
+            .dispatch(NatSteering)
             .build()
             .unwrap();
         let mut checker = NatChecker::new(public(), 4);
@@ -771,7 +771,7 @@ mod tests {
         let mut engine = svc
             .engine(Target::Cpu)
             .shards(2)
-            .dispatch(NatSteering::default())
+            .dispatch(NatSteering)
             .table_entries(512)
             .ttl_frames(300)
             .build()

@@ -4,7 +4,7 @@
 //!
 //! Run: `cargo run --release --example learning_switch`
 
-use emu::platform::{timing, NativeCore, RefSwitchCore};
+use emu::platform::{timing, Baseline};
 use emu::prelude::*;
 use emu::services::switch::switch_ip_cam;
 use emu::stdlib::TableConfig;
@@ -63,7 +63,7 @@ fn main() {
     // --- resources vs the hand-written reference ------------------------
     let fsm = compile(&svc.program).expect("compile");
     let emu_res = estimate(&fsm, &(svc.make_env)(&TableConfig::default()).resources());
-    let ref_res = RefSwitchCore::new().resources();
+    let ref_res = Baseline::Reference.resources();
     println!("\n== utilization ==");
     println!(
         "emu switch     : logic {:>6}, memory {:>4}",

@@ -34,7 +34,7 @@ fn main() {
     let (driver, env) = inst.into_fpga_parts().expect("fpga");
     let mut sim = PipelineSim::new_emu(driver, env, CoreMode::Iterative);
 
-    let mut gen = Memaslap::new(64, 0.9, 7);
+    let mut gen = Memaslap::new(64, 7);
     let mut t = 0.0;
     for (i, op) in gen.warmup().iter().enumerate() {
         let mut f = request_frame(&op.request_body(), i as u16);

@@ -25,7 +25,7 @@ fn main() {
     let mut engine = svc
         .engine(Target::Fpga)
         .shards(shards)
-        .dispatch(NatSteering::default())
+        .dispatch(NatSteering)
         .build()
         .expect("build engine");
     println!(

@@ -625,7 +625,7 @@ proptest! {
 
         let models = [
             ("fpga-loose", CostModel::default()),
-            ("fpga-tight", CostModel { period_units: 10, clock_hz: 200_000_000 }),
+            ("fpga-tight", CostModel { period_units: 10 }),
         ];
         let mut rtls = Vec::new();
         for (label, model) in models {
@@ -757,7 +757,7 @@ proptest! {
                     .table_entries(64)
                     .ttl_frames(48);
                 if steer {
-                    b = b.dispatch(NatSteering::default());
+                    b = b.dispatch(NatSteering);
                 }
                 b.build().unwrap()
             };
@@ -797,7 +797,7 @@ proptest! {
                     .table_entries(64)
                     .ttl_frames(48);
                 if steer {
-                    b = b.dispatch(NatSteering::default());
+                    b = b.dispatch(NatSteering);
                 }
                 let mut engine = b.build().unwrap();
                 engine.process_batch(&frames);

@@ -32,7 +32,6 @@ fn small_spec() -> TopoSpec {
             requests: 50,
             rto_ns: 200_000.0, // 200 µs; clean RTT is ~13 µs
             retries: 4,
-            gap_ns: 0.0,
         },
         ..TopoSpec::default()
     }

@@ -89,7 +89,7 @@ proptest! {
         interp.run_cycles(10_000, &mut NullEnv, &mut NullObserver).unwrap();
 
         // A tight budget forces extra state splits — results must agree.
-        let fsm = kiwi::compile_with(&prog, CostModel { period_units: 10, clock_hz: 200_000_000 }).unwrap();
+        let fsm = kiwi::compile_with(&prog, CostModel { period_units: 10 }).unwrap();
         let mut rtl = Core::new(Code::Fpga(fsm));
         rtl.run_cycles(100_000, &mut NullEnv, &mut NullObserver).unwrap();
 
@@ -194,7 +194,7 @@ proptest! {
                 "nat-steering",
                 svc.engine(Target::Cpu)
                     .shards(shards)
-                    .dispatch(NatSteering::default())
+                    .dispatch(NatSteering)
                     .build()
                     .unwrap(),
             ),
@@ -256,7 +256,7 @@ proptest! {
                 "nat-steering",
                 svc.engine(Target::Cpu)
                     .shards(shards)
-                    .dispatch(NatSteering::default())
+                    .dispatch(NatSteering)
                     .build()
                     .unwrap(),
             ),

@@ -85,12 +85,16 @@ fn mac_table_exhaustion_keeps_forwarding() {
 
 #[test]
 fn output_queue_overflow_drops_cleanly() {
-    use emu::platform::{PipelineSim, RefSwitchCore};
-    let mut sim = PipelineSim::new_native(Box::new(RefSwitchCore::new()));
-    sim.out_queue_frames = 4;
-    // All traffic converges on one egress port at 4x its line rate.
+    use emu::platform::pipeline::OUT_QUEUE_FRAMES;
+    use emu::platform::timing::{self, NodeClock};
+    use emu::platform::{Baseline, PipelineSim};
+    let mut sim = PipelineSim::new_native(Baseline::Reference);
+    // All traffic converges on one egress port at 5.3x its line rate.
     sim.inject(&wire::l2_frame(0xB, 0xA, 1), 0.0).unwrap(); // learn A@1... (src 0xB)
-    let gap = 4.2; // far beyond line rate
+
+    // Far beyond the port's 64 ns wire time, but the core's 10 ns
+    // initiation keeps up: every wait is in the output queue.
+    let gap = 12.0;
     let mut t = 1000.0;
     for i in 0..2000u64 {
         // Any ingress but port 1, where the destination lives.
@@ -102,6 +106,23 @@ fn output_queue_overflow_drops_cleanly() {
     // And completed frames still have sane latencies.
     let s = sim.summary().unwrap();
     assert!(s.min > 0.0);
+    // The bound the drop rule enforces: no delivered frame waited in
+    // its output queue for more than `OUT_QUEUE_FRAMES` wire times of
+    // its length. A frame's latency is its unqueued path — the switch's
+    // fixed path, its 6 cycles and its egress wire time — plus that wait
+    // and less than a cycle of clock-grid alignment.
+    let wire_ns = timing::wire_ns(wire::l2_frame(0xA, 0xB, 0).len());
+    let unqueued = NodeClock::FIXED_NS + 6.0 * timing::NS_PER_CYCLE + wire_ns;
+    let bound = OUT_QUEUE_FRAMES as f64 * wire_ns;
+    let worst = s.max - unqueued;
+    assert!(
+        worst > 0.9 * bound,
+        "the queue must fill: waited {worst} ns"
+    );
+    assert!(
+        worst < bound + timing::NS_PER_CYCLE,
+        "waited {worst} ns > {bound} ns"
+    );
 }
 
 /// A mirror service with a planted fault: any frame whose first payload

@@ -310,11 +310,7 @@ fn nat_is_pinned() {
         "nat",
         &emu::services::nat("203.0.113.1".parse().unwrap()),
         &frames,
-        |b| {
-            b.table_entries(48)
-                .ttl_frames(200)
-                .dispatch(NatSteering::default())
-        },
+        |b| b.table_entries(48).ttl_frames(200).dispatch(NatSteering),
         &Golden {
             tx: 0x5f68_c941_3831_e665,
             cpu_cycles: (8019, 0xeb9b_ed36_2f07_0740),

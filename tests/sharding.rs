@@ -254,7 +254,7 @@ fn nat_steering_delivers_inbound_replies_to_the_owning_shard() {
     let mut steered = svc
         .engine(Target::Fpga)
         .shards(4)
-        .dispatch(NatSteering::default())
+        .dispatch(NatSteering)
         .build()
         .unwrap();
     let (correct, wrong) = run(&mut steered);
@@ -274,7 +274,7 @@ fn nat_steering_delivers_inbound_replies_to_the_owning_shard() {
 
 #[test]
 fn nat_steering_partitions_the_ephemeral_range() {
-    // Shard k allocates first_ephemeral + k, stepping by N: external
+    // Shard k allocates FIRST_EPHEMERAL + k, stepping by N: external
     // ports are globally unique across shards and their residue names
     // the owner.
     let svc = s::nat::nat("203.0.113.1".parse().unwrap());
@@ -282,7 +282,7 @@ fn nat_steering_partitions_the_ephemeral_range() {
     let mut engine = svc
         .engine(Target::Cpu)
         .shards(shards)
-        .dispatch(NatSteering::default())
+        .dispatch(NatSteering)
         .build()
         .unwrap();
     let mut seen = std::collections::HashMap::new();
@@ -507,7 +507,7 @@ fn assert_modes_agree_batch_after_batch(target: Target, sizes: &[usize], rounds:
     let engine = |parallel: bool| {
         svc.engine(target)
             .shards(4)
-            .dispatch(NatSteering::default())
+            .dispatch(NatSteering)
             .parallel(parallel)
             .build()
             .unwrap()

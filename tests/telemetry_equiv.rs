@@ -116,7 +116,7 @@ type ShardRow = (u64, u64, u64, u64, u64);
 fn shard_rows(svc: &Service, nat: bool, shards: usize, frames: &[Frame]) -> Vec<ShardRow> {
     let mut b = svc.engine(Target::Cpu).shards(shards);
     if nat {
-        b = b.dispatch(NatSteering::default());
+        b = b.dispatch(NatSteering);
     }
     let mut engine = b.build().unwrap();
     for chunk in frames.chunks(1024) {
