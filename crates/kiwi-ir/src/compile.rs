@@ -7,7 +7,7 @@
 //! slow — it re-decodes the same `Expr` nodes every frame, builds a
 //! [`Bits`] at every node, and re-resolves widths on every binary op.
 //! This module trades that tree for a **pre-decoded linear program** of
-//! 31 micro-ops ([`MOp`]) over one file of `u64` slots:
+//! 30 micro-ops ([`MOp`]) over one file of `u64` slots:
 //!
 //! * every `VarId` / `ArrId` / `SigId` is resolved to a plain index at
 //!   lowering time,
@@ -16,16 +16,21 @@
 //! * execution is a single `match` over compact micro-ops — no recursion,
 //!   no per-node clones, no heap traffic.
 //!
-//! # Registers, scratch and constant pool
+//! # Registers, signals, scratch and constant pool
 //!
-//! The slot file is the [`MachineState`]'s word file, in three parts:
+//! The slot file is the [`MachineState`]'s word file, in four parts:
 //!
 //! * **Registers.** Slot `v` is register `v` (see the
 //!   [`MachineState`] docs): a read of a register of at most 64 bits
 //!   lowers to its slot and nothing else, and [`MOp::StVarS`] is a
-//!   masked store of a slot into it. A register slot is the one slot
-//!   written more than once, by every store to that register, so no
-//!   pass carries a read of it past a store to it.
+//!   masked store of a slot into it.
+//! * **Signals** ([`CompiledProgram::sig_base`] up): slot
+//!   `sig_base + s` is signal `s`, read and stored the same way — a
+//!   read of a signal of at most 64 bits is its slot, and
+//!   [`MOp::StSigS`] is a masked store into it. The environment drives
+//!   an input between cycles by writing the same word. Register and
+//!   signal slots are the slots written more than once, by every store
+//!   to them, so no pass carries a read of one past a store to it.
 //! * **Scratch** ([`CompiledProgram::scratch_base`] up): every thread's
 //!   regions number their values from there, each written once before
 //!   it is read within a region, and the threads share them (a thread
@@ -43,9 +48,10 @@
 //!
 //! [`crate::Core::new`] extends the state's file with the scratch and
 //! the pool once per running copy. Only the register stores write a
-//! register slot, no micro-op writes a pool slot and none loads a
-//! constant at run time (`tests/pass_census.rs` checks all three on
-//! every shipped program).
+//! register slot and only the signal stores a signal slot, no micro-op
+//! writes a pool slot and none loads a constant at run time
+//! (`tests/pass_census.rs` checks all of these on every shipped
+//! program).
 //!
 //! # What is lowered and what is evaluated
 //!
@@ -62,7 +68,8 @@
 //! slice or narrowing of something wider; an array index, shift amount
 //! or branch condition that is itself wider), [`MOp::StVarE`] /
 //! [`MOp::StArrE`] / [`MOp::StSigE`] when the statement's value is
-//! itself wider (or, for `StVarE`, the register it stores to is), in
+//! itself wider (or, for `StVarE` / `StSigE`, the register or signal it
+//! stores to is), in
 //! which case the micro-op *is* the tree-walker's
 //! store ([`MachineState::assign`] and friends). There is no second
 //! implementation of arithmetic beyond 64 bits for the spec to disagree
@@ -98,8 +105,8 @@ use emu_types::Bits;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Index of a slot in the word file: a register, a scratch slot, or a
-/// constant-pool slot (see the module docs).
+/// Index of a slot in the word file: a register, a signal, a scratch
+/// slot, or a constant-pool slot (see the module docs).
 pub type Slot = u32;
 
 /// Marks a pool slot between lowering and layout: pool entry `k` is
@@ -107,13 +114,20 @@ pub type Slot = u32;
 /// every thread's scratch.
 const POOL: Slot = 1 << 31;
 
-/// Marks a register slot between lowering and layout: register `v` is
-/// slot `REG | v` until [`compile_with_passes`] moves the scratch above
-/// the registers and register `v` becomes slot `v`.
+/// Marks a register or signal slot between lowering and layout:
+/// register `v` is slot `REG | v` until [`compile_with_passes`] moves
+/// the scratch above the registers and signals and register `v` becomes
+/// slot `v`.
 const REG: Slot = 1 << 30;
 
+/// Beside [`REG`], marks a signal slot between lowering and layout:
+/// signal `s` is slot `REG | SIG | s` until layout puts it above the
+/// registers.
+const SIG: Slot = 1 << 29;
+
 /// Numbers no slot has before layout (both marks set): the passes'
-/// names for the values register stores leave (`opt::Values`).
+/// names for the values register and signal stores leave
+/// (`opt::Values`).
 pub(crate) const UNSLOTTED: Slot = POOL | REG;
 
 /// Whether `s` names a constant-pool slot (before layout).
@@ -122,7 +136,8 @@ pub(crate) fn is_pool(s: Slot) -> bool {
     s & POOL != 0
 }
 
-/// Whether `s` names a register slot (before layout).
+/// Whether `s` names a register or signal slot (before layout): one
+/// that every store to it writes again.
 #[inline]
 pub(crate) fn is_reg(s: Slot) -> bool {
     s & (POOL | REG) == REG
@@ -139,6 +154,12 @@ pub(crate) fn is_scratch(s: Slot) -> bool {
 #[inline]
 pub(crate) fn reg_slot(var: u32) -> Slot {
     REG | var
+}
+
+/// The slot of signal `sig` (before layout).
+#[inline]
+pub(crate) fn sig_slot(sig: u32) -> Slot {
+    REG | SIG | sig
 }
 
 /// The constants of one program under compilation, each distinct value
@@ -246,13 +267,6 @@ pub(crate) fn shr_s(a: u64, n: u64) -> u64 {
 /// keeping profiling and trap behaviour aligned with the tree-walker.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MOp {
-    /// Sample a signal (width ≤ 64).
-    LdSigS {
-        /// Destination slot.
-        dst: Slot,
-        /// Signal index.
-        sig: u32,
-    },
     /// Array element read, elements ≤ 64 bits; out-of-range reads zero.
     LdArrS {
         /// Destination slot.
@@ -492,9 +506,10 @@ pub enum MOp {
         /// Index into [`CompiledThread::exprs`].
         e: u32,
     },
-    /// Terminal: output-signal drive from a slot.
+    /// Terminal: output-signal drive from a slot — the value masked to
+    /// the signal's width, stored in the signal's own slot.
     StSigS {
-        /// Signal index.
+        /// Signal index; after layout, its slot.
         sig: u32,
         /// Value slot.
         a: Slot,
@@ -502,7 +517,8 @@ pub enum MOp {
         w: u16,
     },
     /// Terminal: output-signal drive of a side-table expression wider
-    /// than 64 bits — the tree-walker's own `SigWrite` step
+    /// than 64 bits, or to a signal wider than 64 bits — the
+    /// tree-walker's own `SigWrite` step
     /// ([`MachineState::sig_write`](crate::MachineState::sig_write)).
     StSigE {
         /// Signal index.
@@ -541,7 +557,8 @@ pub enum MOp {
 
 impl MOp {
     /// The scratch slot this op defines. Terminals define nothing (a
-    /// register store writes its register, named by `var`).
+    /// register or signal store writes its register or signal, named by
+    /// `var` or `sig`).
     pub fn dst(mut self) -> Option<Slot> {
         self.dst_mut().map(|d| *d)
     }
@@ -550,8 +567,7 @@ impl MOp {
     pub(crate) fn uses_mut(&mut self, f: &mut dyn FnMut(&mut Slot)) {
         use MOp::*;
         match self {
-            LdSigS { .. }
-            | LdArrCS { .. }
+            LdArrCS { .. }
             | LdArrPairCS { .. }
             | EvalS { .. }
             | StVarE { .. }
@@ -604,8 +620,7 @@ impl MOp {
     pub(crate) fn dst_mut(&mut self) -> Option<&mut Slot> {
         use MOp::*;
         match self {
-            LdSigS { dst, .. }
-            | LdArrS { dst, .. }
+            LdArrS { dst, .. }
             | LdArrCS { dst, .. }
             | LdArrPairCS { dst, .. }
             | ConcatLdCS { dst, .. }
@@ -695,9 +710,15 @@ pub struct CompiledProgram {
 }
 
 impl CompiledProgram {
-    /// The first scratch slot: the registers lie below it, one slot each.
-    pub fn scratch_base(&self) -> usize {
+    /// The first signal slot: the registers lie below it, one slot each.
+    pub fn sig_base(&self) -> usize {
         self.prog.vars().len()
+    }
+
+    /// The first scratch slot: the registers and then the signals lie
+    /// below it, one slot each.
+    pub fn scratch_base(&self) -> usize {
+        self.sig_base() + self.prog.signals().len()
     }
 
     /// The first pool slot: every thread's scratch lies below it.
@@ -705,11 +726,15 @@ impl CompiledProgram {
         self.scratch_base() + self.threads.iter().map(|t| t.n_slots).max().unwrap_or(0)
     }
 
-    /// Extends a running copy's word file, which holds its registers, to
-    /// the whole slot file: the scratch (zero), then the pool, which no
-    /// micro-op writes.
+    /// Extends a running copy's word file, which holds its registers and
+    /// signals, to the whole slot file: the scratch (zero), then the
+    /// pool, which no micro-op writes.
     pub(crate) fn extend_file(&self, words: &mut Vec<u64>) {
-        debug_assert_eq!(words.len(), self.scratch_base(), "one word per register");
+        debug_assert_eq!(
+            words.len(),
+            self.scratch_base(),
+            "one word per register and per signal"
+        );
         words.resize(self.pool_base(), 0);
         words.extend_from_slice(&self.pool);
     }
@@ -745,14 +770,19 @@ pub fn compile_with_passes(
         threads,
         pool: Vec::new(),
     };
-    // Lay the file out: registers at their own index, every thread's
-    // scratch above them, and the pool above that, keeping only the
-    // constants a micro-op still reads, in order of first use.
-    let (regs, base) = (cp.scratch_base() as Slot, cp.pool_base());
+    // Lay the file out: registers at their own index, the signals above
+    // them, every thread's scratch above those, and the pool above that,
+    // keeping only the constants a micro-op still reads, in order of
+    // first use.
+    let (sigs, scratch) = (cp.sig_base() as Slot, cp.scratch_base() as Slot);
+    let base = cp.pool_base();
     let mut placed: HashMap<Slot, Slot> = HashMap::new();
     for m in cp.threads.iter_mut().flat_map(|t| &mut t.mops) {
         if let Some(d) = m.dst_mut() {
-            *d += regs;
+            *d += scratch;
+        }
+        if let MOp::StSigS { sig, .. } = m {
+            *sig += sigs;
         }
         m.uses_mut(&mut |s| {
             if let Some(v) = pool.value(*s) {
@@ -760,10 +790,12 @@ pub fn compile_with_passes(
                     cp.pool.push(v);
                     (base + cp.pool.len() - 1) as Slot
                 });
+            } else if *s & (REG | SIG) == REG | SIG {
+                *s = sigs + (*s & !(REG | SIG));
             } else if is_reg(*s) {
                 *s &= !REG;
             } else {
-                *s += regs;
+                *s += scratch;
             }
         });
     }
@@ -909,13 +941,15 @@ impl<'a> ThreadCompiler<'a> {
                 let slot = if w <= 64 { reg_slot(v.0) } else { Slot::MAX };
                 return Ok(Val { slot, w });
             }
+            // A signal is its slot too.
             Expr::SigRead(s) => {
-                let d = self
+                let w = self
                     .prog
                     .signal(*s)
-                    .ok_or_else(|| IrError(format!("unknown signal {s:?}")))?;
-                let (dst, sig) = (self.s(), s.0);
-                (d.width, MOp::LdSigS { dst, sig })
+                    .ok_or_else(|| IrError(format!("unknown signal {s:?}")))?
+                    .width;
+                let slot = if w <= 64 { sig_slot(s.0) } else { Slot::MAX };
+                return Ok(Val { slot, w });
             }
             Expr::ArrRead(a, idx) => {
                 let ew = self
@@ -1074,10 +1108,14 @@ impl<'a> ThreadCompiler<'a> {
                     .signal(*sig)
                     .ok_or_else(|| IrError(format!("unknown signal {sig:?}")))?
                     .width;
+                // A signal beyond 64 bits has no slot: its store is the
+                // tree-walker's, whatever the value's width.
+                let mark = self.mark();
                 let (sig, v) = (sig.0, self.expr(e)?);
-                let m = if v.w <= 64 {
+                let m = if v.w <= 64 && w <= 64 {
                     MOp::StSigS { sig, a: v.slot, w }
                 } else {
+                    self.rewind(mark);
                     let e = self.side(e.clone());
                     MOp::StSigE { sig, e }
                 };
@@ -1213,19 +1251,22 @@ fn region_visibility(region: &[MOp], prog: &Program, labels: &[String]) -> Strin
             .map(|d| d.name.clone())
             .unwrap_or_else(|| format!("?v{i}"))
     };
+    let sig = |i: u32| {
+        prog.signals()
+            .get(i as usize)
+            .map(|d| d.name.clone())
+            .unwrap_or_else(|| format!("?s{i}"))
+    };
     for m in region {
         match m {
             MOp::StVarS { var: v, .. } | MOp::StVarE { var: v, .. } => {
                 add(format!("var {}", var(*v)), &mut tags)
             }
-            MOp::StSigS { sig, .. } | MOp::StSigE { sig, .. } => {
-                let name = prog
-                    .signals()
-                    .get(*sig as usize)
-                    .map(|d| d.name.clone())
-                    .unwrap_or_else(|| format!("?s{sig}"));
-                add(format!("${name}"), &mut tags);
+            // A laid-out `StSigS` names its signal by its slot.
+            MOp::StSigS { sig: s, .. } => {
+                add(format!("${}", sig(s - prog.vars().len() as u32)), &mut tags)
             }
+            MOp::StSigE { sig: s, .. } => add(format!("${}", sig(*s)), &mut tags),
             MOp::StArrS { arr, .. } | MOp::StArrCS { arr, .. } | MOp::StArrE { arr, .. } => {
                 let name = prog
                     .arrays()
@@ -1261,14 +1302,15 @@ fn region_visibility(region: &[MOp], prog: &Program, labels: &[String]) -> Strin
 // ---------------------------------------------------------------------
 
 /// Renders compiled thread `ti` of `cp` as a numbered micro-op listing.
-/// Register slots print as the register's name, scratch slots as `sN`
-/// (numbered from the first scratch slot), pool slots as the constant
-/// they hold, evaluated sub-expressions as `eval(<expr>)`; this is the
-/// form the pass tests in [`crate::opt`] assert against.
+/// Register slots print as the register's name, signal slots as `$`
+/// and the signal's name, scratch slots as `sN` (numbered from the
+/// first scratch slot), pool slots as the constant they hold, evaluated
+/// sub-expressions as `eval(<expr>)`; this is the form the pass tests
+/// in [`crate::opt`] assert against.
 pub fn mops_to_string(cp: &CompiledProgram, ti: usize) -> String {
     use std::fmt::Write as _;
     let (t, prog) = (&cp.threads[ti], &cp.prog);
-    let (regs, base) = (cp.scratch_base(), cp.pool_base());
+    let (sigs, scratch, base) = (cp.sig_base(), cp.scratch_base(), cp.pool_base());
     let var = |i: u32| {
         prog.vars()
             .get(i as usize)
@@ -1292,9 +1334,10 @@ pub fn mops_to_string(cp: &CompiledProgram, ti: usize) -> String {
         None => format!("eval(?e{i})"),
     };
     let o = |s: &Slot| match *s as usize {
-        s if s < regs => var(s as u32),
+        s if s < sigs => var(s as u32),
+        s if s < scratch => format!("${}", sig((s - sigs) as u32)),
         s if s >= base => format!("{:#x}", cp.pool[s - base]),
-        s => format!("s{}", s - regs),
+        s => format!("s{}", s - scratch),
     };
     let mut out = format!("compiled thread {} ({} slots):\n", t.name, t.n_slots);
     let mut next_region = 0usize;
@@ -1317,7 +1360,6 @@ pub fn mops_to_string(cp: &CompiledProgram, ti: usize) -> String {
             );
         }
         let body = match m {
-            MOp::LdSigS { dst, sig: s } => format!("{} <- sig {}", o(dst), sig(*s)),
             MOp::LdArrS { dst, arr: a, idx } => format!("{} <- {}[{}]", o(dst), arr(*a), o(idx)),
             MOp::LdArrCS { dst, arr: a, idx } => format!("{} <- {}[#{idx}]", o(dst), arr(*a)),
             MOp::LdArrPairCS {
@@ -1368,7 +1410,7 @@ pub fn mops_to_string(cp: &CompiledProgram, ti: usize) -> String {
                 arr: ar, idx, a, ..
             } => format!("{}[{}] := {}", arr(*ar), o(idx), o(a)),
             MOp::StArrE { arr: ar, idx, e } => format!("{}[{}] := {}", arr(*ar), o(idx), ev(*e)),
-            MOp::StSigS { sig: s, a, .. } => format!("${} := {}", sig(*s), o(a)),
+            MOp::StSigS { sig: s, a, .. } => format!("{} := {}", o(s), o(a)),
             MOp::StSigE { sig: s, e } => format!("${} := {}", sig(*s), ev(*e)),
             MOp::BranchZ { c, target } => format!("brz {} -> {target}", o(c)),
             MOp::Jmp { target } => format!("jmp -> {target}"),
@@ -1414,7 +1456,7 @@ pub(crate) fn exec_thread<O: Observer + ?Sized>(
     inst: &mut Instance,
     obs: &mut O,
 ) -> IrResult<()> {
-    let (thread, prog) = (&cp.threads[ti], &cp.prog);
+    let thread = &cp.threads[ti];
     let Instance {
         state,
         threads,
@@ -1446,9 +1488,6 @@ pub(crate) fn exec_thread<O: Observer + ?Sized>(
                 return Ok(());
             };
             match op {
-                MOp::LdSigS { dst, sig } => {
-                    file[*dst as usize] = state.sigs[*sig as usize].to_u64()
-                }
                 MOp::LdArrS { dst, arr, idx } => {
                     let i = file[*idx as usize] as usize;
                     file[*dst as usize] = state.arrays[*arr as usize].get_u64(i).unwrap_or(0);
@@ -1546,9 +1585,10 @@ pub(crate) fn exec_thread<O: Observer + ?Sized>(
                     assert!(stored, "{CONST_IDX}");
                     state.arr_high[ai] = state.arr_high[ai].max(i + 1);
                 }
-                MOp::StSigS { sig, a, .. } => {
+                // A signal store likewise, in the signal's slot.
+                MOp::StSigS { sig, a, w } => {
                     tick!();
-                    state.sigs[*sig as usize].set_u64(file[*a as usize]);
+                    file[*sig as usize] = file[*a as usize] & (u64::MAX >> (64 - w));
                 }
                 MOp::BranchZ { c, target } => {
                     tick!();
@@ -1602,7 +1642,7 @@ pub(crate) fn exec_thread<O: Observer + ?Sized>(
             }
             MOp::StSigE { sig, e } => {
                 tick!();
-                state.sig_write(SigId(*sig), &thread.exprs[*e as usize], prog);
+                state.sig_write(SigId(*sig), &thread.exprs[*e as usize]);
             }
             MOp::ExtOp { id } => {
                 tick!();
@@ -1650,7 +1690,7 @@ mod tests {
             cm.step_cycle(&mut NullEnv, &mut NullObserver).unwrap();
             assert_eq!(tw.state().regs(), cm.state().regs(), "vars diverged");
             assert_eq!(tw.state().arrays, cm.state().arrays, "arrays diverged");
-            assert_eq!(tw.state().sigs, cm.state().sigs, "sigs diverged");
+            assert_eq!(tw.state().sigs(), cm.state().sigs(), "sigs diverged");
             assert_eq!(
                 tw.state().arr_high,
                 cm.state().arr_high,
@@ -1770,14 +1810,14 @@ mod tests {
         impl Env for RaiseAt {
             fn tick(&mut self, cycle: u64, _prog: &Program, st: &mut MachineState) {
                 if cycle >= self.0 {
-                    st.sigs[self.1 .0 as usize] = Bits::from_u64(1, 1);
+                    st.set_sig(self.1, Bits::from_u64(1, 1));
                 }
             }
         }
         let mut m = compiled(&pb);
         m.run_cycles(10, &mut RaiseAt(3, ready), &mut NullObserver)
             .unwrap();
-        assert_eq!(m.state().sigs[1].to_u64(), 7);
+        assert_eq!(m.state().sig(done).to_u64(), 7);
         assert!(m.cycle() >= 3);
         assert!(m.state().reg(VarId(0)).to_u64() >= 6);
     }

@@ -130,7 +130,7 @@ pub(crate) fn step_thread<O: Observer + ?Sized>(
     inst: &mut Instance,
     obs: &mut O,
 ) -> IrResult<()> {
-    let (thread, prog) = (&fsm.threads[ti], &fsm.prog);
+    let thread = &fsm.threads[ti];
     let Instance {
         state,
         threads,
@@ -173,7 +173,7 @@ pub(crate) fn step_thread<O: Observer + ?Sized>(
                 pc += 1;
             }
             Op::SigWrite(sig, e) => {
-                state.sig_write(*sig, e, prog);
+                state.sig_write(*sig, e);
                 pc += 1;
             }
             Op::Branch(cond, if_false) => {

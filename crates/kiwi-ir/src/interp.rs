@@ -33,29 +33,38 @@ use emu_types::Bits;
 ///
 /// # The word file
 ///
-/// Registers live in one file of `u64` words: word `v` is register `v`
-/// ([`VarId`]) when that register is at most 64 bits wide, its value
-/// masked to the declared width. A register wider than 64 bits keeps
-/// its value as a [`Bits`] outside the file and leaves its word unused.
-/// Every machine reaches registers through [`MachineState::reg`],
-/// [`MachineState::set_reg`] and the stores below, so the file is the
-/// one home of a register's value on all three.
+/// Registers and signals live in one file of `u64` words: word `v` is
+/// register `v` ([`VarId`]), and above the registers word `regs + s` is
+/// signal `s` ([`SigId`]), each holding its value masked to the
+/// declared width. A register or signal wider than 64 bits keeps its
+/// value as a [`Bits`] outside the file, and its word holds only the
+/// value's low 64 bits (so [`MachineState::sig_word`] is one load
+/// whatever the width; no micro-op reads such a word). Every machine,
+/// environment and observer reaches registers through
+/// [`MachineState::reg`] / [`MachineState::set_reg`] and signals
+/// through [`MachineState::sig`] / [`MachineState::set_sig`] (and their
+/// word and limb forms), so the file is the one home of each value on
+/// all three machines.
 ///
 /// The compiled image lays its scratch and its constant pool out in the
-/// same file, above the registers (registers | scratch | pool; see
-/// [`mod@crate::compile`]): a micro-op names a register by its word, as
-/// it names a scratch value or a constant, and reading one costs
-/// nothing but that operand. [`crate::Core::new`] extends the file for
-/// the compiled image; what lies above the registers belongs to it.
+/// same file, above the signals (registers | signals | scratch | pool;
+/// see [`mod@crate::compile`]): a micro-op names a register or a signal
+/// by its word, as it names a scratch value or a constant, and reading
+/// one costs nothing but that operand. [`crate::Core::new`] extends the
+/// file for the compiled image; what lies above the signals belongs to
+/// it.
 #[derive(Debug, Clone)]
 pub struct MachineState {
-    /// The word file: one word per register, then (compiled image only)
-    /// scratch and pool.
+    /// The word file: one word per register, one per signal, then
+    /// (compiled image only) scratch and pool.
     pub(crate) words: Vec<u64>,
-    /// Per register, its declared width and, for one wider than 64
-    /// bits, where in `wide` its value is.
-    regs: Vec<RegDecl>,
-    /// The values of the registers wider than 64 bits.
+    /// Per register, then per signal (entry `k` describes word `k`): its
+    /// declared width and, for one wider than 64 bits, where in `wide`
+    /// its value is.
+    decls: Vec<Decl>,
+    /// The number of registers: signal `s` is word `sig_base + s`.
+    sig_base: usize,
+    /// The values of the registers and signals wider than 64 bits.
     wide: Vec<Bits>,
     /// Array contents, indexed by `ArrId`. Each array is a [`Cells`]:
     /// stored by the width class of its declared element width (`u8`
@@ -68,12 +77,6 @@ pub struct MachineState {
     /// compiled backend and the RTL FSM — access arrays only through
     /// the [`Cells`] accessors.
     pub arrays: Vec<Cells>,
-    /// Signal values, indexed by `SigId`: an input as the environment
-    /// last drove it (in [`Env::tick`]), an output as the program last
-    /// drove it. Each signal has one driver — validation rejects a
-    /// program write to an input — and each starts at its declared reset
-    /// value.
-    pub sigs: Vec<Bits>,
     /// Per-array write high-water mark, indexed by `ArrId`: one past the
     /// highest slot that may differ from zero. Both execution backends
     /// bump this on every `ArrWrite`; platform drivers use it to bound
@@ -82,35 +85,40 @@ pub struct MachineState {
     pub arr_high: Vec<usize>,
 }
 
-/// What the register accessors need of a declaration.
+/// What the register and signal accessors need of a declaration.
 #[derive(Debug, Clone, Copy)]
-struct RegDecl {
+struct Decl {
     width: u16,
-    /// Index into [`MachineState::wide`] (registers beyond 64 bits).
+    /// Index into [`MachineState::wide`] (values beyond 64 bits).
     wide: u32,
 }
 
 impl MachineState {
     /// Builds the reset state for `prog`: registers and signals at their
     /// declared init values, arrays loaded with their initializers.
+    ///
+    /// A signal holds an input as the environment last drove it (in
+    /// [`Env::tick`]) and an output as the program last drove it. Each
+    /// signal has one driver — validation rejects a program write to an
+    /// input — and each starts at its declared reset value.
     pub fn init(prog: &Program) -> Self {
-        let (mut words, mut regs, mut wide) = (Vec::new(), Vec::new(), Vec::new());
-        for v in prog.vars() {
-            let width = v.init.width();
-            regs.push(RegDecl {
+        let (mut words, mut decls, mut wide) = (Vec::new(), Vec::new(), Vec::new());
+        let inits = prog.vars().iter().map(|v| &v.init);
+        for init in inits.chain(prog.signals().iter().map(|s| &s.init)) {
+            let width = init.width();
+            decls.push(Decl {
                 width,
                 wide: wide.len() as u32,
             });
-            if width <= 64 {
-                words.push(v.init.to_u64());
-            } else {
-                words.push(0);
-                wide.push(v.init.clone());
+            words.push(init.to_u64());
+            if width > 64 {
+                wide.push(init.clone());
             }
         }
         MachineState {
             words,
-            regs,
+            decls,
+            sig_base: prog.vars().len(),
             wide,
             arrays: prog
                 .arrays()
@@ -128,35 +136,107 @@ impl MachineState {
                 .iter()
                 .map(|a| a.init.iter().map(|(i, _)| i + 1).max().unwrap_or(0))
                 .collect(),
-            sigs: prog.signals().iter().map(|s| s.init.clone()).collect(),
+        }
+    }
+
+    /// The value of word `i`'s register or signal, at its declared width.
+    fn value(&self, i: usize) -> Bits {
+        let d = self.decls[i];
+        if d.width <= 64 {
+            Bits::from_u64(self.words[i], d.width)
+        } else {
+            self.wide[d.wide as usize].clone()
+        }
+    }
+
+    /// Sets word `i`'s register or signal to `value`, zero-extended or
+    /// truncated to its declared width.
+    fn put(&mut self, i: usize, value: Bits) {
+        let d = self.decls[i];
+        if d.width <= 64 {
+            self.words[i] = value.to_u64() & mask_of(d.width);
+        } else {
+            let value = fit(value, d.width);
+            self.words[i] = value.to_u64();
+            self.wide[d.wide as usize] = value;
         }
     }
 
     /// Register `v`'s value, at its declared width.
     pub fn reg(&self, v: VarId) -> Bits {
-        let (i, r) = (v.0 as usize, self.regs[v.0 as usize]);
-        if r.width <= 64 {
-            Bits::from_u64(self.words[i], r.width)
-        } else {
-            self.wide[r.wide as usize].clone()
-        }
+        self.value(v.0 as usize)
     }
 
     /// Every register's value, in declaration order.
     pub fn regs(&self) -> Vec<Bits> {
-        (0..self.regs.len() as u32)
-            .map(|v| self.reg(VarId(v)))
-            .collect()
+        (0..self.sig_base).map(|i| self.value(i)).collect()
     }
 
     /// Sets register `v` to `value`, zero-extended or truncated to the
     /// register's declared width (an environment's or observer's write).
     pub fn set_reg(&mut self, v: VarId, value: Bits) {
-        let (i, r) = (v.0 as usize, self.regs[v.0 as usize]);
-        if r.width <= 64 {
-            self.words[i] = value.to_u64() & mask_of(r.width);
+        self.put(v.0 as usize, value);
+    }
+
+    /// Signal `s`'s value, at its declared width.
+    pub fn sig(&self, s: SigId) -> Bits {
+        self.value(self.sig_base + s.0 as usize)
+    }
+
+    /// Every signal's value, in declaration order.
+    pub fn sigs(&self) -> Vec<Bits> {
+        (self.sig_base..self.decls.len())
+            .map(|i| self.value(i))
+            .collect()
+    }
+
+    /// Drives signal `s` with `value`, zero-extended or truncated to the
+    /// signal's declared width.
+    pub fn set_sig(&mut self, s: SigId, value: Bits) {
+        self.put(self.sig_base + s.0 as usize, value);
+    }
+
+    /// The low 64 bits of signal `s`: its word.
+    #[inline]
+    pub fn sig_word(&self, s: SigId) -> u64 {
+        self.words[self.sig_base + s.0 as usize]
+    }
+
+    /// Drives signal `s` with `v` cut (or, beyond 64 bits, zero-extended)
+    /// to its declared width: a store of its word.
+    #[inline]
+    pub fn set_sig_word(&mut self, s: SigId, v: u64) {
+        let i = self.sig_base + s.0 as usize;
+        let d = self.decls[i];
+        self.words[i] = v & mask_of(d.width);
+        if d.width > 64 {
+            self.wide[d.wide as usize].set_u64(v);
+        }
+    }
+
+    /// Signal `s`'s `⌈width/64⌉` little-endian limbs (the layout
+    /// [`Bits::limbs`] exposes): its word, when it has one.
+    #[inline]
+    pub fn sig_limbs(&self, s: SigId) -> &[u64] {
+        let i = self.sig_base + s.0 as usize;
+        let d = self.decls[i];
+        if d.width <= 64 {
+            std::slice::from_ref(&self.words[i])
         } else {
-            self.wide[r.wide as usize] = fit(value, r.width);
+            self.wide[d.wide as usize].limbs()
+        }
+    }
+
+    /// Drives signal `s` with the value whose little-endian limbs are
+    /// `limbs`, zero-extended or truncated to the signal's declared
+    /// width (an empty slice drives zero).
+    #[inline]
+    pub fn set_sig_limbs(&mut self, s: SigId, limbs: &[u64]) {
+        let i = self.sig_base + s.0 as usize;
+        let d = self.decls[i];
+        self.words[i] = limbs.first().map_or(0, |&l| l & mask_of(d.width));
+        if d.width > 64 {
+            self.wide[d.wide as usize] = Bits::from_limbs(limbs, d.width);
         }
     }
 
@@ -183,7 +263,7 @@ impl MachineState {
     #[inline(never)]
     pub fn assign<O: Observer + ?Sized>(&mut self, dst: VarId, e: &Expr, obs: &mut O) {
         let v = eval(e, self);
-        let (i, r) = (dst.0 as usize, self.regs[dst.0 as usize]);
+        let (i, r) = (dst.0 as usize, self.decls[dst.0 as usize]);
         if r.width <= 64 {
             let new = v.to_u64() & mask_of(r.width);
             let old = Bits::from_u64(self.words[i], r.width);
@@ -191,6 +271,7 @@ impl MachineState {
             self.words[i] = new;
         } else {
             let new = fit(v, r.width);
+            self.words[i] = new.to_u64();
             let reg = &mut self.wide[r.wide as usize];
             obs.on_assign(dst.0, reg, &new);
             *reg = new;
@@ -211,9 +292,9 @@ impl MachineState {
     /// `sig := e`: evaluates `e` and drives the output signal at its
     /// declared width.
     #[inline(never)]
-    pub fn sig_write(&mut self, sig: SigId, e: &Expr, prog: &Program) {
-        let w = prog.signal(sig).expect("validated").width;
-        self.sigs[sig.0 as usize] = fit(eval(e, self), w);
+    pub fn sig_write(&mut self, sig: SigId, e: &Expr) {
+        let v = eval(e, self);
+        self.set_sig(sig, v);
     }
 }
 
@@ -262,7 +343,7 @@ pub(crate) fn run_thread_to_pause<O: Observer + ?Sized>(
     inst: &mut Instance,
     obs: &mut O,
 ) -> IrResult<()> {
-    let (thread, prog) = (&flat.threads[ti], &flat.prog);
+    let thread = &flat.threads[ti];
     let Instance {
         state,
         threads,
@@ -292,7 +373,7 @@ pub(crate) fn run_thread_to_pause<O: Observer + ?Sized>(
                 ctx.pc = pc + 1;
             }
             Op::SigWrite(sig, val) => {
-                state.sig_write(*sig, val, prog);
+                state.sig_write(*sig, val);
                 ctx.pc = pc + 1;
             }
             Op::Branch(cond, if_false) => {
@@ -336,7 +417,7 @@ pub fn eval(e: &Expr, st: &MachineState) -> Bits {
             let cells = &st.arrays[a.0 as usize];
             cells.get(i).unwrap_or_else(|| Bits::zero(cells.width()))
         }
-        Expr::SigRead(s) => st.sigs[s.0 as usize].clone(),
+        Expr::SigRead(s) => st.sig(*s),
         Expr::Un(op, e) => {
             let v = eval(e, st);
             match op {
@@ -506,7 +587,7 @@ mod tests {
         impl Env for RaiseAt {
             fn tick(&mut self, cycle: u64, _prog: &Program, st: &mut MachineState) {
                 if cycle >= self.0 {
-                    st.sigs[self.1 .0 as usize] = Bits::from_u64(1, 1);
+                    st.set_sig(self.1, Bits::from_u64(1, 1));
                 }
             }
         }
@@ -515,9 +596,42 @@ mod tests {
         let mut env = RaiseAt(3, ready);
         m.run_cycles(10, &mut env, &mut NullObserver).unwrap();
         assert!(m.halted());
-        assert_eq!(m.state().sigs[1].to_u64(), 1);
+        assert_eq!(m.state().sig(done).to_u64(), 1);
         // It must have taken at least 3 cycles of waiting.
         assert!(m.cycle() >= 3);
+    }
+
+    #[test]
+    fn a_signal_word_is_its_low_64_bits_whatever_the_width() {
+        // Every store to a wide signal keeps its word in step with its
+        // value, so the word form reads it without looking at the width.
+        let mut pb = ProgramBuilder::new("p");
+        let narrow = pb.sig_out("narrow", 12);
+        let wide = pb.sig_out("wide", 100);
+        pb.thread(
+            "main",
+            vec![
+                sig_write(wide, shl(lit(3, 100), lit(64, 8))),
+                pause(),
+                sig_write(wide, lit(0x1_2345, 100)),
+                halt(),
+            ],
+        );
+        let mut m = machine(pb);
+        let low = |m: &Core| (m.state().sig_word(wide), m.state().sig(wide).to_u64());
+        m.step_cycle(&mut NullEnv, &mut NullObserver).unwrap();
+        assert_eq!(low(&m), (0, 0));
+        m.step_cycle(&mut NullEnv, &mut NullObserver).unwrap();
+        assert_eq!(low(&m), (0x1_2345, 0x1_2345));
+        let st = m.state_mut();
+        st.set_sig_limbs(wide, &[7, 1]);
+        assert_eq!((st.sig_word(wide), st.sig(wide).limbs()), (7, &[7, 1][..]));
+        st.set_sig_word(wide, 9);
+        assert_eq!((st.sig_word(wide), st.sig(wide).limbs()), (9, &[9, 0][..]));
+        st.set_sig(wide, Bits::from_u128(5 << 64 | 6, 128));
+        assert_eq!((st.sig_word(wide), st.sig(wide).limbs()), (6, &[6, 5][..]));
+        st.set_sig_word(narrow, 0xf_fff);
+        assert_eq!(st.sig_word(narrow), 0xfff, "cut to the width");
     }
 
     #[test]

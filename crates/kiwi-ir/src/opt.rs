@@ -9,15 +9,16 @@
 //! exactly once before use (region-local SSA, restored by slot
 //! renumbering during the merge).
 //!
-//! Register slots are the exception. A read of a register is an operand
-//! naming the register's own slot ([`mod@crate::compile`]), and every
-//! store to the register writes that slot, so one register slot holds
-//! a new value after each store. The passes never renumber a register
-//! slot nor count it as scratch, and the ones that reuse a read —
-//! [`Cse`](Pass::Cse), [`CopyProp`](Pass::CopyProp), and
+//! Register and signal slots are the exception. A read of a register
+//! or a signal is an operand naming its own slot
+//! ([`mod@crate::compile`]), and every store to it writes that slot, so
+//! one such slot holds a new value after each store. The passes never
+//! renumber a register or signal slot nor count it as scratch, and the
+//! ones that reuse a read — [`Cse`](Pass::Cse),
+//! [`CopyProp`](Pass::CopyProp), and
 //! [`RedundantLoad`](Pass::RedundantLoad) for what it forwards — number
-//! values so that a read of a register before a store to it is never
-//! taken for one after: no pass carries a read of a register past a
+//! values so that a read before a store to the slot is never taken for
+//! one after: no pass carries a read of a register or a signal past a
 //! store to it.
 //!
 //! # The observer-visibility analysis
@@ -27,7 +28,8 @@
 //!
 //! * `pause` — [`crate::interp::Env::tick`] may mutate any machine
 //!   state (signals, registers, arrays), so a region always **ends**
-//!   after a `PauseOp`.
+//!   after a `PauseOp`; so does every other thread, which runs between
+//!   this thread's pauses.
 //! * `ext` — [`crate::interp::Observer::on_ext_point`] receives
 //!   `&mut MachineState`, so `ExtOp` likewise ends a region.
 //! * `jmp` / `halt` — control leaves the straight-line run.
@@ -98,7 +100,9 @@
 //! documents its own before/after).
 
 use crate::ast::BinOp;
-use crate::compile::{is_scratch, mask_of, reg_slot, shl_s, shr_s, MOp, Pool, Slot, UNSLOTTED};
+use crate::compile::{
+    is_scratch, mask_of, reg_slot, shl_s, shr_s, sig_slot, MOp, Pool, Slot, UNSLOTTED,
+};
 use crate::program::Program;
 use std::collections::{HashMap, HashSet};
 
@@ -119,14 +123,14 @@ pub enum Pass {
     /// ```
     ArrayStrength,
     /// Redundant-load/store elimination across the statements of a
-    /// widened region: a second read of the same signal or array
-    /// element becomes a copy of the first, and a read following a
-    /// store forwards the stored slot (when the stored value provably
-    /// fits the declared width). Stores, pauses, and ext points
-    /// invalidate exactly what they can touch; a register store drops
-    /// every forward of that register's slot. A register needs neither
-    /// rewrite: its reads are its slot, which after a store holds the
-    /// stored value.
+    /// widened region: a second read of the same array element becomes
+    /// a copy of the first, and a read following a store forwards the
+    /// stored slot (when the stored value provably fits the declared
+    /// width). Stores, pauses, and ext points invalidate exactly what
+    /// they can touch; a register or signal store drops every forward of
+    /// that register's or signal's slot. Registers and signals need
+    /// neither rewrite: their reads are their slots, which after a store
+    /// hold the stored value.
     ///
     /// ```text
     ///   0: s0 <- t[#2]              0: s0 <- t[#2]
@@ -140,9 +144,9 @@ pub enum Pass {
     /// region: an op recomputing a value an earlier op already produced
     /// (same opcode, same copy-resolved operands, commutative operand
     /// order canonicalized) becomes a copy of the earlier result; a
-    /// constant operand is its one pool slot, and a register operand is
-    /// numbered by the stores to it before the op, so `x + y` after a
-    /// store to `x` is a new value. Loads are deliberately *not*
+    /// constant operand is its one pool slot, and a register or signal
+    /// operand is numbered by the stores to it before the op, so `x + y`
+    /// after a store to `x` is a new value. Loads are deliberately *not*
     /// value-numbered — [`Pass::RedundantLoad`] owns them, with the
     /// store-invalidation logic that makes them sound.
     ///
@@ -177,7 +181,8 @@ pub enum Pass {
     FusePairs,
     /// Rewrite uses of `CopyS` destinations to their sources (the
     /// copies themselves die in [`Pass::DeadScratch`]) — up to a store
-    /// into a source register, past which a use keeps the copy.
+    /// into a source register or signal, past which a use keeps the
+    /// copy.
     CopyProp,
     /// Remove producer ops whose destination slot is never read.
     DeadScratch,
@@ -348,21 +353,21 @@ impl Consts {
 
 /// The values a forward scan over a region sees in its slots, each as
 /// one number. A scratch or pool slot holds one value (it is written
-/// once, or never) and is its own number; a register slot holds a new
-/// value after every store to the register, numbered past every slot
+/// once, or never) and is its own number; a register or signal slot
+/// holds a new value after every store to it, numbered past every slot
 /// ([`UNSLOTTED`]); a copy's destination holds its source's value as of
 /// the copy. Two operands with the same number hold the same value
 /// wherever they are read, which is what lets a pass reuse one for the
-/// other — and a read of a register before a store to it never has the
-/// number of a read after it.
+/// other — and a read of a register or signal before a store to it
+/// never has the number of a read after it.
 #[derive(Default)]
 struct Values {
-    /// Per register slot stored to so far, the number of the value its
-    /// last store left.
+    /// Per register or signal slot stored to so far, the number of the
+    /// value its last store left.
     stored: HashMap<Slot, Slot>,
     /// Per copy destination, the number of the value it copied.
     copies: HashMap<Slot, Slot>,
-    /// Register stores seen so far.
+    /// Register and signal stores seen so far.
     stores: u32,
 }
 
@@ -374,26 +379,23 @@ impl Values {
     }
 
     /// Records what `op` changes: a copy's destination, or the
-    /// register a store writes.
+    /// register or signal a store writes.
     fn note(&mut self, op: &MOp) {
-        match *op {
-            MOp::CopyS { dst, a } => {
-                let v = self.of(a);
-                self.copies.insert(dst, v);
-            }
-            MOp::StVarS { var, .. } | MOp::StVarE { var, .. } => {
-                self.stores += 1;
-                self.stored.insert(reg_slot(var), UNSLOTTED | self.stores);
-            }
-            _ => {}
+        if let MOp::CopyS { dst, a } = *op {
+            let v = self.of(a);
+            self.copies.insert(dst, v);
+        } else if let Some(s) = stored_slot(op) {
+            self.stores += 1;
+            self.stored.insert(s, UNSLOTTED | self.stores);
         }
     }
 }
 
-/// The register slot `op` stores to, if it is a register store.
-fn stored_reg(op: &MOp) -> Option<Slot> {
+/// The register or signal slot `op` stores to, if it is such a store.
+fn stored_slot(op: &MOp) -> Option<Slot> {
     match *op {
         MOp::StVarS { var, .. } | MOp::StVarE { var, .. } => Some(reg_slot(var)),
+        MOp::StSigS { sig, .. } | MOp::StSigE { sig, .. } => Some(sig_slot(sig)),
         _ => None,
     }
 }
@@ -461,12 +463,11 @@ enum IdxKey {
 /// store invalidates exactly the locations it can alias, then forwards
 /// its own value when it provably fits the declared width (stores
 /// truncate, so forwarding a slot with bits beyond it would disagree
-/// with a reload). A register store drops every entry that forwards the
-/// register's own slot, which no longer holds the value stored from it.
-/// `pause`/`ext` hand the environment a mutable view of all machine
+/// with a reload). A register or signal store drops every entry that
+/// forwards its own slot, which no longer holds the value stored from
+/// it. `pause`/`ext` hand the environment a mutable view of all machine
 /// state and clear everything.
 fn redundant_load(region: &mut [MOp], prog: &Program, pool: &Pool) {
-    let mut sig_s: HashMap<u32, Slot> = HashMap::new();
     let mut arr_s: HashMap<(u32, IdxKey), Slot> = HashMap::new();
     // Known possibly-set bits per slot (for store forwarding), known
     // constants, and value numbers (for index resolution).
@@ -478,7 +479,6 @@ fn redundant_load(region: &mut [MOp], prog: &Program, pool: &Pool) {
     for op in region.iter_mut() {
         // 1. Replace loads whose value is already in a slot.
         let rep = match &*op {
-            MOp::LdSigS { dst, sig } => sig_s.get(sig).map(|&a| MOp::CopyS { dst: *dst, a }),
             MOp::LdArrCS { dst, arr, idx } => arr_s
                 .get(&(*arr, IdxKey::Const(*idx)))
                 .map(|&a| MOp::CopyS { dst: *dst, a }),
@@ -501,9 +501,6 @@ fn redundant_load(region: &mut [MOp], prog: &Program, pool: &Pool) {
 
         // 3. Availability and invalidation.
         match &*op {
-            MOp::LdSigS { dst, sig } => {
-                sig_s.insert(*sig, *dst);
-            }
             MOp::LdArrCS { dst, arr, idx } => {
                 arr_s.insert((*arr, IdxKey::Const(*idx)), *dst);
             }
@@ -513,19 +510,9 @@ fn redundant_load(region: &mut [MOp], prog: &Program, pool: &Pool) {
             // A store kills what it may alias, then forwards its own
             // slot when it has one (the `St*E` terminals store a value
             // no slot holds).
-            MOp::StVarS { .. } | MOp::StVarE { .. } => {
-                let r = stored_reg(op);
-                sig_s.retain(|_, s| Some(*s) != r);
+            MOp::StVarS { .. } | MOp::StVarE { .. } | MOp::StSigS { .. } | MOp::StSigE { .. } => {
+                let r = stored_slot(op);
                 arr_s.retain(|_, s| Some(*s) != r);
-            }
-            MOp::StSigS { sig, a, w } => {
-                sig_s.remove(sig);
-                if fits(&nz, *a, *w) {
-                    sig_s.insert(*sig, *a);
-                }
-            }
-            MOp::StSigE { sig, .. } => {
-                sig_s.remove(sig);
             }
             MOp::StArrS { arr, idx, .. } | MOp::StArrE { arr, idx, .. } => {
                 match consts.get(pool, *idx) {
@@ -552,10 +539,7 @@ fn redundant_load(region: &mut [MOp], prog: &Program, pool: &Pool) {
                     arr_s.insert((*arr, IdxKey::Const(*idx)), *a);
                 }
             }
-            MOp::PauseOp | MOp::ExtOp { .. } => {
-                sig_s.clear();
-                arr_s.clear();
-            }
+            MOp::PauseOp | MOp::ExtOp { .. } => arr_s.clear(),
             _ => {}
         }
     }
@@ -650,11 +634,12 @@ fn commutes(op: BinOp) -> bool {
 /// Local value numbering within one widened region (see [`Pass::Cse`]).
 /// Forward scan: each pure op is keyed on a kind discriminant plus its
 /// operands' value numbers ([`Values`]: copies resolved, a constant its
-/// one pool slot, a register read numbered by the stores before it) and
-/// immediates; a key hit rewrites the op to a copy of the first
-/// computation's slot. Sound across interior stores, labels, and branch
-/// exits because scratch slots are written once before use, a register
-/// read after a store never keys like one before it, and an interior
+/// one pool slot, a register or signal read numbered by the stores
+/// before it) and immediates; a key hit rewrites the op to a copy of the
+/// first computation's slot. Sound across interior stores, labels, and
+/// branch exits because scratch slots are written once before use, a
+/// register or signal read after a store never keys like one before it,
+/// and an interior
 /// `BranchZ` only ever *leaves* the region — any op that executes is
 /// preceded by every earlier op in the region. Loads and `EvalS` read
 /// machine state and are left alone.
@@ -770,7 +755,7 @@ fn fuse_pairs(region: &mut [MOp]) {
 }
 
 /// Copy propagation: substitute copy sources into later uses — up to
-/// the next store into a source register, after which the register no
+/// the next store into a source register or signal, after which it no
 /// longer holds what was copied and the copy's own slot stays in use.
 fn copy_prop(region: &mut [MOp]) {
     let mut map: HashMap<Slot, Slot> = HashMap::new();
@@ -784,7 +769,7 @@ fn copy_prop(region: &mut [MOp]) {
         if let MOp::CopyS { dst, a } = op {
             map.insert(*dst, *a);
         }
-        if let Some(r) = stored_reg(op) {
+        if let Some(r) = stored_slot(op) {
             map.retain(|_, src| *src != r);
         }
     }
@@ -851,7 +836,7 @@ mod tests {
             .unwrap();
         assert_eq!(tw.state().regs(), cm.state().regs());
         assert_eq!(tw.state().arrays, cm.state().arrays);
-        assert_eq!(tw.state().sigs, cm.state().sigs);
+        assert_eq!(tw.state().sigs(), cm.state().sigs());
     }
 
     /// The doc-example program: `a := resize(resize(a + 1, 16), 8)`.
@@ -1004,11 +989,12 @@ mod tests {
     #[test]
     fn pause_blocks_cross_statement_reuse() {
         // The env can rewrite input signals at every pause, so a signal
-        // read after a pause must re-sample.
+        // read after a pause must see the new value: both reads are the
+        // signal's slot, which the env writes.
         struct SigTick;
         impl Env for SigTick {
             fn tick(&mut self, cycle: u64, _prog: &Program, st: &mut MachineState) {
-                st.sigs[0] = Bits::from_u64(0x11 + cycle, 8);
+                st.set_sig(crate::SigId(0), Bits::from_u64(0x11 + cycle, 8));
             }
         }
         let mut pb = ProgramBuilder::new("p");
@@ -1020,7 +1006,7 @@ mod tests {
             vec![assign(a, sig(s)), pause(), assign(b, sig(s)), halt()],
         );
         let text = listing(&lower(&pb, default_pipeline()));
-        assert_eq!(text.matches("<- sig s").count(), 2, "{text}");
+        assert_eq!(text.matches(" := $s\n").count(), 2, "{text}");
         let mut tw = treewalk(flatten(&pb.clone().build().unwrap()).unwrap());
         tw.run_cycles(4, &mut SigTick, &mut NullObserver).unwrap();
         let mut cm = compiled(lower(&pb, default_pipeline()));

@@ -311,9 +311,9 @@ impl DataplaneDriver {
         // The prefix [0, len) now holds frame bytes; everything above is
         // zero again.
         st.arr_high[p.frame.0 as usize] = len;
-        st.sigs[p.rx_valid.0 as usize].set_u64(1);
-        st.sigs[p.rx_len.0 as usize].set_u64(len as u64);
-        st.sigs[p.rx_port.0 as usize].set_u64(u64::from(frame.in_port));
+        st.set_sig_word(p.rx_valid, 1);
+        st.set_sig_word(p.rx_len, len as u64);
+        st.set_sig_word(p.rx_port, u64::from(frame.in_port));
     }
 
     /// Delivers `frame` to the core and runs until the core pulses
@@ -361,12 +361,12 @@ impl DataplaneDriver {
             #[inline(always)]
             |st| {
                 cycles += 1;
-                let tx_now = st.sigs[p.tx_valid.0 as usize].to_bool();
-                let done_now = st.sigs[p.rx_done.0 as usize].to_bool();
+                let tx_now = st.sig_word(p.tx_valid) != 0;
+                let done_now = st.sig_word(p.rx_done) != 0;
 
                 if tx_now && !prev_tx {
-                    let len = (st.sigs[p.tx_len.0 as usize].to_u64() as usize).min(cap);
-                    let ports = st.sigs[p.tx_ports.0 as usize].to_u64() as u8;
+                    let len = (st.sig_word(p.tx_len) as usize).min(cap);
+                    let ports = st.sig_word(p.tx_ports) as u8;
                     let buf = st.arrays[p.frame.0 as usize].bytes().expect(FRAME_IS_BYTES);
                     // One allocation at the padded length: `Frame::new`
                     // pads a short frame within this capacity.
@@ -382,7 +382,7 @@ impl DataplaneDriver {
                 if done_now && !prev_done {
                     // Drop rx_valid the same tick so the core's next loop
                     // iteration sees no frame.
-                    st.sigs[p.rx_valid.0 as usize].set_u64(0);
+                    st.set_sig_word(p.rx_valid, 0);
                     return Some(Ok(()));
                 }
                 prev_done = done_now;

@@ -26,9 +26,14 @@
 //! within a cache line or two), doubled by re-placing the slot numbers,
 //! and repaired on removal by backward shift, so there are no
 //! tombstones to skip. A hit reads one index line and one slab line.
-//! `Bits` exist only at the API boundary: a key is cut to its `kw`
-//! limbs on the way in and values are rebuilt on the way out; nothing
-//! inside hashes, stores or compares one.
+//!
+//! Every entry point takes its key as little-endian limbs (`&[u64]`)
+//! and returns a value as limbs borrowed from the slab (`lookup_limbs`,
+//! `peek_limbs`, `write_limbs`, `touch_limbs`, `delete_limbs`): the CAM
+//! models serve their ports through these, straight from and into the
+//! machine's signal words. The [`Bits`] methods (`lookup`, `write`, …)
+//! are thin wrappers over them that rebuild a value on the way out;
+//! nothing inside hashes, stores or compares a `Bits`.
 //!
 //! The index hash is std's keyed SipHash
 //! ([`RandomState`], a fresh key per table) over the `kw` limbs. Keys
@@ -130,16 +135,23 @@ pub enum WriteEffect {
     Replaced(Bits),
 }
 
-/// `bits` cut or zero-extended to `width`, whose `⌈width/64⌉` limbs
-/// are the table words. The one place a `Bits` becomes table words, so
-/// every entry point agrees on what a key is. A port samples a value at
-/// its declared width, which is borrowed as it is, not copied.
-fn at_width(bits: &Bits, width: u16) -> Cow<'_, Bits> {
-    if bits.width() == width {
-        Cow::Borrowed(bits)
-    } else {
-        Cow::Owned(bits.resize(width))
+/// The `⌈width/64⌉` table words of the value whose little-endian limbs
+/// are `limbs`, cut or zero-extended to `width`. The one place a caller's
+/// key or value becomes table words, so every entry point agrees on what
+/// a key is. A port's word or a `Bits` of the table's width already is
+/// that, and is borrowed as it is, not copied.
+#[inline]
+fn at_width(limbs: &[u64], width: u16) -> Cow<'_, [u64]> {
+    let n = usize::from(width).div_ceil(64);
+    let top = u64::MAX >> (64 * n - usize::from(width));
+    if limbs.len() == n && limbs[n - 1] & !top == 0 {
+        return Cow::Borrowed(limbs);
     }
+    let mut words = vec![0; n];
+    let k = limbs.len().min(n);
+    words[..k].copy_from_slice(&limbs[..k]);
+    words[n - 1] &= top;
+    Cow::Owned(words)
 }
 
 /// Hashed, TTL-aware CAM storage (see the module docs for the storage
@@ -175,6 +187,8 @@ pub struct CamTable {
     /// `delete`, `touch` or `tick_frame`: each starts by clearing them,
     /// so the table holds at most one call's reports.
     removed: Vec<Removed>,
+    /// The value the last `write` replaced (`vw` limbs).
+    replaced: Vec<u64>,
     /// Lifetime statistics.
     pub stats: CamStats,
 }
@@ -208,6 +222,7 @@ impl CamTable {
             rr: 0,
             exp_q: VecDeque::new(),
             removed: Vec::new(),
+            replaced: Vec::new(),
             stats: CamStats::default(),
         }
     }
@@ -266,9 +281,20 @@ impl CamTable {
         &self.slab[at..at + self.kw]
     }
 
-    fn value_of(&self, slot: u32) -> Bits {
+    fn value_of(&self, slot: u32) -> &[u64] {
         let at = slot as usize * self.stride() + self.kw;
-        Bits::from_limbs(&self.slab[at..at + self.vw], self.value_bits)
+        &self.slab[at..at + self.vw]
+    }
+
+    /// The value of `slot` as a `Bits` of `value_bits`.
+    fn value_bits_at(&self, slot: u32) -> Bits {
+        Bits::from_limbs(self.value_of(slot), self.value_bits)
+    }
+
+    /// The key and value of `slot` as `Bits` of the table's widths.
+    fn entry_bits(&self, slot: u32) -> (Bits, Bits) {
+        let key = Bits::from_limbs(self.key_of(slot), self.key_bits);
+        (key, self.value_bits_at(slot))
     }
 
     fn stamp_at(&self, slot: u32) -> usize {
@@ -300,11 +326,12 @@ impl CamTable {
         }
     }
 
-    /// [`CamTable::find`] for a caller's `Bits`, read the way `write`
-    /// stores a key: cut or zero-extended to `key_bits`.
-    fn probe(&self, key: &Bits) -> Option<(usize, u32)> {
+    /// [`CamTable::find`] for a caller's key limbs, read the way
+    /// `write` stores a key: cut or zero-extended to `key_bits`.
+    #[inline]
+    fn probe(&self, key: &[u64]) -> Option<(usize, u32)> {
         let key = at_width(key, self.key_bits);
-        self.find(self.hash(key.limbs()), key.limbs())
+        self.find(self.hash(&key), &key)
     }
 
     /// Index position naming the occupied `slot`.
@@ -379,14 +406,11 @@ impl CamTable {
         }
     }
 
-    /// Frees the entry in `slot`, indexed at `pos`; returns it.
-    fn remove_slot(&mut self, pos: usize, slot: u32, cause: Option<RemoveCause>) -> (Bits, Bits) {
+    /// Frees the entry in `slot`, indexed at `pos`. Its words stay in
+    /// the slab until the slot is written again.
+    fn remove_slot(&mut self, pos: usize, slot: u32, cause: Option<RemoveCause>) {
         let at = self.stamp_at(slot);
         assert!(self.slab[at] != FREE, "occupied slot");
-        let entry = (
-            Bits::from_limbs(self.key_of(slot), self.key_bits),
-            self.value_of(slot),
-        );
         self.slab[at] = FREE;
         self.index_remove(pos);
         self.free.push(slot);
@@ -395,12 +419,12 @@ impl CamTable {
             Some(RemoveCause::Evicted) => self.stats.evictions += 1,
             None => {}
         }
-        entry
     }
 
     /// Removes the entry in `slot` involuntarily and reports it.
     fn expel(&mut self, pos: usize, slot: u32, cause: RemoveCause) {
-        let (key, value) = self.remove_slot(pos, slot, Some(cause));
+        self.remove_slot(pos, slot, Some(cause));
+        let (key, value) = self.entry_bits(slot);
         self.removed.push(Removed { key, value, cause });
     }
 
@@ -437,9 +461,10 @@ impl CamTable {
         }
     }
 
-    /// Looks `key` up; a live hit is touched (re-stamped), an expired
-    /// resident entry is reclaimed and reported as a miss.
-    pub fn lookup(&mut self, key: &Bits) -> Option<Bits> {
+    /// The slot of `key`'s live entry, touched; an expired resident
+    /// entry is reclaimed and reported as a miss.
+    #[inline]
+    fn lookup_slot(&mut self, key: &[u64]) -> Option<u32> {
         self.removed.clear();
         self.stats.lookups += 1;
         let (pos, slot) = self.probe(key)?;
@@ -451,44 +476,81 @@ impl CamTable {
         }
         self.stats.hits += 1;
         self.restamp(slot);
+        Some(slot)
+    }
+
+    /// Looks the key whose limbs are `key` up; a live hit is touched
+    /// (re-stamped) and its value's limbs returned, an expired resident
+    /// entry is reclaimed and reported as a miss.
+    pub fn lookup_limbs(&mut self, key: &[u64]) -> Option<&[u64]> {
+        let slot = self.lookup_slot(key)?;
         Some(self.value_of(slot))
     }
 
-    /// The value of `key` if it is resident and live. No touch, no
-    /// stats, no reclaim.
-    pub fn peek(&self, key: &Bits) -> Option<Bits> {
+    /// [`CamTable::lookup_limbs`] for a `Bits` key.
+    pub fn lookup(&mut self, key: &Bits) -> Option<Bits> {
+        let slot = self.lookup_slot(key.limbs())?;
+        Some(self.value_bits_at(slot))
+    }
+
+    /// The value limbs of `key` if it is resident and live. No touch,
+    /// no stats, no reclaim.
+    pub fn peek_limbs(&self, key: &[u64]) -> Option<&[u64]> {
         let (_, slot) = self.probe(key)?;
         let stamp = self.slab[self.stamp_at(slot)];
         assert!(stamp != FREE, "indexed");
         (!self.is_expired(stamp)).then(|| self.value_of(slot))
     }
 
+    /// [`CamTable::peek_limbs`] for a `Bits` key.
+    pub fn peek(&self, key: &Bits) -> Option<Bits> {
+        let v = self.peek_limbs(key.limbs())?;
+        Some(Bits::from_limbs(v, self.value_bits))
+    }
+
     /// Re-stamps `key` if resident (pair-twin touch propagation).
-    pub fn touch(&mut self, key: &Bits) {
+    pub fn touch_limbs(&mut self, key: &[u64]) {
         self.removed.clear();
         if let Some((_, slot)) = self.probe(key) {
             self.restamp(slot);
         }
     }
 
-    /// Writes `key → value`: replaces in place on key match, else fills
-    /// a free slot, else (at capacity) reclaims the oldest expired
-    /// entry, else evicts round-robin.
+    /// [`CamTable::touch_limbs`] for a `Bits` key.
+    pub fn touch(&mut self, key: &Bits) {
+        self.touch_limbs(key.limbs());
+    }
+
+    /// [`CamTable::write_limbs`] for a `Bits` key and value.
     pub fn write(&mut self, key: Bits, value: Bits) -> WriteEffect {
+        let vb = self.value_bits;
+        match self.write_limbs(key.limbs(), value.limbs()) {
+            None => WriteEffect::Fresh,
+            Some(old) => WriteEffect::Replaced(Bits::from_limbs(old, vb)),
+        }
+    }
+
+    /// Writes `key → value` (both as limbs): replaces in place on key
+    /// match, else fills a free slot, else (at capacity) reclaims the
+    /// oldest expired entry, else evicts round-robin. Returns the limbs
+    /// of the value it replaced, or `None` when the key was not resident
+    /// (a fresh entry).
+    pub fn write_limbs(&mut self, key: &[u64], value: &[u64]) -> Option<&[u64]> {
         self.removed.clear();
         self.stats.writes += 1;
         let (key, value) = (
-            at_width(&key, self.key_bits),
-            at_width(&value, self.value_bits),
+            at_width(key, self.key_bits),
+            at_width(value, self.value_bits),
         );
-        let (key, value) = (key.limbs(), value.limbs());
-        let hash = self.hash(key);
-        if let Some((_, slot)) = self.find(hash, key) {
-            let old = self.value_of(slot);
+        let hash = self.hash(&key);
+        if let Some((_, slot)) = self.find(hash, &key) {
             let at = slot as usize * self.stride() + self.kw;
-            self.slab[at..at + self.vw].copy_from_slice(value);
+            let old = &mut self.slab[at..at + self.vw];
+            self.replaced.clear();
+            self.replaced.extend_from_slice(old);
+            old.copy_from_slice(&value);
             self.restamp(slot);
-            return WriteEffect::Replaced(old);
+            return Some(&self.replaced);
         }
         let slot = if let Some(s) = self.free.pop() {
             s
@@ -509,28 +571,36 @@ impl CamTable {
             victim
         };
         let at = slot as usize * self.stride();
-        self.slab[at..at + self.kw].copy_from_slice(key);
-        self.slab[at + self.kw..at + self.kw + self.vw].copy_from_slice(value);
+        self.slab[at..at + self.kw].copy_from_slice(&key);
+        self.slab[at + self.kw..at + self.kw + self.vw].copy_from_slice(&value);
         self.slab[at + self.kw + self.vw] = self.now;
         self.index_insert(hash, slot);
         if self.ttl.is_some() {
             self.exp_q.push_back((slot, self.now));
         }
-        WriteEffect::Fresh
+        None
     }
 
-    /// Removes `key` if resident (live or expired); returns the entry.
-    /// Explicit deletes count in no statistic.
-    pub fn delete(&mut self, key: &Bits) -> Option<(Bits, Bits)> {
+    /// Removes `key` if resident (live or expired); returns the entry's
+    /// key and value limbs. Explicit deletes count in no statistic.
+    pub fn delete_limbs(&mut self, key: &[u64]) -> Option<(&[u64], &[u64])> {
         self.removed.clear();
         let (pos, slot) = self.probe(key)?;
-        Some(self.remove_slot(pos, slot, None))
+        self.remove_slot(pos, slot, None);
+        Some((self.key_of(slot), self.value_of(slot)))
+    }
+
+    /// [`CamTable::delete_limbs`] for a `Bits` key.
+    pub fn delete(&mut self, key: &Bits) -> Option<(Bits, Bits)> {
+        let (kb, vb) = (self.key_bits, self.value_bits);
+        let (k, v) = self.delete_limbs(key.limbs())?;
+        Some((Bits::from_limbs(k, kb), Bits::from_limbs(v, vb)))
     }
 
     /// Removes `key` on behalf of a pair twin, charging `cause` to this
     /// table's stats. Does not report (no propagation loops).
     fn remove_for_pair(&mut self, key: &Bits, cause: RemoveCause) {
-        if let Some((pos, slot)) = self.probe(key) {
+        if let Some((pos, slot)) = self.probe(key.limbs()) {
             self.remove_slot(pos, slot, Some(cause));
         }
     }
@@ -563,101 +633,135 @@ impl CamPair {
         }
     }
 
-    fn propagate_a(&mut self) {
-        for r in &self.a.removed {
-            let pk = (self.a_to_b)(&r.key, &r.value);
-            self.b.remove_for_pair(&pk, r.cause);
-        }
-    }
-
-    fn propagate_b(&mut self) {
-        for r in &self.b.removed {
-            let pk = (self.b_to_a)(&r.key, &r.value);
-            self.a.remove_for_pair(&pk, r.cause);
-        }
-    }
-
     /// Advances both sides' frame epochs; expired entries take their
     /// partners with them.
     pub fn tick_frame(&mut self) {
         self.a.tick_frame();
-        self.propagate_a();
+        propagate(&self.a, &mut self.b, self.a_to_b);
         self.b.tick_frame();
-        self.propagate_b();
+        propagate(&self.b, &mut self.a, self.b_to_a);
     }
 
     /// Looks up side A; a hit touches the B partner too.
-    pub fn lookup_a(&mut self, key: &Bits) -> Option<Bits> {
-        let r = self.a.lookup(key);
-        if let Some(v) = &r {
-            let pk = (self.a_to_b)(key, v);
-            self.b.touch(&pk);
-        }
-        self.propagate_a();
-        r
+    pub fn lookup_a_limbs(&mut self, key: &[u64]) -> Option<&[u64]> {
+        let slot = lookup(&mut self.a, &mut self.b, self.a_to_b, key)?;
+        Some(self.a.value_of(slot))
     }
 
     /// Looks up side B; a hit touches the A partner too.
+    pub fn lookup_b_limbs(&mut self, key: &[u64]) -> Option<&[u64]> {
+        let slot = lookup(&mut self.b, &mut self.a, self.b_to_a, key)?;
+        Some(self.b.value_of(slot))
+    }
+
+    /// [`CamPair::lookup_a_limbs`] for a `Bits` key.
+    pub fn lookup_a(&mut self, key: &Bits) -> Option<Bits> {
+        let slot = lookup(&mut self.a, &mut self.b, self.a_to_b, key.limbs())?;
+        Some(self.a.value_bits_at(slot))
+    }
+
+    /// [`CamPair::lookup_b_limbs`] for a `Bits` key.
     pub fn lookup_b(&mut self, key: &Bits) -> Option<Bits> {
-        let r = self.b.lookup(key);
-        if let Some(v) = &r {
-            let pk = (self.b_to_a)(key, v);
-            self.a.touch(&pk);
-        }
-        self.propagate_b();
-        r
+        let slot = lookup(&mut self.b, &mut self.a, self.b_to_a, key.limbs())?;
+        Some(self.b.value_bits_at(slot))
     }
 
     /// Writes into side A; an eviction takes the B partner with it.
-    pub fn write_a(&mut self, key: Bits, value: Bits) {
-        let effect = self.a.write(key.clone(), value.clone());
-        match effect {
-            WriteEffect::Replaced(old) if old != value => {
-                // The mapping changed: the old value's partner is now
-                // orphaned — drop it as displaced.
-                let pk = (self.a_to_b)(&key, &old);
-                self.b.remove_for_pair(&pk, RemoveCause::Evicted);
-            }
-            WriteEffect::Replaced(_) => {
-                let pk = (self.a_to_b)(&key, &value);
-                self.b.touch(&pk);
-            }
-            WriteEffect::Fresh => {}
-        }
-        self.propagate_a();
+    pub fn write_a_limbs(&mut self, key: &[u64], value: &[u64]) {
+        write(&mut self.a, &mut self.b, self.a_to_b, key, value);
     }
 
     /// Writes into side B; an eviction takes the A partner with it.
+    pub fn write_b_limbs(&mut self, key: &[u64], value: &[u64]) {
+        write(&mut self.b, &mut self.a, self.b_to_a, key, value);
+    }
+
+    /// [`CamPair::write_a_limbs`] for a `Bits` key and value.
+    pub fn write_a(&mut self, key: Bits, value: Bits) {
+        self.write_a_limbs(key.limbs(), value.limbs());
+    }
+
+    /// [`CamPair::write_b_limbs`] for a `Bits` key and value.
     pub fn write_b(&mut self, key: Bits, value: Bits) {
-        let effect = self.b.write(key.clone(), value.clone());
-        match effect {
-            WriteEffect::Replaced(old) if old != value => {
-                let pk = (self.b_to_a)(&key, &old);
-                self.a.remove_for_pair(&pk, RemoveCause::Evicted);
-            }
-            WriteEffect::Replaced(_) => {
-                let pk = (self.b_to_a)(&key, &value);
-                self.a.touch(&pk);
-            }
-            WriteEffect::Fresh => {}
-        }
-        self.propagate_b();
+        self.write_b_limbs(key.limbs(), value.limbs());
     }
 
     /// Deletes from side A, taking the B partner with it.
-    pub fn delete_a(&mut self, key: &Bits) {
-        if let Some((k, v)) = self.a.delete(key) {
-            let pk = (self.a_to_b)(&k, &v);
-            self.b.delete(&pk);
-        }
+    pub fn delete_a_limbs(&mut self, key: &[u64]) {
+        delete(&mut self.a, &mut self.b, self.a_to_b, key);
     }
 
     /// Deletes from side B, taking the A partner with it.
+    pub fn delete_b_limbs(&mut self, key: &[u64]) {
+        delete(&mut self.b, &mut self.a, self.b_to_a, key);
+    }
+
+    /// [`CamPair::delete_a_limbs`] for a `Bits` key.
+    pub fn delete_a(&mut self, key: &Bits) {
+        self.delete_a_limbs(key.limbs());
+    }
+
+    /// [`CamPair::delete_b_limbs`] for a `Bits` key.
     pub fn delete_b(&mut self, key: &Bits) {
-        if let Some((k, v)) = self.b.delete(key) {
-            let pk = (self.b_to_a)(&k, &v);
-            self.a.delete(&pk);
+        self.delete_b_limbs(key.limbs());
+    }
+}
+
+// One side of a pair at a time: `this` is the side called, `twin` the
+// other, and `to_twin` derives a partner key from an entry of `this`.
+
+/// Removes the twins of the entries `this`'s last call removed.
+fn propagate(this: &CamTable, twin: &mut CamTable, to_twin: PartnerKeyFn) {
+    for r in &this.removed {
+        twin.remove_for_pair(&to_twin(&r.key, &r.value), r.cause);
+    }
+}
+
+/// A lookup on `this`; a hit touches its twin. Returns the hit's slot.
+fn lookup(
+    this: &mut CamTable,
+    twin: &mut CamTable,
+    to_twin: PartnerKeyFn,
+    key: &[u64],
+) -> Option<u32> {
+    let slot = this.lookup_slot(key);
+    if let Some(slot) = slot {
+        let (k, v) = this.entry_bits(slot);
+        twin.touch(&to_twin(&k, &v));
+    }
+    propagate(this, twin, to_twin);
+    slot
+}
+
+/// A write into `this`: a changed mapping orphans the old value's twin,
+/// which goes as displaced; an unchanged one touches it.
+fn write(
+    this: &mut CamTable,
+    twin: &mut CamTable,
+    to_twin: PartnerKeyFn,
+    key: &[u64],
+    value: &[u64],
+) {
+    let value = at_width(value, this.value_bits);
+    let (kb, vb) = (this.key_bits, this.value_bits);
+    if let Some(old) = this.write_limbs(key, &value) {
+        let k = Bits::from_limbs(&at_width(key, kb), kb);
+        let pk = to_twin(&k, &Bits::from_limbs(old, vb));
+        if old != &*value {
+            twin.remove_for_pair(&pk, RemoveCause::Evicted);
+        } else {
+            twin.touch(&pk);
         }
+    }
+    propagate(this, twin, to_twin);
+}
+
+/// A delete from `this`, taking the twin with it.
+fn delete(this: &mut CamTable, twin: &mut CamTable, to_twin: PartnerKeyFn, key: &[u64]) {
+    let (kb, vb) = (this.key_bits, this.value_bits);
+    if let Some((k, v)) = this.delete_limbs(key) {
+        let pk = to_twin(&Bits::from_limbs(k, kb), &Bits::from_limbs(v, vb));
+        twin.delete_limbs(pk.limbs());
     }
 }
 
@@ -899,7 +1003,7 @@ mod tests {
         // slots in rising order and hands them back from the top.
         for (j, i) in (0..N).step_by(2).enumerate() {
             assert_eq!(t.write(key(N + i), val(N + i)), WriteEffect::Fresh);
-            let (_, slot) = t.probe(&key(N + i)).expect("just written");
+            let (_, slot) = t.probe(key(N + i).limbs()).expect("just written");
             assert_eq!(u64::from(slot), N - 2 - 2 * j as u64);
         }
         assert_eq!(t.occupancy(), N as usize);
@@ -1156,6 +1260,143 @@ mod tests {
                     let (a, b) = (p.a.peek(&fk), p.b.peek(&rk));
                     prop_assert_eq!(a.is_some(), b.is_some(), "flow {} is half-dead", g);
                     prop_assert!(a.is_none() || (a, b) == (Some(fv), Some(rv)));
+                }
+            }
+        }
+
+        /// One implementation: a table driven through the `Bits` entry
+        /// points and a twin driven through the limb entry points, with
+        /// keys and values narrower, as wide as and wider than the
+        /// table's widths, agree on every hit, value, write effect,
+        /// statistic, occupancy and removal report.
+        #[test]
+        fn bits_and_limb_entry_points_agree(
+            (kw, vw, ttl) in (0usize..5, 0usize..5, 0usize..3),
+            capacity in 1usize..=8,
+            ops in proptest::collection::vec((0u8..8, 0u64..16, any::<u64>(), 0u8..3), 1..200),
+        ) {
+            let (kb, vb, ttl) = (WIDTHS[kw], WIDTHS[vw], TTLS[ttl]);
+            let mut by_bits = CamTable::new(capacity, kb, vb).with_ttl(ttl);
+            let mut by_limbs = CamTable::new(capacity, kb, vb).with_ttl(ttl);
+            let value_of = |v: &[u64]| Bits::from_limbs(v, vb);
+            for (op, k, v, w) in ops {
+                // Narrower, as wide as, or 40 bits wider than the table.
+                let width = |b: u16| [b - b / 4, b, b + 40][usize::from(w)];
+                let key = spread(k, width(kb));
+                let value = Bits::from_limbs(&[v, !v, v.rotate_left(21), v ^ 0xa5a5], width(vb));
+                match op {
+                    0 | 1 => prop_assert_eq!(
+                        by_bits.write(key.clone(), value.clone()),
+                        match by_limbs.write_limbs(key.limbs(), value.limbs()) {
+                            None => WriteEffect::Fresh,
+                            Some(old) => WriteEffect::Replaced(value_of(old)),
+                        }
+                    ),
+                    2 => prop_assert_eq!(
+                        by_bits.lookup(&key),
+                        by_limbs.lookup_limbs(key.limbs()).map(value_of)
+                    ),
+                    3 => prop_assert_eq!(
+                        by_bits.peek(&key),
+                        by_limbs.peek_limbs(key.limbs()).map(value_of)
+                    ),
+                    4 => {
+                        by_bits.touch(&key);
+                        by_limbs.touch_limbs(key.limbs());
+                    }
+                    5 => prop_assert_eq!(
+                        by_bits.delete(&key),
+                        by_limbs
+                            .delete_limbs(key.limbs())
+                            .map(|(k, v)| (Bits::from_limbs(k, kb), value_of(v)))
+                    ),
+                    _ => {
+                        by_bits.tick_frame();
+                        by_limbs.tick_frame();
+                    }
+                }
+                prop_assert_eq!(by_bits.stats, by_limbs.stats);
+                prop_assert_eq!(by_bits.occupancy(), by_limbs.occupancy());
+                let reports = |t: &CamTable| -> Vec<_> {
+                    t.removed
+                        .iter()
+                        .map(|r| (r.key.clone(), r.value.clone(), r.cause))
+                        .collect()
+                };
+                prop_assert_eq!(reports(&by_bits), reports(&by_limbs));
+            }
+        }
+
+        /// The same for a [`CamPair`] (NAT's geometry and partner keys):
+        /// every hit and value agree, and so do both sides' statistics,
+        /// occupancy and contents, so a twin removed through one entry
+        /// point is removed through the other.
+        #[test]
+        fn pair_bits_and_limb_entry_points_agree(
+            capacity in 1usize..=8,
+            ttl in 0usize..3,
+            ops in proptest::collection::vec((0u8..7, 0u64..16, 0u8..3), 1..200),
+        ) {
+            let ttl = TTLS[ttl];
+            let pair = || CamPair::new(
+                CamTable::new(capacity, 56, 16).with_ttl(ttl),
+                CamTable::new(capacity, 24, 56).with_ttl(ttl),
+                fwd_to_rev,
+                rev_to_fwd,
+            );
+            let (mut by_bits, mut by_limbs) = (pair(), pair());
+            // Flow f's forward and reverse keys and values, each spelt
+            // narrower than, as wide as or 40 bits wider than its table's.
+            let flow = |f: u64, w: u8| {
+                let at = |v: u64, b: u16| {
+                    let b = [b - 8, b, b + 40][usize::from(w)];
+                    Bits::from_u64(v, b)
+                };
+                let (host, proto, port) = (0x0a00_0001_1000 + f, 6 + 11 * (f % 2), 50_000 + f % 5);
+                let fwd = (at((host << 8) | proto, 56), at(port, 16));
+                let rev = (at((port << 8) | proto, 24), at((host << 8) | (1 + f % 3), 56));
+                (fwd, rev)
+            };
+            for (op, f, w) in ops {
+                let ((fk, fv), (rk, rv)) = flow(f, w);
+                match op {
+                    0 => {
+                        by_bits.write_a(fk.clone(), fv.clone());
+                        by_limbs.write_a_limbs(fk.limbs(), fv.limbs());
+                    }
+                    1 => {
+                        by_bits.write_b(rk.clone(), rv.clone());
+                        by_limbs.write_b_limbs(rk.limbs(), rv.limbs());
+                    }
+                    2 => prop_assert_eq!(
+                        by_bits.lookup_a(&fk),
+                        by_limbs.lookup_a_limbs(fk.limbs()).map(|v| Bits::from_limbs(v, 16))
+                    ),
+                    3 => prop_assert_eq!(
+                        by_bits.lookup_b(&rk),
+                        by_limbs.lookup_b_limbs(rk.limbs()).map(|v| Bits::from_limbs(v, 56))
+                    ),
+                    4 => {
+                        by_bits.delete_a(&fk);
+                        by_limbs.delete_a_limbs(fk.limbs());
+                    }
+                    5 => {
+                        by_bits.delete_b(&rk);
+                        by_limbs.delete_b_limbs(rk.limbs());
+                    }
+                    _ => {
+                        by_bits.tick_frame();
+                        by_limbs.tick_frame();
+                    }
+                }
+                for (x, y) in [(&by_bits.a, &by_limbs.a), (&by_bits.b, &by_limbs.b)] {
+                    prop_assert_eq!(x.stats, y.stats);
+                    prop_assert_eq!(x.occupancy(), y.occupancy());
+                }
+                for g in 0..16 {
+                    let ((fk, _), (rk, _)) = flow(g, 1);
+                    prop_assert_eq!(by_bits.a.peek(&fk), by_limbs.a.peek(&fk));
+                    prop_assert_eq!(by_bits.b.peek(&rk), by_limbs.b.peek(&rk));
                 }
             }
         }

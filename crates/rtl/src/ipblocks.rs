@@ -17,10 +17,10 @@
 //! and the NaughtyQ): the signal ids and widths. The program
 //! generates its protocol statements from the handle (`lookup`, `seed`,
 //! `enlist`, …) and the model is constructed from the same handle
-//! (`CamModel::new(&cam_if, entries, native)`), indexing the machine's
-//! signal file by those ids every cycle — nothing is looked up by name
-//! while frames flow, widths are stated once, and the prefix survives
-//! only as the label on telemetry and errors. The engine runs
+//! (`CamModel::new(&cam_if, entries, native)`), reading and driving the
+//! machine's signal words by those ids every cycle — nothing is looked
+//! up by name while frames flow, widths are stated once, and the prefix
+//! survives only as the label on telemetry and errors. The engine runs
 //! [`IpEnv::check`] once per shard at build, so a model whose handle
 //! came from another program is a build error naming the block.
 //!
@@ -136,46 +136,30 @@ struct Port {
 }
 
 impl Port {
-    /// The current value on this port.
+    /// The low 64 bits of the value on this port: its signal's word.
     #[inline]
-    fn get<'a>(&self, st: &'a MachineState) -> &'a Bits {
-        &st.sigs[self.id.0 as usize]
+    fn get(&self, st: &MachineState) -> u64 {
+        st.sig_word(self.id)
     }
 
     /// Whether this 1-bit strobe is raised.
     #[inline]
     fn high(&self, st: &MachineState) -> bool {
-        self.get(st).to_bool()
+        self.get(st) != 0
     }
 
-    /// The current value, at the port's width.
+    /// Drives this `In` port for the program's next cycle with `v` cut
+    /// to the port's width: a store of its signal's word.
     #[inline]
-    fn sample(&self, st: &MachineState) -> Bits {
-        self.fit(self.get(st).clone())
+    fn drive(&self, st: &mut MachineState, v: u64) {
+        st.set_sig_word(self.id, v);
     }
 
-    /// Drives this `In` port for the program's next cycle.
+    /// The value on this port as little-endian limbs, at the port's
+    /// width: one word up to 64 bits.
     #[inline]
-    fn drive(&self, st: &mut MachineState, v: Bits) {
-        st.sigs[self.id.0 as usize] = self.fit(v);
-    }
-
-    /// Drives this `In` port with `v` cut to the port's width, in place.
-    #[inline]
-    fn drive_u64(&self, st: &mut MachineState, v: u64) {
-        st.sigs[self.id.0 as usize].set_u64(v);
-    }
-
-    /// `v` at the port's width. Every value a machine or a model puts
-    /// on a port already has it, so this is a move; the resize keeps the
-    /// signal file's width invariant if one ever does not.
-    #[inline]
-    fn fit(&self, v: Bits) -> Bits {
-        if v.width() == self.width {
-            v
-        } else {
-            v.resize(self.width)
-        }
+    fn limbs<'a>(&self, st: &'a MachineState) -> &'a [u64] {
+        st.sig_limbs(self.id)
     }
 }
 
@@ -339,32 +323,34 @@ impl CamDeleteIf {
 /// One cycle of the CAM port protocol on one port set: an optional
 /// delete, then a write, then a lookup whose `match`/`value` the program
 /// reads next cycle. [`CamModel`] serves its table through this once per
-/// cycle, [`PairedCamModel`] once per side.
+/// cycle, [`PairedCamModel`] once per side, through the tables' limb
+/// entry points: keys go in as the ports' signal words and a hit's value
+/// comes back as limbs into the `value` port's word, so no [`Bits`] is
+/// built on the way.
 #[inline]
-fn serve<T, D, W>(
+fn serve<T>(
     ports: &CamIf,
     st: &mut MachineState,
     table: &mut T,
     (delete, write, lookup): (
-        impl FnOnce(&mut T, &Bits) -> D,
-        impl FnOnce(&mut T, Bits, Bits) -> W,
-        impl FnOnce(&mut T, &Bits) -> Option<Bits>,
+        impl FnOnce(&mut T, &[u64]),
+        impl FnOnce(&mut T, &[u64], &[u64]),
+        impl for<'t> FnOnce(&'t mut T, &[u64]) -> Option<&'t [u64]>,
     ),
 ) {
     if let Some((en, key)) = &ports.delete {
         if en.high(st) {
-            delete(table, &key.sample(st));
+            delete(table, key.limbs(st));
         }
     }
     if ports.write_en.high(st) {
-        let (key, value) = (ports.write_key.sample(st), ports.write_value.sample(st));
+        let (key, value) = (ports.write_key.limbs(st), ports.write_value.limbs(st));
         write(table, key, value);
     }
     if ports.lookup_en.high(st) {
-        let hit = lookup(table, &ports.lookup_key.sample(st));
-        ports.matched.drive_u64(st, u64::from(hit.is_some()));
-        let miss = || Bits::zero(ports.value.width);
-        ports.value.drive(st, hit.unwrap_or_else(miss));
+        let hit = lookup(table, ports.lookup_key.limbs(st));
+        ports.matched.drive(st, u64::from(hit.is_some()));
+        st.set_sig_limbs(ports.value.id, hit.unwrap_or(&[]));
     }
 }
 
@@ -450,7 +436,15 @@ impl CamModel {
 impl IpBlockModel for CamModel {
     fn step(&mut self, _prog: &Program, st: &mut MachineState) {
         let (ports, table) = (&self.ports, &mut self.table);
-        let ops = (CamTable::delete, CamTable::write, CamTable::lookup);
+        let ops = (
+            |t: &mut CamTable, key: &[u64]| {
+                t.delete_limbs(key);
+            },
+            |t: &mut CamTable, key: &[u64], value: &[u64]| {
+                t.write_limbs(key, value);
+            },
+            CamTable::lookup_limbs,
+        );
         serve(ports, st, table, ops);
     }
 
@@ -506,8 +500,16 @@ impl PairedCamModel {
 impl IpBlockModel for PairedCamModel {
     fn step(&mut self, _prog: &Program, st: &mut MachineState) {
         let (a, b, pair) = (&self.ports_a, &self.ports_b, &mut self.pair);
-        let ops_a = (CamPair::delete_a, CamPair::write_a, CamPair::lookup_a);
-        let ops_b = (CamPair::delete_b, CamPair::write_b, CamPair::lookup_b);
+        let ops_a = (
+            CamPair::delete_a_limbs,
+            CamPair::write_a_limbs,
+            CamPair::lookup_a_limbs,
+        );
+        let ops_b = (
+            CamPair::delete_b_limbs,
+            CamPair::write_b_limbs,
+            CamPair::lookup_b_limbs,
+        );
         serve(a, st, pair, ops_a);
         serve(b, st, pair, ops_b);
     }
@@ -663,7 +665,7 @@ impl PearsonHashModel {
 impl IpBlockModel for PearsonHashModel {
     fn step(&mut self, _prog: &Program, st: &mut MachineState) {
         let p = &self.ports;
-        let data = p.data_in.get(st).to_u64() as u8;
+        let data = p.data_in.get(st) as u8;
         let init_en = p.init_enable.high(st);
 
         if p.clear.high(st) {
@@ -682,8 +684,8 @@ impl IpBlockModel for PearsonHashModel {
             self.fed += 1;
         }
 
-        p.init_ready.drive_u64(st, u64::from(self.init_ready));
-        p.digest.drive_u64(st, u64::from(self.h));
+        p.init_ready.drive(st, u64::from(self.init_ready));
+        p.digest.drive(st, u64::from(self.h));
     }
 
     fn resources(&self) -> Vec<IpBlock> {
@@ -811,7 +813,7 @@ impl IpBlockModel for NaughtyQModel {
     fn step(&mut self, _prog: &Program, st: &mut MachineState) {
         let p = &self.ports;
         let mut evicted = None;
-        match p.op.get(st).to_u64() {
+        match p.op.get(st) {
             1 => {
                 // Enlist.
                 let idx = match self.slots.iter().position(|s| s.is_none()) {
@@ -821,20 +823,20 @@ impl IpBlockModel for NaughtyQModel {
                         evicted.expect("a full queue of at least one slot has an LRU slot")
                     }
                 };
-                self.slots[idx] = Some(p.value_in.sample(st));
+                self.slots[idx] = Some(st.sig(p.value_in.id));
                 touch(&mut self.order, idx);
-                p.idx_out.drive_u64(st, idx as u64);
+                p.idx_out.drive(st, idx as u64);
             }
             2 => {
                 // Read.
-                let idx = p.idx_in.get(st).to_u64() as usize;
+                let idx = p.idx_in.get(st) as usize;
                 let v = self.slots.get(idx).and_then(|s| s.clone());
                 let empty = || Bits::zero(p.value_out.width);
-                p.value_out.drive(st, v.unwrap_or_else(empty));
+                st.set_sig(p.value_out.id, v.unwrap_or_else(empty));
             }
             3 => {
                 // BackOfQ.
-                let idx = p.idx_in.get(st).to_u64() as usize;
+                let idx = p.idx_in.get(st) as usize;
                 if idx < self.slots.len() {
                     touch(&mut self.order, idx);
                 }
@@ -846,8 +848,8 @@ impl IpBlockModel for NaughtyQModel {
         // already read zero and an idle cycle writes nothing.
         if evicted.is_some() || p.evicted.high(st) {
             let idx = evicted.unwrap_or(0) as u64;
-            p.evicted.drive_u64(st, u64::from(evicted.is_some()));
-            p.evicted_idx.drive_u64(st, idx);
+            p.evicted.drive(st, u64::from(evicted.is_some()));
+            p.evicted_idx.drive(st, idx);
         }
     }
 
@@ -950,12 +952,12 @@ mod tests {
 
     /// Program side of a directly driven model: puts `v` on an `Out` port.
     fn put(st: &mut MachineState, port: Port, v: u64) {
-        st.sigs[port.id.0 as usize] = Bits::from_u64(v, port.width);
+        st.set_sig_word(port.id, v);
     }
 
     /// Program side of a directly driven model: reads an `In` port.
     fn read(st: &MachineState, port: Port) -> u64 {
-        port.get(st).to_u64()
+        port.get(st)
     }
 
     /// `prog` on the tree-walker.

@@ -78,8 +78,8 @@ impl VcdTrace {
     /// Samples the machine state at `cycle`, appending changes.
     pub fn sample(&mut self, cycle: u64, st: &MachineState) {
         let mut stamp_written = false;
-        let regs = st.regs();
-        let values = regs.iter().chain(&st.sigs);
+        let (regs, sigs) = (st.regs(), st.sigs());
+        let values = regs.iter().chain(&sigs);
         for (((id, width), last), v) in self.ids.iter().zip(&mut self.last).zip(values) {
             if last.as_ref() != Some(v) {
                 if !stamp_written {

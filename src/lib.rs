@@ -95,10 +95,13 @@
 //! * [`Backend::Compiled`](stdlib::Backend) (**default**) — each thread
 //!   is lowered once, at build time, to a linear micro-op bytecode with
 //!   explicit scratch registers, pre-resolved ids and pre-computed
-//!   widths. The bytecode is a 64-bit machine — 31 micro-ops over one
-//!   `u64` slot file, the machine state's registers, scratch above them
-//!   and the program's constant pool above that, so no micro-op loads a
-//!   register or a literal; the few sub-expressions
+//!   widths. The bytecode is a 64-bit machine — 30 micro-ops over one
+//!   `u64` slot file laid out as registers | signals | scratch | pool:
+//!   the machine state's registers and signals, scratch above them and
+//!   the program's constant pool above that, so no micro-op loads a
+//!   register, a signal or a literal (the platform driver and the IP
+//!   blocks read and drive the same signal words between cycles); the
+//!   few sub-expressions
 //!   wider than that (or directly on top of one that is) are not
 //!   lowered but handed, as they stand, to the reference [`ir::eval`]
 //!   by four of those micro-ops, so the product re-implements none of
@@ -189,7 +192,12 @@
 //! environment recipe are both made from that handle, and the engine
 //! checks the binding once at build — no port is looked up by name
 //! while frames flow, and a handle from the wrong program is a build
-//! error, not an inert table. An entry costs what its declared geometry says, not what a
+//! error, not an inert table. The model serves its ports through the
+//! table's limb entry points (`lookup_limbs`, `write_limbs`, …): a key
+//! goes in as the port's signal word and a hit's value comes back into
+//! the `value` port's word, with no [`Bits`](types::Bits) built on the
+//! way; the `Bits` methods are thin wrappers over the same code. An
+//! entry costs what its declared geometry says, not what a
 //! [`Bits`](types::Bits) does: `8 × (⌈key_bits/64⌉ +
 //! ⌈value_bits/64⌉ + 1)` bytes in one flat `u64` slab (key limbs, value
 //! limbs, last-touch stamp — 24 B for the switch's 48-bit MAC → port

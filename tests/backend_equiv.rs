@@ -310,7 +310,7 @@ impl Observer for Trace {
 fn assert_state_eq(label: &str, a: &MachineState, b: &MachineState) {
     assert_eq!(a.regs(), b.regs(), "{label}: registers diverged");
     assert_eq!(a.arrays, b.arrays, "{label}: arrays diverged");
-    assert_eq!(a.sigs, b.sigs, "{label}: signals diverged");
+    assert_eq!(a.sigs(), b.sigs(), "{label}: signals diverged");
     assert_eq!(a.arr_high, b.arr_high, "{label}: arr_high marks diverged");
 }
 
@@ -327,7 +327,8 @@ impl Env for Pump {
             let mut z = cycle.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1));
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            st.sigs[id] = Bits::from_u64(z ^ (z >> 31), 80).resize(d.width);
+            let v = Bits::from_u64(z ^ (z >> 31), 80).resize(d.width);
+            st.set_sig(SigId(id as u32), v);
         }
     }
 }
@@ -1027,11 +1028,15 @@ fn engine_passes_knob_is_behavior_invisible() {
 /// Extension point at which [`Poke`] rewrites register 0.
 const POKE_EXT: u32 = 1;
 
-/// The value [`Poke`] writes into register 0.
+/// Extension point at which [`Poke`] rewrites signal 0.
+const POKE_SIG_EXT: u32 = 2;
+
+/// The value [`Poke`] writes into register 0 or signal 0.
 const POKED: u64 = 0x5a;
 
 /// A full [`Trace`] that also writes [`POKED`] into register 0 at
-/// [`POKE_EXT`]: the mid-frame write a debug controller makes.
+/// [`POKE_EXT`] and into signal 0 at [`POKE_SIG_EXT`]: the mid-frame
+/// writes a debug controller makes.
 #[derive(Default)]
 struct Poke(Trace);
 
@@ -1047,6 +1052,9 @@ impl Observer for Poke {
         if id == POKE_EXT {
             s.set_reg(VarId(0), Bits::from_u64(POKED, 64));
         }
+        if id == POKE_SIG_EXT {
+            s.set_sig(SigId(0), Bits::from_u64(POKED, 64));
+        }
     }
 }
 
@@ -1058,7 +1066,7 @@ fn hazard_pipelines() -> Vec<Vec<kiwi_ir::Pass>> {
     out
 }
 
-/// Runs `prog` (one thread that halts) on the tree-walker, the FSM and
+/// Runs `prog` (threads that halt) on the tree-walker, the FSM and
 /// the compiled backend under every [`hazard_pipelines`] entry: the
 /// compiled runs in cycle lockstep with the tree-walker (state after
 /// every cycle, cycle and op counts, whole observer trace), the FSM to
@@ -1244,6 +1252,179 @@ fn observer_writes_a_register_mid_frame() {
     );
     let end = assert_hazard_lockstep("poke", &pb.build().unwrap());
     assert_eq!(end.reg(VarId(2)).to_u64(), POKED + 1);
+}
+
+// ---------------------------------------------------------------------
+// Signal hazards: a signal of at most 64 bits is a slot of the word
+// file too, read where it lives and written by every store to it (and
+// by the environment, another thread or an observer between regions).
+// Each program below is one of the register hazards above with a signal
+// in the register's place, or hands a signal between two threads, and
+// runs in lockstep the same way.
+// ---------------------------------------------------------------------
+
+#[test]
+fn output_signal_read_back_after_a_store_in_one_region() {
+    // `$o := x + 1; y := $o; $o := $o + 1; z := $o + y`: each read of
+    // `$o` sees the store just before it.
+    let mut pb = kiwi_ir::ProgramBuilder::new("readback");
+    let o = pb.sig_out("o", 16);
+    let x = pb.reg_init("x", 16, Bits::from_u64(5, 16));
+    let y = pb.reg("y", 16);
+    let z = pb.reg("z", 16);
+    three_trips(
+        &mut pb,
+        vec![
+            sig_write(o, add(var(x), lit(1, 16))),
+            assign(y, dsl_sig(o)),
+            sig_write(o, add(dsl_sig(o), lit(1, 16))),
+            assign(z, add(dsl_sig(o), var(y))),
+            assign(x, var(z)),
+        ],
+    );
+    let end = assert_hazard_lockstep("readback", &pb.build().unwrap());
+    let mut x = 5u64;
+    for _ in 0..3 {
+        x = 2 * (x + 1) + 1;
+    }
+    assert_eq!(end.reg(VarId(0)).to_u64(), x);
+    assert_eq!(end.sigs()[0].to_u64(), (x - 1) / 2 + 1);
+}
+
+#[test]
+fn cse_candidate_over_a_signal_across_a_store() {
+    // `$s + y` before and after a store to `$s` are two values, and so
+    // are the two identity-resized sums.
+    let mut pb = kiwi_ir::ProgramBuilder::new("sig_cse");
+    let sg = pb.sig_out("s", 8);
+    let y = pb.reg_init("y", 8, Bits::from_u64(4, 8));
+    let a = pb.reg("a", 8);
+    let b = pb.reg("b", 8);
+    let c = pb.reg("c", 16);
+    let d = pb.reg("d", 16);
+    three_trips(
+        &mut pb,
+        vec![
+            assign(a, add(dsl_sig(sg), var(y))),
+            assign(c, add(resize(dsl_sig(sg), 16), lit(1, 16))),
+            sig_write(sg, add(dsl_sig(sg), lit(9, 8))),
+            assign(b, add(var(y), dsl_sig(sg))),
+            assign(d, add(resize(dsl_sig(sg), 16), lit(1, 16))),
+        ],
+    );
+    let end = assert_hazard_lockstep("sig_cse", &pb.build().unwrap());
+    assert_eq!(end.reg(VarId(1)).to_u64(), 18 + 4);
+    assert_eq!(end.reg(VarId(2)).to_u64(), 27 + 4);
+    assert_eq!(end.reg(VarId(4)).to_u64(), 27 + 1);
+}
+
+#[test]
+fn copy_of_a_signal_across_a_store_to_it() {
+    // `resize($o, 64)` of a 32-bit `$o` is a copy; the array store's
+    // value forwards to the reload of `t[0]`, which must see the copy,
+    // not the signal stored in between. `t[1] := $w` stores the signal
+    // itself, whose forwarding must stop at the store to `$w`.
+    let mut pb = kiwi_ir::ProgramBuilder::new("sig_copy");
+    let o = pb.sig_out("o", 32);
+    let w = pb.sig_out("w", 64);
+    let t = pb.array("t", 64, 4, ArrayBacking::LutRam);
+    let y = pb.reg("y", 64);
+    let v = pb.reg("v", 64);
+    three_trips(
+        &mut pb,
+        vec![
+            arr_write(t, lit(0, 2), resize(dsl_sig(o), 64)),
+            arr_write(t, lit(1, 2), dsl_sig(w)),
+            sig_write(o, add(dsl_sig(o), lit(0x1234, 32))),
+            sig_write(w, add(dsl_sig(w), lit(0xabcd, 64))),
+            assign(y, arr_read(t, lit(0, 2))),
+            assign(v, arr_read(t, lit(1, 2))),
+        ],
+    );
+    let end = assert_hazard_lockstep("sig_copy", &pb.build().unwrap());
+    assert_eq!(end.reg(VarId(0)).to_u64(), 2 * 0x1234);
+    assert_eq!(end.reg(VarId(1)).to_u64(), 2 * 0xabcd);
+}
+
+#[test]
+fn two_threads_hand_a_value_through_a_signal_in_one_cycle() {
+    // Each cycle `t0` drives `$h` and then `t1`, later in thread order,
+    // reads it: the value of this cycle, not the last. `t1` answers on
+    // `$g`, which `t0` reads around its own store to `$h` the next cycle.
+    let mut pb = kiwi_ir::ProgramBuilder::new("handoff");
+    let h = pb.sig_out("h", 16);
+    let g = pb.sig_out("g", 16);
+    let x = pb.reg_init("x", 16, Bits::from_u64(3, 16));
+    let seen = pb.reg("seen", 16);
+    let back = pb.reg("back", 16);
+    let trips = |pb: &mut kiwi_ir::ProgramBuilder, name: &str, mut body: Vec<Stmt>| {
+        let n = pb.reg(&format!("{name}_trip"), 4);
+        body.push(assign(n, add(var(n), lit(1, 4))));
+        body.push(pause());
+        let lp = while_loop(lt(var(n), lit(3, 4)), body);
+        pb.thread(name, vec![lp, halt()]);
+    };
+    trips(
+        &mut pb,
+        "t0",
+        vec![
+            assign(back, dsl_sig(g)),
+            sig_write(h, add(var(x), dsl_sig(g))),
+            assign(x, add(dsl_sig(h), lit(1, 16))),
+        ],
+    );
+    trips(
+        &mut pb,
+        "t1",
+        vec![
+            assign(seen, dsl_sig(h)),
+            sig_write(g, add(dsl_sig(h), dsl_sig(g))),
+        ],
+    );
+    let end = assert_hazard_lockstep("handoff", &pb.build().unwrap());
+    let (mut x, mut gv, mut hv, mut back) = (3u64, 0u64, 0u64, 0u64);
+    for _ in 0..3 {
+        back = gv;
+        hv = x + gv;
+        x = hv + 1;
+        gv += hv;
+    }
+    assert_eq!(end.reg(VarId(0)).to_u64(), x);
+    assert_eq!(end.reg(VarId(1)).to_u64(), hv);
+    assert_eq!(end.reg(VarId(2)).to_u64(), back);
+    assert_eq!(end.sigs()[1].to_u64(), gv);
+}
+
+#[test]
+fn observer_writes_a_signal_mid_frame() {
+    // At the extension point the observer drives `$o` (signal 0); reads
+    // after it, in the same trip, must see the observer's value, and
+    // reads before it the program's.
+    let mut pb = kiwi_ir::ProgramBuilder::new("sig_poke");
+    let o = pb.sig_out("o", 8);
+    let x = pb.reg_init("x", 8, Bits::from_u64(1, 8));
+    let y = pb.reg("y", 8);
+    let z = pb.reg("z", 8);
+    three_trips(
+        &mut pb,
+        vec![
+            sig_write(o, add(var(x), lit(1, 8))),
+            assign(y, add(dsl_sig(o), lit(1, 8))),
+            ext_point(POKE_SIG_EXT),
+            assign(z, add(dsl_sig(o), lit(1, 8))),
+            assign(x, add(dsl_sig(o), var(y))),
+        ],
+    );
+    let end = assert_hazard_lockstep("sig_poke", &pb.build().unwrap());
+    assert_eq!(end.reg(VarId(2)).to_u64(), POKED + 1);
+    let mut x = 1u64;
+    let mut y = 0;
+    for _ in 0..3 {
+        y = x + 2;
+        x = (POKED + y) & 0xff;
+    }
+    assert_eq!(end.reg(VarId(1)).to_u64(), y);
+    assert_eq!(end.reg(VarId(0)).to_u64(), x);
 }
 
 // ---------------------------------------------------------------------

@@ -11,7 +11,7 @@
 //! counts are pinned: they are what lowering makes of shared nodes.
 //!
 //! The same programs pin the contracts of the slot file's registers,
-//! scratch and constant pool.
+//! signals, scratch and constant pool.
 
 use emu::debug::{extend_program, ControllerConfig};
 use emu::ir::compile::MOp;
@@ -72,8 +72,7 @@ fn variant(m: &MOp) -> String {
 
 /// Every variant of [`MOp`]. Lowering emits all but the four fused ops
 /// of part (b), which only a pass produces.
-const VARIANTS: [&str; 31] = [
-    "LdSigS",
+const VARIANTS: [&str; 30] = [
     "LdArrS",
     "LdArrCS",
     "LdArrPairCS",
@@ -204,16 +203,16 @@ fn every_default_pass_and_fused_op_shows_up_in_a_shipped_service() {
     assert_eq!(
         naive_counts,
         vec![
-            ("switch_ip_cam", 84),
-            ("switch_behavioural", 512),
-            ("icmp_echo", 320),
-            ("tcp_ping", 688),
-            ("dns_server", 403),
-            ("memcached", 1618),
-            ("nat", 800),
-            ("lru_cache", 599),
-            ("filter_switch", 131),
-            ("memcached+direction", 1881),
+            ("switch_ip_cam", 77),
+            ("switch_behavioural", 508),
+            ("icmp_echo", 316),
+            ("tcp_ping", 685),
+            ("dns_server", 395),
+            ("memcached", 1609),
+            ("nat", 790),
+            ("lru_cache", 586),
+            ("filter_switch", 124),
+            ("memcached+direction", 1870),
         ],
         "the naive lowering moved"
     );
@@ -331,7 +330,7 @@ fn registers_are_written_only_by_stores() {
     for (name, prog) in shipped() {
         for passes in [default_pipeline(), &[][..]] {
             let cp = compile_with_passes(&flatten(&prog).unwrap(), passes).unwrap();
-            let regs = cp.scratch_base() as u32;
+            let regs = cp.sig_base() as u32;
             assert_eq!(regs as usize, prog.vars().len());
             let mut read = false;
             for m in cp.threads.iter().flat_map(|t| &t.mops) {
@@ -346,6 +345,36 @@ fn registers_are_written_only_by_stores() {
                 m.uses(&mut |s| read |= s < regs);
             }
             assert!(read, "{name}: some micro-op reads a register slot");
+        }
+    }
+}
+
+/// The signals, on every shipped program under the default and the
+/// empty pipeline: slot `sig_base + s` is signal `s`, and no micro-op
+/// defines a signal slot — only `StSigS` writes one, in place. A signal
+/// read is its slot, so no micro-op samples a signal into scratch.
+#[test]
+fn signals_are_written_only_by_stores() {
+    for (name, prog) in shipped() {
+        for passes in [default_pipeline(), &[][..]] {
+            let cp = compile_with_passes(&flatten(&prog).unwrap(), passes).unwrap();
+            let sigs = cp.sig_base() as u32..cp.scratch_base() as u32;
+            assert_eq!(sigs.len(), prog.signals().len());
+            let (mut read, mut written) = (false, false);
+            for m in cp.threads.iter().flat_map(|t| &t.mops) {
+                assert!(
+                    m.dst().is_none_or(|d| !sigs.contains(&d)),
+                    "{name} ({} passes): {m:?} writes a signal slot",
+                    passes.len()
+                );
+                if let MOp::StSigS { sig, w, .. } = m {
+                    assert!(sigs.contains(sig) && *w <= 64, "{name}: {m:?}");
+                    written = true;
+                }
+                m.uses(&mut |s| read |= sigs.contains(&s));
+            }
+            assert!(read, "{name}: some micro-op reads a signal slot");
+            assert!(written, "{name}: some micro-op stores a signal slot");
         }
     }
 }
