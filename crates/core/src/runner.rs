@@ -351,17 +351,22 @@ pub(crate) mod tests {
     /// A UDP frame of flow `{src_mac, sport}` carrying `len` bytes of
     /// IP packet (header included), shared with the engine's tests.
     pub(crate) fn flow_frame(src_mac: u64, sport: u16, len: usize) -> Frame {
-        use emu_types::{proto::ip_proto, wire, Ipv4, MacAddr};
-        wire::ipv4_frame(
-            MacAddr::from_u64(src_mac),
-            MacAddr::from_u64(0xB),
-            Ipv4::new(10, 0, 0, 1),
-            Ipv4::new(10, 0, 0, 2),
-            ip_proto::UDP,
-            0,
-            &wire::udp_segment(sport, 53, &vec![0xaa; len.saturating_sub(28)]),
-            0,
-        )
+        use emu_types::wire::{Envelope, Payload, L4};
+        use emu_types::{Ipv4, MacAddr};
+        let env = Envelope {
+            src_mac: MacAddr::from_u64(src_mac),
+            dst_mac: MacAddr::from_u64(0xB),
+            src: Ipv4::new(10, 0, 0, 1),
+            dst: Ipv4::new(10, 0, 0, 2),
+            ident: 0,
+            in_port: 0,
+        };
+        let l4 = L4::Udp {
+            sport,
+            dport: 53,
+            checksum: false,
+        };
+        env.frame(l4, Payload::Bytes(&vec![0xaa; len.saturating_sub(28)]))
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::client::{Classify, Client, ClientConfig, RequestProto, Sent};
 use emu_types::proto::{ether_type, ip_proto, offset, port};
-use emu_types::wire;
+use emu_types::wire::{self, Envelope, Payload, L4};
 use emu_types::{bitutil, Frame, Ipv4, MacAddr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -74,17 +74,22 @@ impl RequestProto for DnsProto {
     fn build(&mut self, serial: u64) -> Frame {
         let idx = self.rng.gen_range(0..self.names.len());
         self.pending = Some(idx);
-        let dns = wire::dns_query(&self.names[idx].0, serial as u16);
-        wire::udp_frame(
-            self.mac,
-            self.server_mac,
-            self.ip,
-            self.sport,
-            self.server_ip,
-            port::DNS,
-            &dns,
-            0,
-        )
+        // Numbered and checksummed as `wire::udp_frame` does.
+        let env = Envelope {
+            src_mac: self.mac,
+            dst_mac: self.server_mac,
+            src: self.ip,
+            dst: self.server_ip,
+            ident: self.sport ^ port::DNS,
+            in_port: 0,
+        };
+        let l4 = L4::Udp {
+            sport: self.sport,
+            dport: port::DNS,
+            checksum: true,
+        };
+        let (id, name) = (serial as u16, self.names[idx].0.as_str());
+        env.frame(l4, Payload::Dns { id, name })
     }
 
     fn classify(&mut self, frame: &Frame, outstanding: Option<&Sent>) -> Classify {

@@ -31,7 +31,7 @@
 
 use crate::client::{Classify, Client, ClientConfig, RequestProto, Sent};
 use emu_types::proto::{ether_type, ip_proto, offset, port};
-use emu_types::wire::{self, reply_text};
+use emu_types::wire::{reply_text, Decimal, Envelope, Payload, L4};
 use emu_types::{bitutil, Frame, Ipv4, MacAddr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -70,9 +70,11 @@ pub struct McProto {
 pub type McClient = Client<McProto>;
 
 impl McProto {
+    /// "v" and the serial's last seven digits.
     fn value_for(serial: u64) -> [u8; VALUE_LEN] {
-        let s = format!("v{:07}", serial % 10_000_000);
-        s.as_bytes().try_into().expect("v + 7 digits is 8 bytes")
+        let mut v = [b'v'; VALUE_LEN];
+        v[1..].copy_from_slice(Decimal::new(serial % 10_000_000, VALUE_LEN - 1).as_bytes());
+        v
     }
 }
 
@@ -134,26 +136,28 @@ impl RequestProto for McProto {
             4..=7 => Op::Get,
             _ => Op::Del,
         };
-        let body = match op {
-            Op::Set(v) => format!(
-                "set {} 0 0 8\r\n{}\r\n",
-                self.keys[key],
-                std::str::from_utf8(&v).expect("ascii value")
-            ),
-            Op::Get => format!("get {}\r\n", self.keys[key]),
-            Op::Del => format!("delete {}\r\n", self.keys[key]),
+        let k = self.keys[key].as_bytes();
+        let text: &[&[u8]] = match &op {
+            Op::Set(v) => &[b"set ", k, b" 0 0 8\r\n", v, b"\r\n"],
+            Op::Get => &[b"get ", k, b"\r\n"],
+            Op::Del => &[b"delete ", k, b"\r\n"],
         };
-        let payload = wire::mc_request(&body, serial as u16);
-        let f = wire::udp_frame(
-            self.mac,
-            self.server_mac,
-            self.ip,
-            self.sport,
-            self.server_ip,
-            port::MEMCACHED,
-            &payload,
-            0,
-        );
+        // Numbered and checksummed as `wire::udp_frame` does.
+        let env = Envelope {
+            src_mac: self.mac,
+            dst_mac: self.server_mac,
+            src: self.ip,
+            dst: self.server_ip,
+            ident: self.sport ^ port::MEMCACHED,
+            in_port: 0,
+        };
+        let l4 = L4::Udp {
+            sport: self.sport,
+            dport: port::MEMCACHED,
+            checksum: true,
+        };
+        let id = serial as u16;
+        let f = env.frame(l4, Payload::Mc { id, text });
         self.pending = Some(PendingOp { key, op });
         f
     }

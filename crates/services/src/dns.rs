@@ -199,17 +199,22 @@ pub fn dns_server(zone: Vec<(String, Ipv4)>) -> Service {
 
 /// Builds a DNS query test frame for `name` with transaction `id`.
 pub fn query_frame(name: &str, id: u16) -> emu_types::Frame {
-    use emu_types::{wire, MacAddr};
-    wire::ipv4_frame(
-        MacAddr::from_u64(0x02_00_00_00_00_bb),
-        MacAddr::from_u64(0x02_00_00_00_00_aa),
-        Ipv4::new(10, 0, 0, 50),
-        Ipv4::new(10, 0, 0, 53),
-        ip_proto::UDP,
-        id & 0xff,
-        &wire::udp_segment(4242, port::DNS, &wire::dns_query(name, id)),
-        1,
-    )
+    use emu_types::wire::{Envelope, Payload, L4};
+    use emu_types::MacAddr;
+    let env = Envelope {
+        src_mac: MacAddr::from_u64(0x02_00_00_00_00_bb),
+        dst_mac: MacAddr::from_u64(0x02_00_00_00_00_aa),
+        src: Ipv4::new(10, 0, 0, 50),
+        dst: Ipv4::new(10, 0, 0, 53),
+        ident: id & 0xff,
+        in_port: 1,
+    };
+    let l4 = L4::Udp {
+        sport: 4242,
+        dport: port::DNS,
+        checksum: false,
+    };
+    env.frame(l4, Payload::Dns { id, name })
 }
 
 #[cfg(test)]

@@ -111,18 +111,19 @@ pub fn icmp_echo() -> Service {
 /// Builds a well-formed ICMP echo request test frame with `payload_len`
 /// payload bytes (also used by the benches and examples).
 pub fn echo_request_frame(payload_len: usize, seq: u16) -> emu_types::Frame {
-    use emu_types::{wire, Ipv4, MacAddr};
+    use emu_types::wire::{Envelope, Payload, L4};
+    use emu_types::{Ipv4, MacAddr};
     let payload: Vec<u8> = (0..payload_len).map(|i| (i % 251) as u8).collect();
-    wire::ipv4_frame(
-        MacAddr::from_u64(0x02_00_00_00_00_02),
-        MacAddr::from_u64(0x02_00_00_00_00_01),
-        Ipv4::new(10, 0, 0, 1),
-        Ipv4::new(10, 0, 0, 2),
-        ip_proto::ICMP,
-        0x1234,
-        &wire::echo_request(0x5678, seq, &payload),
-        0,
-    )
+    let env = Envelope {
+        src_mac: MacAddr::from_u64(0x02_00_00_00_00_02),
+        dst_mac: MacAddr::from_u64(0x02_00_00_00_00_01),
+        src: Ipv4::new(10, 0, 0, 1),
+        dst: Ipv4::new(10, 0, 0, 2),
+        ident: 0x1234,
+        in_port: 0,
+    };
+    let echo = L4::Echo { ident: 0x5678, seq };
+    env.frame(echo, Payload::Bytes(&payload))
 }
 
 #[cfg(test)]

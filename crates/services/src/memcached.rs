@@ -328,17 +328,23 @@ pub fn memcached() -> Service {
 
 /// Builds a memcached-over-UDP request frame with ASCII `body`.
 pub fn request_frame(body: &str, req_id: u16) -> emu_types::Frame {
-    use emu_types::{wire, Ipv4, MacAddr};
-    wire::ipv4_frame(
-        MacAddr::from_u64(0x02_00_00_00_00_32),
-        MacAddr::from_u64(0x02_00_00_00_00_31),
-        Ipv4::new(10, 0, 0, 9),
-        Ipv4::new(10, 0, 0, 10),
-        ip_proto::UDP,
-        0x0001,
-        &wire::udp_segment(31337, port::MEMCACHED, &wire::mc_request(body, req_id)),
-        3,
-    )
+    use emu_types::wire::{Envelope, Payload, L4};
+    use emu_types::{Ipv4, MacAddr};
+    let env = Envelope {
+        src_mac: MacAddr::from_u64(0x02_00_00_00_00_32),
+        dst_mac: MacAddr::from_u64(0x02_00_00_00_00_31),
+        src: Ipv4::new(10, 0, 0, 9),
+        dst: Ipv4::new(10, 0, 0, 10),
+        ident: 0x0001,
+        in_port: 3,
+    };
+    let l4 = L4::Udp {
+        sport: 31337,
+        dport: port::MEMCACHED,
+        checksum: false,
+    };
+    let text: &[&[u8]] = &[body.as_bytes()];
+    env.frame(l4, Payload::Mc { id: req_id, text })
 }
 
 #[cfg(test)]

@@ -331,23 +331,22 @@ pub fn nat(public_ip: Ipv4) -> Service {
 
 /// Builds a UDP test frame from `src/sport` to `dst/dport` on `in_port`.
 pub fn udp_frame(src: Ipv4, sport: u16, dst: Ipv4, dport: u16, in_port: u8) -> emu_types::Frame {
-    use emu_types::{wire, MacAddr};
-    let seg = wire::with_l4_checksum(
+    use emu_types::wire::{Envelope, Payload, L4};
+    use emu_types::MacAddr;
+    let env = Envelope {
+        src_mac: MacAddr::from_u64(0x02_00_00_00_00_42),
+        dst_mac: MacAddr::from_u64(0x02_00_00_00_00_41),
         src,
         dst,
-        ip_proto::UDP,
-        wire::udp_segment(sport, dport, b"nat-test-payload"),
-    );
-    wire::ipv4_frame(
-        MacAddr::from_u64(0x02_00_00_00_00_42),
-        MacAddr::from_u64(0x02_00_00_00_00_41),
-        src,
-        dst,
-        ip_proto::UDP,
-        0x1122,
-        &seg,
+        ident: 0x1122,
         in_port,
-    )
+    };
+    let l4 = L4::Udp {
+        sport,
+        dport,
+        checksum: true,
+    };
+    env.frame(l4, Payload::Bytes(b"nat-test-payload"))
 }
 
 #[cfg(test)]

@@ -129,24 +129,24 @@ pub fn tcp_ping() -> Service {
 /// Builds a valid TCP SYN test frame.
 pub fn syn_frame(sport: u16, dport: u16, seq: u32) -> emu_types::Frame {
     use emu_types::proto::tcp_flags;
-    use emu_types::{wire, Ipv4, MacAddr};
-    let (src, dst) = (Ipv4::new(192, 168, 0, 1), Ipv4::new(192, 168, 0, 2));
-    let seg = wire::with_l4_checksum(
-        src,
-        dst,
-        ip_proto::TCP,
-        wire::tcp_segment(sport, dport, seq, 0, tcp_flags::SYN, &[]),
-    );
-    wire::ipv4_frame(
-        MacAddr::from_u64(0x02_00_00_00_00_22),
-        MacAddr::from_u64(0x02_00_00_00_00_11),
-        src,
-        dst,
-        ip_proto::TCP,
-        0xabcd,
-        &seg,
-        2,
-    )
+    use emu_types::wire::{Envelope, Payload, L4};
+    use emu_types::{Ipv4, MacAddr};
+    let env = Envelope {
+        src_mac: MacAddr::from_u64(0x02_00_00_00_00_22),
+        dst_mac: MacAddr::from_u64(0x02_00_00_00_00_11),
+        src: Ipv4::new(192, 168, 0, 1),
+        dst: Ipv4::new(192, 168, 0, 2),
+        ident: 0xabcd,
+        in_port: 2,
+    };
+    let syn = L4::Tcp {
+        sport,
+        dport,
+        seq,
+        ack: 0,
+        flags: tcp_flags::SYN,
+    };
+    env.frame(syn, Payload::Bytes(&[]))
 }
 
 #[cfg(test)]

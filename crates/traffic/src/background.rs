@@ -5,8 +5,8 @@
 //! of this generator.
 
 use crate::TrafficGen;
-use emu_types::proto::ip_proto;
-use emu_types::{wire, Frame, Ipv4, MacAddr};
+use emu_types::wire::{self, Envelope, Payload, L4};
+use emu_types::{Frame, Ipv4, MacAddr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -53,19 +53,21 @@ impl TrafficGen for Background {
         } else {
             self.seq = self.seq.wrapping_add(1);
             let len = self.rng.gen_range(8usize..64);
-            let payload: Vec<u8> = (0..len as u8).collect();
             // The chattering host pings the echo responder of
             // `emu_services::icmp::echo_request_frame`.
-            wire::ipv4_frame(
-                Self::host_mac(host),
-                MacAddr::from_u64(0x02_00_00_00_00_01),
-                src_ip,
-                Ipv4::new(10, 0, 0, 2),
-                ip_proto::ICMP,
-                0x1234,
-                &wire::echo_request(0x5678, self.seq, &payload),
-                port,
-            )
+            let env = Envelope {
+                src_mac: Self::host_mac(host),
+                dst_mac: MacAddr::from_u64(0x02_00_00_00_00_01),
+                src: src_ip,
+                dst: Ipv4::new(10, 0, 0, 2),
+                ident: 0x1234,
+                in_port: port,
+            };
+            let echo = L4::Echo {
+                ident: 0x5678,
+                seq: self.seq,
+            };
+            env.frame(echo, Payload::Ramp { first: 0, len })
         }
     }
 }

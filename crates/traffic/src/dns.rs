@@ -3,8 +3,9 @@
 //! transaction ids and client source ports drawn from the seeded RNG.
 
 use crate::TrafficGen;
-use emu_types::proto::{ip_proto, port};
-use emu_types::{wire, Frame, Ipv4, MacAddr};
+use emu_types::proto::port;
+use emu_types::wire::{Envelope, Payload, L4};
+use emu_types::{Frame, Ipv4, MacAddr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -46,21 +47,23 @@ impl TrafficGen for DnsWeighted {
             pick -= w;
         }
         let id = self.rng.gen_range(0u16..u16::MAX);
-        let query = wire::dns_query(name, id);
         // Client flows spread over a pool of source ports on the one
         // client host of `emu_services::dns::query_frame`; UDP checksum
         // absent.
-        let sport = 4_000 + self.rng.gen_range(0u16..64);
-        wire::ipv4_frame(
-            MacAddr::from_u64(0x02_00_00_00_00_bb),
-            MacAddr::from_u64(0x02_00_00_00_00_aa),
-            Ipv4::new(10, 0, 0, 50),
-            Ipv4::new(10, 0, 0, 53),
-            ip_proto::UDP,
-            id & 0xff,
-            &wire::udp_segment(sport, port::DNS, &query),
-            self.rng.gen_range(0u8..4),
-        )
+        let l4 = L4::Udp {
+            sport: 4_000 + self.rng.gen_range(0u16..64),
+            dport: port::DNS,
+            checksum: false,
+        };
+        let env = Envelope {
+            src_mac: MacAddr::from_u64(0x02_00_00_00_00_bb),
+            dst_mac: MacAddr::from_u64(0x02_00_00_00_00_aa),
+            src: Ipv4::new(10, 0, 0, 50),
+            dst: Ipv4::new(10, 0, 0, 53),
+            ident: id & 0xff,
+            in_port: self.rng.gen_range(0u8..4),
+        };
+        env.frame(l4, Payload::Dns { id, name })
     }
 }
 

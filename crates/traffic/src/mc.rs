@@ -4,14 +4,16 @@
 //! production key popularity is famously Zipfian).
 //!
 //! **Shard affinity:** the client source port moves in lockstep with
-//! the key index, so every operation on one key shares one 5-tuple —
-//! under RSS dispatch all ops on a key land on one shard and per-shard
-//! stores stay coherent. This is the documented precondition of
-//! [`crate::HostChecker`] over a memcached store.
+//! the key index (modulo 60 536, the ports from 5 000 up), so every
+//! operation on one key shares one 5-tuple — under RSS dispatch all ops
+//! on a key land on one shard and per-shard stores stay coherent. This
+//! is the documented precondition of [`crate::HostChecker`] over a
+//! memcached store.
 
 use crate::TrafficGen;
-use emu_types::proto::{ip_proto, port};
-use emu_types::{wire, Frame, Ipv4, MacAddr};
+use emu_types::proto::port;
+use emu_types::wire::{Decimal, Envelope, Payload, L4};
+use emu_types::{Frame, Ipv4, MacAddr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -71,11 +73,6 @@ impl MemcachedZipf {
             counter: 0,
         }
     }
-
-    /// The key string for rank `idx` (≤ 8 bytes by construction).
-    pub fn key(idx: usize) -> String {
-        format!("z{idx:04}")
-    }
 }
 
 impl TrafficGen for MemcachedZipf {
@@ -85,35 +82,45 @@ impl TrafficGen for MemcachedZipf {
 
     fn next_frame(&mut self) -> Frame {
         let idx = self.zipf.sample(&mut self.rng);
-        let key = Self::key(idx);
+        // The key of rank `idx` is "z" and its digits, at least four
+        // (at most 7 bytes for the ≤ 10^6 keys `new` admits).
+        let key = Decimal::new(idx as u64, 4);
+        let key = key.as_bytes();
+        let value;
         let op = self.rng.gen_range(0.0..1.0);
-        let body = if op < self.get_ratio {
-            format!("get {key}\r\n")
+        let text: &[&[u8]] = if op < self.get_ratio {
+            &[b"get z", key, b"\r\n"]
         } else if op < self.get_ratio + (1.0 - self.get_ratio) * 0.8 {
             self.counter += 1;
-            format!("set {key} 0 0 8\r\nV{:07}\r\n", self.counter % 10_000_000)
+            value = Decimal::new(self.counter % 10_000_000, 7);
+            &[b"set z", key, b" 0 0 8\r\nV", value.as_bytes(), b"\r\n"]
         } else {
-            format!("delete {key}\r\n")
+            &[b"delete z", key, b"\r\n"]
         };
         self.req_id = self.req_id.wrapping_add(1);
-        // Key ↔ flow lockstep: the sport identifies the key, so RSS
-        // keeps each key's ops on one shard. One client host, the
-        // endpoints of `emu_services::memcached::request_frame`, UDP
-        // checksum absent.
-        let seg = wire::udp_segment(
-            5_000 + idx as u16,
-            port::MEMCACHED,
-            &wire::mc_request(&body, self.req_id),
-        );
-        wire::ipv4_frame(
-            MacAddr::from_u64(0x02_00_00_00_00_32),
-            MacAddr::from_u64(0x02_00_00_00_00_31),
-            Ipv4::new(10, 0, 0, 9),
-            Ipv4::new(10, 0, 0, 10),
-            ip_proto::UDP,
-            0x0001,
-            &seg,
-            self.rng.gen_range(0u8..4),
+        // Key ↔ flow lockstep: the sport identifies the key modulo
+        // 60 536 (ports 5 000..=65 535), so RSS keeps each key's ops on
+        // one shard. One client host, the endpoints of
+        // `emu_services::memcached::request_frame`, UDP checksum absent.
+        let env = Envelope {
+            src_mac: MacAddr::from_u64(0x02_00_00_00_00_32),
+            dst_mac: MacAddr::from_u64(0x02_00_00_00_00_31),
+            src: Ipv4::new(10, 0, 0, 9),
+            dst: Ipv4::new(10, 0, 0, 10),
+            ident: 0x0001,
+            in_port: self.rng.gen_range(0u8..4),
+        };
+        let l4 = L4::Udp {
+            sport: 5_000 + (idx % 60_536) as u16,
+            dport: port::MEMCACHED,
+            checksum: false,
+        };
+        env.frame(
+            l4,
+            Payload::Mc {
+                id: self.req_id,
+                text,
+            },
         )
     }
 }
@@ -157,7 +164,7 @@ mod tests {
             let f = g.next_frame();
             let sport = emu_types::bitutil::get16(f.bytes(), 34);
             // Extract the key from the ASCII command.
-            let text = wire::reply_text(&f);
+            let text = emu_types::wire::reply_text(&f);
             let key = String::from_utf8_lossy(&text)
                 .split_whitespace()
                 .nth(1)
@@ -165,6 +172,18 @@ mod tests {
                 .to_string();
             let prev = seen.entry(key.clone()).or_insert(sport);
             assert_eq!(*prev, sport, "key {key} changed flows");
+        }
+    }
+
+    /// Above 60 536 keys the source port wraps within 5 000..=65 535
+    /// (soak's 200 000-key mix draws ranks up there), never below it
+    /// and never with an overflow.
+    #[test]
+    fn source_ports_stay_in_range_for_large_keyspaces() {
+        let mut g = MemcachedZipf::new(3, 200_000, 1.1, 0.9);
+        for i in 0..200_000 {
+            let sport = emu_types::bitutil::get16(g.next_frame().bytes(), 34);
+            assert!(sport >= 5_000, "frame {i} sent from port {sport}");
         }
     }
 }

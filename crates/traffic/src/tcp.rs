@@ -8,8 +8,9 @@
 //! consumers (NAT translation tables, checker models) see a bounded
 //! flow count no matter how many frames are generated.
 
-use crate::build::{tcp_flags, tcp_frame};
+use crate::build::tcp_flags;
 use crate::TrafficGen;
+use emu_types::wire::{Envelope, Payload, L4};
 use emu_types::{Frame, Ipv4, MacAddr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -86,39 +87,45 @@ impl TrafficGen for TcpConversations {
         // The model is a pure client-push dialogue: the (fabricated)
         // server sends no data, so the client's ack stays at its ISN+1.
         let ack = s.srv_isn.wrapping_add(1);
-        let emit = |s: &Session, flags: u8, ack: u32, payload: &[u8]| {
-            tcp_frame(
-                MacAddr::from_u64(Self::CLIENT_MAC),
-                MacAddr::from_u64(Self::SERVER_MAC),
-                s.client,
-                s.sport,
-                s.server,
-                s.dport,
-                s.seq,
+        let emit = |s: &Session, flags: u8, ack: u32, payload: Payload| {
+            let env = Envelope {
+                src_mac: MacAddr::from_u64(Self::CLIENT_MAC),
+                dst_mac: MacAddr::from_u64(Self::SERVER_MAC),
+                src: s.client,
+                dst: s.server,
+                ident: s.seq as u16,
+                in_port: s.in_port,
+            };
+            let l4 = L4::Tcp {
+                sport: s.sport,
+                dport: s.dport,
+                seq: s.seq,
                 ack,
                 flags,
-                payload,
-                s.in_port,
-            )
+            };
+            env.frame(l4, payload)
         };
+        let empty = Payload::Bytes(&[]);
         match s.step {
             Step::Syn => {
-                let f = emit(s, tcp_flags::SYN, 0, &[]);
+                let f = emit(s, tcp_flags::SYN, 0, empty);
                 s.seq = s.seq.wrapping_add(1); // SYN consumes one sequence number
                 s.step = Step::Ack;
                 f
             }
             Step::Ack => {
-                let f = emit(s, tcp_flags::ACK, ack, &[]);
+                let f = emit(s, tcp_flags::ACK, ack, empty);
                 s.step = Step::Data(n_data);
                 f
             }
             Step::Data(left) => {
-                let payload: Vec<u8> = (0..payload_len)
-                    .map(|i| (s.seq as usize + i) as u8)
-                    .collect();
-                let f = emit(s, tcp_flags::PSH | tcp_flags::ACK, ack, &payload);
-                s.seq = s.seq.wrapping_add(payload.len() as u32);
+                // Payload bytes count up from the low byte of `seq`.
+                let payload = Payload::Ramp {
+                    first: s.seq as u8,
+                    len: payload_len,
+                };
+                let f = emit(s, tcp_flags::PSH | tcp_flags::ACK, ack, payload);
+                s.seq = s.seq.wrapping_add(payload_len as u32);
                 s.step = if left <= 1 {
                     Step::Fin
                 } else {
@@ -127,7 +134,7 @@ impl TrafficGen for TcpConversations {
                 f
             }
             Step::Fin => {
-                let f = emit(s, tcp_flags::FIN | tcp_flags::ACK, ack, &[]);
+                let f = emit(s, tcp_flags::FIN | tcp_flags::ACK, ack, empty);
                 // Start the next conversation on the same tuple.
                 s.step = Step::Syn;
                 s.seq = next_isn;

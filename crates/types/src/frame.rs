@@ -45,13 +45,12 @@ impl Frame {
         Frame { bytes, in_port: 0 }
     }
 
-    /// Builds an Ethernet II frame from addresses, EtherType and payload.
+    /// Builds an Ethernet II frame from addresses, EtherType and payload,
+    /// in one buffer of its padded length.
     pub fn ethernet(dst: MacAddr, src: MacAddr, ethertype: u16, payload: &[u8]) -> Self {
-        let mut bytes = Vec::with_capacity(14 + payload.len());
-        bytes.extend_from_slice(&dst.octets());
-        bytes.extend_from_slice(&src.octets());
-        bytes.extend_from_slice(&ethertype.to_be_bytes());
-        bytes.extend_from_slice(payload);
+        let end = offset::L3 + payload.len();
+        let mut bytes = crate::wire::ethernet_buf(dst, src, ethertype, end);
+        bytes[offset::L3..end].copy_from_slice(payload);
         Frame::new(bytes)
     }
 

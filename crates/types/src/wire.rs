@@ -7,20 +7,30 @@
 //! Figures 3–4). `emu_core::proto` is that library for *programs*; this
 //! module is its counterpart for everything around them — fixtures,
 //! traffic generators, closed-loop clients, host-native reference
-//! services, benches and tests:
+//! services, benches and tests.
 //!
-//! * **L2/L3** — [`l2_frame`] (a minimum-size frame between two
-//!   stations), [`arp_request`], and [`ipv4_frame`], the one place an
-//!   IPv4 header is laid out (IHL 5, DF, TTL 64, valid checksum) around
-//!   an already-assembled L4 segment.
-//! * **L4** — [`udp_segment`] / [`tcp_segment`] lay out the header with
-//!   the checksum field zero (for UDP over IPv4 that means "absent");
-//!   [`with_l4_checksum`] fills it in over the one pseudo-header sum.
-//!   [`udp_frame`] / [`tcp_frame`] are the composed, always-checksummed
-//!   forms the generators and clients use.
-//! * **L7 payloads** — DNS [`dns_name`] / [`dns_query`], the
-//!   memcached-over-UDP [`mc_request`] and its reply decoder
-//!   [`reply_text`], ICMP [`echo_request`].
+//! **A frame is written once.** Every builder allocates one buffer, at
+//! the frame's final length padded to the Ethernet minimum (so
+//! [`Frame::new`] never reallocates), and writes the Ethernet, IPv4 and
+//! L4 headers and the L7 payload in place. The IPv4 checksum and the L4
+//! pseudo-header checksum are summed over the buffer's own slices. Each
+//! header is laid out in one function here.
+//!
+//! * **L2** — [`l2_frame`] (a minimum-size frame between two stations)
+//!   and [`arp_request`]; [`Frame::ethernet`] shares their Ethernet
+//!   header.
+//! * **L3/L4** — an [`Envelope`] (MACs, addresses, IPv4 identification,
+//!   arrival port) builds an IPv4 frame (IHL 5, DF, TTL 64, valid
+//!   checksum) around an [`L4`] header — UDP with or without its
+//!   checksum, TCP, ICMP echo — and a [`Payload`]. [`udp_frame`] /
+//!   [`tcp_frame`] are the always-checksummed forms the tests and
+//!   fixtures use, and [`ipv4_frame`] wraps an already-assembled
+//!   segment.
+//! * **L7 payloads** — [`Payload`]: given bytes, a counting ramp, a
+//!   memcached-over-UDP request whose text is written from pieces, or a
+//!   DNS query. [`mc_request`], [`dns_query`], [`dns_name`] and the ICMP
+//!   segment [`echo_request`] are the same layouts as bytes, and
+//!   [`Decimal`] writes the digits of a key or value without `format!`.
 //! * **Decoding** — [`byte_at`], [`ipv4_csum_ok`], [`l4_csum_ok`] and
 //!   [`reply_text`] take frames off a (simulated, possibly hostile)
 //!   wire: every length field is checked against the bytes actually
@@ -34,48 +44,275 @@
 //! `tests/wire_golden.rs`.
 
 use crate::checksum::{self, Csum};
-use crate::proto::{ether_type, hdr_len, ip_proto, offset};
+use crate::proto::{ether_type, frame, hdr_len, ip_proto, offset};
 use crate::{bitutil, Frame, Ipv4, MacAddr};
 
+/// Bytes of the memcached-over-UDP frame header.
+const MC_HDR: usize = 8;
+/// Bytes of a DNS message header.
+const DNS_HDR: usize = 12;
 /// Offset of the ASCII text in a memcached-over-UDP frame: past the
-/// UDP header and the 8-byte memcached frame header.
-const MC_TEXT: usize = offset::L4 + hdr_len::UDP + 8;
+/// UDP header and the memcached frame header.
+const MC_TEXT: usize = offset::L4 + hdr_len::UDP + MC_HDR;
+
+/// A zeroed frame buffer of `len` bytes padded to the Ethernet minimum,
+/// its Ethernet header written: the one place that header is laid out.
+pub(crate) fn ethernet_buf(dst: MacAddr, src: MacAddr, ethertype: u16, len: usize) -> Vec<u8> {
+    let mut b = vec![0; len.max(frame::MIN)];
+    b[offset::ETH_DST..offset::ETH_SRC].copy_from_slice(&dst.octets());
+    b[offset::ETH_SRC..offset::ETH_TYPE].copy_from_slice(&src.octets());
+    bitutil::set16(&mut b, offset::ETH_TYPE, ethertype);
+    b
+}
+
+/// The finished buffer as a frame arriving on `in_port`.
+fn arrived(bytes: Vec<u8>, in_port: u8) -> Frame {
+    let mut f = Frame::new(bytes);
+    f.in_port = in_port;
+    f
+}
 
 /// A minimum-size IPv4-typed Ethernet frame from station `src` to
 /// station `dst` (MACs as integers) arriving on `in_port` — what a
 /// learning switch needs and nothing more.
 pub fn l2_frame(src: u64, dst: u64, in_port: u8) -> Frame {
-    let mut f = Frame::ethernet(
+    let b = ethernet_buf(
         MacAddr::from_u64(dst),
         MacAddr::from_u64(src),
         ether_type::IPV4,
-        &[0; 46],
+        frame::MIN,
     );
-    f.in_port = in_port;
-    f
+    arrived(b, in_port)
 }
 
-/// A minimal IPv4 header (IHL 5, DF, TTL 64) with a valid checksum.
-fn ipv4_header(src: Ipv4, dst: Ipv4, proto: u8, payload_len: usize, ident: u16) -> [u8; 20] {
-    let mut h = [0u8; 20];
-    h[0] = 0x45;
-    bitutil::set16(&mut h, 2, (hdr_len::IPV4 + payload_len) as u16);
-    bitutil::set16(&mut h, 4, ident);
-    h[6] = 0x40;
-    h[8] = 64;
-    h[9] = proto;
-    h[12..16].copy_from_slice(&src.octets());
-    h[16..20].copy_from_slice(&dst.octets());
-    let c = checksum::internet_checksum(&h);
-    bitutil::set16(&mut h, 10, c);
-    h
+/// Builds an ARP who-has request, broadcast from `src_mac`.
+pub fn arp_request(src_mac: MacAddr, src_ip: Ipv4, target: Ipv4, in_port: u8) -> Frame {
+    let mut b = ethernet_buf(
+        MacAddr::BROADCAST,
+        src_mac,
+        ether_type::ARP,
+        offset::L3 + hdr_len::ARP,
+    );
+    let arp = &mut b[offset::L3..offset::L3 + hdr_len::ARP];
+    arp[..8].copy_from_slice(&[
+        0, 1, // htype ethernet
+        8, 0, // ptype IPv4
+        6, 4, // hlen, plen
+        0, 1, // op request
+    ]);
+    arp[8..14].copy_from_slice(&src_mac.octets());
+    arp[14..18].copy_from_slice(&src_ip.octets());
+    // 18..24, the target hardware address, stays zero: unknown.
+    arp[24..28].copy_from_slice(&target.octets());
+    arrived(b, in_port)
 }
 
-/// Internet checksum over an L4 segment plus its IPv4 pseudo-header.
-fn l4_checksum(src: Ipv4, dst: Ipv4, proto: u8, segment: &[u8]) -> u16 {
+/// Everything of an IPv4 frame below its L4 header: both stations, both
+/// addresses, the IPv4 identification and the port the frame arrives
+/// on. [`Envelope::frame`] builds the frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Envelope {
+    /// Sending station.
+    pub src_mac: MacAddr,
+    /// Receiving station.
+    pub dst_mac: MacAddr,
+    /// IPv4 source address.
+    pub src: Ipv4,
+    /// IPv4 destination address.
+    pub dst: Ipv4,
+    /// IPv4 identification field.
+    pub ident: u16,
+    /// Port the frame arrives on (platform metadata).
+    pub in_port: u8,
+}
+
+impl Envelope {
+    /// The IPv4 frame carrying `l4`'s header and `payload`, every
+    /// checksum `l4` carries filled in.
+    pub fn frame(&self, l4: L4, payload: Payload<'_>) -> Frame {
+        self.build(l4.proto(), l4.hdr_len() + payload.len(), |addrs, seg| {
+            l4.write(addrs, seg, &payload)
+        })
+    }
+
+    /// One zeroed buffer of the frame's padded length with the Ethernet
+    /// and IPv4 headers (IHL 5, DF, TTL 64, valid checksum) written, then
+    /// `write` fills in the `l4_len`-byte segment, given the IPv4
+    /// header's address bytes for the pseudo-header.
+    fn build(&self, proto: u8, l4_len: usize, write: impl FnOnce(&[u8], &mut [u8])) -> Frame {
+        let end = offset::L4 + l4_len;
+        let mut b = ethernet_buf(self.dst_mac, self.src_mac, ether_type::IPV4, end);
+        let h = &mut b[offset::IPV4..offset::L4];
+        h[..10].copy_from_slice(&[0x45, 0, 0, 0, 0, 0, 0x40, 0, 64, proto]);
+        bitutil::set16(h, 2, (hdr_len::IPV4 + l4_len) as u16);
+        bitutil::set16(h, 4, self.ident);
+        h[12..16].copy_from_slice(&self.src.octets());
+        h[16..20].copy_from_slice(&self.dst.octets());
+        let c = checksum::internet_checksum(h);
+        bitutil::set16(h, 10, c);
+        let (hdrs, seg) = b.split_at_mut(offset::L4);
+        write(&hdrs[offset::IPV4_SRC..], &mut seg[..l4_len]);
+        arrived(b, self.in_port)
+    }
+}
+
+/// The L4 header [`Envelope::frame`] lays out in front of a payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum L4 {
+    /// A UDP header. With `checksum: false` the field stays zero, which
+    /// over IPv4 means "absent" (what the DNS and memcached fixtures
+    /// send); a computed checksum of 0 is sent as 0xffff.
+    Udp {
+        sport: u16,
+        dport: u16,
+        checksum: bool,
+    },
+    /// A TCP header, no options, window 0xffff, checksummed.
+    Tcp {
+        sport: u16,
+        dport: u16,
+        seq: u32,
+        ack: u32,
+        flags: u8,
+    },
+    /// An ICMP echo request (type 8, code 0), checksummed.
+    Echo { ident: u16, seq: u16 },
+}
+
+impl L4 {
+    fn proto(self) -> u8 {
+        match self {
+            L4::Udp { .. } => ip_proto::UDP,
+            L4::Tcp { .. } => ip_proto::TCP,
+            L4::Echo { .. } => ip_proto::ICMP,
+        }
+    }
+
+    fn hdr_len(self) -> usize {
+        match self {
+            L4::Udp { .. } => hdr_len::UDP,
+            L4::Tcp { .. } => hdr_len::TCP,
+            L4::Echo { .. } => hdr_len::ICMP_ECHO,
+        }
+    }
+
+    /// Writes the whole segment into `seg`, which is zeroed and exactly
+    /// its length: the header, `payload` behind it, then the checksum —
+    /// over the pseudo-header with the address bytes `addrs` (source
+    /// then destination) for UDP and TCP, over the segment alone for
+    /// ICMP.
+    fn write(self, addrs: &[u8], seg: &mut [u8], payload: &Payload<'_>) {
+        let len = seg.len() as u16;
+        let (hdr, body) = seg.split_at_mut(self.hdr_len());
+        payload.write(body);
+        match self {
+            L4::Udp {
+                sport,
+                dport,
+                checksum,
+            } => {
+                bitutil::set16(hdr, 0, sport);
+                bitutil::set16(hdr, 2, dport);
+                bitutil::set16(hdr, 4, len);
+                if checksum {
+                    let c = l4_checksum(addrs, ip_proto::UDP, seg);
+                    bitutil::set16(seg, 6, if c == 0 { 0xffff } else { c });
+                }
+            }
+            L4::Tcp {
+                sport,
+                dport,
+                seq,
+                ack,
+                flags,
+            } => {
+                bitutil::set16(hdr, 0, sport);
+                bitutil::set16(hdr, 2, dport);
+                bitutil::set32(hdr, 4, seq);
+                bitutil::set32(hdr, 8, ack);
+                hdr[12..20].copy_from_slice(&[5 << 4, flags, 0xff, 0xff, 0, 0, 0, 0]);
+                let c = l4_checksum(addrs, ip_proto::TCP, seg);
+                bitutil::set16(seg, 16, c);
+            }
+            L4::Echo { ident, seq } => {
+                hdr[..4].copy_from_slice(&[8, 0, 0, 0]);
+                bitutil::set16(hdr, 4, ident);
+                bitutil::set16(hdr, 6, seq);
+                let c = checksum::internet_checksum(seg);
+                bitutil::set16(seg, 2, c);
+            }
+        }
+    }
+}
+
+/// The L7 bytes a builder writes in place behind the L4 header.
+#[derive(Debug, Clone, Copy)]
+pub enum Payload<'a> {
+    /// These bytes.
+    Bytes(&'a [u8]),
+    /// `len` bytes counting up from `first`, wrapping at 256.
+    Ramp { first: u8, len: usize },
+    /// A memcached-over-UDP request datagram: the 8-byte frame header
+    /// (request `id`, sequence 0, one datagram, reserved), then the
+    /// ASCII text, the pieces of `text` one after another.
+    Mc { id: u16, text: &'a [&'a [u8]] },
+    /// A DNS query message: transaction `id`, RD set, one A/IN question
+    /// for the dotted `name`.
+    Dns { id: u16, name: &'a str },
+}
+
+impl Payload<'_> {
+    fn len(&self) -> usize {
+        match *self {
+            Payload::Bytes(b) => b.len(),
+            Payload::Ramp { len, .. } => len,
+            Payload::Mc { text, .. } => MC_HDR + text.iter().map(|t| t.len()).sum::<usize>(),
+            Payload::Dns { name, .. } => DNS_HDR + dns_name_len(name) + 4,
+        }
+    }
+
+    /// Writes the payload into `out`, which is zeroed and exactly its
+    /// length.
+    fn write(&self, out: &mut [u8]) {
+        match *self {
+            Payload::Bytes(b) => out.copy_from_slice(b),
+            Payload::Ramp { first, .. } => {
+                for (i, o) in out.iter_mut().enumerate() {
+                    *o = first.wrapping_add(i as u8);
+                }
+            }
+            Payload::Mc { id, text } => {
+                let [hi, lo] = id.to_be_bytes();
+                out[..MC_HDR].copy_from_slice(&[hi, lo, 0, 0, 0, 1, 0, 0]);
+                let mut at = MC_HDR;
+                for t in text {
+                    out[at..at + t.len()].copy_from_slice(t);
+                    at += t.len();
+                }
+            }
+            Payload::Dns { id, name } => {
+                let [hi, lo] = id.to_be_bytes();
+                // RD; QDCOUNT = 1
+                out[..DNS_HDR].copy_from_slice(&[hi, lo, 0x01, 0, 0, 1, 0, 0, 0, 0, 0, 0]);
+                let at = DNS_HDR + put_dns_name(&mut out[DNS_HDR..], name);
+                out[at..at + 4].copy_from_slice(&[0, 1, 0, 1]); // QTYPE A, QCLASS IN
+            }
+        }
+    }
+
+    fn to_vec(self) -> Vec<u8> {
+        let mut v = vec![0; self.len()];
+        self.write(&mut v);
+        v
+    }
+}
+
+/// Internet checksum over an L4 `segment` plus its IPv4 pseudo-header,
+/// whose addresses are `addrs` (source then destination, the eight
+/// bytes the IPv4 header holds them in).
+fn l4_checksum(addrs: &[u8], proto: u8, segment: &[u8]) -> u16 {
     let mut c = Csum::new();
-    c.add_bytes(&src.octets());
-    c.add_bytes(&dst.octets());
+    c.add_bytes(addrs);
     c.add_word(u16::from(proto));
     c.add_word(segment.len() as u16);
     c.add_bytes(segment);
@@ -95,60 +332,15 @@ pub fn ipv4_frame(
     segment: &[u8],
     in_port: u8,
 ) -> Frame {
-    let mut bytes = Vec::with_capacity(offset::L4 + segment.len());
-    bytes.extend_from_slice(&dst_mac.octets());
-    bytes.extend_from_slice(&src_mac.octets());
-    bytes.extend_from_slice(&ether_type::IPV4.to_be_bytes());
-    bytes.extend_from_slice(&ipv4_header(src, dst, proto, segment.len(), ident));
-    bytes.extend_from_slice(segment);
-    let mut f = Frame::new(bytes);
-    f.in_port = in_port;
-    f
-}
-
-/// A UDP header plus `payload`, checksum field zero — "absent" over
-/// IPv4, which is what the DNS and memcached fixtures send.
-pub fn udp_segment(sport: u16, dport: u16, payload: &[u8]) -> Vec<u8> {
-    let mut seg = Vec::with_capacity(hdr_len::UDP + payload.len());
-    seg.extend_from_slice(&sport.to_be_bytes());
-    seg.extend_from_slice(&dport.to_be_bytes());
-    seg.extend_from_slice(&((hdr_len::UDP + payload.len()) as u16).to_be_bytes());
-    seg.extend_from_slice(&[0, 0]);
-    seg.extend_from_slice(payload);
-    seg
-}
-
-/// A TCP header (no options, window 0xffff) plus `payload`, checksum
-/// field zero.
-pub fn tcp_segment(
-    sport: u16,
-    dport: u16,
-    seq: u32,
-    ack: u32,
-    flags: u8,
-    payload: &[u8],
-) -> Vec<u8> {
-    let mut seg = Vec::with_capacity(hdr_len::TCP + payload.len());
-    seg.extend_from_slice(&sport.to_be_bytes());
-    seg.extend_from_slice(&dport.to_be_bytes());
-    seg.extend_from_slice(&seq.to_be_bytes());
-    seg.extend_from_slice(&ack.to_be_bytes());
-    seg.extend_from_slice(&[5 << 4, flags, 0xff, 0xff, 0, 0, 0, 0]);
-    seg.extend_from_slice(payload);
-    seg
-}
-
-/// Fills in the checksum of a UDP or (with `ip_proto::TCP`) TCP
-/// `segment` whose checksum field is zero; a computed UDP checksum of 0
-/// is sent as 0xffff.
-pub fn with_l4_checksum(src: Ipv4, dst: Ipv4, proto: u8, mut segment: Vec<u8>) -> Vec<u8> {
-    let c = l4_checksum(src, dst, proto, &segment);
-    if proto == ip_proto::TCP {
-        bitutil::set16(&mut segment, 16, c);
-    } else {
-        bitutil::set16(&mut segment, 6, if c == 0 { 0xffff } else { c });
-    }
-    segment
+    let env = Envelope {
+        src_mac,
+        dst_mac,
+        src,
+        dst,
+        ident,
+        in_port,
+    };
+    env.build(proto, segment.len(), |_, seg| seg.copy_from_slice(segment))
 }
 
 /// Builds a complete UDP frame with valid IP and UDP checksums.
@@ -163,17 +355,20 @@ pub fn udp_frame(
     payload: &[u8],
     in_port: u8,
 ) -> Frame {
-    let seg = with_l4_checksum(src, dst, ip_proto::UDP, udp_segment(sport, dport, payload));
-    ipv4_frame(
+    let env = Envelope {
         src_mac,
         dst_mac,
         src,
         dst,
-        ip_proto::UDP,
-        sport ^ dport,
-        &seg,
+        ident: sport ^ dport,
         in_port,
-    )
+    };
+    let l4 = L4::Udp {
+        sport,
+        dport,
+        checksum: true,
+    };
+    env.frame(l4, Payload::Bytes(payload))
 }
 
 /// Builds a complete TCP segment (no options) with valid IP and TCP
@@ -192,86 +387,108 @@ pub fn tcp_frame(
     payload: &[u8],
     in_port: u8,
 ) -> Frame {
-    let seg = with_l4_checksum(
-        src,
-        dst,
-        ip_proto::TCP,
-        tcp_segment(sport, dport, seq, ack, flags, payload),
-    );
-    ipv4_frame(
+    let env = Envelope {
         src_mac,
         dst_mac,
         src,
         dst,
-        ip_proto::TCP,
-        seq as u16,
-        &seg,
+        ident: seq as u16,
         in_port,
-    )
-}
-
-/// Builds an ARP who-has request, broadcast from `src_mac`.
-pub fn arp_request(src_mac: MacAddr, src_ip: Ipv4, target: Ipv4, in_port: u8) -> Frame {
-    let mut p = vec![
-        0, 1, // htype ethernet
-        8, 0, // ptype IPv4
-        6, 4, // hlen, plen
-        0, 1, // op request
-    ];
-    p.extend_from_slice(&src_mac.octets());
-    p.extend_from_slice(&src_ip.octets());
-    p.extend_from_slice(&[0; 6]);
-    p.extend_from_slice(&target.octets());
-    let mut f = Frame::ethernet(MacAddr::BROADCAST, src_mac, ether_type::ARP, &p);
-    f.in_port = in_port;
-    f
+    };
+    let l4 = L4::Tcp {
+        sport,
+        dport,
+        seq,
+        ack,
+        flags,
+    };
+    env.frame(l4, Payload::Bytes(payload))
 }
 
 /// An ICMP echo request (type 8, code 0) carrying `payload`, with a
-/// valid ICMP checksum — the L4 segment for [`ipv4_frame`].
+/// valid ICMP checksum — the L4 segment for [`ipv4_frame`], laid out as
+/// [`L4::Echo`] lays it out in a frame.
 pub fn echo_request(ident: u16, seq: u16, payload: &[u8]) -> Vec<u8> {
-    let mut icmp = Vec::with_capacity(hdr_len::ICMP_ECHO + payload.len());
-    icmp.extend_from_slice(&[8, 0, 0, 0]);
-    icmp.extend_from_slice(&ident.to_be_bytes());
-    icmp.extend_from_slice(&seq.to_be_bytes());
-    icmp.extend_from_slice(payload);
-    let c = checksum::internet_checksum(&icmp);
-    bitutil::set16(&mut icmp, 2, c);
-    icmp
+    let mut seg = vec![0; hdr_len::ICMP_ECHO + payload.len()];
+    L4::Echo { ident, seq }.write(&[], &mut seg, &Payload::Bytes(payload));
+    seg
+}
+
+/// The labels of a dotted name, empty ones skipped.
+fn labels(name: &str) -> impl Iterator<Item = &str> {
+    name.split('.').filter(|l| !l.is_empty())
+}
+
+/// Bytes of `name` in DNS wire format.
+fn dns_name_len(name: &str) -> usize {
+    labels(name).map(|l| 1 + l.len()).sum::<usize>() + 1
+}
+
+/// Writes `name` in DNS wire format (labels + terminal zero) at the
+/// front of `out`; returns the bytes written.
+fn put_dns_name(out: &mut [u8], name: &str) -> usize {
+    let mut at = 0;
+    for label in labels(name) {
+        out[at] = label.len() as u8;
+        out[at + 1..at + 1 + label.len()].copy_from_slice(label.as_bytes());
+        at += 1 + label.len();
+    }
+    out[at] = 0;
+    at + 1
 }
 
 /// Encodes a dotted name into DNS wire format (labels + terminal zero).
 pub fn dns_name(name: &str) -> Vec<u8> {
-    let mut out = Vec::with_capacity(name.len() + 2);
-    for label in name.split('.').filter(|l| !l.is_empty()) {
-        out.push(label.len() as u8);
-        out.extend_from_slice(label.as_bytes());
-    }
-    out.push(0);
+    let mut out = vec![0; dns_name_len(name)];
+    put_dns_name(&mut out, name);
     out
 }
 
 /// A DNS query message: transaction `id`, RD set, one A/IN question for
-/// `name`.
+/// `name` — [`Payload::Dns`] as bytes.
 pub fn dns_query(name: &str, id: u16) -> Vec<u8> {
-    let mut dns = Vec::with_capacity(12 + name.len() + 2 + 4);
-    dns.extend_from_slice(&id.to_be_bytes());
-    dns.extend_from_slice(&[0x01, 0x00]); // RD
-    dns.extend_from_slice(&[0, 1, 0, 0, 0, 0, 0, 0]); // QDCOUNT = 1
-    dns.extend_from_slice(&dns_name(name));
-    dns.extend_from_slice(&[0, 1, 0, 1]); // QTYPE A, QCLASS IN
-    dns
+    Payload::Dns { id, name }.to_vec()
 }
 
 /// A memcached-over-UDP request datagram: the 8-byte frame header
 /// (request `id`, sequence 0, one datagram, reserved) and the ASCII
-/// `body`.
+/// `body` — [`Payload::Mc`] as bytes.
 pub fn mc_request(body: &str, id: u16) -> Vec<u8> {
-    let mut p = Vec::with_capacity(8 + body.len());
-    p.extend_from_slice(&id.to_be_bytes());
-    p.extend_from_slice(&[0, 0, 0, 1, 0, 0]);
-    p.extend_from_slice(body.as_bytes());
-    p
+    Payload::Mc {
+        id,
+        text: &[body.as_bytes()],
+    }
+    .to_vec()
+}
+
+/// `value` in decimal ASCII, zero-padded to at least `width` digits —
+/// `format!("{value:0width$}")` without the formatting machinery or a
+/// heap buffer, for the keys and values generators write per frame.
+#[derive(Debug, Clone, Copy)]
+pub struct Decimal {
+    digits: [u8; 20],
+    start: usize,
+}
+
+impl Decimal {
+    /// Writes `value` with at least `width` digits (at most 20, the
+    /// digits of `u64::MAX`).
+    pub fn new(mut value: u64, width: usize) -> Self {
+        let mut digits = [b'0'; 20];
+        let mut start = digits.len();
+        while value > 0 {
+            start -= 1;
+            digits[start] = b'0' + (value % 10) as u8;
+            value /= 10;
+        }
+        let start = start.min(digits.len() - width.clamp(1, digits.len()));
+        Decimal { digits, start }
+    }
+
+    /// The digits.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.digits[self.start..]
+    }
 }
 
 /// The ASCII portion of a memcached-over-UDP frame: from past the two
@@ -331,9 +548,7 @@ pub fn l4_csum_ok(frame: &Frame) -> Option<bool> {
             return None;
         }
     }
-    let src = Ipv4(bitutil::get32(b, offset::IPV4_SRC));
-    let dst = Ipv4(bitutil::get32(b, offset::IPV4_DST));
-    Some(l4_checksum(src, dst, proto, seg) == 0)
+    Some(l4_checksum(&b[offset::IPV4_SRC..offset::L4], proto, seg) == 0)
 }
 
 #[cfg(test)]
@@ -346,13 +561,13 @@ mod tests {
 
     #[test]
     fn ipv4_frame_lays_out_one_valid_header() {
-        let seg = udp_segment(4000, 53, b"payload!");
+        let seg = echo_request(4000, 53, b"payload!");
         let f = ipv4_frame(
             mac(0x11),
             mac(0x22),
             Ipv4::new(10, 0, 0, 1),
             Ipv4::new(10, 0, 0, 2),
-            ip_proto::UDP,
+            ip_proto::ICMP,
             0xbeef,
             &seg,
             3,
@@ -361,27 +576,51 @@ mod tests {
         assert_eq!((f.src_mac(), f.dst_mac()), (mac(0x11), mac(0x22)));
         assert_eq!(f.ethertype(), ether_type::IPV4);
         assert_eq!(f.in_port, 3);
-        assert_eq!(&b[14..24], &[0x45, 0, 0, 36, 0xbe, 0xef, 0x40, 0, 64, 17]);
+        assert_eq!(&b[14..24], &[0x45, 0, 0, 36, 0xbe, 0xef, 0x40, 0, 64, 1]);
         assert_eq!(ipv4_csum_ok(&f), Some(true));
-        // The segment went in as given: checksum field still absent.
+        // The segment went in as given, and the frame is padded.
         assert_eq!(&b[offset::L4..offset::L4 + seg.len()], &seg[..]);
-        assert_eq!(l4_csum_ok(&f), Some(true));
+        assert_eq!(b.len(), frame::MIN);
+        assert!(b[offset::L4 + seg.len()..].iter().all(|&x| x == 0));
     }
 
     #[test]
     fn checksummed_segments_verify_and_absent_ones_pass_through() {
-        let (src, dst) = (Ipv4::new(1, 2, 3, 4), Ipv4::new(5, 6, 7, 8));
-        let udp = with_l4_checksum(src, dst, ip_proto::UDP, udp_segment(9, 10, b"xyz"));
-        assert_ne!(bitutil::get16(&udp, 6), 0);
-        assert_eq!(l4_checksum(src, dst, ip_proto::UDP, &udp), 0);
-        let tcp = with_l4_checksum(
-            src,
-            dst,
-            ip_proto::TCP,
-            tcp_segment(9, 10, 7, 0, crate::proto::tcp_flags::SYN, &[]),
+        let env = Envelope {
+            src_mac: mac(1),
+            dst_mac: mac(2),
+            src: Ipv4::new(1, 2, 3, 4),
+            dst: Ipv4::new(5, 6, 7, 8),
+            ident: 0,
+            in_port: 0,
+        };
+        let udp = |checksum| {
+            let l4 = L4::Udp {
+                sport: 9,
+                dport: 10,
+                checksum,
+            };
+            env.frame(l4, Payload::Bytes(b"xyz"))
+        };
+        let (with, absent) = (udp(true), udp(false));
+        assert_ne!(bitutil::get16(with.bytes(), offset::L4 + 6), 0);
+        assert_eq!(l4_csum_ok(&with), Some(true));
+        assert_eq!(bitutil::get16(absent.bytes(), offset::L4 + 6), 0);
+        assert_eq!(l4_csum_ok(&absent), Some(true));
+        assert_eq!(
+            &with.bytes()[..offset::L4 + 6],
+            &absent.bytes()[..offset::L4 + 6]
         );
-        assert_eq!(tcp.len(), 20);
-        assert_eq!(l4_checksum(src, dst, ip_proto::TCP, &tcp), 0);
+        let syn = L4::Tcp {
+            sport: 9,
+            dport: 10,
+            seq: 7,
+            ack: 0,
+            flags: crate::proto::tcp_flags::SYN,
+        };
+        let tcp = env.frame(syn, Payload::Bytes(&[]));
+        assert_eq!(bitutil::get16(tcp.bytes(), offset::IPV4 + 2), 40);
+        assert_eq!(l4_csum_ok(&tcp), Some(true));
     }
 
     /// A valid frame drawn by `pick`: a UDP datagram carrying a
