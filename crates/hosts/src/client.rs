@@ -138,6 +138,12 @@ impl<P: RequestProto> Client<P> {
         &self.proto
     }
 
+    /// Mutable protocol access: call [`RequestProto::build`] and
+    /// [`RequestProto::classify`] directly, outside the request loop.
+    pub fn proto_mut(&mut self) -> &mut P {
+        &mut self.proto
+    }
+
     /// True once every configured request has resolved.
     pub fn done(&self) -> bool {
         self.next_serial >= self.cfg.requests && self.outstanding.is_none()

@@ -126,7 +126,7 @@ impl RequestProto for DnsProto {
             Some(addr) => {
                 // Answer: pointer to the question name, type A, class
                 // IN, TTL, RDLENGTH 4, then the address.
-                let ans = dns + 12 + wire::dns_name(name).len() + 4;
+                let ans = dns + 12 + wire::dns_name_len(name) + 4;
                 if rcode != 0 || ancount != 1 {
                     (
                         false,

@@ -189,11 +189,7 @@ impl RequestProto for McProto {
                 if text == b"STORED\r\n" {
                     (true, None, Some(Some(v)))
                 } else {
-                    (
-                        false,
-                        Some(format!("set answered {:?}", ascii(&text))),
-                        None,
-                    )
+                    (false, Some(format!("set answered {:?}", ascii(text))), None)
                 }
             }
             Op::Get => {
@@ -211,14 +207,14 @@ impl RequestProto for McProto {
                         )
                     }
                 } else {
-                    let expect_prefix = format!("VALUE {} 0 8\r\n", self.keys[p.key]);
-                    let pl = expect_prefix.len();
-                    if text.len() == pl + VALUE_LEN + 2 + 5
-                        && text.starts_with(expect_prefix.as_bytes())
-                        && text.ends_with(b"\r\nEND\r\n")
-                    {
-                        let v: [u8; VALUE_LEN] =
-                            text[pl..pl + VALUE_LEN].try_into().expect("sized above");
+                    // `VALUE <key> 0 8\r\n<value>\r\nEND\r\n`, piece by piece.
+                    let value = text
+                        .strip_prefix(b"VALUE ")
+                        .and_then(|t| t.strip_prefix(self.keys[p.key].as_bytes()))
+                        .and_then(|t| t.strip_prefix(b" 0 8\r\n"))
+                        .and_then(|t| t.strip_suffix(b"\r\nEND\r\n"))
+                        .and_then(|v| <[u8; VALUE_LEN]>::try_from(v).ok());
+                    if let Some(v) = value {
                         if cand.contains(&Some(v)) {
                             (true, None, Some(Some(v)))
                         } else {
@@ -234,7 +230,7 @@ impl RequestProto for McProto {
                     } else {
                         (
                             false,
-                            Some(format!("malformed get reply {:?}", ascii(&text))),
+                            Some(format!("malformed get reply {:?}", ascii(text))),
                             None,
                         )
                     }
@@ -263,14 +259,15 @@ impl RequestProto for McProto {
                 } else {
                     (
                         false,
-                        Some(format!("delete answered {:?}", ascii(&text))),
+                        Some(format!("delete answered {:?}", ascii(text))),
                         None,
                     )
                 }
             }
         };
         if let Some(state) = collapse {
-            *cand = vec![state];
+            cand.clear();
+            cand.push(state);
         }
         Classify::Response { verified, note }
     }

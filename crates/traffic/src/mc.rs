@@ -165,7 +165,7 @@ mod tests {
             let sport = emu_types::bitutil::get16(f.bytes(), 34);
             // Extract the key from the ASCII command.
             let text = emu_types::wire::reply_text(&f);
-            let key = String::from_utf8_lossy(&text)
+            let key = String::from_utf8_lossy(text)
                 .split_whitespace()
                 .nth(1)
                 .unwrap()

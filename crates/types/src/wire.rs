@@ -419,8 +419,9 @@ fn labels(name: &str) -> impl Iterator<Item = &str> {
     name.split('.').filter(|l| !l.is_empty())
 }
 
-/// Bytes of `name` in DNS wire format.
-fn dns_name_len(name: &str) -> usize {
+/// Bytes of `name` in DNS wire format: the length of
+/// [`dns_name`]`(name)`, without building it.
+pub fn dns_name_len(name: &str) -> usize {
     labels(name).map(|l| 1 + l.len()).sum::<usize>() + 1
 }
 
@@ -494,12 +495,12 @@ impl Decimal {
 /// The ASCII portion of a memcached-over-UDP frame: from past the two
 /// 8-byte headers to the end the UDP length claims, clamped to the
 /// bytes the frame actually carries (empty when the length is too
-/// short to reach the text at all).
-pub fn reply_text(frame: &Frame) -> Vec<u8> {
+/// short to reach the text at all), borrowed from the frame.
+pub fn reply_text(frame: &Frame) -> &[u8] {
     let b = frame.bytes();
     let udp_len = usize::from(bitutil::get16(b, offset::L4 + 4));
     let end = (offset::L4 + udp_len).min(b.len());
-    b.get(MC_TEXT..end).unwrap_or_default().to_vec()
+    b.get(MC_TEXT..end).unwrap_or_default()
 }
 
 /// Reads the frame's byte at `i` the way a service core does: bytes past
@@ -716,6 +717,9 @@ mod tests {
         assert_eq!(dns_name("a.b"), [1, b'a', 1, b'b', 0]);
         assert_eq!(dns_name("trailing.dot."), dns_name("trailing.dot"));
         assert_eq!(dns_name(""), [0]);
+        for name in ["a.b", "trailing.dot.", "", "x0..emu.test"] {
+            assert_eq!(dns_name_len(name), dns_name(name).len(), "{name:?}");
+        }
         assert_eq!(
             dns_query("a.b", 0x1234),
             [0x12, 0x34, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, b'a', 1, b'b', 0, 0, 1, 0, 1]

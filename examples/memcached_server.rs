@@ -24,8 +24,7 @@ fn main() {
         "get motd\r\n",
     ] {
         let out = inst.process(&request_frame(body, 1)).expect("request");
-        let reply =
-            String::from_utf8_lossy(&reply_text(&out.tx[0].frame)).replace("\r\n", "\\r\\n");
+        let reply = String::from_utf8_lossy(reply_text(&out.tx[0].frame)).replace("\r\n", "\\r\\n");
         println!("  {:<34} -> {}", body.replace("\r\n", "\\r\\n"), reply);
     }
 
