@@ -9,8 +9,12 @@
 //! * **Resource estimation** ([`resources`]): LUT/memory/FF accounting for
 //!   the compiled logic and attached IP blocks — the quantities in
 //!   Tables 3 and 5.
-//! * **Verilog emission** ([`verilog`]): textual RTL with forward-
-//!   substituted, guard-qualified non-blocking assignments.
+//! * **Verilog emission** ([`verilog`]): [`lower`] turns the FSM into a
+//!   table of guarded non-blocking assignments over pre-edge values
+//!   (registers, array elements and outputs written earlier in a cycle
+//!   forward-substituted into later reads), and [`print()`] writes that
+//!   table as textual RTL. The root test `verilog_lockstep` runs the
+//!   table beside the FSM on every cycle of every shipped service.
 //!
 //! The FSM image itself ([`Fsm`]) lives in `kiwi-ir`, beside its
 //! cycle-accurate *execution*: a `kiwi_ir::Core` on `kiwi_ir::Code::Fpga`
@@ -24,7 +28,7 @@ pub mod verilog;
 
 pub use fsm::{schedule, CostModel, Fsm, FsmThread};
 pub use resources::{estimate, IpBlock, ResourceReport};
-pub use verilog::{emit, lint};
+pub use verilog::{emit, lint, lower, print, RtlTable};
 
 use kiwi_ir::{flatten, IrResult, Program};
 

@@ -1,33 +1,208 @@
 //! Verilog emission: the final stage of the Kiwi flow (Figure 1, step B1).
 //!
-//! Each FSM thread becomes one `always @(posedge clk)` block. Within a
-//! state, the op stream is symbolically executed: registers written earlier
-//! in the cycle are *forward-substituted* into later reads, turning the
-//! sequential pause-to-pause region into the parallel guarded non-blocking
-//! assignments a synthesis tool expects. Branches accumulate path guards;
-//! every leaving edge (pause, boundary, halt) records a guarded next-state.
+//! Emission is two steps. [`lower`] turns the FSM into an [`RtlTable`]:
+//! for each thread and state, the [`Row`]s of guarded non-blocking
+//! assignments one clock edge performs. Within a state the op stream is
+//! symbolically executed: registers, array elements and outputs written
+//! earlier in the cycle are *forward-substituted* into later reads, so
+//! every expression in a row reads pre-edge values; branches accumulate
+//! the row's guard, and a row ends exactly where the FSM machine
+//! (`kiwi_ir::fsm::step_thread`) ends a cycle. [`print()`] is a walk of the
+//! table, one `always @(posedge clk)` block per thread.
 //!
-//! The emitted text is syntactically valid Verilog-2001. It is not run
-//! here (no RTL simulator ships with this reproduction — `kiwi_ir::Core`
-//! executes the same FSM natively, cycle by cycle), but the structure is
-//! tested: balanced blocks, declared identifiers, complete state coverage.
+//! The emitted text is syntactically valid Verilog-2001, and its structure
+//! is tested here: balanced blocks, declared identifiers, complete state
+//! coverage. No RTL simulator ships with this reproduction, so the text is
+//! not run, but the table it prints is: `tests/verilog_lockstep.rs`
+//! evaluates it with Verilog's non-blocking semantics beside
+//! `kiwi_ir::Core` on the FSM, on every cycle of every shipped service.
 
 use crate::fsm::{Fsm, FsmThread};
 use kiwi_ir::ast::{BinOp, Expr, UnOp};
 use kiwi_ir::flat::Op;
-use kiwi_ir::program::{Program, SigDir};
+use kiwi_ir::program::{ArrId, Program, SigDir, SigId, VarId};
 use kiwi_ir::{IrError, IrResult};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Maximum within-cycle control paths before we refuse to emit (guards
-/// against pathological branch fans; services in this repo stay < 64).
+/// against pathological branch fans; the largest state of a shipped
+/// service has 13).
 const MAX_PATHS: usize = 4096;
+
+/// A lowered design: per thread and state, what one clock edge assigns.
+/// It borrows the program's declarations, so [`print()`] needs nothing else.
+#[derive(Debug, Clone)]
+pub struct RtlTable<'a> {
+    /// Declarations (registers, arrays, signals).
+    pub prog: &'a Program,
+    /// One entry per FSM thread.
+    pub threads: Vec<RtlThread<'a>>,
+}
+
+/// One thread of an [`RtlTable`].
+#[derive(Debug, Clone)]
+pub struct RtlThread<'a> {
+    /// Thread name.
+    pub name: &'a str,
+    /// The state the thread resets into.
+    pub entry: usize,
+    /// Per state, by state number: the pc it begins at and its rows, of
+    /// which exactly one's guard holds on any pre-edge state.
+    pub states: Vec<(usize, Vec<Row>)>,
+}
+
+/// One control path through a state: the guarded non-blocking
+/// assignments of one clock edge. Every expression reads pre-edge values.
+#[derive(Debug, Clone, Default)]
+pub struct Row {
+    /// The branch conditions on the path, each with the outcome taken.
+    pub guard: Vec<(Expr, bool)>,
+    /// The last write to each register.
+    pub regs: BTreeMap<VarId, Expr>,
+    /// The last write to each output signal, in the order of those writes.
+    pub sigs: Vec<(SigId, Expr)>,
+    /// Array writes as `(array, index, value)`, in order.
+    pub arrs: Vec<(ArrId, Expr, Expr)>,
+    /// The next state, or `None` when the thread halts.
+    pub next: Option<usize>,
+}
 
 /// Emits a complete Verilog module for the compiled design.
 pub fn emit(fsm: &Fsm) -> IrResult<String> {
-    let prog = &fsm.prog;
+    Ok(print(&lower(fsm)?))
+}
+
+/// Lowers every state of every thread of `fsm` to its rows.
+pub fn lower(fsm: &Fsm) -> IrResult<RtlTable<'_>> {
+    let threads = fsm.threads.iter().map(|t| {
+        let states = t
+            .states()
+            .map(|(pc, _)| Ok((pc, lower_state(&fsm.prog, t, pc)?)));
+        Ok(RtlThread {
+            name: &t.name,
+            entry: t.state_at(t.entry_pc).unwrap_or(0),
+            states: states.collect::<IrResult<_>>()?,
+        })
+    });
+    Ok(RtlTable {
+        prog: &fsm.prog,
+        threads: threads.collect::<IrResult<_>>()?,
+    })
+}
+
+/// The rows of the state beginning at `start`: every path from it to
+/// where the FSM machine ends the cycle — a `Pause`, a `Halt`, a pc past
+/// the last op, or a state start reached after at least one op.
+fn lower_state(prog: &Program, t: &FsmThread, start: usize) -> IrResult<Vec<Row>> {
+    let mut done = Vec::new();
+    // (pc, ops taken, the row so far)
+    let mut work = vec![(start, 0, Row::default())];
+    while let Some((mut pc, mut steps, mut row)) = work.pop() {
+        if done.len() + work.len() > MAX_PATHS {
+            return Err(IrError(format!(
+                "state at pc {start} exceeds {MAX_PATHS} control paths"
+            )));
+        }
+        row.next = loop {
+            if steps > 0 && t.is_boundary(pc) {
+                break t.state_at(pc);
+            }
+            if steps > t.ops.len() {
+                return Err(IrError(format!("non-terminating path from pc {start}")));
+            }
+            steps += 1;
+            let Some(op) = t.ops.get(pc) else { break None };
+            match op {
+                Op::Assign(d, e) => {
+                    let e = row.subst(prog, e);
+                    row.regs.insert(*d, e);
+                }
+                Op::ArrWrite(a, i, val) => {
+                    let w = (*a, row.subst(prog, i), row.subst(prog, val));
+                    row.arrs.push(w);
+                }
+                Op::SigWrite(s, e) => {
+                    let e = row.subst(prog, e);
+                    row.sigs.retain(|(id, _)| id != s);
+                    row.sigs.push((*s, e));
+                }
+                Op::Branch(c, if_false) => {
+                    let c = row.subst(prog, c);
+                    let mut other = row.clone();
+                    other.guard.push((c.clone(), false));
+                    work.push((*if_false, steps, other));
+                    row.guard.push((c, true));
+                }
+                Op::Jump(tgt) => {
+                    pc = *tgt;
+                    continue;
+                }
+                Op::Label(_) | Op::ExtPoint(_) => {}
+                Op::Pause => break t.state_at(t.resolve(pc + 1)),
+                Op::Halt => break None,
+            }
+            pc += 1;
+        };
+        done.push(row);
+    }
+    Ok(done)
+}
+
+impl Row {
+    /// `e` with this row's pending writes forwarded into its reads, so it
+    /// reads pre-edge values only. A read of an array element becomes a
+    /// mux over the pending writes to that array, the latest outermost;
+    /// a write whose index and the read's are distinct constants is
+    /// skipped.
+    fn subst(&self, prog: &Program, e: &Expr) -> Expr {
+        let sub = |x: &Arc<Expr>| Arc::new(self.subst(prog, x));
+        match e {
+            Expr::Const(_) => e.clone(),
+            Expr::Var(r) => match self.regs.get(r) {
+                Some(w) => written(prog, e, w),
+                None => e.clone(),
+            },
+            Expr::SigRead(s) => match self.sigs.iter().find(|(id, _)| id == s) {
+                Some((_, w)) => written(prog, e, w),
+                None => e.clone(),
+            },
+            Expr::ArrRead(a, i) => {
+                let i = sub(i);
+                let read = Expr::ArrRead(*a, i.clone());
+                let writes = self.arrs.iter().filter(|(b, ..)| b == a);
+                writes.fold(read.clone(), |older, (_, at, val)| match (&*i, at) {
+                    (Expr::Const(x), Expr::Const(y)) if x.cmp_u(y).is_ne() => older,
+                    _ => Expr::Mux(
+                        Arc::new(Expr::Bin(BinOp::Eq, i.clone(), Arc::new(at.clone()))),
+                        Arc::new(written(prog, &read, val)),
+                        Arc::new(older),
+                    ),
+                })
+            }
+            Expr::Un(op, x) => Expr::Un(*op, sub(x)),
+            Expr::Bin(op, l, r) => Expr::Bin(*op, sub(l), sub(r)),
+            Expr::Mux(c, t, f) => Expr::Mux(sub(c), sub(t), sub(f)),
+            Expr::Slice(x, hi, lo) => Expr::Slice(sub(x), *hi, *lo),
+            Expr::Concat(l, r) => Expr::Concat(sub(l), sub(r)),
+            Expr::Resize(x, w) => Expr::Resize(sub(x), *w),
+        }
+    }
+}
+
+/// `val` as the location `read` names holds it once written: cut or
+/// zero-extended to the location's width.
+fn written(prog: &Program, read: &Expr, val: &Expr) -> Expr {
+    match (read.width(prog), val.width(prog)) {
+        (Ok(w), Ok(v)) if w != v => Expr::Resize(Arc::new(val.clone()), w),
+        _ => val.clone(),
+    }
+}
+
+/// Prints a lowered design as one Verilog module.
+pub fn print(table: &RtlTable) -> String {
+    let prog = table.prog;
     let mut v = String::new();
     let _ = writeln!(v, "// Generated by kiwi (Emu reproduction) — do not edit.");
     let _ = writeln!(v, "// Program: {}", prog.name);
@@ -60,23 +235,22 @@ pub fn emit(fsm: &Fsm) -> IrResult<String> {
         );
     }
 
-    for (ti, t) in fsm.threads.iter().enumerate() {
-        let state_bits = bits_for(t.state_count());
-        let _ = writeln!(v, "  reg [{}:0] t{}_state;", state_bits.max(1) - 1, ti);
-        for (pc, sid) in t.states() {
-            let _ = writeln!(v, "  localparam T{}_S{} = {}; // pc {}", ti, sid, sid, pc);
+    for (ti, t) in table.threads.iter().enumerate() {
+        let _ = writeln!(v, "  reg [{}:0] t{ti}_state;", bits_for(t.states.len()) - 1);
+        for (sid, (pc, _)) in t.states.iter().enumerate() {
+            let _ = writeln!(v, "  localparam T{ti}_S{sid} = {sid}; // pc {pc}");
         }
     }
 
-    for (ti, t) in fsm.threads.iter().enumerate() {
-        emit_thread(&mut v, prog, t, ti)?;
+    for (ti, t) in table.threads.iter().enumerate() {
+        print_thread(&mut v, prog, t, ti);
     }
 
     let _ = writeln!(v, "endmodule");
-    Ok(v)
+    v
 }
 
-fn emit_thread(v: &mut String, prog: &Program, t: &FsmThread, ti: usize) -> IrResult<()> {
+fn print_thread(v: &mut String, prog: &Program, t: &RtlThread, ti: usize) {
     let _ = writeln!(v, "  // thread {}", t.name);
     let _ = writeln!(v, "  always @(posedge clk) begin");
     let _ = writeln!(v, "    if (rst) begin");
@@ -88,164 +262,41 @@ fn emit_thread(v: &mut String, prog: &Program, t: &FsmThread, ti: usize) -> IrRe
             let _ = writeln!(v, "      {} <= {};", sanitize(&s.name), s.init);
         }
     }
-    let entry_sid = t.state_at(t.entry_pc).unwrap_or(0);
-    let _ = writeln!(v, "      t{}_state <= T{}_S{};", ti, ti, entry_sid);
+    let _ = writeln!(v, "      t{ti}_state <= T{ti}_S{};", t.entry);
     let _ = writeln!(v, "    end else begin");
-    let _ = writeln!(v, "      case (t{}_state)", ti);
+    let _ = writeln!(v, "      case (t{ti}_state)");
 
-    for (pc, sid) in t.states() {
-        let _ = writeln!(v, "        T{}_S{}: begin", ti, sid);
-        let paths = enumerate_paths(prog, t, pc)?;
-        emit_state_body(v, prog, t, ti, &paths);
+    for (sid, (_, rows)) in t.states.iter().enumerate() {
+        let _ = writeln!(v, "        T{ti}_S{sid}: begin");
+        for row in rows {
+            let _ = writeln!(v, "          if ({}) begin", guard_text(prog, &row.guard));
+            // Each target printed as the read of it: `name` or `name[index]`.
+            let regs = row.regs.iter().map(|(r, e)| (Expr::Var(*r), e));
+            let sigs = row.sigs.iter().map(|(s, e)| (Expr::SigRead(*s), e));
+            let arrs = row
+                .arrs
+                .iter()
+                .map(|(a, i, e)| (Expr::ArrRead(*a, i.clone().into()), e));
+            for (target, e) in regs.chain(sigs).chain(arrs) {
+                let (target, e) = (vexpr(prog, &target), vexpr(prog, e));
+                let _ = writeln!(v, "            {target} <= {e};");
+            }
+            let _ = match row.next {
+                Some(sid) => writeln!(v, "            t{ti}_state <= T{ti}_S{sid};"),
+                None => writeln!(v, "            t{ti}_state <= t{ti}_state; // halt"),
+            };
+            let _ = writeln!(v, "          end");
+        }
+        if rows.is_empty() {
+            let _ = writeln!(v, "          // unreachable state");
+        }
         let _ = writeln!(v, "        end");
     }
 
-    let _ = writeln!(
-        v,
-        "        default: t{}_state <= T{}_S{};",
-        ti, ti, entry_sid
-    );
+    let _ = writeln!(v, "        default: t{ti}_state <= T{ti}_S{};", t.entry);
     let _ = writeln!(v, "      endcase");
     let _ = writeln!(v, "    end");
     let _ = writeln!(v, "  end");
-    Ok(())
-}
-
-/// One within-cycle control path through a state.
-struct Path {
-    /// Conjunction of branch conditions taken (already substituted).
-    guard: Vec<(Expr, bool)>,
-    /// Final substituted register writes (last write per var).
-    writes: Vec<(u32, Expr)>,
-    /// Output-signal writes.
-    sig_writes: Vec<(u32, Expr)>,
-    /// Array writes, in order.
-    arr_writes: Vec<(u32, Expr, Expr)>,
-    /// Next state id, or `None` when the thread halts.
-    next: Option<usize>,
-}
-
-/// Substitutes pending register writes into an expression (forward
-/// substitution turning sequential reads-after-writes into combinational
-/// feed-through).
-fn subst(e: &Expr, env: &HashMap<u32, Expr>) -> Expr {
-    match e {
-        Expr::Const(_) | Expr::SigRead(_) => e.clone(),
-        Expr::Var(vid) => env.get(&vid.0).cloned().unwrap_or_else(|| e.clone()),
-        Expr::ArrRead(a, i) => Expr::ArrRead(*a, Arc::new(subst(i, env))),
-        Expr::Un(op, x) => Expr::Un(*op, Arc::new(subst(x, env))),
-        Expr::Bin(op, l, r) => Expr::Bin(*op, Arc::new(subst(l, env)), Arc::new(subst(r, env))),
-        Expr::Mux(c, t, f) => Expr::Mux(
-            Arc::new(subst(c, env)),
-            Arc::new(subst(t, env)),
-            Arc::new(subst(f, env)),
-        ),
-        Expr::Slice(x, hi, lo) => Expr::Slice(Arc::new(subst(x, env)), *hi, *lo),
-        Expr::Concat(l, r) => Expr::Concat(Arc::new(subst(l, env)), Arc::new(subst(r, env))),
-        Expr::Resize(x, w) => Expr::Resize(Arc::new(subst(x, env)), *w),
-    }
-}
-
-fn enumerate_paths(_prog: &Program, t: &FsmThread, start: usize) -> IrResult<Vec<Path>> {
-    let mut done = Vec::new();
-    // (pc, guard, env, sig_writes, arr_writes, steps)
-    #[allow(clippy::type_complexity)]
-    let mut work: Vec<(
-        usize,
-        Vec<(Expr, bool)>,
-        HashMap<u32, Expr>,
-        Vec<(u32, Expr)>,
-        Vec<(u32, Expr, Expr)>,
-    )> = vec![(start, Vec::new(), HashMap::new(), Vec::new(), Vec::new())];
-    let mut first = true;
-
-    while let Some((mut pc, mut guard, mut env, mut sigw, mut arrw)) = work.pop() {
-        if done.len() + work.len() > MAX_PATHS {
-            return Err(IrError(format!(
-                "state at pc {start} exceeds {MAX_PATHS} control paths"
-            )));
-        }
-        let starting = first;
-        first = false;
-        let mut steps = 0usize;
-        loop {
-            // Arriving at another state boundary ends the cycle.
-            if (steps > 0 || !starting) && t.is_boundary(pc) && pc != start || steps > t.ops.len() {
-                if t.is_boundary(pc) {
-                    done.push(Path {
-                        guard,
-                        writes: env.into_iter().collect(),
-                        sig_writes: sigw,
-                        arr_writes: arrw,
-                        next: t.state_at(pc),
-                    });
-                    break;
-                }
-                return Err(IrError(format!("non-terminating path from pc {start}")));
-            }
-            if steps > 0 && pc == start && t.is_boundary(pc) {
-                // Came back around to our own header: 1-cycle loop.
-                done.push(Path {
-                    guard,
-                    writes: env.into_iter().collect(),
-                    sig_writes: sigw,
-                    arr_writes: arrw,
-                    next: t.state_at(pc),
-                });
-                break;
-            }
-            steps += 1;
-            match &t.ops[pc] {
-                Op::Assign(d, e) => {
-                    let e2 = subst(e, &env);
-                    env.insert(d.0, e2);
-                    pc += 1;
-                }
-                Op::ArrWrite(a, i, val) => {
-                    arrw.push((a.0, subst(i, &env), subst(val, &env)));
-                    pc += 1;
-                }
-                Op::SigWrite(s, e) => {
-                    let e2 = subst(e, &env);
-                    sigw.retain(|(sid, _)| *sid != s.0);
-                    sigw.push((s.0, e2));
-                    pc += 1;
-                }
-                Op::Branch(c, if_false) => {
-                    let c2 = subst(c, &env);
-                    let mut g_false = guard.clone();
-                    g_false.push((c2.clone(), false));
-                    work.push((*if_false, g_false, env.clone(), sigw.clone(), arrw.clone()));
-                    guard.push((c2, true));
-                    pc += 1;
-                }
-                Op::Jump(tgt) => pc = *tgt,
-                Op::Label(_) | Op::ExtPoint(_) => pc += 1,
-                Op::Pause => {
-                    let next_pc = t.resolve(pc + 1);
-                    done.push(Path {
-                        guard,
-                        writes: env.into_iter().collect(),
-                        sig_writes: sigw,
-                        arr_writes: arrw,
-                        next: t.state_at(next_pc),
-                    });
-                    break;
-                }
-                Op::Halt => {
-                    done.push(Path {
-                        guard,
-                        writes: env.into_iter().collect(),
-                        sig_writes: sigw,
-                        arr_writes: arrw,
-                        next: None,
-                    });
-                    break;
-                }
-            }
-        }
-    }
-    Ok(done)
 }
 
 fn guard_text(prog: &Program, guard: &[(Expr, bool)]) -> String {
@@ -266,76 +317,17 @@ fn guard_text(prog: &Program, guard: &[(Expr, bool)]) -> String {
         .join(" && ")
 }
 
-fn emit_state_body(v: &mut String, prog: &Program, _t: &FsmThread, ti: usize, paths: &[Path]) {
-    for p in paths {
-        let g = guard_text(prog, &p.guard);
-        let mut body = String::new();
-        let mut writes = p.writes.clone();
-        writes.sort_by_key(|(vid, _)| *vid);
-        for (vid, e) in &writes {
-            let name = prog
-                .var(kiwi_ir::VarId(*vid))
-                .map(|d| sanitize(&d.name))
-                .unwrap_or_default();
-            let _ = writeln!(body, "            {} <= {};", name, vexpr(prog, e));
-        }
-        for (sid, e) in &p.sig_writes {
-            let name = prog
-                .signal(kiwi_ir::SigId(*sid))
-                .map(|d| sanitize(&d.name))
-                .unwrap_or_default();
-            let _ = writeln!(body, "            {} <= {};", name, vexpr(prog, e));
-        }
-        for (aid, i, val) in &p.arr_writes {
-            let name = prog
-                .array(kiwi_ir::ArrId(*aid))
-                .map(|d| sanitize(&d.name))
-                .unwrap_or_default();
-            let _ = writeln!(
-                body,
-                "            {}[{}] <= {};",
-                name,
-                vexpr(prog, i),
-                vexpr(prog, val)
-            );
-        }
-        match p.next {
-            Some(sid) => {
-                let _ = writeln!(body, "            t{}_state <= T{}_S{};", ti, ti, sid);
-            }
-            None => {
-                let _ = writeln!(body, "            t{}_state <= t{}_state; // halt", ti, ti);
-            }
-        }
-        let _ = writeln!(v, "          if ({g}) begin");
-        v.push_str(&body);
-        let _ = writeln!(v, "          end");
-    }
-    if paths.is_empty() {
-        let _ = writeln!(v, "          // unreachable state");
-    }
-}
-
 /// Renders an expression as Verilog. Slices become shift-and-mask so that
 /// arbitrary sub-expressions stay legal; resizes become masks.
 fn vexpr(prog: &Program, e: &Expr) -> String {
     match e {
         Expr::Const(b) => b.to_string(),
-        Expr::Var(vid) => prog
-            .var(*vid)
-            .map(|d| sanitize(&d.name))
-            .unwrap_or_default(),
-        Expr::SigRead(s) => prog
-            .signal(*s)
-            .map(|d| sanitize(&d.name))
-            .unwrap_or_default(),
-        Expr::ArrRead(a, i) => format!(
-            "{}[{}]",
-            prog.array(*a)
-                .map(|d| sanitize(&d.name))
-                .unwrap_or_default(),
-            vexpr(prog, i)
-        ),
+        Expr::Var(r) => sanitize(prog.var(*r).map_or("", |d| &d.name)),
+        Expr::SigRead(s) => sanitize(prog.signal(*s).map_or("", |d| &d.name)),
+        Expr::ArrRead(a, i) => {
+            let name = sanitize(prog.array(*a).map_or("", |d| &d.name));
+            format!("{name}[{}]", vexpr(prog, i))
+        }
         Expr::Un(op, x) => match op {
             UnOp::Not => format!("(~{})", vexpr(prog, x)),
             UnOp::Neg => format!("(-{})", vexpr(prog, x)),
@@ -558,6 +550,51 @@ mod tests {
         lint(&text).unwrap();
         // After substitution b's RHS contains the literal 5, not `a`.
         assert!(text.contains("b <= (8'h5 + 8'h1);"), "emitted:\n{text}");
+    }
+
+    #[test]
+    fn array_writes_feed_later_reads_of_the_array() {
+        // A read after writes to its array is a mux over them, the latest
+        // outermost; a write at another constant index is skipped, and the
+        // written value is cut to the element width.
+        let mut pb = ProgramBuilder::new("fwd_arr");
+        let t = pb.array("t", 8, 4, ArrayBacking::BlockRam);
+        let (i, j) = (pb.reg("i", 2), pb.reg("j", 2));
+        let (y, z) = (pb.reg("y", 8), pb.reg("z", 8));
+        pb.thread(
+            "main",
+            vec![
+                arr_write(t, var(i), lit(0x107, 16)),
+                arr_write(t, lit(1, 2), lit(9, 8)),
+                assign(y, arr_read(t, var(j))),
+                assign(z, arr_read(t, lit(2, 2))),
+                halt(),
+            ],
+        );
+        let text = emit(&compile(pb)).unwrap();
+        lint(&text).unwrap();
+        let latest = "((|(j == 2'h1)) ? 8'h9 : ((|(j == i)) ? (16'h107 & 8'hff) : t[j]))";
+        assert!(text.contains(&format!("y <= {latest};")), "{text}");
+        let at_2 = "((|(2'h2 == i)) ? (16'h107 & 8'hff) : t[2'h2])";
+        assert!(text.contains(&format!("z <= {at_2};")), "{text}");
+    }
+
+    #[test]
+    fn output_writes_feed_later_reads_of_the_output() {
+        let mut pb = ProgramBuilder::new("fwd_sig");
+        let o = pb.sig_out("o", 8);
+        let r = pb.reg("r", 8);
+        pb.thread(
+            "main",
+            vec![
+                sig_write(o, lit(0x105, 12)),
+                assign(r, add(sig(o), lit(1, 8))),
+                halt(),
+            ],
+        );
+        let text = emit(&compile(pb)).unwrap();
+        lint(&text).unwrap();
+        assert!(text.contains("r <= ((12'h105 & 8'hff) + 8'h1);"), "{text}");
     }
 
     #[test]

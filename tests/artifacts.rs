@@ -48,31 +48,37 @@ fn every_service_compiles_and_emits_valid_verilog() {
 
 /// Every service's emitted Verilog (FNV-1a of the text) and each
 /// thread's FSM state count, pinned as literals: the FSM's in-memory
-/// representation may change, the schedule and the Verilog may not.
-/// (`-- --nocapture` prints a run's values in literal syntax.)
+/// representation may change, the schedule and the Verilog may not. The
+/// last column is the lowered table's rows (control paths), as the most
+/// in one state and the total, against the emitter's limit of 4096 in
+/// one state. (`-- --nocapture` prints a run's values in literal syntax.)
 #[test]
 fn verilog_and_state_counts_are_pinned() {
-    let got: Vec<(&str, u64, Vec<usize>)> = all_services()
+    let got: Vec<_> = all_services()
         .into_iter()
         .map(|(name, svc)| {
             let fsm = compile(&svc.program).unwrap();
-            let states = fsm.threads.iter().map(|t| t.state_count()).collect();
-            (name, fnv(&emit(&fsm).unwrap()), states)
+            let states: Vec<usize> = fsm.threads.iter().map(|t| t.state_count()).collect();
+            let table = kiwi::lower(&fsm).unwrap();
+            let per_state = table.threads.iter().flat_map(|t| &t.states);
+            let rows: Vec<usize> = per_state.map(|(_, rows)| rows.len()).collect();
+            let paths = (*rows.iter().max().unwrap(), rows.iter().sum::<usize>());
+            (name, fnv(&emit(&fsm).unwrap()), states, paths)
         })
         .collect();
-    for (name, digest, states) in &got {
-        println!("        (\"{name}\", {digest:#018x}, vec!{states:?}),");
+    for (name, digest, states, paths) in &got {
+        println!("        (\"{name}\", {digest:#018x}, vec!{states:?}, {paths:?}),");
     }
-    let want: Vec<(&str, u64, Vec<usize>)> = vec![
-        ("switch-cam", 0x0f5f9baeade99209, vec![7]),
-        ("switch-behavioural", 0x794840d9b80b32b1, vec![8]),
-        ("filter", 0x75304396205a6d41, vec![8]),
-        ("icmp", 0x93c24cd7ad3307d9, vec![29]),
-        ("tcp-ping", 0x7de6798857739697, vec![41]),
-        ("dns", 0x2904d37198ba5010, vec![59]),
-        ("memcached", 0x549b3ccfa56d579c, vec![212]),
-        ("nat", 0xf8211546bbc76610, vec![45]),
-        ("cache", 0x923c44633f59773d, vec![82]),
+    let want = vec![
+        ("switch-cam", 0x0f5f9baeade99209, vec![7], (2, 11)),
+        ("switch-behavioural", 0x794840d9b80b32b1, vec![8], (2, 12)),
+        ("filter", 0x75304396205a6d41, vec![8], (3, 13)),
+        ("icmp", 0x93c24cd7ad3307d9, vec![29], (3, 34)),
+        ("tcp-ping", 0x7de6798857739697, vec![41], (3, 46)),
+        ("dns", 0x2904d37198ba5010, vec![59], (4, 67)),
+        ("memcached", 0x549b3ccfa56d579c, vec![212], (13, 258)),
+        ("nat", 0xf8211546bbc76610, vec![45], (6, 64)),
+        ("cache", 0x923c44633f59773d, vec![82], (13, 117)),
     ];
     assert_eq!(got, want, "the schedule or the emitted Verilog moved");
 }

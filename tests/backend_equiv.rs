@@ -18,12 +18,12 @@
 //! (including error variants and per-shard cycle accounting) for all
 //! five soak services.
 
+mod common;
+
+use common::soak_pairings;
 use emu::prelude::*;
 use emu::services as s;
-use emu_traffic::{
-    Adversarial, Background, DnsWeighted, FlowChurn, MacChurn, MemcachedZipf, Mix,
-    TcpConversations, TrafficGen,
-};
+use emu_traffic::{FlowChurn, MacChurn, TrafficGen};
 use emu_types::Bits;
 use kiwi_ir::dsl::*;
 // `dsl::sig` would be shadowed by `sig: &Sig` parameters below.
@@ -660,52 +660,6 @@ proptest! {
 // ---------------------------------------------------------------------
 // Soak-level: whole traffic mixes through Engines on both CPU backends.
 // ---------------------------------------------------------------------
-
-/// The five soak services paired with their generators (same pairings
-/// as the soak harness and `differential_props::traffic_props`).
-fn soak_pairings(seed: u64) -> Vec<(&'static str, emu::stdlib::Service, Box<dyn TrafficGen>)> {
-    vec![
-        (
-            "tcp-ping",
-            s::tcp_ping(),
-            Box::new(TcpConversations::new(seed, 6, &[0, 1, 2, 3])),
-        ),
-        (
-            "memcached",
-            s::memcached(),
-            Box::new(MemcachedZipf::new(seed, 16, 1.0, 0.8)),
-        ),
-        (
-            "dns",
-            s::dns_server(vec![
-                ("example.com".to_string(), "93.184.216.34".parse().unwrap()),
-                ("a.b".to_string(), "1.2.3.4".parse().unwrap()),
-            ]),
-            Box::new(DnsWeighted::new(
-                seed,
-                &[("example.com", 2), ("a.b", 1), ("x.y", 1)],
-            )),
-        ),
-        (
-            "nat",
-            s::nat("203.0.113.1".parse().unwrap()),
-            Box::new(
-                Mix::new(seed)
-                    .add(4, TcpConversations::new(seed ^ 1, 6, &[1, 2]))
-                    .add(1, Adversarial::new(seed ^ 2, &[1, 2, 3])),
-            ),
-        ),
-        (
-            "switch",
-            s::switch_ip_cam(),
-            Box::new(
-                Mix::new(seed)
-                    .add(3, Background::new(seed ^ 1, &[0, 1, 2, 3]))
-                    .add(1, Adversarial::new(seed ^ 2, &[0, 1, 2, 3])),
-            ),
-        ),
-    ]
-}
 
 /// The churn pairings: stateful services whose small, TTL'd tables see
 /// entries inserted, aged out, and re-learned mid-stream. The `bool`

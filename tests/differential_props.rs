@@ -2,12 +2,12 @@
 //! service on both execution targets, and random programs through the
 //! interpreter and the cycle-accurate executor, must agree exactly.
 
+mod common;
+
+use common::soak_pairings;
 use emu::prelude::*;
 use emu::services as s;
-use emu_traffic::{
-    Adversarial, Background, DnsWeighted, FlowChurn, MacChurn, MemcachedZipf, Mix,
-    TcpConversations, TrafficGen,
-};
+use emu_traffic::{Adversarial, Background, DnsWeighted, FlowChurn, MacChurn, Mix, TrafficGen};
 use emu_types::proto::ip_proto;
 use emu_types::wire;
 use kiwi_ir::dsl::*;
@@ -279,52 +279,6 @@ proptest! {
 mod traffic_props {
     use super::*;
 
-    /// The soak services each generator is paired with, as
-    /// `(label, service, generator)` for a given seed.
-    fn pairings(seed: u64) -> Vec<(&'static str, emu::stdlib::Service, Box<dyn TrafficGen>)> {
-        vec![
-            (
-                "tcp-ping",
-                s::tcp_ping(),
-                Box::new(TcpConversations::new(seed, 6, &[0, 1, 2, 3])),
-            ),
-            (
-                "memcached",
-                s::memcached(),
-                Box::new(MemcachedZipf::new(seed, 16, 1.0, 0.8)),
-            ),
-            (
-                "dns",
-                s::dns_server(vec![
-                    ("example.com".to_string(), "93.184.216.34".parse().unwrap()),
-                    ("a.b".to_string(), "1.2.3.4".parse().unwrap()),
-                ]),
-                Box::new(DnsWeighted::new(
-                    seed,
-                    &[("example.com", 2), ("a.b", 1), ("x.y", 1)],
-                )),
-            ),
-            (
-                "nat",
-                s::nat("203.0.113.1".parse().unwrap()),
-                Box::new(
-                    Mix::new(seed)
-                        .add(4, TcpConversations::new(seed ^ 1, 6, &[1, 2]))
-                        .add(1, Adversarial::new(seed ^ 2, &[1, 2, 3])),
-                ),
-            ),
-            (
-                "switch",
-                s::switch_ip_cam(),
-                Box::new(
-                    Mix::new(seed)
-                        .add(3, Background::new(seed ^ 1, &[0, 1, 2, 3]))
-                        .add(1, Adversarial::new(seed ^ 2, &[0, 1, 2, 3])),
-                ),
-            ),
-        ]
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -333,7 +287,7 @@ mod traffic_props {
             // Every generator's stream — including its adversarial
             // slices — produces identical per-frame outcomes on the
             // interpreter (Cpu) and the cycle-accurate RTL (Fpga).
-            for (label, svc, mut gen) in pairings(seed) {
+            for (label, svc, mut gen) in soak_pairings(seed) {
                 let mut cpu = svc.engine(Target::Cpu).build().unwrap();
                 let mut fpga = svc.engine(Target::Fpga).build().unwrap();
                 for i in 0..24 {
