@@ -316,8 +316,8 @@ pub(crate) mod tests {
         let prog = pb.build().unwrap();
         let mut drv = rtl_driver(&prog);
 
-        let ipv4 = Frame::ethernet(MacAddr::ZERO, MacAddr::ZERO, ether_type::IPV4, &[0; 46]);
-        let arp = Frame::ethernet(MacAddr::ZERO, MacAddr::ZERO, ether_type::ARP, &[0; 46]);
+        let ipv4 = Frame::ethernet(MacAddr([0; 6]), MacAddr([0; 6]), ether_type::IPV4, &[0; 46]);
+        let arp = Frame::ethernet(MacAddr([0; 6]), MacAddr([0; 6]), ether_type::ARP, &[0; 46]);
         let out1 = drv.process(&ipv4, &mut NullEnv, &mut NullObserver).unwrap();
         let out2 = drv.process(&arp, &mut NullEnv, &mut NullObserver).unwrap();
         assert_eq!(out1.tx.len(), 1);

@@ -921,11 +921,6 @@ impl Engine {
         self.shards.len()
     }
 
-    /// Whether batches execute shards on real threads.
-    pub fn is_parallel(&self) -> bool {
-        self.parallel
-    }
-
     /// Name of the active dispatch policy.
     pub fn dispatch_name(&self) -> &'static str {
         self.dispatch.name()
@@ -1220,7 +1215,7 @@ mod tests {
             .parallel(true)
             .build()
             .unwrap();
-        assert!(par.is_parallel() && !seq.is_parallel());
+        assert!(par.parallel && !seq.parallel);
         let a = seq.process_batch(&frames);
         let b = par.process_batch(&frames);
         assert_eq!(a.shard_cycles, b.shard_cycles);

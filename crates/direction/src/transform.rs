@@ -493,9 +493,9 @@ mod tests {
         // assert the *structural* property: no direction branch present.
         let cfg = ControllerConfig::read_only(&[]);
         let ext = extend_program(&prog, &cfg).unwrap();
-        let text = kiwi_ir::pretty::program_to_string(&ext);
+        let direction = format!("16'h{:x}", emu_types::proto::ether_type::DIRECTION);
         assert!(
-            !text.contains("34997"),
+            !format!("{:?}", ext.threads).contains(&direction),
             "no direction ethertype check expected"
         );
     }

@@ -456,7 +456,8 @@ mod tests {
         assert_eq!(engines.len(), topo.engines());
         for node in engines {
             let engine = topo.net.engine_mut(node).expect("an engine node");
-            assert!(!engine.is_parallel(), "{node:?} is parallel");
+            let engine = format!("{engine:?}");
+            assert!(engine.contains("parallel: false"), "{node:?}: {engine}");
         }
     }
 }

@@ -12,7 +12,7 @@
 //!   references the Emu services' replies are checked against byte for
 //!   byte (`emu_traffic::HostChecker`),
 //! * [`workload`] — a memaslap-style load generator,
-//! * [`rng`] — auditable samplers (Box–Muller, lognormal, exponential).
+//! * [`rng`] — auditable samplers (Box–Muller, lognormal).
 
 #![forbid(unsafe_code)]
 

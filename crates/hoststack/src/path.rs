@@ -203,14 +203,6 @@ impl HostProfile {
             .sum()
     }
 
-    /// Samples one request with a per-stage breakdown (µs).
-    pub fn sample_breakdown(&self, rng: &mut StdRng) -> Vec<(&'static str, f64)> {
-        self.stages
-            .iter()
-            .map(|s| (s.name, lognormal_mean(rng, s.mean_us, s.sigma)))
-            .collect()
-    }
-
     /// Runs the paper's latency experiment: `n` request/response pairs
     /// (§5.2 uses 100 K), returning the latency summary in nanoseconds
     /// (to match the pipeline simulator's units).
@@ -300,10 +292,9 @@ mod tests {
     fn breakdown_sums_to_latency_scale() {
         let p = HostProfile::memcached();
         let mut rng = StdRng::seed_from_u64(1);
-        let bd = p.sample_breakdown(&mut rng);
-        let total: f64 = bd.iter().map(|(_, us)| us).sum();
+        let total = p.sample_latency_us(&mut rng);
         assert!(total > 10.0 && total < 100.0, "total {total}");
-        assert!(bd.iter().any(|(n, _)| *n == "memcached-app"));
+        assert!(p.stages.iter().any(|s| s.name == "memcached-app"));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Random samplers for the host-path model.
 //!
-//! Only `rand`'s uniform source is taken as a dependency; the normal,
-//! lognormal and exponential transforms are implemented here (Box–Muller
-//! and inverse-CDF) and unit-tested against their analytic moments, so
+//! Only `rand`'s uniform source is taken as a dependency; the normal and
+//! lognormal transforms are implemented here (Box–Muller) and unit-tested against their analytic moments, so
 //! the latency distributions are fully auditable.
 
 use rand::Rng;
@@ -28,12 +27,6 @@ pub fn lognormal<R: Rng>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
 pub fn lognormal_mean<R: Rng>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
     let mu = mean.ln() - sigma * sigma / 2.0;
     lognormal(rng, mu, sigma)
-}
-
-/// Exponential with the given mean (inverse CDF).
-pub fn exponential<R: Rng>(rng: &mut R, mean: f64) -> f64 {
-    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-    -mean * u.ln()
 }
 
 #[cfg(test)]
@@ -91,19 +84,10 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let xs: Vec<f64> = (0..200_000).map(|_| exponential(&mut rng, 7.0)).collect();
-        let (m, _) = moments(&xs);
-        assert!((m - 7.0).abs() < 0.1, "mean {m}");
-    }
-
-    #[test]
     fn samplers_are_positive() {
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..10_000 {
             assert!(lognormal(&mut rng, 0.0, 1.0) > 0.0);
-            assert!(exponential(&mut rng, 1.0) >= 0.0);
         }
     }
 }

@@ -368,43 +368,8 @@ pub enum Stmt {
     Halt,
 }
 
-impl Stmt {
-    /// Visits every statement in the tree (including `self`), pre-order.
-    pub fn visit(&self, f: &mut impl FnMut(&Stmt)) {
-        f(self);
-        match self {
-            Stmt::If(_, t, e) => {
-                for s in t {
-                    s.visit(f);
-                }
-                for s in e {
-                    s.visit(f);
-                }
-            }
-            Stmt::While(_, b) => {
-                for s in b {
-                    s.visit(f);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// True if any statement in the subtree is a `Pause`.
-    pub fn contains_pause(&self) -> bool {
-        let mut found = false;
-        self.visit(&mut |s| {
-            if matches!(s, Stmt::Pause) {
-                found = true;
-            }
-        });
-        found
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::dsl::*;
     use crate::program::ProgramBuilder;
 
@@ -413,7 +378,7 @@ mod tests {
         let mut pb = ProgramBuilder::new("t");
         let a = pb.reg("a", 8);
         let b = pb.reg("b", 16);
-        let p = pb.build_for_test();
+        let p = pb.build().unwrap();
 
         assert_eq!(add(var(a), var(b)).width(&p).unwrap(), 16);
         assert_eq!(eq(var(a), var(b)).width(&p).unwrap(), 1);
@@ -436,7 +401,7 @@ mod tests {
         let mut pb = ProgramBuilder::new("t");
         let a = pb.reg("a", 8);
         let b = pb.reg("b", 16);
-        let p = pb.build_for_test();
+        let p = pb.build().unwrap();
         assert_eq!(shl(var(a), var(b)).width(&p).unwrap(), 8);
         assert_eq!(shr(var(a), var(b)).width(&p).unwrap(), 8);
         assert_eq!(shl(var(b), var(a)).width(&p).unwrap(), 16);
@@ -447,7 +412,7 @@ mod tests {
     fn bad_slice_rejected() {
         let mut pb = ProgramBuilder::new("t");
         let a = pb.reg("a", 8);
-        let p = pb.build_for_test();
+        let p = pb.build().unwrap();
         assert!(slice(var(a), 8, 0).width(&p).is_err());
         assert!(slice(var(a), 2, 5).width(&p).is_err());
     }
@@ -456,24 +421,12 @@ mod tests {
     fn delay_grows_with_depth() {
         let mut pb = ProgramBuilder::new("t");
         let a = pb.reg("a", 32);
-        let p = pb.build_for_test();
+        let p = pb.build().unwrap();
         let shallow = add(var(a), lit(1, 32));
         let deep = add(
             add(add(var(a), var(a)), add(var(a), var(a))),
             shallow.clone(),
         );
         assert!(deep.delay(&p) > shallow.delay(&p));
-    }
-
-    #[test]
-    fn contains_pause_scans_subtrees() {
-        let s = Stmt::If(
-            lit(1, 1),
-            vec![Stmt::While(lit(1, 1), vec![Stmt::Pause])],
-            vec![],
-        );
-        assert!(s.contains_pause());
-        let t = Stmt::If(lit(1, 1), vec![], vec![]);
-        assert!(!t.contains_pause());
     }
 }

@@ -240,7 +240,9 @@ mod tests {
 
     #[test]
     fn wait_until_contains_pause() {
-        let s = wait_until(lit(0, 1));
-        assert!(s.contains_pause());
+        let Stmt::While(_, body) = wait_until(lit(0, 1)) else {
+            panic!("wait_until is a loop");
+        };
+        assert_eq!(body, [Stmt::Pause]);
     }
 }

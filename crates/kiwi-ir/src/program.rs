@@ -271,18 +271,6 @@ impl Program {
         }
         Ok(())
     }
-
-    /// Rough static size of the program, used in reports: statement count
-    /// across all threads.
-    pub fn stmt_count(&self) -> usize {
-        let mut n = 0;
-        for t in &self.threads {
-            for s in &t.body {
-                s.visit(&mut |_| n += 1);
-            }
-        }
-        n
-    }
 }
 
 /// Incremental builder for [`Program`].
@@ -408,12 +396,6 @@ impl ProgramBuilder {
         self.prog.validate()?;
         Ok(self.prog)
     }
-
-    /// Finishes without validation; for width-rule unit tests only.
-    #[doc(hidden)]
-    pub fn build_for_test(self) -> Program {
-        self.prog
-    }
 }
 
 #[cfg(test)]
@@ -440,7 +422,6 @@ mod tests {
         assert_eq!(p.var_by_name("a"), Some(a));
         assert_eq!(p.array_by_name("t"), Some(arr));
         assert_eq!(p.signal_by_name("led"), Some(s));
-        assert_eq!(p.stmt_count(), 4);
     }
 
     #[test]

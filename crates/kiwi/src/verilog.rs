@@ -236,10 +236,14 @@ pub fn print(table: &RtlTable) -> String {
     }
 
     for (ti, t) in table.threads.iter().enumerate() {
-        let _ = writeln!(v, "  reg [{}:0] t{ti}_state;", bits_for(t.states.len()) - 1);
+        // One past the last state is the halt state, which the width
+        // `bits_for(n)` of a register numbering states `0..=n` holds.
+        let halt = t.states.len();
+        let _ = writeln!(v, "  reg [{}:0] t{ti}_state;", bits_for(halt) - 1);
         for (sid, (pc, _)) in t.states.iter().enumerate() {
             let _ = writeln!(v, "  localparam T{ti}_S{sid} = {sid}; // pc {pc}");
         }
+        let _ = writeln!(v, "  localparam T{ti}_HALT = {halt};");
     }
 
     for (ti, t) in table.threads.iter().enumerate() {
@@ -283,7 +287,7 @@ fn print_thread(v: &mut String, prog: &Program, t: &RtlThread, ti: usize) {
             }
             let _ = match row.next {
                 Some(sid) => writeln!(v, "            t{ti}_state <= T{ti}_S{sid};"),
-                None => writeln!(v, "            t{ti}_state <= t{ti}_state; // halt"),
+                None => writeln!(v, "            t{ti}_state <= T{ti}_HALT;"),
             };
             let _ = writeln!(v, "          end");
         }
@@ -293,6 +297,7 @@ fn print_thread(v: &mut String, prog: &Program, t: &RtlThread, ti: usize) {
         let _ = writeln!(v, "        end");
     }
 
+    let _ = writeln!(v, "        T{ti}_HALT: ; // halted: no row fires");
     let _ = writeln!(v, "        default: t{ti}_state <= T{ti}_S{};", t.entry);
     let _ = writeln!(v, "      endcase");
     let _ = writeln!(v, "    end");
@@ -595,6 +600,28 @@ mod tests {
         let text = emit(&compile(pb)).unwrap();
         lint(&text).unwrap();
         assert!(text.contains("r <= ((12'h105 & 8'hff) + 8'h1);"), "{text}");
+    }
+
+    #[test]
+    fn a_halting_row_parks_the_thread_in_a_state_with_no_rows() {
+        // `c := c + 1; halt` counts once, as the FSM does: the row that
+        // halts leaves for a state that assigns nothing, instead of
+        // re-firing on every later clock.
+        let mut pb = ProgramBuilder::new("once");
+        let c = pb.reg("c", 8);
+        pb.thread("main", vec![assign(c, add(var(c), lit(1, 8))), halt()]);
+        let text = emit(&compile(pb)).unwrap();
+        lint(&text).unwrap();
+        assert!(text.contains("localparam T0_HALT = 1;"), "{text}");
+        assert!(
+            text.contains("c <= (c + 8'h1);\n            t0_state <= T0_HALT;"),
+            "{text}"
+        );
+        assert!(
+            text.contains("        T0_HALT: ; // halted: no row fires\n"),
+            "{text}"
+        );
+        assert!(!text.contains("t0_state <= t0_state"), "{text}");
     }
 
     #[test]

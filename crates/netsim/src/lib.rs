@@ -35,7 +35,7 @@
 //!
 //! Service nodes carry **per-node drop accounting**: an engine refusing
 //! one frame (oversize input, trapping core) increments the node's drop
-//! counter ([`NetSim::service_drops`]) instead of aborting the
+//! counter (its `drops` in [`NetSim::telemetry`]) instead of aborting the
 //! simulation, so adversarial traffic mixes can soak whole topologies.
 //! Only simulation-fatal engine errors (`Build`, `Poisoned`) abort
 //! [`NetSim::run_until`].
@@ -597,7 +597,8 @@ impl NetSim {
     ///
     /// A service node refusing one frame — [`EngineError::Oversize`]
     /// input validation or a [`EngineError::Trap`] out of the core — is
-    /// a *per-node drop* ([`NetSim::service_drops`]), exactly as a real
+    /// a *per-node drop* (`drops` and `last_drop` of the node's entry in
+    /// [`NetSim::telemetry`]), exactly as a real
     /// NIC counts rx errors, so adversarial mixes run whole topologies
     /// without killing the simulation. Simulation-fatal errors —
     /// [`EngineError::Build`] and [`EngineError::Poisoned`] (the node
@@ -753,17 +754,6 @@ impl NetSim {
     /// ```
     pub fn agent_as<T: HostAgent + 'static>(&mut self, n: NodeId) -> Option<&mut T> {
         self.agent_mut(n)?.as_any_mut().downcast_mut::<T>()
-    }
-
-    /// Frames node `n`'s engine refused per-frame (oversize or trap) —
-    /// see [`NetSim::run_until`]. Zero for hosts.
-    pub fn service_drops(&self, n: NodeId) -> u64 {
-        self.nodes[n.0].drops
-    }
-
-    /// The most recent per-node drop's error text, if any.
-    pub fn last_drop_reason(&self, n: NodeId) -> Option<&str> {
-        self.nodes[n.0].last_drop.as_deref()
     }
 
     /// Whole-network telemetry as one JSON object: per-node drop
@@ -1294,22 +1284,28 @@ mod tests {
         net.run_until(1e12)
             .expect("adversarial mix must not abort the sim");
         assert!(oversize_sent > 0, "generator must produce oversize frames");
-        let drops = net.service_drops(sw);
+        let telemetry = net.telemetry();
+        let node = |name: &str| {
+            let nodes = telemetry.get("nodes").and_then(Json::as_arr).unwrap();
+            nodes
+                .iter()
+                .find(|n| n.get("node").and_then(Json::as_str) == Some(name))
+                .unwrap()
+        };
+        let drops = node("sw").get("drops").and_then(Json::as_u64).unwrap();
         assert!(drops > 0, "oversize frames must count as node drops");
         assert!(
             drops <= oversize_sent,
             "drops {drops} cannot exceed oversize offered {oversize_sent} \
              (the impaired link may lose some first)"
         );
-        assert!(
-            net.last_drop_reason(sw).unwrap().contains("exceeds"),
-            "{:?}",
-            net.last_drop_reason(sw)
-        );
+        let reason = node("sw").get("last_drop").and_then(Json::as_str);
+        assert!(reason.unwrap().contains("exceeds"), "{reason:?}");
         // The switch still processed the well-formed majority: broadcast
         // frames flooded to unlinked ports count there, not as drops.
         assert!(net.dropped_no_link > 0);
-        assert_eq!(net.service_drops(h), 0, "hosts never drop");
+        let host_drops = node("h").get("drops").and_then(Json::as_u64);
+        assert_eq!(host_drops, Some(0), "hosts never drop");
         assert_eq!(
             net.engine_mut(sw).unwrap().healthy_shards(),
             4,

@@ -31,9 +31,10 @@
 //! and returns a value as limbs borrowed from the slab (`lookup_limbs`,
 //! `peek_limbs`, `write_limbs`, `touch_limbs`, `delete_limbs`): the CAM
 //! models serve their ports through these, straight from and into the
-//! machine's signal words. The [`Bits`] methods (`lookup`, `write`, …)
-//! are thin wrappers over them that rebuild a value on the way out;
-//! nothing inside hashes, stores or compares a `Bits`.
+//! machine's signal words. A [`CamPair`] speaks limbs only. A table's
+//! [`Bits`] methods (`lookup`, `peek`, `write`, `touch`) are thin
+//! wrappers over them that rebuild a value on the way out; nothing
+//! inside hashes, stores or compares a `Bits`.
 //!
 //! The index hash is std's keyed SipHash
 //! ([`RandomState`], a fresh key per table) over the `kw` limbs. Keys
@@ -590,13 +591,6 @@ impl CamTable {
         Some((self.key_of(slot), self.value_of(slot)))
     }
 
-    /// [`CamTable::delete_limbs`] for a `Bits` key.
-    pub fn delete(&mut self, key: &Bits) -> Option<(Bits, Bits)> {
-        let (kb, vb) = (self.key_bits, self.value_bits);
-        let (k, v) = self.delete_limbs(key.limbs())?;
-        Some((Bits::from_limbs(k, kb), Bits::from_limbs(v, vb)))
-    }
-
     /// Removes `key` on behalf of a pair twin, charging `cause` to this
     /// table's stats. Does not report (no propagation loops).
     fn remove_for_pair(&mut self, key: &Bits, cause: RemoveCause) {
@@ -654,18 +648,6 @@ impl CamPair {
         Some(self.b.value_of(slot))
     }
 
-    /// [`CamPair::lookup_a_limbs`] for a `Bits` key.
-    pub fn lookup_a(&mut self, key: &Bits) -> Option<Bits> {
-        let slot = lookup(&mut self.a, &mut self.b, self.a_to_b, key.limbs())?;
-        Some(self.a.value_bits_at(slot))
-    }
-
-    /// [`CamPair::lookup_b_limbs`] for a `Bits` key.
-    pub fn lookup_b(&mut self, key: &Bits) -> Option<Bits> {
-        let slot = lookup(&mut self.b, &mut self.a, self.b_to_a, key.limbs())?;
-        Some(self.b.value_bits_at(slot))
-    }
-
     /// Writes into side A; an eviction takes the B partner with it.
     pub fn write_a_limbs(&mut self, key: &[u64], value: &[u64]) {
         write(&mut self.a, &mut self.b, self.a_to_b, key, value);
@@ -676,16 +658,6 @@ impl CamPair {
         write(&mut self.b, &mut self.a, self.b_to_a, key, value);
     }
 
-    /// [`CamPair::write_a_limbs`] for a `Bits` key and value.
-    pub fn write_a(&mut self, key: Bits, value: Bits) {
-        self.write_a_limbs(key.limbs(), value.limbs());
-    }
-
-    /// [`CamPair::write_b_limbs`] for a `Bits` key and value.
-    pub fn write_b(&mut self, key: Bits, value: Bits) {
-        self.write_b_limbs(key.limbs(), value.limbs());
-    }
-
     /// Deletes from side A, taking the B partner with it.
     pub fn delete_a_limbs(&mut self, key: &[u64]) {
         delete(&mut self.a, &mut self.b, self.a_to_b, key);
@@ -694,16 +666,6 @@ impl CamPair {
     /// Deletes from side B, taking the A partner with it.
     pub fn delete_b_limbs(&mut self, key: &[u64]) {
         delete(&mut self.b, &mut self.a, self.b_to_a, key);
-    }
-
-    /// [`CamPair::delete_a_limbs`] for a `Bits` key.
-    pub fn delete_a(&mut self, key: &Bits) {
-        self.delete_a_limbs(key.limbs());
-    }
-
-    /// [`CamPair::delete_b_limbs`] for a `Bits` key.
-    pub fn delete_b(&mut self, key: &Bits) {
-        self.delete_b_limbs(key.limbs());
     }
 }
 
@@ -772,6 +734,15 @@ mod tests {
 
     fn b(v: u64, w: u16) -> Bits {
         Bits::from_u64(v, w)
+    }
+
+    impl CamTable {
+        /// [`CamTable::delete_limbs`] for a `Bits` key.
+        fn delete(&mut self, key: &Bits) -> Option<(Bits, Bits)> {
+            let (kb, vb) = (self.key_bits, self.value_bits);
+            let (k, v) = self.delete_limbs(key.limbs())?;
+            Some((Bits::from_limbs(k, kb), Bits::from_limbs(v, vb)))
+        }
     }
 
     #[test]
@@ -886,10 +857,10 @@ mod tests {
         // Eviction in a removes the partner in b.
         let mut p = mk();
         for k in 1..=3u64 {
-            p.write_a(b(k, 8), b(0x10 + k, 8));
-            p.write_b(b(0x10 + k, 8), b(k, 8));
+            p.write_a_limbs(&[k], &[0x10 + k]);
+            p.write_b_limbs(&[0x10 + k], &[k]);
         }
-        // k=3's write_a evicted a's k=1 → b's 0x11 partner must be gone.
+        // k=3's write into a evicted a's k=1 → b's 0x11 partner must be gone.
         assert_eq!(p.a.occupancy(), 2);
         assert_eq!(p.b.occupancy(), 2);
         assert!(p.a.peek(&b(1, 8)).is_none());
@@ -898,18 +869,18 @@ mod tests {
 
         // Touch on one side keeps the partner alive past its TTL.
         let mut p = mk();
-        p.write_a(b(1, 8), b(0x11, 8));
-        p.write_b(b(0x11, 8), b(1, 8));
+        p.write_a_limbs(&[1], &[0x11]);
+        p.write_b_limbs(&[0x11], &[1]);
         for _ in 0..20 {
             p.tick_frame();
-            assert!(p.lookup_a(&b(1, 8)).is_some());
+            assert!(p.lookup_a_limbs(&[1]).is_some());
         }
         assert!(p.b.peek(&b(0x11, 8)).is_some(), "touch must propagate");
 
         // Expiry removes both sides.
         let mut p = mk();
-        p.write_a(b(1, 8), b(0x11, 8));
-        p.write_b(b(0x11, 8), b(1, 8));
+        p.write_a_limbs(&[1], &[0x11]);
+        p.write_b_limbs(&[0x11], &[1]);
         for _ in 0..12 {
             p.tick_frame();
         }
@@ -1245,13 +1216,19 @@ mod tests {
                 let ((fk, fv), (rk, rv)) = flow(f);
                 match op {
                     0 | 1 => {
-                        p.write_a(fk, fv);
-                        p.write_b(rk, rv);
+                        p.write_a_limbs(fk.limbs(), fv.limbs());
+                        p.write_b_limbs(rk.limbs(), rv.limbs());
                     }
-                    2 => prop_assert_eq!(p.lookup_a(&fk).is_some(), p.b.peek(&rk).is_some()),
-                    3 => prop_assert_eq!(p.lookup_b(&rk).is_some(), p.a.peek(&fk).is_some()),
-                    4 if f % 2 == 0 => p.delete_a(&fk),
-                    4 => p.delete_b(&rk),
+                    2 => prop_assert_eq!(
+                        p.lookup_a_limbs(fk.limbs()).is_some(),
+                        p.b.peek(&rk).is_some()
+                    ),
+                    3 => prop_assert_eq!(
+                        p.lookup_b_limbs(rk.limbs()).is_some(),
+                        p.a.peek(&fk).is_some()
+                    ),
+                    4 if f % 2 == 0 => p.delete_a_limbs(fk.limbs()),
+                    4 => p.delete_b_limbs(rk.limbs()),
                     _ => p.tick_frame(),
                 }
                 prop_assert_eq!(p.a.occupancy(), p.b.occupancy());
@@ -1327,10 +1304,13 @@ mod tests {
             }
         }
 
-        /// The same for a [`CamPair`] (NAT's geometry and partner keys):
-        /// every hit and value agree, and so do both sides' statistics,
-        /// occupancy and contents, so a twin removed through one entry
-        /// point is removed through the other.
+        /// The same for a [`CamPair`] (NAT's geometry and partner keys),
+        /// which speaks limbs only: a pair fed each key and value as a
+        /// `Bits` spelt narrower than, as wide as or 40 bits wider than its
+        /// table's width, and a twin fed the one-limb words, agree on every
+        /// hit and value, and so do both sides' statistics, occupancy and
+        /// contents, so a twin removed through one spelling is removed
+        /// through the other.
         #[test]
         fn pair_bits_and_limb_entry_points_agree(
             capacity in 1usize..=8,
@@ -1357,32 +1337,33 @@ mod tests {
                 let rev = (at((port << 8) | proto, 24), at((host << 8) | (1 + f % 3), 56));
                 (fwd, rev)
             };
+            let word = |x: &Bits| [x.to_u64()];
             for (op, f, w) in ops {
                 let ((fk, fv), (rk, rv)) = flow(f, w);
                 match op {
                     0 => {
-                        by_bits.write_a(fk.clone(), fv.clone());
-                        by_limbs.write_a_limbs(fk.limbs(), fv.limbs());
+                        by_bits.write_a_limbs(fk.limbs(), fv.limbs());
+                        by_limbs.write_a_limbs(&word(&fk), &word(&fv));
                     }
                     1 => {
-                        by_bits.write_b(rk.clone(), rv.clone());
-                        by_limbs.write_b_limbs(rk.limbs(), rv.limbs());
+                        by_bits.write_b_limbs(rk.limbs(), rv.limbs());
+                        by_limbs.write_b_limbs(&word(&rk), &word(&rv));
                     }
                     2 => prop_assert_eq!(
-                        by_bits.lookup_a(&fk),
-                        by_limbs.lookup_a_limbs(fk.limbs()).map(|v| Bits::from_limbs(v, 16))
+                        by_bits.lookup_a_limbs(fk.limbs()).map(<[u64]>::to_vec),
+                        by_limbs.lookup_a_limbs(&word(&fk)).map(<[u64]>::to_vec)
                     ),
                     3 => prop_assert_eq!(
-                        by_bits.lookup_b(&rk),
-                        by_limbs.lookup_b_limbs(rk.limbs()).map(|v| Bits::from_limbs(v, 56))
+                        by_bits.lookup_b_limbs(rk.limbs()).map(<[u64]>::to_vec),
+                        by_limbs.lookup_b_limbs(&word(&rk)).map(<[u64]>::to_vec)
                     ),
                     4 => {
-                        by_bits.delete_a(&fk);
-                        by_limbs.delete_a_limbs(fk.limbs());
+                        by_bits.delete_a_limbs(fk.limbs());
+                        by_limbs.delete_a_limbs(&word(&fk));
                     }
                     5 => {
-                        by_bits.delete_b(&rk);
-                        by_limbs.delete_b_limbs(rk.limbs());
+                        by_bits.delete_b_limbs(rk.limbs());
+                        by_limbs.delete_b_limbs(&word(&rk));
                     }
                     _ => {
                         by_bits.tick_frame();

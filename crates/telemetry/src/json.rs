@@ -107,14 +107,6 @@ impl Json {
         }
     }
 
-    /// The bool, if this is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The array elements, if this is an array.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
@@ -592,7 +584,7 @@ mod tests {
     fn accessors_select_the_right_variants() {
         let j = Json::parse("{\"a\": [1, \"x\"], \"b\": true}").unwrap();
         assert_eq!(j.get("a").unwrap().as_arr().unwrap().len(), 2);
-        assert_eq!(j.get("b").and_then(Json::as_bool), Some(true));
+        assert_eq!(j.get("b"), Some(&Json::Bool(true)));
         assert_eq!(j.get("missing"), None);
         assert_eq!(Json::from(1.5).as_u64(), None, "non-integers reject");
         assert_eq!(Json::from(3u64).as_u64(), Some(3));

@@ -10,8 +10,6 @@
 //! bounded, and source MACs are always unicast so learning switches
 //! behave canonically.
 
-#[cfg(test)]
-use crate::build::byte_at;
 use crate::build::{tcp_flags, tcp_frame, udp_frame};
 use crate::TrafficGen;
 use emu_types::proto::{ether_type, offset};
@@ -166,7 +164,7 @@ impl TrafficGen for Adversarial {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::{ipv4_csum_ok, l4_csum_ok};
+    use crate::build::{byte_at, ipv4_csum_ok, l4_csum_ok};
 
     #[test]
     fn stream_contains_every_malformation() {
@@ -174,7 +172,7 @@ mod tests {
         let mut saw = [false; 6];
         for _ in 0..500 {
             let f = g.next_frame();
-            assert!(!f.src_mac().is_multicast(), "unicast sources only");
+            assert_eq!(f.src_mac().0[0] & 1, 0, "unicast sources only");
             if f.len() > 1_536 {
                 saw[0] = true; // oversize
             }

@@ -84,7 +84,7 @@ mod tests {
         let (mut arp, mut icmp) = (0, 0);
         for _ in 0..400 {
             let f = g.next_frame();
-            assert!(!f.src_mac().is_multicast(), "sources must be unicast");
+            assert_eq!(f.src_mac().0[0] & 1, 0, "sources must be unicast");
             match f.ethertype() {
                 emu_types::proto::ether_type::ARP => arp += 1,
                 emu_types::proto::ether_type::IPV4 => {

@@ -128,7 +128,7 @@ mod tests {
     fn arp_request_is_broadcast() {
         let f = arp_request(mac(0xa), Ipv4::new(10, 0, 0, 1), Ipv4::new(10, 0, 0, 2), 3);
         assert_eq!(f.ethertype(), ether_type::ARP);
-        assert!(f.dst_mac().is_broadcast());
+        assert_eq!(f.dst_mac(), MacAddr::BROADCAST);
         assert_eq!(f.in_port, 3);
     }
 }

@@ -21,7 +21,7 @@ use emu_rtl::{CamPair, CamTable};
 use emu_services::nat::{nat_cam_pair, FIRST_EPHEMERAL, NAT_ENTRIES, PORT_SCAN_CAP};
 use emu_services::switch::TABLE_ENTRIES;
 use emu_types::proto::{ether_type, ip_proto, offset};
-use emu_types::{bitutil, Bits, Frame, Ipv4};
+use emu_types::{bitutil, Frame, Ipv4};
 use hoststack::{HostMemcached, HostService};
 use netfpga_sim::dataplane::CoreOutput;
 use netfpga_sim::switch_forward;
@@ -105,16 +105,13 @@ struct NatShadow {
 }
 
 /// The fwd-table key `{int_ip, int_port, proto}` (56 bits).
-fn nat_fwd_key(src: u32, sport: u16, proto: u8) -> Bits {
-    Bits::from_u64(
-        (u64::from(src) << 24) | (u64::from(sport) << 8) | u64::from(proto),
-        56,
-    )
+fn nat_fwd_key(src: u32, sport: u16, proto: u8) -> u64 {
+    (u64::from(src) << 24) | (u64::from(sport) << 8) | u64::from(proto)
 }
 
 /// The rev-table key `{ext_port, proto}` (24 bits).
-fn nat_rev_key(ext: u16, proto: u8) -> Bits {
-    Bits::from_u64((u64::from(ext) << 8) | u64::from(proto), 24)
+fn nat_rev_key(ext: u16, proto: u8) -> u64 {
+    (u64::from(ext) << 8) | u64::from(proto)
 }
 
 impl NatShadow {
@@ -132,7 +129,11 @@ impl NatShadow {
             } else {
                 self.next_port + self.stride
             };
-            if self.pair.lookup_b(&nat_rev_key(ext, proto)).is_none() {
+            if self
+                .pair
+                .lookup_b_limbs(&[nat_rev_key(ext, proto)])
+                .is_none()
+            {
                 return Some(ext);
             }
         }
@@ -191,13 +192,6 @@ impl NatChecker {
                 stride: shards as u16,
             })
             .collect()
-    }
-
-    /// Translation entries resident in the shadow tables (live plus
-    /// expired-but-not-yet-reclaimed, exactly as the engine counts
-    /// occupancy).
-    pub fn mappings(&self) -> usize {
-        self.shards.iter().map(|s| s.pair.a.occupancy()).sum()
     }
 
     /// The service's view: IPv4 EtherType, IHL 5 (options are
@@ -283,21 +277,18 @@ impl Checker for NatChecker {
             let sport = bitutil::get16(b, offset::L4);
             let key = nat_fwd_key(src, sport, proto);
             let shadow = &mut self.shards[shard];
-            let (want, fresh) = match shadow.pair.lookup_a(&key) {
-                Some(v) => (Some(v.to_u64() as u16), false),
+            let (want, fresh) = match shadow.pair.lookup_a_limbs(&[key]).map(|v| v[0] as u16) {
+                Some(ext) => (Some(ext), false),
                 None => {
                     let ext = shadow.allocate(proto);
                     if let Some(p) = ext {
-                        shadow.pair.write_a(key, Bits::from_u64(u64::from(p), 16));
-                        shadow.pair.write_b(
-                            nat_rev_key(p, proto),
-                            Bits::from_u64(
-                                (u64::from(src) << 24)
-                                    | (u64::from(sport) << 8)
-                                    | u64::from(input.in_port),
-                                56,
-                            ),
-                        );
+                        shadow.pair.write_a_limbs(&[key], &[u64::from(p)]);
+                        let owner = (u64::from(src) << 24)
+                            | (u64::from(sport) << 8)
+                            | u64::from(input.in_port);
+                        shadow
+                            .pair
+                            .write_b_limbs(&[nat_rev_key(p, proto)], &[owner]);
                     }
                     (ext, true)
                 }
@@ -351,9 +342,12 @@ impl Checker for NatChecker {
             // shadow (the lookup itself refreshes the mapping's idle
             // timer, as the hardware lookup does).
             let dport = bitutil::get16(b, offset::L4 + 2);
-            match self.shards[shard].pair.lookup_b(&nat_rev_key(dport, proto)) {
+            let mapping = self.shards[shard]
+                .pair
+                .lookup_b_limbs(&[nat_rev_key(dport, proto)])
+                .map(|v| v[0]);
+            match mapping {
                 Some(v) => {
-                    let v = v.to_u64();
                     let int_ip = (v >> 24) as u32;
                     let int_port = (v >> 8) as u16;
                     let phys = v as u8;
@@ -726,6 +720,15 @@ mod tests {
 
     fn public() -> Ipv4 {
         "203.0.113.1".parse().unwrap()
+    }
+
+    impl NatChecker {
+        /// Translation entries resident in the shadow tables (live plus
+        /// expired-but-not-yet-reclaimed, exactly as the engine counts
+        /// occupancy).
+        fn mappings(&self) -> usize {
+            self.shards.iter().map(|s| s.pair.a.occupancy()).sum()
+        }
     }
 
     #[test]

@@ -67,11 +67,6 @@ impl FlowChurn {
         }
     }
 
-    /// Distinct flows started so far (live + departed).
-    pub fn flows_started(&self) -> u64 {
-        self.next_id
-    }
-
     /// The immutable 5-tuple ingredients of flow `id`: ids map to
     /// unique `{src_ip, sport}` pairs (10.0.0.0/8 hosts × 4096 ports),
     /// so fresh flows always need fresh translations.
@@ -149,11 +144,6 @@ impl MacChurn {
         }
     }
 
-    /// Stations that have ever been in the window.
-    pub fn stations_seen(&self) -> u64 {
-        self.oldest + self.live
-    }
-
     fn mac(station: u64) -> MacAddr {
         MacAddr::from_u64(0x0600_0000_0000 | station)
     }
@@ -205,6 +195,20 @@ impl TrafficGen for MacChurn {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FlowChurn {
+        /// Distinct flows started so far (live + departed).
+        pub(crate) fn flows_started(&self) -> u64 {
+            self.next_id
+        }
+    }
+
+    impl MacChurn {
+        /// Stations that have ever been in the window.
+        pub(crate) fn stations_seen(&self) -> u64 {
+            self.oldest + self.live
+        }
+    }
 
     #[test]
     fn flow_churn_turns_the_pool_over() {

@@ -12,7 +12,7 @@ use std::str::FromStr;
 ///
 /// let m: MacAddr = "02:00:00:00:00:01".parse().unwrap();
 /// assert_eq!(m.to_u64(), 0x0200_0000_0001);
-/// assert!(!m.is_broadcast());
+/// assert_ne!(m, MacAddr::BROADCAST);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MacAddr(pub [u8; 6]);
@@ -20,9 +20,6 @@ pub struct MacAddr(pub [u8; 6]);
 impl MacAddr {
     /// The all-ones broadcast address.
     pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
-
-    /// The all-zero address (never valid on the wire).
-    pub const ZERO: MacAddr = MacAddr([0; 6]);
 
     /// Builds an address from the low 48 bits of `v`.
     pub fn from_u64(v: u64) -> Self {
@@ -34,16 +31,6 @@ impl MacAddr {
     pub fn to_u64(self) -> u64 {
         let b = self.0;
         u64::from_be_bytes([0, 0, b[0], b[1], b[2], b[3], b[4], b[5]])
-    }
-
-    /// True for the broadcast address.
-    pub fn is_broadcast(self) -> bool {
-        self == Self::BROADCAST
-    }
-
-    /// True if the group (multicast) bit is set.
-    pub fn is_multicast(self) -> bool {
-        self.0[0] & 1 == 1
     }
 
     /// Returns the raw octets.
@@ -100,15 +87,12 @@ impl FromStr for MacAddr {
 ///
 /// let ip: Ipv4 = "192.168.0.1".parse().unwrap();
 /// assert_eq!(ip.octets(), [192, 168, 0, 1]);
-/// assert!(ip.in_subnet("192.168.0.0".parse().unwrap(), 24));
+/// assert_eq!(ip, Ipv4::new(192, 168, 0, 1));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ipv4(pub u32);
 
 impl Ipv4 {
-    /// The unspecified address `0.0.0.0`.
-    pub const UNSPECIFIED: Ipv4 = Ipv4(0);
-
     /// The limited broadcast address `255.255.255.255`.
     pub const BROADCAST: Ipv4 = Ipv4(u32::MAX);
 
@@ -120,20 +104,6 @@ impl Ipv4 {
     /// Returns the four octets.
     pub fn octets(self) -> [u8; 4] {
         self.0.to_be_bytes()
-    }
-
-    /// True if `self` lies in `net/prefix_len`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prefix_len > 32`.
-    pub fn in_subnet(self, net: Ipv4, prefix_len: u8) -> bool {
-        assert!(prefix_len <= 32, "bad prefix length {prefix_len}");
-        if prefix_len == 0 {
-            return true;
-        }
-        let mask = u32::MAX << (32 - u32::from(prefix_len));
-        (self.0 & mask) == (net.0 & mask)
     }
 }
 
@@ -174,16 +144,9 @@ mod tests {
     #[test]
     fn mac_parse() {
         let m: MacAddr = "ff:ff:ff:ff:ff:ff".parse().unwrap();
-        assert!(m.is_broadcast());
-        assert!(m.is_multicast());
+        assert_eq!(m, MacAddr::BROADCAST);
         assert!("xx:00:00:00:00:00".parse::<MacAddr>().is_err());
         assert!("00:11:22:33:44".parse::<MacAddr>().is_err());
-    }
-
-    #[test]
-    fn mac_multicast_bit() {
-        assert!(MacAddr([0x01, 0, 0x5e, 0, 0, 1]).is_multicast());
-        assert!(!MacAddr([0x02, 0, 0, 0, 0, 1]).is_multicast());
     }
 
     #[test]
@@ -193,14 +156,5 @@ mod tests {
         assert_eq!(ip.0, 0x0a010203);
         assert!("10.1.2".parse::<Ipv4>().is_err());
         assert!("10.1.2.300".parse::<Ipv4>().is_err());
-    }
-
-    #[test]
-    fn subnet_membership() {
-        let ip: Ipv4 = "192.168.1.77".parse().unwrap();
-        assert!(ip.in_subnet("192.168.1.0".parse().unwrap(), 24));
-        assert!(!ip.in_subnet("192.168.2.0".parse().unwrap(), 24));
-        assert!(ip.in_subnet("192.168.0.0".parse().unwrap(), 16));
-        assert!(ip.in_subnet(Ipv4::UNSPECIFIED, 0));
     }
 }

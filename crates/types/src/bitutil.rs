@@ -83,18 +83,6 @@ pub fn field(v: u64, hi: u32, lo: u32) -> u64 {
     (v >> lo) & mask
 }
 
-/// Replaces the bit field `[hi:lo]` of `v` with the low bits of `x`.
-///
-/// # Panics
-///
-/// Panics if `hi < lo` or `hi > 63`.
-pub fn set_field(v: u64, hi: u32, lo: u32, x: u64) -> u64 {
-    assert!(hi >= lo && hi < 64, "bad field [{hi}:{lo}]");
-    let w = hi - lo + 1;
-    let mask = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
-    (v & !(mask << lo)) | ((x & mask) << lo)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,9 +130,6 @@ mod tests {
         assert_eq!(field(v, 31, 16), 0xdead);
         assert_eq!(field(v, 15, 0), 0xbeef);
         assert_eq!(field(v, 63, 0), v);
-        assert_eq!(set_field(0, 11, 4, 0xff), 0xff0);
-        assert_eq!(set_field(u64::MAX, 7, 0, 0), 0xffff_ffff_ffff_ff00);
-        assert_eq!(set_field(0, 63, 0, u64::MAX), u64::MAX);
     }
 
     #[test]

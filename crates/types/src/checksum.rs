@@ -85,21 +85,11 @@ pub fn update_u32(old_csum: u16, old: u32, new: u32) -> u16 {
     update_word(c, old as u16, new as u16)
 }
 
-/// Pearson's 8-bit hash, the software model of the hashing IP block whose
-/// seed handshake the paper shows in Figure 5.
-///
-/// The table is the permutation from Pearson's original paper (CACM 1990),
-/// fixed here so hardware and software targets produce identical digests.
-pub fn pearson8(bytes: &[u8]) -> u8 {
-    let mut h = 0u8;
-    for &b in bytes {
-        h = PEARSON_TABLE[usize::from(h ^ b)];
-    }
-    h
-}
-
-/// Pearson hash with an explicit seed byte, matching the IP block's
-/// streaming mode where a seed is shifted in first (Figure 5).
+/// Pearson's 8-bit hash with an explicit seed byte: the software model of
+/// the hashing IP block, whose streaming mode shifts the seed in first
+/// (Figure 5). The table is the permutation from Pearson's original paper
+/// (CACM 1990), fixed here so hardware and software targets produce
+/// identical digests.
 pub fn pearson8_seeded(seed: u8, bytes: &[u8]) -> u8 {
     let mut h = PEARSON_TABLE[usize::from(seed)];
     for &b in bytes {
@@ -202,18 +192,17 @@ mod tests {
 
     #[test]
     fn pearson_deterministic_and_spreads() {
-        let a = pearson8(b"hello");
-        let b = pearson8(b"hello");
-        let c = pearson8(b"hellp");
+        let a = pearson8_seeded(0, b"hello");
+        let b = pearson8_seeded(0, b"hello");
+        let c = pearson8_seeded(0, b"hellp");
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_eq!(pearson8(b""), 0);
     }
 
     #[test]
     fn pearson_seed_changes_digest() {
         assert_ne!(pearson8_seeded(1, b"key"), pearson8_seeded(2, b"key"));
-        // Seed 0 goes through the table once, so it differs from unseeded.
+        // The seed goes through the table once before the bytes.
         assert_eq!(pearson8_seeded(0, b"key"), {
             let h0 = PEARSON_TABLE[0];
             let mut h = h0;

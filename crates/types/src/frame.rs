@@ -117,34 +117,6 @@ impl fmt::Debug for Frame {
     }
 }
 
-/// Renders a classic 16-bytes-per-row hex dump, used by the debugging and
-/// example binaries.
-pub fn hexdump(bytes: &[u8]) -> String {
-    let mut out = String::new();
-    for (row, chunk) in bytes.chunks(16).enumerate() {
-        out.push_str(&format!("{:04x}  ", row * 16));
-        for i in 0..16 {
-            match chunk.get(i) {
-                Some(b) => out.push_str(&format!("{b:02x} ")),
-                None => out.push_str("   "),
-            }
-            if i == 7 {
-                out.push(' ');
-            }
-        }
-        out.push(' ');
-        for &b in chunk {
-            out.push(if (0x20..0x7f).contains(&b) {
-                b as char
-            } else {
-                '.'
-            });
-        }
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,15 +169,5 @@ mod tests {
                 assert_eq!(slot.bytes().as_ptr(), buf, "{len} B into {spare} B");
             }
         }
-    }
-
-    #[test]
-    fn hexdump_shape() {
-        let dump = hexdump(&[0x41; 20]);
-        let lines: Vec<&str> = dump.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("0000"));
-        assert!(lines[1].starts_with("0010"));
-        assert!(lines[0].ends_with("AAAAAAAAAAAAAAAA"));
     }
 }

@@ -22,5 +22,5 @@ pub mod wire;
 
 pub use addr::{AddrParseError, Ipv4, MacAddr};
 pub use bits::Bits;
-pub use frame::{hexdump, Frame};
+pub use frame::Frame;
 pub use stats::Summary;

@@ -11,10 +11,6 @@ pub mod ether_type {
     pub const IPV4: u16 = 0x0800;
     /// ARP.
     pub const ARP: u16 = 0x0806;
-    /// IPv6.
-    pub const IPV6: u16 = 0x86dd;
-    /// VLAN tag (802.1Q).
-    pub const VLAN: u16 = 0x8100;
     /// Emu direction packets (§3.5): an otherwise-unused experimental
     /// EtherType carrying CASP controller commands and replies.
     pub const DIRECTION: u16 = 0x88b5;
@@ -37,8 +33,6 @@ pub mod tcp_flags {
     pub const FIN: u8 = 0x01;
     /// SYN.
     pub const SYN: u8 = 0x02;
-    /// RST.
-    pub const RST: u8 = 0x04;
     /// PSH.
     pub const PSH: u8 = 0x08;
     /// ACK.
@@ -82,8 +76,6 @@ pub mod offset {
 
 /// Header lengths in bytes.
 pub mod hdr_len {
-    /// Ethernet II header.
-    pub const ETH: usize = 14;
     /// Minimal IPv4 header (IHL = 5).
     pub const IPV4: usize = 20;
     /// UDP header.
@@ -100,13 +92,11 @@ pub mod hdr_len {
 pub mod frame {
     /// Minimum frame size (without FCS).
     pub const MIN: usize = 60;
-    /// Minimum frame size on the wire (with FCS).
-    pub const MIN_WIRE: usize = 64;
     /// Maximum standard frame (without FCS).
     pub const MAX: usize = 1514;
     /// Per-frame wire overhead beyond the frame bytes: preamble (7) +
     /// SFD (1) + FCS (4) + inter-frame gap (12) = 24 bytes... minus the FCS
-    /// already counted in `MIN_WIRE`. For throughput arithmetic we follow
+    /// already counted in the 64-byte minimum frame on the wire. For throughput arithmetic we follow
     /// the convention of the paper's 59.52 Mpps figure: a 64-byte frame
     /// occupies 64 + 20 = 84 byte times on a 10G link.
     pub const WIRE_OVERHEAD: usize = 20;
@@ -127,8 +117,8 @@ mod tests {
 
     #[test]
     fn offsets_are_consistent() {
-        assert_eq!(offset::L3, hdr_len::ETH);
-        assert_eq!(offset::L4, hdr_len::ETH + hdr_len::IPV4);
+        assert_eq!(offset::L3, offset::ETH_TYPE + 2);
+        assert_eq!(offset::L4, offset::L3 + hdr_len::IPV4);
         assert_eq!(offset::IPV4_DST + 4, offset::L4);
     }
 }

@@ -120,15 +120,6 @@ proptest! {
         data.extend_from_slice(&c.to_be_bytes());
         prop_assert!(checksum::verify(&data));
     }
-
-    #[test]
-    fn field_set_get(v in any::<u64>(), lo in 0u32..63, len in 1u32..16, x in any::<u64>()) {
-        let hi = (lo + len - 1).min(63);
-        let v2 = bitutil::set_field(v, hi, lo, x);
-        let w = hi - lo + 1;
-        let m = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
-        prop_assert_eq!(bitutil::field(v2, hi, lo), x & m);
-    }
 }
 
 /// The frame builders as they were first composed — each L4 segment in

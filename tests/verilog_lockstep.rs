@@ -19,7 +19,7 @@ mod common;
 
 use emu::prelude::*;
 use emu::services as s;
-use emu_traffic::{Adversarial, Background, Mix, TrafficGen};
+use emu_traffic::{Adversarial, Background, MemcachedZipf, Mix, TrafficGen};
 use kiwi::verilog::{lower, Row, RtlTable};
 use kiwi_ir::dsl::*;
 use kiwi_ir::interp::{eval, Env, MachineState, NullEnv, NullObserver};
@@ -180,7 +180,13 @@ fn load_frame(st: &mut MachineState, p: &DataplanePorts, frame: &Frame) {
 }
 
 /// Drives `frames` frames of `gen` through `svc`'s FSM beside its table.
-fn lockstep(label: &str, svc: &emu::stdlib::Service, gen: &mut dyn TrafficGen, frames: usize) {
+/// Returns how many of the FSM's states the run visited.
+fn lockstep(
+    label: &str,
+    svc: &emu::stdlib::Service,
+    gen: &mut dyn TrafficGen,
+    frames: usize,
+) -> usize {
     let engine = svc.engine(Target::Fpga).build().unwrap();
     let (mut driver, env) = engine.into_fpga_parts().expect("a 1-shard FPGA engine");
     let code = driver.core().code().clone();
@@ -211,6 +217,8 @@ fn lockstep(label: &str, svc: &emu::stdlib::Service, gen: &mut dyn TrafficGen, f
         assert_eq!(core.occupancy(), ls.run.occupancy, "{}: states", ls.what);
         assert_eq!(core.halted(), ls.run.halted(), "{}: halt", ls.what);
     }
+    let states = |t: &Vec<u64>| t[..t.len() - 1].iter().filter(|&&c| c > 0).count();
+    driver.core().occupancy().iter().map(states).sum()
 }
 
 /// `Mix(Background, Adversarial)`, for a service with no soak pairing.
@@ -283,7 +291,14 @@ fn icmp_table_agrees_with_the_fsm() {
 
 #[test]
 fn cache_table_agrees_with_the_fsm() {
-    lockstep("cache", &s::cache::lru_cache(), &mut *chatter(0xca), FRAMES);
+    // Memcached requests reach the cache's request paths, where
+    // `Mix(Background, Adversarial)` alone visits 4 of its 82 states.
+    let mut gen = Mix::new(0xca)
+        .add(3, Background::new(0xca ^ 1, &[0, 1, 2, 3]))
+        .add(1, Adversarial::new(0xca ^ 2, &[0, 1, 2, 3]))
+        .add(8, MemcachedZipf::new(0xca ^ 3, 16, 1.0, 0.5));
+    let visited = lockstep("cache", &s::cache::lru_cache(), &mut gen, FRAMES);
+    assert!(visited >= 80, "cache: {visited} of 82 states visited");
 }
 
 /// Reads of array elements and outputs written earlier in the same
@@ -327,4 +342,41 @@ fn reads_after_writes_in_one_state_agree() {
     };
     assert_eq!(core.run_cycles(64, &mut ls, &mut NullObserver).unwrap(), 64);
     assert_eq!(core.occupancy(), ls.run.occupancy);
+}
+
+/// A thread that halts beside one that runs on: from the halting edge
+/// on, the table fires no row of the halted thread, as the FSM steps it
+/// no more, while the other thread's rows go on agreeing every cycle.
+#[test]
+fn a_halted_thread_stays_halted_beside_a_running_one() {
+    let mut pb = ProgramBuilder::new("halts");
+    let (n, c, t) = (pb.reg("n", 8), pb.reg("c", 8), pb.reg("t", 8));
+    pb.thread(
+        "once",
+        vec![
+            while_loop(
+                lt(var(n), lit(3, 8)),
+                vec![assign(n, add(var(n), lit(1, 8))), pause()],
+            ),
+            assign(c, add(var(c), lit(1, 8))),
+            halt(),
+        ],
+    );
+    pb.thread(
+        "ticks",
+        vec![forever(vec![assign(t, add(var(t), lit(1, 8))), pause()])],
+    );
+    let fsm = compile(&pb.build().unwrap()).unwrap();
+    let table = lower(&fsm).unwrap();
+    let mut core = Core::new(Code::Fpga(fsm.clone()));
+    let mut ls = Lockstep {
+        run: TableRun::new(&table, core.state()),
+        inner: NullEnv,
+        what: "halting".into(),
+    };
+    assert_eq!(core.run_cycles(32, &mut ls, &mut NullObserver).unwrap(), 32);
+    assert_eq!(ls.run.at[0], None, "the first thread halted");
+    assert_eq!(core.occupancy(), ls.run.occupancy);
+    assert_eq!(core.state().reg(c).to_u64(), 1, "counted once");
+    assert_eq!(core.state().reg(t).to_u64(), 32);
 }
