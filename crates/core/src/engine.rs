@@ -385,6 +385,16 @@ pub struct Shard {
     poisoned: Option<String>,
 }
 
+/// A [`Shard`]'s state at one point, taken by [`Shard::checkpoint`] and
+/// put back by [`Shard::restore`]. It shares the code image with the
+/// shard it came from and copies everything else.
+pub struct ShardCheckpoint {
+    driver: DataplaneDriver,
+    env: IpEnv,
+    stats: Option<Box<ShardStats>>,
+    poisoned: Option<String>,
+}
+
 impl Shard {
     fn new(
         driver: DataplaneDriver,
@@ -461,6 +471,29 @@ impl Shard {
     /// Frame buffer capacity of the underlying program.
     pub fn frame_capacity(&self) -> usize {
         self.driver.frame_capacity()
+    }
+
+    /// A copy of everything this shard owns: its core's state, its
+    /// IP-block environment, its telemetry and its poison state. `Err`
+    /// names the first IP-block model that cannot be copied
+    /// ([`emu_rtl::IpBlockModel::clone_box`]).
+    pub fn checkpoint(&self) -> Result<ShardCheckpoint, String> {
+        Ok(ShardCheckpoint {
+            driver: self.driver.clone(),
+            env: self.env.try_clone()?,
+            stats: self.stats.clone(),
+            poisoned: self.poisoned.clone(),
+        })
+    }
+
+    /// Puts this shard back in the state `cp` holds, which a shard of
+    /// the same engine took: the next frames run as they ran after the
+    /// checkpoint.
+    pub fn restore(&mut self, cp: &ShardCheckpoint) {
+        self.driver = cp.driver.clone();
+        self.env = cp.env.try_clone().expect("models copied once copy again");
+        self.stats = cp.stats.clone();
+        self.poisoned = cp.poisoned.clone();
     }
 
     /// The one per-frame step behind [`Engine::process`] and

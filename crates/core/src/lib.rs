@@ -36,7 +36,7 @@ pub mod runner;
 pub use dataplane::Dataplane;
 pub use engine::{
     BatchReport, Dispatch, Engine, EngineBuilder, EngineError, EngineResult, NatSteering, RssHash,
-    Shard,
+    Shard, ShardCheckpoint,
 };
 pub use ipblock::{CamDeleteIf, CamIf, HashIf, LruIf, NaughtyQIf};
 pub use proto::{DnsWrapper, IcmpWrapper, Ipv4Wrapper, TcpWrapper, UdpWrapper};

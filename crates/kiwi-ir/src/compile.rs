@@ -13,8 +13,41 @@
 //!   lowering time,
 //! * every operand and result width is pre-computed, with the width rules
 //!   of [`crate::ast`] baked into per-op masks,
-//! * execution is a single `match` over compact micro-ops — no recursion,
-//!   no per-node clones, no heap traffic.
+//! * execution is a single `match` over compact operations — no
+//!   recursion, no per-node clones, no heap traffic.
+//!
+//! # Micro-ops and the execution encoding
+//!
+//! [`MOp`] is the IR of the passes: what lowering emits, what
+//! [`crate::opt`] rewrites, what `EMU_CPU_DUMP_MOPS` lists and what
+//! `tests/pass_census.rs` counts. It is not what runs. Once per image,
+//! after the passes and the slot layout, each thread's final micro-ops
+//! are lowered once more, into an execution encoding held beside them
+//! ([`CompiledThread`]'s `exec`), and the executor runs only that.
+//! It differs from the micro-ops in three ways:
+//!
+//! * **One variant per operator.** `BinS` and `CmpS` carry a [`BinOp`];
+//!   the encoding has `Add`, `Sub`, …, `Eq`, `Lt`, …, so the executor
+//!   matches once per operation, not once more on the operator.
+//! * **Three fused adjacent pairs.** A `SliceS` stored by a `StArrCS`,
+//!   a `CmpS` tested by a `BranchZ` (for the compares that occur: `==`,
+//!   `!=`, `<` and `>=`) and an add `BinS` stored by a `StVarS` each run
+//!   as one operation, which leaves the first one's slot unwritten. So a
+//!   pair fuses only when its terminal is the slot's only read in its
+//!   region, both lie in one region, and no branch lands between them.
+//!   The fused operation ticks the op budget once, where its terminal
+//!   stood. They are the most frequent adjacent pairs of memcached's
+//!   dynamic micro-op stream.
+//! * **The op count in a register.** The budget left is the thread's
+//!   op count, added to the instance's only where the thread leaves the
+//!   executor: at a pause, a halt, the end of its code or a trap. The
+//!   tree-walker keeps the same rule.
+//!
+//! The fused forms live only in the encoding because they are a fact
+//! about dispatch, not about values: a pass would have to treat each one
+//! as two micro-ops, and the listings, the census and the pinned listing
+//! digests would describe what a pass never sees. Each part pays on
+//! emubench's `l7-memcached`; CHANGES.md has the drop-one measurements.
 //!
 //! # Registers, signals, scratch and constant pool
 //!
@@ -88,7 +121,8 @@
 //! [`crate::Core`] shell as the tree-walker: pause-to-pause cycles, the
 //! same [`crate::Env`]/[`Observer`] hooks, the same op budget, the same
 //! [`MachineState`] (including the `arr_high` high-water contract); this
-//! module contributes only the per-thread executor loop. Every
+//! module contributes only the per-thread executor loop over the
+//! encoding. Every
 //! observable — register values, array contents, signal drives,
 //! observer callbacks, cycle and op counts — is byte-identical to the
 //! tree-walker by construction, and the differential suites assert it.
@@ -200,35 +234,6 @@ pub(crate) fn mask_of(w: u16) -> u64 {
     } else {
         (1u64 << w) - 1
     }
-}
-
-/// Arithmetic/logic in the result width encoded by `mask`.
-#[inline]
-fn bin_s(op: BinOp, a: u64, b: u64, mask: u64) -> u64 {
-    match op {
-        BinOp::Add => a.wrapping_add(b) & mask,
-        BinOp::Sub => a.wrapping_sub(b) & mask,
-        BinOp::Mul => a.wrapping_mul(b) & mask,
-        BinOp::And => a & b,
-        BinOp::Or => a | b,
-        BinOp::Xor => a ^ b,
-        _ => unreachable!("bin_s on non-arith op {op:?}"),
-    }
-}
-
-/// Unsigned comparison (operands are canonical, so raw `u64` comparison
-/// equals comparison at the common width).
-#[inline]
-fn cmp_s(op: BinOp, a: u64, b: u64) -> u64 {
-    u64::from(match op {
-        BinOp::Eq => a == b,
-        BinOp::Ne => a != b,
-        BinOp::Lt => a < b,
-        BinOp::Le => a <= b,
-        BinOp::Gt => a > b,
-        BinOp::Ge => a >= b,
-        _ => unreachable!("cmp_s on non-compare op {op:?}"),
-    })
 }
 
 /// `<<` in the left operand's width (`mask`); shifts at or beyond 64
@@ -691,9 +696,23 @@ pub struct CompiledThread {
     pub exprs: Vec<Expr>,
     /// Scratch slots required.
     pub n_slots: usize,
-    /// Widened optimization regions, in program order (annotation and
-    /// diagnostics; execution never consults this).
+    /// Widened optimization regions, in program order (annotation,
+    /// diagnostics, and where the execution encoding may fuse a pair;
+    /// the executor never consults this).
     pub regions: Vec<RegionInfo>,
+    /// The execution encoding of `mops`: what [`exec_thread`] runs.
+    pub(crate) exec: Vec<XOp>,
+}
+
+impl CompiledThread {
+    /// Every variant of the execution encoding by name, each with how
+    /// many this thread's encoding holds (none for most).
+    pub fn exec_census(&self) -> Vec<(&'static str, usize)> {
+        XOp::NAMES
+            .iter()
+            .map(|&name| (name, self.exec.iter().filter(|x| x.name() == name).count()))
+            .collect()
+    }
 }
 
 /// A program lowered to micro-op bytecode: declarations, one
@@ -798,6 +817,9 @@ pub fn compile_with_passes(
                 *s += scratch;
             }
         });
+    }
+    for t in &mut cp.threads {
+        t.exec = encode(t, scratch);
     }
     if std::env::var("EMU_CPU_DUMP_MOPS").is_ok_and(|v| !v.is_empty()) {
         for ti in 0..cp.threads.len() {
@@ -1231,6 +1253,7 @@ fn compile_thread(
         exprs: c.exprs,
         n_slots,
         regions: region_info,
+        exec: Vec::new(),
     })
 }
 
@@ -1428,6 +1451,343 @@ pub fn mops_to_string(cp: &CompiledProgram, ti: usize) -> String {
 }
 
 // ---------------------------------------------------------------------
+// The execution encoding
+// ---------------------------------------------------------------------
+
+/// Declares [`XOp`] and its variant names ([`XOp::NAMES`], [`XOp::name`])
+/// from one list, so the census in `tests/pass_census.rs` sees every
+/// variant there is.
+macro_rules! encoding {
+    ($($(#[$doc:meta])* $name:ident $({ $($field:ident: $ty:ty),* $(,)? })?,)*) => {
+        /// One operation of the execution encoding, the form of a
+        /// thread's micro-ops that [`exec_thread`] runs (see [`encode`]).
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub(crate) enum XOp {
+            $($(#[$doc])* $name $({ $($field: $ty),* })?,)*
+        }
+
+        impl XOp {
+            /// Every variant's name, in declaration order.
+            const NAMES: &'static [&'static str] = &[$(stringify!($name)),*];
+
+            /// This operation's variant name.
+            fn name(&self) -> &'static str {
+                match self {
+                    $(XOp::$name { .. } => stringify!($name),)*
+                }
+            }
+        }
+    };
+}
+
+encoding! {
+    /// [`MOp::LdArrS`].
+    LdArr { dst: Slot, arr: u32, idx: Slot },
+    /// [`MOp::LdArrCS`].
+    LdArrC { dst: Slot, arr: u32, idx: u32 },
+    /// [`MOp::LdArrPairCS`].
+    LdArrPairC { dst: Slot, arr: u32, idx: u32, bw: u16 },
+    /// [`MOp::ConcatLdCS`].
+    ConcatLdC { dst: Slot, a: Slot, arr: u32, idx: u32, bw: u16 },
+    /// [`MOp::CopyS`].
+    Copy { dst: Slot, a: Slot },
+    /// [`MOp::MaskS`].
+    Mask { dst: Slot, a: Slot, mask: u64 },
+    /// [`MOp::NotS`].
+    Not { dst: Slot, a: Slot, mask: u64 },
+    /// [`MOp::NegS`].
+    Neg { dst: Slot, a: Slot, mask: u64 },
+    /// [`MOp::RedOrS`].
+    RedOr { dst: Slot, a: Slot },
+    /// [`MOp::BinS`] of `+`, masked to the result width.
+    Add { dst: Slot, a: Slot, b: Slot, mask: u64 },
+    /// [`MOp::BinS`] of `-`, masked to the result width.
+    Sub { dst: Slot, a: Slot, b: Slot, mask: u64 },
+    /// [`MOp::BinS`] of `*`, masked to the result width.
+    Mul { dst: Slot, a: Slot, b: Slot, mask: u64 },
+    /// [`MOp::BinS`] of `&` (canonical operands need no mask).
+    And { dst: Slot, a: Slot, b: Slot },
+    /// [`MOp::BinS`] of `|`.
+    Or { dst: Slot, a: Slot, b: Slot },
+    /// [`MOp::BinS`] of `^`.
+    Xor { dst: Slot, a: Slot, b: Slot },
+    /// [`MOp::CmpS`] of `==` (canonical operands compare as `u64`s).
+    Eq { dst: Slot, a: Slot, b: Slot },
+    /// [`MOp::CmpS`] of `!=`.
+    Ne { dst: Slot, a: Slot, b: Slot },
+    /// [`MOp::CmpS`] of `<`.
+    Lt { dst: Slot, a: Slot, b: Slot },
+    /// [`MOp::CmpS`] of `<=`.
+    Le { dst: Slot, a: Slot, b: Slot },
+    /// [`MOp::CmpS`] of `>`.
+    Gt { dst: Slot, a: Slot, b: Slot },
+    /// [`MOp::CmpS`] of `>=`.
+    Ge { dst: Slot, a: Slot, b: Slot },
+    /// [`MOp::ShlS`].
+    Shl { dst: Slot, a: Slot, b: Slot, mask: u64 },
+    /// [`MOp::ShrS`].
+    Shr { dst: Slot, a: Slot, b: Slot },
+    /// [`MOp::ConcatS`].
+    Concat { dst: Slot, a: Slot, b: Slot, bw: u16 },
+    /// [`MOp::SliceS`].
+    Slice { dst: Slot, a: Slot, lo: u16, mask: u64 },
+    /// [`MOp::MuxS`].
+    Mux { dst: Slot, c: Slot, t: Slot, e: Slot },
+    /// [`MOp::EvalS`].
+    Eval { dst: Slot, e: u32 },
+    /// [`MOp::StVarS`].
+    StVar { var: u32, a: Slot, w: u16 },
+    /// [`MOp::StVarE`].
+    StVarE { var: u32, e: u32 },
+    /// [`MOp::StArrS`] (the array masks to its element width itself).
+    StArr { arr: u32, idx: Slot, a: Slot },
+    /// [`MOp::StArrCS`].
+    StArrC { arr: u32, idx: u32, a: Slot },
+    /// [`MOp::StArrE`].
+    StArrE { arr: u32, idx: Slot, e: u32 },
+    /// [`MOp::StSigS`].
+    StSig { sig: u32, a: Slot, w: u16 },
+    /// [`MOp::StSigE`].
+    StSigE { sig: u32, e: u32 },
+    /// [`MOp::BranchZ`]; `target` indexes the encoding.
+    BranchZ { c: Slot, target: u32 },
+    /// [`MOp::Jmp`]; `target` indexes the encoding.
+    Jmp { target: u32 },
+    /// [`MOp::PauseOp`].
+    Pause,
+    /// [`MOp::LabelOp`].
+    Label { id: u32 },
+    /// [`MOp::ExtOp`].
+    Ext { id: u32 },
+    /// [`MOp::HaltOp`].
+    Halt,
+    /// Fused `SliceS` → `StArrCS`: `arr[#idx] := (a >> lo) & mask`,
+    /// the slice's slot unwritten.
+    SliceStArrC { a: Slot, lo: u16, mask: u64, arr: u32, idx: u32 },
+    /// Fused `CmpS` of `==` → `BranchZ`: jumps unless `a == b`.
+    BrzEq { a: Slot, b: Slot, target: u32 },
+    /// Fused `CmpS` of `!=` → `BranchZ`: jumps unless `a != b`.
+    BrzNe { a: Slot, b: Slot, target: u32 },
+    /// Fused `CmpS` of `<` → `BranchZ`: jumps unless `a < b`.
+    BrzLt { a: Slot, b: Slot, target: u32 },
+    /// Fused `CmpS` of `>=` → `BranchZ`: jumps unless `a >= b`.
+    BrzGe { a: Slot, b: Slot, target: u32 },
+    /// Fused `BinS` of `+` → `StVarS`: `var := (a + b) & mask`, where
+    /// `mask` is the sum's and the register's width at once, and `w` the
+    /// register's width.
+    AddStVar { a: Slot, b: Slot, mask: u64, var: u32, w: u16 },
+}
+
+impl XOp {
+    /// The one-for-one encoding of `m`.
+    fn of(m: MOp) -> XOp {
+        match m {
+            MOp::LdArrS { dst, arr, idx } => XOp::LdArr { dst, arr, idx },
+            MOp::LdArrCS { dst, arr, idx } => XOp::LdArrC { dst, arr, idx },
+            MOp::LdArrPairCS { dst, arr, idx, bw } => XOp::LdArrPairC { dst, arr, idx, bw },
+            MOp::ConcatLdCS {
+                dst,
+                a,
+                arr,
+                idx,
+                bw,
+            } => XOp::ConcatLdC {
+                dst,
+                a,
+                arr,
+                idx,
+                bw,
+            },
+            MOp::CopyS { dst, a } => XOp::Copy { dst, a },
+            MOp::MaskS { dst, a, mask } => XOp::Mask { dst, a, mask },
+            MOp::NotS { dst, a, mask } => XOp::Not { dst, a, mask },
+            MOp::NegS { dst, a, mask } => XOp::Neg { dst, a, mask },
+            MOp::RedOrS { dst, a } => XOp::RedOr { dst, a },
+            MOp::BinS {
+                dst,
+                op,
+                a,
+                b,
+                mask,
+            } => match op {
+                BinOp::Add => XOp::Add { dst, a, b, mask },
+                BinOp::Sub => XOp::Sub { dst, a, b, mask },
+                BinOp::Mul => XOp::Mul { dst, a, b, mask },
+                BinOp::And => XOp::And { dst, a, b },
+                BinOp::Or => XOp::Or { dst, a, b },
+                BinOp::Xor => XOp::Xor { dst, a, b },
+                _ => unreachable!("BinS of non-arith op {op:?}"),
+            },
+            MOp::CmpS { dst, op, a, b } => match op {
+                BinOp::Eq => XOp::Eq { dst, a, b },
+                BinOp::Ne => XOp::Ne { dst, a, b },
+                BinOp::Lt => XOp::Lt { dst, a, b },
+                BinOp::Le => XOp::Le { dst, a, b },
+                BinOp::Gt => XOp::Gt { dst, a, b },
+                BinOp::Ge => XOp::Ge { dst, a, b },
+                _ => unreachable!("CmpS of non-compare op {op:?}"),
+            },
+            MOp::ShlS { dst, a, b, mask } => XOp::Shl { dst, a, b, mask },
+            MOp::ShrS { dst, a, b } => XOp::Shr { dst, a, b },
+            MOp::ConcatS { dst, a, b, bw } => XOp::Concat { dst, a, b, bw },
+            MOp::SliceS { dst, a, lo, mask } => XOp::Slice { dst, a, lo, mask },
+            MOp::MuxS { dst, c, t, e } => XOp::Mux { dst, c, t, e },
+            MOp::EvalS { dst, e } => XOp::Eval { dst, e },
+            MOp::StVarS { var, a, w } => XOp::StVar { var, a, w },
+            MOp::StVarE { var, e } => XOp::StVarE { var, e },
+            MOp::StArrS { arr, idx, a, .. } => XOp::StArr { arr, idx, a },
+            MOp::StArrCS { arr, idx, a, .. } => XOp::StArrC { arr, idx, a },
+            MOp::StArrE { arr, idx, e } => XOp::StArrE { arr, idx, e },
+            MOp::StSigS { sig, a, w } => XOp::StSig { sig, a, w },
+            MOp::StSigE { sig, e } => XOp::StSigE { sig, e },
+            MOp::BranchZ { c, target } => XOp::BranchZ { c, target },
+            MOp::Jmp { target } => XOp::Jmp { target },
+            MOp::PauseOp => XOp::Pause,
+            MOp::LabelOp { id } => XOp::Label { id },
+            MOp::ExtOp { id } => XOp::Ext { id },
+            MOp::HaltOp => XOp::Halt,
+        }
+    }
+
+    /// The fused form of the adjacent pair `first`, `then`, when there is
+    /// one: `then` is the terminal that reads `first`'s slot, and no other
+    /// micro-op of the region reads it (`sole_read`), so the slot need not
+    /// be written.
+    fn fused(first: MOp, then: MOp, sole_read: impl Fn(Slot) -> bool) -> Option<XOp> {
+        let x = match (first, then) {
+            (MOp::SliceS { dst, a, lo, mask }, MOp::StArrCS { arr, idx, a: v, .. }) if v == dst => {
+                XOp::SliceStArrC {
+                    a,
+                    lo,
+                    mask,
+                    arr,
+                    idx,
+                }
+            }
+            (MOp::CmpS { dst, op, a, b }, MOp::BranchZ { c, target }) if c == dst => match op {
+                BinOp::Eq => XOp::BrzEq { a, b, target },
+                BinOp::Ne => XOp::BrzNe { a, b, target },
+                BinOp::Lt => XOp::BrzLt { a, b, target },
+                BinOp::Ge => XOp::BrzGe { a, b, target },
+                _ => return None,
+            },
+            (
+                MOp::BinS {
+                    dst,
+                    op: BinOp::Add,
+                    a,
+                    b,
+                    mask,
+                },
+                MOp::StVarS { var, a: v, w },
+            ) if v == dst => XOp::AddStVar {
+                a,
+                b,
+                mask: mask & mask_of(w),
+                var,
+                w,
+            },
+            _ => return None,
+        };
+        sole_read(first.dst()?).then_some(x)
+    }
+
+    /// The branch target this operation holds, if any.
+    fn target_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            XOp::BranchZ { target, .. }
+            | XOp::Jmp { target }
+            | XOp::BrzEq { target, .. }
+            | XOp::BrzNe { target, .. }
+            | XOp::BrzLt { target, .. }
+            | XOp::BrzGe { target, .. } => Some(target),
+            _ => None,
+        }
+    }
+}
+
+/// Lowers thread `t`'s laid-out micro-ops (scratch from slot `scratch`
+/// up) to the execution encoding, once per image and in time linear in
+/// the thread: one operation per micro-op, but an adjacent pair of
+/// [`XOp::fused`] becomes one when
+///
+/// * both lie in one region (scratch is numbered per region), so no
+///   branch lands on the second: every branch target starts a region,
+///   since the widening merges no statement a branch lands on; and
+/// * the pair's terminal is the only read of the first one's slot in
+///   the region, counted once per region.
+///
+/// A fused operation runs where its terminal stood, so it ticks the
+/// budget once, there. Branch targets are renumbered to the encoding.
+fn encode(t: &CompiledThread, scratch: Slot) -> Vec<XOp> {
+    let mops = &t.mops;
+    let n = mops.len();
+    let mut bounds: Vec<usize> = t.regions.iter().map(|r| r.start as usize).collect();
+    if bounds.first() != Some(&0) {
+        bounds.insert(0, 0);
+    }
+    bounds.push(n);
+    debug_assert!(
+        mops.iter().all(|m| match m {
+            MOp::BranchZ { target, .. } | MOp::Jmp { target } => {
+                bounds.binary_search(&(*target as usize)).is_ok()
+            }
+            _ => true,
+        }),
+        "thread {}: a branch lands inside a region",
+        t.name
+    );
+    // Reads of each scratch slot in the region at hand, zeroed again
+    // after it.
+    let mut reads = vec![0u32; t.n_slots];
+    let scratch_index = |s: Slot| Some(s.checked_sub(scratch)? as usize).filter(|&k| k < t.n_slots);
+    let mut at = vec![0u32; n + 1];
+    let mut out = Vec::with_capacity(n);
+    for w in bounds.windows(2) {
+        let (start, end) = (w[0], w[1]);
+        for m in &mops[start..end] {
+            m.uses(&mut |s| {
+                if let Some(k) = scratch_index(s) {
+                    reads[k] += 1;
+                }
+            });
+        }
+        let mut i = start;
+        while i < end {
+            at[i] = out.len() as u32;
+            let sole_read = |s: Slot| scratch_index(s).is_some_and(|k| reads[k] == 1);
+            let fused = if i + 1 < end {
+                XOp::fused(mops[i], mops[i + 1], sole_read)
+            } else {
+                None
+            };
+            if let Some(x) = fused {
+                at[i + 1] = out.len() as u32;
+                out.push(x);
+                i += 2;
+            } else {
+                out.push(XOp::of(mops[i]));
+                i += 1;
+            }
+        }
+        for m in &mops[start..end] {
+            m.uses(&mut |s| {
+                if let Some(k) = scratch_index(s) {
+                    reads[k] = 0;
+                }
+            });
+        }
+    }
+    at[n] = out.len() as u32;
+    for x in &mut out {
+        if let Some(target) = x.target_mut() {
+            *target = at[*target as usize];
+        }
+    }
+    out
+}
+
+// ---------------------------------------------------------------------
 // The executor
 // ---------------------------------------------------------------------
 
@@ -1435,21 +1795,22 @@ pub fn mops_to_string(cp: &CompiledProgram, ti: usize) -> String {
 /// proven in bounds when the op is built, so a miss is a compiler bug.
 const CONST_IDX: &str = "const array index proven in bounds at compile time";
 
-/// Compiled thread `ti`'s share of a cycle: executes its micro-ops from
+/// Compiled thread `ti`'s share of a cycle: executes its encoding from
 /// its pc until it pauses or halts.
 ///
 /// The slot file is the state's word file, held as a local slice so its
 /// base and length stay in machine registers across the dispatch loop
 /// (read through the state on every access, they are reloaded from
-/// memory after each store). The inner loop runs every micro-op that
+/// memory after each store). The inner loop runs every operation that
 /// reaches the rest of the state through its other fields; the ones
 /// that hand the whole [`MachineState`] to the reference code —
-/// `EvalS`, the `St*E` stores and `ExtOp` — leave it, run in the outer
+/// `Eval`, the `St*E` stores and `Ext` — leave it, run in the outer
 /// loop, and the file is taken again after them.
 ///
-/// `budget` is deliberately decremented even by terminals that return
-/// (pause/halt), so op accounting matches the tree-walker exactly.
-#[allow(unused_assignments)]
+/// Every terminal, pause and halt included, spends one unit of the
+/// budget, so op accounting matches the tree-walker exactly; the ops run
+/// are the budget spent, added to `ops_executed` only where the thread
+/// leaves (see [`missing_pause`]).
 pub(crate) fn exec_thread<O: Observer + ?Sized>(
     cp: &CompiledProgram,
     ti: usize,
@@ -1464,7 +1825,7 @@ pub(crate) fn exec_thread<O: Observer + ?Sized>(
         ..
     } = inst;
     let ctx = &mut threads[ti];
-    let mops = &thread.mops[..];
+    let ops = &thread.exec[..];
     let mut pc = ctx.pc;
     let mut budget = MAX_OPS_PER_CYCLE;
 
@@ -1472,41 +1833,51 @@ pub(crate) fn exec_thread<O: Observer + ?Sized>(
     // and missing-pause traps match the tree-walker exactly.
     macro_rules! tick {
         () => {
-            *ops_executed += 1;
-            budget = budget
-                .checked_sub(1)
-                .ok_or_else(|| missing_pause(&thread.name))?;
+            budget = match budget.checked_sub(1) {
+                Some(left) => left,
+                None => return Err(missing_pause(&thread.name, ops_executed)),
+            };
+        };
+    }
+    // A compare fused with the branch on it: on when it holds, else to
+    // `target`.
+    macro_rules! branch_unless {
+        ($holds:expr, $target:expr) => {
+            tick!();
+            if !$holds {
+                pc = *$target as usize;
+                continue;
+            }
         };
     }
 
     loop {
         let file: &mut [u64] = &mut state.words;
         let whole = loop {
-            let Some(op) = mops.get(pc) else {
-                ctx.pc = pc;
+            let Some(op) = ops.get(pc) else {
                 ctx.halted = true;
-                return Ok(());
+                break None;
             };
             match op {
-                MOp::LdArrS { dst, arr, idx } => {
+                XOp::LdArr { dst, arr, idx } => {
                     let i = file[*idx as usize] as usize;
                     file[*dst as usize] = state.arrays[*arr as usize].get_u64(i).unwrap_or(0);
                 }
                 // Const-index loads are proven in bounds at compile
                 // time (array lengths are fixed at declaration).
-                MOp::LdArrCS { dst, arr, idx } => {
+                XOp::LdArrC { dst, arr, idx } => {
                     file[*dst as usize] = state.arrays[*arr as usize]
                         .get_u64(*idx as usize)
                         .expect(CONST_IDX);
                 }
-                MOp::LdArrPairCS { dst, arr, idx, bw } => {
+                XOp::LdArrPairC { dst, arr, idx, bw } => {
                     let a = &state.arrays[*arr as usize];
                     let i = *idx as usize;
                     let hi = a.get_u64(i).expect(CONST_IDX);
                     let lo = a.get_u64(i + 1).expect(CONST_IDX);
                     file[*dst as usize] = (hi << bw) | lo;
                 }
-                MOp::ConcatLdCS {
+                XOp::ConcatLdC {
                     dst,
                     a,
                     arr,
@@ -1518,36 +1889,62 @@ pub(crate) fn exec_thread<O: Observer + ?Sized>(
                         .expect(CONST_IDX);
                     file[*dst as usize] = (file[*a as usize] << bw) | lo;
                 }
-                MOp::CopyS { dst, a } => file[*dst as usize] = file[*a as usize],
-                MOp::MaskS { dst, a, mask } => file[*dst as usize] = file[*a as usize] & mask,
-                MOp::NotS { dst, a, mask } => file[*dst as usize] = !file[*a as usize] & mask,
-                MOp::NegS { dst, a, mask } => {
+                XOp::Copy { dst, a } => file[*dst as usize] = file[*a as usize],
+                XOp::Mask { dst, a, mask } => file[*dst as usize] = file[*a as usize] & mask,
+                XOp::Not { dst, a, mask } => file[*dst as usize] = !file[*a as usize] & mask,
+                XOp::Neg { dst, a, mask } => {
                     file[*dst as usize] = file[*a as usize].wrapping_neg() & mask
                 }
-                MOp::RedOrS { dst, a } => file[*dst as usize] = u64::from(file[*a as usize] != 0),
-                MOp::BinS {
-                    dst,
-                    op,
-                    a,
-                    b,
-                    mask,
-                } => file[*dst as usize] = bin_s(*op, file[*a as usize], file[*b as usize], *mask),
-                MOp::CmpS { dst, op, a, b } => {
-                    file[*dst as usize] = cmp_s(*op, file[*a as usize], file[*b as usize])
+                XOp::RedOr { dst, a } => file[*dst as usize] = u64::from(file[*a as usize] != 0),
+                XOp::Add { dst, a, b, mask } => {
+                    file[*dst as usize] = file[*a as usize].wrapping_add(file[*b as usize]) & mask
                 }
-                MOp::ShlS { dst, a, b, mask } => {
+                XOp::Sub { dst, a, b, mask } => {
+                    file[*dst as usize] = file[*a as usize].wrapping_sub(file[*b as usize]) & mask
+                }
+                XOp::Mul { dst, a, b, mask } => {
+                    file[*dst as usize] = file[*a as usize].wrapping_mul(file[*b as usize]) & mask
+                }
+                XOp::And { dst, a, b } => {
+                    file[*dst as usize] = file[*a as usize] & file[*b as usize]
+                }
+                XOp::Or { dst, a, b } => {
+                    file[*dst as usize] = file[*a as usize] | file[*b as usize]
+                }
+                XOp::Xor { dst, a, b } => {
+                    file[*dst as usize] = file[*a as usize] ^ file[*b as usize]
+                }
+                XOp::Eq { dst, a, b } => {
+                    file[*dst as usize] = u64::from(file[*a as usize] == file[*b as usize])
+                }
+                XOp::Ne { dst, a, b } => {
+                    file[*dst as usize] = u64::from(file[*a as usize] != file[*b as usize])
+                }
+                XOp::Lt { dst, a, b } => {
+                    file[*dst as usize] = u64::from(file[*a as usize] < file[*b as usize])
+                }
+                XOp::Le { dst, a, b } => {
+                    file[*dst as usize] = u64::from(file[*a as usize] <= file[*b as usize])
+                }
+                XOp::Gt { dst, a, b } => {
+                    file[*dst as usize] = u64::from(file[*a as usize] > file[*b as usize])
+                }
+                XOp::Ge { dst, a, b } => {
+                    file[*dst as usize] = u64::from(file[*a as usize] >= file[*b as usize])
+                }
+                XOp::Shl { dst, a, b, mask } => {
                     file[*dst as usize] = shl_s(file[*a as usize], file[*b as usize], *mask)
                 }
-                MOp::ShrS { dst, a, b } => {
+                XOp::Shr { dst, a, b } => {
                     file[*dst as usize] = shr_s(file[*a as usize], file[*b as usize])
                 }
-                MOp::ConcatS { dst, a, b, bw } => {
+                XOp::Concat { dst, a, b, bw } => {
                     file[*dst as usize] = (file[*a as usize] << bw) | file[*b as usize]
                 }
-                MOp::SliceS { dst, a, lo, mask } => {
+                XOp::Slice { dst, a, lo, mask } => {
                     file[*dst as usize] = (file[*a as usize] >> lo) & mask
                 }
-                MOp::MuxS { dst, c, t, e } => {
+                XOp::Mux { dst, c, t, e } => {
                     file[*dst as usize] = if file[*c as usize] != 0 {
                         file[*t as usize]
                     } else {
@@ -1556,19 +1953,26 @@ pub(crate) fn exec_thread<O: Observer + ?Sized>(
                 }
                 // A register store masks the value to the register's
                 // width (`1..=64`) and writes it in the register's slot.
-                MOp::StVarS { var, a, w } => {
+                XOp::StVar { var, a, w } => {
                     tick!();
                     let (r, w) = (*var as usize, *w);
                     let v = file[*a as usize] & (u64::MAX >> (64 - w));
                     obs.on_assign(*var, &Bits::from_u64(file[r], w), &Bits::from_u64(v, w));
                     file[r] = v;
                 }
+                XOp::AddStVar { a, b, mask, var, w } => {
+                    tick!();
+                    let (r, w) = (*var as usize, *w);
+                    let v = file[*a as usize].wrapping_add(file[*b as usize]) & mask;
+                    obs.on_assign(*var, &Bits::from_u64(file[r], w), &Bits::from_u64(v, w));
+                    file[r] = v;
+                }
                 // Array stores mask to the declared element width inside
-                // `Cells` (the op's `w` is that same width) and report
-                // whether the index was in range; one that was lifts the
-                // high-water mark (`MachineState::note_arr_write`, spelt
-                // out here, where the file is held).
-                MOp::StArrS { arr, idx, a, .. } => {
+                // `Cells` and report whether the index was in range; one
+                // that was lifts the high-water mark
+                // (`MachineState::note_arr_write`, spelt out here, where
+                // the file is held).
+                XOp::StArr { arr, idx, a } => {
                     tick!();
                     let i = file[*idx as usize] as usize;
                     let ai = *arr as usize;
@@ -1578,77 +1982,104 @@ pub(crate) fn exec_thread<O: Observer + ?Sized>(
                 }
                 // Const-index stores are proven in bounds at compile
                 // time, like the const-index loads above.
-                MOp::StArrCS { arr, idx, a, .. } => {
+                XOp::StArrC { arr, idx, a } => {
                     tick!();
                     let (ai, i) = (*arr as usize, *idx as usize);
                     let stored = state.arrays[ai].set_u64(i, file[*a as usize]);
                     assert!(stored, "{CONST_IDX}");
                     state.arr_high[ai] = state.arr_high[ai].max(i + 1);
                 }
+                XOp::SliceStArrC {
+                    a,
+                    lo,
+                    mask,
+                    arr,
+                    idx,
+                } => {
+                    tick!();
+                    let (ai, i) = (*arr as usize, *idx as usize);
+                    let stored = state.arrays[ai].set_u64(i, (file[*a as usize] >> lo) & mask);
+                    assert!(stored, "{CONST_IDX}");
+                    state.arr_high[ai] = state.arr_high[ai].max(i + 1);
+                }
                 // A signal store likewise, in the signal's slot.
-                MOp::StSigS { sig, a, w } => {
+                XOp::StSig { sig, a, w } => {
                     tick!();
                     file[*sig as usize] = file[*a as usize] & (u64::MAX >> (64 - w));
                 }
-                MOp::BranchZ { c, target } => {
-                    tick!();
-                    if file[*c as usize] == 0 {
-                        pc = *target as usize;
-                        continue;
-                    }
+                XOp::BranchZ { c, target } => {
+                    branch_unless!(file[*c as usize] != 0, target);
                 }
-                MOp::Jmp { target } => {
+                XOp::BrzEq { a, b, target } => {
+                    branch_unless!(file[*a as usize] == file[*b as usize], target);
+                }
+                XOp::BrzNe { a, b, target } => {
+                    branch_unless!(file[*a as usize] != file[*b as usize], target);
+                }
+                XOp::BrzLt { a, b, target } => {
+                    branch_unless!(file[*a as usize] < file[*b as usize], target);
+                }
+                XOp::BrzGe { a, b, target } => {
+                    branch_unless!(file[*a as usize] >= file[*b as usize], target);
+                }
+                XOp::Jmp { target } => {
                     tick!();
                     pc = *target as usize;
                     continue;
                 }
-                MOp::PauseOp => {
+                XOp::Pause => {
                     tick!();
-                    ctx.pc = pc + 1;
-                    return Ok(());
+                    pc += 1;
+                    break None;
                 }
-                MOp::LabelOp { id } => {
+                XOp::Label { id } => {
                     tick!();
                     obs.on_label(&thread.labels[*id as usize]);
                 }
-                MOp::HaltOp => {
+                XOp::Halt => {
                     tick!();
-                    ctx.pc = pc;
                     ctx.halted = true;
-                    return Ok(());
+                    break None;
                 }
-                MOp::EvalS { .. }
-                | MOp::StVarE { .. }
-                | MOp::StArrE { .. }
-                | MOp::StSigE { .. }
-                | MOp::ExtOp { .. } => break op,
+                XOp::Eval { .. }
+                | XOp::StVarE { .. }
+                | XOp::StArrE { .. }
+                | XOp::StSigE { .. }
+                | XOp::Ext { .. } => break Some(op),
             }
             pc += 1;
         };
         match whole {
-            MOp::EvalS { dst, e } => {
+            // The thread paused (`pc` past the pause) or halted (`pc` at
+            // the halt, or past the end).
+            None => {
+                ctx.pc = pc;
+                *ops_executed += MAX_OPS_PER_CYCLE - budget;
+                return Ok(());
+            }
+            Some(XOp::Eval { dst, e }) => {
                 let v = eval(&thread.exprs[*e as usize], state).to_u64();
                 state.words[*dst as usize] = v;
             }
             // The `St*E` terminals are the tree-walker's own stores.
-            MOp::StVarE { var, e } => {
+            Some(XOp::StVarE { var, e }) => {
                 tick!();
                 state.assign(VarId(*var), &thread.exprs[*e as usize], obs);
             }
-            MOp::StArrE { arr, idx, e } => {
+            Some(XOp::StArrE { arr, idx, e }) => {
                 tick!();
                 let i = state.words[*idx as usize] as usize;
                 state.arr_write(ArrId(*arr), i, &thread.exprs[*e as usize]);
             }
-            MOp::StSigE { sig, e } => {
+            Some(XOp::StSigE { sig, e }) => {
                 tick!();
                 state.sig_write(SigId(*sig), &thread.exprs[*e as usize]);
             }
-            MOp::ExtOp { id } => {
+            Some(XOp::Ext { id }) => {
                 tick!();
                 obs.on_ext_point(*id, state);
             }
-            _ => unreachable!("the inner loop runs every other micro-op"),
+            Some(_) => unreachable!("the inner loop runs every other operation"),
         }
         pc += 1;
     }
@@ -1875,9 +2306,28 @@ mod tests {
             vec![forever(vec![assign(a, add(var(a), lit(1, 8)))])],
         );
         let (mut tw, mut cm) = both(&pb);
+        // The loop body is one fused add-store and its jump back, so the
+        // trap falls on the fused operation: its tick is the op that
+        // found the budget spent, and it counts.
+        let Code::Compiled(cp) = &**cm.code() else {
+            unreachable!()
+        };
+        assert!(cp.threads[0].exec.contains(&XOp::AddStVar {
+            a: 0,
+            b: cp.pool_base() as Slot,
+            mask: 0xff,
+            var: 0,
+            w: 8,
+        }));
         let e1 = tw.step_cycle(&mut NullEnv, &mut NullObserver).unwrap_err();
         let e2 = cm.step_cycle(&mut NullEnv, &mut NullObserver).unwrap_err();
         assert_eq!(e1, e2, "trap messages must match");
+        assert_eq!(tw.ops_executed(), MAX_OPS_PER_CYCLE + 1);
+        assert_eq!(
+            cm.ops_executed(),
+            tw.ops_executed(),
+            "op counts at the trap"
+        );
     }
 
     #[test]

@@ -377,7 +377,8 @@ pub(crate) fn step_op<O: Observer + ?Sized>(
 
 /// Tree-walker thread `ti`'s share of a cycle: executes its flattened
 /// ops from its pc until it pauses or halts, counting every op against
-/// the per-cycle budget.
+/// the per-cycle budget. The ops run are the budget spent, added to
+/// `ops_executed` where the thread leaves (see [`missing_pause`]).
 pub(crate) fn run_thread_to_pause<O: Observer + ?Sized>(
     flat: &FlatProgram,
     ti: usize,
@@ -397,24 +398,26 @@ pub(crate) fn run_thread_to_pause<O: Observer + ?Sized>(
         let pc = ctx.pc;
         let Some(op) = thread.ops.get(pc) else {
             ctx.halted = true;
-            return Ok(());
+            break;
         };
-        *ops_executed += 1;
-        budget = budget
-            .checked_sub(1)
-            .ok_or_else(|| missing_pause(&thread.name))?;
+        budget = match budget.checked_sub(1) {
+            Some(left) => left,
+            None => return Err(missing_pause(&thread.name, ops_executed)),
+        };
         match step_op(op, pc, state, obs) {
             Next::Pc(next) => ctx.pc = next,
             Next::Pause => {
                 ctx.pc = pc + 1;
-                return Ok(());
+                break;
             }
             Next::Halt => {
                 ctx.halted = true;
-                return Ok(());
+                break;
             }
         }
     }
+    *ops_executed += MAX_OPS_PER_CYCLE - budget;
+    Ok(())
 }
 
 /// Evaluates an expression against machine state.

@@ -31,8 +31,14 @@ pub(crate) const MAX_OPS_PER_CYCLE: u64 = 100_000;
 
 /// The trap of a software thread that ran [`MAX_OPS_PER_CYCLE`] ops
 /// without pausing — one text for both software images.
+///
+/// Both images hold the thread-cycle's op count in a register, as the
+/// budget left, and add it to `ops_executed` only where the thread
+/// leaves its step. This is that exit for a trap: the budget ran out,
+/// and the op that found it so counts too, `MAX_OPS_PER_CYCLE + 1` ops.
 #[cold]
-pub(crate) fn missing_pause(thread: &str) -> IrError {
+pub(crate) fn missing_pause(thread: &str, ops_executed: &mut u64) -> IrError {
+    *ops_executed += MAX_OPS_PER_CYCLE + 1;
     IrError(format!(
         "thread {thread} exceeded {MAX_OPS_PER_CYCLE} ops without pausing (missing pause()?)"
     ))

@@ -157,7 +157,7 @@ fn at_width(limbs: &[u64], width: u16) -> Cow<'_, [u64]> {
 
 /// Hashed, TTL-aware CAM storage (see the module docs for the storage
 /// layout and the capacity/expiry/eviction contract).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CamTable {
     capacity: usize,
     key_bits: u16,
@@ -606,7 +606,7 @@ pub type PartnerKeyFn = fn(&Bits, &Bits) -> Bits;
 /// Two [`CamTable`]s whose entries exist in 1:1 correspondence; every
 /// involuntary removal on one side atomically removes the partner, and
 /// touches propagate (see the module docs).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CamPair {
     /// Side A (NAT: the forward table).
     pub a: CamTable,

@@ -70,6 +70,16 @@ pub trait IpBlockModel: Send {
     }
     /// Zeroes any CAM statistics (table contents untouched).
     fn reset_cam_stats(&mut self) {}
+    /// A copy of this model in its current state, for a shard
+    /// checkpoint; `None` (the default) when the model cannot be copied,
+    /// which makes the checkpoint fail with [`IpBlockModel::name`].
+    fn clone_box(&self) -> Option<Box<dyn IpBlockModel>> {
+        None
+    }
+    /// The model's name in errors about it: its type's.
+    fn name(&self) -> &'static str {
+        std::any::type_name::<Self>()
+    }
 }
 
 /// An environment hosting a set of IP blocks.
@@ -111,6 +121,21 @@ impl IpEnv {
         for b in &mut self.blocks {
             b.reset_cam_stats();
         }
+    }
+
+    /// A copy of every attached block in its current state
+    /// ([`IpBlockModel::clone_box`]); `Err` names the first block that
+    /// cannot be copied.
+    pub fn try_clone(&self) -> Result<IpEnv, String> {
+        let blocks = self
+            .blocks
+            .iter()
+            .map(|b| {
+                b.clone_box()
+                    .ok_or_else(|| format!("IP block model `{}` cannot be copied", b.name()))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(IpEnv { blocks })
     }
 }
 
@@ -392,6 +417,7 @@ fn cam_counters(ports: &CamIf, t: &CamTable) -> CamCounters {
 /// recorded deviation from the paper's 8) and by every Emu latency cell
 /// of Table 4 whose service looks up a CAM (nat, memcached), and cycle
 /// for cycle by `tests/ipblock_golden.rs`.
+#[derive(Clone)]
 pub struct CamModel {
     ports: CamIf,
     native: bool,
@@ -434,6 +460,10 @@ impl CamModel {
 }
 
 impl IpBlockModel for CamModel {
+    fn clone_box(&self) -> Option<Box<dyn IpBlockModel>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn step(&mut self, _prog: &Program, st: &mut MachineState) {
         let (ports, table) = (&self.ports, &mut self.table);
         let ops = (
@@ -477,6 +507,7 @@ impl IpBlockModel for CamModel {
 ///
 /// Each side speaks the same port protocol as [`CamModel`] on its own
 /// handle, so programs are unchanged.
+#[derive(Clone)]
 pub struct PairedCamModel {
     ports_a: CamIf,
     ports_b: CamIf,
@@ -498,6 +529,10 @@ impl PairedCamModel {
 }
 
 impl IpBlockModel for PairedCamModel {
+    fn clone_box(&self) -> Option<Box<dyn IpBlockModel>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn step(&mut self, _prog: &Program, st: &mut MachineState) {
         let (a, b, pair) = (&self.ports_a, &self.ports_b, &mut self.pair);
         let ops_a = (
@@ -642,6 +677,7 @@ impl HashIf {
 /// raises `init_ready`; the program drops `init_enable`; the unit drops
 /// `init_ready` and is seeded. Feeding: each cycle with `feed_en` high
 /// absorbs one byte from `data_in`. `clear` resets the digest.
+#[derive(Clone)]
 pub struct PearsonHashModel {
     ports: HashIf,
     h: u8,
@@ -663,6 +699,10 @@ impl PearsonHashModel {
 }
 
 impl IpBlockModel for PearsonHashModel {
+    fn clone_box(&self) -> Option<Box<dyn IpBlockModel>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn step(&mut self, _prog: &Program, st: &mut MachineState) {
         let p = &self.ports;
         let data = p.data_in.get(st) as u8;
@@ -782,6 +822,7 @@ impl NaughtyQIf {
 /// slot when full — the eviction logic that would have to live in the
 /// control plane under P4, §4.4) and reports the slot index. `Read`
 /// returns a slot's value. `BackOfQ` marks a slot most-recently-used.
+#[derive(Clone)]
 pub struct NaughtyQModel {
     ports: NaughtyQIf,
     slots: Vec<Option<Bits>>,
@@ -810,6 +851,10 @@ fn touch(order: &mut VecDeque<usize>, idx: usize) {
 }
 
 impl IpBlockModel for NaughtyQModel {
+    fn clone_box(&self) -> Option<Box<dyn IpBlockModel>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn step(&mut self, _prog: &Program, st: &mut MachineState) {
         let p = &self.ports;
         let mut evicted = None;

@@ -1392,6 +1392,115 @@ fn observer_writes_a_signal_mid_frame() {
 // Each runs in lockstep like the register hazards above.
 // ---------------------------------------------------------------------
 
+// The compiled image runs an execution encoding that fuses three
+// adjacent micro-op pairs (`SliceS` → `StArrCS`, `CmpS` → `BranchZ`,
+// `BinS` add → `StVarS`) and leaves the first one's slot unwritten. The
+// next three cases are the ways that could be seen.
+
+/// How often each fused form occurs in `prog`'s default-pipeline
+/// encoding, summed over its threads.
+fn fused_forms(prog: &Program) -> Vec<(&'static str, usize)> {
+    let flat = flatten(prog).unwrap();
+    let cp = kiwi_ir::compile_with_passes(&flat, kiwi_ir::default_pipeline()).unwrap();
+    let mut out: Vec<(&str, usize)> = Vec::new();
+    for t in &cp.threads {
+        for (v, n) in t.exec_census() {
+            if v.starts_with("Brz") || v == "SliceStArrC" || v == "AddStVar" {
+                match out.iter_mut().find(|(w, _)| *w == v) {
+                    Some(e) => e.1 += n,
+                    None => out.push((v, n)),
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn compare_branched_on_and_stored_later_in_one_region() {
+    // CSE makes the store in the `if` body read the slot of the compare
+    // the branch tested: a second read, so the compare and its branch
+    // must not be fused into one that leaves the slot unwritten.
+    let mut pb = kiwi_ir::ProgramBuilder::new("cmp");
+    let x = pb.reg_init("x", 8, Bits::from_u64(5, 8));
+    let y = pb.reg_init("y", 8, Bits::from_u64(5, 8));
+    let f = pb.reg("f", 1);
+    let g = pb.reg("g", 8);
+    three_trips(
+        &mut pb,
+        vec![
+            if_then(
+                eq(var(x), var(y)),
+                vec![
+                    assign(f, eq(var(x), var(y))),
+                    assign(g, add(var(g), lit(1, 8))),
+                ],
+            ),
+            assign(y, add(var(y), var(g))),
+        ],
+    );
+    let end = assert_hazard_lockstep("cmp", &pb.build().unwrap());
+    assert_eq!(end.reg(VarId(2)).to_u64(), 1, "f is the compare that held");
+    assert_eq!(end.reg(VarId(3)).to_u64(), 1, "the body ran once");
+}
+
+#[test]
+fn sliced_byte_stored_at_a_constant_index_and_reused_after() {
+    // CSE makes the register store read the slot of the slice the byte
+    // store wrote: a second read, so the slice and the store must not be
+    // fused into one that leaves the slot unwritten.
+    let mut pb = kiwi_ir::ProgramBuilder::new("slice");
+    let t = pb.array("t", 8, 4, ArrayBacking::BlockRam);
+    let x = pb.reg_init("x", 16, Bits::from_u64(0xa5c3, 16));
+    let y = pb.reg("y", 8);
+    three_trips(
+        &mut pb,
+        vec![
+            arr_write(t, lit(1, 2), slice(var(x), 11, 4)),
+            assign(y, slice(var(x), 11, 4)),
+            assign(x, add(var(x), lit(0x1234, 16))),
+        ],
+    );
+    let end = assert_hazard_lockstep("slice", &pb.build().unwrap());
+    // The last trip slices `x` = 0xa5c3 + 2 * 0x1234 = 0xca2b.
+    assert_eq!(end.reg(VarId(1)).to_u64(), 0xa2);
+}
+
+#[test]
+fn loop_edges_land_on_fused_pairs() {
+    // Every branch target starts a region, and a pair never spans one:
+    // the back edge lands on the header's fused compare-and-branch, the
+    // exit just past a body that ends in a fused add-store, and each is
+    // renumbered to the operation its pair became.
+    let mut pb = kiwi_ir::ProgramBuilder::new("loop");
+    let t = pb.array("t", 8, 4, ArrayBacking::BlockRam);
+    let i = pb.reg("i", 8);
+    let s = pb.reg("s", 16);
+    three_trips(
+        &mut pb,
+        vec![
+            assign(i, lit(0, 8)),
+            while_loop(
+                lt(var(i), lit(5, 8)),
+                vec![
+                    arr_write(t, lit(2, 2), slice(var(s), 9, 2)),
+                    assign(s, add(var(s), resize(var(i), 16))),
+                    assign(i, add(var(i), lit(1, 8))),
+                ],
+            ),
+            assign(s, add(var(s), lit(7, 16))),
+        ],
+    );
+    let prog = pb.build().unwrap();
+    let fused = fused_forms(&prog);
+    for form in ["BrzLt", "SliceStArrC", "AddStVar"] {
+        let n = fused.iter().find(|(v, _)| *v == form).map_or(0, |e| e.1);
+        assert!(n > 0, "{form} fires here: {fused:?}");
+    }
+    let end = assert_hazard_lockstep("loop", &prog);
+    assert_eq!(end.reg(VarId(1)).to_u64(), 3 * (10 + 7));
+}
+
 /// Copies of `resize(inner, width)`: each copy is a node of its own, and
 /// every copy's operand is the one `inner` node.
 fn shared(inner: Expr, width: u16) -> impl Fn() -> Expr {

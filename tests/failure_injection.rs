@@ -316,6 +316,21 @@ fn panicking_engine(parallel: bool, victim: usize) -> Engine {
 }
 
 #[test]
+fn checkpoint_refuses_a_model_that_cannot_be_copied_by_name() {
+    // The planted model has no `clone_box`, so a checkpoint of its shard
+    // cannot copy the shard's environment and says which model stops it;
+    // the shards without it checkpoint as usual.
+    let engine = panicking_engine(false, 1);
+    let err = engine
+        .shard(1)
+        .checkpoint()
+        .err()
+        .expect("checkpoint refused");
+    assert!(err.contains("PanicsOnFrame"), "{err}");
+    assert!(engine.shard(0).checkpoint().is_ok());
+}
+
+#[test]
 fn panicking_model_poisons_only_its_shard() {
     // A panic inside one shard's core is that shard's trap, not the
     // process's: the frame in flight reports `Trap`, the shard's later

@@ -378,3 +378,56 @@ fn signals_are_written_only_by_stores() {
         }
     }
 }
+
+/// Encoding variants no shipped program produces under the default
+/// pipeline, each with the reason it stays. All are one-for-one forms
+/// of a micro-op or an operator; no fused form is among them.
+const KEPT_IDLE_EXEC: [(&str, &str); 4] = [
+    (
+        "Copy",
+        "copy propagation removes every `CopyS` of the default pipeline; \
+         the empty pipeline and every pipeline without `copy_prop` run it",
+    ),
+    ("Neg", "the encoding of `NegS`, kept in `KEPT_IDLE`"),
+    (
+        "Xor",
+        "`BinOp::Xor` is IR surface; the random programs of `backend_equiv` exercise it",
+    ),
+    ("StArrE", "the encoding of `StArrE`, kept in `KEPT_IDLE`"),
+];
+
+/// The execution encoding, the form of the micro-ops the compiled
+/// image runs: every variant, the fused pairs above all, must be
+/// produced for at least one shipped service under the default
+/// pipeline, so a fused form that stops firing is deleted, not carried.
+#[test]
+fn every_encoding_variant_is_produced() {
+    let mut seen: Vec<(&str, usize)> = Vec::new();
+    for (name, prog) in shipped() {
+        let cp = compile_with_passes(&flatten(&prog).unwrap(), default_pipeline()).unwrap();
+        let (mut ops, mut mops) = (0, 0);
+        for t in &cp.threads {
+            mops += t.mops.len();
+            for (k, (v, n)) in t.exec_census().into_iter().enumerate() {
+                if seen.len() == k {
+                    seen.push((v, 0));
+                }
+                seen[k].1 += n;
+                ops += n;
+            }
+        }
+        println!("{name:<22}{mops:>6} micro-ops{ops:>6} encoded");
+    }
+    println!("encoding variants over every shipped program: {seen:?}");
+    let idle: Vec<&str> = seen
+        .iter()
+        .filter(|(_, n)| *n == 0)
+        .map(|(v, _)| *v)
+        .collect();
+    let kept: Vec<&str> = KEPT_IDLE_EXEC.iter().map(|(v, _)| *v).collect();
+    assert_eq!(
+        idle, kept,
+        "an encoding variant no shipped program produces must go, or be listed in \
+         KEPT_IDLE_EXEC with its reason"
+    );
+}

@@ -52,6 +52,9 @@ const KEPT: &[&str] = &[
     "assert_targets_agree: the three-target harness (tests/three_targets.rs)",
     "visit: Expr, a pre-order walk (emu-core's csum and dataplane tests)",
     "env_mut: Engine's (tests/failure_injection.rs) and Shard's, which only Engine's calls",
+    "exec_census: CompiledThread, the execution encoding by variant (tests/pass_census.rs)",
+    "checkpoint: Shard, its state as a value (tests/sharding.rs); the flight recorder will call it",
+    "restore: Shard, back to a checkpoint (tests/sharding.rs); the flight recorder will call it",
 ];
 
 /// The item a `KEPT` entry names.

@@ -8,8 +8,13 @@
 //!   on both execution targets and in both execution modes,
 //! * `NatSteering` dispatch delivers inbound NAT replies to the shard
 //!   that allocated the mapping — which plain RSS provably cannot,
-//! * shards built as copies of one core share no state on any execution.
+//! * shards built as copies of one core share no state on any execution,
+//! * a shard's checkpoint, restored into a fresh engine's shard, runs the
+//!   frames after it exactly as the shard it came from did.
 
+mod common;
+
+use common::soak_pairings;
 use emu::prelude::*;
 use emu::services as s;
 use emu::stdlib::{flow_hash, flow_key};
@@ -620,5 +625,53 @@ fn shards_share_no_state_on_any_execution() {
         }
         // Each shard learned its probe's sender, shard 1 the station too.
         assert_eq!(free(&engine), [10, 2, 1], "{exec}");
+    }
+}
+
+#[test]
+fn a_restored_checkpoint_replays_the_same_frames_on_every_image() {
+    // Run N frames, checkpoint, run M more; restore the checkpoint into
+    // a fresh engine's shard and run the same M again. Outputs, cycles,
+    // the telemetry snapshot and the CAM counters in it must agree, on
+    // the compiled image, the tree-walker and the FSM.
+    const N: usize = 48;
+    const M: usize = 48;
+    for (label, svc, mut gen) in soak_pairings(0xc0de) {
+        let frames: Vec<Frame> = (0..N + M).map(|_| gen.next_frame()).collect();
+        let images = [
+            (Target::Cpu, Some(Backend::Compiled)),
+            (Target::Cpu, Some(Backend::TreeWalk)),
+            (Target::Fpga, None),
+        ];
+        for (target, backend) in images {
+            let what = format!("{label} on {target:?} {backend:?}");
+            let build = || {
+                let b = svc.engine(target);
+                match backend {
+                    Some(k) => b.backend(k),
+                    None => b,
+                }
+                .build()
+                .unwrap()
+            };
+            let mut first = build();
+            for f in &frames[..N] {
+                let _ = first.process(f);
+            }
+            let cp = first.shard(0).checkpoint().unwrap();
+            let run = |engine: &mut Engine| -> Vec<String> {
+                let outs = frames[N..].iter().map(|f| engine.process(f));
+                outs.map(|out| format!("{out:?}")).collect()
+            };
+            let want = run(&mut first);
+            let mut fresh = build();
+            fresh.shard_mut(0).restore(&cp);
+            assert_eq!(run(&mut fresh), want, "{what}: outputs and cycles");
+            let (a, b) = (first.telemetry().unwrap(), fresh.telemetry().unwrap());
+            let has_cam = label != "tcp-ping";
+            assert_eq!(!a.shards[0].cams.is_empty(), has_cam, "{what}");
+            assert_eq!(a.shards[0].cams, b.shards[0].cams, "{what}: CAM counters");
+            assert_eq!(a, b, "{what}: telemetry snapshot");
+        }
     }
 }
