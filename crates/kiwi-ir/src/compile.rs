@@ -24,20 +24,36 @@
 //! after the passes and the slot layout, each thread's final micro-ops
 //! are lowered once more, into an execution encoding held beside them
 //! ([`CompiledThread`]'s `exec`), and the executor runs only that.
-//! It differs from the micro-ops in three ways:
+//! It differs from the micro-ops in four ways:
 //!
 //! * **One variant per operator.** `BinS` and `CmpS` carry a [`BinOp`];
 //!   the encoding has `Add`, `Sub`, …, `Eq`, `Lt`, …, so the executor
 //!   matches once per operation, not once more on the operator.
-//! * **Three fused adjacent pairs.** A `SliceS` stored by a `StArrCS`,
-//!   a `CmpS` tested by a `BranchZ` (for the compares that occur: `==`,
-//!   `!=`, `<` and `>=`) and an add `BinS` stored by a `StVarS` each run
-//!   as one operation, which leaves the first one's slot unwritten. So a
-//!   pair fuses only when its terminal is the slot's only read in its
-//!   region, both lie in one region, and no branch lands between them.
-//!   The fused operation ticks the op budget once, where its terminal
-//!   stood. They are the most frequent adjacent pairs of memcached's
-//!   dynamic micro-op stream.
+//! * **Fused adjacent pairs.** A `SliceS` stored by a `StArrCS`, a
+//!   `CmpS` tested by a `BranchZ` (for the compares that occur: `==`,
+//!   `!=`, `<` and `>=`), an add `BinS` stored by a `StVarS` and an add
+//!   `BinS` that is the index of a `StArrS` (a store at `base + k`) each
+//!   run as one operation, which leaves the first one's slot unwritten.
+//!   So a pair fuses only when its terminal is the slot's only read in
+//!   its region, both lie in one region, and no branch lands between
+//!   them. The fused operation ticks the op budget once, where its
+//!   terminal stood. They are the most frequent adjacent pairs of
+//!   memcached's dynamic micro-op stream.
+//! * **Frame fields as words.** A service parses and rewrites header
+//!   fields one byte of `frame` at a time. A byte-load chain (an
+//!   `LdArrPairCS` and the `ConcatLdCS`s at the next constant indices,
+//!   each on the one before) runs as one big-endian load of up to eight
+//!   bytes, `LdBytesC`; a run of `SliceS` → `StArrCS` byte pairs of one
+//!   source, the index rising by one and `lo` falling by eight, as one
+//!   store, `StBytesC`. Each moves the eight bytes from its first index
+//!   as one word (a store writes the bytes past the run back as they
+//!   were), so it fires only eight bytes or more from the array's end.
+//!   The rule for unwritten slots is the pairs' rule, for every slot the
+//!   form skips. A chain ticks nothing (its micro-ops are no terminals);
+//!   a run holds one terminal per byte and ticks once per byte, so a
+//!   budget that runs out inside it stores the bytes the tree-walker
+//!   would have stored and traps at the same op. A tower step no chain
+//!   takes runs as a load and a concat.
 //! * **The op count in a register.** The budget left is the thread's
 //!   op count, added to the instance's only where the thread leaves the
 //!   executor: at a pause, a halt, the end of its code or a trap. The
@@ -45,9 +61,11 @@
 //!
 //! The fused forms live only in the encoding because they are a fact
 //! about dispatch, not about values: a pass would have to treat each one
-//! as two micro-ops, and the listings, the census and the pinned listing
-//! digests would describe what a pass never sees. Each part pays on
-//! emubench's `l7-memcached`; CHANGES.md has the drop-one measurements.
+//! as the micro-ops it stands for, and the listings, the census and the
+//! pinned listing digests would describe what a pass never sees.
+//! `EMU_CPU_DUMP_MOPS` prints, after each thread's listing, how many of
+//! each encoding variant the thread holds. Each part pays on emubench's
+//! `l7-memcached`; CHANGES.md has the drop-one measurements.
 //!
 //! # Registers, signals, scratch and constant pool
 //!
@@ -819,11 +837,18 @@ pub fn compile_with_passes(
         });
     }
     for t in &mut cp.threads {
-        t.exec = encode(t, scratch);
+        t.exec = encode(t, scratch, &cp.prog);
     }
     if std::env::var("EMU_CPU_DUMP_MOPS").is_ok_and(|v| !v.is_empty()) {
-        for ti in 0..cp.threads.len() {
+        for (ti, t) in cp.threads.iter().enumerate() {
+            let census: Vec<String> = t
+                .exec_census()
+                .into_iter()
+                .filter(|&(_, n)| n > 0)
+                .map(|(v, n)| format!("{v} {n}"))
+                .collect();
             eprintln!("{}", mops_to_string(&cp, ti));
+            eprintln!("encoding of thread {}: {}", t.name, census.join(", "));
         }
     }
     Ok(cp)
@@ -1487,8 +1512,6 @@ encoding! {
     LdArrC { dst: Slot, arr: u32, idx: u32 },
     /// [`MOp::LdArrPairCS`].
     LdArrPairC { dst: Slot, arr: u32, idx: u32, bw: u16 },
-    /// [`MOp::ConcatLdCS`].
-    ConcatLdC { dst: Slot, a: Slot, arr: u32, idx: u32, bw: u16 },
     /// [`MOp::CopyS`].
     Copy { dst: Slot, a: Slot },
     /// [`MOp::MaskS`].
@@ -1576,7 +1599,23 @@ encoding! {
     /// `mask` is the sum's and the register's width at once, and `w` the
     /// register's width.
     AddStVar { a: Slot, b: Slot, mask: u64, var: u32, w: u16 },
+    /// Fused `BinS` of `+` → `StArrS` at that index:
+    /// `arr[(a + b) & mask_of(w)] := v`, the sum's slot unwritten.
+    AddStArr { a: Slot, b: Slot, w: u16, arr: u32, v: Slot },
+    /// A byte-load chain, an `LdArrPairCS` and the `ConcatLdCS`s at the
+    /// next indices: `dst := arr[#idx .. #idx + n]`, big-endian, `n` in
+    /// `3..=8` bytes of a byte array, the chain's other slots unwritten.
+    LdBytesC { dst: Slot, arr: u32, idx: u32, n: u8 },
+    /// A byte-store run, `n >= 2` `SliceS` → `StArrCS` pairs of one
+    /// source: `arr[#idx + k] := (a >> (lo + 8 * (n - 1 - k))) & 0xff`,
+    /// the slices' slots unwritten. It ticks once per byte, and stores
+    /// only the bytes before the tick that finds the budget spent.
+    StBytesC { a: Slot, lo: u16, arr: u32, idx: u32, n: u8 },
 }
+
+// An operation is three words, like a micro-op: no fused form carries
+// more than one 64-bit immediate.
+const _: () = assert!(std::mem::size_of::<XOp>() == 24);
 
 impl XOp {
     /// The one-for-one encoding of `m`.
@@ -1585,19 +1624,7 @@ impl XOp {
             MOp::LdArrS { dst, arr, idx } => XOp::LdArr { dst, arr, idx },
             MOp::LdArrCS { dst, arr, idx } => XOp::LdArrC { dst, arr, idx },
             MOp::LdArrPairCS { dst, arr, idx, bw } => XOp::LdArrPairC { dst, arr, idx, bw },
-            MOp::ConcatLdCS {
-                dst,
-                a,
-                arr,
-                idx,
-                bw,
-            } => XOp::ConcatLdC {
-                dst,
-                a,
-                arr,
-                idx,
-                bw,
-            },
+            MOp::ConcatLdCS { .. } => unreachable!("`encode` splits a lone tower step"),
             MOp::CopyS { dst, a } => XOp::Copy { dst, a },
             MOp::MaskS { dst, a, mask } => XOp::Mask { dst, a, mask },
             MOp::NotS { dst, a, mask } => XOp::Not { dst, a, mask },
@@ -1649,11 +1676,128 @@ impl XOp {
         }
     }
 
+    /// The fused form of the micro-ops at the head of `mops`, one region's
+    /// rest, with how many it takes, when there is one: a byte-load chain
+    /// or a byte-store run of `prog`'s ([`XOp::LdBytesC`],
+    /// [`XOp::StBytesC`]), else an adjacent pair. Each slot the fused form
+    /// leaves unwritten has the next micro-op of the form as its only
+    /// read in the region (`sole_read`).
+    fn fused(
+        mops: &[MOp],
+        prog: &Program,
+        sole_read: impl Fn(Slot) -> bool,
+    ) -> Option<(XOp, usize)> {
+        // A chain or a run reads or writes the eight bytes from its
+        // first index on as one word, so it starts eight bytes or more
+        // from the array's end.
+        let word = |arr: u32, idx: u32| idx as usize + 8 <= prog.arrays()[arr as usize].len;
+        XOp::load_chain(mops, word, &sole_read)
+            .or_else(|| XOp::store_run(mops, word, &sole_read))
+            .or_else(|| match mops {
+                [first, then, ..] => Some((XOp::fused_pair(*first, *then, &sole_read)?, 2)),
+                _ => None,
+            })
+    }
+
+    /// An `LdArrPairCS` of a byte array and the `ConcatLdCS`s that take
+    /// the bytes after it in, each on the one before as its only read:
+    /// [`XOp::LdBytesC`], when the chain has at least one step.
+    fn load_chain(
+        mops: &[MOp],
+        word: impl Fn(u32, u32) -> bool,
+        sole_read: impl Fn(Slot) -> bool,
+    ) -> Option<(XOp, usize)> {
+        let [MOp::LdArrPairCS {
+            dst,
+            arr,
+            idx,
+            bw: 8,
+        }, rest @ ..] = mops
+        else {
+            return None;
+        };
+        if !word(*arr, *idx) {
+            return None;
+        }
+        let (mut dst, mut n) = (*dst, 2u8);
+        for m in rest {
+            match *m {
+                MOp::ConcatLdCS {
+                    dst: next,
+                    a,
+                    arr: r,
+                    idx: i,
+                    bw: 8,
+                } if a == dst && r == *arr && i == idx + u32::from(n) && n < 8 && sole_read(a) => {
+                    (dst, n) = (next, n + 1);
+                }
+                _ => break,
+            }
+        }
+        (n > 2).then_some((
+            XOp::LdBytesC {
+                dst,
+                arr: *arr,
+                idx: *idx,
+                n,
+            },
+            usize::from(n) - 1,
+        ))
+    }
+
+    /// Adjacent `SliceS` → `StArrCS` pairs of one source into a byte
+    /// array, each slice a byte, `lo` falling by 8 and the index rising
+    /// by 1 from pair to pair, each slice's slot read only by its store:
+    /// [`XOp::StBytesC`], when there are at least two.
+    fn store_run(
+        mops: &[MOp],
+        word: impl Fn(u32, u32) -> bool,
+        sole_read: impl Fn(Slot) -> bool,
+    ) -> Option<(XOp, usize)> {
+        let byte = |pair: &[MOp]| match *pair {
+            [MOp::SliceS {
+                dst,
+                a,
+                lo,
+                mask: 0xff,
+            }, MOp::StArrCS {
+                arr,
+                idx,
+                a: v,
+                w: 8,
+            }] if v == dst && sole_read(dst) => Some((a, lo, arr, idx)),
+            _ => None,
+        };
+        let mut pairs = mops.chunks_exact(2).map(byte);
+        let (a, lo, arr, idx) = pairs.next()??;
+        if !word(arr, idx) {
+            return None;
+        }
+        let mut n = 1u8;
+        for (a2, lo2, arr2, idx2) in pairs.map_while(|p| p) {
+            if (a2, arr2) != (a, arr) || idx2 != idx + u32::from(n) || lo2 + 8 * u16::from(n) != lo
+            {
+                break;
+            }
+            n += 1;
+        }
+        (n > 1).then_some((
+            XOp::StBytesC {
+                a,
+                lo: lo - 8 * u16::from(n - 1),
+                arr,
+                idx,
+                n,
+            },
+            2 * usize::from(n),
+        ))
+    }
+
     /// The fused form of the adjacent pair `first`, `then`, when there is
     /// one: `then` is the terminal that reads `first`'s slot, and no other
     /// micro-op of the region reads it (`sole_read`), so the slot need not
     /// be written.
-    fn fused(first: MOp, then: MOp, sole_read: impl Fn(Slot) -> bool) -> Option<XOp> {
+    fn fused_pair(first: MOp, then: MOp, sole_read: impl Fn(Slot) -> bool) -> Option<XOp> {
         let x = match (first, then) {
             (MOp::SliceS { dst, a, lo, mask }, MOp::StArrCS { arr, idx, a: v, .. }) if v == dst => {
                 XOp::SliceStArrC {
@@ -1687,6 +1831,22 @@ impl XOp {
                 var,
                 w,
             },
+            (
+                MOp::BinS {
+                    dst,
+                    op: BinOp::Add,
+                    a,
+                    b,
+                    mask,
+                },
+                MOp::StArrS { arr, idx, a: v, .. },
+            ) if idx == dst => XOp::AddStArr {
+                a,
+                b,
+                w: mask.count_ones() as u16,
+                arr,
+                v,
+            },
             _ => return None,
         };
         sole_read(first.dst()?).then_some(x)
@@ -1706,20 +1866,22 @@ impl XOp {
     }
 }
 
-/// Lowers thread `t`'s laid-out micro-ops (scratch from slot `scratch`
-/// up) to the execution encoding, once per image and in time linear in
-/// the thread: one operation per micro-op, but an adjacent pair of
-/// [`XOp::fused`] becomes one when
+/// Lowers thread `t` of `prog`, its micro-ops laid out (scratch from
+/// slot `scratch` up), to the execution encoding, once per image and in
+/// time linear in the thread: one operation per micro-op, but the
+/// adjacent micro-ops of one [`XOp::fused`] form become one when
 ///
-/// * both lie in one region (scratch is numbered per region), so no
-///   branch lands on the second: every branch target starts a region,
+/// * all lie in one region (scratch is numbered per region), so no
+///   branch lands inside the form: every branch target starts a region,
 ///   since the widening merges no statement a branch lands on; and
-/// * the pair's terminal is the only read of the first one's slot in
-///   the region, counted once per region.
+/// * each slot the form leaves unwritten has the form's next micro-op
+///   as its only read in the region, counted once per region.
 ///
-/// A fused operation runs where its terminal stood, so it ticks the
-/// budget once, there. Branch targets are renumbered to the encoding.
-fn encode(t: &CompiledThread, scratch: Slot) -> Vec<XOp> {
+/// A fused operation runs where its last terminal stood, so it ticks the
+/// budget once, there; a byte-store run, which holds one terminal per
+/// byte, ticks once per byte. Branch targets are renumbered to the
+/// encoding.
+fn encode(t: &CompiledThread, scratch: Slot, prog: &Program) -> Vec<XOp> {
     let mops = &t.mops;
     let n = mops.len();
     let mut bounds: Vec<usize> = t.regions.iter().map(|r| r.start as usize).collect();
@@ -1754,21 +1916,29 @@ fn encode(t: &CompiledThread, scratch: Slot) -> Vec<XOp> {
         }
         let mut i = start;
         while i < end {
-            at[i] = out.len() as u32;
             let sole_read = |s: Slot| scratch_index(s).is_some_and(|k| reads[k] == 1);
-            let fused = if i + 1 < end {
-                XOp::fused(mops[i], mops[i + 1], sole_read)
-            } else {
-                None
+            let here = out.len() as u32;
+            let (x, taken) = match XOp::fused(&mops[i..end], prog, sole_read) {
+                Some(fused) => fused,
+                // A tower step no chain takes: the load into the step's
+                // own slot, then the concat onto it.
+                None => match mops[i] {
+                    MOp::ConcatLdCS {
+                        dst,
+                        a,
+                        arr,
+                        idx,
+                        bw,
+                    } => {
+                        out.push(XOp::LdArrC { dst, arr, idx });
+                        (XOp::Concat { dst, a, b: dst, bw }, 1)
+                    }
+                    m => (XOp::of(m), 1),
+                },
             };
-            if let Some(x) = fused {
-                at[i + 1] = out.len() as u32;
-                out.push(x);
-                i += 2;
-            } else {
-                out.push(XOp::of(mops[i]));
-                i += 1;
-            }
+            at[i..i + taken].fill(here);
+            out.push(x);
+            i += taken;
         }
         for m in &mops[start..end] {
             m.uses(&mut |s| {
@@ -1794,6 +1964,32 @@ fn encode(t: &CompiledThread, scratch: Slot) -> Vec<XOp> {
 /// Panic message of the const-index array micro-ops: their indices are
 /// proven in bounds when the op is built, so a miss is a compiler bug.
 const CONST_IDX: &str = "const array index proven in bounds at compile time";
+
+/// The trap of a byte-store run of `n` bytes of `v` from index `i` of a
+/// byte array's `cells` that the budget runs out inside, `left` bytes
+/// in: those are stored, lifting the high-water mark `high`, and the
+/// next one traps. Out of line, so the executor's loop keeps its
+/// registers.
+#[cold]
+#[inline(never)]
+fn run_out_in_a_run(
+    cells: &mut crate::Cells,
+    high: &mut usize,
+    (i, n, left): (usize, usize, usize),
+    v: u64,
+    thread: &str,
+    ops_executed: &mut u64,
+) -> IrError {
+    if left > 0 {
+        cells
+            .bytes_mut()
+            .and_then(|d| d.get_mut(i..i + left))
+            .expect(CONST_IDX)
+            .copy_from_slice(&v.to_be_bytes()[8 - n..][..left]);
+        *high = (*high).max(i + left);
+    }
+    missing_pause(thread, ops_executed)
+}
 
 /// Compiled thread `ti`'s share of a cycle: executes its encoding from
 /// its pc until it pauses or halts.
@@ -1877,17 +2073,13 @@ pub(crate) fn exec_thread<O: Observer + ?Sized>(
                     let lo = a.get_u64(i + 1).expect(CONST_IDX);
                     file[*dst as usize] = (hi << bw) | lo;
                 }
-                XOp::ConcatLdC {
-                    dst,
-                    a,
-                    arr,
-                    idx,
-                    bw,
-                } => {
-                    let lo = state.arrays[*arr as usize]
-                        .get_u64(*idx as usize)
+                // The chain is the word's first `n` bytes.
+                XOp::LdBytesC { dst, arr, idx, n } => {
+                    let word = state.arrays[*arr as usize]
+                        .bytes()
+                        .and_then(|d| d.get(*idx as usize..)?.first_chunk::<8>())
                         .expect(CONST_IDX);
-                    file[*dst as usize] = (file[*a as usize] << bw) | lo;
+                    file[*dst as usize] = u64::from_be_bytes(*word) >> (64 - 8 * n);
                 }
                 XOp::Copy { dst, a } => file[*dst as usize] = file[*a as usize],
                 XOp::Mask { dst, a, mask } => file[*dst as usize] = file[*a as usize] & mask,
@@ -1980,6 +2172,15 @@ pub(crate) fn exec_thread<O: Observer + ?Sized>(
                         state.arr_high[ai] = state.arr_high[ai].max(i + 1);
                     }
                 }
+                XOp::AddStArr { a, b, w, arr, v } => {
+                    tick!();
+                    let sum = file[*a as usize].wrapping_add(file[*b as usize]);
+                    let i = (sum & (u64::MAX >> (64 - w))) as usize;
+                    let ai = *arr as usize;
+                    if state.arrays[ai].set_u64(i, file[*v as usize]) {
+                        state.arr_high[ai] = state.arr_high[ai].max(i + 1);
+                    }
+                }
                 // Const-index stores are proven in bounds at compile
                 // time, like the const-index loads above.
                 XOp::StArrC { arr, idx, a } => {
@@ -2001,6 +2202,36 @@ pub(crate) fn exec_thread<O: Observer + ?Sized>(
                     let stored = state.arrays[ai].set_u64(i, (file[*a as usize] >> lo) & mask);
                     assert!(stored, "{CONST_IDX}");
                     state.arr_high[ai] = state.arr_high[ai].max(i + 1);
+                }
+                // One tick per byte. A budget that runs out inside the
+                // run stores the bytes before the one that found it
+                // spent, and that one traps.
+                XOp::StBytesC { a, lo, arr, idx, n } => {
+                    let (ai, i, n) = (*arr as usize, *idx as usize, u32::from(*n));
+                    let v = file[*a as usize] >> lo;
+                    let Some(left) = budget.checked_sub(u64::from(n)) else {
+                        let (cells, high) = (&mut state.arrays[ai], &mut state.arr_high[ai]);
+                        let run = (i, n as usize, budget as usize);
+                        return Err(run_out_in_a_run(
+                            cells,
+                            high,
+                            run,
+                            v,
+                            &thread.name,
+                            ops_executed,
+                        ));
+                    };
+                    budget = left;
+                    // The run is the word's first `n` bytes; the others
+                    // are written back as they were.
+                    let word = state.arrays[ai]
+                        .bytes_mut()
+                        .and_then(|d| d.get_mut(i..)?.first_chunk_mut::<8>())
+                        .expect(CONST_IDX);
+                    let others =
+                        u64::from_be_bytes(*word) & u64::MAX.checked_shr(8 * n).unwrap_or(0);
+                    *word = ((v << (64 - 8 * n)) | others).to_be_bytes();
+                    state.arr_high[ai] = state.arr_high[ai].max(i + n as usize);
                 }
                 // A signal store likewise, in the signal's slot.
                 XOp::StSig { sig, a, w } => {
@@ -2328,6 +2559,57 @@ mod tests {
             tw.ops_executed(),
             "op counts at the trap"
         );
+    }
+
+    #[test]
+    fn budget_runs_out_inside_a_byte_run() {
+        // A pause-free loop of thirteen ops: the header's branch, a
+        // six-byte run of `x`, a store to `x`, four more stores and the
+        // jump back. The budget leaves four ops for the last trip, so the
+        // trap falls on the run's fourth byte: three bytes of the new `x`
+        // are stored, the last three still hold the trip before's.
+        let mut pb = ProgramBuilder::new("p");
+        let x = pb.reg_init("x", 48, Bits::from_u64(0x0102_0304_0506, 48));
+        let n = pb.reg("n", 8);
+        let t = pb.array("t", 8, 8, ArrayBacking::BlockRam);
+        let mut body: Vec<_> = (0..6u16)
+            .map(|k| arr_write(t, lit(k.into(), 3), slice(var(x), 47 - 8 * k, 40 - 8 * k)))
+            .collect();
+        body.push(assign(x, add(var(x), lit(0x0101_0101_0101, 48))));
+        body.extend((0..4).map(|_| assign(n, add(var(n), lit(1, 8)))));
+        pb.thread("main", vec![forever(body)]);
+        // The default pipeline, whatever `EMU_CPU_PASSES` says: the run
+        // is made of the constant-index stores it leaves.
+        let flat = flatten(&pb.build().unwrap()).unwrap();
+        let cp = compile_with_passes(&flat, crate::opt::default_pipeline()).unwrap();
+        assert!(cp.threads[0].exec.contains(&XOp::StBytesC {
+            a: 0,
+            lo: 0,
+            arr: 0,
+            idx: 0,
+            n: 6,
+        }));
+        let mut tw = Core::new(Code::TreeWalk(flat));
+        let mut cm = Core::new(Code::Compiled(cp));
+        let e1 = tw.step_cycle(&mut NullEnv, &mut NullObserver).unwrap_err();
+        let e2 = cm.step_cycle(&mut NullEnv, &mut NullObserver).unwrap_err();
+        assert_eq!(e1, e2, "trap messages must match");
+        assert_eq!(
+            cm.ops_executed(),
+            tw.ops_executed(),
+            "op counts at the trap"
+        );
+        assert_eq!(
+            tw.state().arrays,
+            cm.state().arrays,
+            "frame bytes at the trap"
+        );
+        assert_eq!(tw.state().arr_high, cm.state().arr_high);
+        let now = cm.state().reg(VarId(0)).to_u64().to_be_bytes();
+        let before = (cm.state().reg(VarId(0)).to_u64() - 0x0101_0101_0101).to_be_bytes();
+        let bytes = cm.state().arrays[0].bytes().unwrap();
+        assert_eq!(bytes[..3], now[2..5], "the bytes stored before the trap");
+        assert_eq!(bytes[3..6], before[5..8], "the bytes the trap kept out");
     }
 
     #[test]

@@ -111,11 +111,6 @@ binop_fn!(/// Unsigned greater-than.
 binop_fn!(/// Unsigned greater-or-equal.
     ge, Ge);
 
-/// Logical AND of 1-bit values (bitwise AND after reduction).
-pub fn land(l: Expr, r: Expr) -> Expr {
-    band(nonzero(l), nonzero(r))
-}
-
 /// Two-way mux: `cond ? t : e`.
 pub fn mux(cond: Expr, t: Expr, e: Expr) -> Expr {
     Expr::Mux(Arc::new(cond), Arc::new(t), Arc::new(e))

@@ -520,12 +520,6 @@ impl SwitchModel {
             .collect();
         self
     }
-
-    /// MAC entries resident across shard shadows (live plus
-    /// expired-but-not-yet-reclaimed, matching engine occupancy).
-    pub fn learned(&self) -> usize {
-        self.tables.iter().map(CamTable::occupancy).sum()
-    }
 }
 
 impl Checker for SwitchModel {
@@ -720,6 +714,14 @@ mod tests {
 
     fn public() -> Ipv4 {
         "203.0.113.1".parse().unwrap()
+    }
+
+    impl SwitchModel {
+        /// MAC entries resident across shard shadows (live plus
+        /// expired-but-not-yet-reclaimed, matching engine occupancy).
+        fn learned(&self) -> usize {
+            self.tables.iter().map(CamTable::occupancy).sum()
+        }
     }
 
     impl NatChecker {

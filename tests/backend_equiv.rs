@@ -1405,7 +1405,14 @@ fn fused_forms(prog: &Program) -> Vec<(&'static str, usize)> {
     let mut out: Vec<(&str, usize)> = Vec::new();
     for t in &cp.threads {
         for (v, n) in t.exec_census() {
-            if v.starts_with("Brz") || v == "SliceStArrC" || v == "AddStVar" {
+            let forms = [
+                "SliceStArrC",
+                "AddStVar",
+                "AddStArr",
+                "LdBytesC",
+                "StBytesC",
+            ];
+            if v.starts_with("Brz") || forms.contains(&v) {
                 match out.iter_mut().find(|(w, _)| *w == v) {
                     Some(e) => e.1 += n,
                     None => out.push((v, n)),
@@ -1499,6 +1506,136 @@ fn loop_edges_land_on_fused_pairs() {
     }
     let end = assert_hazard_lockstep("loop", &prog);
     assert_eq!(end.reg(VarId(1)).to_u64(), 3 * (10 + 7));
+}
+
+/// Asserts that each of `forms` fires in `prog`'s default-pipeline
+/// encoding, so a hazard test beside it runs the fused path too.
+fn assert_fires(prog: &Program, forms: &[&str]) {
+    let fused = fused_forms(prog);
+    for form in forms {
+        let n = fused.iter().find(|(v, _)| v == form).map_or(0, |e| e.1);
+        assert!(n > 0, "{form} fires here: {fused:?}");
+    }
+}
+
+#[test]
+fn byte_load_chain_whose_middle_is_read_again() {
+    // `x := {t0, t1, t2}` is a pair load and a tower step; CSE makes
+    // `y := {t0, t1}` read the pair's slot again, so the chain must not
+    // become one load that leaves that slot unwritten. `z`'s chain has
+    // no second read and becomes one. `e`'s chain starts within eight
+    // bytes of the array's end, where no word is read. The bytes change
+    // every trip, after the loads.
+    let mut pb = kiwi_ir::ProgramBuilder::new("chain");
+    let t = pb.array("t", 8, 16, ArrayBacking::BlockRam);
+    let x = pb.reg("x", 24);
+    let y = pb.reg("y", 16);
+    let z = pb.reg("z", 24);
+    let e = pb.reg("e", 24);
+    let c = pb.reg("c", 8);
+    let at = |k: u64| arr_read(t, lit(k, 4));
+    let mut body = vec![
+        assign(x, concat(concat(at(0), at(1)), at(2))),
+        assign(y, concat(at(0), at(1))),
+        assign(z, concat(concat(at(1), at(2)), at(3))),
+        assign(e, concat(concat(at(13), at(14)), at(15))),
+        assign(c, add(var(c), lit(0x11, 8))),
+    ];
+    body.extend([0, 1, 2, 3, 13, 14, 15].map(|k| arr_write(t, lit(k, 4), add(var(c), lit(k, 8)))));
+    three_trips(&mut pb, body);
+    let prog = pb.build().unwrap();
+    assert_fires(&prog, &["LdBytesC"]);
+    let end = assert_hazard_lockstep("chain", &prog);
+    assert_eq!(end.reg(VarId(0)).to_u64(), 0x222324, "x in the last trip");
+    assert_eq!(
+        end.reg(VarId(1)).to_u64(),
+        0x2223,
+        "y is x's high two bytes"
+    );
+    assert_eq!(
+        end.reg(VarId(3)).to_u64(),
+        0x2f3031,
+        "e reads the array's last bytes"
+    );
+}
+
+#[test]
+fn byte_store_runs_broken_by_an_index_a_shift_or_a_source() {
+    // Each case is two byte stores next to each other that a run must
+    // not take as one: the index skips one, `lo` falls by 4, the second
+    // slices another register, the run ends within eight bytes of the
+    // array's end (where no word is written). A store to `n` parts the
+    // cases, and no two stores slice the same bits (CSE would share the
+    // slice). The first three stores are a run, and stay one.
+    let mut pb = kiwi_ir::ProgramBuilder::new("runs");
+    let t = pb.array("t", 8, 24, ArrayBacking::BlockRam);
+    let x = pb.reg_init("x", 48, Bits::from_u64(0x0123_4567_89ab, 48));
+    let y = pb.reg_init("y", 16, Bits::from_u64(0xc3d2, 16));
+    let n = pb.reg("n", 8);
+    let byte = |k: u64, r: VarId, lo: u16| arr_write(t, lit(k, 5), slice(var(r), lo + 7, lo));
+    let part = || assign(n, add(var(n), lit(1, 8)));
+    three_trips(
+        &mut pb,
+        vec![
+            byte(0, x, 40),
+            byte(1, x, 32),
+            byte(2, x, 24),
+            part(),
+            byte(4, x, 16),
+            byte(6, x, 8),
+            part(),
+            byte(8, x, 14),
+            byte(9, x, 10),
+            part(),
+            byte(10, x, 11),
+            byte(11, y, 3),
+            part(),
+            byte(22, x, 5),
+            byte(23, x, 1),
+            assign(x, add(var(x), lit(0x1111_1111_1111, 48))),
+            assign(y, add(var(y), lit(0x0f0f, 16))),
+        ],
+    );
+    let prog = pb.build().unwrap();
+    assert_fires(&prog, &["StBytesC"]);
+    let end = assert_hazard_lockstep("runs", &prog);
+    // The last trip stores the bytes of its `x` and `y`.
+    let (x, y) = (
+        0x0123_4567_89ab_u64 + 2 * 0x1111_1111_1111,
+        0xc3d2 + 2 * 0x0f0f,
+    );
+    let at = |v: u64, lo: u32| (v >> lo) as u8;
+    let bytes = end.arrays[0].bytes().unwrap();
+    assert_eq!(bytes[..3], [at(x, 40), at(x, 32), at(x, 24)], "the run");
+    assert_eq!([bytes[4], bytes[6]], [at(x, 16), at(x, 8)], "index skips");
+    assert_eq!(bytes[8..10], [at(x, 14), at(x, 10)], "lo falls by 4");
+    assert_eq!(bytes[10..12], [at(x, 11), at(y, 3)], "another source");
+    assert_eq!(bytes[22..], [at(x, 5), at(x, 1)], "the array's end");
+}
+
+#[test]
+fn add_that_indexes_a_store_and_is_read_after_it() {
+    // CSE makes `y := b + 1` read the slot of the sum the first store
+    // indexes by: a second read, so the add and the store must not be
+    // fused into one that leaves the slot unwritten. The second store's
+    // sum has no other read and fuses.
+    let mut pb = kiwi_ir::ProgramBuilder::new("addst");
+    let t = pb.array("t", 8, 16, ArrayBacking::BlockRam);
+    let b = pb.reg_init("b", 4, Bits::from_u64(3, 4));
+    let y = pb.reg("y", 4);
+    three_trips(
+        &mut pb,
+        vec![
+            arr_write(t, add(var(b), lit(1, 4)), lit(0xaa, 8)),
+            assign(y, add(var(b), lit(1, 4))),
+            arr_write(t, add(var(b), lit(5, 4)), resize(var(y), 8)),
+            assign(b, add(var(b), lit(3, 4))),
+        ],
+    );
+    let prog = pb.build().unwrap();
+    assert_fires(&prog, &["AddStArr"]);
+    let end = assert_hazard_lockstep("addst", &prog);
+    assert_eq!(end.reg(VarId(1)).to_u64(), 10, "y is the last trip's b + 1");
 }
 
 /// Copies of `resize(inner, width)`: each copy is a node of its own, and

@@ -11,11 +11,12 @@
 //! counts are pinned: they are what lowering makes of shared nodes.
 //!
 //! The same programs pin the contracts of the slot file's registers,
-//! signals, scratch and constant pool.
+//! signals, scratch and constant pool, and that the execution encoding
+//! runs their frame fields as words.
 
 use emu::debug::{extend_program, ControllerConfig};
 use emu::ir::compile::MOp;
-use emu::ir::{compile_with_passes, default_pipeline, flatten, Pass, Program};
+use emu::ir::{compile_with_passes, default_pipeline, flatten, CompiledThread, Pass, Program};
 use emu::services as s;
 
 /// Every service program the repo ships: the eight `emu-services`
@@ -430,4 +431,87 @@ fn every_encoding_variant_is_produced() {
         "an encoding variant no shipped program produces must go, or be listed in \
          KEPT_IDLE_EXEC with its reason"
     );
+}
+
+/// One operation of an execution encoding: its variant and its fields.
+type XOp = (String, Vec<(String, u64)>);
+
+/// Thread `t`'s execution encoding, read from its derived `Debug` (the
+/// encoding is the crate's own; its fields are all integers).
+fn encoding(t: &CompiledThread) -> Vec<XOp> {
+    let text = format!("{t:?}");
+    let body = &text[text.find("exec: [").unwrap() + "exec: [".len()..text.rfind(']').unwrap()];
+    let mut ops = Vec::new();
+    let mut rest = body.trim_start();
+    while !rest.is_empty() {
+        let end = rest
+            .find(|c: char| !c.is_alphanumeric())
+            .unwrap_or(rest.len());
+        let mut fields = Vec::new();
+        let (name, after) = rest.split_at(end);
+        rest = after.trim_start();
+        if let Some(inner) = rest.strip_prefix('{') {
+            let close = inner.find('}').unwrap();
+            for field in inner[..close].split(',') {
+                let (k, v) = field.split_once(':').unwrap();
+                fields.push((k.trim().to_string(), v.trim().parse().unwrap()));
+            }
+            rest = &inner[close + 1..];
+        }
+        rest = rest.trim_start().trim_start_matches(',').trim_start();
+        ops.push((name.to_string(), fields));
+    }
+    ops
+}
+
+fn field(op: &XOp, name: &str) -> u64 {
+    op.1.iter().find(|(k, _)| k == name).unwrap().1
+}
+
+/// Frame fields run as words: under the default pipeline no shipped
+/// service's encoding keeps a tower step outside a byte-load chain, or
+/// two adjacent `SliceStArrC` that one byte-store run would take.
+#[test]
+fn frame_fields_run_as_words() {
+    for (name, prog) in shipped() {
+        let cp = compile_with_passes(&flatten(&prog).unwrap(), default_pipeline()).unwrap();
+        for t in &cp.threads {
+            let ops = encoding(t);
+            assert_eq!(
+                ops.len(),
+                t.exec_census().iter().map(|(_, n)| n).sum::<usize>()
+            );
+            let steps = t
+                .mops
+                .iter()
+                .filter(|m| matches!(m, MOp::ConcatLdCS { .. }))
+                .count() as u64;
+            let chained: u64 = ops
+                .iter()
+                .filter(|op| op.0 == "LdBytesC")
+                .map(|op| field(op, "n") - 2)
+                .sum();
+            assert_eq!(steps, chained, "{name}: a tower step outside a load chain");
+            for pair in ops.windows(2) {
+                let [x, y] = pair else { unreachable!() };
+                if x.0 != "SliceStArrC" || y.0 != "SliceStArrC" {
+                    continue;
+                }
+                let same = |k: &str| field(x, k) == field(y, k);
+                let arr = &cp.prog.arrays()[field(x, "arr") as usize];
+                let run = same("a")
+                    && same("arr")
+                    && arr.elem_width == 8
+                    && field(x, "idx") as usize + 8 <= arr.len
+                    && field(x, "mask") == 0xff
+                    && field(y, "mask") == 0xff
+                    && field(y, "idx") == field(x, "idx") + 1
+                    && field(y, "lo") + 8 == field(x, "lo");
+                assert!(
+                    !run,
+                    "{name}: two byte stores a run would take: {x:?}, {y:?}"
+                );
+            }
+        }
+    }
 }

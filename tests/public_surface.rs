@@ -52,7 +52,6 @@ const KEPT: &[&str] = &[
     "assert_targets_agree: the three-target harness (tests/three_targets.rs)",
     "visit: Expr, a pre-order walk (emu-core's csum and dataplane tests)",
     "env_mut: Engine's (tests/failure_injection.rs) and Shard's, which only Engine's calls",
-    "exec_census: CompiledThread, the execution encoding by variant (tests/pass_census.rs)",
     "checkpoint: Shard, its state as a value (tests/sharding.rs); the flight recorder will call it",
     "restore: Shard, back to a checkpoint (tests/sharding.rs); the flight recorder will call it",
 ];
@@ -81,11 +80,79 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// `text` with the contents of its string and char literals blanked,
+/// so a name in an `expect("…")` or an error text is no caller. A format
+/// string's `{name}` arguments are uses and stay; newlines stay, so line
+/// numbers hold; a `//` comment is passed over as it stands.
+fn blank_literals(text: &str) -> String {
+    let c: Vec<char> = text.chars().collect();
+    let at = |i: usize| c.get(i).copied().unwrap_or('\0');
+    let mut out = String::with_capacity(text.len());
+    let blank = |out: &mut String, ch: char| out.push(if ch == '\n' { ch } else { ' ' });
+    let mut i = 0;
+    while i < c.len() {
+        let hashes = c[i + 1..].iter().take_while(|&&h| h == '#').count();
+        if c[i] == '/' && at(i + 1) == '/' {
+            while i < c.len() && c[i] != '\n' {
+                out.push(c[i]);
+                i += 1;
+            }
+        } else if c[i] == 'r' && (i == 0 || !is_word(c[i - 1])) && at(i + 1 + hashes) == '"' {
+            // A raw string, `r"…"` or `r#"…"#`: no escapes, no arguments.
+            let open = i + 2 + hashes;
+            out.extend(&c[i..open]);
+            i = open;
+            while i < c.len() && !(c[i] == '"' && (1..=hashes).all(|k| at(i + k) == '#')) {
+                blank(&mut out, c[i]);
+                i += 1;
+            }
+            out.extend(&c[i..(i + 1 + hashes).min(c.len())]);
+            i += 1 + hashes;
+        } else if c[i] == '"' {
+            out.push('"');
+            i += 1;
+            while i < c.len() && c[i] != '"' {
+                if c[i] == '\\' {
+                    blank(&mut out, c[i]);
+                    blank(&mut out, at(i + 1));
+                    i += 2;
+                } else if c[i] == '{' && (is_word(at(i + 1)) || at(i + 1) == ':') {
+                    while i < c.len() && c[i] != '}' && c[i] != '"' {
+                        out.push(c[i]);
+                        i += 1;
+                    }
+                } else {
+                    blank(&mut out, c[i]);
+                    i += 1;
+                }
+            }
+            out.push('"');
+            i += 1;
+        } else if c[i] == '\'' && (at(i + 1) == '\\' || at(i + 2) == '\'') {
+            // A char literal (`'x'`, `'\n'`, `'\u{..}'`), not a lifetime.
+            let mut end = if at(i + 1) == '\\' { i + 3 } else { i + 2 };
+            while end < c.len() && c[end] != '\'' {
+                end += 1;
+            }
+            out.push('\'');
+            for &ch in &c[i + 1..end.min(c.len())] {
+                blank(&mut out, ch);
+            }
+            out.push('\'');
+            i = end + 1;
+        } else {
+            out.push(c[i]);
+            i += 1;
+        }
+    }
+    out
+}
+
 /// A file's lines, numbered from 1, up to its first `#[cfg(test)]`,
 /// without comment lines and `pub use` items (which may span lines up to
-/// their `;`).
+/// their `;`), with string and char literals blanked.
 fn code_lines(path: &Path) -> Vec<(usize, String)> {
-    let text = fs::read_to_string(path).unwrap();
+    let text = blank_literals(&fs::read_to_string(path).unwrap());
     let mut out = Vec::new();
     let mut in_pub_use = false;
     for (n, line) in text.lines().enumerate() {
@@ -205,5 +272,30 @@ fn every_public_item_has_a_caller_outside_the_tests() {
     assert!(
         stale.is_empty(),
         "KEPT entries with a caller or no item: {stale:?}"
+    );
+}
+
+#[test]
+fn a_name_inside_a_literal_is_no_caller() {
+    let text = "let v = f.expect(\"call spawn_all first\\\" \"); let q = '\"';\n\
+                let w = r#\"a \"raw\" join_all\"#; g(tail, '\\'', \"{width} {:>pad$}\"); // h(\"x\n";
+    let blanked = blank_literals(text);
+    let seen: Vec<&str> = blanked.lines().flat_map(words).collect();
+    for name in ["expect", "tail", "width", "pad", "g", "h", "x"] {
+        assert!(
+            seen.contains(&name),
+            "{name} is code or a format argument: {blanked}"
+        );
+    }
+    for name in ["call", "spawn_all", "first", "raw", "join_all"] {
+        assert!(
+            !seen.contains(&name),
+            "{name} is inside a literal: {blanked}"
+        );
+    }
+    assert_eq!(
+        blanked.lines().count(),
+        text.lines().count(),
+        "newlines stay"
     );
 }
