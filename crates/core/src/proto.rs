@@ -274,11 +274,6 @@ impl TcpWrapper {
         self.dp.set32(offset::L4 + 8, v)
     }
 
-    /// Sets the flags byte.
-    pub fn set_flags(&self, v: Expr) -> Stmt {
-        self.dp.set8(offset::L4 + 13, v)
-    }
-
     /// Sets the checksum field.
     pub fn set_checksum(&self, v: Expr) -> Vec<Stmt> {
         self.dp.set16(offset::L4 + 16, v)

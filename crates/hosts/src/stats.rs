@@ -54,11 +54,6 @@ impl ClientStats {
         }
     }
 
-    /// Requests resolved either way.
-    pub fn resolved(&self) -> u64 {
-        self.completed + self.mismatches + self.timeouts
-    }
-
     /// Completed requests per second of simulated time between the
     /// first issue and the last resolution, or 0.0 before any resolve.
     pub fn goodput_rps(&self) -> f64 {

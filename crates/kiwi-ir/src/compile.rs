@@ -7,7 +7,7 @@
 //! slow — it re-decodes the same `Expr` nodes every frame, builds a
 //! [`Bits`] at every node, and re-resolves widths on every binary op.
 //! This module trades that tree for a **pre-decoded linear program** of
-//! 30 micro-ops ([`MOp`]) over one file of `u64` slots:
+//! 29 micro-ops ([`MOp`]) over one file of `u64` slots:
 //!
 //! * every `VarId` / `ArrId` / `SigId` is resolved to a plain index at
 //!   lowering time,
@@ -40,29 +40,32 @@
 //!   terminal stood. They are the most frequent adjacent pairs of
 //!   memcached's dynamic micro-op stream.
 //! * **Frame fields as words.** A service parses and rewrites header
-//!   fields one byte of `frame` at a time. A byte-load chain (an
-//!   `LdArrPairCS` and the `ConcatLdCS`s at the next constant indices,
-//!   each on the one before) runs as one big-endian load of up to eight
-//!   bytes, `LdBytesC`; a run of `SliceS` → `StArrCS` byte pairs of one
-//!   source, the index rising by one and `lo` falling by eight, as one
-//!   store, `StBytesC`. Each moves the eight bytes from its first index
-//!   as one word (a store writes the bytes past the run back as they
-//!   were), so it fires only eight bytes or more from the array's end.
-//!   The rule for unwritten slots is the pairs' rule, for every slot the
-//!   form skips. A chain ticks nothing (its micro-ops are no terminals);
-//!   a run holds one terminal per byte and ticks once per byte, so a
-//!   budget that runs out inside it stores the bytes the tree-walker
-//!   would have stored and traps at the same op. A tower step no chain
-//!   takes runs as a load and a concat.
+//!   fields one byte of `frame` at a time. A field read is a micro-op of
+//!   its own, [`MOp::LdBytesCS`] (see
+//!   [`FusePairs`](crate::opt::Pass::FusePairs)), and runs as one
+//!   big-endian load of a word, `LdBytesC`. A field write stays a run of
+//!   `SliceS` → `StArrCS` byte pairs of one source, the index rising by
+//!   one and `lo` falling by eight, and only the encoding makes it one
+//!   store, `StBytesC`. The store moves the eight bytes from its first
+//!   index as one word and writes the bytes past the run back as they
+//!   were, so it fires only eight bytes or more from the array's end. The
+//!   slots it skips follow the pairs' rule. It holds one terminal per
+//!   byte and ticks once per byte, so a budget that runs out inside it
+//!   stores the bytes the tree-walker would have stored and traps at the
+//!   same op.
 //! * **The op count in a register.** The budget left is the thread's
 //!   op count, added to the instance's only where the thread leaves the
 //!   executor: at a pause, a halt, the end of its code or a trap. The
 //!   tree-walker keeps the same rule.
 //!
-//! The fused forms live only in the encoding because they are a fact
-//! about dispatch, not about values: a pass would have to treat each one
-//! as the micro-ops it stands for, and the listings, the census and the
-//! pinned listing digests would describe what a pass never sees.
+//! A form lives in the encoding only when it is a fact about dispatch,
+//! not a value: a fused pair skips a slot write, and a store run ticks
+//! once for each terminal it stands for. A pass would have to treat such
+//! a form as the micro-ops it stands for, and the listings, the census
+//! and the pinned listing digests would describe what a pass never sees.
+//! A form that is a value, such as a frame field's load, is a micro-op
+//! that the passes form and see.
+//!
 //! `EMU_CPU_DUMP_MOPS` prints, after each thread's listing, how many of
 //! each encoding variant the thread holds. Each part pays on emubench's
 //! `l7-memcached`; CHANGES.md has the drop-one measurements.
@@ -310,37 +313,21 @@ pub enum MOp {
         /// Constant element index, proven in bounds at compile time.
         idx: u32,
     },
-    /// Fused read of two adjacent array elements at compile-time-
-    /// constant indices: `dst = (a[idx] << bw) | a[idx + 1]`, both
-    /// indices proven in bounds at compile time. Produced by
-    /// [`FusePairs`](crate::opt::Pass::FusePairs) from a `ConcatS` of
-    /// two such loads.
-    LdArrPairCS {
+    /// Big-endian read of `n` adjacent bytes, `2 <= n <= 8`, of a byte
+    /// array at constant indices: `dst = {a[idx], …, a[idx + n - 1]}`.
+    /// Produced by [`FusePairs`](crate::opt::Pass::FusePairs) from the
+    /// `ConcatS` tower a big-endian field lowers to, only eight bytes or
+    /// more from the array's end, so it runs as one load of a word.
+    LdBytesCS {
         /// Destination slot.
         dst: Slot,
         /// Array index.
         arr: u32,
-        /// Constant first element index (`idx + 1` is in bounds too).
+        /// Constant index of the first, most significant byte; the
+        /// eight bytes from it are in bounds.
         idx: u32,
-        /// Element width in bits.
-        bw: u16,
-    },
-    /// Fused concat whose low part is an array load at a compile-time-
-    /// constant, in-bounds index: `dst = (a << bw) | arr[#idx]`.
-    /// Produced by [`FusePairs`](crate::opt::Pass::FusePairs) for the
-    /// inner steps of multi-byte concat towers, where the high part is
-    /// itself an accumulated value rather than a single load.
-    ConcatLdCS {
-        /// Destination slot.
-        dst: Slot,
-        /// High-part slot.
-        a: Slot,
-        /// Array index.
-        arr: u32,
-        /// Constant element index, proven in bounds at compile time.
-        idx: u32,
-        /// Width of the low part.
-        bw: u16,
+        /// Bytes read.
+        n: u8,
     },
     /// Slot-to-slot move (identity resize; fodder for copy propagation).
     CopyS {
@@ -591,7 +578,7 @@ impl MOp {
         use MOp::*;
         match self {
             LdArrCS { .. }
-            | LdArrPairCS { .. }
+            | LdBytesCS { .. }
             | EvalS { .. }
             | StVarE { .. }
             | StSigE { .. }
@@ -601,8 +588,7 @@ impl MOp {
             | ExtOp { .. }
             | HaltOp => {}
             LdArrS { idx, .. } | StArrE { idx, .. } => f(idx),
-            ConcatLdCS { a, .. }
-            | CopyS { a, .. }
+            CopyS { a, .. }
             | MaskS { a, .. }
             | NotS { a, .. }
             | NegS { a, .. }
@@ -645,8 +631,7 @@ impl MOp {
         match self {
             LdArrS { dst, .. }
             | LdArrCS { dst, .. }
-            | LdArrPairCS { dst, .. }
-            | ConcatLdCS { dst, .. }
+            | LdBytesCS { dst, .. }
             | CopyS { dst, .. }
             | MaskS { dst, .. }
             | NotS { dst, .. }
@@ -1410,22 +1395,19 @@ pub fn mops_to_string(cp: &CompiledProgram, ti: usize) -> String {
         let body = match m {
             MOp::LdArrS { dst, arr: a, idx } => format!("{} <- {}[{}]", o(dst), arr(*a), o(idx)),
             MOp::LdArrCS { dst, arr: a, idx } => format!("{} <- {}[#{idx}]", o(dst), arr(*a)),
-            MOp::LdArrPairCS {
+            MOp::LdBytesCS {
                 dst,
                 arr: a,
                 idx,
-                bw,
+                n,
             } => {
-                let n = arr(*a);
-                format!("{} <- {{{n}[#{idx}], {n}[#{}]:u{bw}}}", o(dst), idx + 1)
+                format!(
+                    "{} <- {}[#{idx}..#{}]",
+                    o(dst),
+                    arr(*a),
+                    idx + u32::from(*n)
+                )
             }
-            MOp::ConcatLdCS {
-                dst,
-                a: hi,
-                arr: a,
-                idx,
-                bw,
-            } => format!("{} <- {{{}, {}[#{idx}]:u{bw}}}", o(dst), o(hi), arr(*a)),
             MOp::CopyS { dst, a } => format!("{} <- {}", o(dst), o(a)),
             MOp::MaskS { dst, a, mask } => format!("{} <- {} & {mask:#x}", o(dst), o(a)),
             MOp::NotS { dst, a, mask } => format!("{} <- ~{} & {mask:#x}", o(dst), o(a)),
@@ -1510,8 +1492,8 @@ encoding! {
     LdArr { dst: Slot, arr: u32, idx: Slot },
     /// [`MOp::LdArrCS`].
     LdArrC { dst: Slot, arr: u32, idx: u32 },
-    /// [`MOp::LdArrPairCS`].
-    LdArrPairC { dst: Slot, arr: u32, idx: u32, bw: u16 },
+    /// [`MOp::LdBytesCS`]: the word's first `n` bytes, big-endian.
+    LdBytesC { dst: Slot, arr: u32, idx: u32, n: u8 },
     /// [`MOp::CopyS`].
     Copy { dst: Slot, a: Slot },
     /// [`MOp::MaskS`].
@@ -1602,10 +1584,6 @@ encoding! {
     /// Fused `BinS` of `+` → `StArrS` at that index:
     /// `arr[(a + b) & mask_of(w)] := v`, the sum's slot unwritten.
     AddStArr { a: Slot, b: Slot, w: u16, arr: u32, v: Slot },
-    /// A byte-load chain, an `LdArrPairCS` and the `ConcatLdCS`s at the
-    /// next indices: `dst := arr[#idx .. #idx + n]`, big-endian, `n` in
-    /// `3..=8` bytes of a byte array, the chain's other slots unwritten.
-    LdBytesC { dst: Slot, arr: u32, idx: u32, n: u8 },
     /// A byte-store run, `n >= 2` `SliceS` → `StArrCS` pairs of one
     /// source: `arr[#idx + k] := (a >> (lo + 8 * (n - 1 - k))) & 0xff`,
     /// the slices' slots unwritten. It ticks once per byte, and stores
@@ -1623,8 +1601,7 @@ impl XOp {
         match m {
             MOp::LdArrS { dst, arr, idx } => XOp::LdArr { dst, arr, idx },
             MOp::LdArrCS { dst, arr, idx } => XOp::LdArrC { dst, arr, idx },
-            MOp::LdArrPairCS { dst, arr, idx, bw } => XOp::LdArrPairC { dst, arr, idx, bw },
-            MOp::ConcatLdCS { .. } => unreachable!("`encode` splits a lone tower step"),
+            MOp::LdBytesCS { dst, arr, idx, n } => XOp::LdBytesC { dst, arr, idx, n },
             MOp::CopyS { dst, a } => XOp::Copy { dst, a },
             MOp::MaskS { dst, a, mask } => XOp::Mask { dst, a, mask },
             MOp::NotS { dst, a, mask } => XOp::Not { dst, a, mask },
@@ -1676,82 +1653,14 @@ impl XOp {
         }
     }
 
-    /// The fused form of the micro-ops at the head of `mops`, one region's
-    /// rest, with how many it takes, when there is one: a byte-load chain
-    /// or a byte-store run of `prog`'s ([`XOp::LdBytesC`],
-    /// [`XOp::StBytesC`]), else an adjacent pair. Each slot the fused form
-    /// leaves unwritten has the next micro-op of the form as its only
-    /// read in the region (`sole_read`).
-    fn fused(
-        mops: &[MOp],
-        prog: &Program,
-        sole_read: impl Fn(Slot) -> bool,
-    ) -> Option<(XOp, usize)> {
-        // A chain or a run reads or writes the eight bytes from its
-        // first index on as one word, so it starts eight bytes or more
-        // from the array's end.
-        let word = |arr: u32, idx: u32| idx as usize + 8 <= prog.arrays()[arr as usize].len;
-        XOp::load_chain(mops, word, &sole_read)
-            .or_else(|| XOp::store_run(mops, word, &sole_read))
-            .or_else(|| match mops {
-                [first, then, ..] => Some((XOp::fused_pair(*first, *then, &sole_read)?, 2)),
-                _ => None,
-            })
-    }
-
-    /// An `LdArrPairCS` of a byte array and the `ConcatLdCS`s that take
-    /// the bytes after it in, each on the one before as its only read:
-    /// [`XOp::LdBytesC`], when the chain has at least one step.
-    fn load_chain(
-        mops: &[MOp],
-        word: impl Fn(u32, u32) -> bool,
-        sole_read: impl Fn(Slot) -> bool,
-    ) -> Option<(XOp, usize)> {
-        let [MOp::LdArrPairCS {
-            dst,
-            arr,
-            idx,
-            bw: 8,
-        }, rest @ ..] = mops
-        else {
-            return None;
-        };
-        if !word(*arr, *idx) {
-            return None;
-        }
-        let (mut dst, mut n) = (*dst, 2u8);
-        for m in rest {
-            match *m {
-                MOp::ConcatLdCS {
-                    dst: next,
-                    a,
-                    arr: r,
-                    idx: i,
-                    bw: 8,
-                } if a == dst && r == *arr && i == idx + u32::from(n) && n < 8 && sole_read(a) => {
-                    (dst, n) = (next, n + 1);
-                }
-                _ => break,
-            }
-        }
-        (n > 2).then_some((
-            XOp::LdBytesC {
-                dst,
-                arr: *arr,
-                idx: *idx,
-                n,
-            },
-            usize::from(n) - 1,
-        ))
-    }
-
     /// Adjacent `SliceS` → `StArrCS` pairs of one source into a byte
     /// array, each slice a byte, `lo` falling by 8 and the index rising
     /// by 1 from pair to pair, each slice's slot read only by its store:
-    /// [`XOp::StBytesC`], when there are at least two.
+    /// [`XOp::StBytesC`], when there are at least two and the eight bytes
+    /// from the first index, which it writes as one word, are in bounds.
     fn store_run(
         mops: &[MOp],
-        word: impl Fn(u32, u32) -> bool,
+        prog: &Program,
         sole_read: impl Fn(Slot) -> bool,
     ) -> Option<(XOp, usize)> {
         let byte = |pair: &[MOp]| match *pair {
@@ -1770,7 +1679,7 @@ impl XOp {
         };
         let mut pairs = mops.chunks_exact(2).map(byte);
         let (a, lo, arr, idx) = pairs.next()??;
-        if !word(arr, idx) {
+        if idx as usize + 8 > prog.arrays()[arr as usize].len {
             return None;
         }
         let mut n = 1u8;
@@ -1869,7 +1778,9 @@ impl XOp {
 /// Lowers thread `t` of `prog`, its micro-ops laid out (scratch from
 /// slot `scratch` up), to the execution encoding, once per image and in
 /// time linear in the thread: one operation per micro-op, but the
-/// adjacent micro-ops of one [`XOp::fused`] form become one when
+/// adjacent micro-ops of one fused form — a byte-store run
+/// ([`XOp::store_run`]), else a pair ([`XOp::fused_pair`]) — become one
+/// when
 ///
 /// * all lie in one region (scratch is numbered per region), so no
 ///   branch lands inside the form: every branch target starts a region,
@@ -1918,24 +1829,12 @@ fn encode(t: &CompiledThread, scratch: Slot, prog: &Program) -> Vec<XOp> {
         while i < end {
             let sole_read = |s: Slot| scratch_index(s).is_some_and(|k| reads[k] == 1);
             let here = out.len() as u32;
-            let (x, taken) = match XOp::fused(&mops[i..end], prog, sole_read) {
-                Some(fused) => fused,
-                // A tower step no chain takes: the load into the step's
-                // own slot, then the concat onto it.
-                None => match mops[i] {
-                    MOp::ConcatLdCS {
-                        dst,
-                        a,
-                        arr,
-                        idx,
-                        bw,
-                    } => {
-                        out.push(XOp::LdArrC { dst, arr, idx });
-                        (XOp::Concat { dst, a, b: dst, bw }, 1)
-                    }
-                    m => (XOp::of(m), 1),
-                },
-            };
+            let rest = &mops[i..end];
+            let fused = XOp::store_run(rest, prog, sole_read).or_else(|| match rest {
+                [first, then, ..] => Some((XOp::fused_pair(*first, *then, sole_read)?, 2)),
+                _ => None,
+            });
+            let (x, taken) = fused.unwrap_or_else(|| (XOp::of(mops[i]), 1));
             at[i..i + taken].fill(here);
             out.push(x);
             i += taken;
@@ -2066,14 +1965,7 @@ pub(crate) fn exec_thread<O: Observer + ?Sized>(
                         .get_u64(*idx as usize)
                         .expect(CONST_IDX);
                 }
-                XOp::LdArrPairC { dst, arr, idx, bw } => {
-                    let a = &state.arrays[*arr as usize];
-                    let i = *idx as usize;
-                    let hi = a.get_u64(i).expect(CONST_IDX);
-                    let lo = a.get_u64(i + 1).expect(CONST_IDX);
-                    file[*dst as usize] = (hi << bw) | lo;
-                }
-                // The chain is the word's first `n` bytes.
+                // The field is the word's first `n` bytes.
                 XOp::LdBytesC { dst, arr, idx, n } => {
                     let word = state.arrays[*arr as usize]
                         .bytes()

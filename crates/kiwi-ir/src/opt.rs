@@ -160,25 +160,27 @@ pub enum Pass {
     ///   3: ...                   =>   3: ...
     /// ```
     Cse,
-    /// Load-pair fusion, at constant indices only: a `ConcatS` whose
-    /// operands are two loads of *adjacent* constant-index elements of
-    /// the same array (the `LdArrCS`s [`Pass::ArrayStrength`] made)
-    /// becomes one `LdArrPairCS` reading both elements at the concat
-    /// site. When only the *low* operand is such a load (the inner
-    /// steps of a multi-byte concat tower, whose high part is the
-    /// accumulated value), the load rides the concat as `ConcatLdCS`
-    /// instead. The displaced loads die in [`Pass::DeadScratch`] when
-    /// nothing else reads them. These are the shapes every big-endian
-    /// header field at a fixed offset lowers to: a 16-bit field drops
-    /// from three micro-ops to one, an n-byte tower from `2n-1` to
-    /// `n-1`. A store into the array between a fused load and the
-    /// concat blocks the fusion, since the fused op re-reads the
-    /// elements. Pairs at a computed index are left as they are.
+    /// Byte-field fusion, at constant indices only: a `ConcatS` whose
+    /// low part is one byte becomes one `LdBytesCS` of `n + 1` bytes when
+    /// its high operand is a constant-index load of `n` bytes (an
+    /// `LdArrCS` [`Pass::ArrayStrength`] made, or an `LdBytesCS` this pass
+    /// made) and its low operand the `LdArrCS` of the next byte of the
+    /// same array. This is the tower every big-endian header field at a
+    /// fixed offset lowers to: an `n`-byte field drops from `2n - 1`
+    /// micro-ops to one. The displaced loads and the tower's inner steps
+    /// die in [`Pass::DeadScratch`] when nothing else reads them; one that
+    /// is read again stays a load of its own. The fused load reads the
+    /// eight bytes from its first index as one word, so it is formed only
+    /// eight bytes or more from the array's end, and for at most eight
+    /// bytes. A store into the array between a fused load and the concat
+    /// blocks the fusion, since the fused op re-reads the bytes. Loads at
+    /// a computed index, and a concat whose high part is no such load,
+    /// are left as they are.
     ///
     /// ```text
     ///   0: s0 <- frame[#12]            0: s0 <- frame[#12]
     ///   1: s1 <- frame[#13]       =>   1: s1 <- frame[#13]
-    ///   2: s2 <- {s0, s1:u8}           2: s2 <- {frame[#12], frame[#13]:u8}
+    ///   2: s2 <- {s0, s1:u8}           2: s2 <- frame[#12..#14]
     ///                                     // 0-1 die when otherwise unread
     /// ```
     FusePairs,
@@ -325,7 +327,7 @@ pub(crate) fn run(regions: &mut [Vec<MOp>], passes: &[Pass], prog: &Program, poo
                 Pass::ArrayStrength => array_strength(region, prog, pool),
                 Pass::RedundantLoad => redundant_load(region, prog, pool),
                 Pass::Cse => cse(region),
-                Pass::FusePairs => fuse_pairs(region),
+                Pass::FusePairs => fuse_pairs(region, prog),
                 Pass::CopyProp => copy_prop(region),
                 Pass::DeadScratch => dead_scratch(region),
             }
@@ -690,54 +692,45 @@ fn cse(region: &mut [MOp]) {
     }
 }
 
-/// Load-pair fusion (see [`Pass::FusePairs`]). Forward scan recording
+/// Byte-field fusion (see [`Pass::FusePairs`]). Forward scan recording
 /// the defining op of every value ([`Values`]) and the last store into
-/// each array; a `ConcatS` of two adjacent constant-index loads becomes
-/// the fused pair read, and one whose low operand alone is such a load
-/// takes that load in. Safety is re-read equivalence: the fused op
-/// samples the elements at the concat site, so a store into the array
-/// after a load keeps that load out of the fusion. (A pause or ext
-/// point, which hands the environment the whole state, always ends a
-/// region, so no concat follows one.)
-fn fuse_pairs(region: &mut [MOp]) {
+/// each array; a `ConcatS` of a byte load onto the load of the bytes just
+/// before it becomes one load of them all. Safety is re-read
+/// equivalence: the fused op samples the bytes at the concat site, so a
+/// store into the array after either load keeps the concat as it is. (A
+/// pause or ext point, which hands the environment the whole state,
+/// always ends a region, so no concat follows one.)
+fn fuse_pairs(region: &mut [MOp], prog: &Program) {
     let mut def: HashMap<Slot, usize> = HashMap::new();
     let mut vals = Values::default();
     let mut dirty: HashMap<u32, usize> = HashMap::new();
     for p in 0..region.len() {
-        if let MOp::ConcatS { dst, a, b, bw } = region[p] {
-            // The constant-index load that defined `s`, with no store
-            // into its array since.
+        if let MOp::ConcatS { dst, a, b, bw: 8 } = region[p] {
+            // The constant-index load of `n` bytes that defined `s`, with
+            // no store into its array since. A load an 8-bit low part
+            // reads is of an array stored as bytes.
             let load = |s: Slot| {
                 let q = *def.get(&vals.of(s))?;
-                match region[q] {
-                    MOp::LdArrCS { arr, idx, .. } if dirty.get(&arr).is_none_or(|&st| st < q) => {
-                        Some((arr, idx))
-                    }
-                    _ => None,
-                }
+                let (arr, idx, n) = match region[q] {
+                    MOp::LdArrCS { arr, idx, .. } => (arr, idx, 1),
+                    MOp::LdBytesCS { arr, idx, n, .. } => (arr, idx, n),
+                    _ => return None,
+                };
+                let clean = dirty.get(&arr).is_none_or(|&st| st < q);
+                clean.then_some((arr, idx, n))
             };
-            let fused = match (load(a), load(b)) {
-                (Some((r1, c1)), Some((r2, c2))) if r1 == r2 && c1.checked_add(1) == Some(c2) => {
-                    Some(MOp::LdArrPairCS {
+            if let (Some((arr, idx, n)), Some(low)) = (load(a), load(b)) {
+                if low == (arr, idx + u32::from(n), 1)
+                    && n < 8
+                    && idx as usize + 8 <= arr_len(prog, arr)
+                {
+                    region[p] = MOp::LdBytesCS {
                         dst,
-                        arr: r1,
-                        idx: c1,
-                        bw,
-                    })
+                        arr,
+                        idx,
+                        n: n + 1,
+                    };
                 }
-                // Tower step: the high part is an accumulated value, but
-                // the low byte is still a load that can ride the concat.
-                (_, Some((arr, idx))) => Some(MOp::ConcatLdCS {
-                    dst,
-                    a,
-                    arr,
-                    idx,
-                    bw,
-                }),
-                _ => None,
-            };
-            if let Some(m) = fused {
-                region[p] = m;
             }
         }
         if let MOp::StArrS { arr, .. } | MOp::StArrCS { arr, .. } | MOp::StArrE { arr, .. } =
@@ -1187,31 +1180,33 @@ mod tests {
         assert_lockstep(&pb, 3);
     }
 
+    /// A program over an 8-bit array `t` of `len` elements whose first
+    /// four hold 0x12, 0x34, 0x56 and 0x78.
+    fn byte_array(len: usize) -> (ProgramBuilder, crate::program::ArrId) {
+        let mut pb = ProgramBuilder::new("p");
+        let init = [0x12, 0x34, 0x56, 0x78].into_iter().enumerate();
+        let init = init.map(|(k, v)| (k, Bits::from_u64(v, 8))).collect();
+        let t = pb.array_init("t", 8, len, ArrayBacking::LutRam, init);
+        (pb, t)
+    }
+
     #[test]
     fn fuse_pairs_fuses_const_adjacent_loads() {
-        // A big-endian 16-bit field read over two constant indices —
-        // two loads and a concat — becomes one fused pair read, and the
-        // displaced loads die.
-        let mut pb = ProgramBuilder::new("p");
-        let t = pb.array_init(
-            "t",
-            8,
-            4,
-            ArrayBacking::LutRam,
-            vec![(2, Bits::from_u64(0xab, 8)), (3, Bits::from_u64(0xcd, 8))],
-        );
-        let x = pb.reg("x", 16);
-        pb.thread(
-            "main",
-            vec![
-                assign(x, concat(arr_read(t, lit(2, 3)), arr_read(t, lit(3, 3)))),
-                halt(),
-            ],
-        );
-        let text = listing(&lower(&pb, default_pipeline()));
-        assert_eq!(text.matches("{t[#2], t[#3]:u8}").count(), 1, "{text}");
-        assert_eq!(text.matches("<- t[#2]\n").count(), 0, "{text}");
-        assert_lockstep(&pb, 3);
+        // A big-endian 16-bit field read over two constant indices — two
+        // loads and a concat — becomes one load of both bytes, and the
+        // displaced loads die. Within eight bytes of the array's end,
+        // where no word can be read, nothing fuses.
+        for (len, fused) in [(16, true), (4, false)] {
+            let (mut pb, t) = byte_array(len);
+            let x = pb.reg("x", 16);
+            let field = concat(arr_read(t, lit(2, 5)), arr_read(t, lit(3, 5)));
+            pb.thread("main", vec![assign(x, field), halt()]);
+            let text = listing(&lower(&pb, default_pipeline()));
+            let fields = usize::from(fused);
+            assert_eq!(text.matches("<- t[#2..#4]\n").count(), fields, "{text}");
+            assert_eq!(text.matches("<- t[#").count(), 2 - fields, "{text}");
+            assert_lockstep(&pb, 3);
+        }
     }
 
     #[test]
@@ -1219,14 +1214,7 @@ mod tests {
         // The Internet-checksum shape: a pair read at `(i + 2, i + 3)`
         // computed as a masked offset add plus a `+ 1` add. Only
         // constant-index pairs fuse, so both loads stay as they are.
-        let mut pb = ProgramBuilder::new("p");
-        let t = pb.array_init(
-            "t",
-            8,
-            4,
-            ArrayBacking::LutRam,
-            vec![(2, Bits::from_u64(0xab, 8)), (3, Bits::from_u64(0xcd, 8))],
-        );
+        let (mut pb, t) = byte_array(16);
         let i = pb.reg("i", 4);
         let x = pb.reg("x", 16);
         let base = add(var(i), lit(2, 4));
@@ -1242,88 +1230,69 @@ mod tests {
         );
         let text = listing(&lower(&pb, default_pipeline()));
         assert_eq!(text.matches("<- t[s").count(), 2, "{text}");
-        assert_eq!(text.matches("]:u8}").count(), 0, "nothing fuses:\n{text}");
+        assert_eq!(text.matches("..#").count(), 0, "nothing fuses:\n{text}");
         assert_lockstep(&pb, 3);
     }
 
     #[test]
     fn fuse_pairs_tower_low_byte_rides_concat() {
-        // A 3-byte tower: the innermost pair fuses, and the remaining
-        // byte rides its concat as a fused low-part load.
-        let mut pb = ProgramBuilder::new("p");
-        let t = pb.array_init(
-            "t",
-            8,
-            4,
-            ArrayBacking::LutRam,
-            vec![
-                (0, Bits::from_u64(0x12, 8)),
-                (1, Bits::from_u64(0x34, 8)),
-                (2, Bits::from_u64(0x56, 8)),
-            ],
-        );
-        let x = pb.reg("x", 24);
-        pb.thread(
-            "main",
-            vec![
-                assign(
-                    x,
-                    concat(
-                        concat(arr_read(t, lit(0, 2)), arr_read(t, lit(1, 2))),
-                        arr_read(t, lit(2, 2)),
-                    ),
-                ),
-                halt(),
-            ],
-        );
-        let text = listing(&lower(&pb, default_pipeline()));
-        assert_eq!(text.matches("{t[#0], t[#1]:u8}").count(), 1, "{text}");
-        assert_eq!(text.matches(", t[#2]:u8}").count(), 1, "{text}");
-        assert_eq!(
-            text.matches("<- t[#").count(),
-            0,
-            "no standalone loads survive:\n{text}"
-        );
-        assert_lockstep(&pb, 3);
+        // A 3-byte tower: the innermost pair fuses, the last byte rides
+        // its concat into one load of all three, and neither the pair
+        // nor any byte load survives on its own. Within eight bytes of
+        // the array's end nothing fuses.
+        for (len, fused) in [(16, true), (4, false)] {
+            let (mut pb, t) = byte_array(len);
+            let x = pb.reg("x", 24);
+            let at = |k: u64| arr_read(t, lit(k, 5));
+            pb.thread(
+                "main",
+                vec![assign(x, concat(concat(at(0), at(1)), at(2))), halt()],
+            );
+            let text = listing(&lower(&pb, default_pipeline()));
+            let fields = usize::from(fused);
+            assert_eq!(text.matches("<- t[#0..#3]\n").count(), fields, "{text}");
+            assert_eq!(text.matches("..#").count(), fields, "{text}");
+            assert_eq!(text.matches("<- t[#").count(), 3 - 2 * fields, "{text}");
+            assert_lockstep(&pb, 3);
+            let mut cm = compiled(lower(&pb, default_pipeline()));
+            cm.run_cycles(3, &mut NullEnv, &mut NullObserver).unwrap();
+            assert_eq!(cm.state().reg(VarId(0)).to_u64(), 0x12_3456);
+        }
     }
 
     #[test]
     fn store_between_loads_blocks_pair_fusion() {
-        // After widening, a store into the array sits between the high
-        // load and the concat (the high value reaches the concat
-        // through store-forwarding of `a`). Re-reading both elements at
-        // the concat would see the new `t[1]`, so the pair fusion must
-        // not fire; fusing only the *low* load — which already sits
-        // after the store — is still legal.
-        let mut pb = ProgramBuilder::new("p");
-        let t = pb.array_init(
-            "t",
-            8,
-            4,
-            ArrayBacking::LutRam,
-            vec![(0, Bits::from_u64(0x12, 8)), (1, Bits::from_u64(0x34, 8))],
-        );
-        let a = pb.reg("a", 8);
-        let x = pb.reg("x", 16);
-        pb.thread(
-            "main",
-            vec![
-                assign(a, arr_read(t, lit(0, 2))),
-                arr_write(t, lit(1, 2), lit(0x99, 8)),
-                assign(x, concat(var(a), arr_read(t, lit(1, 2)))),
-                halt(),
-            ],
-        );
-        let text = listing(&lower(&pb, default_pipeline()));
-        assert_eq!(
-            text.matches("{t[#0], t[#1]:u8}").count(),
-            0,
-            "pair fusion across the store is unsound:\n{text}"
-        );
-        assert_lockstep(&pb, 5);
-        // x must see the *stored* low byte.
-        let mut cm = compiled(lower(&pb, default_pipeline()));
-        cm.run_cycles(5, &mut NullEnv, &mut NullObserver).unwrap();
-        assert_eq!(cm.state().reg(VarId(1)).to_u64(), 0x1299);
+        // `a := t[0]; t[1] := w; x := {t[0], t[1]}`: after widening, the
+        // last statement's `t[0]` is the first statement's load,
+        // forwarded past the store, which cannot alias it; `t[1]` is
+        // loaded again after the store (`w` is not provably a byte, so
+        // the store forwards nothing). A fused load would re-read `t[0]`
+        // at the concat, after a store into its array, so the store
+        // keeps the concat as it is, whatever index it hits. Without the
+        // store the pair fuses on the long array, so there the store is
+        // what blocks it; within eight bytes of the end nothing fuses.
+        for (len, store, fused) in [(16, true, false), (16, false, true), (4, true, false)] {
+            let (mut pb, t) = byte_array(len);
+            let w = pb.reg_init("w", 8, Bits::from_u64(0x99, 8));
+            let a = pb.reg("a", 8);
+            let x = pb.reg("x", 16);
+            let mut body = vec![assign(a, arr_read(t, lit(0, 5)))];
+            if store {
+                body.push(arr_write(t, lit(1, 5), var(w)));
+            }
+            let field = concat(arr_read(t, lit(0, 5)), arr_read(t, lit(1, 5)));
+            body.extend([assign(x, field), halt()]);
+            pb.thread("main", body);
+            let text = listing(&lower(&pb, default_pipeline()));
+            let fields = usize::from(fused);
+            assert_eq!(text.matches("<- t[#0..#2]\n").count(), fields, "{text}");
+            assert_eq!(text.matches("..#").count(), fields, "{text}");
+            assert_lockstep(&pb, 5);
+            // x sees the stored low byte.
+            let mut cm = compiled(lower(&pb, default_pipeline()));
+            cm.run_cycles(5, &mut NullEnv, &mut NullObserver).unwrap();
+            let low = if store { 0x99 } else { 0x34 };
+            assert_eq!(cm.state().reg(VarId(2)).to_u64(), 0x1200 | low);
+        }
     }
 }

@@ -528,11 +528,6 @@ impl NetSim {
         self.links[link.0].impair = Some((imp, StdRng::seed_from_u64(imp.seed ^ 0x11e7_51f1)));
     }
 
-    /// Current simulation time.
-    pub fn now_ns(&self) -> f64 {
-        self.time_ns
-    }
-
     /// Injects a frame leaving `node`'s `port` at time `t_ns`.
     pub fn send(&mut self, node: NodeId, port: usize, frame: Frame, t_ns: f64) {
         self.transmit(node.0, port, frame, t_ns);
@@ -1775,7 +1770,7 @@ mod tests {
             net.arm_timer(a, timer_ns, 2);
             let first = f64::min(timer_ns, 1000.0);
             assert_eq!(net.run_until(first).unwrap(), 1, "timer at {timer_ns}");
-            assert_eq!(net.now_ns(), first);
+            assert_eq!(net.time_ns, first);
             assert_eq!(net.run_until(1e9).unwrap(), 1, "timer at {timer_ns}");
             let seen = &net.agent_as::<Log>(a).unwrap().seen;
             let (t1, t2) = (seen[0].0, seen[1].0);

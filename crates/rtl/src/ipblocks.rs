@@ -800,16 +800,6 @@ impl NaughtyQIf {
     pub fn value_out(&self) -> Expr {
         sig(self.value_out.id)
     }
-
-    /// Whether the last enlist evicted a slot.
-    pub fn evicted(&self) -> Expr {
-        sig(self.evicted.id)
-    }
-
-    /// The evicted slot index.
-    pub fn evicted_idx(&self) -> Expr {
-        sig(self.evicted_idx.id)
-    }
 }
 
 /// The slot-store + recency-queue block behind the paper's LRU cache

@@ -93,9 +93,6 @@ impl FromStr for MacAddr {
 pub struct Ipv4(pub u32);
 
 impl Ipv4 {
-    /// The limited broadcast address `255.255.255.255`.
-    pub const BROADCAST: Ipv4 = Ipv4(u32::MAX);
-
     /// Builds an address from four octets.
     pub fn new(a: u8, b: u8, c: u8, d: u8) -> Self {
         Ipv4(u32::from_be_bytes([a, b, c, d]))

@@ -116,16 +116,16 @@ fn default_listings_are_pinned() {
         println!("        (\"{name}\", {digest:#018x}),");
     }
     let want: Vec<(&str, u64)> = vec![
-        ("switch-cam", 0xa080e85ee8b2adc7),
-        ("switch-behavioural", 0xe16561dc749c77d8),
-        ("filter", 0xff0539c0d702b00b),
-        ("icmp", 0xac6f621f7ddcb72d),
-        ("tcp-ping", 0x8e19b1a68a62c117),
-        ("dns", 0x76d010e2dce8bd47),
-        ("memcached", 0x5bfa9cda8ca738fe),
-        ("nat", 0x3c4c34ce38c12d05),
-        ("cache", 0xeb6b9aec7281e471),
-        ("memcached+direction", 0xe3d1718e1b99e800),
+        ("switch-cam", 0xea18871579d6feec),
+        ("switch-behavioural", 0x8935e0bdb94d9b60),
+        ("filter", 0xd62c21597e1119c9),
+        ("icmp", 0x0cd5f25bcb8db01e),
+        ("tcp-ping", 0xde3ff99fbb5fa6db),
+        ("dns", 0x08fd22e43040c62f),
+        ("memcached", 0x6c6e6b6b40110f50),
+        ("nat", 0x637433cf1082994f),
+        ("cache", 0xa9914b449161d358),
+        ("memcached+direction", 0x8fe108e28e092abe),
     ];
     assert_eq!(got, want, "the compiled bytecode moved");
 }

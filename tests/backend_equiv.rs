@@ -25,6 +25,7 @@ use emu::prelude::*;
 use emu::services as s;
 use emu_traffic::{FlowChurn, MacChurn, TrafficGen};
 use emu_types::Bits;
+use kiwi_ir::compile::MOp;
 use kiwi_ir::dsl::*;
 // `dsl::sig` would be shadowed by `sig: &Sig` parameters below.
 use kiwi_ir::dsl::sig as dsl_sig;
@@ -1518,14 +1519,28 @@ fn assert_fires(prog: &Program, forms: &[&str]) {
     }
 }
 
+/// The field loads of `prog`'s default-pipeline micro-ops, as the first
+/// index and the byte count of each, in program order.
+fn field_loads(prog: &Program) -> Vec<(u32, u8)> {
+    let flat = flatten(prog).unwrap();
+    let cp = kiwi_ir::compile_with_passes(&flat, kiwi_ir::default_pipeline()).unwrap();
+    let mops = cp.threads.iter().flat_map(|t| &t.mops);
+    mops.filter_map(|m| match *m {
+        MOp::LdBytesCS { idx, n, .. } => Some((idx, n)),
+        _ => None,
+    })
+    .collect()
+}
+
 #[test]
 fn byte_load_chain_whose_middle_is_read_again() {
-    // `x := {t0, t1, t2}` is a pair load and a tower step; CSE makes
-    // `y := {t0, t1}` read the pair's slot again, so the chain must not
-    // become one load that leaves that slot unwritten. `z`'s chain has
-    // no second read and becomes one. `e`'s chain starts within eight
-    // bytes of the array's end, where no word is read. The bytes change
-    // every trip, after the loads.
+    // `x := {t0, t1, t2}` is a tower of two concats; CSE makes
+    // `y := {t0, t1}` read its inner step again, so that step stays a
+    // field load of its own beside `x`'s, and both fire. `z`'s inner
+    // step has no second read and dies into `z`'s one load. `e`'s
+    // tower starts within eight bytes of the array's end, where no word
+    // is read, and stays loads and concats. The bytes change every
+    // trip, after the loads.
     let mut pb = kiwi_ir::ProgramBuilder::new("chain");
     let t = pb.array("t", 8, 16, ArrayBacking::BlockRam);
     let x = pb.reg("x", 24);
@@ -1544,7 +1559,7 @@ fn byte_load_chain_whose_middle_is_read_again() {
     body.extend([0, 1, 2, 3, 13, 14, 15].map(|k| arr_write(t, lit(k, 4), add(var(c), lit(k, 8)))));
     three_trips(&mut pb, body);
     let prog = pb.build().unwrap();
-    assert_fires(&prog, &["LdBytesC"]);
+    assert_eq!(field_loads(&prog), [(0, 2), (0, 3), (1, 3)]);
     let end = assert_hazard_lockstep("chain", &prog);
     assert_eq!(end.reg(VarId(0)).to_u64(), 0x222324, "x in the last trip");
     assert_eq!(
@@ -1552,11 +1567,66 @@ fn byte_load_chain_whose_middle_is_read_again() {
         0x2223,
         "y is x's high two bytes"
     );
+    assert_eq!(end.reg(VarId(2)).to_u64(), 0x232425, "z in the last trip");
     assert_eq!(
         end.reg(VarId(3)).to_u64(),
         0x2f3031,
         "e reads the array's last bytes"
     );
+}
+
+#[test]
+fn fields_of_wide_elements_or_on_a_register_stay_unfused() {
+    // Two shapes `FusePairs` leaves as loads and concats: a pair of
+    // 16-bit elements, whose low part is no byte, and a tower whose
+    // high part is a register, not a load. The elements change every
+    // trip, after the loads.
+    let mut pb = kiwi_ir::ProgramBuilder::new("unfused");
+    let h = pb.array_init(
+        "h",
+        16,
+        16,
+        ArrayBacking::BlockRam,
+        vec![
+            (2, Bits::from_u64(0x1234, 16)),
+            (3, Bits::from_u64(0x5678, 16)),
+        ],
+    );
+    let t = pb.array_init(
+        "t",
+        8,
+        16,
+        ArrayBacking::BlockRam,
+        vec![(3, Bits::from_u64(0xab, 8)), (4, Bits::from_u64(0xcd, 8))],
+    );
+    let r = pb.reg_init("r", 8, Bits::from_u64(0x5a, 8));
+    let x = pb.reg("x", 32);
+    let y = pb.reg("y", 24);
+    let c = pb.reg("c", 8);
+    let (hat, tat) = (
+        |k: u64| arr_read(h, lit(k, 4)),
+        |k: u64| arr_read(t, lit(k, 4)),
+    );
+    let c16 = || resize(var(c), 16);
+    three_trips(
+        &mut pb,
+        vec![
+            assign(x, concat(hat(2), hat(3))),
+            assign(y, concat(concat(var(r), tat(3)), tat(4))),
+            assign(c, add(var(c), lit(0x11, 8))),
+            arr_write(h, lit(2, 4), c16()),
+            arr_write(h, lit(3, 4), add(c16(), lit(1, 16))),
+            arr_write(t, lit(3, 4), var(c)),
+            arr_write(t, lit(4, 4), add(var(c), lit(1, 8))),
+            assign(r, add(var(r), lit(1, 8))),
+        ],
+    );
+    let prog = pb.build().unwrap();
+    assert_eq!(field_loads(&prog), []);
+    let end = assert_hazard_lockstep("unfused", &prog);
+    // The last trip reads what the one before it wrote.
+    assert_eq!(end.reg(VarId(1)).to_u64(), 0x0022_0023, "x");
+    assert_eq!(end.reg(VarId(2)).to_u64(), 0x5c_2223, "y");
 }
 
 #[test]

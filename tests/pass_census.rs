@@ -71,13 +71,12 @@ fn variant(m: &MOp) -> String {
     s[..end].to_string()
 }
 
-/// Every variant of [`MOp`]. Lowering emits all but the four fused ops
-/// of part (b), which only a pass produces.
-const VARIANTS: [&str; 30] = [
+/// Every variant of [`MOp`]. Lowering emits all but the three of part
+/// (b), which only a pass produces.
+const VARIANTS: [&str; 29] = [
     "LdArrS",
     "LdArrCS",
-    "LdArrPairCS",
-    "ConcatLdCS",
+    "LdBytesCS",
     "CopyS",
     "MaskS",
     "NotS",
@@ -161,7 +160,7 @@ fn every_default_pass_and_fused_op_shows_up_in_a_shipped_service() {
 
     // (b) Every micro-op that lowering never emits — only a pass can
     // produce it — must occur somewhere.
-    for name in ["LdArrCS", "StArrCS", "LdArrPairCS", "ConcatLdCS"] {
+    for name in ["LdArrCS", "StArrCS", "LdBytesCS"] {
         let users: Vec<_> = services
             .iter()
             .zip(&full)
@@ -468,9 +467,58 @@ fn field(op: &XOp, name: &str) -> u64 {
     op.1.iter().find(|(k, _)| k == name).unwrap().1
 }
 
-/// Frame fields run as words: under the default pipeline no shipped
-/// service's encoding keeps a tower step outside a byte-load chain, or
-/// two adjacent `SliceStArrC` that one byte-store run would take.
+/// A `ConcatS` of `t` that `FusePairs` could have taken: a byte loaded
+/// at a constant index onto the load of the bytes just before it in an
+/// array of bytes, fewer than eight bytes in all, the word from the first
+/// byte in bounds, and no store into the array between either load and
+/// the concat.
+fn unfused_field(prog: &Program, t: &CompiledThread) -> Option<MOp> {
+    let mut bounds = vec![0];
+    bounds.extend(t.regions.iter().map(|r| r.start as usize));
+    bounds.push(t.mops.len());
+    bounds.dedup();
+    for w in bounds.windows(2) {
+        let region = &t.mops[w[0]..w[1]];
+        for (p, m) in region.iter().enumerate() {
+            let MOp::ConcatS { a, b, bw: 8, .. } = *m else {
+                continue;
+            };
+            // The constant-index load that defines `s` in the region, of
+            // `n` bytes, with no store into its array up to the concat.
+            let load = |s: u32| {
+                let q = region[..p].iter().rposition(|d| d.dst() == Some(s))?;
+                let (arr, idx, n) = match region[q] {
+                    MOp::LdArrCS { arr, idx, .. } => (arr, idx, 1),
+                    MOp::LdBytesCS { arr, idx, n, .. } => (arr, idx, n),
+                    _ => return None,
+                };
+                let stored = region[q..p].iter().any(|st| {
+                    matches!(st, MOp::StArrS { arr: r, .. }
+                        | MOp::StArrCS { arr: r, .. }
+                        | MOp::StArrE { arr: r, .. } if *r == arr)
+                });
+                (!stored).then_some((arr, idx, n))
+            };
+            if let (Some((arr, idx, n)), Some(low)) = (load(a), load(b)) {
+                let decl = &prog.arrays()[arr as usize];
+                if low == (arr, idx + u32::from(n), 1)
+                    && n < 8
+                    && decl.elem_width == 8
+                    && idx as usize + 8 <= decl.len
+                {
+                    return Some(*m);
+                }
+            }
+        }
+    }
+    None
+}
+
+/// Frame fields run as words: under the default pipeline every field
+/// load of a shipped service is one `LdBytesCS`, encoded as one
+/// `LdBytesC`, and no `ConcatS` is left that `FusePairs` could have
+/// taken; and no encoding keeps two adjacent `SliceStArrC` that one
+/// byte-store run would take.
 #[test]
 fn frame_fields_run_as_words() {
     for (name, prog) in shipped() {
@@ -481,17 +529,16 @@ fn frame_fields_run_as_words() {
                 ops.len(),
                 t.exec_census().iter().map(|(_, n)| n).sum::<usize>()
             );
-            let steps = t
+            let loads = t
                 .mops
                 .iter()
-                .filter(|m| matches!(m, MOp::ConcatLdCS { .. }))
-                .count() as u64;
-            let chained: u64 = ops
-                .iter()
-                .filter(|op| op.0 == "LdBytesC")
-                .map(|op| field(op, "n") - 2)
-                .sum();
-            assert_eq!(steps, chained, "{name}: a tower step outside a load chain");
+                .filter(|m| matches!(m, MOp::LdBytesCS { .. }))
+                .count();
+            let encoded = ops.iter().filter(|op| op.0 == "LdBytesC").count();
+            assert_eq!(loads, encoded, "{name}: a field load encoded otherwise");
+            if let Some(m) = unfused_field(&cp.prog, t) {
+                panic!("{name}: a field FusePairs could have taken: {m:?}");
+            }
             for pair in ops.windows(2) {
                 let [x, y] = pair else { unreachable!() };
                 if x.0 != "SliceStArrC" || y.0 != "SliceStArrC" {
