@@ -2,14 +2,14 @@
 //! functions that measure each cell, and the gate that holds them.
 //!
 //! Every number of §5 this reproduction compares itself with is one
-//! [`Cell`] of [`PAPER`]: Tables 3, 4 and 5, the four-core memcached
+//! [`Cell`] of `PAPER`: Tables 3, 4 and 5, the four-core memcached
 //! speedup of §5.4, the §5.3 parallelism ablation and the §5.6 tail
 //! bounds. A cell is checked one of three ways ([`Check`]): near the
 //! paper's value, on the right side of a bound the paper states, or — a
 //! cell we knowingly miss — as a named [`Deviation`] held to its own
-//! recorded reading. One function measures each artefact ([`table3`],
-//! [`table4`], which also gives the §5.6 cells, [`table5`], [`scaling`],
-//! [`ablation`]), at the one sample count both the gate test
+//! recorded reading. One function measures each artefact (`table3`,
+//! `table4`, which also gives the §5.6 cells, `table5`, `scaling`,
+//! `ablation`), at the one sample count both the gate test
 //! (`every_paper_cell_holds`) and the `paper` bin use; the bin only
 //! prints what [`readings`] returns. The `soak` bin drives the engine
 //! under the reference checkers. Host-speed numbers are not measured
@@ -17,6 +17,7 @@
 //! performance").
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 use direction::{extend_program, ControllerConfig};
 use emu_core::{Service, TableConfig, Target};
@@ -180,7 +181,7 @@ pub struct Cell {
     pub column: &'static str,
     /// The paper's value.
     pub paper: f64,
-    /// How our reading is checked, unless [`DEVIATIONS`] lists the cell.
+    /// How our reading is checked, unless `DEVIATIONS` lists the cell.
     pub check: Check,
 }
 
@@ -215,7 +216,7 @@ const LOGIC_RATIO: &str = "logic ÷ reference's";
 /// 1 %). Below the table, §5.3: the CAM is 85 % of the Emu switch's
 /// logic; and the Emu switch's logic is 1.24× the reference's (3509 /
 /// 2836, held within 8 %).
-pub const TABLE3: [Cell; 14] = [
+pub(crate) const TABLE3: [Cell; 14] = [
     cell(T3, "Emu", LOGIC, 3509.0, NEAR),
     cell(T3, "Emu", MEMORY, 118.0, NEAR),
     cell(T3, "Emu", LATENCY, 8.0, NEAR),
@@ -247,7 +248,7 @@ const HOST_MQPS: &str = "host throughput (Mq/s)";
 /// 1.86, 1.176; 126.46 / 138.33, 0.226. NAT: 1.32 / 1.34, 2.439;
 /// 2444.76 / 6185.27, 1.037. Memcached: 1.21 / 1.26, 1.932; 24.29 /
 /// 28.65, 0.876.
-pub const TABLE4: [Cell; 30] = [
+pub(crate) const TABLE4: [Cell; 30] = [
     cell(T4, "icmp-echo", EMU_AVG, 1.09, NEAR),
     cell(T4, "icmp-echo", EMU_P99, 1.11, NEAR),
     cell(T4, "icmp-echo", EMU_MQPS, 3.226, NEAR),
@@ -293,7 +294,7 @@ const MAX_TAIL: &str = "highest tail-to-average";
 /// mean) spans 1.02 to 1.04, and the host's "varies from 1.09 to 2.98"
 /// (its lowest held within 8 %, inside the 1.0 to 1.2 an older test
 /// held).
-pub const TAILS: [Cell; 14] = [
+pub(crate) const TAILS: [Cell; 14] = [
     cell(S56, "icmp-echo", TAIL_SPREAD, 200.0, Check::Below),
     cell(S56, "icmp-echo", MEDIAN_GAP, 10.0, Check::Above),
     cell(S56, "tcp-ping", TAIL_SPREAD, 200.0, Check::Below),
@@ -321,7 +322,7 @@ const QPS: &str = "queries/s (% of base)";
 /// queries/s. DNS: +R 103.4 / 100.0 / 100.0, +W 115.1 / 99.5 / 100.0,
 /// +I 109.8 / 99.5 / 100.0. Memcached: +R 99.2 / 100.0 / 100.0, +W
 /// 99.8 / 100.5 / 100.0, +I 100.6 / 100.0 / 100.0.
-pub const TABLE5: [Cell; 18] = [
+pub(crate) const TABLE5: [Cell; 18] = [
     cell(T5, "dns+R", UTILISATION, 103.4, NEAR),
     cell(T5, "dns+R", P99, 100.0, NEAR),
     cell(T5, "dns+R", QPS, 100.0, NEAR),
@@ -345,7 +346,7 @@ pub const TABLE5: [Cell; 18] = [
 /// §5.4: "using four Emu cores (one per port) further increases
 /// \[throughput\] by 3.7× when considering a workload of 90 % GET and
 /// 10 % SET requests".
-pub const SCALING: [Cell; 1] = [cell(
+pub(crate) const SCALING: [Cell; 1] = [cell(
     "§5.4",
     "memcached 90/10",
     "4-core ÷ 1-core",
@@ -369,25 +370,25 @@ const CYCLES_RISE: &str = "cycles/request ÷ looser budget's";
 /// gives no figure, only the ordering: under each tighter budget of
 /// `BUDGETS` an ICMP echo request takes more cycles than under the
 /// next looser one, a ratio above 1.
-pub const ABLATION: [Cell; 3] = [
+pub(crate) const ABLATION: [Cell; 3] = [
     cell("§5.3", BUDGETS[1].0, CYCLES_RISE, 1.0, Check::Above),
     cell("§5.3", BUDGETS[2].0, CYCLES_RISE, 1.0, Check::Above),
     cell("§5.3", BUDGETS[3].0, CYCLES_RISE, 1.0, Check::Above),
 ];
 
 /// Every cell of the paper's evaluation this reproduction reads.
-pub const PAPER: [&[Cell]; 6] = [&TABLE3, &TABLE4, &TAILS, &TABLE5, &SCALING, &ABLATION];
+pub(crate) const PAPER: [&[Cell]; 6] = [&TABLE3, &TABLE4, &TAILS, &TABLE5, &SCALING, &ABLATION];
 
-/// Every cell of [`PAPER`].
+/// Every cell of `PAPER`.
 pub fn cells() -> impl Iterator<Item = &'static Cell> {
     PAPER.iter().flat_map(|table| table.iter())
 }
 
-/// A cell of [`PAPER`] this reproduction does not bring within its
+/// A cell of `PAPER` this reproduction does not bring within its
 /// check. It is recorded, not tuned away: our reading is held to
-/// [`DEVIATION_TOLERANCE`] of the recorded one instead, so it cannot
+/// `DEVIATION_TOLERANCE` of the recorded one instead, so it cannot
 /// drift unnoticed either, and a recorded reading that passes the
-/// paper's check must be struck from [`DEVIATIONS`].
+/// paper's check must be struck from `DEVIATIONS`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Deviation {
     /// The cell's artefact.
@@ -402,9 +403,9 @@ pub struct Deviation {
     pub why: &'static str,
 }
 
-/// How close a cell listed in [`DEVIATIONS`] must stay to our recorded
+/// How close a cell listed in `DEVIATIONS` must stay to our recorded
 /// reading, as a share of that reading.
-pub const DEVIATION_TOLERANCE: f64 = 0.05;
+pub(crate) const DEVIATION_TOLERANCE: f64 = 0.05;
 
 const fn deviation(
     artefact: &'static str,
@@ -446,7 +447,7 @@ const REPLICATED_SETS: &str = "one pipeline per core, each SET applied to all fo
 
 /// Every cell held to our own reading instead of the paper's.
 #[rustfmt::skip]
-pub const DEVIATIONS: [Deviation; 21] = [
+pub(crate) const DEVIATIONS: [Deviation; 21] = [
     deviation(T3, "Emu", MEMORY, 88.0, ESTIMATE),
     deviation(T3, "Emu", LATENCY, 6.0, SIX_CYCLES),
     deviation(T3, "reference", MEMORY, 72.0, REFERENCE_MODEL),
@@ -484,7 +485,7 @@ impl Reading {
     ///
     /// # Panics
     ///
-    /// If [`PAPER`] has no such cell: a measuring function and the table
+    /// If `PAPER` has no such cell: a measuring function and the table
     /// disagree on a label.
     pub fn of(artefact: &str, row: &str, column: &str, ours: f64) -> Reading {
         let cell = cells()
@@ -495,7 +496,7 @@ impl Reading {
 
     /// Holds this reading to its cell. `Ok(None)`: the cell's check
     /// holds. `Ok(Some(d))`: the cell is the recorded deviation `d`, our
-    /// reading is within [`DEVIATION_TOLERANCE`] of `d`'s, and `d`'s
+    /// reading is within `DEVIATION_TOLERANCE` of `d`'s, and `d`'s
     /// still fails the cell's check.
     pub fn verdict(&self) -> Result<Option<&'static Deviation>, String> {
         let (c, ours) = (self.cell, self.ours);
@@ -520,7 +521,7 @@ impl Reading {
     }
 }
 
-/// Every cell of [`PAPER`] measured, in the table's order; the five
+/// Every cell of `PAPER` measured, in the table's order; the five
 /// measuring functions run side by side.
 pub fn readings() -> IrResult<Vec<Reading>> {
     let measures: [fn() -> IrResult<Vec<Reading>>; 5] = [table3, table4, table5, scaling, ablation];
@@ -639,7 +640,7 @@ const LINE_RATE_FRAMES: u64 = 20_000;
 
 /// Measures Table 3: the Emu switch against the NetFPGA reference and
 /// P4FPGA switches, with §5.3's CAM share and logic ratio.
-pub fn table3() -> IrResult<Vec<Reading>> {
+pub(crate) fn table3() -> IrResult<Vec<Reading>> {
     let svc = switch_ip_cam();
     let fsm = kiwi::compile(&svc.program)?;
     let emu = kiwi::estimate(&fsm, &(svc.make_env)(&TableConfig::default()).resources());
@@ -693,7 +694,7 @@ const SATURATING_REQUESTS: usize = 1_000;
 /// Measures Table 4 — each service on the pipeline simulator and its
 /// host profile on the Linux-path model ([`table4_host`]) — and, from
 /// the same runs, the §5.6 cells.
-pub fn table4() -> IrResult<Vec<Reading>> {
+pub(crate) fn table4() -> IrResult<Vec<Reading>> {
     let (mut out, host_latency) = table4_host();
     let mut emu_tails = Vec::new();
     for (svc, lat) in table4_services().iter().zip(&host_latency) {
@@ -719,7 +720,7 @@ pub fn table4() -> IrResult<Vec<Reading>> {
 /// Linux-path model, 20 000 latency samples (seed 42) and 50 000
 /// throughput requests (seed 7) — and §5.6's host tail-to-average span.
 /// Also returns each profile's latency summary, in
-/// [`HostProfile::all`]'s order, for [`table4`]'s §5.6 median gap.
+/// [`HostProfile::all`]'s order, for `table4`'s §5.6 median gap.
 pub fn table4_host() -> (Vec<Reading>, Vec<Summary>) {
     let (mut out, mut latency) = (Vec::new(), Vec::new());
     for host in HostProfile::all() {
@@ -750,7 +751,7 @@ fn push_tail_span(out: &mut Vec<Reading>, row: &str, tails: &[f64]) {
 /// controller's +R, +W and +I instructions, each relative to the
 /// unextended service. Utilisation is `kiwi::estimate`'s logic for the
 /// generated design alone (the IP blocks are the same in every variant).
-pub fn table5() -> IrResult<Vec<Reading>> {
+pub(crate) fn table5() -> IrResult<Vec<Reading>> {
     type Artefact = (
         &'static str,
         fn() -> Service,
@@ -813,7 +814,7 @@ const SCALING_REQUESTS: usize = 4_000;
 const WARM_GAP_NS: f64 = 5_000.0;
 
 /// Measures §5.4: memcached's four-core speedup.
-pub fn scaling() -> IrResult<Vec<Reading>> {
+pub(crate) fn scaling() -> IrResult<Vec<Reading>> {
     let speedup = memcached_rps(4, WARM_GAP_NS)? / memcached_rps(1, WARM_GAP_NS)?;
     let c = &SCALING[0];
     Ok(vec![Reading::of(c.artefact, c.row, c.column, speedup)])
@@ -867,7 +868,7 @@ fn memcached_rps(cores: usize, warm_gap_ns: f64) -> IrResult<f64> {
 
 /// Measures the §5.3 ablation: ICMP echo compiled under each budget of
 /// `BUDGETS`, cycles per request against the next looser budget's.
-pub fn ablation() -> IrResult<Vec<Reading>> {
+pub(crate) fn ablation() -> IrResult<Vec<Reading>> {
     let cycles = BUDGETS
         .iter()
         .map(|&(_, period_units)| {

@@ -12,7 +12,7 @@ use kiwi_ir::dsl::*;
 use kiwi_ir::Expr;
 
 /// Ones-complement of a 16-bit value, as a 16-bit expression.
-pub fn not16(e: Expr) -> Expr {
+pub(crate) fn not16(e: Expr) -> Expr {
     resize(not(resize(e, 16)), 16)
 }
 

@@ -156,12 +156,12 @@ impl Dataplane {
     }
 
     /// Sets the destination MAC.
-    pub fn set_dst_mac(&self, v: Expr) -> Vec<Stmt> {
+    pub(crate) fn set_dst_mac(&self, v: Expr) -> Vec<Stmt> {
         self.set48(emu_types::proto::offset::ETH_DST, v)
     }
 
     /// Sets the source MAC.
-    pub fn set_src_mac(&self, v: Expr) -> Vec<Stmt> {
+    pub(crate) fn set_src_mac(&self, v: Expr) -> Vec<Stmt> {
         self.set48(emu_types::proto::offset::ETH_SRC, v)
     }
 

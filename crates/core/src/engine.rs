@@ -388,12 +388,7 @@ pub struct Shard {
 /// A [`Shard`]'s state at one point, taken by [`Shard::checkpoint`] and
 /// put back by [`Shard::restore`]. It shares the code image with the
 /// shard it came from and copies everything else.
-pub struct ShardCheckpoint {
-    driver: DataplaneDriver,
-    env: IpEnv,
-    stats: Option<Box<ShardStats>>,
-    poisoned: Option<String>,
-}
+pub struct ShardCheckpoint(Shard);
 
 impl Shard {
     fn new(
@@ -473,12 +468,10 @@ impl Shard {
         self.driver.frame_capacity()
     }
 
-    /// A copy of everything this shard owns: its core's state, its
-    /// IP-block environment, its telemetry and its poison state. `Err`
-    /// names the first IP-block model that cannot be copied
-    /// ([`emu_rtl::IpBlockModel::clone_box`]).
-    pub fn checkpoint(&self) -> Result<ShardCheckpoint, String> {
-        Ok(ShardCheckpoint {
+    /// A copy of this shard that shares its code image; `Err` names the
+    /// first IP-block model that cannot be copied.
+    fn try_clone(&self) -> Result<Shard, String> {
+        Ok(Shard {
             driver: self.driver.clone(),
             env: self.env.try_clone()?,
             stats: self.stats.clone(),
@@ -486,14 +479,19 @@ impl Shard {
         })
     }
 
+    /// A copy of everything this shard owns: its core's state, its
+    /// IP-block environment, its telemetry and its poison state. `Err`
+    /// names the first IP-block model that cannot be copied
+    /// ([`emu_rtl::IpBlockModel::clone_box`]).
+    pub fn checkpoint(&self) -> Result<ShardCheckpoint, String> {
+        self.try_clone().map(ShardCheckpoint)
+    }
+
     /// Puts this shard back in the state `cp` holds, which a shard of
     /// the same engine took: the next frames run as they ran after the
     /// checkpoint.
     pub fn restore(&mut self, cp: &ShardCheckpoint) {
-        self.driver = cp.driver.clone();
-        self.env = cp.env.try_clone().expect("models copied once copy again");
-        self.stats = cp.stats.clone();
-        self.poisoned = cp.poisoned.clone();
+        *self = cp.0.try_clone().expect("models copied once copy again");
     }
 
     /// The one per-frame step behind [`Engine::process`] and
@@ -575,7 +573,6 @@ impl Service {
             shards: 1,
             dispatch: Box::new(RssHash),
             parallel: false,
-            max_cycles_per_frame: None,
             telemetry: true,
             tables: TableConfig::default(),
             passes: None,
@@ -592,7 +589,6 @@ pub struct EngineBuilder<'a> {
     shards: usize,
     dispatch: Box<dyn Dispatch>,
     parallel: bool,
-    max_cycles_per_frame: Option<u64>,
     telemetry: bool,
     tables: TableConfig,
     passes: Option<Vec<kiwi_ir::Pass>>,
@@ -639,13 +635,6 @@ impl EngineBuilder<'_> {
     /// only host wall-clock time changes.
     pub fn parallel(mut self, yes: bool) -> Self {
         self.parallel = yes;
-        self
-    }
-
-    /// Per-frame cycle budget after which a shard is declared hung
-    /// (fault-injection tests tighten this to trip wedged cores fast).
-    pub fn max_cycles_per_frame(mut self, n: u64) -> Self {
-        self.max_cycles_per_frame = Some(n);
         self
     }
 
@@ -718,10 +707,7 @@ impl EngineBuilder<'_> {
         }
         let backend = self.backend.unwrap_or_else(Backend::env_default);
         let core = crate::runner::core(self.service, self.target, backend, self.passes.as_deref())?;
-        let mut driver = DataplaneDriver::new(core)?;
-        if let Some(n) = self.max_cycles_per_frame {
-            driver.max_cycles_per_frame = n;
-        }
+        let driver = DataplaneDriver::new(core)?;
         let mut shards = Vec::with_capacity(self.shards);
         for (k, driver) in std::iter::repeat_n(driver, self.shards).enumerate() {
             let mut shard = Shard::new(driver, self.service, &self.tables, self.telemetry)?;
@@ -1441,23 +1427,5 @@ mod tests {
             .unwrap()
             .into_fpga_parts()
             .is_some());
-    }
-
-    #[test]
-    fn builder_applies_cycle_budget() {
-        // A service that never signals rx_done: the builder's budget must
-        // trip it (the default 200k-cycle budget would take far longer).
-        let (mut pb, dp) = service_builder("hang", 64);
-        let _ = dp;
-        pb.thread("main", vec![forever(vec![pause()])]);
-        let svc = Service::new(pb.build().unwrap());
-        let mut inst = svc
-            .engine(Target::Cpu)
-            .max_cycles_per_frame(50)
-            .build()
-            .unwrap();
-        let err = inst.process(&Frame::new(vec![0; 60])).unwrap_err();
-        assert!(matches!(err, EngineError::Trap { shard: 0, .. }), "{err}");
-        assert_eq!(inst.healthy_shards(), 0);
     }
 }

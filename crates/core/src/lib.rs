@@ -3,7 +3,7 @@
 //! "Emu provides the implementation for essential network functionality"
 //! the way stdlib does for C (§1). Concretely:
 //!
-//! * [`dataplane`] — the Figure 6 utility surface (`Get_Frame`,
+//! * [`Dataplane`] — the Figure 6 utility surface (`Get_Frame`,
 //!   `Set_Output_Port`, `Broadcast`, `EtherType_Is`, ...) over the
 //!   NetFPGA dataplane contract,
 //! * [`proto`] — the protocol wrappers of Figures 3–4 (IPv4, ICMP, UDP,
@@ -12,11 +12,11 @@
 //! * [`ipblock`] — port handles for hardware IP blocks: CAM, the
 //!   Figure 5 streaming hash and the Figure 9 LRU cache
 //!   (re-exported from beside their models in `emu-rtl`),
-//! * [`runner`] — the heterogeneous-target service description: one
+//! * [`Service`] — the heterogeneous-target service description: one
 //!   program targeting the CPU (compiled bytecode or tree-walking
 //!   interpreter) or FPGA (cycle-accurate FSM), the RSS flow digest,
-//!   and the differential-testing harness,
-//! * [`engine`] — the unified execution surface: [`Service::engine`]
+//!   and the differential-testing harness ([`assert_targets_agree`]),
+//! * [`Engine`] — the unified execution surface: [`Service::engine`]
 //!   builds an [`Engine`] of 1..N replicated pipelines behind a
 //!   pluggable [`Dispatch`] policy, with sequential (cost-model) and
 //!   real-thread parallel execution.
@@ -25,18 +25,19 @@
 //! analogue in `netsim` provides the third target.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod csum;
-pub mod dataplane;
-pub mod engine;
+mod dataplane;
+mod engine;
 pub mod ipblock;
 pub mod proto;
-pub mod runner;
+mod runner;
 
 pub use dataplane::Dataplane;
 pub use engine::{
     BatchReport, Dispatch, Engine, EngineBuilder, EngineError, EngineResult, NatSteering, RssHash,
-    Shard, ShardCheckpoint,
+    Shard,
 };
 pub use ipblock::{CamDeleteIf, CamIf, HashIf, LruIf, NaughtyQIf};
 pub use proto::{DnsWrapper, IcmpWrapper, Ipv4Wrapper, TcpWrapper, UdpWrapper};

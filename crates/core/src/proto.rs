@@ -158,7 +158,7 @@ impl UdpWrapper {
     }
 
     /// Source port.
-    pub fn src_port(&self) -> Expr {
+    pub(crate) fn src_port(&self) -> Expr {
         self.dp.get16(offset::L4)
     }
 
@@ -173,12 +173,12 @@ impl UdpWrapper {
     }
 
     /// Sets the source port.
-    pub fn set_src_port(&self, v: Expr) -> Vec<Stmt> {
+    pub(crate) fn set_src_port(&self, v: Expr) -> Vec<Stmt> {
         self.dp.set16(offset::L4, v)
     }
 
     /// Sets the destination port.
-    pub fn set_dst_port(&self, v: Expr) -> Vec<Stmt> {
+    pub(crate) fn set_dst_port(&self, v: Expr) -> Vec<Stmt> {
         self.dp.set16(offset::L4 + 2, v)
     }
 
@@ -219,7 +219,7 @@ impl TcpWrapper {
     }
 
     /// Source port.
-    pub fn src_port(&self) -> Expr {
+    pub(crate) fn src_port(&self) -> Expr {
         self.dp.get16(offset::L4)
     }
 
@@ -255,12 +255,12 @@ impl TcpWrapper {
     }
 
     /// Sets the source port.
-    pub fn set_src_port(&self, v: Expr) -> Vec<Stmt> {
+    pub(crate) fn set_src_port(&self, v: Expr) -> Vec<Stmt> {
         self.dp.set16(offset::L4, v)
     }
 
     /// Sets the destination port.
-    pub fn set_dst_port(&self, v: Expr) -> Vec<Stmt> {
+    pub(crate) fn set_dst_port(&self, v: Expr) -> Vec<Stmt> {
         self.dp.set16(offset::L4 + 2, v)
     }
 
@@ -306,7 +306,7 @@ pub struct DnsWrapper {
 
 impl DnsWrapper {
     /// Offset of the DNS header within the frame.
-    pub const HDR: usize = UdpWrapper::PAYLOAD;
+    pub(crate) const HDR: usize = UdpWrapper::PAYLOAD;
     /// Offset of the question section.
     pub const QUESTION: usize = Self::HDR + 12;
 
@@ -326,7 +326,7 @@ impl DnsWrapper {
     }
 
     /// Sets the flags word.
-    pub fn set_flags(&self, v: Expr) -> Vec<Stmt> {
+    pub(crate) fn set_flags(&self, v: Expr) -> Vec<Stmt> {
         self.dp.set16(Self::HDR + 2, v)
     }
 

@@ -39,7 +39,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// Parses a request opcode byte.
-    pub fn from_byte(b: u8) -> Option<Opcode> {
+    pub(crate) fn from_byte(b: u8) -> Option<Opcode> {
         Some(match b {
             1 => Opcode::ReadVar,
             2 => Opcode::WriteVar,
@@ -54,29 +54,29 @@ impl Opcode {
 }
 
 /// Reply status codes.
-pub mod status {
+pub(crate) mod status {
     /// Success.
-    pub const OK: u8 = 0;
+    pub(crate) const OK: u8 = 0;
     /// Unknown variable index.
-    pub const BAD_VAR: u8 = 1;
+    pub(crate) const BAD_VAR: u8 = 1;
     /// Opcode not compiled into this controller.
-    pub const BAD_OP: u8 = 2;
+    pub(crate) const BAD_OP: u8 = 2;
 }
 
 /// Byte offsets of the packet fields (within the frame).
-pub mod field {
+pub(crate) mod field {
     /// Opcode.
-    pub const OPCODE: usize = 14;
+    pub(crate) const OPCODE: usize = 14;
     /// Variable index.
-    pub const VAR: usize = 15;
+    pub(crate) const VAR: usize = 15;
     /// 64-bit value.
-    pub const VALUE: usize = 16;
+    pub(crate) const VALUE: usize = 16;
     /// Status byte (replies).
-    pub const STATUS: usize = 24;
+    pub(crate) const STATUS: usize = 24;
 }
 
 /// Reply bit OR-ed into the opcode byte.
-pub const REPLY_BIT: u8 = 0x80;
+pub(crate) const REPLY_BIT: u8 = 0x80;
 
 /// A parsed direction packet.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -111,7 +111,7 @@ pub struct Client<P: RequestProto> {
 
 impl<P: RequestProto> Client<P> {
     /// Wraps a protocol in the driver.
-    pub fn from_proto(name: &str, proto: P, cfg: ClientConfig) -> Self {
+    pub(crate) fn from_proto(name: &str, proto: P, cfg: ClientConfig) -> Self {
         Client {
             name: name.to_string(),
             proto,
@@ -129,7 +129,7 @@ impl<P: RequestProto> Client<P> {
 
     /// Drains the per-request outcome records (feed to
     /// [`emu_traffic::ClientCheck`]).
-    pub fn take_outcomes(&mut self) -> Vec<ClientOutcome> {
+    pub(crate) fn take_outcomes(&mut self) -> Vec<ClientOutcome> {
         std::mem::take(&mut self.stats.outcomes)
     }
 

@@ -35,19 +35,19 @@
 //! simulation-time, so a seed replays byte-identically.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod client;
-pub mod dns;
-pub mod mc;
-pub mod responder;
-pub mod stats;
-pub mod tcp;
+mod dns;
+mod mc;
+mod responder;
+mod stats;
+mod tcp;
 pub mod topo;
 
 pub use client::{Client, ClientConfig, RequestProto, KICK};
 pub use dns::DnsClient;
 pub use mc::McClient;
 pub use responder::Responder;
-pub use stats::ClientStats;
 pub use tcp::TcpClient;
-pub use topo::{fat_tree, ClientKind, Topo, TopoSpec, TopoSummary};
+pub use topo::{fat_tree, Topo, TopoSpec, TopoSummary};

@@ -37,7 +37,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Bytes in every stored value (the service's fixed `VALUE_BYTES`).
-pub const VALUE_LEN: usize = 8;
+pub(crate) const VALUE_LEN: usize = 8;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Op {

@@ -34,7 +34,7 @@ pub const MC_SERVER_MAC: u64 = 0x02_00_00_00_a0_01;
 /// The DNS server's address.
 pub const DNS_SERVER_MAC: u64 = 0x02_00_00_00_a0_02;
 /// The TCP-ping server's address.
-pub const TCP_SERVER_MAC: u64 = 0x02_00_00_00_a0_03;
+pub(crate) const TCP_SERVER_MAC: u64 = 0x02_00_00_00_a0_03;
 
 /// Everything a generated fat-tree derives from that a caller varies.
 /// Node timing is not here: every switch and service node is timed as

@@ -196,7 +196,7 @@ impl HostProfile {
     }
 
     /// Samples one request's latency in µs.
-    pub fn sample_latency_us(&self, rng: &mut StdRng) -> f64 {
+    pub(crate) fn sample_latency_us(&self, rng: &mut StdRng) -> f64 {
         self.stages
             .iter()
             .map(|s| lognormal_mean(rng, s.mean_us, s.sigma))

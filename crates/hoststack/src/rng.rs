@@ -7,7 +7,7 @@
 use rand::Rng;
 
 /// Standard normal via Box–Muller.
-pub fn normal<R: Rng>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
+pub(crate) fn normal<R: Rng>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
@@ -16,7 +16,7 @@ pub fn normal<R: Rng>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
 
 /// Lognormal with *location* `mu` and *shape* `sigma` (parameters of the
 /// underlying normal): mean = exp(mu + sigma²/2).
-pub fn lognormal<R: Rng>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
+pub(crate) fn lognormal<R: Rng>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
     normal(rng, mu, sigma).exp()
 }
 
@@ -24,7 +24,7 @@ pub fn lognormal<R: Rng>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
 ///
 /// Useful for calibration: the mean is what Table 4 reports, the shape
 /// controls the p99/mean tail ratio (§5.6).
-pub fn lognormal_mean<R: Rng>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
+pub(crate) fn lognormal_mean<R: Rng>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
     let mu = mean.ln() - sigma * sigma / 2.0;
     lognormal(rng, mu, sigma)
 }

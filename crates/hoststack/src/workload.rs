@@ -71,7 +71,7 @@ impl Memaslap {
     }
 
     /// The next operation under the configured mix.
-    pub fn next_op(&mut self) -> McOp {
+    pub(crate) fn next_op(&mut self) -> McOp {
         let key = self.keys[self.rng.gen_range(0..self.keys.len())].clone();
         if self.rng.gen_bool(Self::GET_RATIO) {
             McOp::Get(key)

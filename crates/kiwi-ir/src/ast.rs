@@ -110,7 +110,7 @@ pub enum BinOp {
 
 impl BinOp {
     /// True for the comparison operators (1-bit results).
-    pub fn is_compare(self) -> bool {
+    pub(crate) fn is_compare(self) -> bool {
         matches!(
             self,
             BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge

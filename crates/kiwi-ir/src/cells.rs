@@ -50,7 +50,7 @@ impl Cells {
     ///
     /// Panics if `width` is zero or exceeds [`emu_types::bits::MAX_WIDTH`]
     /// (program validation rejects such arrays before any state exists).
-    pub fn zeroed(width: u16, len: usize) -> Self {
+    pub(crate) fn zeroed(width: u16, len: usize) -> Self {
         let store = match width {
             1..=8 => Store::U8(vec![0; len]),
             9..=64 => Store::U64(vec![0; len]),
@@ -94,7 +94,7 @@ impl Cells {
     /// The low 64 bits of element `i` (the whole element for arrays up
     /// to 64 bits wide), or `None` when `i` is out of range.
     #[inline]
-    pub fn get_u64(&self, i: usize) -> Option<u64> {
+    pub(crate) fn get_u64(&self, i: usize) -> Option<u64> {
         match &self.store {
             Store::U8(d) => d.get(i).map(|&v| u64::from(v)),
             Store::U64(d) => d.get(i).copied(),

@@ -19,7 +19,7 @@
 //! # Micro-ops and the execution encoding
 //!
 //! [`MOp`] is the IR of the passes: what lowering emits, what
-//! [`crate::opt`] rewrites, what `EMU_CPU_DUMP_MOPS` lists and what
+//! `opt` rewrites, what `EMU_CPU_DUMP_MOPS` lists and what
 //! `tests/pass_census.rs` counts. It is not what runs. Once per image,
 //! after the passes and the slot layout, each thread's final micro-ops
 //! are lowered once more, into an execution encoding held beside them
@@ -129,7 +129,7 @@
 //! implementation of arithmetic beyond 64 bits for the spec to disagree
 //! with.
 //!
-//! Lowering feeds the pass pipeline in [`crate::opt`] (array-access
+//! Lowering feeds the pass pipeline in `opt` (array-access
 //! strength reduction, redundant-load and common-subexpression
 //! elimination, constant-index pair fusion, copy propagation, dead
 //! scratch elimination) before the bytecode is frozen
@@ -162,7 +162,7 @@ use std::sync::Arc;
 
 /// Index of a slot in the word file: a register, a signal, a scratch
 /// slot, or a constant-pool slot (see the module docs).
-pub type Slot = u32;
+pub(crate) type Slot = u32;
 
 /// Marks a pool slot between lowering and layout: pool entry `k` is
 /// slot `POOL | k` until [`compile_with_passes`] places the pool above
@@ -625,7 +625,7 @@ impl MOp {
 
     /// Mutable access to the destination slot — the one table of which
     /// ops define what; the region-widening renumbering in
-    /// [`crate::opt`] uses it to shift whole slot ranges.
+    /// `opt` uses it to shift whole slot ranges.
     pub(crate) fn dst_mut(&mut self) -> Option<&mut Slot> {
         use MOp::*;
         match self {
@@ -671,7 +671,7 @@ impl MOp {
 /// visible effects).
 ///
 /// Lowering initially produces one region per source statement; the
-/// observer-visibility analysis in [`crate::opt`] then merges runs of
+/// observer-visibility analysis in `opt` then merges runs of
 /// consecutive statements whose boundaries no branch targets and whose
 /// terminals cannot let the outside world *mutate* machine state
 /// (observer callbacks and signal drives only read; `pause` and `ext`
@@ -764,7 +764,7 @@ impl CompiledProgram {
 
 /// Lowers a flattened program through the ambient optimization pipeline:
 /// [`crate::opt::default_pipeline`] unless the `EMU_CPU_PASSES`
-/// environment variable overrides it (see [`crate::opt::env_pipeline`]).
+/// environment variable overrides it (see `env_pipeline`).
 /// Callers that must pin an exact pipeline regardless of the environment
 /// use [`compile_with_passes`].
 pub fn compile(flat: &FlatProgram) -> IrResult<CompiledProgram> {
@@ -1339,7 +1339,7 @@ fn region_visibility(region: &[MOp], prog: &Program, labels: &[String]) -> Strin
 /// and the signal's name, scratch slots as `sN` (numbered from the
 /// first scratch slot), pool slots as the constant they hold, evaluated
 /// sub-expressions as `eval(<expr>)`; this is the form the pass tests
-/// in [`crate::opt`] assert against.
+/// in `opt` assert against.
 pub fn mops_to_string(cp: &CompiledProgram, ti: usize) -> String {
     use std::fmt::Write as _;
     let (t, prog) = (&cp.threads[ti], &cp.prog);

@@ -71,7 +71,7 @@
 //! 2.0 % without `FusePairs` (5.6 % on `min64-switch`), and by 21.0 %
 //! with no pass at all. A constant folder saved at most a dozen static
 //! micro-ops per service and no throughput there, so there is none. The
-//! `EMU_CPU_PASSES` environment variable (see [`env_pipeline`]) selects
+//! `EMU_CPU_PASSES` environment variable (see `env_pipeline`) selects
 //! the pipeline for [`crate::compile::compile`]; `EMU_CPU_DUMP_MOPS=1`
 //! dumps the annotated listings of every compiled thread to stderr.
 //!
@@ -215,7 +215,7 @@ pub fn default_pipeline() -> &'static [Pass] {
 /// empty), `none`, or a comma-separated list of pass names
 /// (`array_strength`, `redundant_load`, `cse`, `fuse_pairs`,
 /// `copy_prop`, `dead_scratch`).
-pub fn parse_passes(spec: &str) -> Result<Vec<Pass>, String> {
+pub(crate) fn parse_passes(spec: &str) -> Result<Vec<Pass>, String> {
     match spec.trim() {
         "" | "default" => return Ok(default_pipeline().to_vec()),
         "none" => return Ok(Vec::new()),
@@ -238,7 +238,7 @@ pub fn parse_passes(spec: &str) -> Result<Vec<Pass>, String> {
 /// falling back to [`default_pipeline`] when unset. Panics on an
 /// unrecognized value — a typo'd pipeline silently falling back would
 /// invalidate a differential run.
-pub fn env_pipeline() -> Vec<Pass> {
+pub(crate) fn env_pipeline() -> Vec<Pass> {
     match std::env::var("EMU_CPU_PASSES") {
         Ok(v) => parse_passes(&v).unwrap_or_else(|e| {
             panic!(

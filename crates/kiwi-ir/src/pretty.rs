@@ -6,7 +6,7 @@ use crate::ast::{BinOp, Expr, UnOp};
 use crate::program::Program;
 
 /// Renders an expression as a compact infix string.
-pub fn expr_to_string(e: &Expr, prog: &Program) -> String {
+pub(crate) fn expr_to_string(e: &Expr, prog: &Program) -> String {
     match e {
         Expr::Const(b) => b.to_string(),
         Expr::Var(v) => prog

@@ -167,7 +167,7 @@ impl Program {
 
     /// Validates the whole program: declaration uniqueness, width legality,
     /// and expression well-formedness in every thread.
-    pub fn validate(&self) -> IrResult<()> {
+    pub(crate) fn validate(&self) -> IrResult<()> {
         let mut names = std::collections::HashSet::new();
         for v in &self.vars {
             if v.width == 0 || v.width > emu_types::bits::MAX_WIDTH {

@@ -4,8 +4,9 @@
 //! into register-transfer-level Verilog (§3.1). This crate reproduces the
 //! parts of Kiwi that the paper's evaluation depends on:
 //!
-//! * **Scheduling** ([`fsm`]): `Kiwi.Pause()`-delimited cycle boundaries
-//!   plus automatic splitting under a clock-period budget (§3.2(ii), §3.4).
+//! * **Scheduling** ([`schedule`]): `Kiwi.Pause()`-delimited cycle
+//!   boundaries plus automatic splitting under a clock-period budget
+//!   (§3.2(ii), §3.4).
 //! * **Resource estimation** ([`resources`]): LUT/memory/FF accounting for
 //!   the compiled logic and attached IP blocks — the quantities in
 //!   Tables 3 and 5.
@@ -21,8 +22,9 @@
 //! runs one state per clock edge.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod fsm;
+mod fsm;
 pub mod resources;
 pub mod verilog;
 

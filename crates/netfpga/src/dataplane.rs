@@ -29,23 +29,23 @@ use kiwi_ir::program::{ArrId, ArrayBacking, SigId};
 use kiwi_ir::{Core, IrError, IrResult, Program, ProgramBuilder};
 
 /// Canonical signal / array names of the dataplane contract.
-pub mod names {
+mod names {
     /// Frame-available input.
-    pub const RX_VALID: &str = "rx_valid";
+    pub(crate) const RX_VALID: &str = "rx_valid";
     /// Frame length input.
-    pub const RX_LEN: &str = "rx_len";
+    pub(crate) const RX_LEN: &str = "rx_len";
     /// Arrival port input.
-    pub const RX_PORT: &str = "rx_port";
+    pub(crate) const RX_PORT: &str = "rx_port";
     /// Completion pulse output.
-    pub const RX_DONE: &str = "rx_done";
+    pub(crate) const RX_DONE: &str = "rx_done";
     /// Transmit pulse output.
-    pub const TX_VALID: &str = "tx_valid";
+    pub(crate) const TX_VALID: &str = "tx_valid";
     /// Transmit length output.
-    pub const TX_LEN: &str = "tx_len";
+    pub(crate) const TX_LEN: &str = "tx_len";
     /// Destination port bitmap output.
-    pub const TX_PORTS: &str = "tx_ports";
+    pub(crate) const TX_PORTS: &str = "tx_ports";
     /// The frame buffer array.
-    pub const FRAME: &str = "frame";
+    pub(crate) const FRAME: &str = "frame";
 }
 
 /// Resolved handles to the dataplane ports of a program.
@@ -236,9 +236,10 @@ pub struct CoreOutput {
 pub struct DataplaneDriver {
     core: Core,
     ports: DataplanePorts,
-    /// Per-frame cycle budget before the driver declares the core hung.
-    pub max_cycles_per_frame: u64,
 }
+
+/// Per-frame cycle budget before the driver declares the core hung.
+const MAX_CYCLES_PER_FRAME: u64 = 200_000;
 
 /// Why the driver may treat the frame array as bytes.
 const FRAME_IS_BYTES: &str = "frame array is 8 bits wide (checked in DataplaneDriver::new)";
@@ -265,11 +266,7 @@ impl DataplaneDriver {
                 u16::MAX
             )));
         }
-        Ok(DataplaneDriver {
-            core,
-            ports,
-            max_cycles_per_frame: 200_000,
-        })
+        Ok(DataplaneDriver { core, ports })
     }
 
     /// The wrapped core.
@@ -347,7 +344,7 @@ impl DataplaneDriver {
         self.load_frame(frame, cap);
 
         let p = self.ports;
-        let max = self.max_cycles_per_frame;
+        let max = MAX_CYCLES_PER_FRAME;
         let mut cycles = 0;
         let mut tx = TxList::Empty;
         let mut prev_tx = false;
@@ -751,7 +748,6 @@ mod tests {
         pb.thread("main", vec![forever(vec![pause()])]);
         let prog = pb.build().unwrap();
         let mut drv = DataplaneDriver::new(rtl(&prog)).unwrap();
-        drv.max_cycles_per_frame = 100;
         let err = drv
             .process(&Frame::new(vec![0; 60]), &mut NullEnv, &mut NullObserver)
             .unwrap_err();

@@ -23,12 +23,13 @@
 //!   slice of its records.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod dataplane;
 pub mod native;
 pub mod pipeline;
 pub mod timing;
 
-pub use dataplane::{declare, CoreOutput, DataplaneDriver, DataplanePorts, TxFrame, TxList};
+pub use dataplane::{declare, CoreOutput, DataplaneDriver, DataplanePorts, TxList};
 pub use native::{switch_forward, Baseline};
-pub use pipeline::{CoreMode, FrameRecord, PipelineSim};
+pub use pipeline::{CoreMode, PipelineSim};

@@ -17,20 +17,20 @@
 /// Core clock: 200 MHz (§5.1, "NetFPGA SUME's native frequency").
 /// Every Emu cycle count becomes time through it; pinned with the
 /// others by the Table 4 Emu latency cells.
-pub const CLOCK_HZ: u64 = 200_000_000;
+pub(crate) const CLOCK_HZ: u64 = 200_000_000;
 
 /// Nanoseconds per core cycle.
 pub const NS_PER_CYCLE: f64 = 1e9 / CLOCK_HZ as f64;
 
 /// Port rate: 10 Gb/s per port (§5.1). Pinned by the line-rate cells,
 /// Table 3 · Emu / reference · 64 B throughput (59.52 Mpps, within 1 %).
-pub const PORT_GBPS: f64 = 10.0;
+pub(crate) const PORT_GBPS: f64 = 10.0;
 
 /// Number of front-panel ports.
 pub const NUM_PORTS: usize = 4;
 
 /// Nanoseconds to serialize one byte on a 10G link.
-pub const NS_PER_BYTE: f64 = 8.0 / PORT_GBPS;
+pub(crate) const NS_PER_BYTE: f64 = 8.0 / PORT_GBPS;
 
 /// One-way PHY + MAC latency per direction (10GBASE-R PCS/PMA plus a
 /// store-and-forward MAC FIFO): ~320 ns, a textbook figure for this

@@ -60,6 +60,7 @@
 //! 16 frames in flight, and every frame paid the sift through them.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 use emu_core::{Engine, EngineError};
 use emu_telemetry::Json;
@@ -696,7 +697,7 @@ impl NetSim {
     /// inbox, and the old behaviour of silently returning an empty
     /// `Vec` was indistinguishable from "no traffic arrived" (a real
     /// bug class: asserting on the inbox of the wrong node always
-    /// passed vacuously). Use [`NetSim::try_inbox`] to probe.
+    /// passed vacuously).
     #[track_caller]
     pub fn inbox(&mut self, host: NodeId) -> Vec<Delivery> {
         match self.try_inbox(host) {
@@ -711,7 +712,7 @@ impl NetSim {
 
     /// Drains a host's inbox, or `None` when `node` is a service or
     /// agent node (which have no inbox).
-    pub fn try_inbox(&mut self, node: NodeId) -> Option<Vec<Delivery>> {
+    pub(crate) fn try_inbox(&mut self, node: NodeId) -> Option<Vec<Delivery>> {
         match &mut self.nodes[node.0].kind {
             NodeKind::Host { inbox } => Some(std::mem::take(inbox)),
             NodeKind::Service(..) | NodeKind::Agent(_) => None,
@@ -734,7 +735,7 @@ impl NetSim {
 
     /// Access an agent node's [`HostAgent`] (`None` for other node
     /// kinds).
-    pub fn agent_mut(&mut self, n: NodeId) -> Option<&mut dyn HostAgent> {
+    pub(crate) fn agent_mut(&mut self, n: NodeId) -> Option<&mut dyn HostAgent> {
         match &mut self.nodes[n.0].kind {
             NodeKind::Agent(agent) => Some(agent.as_mut()),
             _ => None,

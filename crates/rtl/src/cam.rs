@@ -260,7 +260,7 @@ impl CamTable {
     }
 
     /// Zeroes the lifetime counters (table contents are untouched).
-    pub fn reset_stats(&mut self) {
+    pub(crate) fn reset_stats(&mut self) {
         self.stats = CamStats::default();
     }
 
@@ -483,12 +483,12 @@ impl CamTable {
     /// Looks the key whose limbs are `key` up; a live hit is touched
     /// (re-stamped) and its value's limbs returned, an expired resident
     /// entry is reclaimed and reported as a miss.
-    pub fn lookup_limbs(&mut self, key: &[u64]) -> Option<&[u64]> {
+    pub(crate) fn lookup_limbs(&mut self, key: &[u64]) -> Option<&[u64]> {
         let slot = self.lookup_slot(key)?;
         Some(self.value_of(slot))
     }
 
-    /// [`CamTable::lookup_limbs`] for a `Bits` key.
+    /// `CamTable::lookup_limbs` for a `Bits` key.
     pub fn lookup(&mut self, key: &Bits) -> Option<Bits> {
         let slot = self.lookup_slot(key.limbs())?;
         Some(self.value_bits_at(slot))
@@ -496,21 +496,21 @@ impl CamTable {
 
     /// The value limbs of `key` if it is resident and live. No touch,
     /// no stats, no reclaim.
-    pub fn peek_limbs(&self, key: &[u64]) -> Option<&[u64]> {
+    pub(crate) fn peek_limbs(&self, key: &[u64]) -> Option<&[u64]> {
         let (_, slot) = self.probe(key)?;
         let stamp = self.slab[self.stamp_at(slot)];
         assert!(stamp != FREE, "indexed");
         (!self.is_expired(stamp)).then(|| self.value_of(slot))
     }
 
-    /// [`CamTable::peek_limbs`] for a `Bits` key.
+    /// `CamTable::peek_limbs` for a `Bits` key.
     pub fn peek(&self, key: &Bits) -> Option<Bits> {
         let v = self.peek_limbs(key.limbs())?;
         Some(Bits::from_limbs(v, self.value_bits))
     }
 
     /// Re-stamps `key` if resident (pair-twin touch propagation).
-    pub fn touch_limbs(&mut self, key: &[u64]) {
+    pub(crate) fn touch_limbs(&mut self, key: &[u64]) {
         self.removed.clear();
         if let Some((_, slot)) = self.probe(key) {
             self.restamp(slot);
@@ -518,11 +518,11 @@ impl CamTable {
     }
 
     /// [`CamTable::touch_limbs`] for a `Bits` key.
-    pub fn touch(&mut self, key: &Bits) {
+    pub(crate) fn touch(&mut self, key: &Bits) {
         self.touch_limbs(key.limbs());
     }
 
-    /// [`CamTable::write_limbs`] for a `Bits` key and value.
+    /// `CamTable::write_limbs` for a `Bits` key and value.
     pub fn write(&mut self, key: Bits, value: Bits) -> WriteEffect {
         let vb = self.value_bits;
         match self.write_limbs(key.limbs(), value.limbs()) {
@@ -536,7 +536,7 @@ impl CamTable {
     /// oldest expired entry, else evicts round-robin. Returns the limbs
     /// of the value it replaced, or `None` when the key was not resident
     /// (a fresh entry).
-    pub fn write_limbs(&mut self, key: &[u64], value: &[u64]) -> Option<&[u64]> {
+    pub(crate) fn write_limbs(&mut self, key: &[u64], value: &[u64]) -> Option<&[u64]> {
         self.removed.clear();
         self.stats.writes += 1;
         let (key, value) = (
@@ -584,7 +584,7 @@ impl CamTable {
 
     /// Removes `key` if resident (live or expired); returns the entry's
     /// key and value limbs. Explicit deletes count in no statistic.
-    pub fn delete_limbs(&mut self, key: &[u64]) -> Option<(&[u64], &[u64])> {
+    pub(crate) fn delete_limbs(&mut self, key: &[u64]) -> Option<(&[u64], &[u64])> {
         self.removed.clear();
         let (pos, slot) = self.probe(key)?;
         self.remove_slot(pos, slot, None);
@@ -601,7 +601,7 @@ impl CamTable {
 }
 
 /// Derives the partner table's key from one side's `(key, value)`.
-pub type PartnerKeyFn = fn(&Bits, &Bits) -> Bits;
+pub(crate) type PartnerKeyFn = fn(&Bits, &Bits) -> Bits;
 
 /// Two [`CamTable`]s whose entries exist in 1:1 correspondence; every
 /// involuntary removal on one side atomically removes the partner, and
@@ -659,12 +659,12 @@ impl CamPair {
     }
 
     /// Deletes from side A, taking the B partner with it.
-    pub fn delete_a_limbs(&mut self, key: &[u64]) {
+    pub(crate) fn delete_a_limbs(&mut self, key: &[u64]) {
         delete(&mut self.a, &mut self.b, self.a_to_b, key);
     }
 
     /// Deletes from side B, taking the A partner with it.
-    pub fn delete_b_limbs(&mut self, key: &[u64]) {
+    pub(crate) fn delete_b_limbs(&mut self, key: &[u64]) {
         delete(&mut self.b, &mut self.a, self.b_to_a, key);
     }
 }

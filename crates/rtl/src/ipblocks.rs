@@ -29,7 +29,7 @@
 //! clock edge. All protocols are level-based (request/ready), so they
 //! tolerate the extra states inserted by the scheduler's budget cuts.
 
-pub use crate::cam::CamStats;
+use crate::cam::CamStats;
 use crate::cam::{CamPair, CamTable};
 use emu_telemetry::CamCounters;
 use emu_types::checksum::PEARSON_TABLE;
@@ -402,7 +402,7 @@ fn cam_counters(ports: &CamIf, t: &CamTable) -> CamCounters {
 }
 
 /// Content-addressable memory with single-cycle lookup, backed by a
-/// hashed [`CamTable`] (see [`crate::cam`] for the
+/// hashed [`CamTable`] (see the `cam` module for the
 /// capacity/expiry/eviction contract).
 ///
 /// A lookup launched in cycle *n* presents `match`/`value` during cycle
@@ -775,29 +775,29 @@ impl NaughtyQIf {
     }
 
     /// `NaughtyQ.Enlist(value)`: allocates a slot; index readable via
-    /// [`NaughtyQIf::idx_out`] after the pause.
+    /// `NaughtyQIf::idx_out` after the pause.
     pub fn enlist(&self, value: Expr) -> Vec<Stmt> {
         request(self.op, 1, self.value_in, value)
     }
 
-    /// `NaughtyQ.Read(idx)`: value readable via [`NaughtyQIf::value_out`]
+    /// `NaughtyQ.Read(idx)`: value readable via `NaughtyQIf::value_out`
     /// after the pause.
     pub fn read(&self, idx: Expr) -> Vec<Stmt> {
         request(self.op, 2, self.idx_in, idx)
     }
 
     /// `NaughtyQ.BackOfQ(idx)`: marks the slot most recently used.
-    pub fn back_of_q(&self, idx: Expr) -> Vec<Stmt> {
+    pub(crate) fn back_of_q(&self, idx: Expr) -> Vec<Stmt> {
         request(self.op, 3, self.idx_in, idx)
     }
 
     /// Slot index returned by the last enlist.
-    pub fn idx_out(&self) -> Expr {
+    pub(crate) fn idx_out(&self) -> Expr {
         sig(self.idx_out.id)
     }
 
     /// Value returned by the last read.
-    pub fn value_out(&self) -> Expr {
+    pub(crate) fn value_out(&self) -> Expr {
         sig(self.value_out.id)
     }
 }

@@ -8,19 +8,23 @@
 //! * IP blocks ([`ipblocks`]): each block's port handle and the
 //!   behavioural model built from it — CAM, Pearson hash (Figure 5)
 //!   and the Figure 9 LRU queue,
-//! * AXI4-Stream beat arithmetic ([`axis`]) for the SUME 256-bit datapath,
-//! * VCD waveform dumping ([`vcd`]) for debugging without an RTL
+//! * the CAM tables behind them ([`CamTable`], and [`CamPair`] for NAT's
+//!   two directions),
+//! * AXI4-Stream beat arithmetic ([`beats_for_len`]) for the SUME 256-bit
+//!   datapath,
+//! * VCD waveform dumping ([`VcdTrace`]) for debugging without an RTL
 //!   simulator.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod axis;
-pub mod cam;
+mod axis;
+mod cam;
 pub mod ipblocks;
-pub mod vcd;
+mod vcd;
 
 pub use axis::beats_for_len;
-pub use cam::{CamPair, CamStats, CamTable, PartnerKeyFn, WriteEffect};
+pub use cam::{CamPair, CamTable};
 pub use ipblocks::{
     CamDeleteIf, CamIf, CamModel, HashIf, IpBlockModel, IpEnv, LruIf, NaughtyQIf, NaughtyQModel,
     PairedCamModel, PearsonHashModel,

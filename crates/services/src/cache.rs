@@ -9,7 +9,7 @@
 //! least-recently-used (LRU) cache in a few lines" — Figure 9.
 //!
 //! The cache fronts a memcached storage server living on
-//! [`SERVER_PORT`]: GET hits are answered from the LRU directly; misses
+//! `SERVER_PORT`: GET hits are answered from the LRU directly; misses
 //! and SETs are forwarded to the server (write-through populates the
 //! cache). Eviction is entirely in the dataplane, courtesy of the
 //! NaughtyQ recency queue.
@@ -23,13 +23,13 @@ use emu_types::proto::{ether_type, ip_proto, port};
 use kiwi_ir::dsl::*;
 
 /// Physical port of the backing storage server.
-pub const SERVER_PORT: u8 = 0;
+pub(crate) const SERVER_PORT: u8 = 0;
 
 /// Cache capacity in entries.
-pub const CACHE_SLOTS: usize = 64;
+pub(crate) const CACHE_SLOTS: usize = 64;
 
 /// Maximum key bytes (same wire format as the memcached service).
-pub const MAX_KEY: usize = 8;
+pub(crate) const MAX_KEY: usize = 8;
 
 const CAM_KEY_BITS: u16 = 8 + (MAX_KEY as u16) * 8;
 /// Slot store entry: key tag ++ 64-bit value.

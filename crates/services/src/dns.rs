@@ -7,7 +7,7 @@
 //! resolve the name." Table 4: 1.82 µs / 1.176 Mq/s vs 126.46 µs / 0.226
 //! Mq/s on the host.
 //!
-//! The wire-format QNAME (up to [`MAX_NAME_BYTES`]) is accumulated one
+//! The wire-format QNAME (up to `MAX_NAME_BYTES`) is accumulated one
 //! byte per cycle into a wide key register — this is exactly the workload
 //! the paper's wide-word extension (§3.2(iv)) exists for — then resolved
 //! through a CAM holding the zone. Responses answer with an A record via
@@ -24,19 +24,19 @@ use emu_types::{Bits, Ipv4};
 use kiwi_ir::dsl::*;
 
 /// Maximum wire-format name length (paper: "length at most 26 bytes").
-pub const MAX_NAME_BYTES: usize = 26;
+pub(crate) const MAX_NAME_BYTES: usize = 26;
 
 /// CAM key width: 26 name bytes left-shifted into a wide register.
-pub const KEY_BITS: u16 = (MAX_NAME_BYTES as u16) * 8;
+pub(crate) const KEY_BITS: u16 = (MAX_NAME_BYTES as u16) * 8;
 
 /// Zone capacity.
-pub const ZONE_ENTRIES: usize = 256;
+pub(crate) const ZONE_ENTRIES: usize = 256;
 
 const FRAME_CAP: usize = 512;
 
 /// The CAM key for a name: wire bytes (excluding the terminal zero)
 /// folded MSB-first, exactly as the hardware accumulation loop does.
-pub fn dns_key(name: &str) -> Bits {
+pub(crate) fn dns_key(name: &str) -> Bits {
     let wire = emu_types::wire::dns_name(name);
     let mut key = Bits::zero(KEY_BITS);
     for &b in &wire[..wire.len() - 1] {

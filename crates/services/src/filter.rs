@@ -6,7 +6,7 @@
 //! switch into a L3 filter over sets of IP addresses or protocols (ICMP,
 //! UDP, and TCP), or an L4 filter over ranges of TCP or UDP ports."
 //!
-//! [`parse_rule`] accepts a subset of iptables syntax; [`filter_switch`]
+//! `parse_rule` accepts a subset of iptables syntax; [`filter_switch`]
 //! compiles the rule chain into match expressions inserted ahead of the
 //! learning switch's forwarding decision — code generation, exactly as
 //! the paper's tool does.
@@ -94,7 +94,7 @@ fn parse_ports(s: &str) -> Result<(u16, u16), String> {
 
 /// Parses one iptables-style rule, e.g.
 /// `-A FORWARD -p tcp -s 10.0.0.0/8 --dport 80:443 -j DROP`.
-pub fn parse_rule(line: &str) -> Result<FilterRule, String> {
+pub(crate) fn parse_rule(line: &str) -> Result<FilterRule, String> {
     let toks: Vec<&str> = line.split_whitespace().collect();
     let mut rule = FilterRule::any(FilterAction::Accept);
     let mut i = 0;

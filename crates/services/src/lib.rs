@@ -18,6 +18,7 @@
 //! runnable unmodified on the CPU and FPGA targets (and inside `netsim`).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod cache;
 pub mod dns;
@@ -30,7 +31,7 @@ pub mod tcp_ping;
 
 pub use cache::lru_cache;
 pub use dns::dns_server;
-pub use filter::{filter_switch, filter_switch_from_lines, parse_rule, FilterAction, FilterRule};
+pub use filter::{filter_switch, filter_switch_from_lines, FilterAction, FilterRule};
 pub use icmp::icmp_echo;
 pub use memcached::memcached;
 pub use nat::nat;

@@ -28,10 +28,10 @@ use kiwi_ir::{Expr, Stmt, VarId};
 pub use emu_types::wire::reply_text;
 
 /// Maximum key length in bytes.
-pub const MAX_KEY: usize = 8;
+pub(crate) const MAX_KEY: usize = 8;
 
 /// Fixed value size in bytes.
-pub const VALUE_BYTES: usize = 8;
+pub(crate) const VALUE_BYTES: usize = 8;
 
 /// Store capacity in entries.
 pub const STORE_ENTRIES: usize = 1024;
@@ -42,11 +42,11 @@ pub const CAM_KEY_BITS: u16 = 8 + (MAX_KEY as u16) * 8;
 /// Offset of the memcached UDP frame header.
 pub const MC_HDR: usize = UdpWrapper::PAYLOAD;
 /// Offset of the ASCII command.
-pub const CMD: usize = MC_HDR + 8;
+pub(crate) const CMD: usize = MC_HDR + 8;
 
 /// Frame buffer size: longer frames are rejected before the program
 /// sees them.
-pub const FRAME_CAP: usize = 512;
+pub(crate) const FRAME_CAP: usize = 512;
 
 /// Emits statements writing an ASCII literal at a constant offset.
 fn put_ascii(dp: &emu_core::Dataplane, off: usize, s: &[u8]) -> Vec<Stmt> {

@@ -173,7 +173,7 @@ impl Histogram {
 
     /// Non-empty buckets as `(index, low, count)` triples, in value
     /// order — the compact lossless serialization.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
+    pub(crate) fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
         self.counts
             .iter()
             .enumerate()

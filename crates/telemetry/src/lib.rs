@@ -38,10 +38,11 @@
 //! as `telemetry.overhead_share` (budget: 5 %).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod counters;
-pub mod hist;
-pub mod json;
+mod counters;
+mod hist;
+mod json;
 pub mod report;
 
 pub use counters::{CamCounters, Counters, DropKind, EngineSnapshot, ShardStats};

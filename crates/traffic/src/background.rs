@@ -19,7 +19,7 @@ pub struct Background {
 
 impl Background {
     /// Number of distinct chattering hosts.
-    pub const HOSTS: u64 = 32;
+    pub(crate) const HOSTS: u64 = 32;
 
     /// Creates the stream; frames arrive on ports drawn from
     /// `in_ports`.

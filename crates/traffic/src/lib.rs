@@ -42,7 +42,7 @@
 //!
 //! ## Checkers
 //!
-//! [`check`] holds per-service reference models that consume a batch's
+//! The [`Checker`]s are per-service reference models that consume a batch's
 //! inputs plus its [`emu_core::BatchReport`] and verify service
 //! invariants frame by frame: [`NatChecker`] (translation consistency),
 //! [`SwitchModel`] (learned forwarding), and [`HostChecker`], which
@@ -54,24 +54,25 @@
 //!
 //! ## Record / replay
 //!
-//! [`replay::Trace`] records a stream's inputs *and* the engine's
+//! [`Trace`] records a stream's inputs *and* the engine's
 //! outputs into a compact binary format; committed fixtures under
 //! `tests/fixtures/` replay byte-exact on every target, so generator or
 //! service refactors cannot silently change semantics.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod adversarial;
-pub mod background;
+mod adversarial;
+mod background;
 pub mod build;
-pub mod check;
-pub mod churn;
-pub mod dns;
-pub mod mc;
-pub mod mix;
-pub mod replay;
+mod check;
+mod churn;
+mod dns;
+mod mc;
+mod mix;
+mod replay;
 pub mod scenarios;
-pub mod tcp;
+mod tcp;
 
 pub use adversarial::Adversarial;
 pub use background::Background;

@@ -19,14 +19,14 @@ use rand::{Rng, SeedableRng};
 
 /// Zipf-distributed sampler over `0..n` via inverse-CDF lookup.
 #[derive(Debug, Clone)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     cdf: Vec<f64>,
 }
 
 impl Zipf {
     /// Builds the distribution over `n` ranks with exponent `alpha`
     /// (`alpha = 0` is uniform; ~1 is classic web-object popularity).
-    pub fn new(n: usize, alpha: f64) -> Self {
+    pub(crate) fn new(n: usize, alpha: f64) -> Self {
         assert!(n > 0);
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
@@ -42,7 +42,7 @@ impl Zipf {
     }
 
     /// Draws one rank in `0..n`.
-    pub fn sample(&self, rng: &mut StdRng) -> usize {
+    pub(crate) fn sample(&self, rng: &mut StdRng) -> usize {
         let u = rng.gen_range(0.0..1.0);
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }

@@ -119,7 +119,7 @@ impl Trace {
     }
 
     /// Serializes the trace.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
@@ -139,7 +139,7 @@ impl Trace {
     }
 
     /// Parses a serialized trace.
-    pub fn from_bytes(data: &[u8]) -> Result<Trace, String> {
+    pub(crate) fn from_bytes(data: &[u8]) -> Result<Trace, String> {
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> Result<&[u8], String> {
             let s = data

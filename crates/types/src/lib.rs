@@ -10,14 +10,15 @@
 //! Nothing here knows about the IR, the compiler, or any simulator.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod addr;
+mod addr;
 pub mod bits;
 pub mod bitutil;
 pub mod checksum;
-pub mod frame;
+mod frame;
 pub mod proto;
-pub mod stats;
+mod stats;
 pub mod wire;
 
 pub use addr::{AddrParseError, Ipv4, MacAddr};

@@ -59,7 +59,7 @@ impl Summary {
 /// # Panics
 ///
 /// Panics if `sorted` is empty or `p` is outside `0..=100`.
-pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "empty sample set");
     assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;

@@ -106,7 +106,7 @@
 //!   lowered but handed, as they stand, to the reference [`ir::eval`]
 //!   by four of those micro-ops, so the product re-implements none of
 //!   the spec's multi-limb arithmetic. It is then run through the
-//!   **cross-statement** optimization pass pipeline ([`ir::opt`]):
+//!   **cross-statement** optimization pass pipeline ([`ir::Pass`]):
 //!   observer-visibility analysis widens optimization regions past
 //!   source-statement boundaries wherever no observer event intervenes,
 //!   and the widened regions get array-access strength reduction,

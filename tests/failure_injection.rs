@@ -168,14 +168,13 @@ fn client_frame(client: u64, payload: &[u8]) -> Frame {
     )
 }
 
-/// A 4-shard trappable mirror with a cycle budget that trips the wedge
-/// quickly.
+/// A 4-shard trappable mirror: the wedge traps at the driver's fixed
+/// per-frame cycle budget.
 fn trappable_engine(parallel: bool) -> Engine {
     trappable_mirror()
         .engine(Target::Fpga)
         .shards(4)
         .parallel(parallel)
-        .max_cycles_per_frame(500)
         .build()
         .unwrap()
 }

@@ -17,6 +17,11 @@
 //! that a user of the library writes against, or a harness, fixture
 //! builder or reference implementation that another crate's tests or a
 //! root test call, with no other path.
+//!
+//! A crate's items are public through its root's `pub use` list; a
+//! module stays `pub` only while code outside its crate names it by
+//! path. What is `pub` but unreachable, rustc's `unreachable_pub` lint
+//! (on in every library crate root) reports.
 
 use std::collections::HashMap;
 use std::fs;
@@ -273,6 +278,239 @@ fn every_public_item_has_a_caller_outside_the_tests() {
         stale.is_empty(),
         "KEPT entries with a caller or no item: {stale:?}"
     );
+}
+
+/// The library crates: each one's `src` and the name other code calls it
+/// by, its package name with `_` for `-`.
+fn library_crates(root: &Path) -> Vec<(PathBuf, String)> {
+    let mut dirs: Vec<PathBuf> = fs::read_dir(root.join("crates"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.file_name().is_some_and(|n| n != "compat"))
+        .collect();
+    dirs.sort();
+    dirs.into_iter()
+        .map(|dir| {
+            let manifest = fs::read_to_string(dir.join("Cargo.toml")).unwrap();
+            let package = manifest
+                .lines()
+                .find_map(|l| l.strip_prefix("name = \""))
+                .unwrap();
+            (
+                dir.join("src"),
+                package.trim_end_matches('"').replace('-', "_"),
+            )
+        })
+        .collect()
+}
+
+/// A file's code, up to its first `#[cfg(test)]` when `non_test`, with
+/// string and char literals blanked and `//` comments cut.
+fn code(path: &Path, non_test: bool) -> String {
+    let text = blank_literals(&fs::read_to_string(path).unwrap());
+    let mut out = String::new();
+    for line in text.lines() {
+        if non_test && line.trim_start().starts_with("#[cfg(test)]") {
+            break;
+        }
+        out.push_str(line.split("//").next().unwrap());
+        out.push('\n');
+    }
+    out
+}
+
+/// Splits `s` at the commas outside braces.
+fn top_level(s: &str) -> Vec<&str> {
+    let (mut parts, mut depth, mut start) = (Vec::new(), 0, 0);
+    for (i, c) in s.char_indices() {
+        match c {
+            '{' => depth += 1,
+            '}' => depth -= 1,
+            ',' if depth == 0 => {
+                parts.push(&s[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    parts.push(&s[start..]);
+    parts
+}
+
+/// A `use` tree's paths, each with the name it binds:
+/// `a::{b, c::{self, d as e}}` gives `a::b`, `a::c` and `a::c::d` (as `e`).
+fn use_paths(tree: &str, prefix: &str, out: &mut Vec<(String, String)>) {
+    let tree = tree.trim();
+    if tree.is_empty() {
+        return;
+    }
+    if let Some((head, rest)) = tree.split_once('{') {
+        let inner = rest.trim_end().strip_suffix('}').unwrap_or(rest);
+        for part in top_level(inner) {
+            use_paths(part, &format!("{prefix}{head}"), out);
+        }
+        return;
+    }
+    let (path, alias) = match tree.split_once(" as ") {
+        Some((p, a)) => (p.trim(), Some(a.trim())),
+        None => (tree, None),
+    };
+    let full = match path {
+        "self" => prefix.trim_end_matches("::").to_string(),
+        _ => format!("{prefix}{path}"),
+    };
+    let name = alias.unwrap_or_else(|| full.rsplit("::").next().unwrap());
+    out.push((name.to_string(), full.to_string()));
+}
+
+/// Every path `text` names: its `use` trees flattened, and the `a::b`
+/// paths of its code, with a first segment that a `use` binds replaced
+/// by the path it binds.
+fn named_paths(text: &str) -> Vec<String> {
+    let mut uses = Vec::new();
+    let mut rest = text;
+    while let Some(at) = rest.find("use ") {
+        let starts_word = rest[..at].chars().next_back().is_none_or(|c| !is_word(c));
+        let end = rest[at..].find(';').map_or(rest.len(), |e| at + e);
+        if starts_word {
+            let tree: String = rest[at + 4..end]
+                .split_whitespace()
+                .collect::<Vec<_>>()
+                .join(" ");
+            use_paths(
+                &tree.replace(":: ", "::").replace(" ::", "::"),
+                "",
+                &mut uses,
+            );
+            rest = &rest[end..];
+        } else {
+            rest = &rest[at + 4..];
+        }
+    }
+    let mut paths: Vec<String> = uses.iter().map(|(_, p)| p.clone()).collect();
+    for token in text.split(|c: char| !is_word(c) && c != ':') {
+        let token = token.trim_matches(':');
+        if let Some((first, tail)) = token.split_once("::") {
+            match uses
+                .iter()
+                .find(|(name, path)| name == first && path != first)
+            {
+                Some((_, path)) => paths.push(format!("{path}::{tail}")),
+                None => paths.push(token.to_string()),
+            }
+        }
+    }
+    paths
+}
+
+#[test]
+fn every_public_module_is_named_by_path_outside_its_crate() {
+    let root = root();
+    let crates = library_crates(&root);
+    // `pub use X as Y` in the facade: a path through `emu::Y` names X.
+    let facade: Vec<(String, String)> = code(&root.join("src/lib.rs"), true)
+        .lines()
+        .filter_map(|l| {
+            let (x, y) = l
+                .trim()
+                .strip_prefix("pub use ")?
+                .strip_suffix(';')?
+                .split_once(" as ")?;
+            Some((format!("emu::{y}"), x.to_string()))
+        })
+        .collect();
+
+    // Callers: every library crate's code, its test modules too (its
+    // `src/bin` targets are crates of their own), the facade, root and
+    // integration tests, examples and emubench's sources; each file with
+    // the crate whose `src` it is part of, if any.
+    let mut files: Vec<(PathBuf, Option<usize>)> = Vec::new();
+    for (k, (src, _)) in crates.iter().enumerate() {
+        let mut own = Vec::new();
+        rust_files(src, &mut own);
+        for p in own {
+            let owner = (!p.starts_with(src.join("bin"))).then_some(k);
+            files.push((p, owner));
+        }
+        let mut tests = Vec::new();
+        rust_files(&src.with_file_name("tests"), &mut tests);
+        files.extend(tests.into_iter().map(|p| (p, None)));
+    }
+    for dir in ["src", "tests", "examples", "benchmark/src"] {
+        let mut more = Vec::new();
+        rust_files(&root.join(dir), &mut more);
+        files.extend(more.into_iter().map(|p| (p, None)));
+    }
+    let named: Vec<(Option<usize>, Vec<String>)> = files
+        .iter()
+        .map(|(p, owner)| {
+            let paths = named_paths(&code(p, p.starts_with(root.join("src"))))
+                .into_iter()
+                .map(|path| {
+                    match facade
+                        .iter()
+                        .find(|(y, _)| path.starts_with(&format!("{y}::")))
+                    {
+                        Some((y, x)) => format!("{x}{}", &path[y.len()..]),
+                        None => path,
+                    }
+                })
+                .collect();
+            (*owner, paths)
+        })
+        .collect();
+
+    let mut unnamed = Vec::new();
+    for (k, (src, name)) in crates.iter().enumerate() {
+        for line in code(&src.join("lib.rs"), true).lines() {
+            let Some(m) = line
+                .trim()
+                .strip_prefix("pub mod ")
+                .and_then(|m| m.strip_suffix(';'))
+            else {
+                continue;
+            };
+            let path = format!("{name}::{m}");
+            let is_named = named.iter().any(|(owner, paths)| {
+                *owner != Some(k)
+                    && paths
+                        .iter()
+                        .any(|p| p == &path || p.starts_with(&format!("{path}::")))
+            });
+            if !is_named {
+                unnamed.push(path);
+            }
+        }
+    }
+    assert!(
+        unnamed.is_empty(),
+        "{} public module(s) that no other crate, test, example or emubench \
+         names by path (make them private `mod`s; their items are public \
+         through the crate root's `pub use` list):\n{}",
+        unnamed.len(),
+        unnamed.join("\n")
+    );
+}
+
+#[test]
+fn a_use_tree_binds_each_of_its_paths() {
+    let text = "use emu::services as s;\nuse kiwi_ir::{dsl::*, program::{self, SigDir as D}};\n\
+                fn f() { s::cache::lru_cache(); program::x(); D::In; }";
+    let paths = named_paths(text);
+    for path in [
+        "emu::services",
+        "kiwi_ir::dsl::*",
+        "kiwi_ir::program",
+        "kiwi_ir::program::SigDir",
+        "emu::services::cache::lru_cache",
+        "kiwi_ir::program::x",
+        "kiwi_ir::program::SigDir::In",
+    ] {
+        assert!(
+            paths.iter().any(|p| p == path),
+            "{path} missing from {paths:?}"
+        );
+    }
 }
 
 #[test]
