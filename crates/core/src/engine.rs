@@ -617,7 +617,8 @@ impl EngineBuilder<'_> {
     /// of that knob — so differential tests can pin both sides even
     /// under a passes-disabled CI run. Default: defer to
     /// `EMU_CPU_PASSES`, falling back to
-    /// [`kiwi_ir::default_pipeline`].
+    /// [`kiwi_ir::default_pipeline`] (value numbering, then dead scratch
+    /// elimination).
     pub fn passes(mut self, passes: &[kiwi_ir::Pass]) -> Self {
         self.passes = Some(passes.to_vec());
         self

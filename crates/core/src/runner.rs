@@ -42,8 +42,9 @@ pub enum Target {
 /// They differ only in speed:
 ///
 /// * [`Backend::Compiled`] (the default): each thread is lowered to a
-///   pre-decoded micro-op bytecode through the optimization pipeline in
-///   `kiwi_ir::opt` and run by a tight non-recursive loop with a `u64`
+///   pre-decoded micro-op bytecode through the optimization pipeline
+///   ([`kiwi_ir::default_pipeline`]: value numbering, then dead scratch
+///   elimination) and run by a tight non-recursive loop with a `u64`
 ///   fast path — the production software backend.
 /// * [`Backend::TreeWalk`]: the recursive `Expr` interpreter — the
 ///   slow, obviously-correct reference. CI forces it once over the whole

@@ -42,8 +42,8 @@
 //! * **Frame fields as words.** A service parses and rewrites header
 //!   fields one byte of `frame` at a time. A field read is a micro-op of
 //!   its own, [`MOp::LdBytesCS`] (see
-//!   [`FusePairs`](crate::opt::Pass::FusePairs)), and runs as one
-//!   big-endian load of a word, `LdBytesC`. A field write stays a run of
+//!   [`ValueNumbering`](crate::opt::Pass::ValueNumbering)), and runs as
+//!   one big-endian load of a word, `LdBytesC`. A field write stays a run of
 //!   `SliceS` → `StArrCS` byte pairs of one source, the index rising by
 //!   one and `lo` falling by eight, and only the encoding makes it one
 //!   store, `StBytesC`. The store moves the eight bytes from its first
@@ -95,10 +95,9 @@
 //! * **The constant pool** ([`CompiledProgram::pool`], from
 //!   [`CompiledProgram::pool_base`]), above every thread's scratch: each
 //!   distinct constant of the program has one slot there. A literal
-//!   lowers to its pool slot and nothing else; the one value a pass
-//!   folds (an out-of-range constant-index read, to zero) becomes a
-//!   copy of the zero's pool slot, which copy propagation and
-//!   dead-scratch elimination then remove.
+//!   lowers to its pool slot and nothing else, and so does the one value
+//!   lowering folds: an array read at a literal index out of range is
+//!   the zero's pool slot.
 //!
 //! [`crate::Core::new`] extends the state's file with the scratch and
 //! the pool once per running copy. Only the register stores write a
@@ -129,10 +128,10 @@
 //! implementation of arithmetic beyond 64 bits for the spec to disagree
 //! with.
 //!
-//! Lowering feeds the pass pipeline in `opt` (array-access
-//! strength reduction, redundant-load and common-subexpression
-//! elimination, constant-index pair fusion, copy propagation, dead
-//! scratch elimination) before the bytecode is frozen
+//! Lowering emits an array access at a literal index in range at its
+//! constant index ([`MOp::LdArrCS`], [`MOp::StArrCS`]), and feeds the
+//! pass pipeline in `opt` (value numbering, then dead scratch
+//! elimination) before the bytecode is frozen
 //! into a [`CompiledProgram`] and the pool is laid out above the
 //! scratch. The passes treat the four evaluating
 //! micro-ops as opaque: they read machine state where they stand, and
@@ -188,7 +187,7 @@ pub(crate) const UNSLOTTED: Slot = POOL | REG;
 /// Whether `s` names a constant-pool slot (before layout).
 #[inline]
 pub(crate) fn is_pool(s: Slot) -> bool {
-    s & POOL != 0
+    s & (POOL | REG) == POOL
 }
 
 /// Whether `s` names a register or signal slot (before layout): one
@@ -217,6 +216,13 @@ pub(crate) fn sig_slot(sig: u32) -> Slot {
     REG | SIG | sig
 }
 
+/// The element the constant index `k` selects in array `arr`; `None`
+/// when it is out of range.
+pub(crate) fn element(prog: &Program, arr: u32, k: u64) -> Option<u32> {
+    let len = prog.arrays().get(arr as usize).map_or(0, |d| d.len);
+    u32::try_from(k).ok().filter(|&k| (k as usize) < len)
+}
+
 /// The constants of one program under compilation, each distinct value
 /// once (see the module docs).
 #[derive(Debug, Default)]
@@ -234,7 +240,7 @@ impl Pool {
         })
     }
 
-    /// The value of pool slot `s`; `None` for a scratch slot.
+    /// The value of pool slot `s`; `None` for any other slot.
     pub(crate) fn value(&self, s: Slot) -> Option<u64> {
         is_pool(s).then(|| self.values[(s & !POOL) as usize])
     }
@@ -303,8 +309,8 @@ pub enum MOp {
         idx: Slot,
     },
     /// Array element read at a compile-time-constant, in-bounds index.
-    /// Produced by [`ArrayStrength`](crate::opt::Pass::ArrayStrength):
-    /// the read of the index slot disappears.
+    /// Lowering emits it for a literal index: there is no index slot to
+    /// read and no bounds check to run.
     LdArrCS {
         /// Destination slot.
         dst: Slot,
@@ -315,9 +321,10 @@ pub enum MOp {
     },
     /// Big-endian read of `n` adjacent bytes, `2 <= n <= 8`, of a byte
     /// array at constant indices: `dst = {a[idx], …, a[idx + n - 1]}`.
-    /// Produced by [`FusePairs`](crate::opt::Pass::FusePairs) from the
-    /// `ConcatS` tower a big-endian field lowers to, only eight bytes or
-    /// more from the array's end, so it runs as one load of a word.
+    /// Produced by [`ValueNumbering`](crate::opt::Pass::ValueNumbering)
+    /// from the `ConcatS` tower a big-endian field lowers to, only eight
+    /// bytes or more from the array's end, so it runs as one load of a
+    /// word.
     LdBytesCS {
         /// Destination slot.
         dst: Slot,
@@ -329,7 +336,8 @@ pub enum MOp {
         /// Bytes read.
         n: u8,
     },
-    /// Slot-to-slot move (identity resize; fodder for copy propagation).
+    /// Slot-to-slot move (identity resize; value numbering reads its uses
+    /// through it).
     CopyS {
         /// Destination slot.
         dst: Slot,
@@ -491,9 +499,9 @@ pub enum MOp {
         w: u16,
     },
     /// Terminal: array element write from a slot at a
-    /// compile-time-constant index, proven in bounds by
-    /// [`crate::opt::Pass::ArrayStrength`] (no index slot to read, no
-    /// bounds check to run). Budget-wise identical to [`MOp::StArrS`].
+    /// compile-time-constant, in-bounds index, which lowering emits for
+    /// a literal index (no index slot to read, no bounds check to run).
+    /// Budget-wise identical to [`MOp::StArrS`].
     StArrCS {
         /// Array index.
         arr: u32,
@@ -989,9 +997,20 @@ impl<'a> ThreadCompiler<'a> {
                     .array(*a)
                     .ok_or_else(|| IrError(format!("unknown array {a:?}")))?
                     .elem_width;
-                let idx = operand(self, idx)?.slot;
-                let (dst, arr) = (self.s(), a.0);
-                (ew, MOp::LdArrS { dst, arr, idx })
+                let (idx, arr) = (operand(self, idx)?.slot, a.0);
+                // A literal index selects its element here: one in range
+                // is loaded at its constant index, and one out of range
+                // reads the architectural zero, the zero's pool slot.
+                let at = self.pool.value(idx).map(|k| element(self.prog, arr, k));
+                if at == Some(None) && ew <= 64 {
+                    let slot = self.pool.slot(0);
+                    return Ok(Val { slot, w: ew });
+                }
+                let dst = self.s();
+                match at {
+                    Some(Some(idx)) => (ew, MOp::LdArrCS { dst, arr, idx }),
+                    _ => (ew, MOp::LdArrS { dst, arr, idx }),
+                }
             }
             Expr::Un(op, x) => {
                 let v = operand(self, x)?;
@@ -1125,12 +1144,16 @@ impl<'a> ThreadCompiler<'a> {
                     self.eval_s(idx.clone())
                 };
                 let (arr, v) = (arr.0, self.expr(val)?);
-                let m = if v.w <= 64 {
-                    let a = v.slot;
-                    MOp::StArrS { arr, idx, a, w }
-                } else {
+                let m = if v.w > 64 {
                     let e = self.side(val.clone());
                     MOp::StArrE { arr, idx, e }
+                } else {
+                    // A store at a literal index in range names its element.
+                    let (a, k) = (v.slot, self.pool.value(idx));
+                    match k.and_then(|k| element(self.prog, arr, k)) {
+                        Some(idx) => MOp::StArrCS { arr, idx, a, w },
+                        None => MOp::StArrS { arr, idx, a, w },
+                    }
                 };
                 self.push(m);
             }

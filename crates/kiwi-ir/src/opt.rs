@@ -1,25 +1,22 @@
-//! The micro-op optimization pass pipeline.
+//! The micro-op optimizer.
 //!
-//! Passes run at lowering time, between [`mod@crate::compile`]'s naive
-//! per-statement lowering and the final flatten/retarget step. They
-//! operate on **regions** of `Vec<MOp>`. Lowering produces one region
-//! per source [`crate::flat::Op`]; before the passes run,
-//! `widen_regions` merges runs of consecutive statement regions into
-//! single *widened* regions, inside which scratch slots are written
-//! exactly once before use (region-local SSA, restored by slot
-//! renumbering during the merge).
+//! It runs at lowering time, between [`mod@crate::compile`]'s naive
+//! per-statement lowering and the final flatten/retarget step, on
+//! **regions** of `Vec<MOp>`. Lowering produces one region per source
+//! [`crate::flat::Op`]; before the passes run, `widen_regions` merges
+//! runs of consecutive statement regions into single *widened* regions,
+//! inside which scratch slots are written exactly once before use
+//! (region-local SSA, restored by slot renumbering during the merge).
 //!
 //! Register and signal slots are the exception. A read of a register
 //! or a signal is an operand naming its own slot
 //! ([`mod@crate::compile`]), and every store to it writes that slot, so
 //! one such slot holds a new value after each store. The passes never
-//! renumber a register or signal slot nor count it as scratch, and the
-//! ones that reuse a read — [`Cse`](Pass::Cse),
-//! [`CopyProp`](Pass::CopyProp), and
-//! [`RedundantLoad`](Pass::RedundantLoad) for what it forwards — number
+//! renumber a register or signal slot nor count it as scratch, and
+//! [`ValueNumbering`](Pass::ValueNumbering), which reuses reads, numbers
 //! values so that a read before a store to the slot is never taken for
-//! one after: no pass carries a read of a register or a signal past a
-//! store to it.
+//! one after: it carries no read of a register or a signal past a store
+//! to it.
 //!
 //! # The observer-visibility analysis
 //!
@@ -54,26 +51,23 @@
 //!
 //! # Pipelines
 //!
-//! The default pipeline is
-//! [`ArrayStrength`](Pass::ArrayStrength) →
-//! [`RedundantLoad`](Pass::RedundantLoad) → [`Cse`](Pass::Cse) →
-//! [`FusePairs`](Pass::FusePairs) → [`CopyProp`](Pass::CopyProp) →
-//! [`DeadScratch`](Pass::DeadScratch).
-//! Every pass is sound on its own and in any order (a proptest in
-//! `tests/backend_equiv.rs` draws random subsets and orders), and each
-//! one stays because it pays: removing it changes the bytecode of a
-//! shipped service (`tests/pass_census.rs` fails otherwise), and
-//! removing it costs throughput. Measured on emubench's `l7-memcached`
-//! (seed `0xe11b`, 5 s runs, alternating sides, a 2-vCPU host), the
-//! median `ops_per_s` against the default pipeline falls by 17.4 %
-//! without `DeadScratch`, 15.2 % without `ArrayStrength`, 6.8 % without
-//! `Cse`, 4.9 % without `CopyProp`, 4.4 % without `RedundantLoad` and
-//! 2.0 % without `FusePairs` (5.6 % on `min64-switch`), and by 21.0 %
-//! with no pass at all. A constant folder saved at most a dozen static
-//! micro-ops per service and no throughput there, so there is none. The
-//! `EMU_CPU_PASSES` environment variable (see `env_pipeline`) selects
-//! the pipeline for [`crate::compile::compile`]; `EMU_CPU_DUMP_MOPS=1`
-//! dumps the annotated listings of every compiled thread to stderr.
+//! The default pipeline is [`ValueNumbering`](Pass::ValueNumbering) →
+//! [`DeadScratch`](Pass::DeadScratch): one forward scan that turns an op
+//! into a copy of a value some slot already holds, or a byte-field tower
+//! into one load, and reads every use through the copies; then one
+//! backward scan that drops every op whose slot nothing reads. An array
+//! access at a literal index needs no pass: lowering emits it at its
+//! constant index. Each pass is sound on its own and in either order (a
+//! proptest in `tests/backend_equiv.rs` draws random subsets and
+//! orders), the pipeline is a fixpoint (run twice, it compiles every
+//! shipped program to the same micro-ops; `tests/pass_census.rs`), and
+//! every rewrite the scan makes paid on emubench's throughput when left
+//! out alone (the drop-one runs in CHANGES.md). A constant folder saved
+//! at most a dozen static micro-ops per service and no throughput, so
+//! there is none. The `EMU_CPU_PASSES` environment variable (see
+//! `env_pipeline`) selects the pipeline for [`crate::compile::compile`];
+//! `EMU_CPU_DUMP_MOPS=1` dumps the annotated listings of every compiled
+//! thread to stderr.
 //!
 //! # Before / after
 //!
@@ -89,8 +83,8 @@
 //!   3: var a := s2
 //! ```
 //!
-//! after the pipeline the copy is propagated and its dead slot
-//! disappears:
+//! after the pipeline the mask reads through the copy and the copy's
+//! dead slot disappears:
 //!
 //! ```text
 //!   0: s0 <- a Add 0x1 & 0xff
@@ -99,122 +93,80 @@
 //! ```
 //!
 //! (each pass is individually testable — see the tests below, which
-//! assert on exactly these pretty-printed listings; each `Pass` variant
-//! documents its own before/after).
+//! assert on exactly these pretty-printed listings).
 
 use crate::ast::BinOp;
 use crate::compile::{
-    is_scratch, mask_of, reg_slot, shl_s, shr_s, sig_slot, MOp, Pool, Slot, UNSLOTTED,
+    element, is_scratch, mask_of, reg_slot, shl_s, shr_s, sig_slot, MOp, Pool, Slot, UNSLOTTED,
 };
 use crate::program::Program;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 /// One optimization pass over the lowered regions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pass {
-    /// Array-access strength reduction: an element access whose index
-    /// is a known constant becomes a direct `LdArrCS` (or `StArrCS`)
-    /// with the bounds check discharged at compile time. An
-    /// out-of-range constant *read* folds to the architectural zero; an
-    /// out-of-range constant *store* is left dynamic — it is a terminal
-    /// (it ticks the op budget) whose only effect is being dropped,
-    /// which the executor's bounds check already provides.
+    /// Value numbering: one forward scan over a widened region that,
+    /// for each micro-op in order,
+    ///
+    /// 1. **reuses a value a slot holds.** An array load of an element
+    ///    an earlier load read, or an earlier store wrote, becomes a copy
+    ///    of that slot; a pure op computing what an earlier one did
+    ///    becomes a copy of its result. Two ops compute one value when
+    ///    they share kind, immediates and operand value numbers (copies
+    ///    resolved, a constant its one pool slot, a register or signal
+    ///    read numbered by the stores to it before the op, commutative
+    ///    operands in canonical order); a load's index is its constant or
+    ///    the number of the slot holding it. A stored value is reused
+    ///    only when it provably fits the element width, since stores
+    ///    truncate.
+    /// 2. **fuses a byte field.** A `ConcatS` whose low part is one byte
+    ///    becomes one `LdBytesCS` of `n + 1` bytes when its high operand
+    ///    is a constant-index load of `n` bytes (an `LdArrCS`, or an
+    ///    `LdBytesCS` this step made) and its low operand the `LdArrCS`
+    ///    of the next byte of the same array: the tower a big-endian
+    ///    field at a fixed offset lowers to drops from `2n - 1` micro-ops
+    ///    to one. The fused load reads the eight bytes from its first
+    ///    index as one word, so it is formed only eight bytes or more
+    ///    from the array's end, for at most eight bytes, and never after
+    ///    a store into the array since either load, since it re-reads the
+    ///    bytes. Fusion follows load reuse: a field every statement
+    ///    re-reads is loaded once.
+    /// 3. **drops what a store changes.** An array store drops every
+    ///    load it may alias (at a known in-range index, only that
+    ///    element's and the computed-index ones) and then offers its own
+    ///    value; a register or signal store drops every reuse of its
+    ///    slot, which no longer holds the stored value.
+    /// 4. **reads uses through copies**, up to a store into a copy's
+    ///    source register or signal, past which a use keeps the copy.
+    ///    The copies themselves die in [`Pass::DeadScratch`].
+    ///
+    /// A pause or ext point, which hands the environment the whole
+    /// state, always ends a region, so nothing is reused past one.
     ///
     /// ```text
-    ///   0: s0 <- t[0x2]      =>   0: s0 <- t[#2]
-    ///   1: t[0x2] := s0           1: t[#2] := s0
+    ///   0: s0 <- t[#2]                  0: s0 <- t[#2]
+    ///   1: s1 <- s0 Add 0x1 & 0xff      1: s1 <- s0 Add 0x1 & 0xff
+    ///   2: t[#3] := s1                  2: t[#3] := s1
+    ///   3: s2 <- t[#3]             =>   3: s2 <- s1
+    ///   4: s3 <- t[#2]                  4: s3 <- s0
+    ///   5: s4 <- s3 Add 0x1 & 0xff      5: s4 <- s1
+    ///   6: var a := s4                  6: var a := s1
     /// ```
-    ArrayStrength,
-    /// Redundant-load/store elimination across the statements of a
-    /// widened region: a second read of the same array element becomes
-    /// a copy of the first, and a read following a store forwards the
-    /// stored slot (when the stored value provably fits the declared
-    /// width). Stores, pauses, and ext points invalidate exactly what
-    /// they can touch; a register or signal store drops every forward of
-    /// that register's or signal's slot. Registers and signals need
-    /// neither rewrite: their reads are their slots, which after a store
-    /// hold the stored value.
-    ///
-    /// ```text
-    ///   0: s0 <- t[#2]              0: s0 <- t[#2]
-    ///   1: s1 <- s0 Add 0x1 & 0xff  1: s1 <- s0 Add 0x1 & 0xff
-    ///   2: t[#3] := s1         =>   2: t[#3] := s1
-    ///   3: s2 <- t[#3]              3: s2 <- s1
-    ///   4: s3 <- t[#2]              4: s3 <- s0
-    /// ```
-    RedundantLoad,
-    /// Local value numbering over the pure micro-ops of a widened
-    /// region: an op recomputing a value an earlier op already produced
-    /// (same opcode, same copy-resolved operands, commutative operand
-    /// order canonicalized) becomes a copy of the earlier result; a
-    /// constant operand is its one pool slot, and a register or signal
-    /// operand is numbered by the stores to it before the op, so `x + y`
-    /// after a store to `x` is a new value. Loads are deliberately *not*
-    /// value-numbered — [`Pass::RedundantLoad`] owns them, with the
-    /// store-invalidation logic that makes them sound.
-    ///
-    /// ```text
-    ///   0: s2 <- s0 Add s1 & 0xffff   0: s2 <- s0 Add s1 & 0xffff
-    ///   1: var a := s2                1: var a := s2
-    ///   2: s3 <- s1 Add s0 & 0xffff   2: s3 <- s2
-    ///   3: ...                   =>   3: ...
-    /// ```
-    Cse,
-    /// Byte-field fusion, at constant indices only: a `ConcatS` whose
-    /// low part is one byte becomes one `LdBytesCS` of `n + 1` bytes when
-    /// its high operand is a constant-index load of `n` bytes (an
-    /// `LdArrCS` [`Pass::ArrayStrength`] made, or an `LdBytesCS` this pass
-    /// made) and its low operand the `LdArrCS` of the next byte of the
-    /// same array. This is the tower every big-endian header field at a
-    /// fixed offset lowers to: an `n`-byte field drops from `2n - 1`
-    /// micro-ops to one. The displaced loads and the tower's inner steps
-    /// die in [`Pass::DeadScratch`] when nothing else reads them; one that
-    /// is read again stays a load of its own. The fused load reads the
-    /// eight bytes from its first index as one word, so it is formed only
-    /// eight bytes or more from the array's end, and for at most eight
-    /// bytes. A store into the array between a fused load and the concat
-    /// blocks the fusion, since the fused op re-reads the bytes. Loads at
-    /// a computed index, and a concat whose high part is no such load,
-    /// are left as they are.
-    ///
-    /// ```text
-    ///   0: s0 <- frame[#12]            0: s0 <- frame[#12]
-    ///   1: s1 <- frame[#13]       =>   1: s1 <- frame[#13]
-    ///   2: s2 <- {s0, s1:u8}           2: s2 <- frame[#12..#14]
-    ///                                     // 0-1 die when otherwise unread
-    /// ```
-    FusePairs,
-    /// Rewrite uses of `CopyS` destinations to their sources (the
-    /// copies themselves die in [`Pass::DeadScratch`]) — up to a store
-    /// into a source register or signal, past which a use keeps the
-    /// copy.
-    CopyProp,
+    ValueNumbering,
     /// Remove producer ops whose destination slot is never read.
     DeadScratch,
 }
 
-/// The default pipeline, in order. `ArrayStrength` goes first so
-/// constant-index accesses reach `RedundantLoad` as such and unify by
-/// index value; `Cse` runs after `RedundantLoad` so loads it unified
-/// feed value numbering as one slot; `FusePairs` fuses the
-/// constant-index loads `ArrayStrength` made; `CopyProp` and
-/// `DeadScratch` go last to sweep up the copies and orphans the others
-/// leave behind. Each pass stays because it pays (see the module docs).
+/// The default pipeline, in order: [`Pass::DeadScratch`] goes last to
+/// sweep up the copies and orphans [`Pass::ValueNumbering`] leaves.
 pub fn default_pipeline() -> &'static [Pass] {
-    &[
-        Pass::ArrayStrength,
-        Pass::RedundantLoad,
-        Pass::Cse,
-        Pass::FusePairs,
-        Pass::CopyProp,
-        Pass::DeadScratch,
-    ]
+    &[Pass::ValueNumbering, Pass::DeadScratch]
 }
 
 /// Parses an `EMU_CPU_PASSES`-style pipeline spec: `default` (or
 /// empty), `none`, or a comma-separated list of pass names
-/// (`array_strength`, `redundant_load`, `cse`, `fuse_pairs`,
-/// `copy_prop`, `dead_scratch`).
+/// (`value_numbering`, `dead_scratch`).
 pub(crate) fn parse_passes(spec: &str) -> Result<Vec<Pass>, String> {
     match spec.trim() {
         "" | "default" => return Ok(default_pipeline().to_vec()),
@@ -223,11 +175,7 @@ pub(crate) fn parse_passes(spec: &str) -> Result<Vec<Pass>, String> {
     }
     spec.split(',')
         .map(|name| match name.trim() {
-            "array_strength" => Ok(Pass::ArrayStrength),
-            "redundant_load" => Ok(Pass::RedundantLoad),
-            "cse" => Ok(Pass::Cse),
-            "fuse_pairs" => Ok(Pass::FusePairs),
-            "copy_prop" => Ok(Pass::CopyProp),
+            "value_numbering" => Ok(Pass::ValueNumbering),
             "dead_scratch" => Ok(Pass::DeadScratch),
             other => Err(format!("unknown pass `{other}`")),
         })
@@ -318,39 +266,13 @@ pub(crate) fn region_slots(region: &[MOp]) -> u32 {
 }
 
 /// Runs `passes` over the (widened) regions, in order. The passes read
-/// constants from `pool`; `ArrayStrength` adds the zero it folds an
-/// out-of-range read to.
-pub(crate) fn run(regions: &mut [Vec<MOp>], passes: &[Pass], prog: &Program, pool: &mut Pool) {
+/// constants from `pool`.
+pub(crate) fn run(regions: &mut [Vec<MOp>], passes: &[Pass], prog: &Program, pool: &Pool) {
     for pass in passes {
         for region in regions.iter_mut() {
             match pass {
-                Pass::ArrayStrength => array_strength(region, prog, pool),
-                Pass::RedundantLoad => redundant_load(region, prog, pool),
-                Pass::Cse => cse(region),
-                Pass::FusePairs => fuse_pairs(region, prog),
-                Pass::CopyProp => copy_prop(region),
+                Pass::ValueNumbering => value_numbering(region, prog, pool),
                 Pass::DeadScratch => dead_scratch(region),
-            }
-        }
-    }
-}
-
-/// The constants a forward scan over a region knows: every pool slot,
-/// and each scratch slot an earlier copy filled from a known constant.
-#[derive(Default)]
-struct Consts(HashMap<Slot, u64>);
-
-impl Consts {
-    fn get(&self, pool: &Pool, s: Slot) -> Option<u64> {
-        pool.value(s).or_else(|| self.0.get(&s).copied())
-    }
-
-    /// Records the constant `op` leaves in its destination, if it copies
-    /// one.
-    fn note(&mut self, pool: &Pool, op: &MOp) {
-        if let MOp::CopyS { dst, a } = *op {
-            if let Some(v) = self.get(pool, a) {
-                self.0.insert(dst, v);
             }
         }
     }
@@ -362,7 +284,7 @@ impl Consts {
 /// holds a new value after every store to it, numbered past every slot
 /// ([`UNSLOTTED`]); a copy's destination holds its source's value as of
 /// the copy. Two operands with the same number hold the same value
-/// wherever they are read, which is what lets a pass reuse one for the
+/// wherever they are read, which is what lets the scan reuse one for the
 /// other — and a read of a register or signal before a store to it
 /// never has the number of a read after it.
 #[derive(Default)]
@@ -370,8 +292,9 @@ struct Values {
     /// Per register or signal slot stored to so far, the number of the
     /// value its last store left.
     stored: HashMap<Slot, Slot>,
-    /// Per copy destination, the number of the value it copied.
-    copies: HashMap<Slot, Slot>,
+    /// Per copy destination, the slot it copied (itself read through
+    /// earlier copies) and that slot's number at the copy.
+    copies: HashMap<Slot, (Slot, Slot)>,
     /// Register and signal stores seen so far.
     stores: u32,
 }
@@ -379,16 +302,31 @@ struct Values {
 impl Values {
     /// The number of the value in `s` at this point of the scan.
     fn of(&self, s: Slot) -> Slot {
-        let known = self.copies.get(&s).or_else(|| self.stored.get(&s));
-        known.copied().unwrap_or(s)
+        match self.copies.get(&s) {
+            Some(&(_, v)) => v,
+            None => self.stored.get(&s).copied().unwrap_or(s),
+        }
+    }
+
+    /// The slot a use of `s` reads instead: the source of the copy that
+    /// filled `s`, while no store has changed that source since.
+    fn source(&self, s: Slot) -> Slot {
+        match self.copies.get(&s) {
+            Some(&(src, v)) if self.of(src) == v => src,
+            _ => s,
+        }
+    }
+
+    /// The constant in `s`, when it holds a pool slot's value.
+    fn constant(&self, pool: &Pool, s: Slot) -> Option<u64> {
+        pool.value(self.of(s))
     }
 
     /// Records what `op` changes: a copy's destination, or the
     /// register or signal a store writes.
     fn note(&mut self, op: &MOp) {
         if let MOp::CopyS { dst, a } = *op {
-            let v = self.of(a);
-            self.copies.insert(dst, v);
+            self.copies.insert(dst, (self.source(a), self.of(a)));
         } else if let Some(s) = stored_slot(op) {
             self.stores += 1;
             self.stored.insert(s, UNSLOTTED | self.stores);
@@ -405,164 +343,161 @@ fn stored_slot(op: &MOp) -> Option<Slot> {
     }
 }
 
-/// Array-access strength reduction: loads and stores with constant
-/// in-range indices become direct `LdArrCS`/`StArrCS` (bounds
-/// discharged at compile time); an out-of-range constant load folds to
-/// the architectural zero. Out-of-range constant stores stay dynamic:
-/// they are terminals, so they must keep ticking the op budget, and the
-/// executor's bounds check drops them exactly as before.
-fn array_strength(region: &mut [MOp], prog: &Program, pool: &mut Pool) {
-    let mut consts = Consts::default();
-    let in_range = |prog: &Program, arr: u32, c: u64| {
-        c < arr_len(prog, arr) as u64 && c <= u64::from(u32::MAX)
-    };
-    for op in region.iter_mut() {
-        let rep = match &*op {
-            MOp::LdArrS { dst, arr, idx } => consts.get(pool, *idx).map(|c| {
-                if in_range(prog, *arr, c) {
-                    MOp::LdArrCS {
-                        dst: *dst,
-                        arr: *arr,
-                        idx: c as u32,
-                    }
-                } else {
-                    MOp::CopyS {
-                        dst: *dst,
-                        a: pool.slot(0),
-                    }
-                }
-            }),
-            MOp::StArrS { arr, idx, a, w } => match consts.get(pool, *idx) {
-                Some(c) if in_range(prog, *arr, c) => Some(MOp::StArrCS {
-                    arr: *arr,
-                    idx: c as u32,
-                    a: *a,
-                    w: *w,
-                }),
-                _ => None,
-            },
-            _ => None,
-        };
-        if let Some(r) = rep {
-            *op = r;
+/// The array `op` stores into and the element it writes (`None`: any
+/// element); `None` for an op that stores into no array, or at a known
+/// index out of range, which the executor drops.
+fn array_store(op: &MOp, prog: &Program, pool: &Pool, vals: &Values) -> Option<(u32, Option<u32>)> {
+    match *op {
+        MOp::StArrCS { arr, idx, .. } => Some((arr, Some(idx))),
+        MOp::StArrS { arr, idx, .. } | MOp::StArrE { arr, idx, .. } => {
+            match vals.constant(pool, idx) {
+                Some(k) => Some((arr, Some(element(prog, arr, k)?))),
+                None => Some((arr, None)),
+            }
         }
-        consts.note(pool, op);
+        _ => None,
     }
 }
 
-fn arr_len(prog: &Program, arr: u32) -> usize {
-    prog.arrays().get(arr as usize).map_or(0, |d| d.len)
+/// What a load or a pure op computes: a kind, then up to four operand
+/// value numbers ([`Values`]) and immediates. Two ops with one key
+/// compute one value. A load is keyed by its array and its index: the
+/// constant ([`LOAD_AT`]), or the number of the slot holding it
+/// ([`LOAD_DYN`]).
+type Key = (u8, u64, u64, u64, u64);
+
+/// The kind of a load's [`Key`] at a constant index.
+const LOAD_AT: u8 = 0;
+
+/// The kind of a load's [`Key`] at a computed index.
+const LOAD_DYN: u8 = 1;
+
+/// The key of `op` and the slot it defines, when it is a load or a
+/// pure op. Operand order is irrelevant for the commutative operators,
+/// so their operand numbers are keyed in canonical order. `EvalS` reads
+/// state and is not keyed.
+fn key(op: &MOp, vals: &Values) -> Option<(Key, Slot)> {
+    let n = |s: Slot| u64::from(vals.of(s));
+    let key = match *op {
+        MOp::LdArrCS { arr, idx, .. } => (LOAD_AT, arr.into(), idx.into(), 0, 0),
+        MOp::LdArrS { arr, idx, .. } => (LOAD_DYN, arr.into(), n(idx), 0, 0),
+        MOp::MaskS { a, mask, .. } => (2, n(a), mask, 0, 0),
+        MOp::NotS { a, mask, .. } => (3, n(a), mask, 0, 0),
+        MOp::NegS { a, mask, .. } => (4, n(a), mask, 0, 0),
+        MOp::RedOrS { a, .. } => (5, n(a), 0, 0, 0),
+        MOp::BinS { op, a, b, mask, .. } => {
+            let (mut x, mut y) = (n(a), n(b));
+            if commutes(op) && x > y {
+                std::mem::swap(&mut x, &mut y);
+            }
+            (6, op as u64, x, y, mask)
+        }
+        MOp::CmpS { op, a, b, .. } => (7, op as u64, n(a), n(b), 0),
+        MOp::ShlS { a, b, mask, .. } => (8, n(a), n(b), mask, 0),
+        MOp::ShrS { a, b, .. } => (9, n(a), n(b), 0, 0),
+        MOp::ConcatS { a, b, bw, .. } => (10, n(a), n(b), bw.into(), 0),
+        MOp::SliceS { a, lo, mask, .. } => (11, n(a), lo.into(), mask, 0),
+        MOp::MuxS { c, t, e, .. } => (12, n(c), n(t), n(e), 0),
+        _ => return None,
+    };
+    Some((key, op.dst()?))
 }
 
-/// How an array-load caches in the availability maps: by constant index
-/// value, or by the number ([`Values`]) of the value holding a dynamic
-/// index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum IdxKey {
-    Const(u32),
-    Dyn(Slot),
+/// Whether `a op b` is always `b op a`.
+fn commutes(op: BinOp) -> bool {
+    matches!(
+        op,
+        BinOp::Add | BinOp::Mul | BinOp::And | BinOp::Or | BinOp::Xor
+    )
 }
 
-/// Redundant-load/store elimination within one widened region (see
-/// [`Pass::RedundantLoad`]). Forward scan over availability maps; a
-/// store invalidates exactly the locations it can alias, then forwards
-/// its own value when it provably fits the declared width (stores
-/// truncate, so forwarding a slot with bits beyond it would disagree
-/// with a reload). A register or signal store drops every entry that
-/// forwards its own slot, which no longer holds the value stored from
-/// it. `pause`/`ext` hand the environment a mutable view of all machine
-/// state and clear everything.
-fn redundant_load(region: &mut [MOp], prog: &Program, pool: &Pool) {
-    let mut arr_s: HashMap<(u32, IdxKey), Slot> = HashMap::new();
-    // Known possibly-set bits per slot (for store forwarding), known
-    // constants, and value numbers (for index resolution).
-    let mut nz = SetBits::default();
-    let mut consts = Consts::default();
+/// Value numbering within one widened region (see
+/// [`Pass::ValueNumbering`]). Sound across interior stores, labels and
+/// branch exits: scratch slots are written once before use, a register
+/// or signal read after a store never keys like one before it, a store
+/// drops every load it may alias, and an interior `BranchZ` only ever
+/// *leaves* the region — any op that executes is preceded by every
+/// earlier op in the region.
+fn value_numbering(region: &mut [MOp], prog: &Program, pool: &Pool) {
+    // The slot holding each value computed so far, by key.
+    let mut avail: HashMap<Key, Slot> = HashMap::new();
+    // Per slot a constant-index load filled, the bytes it holds (array,
+    // first index, count), while no store into the array has come since.
+    let mut fields: HashMap<Slot, (u32, u32, u8)> = HashMap::new();
     let mut vals = Values::default();
-    let fits = |nz: &SetBits, a: Slot, w: u16| nz.get(pool, a) & !mask_of(w) == 0;
-
+    let mut nz = SetBits::default();
     for op in region.iter_mut() {
-        // 1. Replace loads whose value is already in a slot.
-        let rep = match &*op {
-            MOp::LdArrCS { dst, arr, idx } => arr_s
-                .get(&(*arr, IdxKey::Const(*idx)))
-                .map(|&a| MOp::CopyS { dst: *dst, a }),
-            MOp::LdArrS { dst, arr, idx } => arr_s
-                .get(&(*arr, IdxKey::Dyn(vals.of(*idx))))
-                .map(|&a| MOp::CopyS { dst: *dst, a }),
-            _ => None,
-        };
-        if let Some(r) = rep {
-            *op = r;
+        // 1. Reuse a value a slot holds.
+        if let Some((key, dst)) = key(op, &vals) {
+            match avail.entry(key) {
+                Entry::Occupied(e) => *op = MOp::CopyS { dst, a: *e.get() },
+                Entry::Vacant(e) => {
+                    e.insert(dst);
+                }
+            }
         }
 
-        // 2. Value bookkeeping for the (possibly rewritten) op.
+        // 2. Fuse a byte field.
+        if let MOp::ConcatS { dst, a, b, bw: 8 } = *op {
+            let field = |s: Slot| fields.get(&vals.of(s)).copied();
+            if let (Some((arr, idx, n)), Some(low)) = (field(a), field(b)) {
+                if low == (arr, idx + u32::from(n), 1)
+                    && n < 8
+                    && element(prog, arr, u64::from(idx) + 7).is_some()
+                {
+                    *op = MOp::LdBytesCS {
+                        dst,
+                        arr,
+                        idx,
+                        n: n + 1,
+                    };
+                }
+            }
+        }
+
+        // 3. What the op leaves in its slot, and what a store changes.
         if let Some(d) = op.dst() {
-            let m = value_mask(op, &nz, pool, &consts);
-            nz.0.insert(d, m);
+            nz.0.insert(d, value_mask(op, &nz, pool, &vals));
         }
-        vals.note(op);
-        consts.note(pool, op);
-
-        // 3. Availability and invalidation.
-        match &*op {
+        match *op {
             MOp::LdArrCS { dst, arr, idx } => {
-                arr_s.insert((*arr, IdxKey::Const(*idx)), *dst);
+                fields.insert(dst, (arr, idx, 1));
             }
-            MOp::LdArrS { dst, arr, idx } => {
-                arr_s.insert((*arr, IdxKey::Dyn(vals.of(*idx))), *dst);
+            MOp::LdBytesCS { dst, arr, idx, n } => {
+                fields.insert(dst, (arr, idx, n));
             }
-            // A store kills what it may alias, then forwards its own
-            // slot when it has one (the `St*E` terminals store a value
-            // no slot holds).
-            MOp::StVarS { .. } | MOp::StVarE { .. } | MOp::StSigS { .. } | MOp::StSigE { .. } => {
-                let r = stored_slot(op);
-                arr_s.retain(|_, s| Some(*s) != r);
-            }
-            MOp::StArrS { arr, idx, .. } | MOp::StArrE { arr, idx, .. } => {
-                match consts.get(pool, *idx) {
-                    Some(c) if c < arr_len(prog, *arr) as u64 && c <= u64::from(u32::MAX) => {
-                        invalidate_arr(&mut arr_s, *arr, Some(c as u32));
-                        if let MOp::StArrS { a, w, .. } = &*op {
-                            if fits(&nz, *a, *w) {
-                                arr_s.insert((*arr, IdxKey::Const(c as u32)), *a);
-                            }
-                        }
-                    }
-                    // Constant out-of-range store: the executor drops
-                    // it, so nothing it could alias changes.
-                    Some(_) => {}
-                    None => invalidate_arr(&mut arr_s, *arr, None),
-                }
-            }
-            // Const-index stores (from ArrayStrength) are in range by
-            // construction: invalidate and forward like an in-range
-            // StArrS with a known index.
-            MOp::StArrCS { arr, idx, a, w } => {
-                invalidate_arr(&mut arr_s, *arr, Some(*idx));
-                if fits(&nz, *a, *w) {
-                    arr_s.insert((*arr, IdxKey::Const(*idx)), *a);
-                }
-            }
-            MOp::PauseOp | MOp::ExtOp { .. } => arr_s.clear(),
             _ => {}
         }
+        if let Some((arr, at)) = array_store(op, prog, pool, &vals) {
+            fields.retain(|_, f| f.0 != arr);
+            avail.retain(|k, _| !aliased(k, arr, at));
+            if let (Some(c), MOp::StArrS { a, w, .. } | MOp::StArrCS { a, w, .. }) = (at, *op) {
+                if nz.get(pool, a) & !mask_of(w) == 0 {
+                    avail.insert((LOAD_AT, arr.into(), c.into(), 0, 0), a);
+                }
+            }
+        }
+        if let Some(r) = stored_slot(op) {
+            avail.retain(|_, s| *s != r);
+        }
+
+        // 4. Read uses through copies, as they stood before the op's
+        // own store.
+        op.uses_mut(&mut |s| *s = vals.source(*s));
+        vals.note(op);
     }
 }
 
-/// Drops availability entries a store to `arr` may alias: with a known
-/// in-range index `Some(c)`, every dynamic-index entry plus the entry
-/// for `c` itself (other constant indices cannot alias); with an
-/// unknown index, everything for the array.
-fn invalidate_arr(arr_s: &mut HashMap<(u32, IdxKey), Slot>, arr: u32, known_idx: Option<u32>) {
-    let stale = |k: &(u32, IdxKey)| {
-        k.0 == arr
-            && match (known_idx, k.1) {
-                (Some(c), IdxKey::Const(c2)) => c2 == c,
-                (Some(_), IdxKey::Dyn(_)) | (None, _) => true,
-            }
-    };
-    arr_s.retain(|k, _| !stale(k));
+/// Whether a store into element `at` of `arr` (`None`: any element) may
+/// change what the load keyed `k` read: a load at a computed index of
+/// the array always, one at a constant index when it is that element.
+fn aliased(k: &Key, arr: u32, at: Option<u32>) -> bool {
+    k.1 == u64::from(arr)
+        && match k.0 {
+            LOAD_DYN => true,
+            LOAD_AT => at.is_none_or(|c| k.2 == u64::from(c)),
+            _ => false,
+        }
 }
 
 /// Per slot, an upper bound on the bits its value can have set: a pool
@@ -584,7 +519,7 @@ impl SetBits {
 /// reads state too) get `u64::MAX`: drivers may poke machine state
 /// between regions, so declared widths are not trusted for values
 /// *read* from state — only for values the region computes itself.
-fn value_mask(op: &MOp, nz: &SetBits, pool: &Pool, consts: &Consts) -> u64 {
+fn value_mask(op: &MOp, nz: &SetBits, pool: &Pool, vals: &Values) -> u64 {
     let g = |s: &Slot| nz.get(pool, *s);
     match op {
         MOp::CopyS { a, .. } => g(a),
@@ -607,7 +542,7 @@ fn value_mask(op: &MOp, nz: &SetBits, pool: &Pool, consts: &Consts) -> u64 {
             ..
         } => g(a) | g(b),
         MOp::BinS { mask, .. } => *mask,
-        MOp::ShrS { a, b, .. } => match consts.get(pool, *b) {
+        MOp::ShrS { a, b, .. } => match vals.constant(pool, *b) {
             Some(n) => shr_s(g(a), n),
             None => smear_down(g(a)),
         },
@@ -624,150 +559,6 @@ fn smear_down(m: u64) -> u64 {
         0
     } else {
         u64::MAX >> m.leading_zeros()
-    }
-}
-
-/// Operand order is irrelevant for these, so [`Pass::Cse`] sorts the
-/// copy-resolved operand pair into a canonical order before keying.
-fn commutes(op: BinOp) -> bool {
-    matches!(
-        op,
-        BinOp::Add | BinOp::Mul | BinOp::And | BinOp::Or | BinOp::Xor
-    )
-}
-
-/// Local value numbering within one widened region (see [`Pass::Cse`]).
-/// Forward scan: each pure op is keyed on a kind discriminant plus its
-/// operands' value numbers ([`Values`]: copies resolved, a constant its
-/// one pool slot, a register or signal read numbered by the stores
-/// before it) and immediates; a key hit rewrites the op to a copy of the
-/// first computation's slot. Sound across interior stores, labels, and
-/// branch exits because scratch slots are written once before use, a
-/// register or signal read after a store never keys like one before it,
-/// and an interior
-/// `BranchZ` only ever *leaves* the region — any op that executes is
-/// preceded by every earlier op in the region. Loads and `EvalS` read
-/// machine state and are left alone.
-fn cse(region: &mut [MOp]) {
-    // kind discriminant + up to four packed operand/immediate words.
-    type Key = (u8, u64, u64, u64, u64);
-    let mut avail: HashMap<Key, Slot> = HashMap::new();
-    let mut vals = Values::default();
-    for op in region.iter_mut() {
-        let rs = |s: &Slot| u64::from(vals.of(*s));
-        let keyed: Option<(Key, Slot)> = match &*op {
-            MOp::MaskS { dst, a, mask } => Some(((1, rs(a), *mask, 0, 0), *dst)),
-            MOp::NotS { dst, a, mask } => Some(((2, rs(a), *mask, 0, 0), *dst)),
-            MOp::NegS { dst, a, mask } => Some(((3, rs(a), *mask, 0, 0), *dst)),
-            MOp::RedOrS { dst, a } => Some(((4, rs(a), 0, 0, 0), *dst)),
-            MOp::BinS {
-                dst,
-                op: bop,
-                a,
-                b,
-                mask,
-            } => {
-                let (mut x, mut y) = (rs(a), rs(b));
-                if commutes(*bop) && x > y {
-                    std::mem::swap(&mut x, &mut y);
-                }
-                Some(((5, *bop as u64, x, y, *mask), *dst))
-            }
-            MOp::CmpS { dst, op: cop, a, b } => Some(((6, *cop as u64, rs(a), rs(b), 0), *dst)),
-            MOp::ShlS { dst, a, b, mask } => Some(((7, rs(a), rs(b), *mask, 0), *dst)),
-            MOp::ShrS { dst, a, b } => Some(((8, rs(a), rs(b), 0, 0), *dst)),
-            MOp::ConcatS { dst, a, b, bw } => Some(((9, rs(a), rs(b), u64::from(*bw), 0), *dst)),
-            MOp::SliceS { dst, a, lo, mask } => Some(((10, rs(a), u64::from(*lo), *mask, 0), *dst)),
-            MOp::MuxS { dst, c, t, e } => Some(((11, rs(c), rs(t), rs(e), 0), *dst)),
-            _ => None,
-        };
-        if let Some((key, dst)) = keyed {
-            if let Some(&prev) = avail.get(&key) {
-                *op = MOp::CopyS { dst, a: prev };
-            } else {
-                avail.insert(key, dst);
-            }
-        }
-        vals.note(op);
-    }
-}
-
-/// Byte-field fusion (see [`Pass::FusePairs`]). Forward scan recording
-/// the defining op of every value ([`Values`]) and the last store into
-/// each array; a `ConcatS` of a byte load onto the load of the bytes just
-/// before it becomes one load of them all. Safety is re-read
-/// equivalence: the fused op samples the bytes at the concat site, so a
-/// store into the array after either load keeps the concat as it is. (A
-/// pause or ext point, which hands the environment the whole state,
-/// always ends a region, so no concat follows one.)
-fn fuse_pairs(region: &mut [MOp], prog: &Program) {
-    let mut def: HashMap<Slot, usize> = HashMap::new();
-    let mut vals = Values::default();
-    let mut dirty: HashMap<u32, usize> = HashMap::new();
-    for p in 0..region.len() {
-        if let MOp::ConcatS { dst, a, b, bw: 8 } = region[p] {
-            // The constant-index load of `n` bytes that defined `s`, with
-            // no store into its array since. A load an 8-bit low part
-            // reads is of an array stored as bytes.
-            let load = |s: Slot| {
-                let q = *def.get(&vals.of(s))?;
-                let (arr, idx, n) = match region[q] {
-                    MOp::LdArrCS { arr, idx, .. } => (arr, idx, 1),
-                    MOp::LdBytesCS { arr, idx, n, .. } => (arr, idx, n),
-                    _ => return None,
-                };
-                let clean = dirty.get(&arr).is_none_or(|&st| st < q);
-                clean.then_some((arr, idx, n))
-            };
-            if let (Some((arr, idx, n)), Some(low)) = (load(a), load(b)) {
-                if low == (arr, idx + u32::from(n), 1)
-                    && n < 8
-                    && idx as usize + 8 <= arr_len(prog, arr)
-                {
-                    region[p] = MOp::LdBytesCS {
-                        dst,
-                        arr,
-                        idx,
-                        n: n + 1,
-                    };
-                }
-            }
-        }
-        if let MOp::StArrS { arr, .. } | MOp::StArrCS { arr, .. } | MOp::StArrE { arr, .. } =
-            region[p]
-        {
-            dirty.insert(arr, p);
-        }
-        vals.note(&region[p]);
-        // A copy's destination numbers as its source, whose definition
-        // it is not.
-        if let Some(d) = region[p]
-            .dst()
-            .filter(|_| !matches!(region[p], MOp::CopyS { .. }))
-        {
-            def.insert(d, p);
-        }
-    }
-}
-
-/// Copy propagation: substitute copy sources into later uses — up to
-/// the next store into a source register or signal, after which it no
-/// longer holds what was copied and the copy's own slot stays in use.
-fn copy_prop(region: &mut [MOp]) {
-    let mut map: HashMap<Slot, Slot> = HashMap::new();
-    for op in region.iter_mut() {
-        op.uses_mut(&mut |slot| {
-            if let Some(&r) = map.get(slot) {
-                *slot = r;
-            }
-        });
-        // Record after rewriting, so chains resolve transitively.
-        if let MOp::CopyS { dst, a } = op {
-            map.insert(*dst, *a);
-        }
-        if let Some(r) = stored_slot(op) {
-            map.retain(|_, src| *src != r);
-        }
     }
 }
 
@@ -854,7 +645,7 @@ mod tests {
         let naive = lower(&resize_tower(), &[]);
         let text = listing(&naive);
         assert!(text.contains("s1 <- s0\n"), "naive keeps the copy:\n{text}");
-        let prop = lower(&resize_tower(), &[Pass::CopyProp]);
+        let prop = lower(&resize_tower(), &[Pass::ValueNumbering]);
         let text = listing(&prop);
         // The mask now reads the Add's slot directly.
         assert!(text.contains("s2 <- s0 & 0xff"), "{text}");
@@ -862,9 +653,9 @@ mod tests {
 
     #[test]
     fn dead_scratch_removes_orphans() {
-        let prop = lower(&resize_tower(), &[Pass::CopyProp]);
+        let prop = lower(&resize_tower(), &[Pass::ValueNumbering]);
         let n_before = prop.threads[0].mops.len();
-        let full = lower(&resize_tower(), &[Pass::CopyProp, Pass::DeadScratch]);
+        let full = lower(&resize_tower(), default_pipeline());
         let n_after = full.threads[0].mops.len();
         assert!(n_after < n_before, "{n_before} -> {n_after}");
         // The orphaned copy is gone; the terminal survives.
@@ -913,9 +704,9 @@ mod tests {
 
     #[test]
     fn redundant_const_array_loads_collapse() {
-        // Two reads of t[2] in different statements become one LdArrC
-        // (ArrayStrength first turns both into constant-index loads so
-        // they unify by index value).
+        // Two reads of t[2] in different statements become one LdArrCS
+        // (lowering emits both at their constant index, so they unify
+        // by index value).
         let mut pb = ProgramBuilder::new("p");
         let t = pb.array_init(
             "t",
@@ -1059,12 +850,22 @@ mod tests {
         );
         assert_eq!(parse_passes("none").unwrap(), Vec::new());
         assert_eq!(
-            parse_passes("array_strength, dead_scratch").unwrap(),
-            vec![Pass::ArrayStrength, Pass::DeadScratch]
+            parse_passes("dead_scratch, value_numbering").unwrap(),
+            vec![Pass::DeadScratch, Pass::ValueNumbering]
         );
-        assert!(parse_passes("cse,bogus").is_err());
+        assert!(parse_passes("value_numbering,bogus").is_err());
         // A pass that is gone is an unknown name, not a silent no-op.
-        assert!(parse_passes("const_fold").is_err());
+        for gone in [
+            "const_fold",
+            "array_strength",
+            "redundant_load",
+            "cse",
+            "fuse_pairs",
+            "copy_prop",
+        ] {
+            let err = parse_passes(gone).unwrap_err();
+            assert_eq!(err, format!("unknown pass `{gone}`"));
+        }
     }
 
     #[test]
@@ -1096,8 +897,8 @@ mod tests {
 
     #[test]
     fn cse_merges_duplicate_computations() {
-        // Two statements compute `a + 2`; after RedundantLoad unifies
-        // the operand loads, value numbering leaves a single Add.
+        // Two statements compute `a + 2` from `a`'s slot; value
+        // numbering leaves a single Add.
         let mut pb = ProgramBuilder::new("p");
         let a = pb.reg_init("a", 8, Bits::from_u64(7, 8));
         let b = pb.reg("b", 8);

@@ -2,11 +2,15 @@
 //! controller, then interrogate it with in-band direction packets — the
 //! way the paper's authors found their Memcached checksum bug ("directing
 //! the packets to report the checksum calculated within Emu revealed a
-//! bug in the checksum implementation").
+//! bug in the checksum implementation"). The same traffic then runs on
+//! the software target with the commands that have no hardware mapping
+//! (a watchpoint and a call counter) attached as an observer.
 //!
 //! Run: `cargo run --release --example debug_directed`
 
-use emu::debug::{extend_program, parse, ControllerConfig, Director, Outcome};
+use emu::debug::{
+    extend_program, parse, Command, ControllerConfig, DirectionObserver, Director, Outcome,
+};
 use emu::prelude::*;
 use emu::services::memcached::{memcached, request_frame};
 use emu::stdlib::Service;
@@ -30,13 +34,7 @@ fn main() {
 
     // Live traffic.
     println!("== traffic ==");
-    for body in [
-        "set k1 0 0 8\r\nAAAAAAAA\r\n",
-        "get k1\r\n",
-        "get k2\r\n",
-        "get k1\r\n",
-        "get k1\r\n",
-    ] {
+    for body in TRAFFIC {
         inst.process(&request_frame(body, 1)).expect("request");
         println!("  sent {}", body.replace("\r\n", "\\r\\n"));
     }
@@ -60,6 +58,33 @@ fn main() {
         println!("the service or attaching an RTL simulator.");
     }
 
+    // On the software target the commands the controller cannot run
+    // (`Outcome::SoftwareOnly`) are an observer on the engine: a
+    // watchpoint on n_hit and a counter of `rx` label crossings.
+    println!("\n== software-target session (observer) ==");
+    let mut cpu = svc.engine(Target::Cpu).build().expect("instantiate");
+    let mut obs = DirectionObserver::new();
+    for cmd in ["watch n_hit", "count calls rx"] {
+        let parsed = parse(cmd).expect("cmd");
+        let out = director.run(&mut cpu, &parsed).expect("run");
+        assert_eq!(out, Outcome::SoftwareOnly, "{cmd}");
+        if let Command::Watch(name, cond) = parsed {
+            let var = svc.program.var_by_name(&name).expect("a register");
+            obs.watches.insert(var.0, cond);
+        }
+        println!("  (emu-dbg) {cmd:<14} -> attached to the observer");
+    }
+    for body in TRAFFIC {
+        cpu.process_observed(&request_frame(body, 1), &mut obs)
+            .expect("request");
+    }
+    for (_, old, new) in &obs.watch_hits {
+        println!("  watch n_hit: {old} -> {new}");
+    }
+    let rx = obs.call_counts.get("rx").copied().unwrap_or(0);
+    println!("  count calls rx -> {rx}");
+    assert_eq!(obs.watch_hits.len(), 3, "one hit per `get k1`");
+
     // The controller costs almost nothing (Table 5):
     let base_fsm = compile(&memcached().program).expect("compile");
     let dir_fsm = compile(&svc.program).expect("compile");
@@ -70,3 +95,13 @@ fn main() {
         100.0 * d / b - 100.0
     );
 }
+
+/// The Memcached requests both sessions send: a set, then three hits
+/// and one miss.
+const TRAFFIC: [&str; 5] = [
+    "set k1 0 0 8\r\nAAAAAAAA\r\n",
+    "get k1\r\n",
+    "get k2\r\n",
+    "get k1\r\n",
+    "get k1\r\n",
+];

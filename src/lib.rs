@@ -95,7 +95,7 @@
 //! * [`Backend::Compiled`](stdlib::Backend) (**default**) — each thread
 //!   is lowered once, at build time, to a linear micro-op bytecode with
 //!   explicit scratch registers, pre-resolved ids and pre-computed
-//!   widths. The bytecode is a 64-bit machine — 30 micro-ops over one
+//!   widths. The bytecode is a 64-bit machine — 29 micro-ops over one
 //!   `u64` slot file laid out as registers | signals | scratch | pool:
 //!   the machine state's registers and signals, scratch above them and
 //!   the program's constant pool above that, so no micro-op loads a
@@ -109,12 +109,13 @@
 //!   **cross-statement** optimization pass pipeline ([`ir::Pass`]):
 //!   observer-visibility analysis widens optimization regions past
 //!   source-statement boundaries wherever no observer event intervenes,
-//!   and the widened regions get array-access strength reduction,
-//!   redundant-load and common-subexpression elimination,
-//!   constant-index pair fusion, copy propagation, and dead-scratch
-//!   elimination — six passes, each one kept because removing it
-//!   changes the bytecode of a shipped service
-//!   (`tests/pass_census.rs`). Pick it everywhere
+//!   and the widened regions get two passes: value numbering, one
+//!   forward scan that reuses loads, stored values and pure results,
+//!   fuses byte fields into one load and reads uses through copies, then
+//!   dead-scratch elimination. Each is kept because removing it changes
+//!   the bytecode of a shipped service (`tests/pass_census.rs`); an
+//!   access at a literal array index is lowered at its constant index
+//!   with no pass at all. Pick it everywhere
 //!   throughput matters — it is what `soak` and `emubench` drive, and
 //!   `bash benchmark/run.sh` reports its per-frame cost beside the
 //!   tree-walker's (`kiwi-ir.exec_ns_per_frame` vs
@@ -149,7 +150,7 @@
 //! Three env knobs make the whole compilation story inspectable without
 //! code changes: `EMU_CPU_BACKEND=treewalk|compiled` picks the backend,
 //! `EMU_CPU_PASSES` overrides the pass list (`none` disables every
-//! optimization; or a comma list like `array_strength,copy_prop` — the
+//! optimization; or a comma list like `dead_scratch,value_numbering` — the
 //! builder mirror is
 //! [`EngineBuilder::passes`](stdlib::EngineBuilder::passes)), and
 //! `EMU_CPU_DUMP_MOPS=1` prints each thread's annotated micro-op listing

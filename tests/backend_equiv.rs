@@ -976,8 +976,7 @@ fn engine_passes_knob_is_behavior_invisible() {
 // register. Each program below puts such a store in the middle of one
 // widened region (or, in the last one, hands the register to an
 // observer mid-frame) and runs in lockstep on the tree-walker, the FSM
-// and the compiled backend under the default pipeline, the empty one
-// and each pass alone.
+// and the compiled backend under every pipeline of the two passes.
 // ---------------------------------------------------------------------
 
 /// Extension point at which [`Poke`] rewrites register 0.
@@ -1013,12 +1012,11 @@ impl Observer for Poke {
     }
 }
 
-/// The default pipeline, the empty one and each pass alone.
+/// Every pipeline of the two passes, each at most once: the default,
+/// the empty one, each pass alone and the default's reverse.
 fn hazard_pipelines() -> Vec<Vec<kiwi_ir::Pass>> {
-    let default = kiwi_ir::default_pipeline();
-    let mut out = vec![default.to_vec(), Vec::new()];
-    out.extend(default.iter().map(|p| vec![*p]));
-    out
+    use kiwi_ir::Pass::{DeadScratch as Ds, ValueNumbering as Vn};
+    vec![vec![Vn, Ds], vec![], vec![Vn], vec![Ds], vec![Ds, Vn]]
 }
 
 /// Runs `prog` (threads that halt) on the tree-walker, the FSM and
@@ -1577,7 +1575,7 @@ fn byte_load_chain_whose_middle_is_read_again() {
 
 #[test]
 fn fields_of_wide_elements_or_on_a_register_stay_unfused() {
-    // Two shapes `FusePairs` leaves as loads and concats: a pair of
+    // Two shapes field fusion leaves as loads and concats: a pair of
     // 16-bit elements, whose low part is no byte, and a tower whose
     // high part is a register, not a load. The elements change every
     // trip, after the loads.

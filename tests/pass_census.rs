@@ -71,7 +71,7 @@ fn variant(m: &MOp) -> String {
     s[..end].to_string()
 }
 
-/// Every variant of [`MOp`]. Lowering emits all but the three of part
+/// Every variant of [`MOp`]. Lowering emits all but the one of part
 /// (b), which only a pass produces.
 const VARIANTS: [&str; 29] = [
     "LdArrS",
@@ -158,18 +158,16 @@ fn every_default_pass_and_fused_op_shows_up_in_a_shipped_service() {
         "passes that change no shipped service's bytecode when removed: {idle:?}"
     );
 
-    // (b) Every micro-op that lowering never emits — only a pass can
+    // (b) The one micro-op that lowering never emits — only a pass can
     // produce it — must occur somewhere.
-    for name in ["LdArrCS", "StArrCS", "LdBytesCS"] {
-        let users: Vec<_> = services
-            .iter()
-            .zip(&full)
-            .filter(|(_, code)| code.iter().flatten().any(|m| variant(m) == name))
-            .map(|((svc, _), _)| *svc)
-            .collect();
-        println!("{name:<12} emitted by {users:?}");
-        assert!(!users.is_empty(), "no shipped service emits MOp::{name}");
-    }
+    let users: Vec<_> = services
+        .iter()
+        .zip(&full)
+        .filter(|(_, code)| code.iter().flatten().any(|m| variant(m) == "LdBytesCS"))
+        .map(|((svc, _), _)| *svc)
+        .collect();
+    println!("LdBytesCS    emitted by {users:?}");
+    assert!(!users.is_empty(), "no shipped service emits MOp::LdBytesCS");
 
     // (c) Every micro-op is emitted for some shipped program, by the
     // default or by the empty pipeline, or is on the short list above.
@@ -379,14 +377,31 @@ fn signals_are_written_only_by_stores() {
     }
 }
 
+/// The default pipeline is a fixpoint: run twice, it compiles every
+/// shipped program to the micro-ops it compiles them to once. Value
+/// numbering is one forward scan because of this: a second scan, or a
+/// split of the scan into its steps, finds nothing more to rewrite.
+#[test]
+fn the_default_pipeline_is_a_fixpoint() {
+    let twice = [default_pipeline(), default_pipeline()].concat();
+    for (name, prog) in shipped() {
+        assert_eq!(
+            bytecode(&prog, &twice),
+            bytecode(&prog, default_pipeline()),
+            "{name}: a second run of the default pipeline moved the bytecode"
+        );
+    }
+}
+
 /// Encoding variants no shipped program produces under the default
 /// pipeline, each with the reason it stays. All are one-for-one forms
 /// of a micro-op or an operator; no fused form is among them.
 const KEPT_IDLE_EXEC: [(&str, &str); 4] = [
     (
         "Copy",
-        "copy propagation removes every `CopyS` of the default pipeline; \
-         the empty pipeline and every pipeline without `copy_prop` run it",
+        "value numbering reads every use through its copy and dead scratch \
+         elimination then removes the `CopyS`; the empty pipeline and each pass \
+         alone run it",
     ),
     ("Neg", "the encoding of `NegS`, kept in `KEPT_IDLE`"),
     (
@@ -467,7 +482,7 @@ fn field(op: &XOp, name: &str) -> u64 {
     op.1.iter().find(|(k, _)| k == name).unwrap().1
 }
 
-/// A `ConcatS` of `t` that `FusePairs` could have taken: a byte loaded
+/// A `ConcatS` of `t` that value numbering could have fused: a byte loaded
 /// at a constant index onto the load of the bytes just before it in an
 /// array of bytes, fewer than eight bytes in all, the word from the first
 /// byte in bounds, and no store into the array between either load and
@@ -516,8 +531,8 @@ fn unfused_field(prog: &Program, t: &CompiledThread) -> Option<MOp> {
 
 /// Frame fields run as words: under the default pipeline every field
 /// load of a shipped service is one `LdBytesCS`, encoded as one
-/// `LdBytesC`, and no `ConcatS` is left that `FusePairs` could have
-/// taken; and no encoding keeps two adjacent `SliceStArrC` that one
+/// `LdBytesC`, and no `ConcatS` is left that value numbering could
+/// have fused; and no encoding keeps two adjacent `SliceStArrC` that one
 /// byte-store run would take.
 #[test]
 fn frame_fields_run_as_words() {
@@ -537,7 +552,7 @@ fn frame_fields_run_as_words() {
             let encoded = ops.iter().filter(|op| op.0 == "LdBytesC").count();
             assert_eq!(loads, encoded, "{name}: a field load encoded otherwise");
             if let Some(m) = unfused_field(&cp.prog, t) {
-                panic!("{name}: a field FusePairs could have taken: {m:?}");
+                panic!("{name}: a field value numbering could have fused: {m:?}");
             }
             for pair in ops.windows(2) {
                 let [x, y] = pair else { unreachable!() };

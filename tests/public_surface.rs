@@ -6,8 +6,9 @@
 //! each file up to its first `#[cfg(test)]`. Each `pub fn`, `const`,
 //! `static`, `struct`, `enum`, `type` and `trait` declared there must
 //! have another whole-word occurrence in that corpus, in `examples/` or
-//! in `benchmark/src`. Comment lines, `pub use` re-exports and a
-//! function's calls to itself do not count as uses; a plain `use` does,
+//! in `benchmark/src`. Comment lines, `pub use` re-exports, a
+//! function's calls to itself and a type's own `impl` lines (`impl X`,
+//! `impl Trait for X`) do not count as uses; a plain `use` does,
 //! since clippy denies an unused import. The search is by word, so two
 //! items that share a name share their callers.
 //!
@@ -41,6 +42,7 @@ const KEPT: &[&str] = &[
     // (b) Harnesses, fixture builders and reference implementations that
     // root tests, emubench's tests or another crate's tests call.
     "run_cycles: Core, a machine run without frames (tests/verilog_lockstep.rs)",
+    "NullEnv: a machine run with no IP blocks attached; the crates' and root tests",
     "lint: kiwi, the structural lint of emitted Verilog (tests/artifacts.rs)",
     "num_shards: Engine, the shape a build made (tests/sharding.rs)",
     "shard_error: Engine, why a shard is poisoned (tests/failure_injection.rs)",
@@ -203,6 +205,33 @@ fn declared(line: &str) -> Option<(&str, bool)> {
     (!name.is_empty()).then_some((name, *kind == "fn "))
 }
 
+/// The type an `impl` block's first line implements for: `X` in
+/// `impl X {` and in `impl<T> Trait<T> for path::X<T> {`. A line that
+/// ends in `,` is an argument's `impl Trait`, not a block.
+fn impl_self_type(line: &str) -> Option<&str> {
+    let mut rest = line.trim_start().strip_prefix("impl")?;
+    if line.trim_end().ends_with(',') {
+        return None;
+    }
+    if let Some(generics) = rest.strip_prefix('<') {
+        let mut depth = 1;
+        let end = generics.find(|c| {
+            match c {
+                '<' => depth += 1,
+                '>' => depth -= 1,
+                _ => {}
+            }
+            depth == 0
+        })?;
+        rest = &generics[end + 1..];
+    } else if !rest.starts_with(' ') {
+        return None;
+    }
+    let ty = rest.rsplit(" for ").next()?.trim_start();
+    let path = ty.split(|c: char| !is_word(c) && c != ':').next()?;
+    path.rsplit("::").next().filter(|name| !name.is_empty())
+}
+
 #[test]
 fn every_public_item_has_a_caller_outside_the_tests() {
     let root = root();
@@ -232,8 +261,11 @@ fn every_public_item_has_a_caller_outside_the_tests() {
             if line.trim_start().starts_with('}') {
                 inside.retain(|(_, at)| *at != indent);
             }
+            let mut own = impl_self_type(&line);
             for w in words(&line) {
-                if !inside.iter().any(|(f, _)| f == w) {
+                if own == Some(w) {
+                    own = None;
+                } else if !inside.iter().any(|(f, _)| f == w) {
                     *occurrences.entry(w.to_string()).or_default() += 1;
                 }
             }
@@ -490,6 +522,26 @@ fn every_public_module_is_named_by_path_outside_its_crate() {
         unnamed.len(),
         unnamed.join("\n")
     );
+}
+
+#[test]
+fn an_impl_line_is_no_caller_of_its_self_type() {
+    for (line, ty) in [
+        ("impl Foo {", Some("Foo")),
+        (
+            "    impl Observer for NullObserver {}",
+            Some("NullObserver"),
+        ),
+        (
+            "impl<'a, T: Bar<U>> Trait<X> for crate::m::Foo<'a, T> {",
+            Some("Foo"),
+        ),
+        ("impl<T> From<T> for Wrap<T>", Some("Wrap")),
+        ("        impl Fn(u32) -> bool,", None),
+        ("let implied = impl_thing();", None),
+    ] {
+        assert_eq!(impl_self_type(line), ty, "{line}");
+    }
 }
 
 #[test]
