@@ -480,6 +480,76 @@ mod tests {
         assert_eq!(&b[75..], &[1, 2, 3, 4]);
     }
 
+    /// The dotted name a DNS question holds at `at`, and the offset
+    /// past its terminal zero.
+    fn question_name(b: &[u8], mut at: usize) -> (String, usize) {
+        let mut labels = Vec::new();
+        while b[at] != 0 {
+            let n = usize::from(b[at]);
+            labels.push(String::from_utf8(b[at + 1..at + 1 + n].to_vec()).unwrap());
+            at += 1 + n;
+        }
+        (labels.join("."), at + 1)
+    }
+
+    /// `raw` drawn over `alphabet`, as text.
+    fn text(raw: &[u8], alphabet: &[u8]) -> String {
+        raw.iter()
+            .map(|&c| char::from(alphabet[usize::from(c)]))
+            .collect()
+    }
+
+    const KEY_BYTES: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-:";
+
+    proptest::proptest! {
+        /// A reply's question is the request's name, at most 26 wire
+        /// bytes, and it carries the zone's A record for it or says
+        /// NXDOMAIN.
+        #[test]
+        fn dns_replies_carry_the_question_back(
+            raw in proptest::collection::vec(0u8..37, 0..=25),
+            hit in proptest::prelude::any::<bool>(),
+            addr in proptest::prelude::any::<u32>(),
+        ) {
+            let name = text(&raw, b"abcdefghijklmnopqrstuvwxyz0123456789.");
+            let asked = name.split('.').filter(|l| !l.is_empty()).collect::<Vec<_>>().join(".");
+            let zoned = if hit { asked.clone() } else { "not.in.zone".to_string() };
+            let mut svc = HostDns::new(vec![(zoned.clone(), Ipv4(addr))]);
+            let out = svc.process(&dns_frame(&name));
+            proptest::prop_assert_eq!(out.len(), 1);
+            let b = out[0].bytes();
+            let hdr = offset::L4 + 8;
+            let (question, end) = question_name(b, hdr + 12);
+            proptest::prop_assert_eq!(&question, &asked);
+            proptest::prop_assert_eq!(bitutil::get16(b, hdr + 4), 1);
+            if zoned == asked {
+                proptest::prop_assert_eq!(bitutil::get16(b, hdr + 2), 0x8180);
+                proptest::prop_assert_eq!(bitutil::get16(b, hdr + 6), 1);
+                // TYPE A after the name pointer, then the address.
+                proptest::prop_assert_eq!(bitutil::get16(b, end + 6), 1);
+                proptest::prop_assert_eq!(&b[b.len() - 4..], &Ipv4(addr).octets()[..]);
+            } else {
+                proptest::prop_assert_eq!(bitutil::get16(b, hdr + 2), 0x8183);
+                proptest::prop_assert_eq!(bitutil::get16(b, hdr + 6), 0);
+            }
+        }
+
+        /// A GET of a stored key of 1 to 8 bytes answers a `VALUE` line
+        /// that names that key, with the value stored under it.
+        #[test]
+        fn memcached_values_name_the_requested_key(
+            raw in proptest::collection::vec(0u8..64, 1..=8),
+            value in proptest::collection::vec(0u8..64, 8..=8),
+        ) {
+            let (key, value) = (text(&raw, KEY_BYTES), text(&value, KEY_BYTES));
+            let mut svc = HostMemcached::default();
+            svc.process(&mc_frame(&format!("set {key} 0 0 8\r\n{value}\r\n")));
+            let out = svc.process(&mc_frame(&format!("get {key}\r\n")));
+            let want = format!("VALUE {key} 0 8\r\n{value}\r\nEND\r\n");
+            proptest::prop_assert_eq!(wire::reply_text(&out[0]), want.as_bytes());
+        }
+    }
+
     fn dns_frame(name: &str) -> Frame {
         let query = wire::dns_query(name, 7);
         wire::udp_frame(mac(2), mac(1), CLIENT, 4242, SERVER, port::DNS, &query, 0)

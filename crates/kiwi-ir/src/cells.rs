@@ -1,24 +1,21 @@
 //! Width-typed array storage for [`crate::interp::MachineState`].
 //!
 //! The paper's dataplane contract (Figure 6) DMA-copies a frame into a
-//! *byte array*, and §3.2(iv) brings in wide words only where the
-//! datapath needs them. The machine state follows suit: an array is
-//! stored in the narrowest host representation that holds its declared
-//! element width, so the frame buffer is a plain byte slab the platform
-//! driver can `memcpy` into and out of, and only arrays wider than a
-//! machine word pay for [`Bits`] cells.
+//! *byte array*, so an array of elements up to 8 bits is a byte slab the
+//! platform driver can `memcpy` into and out of; every other array is a
+//! slab of 64-bit limbs, as many per element as its width needs.
 
 use crate::compile::mask_of;
 use emu_types::Bits;
+use std::ops::Range;
 
 /// The contents of one program array, stored by the width class of its
 /// **declared** element width:
 ///
-/// | declared width | storage      | bytes per element           |
-/// |----------------|--------------|-----------------------------|
-/// | 1..=8          | `Vec<u8>`    | 1                           |
-/// | 9..=64         | `Vec<u64>`   | 8                           |
-/// | 65..=512       | `Vec<Bits>`  | 40, +64 heap past 256 bits  |
+/// | declared width | storage    | per element                          |
+/// |----------------|------------|--------------------------------------|
+/// | 1..=8          | `Vec<u8>`  | 1 byte                               |
+/// | 9..=512        | `Vec<u64>` | `⌈width/64⌉` limbs, as [`Bits::limbs`] |
 ///
 /// The class is fixed at construction from what the program declares;
 /// the tree-walker, the compiled machine and the RTL FSM all read and
@@ -39,22 +36,16 @@ pub struct Cells {
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Store {
     U8(Vec<u8>),
-    U64(Vec<u64>),
-    Wide(Vec<Bits>),
+    Limbs(Vec<u64>),
 }
 
 impl Cells {
-    /// `len` zero elements of `width` bits each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero or exceeds [`emu_types::bits::MAX_WIDTH`]
-    /// (program validation rejects such arrays before any state exists).
+    /// `len` zero elements of `width` bits each (`1..=512`: program
+    /// validation rejects any other width before a state exists).
     pub(crate) fn zeroed(width: u16, len: usize) -> Self {
         let store = match width {
             1..=8 => Store::U8(vec![0; len]),
-            9..=64 => Store::U64(vec![0; len]),
-            _ => Store::Wide(vec![Bits::zero(width); len]),
+            _ => Store::Limbs(vec![0; len * limbs_of(width)]),
         };
         Cells { width, store }
     }
@@ -64,8 +55,7 @@ impl Cells {
     pub fn len(&self) -> usize {
         match &self.store {
             Store::U8(d) => d.len(),
-            Store::U64(d) => d.len(),
-            Store::Wide(d) => d.len(),
+            Store::Limbs(d) => d.len() / limbs_of(self.width),
         }
     }
 
@@ -86,19 +76,17 @@ impl Cells {
     pub fn get(&self, i: usize) -> Option<Bits> {
         match &self.store {
             Store::U8(d) => d.get(i).map(|&v| Bits::from_u64(u64::from(v), self.width)),
-            Store::U64(d) => d.get(i).map(|&v| Bits::from_u64(v, self.width)),
-            Store::Wide(d) => d.get(i).cloned(),
+            Store::Limbs(d) => Some(Bits::from_limbs(&d[run(d, self.width, i)?], self.width)),
         }
     }
 
     /// The low 64 bits of element `i` (the whole element for arrays up
     /// to 64 bits wide), or `None` when `i` is out of range.
     #[inline]
-    pub(crate) fn get_u64(&self, i: usize) -> Option<u64> {
+    pub fn get_u64(&self, i: usize) -> Option<u64> {
         match &self.store {
             Store::U8(d) => d.get(i).map(|&v| u64::from(v)),
-            Store::U64(d) => d.get(i).copied(),
-            Store::Wide(d) => d.get(i).map(Bits::to_u64),
+            Store::Limbs(d) => d.get(i.checked_mul(limbs_of(self.width))?).copied(),
         }
     }
 
@@ -107,9 +95,12 @@ impl Cells {
     /// of range.
     #[inline]
     pub fn set(&mut self, i: usize, v: &Bits) -> bool {
+        let width = self.width;
         match &mut self.store {
-            Store::Wide(d) => store_at(d, i, v.resize(self.width)),
-            _ => self.set_u64(i, v.to_u64()),
+            Store::Limbs(d) => run(d, width, i)
+                .map(|r| fit_limbs(&mut d[r], v.limbs(), width))
+                .is_some(),
+            Store::U8(_) => self.set_u64(i, v.to_u64()),
         }
     }
 
@@ -119,9 +110,17 @@ impl Cells {
     pub fn set_u64(&mut self, i: usize, v: u64) -> bool {
         let mask = mask_of(self.width);
         match &mut self.store {
-            Store::U8(d) => store_at(d, i, (v & mask) as u8),
-            Store::U64(d) => store_at(d, i, v & mask),
-            Store::Wide(d) => store_wide(d, i, v, self.width),
+            Store::U8(d) => d.get_mut(i).map(|b| *b = (v & mask) as u8).is_some(),
+            Store::Limbs(d) => match run(d, self.width, i).map(|r| &mut d[r]) {
+                Some([low, high @ ..]) => {
+                    *low = v & mask;
+                    if !high.is_empty() {
+                        clear(high);
+                    }
+                    true
+                }
+                _ => false,
+            },
         }
     }
 
@@ -131,7 +130,7 @@ impl Cells {
     pub fn bytes(&self) -> Option<&[u8]> {
         match &self.store {
             Store::U8(d) => Some(d),
-            _ => None,
+            Store::Limbs(_) => None,
         }
     }
 
@@ -148,25 +147,39 @@ impl Cells {
     }
 }
 
-/// [`Cells::set_u64`] into an array wider than 64 bits, out of line: no
-/// shipped service declares one, and inlined it kept `set_u64` itself
-/// out of the compiled executor's store micro-ops.
-#[cold]
-#[inline(never)]
-fn store_wide(d: &mut [Bits], i: usize, v: u64, width: u16) -> bool {
-    store_at(d, i, Bits::from_u64(v, width))
+/// The limbs a value of `width` bits occupies: `⌈width/64⌉`.
+#[inline]
+pub(crate) fn limbs_of(width: u16) -> usize {
+    usize::from(width).div_ceil(64)
 }
 
-/// `d[i] = v` when `i` is in range; says whether it was.
+/// Writes the value whose little-endian limbs are `limbs` into `run`
+/// (`⌈width/64⌉` words), zero-extended or truncated to `width` bits.
 #[inline]
-fn store_at<T>(d: &mut [T], i: usize, v: T) -> bool {
-    match d.get_mut(i) {
-        Some(slot) => {
-            *slot = v;
-            true
-        }
-        None => false,
+pub(crate) fn fit_limbs(run: &mut [u64], limbs: &[u64], width: u16) {
+    for (k, w) in run.iter_mut().enumerate() {
+        *w = limbs.get(k).copied().unwrap_or(0);
     }
+    if let Some(top) = run.last_mut() {
+        *top &= u64::MAX >> (width.wrapping_neg() & 63);
+    }
+}
+
+/// The words of element `i` in a slab `d` of `width`-bit elements, or
+/// `None` when `i` is out of range.
+#[inline]
+fn run(d: &[u64], width: u16, i: usize) -> Option<Range<usize>> {
+    let n = limbs_of(width);
+    let at = i.checked_mul(n).filter(|&at| at < d.len())?;
+    Some(at..at + n)
+}
+
+/// Zeroes an element's limbs above its low one, out of line: inlined,
+/// it kept [`Cells::set_u64`] out of the compiled executor's stores.
+#[cold]
+#[inline(never)]
+fn clear(high: &mut [u64]) {
+    high.fill(0);
 }
 
 #[cfg(test)]
@@ -175,21 +188,21 @@ mod tests {
 
     #[test]
     fn class_follows_declared_width() {
-        for (width, class) in [
-            (1, "u8"),
-            (8, "u8"),
-            (9, "u64"),
-            (64, "u64"),
-            (65, "wide"),
-            (512, "wide"),
+        for (width, class, stride) in [
+            (1, "u8", 1),
+            (8, "u8", 1),
+            (9, "limbs", 1),
+            (64, "limbs", 1),
+            (65, "limbs", 2),
+            (300, "limbs", 5),
+            (512, "limbs", 8),
         ] {
             let c = Cells::zeroed(width, 4);
-            let got = match c.store {
-                Store::U8(_) => "u8",
-                Store::U64(_) => "u64",
-                Store::Wide(_) => "wide",
+            let (got, words) = match &c.store {
+                Store::U8(d) => ("u8", d.len()),
+                Store::Limbs(d) => ("limbs", d.len()),
             };
-            assert_eq!(got, class, "width {width}");
+            assert_eq!((got, words), (class, 4 * stride), "width {width}");
             assert_eq!((c.width(), c.len(), c.is_empty()), (width, 4, false));
             assert_eq!(c.bytes().is_some(), class == "u8", "width {width}");
         }
@@ -197,7 +210,7 @@ mod tests {
 
     #[test]
     fn round_trip_masks_to_the_width_in_every_class() {
-        for width in [1u16, 5, 8, 9, 24, 64, 65, 96, 512] {
+        for width in [1u16, 5, 8, 9, 24, 64, 65, 96, 128, 300, 512] {
             let mut c = Cells::zeroed(width, 3);
             let ones = Bits::zero(width).not();
 

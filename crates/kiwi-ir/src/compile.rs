@@ -72,7 +72,7 @@
 //!
 //! # Registers, signals, scratch and constant pool
 //!
-//! The slot file is the [`MachineState`]'s word file, in four parts:
+//! The slot file is the [`MachineState`]'s word file, in five parts:
 //!
 //! * **Registers.** Slot `v` is register `v` (see the
 //!   [`MachineState`] docs): a read of a register of at most 64 bits
@@ -85,6 +85,9 @@
 //!   an input between cycles by writing the same word. Register and
 //!   signal slots are the slots written more than once, by every store
 //!   to them, so no pass carries a read of one past a store to it.
+//! * **Runs**, above the signals: the limbs of each register or signal
+//!   wider than 64 bits. No micro-op names a word of a run, or the own
+//!   word of a value that wide: such a value is evaluated (below).
 //! * **Scratch** ([`CompiledProgram::scratch_base`] up): every thread's
 //!   regions number their values from there, each written once before
 //!   it is read within a region, and the threads share them (a thread
@@ -745,10 +748,10 @@ impl CompiledProgram {
         self.prog.vars().len()
     }
 
-    /// The first scratch slot: the registers and then the signals lie
-    /// below it, one slot each.
+    /// The first scratch slot: the registers, the signals and the runs
+    /// lie below it, laid out as [`crate::MachineState`]'s word file.
     pub fn scratch_base(&self) -> usize {
-        self.sig_base() + self.prog.signals().len()
+        crate::interp::word_file(&self.prog).1
     }
 
     /// The first pool slot: every thread's scratch lies below it.
@@ -763,7 +766,7 @@ impl CompiledProgram {
         debug_assert_eq!(
             words.len(),
             self.scratch_base(),
-            "one word per register and per signal"
+            "one word per register and per signal, then the runs of the wide ones"
         );
         words.resize(self.pool_base(), 0);
         words.extend_from_slice(&self.pool);

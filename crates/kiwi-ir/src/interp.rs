@@ -22,8 +22,7 @@
 //! [`eval`].
 
 use crate::ast::{BinOp, Expr, IrResult, UnOp};
-use crate::cells::Cells;
-use crate::compile::mask_of;
+use crate::cells::{fit_limbs, limbs_of, Cells};
 use crate::flat::{FlatProgram, Op};
 use crate::machine::{missing_pause, Instance, MAX_OPS_PER_CYCLE};
 use crate::program::{ArrId, Program, SigId, VarId};
@@ -35,47 +34,37 @@ use emu_types::Bits;
 ///
 /// Registers and signals live in one file of `u64` words: word `v` is
 /// register `v` ([`VarId`]), and above the registers word `regs + s` is
-/// signal `s` ([`SigId`]), each holding its value masked to the
-/// declared width. A register or signal wider than 64 bits keeps its
-/// value as a [`Bits`] outside the file, and its word holds only the
-/// value's low 64 bits (so [`MachineState::sig_word`] is one load
-/// whatever the width; no micro-op reads such a word). Every machine,
-/// environment and observer reaches registers through
-/// [`MachineState::reg`] / [`MachineState::set_reg`] and signals
-/// through [`MachineState::sig`] / [`MachineState::set_sig`] (and their
-/// word and limb forms), so the file is the one home of each value on
-/// all three machines.
+/// signal `s` ([`SigId`]), each masked to its declared width. One wider
+/// than 64 bits keeps its `⌈width/64⌉` little-endian limbs in a run of
+/// words above the signals, and its own word holds its low limb,
+/// written by every store that writes the run (so
+/// [`MachineState::sig_word`] is one load at any width; no micro-op
+/// reads such a word). `word_file` is this layout, for the state and
+/// the compiled image alike. Every machine, environment and observer
+/// reaches registers through [`MachineState::reg`] /
+/// [`MachineState::set_reg`] and signals through [`MachineState::sig`]
+/// / [`MachineState::set_sig`] (and their word and limb forms); a
+/// [`Bits`] is built only when a value is read.
 ///
 /// The compiled image lays its scratch and its constant pool out in the
-/// same file, above the signals (registers | signals | scratch | pool;
-/// see [`mod@crate::compile`]): a micro-op names a register or a signal
-/// by its word, as it names a scratch value or a constant, and reading
-/// one costs nothing but that operand. [`crate::Core::new`] extends the
-/// file for the compiled image; what lies above the signals belongs to
-/// it.
+/// same file, above the runs (registers | signals | runs | scratch |
+/// pool; see [`mod@crate::compile`]): a micro-op names a register or a
+/// signal by its word, as it names a scratch value or a constant.
+/// [`crate::Core::new`] extends the file for the compiled image.
 #[derive(Debug, Clone)]
 pub struct MachineState {
-    /// The word file: one word per register, one per signal, then
-    /// (compiled image only) scratch and pool.
+    /// The word file: registers, signals, runs, then (compiled image
+    /// only) scratch and pool.
     pub(crate) words: Vec<u64>,
-    /// Per register, then per signal (entry `k` describes word `k`): its
-    /// declared width and, for one wider than 64 bits, where in `wide`
-    /// its value is.
+    /// Per register, then per signal: where word `k`'s value lives.
     decls: Vec<Decl>,
     /// The number of registers: signal `s` is word `sig_base + s`.
     sig_base: usize,
-    /// The values of the registers and signals wider than 64 bits.
-    wide: Vec<Bits>,
-    /// Array contents, indexed by `ArrId`. Each array is a [`Cells`]:
-    /// stored by the width class of its declared element width (`u8`
-    /// slab up to 8 bits, `u64` slab up to 64, [`Bits`] cells above),
-    /// every element masked to that width. The dataplane `frame` array is
-    /// 8 bits wide and therefore a byte slab, so a platform driver
-    /// DMA-copies a frame in and a transmission out with `memcpy`
-    /// ([`Cells::bytes`] / [`Cells::bytes_mut`]) and a 1536 B buffer is
-    /// 1.5 KiB of state. All three machines — this tree-walker, the
-    /// compiled backend and the RTL FSM — access arrays only through
-    /// the [`Cells`] accessors.
+    /// Array contents, indexed by `ArrId`: one [`Cells`] each, which all
+    /// three machines access only through its accessors. The dataplane
+    /// `frame` array is a byte slab, so a platform driver DMA-copies a
+    /// frame in and a transmission out with `memcpy`
+    /// ([`Cells::bytes`] / [`Cells::bytes_mut`]).
     pub arrays: Vec<Cells>,
     /// Per-array write high-water mark, indexed by `ArrId`: one past the
     /// highest slot that may differ from zero. Both execution backends
@@ -85,12 +74,38 @@ pub struct MachineState {
     pub arr_high: Vec<usize>,
 }
 
-/// What the register and signal accessors need of a declaration.
+/// Where a register or signal lives in the word file: its declared
+/// width, and `at`, the first word of its limbs — its own word up to 64
+/// bits, its run beyond.
 #[derive(Debug, Clone, Copy)]
-struct Decl {
+pub(crate) struct Decl {
     width: u16,
-    /// Index into [`MachineState::wide`] (values beyond 64 bits).
-    wide: u32,
+    at: u32,
+}
+
+impl Decl {
+    /// The words of its limbs.
+    #[inline]
+    fn run(self) -> std::ops::Range<usize> {
+        self.at as usize..self.at as usize + limbs_of(self.width)
+    }
+}
+
+/// The word file's layout for `prog`: per register, then per signal,
+/// where it lives (runs in declaration order above the signals), and
+/// the first word above the runs, where a compiled image's scratch
+/// starts.
+pub(crate) fn word_file(prog: &Program) -> (Vec<Decl>, usize) {
+    let vars = prog.vars().iter().map(|v| v.width);
+    let widths = vars.chain(prog.signals().iter().map(|s| s.width));
+    let mut end = prog.vars().len() + prog.signals().len();
+    let decls = widths.enumerate().map(|(i, width)| {
+        let n = limbs_of(width);
+        end += if n > 1 { n } else { 0 };
+        let at = if n > 1 { end - n } else { i } as u32;
+        Decl { width, at }
+    });
+    (decls.collect(), end)
 }
 
 impl MachineState {
@@ -102,24 +117,11 @@ impl MachineState {
     /// signal has one driver — validation rejects a program write to an
     /// input — and each starts at its declared reset value.
     pub fn init(prog: &Program) -> Self {
-        let (mut words, mut decls, mut wide) = (Vec::new(), Vec::new(), Vec::new());
-        let inits = prog.vars().iter().map(|v| &v.init);
-        for init in inits.chain(prog.signals().iter().map(|s| &s.init)) {
-            let width = init.width();
-            decls.push(Decl {
-                width,
-                wide: wide.len() as u32,
-            });
-            words.push(init.to_u64());
-            if width > 64 {
-                wide.push(init.clone());
-            }
-        }
-        MachineState {
-            words,
+        let (decls, end) = word_file(prog);
+        let mut st = MachineState {
+            words: vec![0; end],
             decls,
             sig_base: prog.vars().len(),
-            wide,
             arrays: prog
                 .arrays()
                 .iter()
@@ -136,30 +138,32 @@ impl MachineState {
                 .iter()
                 .map(|a| a.init.iter().map(|(i, _)| i + 1).max().unwrap_or(0))
                 .collect(),
+        };
+        let inits = prog.vars().iter().map(|v| &v.init);
+        for (i, init) in inits
+            .chain(prog.signals().iter().map(|s| &s.init))
+            .enumerate()
+        {
+            st.put(i, init.limbs());
         }
+        st
     }
 
     /// The value of word `i`'s register or signal, at its declared width.
     fn value(&self, i: usize) -> Bits {
         let d = self.decls[i];
-        if d.width <= 64 {
-            Bits::from_u64(self.words[i], d.width)
-        } else {
-            self.wide[d.wide as usize].clone()
-        }
+        Bits::from_limbs(&self.words[d.run()], d.width)
     }
 
-    /// Sets word `i`'s register or signal to `value`, zero-extended or
-    /// truncated to its declared width.
-    fn put(&mut self, i: usize, value: Bits) {
+    /// Sets word `i`'s register or signal to the value whose
+    /// little-endian limbs are `limbs`, zero-extended or truncated to its
+    /// declared width: its run, then its own word.
+    #[inline]
+    fn put(&mut self, i: usize, limbs: &[u64]) {
         let d = self.decls[i];
-        if d.width <= 64 {
-            self.words[i] = value.to_u64() & mask_of(d.width);
-        } else {
-            let value = fit(value, d.width);
-            self.words[i] = value.to_u64();
-            self.wide[d.wide as usize] = value;
-        }
+        let run = &mut self.words[d.run()];
+        fit_limbs(run, limbs, d.width);
+        self.words[i] = run[0];
     }
 
     /// Register `v`'s value, at its declared width.
@@ -175,7 +179,7 @@ impl MachineState {
     /// Sets register `v` to `value`, zero-extended or truncated to the
     /// register's declared width (an environment's or observer's write).
     pub fn set_reg(&mut self, v: VarId, value: Bits) {
-        self.put(v.0 as usize, value);
+        self.put(v.0 as usize, value.limbs());
     }
 
     /// Signal `s`'s value, at its declared width.
@@ -193,7 +197,7 @@ impl MachineState {
     /// Drives signal `s` with `value`, zero-extended or truncated to the
     /// signal's declared width.
     pub fn set_sig(&mut self, s: SigId, value: Bits) {
-        self.put(self.sig_base + s.0 as usize, value);
+        self.set_sig_limbs(s, value.limbs());
     }
 
     /// The low 64 bits of signal `s`: its word.
@@ -203,28 +207,17 @@ impl MachineState {
     }
 
     /// Drives signal `s` with `v` cut (or, beyond 64 bits, zero-extended)
-    /// to its declared width: a store of its word.
+    /// to its declared width.
     #[inline]
     pub fn set_sig_word(&mut self, s: SigId, v: u64) {
-        let i = self.sig_base + s.0 as usize;
-        let d = self.decls[i];
-        self.words[i] = v & mask_of(d.width);
-        if d.width > 64 {
-            self.wide[d.wide as usize].set_u64(v);
-        }
+        self.set_sig_limbs(s, &[v]);
     }
 
     /// Signal `s`'s `⌈width/64⌉` little-endian limbs (the layout
-    /// [`Bits::limbs`] exposes): its word, when it has one.
+    /// [`Bits::limbs`] exposes): its word up to 64 bits, its run beyond.
     #[inline]
     pub fn sig_limbs(&self, s: SigId) -> &[u64] {
-        let i = self.sig_base + s.0 as usize;
-        let d = self.decls[i];
-        if d.width <= 64 {
-            std::slice::from_ref(&self.words[i])
-        } else {
-            self.wide[d.wide as usize].limbs()
-        }
+        &self.words[self.decls[self.sig_base + s.0 as usize].run()]
     }
 
     /// Drives signal `s` with the value whose little-endian limbs are
@@ -232,12 +225,7 @@ impl MachineState {
     /// width (an empty slice drives zero).
     #[inline]
     pub fn set_sig_limbs(&mut self, s: SigId, limbs: &[u64]) {
-        let i = self.sig_base + s.0 as usize;
-        let d = self.decls[i];
-        self.words[i] = limbs.first().map_or(0, |&l| l & mask_of(d.width));
-        if d.width > 64 {
-            self.wide[d.wide as usize] = Bits::from_limbs(limbs, d.width);
-        }
+        self.put(self.sig_base + s.0 as usize, limbs);
     }
 
     /// Records that array `arr` had slot `idx` written, lifting its
@@ -262,20 +250,10 @@ impl MachineState {
     /// width, reports old and new value to the observer, then stores.
     #[inline(never)]
     pub fn assign<O: Observer + ?Sized>(&mut self, dst: VarId, e: &Expr, obs: &mut O) {
-        let v = eval(e, self);
-        let (i, r) = (dst.0 as usize, self.decls[dst.0 as usize]);
-        if r.width <= 64 {
-            let new = v.to_u64() & mask_of(r.width);
-            let old = Bits::from_u64(self.words[i], r.width);
-            obs.on_assign(dst.0, &old, &Bits::from_u64(new, r.width));
-            self.words[i] = new;
-        } else {
-            let new = fit(v, r.width);
-            self.words[i] = new.to_u64();
-            let reg = &mut self.wide[r.wide as usize];
-            obs.on_assign(dst.0, reg, &new);
-            *reg = new;
-        }
+        let i = dst.0 as usize;
+        let new = Bits::from_limbs(eval(e, self).limbs(), self.decls[i].width);
+        obs.on_assign(dst.0, &self.value(i), &new);
+        self.put(i, new.limbs());
     }
 
     /// `arr[i] := val`: evaluates `val` and stores it at the declared
@@ -294,7 +272,7 @@ impl MachineState {
     #[inline(never)]
     pub fn sig_write(&mut self, sig: SigId, e: &Expr) {
         let v = eval(e, self);
-        self.set_sig(sig, v);
+        self.set_sig_limbs(sig, v.limbs());
     }
 }
 

@@ -95,6 +95,18 @@ fn n_limbs(width: u16) -> usize {
     usize::from(width).div_ceil(64)
 }
 
+/// Limb `i` of a value of `width` bits whose limb `i` is `v` before the
+/// cut: all of a limb below the width's top one, the low bits of the top
+/// one, nothing above it.
+#[inline]
+fn cut(width: u16, i: usize, v: u64) -> u64 {
+    match usize::from(width).saturating_sub(64 * i) {
+        0 => 0,
+        r @ 1..64 => v & (u64::MAX >> (64 - r)),
+        _ => v,
+    }
+}
+
 /// `a << n` over the whole scratch (`n < MAX_WIDTH`).
 fn shl_wide(a: &Wide, n: usize) -> Wide {
     let (q, r) = (n / 64, n % 64);
@@ -125,14 +137,7 @@ impl Bits {
     #[inline]
     fn from_wide(width: u16, a: Wide) -> Self {
         check(width);
-        let w = usize::from(width);
-        // All of a limb below the width's top one, the low bits of the
-        // top one, nothing above it.
-        let cut = |i: usize| match w.saturating_sub(64 * i) {
-            0 => 0,
-            r @ 1..64 => a[i] & (u64::MAX >> (64 - r)),
-            _ => a[i],
-        };
+        let cut = |i: usize| cut(width, i, a[i]);
         if width > INLINE_BITS {
             return Bits::spill(width, std::array::from_fn(cut));
         }
@@ -203,27 +208,12 @@ impl Bits {
         Bits::from_u128(u128::from(v), width)
     }
 
-    /// Replaces the value with `v` cut to the value's own width, in
-    /// place: the store of a register or signal, whose width never
-    /// changes. (Building a value and moving it in makes a copy the
-    /// processor cannot forward from the stores that built it, 5 ns a
-    /// store more on a 2-vCPU Xeon host.)
-    #[inline]
-    pub fn set_u64(&mut self, v: u64) {
-        match &mut self.0 {
-            Repr::Inline { width, limbs } => {
-                *limbs = [0; INLINE];
-                limbs[0] = v & (u64::MAX >> (64 - (*width).min(64)));
-            }
-            Repr::Spill { lo, limbs, .. } => {
-                **limbs = [0; MAX_LIMBS];
-                (*lo, limbs[0]) = (v, v);
-            }
-        }
-    }
-
     /// Creates a value of the given width from a `u128`, truncating if needed.
-    #[inline]
+    ///
+    /// Out of line: it is [`Bits::from_u64`]'s path past 64 bits, and
+    /// inlined there it made every caller that builds a word larger (the
+    /// compiled executor's observer hooks spilled its registers).
+    #[inline(never)]
     pub fn from_u128(v: u128, width: u16) -> Self {
         if (1..=128).contains(&width) {
             return Bits::narrow(width, v);
@@ -235,13 +225,25 @@ impl Bits {
     /// limbs (the layout [`Bits::limbs`] exposes), zero-extending a short
     /// slice and truncating to `width`.
     ///
+    /// One limb costs what [`Bits::from_u64`] costs, and a value of at
+    /// most 256 bits is built in place: reading a register, signal or
+    /// array element out of the machine state's words is this call.
+    ///
     /// # Panics
     ///
     /// Panics if `limbs` is longer than [`MAX_WIDTH`]` / 64` or `width`
     /// is invalid.
     #[inline]
     pub fn from_limbs(limbs: &[u64], width: u16) -> Self {
+        if let [v] = limbs {
+            return Bits::from_u64(*v, width);
+        }
         assert!(limbs.len() <= MAX_LIMBS, "too many limbs");
+        if width <= INLINE_BITS {
+            check(width);
+            let limbs = std::array::from_fn(|i| cut(width, i, limbs.get(i).copied().unwrap_or(0)));
+            return Bits(Repr::Inline { width, limbs });
+        }
         let mut a = [0; MAX_LIMBS];
         a[..limbs.len()].copy_from_slice(limbs);
         Bits::from_wide(width, a)
@@ -703,13 +705,12 @@ mod tests {
             let inline = matches!(b.0, Repr::Inline { .. });
             assert_eq!(inline, w <= INLINE_BITS, "width {w}");
             assert_eq!(b.resize(512).resize(w), b, "width {w}");
-            // An in-place store keeps the width and matches a fresh value.
-            for v in [0, 1, 0xdead_beef, u64::MAX] {
-                let mut s = b.clone();
-                s.set_u64(v);
-                assert_eq!(s, Bits::from_u64(v, w), "width {w}, {v:#x}");
-                assert_eq!(s.to_u64(), Bits::from_u64(v, w).to_u64());
-            }
+            // One limb or up to four build in place, as a spill does.
+            assert_eq!(
+                Bits::from_limbs(&b.limbs()[..1], w),
+                Bits::from_u64(u64::MAX, w)
+            );
+            assert_eq!(Bits::from_limbs(b.limbs(), w), b, "width {w}");
         }
     }
 }

@@ -168,9 +168,11 @@
 //! harness.
 //!
 //! All three machines keep arrays in one width-typed representation,
-//! [`ir::Cells`]: a `u8` slab for elements up to 8 bits, a `u64` slab up
-//! to 64, [`types::Bits`] cells only above that, every element masked to
-//! its declared width. The dataplane `frame` array is therefore a plain
+//! [`ir::Cells`]: a `u8` slab for elements up to 8 bits and a slab of
+//! `u64` limbs above, `⌈width/64⌉` per element, every element masked to
+//! its declared width. Registers and signals are words of one file the
+//! same way, a value wider than 64 bits a run of limbs in it: no machine
+//! holds a [`types::Bits`] at rest. The dataplane `frame` array is therefore a plain
 //! byte slab, and the platform driver loads a frame and harvests a
 //! transmission with a `memcpy` each. Both backends also maintain the
 //! `arr_high` per-array high-water contract

@@ -16,7 +16,9 @@
 
 use emu::debug::{extend_program, ControllerConfig};
 use emu::ir::compile::MOp;
-use emu::ir::{compile_with_passes, default_pipeline, flatten, CompiledThread, Pass, Program};
+use emu::ir::{
+    compile_with_passes, default_pipeline, flatten, CompiledProgram, CompiledThread, Pass, Program,
+};
 use emu::services as s;
 
 /// Every service program the repo ships: the eight `emu-services`
@@ -318,18 +320,46 @@ fn constants_are_pooled_once_and_never_loaded() {
     }
 }
 
+/// Asserts that no micro-op of `cp` names a word of the runs above the
+/// signals, or the own word of one of `wide` (the slots of registers or
+/// signals wider than 64 bits): a value that wide is read and written
+/// whole, by the evaluating micro-ops and the state's accessors.
+fn assert_wide_words_unnamed(name: &str, cp: &CompiledProgram, wide: &[u32]) {
+    let runs = (cp.sig_base() + cp.prog.signals().len()) as u32..cp.scratch_base() as u32;
+    for m in cp.threads.iter().flat_map(|t| &t.mops) {
+        let mut named: Vec<u32> = m.dst().into_iter().collect();
+        m.uses(&mut |s| named.push(s));
+        if let MOp::StVarS { var: s, .. } | MOp::StSigS { sig: s, .. } = m {
+            named.push(*s);
+        }
+        assert!(
+            named.iter().all(|s| !runs.contains(s) && !wide.contains(s)),
+            "{name}: {m:?} names a word of a value wider than 64 bits"
+        );
+    }
+}
+
 /// The registers, on every shipped program under the default and the
 /// empty pipeline: slot `v` is register `v`, and no micro-op defines a
 /// register slot — only the register stores write one, `StVarS` in
 /// place. A register read is its slot, so no micro-op reads a register
-/// into scratch either.
+/// into scratch either; and none names the slot or the run of a
+/// register wider than 64 bits.
 #[test]
 fn registers_are_written_only_by_stores() {
+    let mut some_wide = false;
     for (name, prog) in shipped() {
+        let wide: Vec<u32> = (0..)
+            .zip(prog.vars())
+            .filter(|(_, v)| v.width > 64)
+            .map(|(i, _)| i)
+            .collect();
+        some_wide |= !wide.is_empty();
         for passes in [default_pipeline(), &[][..]] {
             let cp = compile_with_passes(&flatten(&prog).unwrap(), passes).unwrap();
             let regs = cp.sig_base() as u32;
             assert_eq!(regs as usize, prog.vars().len());
+            assert_wide_words_unnamed(name, &cp, &wide);
             let mut read = false;
             for m in cp.threads.iter().flat_map(|t| &t.mops) {
                 assert!(
@@ -345,19 +375,45 @@ fn registers_are_written_only_by_stores() {
             assert!(read, "{name}: some micro-op reads a register slot");
         }
     }
+    assert!(
+        some_wide,
+        "a shipped program has a register wider than 64 bits"
+    );
 }
 
 /// The signals, on every shipped program under the default and the
 /// empty pipeline: slot `sig_base + s` is signal `s`, and no micro-op
 /// defines a signal slot — only `StSigS` writes one, in place. A signal
-/// read is its slot, so no micro-op samples a signal into scratch.
+/// read is its slot, so no micro-op samples a signal into scratch; and
+/// none names the slot or the run of a signal wider than 64 bits. The
+/// runs of every register and signal that wide lie between the signals
+/// and the scratch.
 #[test]
 fn signals_are_written_only_by_stores() {
+    let mut some_wide = false;
     for (name, prog) in shipped() {
+        let base = prog.vars().len() as u32;
+        let wide: Vec<u32> = (base..)
+            .zip(prog.signals())
+            .filter(|(_, s)| s.width > 64)
+            .map(|(i, _)| i)
+            .collect();
+        some_wide |= !wide.is_empty();
+        let widths = prog.vars().iter().map(|v| v.width);
+        let widths = widths.chain(prog.signals().iter().map(|s| s.width));
+        let runs: usize = widths
+            .filter(|&w| w > 64)
+            .map(|w| usize::from(w).div_ceil(64))
+            .sum();
         for passes in [default_pipeline(), &[][..]] {
             let cp = compile_with_passes(&flatten(&prog).unwrap(), passes).unwrap();
-            let sigs = cp.sig_base() as u32..cp.scratch_base() as u32;
-            assert_eq!(sigs.len(), prog.signals().len());
+            assert_eq!(
+                cp.scratch_base() - cp.sig_base(),
+                prog.signals().len() + runs,
+                "{name}: one slot per signal, then the runs"
+            );
+            assert_wide_words_unnamed(name, &cp, &wide);
+            let sigs = cp.sig_base() as u32..(cp.sig_base() + prog.signals().len()) as u32;
             let (mut read, mut written) = (false, false);
             for m in cp.threads.iter().flat_map(|t| &t.mops) {
                 assert!(
@@ -375,6 +431,10 @@ fn signals_are_written_only_by_stores() {
             assert!(written, "{name}: some micro-op stores a signal slot");
         }
     }
+    assert!(
+        some_wide,
+        "a shipped program has a signal wider than 64 bits"
+    );
 }
 
 /// The default pipeline is a fixpoint: run twice, it compiles every
