@@ -759,9 +759,9 @@ impl CompiledProgram {
         self.scratch_base() + self.threads.iter().map(|t| t.n_slots).max().unwrap_or(0)
     }
 
-    /// Extends a running copy's word file, which holds its registers and
-    /// signals, to the whole slot file: the scratch (zero), then the
-    /// pool, which no micro-op writes.
+    /// Extends a running copy's word file, which holds its registers,
+    /// signals and runs, to the whole slot file: the scratch (zero), then
+    /// the pool, which no micro-op writes.
     pub(crate) fn extend_file(&self, words: &mut Vec<u64>) {
         debug_assert_eq!(
             words.len(),
@@ -804,9 +804,9 @@ pub fn compile_with_passes(
         pool: Vec::new(),
     };
     // Lay the file out: registers at their own index, the signals above
-    // them, every thread's scratch above those, and the pool above that,
-    // keeping only the constants a micro-op still reads, in order of
-    // first use.
+    // them, the runs (which no micro-op names) above those, every
+    // thread's scratch above the runs, and the pool above that, keeping
+    // only the constants a micro-op still reads, in order of first use.
     let (sigs, scratch) = (cp.sig_base() as Slot, cp.scratch_base() as Slot);
     let base = cp.pool_base();
     let mut placed: HashMap<Slot, Slot> = HashMap::new();
@@ -1394,7 +1394,8 @@ pub fn mops_to_string(cp: &CompiledProgram, ti: usize) -> String {
     };
     let o = |s: &Slot| match *s as usize {
         s if s < sigs => var(s as u32),
-        s if s < scratch => format!("${}", sig((s - sigs) as u32)),
+        s if s < sigs + prog.signals().len() => format!("${}", sig((s - sigs) as u32)),
+        s if s < scratch => format!("run{}", s - sigs - prog.signals().len()),
         s if s >= base => format!("{:#x}", cp.pool[s - base]),
         s => format!("s{}", s - scratch),
     };

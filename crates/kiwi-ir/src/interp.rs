@@ -23,6 +23,7 @@
 
 use crate::ast::{BinOp, Expr, IrResult, UnOp};
 use crate::cells::{fit_limbs, limbs_of, Cells};
+use crate::compile::mask_of;
 use crate::flat::{FlatProgram, Op};
 use crate::machine::{missing_pause, Instance, MAX_OPS_PER_CYCLE};
 use crate::program::{ArrId, Program, SigId, VarId};
@@ -139,11 +140,9 @@ impl MachineState {
                 .map(|a| a.init.iter().map(|(i, _)| i + 1).max().unwrap_or(0))
                 .collect(),
         };
-        let inits = prog.vars().iter().map(|v| &v.init);
-        for (i, init) in inits
-            .chain(prog.signals().iter().map(|s| &s.init))
-            .enumerate()
-        {
+        let sigs = prog.signals().iter().map(|s| &s.init);
+        let inits = prog.vars().iter().map(|v| &v.init).chain(sigs);
+        for (i, init) in inits.enumerate() {
             st.put(i, init.limbs());
         }
         st
@@ -157,13 +156,15 @@ impl MachineState {
 
     /// Sets word `i`'s register or signal to the value whose
     /// little-endian limbs are `limbs`, zero-extended or truncated to its
-    /// declared width: its run, then its own word.
+    /// declared width: its own word, then its run if it has one (so a
+    /// one-word store is a masked write and a compare).
     #[inline]
     fn put(&mut self, i: usize, limbs: &[u64]) {
         let d = self.decls[i];
-        let run = &mut self.words[d.run()];
-        fit_limbs(run, limbs, d.width);
-        self.words[i] = run[0];
+        self.words[i] = limbs.first().map_or(0, |&l| l & mask_of(d.width));
+        if d.at as usize != i {
+            fit_limbs(&mut self.words[d.run()], limbs, d.width);
+        }
     }
 
     /// Register `v`'s value, at its declared width.
@@ -233,9 +234,7 @@ impl MachineState {
     /// call this so platform drivers can trust [`MachineState::arr_high`].
     #[inline]
     pub fn note_arr_write(&mut self, arr: usize, idx: usize) {
-        if self.arr_high[arr] < idx + 1 {
-            self.arr_high[arr] = idx + 1;
-        }
+        self.arr_high[arr] = self.arr_high[arr].max(idx + 1);
     }
 
     // The three stores, stated once: the tree-walker, the RTL machine
@@ -251,7 +250,7 @@ impl MachineState {
     #[inline(never)]
     pub fn assign<O: Observer + ?Sized>(&mut self, dst: VarId, e: &Expr, obs: &mut O) {
         let i = dst.0 as usize;
-        let new = Bits::from_limbs(eval(e, self).limbs(), self.decls[i].width);
+        let new = fit(eval(e, self), self.decls[i].width);
         obs.on_assign(dst.0, &self.value(i), &new);
         self.put(i, new.limbs());
     }
